@@ -7,7 +7,7 @@ GO ?= go
 COVER_FLOOR ?= 60
 COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/pipeline:$(COVER_FLOOR) ./internal/detect:$(COVER_FLOOR) ./internal/quant:$(COVER_FLOOR) ./internal/track:$(COVER_FLOOR)
 
-.PHONY: all build binaries vet lint test short race purego arm64 bench bench-quant bench-track bench-serve bench-search bench-search-short bench-json cover check ci
+.PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-quant bench-track bench-serve bench-search bench-search-short bench-json cover check ci
 
 all: ci
 
@@ -38,6 +38,15 @@ lint:
 	end=$$(date +%s); \
 	echo "lint wall time: $$((end-start))s"; \
 	exit $$status
+
+# loc prints the two size numbers ROADMAP aim 2 tracks: non-test Go lines
+# per internal package, and the //skynet:nolint waiver count — the count
+# TestWaiverCountWithinCeiling (internal/analysis) pins, by the same rule.
+loc:
+	@for d in internal/*/; do \
+		printf '%-24s %6d\n' "$$d" "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"; \
+	done
+	@printf '%-24s %6d\n' "nolint waivers" "$$(grep -rn '//skynet:nolint' --include='*.go' internal cmd examples *.go | grep -v testdata | grep -v internal/analysis/ | wc -l)"
 
 # -shuffle=on randomizes test (and subtest-sibling) execution order each
 # run, so inter-test state dependencies surface in CI instead of in prod.

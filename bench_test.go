@@ -195,45 +195,55 @@ func BenchmarkFig9Tiling(b *testing.B) {
 // BenchmarkFig10Pipeline measures the live three-stage pipelined executor
 // against serial execution on a compute workload.
 func BenchmarkFig10Pipeline(b *testing.B) {
-	work := func(v any) any {
+	work := func(_ context.Context, v any) (any, error) {
 		x := v.(int)
 		for k := 0; k < 2000; k++ {
 			x = x*1664525 + 1013904223
 		}
-		return x
+		return x, nil
 	}
-	p := &pipeline.Pipeline{Stages: []pipeline.Stage{
-		{Name: pipeline.StagePre, Proc: work},
-		{Name: pipeline.StageInfer, Proc: work},
-		{Name: pipeline.StagePost, Proc: work},
-	}}
+	stages := func(inferWorkers int) []pipeline.StageSpec {
+		return []pipeline.StageSpec{
+			{Name: pipeline.StagePre, Proc: work},
+			{Name: pipeline.StageInfer, Workers: inferWorkers, Proc: work},
+			{Name: pipeline.StagePost, Proc: work},
+		}
+	}
 	items := make([]any, 64)
 	for i := range items {
 		items[i] = i
 	}
+	ctx := context.Background()
+	oneEach := stages(1)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.RunSerial(items)
+			for _, it := range items {
+				for _, s := range oneEach {
+					it, _ = s.Proc(ctx, it)
+				}
+			}
 		}
 	})
+	pip, err := pipeline.NewExecutor(2, oneEach...)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("pipelined", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.RunPipelined(items, 2)
+			if _, err := pip.Run(ctx, items); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	// The production streaming executor with the compute stage scaled out
 	// across workers — the Figure 10 design plus per-stage scale-out.
-	ex, err := pipeline.NewExecutor(2,
-		pipeline.StageSpec{Name: pipeline.StagePre, Proc: func(_ context.Context, v any) (any, error) { return work(v), nil }},
-		pipeline.StageSpec{Name: pipeline.StageInfer, Workers: 4, Proc: func(_ context.Context, v any) (any, error) { return work(v), nil }},
-		pipeline.StageSpec{Name: pipeline.StagePost, Proc: func(_ context.Context, v any) (any, error) { return work(v), nil }},
-	)
+	ex, err := pipeline.NewExecutor(2, stages(4)...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("executor-4w", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ex.Run(context.Background(), items); err != nil {
+			if _, err := ex.Run(ctx, items); err != nil {
 				b.Fatal(err)
 			}
 		}

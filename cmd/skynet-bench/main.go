@@ -63,7 +63,7 @@ var gemmShapes = []struct{ m, k, n int }{
 type Record struct {
 	Bench  string  `json:"bench"`  // float32gemm | int8gemm | conv3x3
 	Shape  string  `json:"shape"`  // m x k x n (conv: inC->outC @HxW)
-	Kernel string  `json:"kernel"` // purego | avx2 | avx2fma
+	Kernel string  `json:"kernel"` // purego | avx2
 	NsOp   int64   `json:"ns_op"`
 	GFLOPS float64 `json:"gflops"`
 	Allocs int64   `json:"allocs_op"`
@@ -325,10 +325,8 @@ func main() {
 		names = strings.Split(*kernels, ",")
 	} else {
 		names = []string{"purego"}
-		for _, k := range []string{"avx2", "avx2fma"} {
-			if tensor.HasKernel(k) {
-				names = append(names, k)
-			}
+		if tensor.HasKernel("avx2") {
+			names = append(names, "avx2")
 		}
 	}
 

@@ -152,9 +152,7 @@ func main() {
 	fmt.Printf("skynet-serve: drained cleanly — served %d (+%d cached), failed %d, rejected %d, swaps %d\n",
 		m.Served, m.CacheServed, m.Failed, m.Rejected, m.Swaps)
 	if ts != nil {
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		_ = ts.Drain(dctx)
-		cancel()
+		// The pool drained the attached service along with its replicas.
 		tm := ts.Metrics()
 		fmt.Printf("skynet-serve: tracking drained — %d sessions started, %d frames stepped\n",
 			tm.Started, tm.Steps)

@@ -1,5 +1,6 @@
 // Serving: train a compact SkyNet detector for a few epochs, stand it up
-// as an in-process HTTP detection service, and hit it with concurrent
+// behind the detection front door (a one-replica serve.Pool), and hit it
+// over HTTP with concurrent
 // clients through the load generator — demonstrating dynamic micro-batching
 // (mean batch size > 1 under concurrency), the bounded admission queue,
 // and the /metrics observability surface, all on one CPU.
@@ -38,9 +39,17 @@ func main() {
 	})
 
 	// 2. The serving pipeline: bounded admission, micro-batched inference.
-	srv, err := serve.New(model, head, serve.Config{
-		MaxBatch: 8,
-		MaxDelay: 4 * time.Millisecond,
+	//    One replica around the one trained model; the response cache is
+	//    off so every request below reaches the batcher.
+	srv, err := serve.NewPool(func() (detect.Model, *detect.Head, error) {
+		return model, head, nil
+	}, serve.PoolConfig{
+		Replicas:     1,
+		CacheEntries: -1,
+		Replica: serve.Config{
+			MaxBatch: 8,
+			MaxDelay: 4 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -74,12 +83,13 @@ func main() {
 
 	// 4. What the service observed.
 	m := srv.Metrics()
-	fmt.Printf("served %d  failed %d  rejected %d\n", m.Served, m.Failed, m.Rejected)
+	fmt.Printf("replicas %d  served %d  failed %d  rejected %d\n", m.Replicas, m.Served, m.Failed, m.Rejected)
 	fmt.Printf("latency: mean %.2fms  p50 %.2fms  p95 %.2fms  p99 %.2fms\n",
 		m.Latency.MeanMS, m.Latency.P50MS, m.Latency.P95MS, m.Latency.P99MS)
+	rm := m.ReplicaMetrics[0]
 	fmt.Printf("mean inference batch: %.2f images/forward (batching leverage: "+
-		"one weight load amortized over concurrent users)\n", m.MeanBatchSize)
-	for _, st := range m.Stages {
+		"one weight load amortized over concurrent users)\n", rm.MeanBatchSize)
+	for _, st := range rm.Stages {
 		fmt.Printf("  stage %-7s workers %d  items %-4d occupancy %.2f\n",
 			st.Name, st.Workers, st.Items, st.Occupancy)
 	}

@@ -184,26 +184,25 @@ func TestIntegrationPipelineOverTrainedModel(t *testing.T) {
 		pred *tensor.Tensor
 		box  detect.Box
 	}
-	stages := []pipeline.Stage{
-		{Name: pipeline.StagePre, Proc: func(v any) any {
+	stages := []pipeline.StageSpec{
+		{Name: pipeline.StagePre, Proc: func(_ context.Context, v any) (any, error) {
 			f := v.(*item)
 			c, h, w := f.img.Dim(0), f.img.Dim(1), f.img.Dim(2)
 			f.x = f.img.Clone().Reshape(1, c, h, w)
-			return f
+			return f, nil
 		}},
-		{Name: pipeline.StageInfer, Proc: func(v any) any {
+		{Name: pipeline.StageInfer, Proc: func(_ context.Context, v any) (any, error) {
 			f := v.(*item)
 			f.pred = model.Forward(f.x, false)
-			return f
+			return f, nil
 		}},
-		{Name: pipeline.StagePost, Proc: func(v any) any {
+		{Name: pipeline.StagePost, Proc: func(_ context.Context, v any) (any, error) {
 			f := v.(*item)
 			boxes, _ := head.Decode(f.pred)
 			f.box = boxes[0]
-			return f
+			return f, nil
 		}},
 	}
-	p := &pipeline.Pipeline{Stages: stages}
 	mk := func() []any {
 		items := make([]any, 6)
 		g2 := dataset.NewGenerator(dcfg)
@@ -213,8 +212,24 @@ func TestIntegrationPipelineOverTrainedModel(t *testing.T) {
 		}
 		return items
 	}
-	ser := p.RunSerial(mk())
-	pip := p.RunPipelined(mk(), 2)
+	// Serial reference: every item through every stage, one at a time.
+	ctx := context.Background()
+	ser := mk()
+	for _, it := range ser {
+		for _, s := range stages {
+			if _, err := s.Proc(ctx, it); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ex, err := pipeline.NewExecutor(2, stages...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pip, err := ex.Run(ctx, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range ser {
 		if ser[i].(*item).box != pip[i].(*item).box {
 			t.Fatalf("pipelined result %d differs from serial", i)
@@ -339,11 +354,19 @@ func TestIntegrationServingLoadMatchesSerial(t *testing.T) {
 		wantBody[i] = buf.Bytes()
 	}
 
-	srv, err := serve.New(model, head, serve.Config{
-		MaxBatch:       8,
-		MaxDelay:       4 * time.Millisecond,
-		QueueDepth:     256,
-		RequestTimeout: time.Minute,
+	// One replica, cache off: repeated frames must reach the batcher for
+	// Served and MeanBatchSize to mean what the assertions below say.
+	srv, err := serve.NewPool(func() (detect.Model, *detect.Head, error) {
+		return model, head, nil
+	}, serve.PoolConfig{
+		Replicas:     1,
+		CacheEntries: -1,
+		Replica: serve.Config{
+			MaxBatch:       8,
+			MaxDelay:       4 * time.Millisecond,
+			QueueDepth:     256,
+			RequestTimeout: time.Minute,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,15 +399,15 @@ func TestIntegrationServingLoadMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m serve.Metrics
+	var m serve.PoolMetrics
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Served != int64(clients*perClient) {
 		t.Fatalf("served %d, want %d", m.Served, clients*perClient)
 	}
-	if m.MeanBatchSize <= 1 {
-		t.Fatalf("mean batch size %.2f — dynamic batching did not aggregate concurrent load", m.MeanBatchSize)
+	if mb := m.ReplicaMetrics[0].MeanBatchSize; mb <= 1 {
+		t.Fatalf("mean batch size %.2f — dynamic batching did not aggregate concurrent load", mb)
 	}
 }
 

@@ -15,8 +15,12 @@ import (
 	"skynet/internal/tensor"
 )
 
-// MaxRequestElements bounds the pixel count a request may carry, so a
-// hostile payload cannot make the server allocate unbounded memory.
+// MaxRequestElements bounds the pixel count a request's shape may claim:
+// Tensor rejects anything larger before allocating for it. It does not by
+// itself bound what a decoder materialises from the wire — Data has already
+// been parsed by the time Tensor runs — so the HTTP handlers in
+// internal/serve also cap the body's bytes, at a limit derived from this
+// constant, before decoding.
 const MaxRequestElements = 1 << 22 // 4Mi floats = 16 MiB, ample for 3×H×W frames
 
 // Request is the wire form of one detection call.

@@ -306,24 +306,26 @@ func TestExecutorStream(t *testing.T) {
 	}
 }
 
-// The legacy wrapper still overlaps stages and preserves results, and a
-// panicking legacy Proc propagates as a panic instead of deadlocking.
+// The zero-configuration executor — per-item stages, one worker each, the
+// shape the §6.3 sketch had — turns a panicking Proc into Run's error too,
+// instead of deadlocking every upstream goroutine as the sketch did.
 func TestRunPipelinedPanicPropagates(t *testing.T) {
 	defer leakCheck(t)()
-	p := &Pipeline{Stages: []Stage{
-		{Name: "ok", Proc: func(v any) any { return v }},
-		{Name: "bad", Proc: func(v any) any { panic("legacy boom") }},
-	}}
-	defer func() {
-		if rec := recover(); rec == nil {
-			t.Fatal("expected RunPipelined to re-panic on a panicking stage")
-		}
-	}()
-	p.RunPipelined(intItems(4), 1)
+	ex, err := NewExecutor(1,
+		StageSpec{Name: "ok", Proc: func(_ context.Context, v any) (any, error) { return v, nil }},
+		StageSpec{Name: "bad", Proc: func(context.Context, any) (any, error) { panic("stage boom") }},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ex.Run(context.Background(), intItems(4))
+	if out != nil || err == nil || !strings.Contains(err.Error(), "stage boom") {
+		t.Fatalf("Run = (%v, %v), want the panic as an error", out, err)
+	}
 }
 
 // The measured makespan of a multi-worker, micro-batched run on a
-// SleepStage workload must agree with the analytic PipelinedMakespan
+// SleepSpec workload must agree with the analytic PipelinedMakespan
 // prediction over the effective (worker-scaled) profile. The test uses a
 // generous margin to stay robust on loaded CI machines; the companion
 // benchmark BenchmarkExecutorAnalyticGap reports the precise ratio
@@ -381,7 +383,7 @@ func TestExecutorAgreesWithAnalyticModel(t *testing.T) {
 }
 
 // BenchmarkExecutorAnalyticGap reports the measured/predicted makespan
-// ratio of the multi-worker + micro-batched executor on a SleepStage
+// ratio of the multi-worker + micro-batched executor on a SleepSpec
 // workload: "×analytic" compares against the prediction from the measured
 // per-stage busy times (~1.0x when the executor matches the §6.3 model),
 // "×nominal" against the idealized sleep durations (includes the host's

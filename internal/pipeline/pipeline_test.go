@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -79,31 +80,64 @@ func TestFPGAProfileReproducesPaper(t *testing.T) {
 	}
 }
 
+// perItem lifts plain per-item transforms into single-worker executor
+// stages, and runSerial is the reference they are checked against: every
+// item through every transform, one at a time.
+func perItem(fs ...func(int) int) []StageSpec {
+	specs := make([]StageSpec, len(fs))
+	for i, f := range fs {
+		specs[i] = StageSpec{Name: "f", Proc: func(_ context.Context, v any) (any, error) {
+			return f(v.(int)), nil
+		}}
+	}
+	return specs
+}
+
+func runSerial(items []any, fs ...func(int) int) []any {
+	out := make([]any, len(items))
+	for i, it := range items {
+		cur := it.(int)
+		for _, f := range fs {
+			cur = f(cur)
+		}
+		out[i] = cur
+	}
+	return out
+}
+
 func TestRunSerialOrderAndResults(t *testing.T) {
-	p := &Pipeline{Stages: []Stage{
-		{Name: "double", Proc: func(v any) any { return v.(int) * 2 }},
-		{Name: "inc", Proc: func(v any) any { return v.(int) + 1 }},
-	}}
-	out := p.RunSerial([]any{1, 2, 3})
+	double := func(x int) int { return x * 2 }
+	inc := func(x int) int { return x + 1 }
 	want := []int{3, 5, 7}
+	ser := runSerial([]any{1, 2, 3}, double, inc)
+	ex, err := NewExecutor(0, perItem(double, inc)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ex.Run(context.Background(), []any{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range want {
-		if out[i].(int) != v {
-			t.Fatalf("serial results %v, want %v", out, want)
+		if ser[i].(int) != v || out[i].(int) != v {
+			t.Fatalf("serial %v, executor %v, want %v", ser, out, want)
 		}
 	}
 }
 
 func TestRunPipelinedMatchesSerial(t *testing.T) {
-	p := &Pipeline{Stages: []Stage{
-		{Name: "square", Proc: func(v any) any { x := v.(int); return x * x }},
-		{Name: "neg", Proc: func(v any) any { return -v.(int) }},
-	}}
-	items := make([]any, 20)
-	for i := range items {
-		items[i] = i
+	square := func(x int) int { return x * x }
+	neg := func(x int) int { return -x }
+	items := intItems(20)
+	ser := runSerial(items, square, neg)
+	ex, err := NewExecutor(2, perItem(square, neg)...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ser := p.RunSerial(items)
-	pip := p.RunPipelined(items, 2)
+	pip, err := ex.Run(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pip) != len(ser) {
 		t.Fatalf("pipelined returned %d items, want %d", len(pip), len(ser))
 	}
@@ -116,19 +150,36 @@ func TestRunPipelinedMatchesSerial(t *testing.T) {
 
 // TestPipelinedWallClockFaster shows the real executor overlapping
 // I/O-bound stages: with three sleep stages the pipelined run must beat
-// serial by a clear margin even on one CPU.
+// one-item-at-a-time execution by a clear margin even on one CPU.
 func TestPipelinedWallClockFaster(t *testing.T) {
 	d := 3 * time.Millisecond
-	p := &Pipeline{Stages: []Stage{
-		SleepStage(StagePre, d),
-		SleepStage(StageInfer, d),
-		SleepStage(StagePost, d),
-	}}
-	items := make([]any, 12)
-	for i := range items {
-		items[i] = i
+	ex, err := NewExecutor(1,
+		SleepSpec(StagePre, d, 1),
+		SleepSpec(StageInfer, d, 1),
+		SleepSpec(StagePost, d, 1),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out, serial, pipelined := p.TimedRun(items, 1)
+	items := intItems(12)
+	// Warm both modes on a short prefix so neither measurement pays the
+	// one-time costs (scheduler ramp-up, timer setup).
+	if _, err := ex.Run(context.Background(), items[:4]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * d)
+
+	t0 := time.Now()
+	for range items {
+		time.Sleep(3 * d) // the three stages, back to back
+	}
+	serial := time.Since(t0)
+	t1 := time.Now()
+	out, err := ex.Run(context.Background(), items)
+	pipelined := time.Since(t1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pipelined >= serial {
 		t.Fatalf("pipelined %v not faster than serial %v", pipelined, serial)
 	}
@@ -136,14 +187,9 @@ func TestPipelinedWallClockFaster(t *testing.T) {
 	if ratio < 1.8 {
 		t.Fatalf("wall-clock speedup %.2f too low for 3 equal stages", ratio)
 	}
-	// TimedRun must hand back the pipelined results, not discard them.
-	ser := p.RunSerial(items)
-	if len(out) != len(ser) {
-		t.Fatalf("TimedRun returned %d results, want %d", len(out), len(ser))
-	}
-	for i := range ser {
-		if out[i] != ser[i] {
-			t.Fatalf("TimedRun result %d = %v, serial says %v", i, out[i], ser[i])
+	for i, v := range out {
+		if v != items[i] {
+			t.Fatalf("pipelined result %d = %v, want %v", i, v, items[i])
 		}
 	}
 }

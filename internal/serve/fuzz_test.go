@@ -3,8 +3,11 @@ package serve
 // Fuzz targets for the HTTP decoders: whatever bytes arrive on /detect,
 // /track/start, or /track/step, the service must answer with a sane client
 // or capacity status — malformed JSON and malformed shapes map to 400 (404
-// for an unknown session, 429/503/504 under pressure), never to a panic and
-// never to a 500. Seed corpora live in testdata/fuzz/<Target>/ and run as
+// for an unknown session, 413 for a body past the byte cap, 429/503/504
+// under pressure), never to a panic and never to a 500. A body big enough
+// for 413 is no seed anyone would commit (TestOversizedBodyIs413 generates
+// one); the over-element-limit seeds pin the neighbouring check, a small
+// body whose shape claims more than detect.MaxRequestElements. Seed corpora live in testdata/fuzz/<Target>/ and run as
 // plain subtests under `go test`; `go test -fuzz=FuzzDetectHTTP` (etc.)
 // explores from there.
 
@@ -24,7 +27,7 @@ import (
 func allowedClientStatus(code int) bool {
 	switch code {
 	case http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
-		http.StatusTooManyRequests, http.StatusServiceUnavailable,
+		http.StatusRequestEntityTooLarge, http.StatusTooManyRequests, http.StatusServiceUnavailable,
 		http.StatusGatewayTimeout:
 		return true
 	}

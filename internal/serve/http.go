@@ -1,96 +1,72 @@
 package serve
 
-// HTTP front end: POST /detect takes a detect.Request (JSON image tensor)
-// and answers with a detect.Response; GET /metrics exports the Metrics
-// snapshot; GET /healthz is the load-balancer probe (503 while draining);
-// /debug/pprof/* exposes the standard profiles. Admission failures map to
-// the conventional statuses: 429 + Retry-After on overflow, 503 on drain,
-// 504 on a request deadline, 500 on an inference failure.
+// Front-door plumbing shared by every HTTP surface in the package
+// (Pool.Handler, TrackService.Handler): the bounded JSON body decoder, the
+// JSON reply writer, the mux with the routes every service exposes (GET
+// /metrics, GET /healthz — 503 while draining — and /debug/pprof/*), and the
+// listen-until-cancelled-then-drain loop. Admission failures map to the
+// conventional statuses: 429 + Retry-After on overflow, 503 on drain, 504 on
+// a request deadline, 500 on an inference failure, 413 on an oversized body.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"skynet/internal/detect"
 )
 
-// Handler returns the server's HTTP interface.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /detect", s.handleDetect)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if s.track != nil {
-		s.track.register(mux)
+// maxBodyBytes caps a request body before the JSON decoder materialises it:
+// the largest tensor a request may carry, at the longest float32 literal
+// plus its separator (16 bytes), and 4 KiB for the shape, box and session
+// fields around it.
+const maxBodyBytes = detect.MaxRequestElements*16 + 4<<10
+
+// decodeBody decodes one JSON request body into v, reading at most
+// maxBodyBytes of it — and nothing at all of a body that declares itself
+// larger; bodyStatus maps the error onto a status.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if r.ContentLength > maxBodyBytes {
+		return &http.MaxBytesError{Limit: maxBodyBytes}
 	}
-	return mux
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		return fmt.Errorf("serve: decoding request body: %w", err)
+	}
+	return nil
 }
 
-func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	img, err := detect.DecodeRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+// bodyStatus is 413 for a body over maxBodyBytes and 400 for any other
+// decode failure.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
 	}
-	box, conf, err := s.Submit(r.Context(), img)
-	if err != nil {
-		status := detectStatus(err)
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", retryAfter(s))
-		}
-		writeError(w, status, err)
-		return
-	}
+	return http.StatusBadRequest
+}
+
+// writeJSON sends v as the JSON reply with the given status. Every 429
+// carries the same constant Retry-After: the services shed at full queues,
+// which clear on the order of a batch, so one second is always enough.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = detect.EncodeResponse(w, detect.Response{Box: box, Conf: conf})
-}
-
-// retryAfter suggests a backoff for shed requests: roughly the time the
-// pipeline needs to work through the current queue, floored at one second.
-func retryAfter(s *Server) string {
-	secs := 1
-	if prof := s.ex.MeasuredProfile(); len(prof) > 0 {
-		var bottleneck float64
-		for _, d := range prof {
-			if d > bottleneck {
-				bottleneck = d
-			}
-		}
-		if est := int(float64(len(s.in)) * bottleneck); est > secs {
-			secs = est
-		}
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
 	}
-	return strconv.Itoa(secs)
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.Metrics())
+// writeError answers a failed /detect in the detect.Response envelope.
+func writeError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, detect.Response{Error: err.Error()})
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.Draining() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte("ok\n"))
-}
-
-// detectStatus maps detection-path errors onto HTTP statuses; shared by the
-// single-server and pool front ends.
+// detectStatus maps detection-path errors onto HTTP statuses.
 func detectStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrBadInput):
@@ -105,18 +81,38 @@ func detectStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = detect.EncodeResponse(w, detect.Response{Error: err.Error()})
+// newMux returns a mux carrying the routes every front door shares; the
+// caller adds its own on top.
+func newMux(metrics func() any, draining func() bool) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(metrics())
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		if draining() {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write([]byte("ok\n"))
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
-// ListenAndServe runs the HTTP front end on addr until ctx is cancelled,
-// then drains gracefully: the listener stops taking connections, the
-// admission queue closes, and in-flight requests get drainTimeout to
-// finish. It returns the first serve or drain error.
-func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
+// serveUntil runs handler on addr until ctx is cancelled, then shuts down
+// gracefully: drain refuses new work and lets in-flight requests finish,
+// the listener stops taking connections, and both share drainTimeout. It
+// returns the first serve or drain error.
+func serveUntil(ctx context.Context, addr string, handler http.Handler, drainTimeout time.Duration, drain func(context.Context) error) error {
+	hs := &http.Server{Addr: addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() {
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -131,7 +127,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout t
 	//skynet:nolint ctxflow -- ctx is already cancelled at this point; the drain budget needs a fresh root or the graceful drain would be skipped entirely
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	drainErr := s.Drain(dctx)
+	drainErr := drain(dctx)
 	shutErr := hs.Shutdown(dctx)
 	if drainErr != nil {
 		return drainErr

@@ -127,7 +127,7 @@ type LatencySummary struct {
 	P99MS  float64 `json:"p99_ms"`
 }
 
-// Metrics is one consistent-enough snapshot of the server's counters —
+// Metrics is one consistent-enough snapshot of one replica's counters —
 // individual fields are read atomically; the set is not a transaction.
 type Metrics struct {
 	// QueueDepth is the number of requests waiting for admission into the
@@ -153,10 +153,6 @@ type Metrics struct {
 
 	// Stages is the executor's per-stage occupancy breakdown.
 	Stages []pipelineStageJSON `json:"stages"`
-
-	// Track is the attached tracking service's snapshot, when one is
-	// co-hosted on this server (Server.Attach).
-	Track *TrackMetrics `json:"track,omitempty"`
 }
 
 // pipelineStageJSON flattens pipeline.StageStats into JSON-friendly units.
@@ -249,16 +245,14 @@ func (p *Pool) Metrics() PoolMetrics {
 		Cache:        p.cache.stats(),
 		Latency:      p.hist.Summary(),
 	}
-	if g := p.gen.Load(); g != nil {
-		m.Replicas = len(g.replicas)
-		for _, r := range g.replicas {
-			rm := r.Metrics()
-			m.Served += rm.Served
-			m.Failed += rm.Failed
-			m.Expired += rm.Expired
-			m.ReplicaMetrics = append(m.ReplicaMetrics, rm)
-		}
+	for _, r := range p.gen.Load().replicas {
+		rm := r.Metrics()
+		m.Served += rm.Served
+		m.Failed += rm.Failed
+		m.Expired += rm.Expired
+		m.ReplicaMetrics = append(m.ReplicaMetrics, rm)
 	}
+	m.Replicas = len(m.ReplicaMetrics)
 	if p.track != nil {
 		tm := p.track.Metrics()
 		m.Track = &tm
@@ -266,32 +260,27 @@ func (p *Pool) Metrics() PoolMetrics {
 	return m
 }
 
-// Metrics snapshots the server's observability counters.
-func (s *Server) Metrics() Metrics {
+// Metrics snapshots the replica's observability counters.
+func (r *replica) Metrics() Metrics {
 	m := Metrics{
-		QueueDepth: len(s.in),
-		QueueCap:   cap(s.in),
-		Draining:   s.Draining(),
-		Served:     s.served.Load(),
-		Failed:     s.failed.Load(),
-		Rejected:   s.rejected.Load(),
-		Expired:    s.expired.Load(),
-		Latency:    s.hist.Summary(),
+		QueueDepth: len(r.in),
+		QueueCap:   cap(r.in),
+		Draining:   r.isDraining(),
+		Served:     r.served.Load(),
+		Failed:     r.failed.Load(),
+		Rejected:   r.rejected.Load(),
+		Expired:    r.expired.Load(),
+		Latency:    r.hist.Summary(),
 	}
-	for _, st := range s.ex.Stats() {
-		m.Stages = append(m.Stages, stageJSON(st))
+	m.Stages = r.stages()
+	for _, st := range m.Stages {
 		// The headline batching metrics come from the inference stage,
 		// selected by name: "last stage with batches wins" would let any
-		// other batching stage (the tracking pipeline adds one) silently
-		// overwrite them.
+		// other batching stage silently overwrite them.
 		if st.Name == pipeline.StageInfer {
 			m.Batches = st.Batches
-			m.MeanBatchSize = st.MeanBatchSize()
+			m.MeanBatchSize = st.MeanBatchSize
 		}
-	}
-	if s.track != nil {
-		tm := s.track.Metrics()
-		m.Track = &tm
 	}
 	return m
 }

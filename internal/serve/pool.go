@@ -1,12 +1,12 @@
 package serve
 
-// Replica pool: the fleet-scale form of the serving layer. A single Server
-// pins inference to one worker (Graph forwards share buffers and are not
-// concurrency-safe), so one process can never use more than one core for
-// the forward pass. The Pool holds N replicas — each a full Server around
-// its own private model instance with its own reuse buffers and streaming
-// executor — behind a routing tier that shards requests by frame content
-// hash. Sharding gives duplicate frames a stable home (so the response
+// Replica pool: the detection service, at any scale from one replica up. A
+// replica pins inference to one worker (Graph forwards share buffers and
+// are not concurrency-safe), so one replica can never use more than one
+// core for the forward pass. The Pool holds N replicas — each an engine
+// around its own private model instance with its own reuse buffers and
+// streaming executor — behind a routing tier that shards requests by frame
+// content hash. Sharding gives duplicate frames a stable home (so the response
 // cache and the per-replica batcher both see the repeats), while bounded
 // per-replica admission propagates backpressure outward: a request whose
 // home replica is full is offered to every sibling before the pool sheds
@@ -45,7 +45,7 @@ type PoolConfig struct {
 	// Replicas is the number of model instances; 0 selects NumCPU capped
 	// at 8.
 	Replicas int
-	// Replica tunes each replica's Server (queue depth, batching, workers,
+	// Replica tunes each replica's engine (queue depth, batching, workers,
 	// deadline). Applied identically to every replica.
 	Replica Config
 	// CacheEntries bounds the response cache; 0 selects 4096, negative
@@ -81,7 +81,7 @@ func (c *PoolConfig) normalize() {
 	if c.MaxInflight == 0 {
 		qd := c.Replica.QueueDepth
 		if qd <= 0 {
-			qd = 64 // Config.normalize's default, mirrored
+			qd = defaultQueueDepth
 		}
 		c.MaxInflight = c.Replicas * (qd + 64)
 	}
@@ -91,10 +91,11 @@ func (c *PoolConfig) normalize() {
 }
 
 // generation is one immutable replica set. The pool publishes generations
-// atomically; a Submit works against the snapshot it loaded.
+// atomically — there is always one, from NewPool on — and a Submit works
+// against the snapshot it loaded.
 type generation struct {
 	id       int64
-	replicas []*Server
+	replicas []*replica
 }
 
 // Pool is a replica-pool detection service: N private model instances
@@ -165,19 +166,19 @@ func (p *Pool) release() {
 // buildGeneration constructs one complete replica set, tearing down the
 // partial set on any failure so a bad factory cannot leak pipelines.
 func (p *Pool) buildGeneration(factory ModelFactory, n int) (*generation, error) {
-	g := &generation{id: p.lastID.Add(1), replicas: make([]*Server, 0, n)}
+	g := &generation{id: p.lastID.Add(1), replicas: make([]*replica, 0, n)}
 	for i := 0; i < n; i++ {
 		m, h, err := factory()
 		if err == nil {
-			var s *Server
-			s, err = New(m, h, p.cfg.Replica)
+			var r *replica
+			r, err = newReplica(m, h, p.cfg.Replica)
 			if err == nil {
-				g.replicas = append(g.replicas, s)
+				g.replicas = append(g.replicas, r)
 				continue
 			}
 		}
-		for _, s := range g.replicas {
-			s.Close()
+		for _, r := range g.replicas {
+			r.close()
 		}
 		return nil, fmt.Errorf("serve: building replica %d: %w", i, err)
 	}
@@ -204,9 +205,6 @@ func (p *Pool) submit(ctx context.Context, img *tensor.Tensor) (detect.Box, floa
 	t0 := time.Now()
 	key := hashFrame(img)
 	g := p.gen.Load()
-	if g == nil {
-		return detect.Box{}, 0, 0, ErrDraining
-	}
 	if box, conf, ok := p.cache.get(key); ok {
 		p.cacheServed.Add(1)
 		p.hist.Observe(time.Since(t0))
@@ -250,7 +248,7 @@ func (p *Pool) submit(ctx context.Context, img *tensor.Tensor) (detect.Box, floa
 			return detect.Box{}, 0, g.id, ErrOverloaded
 		}
 		next := p.gen.Load()
-		if next == nil || next == g {
+		if next == g {
 			// Draining with no successor: the pool itself is shutting down.
 			return detect.Box{}, 0, g.id, ErrDraining
 		}
@@ -267,11 +265,7 @@ func (p *Pool) submit(ctx context.Context, img *tensor.Tensor) (detect.Box, floa
 // to the socket. Racy by design: the authoritative admission decision is
 // still each replica's queue.
 func (p *Pool) shedFast() bool {
-	g := p.gen.Load()
-	if g == nil {
-		return false // let Submit return ErrDraining with the right status
-	}
-	for _, r := range g.replicas {
+	for _, r := range p.gen.Load().replicas {
 		if len(r.in) < cap(r.in) {
 			return false
 		}
@@ -316,7 +310,7 @@ func (p *Pool) Swap(ctx context.Context, factory ModelFactory) error {
 		// generation cannot leak. The new generation is already serving.
 		for _, r := range old.replicas {
 			//skynet:nolint lockheld -- swapMu serializes admin ops only; hard-stopping stragglers cannot stall the request path
-			r.Close()
+			r.close()
 		}
 		return fmt.Errorf("serve: draining generation %d: %w", old.id, err)
 	}
@@ -324,10 +318,10 @@ func (p *Pool) Swap(ctx context.Context, factory ModelFactory) error {
 }
 
 // drainAll drains every replica concurrently and returns the first error.
-func drainAll(ctx context.Context, replicas []*Server) error {
+func drainAll(ctx context.Context, replicas []*replica) error {
 	errc := make(chan error, len(replicas))
 	for _, r := range replicas {
-		go func(r *Server) { errc <- r.Drain(ctx) }(r)
+		go func(r *replica) { errc <- r.drain(ctx) }(r)
 	}
 	var first error
 	for range replicas {
@@ -339,20 +333,10 @@ func drainAll(ctx context.Context, replicas []*Server) error {
 }
 
 // Generation returns the ID of the currently serving replica set.
-func (p *Pool) Generation() int64 {
-	if g := p.gen.Load(); g != nil {
-		return g.id
-	}
-	return 0
-}
+func (p *Pool) Generation() int64 { return p.gen.Load().id }
 
 // Replicas returns the size of the active replica set.
-func (p *Pool) Replicas() int {
-	if g := p.gen.Load(); g != nil {
-		return len(g.replicas)
-	}
-	return 0
-}
+func (p *Pool) Replicas() int { return len(p.gen.Load().replicas) }
 
 // Drain gracefully shuts the pool down: every replica refuses new work,
 // in-flight requests complete. Idempotent; an attached TrackService is
@@ -361,12 +345,8 @@ func (p *Pool) Drain(ctx context.Context) error {
 	p.swapMu.Lock()
 	defer p.swapMu.Unlock()
 	p.closed.Store(true)
-	g := p.gen.Load()
-	if g == nil {
-		return nil
-	}
 	//skynet:nolint lockheld -- swapMu serializes admin ops only; holding it for the whole drain is what makes Drain/Swap mutually exclusive
-	err := drainAll(ctx, g.replicas)
+	err := drainAll(ctx, p.gen.Load().replicas)
 	if p.track != nil {
 		//skynet:nolint lockheld -- swapMu serializes admin ops only; see the drainAll waiver above
 		if terr := p.track.Drain(ctx); err == nil {
@@ -381,11 +361,9 @@ func (p *Pool) Close() {
 	p.swapMu.Lock()
 	defer p.swapMu.Unlock()
 	p.closed.Store(true)
-	if g := p.gen.Load(); g != nil {
-		for _, r := range g.replicas {
-			//skynet:nolint lockheld -- swapMu serializes admin ops only; Close abandons replicas and must exclude a concurrent Swap
-			r.Close()
-		}
+	for _, r := range p.gen.Load().replicas {
+		//skynet:nolint lockheld -- swapMu serializes admin ops only; Close abandons replicas and must exclude a concurrent Swap
+		r.close()
 	}
 	if p.track != nil {
 		//skynet:nolint lockheld -- swapMu serializes admin ops only; see the replica Close waiver above

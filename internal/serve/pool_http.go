@@ -1,9 +1,9 @@
 package serve
 
-// The pool's HTTP front end: the same surface as a single Server (POST
-// /detect, GET /metrics, GET /healthz, pprof, optional /track routes) plus
-// the fleet-only routes — POST /admin/swap cuts the pool over to a new
-// model generation under live load. Every /detect response carries an
+// The pool's HTTP front end — the one detection front door: POST /detect
+// and POST /admin/swap (cuts the pool over to a new model generation under
+// live load) on top of the shared routes (GET /metrics, GET /healthz,
+// pprof; see http.go), plus the /track routes of an attached TrackService. Every /detect response carries an
 // X-Skynet-Generation header naming the replica generation that produced
 // it, which is how the swap tests observe the cutover. A saturated fleet is
 // shed before the request body is decoded (Pool.shedFast), so the 429 path
@@ -11,10 +11,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"time"
 
@@ -46,16 +44,9 @@ type SwapResponse struct {
 
 // Handler returns the pool's HTTP interface.
 func (p *Pool) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := newMux(func() any { return p.Metrics() }, p.Draining)
 	mux.HandleFunc("POST /detect", p.handleDetect)
 	mux.HandleFunc("POST /admin/swap", p.handleSwap)
-	mux.HandleFunc("GET /metrics", p.handleMetrics)
-	mux.HandleFunc("GET /healthz", p.handleHealthz)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	if p.track != nil {
 		p.track.register(mux)
 	}
@@ -69,18 +60,21 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// cheaper all-queues-full case.
 	if !p.acquire() {
 		p.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, ErrOverloaded)
 		return
 	}
 	defer p.release()
 	if p.shedFast() {
 		p.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, ErrOverloaded)
 		return
 	}
-	img, err := detect.DecodeRequest(r.Body)
+	var req detect.Request
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, bodyStatus(err), err)
+		return
+	}
+	img, err := req.Tensor()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -88,15 +82,10 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 	box, conf, gen, err := p.submit(r.Context(), img)
 	w.Header().Set("X-Skynet-Generation", strconv.FormatInt(gen, 10))
 	if err != nil {
-		status := detectStatus(err)
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, status, err)
+		writeError(w, detectStatus(err), err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = detect.EncodeResponse(w, detect.Response{Box: box, Conf: conf})
+	writeJSON(w, http.StatusOK, detect.Response{Box: box, Conf: conf})
 }
 
 func (p *Pool) handleSwap(w http.ResponseWriter, r *http.Request) {
@@ -105,8 +94,8 @@ func (p *Pool) handleSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SwapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeSwapError(w, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeSwapError(w, bodyStatus(err), err)
 		return
 	}
 	factory, err := p.cfg.SwapLoader(req)
@@ -126,54 +115,15 @@ func (p *Pool) handleSwap(w http.ResponseWriter, r *http.Request) {
 		writeSwapError(w, status, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(SwapResponse{Generation: p.Generation(), Replicas: p.Replicas()})
-}
-
-func (p *Pool) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(p.Metrics())
-}
-
-func (p *Pool) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if p.Draining() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte("ok\n"))
+	writeJSON(w, http.StatusOK, SwapResponse{Generation: p.Generation(), Replicas: p.Replicas()})
 }
 
 func writeSwapError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(SwapResponse{Error: err.Error()})
+	writeJSON(w, status, SwapResponse{Error: err.Error()})
 }
 
 // ListenAndServe runs the pool's front end on addr until ctx is cancelled,
 // then drains gracefully with drainTimeout.
 func (p *Pool) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	hs := &http.Server{Addr: addr, Handler: p.Handler()}
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	//skynet:nolint ctxflow -- ctx is already cancelled at this point; the drain budget needs a fresh root or the graceful drain would be skipped entirely
-	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	drainErr := p.Drain(dctx)
-	shutErr := hs.Shutdown(dctx)
-	if drainErr != nil {
-		return drainErr
-	}
-	return shutErr
+	return serveUntil(ctx, addr, p.Handler(), drainTimeout, p.Drain)
 }

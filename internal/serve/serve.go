@@ -1,20 +1,21 @@
 // Package serve exposes a trained detector as a concurrent service: the
-// production form of the §6.3 system-level optimization. Requests are
-// admitted through a bounded queue (overflow sheds load instead of growing
-// latency without bound), flow through the PR-2 streaming executor — the
+// production form of the §6.3 system-level optimization. Pool is the one
+// detection front door; each of its replicas is an engine in which requests
+// are admitted through a bounded queue (overflow sheds load instead of
+// growing latency without bound), flow through the streaming executor — the
 // same merged three stages as the offline pipeline, with the inference
 // stage dynamically micro-batched so one weight load serves many users —
 // and return to their callers individually. Per-request failures (bad
 // input, deadline, a panicking model) are carried inside the request and
 // never fail the shared stream, so one poisoned request cannot take the
-// service down.
+// service down. Admission, the default deadline and drain/close are the
+// lane's (lane.go), shared with TrackService.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,8 +40,8 @@ var (
 	ErrBadInput = errors.New("serve: bad input")
 )
 
-// Config tunes a Server. The zero value selects serving-appropriate
-// defaults.
+// Config tunes one detection replica. The zero value selects
+// serving-appropriate defaults.
 type Config struct {
 	// MaxBatch caps the inference micro-batch; 0 selects 8.
 	MaxBatch int
@@ -69,98 +70,46 @@ func (c *Config) normalize() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.PreWorkers <= 0 {
-		c.PreWorkers = 2
-	}
-	if c.PostWorkers <= 0 {
-		c.PostWorkers = 2
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
+	laneDefaults(&c.MaxDelay, &c.QueueDepth, &c.PreWorkers, &c.PostWorkers, &c.RequestTimeout)
 }
 
-// request is one in-flight detection riding the shared executor stream.
+// request is one in-flight detection riding the replica's lane; the
+// detection is read off frame once the ticket is done.
 type request struct {
-	ctx   context.Context
+	ticket
 	frame *detect.Frame
-	err   error // first per-request failure; set by the owning stage
-	done  chan result
-	enq   time.Time
 }
 
-type result struct {
-	box  detect.Box
-	conf float64
-	err  error
-}
-
-// deliver hands the result to the waiting caller. done is buffered and
-// written exactly once, so delivery never blocks the pipeline even when
-// the caller has already given up.
-func (r *request) deliver() {
-	res := result{box: r.frame.Box, conf: r.frame.Conf, err: r.err}
-	r.done <- res
-}
-
-// Server is a concurrent detection service around one model+head pair. It
-// is safe for concurrent use. Create with New, stop with Drain (graceful)
-// or Close (abandon).
-type Server struct {
-	cfg  Config
-	ex   *pipeline.Executor
+// replica is one detection engine around a private model+head pair: a lane
+// whose stages pre-process, micro-batch through the model, and decode. It
+// has no HTTP surface — Pool is the front door — and is safe for concurrent
+// use. Stop with drain (graceful) or close (abandon).
+type replica struct {
+	lane
 	hist *Histogram
-
-	mu       sync.RWMutex // guards draining vs sends on in
-	draining bool
-	in       chan any
-
-	cancel   context.CancelFunc
-	finished chan struct{} // closed once every pipeline goroutine exited
-	runErr   error         // stream error, readable after finished
 
 	served   atomic.Int64
 	failed   atomic.Int64
 	rejected atomic.Int64
 	expired  atomic.Int64
-
-	// track, when attached, co-hosts a TrackService on this server's HTTP
-	// front end and folds its counters into /metrics.
-	track *TrackService
 }
 
-// Attach co-hosts a tracking service: Handler mounts its /track routes and
-// Metrics reports its counters under "track". Call before Handler.
-func (s *Server) Attach(ts *TrackService) { s.track = ts }
-
-// New starts the serving pipeline for a model+head pair. The model is
-// driven from a single inference worker (Graph forwards share buffers and
-// are not concurrency-safe); throughput scales with Config.MaxBatch.
-func New(m detect.Model, h *detect.Head, cfg Config) (*Server, error) {
+// newReplica starts the serving pipeline for a model+head pair. The model
+// is driven from a single inference worker (Graph forwards share buffers
+// and are not concurrency-safe); throughput scales with Config.MaxBatch.
+func newReplica(m detect.Model, h *detect.Head, cfg Config) (*replica, error) {
 	if m == nil || h == nil {
 		return nil, errors.New("serve: model and head are required")
 	}
 	cfg.normalize()
-	s := &Server{
-		cfg:      cfg,
-		hist:     NewHistogram(),
-		in:       make(chan any, cfg.QueueDepth),
-		finished: make(chan struct{}),
-	}
+	r := &replica{hist: NewHistogram()}
 
 	// Stage procs mirror detect.PreStage/InferStage/PostStage but record
-	// failures on the request instead of returning them: an executor-level
-	// error is fail-fast for the whole stream, which is exactly wrong for
-	// serving. The executor therefore only ever sees nil errors, and its
-	// panic recovery is backed up by a local recover in the batch stage.
-	specs := []pipeline.StageSpec{
-		{
+	// failures on the request instead of returning them, so the executor
+	// only ever sees nil errors; its panic recovery is backed up by a local
+	// recover in the batch stage.
+	err := r.start(cfg.QueueDepth, cfg.RequestTimeout,
+		pipeline.StageSpec{
 			Name:    pipeline.StagePre,
 			Workers: cfg.PreWorkers,
 			Proc: func(_ context.Context, v any) (any, error) {
@@ -176,7 +125,7 @@ func New(m detect.Model, h *detect.Head, cfg Config) (*Server, error) {
 				return req, nil
 			},
 		},
-		{
+		pipeline.StageSpec{
 			Name:     pipeline.StageInfer,
 			MaxBatch: cfg.MaxBatch,
 			MaxDelay: cfg.MaxDelay,
@@ -200,7 +149,7 @@ func New(m detect.Model, h *detect.Head, cfg Config) (*Server, error) {
 				return items, nil
 			},
 		},
-		{
+		pipeline.StageSpec{
 			Name:    pipeline.StagePost,
 			Workers: cfg.PostWorkers,
 			Proc: func(_ context.Context, v any) (any, error) {
@@ -208,45 +157,15 @@ func New(m detect.Model, h *detect.Head, cfg Config) (*Server, error) {
 				if req.live() {
 					req.err = detect.Postprocess(h, req.frame)
 				}
-				req.deliver()
+				close(req.done)
 				return req, nil
 			},
 		},
-	}
-	ex, err := pipeline.NewExecutor(cfg.QueueDepth, specs...)
+	)
 	if err != nil {
 		return nil, err
 	}
-	s.ex = ex
-
-	//skynet:nolint ctxflow -- the pipeline stream lives for the server's lifetime, not any request's; Close/Drain cancel it, so a fresh root is correct here
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	out, wait := ex.Stream(ctx, s.in)
-	go func() {
-		// Results are delivered by the post stage; the stream's ordered
-		// output only needs draining to keep the executor moving.
-		for range out {
-		}
-		s.runErr = wait()
-		close(s.finished)
-	}()
-	return s, nil
-}
-
-// live reports whether the request still needs work: no failure recorded
-// yet and a caller still waiting. An expired context is recorded as the
-// request's error, so a skipped request can never be delivered to a
-// still-listening caller as a zero-box success.
-func (r *request) live() bool {
-	if r.err != nil {
-		return false
-	}
-	if err := r.ctx.Err(); err != nil {
-		r.err = err
-		return false
-	}
-	return true
+	return r, nil
 }
 
 // inferBatchSafe runs one batched forward, converting a model panic into
@@ -266,94 +185,34 @@ func inferBatchSafe(m detect.Model, frames []*detect.Frame) (err error) {
 	return nil
 }
 
-// Submit runs one detection through the serving pipeline: admission queue,
+// Submit runs one detection through the replica: admission queue,
 // micro-batched inference, decode. It blocks until the result is ready,
 // the context fires, or the request is rejected at admission. When ctx has
 // no deadline, Config.RequestTimeout is applied.
-func (s *Server) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, error) {
-	if _, ok := ctx.Deadline(); !ok && s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	req := &request{
-		ctx:   ctx,
-		frame: &detect.Frame{Image: img},
-		done:  make(chan result, 1),
-		enq:   time.Now(),
-	}
-
-	// Admission: non-blocking send under the read lock, so a concurrent
-	// Drain cannot close the queue between the draining check and the send.
-	s.mu.RLock()
-	if s.draining {
-		s.mu.RUnlock()
-		return detect.Box{}, 0, ErrDraining
-	}
-	admitted := false
-	select {
-	case s.in <- req:
-		admitted = true
-	default:
-	}
-	s.mu.RUnlock()
-	if !admitted {
-		s.rejected.Add(1)
-		return detect.Box{}, 0, ErrOverloaded
-	}
-
-	select {
-	case res := <-req.done:
-		s.hist.Observe(time.Since(req.enq))
-		if res.err != nil {
-			s.failed.Add(1)
-			return detect.Box{}, 0, res.err
+func (r *replica) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, error) {
+	ctx, cancel := r.deadline(ctx)
+	defer cancel()
+	req := &request{ticket: newTicket(ctx), frame: &detect.Frame{Image: img}}
+	if err := r.admit(req); err != nil {
+		if errors.Is(err, ErrOverloaded) {
+			r.rejected.Add(1)
 		}
-		s.served.Add(1)
-		return res.box, res.conf, nil
+		return detect.Box{}, 0, err
+	}
+
+	select {
+	case <-req.done:
+		r.hist.Observe(time.Since(req.enq))
+		if req.err != nil {
+			r.failed.Add(1)
+			return detect.Box{}, 0, req.err
+		}
+		r.served.Add(1)
+		return req.frame.Box, req.frame.Conf, nil
 	case <-ctx.Done():
 		// The request is still in the pipeline; its stages will see the
 		// expired context and skip the remaining work.
-		s.expired.Add(1)
+		r.expired.Add(1)
 		return detect.Box{}, 0, ctx.Err()
 	}
-}
-
-// Drain gracefully shuts the server down: new submissions are refused with
-// ErrDraining, queued and in-flight requests complete, and the pipeline
-// exits. It returns when the drain finishes or ctx fires (the drain keeps
-// completing in the background either way). Drain is idempotent.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.in)
-	}
-	s.mu.Unlock()
-	select {
-	case <-s.finished:
-		return s.runErr
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Close abandons the pipeline immediately: in-flight requests fail with
-// the stream's cancellation. Prefer Drain; Close is the hard stop.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.in)
-	}
-	s.mu.Unlock()
-	s.cancel()
-	<-s.finished
-}
-
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.draining
 }

@@ -27,11 +27,11 @@ func TestServeQuantizedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := detect.NewHead(nil)
-	s, err := New(qm, head, Config{MaxBatch: 4})
+	s, err := newReplica(qm, head, Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer s.close()
 
 	img := tensor.New(3, 16, 16)
 	for i := range img.Data {

@@ -3,7 +3,9 @@ package serve
 // Failure-mode tests for the serving layer, written to run under -race:
 // admission overflow sheds with 429, cancelled requests leak no
 // goroutines, drain completes in-flight work, and a panicking model
-// converts to per-request 500s without killing the shared stream.
+// converts to per-request 500s without killing the shared stream. The
+// HTTP-level tests go through the one front door — Pool.Handler() with a
+// single replica — while the engine tests drive the replica directly.
 
 import (
 	"bytes"
@@ -68,18 +70,28 @@ func testImage(seed float32) *tensor.Tensor {
 	return img
 }
 
-func newTestServer(t *testing.T, m detect.Model, cfg Config) *Server {
+func newTestReplica(t *testing.T, m detect.Model, cfg Config) *replica {
 	t.Helper()
-	s, err := New(m, detect.NewHead(nil), cfg)
+	r, err := newReplica(m, detect.NewHead(nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
-	return s
+	t.Cleanup(r.close)
+	return r
+}
+
+// newSinglePool stands one model up behind the front door: a one-replica
+// pool with the response cache off, so every request reaches the replica
+// and Served/Rejected/MeanBatchSize keep their per-request meaning.
+func newSinglePool(t *testing.T, m detect.Model, cfg Config) *Pool {
+	t.Helper()
+	return newTestPool(t, func() (detect.Model, *detect.Head, error) {
+		return m, detect.NewHead(nil), nil
+	}, PoolConfig{Replicas: 1, CacheEntries: -1, Replica: cfg})
 }
 
 func TestSubmitServes(t *testing.T) {
-	s := newTestServer(t, &stubModel{}, Config{})
+	s := newTestReplica(t, &stubModel{}, Config{})
 	box, conf, err := s.Submit(context.Background(), testImage(0.3))
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +109,7 @@ func TestSubmitServes(t *testing.T) {
 }
 
 func TestSubmitValidatesInput(t *testing.T) {
-	s := newTestServer(t, &stubModel{}, Config{})
+	s := newTestReplica(t, &stubModel{}, Config{})
 	// A rank-2 tensor must fail pre-processing, not kill the stream.
 	if _, _, err := s.Submit(context.Background(), tensor.New(4, 4)); err == nil {
 		t.Fatal("rank-2 image must be rejected")
@@ -113,7 +125,7 @@ func TestSubmitValidatesInput(t *testing.T) {
 
 func TestOverflowSheds429(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
-	s := newTestServer(t, m, Config{QueueDepth: 1, MaxBatch: 1, PreWorkers: 1, PostWorkers: 1})
+	s := newSinglePool(t, m, Config{QueueDepth: 1, MaxBatch: 1, PreWorkers: 1, PostWorkers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -187,7 +199,7 @@ func TestOverflowSheds429(t *testing.T) {
 
 func TestCancelledRequestDoesNotLeakGoroutines(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
-	s := newTestServer(t, m, Config{QueueDepth: 16, MaxBatch: 4})
+	s := newTestReplica(t, m, Config{QueueDepth: 16, MaxBatch: 4})
 
 	// Warm the pipeline once so lazily started goroutines exist before the
 	// baseline count is taken.
@@ -231,7 +243,7 @@ func TestCancelledRequestDoesNotLeakGoroutines(t *testing.T) {
 
 func TestDrainCompletesInFlight(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
-	s := newTestServer(t, m, Config{QueueDepth: 8, MaxBatch: 4, RequestTimeout: -1})
+	s := newTestReplica(t, m, Config{QueueDepth: 8, MaxBatch: 4, RequestTimeout: -1})
 
 	const n = 3
 	var wg sync.WaitGroup
@@ -260,10 +272,10 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		drained <- s.Drain(ctx)
+		drained <- s.drain(ctx)
 	}()
 	// New work is refused while draining.
-	for !s.Draining() {
+	for !s.isDraining() {
 		time.Sleep(time.Millisecond)
 	}
 	if _, _, err := s.Submit(context.Background(), testImage(0.9)); !errors.Is(err, ErrDraining) {
@@ -285,7 +297,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 func TestPanicBecomes500AndServerSurvives(t *testing.T) {
 	m := &stubModel{}
 	m.panics.Store(true)
-	s := newTestServer(t, m, Config{MaxBatch: 1})
+	s := newSinglePool(t, m, Config{MaxBatch: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -328,7 +340,7 @@ func TestPanicBecomes500AndServerSurvives(t *testing.T) {
 }
 
 func TestHTTPBadRequest(t *testing.T) {
-	s := newTestServer(t, &stubModel{}, Config{})
+	s := newSinglePool(t, &stubModel{}, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -349,7 +361,7 @@ func TestHTTPBadRequest(t *testing.T) {
 }
 
 func TestMetricsEndpointAndDrainHealth(t *testing.T) {
-	s := newTestServer(t, &stubModel{}, Config{QueueDepth: 7})
+	s := newSinglePool(t, &stubModel{}, Config{QueueDepth: 7})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -361,12 +373,15 @@ func TestMetricsEndpointAndDrainHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m Metrics
+	var m PoolMetrics
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatalf("metrics did not parse: %v", err)
 	}
-	if m.QueueCap != 7 || m.Served != 1 || len(m.Stages) != 3 {
+	if m.Replicas != 1 || m.Served != 1 || len(m.ReplicaMetrics) != 1 {
 		t.Fatalf("metrics %+v", m)
+	}
+	if rm := m.ReplicaMetrics[0]; rm.QueueCap != 7 || rm.Served != 1 || len(rm.Stages) != 3 {
+		t.Fatalf("replica metrics %+v", rm)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -386,7 +401,7 @@ func TestMetricsEndpointAndDrainHealth(t *testing.T) {
 
 func TestBatchingAggregatesConcurrentRequests(t *testing.T) {
 	m := &stubModel{}
-	s := newTestServer(t, m, Config{MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: 64})
+	s := newTestReplica(t, m, Config{MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: 64})
 
 	const n = 16
 	var wg sync.WaitGroup
@@ -435,10 +450,10 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestServerRequiresModelAndHead(t *testing.T) {
-	if _, err := New(nil, detect.NewHead(nil), Config{}); err == nil {
+	if _, err := newReplica(nil, detect.NewHead(nil), Config{}); err == nil {
 		t.Fatal("nil model must be rejected")
 	}
-	if _, err := New(&stubModel{}, nil, Config{}); err == nil {
+	if _, err := newReplica(&stubModel{}, nil, Config{}); err == nil {
 		t.Fatal("nil head must be rejected")
 	}
 }

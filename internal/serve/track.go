@@ -20,7 +20,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -50,9 +49,9 @@ var (
 )
 
 // Stage names of the tracking pipeline. The inference stage deliberately
-// does NOT reuse pipeline.StageInfer: Server.Metrics selects the headline
-// batching metrics by that name, and the tracking pipeline's batching
-// stage must not shadow the detection one.
+// does NOT reuse pipeline.StageInfer: the detection replica's Metrics
+// selects the headline batching metrics by that name, and the tracking
+// pipeline's batching stage must not shadow the detection one.
 const (
 	stageTrackPre   = "track-pre"
 	stageTrackInfer = "track-inference"
@@ -104,21 +103,7 @@ func (c *TrackConfig) normalize() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 4
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.PreWorkers <= 0 {
-		c.PreWorkers = 2
-	}
-	if c.PostWorkers <= 0 {
-		c.PostWorkers = 2
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
+	laneDefaults(&c.MaxDelay, &c.QueueDepth, &c.PreWorkers, &c.PostWorkers, &c.RequestTimeout)
 }
 
 // session is one tracked object's state between frames: the cached
@@ -150,9 +135,9 @@ const (
 	opStep
 )
 
-// trackReq is one in-flight tracking call riding the shared executor.
+// trackReq is one in-flight tracking call riding the service's lane.
 type trackReq struct {
-	ctx      context.Context
+	ticket
 	op       trackOp
 	frame    *tensor.Tensor
 	box      detect.Box // init box (start) or previous box (step)
@@ -163,40 +148,20 @@ type trackReq struct {
 	outBox  detect.Box
 	outZF   *tensor.Tensor
 	outMask *tensor.Tensor
-	err     error
-
-	done chan struct{}
-	enq  time.Time
-}
-
-func (r *trackReq) live() bool {
-	if r.err != nil {
-		return false
-	}
-	if err := r.ctx.Err(); err != nil {
-		r.err = err
-		return false
-	}
-	return true
 }
 
 // TrackService exposes one Siamese tracker as a stateful concurrent
-// service. Create with NewTrackService, stop with Drain or Close. It can
-// run standalone (Handler) or attached to a detection Server (Attach).
+// service: a lane (admission, deadline, drain/close) plus the session
+// table, its TTL janitor and per-session serialisation. Create with
+// NewTrackService, stop with Drain or Close. It can run standalone
+// (Handler) or attached to a detection Pool (Pool.Attach).
 type TrackService struct {
+	lane
 	cfg TrackConfig
 	tr  *track.Tracker
-	ex  *pipeline.Executor
 
-	mu       sync.RWMutex // guards sessions, draining, sends on in
+	mu       sync.RWMutex // guards sessions
 	sessions map[string]*session
-	draining bool
-	in       chan any
-
-	cancel   context.CancelFunc
-	finished chan struct{}
-	janitor  chan struct{} // closed to stop the sweeper
-	runErr   error
 
 	hist    *Histogram
 	nextID  atomic.Int64
@@ -220,14 +185,10 @@ func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) 
 		cfg:      cfg,
 		tr:       tr,
 		sessions: make(map[string]*session),
-		in:       make(chan any, cfg.QueueDepth),
-		finished: make(chan struct{}),
-		janitor:  make(chan struct{}),
 		hist:     NewHistogram(),
 	}
-
-	specs := []pipeline.StageSpec{
-		{
+	err := s.start(cfg.QueueDepth, cfg.RequestTimeout,
+		pipeline.StageSpec{
 			Name:    stageTrackPre,
 			Workers: cfg.PreWorkers,
 			Proc: func(_ context.Context, v any) (any, error) {
@@ -238,7 +199,7 @@ func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) 
 				return req, nil
 			},
 		},
-		{
+		pipeline.StageSpec{
 			Name:     stageTrackInfer,
 			MaxBatch: cfg.MaxBatch,
 			MaxDelay: cfg.MaxDelay,
@@ -252,7 +213,7 @@ func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) 
 				return items, nil
 			},
 		},
-		{
+		pipeline.StageSpec{
 			Name:    stageTrackPost,
 			Workers: cfg.PostWorkers,
 			Proc: func(_ context.Context, v any) (any, error) {
@@ -261,23 +222,10 @@ func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) 
 				return req, nil
 			},
 		},
-	}
-	ex, err := pipeline.NewExecutor(cfg.QueueDepth, specs...)
+	)
 	if err != nil {
 		return nil, err
 	}
-	s.ex = ex
-
-	//skynet:nolint ctxflow -- the pipeline stream lives for the service's lifetime, not any request's; Close/Drain cancel it, so a fresh root is correct here
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	out, wait := ex.Stream(ctx, s.in)
-	go func() {
-		for range out {
-		}
-		s.runErr = wait()
-		close(s.finished)
-	}()
 	go s.sweep()
 	return s, nil
 }
@@ -330,30 +278,14 @@ func (s *TrackService) inferOne(req *trackReq) (err error) {
 
 // submit runs one request through the pipeline and waits for its result.
 func (s *TrackService) submit(ctx context.Context, req *trackReq) error {
-	if _, ok := ctx.Deadline(); !ok && s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	req.ctx = ctx
-	req.done = make(chan struct{})
-	req.enq = time.Now()
-
-	s.mu.RLock()
-	if s.draining {
-		s.mu.RUnlock()
-		return ErrDraining
-	}
-	admitted := false
-	select {
-	case s.in <- req:
-		admitted = true
-	default:
-	}
-	s.mu.RUnlock()
-	if !admitted {
-		s.reject.Add(1)
-		return ErrOverloaded
+	ctx, cancel := s.deadline(ctx)
+	defer cancel()
+	req.ticket = newTicket(ctx)
+	if err := s.admit(req); err != nil {
+		if errors.Is(err, ErrOverloaded) {
+			s.reject.Add(1)
+		}
+		return err
 	}
 
 	select {
@@ -392,11 +324,12 @@ func (s *TrackService) Start(ctx context.Context, frame *tensor.Tensor, box dete
 	}
 	sess.touch()
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	// A drain that began while the template forward ran: do not hand out a
+	// session that could never be stepped.
+	if s.isDraining() {
 		return "", 0, ErrDraining
 	}
+	s.mu.Lock()
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.mu.Unlock()
 		s.reject.Add(1)
@@ -489,7 +422,8 @@ func (s *TrackService) evictExpired() {
 	s.mu.Unlock()
 }
 
-// sweep is the TTL janitor goroutine.
+// sweep is the TTL janitor goroutine. It stops when the lane's stream has
+// exited, which Drain and Close both bring about exactly once.
 func (s *TrackService) sweep() {
 	t := time.NewTicker(s.cfg.SweepEvery)
 	defer t.Stop()
@@ -497,7 +431,7 @@ func (s *TrackService) sweep() {
 		select {
 		case <-t.C:
 			s.evictExpired()
-		case <-s.janitor:
+		case <-s.finished:
 			return
 		}
 	}
@@ -505,39 +439,13 @@ func (s *TrackService) sweep() {
 
 // Drain gracefully shuts the service down: new work is refused with
 // ErrDraining, in-flight frames complete, the janitor stops. Idempotent.
-func (s *TrackService) Drain(ctx context.Context) error {
-	s.beginShutdown()
-	select {
-	case <-s.finished:
-		return s.runErr
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (s *TrackService) Drain(ctx context.Context) error { return s.drain(ctx) }
 
 // Close abandons the pipeline immediately.
-func (s *TrackService) Close() {
-	s.beginShutdown()
-	s.cancel()
-	<-s.finished
-}
-
-func (s *TrackService) beginShutdown() {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.in)
-		close(s.janitor)
-	}
-	s.mu.Unlock()
-}
+func (s *TrackService) Close() { s.close() }
 
 // Draining reports whether the service has begun shutting down.
-func (s *TrackService) Draining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.draining
-}
+func (s *TrackService) Draining() bool { return s.isDraining() }
 
 // TrackMetrics is the tracking slice of the /metrics snapshot.
 type TrackMetrics struct {
@@ -586,9 +494,7 @@ func (s *TrackService) Metrics() TrackMetrics {
 	if m.Sessions > 0 {
 		m.MeanSessionBytes = bytes / int64(m.Sessions)
 	}
-	for _, st := range s.ex.Stats() {
-		m.Stages = append(m.Stages, stageJSON(st))
-	}
+	m.Stages = s.stages()
 	return m
 }
 
@@ -634,8 +540,8 @@ type TrackStopRequest struct {
 
 // --- HTTP front end ---
 
-// register mounts the tracking routes on a mux (shared with a detection
-// Server or standalone).
+// register mounts the tracking routes on a mux (a Pool's, or the
+// service's own).
 func (s *TrackService) register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /track/start", s.handleStart)
 	mux.HandleFunc("POST /track/step", s.handleStep)
@@ -643,24 +549,10 @@ func (s *TrackService) register(mux *http.ServeMux) {
 }
 
 // Handler returns a standalone HTTP interface for a tracking-only
-// deployment: the /track routes plus /metrics and /healthz.
+// deployment: the /track routes on top of the shared ones.
 func (s *TrackService) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := newMux(func() any { return s.Metrics() }, s.Draining)
 	s.register(mux)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Metrics())
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if s.Draining() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok\n"))
-	})
 	return mux
 }
 
@@ -668,38 +560,37 @@ func (s *TrackService) Handler() http.Handler {
 // is cancelled, then drains: new work is refused, in-flight frames get
 // drainTimeout to finish.
 func (s *TrackService) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
+	return serveUntil(ctx, addr, s.Handler(), drainTimeout, s.Drain)
+}
+
+// decodeTrack decodes a tracking request body into v, answering the
+// failure itself; it reports whether the handler should go on.
+func decodeTrack(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := decodeBody(w, r, v); err != nil {
+		writeTrackError(w, bodyStatus(err), fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
+		return false
 	}
-	//skynet:nolint ctxflow -- ctx is already cancelled at this point; the drain budget needs a fresh root or the graceful drain would be skipped entirely
-	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	drainErr := s.Drain(dctx)
-	shutErr := hs.Shutdown(dctx)
-	if drainErr != nil {
-		return drainErr
+	return true
+}
+
+// trackFrame validates a wire tensor into a frame, answering the failure
+// itself like decodeTrack.
+func trackFrame(w http.ResponseWriter, shape []int, data []float32) (*tensor.Tensor, bool) {
+	frame, err := detect.Request{Shape: shape, Data: data}.Tensor()
+	if err != nil {
+		writeTrackError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
+		return nil, false
 	}
-	return shutErr
+	return frame, true
 }
 
 func (s *TrackService) handleStart(w http.ResponseWriter, r *http.Request) {
 	var req TrackStartRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeTrackError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
+	if !decodeTrack(w, r, &req) {
 		return
 	}
-	frame, err := detect.Request{Shape: req.Shape, Data: req.Data}.Tensor()
-	if err != nil {
-		writeTrackError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
+	frame, ok := trackFrame(w, req.Shape, req.Data)
+	if !ok {
 		return
 	}
 	id, bytes, err := s.Start(r.Context(), frame, req.Box)
@@ -707,19 +598,16 @@ func (s *TrackService) handleStart(w http.ResponseWriter, r *http.Request) {
 		writeTrackError(w, trackStatus(err), err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(TrackStartResponse{Session: id, BytesPerSession: bytes})
+	writeJSON(w, http.StatusOK, TrackStartResponse{Session: id, BytesPerSession: bytes})
 }
 
 func (s *TrackService) handleStep(w http.ResponseWriter, r *http.Request) {
 	var req TrackStepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeTrackError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
+	if !decodeTrack(w, r, &req) {
 		return
 	}
-	frame, err := detect.Request{Shape: req.Shape, Data: req.Data}.Tensor()
-	if err != nil {
-		writeTrackError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
+	frame, ok := trackFrame(w, req.Shape, req.Data)
+	if !ok {
 		return
 	}
 	box, mask, err := s.Step(r.Context(), req.Session, frame, req.Mask)
@@ -732,14 +620,12 @@ func (s *TrackService) handleStep(w http.ResponseWriter, r *http.Request) {
 		mr := detect.NewRequest(mask)
 		resp.Mask = &mr
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *TrackService) handleStop(w http.ResponseWriter, r *http.Request) {
 	var req TrackStopRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeTrackError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
+	if !decodeTrack(w, r, &req) {
 		return
 	}
 	if !s.Stop(req.Session) {
@@ -750,25 +636,20 @@ func (s *TrackService) handleStop(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("{}\n"))
 }
 
-// trackStatus maps service errors onto HTTP statuses.
+// trackStatus maps service errors onto HTTP statuses; the lane's own
+// (overload, drain, deadline) map as they do on the detection door.
 func trackStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrBadTrackRequest):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrNoSession):
 		return http.StatusNotFound
-	case errors.Is(err, ErrSessionTableFull), errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrSessionTableFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
 	}
-	return http.StatusInternalServerError
+	return detectStatus(err)
 }
 
 func writeTrackError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(TrackStepResponse{Error: err.Error()})
+	writeJSON(w, status, TrackStepResponse{Error: err.Error()})
 }

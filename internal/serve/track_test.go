@@ -304,11 +304,11 @@ func TestTrackHTTPErrorMapping(t *testing.T) {
 	}
 }
 
-// TestTrackAttachedToServer pins co-hosting: the detection server mounts
-// the /track routes and folds the tracking snapshot into /metrics without
-// disturbing the headline detection batching numbers.
+// TestTrackAttachedToServer pins co-hosting: the detection front door
+// mounts the /track routes and folds the tracking snapshot into /metrics
+// without disturbing the headline detection batching numbers.
 func TestTrackAttachedToServer(t *testing.T) {
-	srv := newTestServer(t, &stubModel{}, Config{})
+	srv := newSinglePool(t, &stubModel{}, Config{})
 	tr := testTracker(false)
 	ts := newTestTrackService(t, tr, TrackConfig{})
 	srv.Attach(ts)
@@ -328,7 +328,7 @@ func TestTrackAttachedToServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m Metrics
+	var m PoolMetrics
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
@@ -337,6 +337,9 @@ func TestTrackAttachedToServer(t *testing.T) {
 	}
 	if len(m.Track.Stages) != 3 {
 		t.Fatalf("tracking stages %d, want 3", len(m.Track.Stages))
+	}
+	if rm := m.ReplicaMetrics[0]; rm.Batches != 0 || rm.MeanBatchSize != 0 {
+		t.Fatalf("a tracking forward showed up in the detection batching numbers: %+v", rm)
 	}
 }
 

@@ -20,15 +20,6 @@ import "skynet/internal/cpufeat"
 //skynet:hotpath
 func gemmMicro4x8AVX2(kc int, ap, bp *float32, tile *[gemmMR * gemmNR]float32)
 
-// gemmMicro4x8FMA is the opt-in fused variant: VFMADD231PS rounds once
-// per multiply-add, which is faster and usually more accurate but NOT
-// bitwise identical to the reference. Selected only by
-// SetKernel("avx2fma") / SKYNET_KERNEL=avx2fma.
-//
-//go:noescape
-//skynet:hotpath
-func gemmMicro4x8FMA(kc int, ap, bp *float32, tile *[gemmMR * gemmNR]float32)
-
 // i8Micro4x8AVX2 computes one 4×8 int8→int32 tile over pair-packed
 // panels: per k pair it sign-extends the 16-byte B group to words
 // (VPMOVSXBW), broadcasts each row's [a(i,p) a(i,p+1)] word, and lets
@@ -51,11 +42,6 @@ func gemmMicroAVX2(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32) {
 }
 
 //skynet:hotpath
-func gemmMicroFMA(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32) {
-	gemmMicro4x8FMA(kc, &ap[0], &bp[0], tile)
-}
-
-//skynet:hotpath
 func i8MicroAVX2(kp int, ap, bp []int8, tile *[i8MR * i8NR]int32) {
 	i8Micro4x8AVX2(kp, &ap[0], &bp[0], tile)
 }
@@ -63,13 +49,9 @@ func i8MicroAVX2(kp int, ap, bp []int8, tile *[i8MR * i8NR]int32) {
 // nativeKernels reports the assembly kernels this build and CPU support;
 // nil entries mean "use the pure-Go reference". kernel.go dispatches on
 // the result.
-func nativeKernels() (f32, f32fma gemmMicroFunc, i8 i8MicroFunc) {
+func nativeKernels() (f32 gemmMicroFunc, i8 i8MicroFunc) {
 	if !cpufeat.AVX2 {
-		return nil, nil, nil
+		return nil, nil
 	}
-	f32, i8 = gemmMicroAVX2, i8MicroAVX2
-	if cpufeat.FMA {
-		f32fma = gemmMicroFMA
-	}
-	return f32, f32fma, i8
+	return gemmMicroAVX2, i8MicroAVX2
 }

@@ -88,68 +88,6 @@ f32done:
 	VZEROUPPER
 	RET
 
-// func gemmMicro4x8FMA(kc int, ap, bp *float32, tile *[32]float32)
-//
-// Opt-in fused variant: one VFMADD231PS per accumulator per k step — one
-// rounding per multiply-add, so results differ from the reference by
-// bounded rounding error. Same loads, same strict k order.
-TEXT ·gemmMicro4x8FMA(SB), NOSPLIT, $0-32
-	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ tile+24(FP), DX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	SUBQ $2, CX
-	JLT  fmatail
-
-fmaloop2:
-	VMOVUPS (DI), Y4
-	VBROADCASTSS 0(SI), Y5
-	VFMADD231PS Y4, Y5, Y0
-	VBROADCASTSS 4(SI), Y6
-	VFMADD231PS Y4, Y6, Y1
-	VBROADCASTSS 8(SI), Y7
-	VFMADD231PS Y4, Y7, Y2
-	VBROADCASTSS 12(SI), Y8
-	VFMADD231PS Y4, Y8, Y3
-	VMOVUPS 32(DI), Y9
-	VBROADCASTSS 16(SI), Y5
-	VFMADD231PS Y9, Y5, Y0
-	VBROADCASTSS 20(SI), Y6
-	VFMADD231PS Y9, Y6, Y1
-	VBROADCASTSS 24(SI), Y7
-	VFMADD231PS Y9, Y7, Y2
-	VBROADCASTSS 28(SI), Y8
-	VFMADD231PS Y9, Y8, Y3
-	ADDQ $32, SI
-	ADDQ $64, DI
-	SUBQ $2, CX
-	JGE  fmaloop2
-
-fmatail:
-	ADDQ $1, CX
-	JLT  fmadone
-	VMOVUPS (DI), Y4
-	VBROADCASTSS 0(SI), Y5
-	VFMADD231PS Y4, Y5, Y0
-	VBROADCASTSS 4(SI), Y6
-	VFMADD231PS Y4, Y6, Y1
-	VBROADCASTSS 8(SI), Y7
-	VFMADD231PS Y4, Y7, Y2
-	VBROADCASTSS 12(SI), Y8
-	VFMADD231PS Y4, Y8, Y3
-
-fmadone:
-	VMOVUPS Y0, 0(DX)
-	VMOVUPS Y1, 32(DX)
-	VMOVUPS Y2, 64(DX)
-	VMOVUPS Y3, 96(DX)
-	VZEROUPPER
-	RET
-
 // func i8Micro4x8AVX2(kp int, ap, bp *int8, tile *[32]int32)
 //
 // Int8 kernel over pair-packed panels. Per k pair: one VPMOVSXBW turns

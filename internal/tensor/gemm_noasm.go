@@ -5,6 +5,6 @@ package tensor
 // nativeKernels reports no assembly kernels: this architecture has none
 // wired up, or the build carries the `purego` tag. Dispatch falls back to
 // the portable reference kernels on every path.
-func nativeKernels() (f32, f32fma gemmMicroFunc, i8 i8MicroFunc) {
-	return nil, nil, nil
+func nativeKernels() (f32 gemmMicroFunc, i8 i8MicroFunc) {
+	return nil, nil
 }

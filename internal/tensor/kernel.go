@@ -9,14 +9,14 @@ package tensor
 // tag, they point at the portable Go kernels that double as the test
 // oracle.
 //
-// The default float32 kernel deliberately avoids fused multiply-add even
-// when the CPU has it: FMA skips the intermediate rounding of a*b, so an
-// FMA tile is not bitwise identical to the pure-Go reference, and the
-// repo's determinism contract (identical bytes across kernels, reruns, and
-// GOMAXPROCS) is worth more than the last 2× of float throughput. The
-// avx2fma kernel exists behind an explicit opt-in for deployments that
-// prefer speed; the int8 kernel accumulates in exact integer arithmetic,
-// so it is bitwise identical to the reference by construction.
+// The float32 kernel deliberately avoids fused multiply-add even when the
+// CPU has it: FMA skips the intermediate rounding of a*b, so an FMA tile
+// is not bitwise identical to the pure-Go reference, and the repo's
+// determinism contract (identical bytes across kernels, reruns, and
+// GOMAXPROCS) is worth more than what fusing buys (an opt-in FMA tile was
+// measured no faster at 256³ or on the conv shape, and removed). The int8
+// kernel accumulates in exact integer arithmetic, so it is bitwise
+// identical to the reference by construction.
 //
 // Selection is per-process: `auto` at startup, overridable with the
 // SKYNET_KERNEL environment variable or SetKernel. SetKernel must not be
@@ -62,14 +62,12 @@ func init() {
 //	auto     best available bitwise-deterministic kernel (default)
 //	purego   portable Go kernels on every path
 //	avx2     AVX2 assembly, no FMA (bitwise identical to purego)
-//	avx2fma  AVX2 with fused multiply-add on the float32 path — faster,
-//	         but results differ from purego by bounded rounding error
 //
 // It returns an error (and changes nothing) if the named kernel is not
 // available on this CPU or build. Not safe to call concurrently with
 // running GEMMs.
 func SetKernel(name string) error {
-	asmF32, asmFMA, asmI8 := nativeKernels()
+	asmF32, asmI8 := nativeKernels()
 	switch name {
 	case "", "auto":
 		if asmF32 != nil {
@@ -87,13 +85,8 @@ func SetKernel(name string) error {
 			return fmt.Errorf("kernel %q not available (no AVX2 on this CPU or purego build)", name)
 		}
 		gemmMicro, gemmKernelName = asmF32, "avx2"
-	case "avx2fma":
-		if asmFMA == nil {
-			return fmt.Errorf("kernel %q not available (no AVX2+FMA on this CPU or purego build)", name)
-		}
-		gemmMicro, gemmKernelName = asmFMA, "avx2fma"
 	default:
-		return fmt.Errorf("unknown kernel %q (want auto, purego, avx2 or avx2fma)", name)
+		return fmt.Errorf("unknown kernel %q (want auto, purego or avx2)", name)
 	}
 	if asmI8 != nil {
 		i8Micro, i8KernelName = asmI8, "avx2"
@@ -113,20 +106,18 @@ func SetKernel(name string) error {
 
 // HasKernel reports whether SetKernel(name) would succeed.
 func HasKernel(name string) bool {
-	asmF32, asmFMA, _ := nativeKernels()
 	switch name {
 	case "", "auto", "purego":
 		return true
 	case "avx2":
+		asmF32, _ := nativeKernels()
 		return asmF32 != nil
-	case "avx2fma":
-		return asmFMA != nil
 	}
 	return false
 }
 
 // KernelName reports the float32 micro-kernel currently dispatched
-// ("purego", "avx2" or "avx2fma").
+// ("purego" or "avx2").
 func KernelName() string { return gemmKernelName }
 
 // Int8KernelName reports the int8 micro-kernel currently dispatched

@@ -24,7 +24,7 @@ import (
 //     with im2col into a [hz*wz, oh*ow] patch matrix and multiplied by the
 //     channel's exemplar row — exactly how convolution reaches the blocked
 //     float32 GEMM, so the call inherits the kernel-dispatch seam
-//     (tensor.SetKernel: purego/AVX2/FMA) and the naive-vs-blocked
+//     (tensor.SetKernel: purego/AVX2) and the naive-vs-blocked
 //     crossover. Both GEMM paths accumulate k in ascending order, which is
 //     the naive loop's (ky, kx) order, so the result is bitwise identical
 //     to the oracle.

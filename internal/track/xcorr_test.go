@@ -41,7 +41,7 @@ func withKernels(t *testing.T, fn func(t *testing.T)) {
 			t.Fatalf("restoring kernel %q: %v", old, err)
 		}
 	}()
-	for _, name := range []string{"purego", "avx2", "avx2fma"} {
+	for _, name := range []string{"purego", "avx2"} {
 		if !tensor.HasKernel(name) {
 			continue
 		}
