@@ -7,7 +7,7 @@ GO ?= go
 COVER_FLOOR ?= 60
 COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/pipeline:$(COVER_FLOOR) ./internal/detect:$(COVER_FLOOR) ./internal/quant:$(COVER_FLOOR) ./internal/track:$(COVER_FLOOR)
 
-.PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-quant bench-track bench-serve bench-search bench-search-short bench-json cover check ci
+.PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-smoke bench-quant bench-track bench-serve bench-search bench-search-short bench-json cover check ci
 
 all: ci
 
@@ -82,6 +82,14 @@ purego:
 arm64:
 	GOARCH=arm64 $(GO) build ./...
 
+# bench-smoke vets and tests the nested bench/ module (toy-size run of all
+# four workloads plus its own lint). `go build ./...` never sees that
+# module, and it compiles against a frozen slice of the tensor/nn/quant/
+# track API, so this is where a break of that API shows up in `make ci`
+# instead of in the benchmark pipeline.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 bench:
 	@$(GO) run ./cmd/skynet-bench -which
 	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkConvForwardSteadyState|BenchmarkTable2Backbones' -benchtime 10x .
@@ -147,8 +155,9 @@ cover:
 
 # ci is the single verification entry point: everything must pass before a
 # commit lands. bench-search-short re-executes the search determinism
-# proofs; cover enforces the per-package floors above.
-ci: vet lint test race purego arm64 build binaries bench-search-short cover
+# proofs; cover enforces the per-package floors above; bench-smoke keeps
+# the benchmark module building and passing against this tree.
+ci: vet lint test race purego arm64 build binaries bench-search-short cover bench-smoke
 
 # check is kept as an alias for ci (the historical name).
 check: ci

@@ -74,8 +74,9 @@ func PreStage(workers int) pipeline.StageSpec {
 // tensor, runs a single forward pass, and splits the prediction back into
 // per-frame [1,ch,Sh,Sw] copies, so the frames own their predictions (the
 // model may reuse its output buffer on the next forward). Calls for the
-// same model must be serialized by the caller: Graph forward passes share
-// internal buffers (nn.ReuseOutputs) and are not concurrency-safe.
+// same model must be serialized by the caller: a forward pass is not
+// reentrant — every layer caches its input, the operands of the call in
+// flight and its per-worker scratch on itself.
 func InferBatch(m Model, frames []*Frame) error {
 	if len(frames) == 0 {
 		return nil
@@ -118,9 +119,10 @@ func Postprocess(h *Head, f *Frame) error {
 // maxBatch pre-processed frames (waiting at most maxDelay for stragglers)
 // are stacked into one [B,C,H,W] tensor and run through a single Forward,
 // amortizing per-call overhead exactly like the paper's batched inference
-// amortizes weight loads. The stage runs on one worker because Graph
-// forward passes share internal buffers (nn.ReuseOutputs) and are not
-// concurrency-safe; scale throughput with maxBatch instead.
+// amortizes weight loads. The stage runs on one worker because a forward
+// pass is not reentrant (layers keep per-call state on themselves, see
+// InferBatch), so one model is driven by one inference worker; scale
+// throughput with maxBatch instead.
 func InferStage(m Model, maxBatch int, maxDelay time.Duration) pipeline.StageSpec {
 	return pipeline.StageSpec{
 		Name:     pipeline.StageInfer,

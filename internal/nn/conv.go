@@ -10,12 +10,14 @@ import (
 // matrix multiplication via im2col. Weights have logical shape
 // [OutC, InC, K, K] and are stored flattened as [OutC, InC*K*K].
 //
-// The forward and backward passes are data-parallel over the batch. All
-// scratch — im2col buffers (one per worker), per-image tensor views, the
-// output buffer when ReuseOutputs is on, and the per-worker gradient
-// accumulators used by the parallel backward — is cached on the layer and
-// reused across calls, so the steady-state serial forward pass performs no
-// heap allocation.
+// The forward and backward passes are each one parallelForWorkers loop over
+// the batch. The loop bodies are method values bound once at construction
+// (a per-call closure would allocate even when no goroutine is spawned), so
+// the operands of the call in flight are stashed in layer fields; scratch
+// is always per worker — im2col buffers and per-image tensor views — and
+// worker 0 is the calling goroutine. A warm forward allocates its output
+// tensor and, beyond one worker, the goroutines of the batch split; the
+// output belongs to the caller.
 type Conv2D struct {
 	InC, OutC  int
 	K          int // square kernel size
@@ -25,37 +27,37 @@ type Conv2D struct {
 	Weight     *Param // [OutC, InC*K*K]
 	Bias       *Param // [OutC], nil unless UseBias
 	label      string
-	x          *tensor.Tensor   // cached input
-	col        *tensor.Tensor   // serial-path im2col scratch, reused across calls
-	dcol       *tensor.Tensor   // serial-path im2col gradient scratch
-	out        *tensor.Tensor   // cached output buffer (ReuseOutputs)
-	imgView    *tensor.Tensor   // per-image input view, repointed per image
-	omView     *tensor.Tensor   // per-image output view
-	dmView     *tensor.Tensor   // per-image dout view
-	dimgView   *tensor.Tensor   // per-image dx view
-	wcols      []*tensor.Tensor // per-worker im2col scratch (parallel forward)
-	bw         []*convBwdBufs   // per-worker backward scratch
-	dwImg      []*tensor.Tensor // per-image weight-gradient staging [OutC, InC*K*K]
-	dbImg      []float32        // per-image bias-gradient staging [n*OutC]
-	dw1        *tensor.Tensor   // serial-path weight-gradient staging
+	x          *tensor.Tensor // cached input
 	outH, outW int
 	lastN      int
+
+	fwd, bwd func(worker, i int) // batch loop bodies: forwardImage, backwardImage
+	ws       []convScratch       // per-worker scratch, reused across calls
+	out      *tensor.Tensor      // Forward in flight: the output being filled
+	dout, dx *tensor.Tensor      // Backward in flight: output gradient, input gradient
+	dwImg    []*tensor.Tensor    // per-image weight-gradient staging [OutC, InC*K*K]
+	dbImg    []float32           // per-image bias-gradient staging [n*OutC]
 }
 
-// convBwdBufs is one worker's private backward scratch. Gradients are not
+// convScratch is one worker's private scratch. Gradients are not
 // accumulated here: Param.G is shared across the whole batch, so each
 // image's contribution is staged per image (Conv2D.dwImg/dbImg) and merged
 // in image order — a fixed reduction tree, bitwise identical for any
 // worker count.
-type convBwdBufs struct {
+type convScratch struct {
 	col  *tensor.Tensor // im2col of the worker's current image
-	dcol *tensor.Tensor // gradient of the im2col matrix
+	dcol *tensor.Tensor // gradient of the im2col matrix; nil until the first Backward
+	// Views of the worker's current image, repointed per image: the input
+	// [InC,H,W], the output or its gradient [OutC, outH*outW], and the
+	// input gradient [InC,H,W].
+	img, om, dimg *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution with He-initialized weights.
 func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int, bias bool) *Conv2D {
 	c := &Conv2D{InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad, UseBias: bias,
 		label: "conv", Weight: NewParam("weight", outC, inC*k*k)}
+	c.fwd, c.bwd = c.forwardImage, c.backwardImage
 	c.Weight.W.HeInit(rng, inC*k*k)
 	if bias {
 		c.Bias = NewParam("bias", outC)
@@ -80,183 +82,124 @@ func (c *Conv2D) Params() []*Param {
 	return []*Param{c.Weight}
 }
 
-// Forward lowers the convolution to GEMM via im2col. The serial path is
-// the steady-state inference hot path and performs no heap allocation
-// once the layer's scratch is warm (see reuse.go); the data-parallel
-// branch trades one closure allocation per call for batch parallelism.
+// Forward lowers the convolution to one GEMM per image via im2col, the
+// images split across workers.
 //
 //skynet:hotpath
 func (c *Conv2D) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, c.label)
 	expect4D(x, c.InC, c.label)
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	c.outH = tensor.ConvOut(h, c.K, c.Stride, c.Pad)
-	c.outW = tensor.ConvOut(w, c.K, c.Stride, c.Pad)
+	n := x.Dim(0)
+	c.outH = tensor.ConvOut(x.Dim(2), c.K, c.Stride, c.Pad)
+	c.outW = tensor.ConvOut(x.Dim(3), c.K, c.Stride, c.Pad)
 	c.x = x
 	c.lastN = n
-	rows, cols := c.InC*c.K*c.K, c.outH*c.outW
-	imgSz := c.InC * h * w
-	perImg := c.OutC * cols
-	out := reuseOrNew4(c.out, n, c.OutC, c.outH, c.outW)
+	c.ensureScratch(workersFor(n))
+	out := tensor.New(n, c.OutC, c.outH, c.outW)
 	c.out = out
-	if nw := workersFor(n); nw > 1 {
-		// Data-parallel over the batch. The im2col buffers are hoisted to
-		// per-worker scratch cached on the layer: one buffer per worker for
-		// the layer's lifetime, not one per image per call.
-		c.ensureWorkerCols(nw, rows, cols)
-		//skynet:nolint hotalloc -- parallel branch: one closure per batched call, amortized; the serial steady state below allocates nothing
-		parallelForWorkers(n, func(worker, i int) {
-			col := c.wcols[worker]
-			img := tensor.FromSlice(x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
-			tensor.Im2Col(col, img, c.K, c.K, c.Stride, c.Pad)
-			om := tensor.FromSlice(out.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
-			if c.Bias != nil {
-				tensor.MatMulRowBiasInto(om, c.Weight.W, col, c.Bias.W)
-			} else {
-				tensor.MatMulInto(om, c.Weight.W, col)
-			}
-		})
-		return out
-	}
-	if c.col == nil || c.col.Dim(0) != rows || c.col.Dim(1) != cols {
-		c.col = tensor.New(rows, cols)
-	}
-	for i := 0; i < n; i++ {
-		c.imgView = viewInto3(c.imgView, x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
-		tensor.Im2Col(c.col, c.imgView, c.K, c.K, c.Stride, c.Pad)
-		c.omView = viewInto2(c.omView, out.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
-		// The bias add is fused into the GEMM epilogue rather than a
-		// separate pass over the output.
-		if c.Bias != nil {
-			tensor.MatMulRowBiasInto(c.omView, c.Weight.W, c.col, c.Bias.W)
-		} else {
-			tensor.MatMulInto(c.omView, c.Weight.W, c.col)
-		}
-	}
+	parallelForWorkers(n, c.fwd)
+	c.out = nil
 	return out
 }
 
-// ensureWorkerCols sizes the per-worker im2col scratch for the parallel
-// forward pass.
+// forwardImage is Forward's loop body: image i on the given worker's scratch.
 //
 //skynet:hotpath
-func (c *Conv2D) ensureWorkerCols(nw, rows, cols int) {
-	if len(c.wcols) < nw || c.wcols[0].Dim(0) != rows || c.wcols[0].Dim(1) != cols {
+func (c *Conv2D) forwardImage(worker, i int) {
+	s := &c.ws[worker]
+	h, w, cols := c.x.Dim(2), c.x.Dim(3), c.outH*c.outW
+	imgSz, perImg := c.InC*h*w, c.OutC*cols
+	s.img = viewInto3(s.img, c.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
+	tensor.Im2Col(s.col, s.img, c.K, c.K, c.Stride, c.Pad)
+	s.om = viewInto2(s.om, c.out.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
+	// The bias add is fused into the GEMM epilogue rather than a separate
+	// pass over the output.
+	if c.Bias != nil {
+		tensor.MatMulRowBiasInto(s.om, c.Weight.W, s.col, c.Bias.W)
+	} else {
+		tensor.MatMulInto(s.om, c.Weight.W, s.col)
+	}
+}
+
+// ensureScratch sizes the per-worker scratch for nw workers at the current
+// im2col geometry.
+//
+//skynet:hotpath
+func (c *Conv2D) ensureScratch(nw int) {
+	rows, cols := c.InC*c.K*c.K, c.outH*c.outW
+	if len(c.ws) < nw || c.ws[0].col.Dim(1) != cols {
 		//skynet:nolint hotalloc -- grow-once scratch: reallocates only when the worker count or im2col geometry changes, never in steady state
-		c.wcols = make([]*tensor.Tensor, nw)
-		for i := range c.wcols {
-			c.wcols[i] = tensor.New(rows, cols)
+		c.ws = make([]convScratch, nw)
+		for i := range c.ws {
+			c.ws[i].col = tensor.New(rows, cols)
 		}
 	}
 }
 
-// ensureBackwardBufs sizes the per-worker backward scratch and the
-// per-image gradient accumulators. Weight gradients are staged per image —
-// not per worker — so the reduction tree (one AddInPlace per image, in
-// image order) is identical for every worker count and training stays
-// bitwise reproducible across GOMAXPROCS settings.
-func (c *Conv2D) ensureBackwardBufs(nw, n, rows, cols int) {
-	if len(c.bw) < nw || c.bw[0].col.Dim(0) != rows || c.bw[0].col.Dim(1) != cols {
-		c.bw = make([]*convBwdBufs, nw)
-		for i := range c.bw {
-			c.bw[i] = &convBwdBufs{
-				col:  tensor.New(rows, cols),
-				dcol: tensor.New(rows, cols),
-			}
+// Backward stages each image's weight and bias gradient in that image's
+// slot — not per worker, and not GEMM-accumulated into G directly — and
+// merges the slots in image order afterwards, so the reduction tree is the
+// same for every worker count and training stays bitwise reproducible
+// across GOMAXPROCS settings.
+func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
+	n := c.lastN
+	rows := c.InC * c.K * c.K
+	nw := workersFor(n)
+	c.ensureScratch(nw)
+	for i := range c.ws[:nw] {
+		if c.ws[i].dcol == nil {
+			c.ws[i].dcol = tensor.New(rows, c.outH*c.outW)
 		}
 	}
-	if len(c.dwImg) < n || c.dwImg[0].Dim(1) != rows {
+	if len(c.dwImg) < n {
 		c.dwImg = make([]*tensor.Tensor, n)
 		for i := range c.dwImg {
 			c.dwImg[i] = tensor.New(c.OutC, rows)
 		}
-	}
-	if len(c.dbImg) < n*c.OutC {
 		c.dbImg = make([]float32, n*c.OutC)
 	}
-}
-
-func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	n := c.lastN
-	h, w := c.x.Dim(2), c.x.Dim(3)
-	cols := c.outH * c.outW
-	rows := c.InC * c.K * c.K
-	imgSz := c.InC * h * w
-	perImg := c.OutC * cols
-	dx := tensor.New(n, c.InC, h, w)
-	if nw := workersFor(n); nw > 1 {
-		c.ensureBackwardBufs(nw, n, rows, cols)
-		parallelForWorkers(n, func(worker, i int) {
-			bb := c.bw[worker]
-			img := tensor.FromSlice(c.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
-			tensor.Im2Col(bb.col, img, c.K, c.K, c.Stride, c.Pad)
-			dm := tensor.FromSlice(dout.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
-			// dW_i = dout_i · col_iᵀ, staged in this image's slot.
-			dwi := c.dwImg[i]
-			dwi.Zero()
-			tensor.MatMulTransposeBAddInto(dwi, dm, bb.col)
-			// dcol = Wᵀ · dout
-			tensor.MatMulTransposeAInto(bb.dcol, c.Weight.W, dm)
-			dimg := tensor.FromSlice(dx.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
-			tensor.Col2Im(dimg, bb.dcol, c.K, c.K, c.Stride, c.Pad)
-			if c.Bias != nil {
-				for o := 0; o < c.OutC; o++ {
-					var s float32
-					for _, g := range dout.Data[i*perImg+o*cols : i*perImg+(o+1)*cols] {
-						s += g
-					}
-					c.dbImg[i*c.OutC+o] = s
-				}
-			}
-		})
-		// Merge the staged per-image gradients in image order — the same
-		// reduction tree the serial path walks, for any worker count.
-		for i := 0; i < n; i++ {
-			c.Weight.G.AddInPlace(c.dwImg[i])
-			if c.Bias != nil {
-				for o := 0; o < c.OutC; o++ {
-					c.Bias.G.Data[o] += c.dbImg[i*c.OutC+o]
-				}
-			}
-		}
-		return []*tensor.Tensor{dx}
-	}
-	if c.col == nil || c.col.Dim(0) != rows || c.col.Dim(1) != cols {
-		c.col = tensor.New(rows, cols)
-	}
-	if c.dcol == nil || c.dcol.Dim(0) != rows || c.dcol.Dim(1) != cols {
-		c.dcol = tensor.New(rows, cols)
-	}
-	if c.dw1 == nil || c.dw1.Dim(1) != rows {
-		c.dw1 = tensor.New(c.OutC, rows)
-	}
+	dx := tensor.New(n, c.InC, c.x.Dim(2), c.x.Dim(3))
+	c.dout, c.dx = dout, dx
+	parallelForWorkers(n, c.bwd)
+	c.dout, c.dx = nil, nil
 	for i := 0; i < n; i++ {
-		c.imgView = viewInto3(c.imgView, c.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
-		tensor.Im2Col(c.col, c.imgView, c.K, c.K, c.Stride, c.Pad)
-		c.dmView = viewInto2(c.dmView, dout.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
-		// dW_i = dout_i · col_iᵀ, staged per image and then added — not
-		// GEMM-accumulated into G directly — so the serial path performs the
-		// same reduction tree as the parallel one (bitwise-reproducible
-		// training across GOMAXPROCS).
-		c.dw1.Zero()
-		tensor.MatMulTransposeBAddInto(c.dw1, c.dmView, c.col)
-		c.Weight.G.AddInPlace(c.dw1)
-		// dcol = Wᵀ · dout
-		tensor.MatMulTransposeAInto(c.dcol, c.Weight.W, c.dmView)
-		// Scatter straight into this image's slice of dx (Col2Im zeroes it).
-		c.dimgView = viewInto3(c.dimgView, dx.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
-		tensor.Col2Im(c.dimgView, c.dcol, c.K, c.K, c.Stride, c.Pad)
+		c.Weight.G.AddInPlace(c.dwImg[i])
 		if c.Bias != nil {
 			for o := 0; o < c.OutC; o++ {
-				var s float32
-				for _, g := range dout.Data[i*perImg+o*cols : i*perImg+(o+1)*cols] {
-					s += g
-				}
-				c.Bias.G.Data[o] += s
+				c.Bias.G.Data[o] += c.dbImg[i*c.OutC+o]
 			}
 		}
 	}
 	return []*tensor.Tensor{dx}
+}
+
+// backwardImage is Backward's loop body: image i on the given worker's
+// scratch, its parameter gradients staged in slot i.
+func (c *Conv2D) backwardImage(worker, i int) {
+	s := &c.ws[worker]
+	h, w, cols := c.x.Dim(2), c.x.Dim(3), c.outH*c.outW
+	imgSz, perImg := c.InC*h*w, c.OutC*cols
+	s.img = viewInto3(s.img, c.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
+	tensor.Im2Col(s.col, s.img, c.K, c.K, c.Stride, c.Pad)
+	s.om = viewInto2(s.om, c.dout.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
+	// dW_i = dout_i · col_iᵀ
+	dwi := c.dwImg[i]
+	dwi.Zero()
+	tensor.MatMulTransposeBAddInto(dwi, s.om, s.col)
+	// dcol = Wᵀ · dout, scattered straight into this image's slice of dx
+	// (Col2Im zeroes it).
+	tensor.MatMulTransposeAInto(s.dcol, c.Weight.W, s.om)
+	s.dimg = viewInto3(s.dimg, c.dx.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
+	tensor.Col2Im(s.dimg, s.dcol, c.K, c.K, c.Stride, c.Pad)
+	if c.Bias != nil {
+		for o := 0; o < c.OutC; o++ {
+			var sum float32
+			for _, g := range s.om.Data[o*cols : (o+1)*cols] {
+				sum += g
+			}
+			c.dbImg[i*c.OutC+o] = sum
+		}
+	}
 }
 
 // Cost reports MACs and bytes moved for the most recent forward pass.
@@ -282,9 +225,11 @@ type DWConv3 struct {
 	Weight  *Param // [C, K, K]
 	Bias    *Param // [C]
 	x       *tensor.Tensor
-	out     *tensor.Tensor // cached output buffer (ReuseOutputs)
 	outH    int
 	outW    int
+
+	fwd func(worker, idx int) // plane loop body (forwardPlane), bound at construction like Conv2D's
+	out *tensor.Tensor        // Forward in flight: the output being filled
 }
 
 // NewDWConv3 constructs a depth-wise convolution with He initialization.
@@ -292,6 +237,7 @@ type DWConv3 struct {
 func NewDWConv3(rng *rand.Rand, c, k int, bias bool) *DWConv3 {
 	d := &DWConv3{C: c, K: k, Stride: 1, Pad: k / 2, UseBias: bias,
 		Weight: NewParam("weight", c, k, k)}
+	d.fwd = d.forwardPlane
 	d.Weight.W.HeInit(rng, k*k)
 	if bias {
 		d.Bias = NewParam("bias", c)
@@ -311,37 +257,28 @@ func (d *DWConv3) Params() []*Param {
 func (d *DWConv3) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "dwconv3")
 	expect4D(x, d.C, "dwconv3")
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	d.outH = tensor.ConvOut(h, d.K, d.Stride, d.Pad)
-	d.outW = tensor.ConvOut(w, d.K, d.Stride, d.Pad)
+	n := x.Dim(0)
+	d.outH = tensor.ConvOut(x.Dim(2), d.K, d.Stride, d.Pad)
+	d.outW = tensor.ConvOut(x.Dim(3), d.K, d.Stride, d.Pad)
 	d.x = x
-	out := reuseOrNew4(d.out, n, d.C, d.outH, d.outW)
+	out := tensor.New(n, d.C, d.outH, d.outW)
 	d.out = out
 	// Each (image, channel) plane is independent — parallelize the product.
-	// The serial path calls the plane kernel directly: routing it through a
-	// closure would heap-allocate the closure even when no goroutine is
-	// spawned (the fn parameter escapes via parallelFor's go branch), which
-	// would break the steady-state zero-allocation contract.
-	if workersFor(n*d.C) == 1 {
-		for idx := 0; idx < n*d.C; idx++ {
-			d.forwardPlane(x.Data, out.Data, h, w, idx)
-		}
-	} else {
-		parallelFor(n*d.C, func(idx int) {
-			d.forwardPlane(x.Data, out.Data, h, w, idx)
-		})
-	}
+	parallelForWorkers(n*d.C, d.fwd)
+	d.out = nil
 	return out
 }
 
-// forwardPlane computes one (image, channel) output plane; idx indexes the
-// flattened n×C plane grid.
+// forwardPlane is Forward's loop body: one (image, channel) output plane;
+// idx indexes the flattened n×C plane grid. It needs no scratch, so the
+// worker index goes unused.
 //
 //skynet:hotpath
-func (d *DWConv3) forwardPlane(xd, od []float32, h, w, idx int) {
+func (d *DWConv3) forwardPlane(_, idx int) {
+	h, w := d.x.Dim(2), d.x.Dim(3)
 	ch := idx % d.C
-	in := xd[idx*h*w:]
-	ob := od[idx*d.outH*d.outW:]
+	in := d.x.Data[idx*h*w:]
+	ob := d.out.Data[idx*d.outH*d.outW:]
 	ker := d.Weight.W.Data[ch*d.K*d.K:]
 	var bias float32
 	if d.Bias != nil {
@@ -377,9 +314,9 @@ func (d *DWConv3) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	// Parallel over channels, with the batch loop inside: every write
 	// target — Weight.G[ch], Bias.G[ch] and the (i, ch) planes of dx — is
 	// private to one channel, so this partitioning is race-free without
-	// per-worker accumulators (contrast Conv2D.Backward, where the whole
-	// weight tensor is shared across the batch and workers must merge).
-	parallelFor(d.C, func(ch int) {
+	// staging (contrast Conv2D.Backward, where the whole weight tensor is
+	// shared across the batch and per-image contributions must be merged).
+	parallelForWorkers(d.C, func(_, ch int) {
 		ker := d.Weight.W.Data[ch*d.K*d.K:]
 		dker := d.Weight.G.Data[ch*d.K*d.K:]
 		var dbias float32

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"skynet/internal/tensor"
@@ -94,6 +96,28 @@ func TestGraphOutputOverride(t *testing.T) {
 	out := g.Forward(randInput(rng, 1, 2, 2, 2), false)
 	if out.Dim(1) != 3 {
 		t.Fatalf("output override ignored: %v", out.Shape())
+	}
+}
+
+// TestGraphForwardAfterAdd grows a graph between two forwards: the per-node
+// bookkeeping must follow the node count, not its first size.
+func TestGraphForwardAfterAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	g := Sequential(NewConv2D(rng, 2, 3, 3, 1, 1, false))
+	x := randInput(rng, 1, 2, 6, 5)
+	g.Forward(x, false)
+	g.Add(NewReLU6())
+	out := g.Forward(x, false)
+	if want := []int{1, 3, 6, 5}; !slices.Equal(out.Shape(), want) {
+		t.Fatalf("output shape %v, want %v", out.Shape(), want)
+	}
+	if len(g.OutShapes) != 2 || !slices.Equal(g.OutShapes[1], out.Shape()) {
+		t.Fatalf("OutShapes = %v, want one entry per node ending in %v", g.OutShapes, out.Shape())
+	}
+	for _, v := range out.Data {
+		if v < 0 || v > 6 {
+			t.Fatalf("output %v escaped the added ReLU6", v)
+		}
 	}
 }
 
@@ -236,19 +260,34 @@ func TestParallelForwardMatchesSerial(t *testing.T) {
 }
 
 func TestParallelFor(t *testing.T) {
+	defer func(old int) { MaxParallelism = old }(MaxParallelism)
 	for _, par := range []int{1, 3, 8} {
 		MaxParallelism = par
-		got := make([]int, 17)
-		parallelFor(len(got), func(i int) { got[i] = i * i })
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("par=%d: index %d has %d", par, i, v)
+		const n = 17
+		var mu sync.Mutex
+		visits := make([]int, n)
+		owner := make([]int, n)
+		parallelForWorkers(n, func(worker, i int) {
+			mu.Lock()
+			visits[i]++
+			owner[i] = worker
+			mu.Unlock()
+		})
+		for i := range visits {
+			if visits[i] != 1 {
+				t.Fatalf("par=%d: index %d visited %d times", par, i, visits[i])
+			}
+			if owner[i] < 0 || owner[i] >= workersFor(n) {
+				t.Fatalf("par=%d: index %d ran on worker %d of %d", par, i, owner[i], workersFor(n))
+			}
+			// Chunks are contiguous and handed out in order, worker 0 first.
+			if i == 0 && owner[i] != 0 || i > 0 && owner[i] != owner[i-1] && owner[i] != owner[i-1]+1 {
+				t.Fatalf("par=%d: worker of index %d is %d after %d", par, i, owner[i], owner[max(i-1, 0)])
 			}
 		}
 	}
-	MaxParallelism = 0
 	// Zero-length range must be a no-op.
-	parallelFor(0, func(i int) { t.Fatal("called on empty range") })
+	parallelForWorkers(0, func(_, i int) { t.Fatal("called on empty range") })
 }
 
 func TestSummaryRendersLayers(t *testing.T) {

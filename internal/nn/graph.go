@@ -77,9 +77,10 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		g.outs = make([]*tensor.Tensor, len(g.Nodes))
 	}
 	g.outs = g.outs[:len(g.Nodes)]
-	if g.OutShapes == nil {
+	if cap(g.OutShapes) < len(g.Nodes) {
 		g.OutShapes = make([][]int, len(g.Nodes))
 	}
+	g.OutShapes = g.OutShapes[:len(g.Nodes)]
 	ins := make([]*tensor.Tensor, 0, 2)
 	for i, n := range g.Nodes {
 		ins = ins[:0]

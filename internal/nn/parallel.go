@@ -26,29 +26,17 @@ func workersFor(n int) int {
 	return w
 }
 
-// parallelFor runs fn(i) for i in [0,n) across workersFor(n) goroutines,
-// splitting the range into contiguous chunks. With one worker it degrades
-// to a plain loop (no goroutine overhead). fn must not share mutable state
-// across indices.
-func parallelFor(n int, fn func(i int)) {
-	if workersFor(n) == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	parallelForWorkers(n, func(_, i int) { fn(i) })
-}
-
-// parallelForWorkers is parallelFor with the chunk (worker) index exposed:
-// fn(worker, i) is called with 0 ≤ worker < workersFor(n), and all indices
-// of one chunk share a worker. Callers use the worker index to address
-// per-worker scratch buffers and gradient accumulators; two invocations
-// with the same worker index never run concurrently. Chunk assignment is
-// deterministic for a fixed worker count, so per-worker accumulators merged
-// in worker order give reproducible results.
+// parallelForWorkers runs fn(worker, i) for i in [0,n), splitting the range
+// into workersFor(n) contiguous chunks: 0 ≤ worker < workersFor(n), and all
+// indices of one chunk share a worker. Worker 0 is the calling goroutine;
+// every further chunk gets a goroutine of its own for the duration of the
+// call (never a pooled one: fn may itself call a GEMM, and the GEMM pool's
+// workers must not block on their own pool). Callers use the worker index to
+// address per-worker scratch; two invocations with the same worker index
+// never run concurrently, and fn must not share other mutable state across
+// indices. Chunk assignment is deterministic for a fixed worker count.
 //
-// On the multi-worker path each chunk spawns one goroutine whose closure
+// Beyond one worker each extra chunk costs one goroutine whose closure
 // captures (worker, lo, hi): a handful of small allocations per *batched
 // layer call*, amortized over the chunk's work, never per element.
 //
@@ -56,6 +44,9 @@ func parallelFor(n int, fn func(i int)) {
 func parallelForWorkers(n int, fn func(worker, i int)) {
 	w := workersFor(n)
 	if w == 1 {
+		// Returning here keeps the one-worker call allocation-free: the
+		// WaitGroup below is captured by the goroutine closures, so it lives
+		// on the heap from its declaration on.
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
@@ -63,12 +54,7 @@ func parallelForWorkers(n int, fn func(worker, i int)) {
 	}
 	var wg sync.WaitGroup
 	chunk := (n + w - 1) / w
-	worker := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for worker, lo := 1, chunk; lo < n; worker, lo = worker+1, lo+chunk {
 		wg.Add(1)
 		//skynet:nolint hotalloc -- one goroutine closure per chunk per batched call, amortized over the chunk's work (see the doc comment)
 		go func(worker, lo, hi int) {
@@ -76,8 +62,10 @@ func parallelForWorkers(n int, fn func(worker, i int)) {
 			for i := lo; i < hi; i++ {
 				fn(worker, i)
 			}
-		}(worker, lo, hi)
-		worker++
+		}(worker, lo, min(lo+chunk, n))
+	}
+	for i := 0; i < chunk; i++ {
+		fn(0, i)
 	}
 	wg.Wait()
 }

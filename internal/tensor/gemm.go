@@ -45,9 +45,9 @@ const (
 )
 
 // gemmMinBlockedMACs is the problem size (m·n·k multiply-accumulates) below
-// which the exported entry points fall back to the naive reference kernels:
-// for tiny operands the packing overhead outweighs the blocking win. It is a
-// variable so tests can force either path.
+// which a call of either element type takes its small-problem kernel
+// (runNaive): for tiny operands the packing overhead outweighs the blocking
+// win. It is a variable so tests can force either path.
 var gemmMinBlockedMACs = 1 << 13
 
 // gemmMinBlockedK is the inner-dimension size below which the naive kernels
@@ -66,16 +66,18 @@ const (
 	gemmMinBlockedKAsm  = 4
 )
 
-// gemmUseNaive decides whether a call takes the naive reference kernels
-// instead of the blocked path.
+// useNaive decides whether a float32 call takes the small-problem kernel
+// instead of the blocked path. That kernel streams whichever operand is
+// contiguous along its inner loop; with both operands transposed neither
+// is, so that layout (no exported entry point produces it) always packs.
 //
 //skynet:hotpath
-func gemmUseNaive(m, n, k int) bool {
-	return m*n*k < gemmMinBlockedMACs || k < gemmMinBlockedK
+func (g *gemmCall) useNaive() bool {
+	return !(g.aTrans && g.bTrans) && (g.m*g.n*g.k < gemmMinBlockedMACs || g.k < gemmMinBlockedK)
 }
 
-// gemmParallelMACs is the problem size below which a GEMM runs on the
-// calling goroutine only.
+// gemmParallelMACs is the problem size below which a GEMM of either
+// element type runs on the calling goroutine only.
 var gemmParallelMACs = 1 << 18
 
 // MaxParallelism caps the worker count used by parallel GEMM calls; 0 (the
@@ -124,8 +126,8 @@ func newGemmScratch() *gemmScratch {
 // under -race. An uncontended mutex costs a few nanoseconds per GEMM call
 // (amortized over at least gemmMinBlockedMACs multiply-adds) and every
 // returned buffer is reused, instrumented or not. Pool workers never touch
-// the list — each owns its scratch for its whole lifetime — so the list
-// only serves the calling goroutine's chunk.
+// the lists — each owns its scratch for its whole lifetime — so they only
+// serve the calling goroutine's chunk.
 type freeList[T any] struct {
 	mu    sync.Mutex
 	items []*T
@@ -157,21 +159,61 @@ func (l *freeList[T]) put(x *T) {
 	l.mu.Unlock()
 }
 
-var gemmScratchFree = freeList[gemmScratch]{alloc: newGemmScratch}
+// packScratch is one goroutine's packing scratch: a float32 half and an
+// int8 half. A half stays nil until its goroutine first runs a call of that
+// element type, so a float-only process never pays for int8 panels (nor the
+// reverse).
+type packScratch struct {
+	f32 *gemmScratch
+	i8  *i8Scratch
+}
 
-// gemm wraps a call with the completion group used by the worker pool.
-type gemm struct {
-	call gemmCall
+// gemmTask is one in-flight blocked GEMM of either element type: the live
+// call descriptor, the dispatching goroutine's own packing scratch, and the
+// completion group the pool workers signal. Tasks come from one free list
+// per element type, whose allocator builds the matching scratch half, so a
+// warm call allocates nothing.
+type gemmTask struct {
+	f32  gemmCall
+	i8   i8gemmCall
+	isI8 bool // which descriptor is live; fixed when the task is built
+	own  packScratch
 	wg   sync.WaitGroup
 }
 
-var gemmFree = freeList[gemm]{alloc: func() *gemm { return new(gemm) }}
+var (
+	gemmTaskFree = freeList[gemmTask]{alloc: func() *gemmTask {
+		return &gemmTask{own: packScratch{f32: newGemmScratch()}}
+	}}
+	i8TaskFree = freeList[gemmTask]{alloc: func() *gemmTask {
+		return &gemmTask{isI8: true, own: packScratch{i8: newI8Scratch()}}
+	}}
+)
 
+// run executes columns [j0, j1) of the task's live call on s.
+//
+//skynet:hotpath
+func (t *gemmTask) run(j0, j1 int, s *packScratch) {
+	if t.isI8 {
+		t.i8.run(j0, j1, s.i8)
+	} else {
+		t.f32.run(j0, j1, s.f32)
+	}
+}
+
+// gemmJob is one column chunk of a task, handed to a pool worker.
 type gemmJob struct {
-	g      *gemm
+	t      *gemmTask
 	j0, j1 int
 }
 
+// The worker pool is shared by the float32 and int8 GEMMs. Invariant: pool
+// workers never dispatch — a job is a leaf that packs and multiplies its
+// column chunk and signals the task. Code that itself calls a GEMM (nn's
+// per-image conv bodies) must therefore not run on this pool: a worker
+// blocked in dispatch waits on jobs only other workers can take, and once
+// every worker is such an outer chunk nothing drains the queue. nn's batch
+// loop spawns a goroutine per chunk instead.
 var (
 	gemmWorkersOnce sync.Once
 	gemmJobs        chan gemmJob
@@ -190,25 +232,31 @@ func startGemmWorkers() {
 	gemmJobs = make(chan gemmJob, 4*n)
 	for i := 0; i < n; i++ {
 		go func() {
-			// Scratch is allocated on the first job, not at goroutine
-			// start: a worker that is spawned but never scheduled before
-			// the pool goes idle would otherwise perform its allocation at
-			// some arbitrary later point — observed as a flake in the
-			// AllocsPerRun tests when the leftover allocation landed inside
-			// their measurement window.
-			var s *gemmScratch
+			// Each scratch half is allocated on the worker's first job of
+			// that element type, not at goroutine start: a worker that is
+			// spawned but never scheduled before the pool goes idle would
+			// otherwise perform its allocation at some arbitrary later
+			// point — observed as a flake in the AllocsPerRun tests when
+			// the leftover allocation landed inside their measurement
+			// window.
+			var s packScratch
 			for j := range gemmJobs {
-				if s == nil {
-					s = newGemmScratch()
+				if j.t.isI8 {
+					if s.i8 == nil {
+						s.i8 = newI8Scratch()
+					}
+				} else if s.f32 == nil {
+					s.f32 = newGemmScratch()
 				}
-				j.g.call.run(j.j0, j.j1, s)
-				j.g.wg.Done()
+				j.t.run(j.j0, j.j1, &s)
+				j.t.wg.Done()
 			}
 		}()
 	}
 }
 
-// gemmWorkerCount decides how many column chunks to split a call into.
+// gemmWorkerCount decides how many column chunks to split a call into, for
+// either element type (both micro-tiles are gemmNR columns wide).
 //
 //skynet:hotpath
 func gemmWorkerCount(m, n, k int) int {
@@ -216,10 +264,7 @@ func gemmWorkerCount(m, n, k int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w <= 1 {
-		return 1
-	}
-	if m*n*k < gemmParallelMACs {
+	if w <= 1 || m*n*k < gemmParallelMACs {
 		return 1
 	}
 	if byN := n / gemmNR; w > byN {
@@ -231,37 +276,103 @@ func gemmWorkerCount(m, n, k int) int {
 	return w
 }
 
-// gemmExec runs a call, splitting it across the worker pool when profitable.
-// The caller always executes the first chunk itself so progress never
-// depends on pool capacity.
+// dispatch runs the task's live m×n×k call, splitting its columns across
+// the worker pool when profitable. The caller always executes the first
+// chunk itself so progress never depends on pool capacity.
+//
+//skynet:hotpath
+func (t *gemmTask) dispatch(m, n, k int) {
+	chunk := n
+	if w := gemmWorkerCount(m, n, k); w > 1 {
+		gemmWorkersOnce.Do(startGemmWorkers)
+		chunk = (n + w - 1) / w
+		chunk = (chunk + gemmNR - 1) / gemmNR * gemmNR
+		t.wg.Add((n - 1) / chunk)
+		for j0 := chunk; j0 < n; j0 += chunk {
+			gemmJobs <- gemmJob{t: t, j0: j0, j1: min(j0+chunk, n)}
+		}
+	}
+	t.run(0, min(chunk, n), &t.own)
+	t.wg.Wait()
+}
+
+// gemmExec runs a float32 call: tiny problems on the small-problem kernel,
+// everything else through the blocked kernel and the shared dispatch.
 //
 //skynet:hotpath
 func gemmExec(c gemmCall) {
-	w := gemmWorkerCount(c.m, c.n, c.k)
-	if w <= 1 {
-		s := gemmScratchFree.get()
-		c.run(0, c.n, s)
-		gemmScratchFree.put(s)
+	if c.useNaive() {
+		c.runNaive()
 		return
 	}
-	gemmWorkersOnce.Do(startGemmWorkers)
-	g := gemmFree.get()
-	g.call = c
-	chunk := (c.n + w - 1) / w
-	chunk = (chunk + gemmNR - 1) / gemmNR * gemmNR
-	jobs := 0
-	for j0 := chunk; j0 < c.n; j0 += chunk {
-		jobs++
+	t := gemmTaskFree.get()
+	t.f32 = c
+	t.dispatch(c.m, c.n, c.k)
+	t.f32 = gemmCall{} // a parked task must not keep the caller's operands alive
+	gemmTaskFree.put(t)
+}
+
+// runNaive is the float32 small-problem kernel: no packing, one pass over
+// the operands as stored, one row of C at a time. Without bTrans it walks
+// i/p/j, so the inner loop streams a contiguous row of B into the row of C
+// (the production path for the tracker's m = 1 cross-correlation GEMMs and,
+// under purego, for SkyNet's k ≤ 48 point-wise convs); with bTrans the rows
+// of A and B are both contiguous and each element is one dot product
+// (useNaive keeps aTrans away from that loop). Either way every C element
+// sums its products in ascending k, and the bias is added after the k sum,
+// on overwriting calls only — as in the blocked kernel.
+//
+//skynet:hotpath
+func (g *gemmCall) runNaive() {
+	ai, ap := g.lda, 1 // strides of op(A) along i and along p
+	if g.aTrans {
+		ai, ap = 1, g.lda
 	}
-	g.wg.Add(jobs)
-	for j0 := chunk; j0 < c.n; j0 += chunk {
-		gemmJobs <- gemmJob{g: g, j0: j0, j1: min(j0+chunk, c.n)}
+	for i := 0; i < g.m; i++ {
+		crow := g.c[i*g.ldc : i*g.ldc+g.n]
+		if g.bTrans {
+			arow := g.a[i*g.lda : i*g.lda+g.k]
+			for j := range crow {
+				brow := g.b[j*g.ldb : j*g.ldb+g.k]
+				var s float32
+				for p, av := range arow {
+					s += av * brow[p]
+				}
+				if g.acc {
+					crow[j] += s
+				} else {
+					crow[j] = s
+				}
+			}
+		} else {
+			if !g.acc {
+				clear(crow)
+			}
+			for p := 0; p < g.k; p++ {
+				av := g.a[i*ai+p*ap]
+				if av == 0 {
+					continue
+				}
+				for j, bv := range g.b[p*g.ldb : p*g.ldb+len(crow)] {
+					crow[j] += av * bv
+				}
+			}
+		}
+		if g.acc {
+			continue
+		}
+		if g.rowBias != nil {
+			rb := g.rowBias[i]
+			for j := range crow {
+				crow[j] += rb
+			}
+		}
+		if g.colBias != nil {
+			for j, cb := range g.colBias[:g.n] {
+				crow[j] += cb
+			}
+		}
 	}
-	s := gemmScratchFree.get()
-	g.call.run(0, min(chunk, c.n), s)
-	gemmScratchFree.put(s)
-	g.wg.Wait()
-	gemmFree.put(g)
 }
 
 // run executes the blocked loop nest over columns [j0, j1) of C.

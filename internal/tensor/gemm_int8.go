@@ -1,15 +1,12 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
-
 // This file implements the int8×int8→int32 GEMM that backs the fixed-point
 // inference path (§6.4.1 deployment quantization). The organization mirrors
 // the float32 kernel in gemm.go — BLIS-style packed panels, an MR×NR
-// register-tile micro-kernel, column-chunk parallelism over a persistent
-// worker pool — with two int8-specific differences:
+// register-tile micro-kernel — and the column-chunk parallelism is not
+// mirrored but shared: int8 calls go through the same task dispatch, worker
+// pool and size thresholds as float32 ones (gemmTask in gemm.go). Two things
+// are int8-specific:
 //
 //   - Operands are packed as int8 (4× less traffic than float32 panels) and
 //     accumulated in int32. Integer accumulation is exact, so results are
@@ -36,21 +33,14 @@ import (
 // steps per instruction). Integer accumulation is exact, so the pure-Go
 // and assembly kernels are bitwise identical by construction.
 const (
-	i8MR = 4    // micro-tile rows
-	i8NR = 8    // micro-tile cols (one 8-lane YMM vector of int32 per row)
+	i8MR = 4 // micro-tile rows
+	// micro-tile cols (one 8-lane YMM vector of int32 per row). Tied to the
+	// float tile width because the shared dispatch splits columns on it.
+	i8NR = gemmNR
 	i8KC = 2048 // max unblocked k: a packed NR panel is i8KC*i8NR = 16 KiB
 	i8MC = 64   // m-dimension cache block
 	i8NC = 256  // n-dimension cache block (bounds scratch size)
 )
-
-// i8MinBlockedMACs is the problem size below which the naive kernels win:
-// for tiny operands the packing overhead is never amortized. A variable so
-// tests can force either path.
-var i8MinBlockedMACs = 1 << 13
-
-// i8ParallelMACs is the problem size below which a call runs on the calling
-// goroutine only.
-var i8ParallelMACs = 1 << 18
 
 // Int8Epilogue describes the fused requantization applied as an int32
 // accumulator tile is stored: for row i (the output channel of a lowered
@@ -152,89 +142,17 @@ func newI8Scratch() *i8Scratch {
 	}
 }
 
-// Scratch and call descriptors come from deterministic free lists, not
-// sync.Pool, for the same reason as the float path: the race-detector
-// runtime drops random sync.Pool Puts, which would break the
-// zero-allocation contract under -race (see freeList in gemm.go).
-var i8ScratchFree = freeList[i8Scratch]{alloc: newI8Scratch}
-
-type i8gemm struct {
-	call i8gemmCall
-	wg   sync.WaitGroup
-}
-
-var i8GemmFree = freeList[i8gemm]{alloc: func() *i8gemm { return new(i8gemm) }}
-
-type i8Job struct {
-	g      *i8gemm
-	j0, j1 int
-}
-
-var (
-	i8WorkersOnce sync.Once
-	i8Jobs        chan i8Job
-)
-
-// startI8Workers lazily spins up the persistent int8 worker pool, sized and
-// organized like the float pool (each worker owns its scratch for life).
-func startI8Workers() {
-	n := runtime.GOMAXPROCS(0)
-	if n < 8 {
-		n = 8
-	}
-	i8Jobs = make(chan i8Job, 4*n)
-	for i := 0; i < n; i++ {
-		go func() {
-			// Lazily allocated on the first job — see the matching comment
-			// in startGemmWorkers: allocating at goroutine start lets a
-			// never-yet-scheduled worker's allocation land inside a later
-			// AllocsPerRun measurement window.
-			var s *i8Scratch
-			for j := range i8Jobs {
-				if s == nil {
-					s = newI8Scratch()
-				}
-				j.g.call.run(j.j0, j.j1, s)
-				j.g.wg.Done()
-			}
-		}()
-	}
-}
-
-// i8WorkerCount decides how many column chunks to split a call into. It
-// honours the same MaxParallelism knob as the float path; integer
-// accumulation is exact, so the result never depends on the split.
-//
-//skynet:hotpath
-func i8WorkerCount(m, n, k int) int {
-	w := MaxParallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w <= 1 || m*n*k < i8ParallelMACs {
-		return 1
-	}
-	if byN := n / i8NR; w > byN {
-		w = byN
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // i8UseNaive reports whether a call should take the naive reference path:
 // tiny problems (packing never amortized) and k beyond the unblocked panel
 // capacity.
 //
 //skynet:hotpath
 func i8UseNaive(m, n, k int) bool {
-	return m*n*k < i8MinBlockedMACs || k > i8KC
+	return m*n*k < gemmMinBlockedMACs || k > i8KC
 }
 
-// i8Exec runs a call, splitting it across the worker pool when profitable.
-// The caller always executes the first chunk itself so progress never
-// depends on pool capacity.
+// i8Exec runs an int8 call: the small-problem kernel where i8UseNaive says
+// so, everything else through the blocked kernel and the shared dispatch.
 //
 //skynet:hotpath
 func i8Exec(c i8gemmCall) {
@@ -242,31 +160,11 @@ func i8Exec(c i8gemmCall) {
 		c.runNaive()
 		return
 	}
-	w := i8WorkerCount(c.m, c.n, c.k)
-	if w <= 1 {
-		s := i8ScratchFree.get()
-		c.run(0, c.n, s)
-		i8ScratchFree.put(s)
-		return
-	}
-	i8WorkersOnce.Do(startI8Workers)
-	g := i8GemmFree.get()
-	g.call = c
-	chunk := (c.n + w - 1) / w
-	chunk = (chunk + i8NR - 1) / i8NR * i8NR
-	jobs := 0
-	for j0 := chunk; j0 < c.n; j0 += chunk {
-		jobs++
-	}
-	g.wg.Add(jobs)
-	for j0 := chunk; j0 < c.n; j0 += chunk {
-		i8Jobs <- i8Job{g: g, j0: j0, j1: min(j0+chunk, c.n)}
-	}
-	s := i8ScratchFree.get()
-	g.call.run(0, min(chunk, c.n), s)
-	i8ScratchFree.put(s)
-	g.wg.Wait()
-	i8GemmFree.put(g)
+	t := i8TaskFree.get()
+	t.i8 = c
+	t.dispatch(c.m, c.n, c.k)
+	t.i8 = i8gemmCall{} // see gemmExec
+	i8TaskFree.put(t)
 }
 
 // Int8GEMMInto computes c = a·b for int8 A [m,k] and B [k,n], accumulating

@@ -8,13 +8,6 @@ import (
 	"testing"
 )
 
-func forceI8Blocked(fn func()) {
-	old := i8MinBlockedMACs
-	i8MinBlockedMACs = 0
-	defer func() { i8MinBlockedMACs = old }()
-	fn()
-}
-
 func randI8(rng *rand.Rand, n int) []int8 {
 	s := make([]int8, n)
 	for i := range s {
@@ -40,49 +33,76 @@ func refInt8GEMM(a, b []int8, m, n, k int) []int32 {
 	return c
 }
 
-// i8Sizes straddles the MR=4/NR=8 micro-tile and the MC=64/NC=256 block
-// boundaries, plus unit dims.
-var i8Sizes = []int{1, 3, 4, 5, 17, 64, 65, 257}
+// i8Problem is one int8 GEMM with a drawn per-row epilogue and the exact
+// int32 product from the independent reference.
+type i8Problem struct {
+	a, b   []int8
+	bias   []int32
+	mult   []float32
+	lo, hi int8
+	ref    []int32
+}
 
-// TestInt8GEMMGoldenVsNaive checks the blocked packed kernel against the
-// independent reference over shapes covering every edge-padding case.
+func newI8Problem(rng *rand.Rand, m, n, k int) i8Problem {
+	p := i8Problem{a: randI8(rng, m*k), b: randI8(rng, k*n),
+		bias: make([]int32, m), mult: make([]float32, m), lo: 0, hi: 113}
+	for i := range p.mult {
+		p.bias[i] = int32(rng.Intn(2001) - 1000)
+		p.mult[i] = float32(rng.Float64()*0.01 + 1e-4)
+	}
+	p.ref = refInt8GEMM(p.a, p.b, m, n, k)
+	return p
+}
+
+// i8Paths runs fn on both production int8 paths: the blocked kernel at one
+// and three workers (parallel threshold 0), and the small-problem kernel.
+func i8Paths(fn func(path string)) {
+	forcePath(true, func() {
+		withWorkers(1, func() { fn("blocked") })
+		withWorkers(3, func() { fn("blocked/3 workers") })
+	})
+	forcePath(false, func() { fn("small") })
+}
+
+// TestInt8GEMMGoldenVsNaive checks the raw int32 epilogue of both paths
+// against the independent reference over the remainder-tile grid (odd and
+// even k exercise the pair packing's zero pad).
 func TestInt8GEMMGoldenVsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	forceI8Blocked(func() {
-		for _, m := range i8Sizes {
-			for _, n := range i8Sizes {
-				for _, k := range []int{1, 5, 48, 131} {
-					a := randI8(rng, m*k)
-					b := randI8(rng, k*n)
-					got := make([]int32, m*n)
-					Int8GEMMInto(got, a, b, m, n, k)
-					want := refInt8GEMM(a, b, m, n, k)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("m=%d n=%d k=%d: c[%d] = %d, want %d", m, n, k, i, got[i], want[i])
-						}
-					}
+	gemmSweep(func(m, n, k int) {
+		p := newI8Problem(rng, m, n, k)
+		i8Paths(func(path string) {
+			got := make([]int32, m*n)
+			Int8GEMMInto(got, p.a, p.b, m, n, k)
+			for i, want := range p.ref {
+				if got[i] != want {
+					t.Fatalf("%s m=%d n=%d k=%d: c[%d] = %d, want %d", path, m, n, k, i, got[i], want)
 				}
 			}
-		}
+		})
 	})
 }
 
-// TestInt8GEMMLongK covers the k > i8KC fallback, which the blocked kernel
-// does not handle (k is unblocked by design).
+// TestInt8GEMMLongK covers k > i8KC, which the blocked kernel does not
+// handle (k is unblocked by design): all three epilogues must come from the
+// small-problem kernel even with the blocked path forced.
 func TestInt8GEMMLongK(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m, n, k := 3, 5, i8KC+17
-	a := randI8(rng, m*k)
-	b := randI8(rng, k*n)
-	got := make([]int32, m*n)
-	Int8GEMMInto(got, a, b, m, n, k)
-	want := refInt8GEMM(a, b, m, n, k)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("c[%d] = %d, want %d", i, got[i], want[i])
+	p := newI8Problem(rng, m, n, k)
+	forceBlocked(func() {
+		got32, got8, gotF := make([]int32, m*n), make([]int8, m*n), make([]float32, m*n)
+		Int8GEMMInto(got32, p.a, p.b, m, n, k)
+		Int8GEMMRequantInto(got8, p.a, p.b, m, n, k, Int8Epilogue{Bias: p.bias, Mult: p.mult, Lo: p.lo, Hi: p.hi})
+		Int8GEMMDequantInto(gotF, p.a, p.b, m, n, k, p.bias, p.mult)
+		for i, acc := range p.ref {
+			r := i / n
+			if got32[i] != acc || got8[i] != RequantizeRNE(acc+p.bias[r], p.mult[r], p.lo, p.hi) ||
+				gotF[i] != float32(float64(acc+p.bias[r])*float64(p.mult[r])) {
+				t.Fatalf("element %d: int32 %d requant %d dequant %v from accumulator %d", i, got32[i], got8[i], gotF[i], acc)
+			}
 		}
-	}
+	})
 }
 
 // TestRequantizeRNE pins round-half-to-even semantics and clamping of the
@@ -114,66 +134,47 @@ func TestRequantizeRNE(t *testing.T) {
 	}
 }
 
-// TestInt8GEMMRequantGolden checks the fused requantize epilogue against
-// requantizing the reference int32 result elementwise, on both the blocked
-// and naive paths.
+// TestInt8GEMMRequantGolden checks the fused requantize epilogue of both
+// paths against requantizing the reference int32 result elementwise, with
+// and without a bias.
 func TestInt8GEMMRequantGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, blocked := range []bool{false, true} {
-		run := func(fn func()) { fn() }
-		if blocked {
-			run = forceI8Blocked
+	gemmSweep(func(m, n, k int) {
+		p := newI8Problem(rng, m, n, k)
+		ep := Int8Epilogue{Bias: p.bias, Mult: p.mult, Lo: p.lo, Hi: p.hi}
+		if (m+n+k)%4 == 0 {
+			ep.Bias = nil // a nil Bias means zero
 		}
-		run(func() {
-			for _, s := range []struct{ m, n, k int }{{5, 7, 9}, {48, 130, 27}, {64, 256, 64}} {
-				a := randI8(rng, s.m*s.k)
-				b := randI8(rng, s.k*s.n)
-				ep := Int8Epilogue{Bias: make([]int32, s.m), Mult: make([]float32, s.m), Lo: 0, Hi: 113}
-				for i := range ep.Mult {
-					ep.Bias[i] = int32(rng.Intn(2001) - 1000)
-					ep.Mult[i] = float32(rng.Float64()*0.01 + 1e-4)
+		i8Paths(func(path string) {
+			got := make([]int8, m*n)
+			Int8GEMMRequantInto(got, p.a, p.b, m, n, k, ep)
+			for i, acc := range p.ref {
+				if ep.Bias != nil {
+					acc += ep.Bias[i/n]
 				}
-				got := make([]int8, s.m*s.n)
-				Int8GEMMRequantInto(got, a, b, s.m, s.n, s.k, ep)
-				ref := refInt8GEMM(a, b, s.m, s.n, s.k)
-				for i := 0; i < s.m; i++ {
-					for j := 0; j < s.n; j++ {
-						want := RequantizeRNE(ref[i*s.n+j]+ep.Bias[i], ep.Mult[i], ep.Lo, ep.Hi)
-						if g := got[i*s.n+j]; g != want {
-							t.Fatalf("blocked=%v m=%d n=%d k=%d: dst[%d,%d] = %d, want %d",
-								blocked, s.m, s.n, s.k, i, j, g, want)
-						}
-					}
+				if want := RequantizeRNE(acc, ep.Mult[i/n], ep.Lo, ep.Hi); got[i] != want {
+					t.Fatalf("%s m=%d n=%d k=%d: dst[%d] = %d, want %d", path, m, n, k, i, got[i], want)
 				}
 			}
 		})
-	}
+	})
 }
 
-// TestInt8GEMMDequantGolden checks the dequantize-to-float32 epilogue.
+// TestInt8GEMMDequantGolden checks the dequantize-to-float32 epilogue of
+// both paths.
 func TestInt8GEMMDequantGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	forceI8Blocked(func() {
-		m, n, k := 10, 130, 96
-		a := randI8(rng, m*k)
-		b := randI8(rng, k*n)
-		bias := make([]int32, m)
-		mult := make([]float32, m)
-		for i := range mult {
-			bias[i] = int32(rng.Intn(201) - 100)
-			mult[i] = float32(rng.Float64() * 0.02)
-		}
-		got := make([]float32, m*n)
-		Int8GEMMDequantInto(got, a, b, m, n, k, bias, mult)
-		ref := refInt8GEMM(a, b, m, n, k)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				want := float32(float64(ref[i*n+j]+bias[i]) * float64(mult[i]))
-				if g := got[i*n+j]; g != want {
-					t.Fatalf("dst[%d,%d] = %v, want %v", i, j, g, want)
+	gemmSweep(func(m, n, k int) {
+		p := newI8Problem(rng, m, n, k)
+		i8Paths(func(path string) {
+			got := make([]float32, m*n)
+			Int8GEMMDequantInto(got, p.a, p.b, m, n, k, p.bias, p.mult)
+			for i, acc := range p.ref {
+				if want := float32(float64(acc+p.bias[i/n]) * float64(p.mult[i/n])); got[i] != want {
+					t.Fatalf("%s m=%d n=%d k=%d: dst[%d] = %v, want %v", path, m, n, k, i, got[i], want)
 				}
 			}
-		}
+		})
 	})
 }
 
@@ -190,21 +191,19 @@ func TestInt8GEMMParallelDeterminism(t *testing.T) {
 	for i := range ep.Mult {
 		ep.Mult[i] = float32(rng.Float64() * 0.01)
 	}
-	oldPar, oldParMACs := MaxParallelism, i8ParallelMACs
-	i8ParallelMACs = 0
-	defer func() { MaxParallelism, i8ParallelMACs = oldPar, oldParMACs }()
-
-	MaxParallelism = 1
 	ref32 := make([]int32, m*n)
 	ref8 := make([]int8, m*n)
-	Int8GEMMInto(ref32, a, b, m, n, k)
-	Int8GEMMRequantInto(ref8, a, b, m, n, k, ep)
+	withWorkers(1, func() {
+		Int8GEMMInto(ref32, a, b, m, n, k)
+		Int8GEMMRequantInto(ref8, a, b, m, n, k, ep)
+	})
 	for _, w := range []int{2, 3, 8} {
-		MaxParallelism = w
 		got32 := make([]int32, m*n)
 		got8 := make([]int8, m*n)
-		Int8GEMMInto(got32, a, b, m, n, k)
-		Int8GEMMRequantInto(got8, a, b, m, n, k, ep)
+		withWorkers(w, func() {
+			Int8GEMMInto(got32, a, b, m, n, k)
+			Int8GEMMRequantInto(got8, a, b, m, n, k, ep)
+		})
 		for i := range ref32 {
 			if got32[i] != ref32[i] || got8[i] != ref8[i] {
 				t.Fatalf("workers=%d: element %d differs from serial result", w, i)
@@ -228,7 +227,7 @@ func TestInt8GEMMSteadyStateAllocs(t *testing.T) {
 	for i := range ep.Mult {
 		ep.Mult[i] = 0.01
 	}
-	forceI8Blocked(func() {
+	forceBlocked(func() {
 		Int8GEMMRequantInto(dst, a, b, m, n, k, ep) // warm the scratch pool
 		if allocs := testing.AllocsPerRun(20, func() {
 			Int8GEMMRequantInto(dst, a, b, m, n, k, ep)

@@ -49,10 +49,10 @@ func TestKernelEquivalenceFloat(t *testing.T) {
 	for _, v := range matmulVariants {
 		t.Run(v.name, func(t *testing.T) {
 			for _, sh := range kernelShapes {
-				var ref, asm *Tensor
-				// Identical seeds give both kernels identical operands.
-				withKernel(t, "purego", func() { ref, _ = v.run(rand.New(rand.NewSource(99)), sh.m, sh.n, sh.k) })
-				withKernel(t, "avx2", func() { asm, _ = v.run(rand.New(rand.NewSource(99)), sh.m, sh.n, sh.k) })
+				c0, a, b, bias := v.op.operands(rand.New(rand.NewSource(99)), sh.m, sh.n, sh.k)
+				ref, asm := c0.Clone(), c0.Clone()
+				withKernel(t, "purego", func() { forceBlocked(func() { v.call(ref, a, b, bias) }) })
+				withKernel(t, "avx2", func() { forceBlocked(func() { v.call(asm, a, b, bias) }) })
 				for i := range ref.Data {
 					if math.Float32bits(asm.Data[i]) != math.Float32bits(ref.Data[i]) {
 						t.Fatalf("m=%d n=%d k=%d: element %d: avx2 %v (0x%08x) != purego %v (0x%08x)",
@@ -75,7 +75,7 @@ func TestKernelEquivalenceInt8(t *testing.T) {
 		t.Skip("no AVX2 kernel on this CPU or build; nothing to compare")
 	}
 	rng := rand.New(rand.NewSource(41))
-	forceI8Blocked(func() {
+	forceBlocked(func() {
 		for _, sh := range kernelShapes {
 			m, n, k := sh.m, sh.n, sh.k
 			a := randI8(rng, m*k)
@@ -139,7 +139,7 @@ func TestKernelParallelDeterminism(t *testing.T) {
 			MaxParallelism = 8
 			MatMulInto(c8, a, b)
 		})
-		forceI8Blocked(func() {
+		forceBlocked(func() {
 			MaxParallelism = 1
 			Int8GEMMInto(i1, ai, bi, m, n, k)
 			MaxParallelism = 8

@@ -2,12 +2,14 @@ package tensor
 
 import "fmt"
 
-// The exported MatMul* family all lower onto one blocked, packed GEMM
-// (gemm.go). Tiny problems — where packing costs more than it saves — run on
-// the naive reference kernels (matmul_ref.go) instead; both paths compute
-// each C element with the same k-summation order, so the choice only affects
-// speed. Large calls additionally parallelize across column chunks of C; see
-// MaxParallelism.
+// The exported MatMul* family are names for settings of one call descriptor:
+// each has gemmOf check its shapes and fill a gemmCall, sets its own
+// accumulate or bias field, and hands it to gemmExec (gemm.go), which runs
+// tiny problems — where packing costs more than it saves — on the
+// small-problem kernel and everything else on the blocked, packed GEMM. Both
+// sum each C element's products in ascending k; a given shape always takes
+// the same path under a given micro-kernel. Large calls additionally
+// parallelize across column chunks of C; see MaxParallelism.
 
 // MatMul computes C = A·B for A of shape [m,k] and B of shape [k,n],
 // returning a new [m,n] tensor.
@@ -25,67 +27,42 @@ func MatMul(a, b *Tensor) *Tensor {
 	return c
 }
 
-// checkMatMul validates shapes for c (+)= a·b with a [m,k], b [k,n].
+// gemmOf validates the shapes of c (+)= op(a)·op(b) — a is stored [m,k] or,
+// with aTrans, [k,m]; b is stored [k,n] or, with bTrans, [n,k]; c is [m,n] —
+// and returns the overwriting, bias-free descriptor of the product.
 //
 //skynet:hotpath
-func checkMatMul(name string, c, a, b *Tensor) (m, n, k int) {
-	m, k = a.shape[0], a.shape[1]
-	if b.shape[0] != k {
+func gemmOf(name string, c, a, b *Tensor, aTrans, bTrans bool) gemmCall {
+	m, k := a.shape[0], a.shape[1]
+	if aTrans {
+		m, k = k, m
+	}
+	kb, n := b.shape[0], b.shape[1]
+	if bTrans {
+		kb, n = n, kb
+	}
+	if kb != k {
 		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v vs %v", name, a.shape, b.shape))
 	}
-	n = b.shape[1]
 	if c.shape[0] != m || c.shape[1] != n {
 		panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d]", name, c.shape, m, n))
 	}
-	return m, n, k
-}
-
-// checkMatMulTA validates shapes for c (+)= aᵀ·b with a [k,m], b [k,n].
-func checkMatMulTA(name string, c, a, b *Tensor) (m, n, k int) {
-	k, m = a.shape[0], a.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: %s inner mismatch %v vs %v", name, a.shape, b.shape))
-	}
-	n = b.shape[1]
-	if c.shape[0] != m || c.shape[1] != n {
-		panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d]", name, c.shape, m, n))
-	}
-	return m, n, k
-}
-
-// checkMatMulTB validates shapes for c (+)= a·bᵀ with a [m,k], b [n,k].
-func checkMatMulTB(name string, c, a, b *Tensor) (m, n, k int) {
-	m, k = a.shape[0], a.shape[1]
-	if b.shape[1] != k {
-		panic(fmt.Sprintf("tensor: %s inner mismatch %v vs %v", name, a.shape, b.shape))
-	}
-	n = b.shape[0]
-	if c.shape[0] != m || c.shape[1] != n {
-		panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d]", name, c.shape, m, n))
-	}
-	return m, n, k
+	return gemmCall{a: a.Data, b: b.Data, c: c.Data, m: m, n: n, k: k,
+		lda: a.shape[1], ldb: b.shape[1], ldc: n, aTrans: aTrans, bTrans: bTrans}
 }
 
 // MatMulInto computes c = a·b, overwriting c. c must have shape [m,n].
 //
 //skynet:hotpath
 func MatMulInto(c, a, b *Tensor) {
-	m, n, k := checkMatMul("MatMulInto", c, a, b)
-	if gemmUseNaive(m, n, k) {
-		naiveMatMulInto(c.Data, a.Data, b.Data, m, n, k)
-		return
-	}
-	gemmExec(gemmCall{a: a.Data, b: b.Data, c: c.Data, m: m, n: n, k: k, lda: k, ldb: n, ldc: n})
+	gemmExec(gemmOf("MatMulInto", c, a, b, false, false))
 }
 
 // MatMulAddInto computes c += a·b without zeroing c first.
 func MatMulAddInto(c, a, b *Tensor) {
-	m, n, k := checkMatMul("MatMulAddInto", c, a, b)
-	if gemmUseNaive(m, n, k) {
-		naiveMatMulAddInto(c.Data, a.Data, b.Data, m, n, k)
-		return
-	}
-	gemmExec(gemmCall{a: a.Data, b: b.Data, c: c.Data, m: m, n: n, k: k, lda: k, ldb: n, ldc: n, acc: true})
+	g := gemmOf("MatMulAddInto", c, a, b, false, false)
+	g.acc = true
+	gemmExec(g)
 }
 
 // MatMulRowBiasInto computes c = a·b with bias[i] added to every element of
@@ -94,86 +71,51 @@ func MatMulAddInto(c, a, b *Tensor) {
 //
 //skynet:hotpath
 func MatMulRowBiasInto(c, a, b, bias *Tensor) {
-	m, n, k := checkMatMul("MatMulRowBiasInto", c, a, b)
-	if bias.Len() != m {
-		panic(fmt.Sprintf("tensor: MatMulRowBiasInto bias length %d, want %d", bias.Len(), m))
+	g := gemmOf("MatMulRowBiasInto", c, a, b, false, false)
+	if bias.Len() != g.m {
+		panic(fmt.Sprintf("tensor: MatMulRowBiasInto bias length %d, want %d", bias.Len(), g.m))
 	}
-	if gemmUseNaive(m, n, k) {
-		naiveMatMulInto(c.Data, a.Data, b.Data, m, n, k)
-		for i := 0; i < m; i++ {
-			bv := bias.Data[i]
-			crow := c.Data[i*n : (i+1)*n]
-			for j := range crow {
-				crow[j] += bv
-			}
-		}
-		return
-	}
-	gemmExec(gemmCall{a: a.Data, b: b.Data, c: c.Data, m: m, n: n, k: k, lda: k, ldb: n, ldc: n, rowBias: bias.Data})
+	g.rowBias = bias.Data
+	gemmExec(g)
 }
 
 // MatMulTransposeAInto computes c = aᵀ·b for a of shape [k,m] and b of
 // shape [k,n]; c must have shape [m,n]. Used for weight gradients.
 func MatMulTransposeAInto(c, a, b *Tensor) {
-	m, n, k := checkMatMulTA("MatMulTransposeAInto", c, a, b)
-	if gemmUseNaive(m, n, k) {
-		naiveMatMulTransposeAInto(c.Data, a.Data, b.Data, m, n, k)
-		return
-	}
-	gemmExec(gemmCall{a: a.Data, b: b.Data, c: c.Data, m: m, n: n, k: k, lda: m, ldb: n, ldc: n, aTrans: true})
+	gemmExec(gemmOf("MatMulTransposeAInto", c, a, b, true, false))
 }
 
 // MatMulTransposeAAddInto computes c += aᵀ·b for a of shape [k,m] and b of
 // shape [k,n]; c must have shape [m,n].
 func MatMulTransposeAAddInto(c, a, b *Tensor) {
-	m, n, k := checkMatMulTA("MatMulTransposeAAddInto", c, a, b)
-	if gemmUseNaive(m, n, k) {
-		naiveMatMulTransposeAAddInto(c.Data, a.Data, b.Data, m, n, k)
-		return
-	}
-	gemmExec(gemmCall{a: a.Data, b: b.Data, c: c.Data, m: m, n: n, k: k, lda: m, ldb: n, ldc: n, aTrans: true, acc: true})
+	g := gemmOf("MatMulTransposeAAddInto", c, a, b, true, false)
+	g.acc = true
+	gemmExec(g)
 }
 
 // MatMulTransposeBInto computes c = a·bᵀ for a of shape [m,k] and b of
 // shape [n,k]; c must have shape [m,n]. Used for input gradients.
 func MatMulTransposeBInto(c, a, b *Tensor) {
-	m, n, k := checkMatMulTB("MatMulTransposeBInto", c, a, b)
-	if gemmUseNaive(m, n, k) {
-		naiveMatMulTransposeBInto(c.Data, a.Data, b.Data, m, n, k)
-		return
-	}
-	gemmExec(gemmCall{a: a.Data, b: b.Data, c: c.Data, m: m, n: n, k: k, lda: k, ldb: k, ldc: n, bTrans: true})
+	gemmExec(gemmOf("MatMulTransposeBInto", c, a, b, false, true))
 }
 
 // MatMulTransposeBAddInto computes c += a·bᵀ for a of shape [m,k] and b of
 // shape [n,k]; c must have shape [m,n]. Used to accumulate weight gradients
 // across a batch.
 func MatMulTransposeBAddInto(c, a, b *Tensor) {
-	m, n, k := checkMatMulTB("MatMulTransposeBAddInto", c, a, b)
-	if gemmUseNaive(m, n, k) {
-		naiveMatMulTransposeBAddInto(c.Data, a.Data, b.Data, m, n, k)
-		return
-	}
-	gemmExec(gemmCall{a: a.Data, b: b.Data, c: c.Data, m: m, n: n, k: k, lda: k, ldb: k, ldc: n, bTrans: true, acc: true})
+	g := gemmOf("MatMulTransposeBAddInto", c, a, b, false, true)
+	g.acc = true
+	gemmExec(g)
 }
 
 // MatMulTransposeBColBiasInto computes c = a·bᵀ with bias[j] added to every
 // element of column j — the fused epilogue used by the Linear layer, where
 // columns are output features. bias must have length n.
 func MatMulTransposeBColBiasInto(c, a, b, bias *Tensor) {
-	m, n, k := checkMatMulTB("MatMulTransposeBColBiasInto", c, a, b)
-	if bias.Len() != n {
-		panic(fmt.Sprintf("tensor: MatMulTransposeBColBiasInto bias length %d, want %d", bias.Len(), n))
+	g := gemmOf("MatMulTransposeBColBiasInto", c, a, b, false, true)
+	if bias.Len() != g.n {
+		panic(fmt.Sprintf("tensor: MatMulTransposeBColBiasInto bias length %d, want %d", bias.Len(), g.n))
 	}
-	if gemmUseNaive(m, n, k) {
-		naiveMatMulTransposeBInto(c.Data, a.Data, b.Data, m, n, k)
-		for i := 0; i < m; i++ {
-			crow := c.Data[i*n : (i+1)*n]
-			for j, bv := range bias.Data {
-				crow[j] += bv
-			}
-		}
-		return
-	}
-	gemmExec(gemmCall{a: a.Data, b: b.Data, c: c.Data, m: m, n: n, k: k, lda: k, ldb: k, ldc: n, bTrans: true, colBias: bias.Data})
+	g.colBias = bias.Data
+	gemmExec(g)
 }

@@ -1,25 +1,41 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
-// forceBlocked runs fn with the small-problem fallback disabled, so every
-// exported MatMul* call exercises the packed blocked kernel regardless of
-// operand size.
-func forceBlocked(fn func()) {
+// forcePath runs fn with the blocked-vs-small-problem choice pinned for both
+// element types: every call on the packed blocked kernel (true) or every
+// call on runNaive (false), regardless of operand size. Int8 calls with
+// k > i8KC stay on runNaive either way; the blocked kernel cannot hold them.
+func forcePath(blocked bool, fn func()) {
 	oldMACs, oldK := gemmMinBlockedMACs, gemmMinBlockedK
-	gemmMinBlockedMACs, gemmMinBlockedK = 0, 0
 	defer func() { gemmMinBlockedMACs, gemmMinBlockedK = oldMACs, oldK }()
+	if blocked {
+		gemmMinBlockedMACs, gemmMinBlockedK = 0, 0
+	} else {
+		gemmMinBlockedMACs = math.MaxInt
+	}
 	fn()
 }
 
-// matmulSizes spans the blocking edge cases: unit dims, odd dims straddling
-// the MR=4 and NR=8 micro-tile widths, an exact block multiple, and a size
-// crossing the 64/128 cache-block boundaries.
-var matmulSizes = []int{1, 3, 5, 7, 9, 64, 129}
+func forceBlocked(fn func()) { forcePath(true, fn) }
+
+// withWorkers runs fn with MaxParallelism pinned and the parallel threshold
+// at 0, so any call with at least two micro-tile columns is split.
+func withWorkers(workers int, fn func()) {
+	oldPar, oldMin := MaxParallelism, gemmParallelMACs
+	defer func() { MaxParallelism, gemmParallelMACs = oldPar, oldMin }()
+	MaxParallelism, gemmParallelMACs = workers, 0
+	fn()
+}
 
 func randMat(rng *rand.Rand, r, c int) *Tensor {
 	t := New(r, c)
@@ -27,120 +43,192 @@ func randMat(rng *rand.Rand, r, c int) *Tensor {
 	return t
 }
 
-// matmulVariants pairs each exported kernel with its naive oracle. a/b
-// shapes depend on the transpose form; the closure receives fresh operands
-// and must fill got via the exported kernel and want via the reference.
+// matmulOp is the flag set of one GEMM descriptor.
+type matmulOp struct {
+	aTrans, bTrans, acc, rowBias, colBias bool
+}
+
+// matmulVariants lists the exported float32 entry points with the
+// descriptor each one stands for.
 var matmulVariants = []struct {
 	name string
-	run  func(rng *rand.Rand, m, n, k int) (got, want *Tensor)
+	op   matmulOp
+	call func(c, a, b, bias *Tensor)
 }{
-	{"MatMulInto", func(rng *rand.Rand, m, n, k int) (*Tensor, *Tensor) {
-		a, b := randMat(rng, m, k), randMat(rng, k, n)
-		got, want := New(m, n), New(m, n)
-		forceBlocked(func() { MatMulInto(got, a, b) })
-		naiveMatMulInto(want.Data, a.Data, b.Data, m, n, k)
-		return got, want
-	}},
-	{"MatMulAddInto", func(rng *rand.Rand, m, n, k int) (*Tensor, *Tensor) {
-		a, b := randMat(rng, m, k), randMat(rng, k, n)
-		got := randMat(rng, m, n)
-		want := got.Clone()
-		forceBlocked(func() { MatMulAddInto(got, a, b) })
-		naiveMatMulAddInto(want.Data, a.Data, b.Data, m, n, k)
-		return got, want
-	}},
-	{"MatMulTransposeAInto", func(rng *rand.Rand, m, n, k int) (*Tensor, *Tensor) {
-		a, b := randMat(rng, k, m), randMat(rng, k, n)
-		got, want := New(m, n), New(m, n)
-		forceBlocked(func() { MatMulTransposeAInto(got, a, b) })
-		naiveMatMulTransposeAInto(want.Data, a.Data, b.Data, m, n, k)
-		return got, want
-	}},
-	{"MatMulTransposeAAddInto", func(rng *rand.Rand, m, n, k int) (*Tensor, *Tensor) {
-		a, b := randMat(rng, k, m), randMat(rng, k, n)
-		got := randMat(rng, m, n)
-		want := got.Clone()
-		forceBlocked(func() { MatMulTransposeAAddInto(got, a, b) })
-		naiveMatMulTransposeAAddInto(want.Data, a.Data, b.Data, m, n, k)
-		return got, want
-	}},
-	{"MatMulTransposeBInto", func(rng *rand.Rand, m, n, k int) (*Tensor, *Tensor) {
-		a, b := randMat(rng, m, k), randMat(rng, n, k)
-		got, want := New(m, n), New(m, n)
-		forceBlocked(func() { MatMulTransposeBInto(got, a, b) })
-		naiveMatMulTransposeBInto(want.Data, a.Data, b.Data, m, n, k)
-		return got, want
-	}},
-	{"MatMulTransposeBAddInto", func(rng *rand.Rand, m, n, k int) (*Tensor, *Tensor) {
-		a, b := randMat(rng, m, k), randMat(rng, n, k)
-		got := randMat(rng, m, n)
-		want := got.Clone()
-		forceBlocked(func() { MatMulTransposeBAddInto(got, a, b) })
-		naiveMatMulTransposeBAddInto(want.Data, a.Data, b.Data, m, n, k)
-		return got, want
-	}},
-	{"MatMulRowBiasInto", func(rng *rand.Rand, m, n, k int) (*Tensor, *Tensor) {
-		a, b := randMat(rng, m, k), randMat(rng, k, n)
-		bias := New(m)
-		bias.RandNormal(rng, 0, 1)
-		got, want := New(m, n), New(m, n)
-		forceBlocked(func() { MatMulRowBiasInto(got, a, b, bias) })
-		naiveMatMulInto(want.Data, a.Data, b.Data, m, n, k)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				want.Data[i*n+j] += bias.Data[i]
-			}
-		}
-		return got, want
-	}},
-	{"MatMulTransposeBColBiasInto", func(rng *rand.Rand, m, n, k int) (*Tensor, *Tensor) {
-		a, b := randMat(rng, m, k), randMat(rng, n, k)
-		bias := New(n)
-		bias.RandNormal(rng, 0, 1)
-		got, want := New(m, n), New(m, n)
-		forceBlocked(func() { MatMulTransposeBColBiasInto(got, a, b, bias) })
-		naiveMatMulTransposeBInto(want.Data, a.Data, b.Data, m, n, k)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				want.Data[i*n+j] += bias.Data[j]
-			}
-		}
-		return got, want
-	}},
+	{"MatMulInto", matmulOp{}, func(c, a, b, _ *Tensor) { MatMulInto(c, a, b) }},
+	{"MatMulAddInto", matmulOp{acc: true}, func(c, a, b, _ *Tensor) { MatMulAddInto(c, a, b) }},
+	{"MatMulTransposeAInto", matmulOp{aTrans: true}, func(c, a, b, _ *Tensor) { MatMulTransposeAInto(c, a, b) }},
+	{"MatMulTransposeAAddInto", matmulOp{aTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeAAddInto(c, a, b) }},
+	{"MatMulTransposeBInto", matmulOp{bTrans: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBInto(c, a, b) }},
+	{"MatMulTransposeBAddInto", matmulOp{bTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBAddInto(c, a, b) }},
+	{"MatMulRowBiasInto", matmulOp{rowBias: true}, MatMulRowBiasInto},
+	{"MatMulTransposeBColBiasInto", matmulOp{bTrans: true, colBias: true}, MatMulTransposeBColBiasInto},
 }
 
-func maxRelDiff(got, want *Tensor) float64 {
-	var worst float64
-	for i, g := range got.Data {
-		w := want.Data[i]
-		d := math.Abs(float64(g - w))
-		scale := 1 + math.Abs(float64(w))
-		if d/scale > worst {
-			worst = d / scale
+// operands draws the stored operands of an m×n×k problem: a is [m,k] or,
+// with aTrans, [k,m]; b is [k,n] or, with bTrans, [n,k]; c holds random
+// values whether or not the op accumulates (an overwriting call must not
+// read them); bias has one value per row or per column.
+func (op matmulOp) operands(rng *rand.Rand, m, n, k int) (c, a, b, bias *Tensor) {
+	a, b = randMat(rng, m, k), randMat(rng, k, n)
+	if op.aTrans {
+		a = randMat(rng, k, m)
+	}
+	if op.bTrans {
+		b = randMat(rng, n, k)
+	}
+	switch {
+	case op.rowBias:
+		bias = randMat(rng, 1, m)
+	case op.colBias:
+		bias = randMat(rng, 1, n)
+	}
+	return randMat(rng, m, n), a, b, bias
+}
+
+// refKB is the summation contract of each production path, in naiveMatMul's
+// terms: the blocked kernel folds one partial sum per KC block into C, the
+// small-problem kernel forms a single dot product per element — except when
+// it accumulates without bTrans, where the running sum lives in C itself.
+// With both operands transposed there is only the blocked kernel.
+func refKB(op matmulOp, k int, blocked bool) int {
+	switch {
+	case blocked || op.aTrans && op.bTrans:
+		return gemmKC
+	case op.acc && !op.bTrans:
+		return 1
+	}
+	return k
+}
+
+// elems returns the index functions of op(A) and op(B) for operands stored
+// with row strides lda and ldb.
+func (op matmulOp) elems(a, b []float32, lda, ldb int) (ea, eb elemFunc) {
+	ea, eb = rowMajor(a, lda), rowMajor(b, ldb)
+	if op.aTrans {
+		ea = transposed(a, lda)
+	}
+	if op.bTrans {
+		eb = transposed(b, ldb)
+	}
+	return ea, eb
+}
+
+// reference evaluates the op on dense operands with naiveMatMul, starting
+// from c0.
+func (op matmulOp) reference(c0, a, b, bias *Tensor, m, n, k, kb int) *Tensor {
+	want := c0.Clone()
+	ea, eb := op.elems(a.Data, b.Data, a.Dim(1), b.Dim(1))
+	var rowBias, colBias []float32
+	if op.rowBias {
+		rowBias = bias.Data
+	}
+	if op.colBias {
+		colBias = bias.Data
+	}
+	naiveMatMul(want.Data, n, ea, eb, m, n, k, kb, op.acc, rowBias, colBias)
+	return want
+}
+
+func firstBitDiff(got, want []float32) int {
+	for i, g := range got {
+		if math.Float32bits(g) != math.Float32bits(want[i]) {
+			return i
 		}
 	}
-	return worst
+	return -1
 }
 
-// TestMatMulBlockedMatchesNaive is the golden equivalence suite: every
-// exported variant against its retained naive reference, across the cross
-// product of edge sizes.
+// gemmSweep calls fn over the remainder-tile grid of the 4×8 micro-tile —
+// m in 1..2·MR+1, n and k in 1..2·NR+1 (odd and even k for int8 pair
+// packing) — plus n = 29 (three column chunks at three workers) and shapes
+// that cross the MC and NC cache blocks of both element types.
+func gemmSweep(fn func(m, n, k int)) {
+	for m := 1; m <= 2*gemmMR+1; m++ {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 29} {
+			for k := 1; k <= 2*gemmNR+1; k++ {
+				fn(m, n, k)
+			}
+		}
+	}
+	for _, s := range [][3]int{{64, 64, 64}, {65, 129, 7}, {129, 65, 9}, {5, 257, 48}, {3, 520, 5}} {
+		fn(s[0], s[1], s[2])
+	}
+}
+
+// TestMatMulBlockedMatchesNaive checks both production float32 paths — the
+// blocked kernel at one and three workers, and the small-problem kernel —
+// against the independent reference, bit for bit, through every exported
+// entry point over the remainder-tile grid and a k that spans two KC blocks.
 func TestMatMulBlockedMatchesNaive(t *testing.T) {
 	for _, v := range matmulVariants {
-		v := v
 		t.Run(v.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			for _, m := range matmulSizes {
-				for _, n := range matmulSizes {
-					for _, k := range matmulSizes {
-						got, want := v.run(rng, m, n, k)
-						if d := maxRelDiff(got, want); d > 1e-4 {
-							t.Fatalf("%s m=%d n=%d k=%d: max rel diff %g", v.name, m, n, k, d)
-						}
+			check := func(m, n, k int) {
+				c0, a, b, bias := v.op.operands(rng, m, n, k)
+				for _, path := range []struct {
+					name    string
+					blocked bool
+					workers int
+				}{{"blocked", true, 1}, {"blocked/3 workers", true, 3}, {"small", false, 1}} {
+					got := c0.Clone()
+					forcePath(path.blocked, func() {
+						withWorkers(path.workers, func() { v.call(got, a, b, bias) })
+					})
+					want := v.op.reference(c0, a, b, bias, m, n, k, refKB(v.op, k, path.blocked))
+					if i := firstBitDiff(got.Data, want.Data); i >= 0 {
+						t.Fatalf("%s m=%d n=%d k=%d: element %d = %v, reference %v", path.name, m, n, k, i, got.Data[i], want.Data[i])
 					}
 				}
 			}
+			gemmSweep(check)
+			check(5, 9, 2*gemmKC+3)
+			check(1, 1, gemmKC+1)
 		})
+	}
+}
+
+// TestGemmDescriptor covers what no exported entry point reaches: every
+// combination of the five descriptor flags (aTrans with bTrans, a bias on an
+// accumulating call — ignored by both kernels) and leading dimensions wider
+// than the operands, on both paths against the reference.
+func TestGemmDescriptor(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const pad = 3
+	for flags := 0; flags < 32; flags++ {
+		op := matmulOp{flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0, flags&16 != 0}
+		for _, s := range [][3]int{{1, 1, 1}, {5, 9, 3}, {7, 23, 31}, {9, 17, gemmKC + 5}} {
+			m, n, k := s[0], s[1], s[2]
+			ar, ac, br, bc := m, k, k, n
+			if op.aTrans {
+				ar, ac = k, m
+			}
+			if op.bTrans {
+				br, bc = n, k
+			}
+			lda, ldb, ldc := ac+pad, bc+pad, n+pad
+			a, b, c0 := randMat(rng, ar, lda), randMat(rng, br, ldb), randMat(rng, m, ldc)
+			call := gemmCall{a: a.Data, b: b.Data, m: m, n: n, k: k, lda: lda, ldb: ldb, ldc: ldc,
+				aTrans: op.aTrans, bTrans: op.bTrans, acc: op.acc}
+			ea, eb := op.elems(a.Data, b.Data, lda, ldb)
+			if op.rowBias {
+				call.rowBias = randMat(rng, 1, m).Data
+			}
+			if op.colBias {
+				call.colBias = randMat(rng, 1, n).Data
+			}
+			for _, blocked := range []bool{true, false} {
+				got, want := c0.Clone(), c0.Clone()
+				call.c = got.Data
+				forcePath(blocked, func() { gemmExec(call) })
+				naiveMatMul(want.Data, ldc, ea, eb, m, n, k, refKB(op, k, blocked), op.acc, call.rowBias, call.colBias)
+				// The padding columns of C compare too: neither kernel may
+				// write past column n of a row.
+				if i := firstBitDiff(got.Data, want.Data); i >= 0 {
+					t.Fatalf("%+v blocked=%v m=%d n=%d k=%d: element %d = %v, reference %v", op, blocked, m, n, k, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
 	}
 }
 
@@ -152,19 +240,10 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	a := randMat(rng, 96, 432)
 	b := randMat(rng, 432, 520)
 	serial, par := New(96, 520), New(96, 520)
-
-	oldPar, oldMin := MaxParallelism, gemmParallelMACs
-	defer func() { MaxParallelism, gemmParallelMACs = oldPar, oldMin }()
-	gemmParallelMACs = 0
-
-	MaxParallelism = 1
-	MatMulInto(serial, a, b)
-	MaxParallelism = 4
-	MatMulInto(par, a, b)
-	for i, v := range par.Data {
-		if v != serial.Data[i] {
-			t.Fatalf("parallel result differs at %d: %v vs %v", i, v, serial.Data[i])
-		}
+	withWorkers(1, func() { MatMulInto(serial, a, b) })
+	withWorkers(4, func() { MatMulInto(par, a, b) })
+	if i := firstBitDiff(par.Data, serial.Data); i >= 0 {
+		t.Fatalf("parallel result differs at %d: %v vs %v", i, par.Data[i], serial.Data[i])
 	}
 
 	// Same check for an accumulating transpose variant.
@@ -172,14 +251,93 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	c1 := c0.Clone()
 	at := randMat(rng, 96, 432)
 	bt := randMat(rng, 96, 520)
-	MaxParallelism = 1
-	MatMulTransposeAAddInto(c0, at, bt)
+	withWorkers(1, func() { MatMulTransposeAAddInto(c0, at, bt) })
+	withWorkers(4, func() { MatMulTransposeAAddInto(c1, at, bt) })
+	if i := firstBitDiff(c1.Data, c0.Data); i >= 0 {
+		t.Fatalf("parallel TransposeAAdd differs at %d: %v vs %v", i, c1.Data[i], c0.Data[i])
+	}
+}
+
+// TestGemmPoolMixedTypes drives the one worker pool with float32 and int8
+// GEMMs at once: several goroutines issue calls above the parallel
+// threshold at MaxParallelism 4, every result must equal its serial one bit
+// for bit, and the goroutines left parked afterwards must be one pool's
+// worth, not one per element type.
+func TestGemmPoolMixedTypes(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const m, n, k = 48, 640, 96
+	if m*n*k < gemmParallelMACs {
+		t.Fatal("shape must sit above the parallel threshold")
+	}
+	af, bf := randMat(rng, m, k), randMat(rng, k, n)
+	ai, bi := randI8(rng, m*k), randI8(rng, k*n)
+	ep := Int8Epilogue{Mult: make([]float32, m), Lo: -127, Hi: 127}
+	for i := range ep.Mult {
+		ep.Mult[i] = float32(rng.Float64() * 0.01)
+	}
+	oldPar := MaxParallelism
+	defer func() { MaxParallelism = oldPar }()
+
+	// A first parallel call starts the pool, so the goroutine baseline below
+	// includes its workers no matter which test ran before this one.
 	MaxParallelism = 4
-	MatMulTransposeAAddInto(c1, at, bt)
-	for i, v := range c1.Data {
-		if v != c0.Data[i] {
-			t.Fatalf("parallel TransposeAAdd differs at %d: %v vs %v", i, v, c0.Data[i])
-		}
+	MatMulInto(New(m, n), af, bf)
+	before := runtime.NumGoroutine()
+
+	MaxParallelism = 1
+	wantF, wantI := New(m, n), make([]int8, m*n)
+	MatMulInto(wantF, af, bf)
+	Int8GEMMRequantInto(wantI, ai, bi, m, n, k, ep)
+
+	MaxParallelism = 4
+	const callers, rounds = 6, 8
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			gotF, gotI := New(m, n), make([]int8, m*n)
+			for r := 0; r < rounds; r++ {
+				// Alternate the element type per goroutine and per round so
+				// the workers see the two job kinds interleaved.
+				if (g+r)%2 == 0 {
+					MatMulInto(gotF, af, bf)
+					if i := firstBitDiff(gotF.Data, wantF.Data); i >= 0 {
+						errs <- fmt.Errorf("caller %d round %d: float element %d differs from serial", g, r, i)
+						return
+					}
+				} else {
+					Int8GEMMRequantInto(gotI, ai, bi, m, n, k, ep)
+					for i := range gotI {
+						if gotI[i] != wantI[i] {
+							errs <- fmt.Errorf("caller %d round %d: int8 element %d differs from serial", g, r, i)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// The callers have exited; give their goroutines a moment to be reaped.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 100 && after > before; i++ {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("goroutines grew from %d to %d across mixed-type calls: int8 work started workers of its own", before, after)
+	}
+	stacks := make([]byte, 1<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	if got, want := strings.Count(string(stacks), "created by skynet/internal/tensor.startGemmWorkers"), max(runtime.GOMAXPROCS(0), 8); got != want {
+		t.Errorf("%d pool workers parked, want one pool of %d", got, want)
 	}
 }
 

@@ -27,7 +27,7 @@ type Tensor struct {
 
 // New returns a zero-filled tensor with the given shape. All dimensions
 // must be positive.
-//skynet:nolint hotcall -- allocating constructor by contract; hot callers reach it only on cold/shape-change paths or amortized per-call outputs (the reuse helpers pool the steady state)
+//skynet:nolint hotcall -- allocating constructor by contract; hot callers reach it only on cold/shape-change paths or for the one caller-owned output of a layer call
 func New(shape ...int) *Tensor {
 	n := checkShape(shape)
 	//skynet:nolint hotcall -- constructor body; see the waiver on New

@@ -175,20 +175,63 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-// naiveMatMul is the reference implementation used to validate the
-// cache-ordered kernels.
-func naiveMatMul(a, b *Tensor) *Tensor {
-	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
-	c := New(m, n)
+// elemFunc addresses one element of a GEMM operand as the product sees it:
+// (i, p) of op(A) or (p, j) of op(B), whatever the storage order.
+type elemFunc func(r, c int) float32
+
+// rowMajor addresses d as stored, with row stride ld.
+func rowMajor(d []float32, ld int) elemFunc {
+	return func(r, c int) float32 { return d[r*ld+c] }
+}
+
+// transposed addresses the transpose of d, which is stored with row stride ld.
+func transposed(d []float32, ld int) elemFunc {
+	return func(r, c int) float32 { return d[c*ld+r] }
+}
+
+// naiveMatMul is the package's one GEMM reference, test-only and
+// independent of both production kernels: C (+)= op(A)·op(B) (+ bias), one
+// element at a time through explicit index functions. c has row stride
+// ldc; with acc the products are added to what c holds, otherwise c is
+// overwritten and rowBias[i]/colBias[j] (either may be nil) are added.
+//
+// kb spells out the summation order, the one thing the production paths
+// are allowed to differ in: the products of an element are summed from
+// zero in ascending k in partial sums of kb terms, and the partial sums are
+// folded into the element in order, the bias joining the first fold. kb = k
+// is a single dot product per element.
+func naiveMatMul(c []float32, ldc int, a, b elemFunc, m, n, k, kb int, acc bool, rowBias, colBias []float32) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			var s float32
-			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
+			var v float32
+			if acc {
+				v = c[i*ldc+j]
 			}
-			c.Set(s, i, j)
+			for p0 := 0; p0 < k; p0 += kb {
+				var s float32
+				for p := p0; p < min(p0+kb, k); p++ {
+					s += float32(a(i, p) * b(p, j))
+				}
+				v += s
+				if p0 == 0 && !acc {
+					if rowBias != nil {
+						v += rowBias[i]
+					}
+					if colBias != nil {
+						v += colBias[j]
+					}
+				}
+			}
+			c[i*ldc+j] = v
 		}
 	}
+}
+
+// naiveProduct is naiveMatMul for the plain dense case c = a·b.
+func naiveProduct(a, b *Tensor) *Tensor {
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
+	c := New(m, n)
+	naiveMatMul(c.Data, n, rowMajor(a.Data, k), rowMajor(b.Data, n), m, n, k, k, false, nil, nil)
 	return c
 }
 
@@ -212,7 +255,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		a.RandNormal(rng, 0, 1)
 		b.RandNormal(rng, 0, 1)
 		got := MatMul(a, b)
-		want := naiveMatMul(a, b)
+		want := naiveProduct(a, b)
 		if !tensorsClose(got, want, 1e-4) {
 			t.Fatalf("MatMul mismatch for dims %v", dims)
 		}
@@ -225,7 +268,7 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	a, b := New(m, k), New(k, n)
 	a.RandNormal(rng, 0, 1)
 	b.RandNormal(rng, 0, 1)
-	want := naiveMatMul(a, b)
+	want := naiveProduct(a, b)
 
 	// c = (aᵀ)ᵀ·b via MatMulTransposeAInto with at of shape [k,m].
 	at := New(k, m)
