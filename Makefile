@@ -7,7 +7,7 @@ GO ?= go
 COVER_FLOOR ?= 60
 COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/pipeline:$(COVER_FLOOR) ./internal/detect:$(COVER_FLOOR) ./internal/quant:$(COVER_FLOOR) ./internal/track:$(COVER_FLOOR)
 
-.PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-smoke bench-quant bench-track bench-serve bench-search bench-search-short bench-json cover check ci
+.PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-smoke bench-quant cover check ci
 
 all: ci
 
@@ -23,8 +23,12 @@ binaries:
 		$(GO) build -o /dev/null ./$$d || exit 1; \
 	done
 
+# vet also fails on any tracked .go file outside testdata/ that gofmt
+# would rewrite, so formatting drift is caught here and not in review.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # lint runs the repo's own static-analysis pass (cmd/skynet-lint): the
 # determinism, float-hygiene, error-discipline checkers plus the
@@ -39,13 +43,15 @@ lint:
 	echo "lint wall time: $$((end-start))s"; \
 	exit $$status
 
-# loc prints the two size numbers ROADMAP aim 2 tracks: non-test Go lines
-# per internal package, and the //skynet:nolint waiver count — the count
-# TestWaiverCountWithinCeiling (internal/analysis) pins, by the same rule.
+# loc prints the size numbers ROADMAP aim 2 tracks: non-test Go lines per
+# internal package and for the whole tree outside bench/, and the
+# //skynet:nolint waiver count — the count TestWaiverCountWithinCeiling
+# (internal/analysis) pins, by the same rule.
 loc:
 	@for d in internal/*/; do \
 		printf '%-24s %6d\n' "$$d" "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"; \
 	done
+	@printf '%-24s %6d\n' "non-test Go outside bench/" "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf '%-24s %6d\n' "nolint waivers" "$$(grep -rn '//skynet:nolint' --include='*.go' internal cmd examples *.go | grep -v testdata | grep -v internal/analysis/ | wc -l)"
 
 # -shuffle=on randomizes test (and subtest-sibling) execution order each
@@ -91,52 +97,13 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
-	@$(GO) run ./cmd/skynet-bench -which
 	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkConvForwardSteadyState|BenchmarkTable2Backbones' -benchtime 10x .
 
 # bench-quant compares the int8 GEMM kernels against float32 at SkyNet
 # layer shapes; both report GOPS and operand bytes/op (the int8 path moves
 # 4x fewer bytes), and -benchmem surfaces the zero-allocation contract.
 bench-quant:
-	@$(GO) run ./cmd/skynet-bench -which
 	$(GO) test -run xxx -bench 'BenchmarkInt8GEMMShapes|BenchmarkFloatGEMMShapes' -benchmem ./internal/tensor
-
-# bench-track regenerates BENCH_track.json, the committed tracking
-# baseline: one seeded tracker evaluated under the gemm, naive, and int8
-# cross-correlation backends, recording frames/sec and AO/SR per backend
-# plus the int8 path's AO parity delta.
-bench-track:
-	$(GO) run ./cmd/skynet-bench -track-out BENCH_track.json
-
-# bench-serve regenerates BENCH_serve.json, the committed fleet-serving
-# baseline: a replica pool under scenario-driven load (diurnal ramp, burst
-# with slow-loris and live tracking, hot-swap to int8 under load) at 6400
-# peak closed-loop clients, asserting byte-identity between 1-replica and
-# N-replica configs and a p99 SLO on the server-side latency histogram.
-bench-serve:
-	$(GO) run ./cmd/skynet-bench -serve-out BENCH_serve.json
-
-# bench-search regenerates BENCH_search.json, the committed codesign-search
-# baseline: a fixed-seed measured-fitness PSO job run through the search
-# service (engine factors calibrated on the real float32/int8 engines,
-# then pinned), with executed proofs that the trajectory is bitwise
-# identical across worker counts and across kill+resume, plus an
-# analytic-vs-measured latency comparison for the winning genomes.
-bench-search:
-	$(GO) run ./cmd/skynet-bench -search-out BENCH_search.json
-
-# bench-search-short re-proves the same determinism contracts on a smaller
-# trajectory, writing to a scratch file: the CI gate (skynet-bench exits
-# non-zero if either proof fails) without touching the committed baseline.
-bench-search-short:
-	$(GO) run ./cmd/skynet-bench -search-out $(if $(TMPDIR),$(TMPDIR),/tmp)/BENCH_search_short.json -search-short
-
-# bench-json regenerates the committed machine-readable baselines:
-# BENCH_gemm.json (GFLOPS trajectory — every kernel at SkyNet GEMM shapes,
-# serial, with allocation counts) and BENCH_track.json (tracking backends).
-# Commit the diff when kernels change so the trajectory stays honest.
-bench-json: bench-track
-	$(GO) run ./cmd/skynet-bench -out BENCH_gemm.json
 
 # cover measures statement coverage on the serving-critical packages and
 # fails if any of them drops below its per-package floor.
@@ -154,10 +121,9 @@ cover:
 	exit $$fail
 
 # ci is the single verification entry point: everything must pass before a
-# commit lands. bench-search-short re-executes the search determinism
-# proofs; cover enforces the per-package floors above; bench-smoke keeps
-# the benchmark module building and passing against this tree.
-ci: vet lint test race purego arm64 build binaries bench-search-short cover bench-smoke
+# commit lands. cover enforces the per-package floors above; bench-smoke
+# keeps the benchmark module building and passing against this tree.
+ci: vet lint test race purego arm64 build binaries cover bench-smoke
 
 # check is kept as an alias for ci (the historical name).
 check: ci

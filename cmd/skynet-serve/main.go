@@ -62,7 +62,6 @@ func main() {
 		trackSteps = flag.Int("track-steps", 300, "tracker training steps for -track")
 		trackSess  = flag.Int("track-sessions", 1024, "session table bound for -track")
 		trackTTL   = flag.Duration("track-ttl", 5*time.Minute, "idle session TTL for -track")
-		trackXCorr = flag.String("track-xcorr", "gemm", "tracking cross-correlation backend: gemm, naive, int8")
 
 		quantize = flag.Bool("quantize", false, "serve the int8 lowering of the model (post-training quantization)")
 		calibN   = flag.Int("calib", 32, "calibration scenes drawn for -quantize")
@@ -129,14 +128,14 @@ func main() {
 
 	var ts *serve.TrackService
 	if *withTrack {
-		ts, err = buildTrackService(*trackSteps, *trackSess, *trackTTL, *trackXCorr)
+		ts, err = buildTrackService(*trackSteps, *trackSess, *trackTTL)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skynet-serve: track: %v\n", err)
 			os.Exit(1)
 		}
 		srv.Attach(ts)
-		fmt.Printf("skynet-serve: tracking service attached (sessions<=%d, ttl %s, xcorr=%s)\n",
-			*trackSess, *trackTTL, *trackXCorr)
+		fmt.Printf("skynet-serve: tracking service attached (sessions<=%d, ttl %s)\n",
+			*trackSess, *trackTTL)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -162,11 +161,7 @@ func main() {
 // buildTrackService trains a small seeded SkyNet tracker on synthetic
 // sequences (the repo has no tracker checkpoint format yet) and wraps it
 // in a tracking service.
-func buildTrackService(steps, maxSessions int, ttl time.Duration, xcorr string) (*serve.TrackService, error) {
-	xb, err := track.ParseXCorrBackend(xcorr)
-	if err != nil {
-		return nil, err
-	}
+func buildTrackService(steps, maxSessions int, ttl time.Duration) (*serve.TrackService, error) {
 	dcfg := dataset.DefaultConfig()
 	dcfg.W, dcfg.H = 96, 96
 	dcfg.Seed = 1
@@ -177,7 +172,6 @@ func buildTrackService(steps, maxSessions int, ttl time.Duration, xcorr string) 
 	bcfg := backbone.Config{Width: 0.125, InC: 3, HeadChannels: 0, MaxStride: 8, ReLU6: true}
 	rng := rand.New(rand.NewSource(1))
 	tr := track.New(backbone.SkyNetA(rng, bcfg), bcfg.ScaledChannels(512), track.DefaultConfig())
-	tr.XCorr = xb
 	fmt.Printf("skynet-serve: training tracker (%d steps)...\n", steps)
 	tr.Train(seqs, track.TrainConfig{Steps: steps, LR: 0.01, Seed: 1})
 	return serve.NewTrackService(tr, serve.TrackConfig{MaxSessions: maxSessions, TTL: ttl})

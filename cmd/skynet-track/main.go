@@ -13,7 +13,6 @@
 //
 //	skynet-track -backbone skynet -steps 900
 //	skynet-track -backbone resnet50 -mask       # SiamMask-style variant
-//	skynet-track -xcorr int8                    # quantized correlation
 //	skynet-track -serve :8081 -ttl 2m -max-sessions 4096
 package main
 
@@ -45,7 +44,6 @@ func main() {
 		seed   = flag.Int64("seed", 1, "random seed")
 		render = flag.Bool("render", false, "ASCII-render tracked frames of the first eval sequence")
 
-		xcorr    = flag.String("xcorr", "gemm", "cross-correlation backend: gemm, naive, int8")
 		addr     = flag.String("serve", "", "after training, serve the tracker on this HTTP address")
 		ttl      = flag.Duration("ttl", 5*time.Minute, "idle session time-to-live for -serve")
 		maxSess  = flag.Int("max-sessions", 1024, "session table bound for -serve")
@@ -53,12 +51,6 @@ func main() {
 		drainDur = flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM for -serve")
 	)
 	flag.Parse()
-
-	xb, err := track.ParseXCorrBackend(*xcorr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "skynet-track: %v\n", err)
-		os.Exit(2)
-	}
 
 	cfg := dataset.DefaultConfig()
 	cfg.W, cfg.H = 96, 96
@@ -86,7 +78,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skynet-track: unknown backbone %q\n", *bb)
 		os.Exit(2)
 	}
-	tr.XCorr = xb
 
 	fmt.Printf("training %s tracker (%d steps, mask=%v)...\n", *bb, *steps, *mask)
 	tr.Train(trainSeqs, track.TrainConfig{
@@ -127,8 +118,8 @@ func main() {
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		fmt.Printf("skynet-track: tracking service on %s (xcorr=%s, sessions<=%d, ttl %s)\n",
-			*addr, xb, *maxSess, *ttl)
+		fmt.Printf("skynet-track: tracking service on %s (sessions<=%d, ttl %s)\n",
+			*addr, *maxSess, *ttl)
 		if err := ts.ListenAndServe(ctx, *addr, *drainDur); err != nil {
 			fmt.Fprintf(os.Stderr, "skynet-track: %v\n", err)
 			os.Exit(1)

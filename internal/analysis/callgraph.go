@@ -164,9 +164,9 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 	// Pass 1: nodes for every declared function, and the in-module named
 	// types (for interface fan-out).
 	type namedType struct {
-		name  string
-		typ   types.Type
-		pkg   *Package
+		name string
+		typ  types.Type
+		pkg  *Package
 	}
 	var named []namedType
 	for _, pkg := range pkgs {

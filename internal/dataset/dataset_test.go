@@ -214,6 +214,20 @@ func TestCropValuesAndBorderReplication(t *testing.T) {
 	}
 }
 
+// TestCropAllocatesOnlyItsOutput pins Crop's cost at the tracker's search
+// window size: addressing every pixel through At/Set must add nothing to
+// the allocation of the returned tensor itself.
+func TestCropAllocatesOnlyItsOutput(t *testing.T) {
+	img := tensor.New(3, 160, 160)
+	var sink *tensor.Tensor
+	want := testing.AllocsPerRun(10, func() { sink = tensor.New(3, 131, 131) })
+	got := testing.AllocsPerRun(10, func() { sink = Crop(img, -20, 100, 131, 131) })
+	if got != want {
+		t.Fatalf("Crop: %v allocs/op, want %v (tensor.New of its output)", got, want)
+	}
+	_ = sink
+}
+
 func TestAugmentorKeepsBoxConsistent(t *testing.T) {
 	g := NewGenerator(DefaultConfig())
 	aug := NewAugmentor(7, 0.2, 0.1)

@@ -124,13 +124,13 @@ func TestArchHashCanonical(t *testing.T) {
 	base := SearchSpec(4, []int{8, 16, 24}, []int{0, 1}, 7)
 	seen := map[string]string{ArchHash(base): "base"}
 	mutants := map[string]Spec{
-		"bundle":            SearchSpec(5, []int{8, 16, 24}, []int{0, 1}, 7),
-		"channel value":     SearchSpec(4, []int{8, 16, 32}, []int{0, 1}, 7),
-		"channel order":     SearchSpec(4, []int{16, 8, 24}, []int{0, 1}, 7),
-		"pool position":     SearchSpec(4, []int{8, 16, 24}, []int{0, 2}, 7),
-		"dropped pool":      SearchSpec(4, []int{8, 16, 24}, []int{0}, 7),
-		"seed":              SearchSpec(4, []int{8, 16, 24}, []int{0, 1}, 8),
-		"extra slot":        SearchSpec(4, []int{8, 16, 24, 24}, []int{0, 1}, 7),
+		"bundle":             SearchSpec(5, []int{8, 16, 24}, []int{0, 1}, 7),
+		"channel value":      SearchSpec(4, []int{8, 16, 32}, []int{0, 1}, 7),
+		"channel order":      SearchSpec(4, []int{16, 8, 24}, []int{0, 1}, 7),
+		"pool position":      SearchSpec(4, []int{8, 16, 24}, []int{0, 2}, 7),
+		"dropped pool":       SearchSpec(4, []int{8, 16, 24}, []int{0}, 7),
+		"seed":               SearchSpec(4, []int{8, 16, 24}, []int{0, 1}, 8),
+		"extra slot":         SearchSpec(4, []int{8, 16, 24, 24}, []int{0, 1}, 7),
 		"slot/pool aliasing": func() Spec { s := SearchSpec(4, []int{8, 16}, nil, 7); s.PoolPos = []int{24}; return s }(),
 	}
 	bypass := base

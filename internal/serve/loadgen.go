@@ -234,8 +234,7 @@ func (l *LoadGen) Run(ctx context.Context) (LoadReport, error) {
 // POST /track/start on frame 0, one /track/step per later frame, then
 // /track/stop — so S clients exercise S concurrent sessions interleaving
 // through the shared inference stage. The integration tests use it to pin
-// byte-identical-to-offline tracking under concurrency, and
-// cmd/skynet-bench's tracking mode uses it for BENCH_track.json.
+// byte-identical-to-offline tracking under concurrency.
 type TrackLoadGen struct {
 	// URL is the server base URL.
 	URL string

@@ -5,7 +5,7 @@ package serve
 // batch experiment. POST /track/start fixes a template (one
 // ExemplarFeatures forward) and returns a session ID; subsequent frame
 // posts return per-frame boxes (and, for mask-head trackers, the peak mask
-// patch) by driving StepBox/PeakMask through the same streaming executor
+// patch) by driving StepBoxE/PeakMaskE through the same streaming executor
 // the detection path uses. Sessions live in a bounded table with TTL
 // eviction — millions of concurrent sessions means per-session state must
 // be compact, so the table measures bytes/session and /metrics reports it.

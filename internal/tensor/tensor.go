@@ -27,6 +27,7 @@ type Tensor struct {
 
 // New returns a zero-filled tensor with the given shape. All dimensions
 // must be positive.
+//
 //skynet:nolint hotcall -- allocating constructor by contract; hot callers reach it only on cold/shape-change paths or for the one caller-owned output of a layer call
 func New(shape ...int) *Tensor {
 	n := checkShape(shape)
@@ -36,6 +37,7 @@ func New(shape ...int) *Tensor {
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); its length must equal the shape's element count.
+//
 //skynet:nolint hotcall -- allocating constructor by contract: one header + shape per view, no data copy
 func FromSlice(data []float32, shape ...int) *Tensor {
 	n := checkShape(shape)
@@ -123,16 +125,23 @@ func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
 
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v has wrong rank for shape %v", idx, t.shape))
+		panic(t.indexError("has wrong rank", idx))
 	}
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			panic(t.indexError("out of range", idx))
 		}
 		off = off*t.shape[i] + x
 	}
 	return off
+}
+
+// indexError builds offset's panic message from a copy of the index.
+// Handing idx itself to fmt would make it escape, and At/Set's variadic
+// slice would then be heap-allocated on every call, panicking or not.
+func (t *Tensor) indexError(what string, idx []int) string {
+	return fmt.Sprintf("tensor: index %v %s for shape %v", append([]int(nil), idx...), what, t.shape)
 }
 
 // Zero sets every element of t to zero.

@@ -74,6 +74,37 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 	x.At(2, 0)
 }
 
+// TestAtSetDoNotAllocate pins the accessors' cost: the variadic index must
+// stay on the caller's stack (offset formats a copy of it on the panic
+// paths only), while both panics still carry the index in their message.
+func TestAtSetDoNotAllocate(t *testing.T) {
+	x := New(2, 3, 4)
+	var sink float32
+	if allocs := testing.AllocsPerRun(100, func() { sink += x.At(1, 2, 3) }); allocs != 0 {
+		t.Errorf("At: %v allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { x.Set(sink, 1, 2, 3) }); allocs != 0 {
+		t.Errorf("Set: %v allocs/op, want 0", allocs)
+	}
+	for _, tc := range []struct {
+		name string
+		call func()
+		want string
+	}{
+		{"out-of-range", func() { x.At(1, 3, 0) }, "tensor: index [1 3 0] out of range for shape [2 3 4]"},
+		{"wrong-rank", func() { x.Set(1, 1, 2) }, "tensor: index [1 2] has wrong rank for shape [2 3 4]"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.call()
+		}()
+	}
+}
+
 func TestReshapeSharesData(t *testing.T) {
 	x := New(2, 6)
 	y := x.Reshape(3, 4)

@@ -70,33 +70,31 @@ func shapeOf(t *tensor.Tensor) []int {
 	return t.Shape()
 }
 
-// StepBoxE advances the tracked box by one frame given precomputed
-// exemplar features, returning an error — never panicking — on malformed
-// inputs. This is the tracking service's per-frame entry point: a bad
-// session request must become a 400, not kill a pipeline worker.
-func (t *Tracker) StepBoxE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box) (detect.Box, error) {
+// respPeak is the front half StepBoxE and PeakMaskE share: validate the
+// inputs, crop the search window around the box, correlate its features
+// against the exemplar's, score the response and find the classification
+// peak. It returns the response as a [1,C,r,r] batch for the remaining
+// heads, the search window's pixel side, and the peak position.
+func (t *Tracker) respPeak(zf, frame *tensor.Tensor, box detect.Box) (resp4 *tensor.Tensor, side float64, py, px int, err error) {
 	if err := checkFrame(frame); err != nil {
-		return detect.Box{}, err
+		return nil, 0, 0, 0, err
 	}
 	if err := checkBox(box); err != nil {
-		return detect.Box{}, err
+		return nil, 0, 0, 0, err
 	}
 	if zf == nil || zf.Rank() != 3 {
-		return detect.Box{}, fmt.Errorf("track: exemplar features must be [C,h,w], got %v", shapeOf(zf))
+		return nil, 0, 0, 0, fmt.Errorf("track: exemplar features must be [C,h,w], got %v", shapeOf(zf))
 	}
-	imgH, imgW := frame.Dim(1), frame.Dim(2)
 	crop, side := t.SearchCrop(frame, box, box.CX, box.CY)
 	xf := t.features(crop, false)
-	resp, err := t.xcorr(zf, xf)
+	resp, err := DWXCorrE(zf, xf)
 	if err != nil {
-		return detect.Box{}, err
+		return nil, 0, 0, 0, err
 	}
 	c, r := resp.Dim(0), resp.Dim(1)
-	resp4 := resp.Reshape(1, c, r, r)
+	resp4 = resp.Reshape(1, c, r, r)
 	cls := t.Cls.Forward([]*tensor.Tensor{resp4}, false)
-	reg := t.Reg.Forward([]*tensor.Tensor{resp4}, false)
-	// Peak of the classification map.
-	py, px, best := 0, 0, float32(math.Inf(-1))
+	best := float32(math.Inf(-1))
 	for y := 0; y < r; y++ {
 		for x := 0; x < r; x++ {
 			if v := cls.At(0, 0, y, x); v > best {
@@ -104,6 +102,21 @@ func (t *Tracker) StepBoxE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.B
 			}
 		}
 	}
+	return resp4, side, py, px, nil
+}
+
+// StepBoxE advances the tracked box by one frame given precomputed
+// exemplar features, returning an error — never panicking — on malformed
+// inputs. This is the tracking service's per-frame entry point: a bad
+// session request must become a 400, not kill a pipeline worker.
+func (t *Tracker) StepBoxE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box) (detect.Box, error) {
+	resp4, side, py, px, err := t.respPeak(zf, frame, box)
+	if err != nil {
+		return detect.Box{}, err
+	}
+	imgH, imgW := frame.Dim(1), frame.Dim(2)
+	r := resp4.Dim(2)
+	reg := t.Reg.Forward([]*tensor.Tensor{resp4}, false)
 	dx := clampF(reg.At(0, 0, py, px), -1, 1)
 	dy := clampF(reg.At(0, 1, py, px), -1, 1)
 	tw := clampF(reg.At(0, 2, py, px), -1, 1)
@@ -140,30 +153,11 @@ func (t *Tracker) PeakMaskE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.
 	if t.Mask == nil {
 		return nil, fmt.Errorf("track: PeakMask on a tracker without a mask head")
 	}
-	if err := checkFrame(frame); err != nil {
-		return nil, err
-	}
-	if err := checkBox(box); err != nil {
-		return nil, err
-	}
-	crop, _ := t.SearchCrop(frame, box, box.CX, box.CY)
-	xf := t.features(crop, false)
-	resp, err := t.xcorr(zf, xf)
+	resp4, _, py, px, err := t.respPeak(zf, frame, box)
 	if err != nil {
 		return nil, err
 	}
-	c, r := resp.Dim(0), resp.Dim(1)
-	resp4 := resp.Reshape(1, c, r, r)
-	cls := t.Cls.Forward([]*tensor.Tensor{resp4}, false)
 	masks := t.Mask.Forward([]*tensor.Tensor{resp4}, false)
-	py, px, best := 0, 0, float32(math.Inf(-1))
-	for y := 0; y < r; y++ {
-		for x := 0; x < r; x++ {
-			if v := cls.At(0, 0, y, x); v > best {
-				best, py, px = v, y, x
-			}
-		}
-	}
 	m := t.Cfg.MaskSize
 	out := tensor.New(1, m, m)
 	for k := 0; k < m*m; k++ {

@@ -1,7 +1,6 @@
 package track
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -35,43 +34,6 @@ func DefaultConfig() Config {
 // exemplar window is half the search window).
 const nominalFrac = 0.25
 
-// XCorrBackend selects the cross-correlation lowering used at inference.
-type XCorrBackend int
-
-const (
-	// XCorrGEMM routes through the blocked float32 GEMM (the default).
-	XCorrGEMM XCorrBackend = iota
-	// XCorrNaive uses the reference triple loop (the oracle).
-	XCorrNaive
-	// XCorrInt8 routes through the int8 quantized engine.
-	XCorrInt8
-)
-
-// String names the backend for benchmarks and flags.
-func (b XCorrBackend) String() string {
-	switch b {
-	case XCorrNaive:
-		return "naive"
-	case XCorrInt8:
-		return "int8"
-	default:
-		return "gemm"
-	}
-}
-
-// ParseXCorrBackend maps a flag value onto a backend.
-func ParseXCorrBackend(s string) (XCorrBackend, error) {
-	switch s {
-	case "gemm", "":
-		return XCorrGEMM, nil
-	case "naive":
-		return XCorrNaive, nil
-	case "int8":
-		return XCorrInt8, nil
-	}
-	return XCorrGEMM, fmt.Errorf("track: unknown xcorr backend %q (want gemm, naive or int8)", s)
-}
-
 // Tracker is a Siamese tracker: a shared backbone and adjust layer feed a
 // depth-wise cross-correlation whose response drives classification, box
 // regression, and optionally mask heads. With the mask head enabled it is
@@ -84,25 +46,9 @@ type Tracker struct {
 	Reg      *nn.Conv2D
 	Mask     *nn.Conv2D
 
-	// XCorr selects the cross-correlation lowering for inference; the
-	// zero value is the GEMM route.
-	XCorr XCorrBackend
-
 	// Cached feature-map sides, measured from a real backbone forward the
 	// first time the geometry is needed (see featSizes).
 	fz, fx int
-}
-
-// xcorr dispatches the configured cross-correlation backend.
-func (t *Tracker) xcorr(zf, xf *tensor.Tensor) (*tensor.Tensor, error) {
-	switch t.XCorr {
-	case XCorrNaive:
-		return DWXCorrNaive(zf, xf)
-	case XCorrInt8:
-		return DWXCorrInt8(zf, xf)
-	default:
-		return DWXCorrE(zf, xf)
-	}
 }
 
 // New builds a tracker around a headless backbone with the given output

@@ -18,25 +18,17 @@ import (
 
 // Depth-wise cross-correlation is the per-frame hot path of the streaming
 // tracker: every tracked frame correlates the cached exemplar features
-// against fresh search features. Three lowerings share one geometry check:
-//
-//   - The GEMM route (the default): each channel's search plane is lowered
-//     with im2col into a [hz*wz, oh*ow] patch matrix and multiplied by the
-//     channel's exemplar row — exactly how convolution reaches the blocked
-//     float32 GEMM, so the call inherits the kernel-dispatch seam
-//     (tensor.SetKernel: purego/AVX2) and the naive-vs-blocked
-//     crossover. Both GEMM paths accumulate k in ascending order, which is
-//     the naive loop's (ky, kx) order, so the result is bitwise identical
-//     to the oracle.
-//   - The naive triple loop (DWXCorrNaive), retained as the test oracle
-//     and the reference semantics.
-//   - The int8 route (DWXCorrInt8): both operands are quantized per-tensor
-//     (symmetric max-abs), lowered with Int8Im2Col, and multiplied in the
-//     quantized engine's int8×int8→int32 GEMM; the int32 accumulators are
-//     dequantized by the product of the two scales. Integer accumulation
-//     is exact, so this path is bitwise deterministic across kernels and
-//     worker counts; its accuracy versus the float path is measured as
-//     AO/SR parity (EXPERIMENTS.md).
+// against fresh search features. Production has one lowering, DWXCorrE (the
+// GEMM route): each channel's search plane is lowered with im2col into a
+// [hz*wz, oh*ow] patch matrix and multiplied by the channel's exemplar row
+// — exactly how convolution reaches the blocked float32 GEMM, so the call
+// inherits the kernel-dispatch seam (tensor.SetKernel: purego/AVX2) and
+// the naive-vs-blocked crossover. Both GEMM paths accumulate k in
+// ascending order, which is the naive loop's (ky, kx) order, so the result
+// is bitwise identical to DWXCorrNaive, the triple loop kept as the test
+// oracle and the reference semantics. DWXCorrInt8 (with quantizeSym) has no
+// production caller: it stays only because bench/ still times it, and goes
+// when the benchmark stops calling it (ROADMAP, "One benchmark…").
 
 // xcorrGeom validates a depth-wise correlation and returns its geometry.
 //
@@ -61,11 +53,11 @@ func xcorrGeom(z, x *tensor.Tensor) (c, hz, wz, hx, wx, oh, ow int, err error) {
 // xcorrScratch holds the per-call lowering buffers. Steady-state tracking
 // reuses them through a free list instead of allocating per frame.
 type xcorrScratch struct {
-	col  *tensor.Tensor // [hz*wz, oh*ow] float patch matrix
-	zi8 []int8  // quantized exemplar codes
-	xi8 []int8  // quantized search codes
-	ci8 []int8  // int8 patch matrix
-	acc []int32 // int32 accumulators, one response plane
+	col *tensor.Tensor // [hz*wz, oh*ow] float patch matrix
+	zi8 []int8         // quantized exemplar codes
+	xi8 []int8         // quantized search codes
+	ci8 []int8         // int8 patch matrix
+	acc []int32        // int32 accumulators, one response plane
 }
 
 var xcorrFree = struct {
@@ -216,9 +208,9 @@ func quantizeSym(dst []int8, src []float32) float32 {
 // DWXCorrInt8 computes the depth-wise cross-correlation through the int8
 // engine: per-tensor symmetric quantization of both operands, int8 im2col,
 // the int8×int8→int32 GEMM, and a dequantizing epilogue. The response is
-// an approximation of the float path whose AO/SR parity is measured in
-// EXPERIMENTS.md; exact integer accumulation makes it bitwise
-// deterministic across kernels and worker counts.
+// an approximation of the float path, error-bounded by
+// TestDWXCorrInt8ApproximatesFloat; exact integer accumulation makes it
+// bitwise deterministic across kernels and worker counts.
 //
 //skynet:hotpath
 func DWXCorrInt8(z, x *tensor.Tensor) (*tensor.Tensor, error) {

@@ -209,58 +209,12 @@ func TestQuantizeSym(t *testing.T) {
 	}
 }
 
-// TestTrackerXCorrBackends runs one identical step under every backend:
-// gemm must match naive bitwise end-to-end through the tracker, and int8
-// must produce a finite, clipped box.
-func TestTrackerXCorrBackends(t *testing.T) {
-	tr := tinyTracker(false, 3)
-	seqs := testSequences(1)
-	seq := seqs[0]
-	zf := tr.ExemplarFeatures(seq)
-
-	boxes := map[XCorrBackend][4]float64{}
-	for _, b := range []XCorrBackend{XCorrGEMM, XCorrNaive, XCorrInt8} {
-		tr.XCorr = b
-		nb, err := tr.StepBoxE(zf, seq.Frames[1], seq.Boxes[0])
-		if err != nil {
-			t.Fatalf("backend %v: %v", b, err)
-		}
-		boxes[b] = [4]float64{nb.CX, nb.CY, nb.W, nb.H}
-	}
-	tr.XCorr = XCorrGEMM
-	if boxes[XCorrGEMM] != boxes[XCorrNaive] {
-		t.Fatalf("gemm box %v != naive box %v", boxes[XCorrGEMM], boxes[XCorrNaive])
-	}
-	for _, v := range boxes[XCorrInt8] {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("int8 box not finite: %v", boxes[XCorrInt8])
-		}
-	}
-}
-
-// TestParseXCorrBackend pins the flag surface.
-func TestParseXCorrBackend(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want XCorrBackend
-	}{{"gemm", XCorrGEMM}, {"", XCorrGEMM}, {"naive", XCorrNaive}, {"int8", XCorrInt8}} {
-		got, err := ParseXCorrBackend(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseXCorrBackend(%q) = %v, %v", tc.in, got, err)
-		}
-		if tc.in != "" && got.String() != tc.in {
-			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
-		}
-	}
-	if _, err := ParseXCorrBackend("cuda"); err == nil {
-		t.Fatal("ParseXCorrBackend accepted an unknown backend")
-	}
-}
-
 // TestStepBoxEValidates pins the service-boundary contract: malformed
-// frames, boxes and features come back as errors, never panics.
+// frames, boxes and features come back as errors, never panics, from both
+// per-frame entry points.
 func TestStepBoxEValidates(t *testing.T) {
 	tr := tinyTracker(false, 5)
+	masked := tinyTracker(true, 5)
 	seq := testSequences(1)[0]
 	zf := tr.ExemplarFeatures(seq)
 	good := seq.Boxes[0]
@@ -278,12 +232,16 @@ func TestStepBoxEValidates(t *testing.T) {
 		{"nan-box", zf, seq.Frames[1], [4]float64{math.NaN(), good.CY, good.W, good.H}},
 		{"zero-size-box", zf, seq.Frames[1], [4]float64{good.CX, good.CY, 0, good.H}},
 		{"nil-features", nil, seq.Frames[1], [4]float64{good.CX, good.CY, good.W, good.H}},
+		{"rank-2-features", tensor.New(4, 4), seq.Frames[1], [4]float64{good.CX, good.CY, good.W, good.H}},
 	}
 	for _, tc := range cases {
 		b := good
 		b.CX, b.CY, b.W, b.H = tc.box[0], tc.box[1], tc.box[2], tc.box[3]
 		if _, err := tr.StepBoxE(tc.zf, tc.frame, b); err == nil {
 			t.Fatalf("%s: StepBoxE accepted malformed input", tc.name)
+		}
+		if _, err := masked.PeakMaskE(tc.zf, tc.frame, b); err == nil {
+			t.Fatalf("%s: PeakMaskE accepted malformed input", tc.name)
 		}
 	}
 	if _, err := tr.ExemplarFeaturesFor(nil, good); err == nil {
