@@ -5,7 +5,7 @@ GO ?= go
 # the production HTTP surface (pool, router, swap, cache, scenarios) and is
 # held to a higher floor than the rest.
 COVER_FLOOR ?= 60
-COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/pipeline:$(COVER_FLOOR) ./internal/detect:$(COVER_FLOOR) ./internal/quant:$(COVER_FLOOR) ./internal/track:$(COVER_FLOOR)
+COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/nn:85 ./internal/pipeline:$(COVER_FLOOR) ./internal/detect:$(COVER_FLOOR) ./internal/quant:$(COVER_FLOOR) ./internal/track:$(COVER_FLOOR)
 
 .PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-smoke bench-quant cover check ci
 
@@ -77,10 +77,13 @@ race:
 # purego runs the kernel-bearing packages with the assembly micro-kernels
 # compiled out, so the portable fallback (and its dispatch seam) cannot
 # rot. The same tests run again with SKYNET_KERNEL=purego on a normal
-# build to cover the runtime-selection path.
+# build to cover the runtime-selection path. nn and backbone ride along:
+# the inference plan must equal the layer walk under either micro-kernel
+# (the small-problem crossover, hence which GEMM store fuses, differs).
+# -count=1: the test cache does not key on the environment variable.
 purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/cpufeat
-	SKYNET_KERNEL=purego $(GO) test ./internal/tensor ./internal/cpufeat
+	$(GO) test -tags purego ./internal/tensor ./internal/cpufeat ./internal/nn ./internal/backbone
+	SKYNET_KERNEL=purego $(GO) test -count=1 ./internal/tensor ./internal/cpufeat ./internal/nn ./internal/backbone
 
 # arm64 cross-compiles the whole tree for the other deployment
 # architecture: the build tags on the amd64 assembly must keep every
@@ -97,7 +100,7 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkConvForwardSteadyState|BenchmarkTable2Backbones' -benchtime 10x .
+	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkConvForwardSteadyState|BenchmarkGraphInference|BenchmarkTable2Backbones' -benchtime 10x .
 
 # bench-quant compares the int8 GEMM kernels against float32 at SkyNet
 # layer shapes; both report GOPS and operand bytes/op (the int8 path moves

@@ -7,6 +7,7 @@ package skynet_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -381,6 +382,28 @@ func BenchmarkConvForwardSteadyState(b *testing.B) {
 			b.ResetTimer()
 			for j := 0; j < b.N; j++ {
 				lc.l.Forward(xs, false)
+			}
+		})
+	}
+}
+
+// BenchmarkGraphInference measures the planned inference forward of the
+// deployed model, full-width SkyNet C on 160×320 frames, at the stream
+// executor's two batch sizes: bytes/s is input pixels, and allocs/op is the
+// caller-owned output plus the goroutines of the layer loops' splits (see
+// TestGraphInferenceSteadyStateAllocs).
+func BenchmarkGraphInference(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
+	for _, n := range []int{1, 4} {
+		b.Run(fmt.Sprintf("batch%d", n), func(b *testing.B) {
+			x := benchInput(rng, n, 3, 160, 320)
+			g.Forward(x, false) // compile the plan, grow the arena
+			b.SetBytes(int64(4 * x.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Forward(x, false)
 			}
 		})
 	}

@@ -72,11 +72,13 @@ func PreStage(workers int) pipeline.StageSpec {
 
 // InferBatch stacks the frames' pre-processed inputs into one [B,C,H,W]
 // tensor, runs a single forward pass, and splits the prediction back into
-// per-frame [1,ch,Sh,Sw] copies, so the frames own their predictions (the
-// model may reuse its output buffer on the next forward). Calls for the
-// same model must be serialized by the caller: a forward pass is not
-// reentrant — every layer caches its input, the operands of the call in
-// flight and its per-worker scratch on itself.
+// per-frame [1,ch,Sh,Sw] copies, so the frames own their predictions (a
+// quant.QuantizedModel reuses its output buffer on the next forward; an
+// nn.Graph returns a fresh tensor each time). Calls for the same model must
+// be serialized by the caller: a forward pass is not reentrant — an nn.Graph
+// keeps the feature maps of the forward in flight in one arena it owns, and
+// its layers keep the operands of the call in flight and their per-worker
+// scratch on themselves.
 func InferBatch(m Model, frames []*Frame) error {
 	if len(frames) == 0 {
 		return nil

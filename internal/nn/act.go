@@ -7,8 +7,8 @@ import "skynet/internal/tensor"
 // activation the paper adopts because its bounded range lets intermediate
 // feature maps be represented with fewer bits on embedded hardware (§5.2).
 type ReLU struct {
-	Cap  float32 // 0 means unbounded
-	mask []uint8 // 1 where the gradient passes through
+	Cap float32        // 0 means unbounded
+	x   *tensor.Tensor // input of the last training forward, for Backward
 }
 
 // NewReLU returns an unbounded rectifier.
@@ -28,30 +28,28 @@ func (r *ReLU) Params() []*Param { return nil }
 
 func (r *ReLU) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, r.Name())
-	out := x.Clone()
-	if cap(r.mask) < x.Len() {
-		r.mask = make([]uint8, x.Len())
-	}
-	r.mask = r.mask[:x.Len()]
-	for i, v := range out.Data {
-		switch {
-		case v <= 0:
-			out.Data[i] = 0
-			r.mask[i] = 0
-		case r.Cap > 0 && v >= r.Cap:
-			out.Data[i] = r.Cap
-			r.mask[i] = 0
-		default:
-			r.mask[i] = 1
-		}
-	}
+	out := tensor.New(x.Shape()...)
+	reluInto(out.Data, x.Data, r.Cap)
+	r.x = cacheIf(train, x)
 	return out
 }
 
+// reluInto writes the rectifier of src, clipped to cap when cap > 0, to dst.
+//
+//skynet:hotpath
+func reluInto(dst, src []float32, cap float32) {
+	for i, v := range src {
+		dst[i] = tensor.ReLUClamp(v, cap)
+	}
+}
+
+// Backward passes the gradient where Forward left the value alone: inside
+// (0, Cap), and at NaN.
 func (r *ReLU) Backward(dout *tensor.Tensor) []*tensor.Tensor {
+	x := needTrainForward(r.x, r.Name())
 	dx := dout.Clone()
-	for i := range dx.Data {
-		if r.mask[i] == 0 {
+	for i, v := range x.Data {
+		if v <= 0 || r.Cap > 0 && v >= r.Cap {
 			dx.Data[i] = 0
 		}
 	}
@@ -72,7 +70,7 @@ func (l *LeakyReLU) Params() []*Param { return nil }
 
 func (l *LeakyReLU) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "leakyrelu")
-	l.x = x
+	l.x = cacheIf(train, x)
 	out := x.Clone()
 	for i, v := range out.Data {
 		if v < 0 {
@@ -84,7 +82,7 @@ func (l *LeakyReLU) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 
 func (l *LeakyReLU) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	dx := dout.Clone()
-	for i, v := range l.x.Data {
+	for i, v := range needTrainForward(l.x, "leakyrelu").Data {
 		if v < 0 {
 			dx.Data[i] *= l.Alpha
 		}

@@ -18,22 +18,26 @@ import (
 // worker 0 is the calling goroutine. A warm forward allocates its output
 // tensor and, beyond one worker, the goroutines of the batch split; the
 // output belongs to the caller.
+//
+// A 1×1, stride-1, unpadded convolution skips im2col: its [InC, H·W] image
+// already is the GEMM's B operand.
 type Conv2D struct {
-	InC, OutC  int
-	K          int // square kernel size
-	Stride     int
-	Pad        int
-	UseBias    bool
-	Weight     *Param // [OutC, InC*K*K]
-	Bias       *Param // [OutC], nil unless UseBias
-	label      string
-	x          *tensor.Tensor // cached input
-	outH, outW int
-	lastN      int
+	InC, OutC int
+	K         int // square kernel size
+	Stride    int
+	Pad       int
+	UseBias   bool
+	Weight    *Param // [OutC, InC*K*K]
+	Bias      *Param // [OutC], nil unless UseBias
+	label     string
+	x         *tensor.Tensor // input of the last training forward, for Backward
+	// Geometry of the last forward (forwardInto), for Cost and Backward.
+	lastN, inH, inW, outH, outW int
 
 	fwd, bwd func(worker, i int) // batch loop bodies: forwardImage, backwardImage
 	ws       []convScratch       // per-worker scratch, reused across calls
-	out      *tensor.Tensor      // Forward in flight: the output being filled
+	src, dst []float32           // forward in flight: input batch, output being filled
+	ep       tensor.RowEpilogue  // forward in flight: what the GEMM store applies per channel
 	dout, dx *tensor.Tensor      // Backward in flight: output gradient, input gradient
 	dwImg    []*tensor.Tensor    // per-image weight-gradient staging [OutC, InC*K*K]
 	dbImg    []float32           // per-image bias-gradient staging [n*OutC]
@@ -48,8 +52,8 @@ type convScratch struct {
 	col  *tensor.Tensor // im2col of the worker's current image
 	dcol *tensor.Tensor // gradient of the im2col matrix; nil until the first Backward
 	// Views of the worker's current image, repointed per image: the input
-	// [InC,H,W], the output or its gradient [OutC, outH*outW], and the
-	// input gradient [InC,H,W].
+	// [InC,H,W], the output gradient [OutC, outH*outW], and the input
+	// gradient [InC,H,W].
 	img, om, dimg *tensor.Tensor
 }
 
@@ -82,43 +86,71 @@ func (c *Conv2D) Params() []*Param {
 	return []*Param{c.Weight}
 }
 
-// Forward lowers the convolution to one GEMM per image via im2col, the
-// images split across workers.
+// Forward lowers the convolution to one GEMM per image, the images split
+// across workers.
 //
 //skynet:hotpath
 func (c *Conv2D) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, c.label)
-	expect4D(x, c.InC, c.label)
-	n := x.Dim(0)
-	c.outH = tensor.ConvOut(x.Dim(2), c.K, c.Stride, c.Pad)
-	c.outW = tensor.ConvOut(x.Dim(3), c.K, c.Stride, c.Pad)
-	c.x = x
-	c.lastN = n
-	c.ensureScratch(workersFor(n))
-	out := tensor.New(n, c.OutC, c.outH, c.outW)
-	c.out = out
-	parallelForWorkers(n, c.fwd)
-	c.out = nil
+	expect4D(x.Shape(), c.InC, c.label)
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	outH, outW := c.outSize(h, w)
+	out := tensor.New(n, c.OutC, outH, outW)
+	c.forwardInto(out.Data, x.Data, n, h, w, tensor.RowEpilogue{})
+	c.x = cacheIf(train, x)
 	return out
 }
 
-// forwardImage is Forward's loop body: image i on the given worker's scratch.
+// forwardInto convolves the n images [InC,h,w] of src into dst and records
+// the geometry; the input a training forward cached for Backward is dropped,
+// since it no longer matches. tail's batch norm and clamp (its Bias is
+// ignored: the layer's own is used) run in the GEMM store; the inference
+// plan uses that to fuse the conv's sole-consumer BatchNorm and ReLU.
+//
+//skynet:hotpath
+func (c *Conv2D) forwardInto(dst, src []float32, n, h, w int, tail tensor.RowEpilogue) {
+	c.x = nil
+	c.lastN, c.inH, c.inW = n, h, w
+	c.outH, c.outW = c.outSize(h, w)
+	if !c.direct() {
+		c.ensureScratch(workersFor(n))
+	}
+	c.src, c.dst, c.ep = src, dst, tail
+	c.ep.Bias = nil
+	if c.Bias != nil {
+		c.ep.Bias = c.Bias.W.Data
+	}
+	parallelForWorkers(n, c.fwd)
+	c.src, c.dst, c.ep = nil, nil, tensor.RowEpilogue{}
+}
+
+// outSize returns the output height and width for an h×w input.
+//
+//skynet:hotpath
+func (c *Conv2D) outSize(h, w int) (int, int) {
+	return tensor.ConvOut(h, c.K, c.Stride, c.Pad), tensor.ConvOut(w, c.K, c.Stride, c.Pad)
+}
+
+// direct reports whether an image is its own im2col matrix.
+//
+//skynet:hotpath
+func (c *Conv2D) direct() bool { return c.K == 1 && c.Stride == 1 && c.Pad == 0 }
+
+// forwardImage is forwardInto's loop body: image i on the given worker's
+// scratch.
 //
 //skynet:hotpath
 func (c *Conv2D) forwardImage(worker, i int) {
-	s := &c.ws[worker]
-	h, w, cols := c.x.Dim(2), c.x.Dim(3), c.outH*c.outW
-	imgSz, perImg := c.InC*h*w, c.OutC*cols
-	s.img = viewInto3(s.img, c.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
-	tensor.Im2Col(s.col, s.img, c.K, c.K, c.Stride, c.Pad)
-	s.om = viewInto2(s.om, c.out.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
-	// The bias add is fused into the GEMM epilogue rather than a separate
-	// pass over the output.
-	if c.Bias != nil {
-		tensor.MatMulRowBiasInto(s.om, c.Weight.W, s.col, c.Bias.W)
-	} else {
-		tensor.MatMulInto(s.om, c.Weight.W, s.col)
+	cols := c.outH * c.outW
+	imgSz, perImg := c.InC*c.inH*c.inW, c.OutC*cols
+	b := c.src[i*imgSz : (i+1)*imgSz]
+	if !c.direct() {
+		s := &c.ws[worker]
+		s.img = viewInto3(s.img, b, c.InC, c.inH, c.inW)
+		tensor.Im2Col(s.col, s.img, c.K, c.K, c.Stride, c.Pad)
+		b = s.col.Data
 	}
+	tensor.MatMulRowEpilogueInto(c.dst[i*perImg:(i+1)*perImg], c.Weight.W.Data, b, c.OutC, cols, c.InC*c.K*c.K, c.ep)
 }
 
 // ensureScratch sizes the per-worker scratch for nw workers at the current
@@ -142,6 +174,7 @@ func (c *Conv2D) ensureScratch(nw int) {
 // same for every worker count and training stays bitwise reproducible
 // across GOMAXPROCS settings.
 func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
+	needTrainForward(c.x, c.label)
 	n := c.lastN
 	rows := c.InC * c.K * c.K
 	nw := workersFor(n)
@@ -158,7 +191,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 		}
 		c.dbImg = make([]float32, n*c.OutC)
 	}
-	dx := tensor.New(n, c.InC, c.x.Dim(2), c.x.Dim(3))
+	dx := tensor.New(n, c.InC, c.inH, c.inW)
 	c.dout, c.dx = dout, dx
 	parallelForWorkers(n, c.bwd)
 	c.dout, c.dx = nil, nil
@@ -177,7 +210,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 // scratch, its parameter gradients staged in slot i.
 func (c *Conv2D) backwardImage(worker, i int) {
 	s := &c.ws[worker]
-	h, w, cols := c.x.Dim(2), c.x.Dim(3), c.outH*c.outW
+	h, w, cols := c.inH, c.inW, c.outH*c.outW
 	imgSz, perImg := c.InC*h*w, c.OutC*cols
 	s.img = viewInto3(s.img, c.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
 	tensor.Im2Col(s.col, s.img, c.K, c.K, c.Stride, c.Pad)
@@ -207,7 +240,7 @@ func (c *Conv2D) Cost() (macs, bytes int64) {
 	spatial := int64(c.outH) * int64(c.outW)
 	macs = int64(c.lastN) * int64(c.OutC) * int64(c.InC) * int64(c.K*c.K) * spatial
 	wBytes := int64(c.Weight.W.Len()) * 4
-	inBytes := int64(c.lastN*c.InC) * int64(c.x.Dim(2)*c.x.Dim(3)) * 4
+	inBytes := int64(c.lastN*c.InC) * int64(c.inH*c.inW) * 4
 	outBytes := int64(c.lastN*c.OutC) * spatial * 4
 	return macs, wBytes + inBytes + outBytes
 }
@@ -222,14 +255,14 @@ type DWConv3 struct {
 	Stride  int
 	Pad     int
 	UseBias bool
-	Weight  *Param // [C, K, K]
-	Bias    *Param // [C]
-	x       *tensor.Tensor
-	outH    int
-	outW    int
+	Weight  *Param         // [C, K, K]
+	Bias    *Param         // [C]
+	x       *tensor.Tensor // input of the last training forward, for Backward
+	// Geometry of the last forward (forwardInto), for Cost and Backward.
+	lastN, inH, inW, outH, outW int
 
-	fwd func(worker, idx int) // plane loop body (forwardPlane), bound at construction like Conv2D's
-	out *tensor.Tensor        // Forward in flight: the output being filled
+	fwd      func(worker, idx int) // plane loop body (forwardPlane), bound at construction like Conv2D's
+	src, dst []float32             // forward in flight: input batch, output being filled
 }
 
 // NewDWConv3 constructs a depth-wise convolution with He initialization.
@@ -256,60 +289,154 @@ func (d *DWConv3) Params() []*Param {
 
 func (d *DWConv3) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "dwconv3")
-	expect4D(x, d.C, "dwconv3")
-	n := x.Dim(0)
-	d.outH = tensor.ConvOut(x.Dim(2), d.K, d.Stride, d.Pad)
-	d.outW = tensor.ConvOut(x.Dim(3), d.K, d.Stride, d.Pad)
-	d.x = x
-	out := tensor.New(n, d.C, d.outH, d.outW)
-	d.out = out
-	// Each (image, channel) plane is independent — parallelize the product.
-	parallelForWorkers(n*d.C, d.fwd)
-	d.out = nil
+	expect4D(x.Shape(), d.C, "dwconv3")
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	outH, outW := d.outSize(h, w)
+	out := tensor.New(n, d.C, outH, outW)
+	d.forwardInto(out.Data, x.Data, n, h, w)
+	d.x = cacheIf(train, x)
 	return out
 }
 
-// forwardPlane is Forward's loop body: one (image, channel) output plane;
-// idx indexes the flattened n×C plane grid. It needs no scratch, so the
-// worker index goes unused.
+// outSize returns the output height and width for an h×w input.
+//
+//skynet:hotpath
+func (d *DWConv3) outSize(h, w int) (int, int) {
+	return tensor.ConvOut(h, d.K, d.Stride, d.Pad), tensor.ConvOut(w, d.K, d.Stride, d.Pad)
+}
+
+// forwardInto convolves the n images [C,h,w] of src into dst and records
+// the geometry, dropping the input a training forward cached for Backward.
+//
+//skynet:hotpath
+func (d *DWConv3) forwardInto(dst, src []float32, n, h, w int) {
+	d.x = nil
+	d.lastN, d.inH, d.inW = n, h, w
+	d.outH, d.outW = d.outSize(h, w)
+	d.src, d.dst = src, dst
+	// Each (image, channel) plane is independent — parallelize the product.
+	parallelForWorkers(n*d.C, d.fwd)
+	d.src, d.dst = nil, nil
+}
+
+// forwardPlane is forwardInto's loop body: one (image, channel) output
+// plane; idx indexes the flattened n×C plane grid. It needs no scratch, so
+// the worker index goes unused.
+//
+// Output pixels whose whole K×K window lies inside the image — all but a
+// ring of width Pad — take a loop with no bounds tests, unrolled for the
+// 3×3 stride-1 case; the ring takes dwPixel, the general form. Both start
+// from the bias and add the taps in ascending (ky, kx) order, so where the
+// split falls changes no bit.
 //
 //skynet:hotpath
 func (d *DWConv3) forwardPlane(_, idx int) {
-	h, w := d.x.Dim(2), d.x.Dim(3)
+	h, w, outH, outW, k, stride, pad := d.inH, d.inW, d.outH, d.outW, d.K, d.Stride, d.Pad
 	ch := idx % d.C
-	in := d.x.Data[idx*h*w:]
-	ob := d.out.Data[idx*d.outH*d.outW:]
-	ker := d.Weight.W.Data[ch*d.K*d.K:]
+	in := d.src[idx*h*w : (idx+1)*h*w]
+	ob := d.dst[idx*outH*outW : (idx+1)*outH*outW]
+	ker := d.Weight.W.Data[ch*k*k : (ch+1)*k*k]
 	var bias float32
 	if d.Bias != nil {
 		bias = d.Bias.W.Data[ch]
 	}
-	oi := 0
-	for oy := 0; oy < d.outH; oy++ {
-		for ox := 0; ox < d.outW; ox++ {
-			s := bias
-			for ky := 0; ky < d.K; ky++ {
-				iy := oy*d.Stride - d.Pad + ky
-				if iy < 0 || iy >= h {
-					continue
-				}
-				for kx := 0; kx < d.K; kx++ {
-					ix := ox*d.Stride - d.Pad + kx
-					if ix < 0 || ix >= w {
-						continue
-					}
-					s += in[iy*w+ix] * ker[ky*d.K+kx]
-				}
-			}
-			ob[oi] = s
-			oi++
+	oy0, oy1 := interior(h, outH, k, stride, pad)
+	ox0, ox1 := interior(w, outW, k, stride, pad)
+	for oy := 0; oy < outH; oy++ {
+		orow := ob[oy*outW : (oy+1)*outW]
+		x0, x1 := ox0, ox1
+		if oy < oy0 || oy >= oy1 {
+			x0, x1 = outW, outW // a ring row has no interior
+		}
+		for ox := 0; ox < x0; ox++ {
+			orow[ox] = dwPixel(in, ker, bias, h, w, k, oy*stride-pad, ox*stride-pad)
+		}
+		if x0 < x1 {
+			// The window of output x0 has its top-left corner here.
+			first := (oy*stride-pad)*w + x0*stride - pad
+			dwInteriorRow(orow[x0:x1], in[first:], ker, bias, w, k, stride)
+		}
+		for ox := x1; ox < outW; ox++ {
+			orow[ox] = dwPixel(in, ker, bias, h, w, k, oy*stride-pad, ox*stride-pad)
 		}
 	}
 }
 
+// dwInteriorRow computes consecutive outputs o of one row whose windows lie
+// wholly inside the image; in starts at the first window's top-left corner
+// and w is the image's row stride.
+//
+//skynet:hotpath
+func dwInteriorRow(o, in, ker []float32, bias float32, w, k, stride int) {
+	if k == 3 && stride == 1 {
+		r0, r1, r2 := in[:len(o)+2], in[w:w+len(o)+2], in[2*w:2*w+len(o)+2]
+		k0, k1, k2, k3, k4, k5, k6, k7, k8 := ker[0], ker[1], ker[2], ker[3], ker[4], ker[5], ker[6], ker[7], ker[8]
+		for i := range o {
+			s := bias
+			s += r0[i] * k0
+			s += r0[i+1] * k1
+			s += r0[i+2] * k2
+			s += r1[i] * k3
+			s += r1[i+1] * k4
+			s += r1[i+2] * k5
+			s += r2[i] * k6
+			s += r2[i+1] * k7
+			s += r2[i+2] * k8
+			o[i] = s
+		}
+		return
+	}
+	for i := range o {
+		s := bias
+		for ky := 0; ky < k; ky++ {
+			row := in[i*stride+ky*w:]
+			for kx, kv := range ker[ky*k : (ky+1)*k] {
+				s += row[kx] * kv
+			}
+		}
+		o[i] = s
+	}
+}
+
+// interior returns the half-open range of output positions along one axis
+// whose k taps all fall inside [0, size).
+//
+//skynet:hotpath
+func interior(size, out, k, stride, pad int) (lo, hi int) {
+	lo = min(out, (pad+stride-1)/stride)
+	hi = lo
+	if last := size - k + pad; last >= 0 {
+		hi = max(lo, min(out, last/stride+1))
+	}
+	return lo, hi
+}
+
+// dwPixel is one depth-wise output whose k×k window, with top-left input
+// corner (iy0, ix0), may hang over the image edge: taps outside contribute
+// nothing.
+//
+//skynet:hotpath
+func dwPixel(in, ker []float32, bias float32, h, w, k, iy0, ix0 int) float32 {
+	s := bias
+	for ky := 0; ky < k; ky++ {
+		iy := iy0 + ky
+		if iy < 0 || iy >= h {
+			continue
+		}
+		for kx := 0; kx < k; kx++ {
+			ix := ix0 + kx
+			if ix < 0 || ix >= w {
+				continue
+			}
+			s += in[iy*w+ix] * ker[ky*k+kx]
+		}
+	}
+	return s
+}
+
 func (d *DWConv3) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	x := d.x
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	x := needTrainForward(d.x, "dwconv3")
+	n, h, w := d.lastN, d.inH, d.inW
 	dx := tensor.New(n, d.C, h, w)
 	// Parallel over channels, with the batch loop inside: every write
 	// target — Weight.G[ch], Bias.G[ch] and the (i, ch) planes of dx — is
@@ -364,10 +491,10 @@ func (d *DWConv3) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 // Cost reports MACs and bytes moved for the most recent forward pass.
 func (d *DWConv3) Cost() (macs, bytes int64) {
 	spatial := int64(d.outH) * int64(d.outW)
-	n := int64(d.x.Dim(0))
+	n := int64(d.lastN)
 	macs = n * int64(d.C) * int64(d.K*d.K) * spatial
 	wBytes := int64(d.Weight.W.Len()) * 4
-	inBytes := n * int64(d.C) * int64(d.x.Dim(2)*d.x.Dim(3)) * 4
+	inBytes := n * int64(d.C) * int64(d.inH*d.inW) * 4
 	outBytes := n * int64(d.C) * spatial * 4
 	return macs, wBytes + inBytes + outBytes
 }

@@ -19,23 +19,34 @@ type Node struct {
 
 // Graph is a single-input, single-output DAG of layers in topological
 // (insertion) order. It covers both plain chains (Sequential networks) and
-// the bypass topology of SkyNet models B/C. Forward caches every node
-// output so Backward can route gradients; FMHook, when set, is applied to
-// every intermediate feature map — the quantization package uses it to
-// emulate fixed-point inference.
+// the bypass topology of SkyNet models B/C.
+//
+// Forward(x, true) walks the layers, which cache what Backward needs.
+// Forward(x, false) runs a compiled inference plan (plan.go): it touches no
+// layer cache, keeps its feature maps in one arena the graph owns, and
+// returns bitwise what the walk would. In both modes the returned tensor is
+// a fresh one that belongs to the caller, and FMHook, when set, is applied
+// to every node's output — the quantization package uses it to emulate
+// fixed-point inference and to calibrate. A Graph is not safe for
+// concurrent use.
 type Graph struct {
 	Nodes []*Node
 	// Output is the index of the node whose output is the graph output.
 	// Defaults to the last node.
 	Output int
 	// FMHook, if non-nil, is invoked on each node's output tensor during
-	// Forward (e.g. to quantize feature maps in place).
+	// Forward (e.g. to quantize feature maps in place). While it is set an
+	// inference forward fuses nothing and allocates every feature map
+	// afresh, so the hook sees each node; nothing of that forward is kept.
 	FMHook func(nodeIdx int, t *tensor.Tensor)
 	// OutShapes records each node's output shape from the last Forward,
-	// for hardware cost models.
+	// for hardware cost models. The shapes are valid until the next Forward
+	// and must not be modified.
 	OutShapes [][]int
 
-	outs []*tensor.Tensor
+	trained bool      // the last Forward was a training one: the layers hold its caches
+	plans   []*plan   // inference plans, most recently used first, one per input sample shape
+	arena   []float32 // feature maps of the inference forward in flight
 }
 
 // NewGraph returns an empty graph.
@@ -73,14 +84,16 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(g.Nodes) == 0 {
 		panic("nn: forward on empty graph")
 	}
-	if cap(g.outs) < len(g.Nodes) {
-		g.outs = make([]*tensor.Tensor, len(g.Nodes))
+	g.trained = train
+	if !train {
+		hooked := g.FMHook != nil
+		p := g.planFor(x)
+		p.prepare(g, x.Dim(0), hooked)
+		g.OutShapes = p.shapes
+		return p.run(g, x, hooked)
 	}
-	g.outs = g.outs[:len(g.Nodes)]
-	if cap(g.OutShapes) < len(g.Nodes) {
-		g.OutShapes = make([][]int, len(g.Nodes))
-	}
-	g.OutShapes = g.OutShapes[:len(g.Nodes)]
+	outs := make([]*tensor.Tensor, len(g.Nodes))
+	g.OutShapes = make([][]int, len(g.Nodes))
 	ins := make([]*tensor.Tensor, 0, 2)
 	for i, n := range g.Nodes {
 		ins = ins[:0]
@@ -88,23 +101,28 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			if j == GraphInput {
 				ins = append(ins, x)
 			} else {
-				ins = append(ins, g.outs[j])
+				ins = append(ins, outs[j])
 			}
 		}
-		out := n.Layer.Forward(ins, train)
+		out := n.Layer.Forward(ins, true)
 		if g.FMHook != nil {
 			g.FMHook(i, out)
 		}
-		g.outs[i] = out
+		outs[i] = out
 		g.OutShapes[i] = out.Shape()
 	}
-	return g.outs[g.output()]
+	return outs[g.output()]
 }
 
 // Backward propagates dout (gradient w.r.t. the graph output) through every
 // node in reverse order, accumulating parameter gradients, and returns the
-// gradient with respect to the graph input.
+// gradient with respect to the graph input. The layers' caches must be
+// those of this graph's last forward, so that forward has to be a
+// Forward(x, true): an inference forward runs the plan and leaves none.
 func (g *Graph) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	if !g.trained {
+		panic("nn: Graph.Backward needs a preceding Forward(x, true): the last forward was an inference pass (or there was none), which leaves no layer caches to differentiate")
+	}
 	grads := make([]*tensor.Tensor, len(g.Nodes))
 	grads[g.output()] = dout
 	var dinput *tensor.Tensor

@@ -39,7 +39,8 @@ func (p *Param) ZeroGrad() { p.G.Zero() }
 // Backward consumes the gradient of the loss with respect to that output and
 // returns the gradients with respect to each input, accumulating parameter
 // gradients into Params() along the way. Layers cache whatever they need
-// from the most recent Forward, so calls must be paired Forward→Backward.
+// from the most recent training Forward, so calls must be paired
+// Forward(xs, true)→Backward.
 type Layer interface {
 	// Name returns a short human-readable identifier (e.g. "conv3x3").
 	Name() string
@@ -72,14 +73,35 @@ func one(xs []*tensor.Tensor, name string) *tensor.Tensor {
 	return xs[0]
 }
 
-// expect4D validates an [N,C,H,W] input with the given channel count.
+// expect4D validates an [N,C,H,W] input shape with the given channel count.
 //
 //skynet:hotpath
-func expect4D(x *tensor.Tensor, wantC int, name string) {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: layer %s expects [N,C,H,W] input, got shape %v", name, x.Shape()))
+func expect4D(shape []int, wantC int, name string) {
+	if len(shape) != 4 {
+		panic(fmt.Sprintf("nn: layer %s expects [N,C,H,W] input, got shape %v", name, shape))
 	}
-	if wantC > 0 && x.Dim(1) != wantC {
-		panic(fmt.Sprintf("nn: layer %s expects %d input channels, got %d", name, wantC, x.Dim(1)))
+	if wantC > 0 && shape[1] != wantC {
+		panic(fmt.Sprintf("nn: layer %s expects %d input channels, got %d", name, wantC, shape[1]))
 	}
+}
+
+// cacheIf is what a layer keeps of its input for Backward: the tensor after
+// a training forward, nothing after an inference one — which therefore pins
+// no batch, and lets a Backward that does not follow a training forward
+// fail in needTrainForward and not read an older pass's input.
+//
+//skynet:hotpath
+func cacheIf(train bool, x *tensor.Tensor) *tensor.Tensor {
+	if train {
+		return x
+	}
+	return nil
+}
+
+// needTrainForward returns the input cached by cacheIf for a Backward.
+func needTrainForward(x *tensor.Tensor, name string) *tensor.Tensor {
+	if x == nil {
+		panic(fmt.Sprintf("nn: layer %s: Backward needs a preceding Forward(x, true)", name))
+	}
+	return x
 }

@@ -10,9 +10,10 @@ import (
 // AlexNet/VGG classifier baselines.
 type Linear struct {
 	In, Out int
-	Weight  *Param // [Out, In]
-	Bias    *Param // [Out]
-	x       *tensor.Tensor
+	Weight  *Param         // [Out, In]
+	Bias    *Param         // [Out]
+	x       *tensor.Tensor // input of the last training forward, for Backward
+	lastN   int            // batch size of the last forward, for Cost
 }
 
 // NewLinear constructs a fully-connected layer with Xavier initialization.
@@ -31,8 +32,9 @@ func (l *Linear) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != l.In {
 		panic("nn: linear expects [N, In] input")
 	}
-	l.x = x
+	l.x = cacheIf(train, x)
 	n := x.Dim(0)
+	l.lastN = n
 	out := tensor.New(n, l.Out)
 	// out = x · Wᵀ + bias, with the bias add fused into the GEMM epilogue.
 	tensor.MatMulTransposeBColBiasInto(out, x, l.Weight.W, l.Bias.W)
@@ -40,7 +42,7 @@ func (l *Linear) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 func (l *Linear) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	n := l.x.Dim(0)
+	n := needTrainForward(l.x, "linear").Dim(0)
 	// dW += doutᵀ · x ; computed as (dout)ᵀ rows over x.
 	tensor.MatMulTransposeAAddInto(l.Weight.G, dout, l.x)
 	for i := 0; i < n; i++ {
@@ -56,7 +58,7 @@ func (l *Linear) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 
 // Cost reports MACs and bytes moved for the most recent forward pass.
 func (l *Linear) Cost() (macs, bytes int64) {
-	n := int64(l.x.Dim(0))
+	n := int64(l.lastN)
 	macs = n * int64(l.In) * int64(l.Out)
 	return macs, int64(l.Weight.W.Len())*4 + n*int64(l.In+l.Out)*4
 }

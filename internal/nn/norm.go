@@ -42,7 +42,7 @@ func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 func (b *BatchNorm) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "batchnorm")
-	expect4D(x, b.C, "batchnorm")
+	expect4D(x.Shape(), b.C, "batchnorm")
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	hw := h * w
 	out := tensor.New(n, b.C, h, w)
@@ -88,22 +88,41 @@ func (b *BatchNorm) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		return out
 	}
-	// Eval mode: use running statistics.
-	for c := 0; c < b.C; c++ {
-		inv := float32(1.0 / math.Sqrt(float64(b.RunVar.Data[c])+float64(b.Eps)))
-		mean := b.RunMean.Data[c]
-		g, bt := b.Gamma.W.Data[c], b.Beta.W.Data[c]
-		for i := 0; i < n; i++ {
-			base := (i*b.C + c) * hw
-			for j := 0; j < hw; j++ {
-				out.Data[base+j] = g*(x.Data[base+j]-mean)*inv + bt
-			}
-		}
-	}
+	b.evalInto(out.Data, x.Data, n, hw)
 	return out
 }
 
+// evalInv returns channel c's 1/sqrt(var+eps) from the running variance. It
+// is recomputed on every forward, never stored, so the statistics can change
+// under a caller (training, a Load) without anything going stale.
+//
+//skynet:hotpath
+func (b *BatchNorm) evalInv(c int) float32 {
+	return float32(1.0 / math.Sqrt(float64(b.RunVar.Data[c])+float64(b.Eps)))
+}
+
+// evalInto normalizes the n images [C, hw] of src into dst with the running
+// statistics (eval mode), dropping what a training forward cached for
+// Backward.
+//
+//skynet:hotpath
+func (b *BatchNorm) evalInto(dst, src []float32, n, hw int) {
+	b.xhat = nil
+	for c := 0; c < b.C; c++ {
+		inv, mean := b.evalInv(c), b.RunMean.Data[c]
+		g, bt := b.Gamma.W.Data[c], b.Beta.W.Data[c]
+		for i := 0; i < n; i++ {
+			base := (i*b.C + c) * hw
+			d := dst[base : base+hw]
+			for j, v := range src[base : base+hw] {
+				d[j] = tensor.BNEval(v, g, mean, inv, bt)
+			}
+		}
+	}
+}
+
 func (b *BatchNorm) Backward(dout *tensor.Tensor) []*tensor.Tensor {
+	needTrainForward(b.xhat, "batchnorm")
 	n, hw := b.lastN, b.lastHW
 	cnt := float32(n * hw)
 	dx := tensor.New(dout.Shape()...)

@@ -1,0 +1,488 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"skynet/internal/tensor"
+)
+
+// This file is the inference side of Graph.Forward: a plan compiled once per
+// (node list, Output, input sample shape) and an executor that runs it.
+//
+// The plan holds structure only — shapes, which BatchNorm and ReLU nodes
+// fold into which convolution's GEMM store, and where in the graph's arena
+// each feature map lives. Every parameter (weights, biases, batch-norm
+// statistics, an activation's Cap) is read from the layers on each forward,
+// nothing is folded or copied, so an optimizer step, pruning or a Load
+// between two forwards cannot make a plan stale. Layer hyper-parameters that
+// decide shapes (a conv's K, Stride, Pad, channel counts; a pool's K) are
+// structure: changing one on a live layer needs a new graph.
+//
+// Each op has one implementation that writes into a destination slice
+// (Conv2D.forwardInto, DWConv3.forwardInto, BatchNorm.evalInto, reluInto,
+// maxPoolInto, reorgInto, concatInto); a layer's Forward and the executor
+// both call it, and the fused GEMM tail calls the same two scalar functions
+// (tensor.BNEval, tensor.ReLUClamp) the stand-alone passes call. The
+// executor therefore performs, per element, the float operations of the
+// layer walk in the same order: its outputs are bitwise those of the walk.
+
+// ConvChain is the tail that may fuse into one Conv2D node's GEMM:
+// conv → [BatchNorm] → [ReLU], following sole-consumer edges only, so no
+// other node ever needs the intermediate values.
+type ConvChain struct {
+	BN  *BatchNorm // nil when the conv's sole consumer is not a batch norm
+	Act *ReLU      // nil when the chain does not end in a rectifier
+	// Tail lists the node indices of BN and Act, in chain order.
+	Tail []int
+}
+
+// Last returns the node whose output the chain headed by conv node i
+// produces: the last of Tail, or i itself when nothing fuses.
+//
+//skynet:hotpath
+func (c ConvChain) Last(i int) int {
+	if n := len(c.Tail); n > 0 {
+		return c.Tail[n-1]
+	}
+	return i
+}
+
+// ConvChains returns, indexed by node, the chain of every Conv2D node of g
+// (the zero ConvChain for other nodes). The graph output counts as a
+// consumer of its node. separate, when non-nil, marks nodes that must stay
+// units of their own: a marked conv gets no chain and a marked BatchNorm or
+// ReLU ends the chain before it.
+func ConvChains(g *Graph, separate []bool) []ConvChain {
+	fanout := make([]int, len(g.Nodes))
+	consumer := make([]int, len(g.Nodes)) // sole consumer when fanout == 1
+	for i := range consumer {
+		consumer[i] = -1
+	}
+	for i, n := range g.Nodes {
+		for _, j := range n.Inputs {
+			if j != GraphInput {
+				fanout[j]++
+				consumer[j] = i
+			}
+		}
+	}
+	fanout[g.output()]++
+	// next is the node that may fuse onto node i, or -1.
+	next := func(i int) int {
+		if j := consumer[i]; fanout[i] == 1 && j >= 0 && (separate == nil || !separate[j]) {
+			return j
+		}
+		return -1
+	}
+	chains := make([]ConvChain, len(g.Nodes))
+	for i, n := range g.Nodes {
+		if _, ok := n.Layer.(*Conv2D); !ok || separate != nil && separate[i] {
+			continue
+		}
+		ch := &chains[i]
+		j := next(i)
+		if j >= 0 {
+			if bn, ok := g.Nodes[j].Layer.(*BatchNorm); ok {
+				ch.BN, ch.Tail = bn, append(ch.Tail, j)
+				j = next(j)
+			}
+		}
+		if j >= 0 {
+			if act, ok := g.Nodes[j].Layer.(*ReLU); ok {
+				ch.Act, ch.Tail = act, append(ch.Tail, j)
+			}
+		}
+	}
+	return chains
+}
+
+// planNode is one graph node as the plan sees it.
+type planNode struct {
+	layer  Layer
+	inputs []int
+	// dims is the node's output shape; dims[0] follows the batch size of the
+	// forward in flight, the rest is fixed at compile time.
+	dims []int
+	size int // output elements per sample
+
+	chain ConvChain // Conv2D: what its GEMM store applies when fusing
+	inv   []float32 // Conv2D with a chain BN: per-channel 1/sqrt(var+eps), refilled every forward
+	fused bool      // BatchNorm or ReLU computed by its conv's GEMM store
+	chans []int     // Concat: channels of each input
+	// forward is the layer's own Forward, for kinds the executor does not
+	// lower; nil for the others.
+	forward func(xs []*tensor.Tensor, train bool) *tensor.Tensor
+
+	// off is the arena offset, in elements per sample, of the slot this
+	// node's output is written to; -1 when it has none (fused into a later
+	// node's slot, the graph output, a fallback layer's own tensor).
+	off int
+	// frees lists the nodes whose slots nothing reads after this step.
+	frees []int
+
+	// State of the forward in flight, cleared when it returns.
+	buf  []float32
+	out  *tensor.Tensor   // set when buf is a tensor of its own, not an arena slot
+	ins  []*tensor.Tensor // fallback: argument list
+	srcs [][]float32      // Concat: argument list
+	// view wraps an arena slot for a fallback consumer; kept across forwards
+	// while it still describes the slot.
+	view *tensor.Tensor
+}
+
+// plan is a compiled inference schedule of one graph at one input sample
+// shape. Arena rule: a slot is written by exactly one step and may be
+// handed to a later step's output only once every reader of it has run
+// (frees); a step's output slot is taken before its inputs are released, so
+// an op never reads and writes the same memory.
+type plan struct {
+	nodes  []planNode
+	output int
+	in     []int   // input shape the plan was compiled for; in[0] is ignored
+	shapes [][]int // the nodes' dims, as Graph.OutShapes
+	// perSample is the arena size in elements per sample: every offset and
+	// size scales by the batch, so one layout serves all batch sizes.
+	perSample int
+	batch     int // dims[0] of every node
+}
+
+// maxPlans bounds the plans a graph keeps, one per input sample shape (a
+// tracker's backbone alternates between two crop sizes); the least recently
+// used is dropped.
+const maxPlans = 4
+
+// poisonReleased makes the executor overwrite every arena slot with NaN as
+// soon as the plan says nothing reads it any more. Tests set it: a slot
+// handed out while still live then shows in the output.
+var poisonReleased bool
+
+// planFor returns the plan for g at x's sample shape, compiling on a miss.
+func (g *Graph) planFor(x *tensor.Tensor) *plan {
+	if len(g.plans) > 0 && !g.plans[0].describes(g) {
+		g.plans = nil
+	}
+	for i, p := range g.plans {
+		if slices.Equal(p.in[1:], x.Shape()[1:]) {
+			copy(g.plans[1:i+1], g.plans[:i])
+			g.plans[0] = p
+			return p
+		}
+	}
+	p := compile(g, x.Shape())
+	g.plans = append([]*plan{p}, g.plans[:min(len(g.plans), maxPlans-1)]...)
+	return p
+}
+
+// describes reports whether p was compiled from g's current node list.
+func (p *plan) describes(g *Graph) bool {
+	if len(p.nodes) != len(g.Nodes) || p.output != g.output() {
+		return false
+	}
+	for i, n := range g.Nodes {
+		if p.nodes[i].layer != n.Layer || !slices.Equal(p.nodes[i].inputs, n.Inputs) {
+			return false
+		}
+	}
+	return true
+}
+
+// compile infers every node's shape from the input shape in, decides fusion
+// and lays the feature maps out in the arena.
+func compile(g *Graph, in []int) *plan {
+	p := &plan{nodes: make([]planNode, len(g.Nodes)), output: g.output(),
+		in: slices.Clone(in), shapes: make([][]int, len(g.Nodes)), batch: 1}
+	p.in[0] = 1
+	chains := ConvChains(g, nil)
+	for i, n := range g.Nodes {
+		pn := &p.nodes[i]
+		pn.layer, pn.inputs, pn.off = n.Layer, slices.Clone(n.Inputs), -1
+		shapes := make([][]int, len(n.Inputs))
+		for k, j := range n.Inputs {
+			shapes[k] = p.shapeOf(j)
+		}
+		switch l := n.Layer.(type) {
+		case *Conv2D:
+			expect4D(shapes[0], l.InC, l.label)
+			outH, outW := l.outSize(shapes[0][2], shapes[0][3])
+			pn.dims = []int{1, l.OutC, outH, outW}
+			pn.chain = chains[i]
+			if pn.chain.BN != nil {
+				pn.inv = make([]float32, l.OutC)
+			}
+			for _, j := range pn.chain.Tail {
+				p.nodes[j].fused = true
+			}
+		case *DWConv3:
+			expect4D(shapes[0], l.C, "dwconv3")
+			outH, outW := l.outSize(shapes[0][2], shapes[0][3])
+			pn.dims = []int{1, l.C, outH, outW}
+		case *BatchNorm:
+			expect4D(shapes[0], l.C, "batchnorm")
+			pn.dims = slices.Clone(shapes[0])
+		case *ReLU:
+			pn.dims = slices.Clone(shapes[0])
+		case *MaxPool:
+			expect4D(shapes[0], 0, "maxpool")
+			pn.dims = []int{1, shapes[0][1], shapes[0][2] / l.K, shapes[0][3] / l.K}
+		case *Reorg:
+			pn.dims = l.outShape(shapes[0])
+		case *Concat:
+			pn.dims = concatShape(shapes)
+			for _, s := range shapes {
+				pn.chans = append(pn.chans, s[1])
+			}
+			pn.srcs = make([][]float32, len(shapes))
+		default:
+			// A kind the executor does not lower keeps running its own
+			// Forward; one call on a zero sample tells its output shape.
+			probe := make([]*tensor.Tensor, len(shapes))
+			for k, s := range shapes {
+				probe[k] = tensor.New(s...)
+			}
+			pn.dims = slices.Clone(l.Forward(probe, false).Shape())
+			pn.forward = l.Forward
+			pn.ins = make([]*tensor.Tensor, len(shapes))
+		}
+		pn.size = 1
+		for _, d := range pn.dims[1:] {
+			pn.size *= d
+		}
+		if pn.size <= 0 {
+			panic(fmt.Sprintf("nn: layer %s (node %d) has empty output shape %v for input %v", n.Layer.Name(), i, pn.dims, shapes))
+		}
+		p.shapes[i] = pn.dims
+	}
+	p.layout()
+	return p
+}
+
+// shapeOf returns the batch-1 shape of node j's output (the graph input's
+// for GraphInput).
+//
+//skynet:hotpath
+func (p *plan) shapeOf(j int) []int {
+	if j == GraphInput {
+		return p.in
+	}
+	return p.nodes[j].dims
+}
+
+// slot returns the node whose output step i writes: the end of its chain
+// for a fusing conv, i itself otherwise.
+//
+//skynet:hotpath
+func (p *plan) slot(i int) int { return p.nodes[i].chain.Last(i) }
+
+// layout assigns arena offsets by liveness: walking the steps in order, a
+// step's output takes the first free span that fits (or extends the arena),
+// and the slots whose last reader is that step are then returned.
+func (p *plan) layout() {
+	lastUse := make([]int, len(p.nodes))
+	for i := range p.nodes {
+		if p.nodes[i].fused {
+			continue
+		}
+		lastUse[p.slot(i)] = i // an output nobody reads dies with its step
+		for _, j := range p.nodes[i].inputs {
+			if j != GraphInput {
+				lastUse[j] = i
+			}
+		}
+	}
+	var free []span // sorted by offset, no two adjacent
+	for i := range p.nodes {
+		pn := &p.nodes[i]
+		if pn.fused {
+			continue
+		}
+		if o := &p.nodes[p.slot(i)]; o.forward == nil && p.slot(i) != p.output {
+			o.off, free = takeSpan(free, o.size, &p.perSample)
+		}
+		for s := range p.nodes {
+			if o := &p.nodes[s]; o.off >= 0 && lastUse[s] == i {
+				pn.frees = append(pn.frees, s)
+				free = returnSpan(free, span{o.off, o.size})
+			}
+		}
+	}
+}
+
+type span struct{ off, size int }
+
+// takeSpan carves size elements out of the first free span that fits; when
+// none does it extends the arena end, starting inside a trailing free span.
+func takeSpan(free []span, size int, end *int) (int, []span) {
+	for i, s := range free {
+		switch {
+		case s.size == size:
+			return s.off, slices.Delete(free, i, i+1)
+		case s.size > size:
+			free[i] = span{s.off + size, s.size - size}
+			return s.off, free
+		}
+	}
+	off := *end
+	if k := len(free) - 1; k >= 0 && free[k].off+free[k].size == off {
+		off, free = free[k].off, free[:k]
+	}
+	*end = off + size
+	return off, free
+}
+
+// returnSpan inserts s into the sorted free list, merging it with the spans
+// it touches.
+func returnSpan(free []span, s span) []span {
+	i, _ := slices.BinarySearchFunc(free, s.off, func(f span, off int) int { return f.off - off })
+	if i < len(free) && s.off+s.size == free[i].off {
+		free[i] = span{s.off, s.size + free[i].size}
+	} else {
+		free = slices.Insert(free, i, s)
+	}
+	if i > 0 && free[i-1].off+free[i-1].size == free[i].off {
+		free[i-1].size += free[i].size
+		free = slices.Delete(free, i, i+1)
+	}
+	return free
+}
+
+// prepare sizes the plan and the graph's arena for a batch of n. The arena
+// only grows — to the largest batch seen — so a batcher that varies the
+// batch size settles after its largest. A hooked forward does not use it.
+func (p *plan) prepare(g *Graph, n int, hooked bool) {
+	if n != p.batch {
+		p.batch = n
+		for i := range p.nodes {
+			p.nodes[i].dims[0] = n
+		}
+	}
+	if need := p.perSample * n; !hooked && len(g.arena) < need {
+		g.arena = make([]float32, need)
+	}
+}
+
+// run executes the plan on x. With hooked set (the graph has an FMHook)
+// nothing fuses and every node's output is a fresh tensor, handed to the
+// hook and dropped when run returns, exactly as a layer walk would; without
+// it only the graph output is a fresh tensor — the caller's — and every
+// other feature map is an arena slot.
+//
+//skynet:hotpath
+func (p *plan) run(g *Graph, x *tensor.Tensor, hooked bool) *tensor.Tensor {
+	n := p.batch
+	for i := range p.nodes {
+		pn := &p.nodes[i]
+		if pn.fused && !hooked {
+			continue
+		}
+		in, src := p.shapeOf(pn.inputs[0]), p.src(pn.inputs[0], x)
+		switch l := pn.layer.(type) {
+		case *Conv2D:
+			o, tail := pn, tensor.RowEpilogue{}
+			if !hooked {
+				o, tail = &p.nodes[p.slot(i)], pn.tail()
+			}
+			l.forwardInto(p.dest(g, o, hooked), src, n, in[2], in[3], tail)
+		case *DWConv3:
+			l.forwardInto(p.dest(g, pn, hooked), src, n, in[2], in[3])
+		case *BatchNorm:
+			l.evalInto(p.dest(g, pn, hooked), src, n, in[2]*in[3])
+		case *ReLU:
+			reluInto(p.dest(g, pn, hooked), src, l.Cap)
+		case *MaxPool:
+			maxPoolInto(p.dest(g, pn, hooked), src, n*in[1], in[2], in[3], l.K)
+		case *Reorg:
+			reorgInto(p.dest(g, pn, hooked), src, n, in[1], in[2], in[3], l.S)
+		case *Concat:
+			for k, j := range pn.inputs {
+				pn.srcs[k] = p.src(j, x)
+			}
+			concatInto(p.dest(g, pn, hooked), pn.srcs, pn.chans, n, in[2]*in[3])
+			clear(pn.srcs)
+		default:
+			for k, j := range pn.inputs {
+				pn.ins[k] = p.tensorOf(j, x)
+			}
+			pn.out = pn.forward(pn.ins, false)
+			pn.buf = pn.out.Data
+			clear(pn.ins)
+		}
+		if hooked {
+			g.FMHook(i, pn.out)
+		} else if poisonReleased {
+			for _, s := range pn.frees {
+				buf := p.nodes[s].buf
+				for k := range buf {
+					buf[k] = float32(math.NaN())
+				}
+			}
+		}
+	}
+	res := p.nodes[p.output].out
+	for i := range p.nodes {
+		p.nodes[i].buf, p.nodes[i].out = nil, nil
+	}
+	return res
+}
+
+// tail is what a fusing conv's GEMM store applies: its chain's batch norm,
+// with the statistics as they are now, and activation.
+//
+//skynet:hotpath
+func (pn *planNode) tail() tensor.RowEpilogue {
+	var ep tensor.RowEpilogue
+	if bn := pn.chain.BN; bn != nil {
+		for c := range pn.inv {
+			pn.inv[c] = bn.evalInv(c)
+		}
+		ep.Gamma, ep.Mean, ep.Inv, ep.Beta = bn.Gamma.W.Data, bn.RunMean.Data, pn.inv, bn.Beta.W.Data
+	}
+	if act := pn.chain.Act; act != nil {
+		ep.ReLU, ep.Cap = true, act.Cap
+	}
+	return ep
+}
+
+// dest readies the memory node o's output is written to: a fresh tensor
+// when asked for or when o has no arena slot (the graph output), else o's
+// slot at the current batch size.
+//
+//skynet:hotpath
+func (p *plan) dest(g *Graph, o *planNode, fresh bool) []float32 {
+	if fresh || o.off < 0 {
+		o.out = tensor.New(o.dims...)
+		o.buf = o.out.Data
+	} else {
+		o.buf = g.arena[o.off*p.batch : (o.off+o.size)*p.batch]
+	}
+	return o.buf
+}
+
+// src returns node j's output of the forward in flight (x for GraphInput).
+//
+//skynet:hotpath
+func (p *plan) src(j int, x *tensor.Tensor) []float32 {
+	if j == GraphInput {
+		return x.Data
+	}
+	return p.nodes[j].buf
+}
+
+// tensorOf is src as a tensor, for a fallback layer's argument list: an
+// arena slot gets a view, rebuilt when the slot moved or changed size.
+//
+//skynet:hotpath
+func (p *plan) tensorOf(j int, x *tensor.Tensor) *tensor.Tensor {
+	if j == GraphInput {
+		return x
+	}
+	pn := &p.nodes[j]
+	if pn.out != nil {
+		return pn.out
+	}
+	if v := pn.view; v == nil || len(v.Data) != len(pn.buf) || &v.Data[0] != &pn.buf[0] {
+		pn.view = tensor.FromSlice(pn.buf, pn.dims...)
+	}
+	return pn.view
+}

@@ -25,29 +25,49 @@ func (c *Concat) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	if len(xs) < 2 {
 		panic("nn: concat expects at least 2 inputs")
 	}
-	n, h, w := xs[0].Dim(0), xs[0].Dim(2), xs[0].Dim(3)
-	c.n, c.h, c.w = n, h, w
+	shapes := make([][]int, len(xs))
+	srcs := make([][]float32, len(xs))
+	for k, x := range xs {
+		shapes[k], srcs[k] = x.Shape(), x.Data
+	}
+	out := tensor.New(concatShape(shapes)...)
 	c.splits = c.splits[:0]
-	total := 0
-	for _, x := range xs {
-		expect4D(x, 0, "concat")
-		if x.Dim(0) != n || x.Dim(2) != h || x.Dim(3) != w {
-			panic(fmt.Sprintf("nn: concat spatial/batch mismatch: %v vs %v", xs[0].Shape(), x.Shape()))
-		}
-		c.splits = append(c.splits, x.Dim(1))
-		total += x.Dim(1)
+	for _, shp := range shapes {
+		c.splits = append(c.splits, shp[1])
 	}
-	out := tensor.New(n, total, h, w)
-	hw := h * w
-	for i := 0; i < n; i++ {
-		off := i * total * hw
-		for k, x := range xs {
-			ck := c.splits[k]
-			copy(out.Data[off:off+ck*hw], x.Data[i*ck*hw:(i+1)*ck*hw])
-			off += ck * hw
-		}
-	}
+	c.n, c.h, c.w = out.Dim(0), out.Dim(2), out.Dim(3)
+	concatInto(out.Data, srcs, c.splits, c.n, c.h*c.w)
 	return out
+}
+
+// concatShape validates the input shapes of a channel concatenation and
+// returns its output shape.
+func concatShape(shapes [][]int) []int {
+	first := shapes[0]
+	total := 0
+	for _, shp := range shapes {
+		expect4D(shp, 0, "concat")
+		if shp[0] != first[0] || shp[2] != first[2] || shp[3] != first[3] {
+			panic(fmt.Sprintf("nn: concat spatial/batch mismatch: %v vs %v", first, shp))
+		}
+		total += shp[1]
+	}
+	return []int{first[0], total, first[2], first[3]}
+}
+
+// concatInto interleaves, image by image, the [chans[k], hw] blocks of the
+// n-image sources into dst.
+//
+//skynet:hotpath
+func concatInto(dst []float32, srcs [][]float32, chans []int, n, hw int) {
+	off := 0
+	for i := 0; i < n; i++ {
+		for k, src := range srcs {
+			sz := chans[k] * hw
+			copy(dst[off:off+sz], src[i*sz:(i+1)*sz])
+			off += sz
+		}
+	}
 }
 
 func (c *Concat) Backward(dout *tensor.Tensor) []*tensor.Tensor {
@@ -90,31 +110,43 @@ func (r *Reorg) Params() []*Param { return nil }
 
 func (r *Reorg) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "reorg")
-	expect4D(x, 0, "reorg")
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	if h%r.S != 0 || w%r.S != 0 {
-		panic(fmt.Sprintf("nn: reorg input %v not divisible by block %d", x.Shape(), r.S))
-	}
 	r.inShp = x.Shape()
-	oh, ow := h/r.S, w/r.S
-	out := tensor.New(n, c*r.S*r.S, oh, ow)
+	out := tensor.New(r.outShape(r.inShp)...)
+	reorgInto(out.Data, x.Data, x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), r.S)
+	return out
+}
+
+// outShape validates an input shape and returns the reordered one.
+func (r *Reorg) outShape(in []int) []int {
+	expect4D(in, 0, "reorg")
+	if in[2]%r.S != 0 || in[3]%r.S != 0 {
+		panic(fmt.Sprintf("nn: reorg input %v not divisible by block %d", in, r.S))
+	}
+	return []int{in[0], in[1] * r.S * r.S, in[2] / r.S, in[3] / r.S}
+}
+
+// reorgInto moves each s×s spatial block of the n images [c,h,w] of src
+// into the channel dimension of dst.
+//
+//skynet:hotpath
+func reorgInto(dst, src []float32, n, c, h, w, s int) {
+	oh, ow := h/s, w/s
 	for i := 0; i < n; i++ {
-		for dy := 0; dy < r.S; dy++ {
-			for dx := 0; dx < r.S; dx++ {
+		for dy := 0; dy < s; dy++ {
+			for dx := 0; dx < s; dx++ {
 				for ch := 0; ch < c; ch++ {
-					oc := (dy*r.S+dx)*c + ch
+					oc := (dy*s+dx)*c + ch
 					for y := 0; y < oh; y++ {
-						srcBase := ((i*c+ch)*h+(y*r.S+dy))*w + dx
-						dstBase := ((i*c*r.S*r.S+oc)*oh + y) * ow
+						srcBase := ((i*c+ch)*h+(y*s+dy))*w + dx
+						dstBase := ((i*c*s*s+oc)*oh + y) * ow
 						for xo := 0; xo < ow; xo++ {
-							out.Data[dstBase+xo] = x.Data[srcBase+xo*r.S]
+							dst[dstBase+xo] = src[srcBase+xo*s]
 						}
 					}
 				}
 			}
 		}
 	}
-	return out
 }
 
 func (r *Reorg) Backward(dout *tensor.Tensor) []*tensor.Tensor {

@@ -195,22 +195,9 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 		force[i] = true
 	}
-	// fanout counts consumers per node (the graph output counts as one), to
-	// decide where conv→BN→act chains may fuse.
-	fanout := make([]int, nNodes)
-	consumer := make([]int, nNodes) // sole consumer when fanout == 1
-	for i := range consumer {
-		consumer[i] = -1
-	}
-	for i, n := range g.Nodes {
-		for _, j := range n.Inputs {
-			if j != nn.GraphInput {
-				fanout[j]++
-				consumer[j] = i
-			}
-		}
-	}
-	fanout[output]++
+	// Where conv → BN → act chains may fuse is the float inference plan's
+	// rule too; a forced-float node never joins a chain.
+	chains := nn.ConvChains(g, force)
 
 	m := &QuantizedModel{
 		nodes:  make([]qnode, nNodes),
@@ -260,25 +247,10 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 		switch l := node.Layer.(type) {
 		case *nn.Conv2D:
-			// Fuse the canonical SkyNet tail: conv [→ BN] [→ ReLU/ReLU6],
-			// following sole-consumer edges only.
-			last := i
-			var bn *nn.BatchNorm
-			var act *nn.ReLU
-			if j := consumer[i]; fanout[i] == 1 && j >= 0 && !force[j] {
-				switch tl := g.Nodes[j].Layer.(type) {
-				case *nn.BatchNorm:
-					bn, last = tl, j
-					if k := consumer[j]; fanout[j] == 1 && k >= 0 && !force[k] {
-						if a, ok := g.Nodes[k].Layer.(*nn.ReLU); ok {
-							act, last = a, k
-						}
-					}
-				case *nn.ReLU:
-					act, last = tl, j
-				}
-			}
-			for f := i + 1; f <= last; f++ {
+			// Fuse the canonical SkyNet tail: conv [→ BN] [→ ReLU/ReLU6].
+			ch := chains[i]
+			last := ch.Last(i)
+			for _, f := range ch.Tail {
 				fused[f] = true
 				m.fusedNodes++
 			}
@@ -287,7 +259,7 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 			outScale := scales.Node[last]
 			actScale[last] = outScale
 			m.acts[last].scale = outScale
-			m.nodes[last] = newQConv(l, bn, act, actOf(inIdx), m.acts[last], inScale, outScale, dequant)
+			m.nodes[last] = newQConv(l, ch.BN, ch.Act, actOf(inIdx), m.acts[last], inScale, outScale, dequant)
 			m.int8Units++
 		case *nn.DWConv3:
 			inScale := scaleOf(inIdx)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"runtime"
 	"sync"
 )
@@ -93,9 +94,77 @@ type gemmCall struct {
 	m, n, k        int
 	lda, ldb, ldc  int
 	aTrans, bTrans bool
-	acc            bool      // accumulate into C instead of overwriting
-	rowBias        []float32 // len m; added to C row i on the overwrite pass
-	colBias        []float32 // len n; added to C col j on the overwrite pass
+	acc            bool        // accumulate into C instead of overwriting
+	row            RowEpilogue // per-row bias and tail; ignored on accumulating calls
+	colBias        []float32   // len n; added to C col j on the overwrite pass
+}
+
+// RowEpilogue is what a convolution GEMM does to row i of C — one output
+// channel — beyond the product: Bias[i] is added on the overwrite pass, and
+// once an element holds its complete k sum the store applies batch norm's
+// eval expression with row i's statistics and then the rectifier clamp. The
+// tail runs after the last k block on the value just written to C, so each
+// element sees exactly the float operations, in the order, of a bias GEMM
+// followed by separate batch-norm and activation passes: fusing them saves
+// the passes over memory and changes no bit.
+type RowEpilogue struct {
+	Bias []float32 // len m; nil for none
+	// Gamma, Mean, Inv and Beta (each len m) are BNEval's per-row operands;
+	// a nil Gamma skips batch norm.
+	Gamma, Mean, Inv, Beta []float32
+	// ReLU selects ReLUClamp with Cap.
+	ReLU bool
+	Cap  float32
+}
+
+// BNEval is batch norm's eval-mode expression for one element: inv is
+// 1/sqrt(var+eps) of the element's channel.
+//
+//skynet:hotpath
+func BNEval(x, gamma, mean, inv, beta float32) float32 {
+	return gamma*(x-mean)*inv + beta
+}
+
+// ReLUClamp is the rectifier max(0, v), additionally clipped to cap when
+// cap > 0. NaN passes through and -0 becomes +0, as the built-in min and max
+// define them. Those compile to branch-free code: on activations, half of
+// which are negative, a compare-and-branch per element mispredicts its way
+// to a quarter of the speed.
+//
+//skynet:hotpath
+func ReLUClamp(v, cap float32) float32 {
+	hi := float32(math.Inf(1))
+	if cap > 0 {
+		hi = cap
+	}
+	return min(max(v, 0), hi)
+}
+
+// hasTail reports whether finished elements need more than the bias.
+//
+//skynet:hotpath
+func (e *RowEpilogue) hasTail() bool { return e.Gamma != nil || e.ReLU }
+
+// finish applies the tail to finished elements of row i.
+//
+//skynet:hotpath
+func (e *RowEpilogue) finish(crow []float32, i int) {
+	switch {
+	case e.Gamma != nil && e.ReLU:
+		g, mean, inv, bt := e.Gamma[i], e.Mean[i], e.Inv[i], e.Beta[i]
+		for j, v := range crow {
+			crow[j] = ReLUClamp(BNEval(v, g, mean, inv, bt), e.Cap)
+		}
+	case e.Gamma != nil:
+		g, mean, inv, bt := e.Gamma[i], e.Mean[i], e.Inv[i], e.Beta[i]
+		for j, v := range crow {
+			crow[j] = BNEval(v, g, mean, inv, bt)
+		}
+	case e.ReLU:
+		for j, v := range crow {
+			crow[j] = ReLUClamp(v, e.Cap)
+		}
+	}
 }
 
 // gemmScratch holds one worker's private packing buffers. Buffers are
@@ -320,7 +389,8 @@ func gemmExec(c gemmCall) {
 // of A and B are both contiguous and each element is one dot product
 // (useNaive keeps aTrans away from that loop). Either way every C element
 // sums its products in ascending k, and the bias is added after the k sum,
-// on overwriting calls only — as in the blocked kernel.
+// on overwriting calls only, and the row tail after the bias — as in the
+// blocked kernel.
 //
 //skynet:hotpath
 func (g *gemmCall) runNaive() {
@@ -361,8 +431,8 @@ func (g *gemmCall) runNaive() {
 		if g.acc {
 			continue
 		}
-		if g.rowBias != nil {
-			rb := g.rowBias[i]
+		if g.row.Bias != nil {
+			rb := g.row.Bias[i]
 			for j := range crow {
 				crow[j] += rb
 			}
@@ -372,6 +442,7 @@ func (g *gemmCall) runNaive() {
 				crow[j] += cb
 			}
 		}
+		g.row.finish(crow, i)
 	}
 }
 
@@ -385,11 +456,11 @@ func (g *gemmCall) run(j0, j1 int, s *gemmScratch) {
 			kc := min(gemmKC, g.k-pc)
 			g.packB(s.bp, pc, kc, jc, nc)
 			overwrite := pc == 0 && !g.acc
-			bias := pc == 0
+			finish := pc+kc == g.k && !g.acc && g.row.hasTail()
 			for ic := 0; ic < g.m; ic += gemmMC {
 				mc := min(gemmMC, g.m-ic)
 				g.packA(s.ap, ic, mc, pc, kc)
-				g.macroKernel(s, ic, mc, jc, nc, kc, overwrite, bias)
+				g.macroKernel(s, ic, mc, jc, nc, kc, overwrite, finish)
 			}
 		}
 	}
@@ -398,7 +469,7 @@ func (g *gemmCall) run(j0, j1 int, s *gemmScratch) {
 // macroKernel sweeps the MR×NR micro-tiles of the current (ic, jc) block.
 //
 //skynet:hotpath
-func (g *gemmCall) macroKernel(s *gemmScratch, ic, mc, jc, nc, kc int, overwrite, bias bool) {
+func (g *gemmCall) macroKernel(s *gemmScratch, ic, mc, jc, nc, kc int, overwrite, finish bool) {
 	tile := &s.tile
 	for jr := 0; jr < nc; jr += gemmNR {
 		nr := min(gemmNR, nc-jr)
@@ -407,7 +478,7 @@ func (g *gemmCall) macroKernel(s *gemmScratch, ic, mc, jc, nc, kc int, overwrite
 			mr := min(gemmMR, mc-ir)
 			ap := s.ap[(ir/gemmMR)*kc*gemmMR:]
 			gemmMicro(kc, ap, bp, tile)
-			g.storeTile(tile, ic+ir, jc+jr, mr, nr, overwrite, bias)
+			g.storeTile(tile, ic+ir, jc+jr, mr, nr, overwrite, finish)
 		}
 	}
 }
@@ -477,10 +548,11 @@ func microKernelRef(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32) {
 
 // storeTile writes a micro-tile into C, clipping the zero-padded edge rows
 // and columns. On the overwrite pass (first k block, non-accumulating call)
-// it also applies the fused bias epilogue.
+// it also applies the fused bias epilogue; on the last k block of a call
+// with a row tail (finish) it then applies the tail to the completed sums.
 //
 //skynet:hotpath
-func (g *gemmCall) storeTile(tile *[gemmMR * gemmNR]float32, i0, j0, mr, nr int, overwrite, bias bool) {
+func (g *gemmCall) storeTile(tile *[gemmMR * gemmNR]float32, i0, j0, mr, nr int, overwrite, finish bool) {
 	for r := 0; r < mr; r++ {
 		crow := g.c[(i0+r)*g.ldc+j0 : (i0+r)*g.ldc+j0+nr]
 		trow := tile[r*gemmNR : r*gemmNR+nr]
@@ -488,21 +560,24 @@ func (g *gemmCall) storeTile(tile *[gemmMR * gemmNR]float32, i0, j0, mr, nr int,
 			for q, v := range trow {
 				crow[q] += v
 			}
-			continue
-		}
-		var rb float32
-		if bias && g.rowBias != nil {
-			rb = g.rowBias[i0+r]
-		}
-		if bias && g.colBias != nil {
-			cb := g.colBias[j0 : j0+nr]
-			for q, v := range trow {
-				crow[q] = v + rb + cb[q]
-			}
 		} else {
-			for q, v := range trow {
-				crow[q] = v + rb
+			var rb float32
+			if g.row.Bias != nil {
+				rb = g.row.Bias[i0+r]
 			}
+			if g.colBias != nil {
+				cb := g.colBias[j0 : j0+nr]
+				for q, v := range trow {
+					crow[q] = v + rb + cb[q]
+				}
+			} else {
+				for q, v := range trow {
+					crow[q] = v + rb
+				}
+			}
+		}
+		if finish {
+			g.row.finish(crow, i0+r)
 		}
 	}
 }

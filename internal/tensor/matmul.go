@@ -65,18 +65,22 @@ func MatMulAddInto(c, a, b *Tensor) {
 	gemmExec(g)
 }
 
-// MatMulRowBiasInto computes c = a·b with bias[i] added to every element of
-// row i — the fused epilogue used by convolution forward passes, where rows
-// are output channels. bias must have length m.
+// MatMulRowEpilogueInto computes c = a·b on raw row-major slices — a is
+// [m,k], b is [k,n], c is [m,n] — and applies ep to each row: the product a
+// convolution lowers to, where rows are output channels. Taking b as a slice
+// lets a 1×1 convolution multiply its feature map in place, and c be a
+// window of a larger buffer.
 //
 //skynet:hotpath
-func MatMulRowBiasInto(c, a, b, bias *Tensor) {
-	g := gemmOf("MatMulRowBiasInto", c, a, b, false, false)
-	if bias.Len() != g.m {
-		panic(fmt.Sprintf("tensor: MatMulRowBiasInto bias length %d, want %d", bias.Len(), g.m))
+func MatMulRowEpilogueInto(c, a, b []float32, m, n, k int, ep RowEpilogue) {
+	if len(a) != m*k || len(b) != k*n || len(c) != m*n {
+		panic(fmt.Sprintf("tensor: MatMulRowEpilogueInto operand lengths %d, %d, %d do not match m=%d n=%d k=%d", len(c), len(a), len(b), m, n, k))
 	}
-	g.rowBias = bias.Data
-	gemmExec(g)
+	if ep.Bias != nil && len(ep.Bias) != m ||
+		ep.Gamma != nil && (len(ep.Gamma) != m || len(ep.Mean) != m || len(ep.Inv) != m || len(ep.Beta) != m) {
+		panic(fmt.Sprintf("tensor: MatMulRowEpilogueInto needs %d values per epilogue operand", m))
+	}
+	gemmExec(gemmCall{a: a, b: b, c: c, m: m, n: n, k: k, lda: k, ldb: n, ldc: n, row: ep})
 }
 
 // MatMulTransposeAInto computes c = aᵀ·b for a of shape [k,m] and b of

@@ -61,7 +61,9 @@ var matmulVariants = []struct {
 	{"MatMulTransposeAAddInto", matmulOp{aTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeAAddInto(c, a, b) }},
 	{"MatMulTransposeBInto", matmulOp{bTrans: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBInto(c, a, b) }},
 	{"MatMulTransposeBAddInto", matmulOp{bTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBAddInto(c, a, b) }},
-	{"MatMulRowBiasInto", matmulOp{rowBias: true}, MatMulRowBiasInto},
+	{"MatMulRowEpilogueInto", matmulOp{rowBias: true}, func(c, a, b, bias *Tensor) {
+		MatMulRowEpilogueInto(c.Data, a.Data, b.Data, c.Dim(0), c.Dim(1), a.Dim(1), RowEpilogue{Bias: bias.Data})
+	}},
 	{"MatMulTransposeBColBiasInto", matmulOp{bTrans: true, colBias: true}, MatMulTransposeBColBiasInto},
 }
 
@@ -212,7 +214,7 @@ func TestGemmDescriptor(t *testing.T) {
 				aTrans: op.aTrans, bTrans: op.bTrans, acc: op.acc}
 			ea, eb := op.elems(a.Data, b.Data, lda, ldb)
 			if op.rowBias {
-				call.rowBias = randMat(rng, 1, m).Data
+				call.row.Bias = randMat(rng, 1, m).Data
 			}
 			if op.colBias {
 				call.colBias = randMat(rng, 1, n).Data
@@ -221,7 +223,7 @@ func TestGemmDescriptor(t *testing.T) {
 				got, want := c0.Clone(), c0.Clone()
 				call.c = got.Data
 				forcePath(blocked, func() { gemmExec(call) })
-				naiveMatMul(want.Data, ldc, ea, eb, m, n, k, refKB(op, k, blocked), op.acc, call.rowBias, call.colBias)
+				naiveMatMul(want.Data, ldc, ea, eb, m, n, k, refKB(op, k, blocked), op.acc, call.row.Bias, call.colBias)
 				// The padding columns of C compare too: neither kernel may
 				// write past column n of a row.
 				if i := firstBitDiff(got.Data, want.Data); i >= 0 {
@@ -364,7 +366,9 @@ func TestMatMulShapePanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { MatMul(a, b) },
 		func() { MatMulInto(New(2, 5), a, b) },
-		func() { MatMulRowBiasInto(New(2, 3), a, New(3, 3), New(5)) },
+		func() {
+			MatMulRowEpilogueInto(make([]float32, 6), a.Data, make([]float32, 9), 2, 3, 3, RowEpilogue{Bias: make([]float32, 5)})
+		},
 	} {
 		func() {
 			defer func() {
@@ -374,5 +378,92 @@ func TestMatMulShapePanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// sameFloats is firstBitDiff with every NaN equal to every other: which
+// payload an operation on two NaNs keeps is the compiler's operand order.
+func sameFloats(got, want []float32) int {
+	for i, g := range got {
+		if math.Float32bits(g) != math.Float32bits(want[i]) && !(g != g && want[i] != want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestRowEpilogueMatchesSeparatePasses is the bitwise contract of the fused
+// row tail: a GEMM whose store applies batch norm and the clamp equals the
+// bias GEMM followed by a batch-norm pass and an activation pass over C,
+// spelled out here independently of BNEval and ReLUClamp. Column 0 of B
+// times a one-hot A puts NaN, ±Inf, exactly 0 and exactly Cap into the
+// sums; k crosses one and two KC blocks, where the tail must wait for the
+// last block; both kernels, one and three workers.
+func TestRowEpilogueMatchesSeparatePasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const capV = 6
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, capV}
+	for _, cfg := range []struct {
+		name     string
+		bn, relu bool
+		cap      float32
+	}{{"bn+relu6", true, true, capV}, {"bn+relu", true, true, 0}, {"bn", true, false, 0}, {"relu6", false, true, capV}, {"relu", false, true, 0}} {
+		t.Run(cfg.name, func(t *testing.T) {
+			check := func(m, n, k int) {
+				a, b := randMat(rng, m, k), randMat(rng, k, n)
+				// Row 0 of A selects row 0 of B, which holds the specials.
+				clear(a.Data[:k])
+				a.Data[0] = 1
+				for j := 0; j < n; j++ {
+					b.Data[j] = specials[j%len(specials)]
+				}
+				ep := RowEpilogue{Bias: randMat(rng, 1, m).Data, ReLU: cfg.relu, Cap: cfg.cap}
+				ep.Bias[0] = 0
+				if cfg.bn {
+					ep.Gamma, ep.Mean = randMat(rng, 1, m).Data, randMat(rng, 1, m).Data
+					ep.Inv, ep.Beta = randMat(rng, 1, m).Data, randMat(rng, 1, m).Data
+				}
+				for _, path := range []struct {
+					blocked bool
+					workers int
+				}{{true, 1}, {true, 3}, {false, 1}} {
+					got, want := New(m, n), New(m, n)
+					forcePath(path.blocked, func() {
+						withWorkers(path.workers, func() {
+							MatMulRowEpilogueInto(got.Data, a.Data, b.Data, m, n, k, ep)
+							MatMulRowEpilogueInto(want.Data, a.Data, b.Data, m, n, k, RowEpilogue{Bias: ep.Bias})
+						})
+					})
+					for i := 0; i < m; i++ {
+						for j, v := range want.Data[i*n : (i+1)*n] {
+							if cfg.bn {
+								v = ep.Gamma[i]*(v-ep.Mean[i])*ep.Inv[i] + ep.Beta[i]
+							}
+							if cfg.relu {
+								if v <= 0 {
+									v = 0
+								} else if cfg.cap > 0 && v >= cfg.cap {
+									v = cfg.cap
+								}
+							}
+							want.Data[i*n+j] = v
+						}
+					}
+					if i := sameFloats(got.Data, want.Data); i >= 0 {
+						t.Fatalf("blocked=%v workers=%d m=%d n=%d k=%d: element %d = %v, separate passes give %v",
+							path.blocked, path.workers, m, n, k, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+			gemmSweep(check)
+			check(5, 9, gemmKC+3)
+			check(6, 29, 2*gemmKC+3)
+		})
+	}
+	// What no sum that starts at +0 can produce: the clamp turns -0 into +0.
+	row := []float32{float32(math.Copysign(0, -1)), -1, 3, 7}
+	(&RowEpilogue{ReLU: true, Cap: capV}).finish(row, 0)
+	if want := []float32{0, 0, 3, capV}; firstBitDiff(row, want) >= 0 {
+		t.Fatalf("clamp of [-0 -1 3 7] = %v, want %v", row, want)
 	}
 }
