@@ -5,7 +5,7 @@ GO ?= go
 # the production HTTP surface (pool, router, swap, cache, scenarios) and is
 # held to a higher floor than the rest.
 COVER_FLOOR ?= 60
-COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/nn:85 ./internal/pipeline:$(COVER_FLOOR) ./internal/detect:$(COVER_FLOOR) ./internal/quant:$(COVER_FLOOR) ./internal/track:$(COVER_FLOOR)
+COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/nn:85 ./internal/pipeline:$(COVER_FLOOR) ./internal/detect:$(COVER_FLOOR) ./internal/quant:80 ./internal/track:$(COVER_FLOOR)
 
 .PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-smoke bench-quant cover check ci
 
@@ -68,22 +68,25 @@ short:
 # parallel GEMM/conv kernels, the streaming pipeline executor (plus its
 # detect-stage adapters), the batching HTTP server, the stateful tracking
 # service with its session table, the analysis framework (whose lazy
-# Module state is shared across checker passes), and the PSO search (its
+# Module state is shared across checker passes), the PSO search (its
 # bounded evaluation worker pool, cached engine evaluator, and job
-# service). The tests force multi-worker execution even on one CPU.
+# service), and the int8 engine (its plane loops run on the GEMM worker
+# pool). The tests force multi-worker execution even on one CPU.
 race:
-	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/...
+	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/... ./internal/quant/...
 
 # purego runs the kernel-bearing packages with the assembly micro-kernels
 # compiled out, so the portable fallback (and its dispatch seam) cannot
 # rot. The same tests run again with SKYNET_KERNEL=purego on a normal
 # build to cover the runtime-selection path. nn and backbone ride along:
 # the inference plan must equal the layer walk under either micro-kernel
-# (the small-problem crossover, hence which GEMM store fuses, differs).
+# (the small-problem crossover, hence which GEMM store fuses, differs), and
+# quant because the int8 engine sits on the int8 micro-kernel's purego ≡ avx2
+# contract.
 # -count=1: the test cache does not key on the environment variable.
 purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/cpufeat ./internal/nn ./internal/backbone
-	SKYNET_KERNEL=purego $(GO) test -count=1 ./internal/tensor ./internal/cpufeat ./internal/nn ./internal/backbone
+	$(GO) test -tags purego ./internal/tensor ./internal/cpufeat ./internal/nn ./internal/backbone ./internal/quant
+	SKYNET_KERNEL=purego $(GO) test -count=1 ./internal/tensor ./internal/cpufeat ./internal/nn ./internal/backbone ./internal/quant
 
 # arm64 cross-compiles the whole tree for the other deployment
 # architecture: the build tags on the amd64 assembly must keep every
@@ -100,7 +103,7 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkConvForwardSteadyState|BenchmarkGraphInference|BenchmarkTable2Backbones' -benchtime 10x .
+	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkConvForwardSteadyState|BenchmarkGraphInference|BenchmarkInt8Forward|BenchmarkExport|BenchmarkTable2Backbones' -benchtime 10x .
 
 # bench-quant compares the int8 GEMM kernels against float32 at SkyNet
 # layer shapes; both report GOPS and operand bytes/op (the int8 path moves

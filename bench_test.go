@@ -409,6 +409,45 @@ func BenchmarkGraphInference(b *testing.B) {
 	}
 }
 
+// BenchmarkInt8Forward is BenchmarkGraphInference on the int8 engine
+// (quant.Export of the same model): a warm forward allocates nothing.
+func BenchmarkInt8Forward(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
+	qm, err := quant.Export(g, []*tensor.Tensor{benchInput(rng, 4, 3, 160, 320)}, quant.ExportConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1, 4} {
+		b.Run(fmt.Sprintf("batch%d", n), func(b *testing.B) {
+			x := benchInput(rng, n, 3, 160, 320)
+			qm.Forward(x, false) // compile the plan, grow the arena
+			b.SetBytes(int64(4 * x.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				qm.Forward(x, false)
+			}
+		})
+	}
+}
+
+// BenchmarkExport measures lowering the deployed model on the benchmark's
+// calibration set, two batches of four 160×320 frames: what a server start,
+// an /admin/swap {"quantize":true} and every measured-fitness evaluation of
+// the search pay. B/op stays far below one sample's feature maps (82 MB).
+func BenchmarkExport(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
+	calib := []*tensor.Tensor{benchInput(rng, 4, 3, 160, 320), benchInput(rng, 4, 3, 160, 320)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := quant.Export(g, calib, quant.ExportConfig{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSkyNetBundleForward measures one DW+PW+BN+ReLU6 Bundle.
 func BenchmarkSkyNetBundleForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

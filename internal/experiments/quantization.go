@@ -161,7 +161,10 @@ func Table7(o Options) Table {
 		iou := detect.MeanIoU(qm, head, val, 8)
 		t.Rows = append(t.Rows, []string{"int8 per-channel", "8", "8", f3(iou), "-"})
 		// Couple the measured accuracy into the DSP/latency estimator so
-		// the table carries the full accuracy/latency/resource point.
+		// the table carries the full accuracy/latency/resource point. The
+		// estimate prices the graph's last forward: one frame.
+		frame, _ := detect.Batch(val, 0, 1)
+		g.Forward(frame, false)
 		op := fpga.Estimate(g, fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 8, 8)).WithAccuracy(iou)
 		t.Notes = append(t.Notes,
 			"int8 per-channel row measured by the real integer engine (quant.Export)",

@@ -323,15 +323,9 @@ func (d *DWConv3) forwardInto(dst, src []float32, n, h, w int) {
 // plane; idx indexes the flattened n×C plane grid. It needs no scratch, so
 // the worker index goes unused.
 //
-// Output pixels whose whole K×K window lies inside the image — all but a
-// ring of width Pad — take a loop with no bounds tests, unrolled for the
-// 3×3 stride-1 case; the ring takes dwPixel, the general form. Both start
-// from the bias and add the taps in ascending (ky, kx) order, so where the
-// split falls changes no bit.
-//
 //skynet:hotpath
 func (d *DWConv3) forwardPlane(_, idx int) {
-	h, w, outH, outW, k, stride, pad := d.inH, d.inW, d.outH, d.outW, d.K, d.Stride, d.Pad
+	h, w, outH, outW, k := d.inH, d.inW, d.outH, d.outW, d.K
 	ch := idx % d.C
 	in := d.src[idx*h*w : (idx+1)*h*w]
 	ob := d.dst[idx*outH*outW : (idx+1)*outH*outW]
@@ -340,25 +334,39 @@ func (d *DWConv3) forwardPlane(_, idx int) {
 	if d.Bias != nil {
 		bias = d.Bias.W.Data[ch]
 	}
-	oy0, oy1 := interior(h, outH, k, stride, pad)
-	ox0, ox1 := interior(w, outW, k, stride, pad)
 	for oy := 0; oy < outH; oy++ {
-		orow := ob[oy*outW : (oy+1)*outW]
-		x0, x1 := ox0, ox1
-		if oy < oy0 || oy >= oy1 {
-			x0, x1 = outW, outW // a ring row has no interior
-		}
-		for ox := 0; ox < x0; ox++ {
-			orow[ox] = dwPixel(in, ker, bias, h, w, k, oy*stride-pad, ox*stride-pad)
-		}
-		if x0 < x1 {
-			// The window of output x0 has its top-left corner here.
-			first := (oy*stride-pad)*w + x0*stride - pad
-			dwInteriorRow(orow[x0:x1], in[first:], ker, bias, w, k, stride)
-		}
-		for ox := x1; ox < outW; ox++ {
-			orow[ox] = dwPixel(in, ker, bias, h, w, k, oy*stride-pad, ox*stride-pad)
-		}
+		DWRow(ob[oy*outW:(oy+1)*outW], in, ker, bias, h, w, k, d.Stride, d.Pad, oy)
+	}
+}
+
+// DWRow computes output row oy of one depth-wise plane: acc[ox] is the bias
+// plus the k×k taps of in [h,w] under ker, for every output column. It is
+// the one depth-wise loop of both engines — float32 summed in float32 here,
+// int8 codes summed in int32 by internal/quant, which requantizes the row
+// as it stores it.
+//
+// Output pixels whose whole window lies inside the image — all but a ring
+// of width pad — take a loop with no bounds tests, unrolled for the 3×3
+// stride-1 case; the ring takes dwPixel, the general form. Both start from
+// the bias and add the taps in ascending (ky, kx) order, so where the split
+// falls changes no bit.
+//
+//skynet:hotpath
+func DWRow[E float32 | int8, A float32 | int32](acc []A, in, ker []E, bias A, h, w, k, stride, pad, oy int) {
+	iy0 := oy*stride - pad
+	x0, x1 := len(acc), len(acc) // a ring row has no interior
+	if iy0 >= 0 && iy0+k <= h {
+		x0, x1 = interior(w, len(acc), k, stride, pad)
+	}
+	for ox := 0; ox < x0; ox++ {
+		acc[ox] = dwPixel(in, ker, bias, h, w, k, iy0, ox*stride-pad)
+	}
+	if x0 < x1 {
+		// The window of output x0 has its top-left corner here.
+		dwInteriorRow(acc[x0:x1], in[iy0*w+x0*stride-pad:], ker, bias, w, k, stride)
+	}
+	for ox := x1; ox < len(acc); ox++ {
+		acc[ox] = dwPixel(in, ker, bias, h, w, k, iy0, ox*stride-pad)
 	}
 }
 
@@ -367,21 +375,21 @@ func (d *DWConv3) forwardPlane(_, idx int) {
 // and w is the image's row stride.
 //
 //skynet:hotpath
-func dwInteriorRow(o, in, ker []float32, bias float32, w, k, stride int) {
+func dwInteriorRow[E float32 | int8, A float32 | int32](o []A, in, ker []E, bias A, w, k, stride int) {
 	if k == 3 && stride == 1 {
 		r0, r1, r2 := in[:len(o)+2], in[w:w+len(o)+2], in[2*w:2*w+len(o)+2]
-		k0, k1, k2, k3, k4, k5, k6, k7, k8 := ker[0], ker[1], ker[2], ker[3], ker[4], ker[5], ker[6], ker[7], ker[8]
+		k0, k1, k2, k3, k4, k5, k6, k7, k8 := A(ker[0]), A(ker[1]), A(ker[2]), A(ker[3]), A(ker[4]), A(ker[5]), A(ker[6]), A(ker[7]), A(ker[8])
 		for i := range o {
 			s := bias
-			s += r0[i] * k0
-			s += r0[i+1] * k1
-			s += r0[i+2] * k2
-			s += r1[i] * k3
-			s += r1[i+1] * k4
-			s += r1[i+2] * k5
-			s += r2[i] * k6
-			s += r2[i+1] * k7
-			s += r2[i+2] * k8
+			s += A(r0[i]) * k0
+			s += A(r0[i+1]) * k1
+			s += A(r0[i+2]) * k2
+			s += A(r1[i]) * k3
+			s += A(r1[i+1]) * k4
+			s += A(r1[i+2]) * k5
+			s += A(r2[i]) * k6
+			s += A(r2[i+1]) * k7
+			s += A(r2[i+2]) * k8
 			o[i] = s
 		}
 		return
@@ -391,7 +399,7 @@ func dwInteriorRow(o, in, ker []float32, bias float32, w, k, stride int) {
 		for ky := 0; ky < k; ky++ {
 			row := in[i*stride+ky*w:]
 			for kx, kv := range ker[ky*k : (ky+1)*k] {
-				s += row[kx] * kv
+				s += A(row[kx]) * A(kv)
 			}
 		}
 		o[i] = s
@@ -416,7 +424,7 @@ func interior(size, out, k, stride, pad int) (lo, hi int) {
 // nothing.
 //
 //skynet:hotpath
-func dwPixel(in, ker []float32, bias float32, h, w, k, iy0, ix0 int) float32 {
+func dwPixel[E float32 | int8, A float32 | int32](in, ker []E, bias A, h, w, k, iy0, ix0 int) A {
 	s := bias
 	for ky := 0; ky < k; ky++ {
 		iy := iy0 + ky
@@ -428,7 +436,7 @@ func dwPixel(in, ker []float32, bias float32, h, w, k, iy0, ix0 int) float32 {
 			if ix < 0 || ix >= w {
 				continue
 			}
-			s += in[iy*w+ix] * ker[ky*k+kx]
+			s += A(in[iy*w+ix]) * A(ker[ky*k+kx])
 		}
 	}
 	return s

@@ -27,8 +27,7 @@ type Node struct {
 // returns bitwise what the walk would. In both modes the returned tensor is
 // a fresh one that belongs to the caller, and FMHook, when set, is applied
 // to every node's output — the quantization package uses it to emulate
-// fixed-point inference and to calibrate. A Graph is not safe for
-// concurrent use.
+// fixed-point inference. A Graph is not safe for concurrent use.
 type Graph struct {
 	Nodes []*Node
 	// Output is the index of the node whose output is the graph output.
@@ -45,7 +44,7 @@ type Graph struct {
 	OutShapes [][]int
 
 	trained bool      // the last Forward was a training one: the layers hold its caches
-	plans   []*plan   // inference plans, most recently used first, one per input sample shape
+	plans   []*Plan   // inference plans, most recently used first, one per input sample shape
 	arena   []float32 // feature maps of the inference forward in flight
 }
 
@@ -86,11 +85,9 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	g.trained = train
 	if !train {
-		hooked := g.FMHook != nil
 		p := g.planFor(x)
-		p.prepare(g, x.Dim(0), hooked)
 		g.OutShapes = p.shapes
-		return p.run(g, x, hooked)
+		return p.Run(x, nil)
 	}
 	outs := make([]*tensor.Tensor, len(g.Nodes))
 	g.OutShapes = make([][]int, len(g.Nodes))

@@ -9,7 +9,11 @@ import (
 )
 
 // This file is the inference side of Graph.Forward: a plan compiled once per
-// (node list, Output, input sample shape) and an executor that runs it.
+// (node list, Output, input sample shape) and an executor that runs it. It is
+// the int8 engine's planner too: internal/quant compiles the same plan under
+// a mask of nodes that stay units of their own, calibrates by running it in
+// float under an observer (Run), and executes its Steps with integer
+// arithmetic on a []int8 arena at the same offsets.
 //
 // The plan holds structure only — shapes, which BatchNorm and ReLU nodes
 // fold into which convolution's GEMM store, and where in the graph's arena
@@ -22,7 +26,7 @@ import (
 //
 // Each op has one implementation that writes into a destination slice
 // (Conv2D.forwardInto, DWConv3.forwardInto, BatchNorm.evalInto, reluInto,
-// maxPoolInto, reorgInto, concatInto); a layer's Forward and the executor
+// maxPoolInto, ReorgInto, concatInto); a layer's Forward and the executor
 // both call it, and the fused GEMM tail calls the same two scalar functions
 // (tensor.BNEval, tensor.ReLUClamp) the stand-alone passes call. The
 // executor therefore performs, per element, the float operations of the
@@ -132,12 +136,13 @@ type planNode struct {
 	view *tensor.Tensor
 }
 
-// plan is a compiled inference schedule of one graph at one input sample
+// Plan is a compiled inference schedule of one graph at one input sample
 // shape. Arena rule: a slot is written by exactly one step and may be
 // handed to a later step's output only once every reader of it has run
 // (frees); a step's output slot is taken before its inputs are released, so
 // an op never reads and writes the same memory.
-type plan struct {
+type Plan struct {
+	g      *Graph
 	nodes  []planNode
 	output int
 	in     []int   // input shape the plan was compiled for; in[0] is ignored
@@ -159,7 +164,7 @@ const maxPlans = 4
 var poisonReleased bool
 
 // planFor returns the plan for g at x's sample shape, compiling on a miss.
-func (g *Graph) planFor(x *tensor.Tensor) *plan {
+func (g *Graph) planFor(x *tensor.Tensor) *Plan {
 	if len(g.plans) > 0 && !g.plans[0].describes(g) {
 		g.plans = nil
 	}
@@ -170,13 +175,13 @@ func (g *Graph) planFor(x *tensor.Tensor) *plan {
 			return p
 		}
 	}
-	p := compile(g, x.Shape())
-	g.plans = append([]*plan{p}, g.plans[:min(len(g.plans), maxPlans-1)]...)
+	p := Compile(g, x.Shape(), nil)
+	g.plans = append([]*Plan{p}, g.plans[:min(len(g.plans), maxPlans-1)]...)
 	return p
 }
 
 // describes reports whether p was compiled from g's current node list.
-func (p *plan) describes(g *Graph) bool {
+func (p *Plan) describes(g *Graph) bool {
 	if len(p.nodes) != len(g.Nodes) || p.output != g.output() {
 		return false
 	}
@@ -188,13 +193,15 @@ func (p *plan) describes(g *Graph) bool {
 	return true
 }
 
-// compile infers every node's shape from the input shape in, decides fusion
-// and lays the feature maps out in the arena.
-func compile(g *Graph, in []int) *plan {
-	p := &plan{nodes: make([]planNode, len(g.Nodes)), output: g.output(),
+// Compile infers every node's shape from the input shape in (in[0] is
+// ignored), decides fusion — separate is ConvChains' mask — and lays the
+// feature maps out in the arena. Graph.Forward compiles with a nil mask and
+// keeps the plan; another caller's plan is valid while g's node list is.
+func Compile(g *Graph, in []int, separate []bool) *Plan {
+	p := &Plan{g: g, nodes: make([]planNode, len(g.Nodes)), output: g.output(),
 		in: slices.Clone(in), shapes: make([][]int, len(g.Nodes)), batch: 1}
 	p.in[0] = 1
-	chains := ConvChains(g, nil)
+	chains := ConvChains(g, separate)
 	for i, n := range g.Nodes {
 		pn := &p.nodes[i]
 		pn.layer, pn.inputs, pn.off = n.Layer, slices.Clone(n.Inputs), -1
@@ -262,7 +269,7 @@ func compile(g *Graph, in []int) *plan {
 // for GraphInput).
 //
 //skynet:hotpath
-func (p *plan) shapeOf(j int) []int {
+func (p *Plan) shapeOf(j int) []int {
 	if j == GraphInput {
 		return p.in
 	}
@@ -273,12 +280,12 @@ func (p *plan) shapeOf(j int) []int {
 // for a fusing conv, i itself otherwise.
 //
 //skynet:hotpath
-func (p *plan) slot(i int) int { return p.nodes[i].chain.Last(i) }
+func (p *Plan) slot(i int) int { return p.nodes[i].chain.Last(i) }
 
 // layout assigns arena offsets by liveness: walking the steps in order, a
 // step's output takes the first free span that fits (or extends the arena),
 // and the slots whose last reader is that step are then returned.
-func (p *plan) layout() {
+func (p *Plan) layout() {
 	lastUse := make([]int, len(p.nodes))
 	for i := range p.nodes {
 		if p.nodes[i].fused {
@@ -347,58 +354,101 @@ func returnSpan(free []span, s span) []span {
 	return free
 }
 
+// Step is one executed step of a plan as another engine reads it: the node
+// whose layer runs and where the one output it materialises lies.
+type Step struct {
+	Node   int       // the node the step runs
+	Out    int       // the node whose output it writes: Chain.Last(Node)
+	Inputs []int     // Node's inputs (GraphInput for the graph's)
+	Chain  ConvChain // what fuses into a Conv2D step
+	Dims   []int     // Out's shape for one sample; Dims[0] is 1
+	Size   int       // Out's elements per sample
+	// Off is the arena offset of Out's slot per sample — [Off·n, (Off+Size)·n)
+	// at batch n — or -1 without one (the graph output, kinds not lowered).
+	Off   int
+	Frees []int // the nodes whose slots nothing reads after this step
+}
+
+// Steps returns the plan's steps in execution order and the arena size they
+// need, in elements per sample. The slices belong to the plan.
+func (p *Plan) Steps() (steps []Step, perSample int) {
+	for i := range p.nodes {
+		if pn := &p.nodes[i]; !pn.fused {
+			o := &p.nodes[p.slot(i)]
+			steps = append(steps, Step{Node: i, Out: p.slot(i), Inputs: pn.inputs, Chain: pn.chain,
+				Dims: append([]int{1}, o.dims[1:]...), Size: o.size, Off: o.off, Frees: pn.frees})
+		}
+	}
+	return steps, p.perSample
+}
+
 // prepare sizes the plan and the graph's arena for a batch of n. The arena
 // only grows — to the largest batch seen — so a batcher that varies the
 // batch size settles after its largest. A hooked forward does not use it.
-func (p *plan) prepare(g *Graph, n int, hooked bool) {
+func (p *Plan) prepare(n int, hooked bool) {
 	if n != p.batch {
 		p.batch = n
 		for i := range p.nodes {
 			p.nodes[i].dims[0] = n
 		}
 	}
-	if need := p.perSample * n; !hooked && len(g.arena) < need {
-		g.arena = make([]float32, need)
+	if need := p.perSample * n; !hooked && len(p.g.arena) < need {
+		p.g.arena = make([]float32, need)
 	}
 }
 
-// run executes the plan on x. With hooked set (the graph has an FMHook)
-// nothing fuses and every node's output is a fresh tensor, handed to the
-// hook and dropped when run returns, exactly as a layer walk would; without
-// it only the graph output is a fresh tensor — the caller's — and every
-// other feature map is an arena slot.
+// Run executes the plan on x, whose sample shape must be the one the plan
+// was compiled for. With an FMHook on the graph nothing fuses and every
+// node's output is a fresh tensor, handed to the hook and dropped when Run
+// returns, exactly as a layer walk would; without one only the graph output
+// is a fresh tensor — the caller's — and every other feature map is an
+// arena slot. observe, when non-nil, is shown each output the forward
+// materialises, in place and before anything overwrites it: every node's
+// tensor after the hook, or else each step's Out. Graph.Forward(x, false)
+// is Run with no observer.
+func (p *Plan) Run(x *tensor.Tensor, observe func(node int, data []float32)) *tensor.Tensor {
+	if !slices.Equal(p.in[1:], x.Shape()[1:]) {
+		panic(fmt.Sprintf("nn: plan compiled for samples of shape %v run on input %v", p.in[1:], x.Shape()))
+	}
+	hooked := p.g.FMHook != nil
+	p.prepare(x.Dim(0), hooked)
+	return p.run(x, hooked, observe)
+}
+
+// run is Run on a prepared plan.
 //
 //skynet:hotpath
-func (p *plan) run(g *Graph, x *tensor.Tensor, hooked bool) *tensor.Tensor {
-	n := p.batch
+func (p *Plan) run(x *tensor.Tensor, hooked bool, observe func(node int, data []float32)) *tensor.Tensor {
+	g, n := p.g, p.batch
 	for i := range p.nodes {
 		pn := &p.nodes[i]
 		if pn.fused && !hooked {
 			continue
 		}
+		out := i // the node whose output this step writes
 		in, src := p.shapeOf(pn.inputs[0]), p.src(pn.inputs[0], x)
 		switch l := pn.layer.(type) {
 		case *Conv2D:
-			o, tail := pn, tensor.RowEpilogue{}
+			tail := tensor.RowEpilogue{}
 			if !hooked {
-				o, tail = &p.nodes[p.slot(i)], pn.tail()
+				out, tail = p.slot(i), pn.tail()
 			}
-			l.forwardInto(p.dest(g, o, hooked), src, n, in[2], in[3], tail)
+			l.forwardInto(p.dest(&p.nodes[out], hooked), src, n, in[2], in[3], tail)
 		case *DWConv3:
-			l.forwardInto(p.dest(g, pn, hooked), src, n, in[2], in[3])
+			l.forwardInto(p.dest(pn, hooked), src, n, in[2], in[3])
 		case *BatchNorm:
-			l.evalInto(p.dest(g, pn, hooked), src, n, in[2]*in[3])
+			l.evalInto(p.dest(pn, hooked), src, n, in[2]*in[3])
 		case *ReLU:
-			reluInto(p.dest(g, pn, hooked), src, l.Cap)
+			reluInto(p.dest(pn, hooked), src, l.Cap)
 		case *MaxPool:
-			maxPoolInto(p.dest(g, pn, hooked), src, n*in[1], in[2], in[3], l.K)
+			maxPoolInto(p.dest(pn, hooked), src, n*in[1], in[2], in[3], l.K)
 		case *Reorg:
-			reorgInto(p.dest(g, pn, hooked), src, n, in[1], in[2], in[3], l.S)
+			ReorgInto(p.dest(pn, hooked), src, n, in[1], in[2], in[3], l.S)
 		case *Concat:
 			for k, j := range pn.inputs {
 				pn.srcs[k] = p.src(j, x)
 			}
-			concatInto(p.dest(g, pn, hooked), pn.srcs, pn.chans, n, in[2]*in[3])
+			concatInto(p.dest(pn, hooked), pn.srcs, pn.chans, n, in[2]*in[3])
 			clear(pn.srcs)
 		default:
 			for k, j := range pn.inputs {
@@ -410,7 +460,11 @@ func (p *plan) run(g *Graph, x *tensor.Tensor, hooked bool) *tensor.Tensor {
 		}
 		if hooked {
 			g.FMHook(i, pn.out)
-		} else if poisonReleased {
+		}
+		if observe != nil {
+			observe(out, p.nodes[out].buf)
+		}
+		if poisonReleased && !hooked {
 			for _, s := range pn.frees {
 				buf := p.nodes[s].buf
 				for k := range buf {
@@ -449,12 +503,12 @@ func (pn *planNode) tail() tensor.RowEpilogue {
 // slot at the current batch size.
 //
 //skynet:hotpath
-func (p *plan) dest(g *Graph, o *planNode, fresh bool) []float32 {
+func (p *Plan) dest(o *planNode, fresh bool) []float32 {
 	if fresh || o.off < 0 {
 		o.out = tensor.New(o.dims...)
 		o.buf = o.out.Data
 	} else {
-		o.buf = g.arena[o.off*p.batch : (o.off+o.size)*p.batch]
+		o.buf = p.g.arena[o.off*p.batch : (o.off+o.size)*p.batch]
 	}
 	return o.buf
 }
@@ -462,7 +516,7 @@ func (p *plan) dest(g *Graph, o *planNode, fresh bool) []float32 {
 // src returns node j's output of the forward in flight (x for GraphInput).
 //
 //skynet:hotpath
-func (p *plan) src(j int, x *tensor.Tensor) []float32 {
+func (p *Plan) src(j int, x *tensor.Tensor) []float32 {
 	if j == GraphInput {
 		return x.Data
 	}
@@ -473,7 +527,7 @@ func (p *plan) src(j int, x *tensor.Tensor) []float32 {
 // arena slot gets a view, rebuilt when the slot moved or changed size.
 //
 //skynet:hotpath
-func (p *plan) tensorOf(j int, x *tensor.Tensor) *tensor.Tensor {
+func (p *Plan) tensorOf(j int, x *tensor.Tensor) *tensor.Tensor {
 	if j == GraphInput {
 		return x
 	}

@@ -112,7 +112,7 @@ func (r *Reorg) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "reorg")
 	r.inShp = x.Shape()
 	out := tensor.New(r.outShape(r.inShp)...)
-	reorgInto(out.Data, x.Data, x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), r.S)
+	ReorgInto(out.Data, x.Data, x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), r.S)
 	return out
 }
 
@@ -125,11 +125,12 @@ func (r *Reorg) outShape(in []int) []int {
 	return []int{in[0], in[1] * r.S * r.S, in[2] / r.S, in[3] / r.S}
 }
 
-// reorgInto moves each s×s spatial block of the n images [c,h,w] of src
-// into the channel dimension of dst.
+// ReorgInto moves each s×s spatial block of the n images [c,h,w] of src
+// into the channel dimension of dst — float32 feature maps here, int8 codes
+// in internal/quant.
 //
 //skynet:hotpath
-func reorgInto(dst, src []float32, n, c, h, w, s int) {
+func ReorgInto[T any](dst, src []T, n, c, h, w, s int) {
 	oh, ow := h/s, w/s
 	for i := 0; i < n; i++ {
 		for dy := 0; dy < s; dy++ {

@@ -122,13 +122,23 @@ type ActivationScales struct {
 }
 
 // CalibrateActivations runs g in eval mode over the calibration batches and
-// returns symmetric int8 scales for the graph input and every node output.
-// Per-tensor activation scales combined with per-output-channel weight
-// scales is the standard post-training int8 recipe (feature maps share one
-// grid because they are consumed whole by the next layer's GEMM; weights
-// can afford a grid per output channel because each channel's scale folds
-// into that channel's requantize multiplier).
-func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig) (ActivationScales, error) {
+// returns symmetric int8 scales for the graph input and every node output
+// the inference plan compiled under nn.Compile's separate mask materialises
+// (a BatchNorm or ReLU computed inside its convolution's GEMM store has no
+// tensor of its own and reads scale 1). Per-tensor activation scales with
+// per-output-channel weight scales is the standard post-training int8 recipe:
+// feature maps share one grid because the next layer's GEMM consumes them
+// whole; each weight channel's scale folds into its requantize multiplier.
+//
+// It observes the plan's arena slots in place, one sample at a time: no hook
+// is installed, no feature map allocated, and the arena left on g is one
+// sample's. Every observer sees the values of a batched, unfused forward in
+// the same order (the plan equals the layer walk bit for bit; the batch is
+// the outermost dimension), so both calibrators give the scales they would
+// there. A graph that already has an FMHook runs hooked, whole batches at a
+// time, as its Forward would: the hook is not touched, and what is observed
+// is each node's tensor as the hook left it.
+func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig, separate []bool) (ActivationScales, error) {
 	if len(batches) == 0 {
 		return ActivationScales{}, fmt.Errorf("quant: calibration needs at least one batch")
 	}
@@ -137,17 +147,19 @@ func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig
 	for i := range obs {
 		obs[i] = newObserver(cfg.Method)
 	}
-	prev := g.FMHook
-	g.FMHook = func(i int, t *tensor.Tensor) {
-		if prev != nil {
-			prev(i, t)
-		}
-		obs[i].observe(t.Data)
-	}
-	defer func() { g.FMHook = prev }()
+	observe := func(i int, data []float32) { obs[i].observe(data) }
 	for _, b := range batches {
 		inObs.observe(b.Data)
-		g.Forward(b, false)
+		p := nn.Compile(g, b.Shape(), separate)
+		if g.FMHook != nil {
+			p.Run(b, observe)
+			continue
+		}
+		sample := append([]int{1}, b.Shape()[1:]...)
+		per := b.Len() / b.Dim(0)
+		for i := 0; i < b.Dim(0); i++ {
+			p.Run(tensor.FromSlice(b.Data[i*per:(i+1)*per], sample...), observe)
+		}
 	}
 	pct := cfg.percentile()
 	out := ActivationScales{
@@ -185,15 +197,5 @@ func QuantizeWeightsPerChannel(w []float32, rows, cols int) ([]int8, []float32) 
 //
 //skynet:hotpath
 func quantizeCode(v, scale float32) int8 {
-	r := math.RoundToEven(float64(v) / float64(scale))
-	if math.IsNaN(r) {
-		return 0
-	}
-	if r > 127 {
-		return 127
-	}
-	if r < -127 {
-		return -127
-	}
-	return int8(r)
+	return clampCode(math.RoundToEven(float64(v) / float64(scale)))
 }

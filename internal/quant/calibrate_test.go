@@ -128,14 +128,14 @@ func TestQuantizeWeightsPerChannel(t *testing.T) {
 func TestCalibrateActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	if _, err := CalibrateActivations(g, nil, CalibConfig{}); err == nil {
+	if _, err := CalibrateActivations(g, nil, CalibConfig{}, nil); err == nil {
 		t.Fatal("empty calibration set must error")
 	}
 	batch := tensor.New(2, 3, 16, 16)
 	for i := range batch.Data {
 		batch.Data[i] = rng.Float32()
 	}
-	scales, err := CalibrateActivations(g, []*tensor.Tensor{batch}, CalibConfig{})
+	scales, err := CalibrateActivations(g, []*tensor.Tensor{batch}, CalibConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCalibrateActivationsPreservesHook(t *testing.T) {
 	g.FMHook = prev
 	batch := tensor.New(1, 1, 2, 2)
 	batch.Data[0] = 1
-	if _, err := CalibrateActivations(g, []*tensor.Tensor{batch}, CalibConfig{}); err != nil {
+	if _, err := CalibrateActivations(g, []*tensor.Tensor{batch}, CalibConfig{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if called == 0 {

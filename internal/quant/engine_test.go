@@ -1,0 +1,511 @@
+package quant
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"skynet/internal/backbone"
+	"skynet/internal/nn"
+	"skynet/internal/tensor"
+)
+
+// dwPlaneInt8Ref is the loop dwPlaneInt8 replaced, kept as its oracle (with
+// the stride and padding the old one fixed at 1 and k/2): every tap tested
+// against both image edges.
+func dwPlaneInt8Ref(dst, src, ker []int8, h, w, outH, outW, k, stride, pad int, bias int32, mult float32) {
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			acc := bias
+			for ky := 0; ky < k; ky++ {
+				iy := oy*stride - pad + ky
+				if iy < 0 || iy >= h {
+					continue
+				}
+				for kx := 0; kx < k; kx++ {
+					ix := ox*stride - pad + kx
+					if ix < 0 || ix >= w {
+						continue
+					}
+					acc += int32(ker[ky*k+kx]) * int32(src[iy*w+ix])
+				}
+			}
+			dst[oy*outW+ox] = tensor.RequantizeRNE(acc, mult, -127, 127)
+		}
+	}
+}
+
+// maxPoolCodesRef is the scalar loop maxPoolCodes replaced, kept as its
+// oracle.
+func maxPoolCodesRef(dst, src []int8, planes, h, w, k int) {
+	oh, ow := h/k, w/k
+	oi := 0
+	for p := 0; p < planes; p++ {
+		base := p * h * w
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := src[base+oy*k*w+ox*k]
+				for ky := 0; ky < k; ky++ {
+					row := base + (oy*k+ky)*w + ox*k
+					for kx := 0; kx < k; kx++ {
+						if v := src[row+kx]; v > best {
+							best = v
+						}
+					}
+				}
+				dst[oi] = best
+				oi++
+			}
+		}
+	}
+}
+
+func randCodes(rng *rand.Rand, n int) []int8 {
+	c := make([]int8, n)
+	for i := range c {
+		c[i] = int8(rng.Intn(255) - 127)
+	}
+	return c
+}
+
+// TestInt8DWMatchesOracle holds the interior/border split to the two-branch
+// loop, bit for bit, over every small plane, kernel size, stride and padding.
+func TestInt8DWMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, k := range []int{1, 3, 5} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, k / 2} {
+				for h := 1; h <= 7; h++ {
+					for w := 1; w <= 7; w++ {
+						outH, outW := (h+2*pad-k)/stride+1, (w+2*pad-k)/stride+1
+						if h+2*pad < k || w+2*pad < k {
+							continue
+						}
+						src, ker := randCodes(rng, h*w), randCodes(rng, k*k)
+						bias, mult := int32(rng.Intn(2001)-1000), 0.002+rng.Float32()*0.01
+						got, want := make([]int8, outH*outW), make([]int8, outH*outW)
+						dwPlaneInt8(got, src, ker, make([]int32, outW), h, w, k, stride, pad, bias, mult)
+						dwPlaneInt8Ref(want, src, ker, h, w, outH, outW, k, stride, pad, bias, mult)
+						if !slices.Equal(got, want) {
+							t.Fatalf("k=%d stride=%d pad=%d %dx%d: got %v, oracle %v", k, stride, pad, h, w, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaxPoolCodesMatchesOracle: the unrolled 2×2 body and the general one
+// against the scalar loop, odd sizes (cropped bottom/right) included.
+func TestMaxPoolCodesMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, k := range []int{2, 3} {
+		for h := k; h <= 9; h++ {
+			for w := k; w <= 9; w++ {
+				src := randCodes(rng, 3*h*w)
+				got, want := make([]int8, 3*(h/k)*(w/k)), make([]int8, 3*(h/k)*(w/k))
+				maxPoolCodes(got, src, 3, h, w, k)
+				maxPoolCodesRef(want, src, 3, h, w, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("k=%d %dx%d: got %v, oracle %v", k, h, w, got, want)
+				}
+			}
+		}
+	}
+}
+
+// calibrateByHook is the calibration CalibrateActivations used to be — an
+// FMHook on an unfused, whole-batch forward — kept as the oracle of the
+// observer on the plan.
+func calibrateByHook(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig) ActivationScales {
+	inObs := newObserver(cfg.Method)
+	obs := make([]*observer, len(g.Nodes))
+	for i := range obs {
+		obs[i] = newObserver(cfg.Method)
+	}
+	prev := g.FMHook
+	g.FMHook = func(i int, t *tensor.Tensor) {
+		if prev != nil {
+			prev(i, t)
+		}
+		obs[i].observe(t.Data)
+	}
+	defer func() { g.FMHook = prev }()
+	for _, b := range batches {
+		inObs.observe(b.Data)
+		g.Forward(b, false)
+	}
+	out := ActivationScales{Input: int8Scale(inObs.clip(cfg.percentile())), Node: make([]float32, len(g.Nodes))}
+	for i, o := range obs {
+		out.Node[i] = int8Scale(o.clip(cfg.percentile()))
+	}
+	return out
+}
+
+// settle gives the batch norms running statistics worth folding.
+func settle(g *nn.Graph, rng *rand.Rand) {
+	for _, n := range g.Nodes {
+		if l, ok := n.Layer.(*nn.BatchNorm); ok {
+			l.Gamma.W.RandUniform(rng, 0.5, 1.5)
+			l.Beta.W.RandNormal(rng, 0, 0.3)
+			l.RunMean.RandNormal(rng, 0, 0.3)
+			l.RunVar.RandUniform(rng, 0.5, 2)
+		}
+	}
+}
+
+// TestCalibrationObserverMatchesHook: calibrating on the fused plan's arena
+// slots, sample by sample, gives bit for bit the scale the hooked batch
+// forward gave for every tensor the plan materialises — which is every scale
+// Export reads: the input, chain ends, DW outputs, fallback outputs. Both
+// calibrators, all three SkyNets, with and without a mask that splits a
+// chain, and with a hook of the caller's already on the graph.
+func TestCalibrationObserverMatchesHook(t *testing.T) {
+	for _, v := range []backbone.SkyNetVariant{backbone.VariantA, backbone.VariantB, backbone.VariantC} {
+		for _, cfg := range []CalibConfig{{}, {Method: CalibPercentile, Percentile: 99}} {
+			for _, forced := range [][]int{nil, {2, 8}} { // a BatchNorm and an activation: two chains end early
+				for _, hooked := range []bool{false, true} {
+					name := fmt.Sprintf("SkyNet%v/method%d/forced%v/hooked%v", v, cfg.Method, forced, hooked)
+					rng := rand.New(rand.NewSource(23))
+					g := backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, v)
+					settle(g, rng)
+					batches := []*tensor.Tensor{randBatch(rng, 3, 3, 16, 32), randBatch(rng, 2, 3, 16, 32)}
+					hookCalls := 0
+					if hooked {
+						g.FMHook = func(i int, t *tensor.Tensor) { hookCalls++; t.Scale(0.5) }
+					}
+					separate := make([]bool, len(g.Nodes))
+					for _, i := range forced {
+						separate[i] = true
+					}
+					want := calibrateByHook(g, batches, cfg)
+					wantCalls := hookCalls
+					got, err := CalibrateActivations(g, batches, cfg, separate)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hooked && (g.FMHook == nil || hookCalls != 2*wantCalls) {
+						t.Fatalf("%s: the caller's hook ran %d times during calibration, want %d, and must stay installed", name, hookCalls-wantCalls, wantCalls)
+					}
+					if !hooked && g.FMHook != nil {
+						t.Fatalf("%s: calibration left a hook on the graph", name)
+					}
+					if got.Input != want.Input {
+						t.Fatalf("%s: input scale %v, by hook %v", name, got.Input, want.Input)
+					}
+					steps, _ := nn.Compile(g, batches[0].Shape(), separate).Steps()
+					if fused, _ := nn.Compile(g, batches[0].Shape(), nil).Steps(); len(forced) > 0 && len(steps) <= len(fused) {
+						t.Fatalf("%s: the mask split no chain", name)
+					}
+					for _, s := range steps {
+						if got.Node[s.Out] != want.Node[s.Out] {
+							t.Fatalf("%s: node %d (%s) scale %v, by hook %v", name, s.Out, g.Nodes[s.Out].Layer.Name(), got.Node[s.Out], want.Node[s.Out])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// mixedGraph is a small model off SkyNet's path: a strided k×k convolution
+// with im2col, a strided depth-wise one, a stand-alone BatchNorm (float
+// fallback), a pool with cropping, a layer kind the plan does not lower
+// feeding an int8 unit, and an activation at the graph output.
+func mixedGraph(rng *rand.Rand) *nn.Graph {
+	g := nn.NewGraph()
+	g.Add(nn.NewConv2D(rng, 3, 8, 3, 2, 1, true), nn.GraphInput)
+	g.Add(nn.NewBatchNorm(8))
+	g.Add(nn.NewReLU6())
+	dw := nn.NewDWConv3(rng, 8, 3, true)
+	dw.Stride = 2
+	g.Add(dw)
+	g.Add(nn.NewBatchNorm(8))
+	g.Add(nn.NewMaxPool(2))
+	a := g.Add(nn.NewPWConv1(rng, 8, 8, false))
+	b := g.Add(nn.NewReLU(), a)
+	g.Add(nn.NewAdd(), a, b)
+	g.Add(nn.NewPWConv1(rng, 8, 4, true))
+	g.Add(nn.NewReLU6())
+	settle(g, rng)
+	return g
+}
+
+func nrmse(got, want []float32) float64 {
+	var se, ref float64
+	for i := range want {
+		d := float64(got[i] - want[i])
+		se += d * d
+		ref += float64(want[i]) * float64(want[i])
+	}
+	return math.Sqrt(se / (ref + 1e-12))
+}
+
+// TestMixedGraphCloseToFloat runs mixedGraph through every unit kind and
+// both lazy conversions, and pins that an activation ending the graph is
+// applied (the dequantizing head used to drop it).
+func TestMixedGraphCloseToFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	g := mixedGraph(rng)
+	calib := []*tensor.Tensor{randBatch(rng, 4, 3, 22, 30)}
+	qm, err := Export(g, calib, ExportConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i8, fl, fused := qm.Stats(); i8 != 6 || fl != 2 || fused != 3 {
+		t.Fatalf("units = (%d int8, %d float, %d fused), want (6, 2, 3)", i8, fl, fused)
+	}
+	x := randBatch(rng, 3, 3, 22, 30)
+	want := g.Forward(x, false)
+	got := qm.Forward(x, false)
+	if !slices.Equal(got.Shape(), want.Shape()) {
+		t.Fatalf("int8 output shape %v, float %v", got.Shape(), want.Shape())
+	}
+	if e := nrmse(got.Data, want.Data); !(e <= 0.2) {
+		t.Fatalf("normalized RMSE int8 vs float = %.4f, want <= 0.2", e)
+	}
+	for i, v := range got.Data {
+		if v < 0 || v > 6.05 {
+			t.Fatalf("output[%d] = %v escapes the ReLU6 that ends the graph", i, v)
+		}
+	}
+}
+
+// TestExportStridedDWConv: the int8 depth-wise unit takes its stride and
+// padding from the layer, as the float forward does (it used to compute a
+// stride-1, same-padded result whatever the layer said).
+func TestExportStridedDWConv(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, geo := range [][2]int{{2, 1}, {1, 0}, {2, 0}} {
+		dw := nn.NewDWConv3(rng, 6, 3, true)
+		dw.Stride, dw.Pad = geo[0], geo[1]
+		dw.Bias.W.RandNormal(rng, 0, 0.2)
+		g := nn.Sequential(nn.NewPWConv1(rng, 3, 6, false), dw, nn.NewPWConv1(rng, 6, 4, false))
+		qm, err := Export(g, []*tensor.Tensor{randBatch(rng, 4, 3, 13, 17)}, ExportConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randBatch(rng, 2, 3, 13, 17)
+		want := g.Forward(x, false)
+		got := qm.Forward(x, false)
+		if !slices.Equal(got.Shape(), want.Shape()) {
+			t.Fatalf("stride %d pad %d: int8 output shape %v, float %v", geo[0], geo[1], got.Shape(), want.Shape())
+		}
+		if e := nrmse(got.Data, want.Data); !(e <= 0.1) {
+			t.Fatalf("stride %d pad %d: normalized RMSE int8 vs float = %.4f, want <= 0.1", geo[0], geo[1], e)
+		}
+	}
+}
+
+// TestExportAccumulatorBound: a unit whose accumulator could leave int32 is
+// lowered as a float fallback instead of wrapping — a batch-norm shift that
+// is astronomically large in accumulator units (it used to saturate
+// silently), and a dot product longer than 133 144 taps.
+func TestExportAccumulatorBound(t *testing.T) {
+	if !tensor.Int8AccumulatorFits(133144, 0) || tensor.Int8AccumulatorFits(133145, 0) ||
+		!tensor.Int8AccumulatorFits(9, math.MaxInt32-9*127*127) || tensor.Int8AccumulatorFits(9, math.MaxInt32-9*127*127+1) ||
+		tensor.Int8AccumulatorFits(1, math.NaN()) {
+		t.Fatal("Int8AccumulatorFits does not draw the line at k·127² + |bias| = MaxInt32")
+	}
+	rng := rand.New(rand.NewSource(26))
+	t.Run("bias", func(t *testing.T) {
+		// Inputs and weights of order 1e-3 make one accumulator unit ≈ 1e-10;
+		// a batch-norm shift of 5 is then 5e10 units, past int32.
+		pw, bn := nn.NewPWConv1(rng, 4, 4, false), nn.NewBatchNorm(4)
+		pw.Weight.W.Scale(1e-3)
+		bn.Beta.W.Fill(5)
+		dw := nn.NewDWConv3(rng, 4, 3, true)
+		dw.Weight.W.Scale(1e-5)
+		dw.Bias.W.Fill(-30)
+		g := nn.Sequential(pw, bn, nn.NewReLU6(), nn.NewPWConv1(rng, 4, 4, false), dw, nn.NewPWConv1(rng, 4, 2, false))
+		small := func(n int) *tensor.Tensor {
+			x := randBatch(rng, n, 4, 6, 6)
+			x.Scale(1e-3)
+			return x
+		}
+		qm, err := Export(g, []*tensor.Tensor{small(4)}, ExportConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i8, fl, fused := qm.Stats(); i8 != 2 || fl != 2 || fused != 0 {
+			t.Fatalf("units = (%d int8, %d float, %d fused), want (2, 2, 0): the conv chain and the DW conv must fall back", i8, fl, fused)
+		}
+		x := small(2)
+		want := g.Forward(x, false)
+		if e := nrmse(qm.Forward(x, false).Data, want.Data); !(e <= 0.1) {
+			t.Fatalf("normalized RMSE int8 vs float = %.4f, want <= 0.1", e)
+		}
+	})
+	t.Run("k", func(t *testing.T) {
+		const k = 365 // 365² = 133 225 taps
+		conv := nn.NewConv2D(rng, 1, 2, k, 1, 0, false)
+		conv.Weight.W.Fill(1) // with inputs at +1 every product is +127²: the sum would wrap
+		g := nn.Sequential(conv, nn.NewPWConv1(rng, 2, 2, false))
+		x := tensor.New(1, 1, k, k)
+		x.Fill(1)
+		qm, err := Export(g, []*tensor.Tensor{x}, ExportConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i8, fl, _ := qm.Stats(); i8 != 1 || fl != 1 {
+			t.Fatalf("units = (%d int8, %d float), want (1, 1)", i8, fl)
+		}
+		if e := nrmse(qm.Forward(x, false).Data, g.Forward(x, false).Data); !(e <= 0.05) {
+			t.Fatalf("normalized RMSE int8 vs float = %.4f, want <= 0.05", e)
+		}
+	})
+}
+
+// workers pins the worker count of the GEMMs and the plane loops for fn.
+func workers(n int, fn func()) {
+	old := tensor.MaxParallelism
+	tensor.MaxParallelism = n
+	defer func() { tensor.MaxParallelism = old }()
+	fn()
+}
+
+// engineCases are the models the engine-level properties are checked on:
+// SkyNet C (bypass, reorg, concat), the same with forced-float nodes that
+// split a chain and put a float producer before an int8 consumer and a
+// fallback → fallback edge in the graph, and mixedGraph.
+func engineCases(t *testing.T) map[string]*QuantizedModel {
+	t.Helper()
+	rng := rand.New(rand.NewSource(27))
+	sky := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
+	settle(sky, rng)
+	mixed := mixedGraph(rng)
+	cases := map[string]*QuantizedModel{}
+	for name, c := range map[string]struct {
+		g   *nn.Graph
+		cfg ExportConfig
+	}{
+		"SkyNetC":        {sky, ExportConfig{}},
+		"SkyNetC/forced": {sky, ExportConfig{ForceFloat: []int{0, 1, 2, 9}}},
+		"mixed":          {mixed, ExportConfig{}},
+	} {
+		qm, err := Export(c.g, []*tensor.Tensor{randBatch(rng, 4, 3, 32, 64)}, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[name] = qm
+	}
+	return cases
+}
+
+func forwardCopy(qm *QuantizedModel, x *tensor.Tensor) []float32 {
+	return slices.Clone(qm.Forward(x, false).Data)
+}
+
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
+// TestQuantizedBatchInvariance: the forward of a batch is, bit for bit, the
+// concatenation of its frames' own forwards, and one worker computes what
+// two do — the plane loops split a batch's planes, integer sums are exact.
+func TestQuantizedBatchInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for name, qm := range engineCases(t) {
+		x := randBatch(rng, 3, 3, 32, 64)
+		var whole []float32
+		workers(1, func() { whole = forwardCopy(qm, x) })
+		for _, w := range []int{2, 3} {
+			workers(w, func() {
+				if got := forwardCopy(qm, x); !sameBits(got, whole) {
+					t.Fatalf("%s: %d workers and one worker disagree", name, w)
+				}
+			})
+		}
+		per, outPer := x.Len()/3, len(whole)/3
+		for i := 0; i < 3; i++ {
+			one := forwardCopy(qm, tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, 3, 32, 64))
+			if !sameBits(one, whole[i*outPer:(i+1)*outPer]) {
+				t.Fatalf("%s: frame %d alone differs from its row of the batch", name, i)
+			}
+		}
+	}
+}
+
+// TestCodeArenaLiveness overwrites every code slot with -128 the moment the
+// plan releases it: were a slot handed to a later step while something still
+// had to read it, the output would change. Batches shrink and grow and the
+// input shape changes, so slots are also cut from an arena sized for another
+// forward.
+func TestCodeArenaLiveness(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	xs := []*tensor.Tensor{randBatch(rng, 2, 3, 32, 64), randBatch(rng, 5, 3, 32, 64), randBatch(rng, 1, 3, 32, 64), randBatch(rng, 2, 3, 16, 16)}
+	for name, qm := range engineCases(t) {
+		var want [][]float32
+		for _, x := range xs {
+			want = append(want, forwardCopy(qm, x))
+		}
+		poisonReleased = true
+		for i, x := range xs {
+			if got := forwardCopy(qm, x); !sameBits(got, want[i]) {
+				t.Errorf("%s: input %d changes when released slots are poisoned", name, i)
+			}
+		}
+		poisonReleased = false
+	}
+}
+
+// TestExportAllocatesNoFeatureMaps: calibration observes the plan's arena in
+// place. Export over two batches of four allocates, in total, less than the
+// feature maps of one unfused sample, and leaves the graph with an arena no
+// larger than one sample's.
+func TestExportAllocatesNoFeatureMaps(t *testing.T) {
+	// One worker at both levels, and one Export before the measured one: the
+	// GEMM pool's packing scratch is then allocated and nothing else is lazy.
+	oldNN := nn.MaxParallelism
+	nn.MaxParallelism = 1
+	defer func() { nn.MaxParallelism = oldNN }()
+	workers(1, func() {
+		rng := rand.New(rand.NewSource(30))
+		build := func() *nn.Graph {
+			return backbone.SkyNetC(rand.New(rand.NewSource(30)), backbone.Config{Width: 0.5, InC: 3, HeadChannels: 10, ReLU6: true})
+		}
+		calib := []*tensor.Tensor{randBatch(rng, 4, 3, 64, 128), randBatch(rng, 4, 3, 64, 128)}
+		g := build()
+		if _, err := Export(g, calib, ExportConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		var fmBytes uint64 // every node's output, one sample
+		g.Forward(randBatch(rng, 1, 3, 64, 128), false)
+		for _, s := range g.OutShapes {
+			n := uint64(4)
+			for _, d := range s[1:] {
+				n *= uint64(d)
+			}
+			fmBytes += n
+		}
+		_, perSample := nn.Compile(g, calib[0].Shape(), nil).Steps()
+		arenaBytes := uint64(4 * perSample)
+
+		g = build()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		qm, err := Export(g, calib, ExportConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= fmBytes {
+			t.Errorf("Export allocated %d bytes; one sample's unfused feature maps are %d", got, fmBytes)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		// What Export leaves behind: the model (integer weights, no arena yet)
+		// and the graph's arena.
+		if kept := int64(after.HeapAlloc) - int64(before.HeapAlloc); kept > int64(arenaBytes+arenaBytes/2) {
+			t.Errorf("Export left %d bytes live; an arena of one sample is %d", kept, arenaBytes)
+		}
+		runtime.KeepAlive(qm)
+		runtime.KeepAlive(g)
+		runtime.KeepAlive(calib)
+	})
+}

@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"skynet/internal/nn"
 	"skynet/internal/tensor"
@@ -17,72 +18,35 @@ import (
 // epilogue; max-pool, reorg and ReLU operate directly on codes (they are
 // monotonic, so the code-domain result is exact); concat requantizes each
 // input onto the widest input grid. Any node the lowering does not
-// recognize — or that the caller forces via ExportConfig.ForceFloat — runs
-// its original float layer between dequantize/quantize shims, so a partial
-// lowering is always available.
+// recognize — or that the caller forces via ExportConfig.ForceFloat, or
+// whose accumulator could leave int32 — runs its original float layer
+// between dequantize/quantize shims, so a partial lowering is always
+// available.
+//
+// The engine owns arithmetic only: integer weights, epilogues, scales. What
+// runs when, every shape, and where each feature map lives come from the
+// float engine's planner — nn.Compile under the ForceFloat mask — whose
+// steps it executes on one []int8 arena at the plan's own offsets, a code
+// where the float executor keeps a float32.
 //
 // Determinism: every integer kernel accumulates exactly (no float
-// reassociation), requantization is elementwise, and the float fallback
-// layers are the graph's own (already bitwise deterministic) layers, so a
-// QuantizedModel produces bitwise identical outputs for any GOMAXPROCS,
-// matching the float path's contract.
+// reassociation; Export enforces tensor.Int8AccumulatorFits),
+// requantization is elementwise, and the float fallback layers are the
+// graph's own (already bitwise deterministic) layers, so a QuantizedModel
+// produces bitwise identical outputs for any GOMAXPROCS, matching the float
+// path's contract.
 
-// qact is one node's output activation in the quantized engine. Exactly one
-// of codes/f is set by the producer; the other representation is
-// materialized lazily on demand and cached for the remaining consumers.
-// Conversion buffers persist across Forward calls, so steady-state
-// inference allocates nothing.
-type qact struct {
-	scale   float32
-	shape   []int
-	codes   []int8
-	f       *tensor.Tensor
-	codeBuf []int8
-	fBuf    *tensor.Tensor
-}
-
-func (a *qact) numel() int {
-	n := 1
-	for _, d := range a.shape {
-		n *= d
-	}
-	return n
-}
-
-func (a *qact) setShape(dims ...int) {
-	a.shape = append(a.shape[:0], dims...)
-}
-
-// asCodes returns the activation as int8 codes at a.scale, quantizing a
-// float-produced activation on first demand.
-func (a *qact) asCodes() []int8 {
-	if a.codes != nil {
-		return a.codes
-	}
-	n := a.numel()
-	if cap(a.codeBuf) < n {
-		a.codeBuf = make([]int8, n)
-	}
-	buf := a.codeBuf[:n]
-	quantizeInto(buf, a.f.Data, a.scale)
-	a.codes = buf
-	return buf
-}
-
-// asFloat returns the activation as a float tensor, dequantizing codes on
-// first demand.
-func (a *qact) asFloat() *tensor.Tensor {
-	if a.f != nil {
-		return a.f
-	}
-	if a.fBuf == nil || a.fBuf.Len() != a.numel() {
-		a.fBuf = tensor.New(a.shape...)
-	} else if !shapeMatches(a.fBuf, a.shape) {
-		a.fBuf = a.fBuf.Reshape(a.shape...)
-	}
-	dequantizeInto(a.fBuf.Data, a.codes, a.scale)
-	a.f = a.fBuf
-	return a.f
+// value is one tensor of the forward in flight — a node's output or the
+// graph input — in the forms its consumers ask for. Its producer leaves
+// codes (in the model's arena) or a float tensor; the other form is made on
+// first demand and kept for the remaining consumers.
+type value struct {
+	scale     float32
+	dims      []int          // shape of one sample, from the plan (dims[0] is not used)
+	off, size int            // per sample: the code slot of a batch of n is arena[off·n : (off+size)·n]
+	coded     bool           // the slot holds this forward's codes
+	f         *tensor.Tensor // this forward's float form, once produced or asked for
+	fbuf      *tensor.Tensor // where f is dequantized to, kept across forwards
 }
 
 // quantizeInto writes codes = clamp(rne(src/scale), -127, 127).
@@ -91,18 +55,18 @@ func (a *qact) asFloat() *tensor.Tensor {
 func quantizeInto(dst []int8, src []float32, scale float32) {
 	inv := 1 / float64(scale)
 	for i, v := range src {
-		r := math.RoundToEven(float64(v) * inv)
-		switch {
-		case math.IsNaN(r):
-			dst[i] = 0
-		case r > 127:
-			dst[i] = 127
-		case r < -127:
-			dst[i] = -127
-		default:
-			dst[i] = int8(r)
-		}
+		dst[i] = clampCode(math.RoundToEven(float64(v) * inv))
 	}
+}
+
+// clampCode converts a rounded value to a code: saturating, NaN to 0.
+//
+//skynet:hotpath
+func clampCode(r float64) int8 {
+	if math.IsNaN(r) {
+		return 0
+	}
+	return int8(min(max(r, -127), 127))
 }
 
 // dequantizeInto writes dst = float32(codes) · scale.
@@ -114,12 +78,12 @@ func dequantizeInto(dst []float32, src []int8, scale float32) {
 	}
 }
 
-// qnode is one executable unit of the quantized engine. Units are stored at
-// the index of the last graph node they cover (a fused conv+BN+act unit
-// occupies the activation node's slot; the covered conv and BN slots stay
-// nil and are skipped).
-type qnode interface {
-	forward()
+// unit is the arithmetic of one plan step: it reads the step's inputs
+// through m.codes or m.float and leaves the step's output through m.dest or
+// m.floatDest. Units are stored at the node whose output they write (a fused
+// conv+BN+act unit at the activation's index, as nn.Step.Out).
+type unit interface {
+	run(m *QuantizedModel, s *nn.Step)
 }
 
 // QuantizedModel is the int8 lowering of an nn.Graph. It implements
@@ -127,15 +91,29 @@ type qnode interface {
 // Like nn.Graph, a QuantizedModel is not safe for concurrent Forward calls;
 // the serving layer already serializes inference on one executor stage.
 type QuantizedModel struct {
-	nodes  []qnode
-	acts   []*qact
-	in     qact
-	output int
+	g        *nn.Graph // read for its structure when a new input shape needs a plan
+	separate []bool    // the mask that plan is compiled under: the forced-float nodes
+	units    []unit    // by node; nil where a node is computed inside another's unit
+	vals     []value   // by node + 1; vals[0] is the graph input
+	output   int
 
-	int8Units  int
-	floatUnits int
-	fusedNodes int
+	// The plan for the sample shape of vals[0].dims: its steps, and the
+	// arena size per sample — the plan's own plus the slots it does not lay out.
+	steps     []nn.Step
+	perSample int
+
+	arena []int8  // every code of the forward in flight
+	batch int     // of the forward in flight
+	col   []int8  // im2col of one image, for the k×k convolutions
+	acc   []int32 // qdw's accumulator rows
+
+	int8Units, floatUnits, fusedNodes int // Stats
 }
+
+// poisonReleased makes Forward overwrite every code slot with -128 — never
+// a valid code — as soon as the plan says nothing reads it any more. Tests
+// set it: a slot handed out while still live then shows in the output.
+var poisonReleased bool
 
 // Stats reports the lowering outcome: units running in real int8, units
 // running as float fallback, and how many graph nodes were fused away into
@@ -145,21 +123,113 @@ func (m *QuantizedModel) Stats() (int8Units, floatUnits, fusedNodes int) {
 }
 
 // Forward runs the quantized graph on x ([N,C,H,W]) and returns the float
-// output of the final layer. The train flag is ignored.
-func (m *QuantizedModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	_ = train
-	m.in.codes = nil
-	m.in.f = x
-	m.in.setShape(x.Shape()...)
-	for _, a := range m.acts {
-		a.codes, a.f = nil, nil
+// output of the final layer; train is ignored. Unlike nn.Graph's caller-owned
+// result, the returned tensor is the engine's: it is valid until the next
+// Forward, which overwrites it. (A fresh one per call would cost about three
+// allocations per frame where a warm Forward makes none, the contract
+// TestQuantizedSteadyStateAllocs and the benchmark's stream-int8
+// allocs_per_op bound hold it to.)
+func (m *QuantizedModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	m.batch = x.Dim(0)
+	m.planFor(x)
+	if need := m.perSample * m.batch; len(m.arena) < need {
+		m.arena = make([]int8, need)
 	}
-	for _, n := range m.nodes {
-		if n != nil {
-			n.forward()
+	for i := range m.vals {
+		m.vals[i].coded, m.vals[i].f = false, nil
+	}
+	m.vals[0].f = x
+	for i := range m.steps {
+		s := &m.steps[i]
+		m.units[s.Out].run(m, s)
+		if poisonReleased {
+			for _, j := range s.Frees {
+				buf := m.slot(m.val(j))
+				for k := range buf {
+					buf[k] = -128
+				}
+			}
 		}
 	}
-	return m.acts[m.output].asFloat()
+	m.vals[0].f = nil // the caller's frame is not the engine's to keep
+	return m.float(m.output)
+}
+
+// planFor makes m.steps the plan for x, compiling one when the sample shape
+// differs from the last forward's.
+func (m *QuantizedModel) planFor(x *tensor.Tensor) {
+	in := &m.vals[0]
+	if len(in.dims) == x.Rank() && slices.Equal(in.dims[1:], x.Shape()[1:]) {
+		return
+	}
+	m.steps, m.perSample = nn.Compile(m.g, x.Shape(), m.separate).Steps()
+	in.dims, in.off, in.size = slices.Clone(x.Shape()), -1, x.Len()/m.batch
+	for _, s := range m.steps {
+		v := m.val(s.Out)
+		v.dims, v.off, v.size, v.fbuf = s.Dims, s.Off, s.Size, nil
+	}
+	// The float plan keeps the graph input, the graph output and the outputs
+	// of layer kinds it does not lower outside its arena. Their codes, where
+	// a unit asks for them, get a slot past the plan's, for the whole forward.
+	for i := range m.vals {
+		if v := &m.vals[i]; v.off < 0 {
+			v.off = m.perSample
+			m.perSample += v.size
+		}
+	}
+}
+
+// val returns the value of node j (nn.GraphInput for the graph's input).
+//
+//skynet:hotpath
+func (m *QuantizedModel) val(j int) *value { return &m.vals[j+1] }
+
+// slot returns v's code slot at the batch in flight.
+//
+//skynet:hotpath
+func (m *QuantizedModel) slot(v *value) []int8 {
+	return m.arena[v.off*m.batch : (v.off+v.size)*m.batch]
+}
+
+// dest returns node j's code slot for its producer to fill.
+func (m *QuantizedModel) dest(j int) []int8 {
+	v := m.val(j)
+	v.coded = true
+	return m.slot(v)
+}
+
+// codes returns value j as int8 codes at its scale, quantizing a
+// float-produced value into its slot on first demand.
+func (m *QuantizedModel) codes(j int) []int8 {
+	v := m.val(j)
+	buf := m.slot(v)
+	if !v.coded {
+		quantizeInto(buf, v.f.Data, v.scale)
+		v.coded = true
+	}
+	return buf
+}
+
+// floatDest makes node j's float form this forward's and returns it for its
+// producer to fill. The tensor persists across forwards of one batch size,
+// so a warm forward allocates none.
+func (m *QuantizedModel) floatDest(j int) *tensor.Tensor {
+	v := m.val(j)
+	if v.fbuf == nil || v.fbuf.Len() != v.size*m.batch {
+		v.fbuf = tensor.New(append([]int{m.batch}, v.dims[1:]...)...)
+	}
+	v.f = v.fbuf
+	return v.f
+}
+
+// float returns value j as a float tensor, dequantizing codes on first
+// demand.
+func (m *QuantizedModel) float(j int) *tensor.Tensor {
+	v := m.val(j)
+	if v.f == nil {
+		dequantizeInto(m.floatDest(j).Data, m.slot(v), v.scale)
+	}
+	return v.f
 }
 
 // ExportConfig configures the int8 lowering.
@@ -174,20 +244,17 @@ type ExportConfig struct {
 // Export calibrates g on the given batches and lowers it into a
 // QuantizedModel. The graph is not modified; the quantized model holds
 // integer copies of the weights (with batch-norm folded into the conv
-// scales) and references the original layers only for float-fallback nodes.
+// scales), runs the original layers only for float-fallback nodes, and
+// otherwise reads the graph's node list — which must not change — only to
+// plan a forward at a new input shape. A convolution whose accumulator could
+// leave int32 (tensor.Int8AccumulatorFits: more than 133 144 taps, or a bias
+// — batch norm folded in — beyond int32 in accumulator units) is lowered as
+// a float fallback unit, fused tail included, and shows as one in Stats.
 func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedModel, error) {
 	if len(g.Nodes) == 0 {
 		return nil, fmt.Errorf("quant: cannot export an empty graph")
 	}
-	scales, err := CalibrateActivations(g, calib, cfg.Calib)
-	if err != nil {
-		return nil, err
-	}
 	nNodes := len(g.Nodes)
-	output := nNodes - 1
-	if g.Output >= 0 {
-		output = g.Output
-	}
 	force := make([]bool, nNodes)
 	for _, i := range cfg.ForceFloat {
 		if i < 0 || i >= nNodes {
@@ -195,119 +262,83 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 		force[i] = true
 	}
-	// Where conv → BN → act chains may fuse is the float inference plan's
-	// rule too; a forced-float node never joins a chain.
-	chains := nn.ConvChains(g, force)
-
-	m := &QuantizedModel{
-		nodes:  make([]qnode, nNodes),
-		acts:   make([]*qact, nNodes),
-		output: output,
+	// A forced-float node never joins a conv → BN → act chain: calibration,
+	// the lowering below and every later forward plan under the same mask.
+	scales, err := CalibrateActivations(g, calib, cfg.Calib, force)
+	if err != nil {
+		return nil, err
 	}
-	for i := range m.acts {
-		m.acts[i] = &qact{}
+	m := &QuantizedModel{g: g, separate: force, units: make([]unit, nNodes), vals: make([]value, nNodes+1), output: nNodes - 1}
+	if g.Output >= 0 {
+		m.output = g.Output
 	}
-	m.in.scale = scales.Input
-	actScale := make([]float32, nNodes)
-	actOf := func(j int) *qact {
-		if j == nn.GraphInput {
-			return &m.in
+	m.vals[0].scale = scales.Input
+	// lower installs u as the unit of step s, its output on the given grid.
+	lower := func(s *nn.Step, u unit, scale float32) {
+		m.units[s.Out], m.val(s.Out).scale = u, scale
+		if _, float := u.(*qfallback); float {
+			m.floatUnits++
+		} else {
+			m.int8Units++
 		}
-		return m.acts[j]
 	}
-	scaleOf := func(j int) float32 {
-		if j == nn.GraphInput {
-			return scales.Input
+	// fallback runs the step's layers — a node's, then its fused tail's — in float.
+	fallback := func(s *nn.Step) {
+		q := &qfallback{layers: []nn.Layer{g.Nodes[s.Node].Layer}, ins: make([]*tensor.Tensor, len(s.Inputs))}
+		for _, t := range s.Chain.Tail {
+			q.layers = append(q.layers, g.Nodes[t].Layer)
 		}
-		return actScale[j]
+		lower(s, q, scales.Node[s.Out])
 	}
-	fallback := func(i int) {
-		ins := make([]*qact, len(g.Nodes[i].Inputs))
-		for k, j := range g.Nodes[i].Inputs {
-			ins[k] = actOf(j)
-		}
-		actScale[i] = scales.Node[i]
-		m.acts[i].scale = actScale[i]
-		m.nodes[i] = &qfallback{out: m.acts[i], ins: ins, layer: g.Nodes[i].Layer}
-		m.floatUnits++
-	}
-	fused := make([]bool, nNodes)
-
-	for i, node := range g.Nodes {
-		if fused[i] {
+	steps, _ := nn.Compile(g, calib[0].Shape(), force).Steps()
+	for i := range steps {
+		s := &steps[i]
+		if force[s.Node] {
+			fallback(s)
 			continue
 		}
-		if force[i] {
-			fallback(i)
-			continue
-		}
-		inIdx := nn.GraphInput
-		if len(node.Inputs) > 0 {
-			inIdx = node.Inputs[0]
-		}
-		switch l := node.Layer.(type) {
+		inScale := m.val(s.Inputs[0]).scale
+		switch l := g.Nodes[s.Node].Layer.(type) {
 		case *nn.Conv2D:
-			// Fuse the canonical SkyNet tail: conv [→ BN] [→ ReLU/ReLU6].
-			ch := chains[i]
-			last := ch.Last(i)
-			for _, f := range ch.Tail {
-				fused[f] = true
-				m.fusedNodes++
+			// The step's chain is the canonical SkyNet tail, conv [→ BN] [→
+			// ReLU/ReLU6], in one unit. The conv that ends the graph hands
+			// floats to the detection head itself; behind an activation the
+			// codes are clamped first and Forward dequantizes them.
+			dequant := s.Out == m.output && s.Chain.Act == nil
+			if q := newQConv(l, s.Chain.BN, s.Chain.Act, inScale, scales.Node[s.Out], dequant); q != nil {
+				lower(s, q, scales.Node[s.Out])
+				m.fusedNodes += len(s.Chain.Tail)
+			} else {
+				fallback(s)
 			}
-			inScale := scaleOf(inIdx)
-			dequant := last == output
-			outScale := scales.Node[last]
-			actScale[last] = outScale
-			m.acts[last].scale = outScale
-			m.nodes[last] = newQConv(l, ch.BN, ch.Act, actOf(inIdx), m.acts[last], inScale, outScale, dequant)
-			m.int8Units++
 		case *nn.DWConv3:
-			inScale := scaleOf(inIdx)
-			outScale := scales.Node[i]
-			actScale[i] = outScale
-			m.acts[i].scale = outScale
-			m.nodes[i] = newQDW(l, actOf(inIdx), m.acts[i], inScale, outScale)
-			m.int8Units++
+			if q := newQDW(l, inScale, scales.Node[s.Out]); q != nil {
+				lower(s, q, scales.Node[s.Out])
+			} else {
+				fallback(s)
+			}
 		case *nn.ReLU:
-			inScale := scaleOf(inIdx)
-			actScale[i] = inScale // clamping codes preserves the grid
-			m.acts[i].scale = inScale
-			m.nodes[i] = &qrelu{out: m.acts[i], in: actOf(inIdx), hi: capCode(l.Cap, inScale)}
-			m.int8Units++
+			// Clamping codes preserves the grid.
+			lower(s, &qrelu{hi: capCode(l.Cap, inScale)}, inScale)
 		case *nn.MaxPool:
-			inScale := scaleOf(inIdx)
-			actScale[i] = inScale
-			m.acts[i].scale = inScale
-			m.nodes[i] = &qpool{out: m.acts[i], in: actOf(inIdx), k: l.K}
-			m.int8Units++
+			lower(s, newQPool(l.K), inScale)
 		case *nn.Reorg:
-			inScale := scaleOf(inIdx)
-			actScale[i] = inScale
-			m.acts[i].scale = inScale
-			m.nodes[i] = &qreorg{out: m.acts[i], in: actOf(inIdx), s: l.S}
-			m.int8Units++
+			lower(s, &qreorg{s: l.S}, inScale)
 		case *nn.Concat:
 			// The output grid is the widest input grid: inputs on that grid
 			// copy through exactly, narrower inputs requantize with
 			// mult = inScale/outScale ≤ 1.
-			ins := make([]*qact, len(node.Inputs))
-			mults := make([]float32, len(node.Inputs))
 			var outScale float32
-			for k, j := range node.Inputs {
-				ins[k] = actOf(j)
-				if s := scaleOf(j); s > outScale {
-					outScale = s
-				}
+			for _, j := range s.Inputs {
+				outScale = max(outScale, m.val(j).scale)
 			}
-			for k, j := range node.Inputs {
-				mults[k] = scaleOf(j) / outScale
+			q := &qconcat{mults: make([]float32, len(s.Inputs))}
+			for k, j := range s.Inputs {
+				q.mults[k] = m.val(j).scale / outScale
 			}
-			actScale[i] = outScale
-			m.acts[i].scale = outScale
-			m.nodes[i] = &qconcat{out: m.acts[i], ins: ins, mults: mults}
-			m.int8Units++
+			lower(s, q, outScale)
 		default:
-			fallback(i)
+			fallback(s)
 		}
 	}
 	return m, nil
@@ -315,66 +346,60 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 
 // capCode converts a float activation cap to its code-domain clamp.
 func capCode(cap float32, scale float32) int8 {
-	if cap <= 0 {
-		return 127
+	if c := math.RoundToEven(float64(cap) / float64(scale)); cap > 0 && c <= 127 {
+		return int8(c)
 	}
-	c := math.RoundToEven(float64(cap) / float64(scale))
-	if c > 127 || math.IsNaN(c) {
-		return 127
-	}
-	if c < 0 {
-		return 0
-	}
-	return int8(c)
+	return 127
 }
 
-// shapeMatches reports whether t already has exactly the given dims.
-func shapeMatches(t *tensor.Tensor, dims []int) bool {
-	if t.Rank() != len(dims) {
-		return false
-	}
-	for i, d := range dims {
-		if t.Dim(i) != d {
-			return false
+// floatBias returns a layer's n per-channel biases (zeros without one).
+func floatBias(p *nn.Param, n int) []float64 {
+	bias := make([]float64, n)
+	if p != nil {
+		for i := range bias {
+			bias[i] = float64(p.W.Data[i])
 		}
 	}
-	return true
+	return bias
 }
 
-// growI8 returns buf resized to n, reallocating only on growth.
-func growI8(buf []int8, n int) []int8 {
-	if cap(buf) < n {
-		return make([]int8, n)
+// quantizeUnit quantizes a unit's [len(bias), cols] weights per row and
+// builds its epilogue: the biases in accumulator units (inScale·wScale) and
+// the per-row requantize multipliers inScale·wScale/outScale. ok is false
+// when a cols-tap accumulator starting from one of the biases could leave
+// int32: the unit must then not run on the integer kernels.
+func quantizeUnit(w []float32, bias []float64, cols int, inScale, outScale float32) (codes []int8, ep tensor.Int8Epilogue, ok bool) {
+	codes, wScales := QuantizeWeightsPerChannel(w, len(bias), cols)
+	ep = tensor.Int8Epilogue{Bias: make([]int32, len(bias)), Mult: make([]float32, len(bias)), Lo: -127, Hi: 127}
+	for i, b := range bias {
+		accScale := float64(inScale) * float64(wScales[i])
+		r := math.RoundToEven(b / accScale)
+		if !tensor.Int8AccumulatorFits(cols, math.Abs(r)) { // also false for NaN
+			return nil, ep, false
+		}
+		ep.Bias[i], ep.Mult[i] = int32(r), float32(accScale/float64(outScale))
 	}
-	return buf[:n]
+	return codes, ep, true
 }
 
 // qconv is a fused [conv → BN → act] unit running on the int8 GEMM. The
-// final graph layer instead carries the dequantize epilogue and produces
-// float directly for the detection head.
+// final graph layer instead carries the dequantize epilogue (ep.Mult is then
+// the accumulator scale, and the clamp is unused) and produces float
+// directly for the detection head.
 type qconv struct {
-	out, in                   *qact
-	w                         []int8 // [outC, inC·k·k]
-	ep                        tensor.Int8Epilogue
-	deqMult                   []float32
-	dequant                   bool
-	inC, outC, k, stride, pad int
-	col                       []int8
-	outCodes                  []int8
+	w                    []int8 // [outC, inC·k·k]
+	ep                   tensor.Int8Epilogue
+	dequant              bool
+	outC, k, stride, pad int
 }
 
-func newQConv(c *nn.Conv2D, bn *nn.BatchNorm, act *nn.ReLU, in, out *qact, inScale, outScale float32, dequant bool) *qconv {
+// newQConv returns nil when the unit would break the accumulator bound.
+func newQConv(c *nn.Conv2D, bn *nn.BatchNorm, act *nn.ReLU, inScale, outScale float32, dequant bool) *qconv {
 	cols := c.InC * c.K * c.K
 	// Fold BN into the conv weights and bias:
 	//   BN(conv(x)+b) = (γ/σ)·conv(x) + (γ/σ)·b + β − γμ/σ,  σ = sqrt(var+ε)
-	folded := make([]float32, c.OutC*cols)
-	copy(folded, c.Weight.W.Data)
-	bias := make([]float64, c.OutC)
-	if c.UseBias {
-		for oc := 0; oc < c.OutC; oc++ {
-			bias[oc] = float64(c.Bias.W.Data[oc])
-		}
-	}
+	folded := slices.Clone(c.Weight.W.Data[:c.OutC*cols])
+	bias := floatBias(c.Bias, c.OutC)
 	if bn != nil {
 		for oc := 0; oc < c.OutC; oc++ {
 			sigma := math.Sqrt(float64(bn.RunVar.Data[oc]) + float64(bn.Eps))
@@ -385,323 +410,234 @@ func newQConv(c *nn.Conv2D, bn *nn.BatchNorm, act *nn.ReLU, in, out *qact, inSca
 			bias[oc] = gs*bias[oc] + float64(bn.Beta.W.Data[oc]) - gs*float64(bn.RunMean.Data[oc])
 		}
 	}
-	codes, wScales := QuantizeWeightsPerChannel(folded, c.OutC, cols)
-	q := &qconv{
-		out: out, in: in, w: codes, dequant: dequant,
-		inC: c.InC, outC: c.OutC, k: c.K, stride: c.Stride, pad: c.Pad,
-	}
-	biasQ := make([]int32, c.OutC)
-	mult := make([]float32, c.OutC)
-	for oc := 0; oc < c.OutC; oc++ {
-		accScale := float64(inScale) * float64(wScales[oc])
-		biasQ[oc] = roundToInt32(bias[oc] / accScale)
-		if dequant {
-			mult[oc] = float32(accScale)
-		} else {
-			mult[oc] = float32(accScale / float64(outScale))
-		}
-	}
 	if dequant {
-		q.deqMult = mult
-		q.ep.Bias = biasQ
-		return q
+		outScale = 1 // the multipliers are the accumulator scales themselves
 	}
-	q.ep = tensor.Int8Epilogue{Bias: biasQ, Mult: mult, Lo: -127, Hi: 127}
+	q := &qconv{dequant: dequant, outC: c.OutC, k: c.K, stride: c.Stride, pad: c.Pad}
+	var ok bool
+	if q.w, q.ep, ok = quantizeUnit(folded, bias, cols, inScale, outScale); !ok {
+		return nil
+	}
 	if act != nil {
-		q.ep.Lo = 0
-		q.ep.Hi = capCode(act.Cap, outScale)
+		q.ep.Lo, q.ep.Hi = 0, capCode(act.Cap, outScale)
 	}
 	return q
 }
 
-func roundToInt32(v float64) int32 {
-	r := math.RoundToEven(v)
-	if r > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	if r < math.MinInt32 {
-		return math.MinInt32
-	}
-	return int32(r)
-}
-
-func (q *qconv) forward() {
-	n, c, h, w := q.in.shape[0], q.in.shape[1], q.in.shape[2], q.in.shape[3]
-	oh := tensor.ConvOut(h, q.k, q.stride, q.pad)
-	ow := tensor.ConvOut(w, q.k, q.stride, q.pad)
-	cols := oh * ow
-	kk := q.inC * q.k * q.k
-	src := q.in.asCodes()
-	q.out.setShape(n, q.outC, oh, ow)
-	var outF []float32
+func (q *qconv) run(m *QuantizedModel, s *nn.Step) {
+	in := m.val(s.Inputs[0])
+	c, h, w := in.dims[1], in.dims[2], in.dims[3]
+	cols, kk := s.Dims[2]*s.Dims[3], c*q.k*q.k
+	src := m.codes(s.Inputs[0])
+	var dst []int8
+	var dstF []float32
 	if q.dequant {
-		if q.out.fBuf == nil || q.out.fBuf.Len() != n*q.outC*cols {
-			q.out.fBuf = tensor.New(n, q.outC, oh, ow)
-		} else if !shapeMatches(q.out.fBuf, q.out.shape) {
-			q.out.fBuf = q.out.fBuf.Reshape(n, q.outC, oh, ow)
-		}
-		outF = q.out.fBuf.Data
+		dstF = m.floatDest(s.Out).Data
 	} else {
-		q.outCodes = growI8(q.outCodes, n*q.outC*cols)
+		dst = m.dest(s.Out)
 	}
 	direct := q.k == 1 && q.stride == 1 && q.pad == 0
-	if !direct {
-		q.col = growI8(q.col, kk*cols)
+	if !direct && len(m.col) < kk*cols {
+		m.col = make([]int8, kk*cols)
 	}
-	for img := 0; img < n; img++ {
-		b := src[img*c*h*w : (img+1)*c*h*w]
+	for img := 0; img < m.batch; img++ {
+		b := src[img*in.size : (img+1)*in.size]
 		if !direct {
-			tensor.Int8Im2Col(q.col, b, c, h, w, q.k, q.k, q.stride, q.pad)
-			b = q.col
+			tensor.Int8Im2Col(m.col, b, c, h, w, q.k, q.k, q.stride, q.pad)
+			b = m.col
 		}
 		if q.dequant {
-			dst := outF[img*q.outC*cols : (img+1)*q.outC*cols]
-			tensor.Int8GEMMDequantInto(dst, q.w, b, q.outC, cols, kk, q.ep.Bias, q.deqMult)
+			tensor.Int8GEMMDequantInto(dstF[img*s.Size:(img+1)*s.Size], q.w, b, q.outC, cols, kk, q.ep.Bias, q.ep.Mult)
 		} else {
-			dst := q.outCodes[img*q.outC*cols : (img+1)*q.outC*cols]
-			tensor.Int8GEMMRequantInto(dst, q.w, b, q.outC, cols, kk, q.ep)
+			tensor.Int8GEMMRequantInto(dst[img*s.Size:(img+1)*s.Size], q.w, b, q.outC, cols, kk, q.ep)
 		}
-	}
-	if q.dequant {
-		q.out.f = q.out.fBuf
-	} else {
-		q.out.codes = q.outCodes
 	}
 }
 
-// qdw is a quantized depthwise 3×3 convolution (stride 1, same padding,
-// matching nn.DWConv3), computed directly on code planes.
+// planeLoop is what a unit whose work splits by (image, channel) plane keeps
+// for the call in flight, and its run: the planes of the batch go to the
+// workers in contiguous ranges (integer results do not depend on the split).
+type planeLoop struct {
+	body     func(lo, hi int) // the unit's planes method, bound once: a per-call closure would allocate
+	src, dst []int8
+	in, out  []int // sample shapes
+}
+
+func (l *planeLoop) run(m *QuantizedModel, s *nn.Step) {
+	l.src, l.dst = m.codes(s.Inputs[0]), m.dest(s.Out)
+	l.in, l.out = m.val(s.Inputs[0]).dims, s.Dims
+	tensor.ParallelRange(m.batch*l.in[1], l.body)
+	l.src, l.dst = nil, nil
+}
+
+// qdw is a quantized depth-wise convolution (nn.DWConv3, its stride and
+// padding included), computed directly on code planes.
 type qdw struct {
-	out, in  *qact
-	w        []int8 // [C, k, k]
-	bias     []int32
-	mult     []float32
-	c, k     int
-	outCodes []int8
+	planeLoop
+	w                 []int8 // [C, k, k]
+	ep                tensor.Int8Epilogue
+	c, k, stride, pad int
+	acc               []int32 // the model's: one row of accumulators per plane
 }
 
-func newQDW(d *nn.DWConv3, in, out *qact, inScale, outScale float32) *qdw {
-	kk := d.K * d.K
-	codes, wScales := QuantizeWeightsPerChannel(d.Weight.W.Data, d.C, kk)
-	q := &qdw{out: out, in: in, w: codes, c: d.C, k: d.K,
-		bias: make([]int32, d.C), mult: make([]float32, d.C)}
-	for ch := 0; ch < d.C; ch++ {
-		accScale := float64(inScale) * float64(wScales[ch])
-		if d.UseBias {
-			q.bias[ch] = roundToInt32(float64(d.Bias.W.Data[ch]) / accScale)
-		}
-		q.mult[ch] = float32(accScale / float64(outScale))
+func (q *qdw) run(m *QuantizedModel, s *nn.Step) {
+	if need := m.batch * q.c * s.Dims[3]; len(m.acc) < need {
+		m.acc = make([]int32, need)
 	}
+	q.acc = m.acc
+	q.planeLoop.run(m, s)
+}
+
+// newQDW returns nil when the unit would break the accumulator bound.
+func newQDW(d *nn.DWConv3, inScale, outScale float32) *qdw {
+	q := &qdw{c: d.C, k: d.K, stride: d.Stride, pad: d.Pad}
+	var ok bool
+	if q.w, q.ep, ok = quantizeUnit(d.Weight.W.Data, floatBias(d.Bias, d.C), d.K*d.K, inScale, outScale); !ok {
+		return nil
+	}
+	q.body = q.planes
 	return q
 }
 
-func (q *qdw) forward() {
-	n, c, h, w := q.in.shape[0], q.in.shape[1], q.in.shape[2], q.in.shape[3]
-	src := q.in.asCodes()
-	q.outCodes = growI8(q.outCodes, n*c*h*w)
-	kk := q.k * q.k
-	pad := q.k / 2
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			base := (img*c + ch) * h * w
-			dwPlaneInt8(q.outCodes[base:base+h*w], src[base:base+h*w],
-				q.w[ch*kk:(ch+1)*kk], h, w, q.k, pad, q.bias[ch], q.mult[ch])
-		}
-	}
-	q.out.setShape(n, c, h, w)
-	q.out.codes = q.outCodes
-}
-
-// dwPlaneInt8 convolves one code plane with one k×k kernel (stride 1),
-// accumulating exactly in int32 and requantizing each output.
+// planes convolves planes [lo, hi) of the flattened batch × channel grid.
 //
 //skynet:hotpath
-func dwPlaneInt8(dst, src, w []int8, h, wd, k, pad int, bias int32, mult float32) {
-	for oy := 0; oy < h; oy++ {
-		for ox := 0; ox < wd; ox++ {
-			acc := bias
-			for ky := 0; ky < k; ky++ {
-				iy := oy - pad + ky
-				if iy < 0 || iy >= h {
-					continue
-				}
-				for kx := 0; kx < k; kx++ {
-					ix := ox - pad + kx
-					if ix < 0 || ix >= wd {
-						continue
-					}
-					acc += int32(w[ky*k+kx]) * int32(src[iy*wd+ix])
-				}
-			}
-			dst[oy*wd+ox] = tensor.RequantizeRNE(acc, mult, -127, 127)
-		}
+func (q *qdw) planes(lo, hi int) {
+	h, w, outH, outW, kk := q.in[2], q.in[3], q.out[2], q.out[3], q.k*q.k
+	for p := lo; p < hi; p++ {
+		ch := p % q.c
+		dwPlaneInt8(q.dst[p*outH*outW:(p+1)*outH*outW], q.src[p*h*w:(p+1)*h*w], q.w[ch*kk:(ch+1)*kk],
+			q.acc[p*outW:(p+1)*outW], h, w, q.k, q.stride, q.pad, q.ep.Bias[ch], q.ep.Mult[ch])
 	}
 }
 
-// qrelu clamps codes to [0, hi]; the grid is unchanged, so this is exact.
-type qrelu struct {
-	out, in  *qact
-	hi       int8
-	outCodes []int8
-}
-
-func (q *qrelu) forward() {
-	src := q.in.asCodes()
-	q.outCodes = growI8(q.outCodes, len(src))
-	clampCodes(q.outCodes, src, q.hi)
-	q.out.setShape(q.in.shape...)
-	q.out.codes = q.outCodes
-}
-
+// dwPlaneInt8 convolves one code plane with one k×k kernel on the float
+// engine's loop (nn.DWRow: branch-free interior, border ring), accumulating
+// each output row exactly in int32 — acc, one row long — and requantizing it
+// as it is stored.
+//
 //skynet:hotpath
-func clampCodes(dst, src []int8, hi int8) {
-	for i, v := range src {
-		if v < 0 {
-			v = 0
-		} else if v > hi {
-			v = hi
+func dwPlaneInt8(dst, src, ker []int8, acc []int32, h, w, k, stride, pad int, bias int32, mult float32) {
+	for oy := 0; oy*len(acc) < len(dst); oy++ {
+		nn.DWRow(acc, src, ker, bias, h, w, k, stride, pad, oy)
+		for ox, a := range acc {
+			dst[oy*len(acc)+ox] = tensor.RequantizeRNE(a, mult, -127, 127)
 		}
-		dst[i] = v
 	}
+}
+
+// qrelu clamps codes to [0, hi]: a requantization that keeps the grid, so
+// it is exact.
+type qrelu struct{ hi int8 }
+
+func (q *qrelu) run(m *QuantizedModel, s *nn.Step) {
+	rescaleCodes(m.dest(s.Out), m.codes(s.Inputs[0]), 1, 0, q.hi)
 }
 
 // qpool is max pooling on codes: scales are positive, so the code-domain
 // max is the value-domain max and the result is exact on the same grid.
 type qpool struct {
-	out, in  *qact
-	k        int
-	outCodes []int8
+	planeLoop
+	k int
 }
 
-func (q *qpool) forward() {
-	n, c, h, w := q.in.shape[0], q.in.shape[1], q.in.shape[2], q.in.shape[3]
-	oh, ow := h/q.k, w/q.k
-	src := q.in.asCodes()
-	q.outCodes = growI8(q.outCodes, n*c*oh*ow)
-	maxPoolCodes(q.outCodes, src, n*c, h, w, q.k)
-	q.out.setShape(n, c, oh, ow)
-	q.out.codes = q.outCodes
+func newQPool(k int) *qpool {
+	q := &qpool{k: k}
+	q.body = q.planes
+	return q
 }
 
 //skynet:hotpath
+func (q *qpool) planes(lo, hi int) {
+	h, w, out := q.in[2], q.in[3], q.out[2]*q.out[3]
+	maxPoolCodes(q.dst[lo*out:hi*out], q.src[lo*h*w:hi*h*w], hi-lo, h, w, q.k)
+}
+
+// maxPoolCodes pools each of the [h,w] planes of src into dst; the 2×2
+// pooling of SkyNet is unrolled. The maxima are taken on int32: amd64 has no
+// byte-wide conditional move, and on codes a branch mispredicts every other
+// element.
+//
+//skynet:hotpath
 func maxPoolCodes(dst, src []int8, planes, h, w, k int) {
-	oh, ow := h/k, w/k
-	oi := 0
+	outH, outW := h/k, w/k
 	for p := 0; p < planes; p++ {
-		base := p * h * w
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := src[base+oy*k*w+ox*k]
+		in := src[p*h*w : (p+1)*h*w]
+		out := dst[p*outH*outW : (p+1)*outH*outW]
+		for oy := 0; oy < outH; oy++ {
+			orow := out[oy*outW : (oy+1)*outW]
+			if k == 2 {
+				r0, r1 := in[2*oy*w:][:2*outW], in[(2*oy+1)*w:][:2*outW]
+				for ox := range orow {
+					orow[ox] = int8(max(int32(r0[2*ox]), int32(r0[2*ox+1]), int32(r1[2*ox]), int32(r1[2*ox+1])))
+				}
+				continue
+			}
+			for ox := range orow {
+				best := int32(-128)
 				for ky := 0; ky < k; ky++ {
-					row := base + (oy*k+ky)*w + ox*k
-					for kx := 0; kx < k; kx++ {
-						if v := src[row+kx]; v > best {
-							best = v
-						}
+					for _, v := range in[(oy*k+ky)*w+ox*k:][:k] {
+						best = max(best, int32(v))
 					}
 				}
-				dst[oi] = best
-				oi++
+				orow[ox] = int8(best)
 			}
 		}
 	}
 }
 
 // qreorg is the space-to-depth shuffle on codes (pure data movement).
-type qreorg struct {
-	out, in  *qact
-	s        int
-	outCodes []int8
-}
+type qreorg struct{ s int }
 
-func (q *qreorg) forward() {
-	n, c, h, w := q.in.shape[0], q.in.shape[1], q.in.shape[2], q.in.shape[3]
-	oh, ow := h/q.s, w/q.s
-	src := q.in.asCodes()
-	q.outCodes = growI8(q.outCodes, n*c*q.s*q.s*oh*ow)
-	reorgCodes(q.outCodes, src, n, c, h, w, q.s)
-	q.out.setShape(n, c*q.s*q.s, oh, ow)
-	q.out.codes = q.outCodes
-}
-
-//skynet:hotpath
-func reorgCodes(dst, src []int8, n, c, h, w, s int) {
-	oh, ow := h/s, w/s
-	for i := 0; i < n; i++ {
-		for dy := 0; dy < s; dy++ {
-			for dx := 0; dx < s; dx++ {
-				for ch := 0; ch < c; ch++ {
-					oc := (dy*s+dx)*c + ch
-					for y := 0; y < oh; y++ {
-						srcBase := ((i*c+ch)*h+(y*s+dy))*w + dx
-						dstBase := ((i*c*s*s+oc)*oh + y) * ow
-						for xo := 0; xo < ow; xo++ {
-							dst[dstBase+xo] = src[srcBase+xo*s]
-						}
-					}
-				}
-			}
-		}
-	}
+func (q *qreorg) run(m *QuantizedModel, s *nn.Step) {
+	in := m.val(s.Inputs[0]).dims
+	nn.ReorgInto(m.dest(s.Out), m.codes(s.Inputs[0]), m.batch, in[1], in[2], in[3], q.s)
 }
 
 // qconcat concatenates along channels, requantizing every input onto the
 // output grid (mult == 1 for the widest input, which therefore copies
 // through bit-exactly).
-type qconcat struct {
-	out      *qact
-	ins      []*qact
-	mults    []float32
-	outCodes []int8
-}
+type qconcat struct{ mults []float32 }
 
-func (q *qconcat) forward() {
-	n, h, w := q.ins[0].shape[0], q.ins[0].shape[2], q.ins[0].shape[3]
-	totalC := 0
-	for _, in := range q.ins {
-		totalC += in.shape[1]
-	}
-	q.outCodes = growI8(q.outCodes, n*totalC*h*w)
-	dstC := 0
-	for k, in := range q.ins {
-		src := in.asCodes()
-		c := in.shape[1]
-		for img := 0; img < n; img++ {
-			dst := q.outCodes[(img*totalC+dstC)*h*w : (img*totalC+dstC+c)*h*w]
-			rescaleCodes(dst, src[img*c*h*w:(img+1)*c*h*w], q.mults[k])
+func (q *qconcat) run(m *QuantizedModel, s *nn.Step) {
+	dst := m.dest(s.Out)
+	at := 0 // where the next input's channels start within one output sample
+	for k, j := range s.Inputs {
+		src, sz := m.codes(j), m.val(j).size
+		for img := 0; img < m.batch; img++ {
+			rescaleCodes(dst[img*s.Size+at:img*s.Size+at+sz], src[img*sz:(img+1)*sz], q.mults[k], -127, 127)
 		}
-		dstC += c
+		at += sz
 	}
-	q.out.setShape(n, totalC, h, w)
-	q.out.codes = q.outCodes
 }
 
+// rescaleCodes writes round(code·mult) clamped to [lo, hi].
+//
 //skynet:hotpath
-func rescaleCodes(dst, src []int8, mult float32) {
+func rescaleCodes(dst, src []int8, mult float32, lo, hi int8) {
 	for i, v := range src {
-		dst[i] = tensor.RequantizeRNE(int32(v), mult, -127, 127)
+		dst[i] = tensor.RequantizeRNE(int32(v), mult, lo, hi)
 	}
 }
 
-// qfallback runs the original float layer between dequantize/quantize
-// shims. Its output carries the node's calibrated scale so downstream int8
-// consumers can quantize it lazily.
+// qfallback runs original float layers — a node's, then those of the tail
+// fused onto it — between dequantize/quantize shims. Its output carries the
+// node's calibrated scale so downstream int8 consumers can quantize it
+// lazily; a fallback consumer gets the floats themselves.
 type qfallback struct {
-	out   *qact
-	ins   []*qact
-	layer nn.Layer
-	fins  []*tensor.Tensor
+	layers []nn.Layer
+	ins    []*tensor.Tensor // argument list of layers[0]
 }
 
-func (q *qfallback) forward() {
-	if cap(q.fins) < len(q.ins) {
-		q.fins = make([]*tensor.Tensor, len(q.ins))
+func (q *qfallback) run(m *QuantizedModel, s *nn.Step) {
+	for k, j := range s.Inputs {
+		q.ins[k] = m.float(j)
 	}
-	q.fins = q.fins[:len(q.ins)]
-	for i, in := range q.ins {
-		q.fins[i] = in.asFloat()
+	out := q.layers[0].Forward(q.ins, false)
+	for _, l := range q.layers[1:] {
+		q.ins[0] = out
+		out = l.Forward(q.ins[:1], false)
 	}
-	out := q.layer.Forward(q.fins, false)
-	q.out.setShape(out.Shape()...)
-	q.out.f = out
+	clear(q.ins)
+	m.val(s.Out).f = out
 }

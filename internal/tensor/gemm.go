@@ -237,15 +237,17 @@ type packScratch struct {
 	i8  *i8Scratch
 }
 
-// gemmTask is one in-flight blocked GEMM of either element type: the live
-// call descriptor, the dispatching goroutine's own packing scratch, and the
+// gemmTask is one in-flight piece of work the pool splits: a blocked GEMM of
+// either element type — the live call descriptor and the dispatching
+// goroutine's own packing scratch — or a ParallelRange body, with the
 // completion group the pool workers signal. Tasks come from one free list
-// per element type, whose allocator builds the matching scratch half, so a
-// warm call allocates nothing.
+// per kind, whose allocator builds the matching scratch half, so a warm call
+// allocates nothing.
 type gemmTask struct {
 	f32  gemmCall
 	i8   i8gemmCall
-	isI8 bool // which descriptor is live; fixed when the task is built
+	isI8 bool             // which descriptor is live; fixed when the task is built
+	leaf func(lo, hi int) // ParallelRange's body; nil on a GEMM task
 	own  packScratch
 	wg   sync.WaitGroup
 }
@@ -257,15 +259,20 @@ var (
 	i8TaskFree = freeList[gemmTask]{alloc: func() *gemmTask {
 		return &gemmTask{isI8: true, own: packScratch{i8: newI8Scratch()}}
 	}}
+	leafTaskFree = freeList[gemmTask]{alloc: func() *gemmTask { return &gemmTask{} }}
 )
 
-// run executes columns [j0, j1) of the task's live call on s.
+// run executes columns [j0, j1) of the task's live call on s, or that range
+// of its leaf body.
 //
 //skynet:hotpath
 func (t *gemmTask) run(j0, j1 int, s *packScratch) {
-	if t.isI8 {
+	switch {
+	case t.leaf != nil:
+		t.leaf(j0, j1)
+	case t.isI8:
 		t.i8.run(j0, j1, s.i8)
-	} else {
+	default:
 		t.f32.run(j0, j1, s.f32)
 	}
 }
@@ -310,11 +317,13 @@ func startGemmWorkers() {
 			// window.
 			var s packScratch
 			for j := range gemmJobs {
-				if j.t.isI8 {
+				switch {
+				case j.t.leaf != nil: // needs no scratch
+				case j.t.isI8:
 					if s.i8 == nil {
 						s.i8 = newI8Scratch()
 					}
-				} else if s.f32 == nil {
+				case s.f32 == nil:
 					s.f32 = newGemmScratch()
 				}
 				j.t.run(j.j0, j.j1, &s)
@@ -353,9 +362,19 @@ func gemmWorkerCount(m, n, k int) int {
 func (t *gemmTask) dispatch(m, n, k int) {
 	chunk := n
 	if w := gemmWorkerCount(m, n, k); w > 1 {
-		gemmWorkersOnce.Do(startGemmWorkers)
 		chunk = (n + w - 1) / w
 		chunk = (chunk + gemmNR - 1) / gemmNR * gemmNR
+	}
+	t.split(n, chunk)
+}
+
+// split runs [0, n) of the task in chunks: the first on the calling
+// goroutine, the others on the pool.
+//
+//skynet:hotpath
+func (t *gemmTask) split(n, chunk int) {
+	if chunk < n {
+		gemmWorkersOnce.Do(startGemmWorkers)
 		t.wg.Add((n - 1) / chunk)
 		for j0 := chunk; j0 < n; j0 += chunk {
 			gemmJobs <- gemmJob{t: t, j0: j0, j1: min(j0+chunk, n)}
@@ -363,6 +382,32 @@ func (t *gemmTask) dispatch(m, n, k int) {
 	}
 	t.run(0, min(chunk, n), &t.own)
 	t.wg.Wait()
+}
+
+// ParallelRange runs fn over [0, n) cut into one contiguous chunk per worker
+// (MaxParallelism, else GOMAXPROCS), the first on the calling goroutine and
+// the rest on the GEMM worker pool, and returns when all are done. fn must
+// be a leaf in the pool's sense — it may call neither a GEMM nor
+// ParallelRange — and chunks must not share mutable state. A warm call
+// allocates nothing, which is why the int8 engine's plane loops use it
+// rather than a goroutine per chunk: pass a func value made once, not a
+// closure built per call.
+//
+//skynet:hotpath
+func ParallelRange(n int, fn func(lo, hi int)) {
+	w := MaxParallelism
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w = min(w, n); w <= 1 {
+		fn(0, n)
+		return
+	}
+	t := leafTaskFree.get()
+	t.leaf = fn
+	t.split(n, (n+w-1)/w)
+	t.leaf = nil
+	leafTaskFree.put(t)
 }
 
 // gemmExec runs a float32 call: tiny problems on the small-problem kernel,

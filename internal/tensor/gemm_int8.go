@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // This file implements the int8×int8→int32 GEMM that backs the fixed-point
 // inference path (§6.4.1 deployment quantization). The organization mirrors
 // the float32 kernel in gemm.go — BLIS-style packed panels, an MR×NR
@@ -95,6 +97,26 @@ func RequantizeRNE(acc int32, mult float32, lo, hi int8) int8 {
 		ri = int64(hi)
 	}
 	return int8(ri)
+}
+
+// Int8AccumulatorFits states the bound under which "integer accumulation is
+// exact" holds for a k-term dot product of int8 codes plus a bias in
+// accumulator units:
+//
+//	k·127² + |bias| ≤ MaxInt32
+//
+// Codes are clamped to [-127, 127] on both operands, so every product is at
+// most 127² and the accumulator, bias included, never leaves int32 while the
+// bound holds — for any summation order, hence for every kernel here. The
+// AVX2 kernel's VPMADDWD adds two adjacent products into an int32 lane
+// before accumulating; 2·127² is far inside int32 (and 16-bit saturation
+// only happens for −32768·−32768 pairs, which sign-extended int8 codes
+// cannot form), so pair sums add no constraint of their own. Without a bias
+// the bound allows k ≤ 133 144. A caller whose layer breaks it (quant.Export
+// checks every convolution) must not run that layer on these kernels: the
+// int32 sum would wrap silently.
+func Int8AccumulatorFits(k int, maxAbsBias float64) bool {
+	return float64(k)*127*127+maxAbsBias <= math.MaxInt32
 }
 
 // i8Mode selects the epilogue of one int8 GEMM call.

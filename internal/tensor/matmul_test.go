@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -465,5 +466,62 @@ func TestRowEpilogueMatchesSeparatePasses(t *testing.T) {
 	(&RowEpilogue{ReLU: true, Cap: capV}).finish(row, 0)
 	if want := []float32{0, 0, 3, capV}; firstBitDiff(row, want) >= 0 {
 		t.Fatalf("clamp of [-0 -1 3 7] = %v, want %v", row, want)
+	}
+}
+
+// rangeMarker is a ParallelRange body bound once, as its callers do: it
+// counts how often each index is visited.
+type rangeMarker struct{ seen []int32 }
+
+func (r *rangeMarker) mark(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		atomic.AddInt32(&r.seen[i], 1)
+	}
+}
+
+// TestParallelRange: every index of [0, n) is visited exactly once for any
+// worker count (more workers than indices included), several callers may
+// share the pool with GEMMs, and a warm call allocates nothing.
+func TestParallelRange(t *testing.T) {
+	oldPar := MaxParallelism
+	defer func() { MaxParallelism = oldPar }()
+	for _, workers := range []int{1, 2, 3, 8} {
+		MaxParallelism = workers
+		for _, n := range []int{0, 1, 2, 5, 64, 1000} {
+			r := &rangeMarker{seen: make([]int32, n)}
+			ParallelRange(n, r.mark)
+			for i, c := range r.seen {
+				if c != 1 {
+					t.Fatalf("%d workers, n=%d: index %d visited %d times", workers, n, i, c)
+				}
+			}
+		}
+	}
+	MaxParallelism = 3
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := &rangeMarker{seen: make([]int32, 500)}
+			a, b, c := New(32, 64), New(64, 256), New(32, 256)
+			for round := 0; round < 20; round++ {
+				ParallelRange(len(r.seen), r.mark)
+				MatMulInto(c, a, b)
+			}
+			for i, n := range r.seen {
+				if n != 20 {
+					t.Errorf("index %d visited %d times in 20 rounds", i, n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	r := &rangeMarker{seen: make([]int32, 1000)}
+	body := r.mark
+	ParallelRange(len(r.seen), body)
+	if allocs := testing.AllocsPerRun(20, func() { ParallelRange(len(r.seen), body) }); allocs != 0 {
+		t.Errorf("warm ParallelRange over 3 workers: %v allocs per call, want 0", allocs)
 	}
 }
