@@ -17,18 +17,7 @@ func BilinearResize(img *tensor.Tensor, newH, newW int) *tensor.Tensor {
 // Crop extracts the pixel rectangle [y0,y0+ch) × [x0,x0+cw) from a [C,H,W]
 // image, clamping out-of-bounds reads to the edge (border replication).
 func Crop(img *tensor.Tensor, y0, x0, ch, cw int) *tensor.Tensor {
-	c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
-	out := tensor.New(c, ch, cw)
-	for k := 0; k < c; k++ {
-		for y := 0; y < ch; y++ {
-			sy := clampInt(y0+y, 0, h-1)
-			for x := 0; x < cw; x++ {
-				sx := clampInt(x0+x, 0, w-1)
-				out.Set(img.At(k, sy, sx), k, y, x)
-			}
-		}
-	}
-	return out
+	return tensor.CropResize(img, y0, x0, ch, cw, ch, cw)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -21,6 +21,9 @@ import (
 // Stages fill in their field and pass the frame along.
 type Frame struct {
 	Image *tensor.Tensor // [C,H,W] input scene (set by the producer)
+	// Owned says the producer hands Image over: nobody else writes it while
+	// the frame is in the pipeline, so Preprocess need not copy it.
+	Owned bool
 	GT    Box            // optional ground truth, carried through for scoring
 	X     *tensor.Tensor // [C,H,W] pre-processed input (PreStage)
 	Pred  *tensor.Tensor // [1,ch,Sh,Sw] raw head output (InferStage)
@@ -38,8 +41,9 @@ func asFrame(stage string, v any) (*Frame, error) {
 
 // Preprocess is the per-frame fetch/pre-process transform: it validates
 // the input and clones the image so every downstream stage owns its data
-// regardless of what the producer does with the original buffer. It is
-// stateless and safe to call concurrently.
+// regardless of what the producer does with the original buffer — unless
+// the producer gave the image up (Frame.Owned), in which case the stages read
+// it in place. It is stateless and safe to call concurrently.
 func Preprocess(f *Frame) error {
 	if f.Image == nil {
 		return errors.New("detect: frame has no image")
@@ -47,7 +51,9 @@ func Preprocess(f *Frame) error {
 	if f.Image.Rank() != 3 {
 		return fmt.Errorf("detect: frame image rank %d, want [C,H,W]", f.Image.Rank())
 	}
-	f.X = f.Image.Clone()
+	if f.X = f.Image; !f.Owned {
+		f.X = f.Image.Clone()
+	}
 	return nil
 }
 

@@ -261,8 +261,8 @@ type DWConv3 struct {
 	// Geometry of the last forward (forwardInto), for Cost and Backward.
 	lastN, inH, inW, outH, outW int
 
-	fwd      func(worker, idx int) // plane loop body (forwardPlane), bound at construction like Conv2D's
-	src, dst []float32             // forward in flight: input batch, output being filled
+	fwd      func(lo, hi int) // plane loop body (forwardPlanes), bound at construction like Conv2D's
+	src, dst []float32        // forward in flight: input batch, output being filled
 }
 
 // NewDWConv3 constructs a depth-wise convolution with He initialization.
@@ -270,7 +270,7 @@ type DWConv3 struct {
 func NewDWConv3(rng *rand.Rand, c, k int, bias bool) *DWConv3 {
 	d := &DWConv3{C: c, K: k, Stride: 1, Pad: k / 2, UseBias: bias,
 		Weight: NewParam("weight", c, k, k)}
-	d.fwd = d.forwardPlane
+	d.fwd = d.forwardPlanes
 	d.Weight.W.HeInit(rng, k*k)
 	if bias {
 		d.Bias = NewParam("bias", c)
@@ -314,28 +314,31 @@ func (d *DWConv3) forwardInto(dst, src []float32, n, h, w int) {
 	d.lastN, d.inH, d.inW = n, h, w
 	d.outH, d.outW = d.outSize(h, w)
 	d.src, d.dst = src, dst
-	// Each (image, channel) plane is independent — parallelize the product.
-	parallelForWorkers(n*d.C, d.fwd)
+	// Each (image, channel) plane is independent, and a plane calls no GEMM:
+	// the loop is a leaf the GEMM pool's workers may run, so a warm forward
+	// starts no goroutine and allocates nothing.
+	tensor.ParallelRange(n*d.C, d.fwd)
 	d.src, d.dst = nil, nil
 }
 
-// forwardPlane is forwardInto's loop body: one (image, channel) output
-// plane; idx indexes the flattened n×C plane grid. It needs no scratch, so
-// the worker index goes unused.
+// forwardPlanes is forwardInto's loop body: output planes [lo, hi) of the
+// flattened n×C (image, channel) grid.
 //
 //skynet:hotpath
-func (d *DWConv3) forwardPlane(_, idx int) {
+func (d *DWConv3) forwardPlanes(lo, hi int) {
 	h, w, outH, outW, k := d.inH, d.inW, d.outH, d.outW, d.K
-	ch := idx % d.C
-	in := d.src[idx*h*w : (idx+1)*h*w]
-	ob := d.dst[idx*outH*outW : (idx+1)*outH*outW]
-	ker := d.Weight.W.Data[ch*k*k : (ch+1)*k*k]
-	var bias float32
-	if d.Bias != nil {
-		bias = d.Bias.W.Data[ch]
-	}
-	for oy := 0; oy < outH; oy++ {
-		DWRow(ob[oy*outW:(oy+1)*outW], in, ker, bias, h, w, k, d.Stride, d.Pad, oy)
+	for idx := lo; idx < hi; idx++ {
+		ch := idx % d.C
+		in := d.src[idx*h*w : (idx+1)*h*w]
+		ob := d.dst[idx*outH*outW : (idx+1)*outH*outW]
+		ker := d.Weight.W.Data[ch*k*k : (ch+1)*k*k]
+		var bias float32
+		if d.Bias != nil {
+			bias = d.Bias.W.Data[ch]
+		}
+		for oy := 0; oy < outH; oy++ {
+			DWRow(ob[oy*outW:(oy+1)*outW], in, ker, bias, h, w, k, d.Stride, d.Pad, oy)
+		}
 	}
 }
 

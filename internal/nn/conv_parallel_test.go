@@ -113,9 +113,11 @@ func TestConvGradientsParallel(t *testing.T) {
 // TestConv2DForwardSteadyStateAllocs is the allocation contract of the
 // batch loop. At one worker a warm Conv2D or DWConv3 forward allocates what
 // tensor.New of its output allocates and nothing else — scratch, views and
-// the loop body are all cached on the layer. At two workers the extra cost
-// is the goroutines of the split, so it must not grow with the batch size:
-// nothing is allocated per image.
+// the loop body are all cached on the layer. At two workers Conv2D's extra
+// cost is the goroutines of the split, so it must not grow with the batch
+// size: nothing is allocated per image. DWConv3's planes are a leaf loop on
+// the GEMM worker pool (tensor.ParallelRange), so its two-worker forward
+// still allocates the output tensor only.
 func TestConv2DForwardSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	conv := NewConv2D(rng, 8, 16, 3, 1, 1, true)
@@ -127,9 +129,9 @@ func TestConv2DForwardSteadyStateAllocs(t *testing.T) {
 		fwd() // warm layer caches and the GEMM scratch pool
 		return testing.AllocsPerRun(20, fwd)
 	}
-	withParallelism(1, 1, func() {
+	outputOnly := func(workers int, layers ...Layer) {
 		x := randInput(rng, 2, 8, 16, 16)
-		for _, l := range []Layer{conv, dw} {
+		for _, l := range layers {
 			// Dimensions read at run time and a result that escapes, as in
 			// the layers: the variadic shape argument is then one of New's
 			// allocations.
@@ -138,10 +140,12 @@ func TestConv2DForwardSteadyStateAllocs(t *testing.T) {
 			outAllocs := testing.AllocsPerRun(20, func() { out = tensor.New(shape[0], shape[1], shape[2], shape[3]) })
 			runtime.KeepAlive(out)
 			if got := warmAllocs(l, x); got != outAllocs {
-				t.Errorf("%s one-worker forward: %v allocs/op, want the output tensor's %v", l.Name(), got, outAllocs)
+				t.Errorf("%s %d-worker forward: %v allocs/op, want the output tensor's %v", l.Name(), workers, got, outAllocs)
 			}
 		}
-	})
+	}
+	withParallelism(1, 1, func() { outputOnly(1, conv, dw) })
+	withParallelism(2, 2, func() { outputOnly(2, dw) })
 	withParallelism(2, 1, func() {
 		for _, l := range []Layer{conv, dw} {
 			small := warmAllocs(l, randInput(rng, 2, 8, 16, 16))

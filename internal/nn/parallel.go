@@ -7,6 +7,9 @@ import (
 
 // MaxParallelism caps the worker count used by data-parallel layer loops;
 // 0 (default) uses GOMAXPROCS. Exposed so benchmarks and tests can pin it.
+// The depth-wise forward's plane loop calls no GEMM, so it runs on the GEMM
+// worker pool instead (tensor.ParallelRange) and tensor.MaxParallelism caps
+// it.
 var MaxParallelism = 0
 
 // workersFor picks the worker count for an n-iteration parallel loop.

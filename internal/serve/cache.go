@@ -3,11 +3,16 @@ package serve
 // Response cache for duplicate frames. Video workloads — the paper's DAC-SDC
 // stream, a stalled UAV camera, clients retrying the same frame — repeat
 // input frames verbatim, and a detection is a pure function of the frame and
-// the model generation. The cache keys on a 128-bit content hash of the
-// frame (shape + raw float bits, two independent FNV-1a streams, so a
-// single-stream collision cannot alias two distinct frames) and is scoped to
-// the pool's model generation: a hot-swap advances the generation, which
-// atomically invalidates every entry produced by the old weights.
+// the model generation. The cache keys on a 128-bit content hash (two
+// independent FNV-1a streams, so a single-stream collision cannot alias two
+// distinct frames) and is scoped to the pool's model generation: a hot-swap
+// advances the generation, which atomically invalidates every entry produced
+// by the old weights. Each front door hashes what it is handed: the HTTP
+// door the raw request body (hashBody) — so a repeated body is answered
+// before a byte of it is parsed — and the in-process Pool.Submit the tensor
+// (hashFrame: shape + raw float bits). The two key spaces are kept apart, so
+// the same frame through both doors is two entries and a body can never be
+// answered from a tensor's.
 
 import (
 	"container/list"
@@ -24,12 +29,26 @@ type frameKey struct {
 }
 
 // FNV-1a constants; the second stream uses a different offset basis so the
-// two 64-bit digests fail independently.
+// two 64-bit digests fail independently. bodyDomain perturbs both bases for
+// keys taken from raw bodies.
 const (
 	fnvOffset  = 0xcbf29ce484222325
 	fnvOffset2 = 0x6c62272e07bb0142
 	fnvPrime   = 0x100000001b3
+	bodyDomain = 0x9e3779b97f4a7c15
 )
+
+// hashBody digests a raw request body. Bodies that differ in any byte —
+// whitespace, member order, the spelling of a number — are different keys
+// for the same frame: a miss, never a wrong answer.
+func hashBody(body []byte) frameKey {
+	lo, hi := uint64(fnvOffset^bodyDomain), uint64(fnvOffset2^bodyDomain)
+	for _, b := range body {
+		lo = (lo ^ uint64(b)) * fnvPrime
+		hi = (hi ^ uint64(b)) * fnvPrime
+	}
+	return frameKey{lo: lo, hi: hi}
+}
 
 // hashFrame digests a [C,H,W] tensor's shape and content. The float data is
 // hashed by bit pattern, so bitwise-equal frames (the serving determinism

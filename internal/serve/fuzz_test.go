@@ -63,6 +63,8 @@ func FuzzDetectHTTP(f *testing.F) {
 	f.Add([]byte(`{"shape":[0,0,0],"data":[]}`))                             // zero dims
 	f.Add([]byte(`{"shape":"wide","data":{}}`))                              // type confusion
 	f.Add([]byte(`{"shape":[3,1,1],"data":[1e38,-1e38,0],"extra":"field"}`)) // unknown field
+	f.Add([]byte(`{"shape":[3,4294967296,4294967296],"data":[]}`))           // element product wraps to 0
+	f.Add([]byte(`{"shape":[3,2,2],"data":[` + zeros(12) + `]} trailing garbage`))
 
 	// The wrong-channel seeds only map to 400 because Config.Channels gates
 	// them at pre-process; without it they would reach the model as a
@@ -98,6 +100,8 @@ func FuzzTrackStartHTTP(f *testing.F) {
 	f.Add([]byte(`{"shape":[3,4,4],"data":[` + zeros(48) + `],"box":{"x":-1e9,"y":1e9,"w":0,"h":-5}}`)) // degenerate box
 	f.Add([]byte(`{"shape":[3,0,0],"data":[],"box":null}`))
 	f.Add([]byte(`{"box":"not a box"}`))
+	f.Add([]byte(`{"shape":[3,4294967296,4294967296],"data":[],"box":{"cx":0.5,"cy":0.5,"w":0.2,"h":0.2}}`)) // element product wraps to 0
+	f.Add(append(append([]byte(nil), okStart...), " trailing garbage"...))
 
 	ts := newFuzzTrackService(f)
 	mux := http.NewServeMux()
@@ -132,7 +136,9 @@ func FuzzTrackStepHTTP(f *testing.F) {
 	f.Add([]byte(`{"session":"t-999999","shape":[3,4,4],"data":[` + zeros(48) + `]}`)) // unknown session
 	f.Add([]byte(`{"session":"` + id + `","shape":[3,2],"data":[1,2,3,4,5,6]}`))       // rank 2
 	f.Add([]byte(`{"session":"` + id + `","shape":[3,1,1],"data":[1,2,3],"mask":true}`))
-	f.Add([]byte(`{"session":42,"shape":[3,4,4]}`)) // type confusion
+	f.Add([]byte(`{"session":42,"shape":[3,4,4]}`))                                       // type confusion
+	f.Add([]byte(`{"session":"` + id + `","shape":[3,4294967296,4294967296],"data":[]}`)) // element product wraps to 0
+	f.Add(append(append([]byte(nil), okStep...), " trailing garbage"...))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		code := fuzzPost(t, mux, "/track/step", body)

@@ -109,7 +109,7 @@ type Pool struct {
 	closed atomic.Bool
 
 	cache *respCache
-	hist  *Histogram // pool-level success latency, cache hits included
+	hist  *Histogram // pool-level success latency, cache hits included: from the key's hash (HTTP: the body is read, not yet parsed) to the answer
 
 	// inflight is the HTTP-side admission semaphore (nil = unbounded); see
 	// PoolConfig.MaxInflight.
@@ -193,23 +193,38 @@ func (p *Pool) Attach(ts *TrackService) { p.track = ts }
 
 // Submit routes one detection through the pool: cache, then the frame's
 // home replica, then every sibling, then — if the snapshot it raced was a
-// draining generation — the freshly swapped-in one.
+// draining generation — the freshly swapped-in one. The image stays the
+// caller's: the pipeline works on a copy.
 func (p *Pool) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, error) {
-	box, conf, _, err := p.submit(ctx, img)
+	t0 := time.Now()
+	key := hashFrame(img)
+	if box, conf, _, ok := p.cached(key, t0); ok {
+		return box, conf, nil
+	}
+	box, conf, _, err := p.submit(ctx, key, img, false, t0)
 	return box, conf, err
 }
 
-// submit is Submit plus the serving generation ID (for the
-// X-Skynet-Generation response header and the swap tests).
-func (p *Pool) submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, int64, error) {
-	t0 := time.Now()
-	key := hashFrame(img)
-	g := p.gen.Load()
-	if box, conf, ok := p.cache.get(key); ok {
+// cached answers a request from the response cache, if it can, together
+// with the serving generation's ID. Both front doors ask it first, with the
+// key of what they were handed; t0 is when the request's work began, for the
+// latency histogram.
+func (p *Pool) cached(key frameKey, t0 time.Time) (detect.Box, float64, int64, bool) {
+	gen := p.gen.Load().id // before the lookup: a swap resets the cache after it publishes
+	box, conf, ok := p.cache.get(key)
+	if ok {
 		p.cacheServed.Add(1)
 		p.hist.Observe(time.Since(t0))
-		return box, conf, g.id, nil
 	}
+	return box, conf, gen, ok
+}
+
+// submit routes a cache miss to a replica and stores the answer under key,
+// returning it with the serving generation's ID (for the X-Skynet-Generation
+// response header and the swap tests). owned says img is the front door's
+// own buffer, which the replica may read in place (detect.Frame.Owned).
+func (p *Pool) submit(ctx context.Context, key frameKey, img *tensor.Tensor, owned bool, t0 time.Time) (detect.Box, float64, int64, error) {
+	g := p.gen.Load()
 
 	// A swap mid-request can leave the loaded snapshot fully draining; one
 	// retry per published generation is enough, and the attempt bound makes
@@ -221,7 +236,7 @@ func (p *Pool) submit(ctx context.Context, img *tensor.Tensor) (detect.Box, floa
 		sawOverload := false
 		for i := 0; i < n; i++ {
 			r := g.replicas[(home+i)%n]
-			box, conf, err := r.Submit(ctx, img)
+			box, conf, err := r.Submit(ctx, img, owned)
 			switch {
 			case err == nil:
 				p.cache.put(g.id, key, box, conf)

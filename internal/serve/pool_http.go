@@ -6,8 +6,8 @@ package serve
 // pprof; see http.go), plus the /track routes of an attached TrackService. Every /detect response carries an
 // X-Skynet-Generation header naming the replica generation that produced
 // it, which is how the swap tests observe the cutover. A saturated fleet is
-// shed before the request body is decoded (Pool.shedFast), so the 429 path
-// costs a queue-length check, not a multi-megabyte JSON parse.
+// shed before the request body is read (Pool.shedFast), so the 429 path
+// costs a queue-length check, not a multi-megabyte read and parse.
 
 import (
 	"context"
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"skynet/internal/detect"
+	"skynet/internal/tensor"
 )
 
 // SwapRequest is the wire form of POST /admin/swap. The serve package does
@@ -54,10 +55,10 @@ func (p *Pool) Handler() http.Handler {
 }
 
 func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
-	// Two-layer shed, both before the JSON decode: the inflight semaphore
+	// Two-layer shed, both before the body is read: the inflight semaphore
 	// bounds total admitted HTTP work (saturation otherwise queues in
-	// decode, invisible to every replica bound), and shedFast answers the
-	// cheaper all-queues-full case.
+	// read and parse, invisible to every replica bound), and shedFast answers
+	// the cheaper all-queues-full case.
 	if !p.acquire() {
 		p.rejected.Add(1)
 		writeError(w, http.StatusTooManyRequests, ErrOverloaded)
@@ -69,17 +70,31 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, ErrOverloaded)
 		return
 	}
-	var req detect.Request
-	if err := decodeBody(w, r, &req); err != nil {
+	// One pass over one buffer: read the body, hash its bytes, and only on a
+	// cache miss parse them — into the frame the replica's batch is stacked
+	// from.
+	buf := getReqBuf()
+	if err := buf.read(w, r); err != nil {
+		putReqBuf(buf)
 		writeError(w, bodyStatus(err), err)
 		return
 	}
-	img, err := req.Tensor()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	t0 := time.Now()
+	key := hashBody(buf.body)
+	box, conf, gen, ok := p.cached(key, t0)
+	var err error
+	if !ok {
+		var img *tensor.Tensor
+		if img, err = buf.parse(nil); err != nil {
+			putReqBuf(buf)
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		box, conf, gen, err = p.submit(r.Context(), key, img, true, t0)
 	}
-	box, conf, gen, err := p.submit(r.Context(), img)
+	if reusable(err) {
+		putReqBuf(buf)
+	}
 	w.Header().Set("X-Skynet-Generation", strconv.FormatInt(gen, 10))
 	if err != nil {
 		writeError(w, detectStatus(err), err)

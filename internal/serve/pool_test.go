@@ -330,7 +330,10 @@ func TestPoolSwapUnderLiveLoad(t *testing.T) {
 	}
 	const clients = 8
 	stop := make(chan struct{})
-	outc := make(chan outcome, 4096)
+	// One slice per client, read after they stop: a cache hit is answered
+	// without parsing its body, so no fixed buffer bounds what eight clients
+	// collect in 200 ms.
+	perClient := make([][]outcome, clients)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -354,7 +357,7 @@ func TestPoolSwapUnderLiveLoad(t *testing.T) {
 					t.Errorf("client %d: read: %v", c, err)
 					return
 				}
-				outc <- outcome{img: img, status: resp.StatusCode, gen: resp.Header.Get("X-Skynet-Generation"), body: body}
+				perClient[c] = append(perClient[c], outcome{img: img, status: resp.StatusCode, gen: resp.Header.Get("X-Skynet-Generation"), body: body})
 			}
 		}(c)
 	}
@@ -381,10 +384,13 @@ func TestPoolSwapUnderLiveLoad(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	close(outc)
+	var outcomes []outcome
+	for _, os := range perClient {
+		outcomes = append(outcomes, os...)
+	}
 
 	var total, v1Count, v2Count int
-	for o := range outc {
+	for _, o := range outcomes {
 		total++
 		if o.status != http.StatusOK {
 			t.Fatalf("request dropped during swap: status %d body %q", o.status, o.body)

@@ -188,11 +188,12 @@ func inferBatchSafe(m detect.Model, frames []*detect.Frame) (err error) {
 // Submit runs one detection through the replica: admission queue,
 // micro-batched inference, decode. It blocks until the result is ready,
 // the context fires, or the request is rejected at admission. When ctx has
-// no deadline, Config.RequestTimeout is applied.
-func (r *replica) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, error) {
+// no deadline, Config.RequestTimeout is applied. owned hands img over to the
+// pipeline (detect.Frame.Owned): it is read in place until the ticket is done.
+func (r *replica) Submit(ctx context.Context, img *tensor.Tensor, owned bool) (detect.Box, float64, error) {
 	ctx, cancel := r.deadline(ctx)
 	defer cancel()
-	req := &request{ticket: newTicket(ctx), frame: &detect.Frame{Image: img}}
+	req := &request{ticket: newTicket(ctx), frame: &detect.Frame{Image: img, Owned: owned}}
 	if err := r.admit(req); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			r.rejected.Add(1)

@@ -43,7 +43,7 @@ func TestServeQuantizedModel(t *testing.T) {
 	wantBox, wantConf := head.Decode(qm.Forward(x, false))
 
 	for i := 0; i < 8; i++ {
-		box, conf, err := s.Submit(context.Background(), img)
+		box, conf, err := s.Submit(context.Background(), img, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,7 +92,7 @@ func newSinglePool(t *testing.T, m detect.Model, cfg Config) *Pool {
 
 func TestSubmitServes(t *testing.T) {
 	s := newTestReplica(t, &stubModel{}, Config{})
-	box, conf, err := s.Submit(context.Background(), testImage(0.3))
+	box, conf, err := s.Submit(context.Background(), testImage(0.3), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestSubmitServes(t *testing.T) {
 func TestSubmitValidatesInput(t *testing.T) {
 	s := newTestReplica(t, &stubModel{}, Config{})
 	// A rank-2 tensor must fail pre-processing, not kill the stream.
-	if _, _, err := s.Submit(context.Background(), tensor.New(4, 4)); err == nil {
+	if _, _, err := s.Submit(context.Background(), tensor.New(4, 4), false); err == nil {
 		t.Fatal("rank-2 image must be rejected")
 	}
 	// The stream survives and serves the next request.
-	if _, _, err := s.Submit(context.Background(), testImage(0.5)); err != nil {
+	if _, _, err := s.Submit(context.Background(), testImage(0.5), false); err != nil {
 		t.Fatalf("stream died after a bad request: %v", err)
 	}
 	if m := s.Metrics(); m.Failed != 1 || m.Served != 1 {
@@ -204,7 +204,7 @@ func TestCancelledRequestDoesNotLeakGoroutines(t *testing.T) {
 	// Warm the pipeline once so lazily started goroutines exist before the
 	// baseline count is taken.
 	warmCtx, warmCancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	_, _, _ = s.Submit(warmCtx, testImage(0.2))
+	_, _, _ = s.Submit(warmCtx, testImage(0.2), false)
 	warmCancel()
 	baseline := runtime.NumGoroutine()
 
@@ -217,7 +217,7 @@ func TestCancelledRequestDoesNotLeakGoroutines(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
-			_, _, err := s.Submit(ctx, testImage(float32(i)*0.05))
+			_, _, err := s.Submit(ctx, testImage(float32(i)*0.05), false)
 			if errors.Is(err, context.DeadlineExceeded) {
 				expired.Add(1)
 			}
@@ -252,7 +252,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = s.Submit(context.Background(), testImage(float32(i)*0.1))
+			_, _, errs[i] = s.Submit(context.Background(), testImage(float32(i)*0.1), false)
 		}(i)
 	}
 	// Wait until the in-flight requests are actually inside the pipeline.
@@ -278,7 +278,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	for !s.isDraining() {
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := s.Submit(context.Background(), testImage(0.9)); !errors.Is(err, ErrDraining) {
+	if _, _, err := s.Submit(context.Background(), testImage(0.9), false); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining returned %v, want ErrDraining", err)
 	}
 
@@ -409,7 +409,7 @@ func TestBatchingAggregatesConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, _, err := s.Submit(context.Background(), testImage(float32(i)*0.01)); err != nil {
+			if _, _, err := s.Submit(context.Background(), testImage(float32(i)*0.01), false); err != nil {
 				t.Errorf("submit %d: %v", i, err)
 			}
 		}(i)

@@ -19,7 +19,9 @@ package serve
 // forwards run on a single inference worker.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -499,6 +501,10 @@ func (s *TrackService) Metrics() TrackMetrics {
 }
 
 // --- wire types ---
+//
+// The two requests that carry a frame are what a client marshals; the server
+// never unmarshals one whole (readTrackFrame scans the tensor and hands the
+// small members to encoding/json one by one).
 
 // TrackStartRequest starts a session: one [3,H,W] frame plus the initial
 // box (the GOT-10k one-shot protocol's ground-truth init).
@@ -563,54 +569,76 @@ func (s *TrackService) ListenAndServe(ctx context.Context, addr string, drainTim
 	return serveUntil(ctx, addr, s.Handler(), drainTimeout, s.Drain)
 }
 
-// decodeTrack decodes a tracking request body into v, answering the
-// failure itself; it reports whether the handler should go on.
-func decodeTrack(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeBody(w, r, v); err != nil {
-		writeTrackError(w, bodyStatus(err), fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
-		return false
-	}
-	return true
-}
-
-// trackFrame validates a wire tensor into a frame, answering the failure
-// itself like decodeTrack.
-func trackFrame(w http.ResponseWriter, shape []int, data []float32) (*tensor.Tensor, bool) {
-	frame, err := detect.Request{Shape: shape, Data: data}.Tensor()
+// readTrackFrame reads a frame-carrying tracking request into buf and parses
+// it (reqBuf: one read, pixels straight into the frame the tracker crops
+// from), handing the members beside the tensor to rest. It answers a failure
+// itself, putting the buffer back, and reports whether the handler should go
+// on.
+func readTrackFrame(w http.ResponseWriter, r *http.Request, buf *reqBuf, rest func(key, value []byte) error) (*tensor.Tensor, bool) {
+	var frame *tensor.Tensor
+	status := http.StatusBadRequest // of a body that does not parse
+	err := buf.read(w, r)
 	if err != nil {
-		writeTrackError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
+		status = bodyStatus(err)
+	} else {
+		frame, err = buf.parse(rest)
+	}
+	if err != nil {
+		putReqBuf(buf)
+		writeTrackError(w, status, fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
 		return nil, false
 	}
 	return frame, true
 }
 
-func (s *TrackService) handleStart(w http.ResponseWriter, r *http.Request) {
-	var req TrackStartRequest
-	if !decodeTrack(w, r, &req) {
-		return
+// member unmarshals value into v when key names the member, as
+// encoding/json matches a field: in any case folding.
+func member(key, value []byte, name string, v any) error {
+	if !bytes.EqualFold(key, []byte(name)) {
+		return nil
 	}
-	frame, ok := trackFrame(w, req.Shape, req.Data)
+	return json.Unmarshal(value, v)
+}
+
+func (s *TrackService) handleStart(w http.ResponseWriter, r *http.Request) {
+	var box detect.Box
+	buf := getReqBuf()
+	frame, ok := readTrackFrame(w, r, buf, func(key, value []byte) error {
+		return member(key, value, "box", &box)
+	})
 	if !ok {
 		return
 	}
-	id, bytes, err := s.Start(r.Context(), frame, req.Box)
+	id, size, err := s.Start(r.Context(), frame, box)
+	if reusable(err) {
+		putReqBuf(buf)
+	}
 	if err != nil {
 		writeTrackError(w, trackStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TrackStartResponse{Session: id, BytesPerSession: bytes})
+	writeJSON(w, http.StatusOK, TrackStartResponse{Session: id, BytesPerSession: size})
 }
 
 func (s *TrackService) handleStep(w http.ResponseWriter, r *http.Request) {
-	var req TrackStepRequest
-	if !decodeTrack(w, r, &req) {
-		return
-	}
-	frame, ok := trackFrame(w, req.Shape, req.Data)
+	var (
+		session  string
+		withMask bool
+	)
+	buf := getReqBuf()
+	frame, ok := readTrackFrame(w, r, buf, func(key, value []byte) error {
+		if err := member(key, value, "session", &session); err != nil {
+			return err
+		}
+		return member(key, value, "mask", &withMask)
+	})
 	if !ok {
 		return
 	}
-	box, mask, err := s.Step(r.Context(), req.Session, frame, req.Mask)
+	box, mask, err := s.Step(r.Context(), session, frame, withMask)
+	if reusable(err) {
+		putReqBuf(buf)
+	}
 	if err != nil {
 		writeTrackError(w, trackStatus(err), err)
 		return
@@ -625,7 +653,8 @@ func (s *TrackService) handleStep(w http.ResponseWriter, r *http.Request) {
 
 func (s *TrackService) handleStop(w http.ResponseWriter, r *http.Request) {
 	var req TrackStopRequest
-	if !decodeTrack(w, r, &req) {
+	if err := decodeBody(w, r, &req); err != nil {
+		writeTrackError(w, bodyStatus(err), fmt.Errorf("%w: %v", ErrBadTrackRequest, err))
 		return
 	}
 	if !s.Stop(req.Session) {

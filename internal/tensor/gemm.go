@@ -429,10 +429,10 @@ func gemmExec(c gemmCall) {
 // runNaive is the float32 small-problem kernel: no packing, one pass over
 // the operands as stored, one row of C at a time. Without bTrans it walks
 // i/p/j, so the inner loop streams a contiguous row of B into the row of C
-// (the production path for the tracker's m = 1 cross-correlation GEMMs and,
-// under purego, for SkyNet's k ≤ 48 point-wise convs); with bTrans the rows
-// of A and B are both contiguous and each element is one dot product
-// (useNaive keeps aTrans away from that loop). Either way every C element
+// (the production path, under purego, for SkyNet's k ≤ 48 point-wise
+// convs); with bTrans the rows of A and B are both contiguous and each
+// element is one dot product (useNaive keeps aTrans away from that loop).
+// Either way every C element
 // sums its products in ascending k, and the bias is added after the k sum,
 // on overwriting calls only, and the row tail after the bias — as in the
 // blocked kernel.

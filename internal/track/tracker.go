@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"skynet/internal/dataset"
 	"skynet/internal/detect"
 	"skynet/internal/nn"
 	"skynet/internal/tensor"
@@ -103,9 +102,10 @@ func searchSidePixels(b detect.Box, imgH, imgW int) float64 {
 	return 4 * m // 2× the exemplar window, which is 2× the target
 }
 
-// cropAt extracts a square crop of `sidePix` pixels centered at the
-// normalized point (cx,cy) and resizes it to outPx. Border replication
-// handles out-of-image regions.
+// cropAt resamples the square window of `sidePix` pixels centered at the
+// normalized point (cx,cy) to outPx pixels a side. Border replication
+// handles out-of-image regions; the window is sampled in the frame, never
+// materialised.
 func cropAt(img *tensor.Tensor, cx, cy, sidePix float64, outPx int) *tensor.Tensor {
 	h, w := img.Dim(1), img.Dim(2)
 	side := int(math.Round(sidePix))
@@ -114,8 +114,7 @@ func cropAt(img *tensor.Tensor, cx, cy, sidePix float64, outPx int) *tensor.Tens
 	}
 	y0 := int(math.Round(cy*float64(h) - float64(side)/2))
 	x0 := int(math.Round(cx*float64(w) - float64(side)/2))
-	crop := dataset.Crop(img, y0, x0, side, side)
-	return dataset.BilinearResize(crop, outPx, outPx)
+	return tensor.CropResize(img, y0, x0, side, side, outPx, outPx)
 }
 
 // ExemplarCrop extracts the template crop for a box (half the search

@@ -18,17 +18,16 @@ import (
 
 // Depth-wise cross-correlation is the per-frame hot path of the streaming
 // tracker: every tracked frame correlates the cached exemplar features
-// against fresh search features. Production has one lowering, DWXCorrE (the
-// GEMM route): each channel's search plane is lowered with im2col into a
-// [hz*wz, oh*ow] patch matrix and multiplied by the channel's exemplar row
-// — exactly how convolution reaches the blocked float32 GEMM, so the call
-// inherits the kernel-dispatch seam (tensor.SetKernel: purego/AVX2) and
-// the naive-vs-blocked crossover. Both GEMM paths accumulate k in
-// ascending order, which is the naive loop's (ky, kx) order, so the result
-// is bitwise identical to DWXCorrNaive, the triple loop kept as the test
-// oracle and the reference semantics. DWXCorrInt8 (with quantizeSym) has no
-// production caller: it stays only because bench/ still times it, and goes
-// when the benchmark stops calling it (ROADMAP, "One benchmark…").
+// against fresh search features. Production has one correlation, DWXCorrE,
+// and it is the direct loop: each response element sums its hz×wz products
+// in ascending (ky, kx) order. At tracker shapes (a 4×4 exemplar over an 8×8
+// map) the im2col + GEMM lowering this replaced reached, at m = 1, the GEMM's
+// small-problem kernel anyway, behind three tensor views and a patch matrix
+// per channel; it lives on in xcorr_test.go as the independent oracle, and
+// the two are bitwise equal because both accumulate in that order.
+// DWXCorrNaive and DWXCorrInt8 (with quantizeSym) have no production caller:
+// they stay only because bench/ still times them, and go when the benchmark
+// stops calling them (ROADMAP, "One benchmark…").
 
 // xcorrGeom validates a depth-wise correlation and returns its geometry.
 //
@@ -50,14 +49,13 @@ func xcorrGeom(z, x *tensor.Tensor) (c, hz, wz, hx, wx, oh, ow int, err error) {
 	return c, hz, wz, hx, wx, oh, ow, nil
 }
 
-// xcorrScratch holds the per-call lowering buffers. Steady-state tracking
-// reuses them through a free list instead of allocating per frame.
+// xcorrScratch holds DWXCorrInt8's per-call lowering buffers, reused
+// through a free list instead of allocated per call.
 type xcorrScratch struct {
-	col *tensor.Tensor // [hz*wz, oh*ow] float patch matrix
-	zi8 []int8         // quantized exemplar codes
-	xi8 []int8         // quantized search codes
-	ci8 []int8         // int8 patch matrix
-	acc []int32        // int32 accumulators, one response plane
+	zi8 []int8  // quantized exemplar codes
+	xi8 []int8  // quantized search codes
+	ci8 []int8  // int8 patch matrix
+	acc []int32 // int32 accumulators, one response plane
 }
 
 var xcorrFree = struct {
@@ -106,9 +104,8 @@ func DWXCorr(z, x *tensor.Tensor) *tensor.Tensor {
 // DWXCorrE is DWXCorr with shape errors returned instead of panicking —
 // the form the tracking service calls, where a malformed session request
 // must become a 400, not kill a worker. This is the streaming tracker's
-// per-frame hot path: the lowering buffers come from the scratch free
-// list, and the only steady-state allocation is the response tensor the
-// caller owns (tensor.New carries its own waiver).
+// per-frame hot path: the only allocation is the response tensor the caller
+// owns (tensor.New carries its own waiver).
 //
 //skynet:hotpath
 func DWXCorrE(z, x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -117,47 +114,17 @@ func DWXCorrE(z, x *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	out := tensor.New(c, oh, ow)
-	s := getXCorrScratch()
-	k, n := hz*wz, oh*ow
-	if s.col == nil || s.col.Dim(0) != k || s.col.Dim(1) != n {
-		s.col = tensor.New(k, n)
-	}
 	for ch := 0; ch < c; ch++ {
-		// One channel is a 1-input-channel convolution: im2col the search
-		// plane, multiply by the exemplar row. m=1 GEMMs sit below the
-		// blocked crossover and run on the naive reference kernel, which
-		// shares the ascending-k accumulation order — the dispatch seam
-		// decides, exactly as for every other MatMul in the repo.
-		plane := tensor.FromSlice(x.Data[ch*hx*wx:(ch+1)*hx*wx], 1, hx, wx)
-		tensor.Im2Col(s.col, plane, hz, wz, 1, 0)
-		zrow := tensor.FromSlice(z.Data[ch*k:(ch+1)*k], 1, k)
-		orow := tensor.FromSlice(out.Data[ch*n:(ch+1)*n], 1, n)
-		tensor.MatMulInto(orow, zrow, s.col)
-	}
-	putXCorrScratch(s)
-	return out, nil
-}
-
-// DWXCorrNaive is the reference triple-loop lowering, retained as the
-// oracle the GEMM and int8 routes are tested against.
-func DWXCorrNaive(z, x *tensor.Tensor) (*tensor.Tensor, error) {
-	c, hz, wz, hx, wx, oh, ow, err := xcorrGeom(z, x)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(c, oh, ow)
-	for ch := 0; ch < c; ch++ {
-		zd := z.Data[ch*hz*wz:]
-		xd := x.Data[ch*hx*wx:]
-		od := out.Data[ch*oh*ow:]
+		zd := z.Data[ch*hz*wz : (ch+1)*hz*wz]
+		xd := x.Data[ch*hx*wx : (ch+1)*hx*wx]
+		od := out.Data[ch*oh*ow : (ch+1)*oh*ow]
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				var s float32
 				for ky := 0; ky < hz; ky++ {
-					xrow := xd[(oy+ky)*wx+ox:]
-					zrow := zd[ky*wz:]
-					for kx := 0; kx < wz; kx++ {
-						s += zrow[kx] * xrow[kx]
+					xrow := xd[(oy+ky)*wx+ox:][:wz]
+					for kx, zv := range zd[ky*wz : (ky+1)*wz] {
+						s += zv * xrow[kx]
 					}
 				}
 				od[oy*ow+ox] = s
@@ -166,6 +133,10 @@ func DWXCorrNaive(z, x *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	return out, nil
 }
+
+// DWXCorrNaive is DWXCorrE under the name bench/ times it by
+// (track.xcorr_naive_ms); it goes when the benchmark stops calling it.
+func DWXCorrNaive(z, x *tensor.Tensor) (*tensor.Tensor, error) { return DWXCorrE(z, x) }
 
 // quantizeSym quantizes src into int8 codes with a symmetric per-tensor
 // scale (maxAbs/127) and returns the scale. An all-zero tensor gets scale

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"skynet/internal/tensor"
@@ -52,10 +53,33 @@ func withKernels(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// TestDWXCorrGEMMBitwiseMatchesNaive pins the GEMM lowering to the naive
-// oracle bit for bit at every tracker shape, under every available kernel
-// and at worker counts 1 and 8. Both routes accumulate k in ascending
-// order, so this is exact equality, not a tolerance.
+// dwxcorrGEMM is the independent oracle for DWXCorrE: the im2col + GEMM
+// lowering that used to be the production route. Each channel's search plane
+// becomes a [hz*wz, oh*ow] patch matrix multiplied by the channel's exemplar
+// row — how a convolution reaches tensor.MatMulInto — so it shares no loop
+// with the direct correlation, and it accumulates k in ascending order, which
+// is the direct loop's (ky, kx) order.
+func dwxcorrGEMM(z, x *tensor.Tensor) *tensor.Tensor {
+	c, hz, wz := z.Dim(0), z.Dim(1), z.Dim(2)
+	hx, wx := x.Dim(1), x.Dim(2)
+	oh, ow := hx-hz+1, wx-wz+1
+	k, n := hz*wz, oh*ow
+	out := tensor.New(c, oh, ow)
+	col := tensor.New(k, n)
+	for ch := 0; ch < c; ch++ {
+		plane := tensor.FromSlice(x.Data[ch*hx*wx:(ch+1)*hx*wx], 1, hx, wx)
+		tensor.Im2Col(col, plane, hz, wz, 1, 0)
+		zrow := tensor.FromSlice(z.Data[ch*k:(ch+1)*k], 1, k)
+		orow := tensor.FromSlice(out.Data[ch*n:(ch+1)*n], 1, n)
+		tensor.MatMulInto(orow, zrow, col)
+	}
+	return out
+}
+
+// TestDWXCorrGEMMBitwiseMatchesNaive pins the production correlation (the
+// direct loop) to the GEMM lowering bit for bit at every tracker shape, under
+// every available kernel and at worker counts 1 and 8. Both accumulate k in
+// ascending order, so this is exact equality, not a tolerance.
 func TestDWXCorrGEMMBitwiseMatchesNaive(t *testing.T) {
 	withKernels(t, func(t *testing.T) {
 		oldPar := tensor.MaxParallelism
@@ -66,23 +90,36 @@ func TestDWXCorrGEMMBitwiseMatchesNaive(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(s.c*1000 + s.hx)))
 				z := randT(rng, s.c, s.hz, s.wz)
 				x := randT(rng, s.c, s.hx, s.wx)
-				want, err := DWXCorrNaive(z, x)
-				if err != nil {
-					t.Fatalf("naive %v: %v", s, err)
-				}
+				want := dwxcorrGEMM(z, x)
 				got, err := DWXCorrE(z, x)
 				if err != nil {
-					t.Fatalf("gemm %v: %v", s, err)
+					t.Fatalf("direct %v: %v", s, err)
 				}
 				for i := range want.Data {
 					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-						t.Fatalf("par=%d shape=%v: bit mismatch at %d: gemm %x naive %x",
+						t.Fatalf("par=%d shape=%v: bit mismatch at %d: direct %x gemm %x",
 							par, s, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
 					}
 				}
 			}
 		}
 	})
+}
+
+// TestDWXCorrEAllocatesOnlyTheResponse is the per-Step allocation contract:
+// the correlation allocates what tensor.New of its response allocates and
+// nothing else (the GEMM route built three views per channel: 292 per Step).
+func TestDWXCorrEAllocatesOnlyTheResponse(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	z, x := randT(rng, 32, 4, 4), randT(rng, 32, 8, 8)
+	dims := []int{32, 5, 5}
+	var out *tensor.Tensor
+	want := testing.AllocsPerRun(20, func() { out = tensor.New(dims[0], dims[1], dims[2]) })
+	got := testing.AllocsPerRun(20, func() { out, _ = DWXCorrE(z, x) })
+	runtime.KeepAlive(out)
+	if got != want {
+		t.Fatalf("DWXCorrE: %v allocs per call, want the response tensor's %v", got, want)
+	}
 }
 
 // TestDWXCorrInt8Deterministic pins the int8 route bitwise across kernels
@@ -130,7 +167,7 @@ func TestDWXCorrInt8ApproximatesFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	z := randT(rng, 32, 4, 4)
 	x := randT(rng, 32, 8, 8)
-	want, err := DWXCorrNaive(z, x)
+	want, err := DWXCorrE(z, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,16 +295,16 @@ func BenchmarkDWXCorr(b *testing.B) {
 		z := randT(rng, s.c, s.hz, s.wz)
 		x := randT(rng, s.c, s.hx, s.wx)
 		name := fmt.Sprintf("%dx%dx%d_%dx%d", s.c, s.hz, s.wz, s.hx, s.wx)
-		b.Run("gemm/"+name, func(b *testing.B) {
+		b.Run("direct/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, _ = DWXCorrE(z, x)
 			}
 		})
-		b.Run("naive/"+name, func(b *testing.B) {
+		b.Run("gemm/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, _ = DWXCorrNaive(z, x)
+				_ = dwxcorrGEMM(z, x)
 			}
 		})
 		b.Run("int8/"+name, func(b *testing.B) {
