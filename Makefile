@@ -2,7 +2,7 @@ GO ?= go
 
 # Per-package coverage floors (percent) enforced by `make cover` on the
 # serving-critical packages, as pkg:floor pairs. The serve package carries
-# the production HTTP surface (pool, router, swap, cache, scenarios) and is
+# the production HTTP surface (pool, router, swap, cache, lanes) and is
 # held to a higher floor than the rest.
 COVER_FLOOR ?= 60
 COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/nn:85 ./internal/pipeline:$(COVER_FLOOR) ./internal/detect:$(COVER_FLOOR) ./internal/quant:80 ./internal/track:$(COVER_FLOOR)

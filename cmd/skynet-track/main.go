@@ -47,7 +47,6 @@ func main() {
 		addr     = flag.String("serve", "", "after training, serve the tracker on this HTTP address")
 		ttl      = flag.Duration("ttl", 5*time.Minute, "idle session time-to-live for -serve")
 		maxSess  = flag.Int("max-sessions", 1024, "session table bound for -serve")
-		batch    = flag.Int("batch", 4, "inference micro-batch cap for -serve")
 		drainDur = flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM for -serve")
 	)
 	flag.Parse()
@@ -110,7 +109,6 @@ func main() {
 		ts, err := serve.NewTrackService(tr, serve.TrackConfig{
 			MaxSessions: *maxSess,
 			TTL:         *ttl,
-			MaxBatch:    *batch,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skynet-track: %v\n", err)

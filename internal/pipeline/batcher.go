@@ -1,11 +1,10 @@
 package pipeline
 
 // The micro-batch collector of the §6.3 batched-inference stage, exported
-// so components outside the executor (the serving layer's admission path,
-// custom stage loops) can form batches with the exact same MaxBatch /
-// MaxDelay semantics the executor's Batch stages use. The executor's
-// batchWorker is built on CollectBatch, so there is one batching policy in
-// the codebase.
+// because it has two callers: the executor's batchWorker, and the serving
+// lane's worker loop (internal/serve/lane.go), which forms its batches of
+// independent requests with the exact same MaxBatch / MaxDelay semantics —
+// so there is one batching policy in the codebase.
 
 import (
 	"context"

@@ -150,7 +150,7 @@ func FuzzTrackStepHTTP(f *testing.F) {
 
 func newFuzzTrackService(f *testing.F) *TrackService {
 	f.Helper()
-	ts, err := NewTrackService(testTracker(false), TrackConfig{QueueDepth: 64, MaxBatch: 8})
+	ts, err := NewTrackService(testTracker(false), TrackConfig{QueueDepth: 64})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -52,11 +52,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // they have served (a body by its Content-Length, never to maxBodyBytes).
 //
 // Ownership: the handler that took the buffer is its only writer. Once the
-// frame is submitted, the lane's stages read it until the request's ticket
+// frame is submitted, the lane's worker reads it until the request's ticket
 // is done, so the handler may put the buffer back only when it knows that
 // has happened — or that the request was never admitted. Every outcome says
 // so except a context error: a request that hits its deadline (or whose
-// client went away) is handed back while it may still be in the pipeline,
+// client went away) is handed back while it may still be in the lane,
 // and its buffer is left to the garbage collector (see reusable).
 type reqBuf struct {
 	body  []byte
@@ -99,9 +99,9 @@ func putReqBuf(b *reqBuf) {
 }
 
 // reusable reports whether a request that ended with err has left the
-// pipeline for certain, so that its buffer may serve another: true for
+// lane for certain, so that its buffer may serve another: true for
 // every outcome but a context error (the lane returns those while the
-// request may still be queued or in a stage).
+// request may still be queued or in a forward).
 func reusable(err error) bool {
 	return !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
 }

@@ -26,7 +26,6 @@ func TestTrackJanitorChurnConservesSessions(t *testing.T) {
 		TTL:         20 * time.Millisecond,
 		SweepEvery:  2 * time.Millisecond, // hot janitor: maximize sweep/lookup races
 		QueueDepth:  64,
-		MaxBatch:    8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,75 +1,131 @@
 package serve
 
-// A lane is the one implementation of the machine every service in this
-// package is built on: a bounded admission queue feeding a long-lived
-// pipeline.Executor stream, with a drain/close shutdown sequence. The
-// detection replica and the TrackService both embed one and differ only in
-// their stage procs and in what they count.
+// A lane is the one machine every service in this package is built on: a
+// bounded admission queue, one worker goroutine that takes requests off it a
+// micro-batch at a time (pipeline.CollectBatch), and a drain/close shutdown
+// sequence. The detection replica and the TrackService both embed one and
+// differ only in what their worker does with a batch and in what they count.
+//
+// It is not the §6.3 stream executor, which overlaps the stages of
+// consecutive frames of one stream. Serving requests are independent and
+// arrive on goroutines of their own, so the CPU-side work runs there — before
+// admission and after the answer — and only the model, one forward at a time,
+// needs a queue.
 
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"skynet/internal/pipeline"
 )
 
-// lane owns admission, the default request deadline, and shutdown for one
-// executor stream. Requests enter through admit and are never dropped once
-// admitted: drain lets them finish, close cancels the stream under them.
-type lane struct {
-	ex      *pipeline.Executor
+// rider is what a lane queues: a request that carries a ticket.
+type rider interface{ tk() *ticket }
+
+// lane owns admission, the default request deadline, the worker and shutdown
+// for one model. An admitted request is always answered: drain lets it
+// finish, close fails all but the forward in flight with ErrDraining.
+type lane[T rider] struct {
 	timeout time.Duration // default request deadline; <= 0 disables it
 
 	gate     sync.RWMutex // orders admit's send against drain's close(in)
 	draining bool
-	in       chan any
+	in       chan T
 
-	cancel   context.CancelFunc
-	finished chan struct{} // closed once every stream goroutine has exited
-	runErr   error         // stream error, readable after finished
+	abandoned atomic.Bool   // set by close: refuse what is still queued
+	finished  chan struct{} // closed once the worker has exited
+
+	work stageClock // the worker's own stage: one item per request served
 }
 
-// start builds the executor over specs and begins streaming from a queue of
-// the given depth. The stage procs own result delivery; the stream's
-// ordered output is only drained to keep the executor moving.
-func (l *lane) start(depth int, timeout time.Duration, specs ...pipeline.StageSpec) error {
-	ex, err := pipeline.NewExecutor(depth, specs...)
-	if err != nil {
+// start opens a queue of the given depth and begins the worker: it collects
+// up to maxBatch requests (waiting at most maxDelay after the first; never,
+// for a maxBatch of 1), hands them to serve — which records per-request
+// failures on the tickets and must not panic — and closes each ticket.
+func (l *lane[T]) start(depth int, timeout time.Duration, maxBatch int, maxDelay time.Duration, serve func([]T)) {
+	l.timeout = timeout
+	l.in = make(chan T, depth)
+	l.finished = make(chan struct{})
+	go l.loop(maxBatch, maxDelay, serve)
+}
+
+// loop is the lane's one goroutine: it runs until the queue is closed and
+// empty. A closed queue hands its remaining requests over without waiting,
+// so after close they are refused as fast as they can be collected.
+func (l *lane[T]) loop(maxBatch int, maxDelay time.Duration, serve func([]T)) {
+	defer close(l.finished)
+	buf := make([]T, 0, maxBatch)
+	for {
+		//skynet:nolint ctxflow -- the worker lives for the service's lifetime, not any request's; closing the queue (drain/close) is what ends it, so a fresh root is correct here
+		batch, end := pipeline.CollectBatch(context.Background(), l.in, maxBatch, maxDelay, buf)
+		if l.abandoned.Load() {
+			for _, req := range batch {
+				t := req.tk()
+				t.err = ErrDraining
+				close(t.done)
+			}
+		} else {
+			l.flush(batch, end.FirstWait, serve)
+		}
+		if end.Drained {
+			return
+		}
+	}
+}
+
+// flush serves one collected batch and hands every request in it back. The
+// counters move before the tickets close, so a caller that reads the metrics
+// right after its answer finds its own batch in them.
+//
+//skynet:hotpath
+func (l *lane[T]) flush(batch []T, waited time.Duration, serve func([]T)) {
+	if len(batch) == 0 {
+		return
+	}
+	t0 := time.Now()
+	serve(batch)
+	l.work.add(len(batch), time.Since(t0))
+	l.work.batches.Add(1)
+	l.work.waitNS.Add(int64(waited))
+	for _, req := range batch {
+		close(req.tk().done)
+	}
+}
+
+// ride is a request's whole trip, on its caller's goroutine: a fresh ticket
+// under ctx (with the lane's default timeout when ctx has no deadline of its
+// own), admission, and the wait for the worker to hand it back. It returns
+// the refusal (ErrOverloaded, ErrDraining), the context's error — the request
+// may then still be queued or in a forward; the worker will see the expired
+// context and skip what is left of it — or what the worker recorded.
+func (l *lane[T]) ride(ctx context.Context, req T) error {
+	if _, ok := ctx.Deadline(); !ok && l.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, l.timeout)
+		defer cancel()
+	}
+	t := req.tk()
+	*t = newTicket(ctx)
+	if err := l.admit(req); err != nil {
 		return err
 	}
-	l.ex = ex
-	l.timeout = timeout
-	l.in = make(chan any, depth)
-	l.finished = make(chan struct{})
-
-	//skynet:nolint ctxflow -- the stream lives for the service's lifetime, not any request's; drain/close end it, so a fresh root is correct here
-	ctx, cancel := context.WithCancel(context.Background())
-	l.cancel = cancel
-	out, wait := ex.Stream(ctx, l.in)
-	go func() {
-		for range out {
-		}
-		l.runErr = wait()
-		close(l.finished)
-	}()
-	return nil
-}
-
-// deadline applies the lane's default request timeout when ctx carries no
-// deadline of its own. The returned cancel is always safe to defer.
-func (l *lane) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); !ok && l.timeout > 0 {
-		return context.WithTimeout(ctx, l.timeout)
+	select {
+	case <-t.done:
+		return t.err
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	return ctx, func() {}
 }
 
 // admit offers req to the queue without blocking: ErrDraining once
 // shutdown has begun, ErrOverloaded when the queue is full. The send
 // happens under the read lock, so a concurrent drain cannot close the
 // queue between the draining check and the send.
-func (l *lane) admit(req any) error {
+//
+//skynet:hotpath
+func (l *lane[T]) admit(req T) error {
 	l.gate.RLock()
 	defer l.gate.RUnlock()
 	if l.draining {
@@ -84,7 +140,7 @@ func (l *lane) admit(req any) error {
 }
 
 // beginDrain refuses new admissions and closes the queue. Idempotent.
-func (l *lane) beginDrain() {
+func (l *lane[T]) beginDrain() {
 	l.gate.Lock()
 	if !l.draining {
 		l.draining = true
@@ -94,38 +150,28 @@ func (l *lane) beginDrain() {
 }
 
 // drain shuts the lane down gracefully: admitted requests complete and the
-// stream exits. It returns when that has happened or ctx fires (the drain
+// worker exits. It returns when that has happened or ctx fires (the drain
 // keeps completing in the background either way). Idempotent.
-func (l *lane) drain(ctx context.Context) error {
+func (l *lane[T]) drain(ctx context.Context) error {
 	l.beginDrain()
 	select {
 	case <-l.finished:
-		return l.runErr
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// close abandons the stream immediately — in-flight requests fail with its
-// cancellation — and returns once every stream goroutine has exited.
-func (l *lane) close() {
+// close stops the lane now: the batch in the worker's hands finishes, every
+// other admitted request fails with ErrDraining, the worker exits.
+func (l *lane[T]) close() {
+	l.abandoned.Store(true)
 	l.beginDrain()
-	l.cancel()
 	<-l.finished
 }
 
-// stages snapshots the executor's per-stage counters for /metrics.
-func (l *lane) stages() []pipelineStageJSON {
-	stats := l.ex.Stats()
-	out := make([]pipelineStageJSON, len(stats))
-	for i, st := range stats {
-		out[i] = stageJSON(st)
-	}
-	return out
-}
-
 // isDraining reports whether shutdown has begun.
-func (l *lane) isDraining() bool {
+func (l *lane[T]) isDraining() bool {
 	l.gate.RLock()
 	defer l.gate.RUnlock()
 	return l.draining
@@ -133,14 +179,11 @@ func (l *lane) isDraining() bool {
 
 // ticket is what every request riding a lane carries: the caller's context,
 // the first per-request failure, the admission timestamp, and the channel
-// the last stage closes to hand the request back — closed exactly once, so
-// delivery never blocks the pipeline even when the caller has given up.
-// Failures are recorded here instead of being returned to the executor,
-// whose errors are fail-fast for the whole stream — exactly wrong for
-// serving.
+// the worker closes to hand the request back — closed exactly once, so
+// delivery never blocks the worker even when the caller has given up.
 type ticket struct {
 	ctx  context.Context
-	err  error // set by the owning stage
+	err  error // set by the worker
 	enq  time.Time
 	done chan struct{}
 }
@@ -148,6 +191,9 @@ type ticket struct {
 func newTicket(ctx context.Context) ticket {
 	return ticket{ctx: ctx, enq: time.Now(), done: make(chan struct{})}
 }
+
+//skynet:hotpath
+func (t *ticket) tk() *ticket { return t }
 
 // live reports whether the request still needs work: no failure recorded
 // yet and a caller still waiting. An expired context is recorded as the
@@ -164,21 +210,40 @@ func (t *ticket) live() bool {
 	return true
 }
 
+// stageClock is one row of the /metrics stage table: the lane's worker keeps
+// one, a replica one each for the pre- and post-process its callers run.
+type stageClock struct {
+	items   atomic.Int64
+	batches atomic.Int64
+	busyNS  atomic.Int64
+	waitNS  atomic.Int64
+}
+
+//skynet:hotpath
+func (c *stageClock) add(items int, busy time.Duration) {
+	c.items.Add(int64(items))
+	c.busyNS.Add(int64(busy))
+}
+
+// snapshot renders the counters through pipeline.StageStats, so per-item
+// time, mean batch size and occupancy are the executor's own arithmetic.
+// workers is 0 for a stage that runs on its callers' goroutines.
+func (c *stageClock) snapshot(name string, workers int) pipelineStageJSON {
+	return stageJSON(pipeline.StageStats{
+		Name:    name,
+		Workers: workers,
+		Items:   c.items.Load(),
+		Batches: c.batches.Load(),
+		Busy:    time.Duration(c.busyNS.Load()),
+		Wait:    time.Duration(c.waitNS.Load()),
+	})
+}
+
 // laneDefaults fills in the knobs every lane-backed service exposes in its
-// own config (Config, TrackConfig — their field docs say what each default
-// is for), so the serving defaults live in one place.
-func laneDefaults(maxDelay *time.Duration, queueDepth, preWorkers, postWorkers *int, timeout *time.Duration) {
-	if *maxDelay <= 0 {
-		*maxDelay = 2 * time.Millisecond
-	}
+// own config (Config, TrackConfig), so their defaults live in one place.
+func laneDefaults(queueDepth *int, timeout *time.Duration) {
 	if *queueDepth <= 0 {
 		*queueDepth = defaultQueueDepth
-	}
-	if *preWorkers <= 0 {
-		*preWorkers = 2
-	}
-	if *postWorkers <= 0 {
-		*postWorkers = 2
 	}
 	if *timeout == 0 {
 		*timeout = 5 * time.Second

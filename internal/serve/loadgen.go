@@ -3,10 +3,10 @@ package serve
 // LoadGen is the serving layer's traffic driver: N concurrent clients
 // fire detection requests over HTTP against a running server, cycling
 // through a fixed image set, and record per-request outcomes (status,
-// body, latency). The integration tests use it to pin the acceptance
+// body). The integration tests use it to pin the acceptance
 // criteria — zero errors under concurrency, responses byte-identical to
-// serial inference, mean batch size above one — and cmd/skynet-serve
-// exposes it as a self-test mode.
+// serial inference, mean batch size above one — and examples/serving drives
+// its demo server with it.
 
 import (
 	"bytes"
@@ -14,9 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -41,12 +39,11 @@ type LoadGen struct {
 
 // LoadResult records one request's outcome.
 type LoadResult struct {
-	Client  int
-	Image   int // index into Images
-	Status  int
-	Body    []byte
-	Latency time.Duration
-	Err     error // transport-level failure; nil for any HTTP response
+	Client int
+	Image  int // index into Images
+	Status int
+	Body   []byte
+	Err    error // transport-level failure; nil for any HTTP response
 }
 
 // LoadReport aggregates a run.
@@ -75,108 +72,6 @@ func (r LoadReport) Errors() []LoadResult {
 		}
 	}
 	return out
-}
-
-// LatencyTally is exact (sorted, not bucketed) latency percentiles over one
-// outcome class, in milliseconds.
-type LatencyTally struct {
-	Count  int     `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-// tallyLatencies computes one class's digest. The input is sorted in place.
-func tallyLatencies(lat []time.Duration) LatencyTally {
-	if len(lat) == 0 {
-		return LatencyTally{}
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	var sum time.Duration
-	for _, d := range lat {
-		sum += d
-	}
-	// rank-⌈q·n⌉, matching the serving histogram's convention: the reported
-	// quantile is an upper bound on at least q·n observations.
-	at := func(q float64) float64 {
-		rank := int(math.Ceil(q * float64(len(lat))))
-		if rank < 1 {
-			rank = 1
-		}
-		return lat[rank-1].Seconds() * 1e3
-	}
-	return LatencyTally{
-		Count:  len(lat),
-		MeanMS: (sum / time.Duration(len(lat))).Seconds() * 1e3,
-		P50MS:  at(0.50),
-		P95MS:  at(0.95),
-		P99MS:  at(0.99),
-		MaxMS:  lat[len(lat)-1].Seconds() * 1e3,
-	}
-}
-
-// LoadSummary classifies a run's outcomes with per-class latency tallies.
-// Shed (429) and deadline (504) responses are tallied in their own classes
-// and can never pollute the success percentiles: a shed request resolves in
-// microseconds and a deadline request resolves at exactly the timeout, and
-// folding either into the success histogram used to make the "p99" either
-// flatter or exactly the deadline — both lies about what a successful
-// caller experiences.
-type LoadSummary struct {
-	// Offered is every request fired, across classes.
-	Offered int `json:"offered"`
-	// OK counts 200s; Shed 429s; Deadline 504s; Unavailable 503s; BadInput
-	// 400s; OtherHTTP every remaining status; Transport connection-level
-	// failures (which have no meaningful HTTP latency class).
-	OK          int `json:"ok"`
-	Shed        int `json:"shed"`
-	Deadline    int `json:"deadline"`
-	Unavailable int `json:"unavailable"`
-	BadInput    int `json:"bad_input"`
-	OtherHTTP   int `json:"other_http"`
-	Transport   int `json:"transport"`
-
-	// Success is the 200-only latency digest — the SLO metric.
-	Success LatencyTally `json:"success"`
-	// ShedLatency and DeadlineLatency keep their classes observable
-	// (admission rejections should be fast; deadlines should cluster at
-	// the configured timeout).
-	ShedLatency     LatencyTally `json:"shed_latency"`
-	DeadlineLatency LatencyTally `json:"deadline_latency"`
-}
-
-// Summary tallies the report per outcome class.
-func (r LoadReport) Summary() LoadSummary {
-	var s LoadSummary
-	var ok, shed, dead []time.Duration
-	for _, res := range r.Results {
-		s.Offered++
-		switch {
-		case res.Err != nil:
-			s.Transport++
-		case res.Status == http.StatusOK:
-			s.OK++
-			ok = append(ok, res.Latency)
-		case res.Status == http.StatusTooManyRequests:
-			s.Shed++
-			shed = append(shed, res.Latency)
-		case res.Status == http.StatusGatewayTimeout:
-			s.Deadline++
-			dead = append(dead, res.Latency)
-		case res.Status == http.StatusServiceUnavailable:
-			s.Unavailable++
-		case res.Status == http.StatusBadRequest:
-			s.BadInput++
-		default:
-			s.OtherHTTP++
-		}
-	}
-	s.Success = tallyLatencies(ok)
-	s.ShedLatency = tallyLatencies(shed)
-	s.DeadlineLatency = tallyLatencies(dead)
-	return s
 }
 
 // Run fires the configured load and blocks until every request resolved
@@ -263,24 +158,14 @@ type TrackSessionResult struct {
 	Statuses []int
 	// BytesPerSession is the server-reported resident footprint.
 	BytesPerSession int64
-	Latency         []time.Duration // one entry per call
-	Err             error           // first transport or decode failure
+	Err             error // first transport or decode failure
 }
 
 // TrackLoadReport aggregates a tracking load run.
 type TrackLoadReport struct {
 	Sessions []TrackSessionResult
-	Elapsed  time.Duration
 	// Steps is the number of successful step calls across sessions.
 	Steps int
-}
-
-// FPS is the aggregate frame rate: successful steps over wall time.
-func (r TrackLoadReport) FPS() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Steps) / r.Elapsed.Seconds()
 }
 
 // Errors returns every session with a transport failure or a non-200 call.
@@ -315,7 +200,6 @@ func (l *TrackLoadGen) Run(ctx context.Context) (TrackLoadReport, error) {
 	}
 	out := make([]TrackSessionResult, n)
 	var wg sync.WaitGroup
-	t0 := time.Now()
 	for s := 0; s < n; s++ {
 		wg.Add(1)
 		go func(s int) {
@@ -325,7 +209,7 @@ func (l *TrackLoadGen) Run(ctx context.Context) (TrackLoadReport, error) {
 		}(s)
 	}
 	wg.Wait()
-	rep := TrackLoadReport{Sessions: out, Elapsed: time.Since(t0)}
+	rep := TrackLoadReport{Sessions: out}
 	for _, s := range out {
 		for i, st := range s.Statuses {
 			if i > 0 && st == http.StatusOK {
@@ -370,12 +254,10 @@ func (l *TrackLoadGen) oneSession(ctx context.Context, hc *http.Client, frames [
 		res.Err = fmt.Errorf("serve: session needs at least 2 frames, got %d", len(frames))
 		return res
 	}
-	t0 := time.Now()
 	start := TrackStartRequest{Shape: frames[0].Shape(), Data: frames[0].Data, Box: init}
 	var sr TrackStartResponse
 	status, err := postJSON(ctx, hc, l.URL+"/track/start", start, &sr)
 	res.Statuses = append(res.Statuses, status)
-	res.Latency = append(res.Latency, time.Since(t0))
 	if err != nil || status != http.StatusOK {
 		res.Err = err
 		return res
@@ -383,12 +265,10 @@ func (l *TrackLoadGen) oneSession(ctx context.Context, hc *http.Client, frames [
 	res.Session = sr.Session
 	res.BytesPerSession = sr.BytesPerSession
 	for _, frame := range frames[1:] {
-		t1 := time.Now()
 		step := TrackStepRequest{Session: sr.Session, Shape: frame.Shape(), Data: frame.Data, Mask: l.Mask}
 		var sp TrackStepResponse
 		status, err := postJSON(ctx, hc, l.URL+"/track/step", step, &sp)
 		res.Statuses = append(res.Statuses, status)
-		res.Latency = append(res.Latency, time.Since(t1))
 		if err != nil {
 			res.Err = err
 			return res
@@ -404,7 +284,6 @@ func (l *TrackLoadGen) oneSession(ctx context.Context, hc *http.Client, frames [
 
 func (l *LoadGen) one(ctx context.Context, hc *http.Client, client, imgIdx int, body []byte) LoadResult {
 	res := LoadResult{Client: client, Image: imgIdx}
-	t0 := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, l.URL+"/detect", bytes.NewReader(body))
 	if err != nil {
 		res.Err = err
@@ -414,12 +293,10 @@ func (l *LoadGen) one(ctx context.Context, hc *http.Client, client, imgIdx int, 
 	resp, err := hc.Do(req)
 	if err != nil {
 		res.Err = err
-		res.Latency = time.Since(t0)
 		return res
 	}
 	defer resp.Body.Close()
 	res.Status = resp.StatusCode
 	res.Body, res.Err = io.ReadAll(resp.Body)
-	res.Latency = time.Since(t0)
 	return res
 }

@@ -2,9 +2,9 @@ package serve
 
 // Observability surface: an allocation-free log-bucketed latency histogram
 // updated with atomics on the request path, and a Metrics snapshot that
-// joins it with the executor's per-stage counters (pipeline.StageStats)
-// and the admission-queue gauges. The /metrics handler serializes the
-// snapshot as JSON.
+// joins it with the per-stage counters (stageClock, rendered through
+// pipeline.StageStats) and the admission-queue gauges. The /metrics handler
+// serializes the snapshot as JSON.
 
 import (
 	"math"
@@ -130,8 +130,8 @@ type LatencySummary struct {
 // Metrics is one consistent-enough snapshot of one replica's counters —
 // individual fields are read atomically; the set is not a transaction.
 type Metrics struct {
-	// QueueDepth is the number of requests waiting for admission into the
-	// pre-process stage; QueueCap is the admission bound.
+	// QueueDepth is the number of admitted requests waiting for the
+	// worker; QueueCap is the admission bound.
 	QueueDepth int  `json:"queue_depth"`
 	QueueCap   int  `json:"queue_cap"`
 	Draining   bool `json:"draining"`
@@ -151,7 +151,8 @@ type Metrics struct {
 
 	Latency LatencySummary `json:"latency"`
 
-	// Stages is the executor's per-stage occupancy breakdown.
+	// Stages is the per-stage breakdown: pre- and post-process run on the
+	// callers' goroutines (Workers 0), inference on the replica's one worker.
 	Stages []pipelineStageJSON `json:"stages"`
 }
 
@@ -272,15 +273,8 @@ func (r *replica) Metrics() Metrics {
 		Expired:    r.expired.Load(),
 		Latency:    r.hist.Summary(),
 	}
-	m.Stages = r.stages()
-	for _, st := range m.Stages {
-		// The headline batching metrics come from the inference stage,
-		// selected by name: "last stage with batches wins" would let any
-		// other batching stage silently overwrite them.
-		if st.Name == pipeline.StageInfer {
-			m.Batches = st.Batches
-			m.MeanBatchSize = st.MeanBatchSize
-		}
-	}
+	infer := r.work.snapshot(pipeline.StageInfer, 1)
+	m.Batches, m.MeanBatchSize = infer.Batches, infer.MeanBatchSize
+	m.Stages = []pipelineStageJSON{r.pre.snapshot(pipeline.StagePre, 0), infer, r.post.snapshot(pipeline.StagePost, 0)}
 	return m
 }

@@ -5,7 +5,7 @@ package serve
 // are not concurrency-safe), so one replica can never use more than one
 // core for the forward pass. The Pool holds N replicas — each an engine
 // around its own private model instance with its own reuse buffers and
-// streaming executor — behind a routing tier that shards requests by frame
+// worker — behind a routing tier that shards requests by frame
 // content hash. Sharding gives duplicate frames a stable home (so the response
 // cache and the per-replica batcher both see the repeats), while bounded
 // per-replica admission propagates backpressure outward: a request whose
@@ -45,8 +45,8 @@ type PoolConfig struct {
 	// Replicas is the number of model instances; 0 selects NumCPU capped
 	// at 8.
 	Replicas int
-	// Replica tunes each replica's engine (queue depth, batching, workers,
-	// deadline). Applied identically to every replica.
+	// Replica tunes each replica's engine (queue depth, batching, deadline).
+	// Applied identically to every replica.
 	Replica Config
 	// CacheEntries bounds the response cache; 0 selects 4096, negative
 	// disables caching.
@@ -164,7 +164,7 @@ func (p *Pool) release() {
 }
 
 // buildGeneration constructs one complete replica set, tearing down the
-// partial set on any failure so a bad factory cannot leak pipelines.
+// partial set on any failure so a bad factory cannot leak workers.
 func (p *Pool) buildGeneration(factory ModelFactory, n int) (*generation, error) {
 	g := &generation{id: p.lastID.Add(1), replicas: make([]*replica, 0, n)}
 	for i := 0; i < n; i++ {
@@ -194,7 +194,7 @@ func (p *Pool) Attach(ts *TrackService) { p.track = ts }
 // Submit routes one detection through the pool: cache, then the frame's
 // home replica, then every sibling, then — if the snapshot it raced was a
 // draining generation — the freshly swapped-in one. The image stays the
-// caller's: the pipeline works on a copy.
+// caller's: the replica works on a copy.
 func (p *Pool) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, error) {
 	t0 := time.Now()
 	key := hashFrame(img)
@@ -226,6 +226,13 @@ func (p *Pool) cached(key frameKey, t0 time.Time) (detect.Box, float64, int64, b
 func (p *Pool) submit(ctx context.Context, key frameKey, img *tensor.Tensor, owned bool, t0 time.Time) (detect.Box, float64, int64, error) {
 	g := p.gen.Load()
 
+	// Validate and pre-process once, on the caller's goroutine, not once per
+	// probed sibling: every replica shares one Config, so the home one will do.
+	f, err := g.replicas[key.lo%uint64(len(g.replicas))].prepare(img, owned)
+	if err != nil {
+		return detect.Box{}, 0, g.id, err
+	}
+
 	// A swap mid-request can leave the loaded snapshot fully draining; one
 	// retry per published generation is enough, and the attempt bound makes
 	// a pathological swap storm fail loudly instead of looping.
@@ -236,7 +243,7 @@ func (p *Pool) submit(ctx context.Context, key frameKey, img *tensor.Tensor, own
 		sawOverload := false
 		for i := 0; i < n; i++ {
 			r := g.replicas[(home+i)%n]
-			box, conf, err := r.Submit(ctx, img, owned)
+			box, conf, err := r.submitFrame(ctx, f)
 			switch {
 			case err == nil:
 				p.cache.put(g.id, key, box, conf)
@@ -249,8 +256,9 @@ func (p *Pool) submit(ctx context.Context, key frameKey, img *tensor.Tensor, own
 				}
 				sawOverload = true
 			case errors.Is(err, ErrDraining):
-				// Old generation mid-swap; keep probing, then retry on the
-				// published generation.
+				// Old generation mid-swap (refused at admission, or admitted
+				// and then handed back unserved by a hard close); keep
+				// probing, then retry on the published generation.
 			default:
 				// The request's own failure (bad input, deadline, inference
 				// error) — routing elsewhere would not change the outcome.

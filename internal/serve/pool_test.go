@@ -192,7 +192,7 @@ func TestPoolCacheServesDuplicateFrames(t *testing.T) {
 func TestPoolSpillsToSiblingBeforeShedding(t *testing.T) {
 	gate := make(chan struct{})
 	p := newTestPool(t, verFactory(1, gate, nil), PoolConfig{Replicas: 2, CacheEntries: -1,
-		Replica: Config{QueueDepth: 1, MaxBatch: 1, PreWorkers: 1, PostWorkers: 1, RequestTimeout: -1}})
+		Replica: Config{QueueDepth: 1, MaxBatch: 1, RequestTimeout: -1}})
 
 	// With every forward gated shut, keep submitting distinct frames until
 	// the pool sheds: before that point, overflow off one replica must have

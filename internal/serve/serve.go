@@ -1,15 +1,15 @@
 // Package serve exposes a trained detector as a concurrent service: the
 // production form of the §6.3 system-level optimization. Pool is the one
 // detection front door; each of its replicas is an engine in which requests
-// are admitted through a bounded queue (overflow sheds load instead of
-// growing latency without bound), flow through the streaming executor — the
-// same merged three stages as the offline pipeline, with the inference
-// stage dynamically micro-batched so one weight load serves many users —
-// and return to their callers individually. Per-request failures (bad
-// input, deadline, a panicking model) are carried inside the request and
-// never fail the shared stream, so one poisoned request cannot take the
-// service down. Admission, the default deadline and drain/close are the
-// lane's (lane.go), shared with TrackService.
+// are validated and pre-processed on their callers' goroutines, admitted
+// through a bounded queue (overflow sheds load instead of growing latency
+// without bound), dynamically micro-batched by the replica's one worker so
+// one weight load serves many users, and decoded by their callers once the
+// worker hands them back. Per-request failures (bad input, deadline, a
+// panicking model) are carried inside the request and never stop the worker,
+// so one poisoned request cannot take the service down. Admission, the
+// default deadline, the worker loop and drain/close are the lane's
+// (lane.go), shared with TrackService.
 package serve
 
 import (
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"skynet/internal/detect"
-	"skynet/internal/pipeline"
 	"skynet/internal/tensor"
 )
 
@@ -53,9 +52,6 @@ type Config struct {
 	// QueueDepth bounds the admission queue; 0 selects 64. A full queue
 	// rejects new requests with ErrOverloaded.
 	QueueDepth int
-	// PreWorkers / PostWorkers scale the CPU-side stages; 0 selects 2.
-	PreWorkers  int
-	PostWorkers int
 	// RequestTimeout is the per-request deadline applied when the caller's
 	// context has none; 0 selects 5s. Negative disables the default.
 	RequestTimeout time.Duration
@@ -70,23 +66,33 @@ func (c *Config) normalize() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
-	laneDefaults(&c.MaxDelay, &c.QueueDepth, &c.PreWorkers, &c.PostWorkers, &c.RequestTimeout)
+	if c.MaxDelay <= 0 {
+		c.MaxDelay = 2 * time.Millisecond
+	}
+	laneDefaults(&c.QueueDepth, &c.RequestTimeout)
 }
 
 // request is one in-flight detection riding the replica's lane; the
-// detection is read off frame once the ticket is done.
+// prediction is read off frame once the ticket is done.
 type request struct {
 	ticket
 	frame *detect.Frame
 }
 
 // replica is one detection engine around a private model+head pair: a lane
-// whose stages pre-process, micro-batch through the model, and decode. It
-// has no HTTP surface — Pool is the front door — and is safe for concurrent
-// use. Stop with drain (graceful) or close (abandon).
+// whose worker micro-batches admitted frames through the model, with
+// pre-process (prepare) and decode (submitFrame) on the caller's goroutine
+// either side of the queue. It has no HTTP surface — Pool is the front door —
+// and is safe for concurrent use. Stop with drain (graceful) or close.
 type replica struct {
-	lane
-	hist *Histogram
+	lane[*request]
+	model    detect.Model
+	head     *detect.Head
+	channels int // Config.Channels
+	hist     Histogram
+
+	pre, post stageClock      // the stages the callers run, counted beside the worker's
+	live      []*detect.Frame // the worker's batch scratch, reused across batches
 
 	served   atomic.Int64
 	failed   atomic.Int64
@@ -94,82 +100,46 @@ type replica struct {
 	expired  atomic.Int64
 }
 
-// newReplica starts the serving pipeline for a model+head pair. The model
-// is driven from a single inference worker (Graph forwards share buffers
-// and are not concurrency-safe); throughput scales with Config.MaxBatch.
+// newReplica starts the serving lane for a model+head pair. The model is
+// driven from the lane's one worker (Graph forwards share buffers and are
+// not concurrency-safe); throughput scales with Config.MaxBatch.
 func newReplica(m detect.Model, h *detect.Head, cfg Config) (*replica, error) {
 	if m == nil || h == nil {
 		return nil, errors.New("serve: model and head are required")
 	}
 	cfg.normalize()
-	r := &replica{hist: NewHistogram()}
-
-	// Stage procs mirror detect.PreStage/InferStage/PostStage but record
-	// failures on the request instead of returning them, so the executor
-	// only ever sees nil errors; its panic recovery is backed up by a local
-	// recover in the batch stage.
-	err := r.start(cfg.QueueDepth, cfg.RequestTimeout,
-		pipeline.StageSpec{
-			Name:    pipeline.StagePre,
-			Workers: cfg.PreWorkers,
-			Proc: func(_ context.Context, v any) (any, error) {
-				req := v.(*request)
-				if req.live() {
-					if err := detect.Preprocess(req.frame); err != nil {
-						req.err = fmt.Errorf("%w: %v", ErrBadInput, err)
-					} else if c := cfg.Channels; c > 0 && req.frame.Image.Dim(0) != c {
-						req.err = fmt.Errorf("%w: image has %d channels, want %d",
-							ErrBadInput, req.frame.Image.Dim(0), c)
-					}
-				}
-				return req, nil
-			},
-		},
-		pipeline.StageSpec{
-			Name:     pipeline.StageInfer,
-			MaxBatch: cfg.MaxBatch,
-			MaxDelay: cfg.MaxDelay,
-			Batch: func(_ context.Context, items []any) ([]any, error) {
-				// Only requests that survived pre-processing and still have a
-				// waiting caller are worth a forward pass.
-				live := make([]*detect.Frame, 0, len(items))
-				reqs := make([]*request, 0, len(items))
-				for _, v := range items {
-					req := v.(*request)
-					if req.live() {
-						live = append(live, req.frame)
-						reqs = append(reqs, req)
-					}
-				}
-				if err := inferBatchSafe(m, live); err != nil {
-					for _, req := range reqs {
-						req.err = err
-					}
-				}
-				return items, nil
-			},
-		},
-		pipeline.StageSpec{
-			Name:    pipeline.StagePost,
-			Workers: cfg.PostWorkers,
-			Proc: func(_ context.Context, v any) (any, error) {
-				req := v.(*request)
-				if req.live() {
-					req.err = detect.Postprocess(h, req.frame)
-				}
-				close(req.done)
-				return req, nil
-			},
-		},
-	)
-	if err != nil {
-		return nil, err
+	r := &replica{
+		model:    m,
+		head:     h,
+		channels: cfg.Channels,
+		live:     make([]*detect.Frame, 0, cfg.MaxBatch),
 	}
+	r.start(cfg.QueueDepth, cfg.RequestTimeout, cfg.MaxBatch, cfg.MaxDelay, r.inferBatch)
 	return r, nil
 }
 
+// inferBatch is the worker's half of a request: one forward over every
+// request of the batch that still has a waiting caller (live marks the rest
+// with their context's error).
+func (r *replica) inferBatch(batch []*request) {
+	live := r.live[:0]
+	for _, req := range batch {
+		if req.live() {
+			live = append(live, req.frame)
+		}
+	}
+	if err := inferBatchSafe(r.model, live); err != nil {
+		for _, req := range batch {
+			if req.err == nil {
+				req.err = err
+			}
+		}
+	}
+	clear(live) // the scratch must not keep answered frames alive
+}
+
 // inferBatchSafe runs one batched forward, converting a model panic into
-// ErrInference so a poisoned batch fails its requests, not the stream.
+// ErrInference so a poisoned batch fails its requests, not the worker.
 func inferBatchSafe(m detect.Model, frames []*detect.Frame) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -185,35 +155,63 @@ func inferBatchSafe(m detect.Model, frames []*detect.Frame) (err error) {
 	return nil
 }
 
-// Submit runs one detection through the replica: admission queue,
-// micro-batched inference, decode. It blocks until the result is ready,
-// the context fires, or the request is rejected at admission. When ctx has
-// no deadline, Config.RequestTimeout is applied. owned hands img over to the
-// pipeline (detect.Frame.Owned): it is read in place until the ticket is done.
+// Submit runs one detection through the replica: pre-process, admission
+// queue, micro-batched inference, decode. It blocks until the result is
+// ready, the context fires, or the request is rejected. When ctx has no
+// deadline, Config.RequestTimeout is applied. owned hands img over
+// (detect.Frame.Owned): it is read in place until the ticket is done.
 func (r *replica) Submit(ctx context.Context, img *tensor.Tensor, owned bool) (detect.Box, float64, error) {
-	ctx, cancel := r.deadline(ctx)
-	defer cancel()
-	req := &request{ticket: newTicket(ctx), frame: &detect.Frame{Image: img, Owned: owned}}
-	if err := r.admit(req); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			r.rejected.Add(1)
-		}
+	f, err := r.prepare(img, owned)
+	if err != nil {
 		return detect.Box{}, 0, err
 	}
+	return r.submitFrame(ctx, f)
+}
 
-	select {
-	case <-req.done:
-		r.hist.Observe(time.Since(req.enq))
-		if req.err != nil {
-			r.failed.Add(1)
-			return detect.Box{}, 0, req.err
-		}
-		r.served.Add(1)
-		return req.frame.Box, req.frame.Conf, nil
-	case <-ctx.Done():
-		// The request is still in the pipeline; its stages will see the
-		// expired context and skip the remaining work.
-		r.expired.Add(1)
-		return detect.Box{}, 0, ctx.Err()
+// prepare validates and pre-processes one image on the caller's goroutine,
+// before admission: a malformed frame never takes a queue slot.
+func (r *replica) prepare(img *tensor.Tensor, owned bool) (*detect.Frame, error) {
+	t0 := time.Now()
+	f := &detect.Frame{Image: img, Owned: owned}
+	err := detect.Preprocess(f)
+	if err != nil {
+		err = fmt.Errorf("%w: %v", ErrBadInput, err)
+	} else if c := r.channels; c > 0 && img.Dim(0) != c {
+		err = fmt.Errorf("%w: image has %d channels, want %d", ErrBadInput, img.Dim(0), c)
 	}
+	r.pre.add(1, time.Since(t0))
+	if err != nil {
+		r.failed.Add(1)
+		return nil, err
+	}
+	return f, nil
+}
+
+// submitFrame rides a prepared frame through the lane and decodes the
+// prediction — on the caller's goroutine, so a caller that gave up costs no
+// decode. A frame that comes back refused (ErrOverloaded, ErrDraining) was
+// never touched and may be offered to another replica.
+func (r *replica) submitFrame(ctx context.Context, f *detect.Frame) (detect.Box, float64, error) {
+	req := &request{frame: f}
+	err := r.ride(ctx, req)
+	if err == nil {
+		t0 := time.Now()
+		err = detect.Postprocess(r.head, f)
+		r.post.add(1, time.Since(t0))
+	}
+	switch {
+	case err == nil:
+		r.hist.Observe(time.Since(req.enq))
+		r.served.Add(1)
+		return f.Box, f.Conf, nil
+	case errors.Is(err, ErrOverloaded):
+		r.rejected.Add(1)
+	case errors.Is(err, ErrDraining):
+	case !reusable(err): // the caller's context fired, noticed here or by the worker
+		r.expired.Add(1)
+	default:
+		r.hist.Observe(time.Since(req.enq))
+		r.failed.Add(1)
+	}
+	return detect.Box{}, 0, err
 }

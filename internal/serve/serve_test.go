@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"skynet/internal/detect"
+	"skynet/internal/pipeline"
 	"skynet/internal/tensor"
 )
 
@@ -123,9 +124,76 @@ func TestSubmitValidatesInput(t *testing.T) {
 	}
 }
 
+// TestBadInputTakesNoQueueSlot: validation runs on the caller's goroutine
+// before admission, so a malformed frame offered to a replica whose queue is
+// full is the caller's error (400), not a shed (429), and the queue never
+// sees it.
+func TestBadInputTakesNoQueueSlot(t *testing.T) {
+	m := &enteringModel{stubModel: stubModel{gate: make(chan struct{})}, entered: make(chan struct{})}
+	s := newTestReplica(t, m, Config{QueueDepth: 1, MaxBatch: 1, RequestTimeout: -1})
+	defer close(m.gate) // before the cleanup's close, which waits for the forward
+
+	// Fill the replica: one request in the gated forward, one in the queue.
+	go func() { _, _, _ = s.Submit(context.Background(), testImage(0.1), false) }()
+	<-m.entered
+	go func() { _, _, _ = s.Submit(context.Background(), testImage(0.2), false) }()
+	for len(s.in) < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, err := s.Submit(context.Background(), testImage(0.5), false); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("a well-formed frame at a full queue: %v, want ErrOverloaded", err)
+	}
+
+	before := s.Metrics()
+	_, _, err := s.Submit(context.Background(), tensor.New(4, 4), false)
+	if !errors.Is(err, ErrBadInput) {
+		t.Fatalf("a rank-2 frame at a full queue: %v, want ErrBadInput", err)
+	}
+	after := s.Metrics()
+	if after.QueueDepth != before.QueueDepth || after.Rejected != before.Rejected || after.Failed != before.Failed+1 {
+		t.Fatalf("metrics moved from %+v to %+v: a bad frame is one failure, no shed, no queue slot", before, after)
+	}
+}
+
+// TestCancelledCallerCostsNoDecode: post-process runs on the caller's
+// goroutine after the hand-back, so a request whose caller gave up during
+// the forward is inferred (the forward was already running) and never decoded.
+func TestCancelledCallerCostsNoDecode(t *testing.T) {
+	m := &enteringModel{stubModel: stubModel{gate: make(chan struct{})}, entered: make(chan struct{})}
+	s := newTestReplica(t, m, Config{MaxBatch: 1, RequestTimeout: -1})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan error, 1)
+	go func() {
+		_, _, err := s.Submit(ctx, testImage(0.2), false)
+		gone <- err
+	}()
+	<-m.entered
+	cancel()
+	if err := <-gone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled submit: %v", err)
+	}
+	close(m.gate)
+	for s.work.items.Load() < 1 { // the forward finishes and the ticket is handed back
+		time.Sleep(time.Millisecond)
+	}
+	// A second request proves the worker has moved on; it is the only decode.
+	if _, _, err := s.Submit(context.Background(), testImage(0.6), false); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Metrics().Stages
+	if st[1].Items != 2 || st[2].Items != 1 {
+		t.Fatalf("%d forwards and %d decodes, want 2 and 1: the cancelled caller's frame must not be post-processed",
+			st[1].Items, st[2].Items)
+	}
+	if m := s.Metrics(); m.Expired != 1 || m.Served != 1 {
+		t.Fatalf("metrics %+v, want 1 expired + 1 served", m)
+	}
+}
+
 func TestOverflowSheds429(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
-	s := newSinglePool(t, m, Config{QueueDepth: 1, MaxBatch: 1, PreWorkers: 1, PostWorkers: 1})
+	s := newSinglePool(t, m, Config{QueueDepth: 1, MaxBatch: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -380,8 +448,19 @@ func TestMetricsEndpointAndDrainHealth(t *testing.T) {
 	if m.Replicas != 1 || m.Served != 1 || len(m.ReplicaMetrics) != 1 {
 		t.Fatalf("metrics %+v", m)
 	}
-	if rm := m.ReplicaMetrics[0]; rm.QueueCap != 7 || rm.Served != 1 || len(rm.Stages) != 3 {
+	rm := m.ReplicaMetrics[0]
+	if rm.QueueCap != 7 || rm.Served != 1 || len(rm.Stages) != 3 {
 		t.Fatalf("replica metrics %+v", rm)
+	}
+	// The stage table keeps its shape: the callers' pre- and post-process
+	// either side of the worker's inference, one item each for one request.
+	for i, want := range []string{pipeline.StagePre, pipeline.StageInfer, pipeline.StagePost} {
+		if st := rm.Stages[i]; st.Name != want || st.Items != 1 || st.BusyMS <= 0 {
+			t.Fatalf("stage %d: %+v, want %q with one timed item", i, st, want)
+		}
+	}
+	if inf := rm.Stages[1]; inf.Workers != 1 || inf.Batches != 1 || rm.Batches != 1 || rm.MeanBatchSize != 1 {
+		t.Fatalf("inference stage %+v (headline batches %d, mean %.2f), want one worker and one batch of one", inf, rm.Batches, rm.MeanBatchSize)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

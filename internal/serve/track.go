@@ -5,18 +5,19 @@ package serve
 // batch experiment. POST /track/start fixes a template (one
 // ExemplarFeatures forward) and returns a session ID; subsequent frame
 // posts return per-frame boxes (and, for mask-head trackers, the peak mask
-// patch) by driving StepBoxE/PeakMaskE through the same streaming executor
-// the detection path uses. Sessions live in a bounded table with TTL
+// patch) by driving StepBoxE/PeakMaskE through the same lane (queue + one
+// worker) the detection replicas use. Sessions live in a bounded table with TTL
 // eviction — millions of concurrent sessions means per-session state must
 // be compact, so the table measures bytes/session and /metrics reports it.
 //
 // Per-frame inference for one session is serialized by a per-session lock
 // (frames of a stream are causally ordered: each step consumes the
-// previous step's box), while distinct sessions batch together through the
-// micro-batching inference stage. Results are byte-identical to the
-// offline Tracker.Track loop regardless of interleaving, because every
-// step is a pure function of (template, frame, box) and the tracker's
-// forwards run on a single inference worker.
+// previous step's box), while distinct sessions interleave on the lane's one
+// worker, a step at a time — a step is one crop through the backbone, so
+// there is nothing a batch would amortise and nobody waits for a partner.
+// Results are byte-identical to the offline Tracker.Track loop regardless of
+// interleaving, because every step is a pure function of (template, frame,
+// box) and the tracker's forwards run on that single worker.
 
 import (
 	"bytes"
@@ -30,7 +31,6 @@ import (
 	"time"
 
 	"skynet/internal/detect"
-	"skynet/internal/pipeline"
 	"skynet/internal/tensor"
 	"skynet/internal/track"
 )
@@ -50,16 +50,6 @@ var (
 	ErrTracking = errors.New("serve: tracking failed")
 )
 
-// Stage names of the tracking pipeline. The inference stage deliberately
-// does NOT reuse pipeline.StageInfer: the detection replica's Metrics
-// selects the headline batching metrics by that name, and the tracking
-// pipeline's batching stage must not shadow the detection one.
-const (
-	stageTrackPre   = "track-pre"
-	stageTrackInfer = "track-inference"
-	stageTrackPost  = "track-post"
-)
-
 // TrackConfig tunes a TrackService. The zero value selects
 // serving-appropriate defaults.
 type TrackConfig struct {
@@ -72,15 +62,8 @@ type TrackConfig struct {
 	// SweepEvery is the janitor period; 0 selects TTL/4 (bounded to
 	// [100ms, 30s]).
 	SweepEvery time.Duration
-	// MaxBatch caps the inference micro-batch across sessions; 0 selects 4.
-	MaxBatch int
-	// MaxDelay bounds how long a partial batch waits; 0 selects 2ms.
-	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; 0 selects 64.
 	QueueDepth int
-	// PreWorkers / PostWorkers scale the CPU-side stages; 0 selects 2.
-	PreWorkers  int
-	PostWorkers int
 	// RequestTimeout is the per-frame deadline applied when the caller's
 	// context has none; 0 selects 5s. Negative disables the default.
 	RequestTimeout time.Duration
@@ -102,10 +85,7 @@ func (c *TrackConfig) normalize() {
 			c.SweepEvery = 30 * time.Second
 		}
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4
-	}
-	laneDefaults(&c.MaxDelay, &c.QueueDepth, &c.PreWorkers, &c.PostWorkers, &c.RequestTimeout)
+	laneDefaults(&c.QueueDepth, &c.RequestTimeout)
 }
 
 // session is one tracked object's state between frames: the cached
@@ -146,7 +126,7 @@ type trackReq struct {
 	zf       *tensor.Tensor
 	withMask bool
 
-	// results, owned by the inference stage
+	// results, owned by the worker
 	outBox  detect.Box
 	outZF   *tensor.Tensor
 	outMask *tensor.Tensor
@@ -158,14 +138,14 @@ type trackReq struct {
 // NewTrackService, stop with Drain or Close. It can run standalone
 // (Handler) or attached to a detection Pool (Pool.Attach).
 type TrackService struct {
-	lane
+	lane[*trackReq]
 	cfg TrackConfig
 	tr  *track.Tracker
 
 	mu       sync.RWMutex // guards sessions
 	sessions map[string]*session
 
-	hist    *Histogram
+	hist    Histogram
 	nextID  atomic.Int64
 	started atomic.Int64
 	stepped atomic.Int64
@@ -174,10 +154,9 @@ type TrackService struct {
 	evicted atomic.Int64
 }
 
-// NewTrackService starts the tracking pipeline around one tracker. The
-// tracker is driven from a single inference worker (its graph forwards
-// share buffers and are not concurrency-safe); distinct sessions still
-// batch through the micro-batching stage.
+// NewTrackService starts the tracking lane around one tracker. The tracker
+// is driven from the lane's one worker (its graph forwards share buffers and
+// are not concurrency-safe), one request at a time.
 func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) {
 	if tr == nil {
 		return nil, errors.New("serve: tracker is required")
@@ -187,54 +166,21 @@ func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) 
 		cfg:      cfg,
 		tr:       tr,
 		sessions: make(map[string]*session),
-		hist:     NewHistogram(),
 	}
-	err := s.start(cfg.QueueDepth, cfg.RequestTimeout,
-		pipeline.StageSpec{
-			Name:    stageTrackPre,
-			Workers: cfg.PreWorkers,
-			Proc: func(_ context.Context, v any) (any, error) {
-				req := v.(*trackReq)
-				if req.live() {
-					req.err = validateTrackReq(req)
-				}
-				return req, nil
-			},
-		},
-		pipeline.StageSpec{
-			Name:     stageTrackInfer,
-			MaxBatch: cfg.MaxBatch,
-			MaxDelay: cfg.MaxDelay,
-			Batch: func(_ context.Context, items []any) ([]any, error) {
-				for _, v := range items {
-					req := v.(*trackReq)
-					if req.live() {
-						req.err = s.inferOne(req)
-					}
-				}
-				return items, nil
-			},
-		},
-		pipeline.StageSpec{
-			Name:    stageTrackPost,
-			Workers: cfg.PostWorkers,
-			Proc: func(_ context.Context, v any) (any, error) {
-				req := v.(*trackReq)
-				close(req.done)
-				return req, nil
-			},
-		},
-	)
-	if err != nil {
-		return nil, err
-	}
+	s.start(cfg.QueueDepth, cfg.RequestTimeout, 1, 0, func(batch []*trackReq) {
+		for _, req := range batch {
+			if req.live() {
+				req.err = s.inferOne(req)
+			}
+		}
+	})
 	go s.sweep()
 	return s, nil
 }
 
-// validateTrackReq performs the cheap, parallel pre-stage checks; geometry
-// the tracker itself rejects is caught again (as an error, not a panic) in
-// the inference stage.
+// validateTrackReq performs the cheap checks a request must pass before it
+// may take a queue slot; geometry the tracker itself rejects is caught again
+// (as an error, not a panic) on the worker.
 func validateTrackReq(r *trackReq) error {
 	if r.frame == nil || r.frame.Rank() != 3 || r.frame.Dim(0) != 3 {
 		return fmt.Errorf("%w: frame must be a [3,H,W] tensor", ErrBadTrackRequest)
@@ -245,9 +191,9 @@ func validateTrackReq(r *trackReq) error {
 	return nil
 }
 
-// inferOne executes one tracking op on the single inference worker,
-// converting tracker errors into 400-class failures and panics into
-// ErrTracking, so a poisoned request can never take down the stream.
+// inferOne executes one tracking op on the lane's worker, converting
+// tracker errors into 400-class failures and panics into ErrTracking, so a
+// poisoned request can never take down the worker.
 func (s *TrackService) inferOne(req *trackReq) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -278,30 +224,22 @@ func (s *TrackService) inferOne(req *trackReq) (err error) {
 	return nil
 }
 
-// submit runs one request through the pipeline and waits for its result.
+// submit validates one request on the caller's goroutine — a malformed one
+// never takes a queue slot — and rides it through the lane.
 func (s *TrackService) submit(ctx context.Context, req *trackReq) error {
-	ctx, cancel := s.deadline(ctx)
-	defer cancel()
-	req.ticket = newTicket(ctx)
-	if err := s.admit(req); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			s.reject.Add(1)
-		}
-		return err
+	err := validateTrackReq(req)
+	if err == nil {
+		err = s.ride(ctx, req)
 	}
-
-	select {
-	case <-req.done:
+	switch {
+	case err == nil:
 		s.hist.Observe(time.Since(req.enq))
-		if req.err != nil {
-			s.failed.Add(1)
-			return req.err
-		}
-		return nil
-	case <-ctx.Done():
+	case errors.Is(err, ErrOverloaded):
+		s.reject.Add(1)
+	case !errors.Is(err, ErrDraining):
 		s.failed.Add(1)
-		return ctx.Err()
 	}
+	return err
 }
 
 // Start fixes a template from one frame and its initial box, creating a
@@ -424,7 +362,7 @@ func (s *TrackService) evictExpired() {
 	s.mu.Unlock()
 }
 
-// sweep is the TTL janitor goroutine. It stops when the lane's stream has
+// sweep is the TTL janitor goroutine. It stops when the lane's worker has
 // exited, which Drain and Close both bring about exactly once.
 func (s *TrackService) sweep() {
 	t := time.NewTicker(s.cfg.SweepEvery)
@@ -443,7 +381,7 @@ func (s *TrackService) sweep() {
 // ErrDraining, in-flight frames complete, the janitor stops. Idempotent.
 func (s *TrackService) Drain(ctx context.Context) error { return s.drain(ctx) }
 
-// Close abandons the pipeline immediately.
+// Close stops the service now: all but the step in flight fail with ErrDraining.
 func (s *TrackService) Close() { s.close() }
 
 // Draining reports whether the service has begun shutting down.
@@ -471,7 +409,7 @@ type TrackMetrics struct {
 
 	Latency LatencySummary `json:"latency"`
 
-	// Stages is the tracking executor's per-stage occupancy breakdown.
+	// Stages is the tracking worker's one stage: a request is its own batch.
 	Stages []pipelineStageJSON `json:"stages"`
 }
 
@@ -496,7 +434,9 @@ func (s *TrackService) Metrics() TrackMetrics {
 	if m.Sessions > 0 {
 		m.MeanSessionBytes = bytes / int64(m.Sessions)
 	}
-	m.Stages = s.stages()
+	// Deliberately not pipeline.StageInfer: on a co-hosted /metrics the
+	// detection replicas' inference stage owns that name.
+	m.Stages = []pipelineStageJSON{s.work.snapshot("track-inference", 1)}
 	return m
 }
 

@@ -119,7 +119,7 @@ func TestTrackConcurrentSessionsByteIdentical(t *testing.T) {
 
 	// Raised request timeout: 256 forwards share one inference worker, and
 	// under -race each is an order of magnitude slower.
-	ts := newTestTrackService(t, tr, TrackConfig{MaxBatch: 8, QueueDepth: 256,
+	ts := newTestTrackService(t, tr, TrackConfig{QueueDepth: 256,
 		RequestTimeout: 2 * time.Minute})
 	hs := httptest.NewServer(ts.Handler())
 	defer hs.Close()
@@ -335,8 +335,9 @@ func TestTrackAttachedToServer(t *testing.T) {
 	if m.Track == nil || m.Track.Started != 1 || m.Track.Sessions != 1 {
 		t.Fatalf("attached metrics %+v: want the tracking snapshot folded in", m.Track)
 	}
-	if len(m.Track.Stages) != 3 {
-		t.Fatalf("tracking stages %d, want 3", len(m.Track.Stages))
+	// One stage, and no batch formation: every request is its own batch.
+	if st := m.Track.Stages; len(st) != 1 || st[0].Items != 1 || st[0].Batches != st[0].Items {
+		t.Fatalf("tracking stages %+v, want one inference stage with batches == items == 1", st)
 	}
 	if rm := m.ReplicaMetrics[0]; rm.Batches != 0 || rm.MeanBatchSize != 0 {
 		t.Fatalf("a tracking forward showed up in the detection batching numbers: %+v", rm)
