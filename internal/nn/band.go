@@ -1,0 +1,131 @@
+package nn
+
+import "skynet/internal/tensor"
+
+// This file is the plan's Bundle step: a DWConv3 whose only consumer is a
+// 1×1 convolution — with that convolution's chain, and the max-pool that is
+// the chain's only consumer, when there is one — computed band by band. A
+// band is a few output rows of one image: its depth-wise rows go into a
+// buffer the size of a cache, the 1×1 product reads them from there and,
+// under a pool, writes a second such buffer that the pool reduces into the
+// destination. The depth-wise map and the map before the pool are never
+// whole anywhere, so they have no arena slot. It is the CPU image of the
+// paper's shared Bundle IP (§6.2, Figure 9), which keeps both on chip.
+//
+// Nothing is computed differently: the rows come from DWRow, the product
+// from the GEMM entry point Conv2D.forwardImage uses, with the row tail, and
+// the maxima from maxPoolInto. Where the bands are cut — it depends on the
+// worker count — decides which call computes an element, never how.
+
+// bandBudget is what one band's buffers may occupy, in bytes: half of a 2 MiB
+// L2, the other half being the product's packed B block (512 KiB) and the
+// weights. Measured at SkyNet C's six Bundles from 256 KiB to 4 MiB (DESIGN
+// §6): the early Bundles do not care, and the late, wide ones lose to their
+// step-per-node form below 1 MiB, where a band is too few columns to pay
+// for packing the weights again. A variable so that tests can cut small
+// inputs into bands of a row or two.
+var bandBudget = 1 << 20
+
+// band is a Bundle step's structure and, while it runs, its operands.
+type band struct {
+	dw   *DWConv3
+	pw   *Conv2D
+	conv int // pw's node, whose chain is the product's row tail
+	pool int // the MaxPool node folded in, or -1
+	out  int // the node whose output the step writes: pool, else the chain's last
+	k    int // the pool's window; 1 without a pool
+	rows int // depth-wise output rows per band at most: a multiple of k
+
+	work func(lo, hi int) // workers, bound once like Conv2D.fwd
+
+	// The forward in flight. A unit is k depth-wise output rows of one image;
+	// worker i computes units [i·each, (i+1)·each) on scratch[i].
+	src, dst    []float32
+	ep          tensor.RowEpilogue
+	scratch     []bandScratch
+	units, each int
+}
+
+// bandScratch is one worker's pair of band buffers: the depth-wise rows
+// [C, rows·W] and, for a step with a pool, the product [OutC, rows·W].
+type bandScratch struct{ dw, pw []float32 }
+
+// fit sizes the bands for a depth-wise output of outH×outW — as many rows as
+// bandBudget holds, a whole number of pool windows, at least one and at most
+// the image — and returns the lengths the two band buffers then need.
+func (b *band) fit(outH, outW int) (dwLen, pwLen int) {
+	perRow := b.dw.C
+	if b.pool >= 0 {
+		perRow += b.pw.OutC
+	}
+	b.rows = bandBudget / (4 * outW * perRow) / b.k * b.k
+	b.rows = min(max(b.rows, b.k), outH/b.k*b.k)
+	if b.pool >= 0 {
+		pwLen = b.pw.OutC * b.rows * outW
+	}
+	return b.dw.C * b.rows * outW, pwLen
+}
+
+// run computes the step for the n images [C,h,w] of src into dst and records
+// the geometry on both layers, as their forwardInto would. tail is the
+// convolution's chain, as for Conv2D.forwardInto.
+//
+//skynet:hotpath
+func (b *band) run(dst, src []float32, n, h, w int, tail tensor.RowEpilogue, scratch []bandScratch) {
+	b.dw.record(n, h, w)
+	b.pw.record(n, b.dw.outH, b.dw.outW)
+	b.src, b.dst, b.ep, b.scratch = src, dst, b.pw.epilogue(tail), scratch
+	b.units = n * (b.dw.outH / b.k)
+	nw := min(workersFor(b.units), len(scratch))
+	b.each = (b.units + nw - 1) / nw
+	// A worker's bands call a GEMM, but a band GEMM is a leaf that dispatches
+	// nothing, so the workers may be the GEMM pool's.
+	tensor.ParallelRange(nw, b.work)
+	b.src, b.dst, b.ep, b.scratch = nil, nil, tensor.RowEpilogue{}, nil
+}
+
+// workers is run's loop body: workers [lo, hi), each cutting its units into
+// bands that stay inside one image.
+//
+//skynet:hotpath
+func (b *band) workers(lo, hi int) {
+	perImg := b.dw.outH / b.k
+	for i := lo; i < hi; i++ {
+		end := min((i+1)*b.each, b.units)
+		for u := i * b.each; u < end; {
+			img, y := u/perImg, u%perImg
+			cnt := min(b.rows/b.k, perImg-y, end-u)
+			b.compute(&b.scratch[i], img, y*b.k, cnt*b.k)
+			u += cnt
+		}
+	}
+}
+
+// compute is one band: depth-wise output rows [r0, r0+rows) of image img,
+// through the product, to the destination.
+//
+//skynet:hotpath
+func (b *band) compute(s *bandScratch, img, r0, rows int) {
+	d, c := b.dw, b.pw
+	plane, cols, n := d.inH*d.inW, d.outH*d.outW, rows*d.outW
+	dwb := s.dw[:d.C*n]
+	for ch := 0; ch < d.C; ch++ {
+		at := (img*d.C + ch) * plane
+		d.rows(dwb[ch*n:(ch+1)*n], b.src[at:at+plane], ch, r0)
+	}
+	// BandOf: the unfused convolution multiplies the whole image at once.
+	p := tensor.RowProduct{M: c.OutC, N: n, K: c.InC, BandOf: cols, Ep: b.ep}
+	if b.pool < 0 {
+		p.Ldc = cols
+		at := img*c.OutC*cols + r0*d.outW
+		tensor.MatMulRowEpilogueInto(b.dst[at:at+(c.OutC-1)*cols+n], c.Weight.W.Data, dwb, p)
+		return
+	}
+	pwb := s.pw[:c.OutC*n]
+	tensor.MatMulRowEpilogueInto(pwb, c.Weight.W.Data, dwb, p)
+	oh, ow := d.outH/b.k, d.outW/b.k
+	for oc := 0; oc < c.OutC; oc++ {
+		at := ((img*c.OutC+oc)*oh + r0/b.k) * ow
+		maxPoolInto(b.dst[at:at+rows/b.k*ow], pwb[oc*n:(oc+1)*n], 1, rows, d.outW, b.k)
+	}
+}

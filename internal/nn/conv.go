@@ -102,26 +102,41 @@ func (c *Conv2D) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // forwardInto convolves the n images [InC,h,w] of src into dst and records
-// the geometry; the input a training forward cached for Backward is dropped,
-// since it no longer matches. tail's batch norm and clamp (its Bias is
-// ignored: the layer's own is used) run in the GEMM store; the inference
-// plan uses that to fuse the conv's sole-consumer BatchNorm and ReLU.
+// the geometry. tail's batch norm and clamp (its Bias is ignored: the
+// layer's own is used) run in the GEMM store; the inference plan uses that
+// to fuse the conv's sole-consumer BatchNorm and ReLU.
 //
 //skynet:hotpath
 func (c *Conv2D) forwardInto(dst, src []float32, n, h, w int, tail tensor.RowEpilogue) {
-	c.x = nil
-	c.lastN, c.inH, c.inW = n, h, w
-	c.outH, c.outW = c.outSize(h, w)
+	c.record(n, h, w)
 	if !c.direct() {
 		c.ensureScratch(workersFor(n))
 	}
-	c.src, c.dst, c.ep = src, dst, tail
-	c.ep.Bias = nil
-	if c.Bias != nil {
-		c.ep.Bias = c.Bias.W.Data
-	}
+	c.src, c.dst, c.ep = src, dst, c.epilogue(tail)
 	parallelForWorkers(n, c.fwd)
 	c.src, c.dst, c.ep = nil, nil, tensor.RowEpilogue{}
+}
+
+// record notes the geometry of a forward over n images [InC,h,w], which is
+// what Cost and Backward read, and drops the input a training forward
+// cached for Backward, since it no longer matches.
+//
+//skynet:hotpath
+func (c *Conv2D) record(n, h, w int) {
+	c.x = nil
+	c.lastN, c.inH, c.inW = n, h, w
+	c.outH, c.outW = c.outSize(h, w)
+}
+
+// epilogue is tail with the layer's own bias in place of tail's.
+//
+//skynet:hotpath
+func (c *Conv2D) epilogue(tail tensor.RowEpilogue) tensor.RowEpilogue {
+	tail.Bias = nil
+	if c.Bias != nil {
+		tail.Bias = c.Bias.W.Data
+	}
+	return tail
 }
 
 // outSize returns the output height and width for an h×w input.
@@ -150,7 +165,8 @@ func (c *Conv2D) forwardImage(worker, i int) {
 		tensor.Im2Col(s.col, s.img, c.K, c.K, c.Stride, c.Pad)
 		b = s.col.Data
 	}
-	tensor.MatMulRowEpilogueInto(c.dst[i*perImg:(i+1)*perImg], c.Weight.W.Data, b, c.OutC, cols, c.InC*c.K*c.K, c.ep)
+	tensor.MatMulRowEpilogueInto(c.dst[i*perImg:(i+1)*perImg], c.Weight.W.Data, b,
+		tensor.RowProduct{M: c.OutC, N: cols, K: c.InC * c.K * c.K, Ep: c.ep})
 }
 
 // ensureScratch sizes the per-worker scratch for nw workers at the current
@@ -306,13 +322,11 @@ func (d *DWConv3) outSize(h, w int) (int, int) {
 }
 
 // forwardInto convolves the n images [C,h,w] of src into dst and records
-// the geometry, dropping the input a training forward cached for Backward.
+// the geometry.
 //
 //skynet:hotpath
 func (d *DWConv3) forwardInto(dst, src []float32, n, h, w int) {
-	d.x = nil
-	d.lastN, d.inH, d.inW = n, h, w
-	d.outH, d.outW = d.outSize(h, w)
+	d.record(n, h, w)
 	d.src, d.dst = src, dst
 	// Each (image, channel) plane is independent, and a plane calls no GEMM:
 	// the loop is a leaf the GEMM pool's workers may run, so a warm forward
@@ -321,24 +335,40 @@ func (d *DWConv3) forwardInto(dst, src []float32, n, h, w int) {
 	d.src, d.dst = nil, nil
 }
 
+// record is Conv2D.record for the depth-wise layer.
+//
+//skynet:hotpath
+func (d *DWConv3) record(n, h, w int) {
+	d.x = nil
+	d.lastN, d.inH, d.inW = n, h, w
+	d.outH, d.outW = d.outSize(h, w)
+}
+
 // forwardPlanes is forwardInto's loop body: output planes [lo, hi) of the
 // flattened n×C (image, channel) grid.
 //
 //skynet:hotpath
 func (d *DWConv3) forwardPlanes(lo, hi int) {
-	h, w, outH, outW, k := d.inH, d.inW, d.outH, d.outW, d.K
+	h, w, outH, outW := d.inH, d.inW, d.outH, d.outW
 	for idx := lo; idx < hi; idx++ {
-		ch := idx % d.C
-		in := d.src[idx*h*w : (idx+1)*h*w]
-		ob := d.dst[idx*outH*outW : (idx+1)*outH*outW]
-		ker := d.Weight.W.Data[ch*k*k : (ch+1)*k*k]
-		var bias float32
-		if d.Bias != nil {
-			bias = d.Bias.W.Data[ch]
-		}
-		for oy := 0; oy < outH; oy++ {
-			DWRow(ob[oy*outW:(oy+1)*outW], in, ker, bias, h, w, k, d.Stride, d.Pad, oy)
-		}
+		d.rows(d.dst[idx*outH*outW:(idx+1)*outH*outW], d.src[idx*h*w:(idx+1)*h*w], idx%d.C, 0)
+	}
+}
+
+// rows computes consecutive output rows of channel ch's plane, as many as dst
+// holds starting at row oy, from the channel's input plane in [inH,inW] of
+// the recorded geometry.
+//
+//skynet:hotpath
+func (d *DWConv3) rows(dst, in []float32, ch, oy int) {
+	k, outW := d.K, d.outW
+	ker := d.Weight.W.Data[ch*k*k : (ch+1)*k*k]
+	var bias float32
+	if d.Bias != nil {
+		bias = d.Bias.W.Data[ch]
+	}
+	for r := 0; r*outW < len(dst); r++ {
+		DWRow(dst[r*outW:(r+1)*outW], in, ker, bias, d.inH, d.inW, k, d.Stride, d.Pad, oy+r)
 	}
 }
 

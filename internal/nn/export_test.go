@@ -8,3 +8,11 @@ func PoisonReleased(t *testing.T) {
 	poisonReleased = true
 	t.Cleanup(func() { poisonReleased = false })
 }
+
+// SetBandBudget makes Bundle steps compiled until the test ends size their
+// bands for the given number of bytes.
+func SetBandBudget(t *testing.T, bytes int) {
+	old := bandBudget
+	bandBudget = bytes
+	t.Cleanup(func() { bandBudget = old })
+}

@@ -23,8 +23,10 @@ type Node struct {
 //
 // Forward(x, true) walks the layers, which cache what Backward needs.
 // Forward(x, false) runs a compiled inference plan (plan.go): it touches no
-// layer cache, keeps its feature maps in one arena the graph owns, and
-// returns bitwise what the walk would. In both modes the returned tensor is
+// layer cache, keeps its feature maps in one arena the graph owns — but for
+// the maps inside a Bundle (DW → PW → BN → act → pool), which is one step
+// and holds them a band of rows at a time (band.go) — and returns bitwise
+// what the walk would. In both modes the returned tensor is
 // a fresh one that belongs to the caller, and FMHook, when set, is applied
 // to every node's output — the quantization package uses it to emulate
 // fixed-point inference. A Graph is not safe for concurrent use.
@@ -43,9 +45,10 @@ type Graph struct {
 	// and must not be modified.
 	OutShapes [][]int
 
-	trained bool      // the last Forward was a training one: the layers hold its caches
-	plans   []*Plan   // inference plans, most recently used first, one per input sample shape
-	arena   []float32 // feature maps of the inference forward in flight
+	trained bool          // the last Forward was a training one: the layers hold its caches
+	plans   []*Plan       // inference plans, most recently used first, one per input sample shape
+	arena   []float32     // feature maps of the inference forward in flight
+	bands   []bandScratch // per worker: the band buffers of the Bundle step in flight
 }
 
 // NewGraph returns an empty graph.
@@ -110,6 +113,11 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	return outs[g.output()]
 }
+
+// ReleaseArena drops the arena and band buffers inference forwards have left
+// on g; the next one allocates them again. For an owner that keeps g but
+// runs no further forward on it, as quant.Export does after calibrating.
+func (g *Graph) ReleaseArena() { g.arena, g.bands = nil, nil }
 
 // Backward propagates dout (gradient w.r.t. the graph output) through every
 // node in reverse order, accumulating parameter gradients, and returns the

@@ -9,7 +9,8 @@ import (
 // 0 (default) uses GOMAXPROCS. Exposed so benchmarks and tests can pin it.
 // The depth-wise forward's plane loop calls no GEMM, so it runs on the GEMM
 // worker pool instead (tensor.ParallelRange) and tensor.MaxParallelism caps
-// it.
+// it. The plan's Bundle step cuts its rows for this many workers and runs
+// them on that pool too, so the smaller of the two caps it.
 var MaxParallelism = 0
 
 // workersFor picks the worker count for an n-iteration parallel loop.

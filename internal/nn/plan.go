@@ -59,27 +59,7 @@ func (c ConvChain) Last(i int) int {
 // units of their own: a marked conv gets no chain and a marked BatchNorm or
 // ReLU ends the chain before it.
 func ConvChains(g *Graph, separate []bool) []ConvChain {
-	fanout := make([]int, len(g.Nodes))
-	consumer := make([]int, len(g.Nodes)) // sole consumer when fanout == 1
-	for i := range consumer {
-		consumer[i] = -1
-	}
-	for i, n := range g.Nodes {
-		for _, j := range n.Inputs {
-			if j != GraphInput {
-				fanout[j]++
-				consumer[j] = i
-			}
-		}
-	}
-	fanout[g.output()]++
-	// next is the node that may fuse onto node i, or -1.
-	next := func(i int) int {
-		if j := consumer[i]; fanout[i] == 1 && j >= 0 && (separate == nil || !separate[j]) {
-			return j
-		}
-		return -1
-	}
+	next := soleConsumers(g, separate)
 	chains := make([]ConvChain, len(g.Nodes))
 	for i, n := range g.Nodes {
 		if _, ok := n.Layer.(*Conv2D); !ok || separate != nil && separate[i] {
@@ -102,6 +82,32 @@ func ConvChains(g *Graph, separate []bool) []ConvChain {
 	return chains
 }
 
+// soleConsumers returns next, the one rule of fusion: next(i) is the node
+// that may fuse onto node i — its only consumer, the graph output counting
+// as one, and not marked in separate — or -1.
+func soleConsumers(g *Graph, separate []bool) (next func(i int) int) {
+	fanout := make([]int, len(g.Nodes))
+	consumer := make([]int, len(g.Nodes)) // sole consumer when fanout == 1
+	for i := range consumer {
+		consumer[i] = -1
+	}
+	for i, n := range g.Nodes {
+		for _, j := range n.Inputs {
+			if j != GraphInput {
+				fanout[j]++
+				consumer[j] = i
+			}
+		}
+	}
+	fanout[g.output()]++
+	return func(i int) int {
+		if j := consumer[i]; fanout[i] == 1 && j >= 0 && (separate == nil || !separate[j]) {
+			return j
+		}
+		return -1
+	}
+}
+
 // planNode is one graph node as the plan sees it.
 type planNode struct {
 	layer  Layer
@@ -113,7 +119,8 @@ type planNode struct {
 
 	chain ConvChain // Conv2D: what its GEMM store applies when fusing
 	inv   []float32 // Conv2D with a chain BN: per-channel 1/sqrt(var+eps), refilled every forward
-	fused bool      // BatchNorm or ReLU computed by its conv's GEMM store
+	band  *band     // DWConv3 heading a Bundle step (band.go); nil for the others
+	fused bool      // computed inside an earlier node's step: a chain's tail, a Bundle step's conv and pool
 	chans []int     // Concat: channels of each input
 	// forward is the layer's own Forward, for kinds the executor does not
 	// lower; nil for the others.
@@ -151,6 +158,9 @@ type Plan struct {
 	// size scales by the batch, so one layout serves all batch sizes.
 	perSample int
 	batch     int // dims[0] of every node
+	// bandDW and bandPW are the lengths of the band buffers the plan's largest
+	// Bundle step needs of each worker; zero without one.
+	bandDW, bandPW int
 }
 
 // maxPlans bounds the plans a graph keeps, one per input sample shape (a
@@ -194,9 +204,10 @@ func (p *Plan) describes(g *Graph) bool {
 }
 
 // Compile infers every node's shape from the input shape in (in[0] is
-// ignored), decides fusion — separate is ConvChains' mask — and lays the
-// feature maps out in the arena. Graph.Forward compiles with a nil mask and
-// keeps the plan; another caller's plan is valid while g's node list is.
+// ignored), decides fusion — separate is ConvChains' mask, and a marked
+// DWConv3 or MaxPool likewise joins no Bundle step — and lays the feature
+// maps out in the arena. Graph.Forward compiles with a nil mask and keeps
+// the plan; another caller's plan is valid while g's node list is.
 func Compile(g *Graph, in []int, separate []bool) *Plan {
 	p := &Plan{g: g, nodes: make([]planNode, len(g.Nodes)), output: g.output(),
 		in: slices.Clone(in), shapes: make([][]int, len(g.Nodes)), batch: 1}
@@ -261,8 +272,43 @@ func Compile(g *Graph, in []int, separate []bool) *Plan {
 		}
 		p.shapes[i] = pn.dims
 	}
+	p.findBands(separate)
 	p.layout()
 	return p
+}
+
+// findBands turns every DWConv3 → 1×1 Conv2D over a sole-consumer edge into
+// one Bundle step headed by the depth-wise node, and folds in the MaxPool
+// that alone consumes the convolution's chain unless its output is the
+// graph's. Like a chain, it follows soleConsumers' edges under the mask.
+func (p *Plan) findBands(separate []bool) {
+	next := soleConsumers(p.g, separate)
+	for i := range p.nodes {
+		dw, ok := p.nodes[i].layer.(*DWConv3)
+		if !ok || separate != nil && separate[i] {
+			continue
+		}
+		conv := next(i)
+		if conv < 0 {
+			continue
+		}
+		pw, ok := p.nodes[conv].layer.(*Conv2D)
+		if !ok || !pw.direct() {
+			continue
+		}
+		b := &band{dw: dw, pw: pw, conv: conv, pool: -1, out: p.nodes[conv].chain.Last(conv), k: 1}
+		b.work = b.workers
+		if j := next(b.out); j >= 0 && j != p.output {
+			if mp, ok := p.nodes[j].layer.(*MaxPool); ok {
+				b.pool, b.out, b.k = j, j, mp.K
+				p.nodes[j].fused = true
+			}
+		}
+		p.nodes[conv].fused = true
+		p.nodes[i].band = b
+		dwLen, pwLen := b.fit(p.nodes[i].dims[2], p.nodes[i].dims[3])
+		p.bandDW, p.bandPW = max(p.bandDW, dwLen), max(p.bandPW, pwLen)
+	}
 }
 
 // shapeOf returns the batch-1 shape of node j's output (the graph input's
@@ -276,11 +322,16 @@ func (p *Plan) shapeOf(j int) []int {
 	return p.nodes[j].dims
 }
 
-// slot returns the node whose output step i writes: the end of its chain
-// for a fusing conv, i itself otherwise.
+// slot returns the node whose output step i writes: a Bundle step's pool or
+// chain end, the end of its chain for a fusing conv, i itself otherwise.
 //
 //skynet:hotpath
-func (p *Plan) slot(i int) int { return p.nodes[i].chain.Last(i) }
+func (p *Plan) slot(i int) int {
+	if b := p.nodes[i].band; b != nil {
+		return b.out
+	}
+	return p.nodes[i].chain.Last(i)
+}
 
 // layout assigns arena offsets by liveness: walking the steps in order, a
 // step's output takes the first free span that fits (or extends the arena),
@@ -358,9 +409,10 @@ func returnSpan(free []span, s span) []span {
 // whose layer runs and where the one output it materialises lies.
 type Step struct {
 	Node   int       // the node the step runs
-	Out    int       // the node whose output it writes: Chain.Last(Node)
+	Out    int       // the node whose output it writes: Chain.Last(Node), or a Bundle step's last node
 	Inputs []int     // Node's inputs (GraphInput for the graph's)
-	Chain  ConvChain // what fuses into a Conv2D step
+	Chain  ConvChain // what fuses into a Conv2D step, or into a Bundle step's convolution
+	Band   *Band     // what a DWConv3 step runs beyond Node when it is a Bundle step; nil otherwise
 	Dims   []int     // Out's shape for one sample; Dims[0] is 1
 	Size   int       // Out's elements per sample
 	// Off is the arena offset of Out's slot per sample — [Off·n, (Off+Size)·n)
@@ -369,22 +421,37 @@ type Step struct {
 	Frees []int // the nodes whose slots nothing reads after this step
 }
 
+// Band is the rest of a Bundle step, whose Node is a DWConv3: the step
+// computes Node, then the 1×1 convolution Conv with the step's Chain fused,
+// then the max-pool Pool, band by band, and materialises only the last of
+// them.
+type Band struct {
+	Conv int // the 1×1 Conv2D node that alone consumes Node
+	Pool int // the MaxPool node that alone consumes the chain, or -1
+}
+
 // Steps returns the plan's steps in execution order and the arena size they
 // need, in elements per sample. The slices belong to the plan.
 func (p *Plan) Steps() (steps []Step, perSample int) {
 	for i := range p.nodes {
 		if pn := &p.nodes[i]; !pn.fused {
 			o := &p.nodes[p.slot(i)]
-			steps = append(steps, Step{Node: i, Out: p.slot(i), Inputs: pn.inputs, Chain: pn.chain,
-				Dims: append([]int{1}, o.dims[1:]...), Size: o.size, Off: o.off, Frees: pn.frees})
+			st := Step{Node: i, Out: p.slot(i), Inputs: pn.inputs, Chain: pn.chain,
+				Dims: append([]int{1}, o.dims[1:]...), Size: o.size, Off: o.off, Frees: pn.frees}
+			if b := pn.band; b != nil {
+				st.Chain, st.Band = p.nodes[b.conv].chain, &Band{Conv: b.conv, Pool: b.pool}
+			}
+			steps = append(steps, st)
 		}
 	}
 	return steps, p.perSample
 }
 
-// prepare sizes the plan and the graph's arena for a batch of n. The arena
-// only grows — to the largest batch seen — so a batcher that varies the
-// batch size settles after its largest. A hooked forward does not use it.
+// prepare sizes the plan and the graph's arena and band buffers for a batch
+// of n. They only grow — the arena to the largest batch seen, the band
+// buffers to the most workers and the largest Bundle step of any of the
+// graph's plans — so a batcher that varies the batch size settles after its
+// largest. A hooked forward uses neither.
 func (p *Plan) prepare(n int, hooked bool) {
 	if n != p.batch {
 		p.batch = n
@@ -392,8 +459,30 @@ func (p *Plan) prepare(n int, hooked bool) {
 			p.nodes[i].dims[0] = n
 		}
 	}
-	if need := p.perSample * n; !hooked && len(p.g.arena) < need {
-		p.g.arena = make([]float32, need)
+	if hooked {
+		return
+	}
+	g := p.g
+	if need := p.perSample * n; len(g.arena) < need {
+		// Dropped first: the collection this allocation may start would
+		// otherwise mark old and new both live and pace itself on the sum.
+		g.arena = nil
+		g.arena = make([]float32, need)
+	}
+	if p.bandDW == 0 {
+		return
+	}
+	if nw := workersFor(math.MaxInt); len(g.bands) < nw {
+		g.bands = append(g.bands, make([]bandScratch, nw-len(g.bands))...)
+	}
+	for i := range g.bands {
+		s := &g.bands[i]
+		if len(s.dw) < p.bandDW {
+			s.dw = make([]float32, p.bandDW)
+		}
+		if len(s.pw) < p.bandPW {
+			s.pw = make([]float32, p.bandPW)
+		}
 	}
 }
 
@@ -404,8 +493,9 @@ func (p *Plan) prepare(n int, hooked bool) {
 // is a fresh tensor — the caller's — and every other feature map is an
 // arena slot. observe, when non-nil, is shown each output the forward
 // materialises, in place and before anything overwrites it: every node's
-// tensor after the hook, or else each step's Out. Graph.Forward(x, false)
-// is Run with no observer.
+// tensor after the hook, or else each step's Out — for a Bundle step the
+// pooled map, the depth-wise and pre-pool maps being never whole anywhere.
+// Graph.Forward(x, false) is Run with no observer.
 func (p *Plan) Run(x *tensor.Tensor, observe func(node int, data []float32)) *tensor.Tensor {
 	if !slices.Equal(p.in[1:], x.Shape()[1:]) {
 		panic(fmt.Sprintf("nn: plan compiled for samples of shape %v run on input %v", p.in[1:], x.Shape()))
@@ -435,7 +525,12 @@ func (p *Plan) run(x *tensor.Tensor, hooked bool, observe func(node int, data []
 			}
 			l.forwardInto(p.dest(&p.nodes[out], hooked), src, n, in[2], in[3], tail)
 		case *DWConv3:
-			l.forwardInto(p.dest(pn, hooked), src, n, in[2], in[3])
+			if b := pn.band; b != nil && !hooked {
+				out = b.out
+				b.run(p.dest(&p.nodes[out], false), src, n, in[2], in[3], p.nodes[b.conv].tail(), g.bands)
+			} else {
+				l.forwardInto(p.dest(pn, hooked), src, n, in[2], in[3])
+			}
 		case *BatchNorm:
 			l.evalInto(p.dest(pn, hooked), src, n, in[2]*in[3])
 		case *ReLU:

@@ -161,6 +161,19 @@ func skyNetC(width float64, seed int64) (*nn.Graph, *rand.Rand) {
 	return g, rng
 }
 
+// requireBundleSteps fails unless g's plan for x has Bundle steps: the tests
+// below mean to cover them.
+func requireBundleSteps(t *testing.T, g *nn.Graph, x *tensor.Tensor) {
+	t.Helper()
+	steps, _ := nn.Compile(g, x.Shape(), nil).Steps()
+	for _, s := range steps {
+		if s.Band != nil {
+			return
+		}
+	}
+	t.Fatal("the model's plan has no Bundle step")
+}
+
 // TestPlanArenaLiveness poisons every arena slot the moment the plan
 // releases it: were a slot handed to a later step while something still had
 // to read it, NaNs would reach the output. Batches shrink and grow so that
@@ -230,12 +243,14 @@ func floatBytes(t *tensor.Tensor) []byte {
 
 // TestGraphInferenceSteadyStateAllocs is the plan's allocation contract: a
 // warm inference forward of SkyNet C allocates its output tensor — the
-// caller's — and at one worker nothing else; beyond one worker the extra
-// is the goroutines of the layer loops' splits, so it must not grow with
-// the batch. The worker count is read per forward, not frozen in the plan.
+// caller's — and at one worker nothing else, Bundle steps and their band
+// buffers included; beyond one worker the extra is the goroutines of the
+// layer loops' splits, so it must not grow with the batch. The worker count
+// is read per forward, not frozen in the plan.
 func TestGraphInferenceSteadyStateAllocs(t *testing.T) {
 	g, rng := skyNetC(0.25, 15)
 	small, large := randBatch(rng, 2, 3, 32, 64), randBatch(rng, 6, 3, 32, 64)
+	requireBundleSteps(t, g, small)
 	warm := func(x *tensor.Tensor) float64 {
 		g.Forward(x, false)
 		g.Forward(x, false)
@@ -263,10 +278,12 @@ func TestGraphInferenceSteadyStateAllocs(t *testing.T) {
 // TestCostAndOutShapesAfterInference: the hardware models run one inference
 // forward and then ask every layer for its cost and the graph for its
 // shapes. Both must describe that forward, and no layer may still hold its
-// input batch.
+// input batch. A Bundle step runs two layers' arithmetic without their
+// forwardInto, and has to leave on both the geometry Cost reads.
 func TestCostAndOutShapesAfterInference(t *testing.T) {
 	g, rng := skyNetC(0.25, 16)
 	x := randBatch(rng, 2, 3, 32, 64)
+	requireBundleSteps(t, g, x)
 	g.Forward(x, false)
 	macs, bytes := g.Cost()
 	shapes := make([][]int, len(g.OutShapes))

@@ -92,7 +92,7 @@ type unit interface {
 // the serving layer already serializes inference on one executor stage.
 type QuantizedModel struct {
 	g        *nn.Graph // read for its structure when a new input shape needs a plan
-	separate []bool    // the mask that plan is compiled under: the forced-float nodes
+	separate []bool    // the mask that plan is compiled under (unitMask)
 	units    []unit    // by node; nil where a node is computed inside another's unit
 	vals     []value   // by node + 1; vals[0] is the graph input
 	output   int
@@ -133,6 +133,7 @@ func (m *QuantizedModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	m.batch = x.Dim(0)
 	m.planFor(x)
 	if need := m.perSample * m.batch; len(m.arena) < need {
+		m.arena = nil // not live while its replacement is allocated, as in nn's Plan.prepare
 		m.arena = make([]int8, need)
 	}
 	for i := range m.vals {
@@ -242,7 +243,8 @@ type ExportConfig struct {
 }
 
 // Export calibrates g on the given batches and lowers it into a
-// QuantizedModel. The graph is not modified; the quantized model holds
+// QuantizedModel. The graph is not modified, except that the arena its
+// calibration forwards used is released; the quantized model holds
 // integer copies of the weights (with batch-norm folded into the conv
 // scales), runs the original layers only for float-fallback nodes, and
 // otherwise reads the graph's node list — which must not change — only to
@@ -262,13 +264,17 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 		force[i] = true
 	}
-	// A forced-float node never joins a conv → BN → act chain: calibration,
-	// the lowering below and every later forward plan under the same mask.
-	scales, err := CalibrateActivations(g, calib, cfg.Calib, force)
+	// Calibration, the lowering below and every later forward all plan under
+	// the same mask.
+	mask := unitMask(g, force)
+	scales, err := CalibrateActivations(g, calib, cfg.Calib, mask)
+	// Calibration ran the float plan on g's arena; the engine runs no float
+	// plan, and keeps g for its structure only.
+	g.ReleaseArena()
 	if err != nil {
 		return nil, err
 	}
-	m := &QuantizedModel{g: g, separate: force, units: make([]unit, nNodes), vals: make([]value, nNodes+1), output: nNodes - 1}
+	m := &QuantizedModel{g: g, separate: mask, units: make([]unit, nNodes), vals: make([]value, nNodes+1), output: nNodes - 1}
 	if g.Output >= 0 {
 		m.output = g.Output
 	}
@@ -290,7 +296,7 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 		lower(s, q, scales.Node[s.Out])
 	}
-	steps, _ := nn.Compile(g, calib[0].Shape(), force).Steps()
+	steps, _ := nn.Compile(g, calib[0].Shape(), mask).Steps()
 	for i := range steps {
 		s := &steps[i]
 		if force[s.Node] {
@@ -342,6 +348,22 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 	}
 	return m, nil
+}
+
+// unitMask is the mask the engine compiles its plans under: a forced-float
+// node never joins a conv → BN → act chain, and because the engine's units
+// are one per layer kind — qdw, qconv, qpool — no depth-wise convolution or
+// max-pool joins a Bundle step either. force alone still decides which nodes
+// fall back to float.
+func unitMask(g *nn.Graph, force []bool) []bool {
+	mask := slices.Clone(force)
+	for i, n := range g.Nodes {
+		switch n.Layer.(type) {
+		case *nn.DWConv3, *nn.MaxPool:
+			mask[i] = true
+		}
+	}
+	return mask
 }
 
 // capCode converts a float activation cap to its code-domain clamp.

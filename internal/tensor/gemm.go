@@ -71,10 +71,16 @@ const (
 // instead of the blocked path. That kernel streams whichever operand is
 // contiguous along its inner loop; with both operands transposed neither
 // is, so that layout (no exported entry point produces it) always packs.
+// A column band of a wider product (bandOf) is judged by that product's
+// size: the two kernels differ in bits once k spans two blocks.
 //
 //skynet:hotpath
 func (g *gemmCall) useNaive() bool {
-	return !(g.aTrans && g.bTrans) && (g.m*g.n*g.k < gemmMinBlockedMACs || g.k < gemmMinBlockedK)
+	n := g.n
+	if g.bandOf > 0 {
+		n = g.bandOf
+	}
+	return !(g.aTrans && g.bTrans) && (g.m*n*g.k < gemmMinBlockedMACs || g.k < gemmMinBlockedK)
 }
 
 // gemmParallelMACs is the problem size below which a GEMM of either
@@ -94,6 +100,7 @@ type gemmCall struct {
 	m, n, k        int
 	lda, ldb, ldc  int
 	aTrans, bTrans bool
+	bandOf         int         // RowProduct.BandOf: > 0 makes the call a leaf, judged as n = bandOf
 	acc            bool        // accumulate into C instead of overwriting
 	row            RowEpilogue // per-row bias and tail; ignored on accumulating calls
 	colBias        []float32   // len n; added to C col j on the overwrite pass
@@ -194,9 +201,11 @@ func newGemmScratch() *gemmScratch {
 // random fraction of Puts, which broke the zero-allocation contract tests
 // under -race. An uncontended mutex costs a few nanoseconds per GEMM call
 // (amortized over at least gemmMinBlockedMACs multiply-adds) and every
-// returned buffer is reused, instrumented or not. Pool workers never touch
-// the lists — each owns its scratch for its whole lifetime — so they only
-// serve the calling goroutine's chunk.
+// returned buffer is reused, instrumented or not. A pool worker running a
+// GEMM job never touches the lists — it owns its scratch for its whole
+// lifetime — so they serve the calling goroutine's chunk, and whoever makes
+// a band call (RowProduct.BandOf), a pool worker inside a ParallelRange body
+// included.
 type freeList[T any] struct {
 	mu    sync.Mutex
 	items []*T
@@ -411,7 +420,9 @@ func ParallelRange(n int, fn func(lo, hi int)) {
 }
 
 // gemmExec runs a float32 call: tiny problems on the small-problem kernel,
-// everything else through the blocked kernel and the shared dispatch.
+// everything else through the blocked kernel and the shared dispatch — or,
+// for a band call, on this goroutine with the task's own scratch, so that a
+// pool worker running it never dispatches.
 //
 //skynet:hotpath
 func gemmExec(c gemmCall) {
@@ -421,7 +432,11 @@ func gemmExec(c gemmCall) {
 	}
 	t := gemmTaskFree.get()
 	t.f32 = c
-	t.dispatch(c.m, c.n, c.k)
+	if c.bandOf > 0 {
+		t.run(0, c.n, &t.own)
+	} else {
+		t.dispatch(c.m, c.n, c.k)
+	}
 	t.f32 = gemmCall{} // a parked task must not keep the caller's operands alive
 	gemmTaskFree.put(t)
 }

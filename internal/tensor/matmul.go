@@ -65,22 +65,43 @@ func MatMulAddInto(c, a, b *Tensor) {
 	gemmExec(g)
 }
 
-// MatMulRowEpilogueInto computes c = a·b on raw row-major slices — a is
-// [m,k], b is [k,n], c is [m,n] — and applies ep to each row: the product a
-// convolution lowers to, where rows are output channels. Taking b as a slice
-// lets a 1×1 convolution multiply its feature map in place, and c be a
-// window of a larger buffer.
+// RowProduct describes the product MatMulRowEpilogueInto computes: a is
+// [M,K] and b is [K,N], both dense; c is [M,N] with row stride Ldc.
+type RowProduct struct {
+	M, N, K int
+	// Ldc is the row stride of c, 0 meaning N: a larger one makes c a column
+	// window of a wider matrix.
+	Ldc int
+	// BandOf, when positive, says the call computes N columns of a product
+	// BandOf columns wide whose other columns other calls compute, possibly
+	// on other goroutines at this moment. The small-problem decision is then
+	// the whole product's, so where the bands are cut changes no bit, and the
+	// call runs on the calling goroutine alone: it is a leaf that may be made
+	// from a ParallelRange body.
+	BandOf int
+	Ep     RowEpilogue // applied to each row
+}
+
+// MatMulRowEpilogueInto computes c = a·b on raw row-major slices and applies
+// p.Ep to each row: the product a convolution lowers to, where rows are
+// output channels. Taking b as a slice lets a 1×1 convolution multiply its
+// feature map in place, and c be a window of a larger buffer.
 //
 //skynet:hotpath
-func MatMulRowEpilogueInto(c, a, b []float32, m, n, k int, ep RowEpilogue) {
-	if len(a) != m*k || len(b) != k*n || len(c) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulRowEpilogueInto operand lengths %d, %d, %d do not match m=%d n=%d k=%d", len(c), len(a), len(b), m, n, k))
+func MatMulRowEpilogueInto(c, a, b []float32, p RowProduct) {
+	m, n, k, ep := p.M, p.N, p.K, &p.Ep
+	ldc := n
+	if p.Ldc > 0 {
+		ldc = p.Ldc
+	}
+	if len(a) != m*k || len(b) != k*n || len(c) != (m-1)*ldc+n || ldc < n {
+		panic(fmt.Sprintf("tensor: MatMulRowEpilogueInto operand lengths %d, %d, %d do not match m=%d n=%d k=%d ldc=%d", len(c), len(a), len(b), m, n, k, ldc))
 	}
 	if ep.Bias != nil && len(ep.Bias) != m ||
 		ep.Gamma != nil && (len(ep.Gamma) != m || len(ep.Mean) != m || len(ep.Inv) != m || len(ep.Beta) != m) {
 		panic(fmt.Sprintf("tensor: MatMulRowEpilogueInto needs %d values per epilogue operand", m))
 	}
-	gemmExec(gemmCall{a: a, b: b, c: c, m: m, n: n, k: k, lda: k, ldb: n, ldc: n, row: ep})
+	gemmExec(gemmCall{a: a, b: b, c: c, m: m, n: n, k: k, lda: k, ldb: n, ldc: ldc, bandOf: p.BandOf, row: p.Ep})
 }
 
 // MatMulTransposeAInto computes c = aᵀ·b for a of shape [k,m] and b of

@@ -63,7 +63,7 @@ var matmulVariants = []struct {
 	{"MatMulTransposeBInto", matmulOp{bTrans: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBInto(c, a, b) }},
 	{"MatMulTransposeBAddInto", matmulOp{bTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBAddInto(c, a, b) }},
 	{"MatMulRowEpilogueInto", matmulOp{rowBias: true}, func(c, a, b, bias *Tensor) {
-		MatMulRowEpilogueInto(c.Data, a.Data, b.Data, c.Dim(0), c.Dim(1), a.Dim(1), RowEpilogue{Bias: bias.Data})
+		MatMulRowEpilogueInto(c.Data, a.Data, b.Data, RowProduct{M: c.Dim(0), N: c.Dim(1), K: a.Dim(1), Ep: RowEpilogue{Bias: bias.Data}})
 	}},
 	{"MatMulTransposeBColBiasInto", matmulOp{bTrans: true, colBias: true}, MatMulTransposeBColBiasInto},
 }
@@ -368,7 +368,7 @@ func TestMatMulShapePanics(t *testing.T) {
 		func() { MatMul(a, b) },
 		func() { MatMulInto(New(2, 5), a, b) },
 		func() {
-			MatMulRowEpilogueInto(make([]float32, 6), a.Data, make([]float32, 9), 2, 3, 3, RowEpilogue{Bias: make([]float32, 5)})
+			MatMulRowEpilogueInto(make([]float32, 6), a.Data, make([]float32, 9), RowProduct{M: 2, N: 3, K: 3, Ep: RowEpilogue{Bias: make([]float32, 5)}})
 		},
 	} {
 		func() {
@@ -431,8 +431,8 @@ func TestRowEpilogueMatchesSeparatePasses(t *testing.T) {
 					got, want := New(m, n), New(m, n)
 					forcePath(path.blocked, func() {
 						withWorkers(path.workers, func() {
-							MatMulRowEpilogueInto(got.Data, a.Data, b.Data, m, n, k, ep)
-							MatMulRowEpilogueInto(want.Data, a.Data, b.Data, m, n, k, RowEpilogue{Bias: ep.Bias})
+							MatMulRowEpilogueInto(got.Data, a.Data, b.Data, RowProduct{M: m, N: n, K: k, Ep: ep})
+							MatMulRowEpilogueInto(want.Data, a.Data, b.Data, RowProduct{M: m, N: n, K: k, Ep: RowEpilogue{Bias: ep.Bias}})
 						})
 					})
 					for i := 0; i < m; i++ {
@@ -523,5 +523,40 @@ func TestParallelRange(t *testing.T) {
 	ParallelRange(len(r.seen), body)
 	if allocs := testing.AllocsPerRun(20, func() { ParallelRange(len(r.seen), body) }); allocs != 0 {
 		t.Errorf("warm ParallelRange over 3 workers: %v allocs per call, want 0", allocs)
+	}
+}
+
+// TestRowProductBandsMatchWhole: a product computed as column bands — each a
+// call with BandOf, a dense copy of its columns of B, and its window of C
+// through Ldc, all running at once from a ParallelRange body, where a call
+// that dispatched to the pool could deadlock — equals the one-call product
+// bit for bit. The crossover is production's: 2×25×300 is blocked and sums
+// k in two blocks, while a band of five columns judged alone would run the
+// small-problem kernel, whose bits differ.
+func TestRowProductBandsMatchWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, s := range [][4]int{{2, 25, 300, 5}, {2, 25, 300, 25}, {7, 64, 33, 8}, {5, 9, 3, 2}, {64, 600, 70, 96}} {
+		m, n, k, band := s[0], s[1], s[2], s[3]
+		a, b := randMat(rng, m, k), randMat(rng, k, n)
+		ep := RowEpilogue{Bias: randMat(rng, 1, m).Data, ReLU: true, Cap: 6}
+		want, got := New(m, n), New(m, n)
+		MatMulRowEpilogueInto(want.Data, a.Data, b.Data, RowProduct{M: m, N: n, K: k, Ep: ep})
+		bands := (n + band - 1) / band
+		withWorkers(3, func() {
+			ParallelRange(bands, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					j0, nb := i*band, min(band, n-i*band)
+					cols := New(k, nb)
+					for p := 0; p < k; p++ {
+						copy(cols.Data[p*nb:(p+1)*nb], b.Data[p*n+j0:])
+					}
+					MatMulRowEpilogueInto(got.Data[j0:j0+(m-1)*n+nb], a.Data, cols.Data,
+						RowProduct{M: m, N: nb, K: k, Ldc: n, BandOf: n, Ep: ep})
+				}
+			})
+		})
+		if i := firstBitDiff(got.Data, want.Data); i >= 0 {
+			t.Errorf("m=%d n=%d k=%d in bands of %d: element %d = %v, the whole product gives %v", m, n, k, band, i, got.Data[i], want.Data[i])
+		}
 	}
 }
