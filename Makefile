@@ -17,10 +17,31 @@ build:
 # binaries compiles every command and example entry point so a refactor
 # cannot silently break a main package that `go build ./...` would still
 # cover but a bad flag default or unused import would not surface until run.
+# Each cmd/* binary is then run with -h: a panic while it registers its flags
+# (a duplicate or half-removed flag.Int) fails here, and so does a -flag that
+# README.md names after the command's name, up to the end of that line, but
+# its usage text does not list. The examples parse no flags and would run in
+# full, so they are only compiled.
 binaries:
-	@for d in cmd/* examples/*; do \
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for d in examples/*; do \
 		echo "build $$d"; \
 		$(GO) build -o /dev/null ./$$d || exit 1; \
+	done; \
+	for d in cmd/*; do \
+		n=$${d#cmd/}; \
+		echo "build $$d, $$n -h"; \
+		$(GO) build -o "$$tmp/$$n" ./$$d || exit 1; \
+		"$$tmp/$$n" -h >"$$tmp/usage" 2>&1 || { cat "$$tmp/usage"; echo "$$n -h failed"; exit 1; }; \
+		for f in $$(awk -v cmd="$$n" '{ s = $$0; \
+			while ((i = index(s, cmd)) > 0) { \
+				s = substr(s, i + length(cmd)); t = s; \
+				if ((j = index(t, "skynet-")) > 0) t = substr(t, 1, j - 1); \
+				while (match(t, /(^|[ `(])-[a-z][a-z0-9-]*/)) { \
+					f = substr(t, RSTART, RLENGTH); sub(/^[ `(]/, "", f); print f; \
+					t = substr(t, RSTART + RLENGTH) } } }' README.md | sort -u); do \
+			grep -qE -- "^  $$f( |$$)" "$$tmp/usage" || { echo "README.md names $$n $$f, which $$n -h does not list"; exit 1; }; \
+		done; \
 	done
 
 # vet also fails on any tracked .go file outside testdata/ that gofmt

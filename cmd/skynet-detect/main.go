@@ -46,7 +46,6 @@ func main() {
 		seed    = flag.Int64("seed", 99, "scene generation seed")
 		render  = flag.Bool("render", false, "ASCII-render each detection")
 		batch   = flag.Int("batch", 4, "inference micro-batch size")
-		delayMS = flag.Int("maxdelay", 5, "max milliseconds a partial inference batch waits")
 
 		quantize = flag.Bool("quantize", false, "run the int8 lowering of the model (post-training quantization)")
 		calibN   = flag.Int("calib", 32, "calibration scenes drawn for -quantize")
@@ -110,10 +109,7 @@ func main() {
 		frames[i] = &detect.Frame{Image: scenes[i].Image, GT: scenes[i].Box}
 	}
 
-	ex, err := detect.NewStreamExecutor(model, head, detect.StreamConfig{
-		MaxBatch: *batch,
-		MaxDelay: time.Duration(*delayMS) * time.Millisecond,
-	})
+	ex, err := detect.NewStreamExecutor(model, head, detect.StreamConfig{MaxBatch: *batch})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skynet-detect: %v\n", err)
 		os.Exit(1)

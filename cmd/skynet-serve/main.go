@@ -51,7 +51,6 @@ func main() {
 
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		batch    = flag.Int("batch", 8, "inference micro-batch cap")
-		delayMS  = flag.Int("maxdelay", 2, "max milliseconds a partial inference batch waits")
 		queue    = flag.Int("queue", 64, "per-replica admission queue depth (overflow sheds with 429)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-request deadline when the client sets none")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM")
@@ -103,7 +102,6 @@ func main() {
 		CacheEntries: *cacheN,
 		Replica: serve.Config{
 			MaxBatch:       *batch,
-			MaxDelay:       time.Duration(*delayMS) * time.Millisecond,
 			QueueDepth:     *queue,
 			RequestTimeout: *timeout,
 			Channels:       3,
@@ -141,8 +139,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Printf("skynet-serve: listening on %s (%d replicas, batch<=%d, delay %dms, queue %d, cache %d)\n",
-		*addr, srv.Replicas(), *batch, *delayMS, *queue, *cacheN)
+	fmt.Printf("skynet-serve: listening on %s (%d replicas, batch<=%d, queue %d, cache %d)\n",
+		*addr, srv.Replicas(), *batch, *queue, *cacheN)
 	if err := srv.ListenAndServe(ctx, *addr, *drain); err != nil {
 		fmt.Fprintf(os.Stderr, "skynet-serve: %v\n", err)
 		os.Exit(1)

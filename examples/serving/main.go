@@ -46,10 +46,7 @@ func main() {
 	}, serve.PoolConfig{
 		Replicas:     1,
 		CacheEntries: -1,
-		Replica: serve.Config{
-			MaxBatch: 8,
-			MaxDelay: 4 * time.Millisecond,
-		},
+		Replica:      serve.Config{MaxBatch: 8},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -78,7 +78,7 @@ func main() {
 		}}
 	ex, err := pipeline.NewExecutor(4,
 		fetchPre,
-		detect.InferStage(model, 4, 5*time.Millisecond),
+		detect.InferStage(model, 4),
 		detect.PostStage(head, 2),
 	)
 	if err != nil {

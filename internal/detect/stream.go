@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"skynet/internal/pipeline"
 	"skynet/internal/tensor"
@@ -84,7 +83,9 @@ func PreStage(workers int) pipeline.StageSpec {
 // be serialized by the caller: a forward pass is not reentrant — an nn.Graph
 // keeps the feature maps of the forward in flight in one arena it owns, and
 // its layers keep the operands of the call in flight and their per-worker
-// scratch on themselves.
+// scratch on themselves. Frames of one call must share a shape: a stack has
+// one H×W, so a mixed batch is an error, never a frame forwarded at its
+// neighbour's size.
 func InferBatch(m Model, frames []*Frame) error {
 	if len(frames) == 0 {
 		return nil
@@ -93,6 +94,9 @@ func InferBatch(m Model, frames []*Frame) error {
 	for i, f := range frames {
 		if f.X == nil {
 			return errors.New("detect: frame reached inference without pre-processing")
+		}
+		if !f.X.SameShape(frames[0].X) {
+			return fmt.Errorf("detect: frame %d of the batch is %v, frame 0 is %v", i, f.X.Shape(), frames[0].X.Shape())
 		}
 		samples[i] = Sample{Image: f.X}
 	}
@@ -123,19 +127,18 @@ func Postprocess(h *Head, f *Frame) error {
 	return nil
 }
 
-// InferStage returns the micro-batched DNN inference stage of §6.3: up to
-// maxBatch pre-processed frames (waiting at most maxDelay for stragglers)
-// are stacked into one [B,C,H,W] tensor and run through a single Forward,
-// amortizing per-call overhead exactly like the paper's batched inference
-// amortizes weight loads. The stage runs on one worker because a forward
-// pass is not reentrant (layers keep per-call state on themselves, see
-// InferBatch), so one model is driven by one inference worker; scale
-// throughput with maxBatch instead.
-func InferStage(m Model, maxBatch int, maxDelay time.Duration) pipeline.StageSpec {
+// InferStage returns the micro-batched DNN inference stage of §6.3: the
+// pre-processed frames that queued while the previous forward ran, up to
+// maxBatch of them, are stacked into one [B,C,H,W] tensor and run through a
+// single Forward, amortizing per-call overhead exactly like the paper's
+// batched inference amortizes weight loads. The stage runs on one worker
+// because a forward pass is not reentrant (layers keep per-call state on
+// themselves, see InferBatch), so one model is driven by one inference
+// worker; scale throughput with maxBatch instead.
+func InferStage(m Model, maxBatch int) pipeline.StageSpec {
 	return pipeline.StageSpec{
 		Name:     pipeline.StageInfer,
 		MaxBatch: maxBatch,
-		MaxDelay: maxDelay,
 		Batch: func(_ context.Context, items []any) ([]any, error) {
 			frames := make([]*Frame, len(items))
 			for i, v := range items {
@@ -177,46 +180,29 @@ func PostStage(h *Head, workers int) pipeline.StageSpec {
 	}
 }
 
-// StreamConfig tunes NewStreamExecutor. The zero value selects sensible
-// defaults for a single-model host pipeline.
+// StreamConfig tunes NewStreamExecutor.
 type StreamConfig struct {
 	// MaxBatch caps the inference micro-batch; 0 selects 4 (the paper's
-	// Figure 9 batch size).
+	// Figure 9 batch size). On a live stream a frame is forwarded as it
+	// arrives; on a backlog the batches fill by themselves.
 	MaxBatch int
-	// MaxDelay bounds how long a partial inference batch waits for more
-	// frames; 0 selects 5ms. Use a small value for live low-latency
-	// streams, a large one for offline throughput runs.
-	MaxDelay time.Duration
-	// PreWorkers / PostWorkers scale the CPU-side stages; 0 selects 2.
-	PreWorkers  int
-	PostWorkers int
-	// Buffer is the inter-stage queue depth; 0 selects MaxBatch so the
-	// batcher can fill without stalling the pre-process stage.
-	Buffer int
 }
+
+// streamWorkers is the width of the pre- and post-process stages.
+const streamWorkers = 2
 
 // NewStreamExecutor assembles the full three-stage §6.3 executor for a
 // model+head pair: multi-worker pre/post stages around single-worker
-// micro-batched inference, with frames delivered in input order.
+// micro-batched inference, with frames delivered in input order. The
+// inter-stage queues hold MaxBatch frames, so a full batch can queue behind
+// the forward in flight without stalling the pre-process stage.
 func NewStreamExecutor(m Model, h *Head, cfg StreamConfig) (*pipeline.Executor, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 4
 	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 5 * time.Millisecond
-	}
-	if cfg.PreWorkers <= 0 {
-		cfg.PreWorkers = 2
-	}
-	if cfg.PostWorkers <= 0 {
-		cfg.PostWorkers = 2
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = cfg.MaxBatch
-	}
-	return pipeline.NewExecutor(cfg.Buffer,
-		PreStage(cfg.PreWorkers),
-		InferStage(m, cfg.MaxBatch, cfg.MaxDelay),
-		PostStage(h, cfg.PostWorkers),
+	return pipeline.NewExecutor(cfg.MaxBatch,
+		PreStage(streamWorkers),
+		InferStage(m, cfg.MaxBatch),
+		PostStage(h, streamWorkers),
 	)
 }

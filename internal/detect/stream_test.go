@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"skynet/internal/nn"
 	"skynet/internal/pipeline"
@@ -43,14 +42,15 @@ func streamFrames(rng *rand.Rand, n int) []any {
 }
 
 // The three-stage streaming executor must produce, in order, exactly the
-// boxes a serial per-frame pre→forward→decode loop produces.
+// boxes a serial per-frame pre→forward→decode loop produces — however the
+// frames happen to split into batches.
 func TestStreamExecutorMatchesSerial(t *testing.T) {
 	head := NewHead(nil)
 	m := fakeModel{ch: head.Channels(), sh: 4, sw: 4}
 	rng := rand.New(rand.NewSource(11))
 	frames := streamFrames(rng, 37)
 
-	ex, err := NewStreamExecutor(m, head, StreamConfig{MaxBatch: 5, MaxDelay: 10 * time.Millisecond})
+	ex, err := NewStreamExecutor(m, head, StreamConfig{MaxBatch: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,43 @@ func TestStreamExecutorMatchesSerial(t *testing.T) {
 				i, f.Box, f.Conf, boxes[0], confs[0])
 		}
 	}
-	// The inference stage must actually have batched.
-	stats := ex.Stats()
-	if stats[1].Batches >= stats[1].Items {
-		t.Fatalf("inference ran %d batches for %d items — no batching happened", stats[1].Batches, stats[1].Items)
+}
+
+// InferBatch stacks same-shape frames into one forward and hands each frame
+// its own slice of the prediction; frames of different H×W are an error, not
+// a frame silently forwarded at its neighbour's size.
+func TestInferBatchStacksSameShapesAndRejectsMixed(t *testing.T) {
+	head := NewHead(nil)
+	m := fakeModel{ch: head.Channels(), sh: 4, sw: 4}
+	rng := rand.New(rand.NewSource(12))
+	frames := make([]*Frame, 5)
+	for i, v := range streamFrames(rng, len(frames)) {
+		frames[i] = v.(*Frame)
+		if err := Preprocess(frames[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := InferBatch(m, frames); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frames {
+		alone := m.Forward(f.X.Reshape(1, 3, 8, 8), false)
+		if !f.Pred.SameShape(alone) {
+			t.Fatalf("frame %d: prediction %v, alone %v", i, f.Pred.Shape(), alone.Shape())
+		}
+		for j := range alone.Data {
+			if f.Pred.Data[j] != alone.Data[j] {
+				t.Fatalf("frame %d: batched prediction differs from the frame alone at %d", i, j)
+			}
+		}
+	}
+
+	odd := &Frame{Image: tensor.New(3, 12, 16)}
+	if err := Preprocess(odd); err != nil {
+		t.Fatal(err)
+	}
+	if err := InferBatch(m, []*Frame{frames[0], odd}); err == nil {
+		t.Fatal("a batch of 8×8 and 12×16 frames must be an error")
 	}
 }
 
@@ -126,16 +159,16 @@ func TestTrainDetectorEmptySamples(t *testing.T) {
 type badShapeModel struct{}
 
 func (badShapeModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	return tensor.New(1, 10, 2, 2) // always batch 1, regardless of input
+	return tensor.New(x.Dim(0)+1, 10, 2, 2) // one prediction too many, whatever the batch
 }
 
 func TestInferStageRejectsBadModelOutput(t *testing.T) {
 	head := NewHead(nil)
-	// maxDelay 0 waits for full batches, so every batch has 3 items and the
-	// model's constant batch-1 output shape deterministically mismatches.
+	// The model's output batch mismatches for every batch size, so the run
+	// fails however the six frames happen to split into batches.
 	ex, err := pipeline.NewExecutor(2,
 		PreStage(1),
-		InferStage(badShapeModel{}, 3, 0),
+		InferStage(badShapeModel{}, 3),
 		PostStage(head, 1),
 	)
 	if err != nil {

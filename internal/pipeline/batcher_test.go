@@ -1,17 +1,13 @@
 package pipeline
 
-import (
-	"context"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestCollectBatchFillsToMax(t *testing.T) {
 	in := make(chan int, 8)
 	for i := 0; i < 8; i++ {
 		in <- i
 	}
-	batch, end := CollectBatch(context.Background(), in, 4, 0, nil)
+	batch, end := CollectBatch(nil, in, 4, nil)
 	if len(batch) != 4 || end.Drained || end.Cancelled {
 		t.Fatalf("batch %v end %+v, want 4 items clean", batch, end)
 	}
@@ -22,19 +18,29 @@ func TestCollectBatchFillsToMax(t *testing.T) {
 	}
 }
 
-func TestCollectBatchFlushesOnDelay(t *testing.T) {
-	in := make(chan int, 8)
-	in <- 42
-	t0 := time.Now()
-	batch, end := CollectBatch(context.Background(), in, 4, 5*time.Millisecond, nil)
-	if len(batch) != 1 || batch[0] != 42 {
-		t.Fatalf("batch %v, want [42]", batch)
-	}
-	if end.Drained || end.Cancelled {
-		t.Fatalf("end %+v, want timer flush", end)
-	}
-	if time.Since(t0) < 5*time.Millisecond {
-		t.Fatal("returned before MaxDelay elapsed")
+// The rule itself: a batch is the first item plus what is already queued —
+// min(len, max) items, in order — and the call returns without waiting for
+// the channel to close or for partners that have not arrived.
+func TestCollectBatchTakesOnlyWhatIsQueued(t *testing.T) {
+	for _, tc := range []struct{ queued, max, want int }{
+		{1, 4, 1}, {3, 4, 3}, {4, 4, 4}, {7, 4, 4}, {2, 1, 1}, {2, 0, 1},
+	} {
+		in := make(chan int, 8) // stays open: nothing else will ever arrive
+		for i := 0; i < tc.queued; i++ {
+			in <- i
+		}
+		batch, end := CollectBatch(nil, in, tc.max, nil)
+		if len(batch) != tc.want || end.Drained || end.Cancelled {
+			t.Fatalf("%d queued, max %d: batch %v end %+v, want %d items clean", tc.queued, tc.max, batch, end, tc.want)
+		}
+		for i, v := range batch {
+			if v != i {
+				t.Fatalf("%d queued, max %d: batch[%d] = %d, want %d", tc.queued, tc.max, i, v, i)
+			}
+		}
+		if left := len(in); left != tc.queued-tc.want {
+			t.Fatalf("%d queued, max %d: %d left in the queue, want %d", tc.queued, tc.max, left, tc.queued-tc.want)
+		}
 	}
 }
 
@@ -43,41 +49,25 @@ func TestCollectBatchDrain(t *testing.T) {
 	in <- 1
 	in <- 2
 	close(in)
-	// delay 0 = wait forever for a full batch; the close must still flush.
-	batch, end := CollectBatch(context.Background(), in, 4, 0, nil)
+	// A closed channel still hands over its partial batch.
+	batch, end := CollectBatch(nil, in, 4, nil)
 	if len(batch) != 2 || !end.Drained || end.Cancelled {
 		t.Fatalf("batch %v end %+v, want drained partial batch", batch, end)
 	}
 	// A drained channel with nothing pending reports an empty drained batch.
-	batch, end = CollectBatch(context.Background(), in, 4, 0, batch)
+	batch, end = CollectBatch(nil, in, 4, batch)
 	if len(batch) != 0 || !end.Drained {
 		t.Fatalf("batch %v end %+v, want empty drain", batch, end)
 	}
 }
 
 func TestCollectBatchCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	done := make(chan struct{})
+	close(done)
 	in := make(chan int) // nothing will ever arrive
-	batch, end := CollectBatch(ctx, in, 4, 0, nil)
+	batch, end := CollectBatch(done, in, 4, nil)
 	if !end.Cancelled || len(batch) != 0 {
 		t.Fatalf("batch %v end %+v, want cancelled", batch, end)
-	}
-
-	// Cancellation mid-collection: first item arrives, then the ctx fires.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	in2 := make(chan int, 1)
-	in2 <- 7
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel2()
-	}()
-	batch, end = CollectBatch(ctx2, in2, 4, 0, nil)
-	if !end.Cancelled {
-		t.Fatalf("end %+v, want cancelled mid-collect", end)
-	}
-	if len(batch) != 1 {
-		t.Fatalf("partial batch %v (discarded on cancel anyway)", batch)
 	}
 }
 
@@ -86,7 +76,7 @@ func TestCollectBatchReusesBuffer(t *testing.T) {
 	in <- 1
 	in <- 2
 	buf := make([]int, 0, 4)
-	batch, _ := CollectBatch(context.Background(), in, 2, 0, buf)
+	batch, _ := CollectBatch(nil, in, 2, buf)
 	if &batch[0] != &buf[:1][0] {
 		t.Fatal("CollectBatch must append into the caller's buffer")
 	}

@@ -37,17 +37,14 @@ type StageSpec struct {
 	Workers int
 	// Proc transforms one item.
 	Proc Proc
-	// Batch, if set, makes this a micro-batching stage: up to MaxBatch
-	// pending items are collected (waiting at most MaxDelay from the first
-	// one) and processed in a single call — the batched-inference stage of
-	// §6.3, where one weight load serves the whole batch.
+	// Batch, if set, makes this a micro-batching stage: the items that
+	// queued while the previous call ran, up to MaxBatch of them, are
+	// processed in a single call — the batched-inference stage of §6.3, where
+	// one weight load serves the whole batch. A lone item is never held back
+	// for partners.
 	Batch BatchProc
 	// MaxBatch caps the micro-batch size; 0 means 1.
 	MaxBatch int
-	// MaxDelay bounds how long a partial batch waits for more items before
-	// being flushed. 0 means wait indefinitely for a full batch (the batch
-	// still flushes when the input stream ends).
-	MaxDelay time.Duration
 }
 
 // Executor runs a fixed sequence of stages over a stream of items. It is
@@ -315,9 +312,9 @@ func (r *run) itemWorker(spec StageSpec, c *stageCounters, in <-chan token, out 
 	}
 }
 
-// batchWorker collects micro-batches via CollectBatch (up to MaxBatch
-// items, waiting at most MaxDelay from the first pending item) and
-// processes each in one BatchProc call.
+// batchWorker collects micro-batches via CollectBatch (the first pending
+// item plus whatever else is already queued, up to MaxBatch) and processes
+// each in one BatchProc call.
 func (r *run) batchWorker(spec StageSpec, c *stageCounters, in <-chan token, out chan<- token) {
 	toks := make([]token, 0, spec.MaxBatch)
 	seqs := make([]int, 0, spec.MaxBatch)
@@ -355,7 +352,7 @@ func (r *run) batchWorker(spec StageSpec, c *stageCounters, in <-chan token, out
 
 	for {
 		var end BatchEnd
-		toks, end = CollectBatch(r.ctx, in, spec.MaxBatch, spec.MaxDelay, toks)
+		toks, end = CollectBatch(r.ctx.Done(), in, spec.MaxBatch, toks)
 		if end.Cancelled {
 			return
 		}

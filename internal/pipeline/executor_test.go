@@ -50,7 +50,7 @@ func TestExecutorMatchesSerial(t *testing.T) {
 			x := v.(int)
 			return x * x, nil
 		}},
-		StageSpec{Name: "sum+1", MaxBatch: 4, MaxDelay: 10 * time.Millisecond,
+		StageSpec{Name: "sum+1", MaxBatch: 4,
 			Batch: func(_ context.Context, items []any) ([]any, error) {
 				out := make([]any, len(items))
 				for i, v := range items {
@@ -185,13 +185,13 @@ func TestExecutorOrderUnderRandomDelays(t *testing.T) {
 	}
 }
 
-// A partial batch must flush when MaxDelay expires instead of waiting for
-// MaxBatch items that will never come before the deadline.
-func TestExecutorBatchDeadlineFlush(t *testing.T) {
+// A partial batch is processed as it stands: the stage never waits for
+// MaxBatch items that are not coming.
+func TestExecutorPartialBatchFlushes(t *testing.T) {
 	defer leakCheck(t)()
 	var calls atomic.Int64
 	ex, err := NewExecutor(8,
-		StageSpec{Name: "batch", MaxBatch: 100, MaxDelay: 15 * time.Millisecond,
+		StageSpec{Name: "batch", MaxBatch: 100,
 			Batch: func(_ context.Context, items []any) ([]any, error) {
 				calls.Add(1)
 				return items, nil
@@ -210,7 +210,8 @@ func TestExecutorBatchDeadlineFlush(t *testing.T) {
 	}
 }
 
-// A full input stream with MaxDelay = 0 batches purely by count.
+// However the stream happens to split, no batch exceeds MaxBatch and the
+// batches cover every item once.
 func TestExecutorBatchByCount(t *testing.T) {
 	defer leakCheck(t)()
 	var sizes []int
@@ -244,7 +245,7 @@ func TestExecutorBatchByCount(t *testing.T) {
 func TestExecutorBatchSizeMismatch(t *testing.T) {
 	defer leakCheck(t)()
 	ex, err := NewExecutor(1,
-		StageSpec{Name: "broken", MaxBatch: 4, MaxDelay: time.Millisecond,
+		StageSpec{Name: "broken", MaxBatch: 4,
 			Batch: func(_ context.Context, items []any) ([]any, error) {
 				return items[:1], nil
 			}},
@@ -254,6 +255,92 @@ func TestExecutorBatchSizeMismatch(t *testing.T) {
 	}
 	if _, err := ex.Run(context.Background(), intItems(8)); err == nil {
 		t.Fatal("mismatched batch result count must fail the run")
+	}
+}
+
+// One frame in flight: the producer sends the next frame only once the
+// previous one is answered. A batch stage that held a frame back for partners
+// would never answer the first; this one runs each as a batch of one.
+func TestExecutorStreamOneFrameInFlight(t *testing.T) {
+	defer leakCheck(t)()
+	ex, err := NewExecutor(4,
+		StageSpec{Name: "batch", MaxBatch: 4,
+			Batch: func(_ context.Context, items []any) ([]any, error) { return items, nil }},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	in := make(chan any)
+	out, wait := ex.Stream(context.Background(), in)
+	for i := 0; i < n; i++ {
+		in <- i
+		if v := <-out; v.(int) != i {
+			t.Fatalf("answer %d = %v", i, v)
+		}
+	}
+	close(in)
+	for range out {
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if s := ex.Stats()[0]; s.Items != n || s.Batches != n {
+		t.Fatalf("stats %+v, want %d batches of one", s, n)
+	}
+}
+
+// A batch is what queued while the previous call ran. The first frame's call
+// starts alone and is held; MaxBatch frames (and one more, whose acceptance by
+// the feeder proves the others are queued) arrive meanwhile; they are the next
+// batch, and the extra one the batch after.
+func TestExecutorBatchFormsFromBacklog(t *testing.T) {
+	defer leakCheck(t)()
+	const maxBatch = 4
+	entered := make(chan int)
+	gate := make(chan struct{})
+	ex, err := NewExecutor(maxBatch,
+		StageSpec{Name: "batch", MaxBatch: maxBatch,
+			Batch: func(_ context.Context, items []any) ([]any, error) {
+				entered <- len(items)
+				<-gate
+				return items, nil
+			}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make(chan any)
+	out, wait := ex.Stream(context.Background(), in)
+	results := make(chan int)
+	go func() {
+		n := 0
+		for range out {
+			n++
+		}
+		results <- n
+	}()
+
+	in <- 0
+	if got := <-entered; got != 1 {
+		t.Fatalf("first call got %d items with one sent, want 1", got)
+	}
+	for i := 1; i <= maxBatch+1; i++ {
+		in <- i
+	}
+	close(in)
+	for _, want := range []int{maxBatch, 1} {
+		gate <- struct{}{}
+		if got := <-entered; got != want {
+			t.Fatalf("batch of %d, want %d", got, want)
+		}
+	}
+	gate <- struct{}{}
+	if n := <-results; n != maxBatch+2 {
+		t.Fatalf("%d results, want %d", n, maxBatch+2)
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -395,8 +482,9 @@ func BenchmarkExecutorAnalyticGap(b *testing.B) {
 	// the burst-shaped handoff out of a batch does not stack a second
 	// serialization the smooth-flow analytic model cannot see.
 	const n = 32
-	// Batched inference: 40ms per batch of 4 → 10ms effective per item.
-	batchSleep := StageSpec{Name: StageInfer, MaxBatch: 4, MaxDelay: 100 * time.Millisecond,
+	// Batched inference: 40ms per batch of 4 → 10ms effective per item (the
+	// first batch of a run is the lone first frame; the rest fill behind it).
+	batchSleep := StageSpec{Name: StageInfer, MaxBatch: 4,
 		Batch: func(ctx context.Context, items []any) ([]any, error) {
 			t := time.NewTimer(40 * time.Millisecond)
 			defer t.Stop()

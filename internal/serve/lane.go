@@ -40,26 +40,27 @@ type lane[T rider] struct {
 	work stageClock // the worker's own stage: one item per request served
 }
 
-// start opens a queue of the given depth and begins the worker: it collects
-// up to maxBatch requests (waiting at most maxDelay after the first; never,
-// for a maxBatch of 1), hands them to serve — which records per-request
-// failures on the tickets and must not panic — and closes each ticket.
-func (l *lane[T]) start(depth int, timeout time.Duration, maxBatch int, maxDelay time.Duration, serve func([]T)) {
+// start opens a queue of the given depth and begins the worker: it takes the
+// oldest queued request and whatever else queued while the last batch was
+// served, up to maxBatch — a lone request never waits for partners — hands
+// them to serve, which records per-request failures on the tickets and must
+// not panic, and closes each ticket.
+func (l *lane[T]) start(depth int, timeout time.Duration, maxBatch int, serve func([]T)) {
 	l.timeout = timeout
 	l.in = make(chan T, depth)
 	l.finished = make(chan struct{})
-	go l.loop(maxBatch, maxDelay, serve)
+	go l.loop(maxBatch, serve)
 }
 
 // loop is the lane's one goroutine: it runs until the queue is closed and
 // empty. A closed queue hands its remaining requests over without waiting,
 // so after close they are refused as fast as they can be collected.
-func (l *lane[T]) loop(maxBatch int, maxDelay time.Duration, serve func([]T)) {
+func (l *lane[T]) loop(maxBatch int, serve func([]T)) {
 	defer close(l.finished)
 	buf := make([]T, 0, maxBatch)
 	for {
-		//skynet:nolint ctxflow -- the worker lives for the service's lifetime, not any request's; closing the queue (drain/close) is what ends it, so a fresh root is correct here
-		batch, end := pipeline.CollectBatch(context.Background(), l.in, maxBatch, maxDelay, buf)
+		// No done channel: closing the queue (drain/close) is what ends the worker.
+		batch, end := pipeline.CollectBatch(nil, l.in, maxBatch, buf)
 		if l.abandoned.Load() {
 			for _, req := range batch {
 				t := req.tk()

@@ -28,7 +28,7 @@ func newTestRider() *testRider { return &testRider{ticket: newTicket(context.Bac
 func gatedLane(t *testing.T, depth int, gate chan struct{}) *lane[*testRider] {
 	t.Helper()
 	l := &lane[*testRider]{}
-	l.start(depth, time.Second, 1, 0, func([]*testRider) { <-gate })
+	l.start(depth, time.Second, 1, func([]*testRider) { <-gate })
 	return l
 }
 

@@ -192,7 +192,7 @@ func TestRequestPathAllocationCeilings(t *testing.T) {
 		hitCeiling  = 32
 	)
 	p := newTestPool(t, verFactory(1, nil, nil), PoolConfig{Replicas: 1, CacheEntries: 4096,
-		Replica: Config{Channels: 3, MaxDelay: 100 * time.Microsecond}})
+		Replica: Config{Channels: 3}})
 	h := p.Handler()
 	const runs = 50
 	bodies := make([][]byte, runs+2)

@@ -42,13 +42,10 @@ var (
 // Config tunes one detection replica. The zero value selects
 // serving-appropriate defaults.
 type Config struct {
-	// MaxBatch caps the inference micro-batch; 0 selects 8.
+	// MaxBatch caps the inference micro-batch; 0 selects 8. A batch is the
+	// requests that queued while the previous forward ran: its size rises
+	// with load by itself, and a lone request is forwarded at once.
 	MaxBatch int
-	// MaxDelay bounds how long a partial batch waits for more requests
-	// before flushing; 0 selects 2ms. Serving always needs a positive
-	// delay — "wait forever for a full batch" would strand the final
-	// partial batch of a lull.
-	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; 0 selects 64. A full queue
 	// rejects new requests with ErrOverloaded.
 	QueueDepth int
@@ -65,9 +62,6 @@ type Config struct {
 func (c *Config) normalize() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	laneDefaults(&c.QueueDepth, &c.RequestTimeout)
 }
@@ -114,28 +108,39 @@ func newReplica(m detect.Model, h *detect.Head, cfg Config) (*replica, error) {
 		channels: cfg.Channels,
 		live:     make([]*detect.Frame, 0, cfg.MaxBatch),
 	}
-	r.start(cfg.QueueDepth, cfg.RequestTimeout, cfg.MaxBatch, cfg.MaxDelay, r.inferBatch)
+	r.start(cfg.QueueDepth, cfg.RequestTimeout, cfg.MaxBatch, r.inferBatch)
 	return r, nil
 }
 
-// inferBatch is the worker's half of a request: one forward over every
-// request of the batch that still has a waiting caller (live marks the rest
-// with their context's error).
+// inferBatch is the worker's half of a request: one forward per run of
+// same-shape frames among the requests that still have a waiting caller (live
+// marks the rest with their context's error). A batch is whoever was queued,
+// so neighbours may differ in H×W; a request is neither failed nor answered
+// by its neighbour's size.
 func (r *replica) inferBatch(batch []*request) {
-	live := r.live[:0]
-	for _, req := range batch {
-		if req.live() {
+	for lo := 0; lo < len(batch); {
+		live := r.live[:0]
+		hi := lo
+		for ; hi < len(batch); hi++ {
+			req := batch[hi]
+			if !req.live() {
+				continue
+			}
+			if len(live) > 0 && !req.frame.X.SameShape(live[0].X) {
+				break
+			}
 			live = append(live, req.frame)
 		}
-	}
-	if err := inferBatchSafe(r.model, live); err != nil {
-		for _, req := range batch {
-			if req.err == nil {
-				req.err = err
+		if err := inferBatchSafe(r.model, live); err != nil {
+			for _, req := range batch[lo:hi] {
+				if req.err == nil {
+					req.err = err
+				}
 			}
 		}
+		clear(live) // the scratch must not keep answered frames alive
+		lo = hi
 	}
-	clear(live) // the scratch must not keep answered frames alive
 }
 
 // inferBatchSafe runs one batched forward, converting a model panic into

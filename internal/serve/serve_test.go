@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -313,27 +314,12 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
 	s := newTestReplica(t, m, Config{QueueDepth: 8, MaxBatch: 4, RequestTimeout: -1})
 
-	const n = 3
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = s.Submit(context.Background(), testImage(float32(i)*0.1), false)
-		}(i)
-	}
-	// Wait until the in-flight requests are actually inside the pipeline.
-	deadline := time.After(5 * time.Second)
-	for {
-		if st := s.Metrics(); st.QueueDepth > 0 || st.Stages[0].Items > 0 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("requests never entered the pipeline")
-		case <-time.After(time.Millisecond):
-		}
+	// Admitted on this goroutine, so all three are in the queue or in the
+	// worker's hands before the drain begins (a Submit that had only been
+	// pre-processed by then would be refused, correctly, with ErrDraining).
+	reqs := make([]*request, 3)
+	for i := range reqs {
+		reqs[i] = enqueue(t, s, testImage(float32(i)*0.1))
 	}
 
 	drained := make(chan error, 1)
@@ -354,10 +340,10 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("in-flight request %d failed during drain: %v", i, err)
+	for i, req := range reqs {
+		<-req.done
+		if req.err != nil {
+			t.Fatalf("in-flight request %d failed during drain: %v", i, req.err)
 		}
 	}
 }
@@ -478,24 +464,113 @@ func TestMetricsEndpointAndDrainHealth(t *testing.T) {
 	}
 }
 
-func TestBatchingAggregatesConcurrentRequests(t *testing.T) {
-	m := &stubModel{}
-	s := newTestReplica(t, m, Config{MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: 64})
+// steppedModel is a stubModel the test walks one forward at a time: each
+// forward reports its batch size on entered, then waits for a token on gate.
+type steppedModel struct {
+	stubModel
+	entered chan int
+}
 
-	const n = 16
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := s.Submit(context.Background(), testImage(float32(i)*0.01), false); err != nil {
-				t.Errorf("submit %d: %v", i, err)
-			}
-		}(i)
+func (m *steppedModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	m.entered <- x.Dim(0)
+	return m.stubModel.Forward(x, train)
+}
+
+// enqueue is Submit up to admission, on the test's goroutine: when it
+// returns the request is in the replica's queue.
+func enqueue(t *testing.T, r *replica, img *tensor.Tensor) *request {
+	t.Helper()
+	f, err := r.prepare(img, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if mb := s.Metrics().MeanBatchSize; mb <= 1 {
-		t.Fatalf("mean batch size %.2f, want > 1 under concurrent load", mb)
+	req := &request{ticket: newTicket(context.Background()), frame: f}
+	if err := r.admit(req); err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
+
+// answer is the rest of Submit: wait for the worker to hand req back, decode.
+func answer(t *testing.T, r *replica, req *request) (detect.Box, float64) {
+	t.Helper()
+	<-req.done
+	if req.err != nil {
+		t.Fatal(req.err)
+	}
+	if err := detect.Postprocess(r.head, req.frame); err != nil {
+		t.Fatal(err)
+	}
+	return req.frame.Box, req.frame.Conf
+}
+
+// The batching rule, with no clock in it: a lone request's forward starts with
+// nothing else queued — before any second arrival — and the k requests
+// admitted while that forward is held are the next batch of min(k, MaxBatch),
+// the remainder the one after.
+func TestBatchIsWhatQueuedWhileTheLastForwardRan(t *testing.T) {
+	const maxBatch, k = 4, 7
+	m := &steppedModel{stubModel: stubModel{gate: make(chan struct{})}, entered: make(chan int)}
+	r := newTestReplica(t, m, Config{MaxBatch: maxBatch, QueueDepth: k, RequestTimeout: -1})
+
+	reqs := []*request{enqueue(t, r, testImage(0))}
+	if got := <-m.entered; got != 1 {
+		t.Fatalf("the lone request's forward has batch %d, want 1", got)
+	}
+	for i := 1; i <= k; i++ {
+		reqs = append(reqs, enqueue(t, r, testImage(float32(i)*0.01)))
+	}
+	for _, want := range []int{maxBatch, k - maxBatch} {
+		m.gate <- struct{}{}
+		if got := <-m.entered; got != want {
+			t.Fatalf("forward of batch %d, want %d", got, want)
+		}
+	}
+	m.gate <- struct{}{}
+	for _, req := range reqs {
+		answer(t, r, req)
+	}
+	if mb, want := r.Metrics().MeanBatchSize, float64(1+k)/3; mb != want {
+		t.Fatalf("mean batch size %v, want %v", mb, want)
+	}
+}
+
+// Two clients, two frame sizes, one batch: held behind a forward in flight,
+// small, small, large, small queue together. Each must be answered bitwise as
+// that frame is answered alone — one forward per same-shape run (2, 1, 1) —
+// where stacking them at the first frame's size answered the large one from a
+// truncated copy, with a 200.
+func TestMixedSizeBatchAnswersEachFrameAtItsOwnSize(t *testing.T) {
+	large := tensor.New(3, 12, 16)
+	for i := range large.Data {
+		large.Data[i] = float32(i%97) * 0.01
+	}
+	images := []*tensor.Tensor{testImage(0.1), testImage(0.2), large, testImage(0.3)}
+
+	gate := make(chan struct{})
+	m := &enteringModel{stubModel: stubModel{gate: gate}, entered: make(chan struct{})}
+	r := newTestReplica(t, m, Config{MaxBatch: 8, RequestTimeout: -1})
+
+	held := enqueue(t, r, testImage(0.9))
+	<-m.entered
+	var batched []*request
+	for _, img := range images {
+		batched = append(batched, enqueue(t, r, img))
+	}
+	close(gate)
+	answer(t, r, held)
+	for i, req := range batched {
+		box, conf := answer(t, r, req)
+		aloneBox, aloneConf := answer(t, r, enqueue(t, r, images[i]))
+		if box != aloneBox || conf != aloneConf {
+			t.Errorf("frame %d %v: in the mixed batch %+v conf %v, alone %+v conf %v",
+				i, images[i].Shape(), box, conf, aloneBox, aloneConf)
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if want := []int{1, 2, 1, 1, 1, 1, 1, 1}; !slices.Equal(m.batches, want) {
+		t.Errorf("forwards ran batches %v, want %v", m.batches, want)
 	}
 }
 

@@ -167,7 +167,7 @@ func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) 
 		tr:       tr,
 		sessions: make(map[string]*session),
 	}
-	s.start(cfg.QueueDepth, cfg.RequestTimeout, 1, 0, func(batch []*trackReq) {
+	s.start(cfg.QueueDepth, cfg.RequestTimeout, 1, func(batch []*trackReq) {
 		for _, req := range batch {
 			if req.live() {
 				req.err = s.inferOne(req)
