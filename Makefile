@@ -96,18 +96,20 @@ short:
 race:
 	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/... ./internal/quant/...
 
-# purego runs the kernel-bearing packages with the assembly micro-kernels
-# compiled out, so the portable fallback (and its dispatch seam) cannot
-# rot. The same tests run again with SKYNET_KERNEL=purego on a normal
-# build to cover the runtime-selection path. nn and backbone ride along:
-# the inference plan must equal the layer walk under either micro-kernel
-# (the small-problem crossover, hence which GEMM store fuses, differs), and
-# quant because the int8 engine sits on the int8 micro-kernel's purego ≡ avx2
-# contract.
+# purego runs the kernel-bearing packages with the assembly kernels — the
+# GEMM micro-kernels and the row kernels — compiled out, so the portable Go
+# loops (and the dispatch seam) cannot rot. The same tests run again with
+# SKYNET_KERNEL=purego on a normal build to cover the runtime-selection path.
+# nn and backbone ride along: the inference plan must equal the layer walk
+# under either kernel set (the small-problem crossover, hence which GEMM store
+# fuses, differs), quant because the int8 engine sits on the purego ≡ avx2
+# contract of the int8 kernels, and track and detect so that the tracker's
+# backbone and the stream stages run on the portable rows as well.
 # -count=1: the test cache does not key on the environment variable.
+PUREGO_PKGS = ./internal/tensor ./internal/cpufeat ./internal/nn ./internal/backbone ./internal/quant ./internal/track ./internal/detect
 purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/cpufeat ./internal/nn ./internal/backbone ./internal/quant
-	SKYNET_KERNEL=purego $(GO) test -count=1 ./internal/tensor ./internal/cpufeat ./internal/nn ./internal/backbone ./internal/quant
+	$(GO) test -tags purego $(PUREGO_PKGS)
+	SKYNET_KERNEL=purego $(GO) test -count=1 $(PUREGO_PKGS)
 
 # arm64 cross-compiles the whole tree for the other deployment
 # architecture: the build tags on the amd64 assembly must keep every

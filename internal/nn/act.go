@@ -38,9 +38,7 @@ func (r *ReLU) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 //
 //skynet:hotpath
 func reluInto(dst, src []float32, cap float32) {
-	for i, v := range src {
-		dst[i] = tensor.ReLUClamp(v, cap)
-	}
+	tensor.ReLUClampRow(dst, src, cap)
 }
 
 // Backward passes the gradient where Forward left the value alone: inside

@@ -78,7 +78,7 @@ func genBundle(rng *rand.Rand) bundleCase {
 
 // withKernels runs fn under the pure-Go micro-kernel and, where the binary
 // has it, the AVX2 one, and restores the kernel in use.
-func withKernels(t *testing.T, fn func(kernel string)) {
+func withKernels(t testing.TB, fn func(kernel string)) {
 	t.Helper()
 	old := tensor.KernelName()
 	defer func() {

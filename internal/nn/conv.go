@@ -378,58 +378,67 @@ func (d *DWConv3) rows(dst, in []float32, ch, oy int) {
 // int8 codes summed in int32 by internal/quant, which requantizes the row
 // as it stores it.
 //
-// Output pixels whose whole window lies inside the image — all but a ring
-// of width pad — take a loop with no bounds tests, unrolled for the 3×3
-// stride-1 case; the ring takes dwPixel, the general form. Both start from
-// the bias and add the taps in ascending (ky, kx) order, so where the split
-// falls changes no bit.
+// A tap outside the image contributes nothing, so a row at the top or bottom
+// edge is a row under the kernel rows that lie inside the image, and along a
+// row every output whose k columns all lie inside — all but pad at each end —
+// takes dwInteriorRow, a loop with no bounds tests (vector code for the 3-wide
+// stride-1 case where the kernel has it); the end columns take dwPixel. All
+// start from the bias and add the remaining taps in ascending (ky, kx) order,
+// so where the splits fall changes no bit.
 //
 //skynet:hotpath
 func DWRow[E float32 | int8, A float32 | int32](acc []A, in, ker []E, bias A, h, w, k, stride, pad, oy int) {
 	iy0 := oy*stride - pad
-	x0, x1 := len(acc), len(acc) // a ring row has no interior
-	if iy0 >= 0 && iy0+k <= h {
-		x0, x1 = interior(w, len(acc), k, stride, pad)
+	ky0, ky1 := inside(iy0, k, h)
+	x0, x1 := interior(w, len(acc), k, stride, pad)
+	if ky0 >= ky1 {
+		x0, x1 = len(acc), len(acc) // no kernel row inside: dwPixel's loop is empty, the row is the bias
 	}
 	for ox := 0; ox < x0; ox++ {
 		acc[ox] = dwPixel(in, ker, bias, h, w, k, iy0, ox*stride-pad)
 	}
 	if x0 < x1 {
-		// The window of output x0 has its top-left corner here.
-		dwInteriorRow(acc[x0:x1], in[iy0*w+x0*stride-pad:], ker, bias, w, k, stride)
+		// The window of output x0 has its top-left corner at column
+		// x0·stride-pad; its first row inside the image is iy0+ky0.
+		dwInteriorRow(acc[x0:x1], in[(iy0+ky0)*w+x0*stride-pad:], ker[ky0*k:ky1*k], bias, w, k, stride)
 	}
 	for ox := x1; ox < len(acc); ox++ {
 		acc[ox] = dwPixel(in, ker, bias, h, w, k, iy0, ox*stride-pad)
 	}
 }
 
-// dwInteriorRow computes consecutive outputs o of one row whose windows lie
-// wholly inside the image; in starts at the first window's top-left corner
-// and w is the image's row stride.
+// dwInteriorRow computes consecutive outputs o of one row whose windows'
+// columns lie wholly inside the image, under the len(ker)/k kernel rows
+// given; in starts at the first window's top-left tap among those rows and w
+// is the image's row stride.
 //
 //skynet:hotpath
 func dwInteriorRow[E float32 | int8, A float32 | int32](o []A, in, ker []E, bias A, w, k, stride int) {
 	if k == 3 && stride == 1 {
-		r0, r1, r2 := in[:len(o)+2], in[w:w+len(o)+2], in[2*w:2*w+len(o)+2]
-		k0, k1, k2, k3, k4, k5, k6, k7, k8 := A(ker[0]), A(ker[1]), A(ker[2]), A(ker[3]), A(ker[4]), A(ker[5]), A(ker[6]), A(ker[7]), A(ker[8])
-		for i := range o {
-			s := bias
-			s += A(r0[i]) * k0
-			s += A(r0[i+1]) * k1
-			s += A(r0[i+2]) * k2
-			s += A(r1[i]) * k3
-			s += A(r1[i+1]) * k4
-			s += A(r1[i+2]) * k5
-			s += A(r2[i]) * k6
-			s += A(r2[i+1]) * k7
-			s += A(r2[i+2]) * k8
-			o[i] = s
+		n := tensor.DW3Row(o, in, w, ker, bias) // the vector kernel's share, if there is one
+		o, in = o[n:], in[n:]
+		if len(ker) == 9 {
+			r0, r1, r2 := in[:len(o)+2], in[w:w+len(o)+2], in[2*w:2*w+len(o)+2]
+			k0, k1, k2, k3, k4, k5, k6, k7, k8 := A(ker[0]), A(ker[1]), A(ker[2]), A(ker[3]), A(ker[4]), A(ker[5]), A(ker[6]), A(ker[7]), A(ker[8])
+			for i := range o {
+				s := bias
+				s += A(r0[i]) * k0
+				s += A(r0[i+1]) * k1
+				s += A(r0[i+2]) * k2
+				s += A(r1[i]) * k3
+				s += A(r1[i+1]) * k4
+				s += A(r1[i+2]) * k5
+				s += A(r2[i]) * k6
+				s += A(r2[i+1]) * k7
+				s += A(r2[i+2]) * k8
+				o[i] = s
+			}
+			return
 		}
-		return
 	}
 	for i := range o {
 		s := bias
-		for ky := 0; ky < k; ky++ {
+		for ky := 0; ky*k < len(ker); ky++ {
 			row := in[i*stride+ky*w:]
 			for kx, kv := range ker[ky*k : (ky+1)*k] {
 				s += A(row[kx]) * A(kv)
@@ -437,6 +446,14 @@ func dwInteriorRow[E float32 | int8, A float32 | int32](o []A, in, ker []E, bias
 		}
 		o[i] = s
 	}
+}
+
+// inside returns the half-open range of the k taps starting at input
+// position i0 that fall inside [0, size).
+//
+//skynet:hotpath
+func inside(i0, k, size int) (lo, hi int) {
+	return max(0, -i0), min(k, size-i0)
 }
 
 // interior returns the half-open range of output positions along one axis
@@ -453,23 +470,18 @@ func interior(size, out, k, stride, pad int) (lo, hi int) {
 }
 
 // dwPixel is one depth-wise output whose k×k window, with top-left input
-// corner (iy0, ix0), may hang over the image edge: taps outside contribute
-// nothing.
+// corner (iy0, ix0), may hang over the image edge: only the taps inside are
+// visited.
 //
 //skynet:hotpath
 func dwPixel[E float32 | int8, A float32 | int32](in, ker []E, bias A, h, w, k, iy0, ix0 int) A {
+	ky0, ky1 := inside(iy0, k, h)
+	kx0, kx1 := inside(ix0, k, w)
 	s := bias
-	for ky := 0; ky < k; ky++ {
-		iy := iy0 + ky
-		if iy < 0 || iy >= h {
-			continue
-		}
-		for kx := 0; kx < k; kx++ {
-			ix := ix0 + kx
-			if ix < 0 || ix >= w {
-				continue
-			}
-			s += A(in[iy*w+ix]) * A(ker[ky*k+kx])
+	for ky := ky0; ky < ky1; ky++ {
+		row, taps := in[(iy0+ky)*w:(iy0+ky+1)*w], ker[ky*k:(ky+1)*k]
+		for kx := kx0; kx < kx1; kx++ {
+			s += A(row[ix0+kx]) * A(taps[kx])
 		}
 	}
 	return s

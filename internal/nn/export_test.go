@@ -16,3 +16,6 @@ func SetBandBudget(t *testing.T, bytes int) {
 	bandBudget = bytes
 	t.Cleanup(func() { bandBudget = old })
 }
+
+// MaxPoolInto is maxPoolInto, for the row sweeps.
+var MaxPoolInto = maxPoolInto

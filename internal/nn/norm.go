@@ -113,10 +113,7 @@ func (b *BatchNorm) evalInto(dst, src []float32, n, hw int) {
 		g, bt := b.Gamma.W.Data[c], b.Beta.W.Data[c]
 		for i := 0; i < n; i++ {
 			base := (i*b.C + c) * hw
-			d := dst[base : base+hw]
-			for j, v := range src[base : base+hw] {
-				d[j] = tensor.BNEval(v, g, mean, inv, bt)
-			}
+			tensor.BNEvalRow(dst[base:base+hw], src[base:base+hw], g, mean, inv, bt)
 		}
 	}
 }

@@ -36,7 +36,8 @@ func (m *MaxPool) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 // greater one, in row-major order, so a leading NaN stays and a later one
 // is skipped. The running maximum is carried as a bit pattern next to its
 // value: replacing it is then a conditional move, not a branch that
-// mispredicts on every other element.
+// mispredicts on every other element. The leading outputs of a 2×2 row go to
+// the vector kernel where there is one (tensor.MaxPool2Row, the same rule).
 //
 //skynet:hotpath
 func maxPoolInto(dst, src []float32, planes, h, w, k int) {
@@ -48,7 +49,7 @@ func maxPoolInto(dst, src []float32, planes, h, w, k int) {
 			orow := out[oy*outW : (oy+1)*outW]
 			if k == 2 { // SkyNet's pooling, unrolled
 				r0, r1 := in[2*oy*w:][:2*outW], in[(2*oy+1)*w:][:2*outW]
-				for ox := range orow {
+				for ox := tensor.MaxPool2Row(orow, r0, r1); ox < len(orow); ox++ {
 					best, bits := maxStep(r0[2*ox], math.Float32bits(r0[2*ox]), r0[2*ox+1])
 					best, bits = maxStep(best, bits, r1[2*ox])
 					orow[ox], _ = maxStep(best, bits, r1[2*ox+1])

@@ -56,7 +56,7 @@ type observer struct {
 func newObserver(m CalibMethod) *observer { return &observer{method: m, stride: 1} }
 
 func (o *observer) observe(data []float32) {
-	if a := maxAbsFinite(data); a > o.maxAbs {
+	if a := tensor.MaxAbsFinite(data); a > o.maxAbs {
 		o.maxAbs = a
 	}
 	if o.method != CalibPercentile {
@@ -183,7 +183,7 @@ func QuantizeWeightsPerChannel(w []float32, rows, cols int) ([]int8, []float32) 
 	scales := make([]float32, rows)
 	for r := 0; r < rows; r++ {
 		row := w[r*cols : (r+1)*cols]
-		s := int8Scale(maxAbsFinite(row))
+		s := int8Scale(tensor.MaxAbsFinite(row))
 		scales[r] = s
 		for c, v := range row {
 			codes[r*cols+c] = quantizeCode(v, s)

@@ -54,8 +54,8 @@ type value struct {
 //skynet:hotpath
 func quantizeInto(dst []int8, src []float32, scale float32) {
 	inv := 1 / float64(scale)
-	for i, v := range src {
-		dst[i] = clampCode(math.RoundToEven(float64(v) * inv))
+	for i := tensor.QuantizeRow(dst, src, inv); i < len(src); i++ {
+		dst[i] = clampCode(math.RoundToEven(float64(src[i]) * inv))
 	}
 }
 
@@ -73,8 +73,8 @@ func clampCode(r float64) int8 {
 //
 //skynet:hotpath
 func dequantizeInto(dst []float32, src []int8, scale float32) {
-	for i, c := range src {
-		dst[i] = float32(c) * scale
+	for i := tensor.DequantizeRow(dst, src, scale); i < len(src); i++ {
+		dst[i] = float32(src[i]) * scale
 	}
 }
 
@@ -542,9 +542,7 @@ func (q *qdw) planes(lo, hi int) {
 func dwPlaneInt8(dst, src, ker []int8, acc []int32, h, w, k, stride, pad int, bias int32, mult float32) {
 	for oy := 0; oy*len(acc) < len(dst); oy++ {
 		nn.DWRow(acc, src, ker, bias, h, w, k, stride, pad, oy)
-		for ox, a := range acc {
-			dst[oy*len(acc)+ox] = tensor.RequantizeRNE(a, mult, -127, 127)
-		}
+		tensor.RequantizeRow(dst[oy*len(acc):(oy+1)*len(acc)], acc, 0, mult, -127, 127)
 	}
 }
 
@@ -553,7 +551,7 @@ func dwPlaneInt8(dst, src, ker []int8, acc []int32, h, w, k, stride, pad int, bi
 type qrelu struct{ hi int8 }
 
 func (q *qrelu) run(m *QuantizedModel, s *nn.Step) {
-	rescaleCodes(m.dest(s.Out), m.codes(s.Inputs[0]), 1, 0, q.hi)
+	tensor.RescaleCodes(m.dest(s.Out), m.codes(s.Inputs[0]), 1, 0, q.hi)
 }
 
 // qpool is max pooling on codes: scales are positive, so the code-domain
@@ -576,7 +574,8 @@ func (q *qpool) planes(lo, hi int) {
 }
 
 // maxPoolCodes pools each of the [h,w] planes of src into dst; the 2×2
-// pooling of SkyNet is unrolled. The maxima are taken on int32: amd64 has no
+// pooling of SkyNet is unrolled, its leading outputs going to the vector
+// kernel where there is one. The Go maxima are taken on int32: amd64 has no
 // byte-wide conditional move, and on codes a branch mispredicts every other
 // element.
 //
@@ -590,7 +589,7 @@ func maxPoolCodes(dst, src []int8, planes, h, w, k int) {
 			orow := out[oy*outW : (oy+1)*outW]
 			if k == 2 {
 				r0, r1 := in[2*oy*w:][:2*outW], in[(2*oy+1)*w:][:2*outW]
-				for ox := range orow {
+				for ox := tensor.MaxPool2RowInt8(orow, r0, r1); ox < len(orow); ox++ {
 					orow[ox] = int8(max(int32(r0[2*ox]), int32(r0[2*ox+1]), int32(r1[2*ox]), int32(r1[2*ox+1])))
 				}
 				continue
@@ -627,18 +626,9 @@ func (q *qconcat) run(m *QuantizedModel, s *nn.Step) {
 	for k, j := range s.Inputs {
 		src, sz := m.codes(j), m.val(j).size
 		for img := 0; img < m.batch; img++ {
-			rescaleCodes(dst[img*s.Size+at:img*s.Size+at+sz], src[img*sz:(img+1)*sz], q.mults[k], -127, 127)
+			tensor.RescaleCodes(dst[img*s.Size+at:img*s.Size+at+sz], src[img*sz:(img+1)*sz], q.mults[k], -127, 127)
 		}
 		at += sz
-	}
-}
-
-// rescaleCodes writes round(code·mult) clamped to [lo, hi].
-//
-//skynet:hotpath
-func rescaleCodes(dst, src []int8, mult float32, lo, hi int8) {
-	for i, v := range src {
-		dst[i] = tensor.RequantizeRNE(int32(v), mult, lo, hi)
 	}
 }
 

@@ -43,7 +43,7 @@ type Quantizer struct {
 func Calibrate(bits int, data []float32) Quantizer {
 	q := Quantizer{Bits: bits}
 	levels := float32(int64(1)<<(bits-1)) - 1
-	maxAbs := maxAbsFinite(data)
+	maxAbs := tensor.MaxAbsFinite(data)
 	if maxAbs == 0 || levels <= 0 {
 		q.Scale = 1
 		return q
@@ -55,23 +55,6 @@ func Calibrate(bits int, data []float32) Quantizer {
 		q.Scale = 1
 	}
 	return q
-}
-
-// maxAbsFinite returns the largest finite |v| in data; NaN and ±Inf
-// observations are ignored (NaN fails every comparison, Inf fails the
-// MaxFloat32 bound).
-func maxAbsFinite(data []float32) float32 {
-	var maxAbs float32
-	for _, v := range data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs && a <= math.MaxFloat32 {
-			maxAbs = a
-		}
-	}
-	return maxAbs
 }
 
 // MaxCode returns the largest positive code.

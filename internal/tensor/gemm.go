@@ -147,31 +147,30 @@ func ReLUClamp(v, cap float32) float32 {
 	return min(max(v, 0), hi)
 }
 
-// hasTail reports whether finished elements need more than the bias.
+// mode is the tail as rowTail's mode bits: 0 when finished elements need no
+// more than the bias.
 //
 //skynet:hotpath
-func (e *RowEpilogue) hasTail() bool { return e.Gamma != nil || e.ReLU }
+func (e *RowEpilogue) mode() int {
+	m := 0
+	if e.Gamma != nil {
+		m |= tailBN
+	}
+	if e.ReLU {
+		m |= tailReLU
+	}
+	return m
+}
 
 // finish applies the tail to finished elements of row i.
 //
 //skynet:hotpath
 func (e *RowEpilogue) finish(crow []float32, i int) {
-	switch {
-	case e.Gamma != nil && e.ReLU:
-		g, mean, inv, bt := e.Gamma[i], e.Mean[i], e.Inv[i], e.Beta[i]
-		for j, v := range crow {
-			crow[j] = ReLUClamp(BNEval(v, g, mean, inv, bt), e.Cap)
-		}
-	case e.Gamma != nil:
-		g, mean, inv, bt := e.Gamma[i], e.Mean[i], e.Inv[i], e.Beta[i]
-		for j, v := range crow {
-			crow[j] = BNEval(v, g, mean, inv, bt)
-		}
-	case e.ReLU:
-		for j, v := range crow {
-			crow[j] = ReLUClamp(v, e.Cap)
-		}
+	var g, mean, inv, bt float32
+	if e.Gamma != nil {
+		g, mean, inv, bt = e.Gamma[i], e.Mean[i], e.Inv[i], e.Beta[i]
 	}
+	rowTail(crow, crow, e.mode(), g, mean, inv, bt, e.Cap)
 }
 
 // gemmScratch holds one worker's private packing buffers. Buffers are
@@ -483,9 +482,7 @@ func (g *gemmCall) runNaive() {
 				if av == 0 {
 					continue
 				}
-				for j, bv := range g.b[p*g.ldb : p*g.ldb+len(crow)] {
-					crow[j] += av * bv
-				}
+				axpyRow(crow, g.b[p*g.ldb:p*g.ldb+len(crow)], av)
 			}
 		}
 		if g.acc {
@@ -516,7 +513,7 @@ func (g *gemmCall) run(j0, j1 int, s *gemmScratch) {
 			kc := min(gemmKC, g.k-pc)
 			g.packB(s.bp, pc, kc, jc, nc)
 			overwrite := pc == 0 && !g.acc
-			finish := pc+kc == g.k && !g.acc && g.row.hasTail()
+			finish := pc+kc == g.k && !g.acc && g.row.mode() != 0
 			for ic := 0; ic < g.m; ic += gemmMC {
 				mc := min(gemmMC, g.m-ic)
 				g.packA(s.ap, ic, mc, pc, kc)
@@ -613,6 +610,30 @@ func microKernelRef(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32) {
 //
 //skynet:hotpath
 func (g *gemmCall) storeTile(tile *[gemmMR * gemmNR]float32, i0, j0, mr, nr int, overwrite, finish bool) {
+	if f := rows.storeTile; f != nil && mr == gemmMR && nr == gemmNR && g.colBias == nil {
+		// One call per whole tile, not one per tile row: at SkyNet's k a tile
+		// is a hundred nanoseconds of multiplying, and four calls with this
+		// loop around them cost a quarter of that again.
+		e, mode := &g.row, tailAcc
+		var bias, gamma, mean, inv, beta *float32
+		if overwrite {
+			mode = 0
+			if e.Bias != nil {
+				_ = e.Bias[i0+gemmMR-1]
+				bias = &e.Bias[i0]
+			}
+		}
+		if finish {
+			mode |= e.mode()
+			if e.Gamma != nil {
+				_, _, _, _ = e.Gamma[i0+gemmMR-1], e.Mean[i0+gemmMR-1], e.Inv[i0+gemmMR-1], e.Beta[i0+gemmMR-1]
+				gamma, mean, inv, beta = &e.Gamma[i0], &e.Mean[i0], &e.Inv[i0], &e.Beta[i0]
+			}
+		}
+		_ = g.c[(i0+gemmMR-1)*g.ldc+j0+gemmNR-1]
+		f(&g.c[i0*g.ldc+j0], g.ldc, tile, bias, gamma, mean, inv, beta, clampHi(e.Cap), mode)
+		return
+	}
 	for r := 0; r < mr; r++ {
 		crow := g.c[(i0+r)*g.ldc+j0 : (i0+r)*g.ldc+j0+nr]
 		trow := tile[r*gemmNR : r*gemmNR+nr]

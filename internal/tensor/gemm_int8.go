@@ -384,6 +384,16 @@ func i8MicroKernelRef(kp int, ap, bp []int8, tile *[i8MR * i8NR]int32) {
 //
 //skynet:hotpath
 func (g *i8gemmCall) storeTile(tile *[i8MR * i8NR]int32, i0, j0, mr, nr int) {
+	if f := rows.storeTileI; f != nil && g.mode == i8ModeRequant && mr == i8MR && nr == i8NR {
+		var bias *int32
+		if g.bias != nil {
+			_ = g.bias[i0+i8MR-1]
+			bias = &g.bias[i0]
+		}
+		_, _ = g.mult[i0+i8MR-1], g.c8[(i0+i8MR-1)*g.n+j0+i8NR-1]
+		f(&g.c8[i0*g.n+j0], g.n, tile, bias, &g.mult[i0], g.lo, g.hi)
+		return
+	}
 	for r := 0; r < mr; r++ {
 		trow := tile[r*i8NR : r*i8NR+nr]
 		var bias int32

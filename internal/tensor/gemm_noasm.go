@@ -8,3 +8,7 @@ package tensor
 func nativeKernels() (f32 gemmMicroFunc, i8 i8MicroFunc) {
 	return nil, nil
 }
+
+// nativeRowKernels reports no row kernels, for the same reason: every row
+// loop runs as Go.
+func nativeRowKernels() rowKernels { return rowKernels{} }

@@ -1,27 +1,29 @@
 package tensor
 
-// Micro-kernel dispatch. The blocked GEMMs in gemm.go and gemm_int8.go are
-// written against two function variables — gemmMicro for float32 tiles,
-// i8Micro for int8 tiles — so the packing, blocking, worker pool, and
-// epilogue layers never know which instruction set computes the tile. On
-// amd64 hosts with AVX2 the variables point at Go-assembly kernels
-// (gemm_avx2_amd64.s); everywhere else, and on builds with the `purego`
-// tag, they point at the portable Go kernels that double as the test
-// oracle.
+// Kernel dispatch. Everything in this package, internal/nn and internal/quant
+// that has an assembly implementation reaches it through three variables —
+// gemmMicro for float32 GEMM tiles, i8Micro for int8 tiles, and rows, the
+// table of row kernels (rows.go) — so the packing, blocking, worker pool,
+// epilogue and layer code never know which instruction set computes a tile
+// or a row. On amd64 hosts with AVX2 the variables hold Go-assembly routines
+// (gemm_avx2_amd64.s, rows_avx2_amd64.s); everywhere else, and on builds with
+// the `purego` tag, the micro-kernel variables hold the portable Go kernels
+// and the row table is empty, which leaves every row to its Go loop — the
+// implementations that double as the test oracle.
 //
-// The float32 kernel deliberately avoids fused multiply-add even when the
+// The float32 kernels deliberately avoid fused multiply-add even when the
 // CPU has it: FMA skips the intermediate rounding of a*b, so an FMA tile
 // is not bitwise identical to the pure-Go reference, and the repo's
 // determinism contract (identical bytes across kernels, reruns, and
 // GOMAXPROCS) is worth more than what fusing buys (an opt-in FMA tile was
 // measured no faster at 256³ or on the conv shape, and removed). The int8
-// kernel accumulates in exact integer arithmetic, so it is bitwise
+// kernels accumulate in exact integer arithmetic, so they are bitwise
 // identical to the reference by construction.
 //
 // Selection is per-process: `auto` at startup, overridable with the
-// SKYNET_KERNEL environment variable or SetKernel. SetKernel must not be
-// called concurrently with in-flight GEMMs — it is a startup/test seam,
-// not a hot-path switch.
+// SKYNET_KERNEL environment variable or SetKernel — the one switch for all
+// three variables. SetKernel must not be called concurrently with in-flight
+// GEMMs or forwards — it is a startup/test seam, not a hot-path switch.
 
 import (
 	"fmt"
@@ -57,10 +59,11 @@ func init() {
 	_ = SetKernel("auto")
 }
 
-// SetKernel selects the micro-kernel implementation by name:
+// SetKernel selects the implementation of the micro-kernels and the row
+// kernels by name:
 //
-//	auto     best available bitwise-deterministic kernel (default)
-//	purego   portable Go kernels on every path
+//	auto     best available bitwise-deterministic kernels (default)
+//	purego   portable Go kernels and row loops on every path
 //	avx2     AVX2 assembly, no FMA (bitwise identical to purego)
 //
 // It returns an error (and changes nothing) if the named kernel is not
@@ -78,6 +81,7 @@ func SetKernel(name string) error {
 	case "purego":
 		gemmMicro, gemmKernelName = microKernelRef, "purego"
 		i8Micro, i8KernelName = i8MicroKernelRef, "purego"
+		rows = rowKernels{}
 		gemmMinBlockedK = gemmMinBlockedKPure
 		return nil
 	case "avx2":
@@ -93,6 +97,7 @@ func SetKernel(name string) error {
 	} else {
 		i8Micro, i8KernelName = i8MicroKernelRef, "purego"
 	}
+	rows = nativeRowKernels()
 	// The blocked-vs-naive crossover moves with the kernel: the asm tile is
 	// fast enough that packing pays off at much shallower k (see the
 	// gemmMinBlockedK comment in gemm.go).

@@ -1,8 +1,15 @@
 package tensor
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -158,8 +165,116 @@ func TestKernelParallelDeterminism(t *testing.T) {
 	}
 }
 
+// requireSeam checks every dispatch variable of the kernel seam against the
+// state SetKernel must have left it in: under purego the two micro-kernel
+// variables hold the Go references, the small-problem crossover is the Go
+// kernel's and EVERY field of the row table is nil, so no assembly routine is
+// reachable from any entry point of this package, internal/nn or
+// internal/quant (TestAssemblyOnlyBehindSeam shows these variables are the
+// only way to one); under avx2 every one of them holds an assembly routine.
+// The row table is walked by reflection: a kernel added to it later cannot
+// be left out of the switch.
+func requireSeam(t *testing.T, asm bool) {
+	t.Helper()
+	samefn := func(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+	if got := !samefn(gemmMicro, gemmMicroFunc(microKernelRef)); got != asm {
+		t.Errorf("gemmMicro is assembly: %v, want %v", got, asm)
+	}
+	if got := !samefn(i8Micro, i8MicroFunc(i8MicroKernelRef)); got != asm {
+		t.Errorf("i8Micro is assembly: %v, want %v", got, asm)
+	}
+	if want := map[bool]int{true: gemmMinBlockedKAsm, false: gemmMinBlockedKPure}[asm]; gemmMinBlockedK != want {
+		t.Errorf("gemmMinBlockedK = %d, want %d", gemmMinBlockedK, want)
+	}
+	table := reflect.ValueOf(rows)
+	for i := 0; i < table.NumField(); i++ {
+		if f := table.Field(i); f.Kind() != reflect.Func {
+			t.Errorf("rows.%s is a %v: the table holds kernels only, so that this walk covers the seam", table.Type().Field(i).Name, f.Kind())
+		} else if f.IsNil() == asm {
+			t.Errorf("rows.%s is nil: %v, want %v", table.Type().Field(i).Name, f.IsNil(), !asm)
+		}
+	}
+	if want := map[bool]string{true: "avx2", false: "purego"}[asm]; KernelName() != want || Int8KernelName() != want {
+		t.Errorf("kernel names %q and %q, want %q", KernelName(), Int8KernelName(), want)
+	}
+}
+
+// TestAssemblyOnlyBehindSeam reads the source of the three kernel-bearing
+// packages: internal/nn and internal/quant have no assembly; every TEXT
+// symbol of this package's .s files is declared in a file built only under
+// `amd64 && !purego`, is named nowhere else, and the two functions that hand
+// the routines out — nativeKernels and nativeRowKernels — are called from
+// kernel.go alone. With requireSeam, that is "after SetKernel("purego") no
+// assembly routine is reachable".
+func TestAssemblyOnlyBehindSeam(t *testing.T) {
+	for _, dir := range []string{"../nn", "../quant"} {
+		if asm, _ := filepath.Glob(filepath.Join(dir, "*.s")); len(asm) > 0 {
+			t.Errorf("%s has assembly outside the kernel seam: %v", dir, asm)
+		}
+	}
+	symbols := map[string]bool{}
+	asmFiles, _ := filepath.Glob("*.s")
+	for _, name := range asmFiles {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(src), "//go:build amd64 && !purego\n") {
+			t.Errorf("%s is not built under `amd64 && !purego` only", name)
+		}
+		for _, m := range regexp.MustCompile(`(?m)^TEXT ·(\w+)\(SB\)`).FindAllStringSubmatch(string(src), -1) {
+			symbols[m[1]] = true
+		}
+	}
+	if len(symbols) < 2+reflect.TypeOf(rows).NumField() {
+		t.Fatalf("found %d TEXT symbols, fewer than the seam's variables hold: %v", len(symbols), symbols)
+	}
+	goFiles, _ := filepath.Glob("*.go")
+	fset := token.NewFileSet()
+	declared := map[string]bool{}
+	for _, name := range goFiles {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tagged := strings.HasPrefix(string(src), "//go:build amd64 && !purego\n")
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body == nil {
+					declared[n.Name.Name] = true
+					if !symbols[n.Name.Name] {
+						t.Errorf("%s declares %s without a body, but no .s file defines it", name, n.Name.Name)
+					}
+				}
+			case *ast.Ident:
+				if symbols[n.Name] && !tagged {
+					t.Errorf("%s names the assembly routine %s outside the tagged declaration files", name, n.Name)
+				}
+				if (n.Name == "nativeKernels" || n.Name == "nativeRowKernels") && !tagged && name != "kernel.go" && name != "gemm_noasm.go" {
+					t.Errorf("%s uses %s: only SetKernel and HasKernel may", name, n.Name)
+				}
+			}
+			return true
+		})
+	}
+	for sym := range symbols {
+		if !declared[sym] {
+			t.Errorf("assembly routine %s has no Go declaration", sym)
+		}
+	}
+}
+
 // TestSetKernel covers the selection API: round-trips, auto behaviour,
-// unknown names, and the HasKernel/SetKernel agreement.
+// unknown names, the HasKernel/SetKernel agreement, and that one call
+// switches every dispatch variable.
 func TestSetKernel(t *testing.T) {
 	old := KernelName()
 	defer func() {
@@ -170,9 +285,7 @@ func TestSetKernel(t *testing.T) {
 	if err := SetKernel("purego"); err != nil {
 		t.Fatalf("SetKernel(purego): %v", err)
 	}
-	if KernelName() != "purego" || Int8KernelName() != "purego" {
-		t.Fatalf("after purego: float=%q int8=%q", KernelName(), Int8KernelName())
-	}
+	requireSeam(t, false)
 	if err := SetKernel("nope"); err == nil {
 		t.Fatal("SetKernel(nope) must error")
 	} else if KernelName() != "purego" {
@@ -189,13 +302,13 @@ func TestSetKernel(t *testing.T) {
 	if !HasKernel("avx2") && err == nil {
 		t.Fatal("!HasKernel(avx2) but SetKernel succeeded")
 	}
-	if HasKernel("avx2") && KernelName() != "avx2" {
-		t.Fatalf("after SetKernel(avx2): KernelName=%q", KernelName())
+	requireSeam(t, HasKernel("avx2"))
+	if err := SetKernel("purego"); err != nil {
+		t.Fatalf("SetKernel(purego) after avx2: %v", err)
 	}
+	requireSeam(t, false)
 	if err := SetKernel("auto"); err != nil {
 		t.Fatalf("SetKernel(auto): %v", err)
 	}
-	if want := map[bool]string{true: "avx2", false: "purego"}[HasKernel("avx2")]; KernelName() != want {
-		t.Fatalf("auto selected %q, want %q", KernelName(), want)
-	}
+	requireSeam(t, HasKernel("avx2"))
 }
