@@ -91,10 +91,16 @@ short:
 # service with its session table, the analysis framework (whose lazy
 # Module state is shared across checker passes), the PSO search (its
 # bounded evaluation worker pool, cached engine evaluator, and job
-# service), and the int8 engine (its plane loops run on the GEMM worker
-# pool). The tests force multi-worker execution even on one CPU.
+# service), and the int8 engine (its lanes and plane loops run on the GEMM
+# worker pool). The tests force multi-worker execution even on one CPU; the
+# lane tests of both engines run again at GOMAXPROCS 1, 2 and 4 (-short: the
+# generated batch-invariance property at its reduced grid), because with
+# nn.MaxParallelism and tensor.MaxParallelism at 0 the lane count is
+# GOMAXPROCS and any test that leaves one of them unpinned sees all three.
+LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|Deterministic
 race:
 	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/... ./internal/quant/...
+	$(GO) test -race -short -cpu 1,2,4 -run '$(LANE_TESTS)' ./internal/nn ./internal/quant
 
 # purego runs the kernel-bearing packages with the assembly kernels — the
 # GEMM micro-kernels and the row kernels — compiled out, so the portable Go

@@ -390,8 +390,8 @@ func BenchmarkConvForwardSteadyState(b *testing.B) {
 // BenchmarkGraphInference measures the planned inference forward of the
 // deployed model, full-width SkyNet C on 160×320 frames, at the stream
 // executor's two batch sizes: bytes/s is input pixels, and allocs/op is the
-// caller-owned output plus the goroutines of the layer loops' splits (see
-// TestGraphInferenceSteadyStateAllocs).
+// caller-owned output tensor's three, whatever the batch and the worker count
+// (see TestGraphInferenceSteadyStateAllocs).
 func BenchmarkGraphInference(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())

@@ -81,11 +81,11 @@ func PreStage(workers int) pipeline.StageSpec {
 // quant.QuantizedModel reuses its output buffer on the next forward; an
 // nn.Graph returns a fresh tensor each time). Calls for the same model must
 // be serialized by the caller: a forward pass is not reentrant — an nn.Graph
-// keeps the feature maps of the forward in flight in one arena it owns, and
-// its layers keep the operands of the call in flight and their per-worker
-// scratch on themselves. Frames of one call must share a shape: a stack has
-// one H×W, so a mixed batch is an error, never a frame forwarded at its
-// neighbour's size.
+// (a quant.QuantizedModel likewise) keeps the feature maps of the forward in
+// flight in one arena it owns, a region per lane, and the lanes, band buffers
+// and im2col scratch that go with them. Frames of one call must share a
+// shape: a stack has one H×W, so a mixed batch is an error, never a frame
+// forwarded at its neighbour's size.
 func InferBatch(m Model, frames []*Frame) error {
 	if len(frames) == 0 {
 		return nil
@@ -130,10 +130,14 @@ func Postprocess(h *Head, f *Frame) error {
 // InferStage returns the micro-batched DNN inference stage of §6.3: the
 // pre-processed frames that queued while the previous forward ran, up to
 // maxBatch of them, are stacked into one [B,C,H,W] tensor and run through a
-// single Forward, amortizing per-call overhead exactly like the paper's
-// batched inference amortizes weight loads. The stage runs on one worker
-// because a forward pass is not reentrant (layers keep per-call state on
-// themselves, see InferBatch), so one model is driven by one inference
+// single Forward. What the micro-batch buys on a CPU is sample-level
+// parallelism without joins: once it holds a frame for every core the model
+// runs it as lanes, each core taking whole frames through the network on its
+// own one-frame set of feature-map buffers and meeting the others once per
+// forward, not once per layer — as the paper's batch shares one set of
+// on-chip buffers among four frames (§6.2, Figure 9). The stage runs on one
+// worker because a forward pass is not reentrant (the model owns the arena
+// and the lanes, see InferBatch), so one model is driven by one inference
 // worker; scale throughput with maxBatch instead.
 func InferStage(m Model, maxBatch int) pipeline.StageSpec {
 	return pipeline.StageSpec{

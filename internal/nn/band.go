@@ -14,8 +14,9 @@ import "skynet/internal/tensor"
 //
 // Nothing is computed differently: the rows come from DWRow, the product
 // from the GEMM entry point Conv2D.forwardImage uses, with the row tail, and
-// the maxima from maxPoolInto. Where the bands are cut — it depends on the
-// worker count — decides which call computes an element, never how.
+// the maxima from maxPoolInto. Where the bands are cut — it depends on how
+// many workers a lone lane splits an image across (plan.go) — decides which
+// call computes an element, never how.
 
 // bandBudget is what one band's buffers may occupy, in bytes: half of a 2 MiB
 // L2, the other half being the product's packed B block (512 KiB) and the
@@ -26,7 +27,8 @@ import "skynet/internal/tensor"
 // inputs into bands of a row or two.
 var bandBudget = 1 << 20
 
-// band is a Bundle step's structure and, while it runs, its operands.
+// band is a Bundle step's structure. A unit of its work is k depth-wise
+// output rows of an image — one row of pool windows.
 type band struct {
 	dw   *DWConv3
 	pw   *Conv2D
@@ -35,15 +37,6 @@ type band struct {
 	out  int // the node whose output the step writes: pool, else the chain's last
 	k    int // the pool's window; 1 without a pool
 	rows int // depth-wise output rows per band at most: a multiple of k
-
-	work func(lo, hi int) // workers, bound once like Conv2D.fwd
-
-	// The forward in flight. A unit is k depth-wise output rows of one image;
-	// worker i computes units [i·each, (i+1)·each) on scratch[i].
-	src, dst    []float32
-	ep          tensor.RowEpilogue
-	scratch     []bandScratch
-	units, each int
 }
 
 // bandScratch is one worker's pair of band buffers: the depth-wise rows
@@ -66,66 +59,79 @@ func (b *band) fit(outH, outW int) (dwLen, pwLen int) {
 	return b.dw.C * b.rows * outW, pwLen
 }
 
-// run computes the step for the n images [C,h,w] of src into dst and records
-// the geometry on both layers, as their forwardInto would. tail is the
-// convolution's chain, as for Conv2D.forwardInto.
+// units computes units [lo, hi) of the step on one image [C,h,w], src, into
+// the image's output dst, cut into bands on s. ep is the convolution's
+// epilogue, as for Conv2D.forwardImage, and the geometry is the one recorded
+// on both layers.
 //
 //skynet:hotpath
-func (b *band) run(dst, src []float32, n, h, w int, tail tensor.RowEpilogue, scratch []bandScratch) {
-	b.dw.record(n, h, w)
-	b.pw.record(n, b.dw.outH, b.dw.outW)
-	b.src, b.dst, b.ep, b.scratch = src, dst, b.pw.epilogue(tail), scratch
-	b.units = n * (b.dw.outH / b.k)
-	nw := min(workersFor(b.units), len(scratch))
-	b.each = (b.units + nw - 1) / nw
-	// A worker's bands call a GEMM, but a band GEMM is a leaf that dispatches
-	// nothing, so the workers may be the GEMM pool's.
-	tensor.ParallelRange(nw, b.work)
-	b.src, b.dst, b.ep, b.scratch = nil, nil, tensor.RowEpilogue{}, nil
-}
-
-// workers is run's loop body: workers [lo, hi), each cutting its units into
-// bands that stay inside one image.
-//
-//skynet:hotpath
-func (b *band) workers(lo, hi int) {
-	perImg := b.dw.outH / b.k
-	for i := lo; i < hi; i++ {
-		end := min((i+1)*b.each, b.units)
-		for u := i * b.each; u < end; {
-			img, y := u/perImg, u%perImg
-			cnt := min(b.rows/b.k, perImg-y, end-u)
-			b.compute(&b.scratch[i], img, y*b.k, cnt*b.k)
-			u += cnt
-		}
+func (b *band) units(dst, src []float32, ep tensor.RowEpilogue, s *bandScratch, lo, hi int) {
+	for u := lo; u < hi; {
+		cnt := min(b.rows/b.k, hi-u)
+		b.compute(dst, src, ep, s, u*b.k, cnt*b.k)
+		u += cnt
 	}
 }
 
-// compute is one band: depth-wise output rows [r0, r0+rows) of image img,
-// through the product, to the destination.
+// split computes the whole step on one image like units, the units dealt in
+// contiguous shares to as many workers as MaxParallelism and scratch allow,
+// worker i on scratch[i]. A worker's bands call a GEMM, but a band GEMM is a
+// leaf that dispatches nothing, so the workers may be the GEMM pool's.
 //
 //skynet:hotpath
-func (b *band) compute(s *bandScratch, img, r0, rows int) {
+func (b *band) split(dst, src []float32, ep tensor.RowEpilogue, scratch []bandScratch) {
+	units := b.dw.outH / b.k
+	nw := min(workersFor(units), len(scratch))
+	bandShares.Run(nw, bandShare{b, dst, src, ep, scratch, (units + nw - 1) / nw}, bandShare.units)
+}
+
+// bandShares runs split's workers.
+var bandShares = tensor.NewRanger[bandShare]()
+
+// bandShare is the operands of one split, as its loop body takes them.
+type bandShare struct {
+	b        *band
+	dst, src []float32
+	ep       tensor.RowEpilogue
+	scratch  []bandScratch
+	each     int // units per worker
+}
+
+// units is split's loop body: the shares of workers [lo, hi).
+//
+//skynet:hotpath
+func (a bandShare) units(lo, hi int) {
+	units := a.b.dw.outH / a.b.k
+	for i := lo; i < hi; i++ {
+		a.b.units(a.dst, a.src, a.ep, &a.scratch[i], i*a.each, min((i+1)*a.each, units))
+	}
+}
+
+// compute is one band: depth-wise output rows [r0, r0+rows) of the image,
+// through the product, to the destination. The product is a leaf call — a
+// band runs inside a lane or a lone lane's split, both on the GEMM pool.
+//
+//skynet:hotpath
+func (b *band) compute(dst, src []float32, ep tensor.RowEpilogue, s *bandScratch, r0, rows int) {
 	d, c := b.dw, b.pw
 	plane, cols, n := d.inH*d.inW, d.outH*d.outW, rows*d.outW
 	dwb := s.dw[:d.C*n]
 	for ch := 0; ch < d.C; ch++ {
-		at := (img*d.C + ch) * plane
-		d.rows(dwb[ch*n:(ch+1)*n], b.src[at:at+plane], ch, r0)
+		d.rows(dwb[ch*n:(ch+1)*n], src[ch*plane:(ch+1)*plane], ch, r0)
 	}
 	// BandOf: the unfused convolution multiplies the whole image at once.
-	p := tensor.RowProduct{M: c.OutC, N: n, K: c.InC, BandOf: cols, Ep: b.ep}
+	p := tensor.RowProduct{M: c.OutC, N: n, K: c.InC, BandOf: cols, Ep: ep}
 	if b.pool < 0 {
 		p.Ldc = cols
-		at := img*c.OutC*cols + r0*d.outW
-		tensor.MatMulRowEpilogueInto(b.dst[at:at+(c.OutC-1)*cols+n], c.Weight.W.Data, dwb, p)
+		at := r0 * d.outW
+		tensor.MatMulRowEpilogueInto(dst[at:at+(c.OutC-1)*cols+n], c.Weight.W.Data, dwb, p)
 		return
 	}
 	pwb := s.pw[:c.OutC*n]
 	tensor.MatMulRowEpilogueInto(pwb, c.Weight.W.Data, dwb, p)
 	oh, ow := d.outH/b.k, d.outW/b.k
 	for oc := 0; oc < c.OutC; oc++ {
-		at := ((img*c.OutC+oc)*oh + r0/b.k) * ow
-		maxPoolInto(b.dst[at:at+rows/b.k*ow], pwb[oc*n:(oc+1)*n], 1, rows, d.outW, b.k)
+		at := (oc*oh + r0/b.k) * ow
+		maxPoolInto(dst[at:at+rows/b.k*ow], pwb[oc*n:(oc+1)*n], 1, rows, d.outW, b.k)
 	}
 }

@@ -10,12 +10,13 @@ import (
 // matrix multiplication via im2col. Weights have logical shape
 // [OutC, InC, K, K] and are stored flattened as [OutC, InC*K*K].
 //
-// The forward and backward passes are each one parallelForWorkers loop over
-// the batch. The loop bodies are method values bound once at construction
-// (a per-call closure would allocate even when no goroutine is spawned), so
-// the operands of the call in flight are stashed in layer fields; scratch
-// is always per worker — im2col buffers and per-image tensor views — and
-// worker 0 is the calling goroutine. A warm forward allocates its output
+// Forward and Backward — the layer walk: training, an inference forward under
+// an FMHook or of a graph the plan does not wholly lower — are each one loop
+// over the batch, split across goroutines (parallelFor); the inference plan
+// instead hands forwardImage one image at a time from its lanes (plan.go).
+// Either way the operands of a call are its arguments, never layer fields;
+// scratch is per worker — im2col buffers and per-image tensor views — and
+// worker 0 is the calling goroutine. A warm Forward allocates its output
 // tensor and, beyond one worker, the goroutines of the batch split; the
 // output belongs to the caller.
 //
@@ -34,13 +35,10 @@ type Conv2D struct {
 	// Geometry of the last forward (forwardInto), for Cost and Backward.
 	lastN, inH, inW, outH, outW int
 
-	fwd, bwd func(worker, i int) // batch loop bodies: forwardImage, backwardImage
-	ws       []convScratch       // per-worker scratch, reused across calls
-	src, dst []float32           // forward in flight: input batch, output being filled
-	ep       tensor.RowEpilogue  // forward in flight: what the GEMM store applies per channel
-	dout, dx *tensor.Tensor      // Backward in flight: output gradient, input gradient
-	dwImg    []*tensor.Tensor    // per-image weight-gradient staging [OutC, InC*K*K]
-	dbImg    []float32           // per-image bias-gradient staging [n*OutC]
+	ws       []convScratch    // per-worker scratch, reused across calls
+	dout, dx *tensor.Tensor   // Backward in flight: output gradient, input gradient
+	dwImg    []*tensor.Tensor // per-image weight-gradient staging [OutC, InC*K*K]
+	dbImg    []float32        // per-image bias-gradient staging [n*OutC]
 }
 
 // convScratch is one worker's private scratch. Gradients are not
@@ -61,7 +59,6 @@ type convScratch struct {
 func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int, bias bool) *Conv2D {
 	c := &Conv2D{InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad, UseBias: bias,
 		label: "conv", Weight: NewParam("weight", outC, inC*k*k)}
-	c.fwd, c.bwd = c.forwardImage, c.backwardImage
 	c.Weight.W.HeInit(rng, inC*k*k)
 	if bias {
 		c.Bias = NewParam("bias", outC)
@@ -96,25 +93,36 @@ func (c *Conv2D) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := c.outSize(h, w)
 	out := tensor.New(n, c.OutC, outH, outW)
-	c.forwardInto(out.Data, x.Data, n, h, w, tensor.RowEpilogue{})
+	c.forwardInto(out.Data, x.Data, n, h, w)
 	c.x = cacheIf(train, x)
 	return out
 }
 
-// forwardInto convolves the n images [InC,h,w] of src into dst and records
-// the geometry. tail's batch norm and clamp (its Bias is ignored: the
-// layer's own is used) run in the GEMM store; the inference plan uses that
-// to fuse the conv's sole-consumer BatchNorm and ReLU.
+// forwardInto convolves the n images [InC,h,w] of src into dst, the images
+// split across workers, and records the geometry.
 //
 //skynet:hotpath
-func (c *Conv2D) forwardInto(dst, src []float32, n, h, w int, tail tensor.RowEpilogue) {
+func (c *Conv2D) forwardInto(dst, src []float32, n, h, w int) {
 	c.record(n, h, w)
 	if !c.direct() {
 		c.ensureScratch(workersFor(n))
 	}
-	c.src, c.dst, c.ep = src, dst, c.epilogue(tail)
-	parallelForWorkers(n, c.fwd)
-	c.src, c.dst, c.ep = nil, nil, tensor.RowEpilogue{}
+	parallelFor(n, convImages{c, dst, src}, convImages.image)
+}
+
+// convImages is the operands of one forwardInto, as its loop body takes them.
+type convImages struct {
+	c        *Conv2D
+	dst, src []float32
+}
+
+// image is forwardInto's loop body: image i on the given worker's scratch.
+//
+//skynet:hotpath
+func (a convImages) image(worker, i int) {
+	c := a.c
+	imgSz, perImg := c.InC*c.inH*c.inW, c.OutC*c.outH*c.outW
+	c.forwardImage(a.dst[i*perImg:(i+1)*perImg], a.src[i*imgSz:(i+1)*imgSz], worker, c.epilogue(tensor.RowEpilogue{}), false)
 }
 
 // record notes the geometry of a forward over n images [InC,h,w], which is
@@ -128,7 +136,8 @@ func (c *Conv2D) record(n, h, w int) {
 	c.outH, c.outW = c.outSize(h, w)
 }
 
-// epilogue is tail with the layer's own bias in place of tail's.
+// epilogue is tail — a fused chain's batch norm and clamp, or nothing — with
+// the layer's own bias in place of tail's.
 //
 //skynet:hotpath
 func (c *Conv2D) epilogue(tail tensor.RowEpilogue) tensor.RowEpilogue {
@@ -151,22 +160,27 @@ func (c *Conv2D) outSize(h, w int) (int, int) {
 //skynet:hotpath
 func (c *Conv2D) direct() bool { return c.K == 1 && c.Stride == 1 && c.Pad == 0 }
 
-// forwardImage is forwardInto's loop body: image i on the given worker's
-// scratch.
+// forwardImage convolves one image [InC,inH,inW] of the recorded geometry
+// into dst on the given worker's scratch — the one convolution of both
+// walks. ep (epilogue) runs in the GEMM store: the inference plan fuses the
+// conv's sole-consumer BatchNorm and ReLU there. A leaf call multiplies on
+// the calling goroutine alone, as one lane among several must; the bits are
+// the same.
 //
 //skynet:hotpath
-func (c *Conv2D) forwardImage(worker, i int) {
+func (c *Conv2D) forwardImage(dst, src []float32, worker int, ep tensor.RowEpilogue, leaf bool) {
 	cols := c.outH * c.outW
-	imgSz, perImg := c.InC*c.inH*c.inW, c.OutC*cols
-	b := c.src[i*imgSz : (i+1)*imgSz]
 	if !c.direct() {
 		s := &c.ws[worker]
-		s.img = viewInto3(s.img, b, c.InC, c.inH, c.inW)
+		s.img = viewInto3(s.img, src, c.InC, c.inH, c.inW)
 		tensor.Im2Col(s.col, s.img, c.K, c.K, c.Stride, c.Pad)
-		b = s.col.Data
+		src = s.col.Data
 	}
-	tensor.MatMulRowEpilogueInto(c.dst[i*perImg:(i+1)*perImg], c.Weight.W.Data, b,
-		tensor.RowProduct{M: c.OutC, N: cols, K: c.InC * c.K * c.K, Ep: c.ep})
+	p := tensor.RowProduct{M: c.OutC, N: cols, K: c.InC * c.K * c.K, Ep: ep}
+	if leaf {
+		p.BandOf = cols
+	}
+	tensor.MatMulRowEpilogueInto(dst, c.Weight.W.Data, src, p)
 }
 
 // ensureScratch sizes the per-worker scratch for nw workers at the current
@@ -209,7 +223,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	}
 	dx := tensor.New(n, c.InC, c.inH, c.inW)
 	c.dout, c.dx = dout, dx
-	parallelForWorkers(n, c.bwd)
+	parallelFor(n, c, (*Conv2D).backwardImage)
 	c.dout, c.dx = nil, nil
 	for i := 0; i < n; i++ {
 		c.Weight.G.AddInPlace(c.dwImg[i])
@@ -276,9 +290,6 @@ type DWConv3 struct {
 	x       *tensor.Tensor // input of the last training forward, for Backward
 	// Geometry of the last forward (forwardInto), for Cost and Backward.
 	lastN, inH, inW, outH, outW int
-
-	fwd      func(lo, hi int) // plane loop body (forwardPlanes), bound at construction like Conv2D's
-	src, dst []float32        // forward in flight: input batch, output being filled
 }
 
 // NewDWConv3 constructs a depth-wise convolution with He initialization.
@@ -286,7 +297,6 @@ type DWConv3 struct {
 func NewDWConv3(rng *rand.Rand, c, k int, bias bool) *DWConv3 {
 	d := &DWConv3{C: c, K: k, Stride: 1, Pad: k / 2, UseBias: bias,
 		Weight: NewParam("weight", c, k, k)}
-	d.fwd = d.forwardPlanes
 	d.Weight.W.HeInit(rng, k*k)
 	if bias {
 		d.Bias = NewParam("bias", c)
@@ -321,19 +331,38 @@ func (d *DWConv3) outSize(h, w int) (int, int) {
 	return tensor.ConvOut(h, d.K, d.Stride, d.Pad), tensor.ConvOut(w, d.K, d.Stride, d.Pad)
 }
 
-// forwardInto convolves the n images [C,h,w] of src into dst and records
-// the geometry.
+// forwardInto convolves the n images [C,h,w] of src into dst and records the
+// geometry.
 //
 //skynet:hotpath
 func (d *DWConv3) forwardInto(dst, src []float32, n, h, w int) {
 	d.record(n, h, w)
-	d.src, d.dst = src, dst
-	// Each (image, channel) plane is independent, and a plane calls no GEMM:
-	// the loop is a leaf the GEMM pool's workers may run, so a warm forward
-	// starts no goroutine and allocates nothing.
-	tensor.ParallelRange(n*d.C, d.fwd)
-	d.src, d.dst = nil, nil
+	d.splitPlanes(dst, src, n)
 }
+
+// splitPlanes convolves n images of the recorded geometry with the planes
+// dealt across the GEMM pool: each (image, channel) plane is independent and
+// a plane calls no GEMM, so the loop is a leaf the pool's workers may run, and
+// a warm call starts no goroutine and allocates nothing.
+//
+//skynet:hotpath
+func (d *DWConv3) splitPlanes(dst, src []float32, n int) {
+	dwPlanes.Run(n*d.C, dwImages{d, dst, src}, dwImages.planes)
+}
+
+// dwPlanes runs splitPlanes' loops.
+var dwPlanes = tensor.NewRanger[dwImages]()
+
+// dwImages is the operands of one splitPlanes, as its loop body takes them.
+type dwImages struct {
+	d        *DWConv3
+	dst, src []float32
+}
+
+// planes is splitPlanes' loop body.
+//
+//skynet:hotpath
+func (a dwImages) planes(lo, hi int) { a.d.planes(a.dst, a.src, lo, hi) }
 
 // record is Conv2D.record for the depth-wise layer.
 //
@@ -344,14 +373,15 @@ func (d *DWConv3) record(n, h, w int) {
 	d.outH, d.outW = d.outSize(h, w)
 }
 
-// forwardPlanes is forwardInto's loop body: output planes [lo, hi) of the
-// flattened n×C (image, channel) grid.
+// planes convolves planes [lo, hi) of the flattened (image, channel) grid of
+// src, images [C,inH,inW] of the recorded geometry, into their planes of dst:
+// of one image, channels [lo, hi).
 //
 //skynet:hotpath
-func (d *DWConv3) forwardPlanes(lo, hi int) {
-	h, w, outH, outW := d.inH, d.inW, d.outH, d.outW
+func (d *DWConv3) planes(dst, src []float32, lo, hi int) {
+	in, out := d.inH*d.inW, d.outH*d.outW
 	for idx := lo; idx < hi; idx++ {
-		d.rows(d.dst[idx*outH*outW:(idx+1)*outH*outW], d.src[idx*h*w:(idx+1)*h*w], idx%d.C, 0)
+		d.rows(dst[idx*out:(idx+1)*out], src[idx*in:(idx+1)*in], idx%d.C, 0)
 	}
 }
 
@@ -489,56 +519,66 @@ func dwPixel[E float32 | int8, A float32 | int32](in, ker []E, bias A, h, w, k, 
 
 func (d *DWConv3) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	x := needTrainForward(d.x, "dwconv3")
-	n, h, w := d.lastN, d.inH, d.inW
-	dx := tensor.New(n, d.C, h, w)
+	dx := tensor.New(d.lastN, d.C, d.inH, d.inW)
 	// Parallel over channels, with the batch loop inside: every write
 	// target — Weight.G[ch], Bias.G[ch] and the (i, ch) planes of dx — is
 	// private to one channel, so this partitioning is race-free without
 	// staging (contrast Conv2D.Backward, where the whole weight tensor is
 	// shared across the batch and per-image contributions must be merged).
-	parallelForWorkers(d.C, func(_, ch int) {
-		ker := d.Weight.W.Data[ch*d.K*d.K:]
-		dker := d.Weight.G.Data[ch*d.K*d.K:]
-		var dbias float32
-		for i := 0; i < n; i++ {
-			in := x.Data[(i*d.C+ch)*h*w:]
-			dob := dout.Data[(i*d.C+ch)*d.outH*d.outW:]
-			dxb := dx.Data[(i*d.C+ch)*h*w:]
-			oi := 0
-			for oy := 0; oy < d.outH; oy++ {
-				for ox := 0; ox < d.outW; ox++ {
-					g := dob[oi]
-					oi++
-					if g == 0 {
+	parallelFor(d.C, dwGrads{d, x, dout, dx}, dwGrads.channel)
+	return []*tensor.Tensor{dx}
+}
+
+// dwGrads is the operands of one Backward, as its loop body takes them.
+type dwGrads struct {
+	d           *DWConv3
+	x, dout, dx *tensor.Tensor
+}
+
+// channel is Backward's loop body: channel ch of every image.
+func (a dwGrads) channel(_, ch int) {
+	d, x, dout, dx := a.d, a.x, a.dout, a.dx
+	n, h, w := d.lastN, d.inH, d.inW
+	ker := d.Weight.W.Data[ch*d.K*d.K:]
+	dker := d.Weight.G.Data[ch*d.K*d.K:]
+	var dbias float32
+	for i := 0; i < n; i++ {
+		in := x.Data[(i*d.C+ch)*h*w:]
+		dob := dout.Data[(i*d.C+ch)*d.outH*d.outW:]
+		dxb := dx.Data[(i*d.C+ch)*h*w:]
+		oi := 0
+		for oy := 0; oy < d.outH; oy++ {
+			for ox := 0; ox < d.outW; ox++ {
+				g := dob[oi]
+				oi++
+				if g == 0 {
+					continue
+				}
+				for ky := 0; ky < d.K; ky++ {
+					iy := oy*d.Stride - d.Pad + ky
+					if iy < 0 || iy >= h {
 						continue
 					}
-					for ky := 0; ky < d.K; ky++ {
-						iy := oy*d.Stride - d.Pad + ky
-						if iy < 0 || iy >= h {
+					for kx := 0; kx < d.K; kx++ {
+						ix := ox*d.Stride - d.Pad + kx
+						if ix < 0 || ix >= w {
 							continue
 						}
-						for kx := 0; kx < d.K; kx++ {
-							ix := ox*d.Stride - d.Pad + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							dker[ky*d.K+kx] += g * in[iy*w+ix]
-							dxb[iy*w+ix] += g * ker[ky*d.K+kx]
-						}
+						dker[ky*d.K+kx] += g * in[iy*w+ix]
+						dxb[iy*w+ix] += g * ker[ky*d.K+kx]
 					}
-				}
-			}
-			if d.Bias != nil {
-				for _, g := range dout.Data[(i*d.C+ch)*d.outH*d.outW : (i*d.C+ch+1)*d.outH*d.outW] {
-					dbias += g
 				}
 			}
 		}
 		if d.Bias != nil {
-			d.Bias.G.Data[ch] += dbias
+			for _, g := range dout.Data[(i*d.C+ch)*d.outH*d.outW : (i*d.C+ch+1)*d.outH*d.outW] {
+				dbias += g
+			}
 		}
-	})
-	return []*tensor.Tensor{dx}
+	}
+	if d.Bias != nil {
+		d.Bias.G.Data[ch] += dbias
+	}
 }
 
 // Cost reports MACs and bytes moved for the most recent forward pass.

@@ -3,7 +3,9 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"skynet/internal/tensor"
@@ -111,13 +113,15 @@ func TestConvGradientsParallel(t *testing.T) {
 }
 
 // TestConv2DForwardSteadyStateAllocs is the allocation contract of the
-// batch loop. At one worker a warm Conv2D or DWConv3 forward allocates what
-// tensor.New of its output allocates and nothing else — scratch, views and
-// the loop body are all cached on the layer. At two workers Conv2D's extra
-// cost is the goroutines of the split, so it must not grow with the batch
-// size: nothing is allocated per image. DWConv3's planes are a leaf loop on
-// the GEMM worker pool (tensor.ParallelRange), so its two-worker forward
-// still allocates the output tensor only.
+// layers' own batch loop (the layer walk's; the inference plan's is
+// TestGraphInferenceSteadyStateAllocs). At one worker a warm Conv2D or
+// DWConv3 forward allocates what tensor.New of its output allocates and
+// nothing else — scratch and views are cached on the layer, the operands
+// travel as arguments. At two workers Conv2D's extra cost is the goroutines
+// of the split, so it must not grow with the batch size: nothing is allocated
+// per image. DWConv3's planes are a leaf loop on the GEMM worker pool
+// (tensor.Ranger), so its two-worker forward still allocates the output
+// tensor only.
 func TestConv2DForwardSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	conv := NewConv2D(rng, 8, 16, 3, 1, 1, true)
@@ -155,4 +159,32 @@ func TestConv2DForwardSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestNoForwardOperandOnLayers is the structural half of
+// TestLanesShareNoOperand: the inference plan's lanes call the layers and the
+// plan's own nodes side by side, so none of them may have a field that could
+// hold an operand of a forward in flight — a feature-map slice, a GEMM
+// epilogue, a bound loop body. The fields that are slices for another reason
+// are named here.
+func TestNoForwardOperandOnLayers(t *testing.T) {
+	allowed := map[string]string{
+		"Conv2D.dbImg":     "Backward's per-image bias-gradient staging",
+		"BatchNorm.invStd": "what a training forward caches for Backward",
+		"planNode.inv":     "written as a forward begins, before its lanes start",
+	}
+	operand := []reflect.Type{reflect.TypeOf([]float32(nil)), reflect.TypeOf([][]float32(nil)), reflect.TypeOf(tensor.RowEpilogue{})}
+	for _, v := range []any{Conv2D{}, DWConv3{}, BatchNorm{}, ReLU{}, MaxPool{}, Reorg{}, Concat{}, band{}, planNode{}, Plan{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name := typ.Name() + "." + f.Name
+			if _, ok := allowed[name]; ok {
+				continue
+			}
+			if f.Type.Kind() == reflect.Func || slices.Contains(operand, f.Type) {
+				t.Errorf("%s (%v) could hold an operand of a forward in flight; operands are arguments, a lane's state is the lane's", name, f.Type)
+			}
+		}
+	}
 }

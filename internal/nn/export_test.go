@@ -19,3 +19,7 @@ func SetBandBudget(t *testing.T, bytes int) {
 
 // MaxPoolInto is maxPoolInto, for the row sweeps.
 var MaxPoolInto = maxPoolInto
+
+// Arena returns the arena inference forwards have left on g and how many
+// lanes they have run on.
+func Arena(g *Graph) (arena []float32, lanes int) { return g.arena, len(g.lanes) }

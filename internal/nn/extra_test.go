@@ -267,7 +267,7 @@ func TestParallelFor(t *testing.T) {
 		var mu sync.Mutex
 		visits := make([]int, n)
 		owner := make([]int, n)
-		parallelForWorkers(n, func(worker, i int) {
+		parallelFor(n, &mu, func(mu *sync.Mutex, worker, i int) {
 			mu.Lock()
 			visits[i]++
 			owner[i] = worker
@@ -287,7 +287,7 @@ func TestParallelFor(t *testing.T) {
 		}
 	}
 	// Zero-length range must be a no-op.
-	parallelForWorkers(0, func(_, i int) { t.Fatal("called on empty range") })
+	parallelFor(0, t, func(t *testing.T, _, _ int) { t.Fatal("called on empty range") })
 }
 
 func TestSummaryRendersLayers(t *testing.T) {

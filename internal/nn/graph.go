@@ -23,13 +23,16 @@ type Node struct {
 //
 // Forward(x, true) walks the layers, which cache what Backward needs.
 // Forward(x, false) runs a compiled inference plan (plan.go): it touches no
-// layer cache, keeps its feature maps in one arena the graph owns — but for
-// the maps inside a Bundle (DW → PW → BN → act → pool), which is one step
-// and holds them a band of rows at a time (band.go) — and returns bitwise
-// what the walk would. In both modes the returned tensor is
-// a fresh one that belongs to the caller, and FMHook, when set, is applied
-// to every node's output — the quantization package uses it to emulate
-// fixed-point inference. A Graph is not safe for concurrent use.
+// layer cache, takes the batch through the plan as lanes — each worker its
+// own samples, on its own one-sample region of an arena the graph owns — and
+// keeps every feature map there but for the maps inside a Bundle (DW → PW →
+// BN → act → pool), which is one step and holds them a band of rows at a
+// time (band.go); it returns bitwise what the walk would. (With an FMHook, or
+// a layer kind the plan does not lower, an inference forward is the walk.) In
+// both modes the returned tensor is a fresh one that belongs to the caller,
+// and FMHook, when set, is applied to every node's output — the quantization
+// package uses it to emulate fixed-point inference. A Graph is not safe for
+// concurrent use.
 type Graph struct {
 	Nodes []*Node
 	// Output is the index of the node whose output is the graph output.
@@ -37,8 +40,9 @@ type Graph struct {
 	Output int
 	// FMHook, if non-nil, is invoked on each node's output tensor during
 	// Forward (e.g. to quantize feature maps in place). While it is set an
-	// inference forward fuses nothing and allocates every feature map
-	// afresh, so the hook sees each node; nothing of that forward is kept.
+	// inference forward walks the layers too — nothing fuses, every feature
+	// map is a fresh tensor — so the hook sees each node; nothing of that
+	// forward is kept.
 	FMHook func(nodeIdx int, t *tensor.Tensor)
 	// OutShapes records each node's output shape from the last Forward,
 	// for hardware cost models. The shapes are valid until the next Forward
@@ -47,8 +51,10 @@ type Graph struct {
 
 	trained bool          // the last Forward was a training one: the layers hold its caches
 	plans   []*Plan       // inference plans, most recently used first, one per input sample shape
-	arena   []float32     // feature maps of the inference forward in flight
-	bands   []bandScratch // per worker: the band buffers of the Bundle step in flight
+	arena   []float32     // feature maps of the inference forward in flight: one sample's per lane
+	bands   []bandScratch // per worker: the band buffers of the Bundle steps in flight
+	lanes   []*lane       // the walks of the forward in flight; lanes[i] owns region i of arena
+	run     planRun       // the inference forward in flight
 }
 
 // NewGraph returns an empty graph.
@@ -92,8 +98,15 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		g.OutShapes = p.shapes
 		return p.Run(x, nil)
 	}
-	outs := make([]*tensor.Tensor, len(g.Nodes))
 	g.OutShapes = make([][]int, len(g.Nodes))
+	return g.walk(x, true, func(i int, out *tensor.Tensor) { g.OutShapes[i] = out.Shape() })
+}
+
+// walk runs every node's own Layer.Forward on the whole batch, each output a
+// fresh tensor, and returns the output node's. Every node's output goes to
+// FMHook, when there is one, and then to visit, before its consumers run.
+func (g *Graph) walk(x *tensor.Tensor, train bool, visit func(i int, out *tensor.Tensor)) *tensor.Tensor {
+	outs := make([]*tensor.Tensor, len(g.Nodes))
 	ins := make([]*tensor.Tensor, 0, 2)
 	for i, n := range g.Nodes {
 		ins = ins[:0]
@@ -104,20 +117,20 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				ins = append(ins, outs[j])
 			}
 		}
-		out := n.Layer.Forward(ins, true)
+		outs[i] = n.Layer.Forward(ins, train)
 		if g.FMHook != nil {
-			g.FMHook(i, out)
+			g.FMHook(i, outs[i])
 		}
-		outs[i] = out
-		g.OutShapes[i] = out.Shape()
+		visit(i, outs[i])
 	}
 	return outs[g.output()]
 }
 
-// ReleaseArena drops the arena and band buffers inference forwards have left
-// on g; the next one allocates them again. For an owner that keeps g but
-// runs no further forward on it, as quant.Export does after calibrating.
-func (g *Graph) ReleaseArena() { g.arena, g.bands = nil, nil }
+// ReleaseArena drops the arena, lanes and band buffers inference forwards
+// have left on g; the next one allocates them again. For an owner that keeps
+// g but runs no further forward on it, as quant.Export does after
+// calibrating.
+func (g *Graph) ReleaseArena() { g.arena, g.bands, g.lanes = nil, nil, nil }
 
 // Backward propagates dout (gradient w.r.t. the graph output) through every
 // node in reverse order, accumulating parameter gradients, and returns the

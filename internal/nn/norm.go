@@ -88,6 +88,7 @@ func (b *BatchNorm) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		return out
 	}
+	b.xhat = nil // what a training forward cached for Backward no longer matches
 	b.evalInto(out.Data, x.Data, n, hw)
 	return out
 }
@@ -102,12 +103,11 @@ func (b *BatchNorm) evalInv(c int) float32 {
 }
 
 // evalInto normalizes the n images [C, hw] of src into dst with the running
-// statistics (eval mode), dropping what a training forward cached for
-// Backward.
+// statistics (eval mode). It writes nothing on the layer: the plan's lanes
+// call it side by side.
 //
 //skynet:hotpath
 func (b *BatchNorm) evalInto(dst, src []float32, n, hw int) {
-	b.xhat = nil
 	for c := 0; c < b.C; c++ {
 		inv, mean := b.evalInv(c), b.RunMean.Data[c]
 		g, bt := b.Gamma.W.Data[c], b.Beta.W.Data[c]

@@ -7,10 +7,11 @@ import (
 
 // MaxParallelism caps the worker count used by data-parallel layer loops;
 // 0 (default) uses GOMAXPROCS. Exposed so benchmarks and tests can pin it.
-// The depth-wise forward's plane loop calls no GEMM, so it runs on the GEMM
-// worker pool instead (tensor.ParallelRange) and tensor.MaxParallelism caps
-// it. The plan's Bundle step cuts its rows for this many workers and runs
-// them on that pool too, so the smaller of the two caps it.
+// The loops that call no dispatching GEMM — the depth-wise planes of either
+// walk, the inference plan's lanes, the bands of a Bundle step a lone lane
+// splits — run on the GEMM worker pool instead (tensor.Ranger), which
+// tensor.MaxParallelism caps: the planes go by that alone, the lanes and the
+// bands by the smaller of the two.
 var MaxParallelism = 0
 
 // workersFor picks the worker count for an n-iteration parallel loop.
@@ -30,7 +31,7 @@ func workersFor(n int) int {
 	return w
 }
 
-// parallelForWorkers runs fn(worker, i) for i in [0,n), splitting the range
+// parallelFor runs fn(arg, worker, i) for i in [0,n), splitting the range
 // into workersFor(n) contiguous chunks: 0 ≤ worker < workersFor(n), and all
 // indices of one chunk share a worker. Worker 0 is the calling goroutine;
 // every further chunk gets a goroutine of its own for the duration of the
@@ -40,19 +41,22 @@ func workersFor(n int) int {
 // never run concurrently, and fn must not share other mutable state across
 // indices. Chunk assignment is deterministic for a fixed worker count.
 //
-// Beyond one worker each extra chunk costs one goroutine whose closure
-// captures (worker, lo, hi): a handful of small allocations per *batched
-// layer call*, amortized over the chunk's work, never per element.
+// arg carries the operands of the call to every invocation, so fn can be a
+// method expression — a static function value — and neither a closure built
+// per call nor a layer field holds them. Beyond one worker each extra chunk
+// costs one goroutine whose closure captures (arg, worker, lo, hi): a handful
+// of small allocations per *batched layer call*, amortized over the chunk's
+// work, never per element.
 //
 //skynet:hotpath
-func parallelForWorkers(n int, fn func(worker, i int)) {
+func parallelFor[T any](n int, arg T, fn func(arg T, worker, i int)) {
 	w := workersFor(n)
 	if w == 1 {
 		// Returning here keeps the one-worker call allocation-free: the
 		// WaitGroup below is captured by the goroutine closures, so it lives
 		// on the heap from its declaration on.
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(arg, 0, i)
 		}
 		return
 	}
@@ -61,15 +65,15 @@ func parallelForWorkers(n int, fn func(worker, i int)) {
 	for worker, lo := 1, chunk; lo < n; worker, lo = worker+1, lo+chunk {
 		wg.Add(1)
 		//skynet:nolint hotalloc -- one goroutine closure per chunk per batched call, amortized over the chunk's work (see the doc comment)
-		go func(worker, lo, hi int) {
+		go func(arg T, worker, lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				fn(worker, i)
+				fn(arg, worker, i)
 			}
-		}(worker, lo, min(lo+chunk, n))
+		}(arg, worker, lo, min(lo+chunk, n))
 	}
 	for i := 0; i < chunk; i++ {
-		fn(0, i)
+		fn(arg, 0, i)
 	}
 	wg.Wait()
 }

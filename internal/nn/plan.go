@@ -25,12 +25,21 @@ import (
 // structure: changing one on a live layer needs a new graph.
 //
 // Each op has one implementation that writes into a destination slice
-// (Conv2D.forwardInto, DWConv3.forwardInto, BatchNorm.evalInto, reluInto,
-// maxPoolInto, ReorgInto, concatInto); a layer's Forward and the executor
+// (Conv2D.forwardImage, DWConv3.planes, BatchNorm.evalInto, reluInto,
+// maxPoolInto, ReorgInto, addInto, concatInto); a layer's Forward and the executor
 // both call it, and the fused GEMM tail calls the same two scalar functions
 // (tensor.BNEval, tensor.ReLUClamp) the stand-alone passes call. The
 // executor therefore performs, per element, the float operations of the
 // layer walk in the same order: its outputs are bitwise those of the walk.
+//
+// A batch is run as lanes: a forward of n samples is n walks of one sample
+// through the steps, dealt in contiguous chunks to as many lanes as there are
+// workers (lanes.go), each lane on its own one-sample region of the arena.
+// It is what the paper batches for — one set of feature-map buffers serving
+// several frames (§6.2, Figure 9) — in the form a CPU has it: the arena is
+// bounded by the core count, not by the batch, a sample's maps stay in one
+// core's cache from step to step, and the cores meet once per forward, not
+// once per layer.
 
 // ConvChain is the tail that may fuse into one Conv2D node's GEMM:
 // conv → [BatchNorm] → [ReLU], following sole-consumer edges only, so no
@@ -108,39 +117,29 @@ func soleConsumers(g *Graph, separate []bool) (next func(i int) int) {
 	}
 }
 
-// planNode is one graph node as the plan sees it.
+// planNode is one graph node as the plan sees it. Nothing here changes while
+// a forward's lanes run.
 type planNode struct {
 	layer  Layer
 	inputs []int
-	// dims is the node's output shape; dims[0] follows the batch size of the
-	// forward in flight, the rest is fixed at compile time.
-	dims []int
-	size int // output elements per sample
+	dims   []int // the node's output shape for one sample: dims[0] is 1
+	size   int   // output elements per sample
 
 	chain ConvChain // Conv2D: what its GEMM store applies when fusing
-	inv   []float32 // Conv2D with a chain BN: per-channel 1/sqrt(var+eps), refilled every forward
+	inv   []float32 // Conv2D with a chain BN: per-channel 1/sqrt(var+eps), refilled as every forward begins
 	band  *band     // DWConv3 heading a Bundle step (band.go); nil for the others
 	fused bool      // computed inside an earlier node's step: a chain's tail, a Bundle step's conv and pool
 	chans []int     // Concat: channels of each input
-	// forward is the layer's own Forward, for kinds the executor does not
-	// lower; nil for the others.
-	forward func(xs []*tensor.Tensor, train bool) *tensor.Tensor
+	// unlowered marks a layer of a kind the executor does not lower: the
+	// graph's inference forward is the layer walk then (Run).
+	unlowered bool
 
-	// off is the arena offset, in elements per sample, of the slot this
+	// off is the offset, within a lane's region of the arena, of the slot this
 	// node's output is written to; -1 when it has none (fused into a later
-	// node's slot, the graph output, a fallback layer's own tensor).
+	// node's slot, the graph output, an unlowered layer's own tensor).
 	off int
 	// frees lists the nodes whose slots nothing reads after this step.
 	frees []int
-
-	// State of the forward in flight, cleared when it returns.
-	buf  []float32
-	out  *tensor.Tensor   // set when buf is a tensor of its own, not an arena slot
-	ins  []*tensor.Tensor // fallback: argument list
-	srcs [][]float32      // Concat: argument list
-	// view wraps an arena slot for a fallback consumer; kept across forwards
-	// while it still describes the slot.
-	view *tensor.Tensor
 }
 
 // Plan is a compiled inference schedule of one graph at one input sample
@@ -152,12 +151,15 @@ type Plan struct {
 	g      *Graph
 	nodes  []planNode
 	output int
-	in     []int   // input shape the plan was compiled for; in[0] is ignored
-	shapes [][]int // the nodes' dims, as Graph.OutShapes
-	// perSample is the arena size in elements per sample: every offset and
-	// size scales by the batch, so one layout serves all batch sizes.
+	in     []int   // input shape of one sample: in[0] is 1
+	shapes [][]int // the nodes' output shapes at the batch of the last forward, as Graph.OutShapes
+	// perSample is the arena a sample's walk needs, in elements: a lane's
+	// region, whatever the batch.
 	perSample int
-	batch     int // dims[0] of every node
+	// unlowered says some node's is: Run walks the layers, and the plan serves
+	// for its shapes and, to another engine, for its steps.
+	unlowered bool
+	maxInputs int // the most inputs any node has
 	// bandDW and bandPW are the lengths of the band buffers the plan's largest
 	// Bundle step needs of each worker; zero without one.
 	bandDW, bandPW int
@@ -210,12 +212,13 @@ func (p *Plan) describes(g *Graph) bool {
 // the plan; another caller's plan is valid while g's node list is.
 func Compile(g *Graph, in []int, separate []bool) *Plan {
 	p := &Plan{g: g, nodes: make([]planNode, len(g.Nodes)), output: g.output(),
-		in: slices.Clone(in), shapes: make([][]int, len(g.Nodes)), batch: 1}
+		in: slices.Clone(in), shapes: make([][]int, len(g.Nodes))}
 	p.in[0] = 1
 	chains := ConvChains(g, separate)
 	for i, n := range g.Nodes {
 		pn := &p.nodes[i]
 		pn.layer, pn.inputs, pn.off = n.Layer, slices.Clone(n.Inputs), -1
+		p.maxInputs = max(p.maxInputs, len(n.Inputs))
 		shapes := make([][]int, len(n.Inputs))
 		for k, j := range n.Inputs {
 			shapes[k] = p.shapeOf(j)
@@ -246,22 +249,25 @@ func Compile(g *Graph, in []int, separate []bool) *Plan {
 			pn.dims = []int{1, shapes[0][1], shapes[0][2] / l.K, shapes[0][3] / l.K}
 		case *Reorg:
 			pn.dims = l.outShape(shapes[0])
+		case *Add:
+			if len(shapes) != 2 || !slices.Equal(shapes[0], shapes[1]) {
+				panic(fmt.Sprintf("nn: add (node %d) of shapes %v", i, shapes))
+			}
+			pn.dims = slices.Clone(shapes[0])
 		case *Concat:
 			pn.dims = concatShape(shapes)
 			for _, s := range shapes {
 				pn.chans = append(pn.chans, s[1])
 			}
-			pn.srcs = make([][]float32, len(shapes))
 		default:
-			// A kind the executor does not lower keeps running its own
-			// Forward; one call on a zero sample tells its output shape.
+			// A kind the executor does not lower: one call of its own Forward
+			// on a zero sample tells its output shape.
 			probe := make([]*tensor.Tensor, len(shapes))
 			for k, s := range shapes {
 				probe[k] = tensor.New(s...)
 			}
 			pn.dims = slices.Clone(l.Forward(probe, false).Shape())
-			pn.forward = l.Forward
-			pn.ins = make([]*tensor.Tensor, len(shapes))
+			pn.unlowered, p.unlowered = true, true
 		}
 		pn.size = 1
 		for _, d := range pn.dims[1:] {
@@ -270,7 +276,7 @@ func Compile(g *Graph, in []int, separate []bool) *Plan {
 		if pn.size <= 0 {
 			panic(fmt.Sprintf("nn: layer %s (node %d) has empty output shape %v for input %v", n.Layer.Name(), i, pn.dims, shapes))
 		}
-		p.shapes[i] = pn.dims
+		p.shapes[i] = slices.Clone(pn.dims)
 	}
 	p.findBands(separate)
 	p.layout()
@@ -297,7 +303,6 @@ func (p *Plan) findBands(separate []bool) {
 			continue
 		}
 		b := &band{dw: dw, pw: pw, conv: conv, pool: -1, out: p.nodes[conv].chain.Last(conv), k: 1}
-		b.work = b.workers
 		if j := next(b.out); j >= 0 && j != p.output {
 			if mp, ok := p.nodes[j].layer.(*MaxPool); ok {
 				b.pool, b.out, b.k = j, j, mp.K
@@ -311,8 +316,8 @@ func (p *Plan) findBands(separate []bool) {
 	}
 }
 
-// shapeOf returns the batch-1 shape of node j's output (the graph input's
-// for GraphInput).
+// shapeOf returns the shape of one sample of node j's output (of the graph
+// input for GraphInput).
 //
 //skynet:hotpath
 func (p *Plan) shapeOf(j int) []int {
@@ -355,7 +360,7 @@ func (p *Plan) layout() {
 		if pn.fused {
 			continue
 		}
-		if o := &p.nodes[p.slot(i)]; o.forward == nil && p.slot(i) != p.output {
+		if o := &p.nodes[p.slot(i)]; !o.unlowered && p.slot(i) != p.output {
 			o.off, free = takeSpan(free, o.size, &p.perSample)
 		}
 		for s := range p.nodes {
@@ -415,8 +420,8 @@ type Step struct {
 	Band   *Band     // what a DWConv3 step runs beyond Node when it is a Bundle step; nil otherwise
 	Dims   []int     // Out's shape for one sample; Dims[0] is 1
 	Size   int       // Out's elements per sample
-	// Off is the arena offset of Out's slot per sample — [Off·n, (Off+Size)·n)
-	// at batch n — or -1 without one (the graph output, kinds not lowered).
+	// Off is where Out's slot lies in an arena of one sample, [Off, Off+Size),
+	// or -1 without one (the graph output, kinds not lowered).
 	Off   int
 	Frees []int // the nodes whose slots nothing reads after this step
 }
@@ -430,14 +435,15 @@ type Band struct {
 	Pool int // the MaxPool node that alone consumes the chain, or -1
 }
 
-// Steps returns the plan's steps in execution order and the arena size they
-// need, in elements per sample. The slices belong to the plan.
+// Steps returns the plan's steps in execution order and the arena one
+// sample's walk through them needs, in elements. The slices belong to the
+// plan.
 func (p *Plan) Steps() (steps []Step, perSample int) {
 	for i := range p.nodes {
 		if pn := &p.nodes[i]; !pn.fused {
 			o := &p.nodes[p.slot(i)]
 			st := Step{Node: i, Out: p.slot(i), Inputs: pn.inputs, Chain: pn.chain,
-				Dims: append([]int{1}, o.dims[1:]...), Size: o.size, Off: o.off, Frees: pn.frees}
+				Dims: o.dims, Size: o.size, Off: o.off, Frees: pn.frees}
 			if b := pn.band; b != nil {
 				st.Chain, st.Band = p.nodes[b.conv].chain, &Band{Conv: b.conv, Pool: b.pool}
 			}
@@ -447,27 +453,51 @@ func (p *Plan) Steps() (steps []Step, perSample int) {
 	return steps, p.perSample
 }
 
-// prepare sizes the plan and the graph's arena and band buffers for a batch
-// of n. They only grow — the arena to the largest batch seen, the band
-// buffers to the most workers and the largest Bundle step of any of the
-// graph's plans — so a batcher that varies the batch size settles after its
-// largest. A hooked forward uses neither.
-func (p *Plan) prepare(n int, hooked bool) {
-	if n != p.batch {
-		p.batch = n
-		for i := range p.nodes {
-			p.nodes[i].dims[0] = n
-		}
-	}
-	if hooked {
-		return
-	}
+// lane is one worker's share of an inference forward: it walks its samples,
+// one after the other, through the plan's steps on a region of the arena one
+// sample large. What differs between two samples in flight — where each
+// node's output lies, the argument list of the step being run — is here, so
+// that lanes running side by side only read the plan and the layers.
+type lane struct {
+	arena []float32   // the lane's region of g.arena
+	bufs  [][]float32 // by node: its output for the sample in flight
+	srcs  [][]float32 // a Concat step's argument list
+}
+
+// planRun is the inference forward in flight on a graph: what RunLanes walks.
+type planRun struct {
+	p      *Plan
+	lanes  []*lane       // lanes[i] also owns bands[i] and every Conv2D's im2col scratch i
+	bands  []bandScratch // per worker: a lane's own, or all of them a lone lane's
+	x, out []float32     // the input batch and the output batch, n samples each
+	n      int
+	// observe is Run's.
+	observe func(node int, data []float32)
+}
+
+// prepare readies the graph for lanes of p: the arena, one region per lane,
+// the lanes themselves, and the band buffers of every worker. All only grow —
+// the arena to the most lanes and the largest plan seen, never with the
+// batch — so a caller that varies its batch size settles at once.
+func (p *Plan) prepare(lanes int) {
 	g := p.g
-	if need := p.perSample * n; len(g.arena) < need {
+	if need := p.perSample * lanes; len(g.arena) < need {
 		// Dropped first: the collection this allocation may start would
 		// otherwise mark old and new both live and pace itself on the sum.
 		g.arena = nil
 		g.arena = make([]float32, need)
+	}
+	for len(g.lanes) < lanes {
+		g.lanes = append(g.lanes, &lane{})
+	}
+	for i, l := range g.lanes[:lanes] {
+		l.arena = g.arena[i*p.perSample : (i+1)*p.perSample]
+		if len(l.bufs) < len(p.nodes) {
+			l.bufs = make([][]float32, len(p.nodes))
+		}
+		if len(l.srcs) < p.maxInputs {
+			l.srcs = make([][]float32, p.maxInputs)
+		}
 	}
 	if p.bandDW == 0 {
 		return
@@ -486,105 +516,179 @@ func (p *Plan) prepare(n int, hooked bool) {
 	}
 }
 
+// begin writes everything a forward of n samples on the given number of lanes
+// leaves on the layers and on the plan's nodes, before the lanes start and
+// only read them: the geometry Cost and the per-image bodies go by — of the
+// whole batch, as a layer's own Forward records it —, the im2col scratch of
+// each lane, every fused batch norm's 1/sqrt(var+eps) from the statistics as
+// they are now, and the drop of what a training forward cached.
+//
+//skynet:hotpath
+func (p *Plan) begin(n, lanes int) {
+	for i := range p.nodes {
+		pn := &p.nodes[i]
+		if pn.fused {
+			continue
+		}
+		in := p.shapeOf(pn.inputs[0])
+		switch l := pn.layer.(type) {
+		case *Conv2D:
+			l.record(n, in[2], in[3])
+			if !l.direct() {
+				l.ensureScratch(lanes)
+			}
+			pn.fillInv()
+		case *DWConv3:
+			l.record(n, in[2], in[3])
+			if b := pn.band; b != nil {
+				b.pw.record(n, l.outH, l.outW)
+				p.nodes[b.conv].fillInv()
+			}
+		case *BatchNorm:
+			l.xhat = nil
+		}
+	}
+}
+
 // Run executes the plan on x, whose sample shape must be the one the plan
-// was compiled for. With an FMHook on the graph nothing fuses and every
-// node's output is a fresh tensor, handed to the hook and dropped when Run
-// returns, exactly as a layer walk would; without one only the graph output
-// is a fresh tensor — the caller's — and every other feature map is an
-// arena slot. observe, when non-nil, is shown each output the forward
-// materialises, in place and before anything overwrites it: every node's
-// tensor after the hook, or else each step's Out — for a Bundle step the
-// pooled map, the depth-wise and pre-pool maps being never whole anywhere.
+// was compiled for, and returns the graph output, a fresh tensor that is the
+// caller's; every other feature map is an arena slot. The samples go to
+// LanesFor(n) lanes as RunLanes deals them, or to one lane when there is an
+// observer, which has to see them in order: observe, when non-nil, is shown
+// each output the forward materialises, in place and before anything
+// overwrites it — each step's Out, for a Bundle step the pooled map, the
+// depth-wise and pre-pool maps being never whole anywhere — sample by sample,
+// so that it sees a node's values in batch order.
+//
+// Two forwards are not the plan's to run, and walk the layers instead, whole
+// batch by whole batch, every node's output a fresh tensor that is handed to
+// observe and dropped when Run returns: one under an FMHook, which is shown
+// every node's tensor first, and one of a graph with a layer kind the executor
+// does not lower — such a layer keeps state of its own and may treat a batch
+// as more than its samples (a Linear's GEMM picks its kernel by the batch
+// size), so only its own Forward on the whole batch is the layer walk's bits
+// and leaves the batch's geometry for Cost.
 // Graph.Forward(x, false) is Run with no observer.
 func (p *Plan) Run(x *tensor.Tensor, observe func(node int, data []float32)) *tensor.Tensor {
 	if !slices.Equal(p.in[1:], x.Shape()[1:]) {
 		panic(fmt.Sprintf("nn: plan compiled for samples of shape %v run on input %v", p.in[1:], x.Shape()))
 	}
-	hooked := p.g.FMHook != nil
-	p.prepare(x.Dim(0), hooked)
-	return p.run(x, hooked, observe)
+	g, n := p.g, x.Dim(0)
+	for i := range p.shapes {
+		p.shapes[i][0] = n
+	}
+	if g.FMHook != nil || p.unlowered {
+		return g.walk(x, false, func(i int, out *tensor.Tensor) {
+			if observe != nil {
+				observe(i, out.Data)
+			}
+		})
+	}
+	lanes := 1
+	if observe == nil {
+		lanes = LanesFor(n)
+	}
+	p.prepare(lanes)
+	p.begin(n, lanes)
+	out := tensor.New(p.shapes[p.output]...)
+	g.run = planRun{p: p, lanes: g.lanes, bands: g.bands, x: x.Data, out: out.Data, n: n, observe: observe}
+	RunLanes(&g.run, n, lanes)
+	for _, l := range g.lanes[:lanes] {
+		clear(l.bufs)
+	}
+	g.run = planRun{}
+	return out
 }
 
-// run is Run on a prepared plan.
+// WalkSample takes sample i of the forward in flight through the plan's steps
+// on lane li, for RunLanes.
 //
 //skynet:hotpath
-func (p *Plan) run(x *tensor.Tensor, hooked bool, observe func(node int, data []float32)) *tensor.Tensor {
-	g, n := p.g, p.batch
-	for i := range p.nodes {
-		pn := &p.nodes[i]
-		if pn.fused && !hooked {
+func (r *planRun) WalkSample(li, i int, leaf bool) {
+	p, l, per := r.p, r.lanes[li], len(r.x)/r.n
+	x := r.x[i*per : (i+1)*per]
+	for k := range p.nodes {
+		pn := &p.nodes[k]
+		if pn.fused {
 			continue
 		}
-		out := i // the node whose output this step writes
-		in, src := p.shapeOf(pn.inputs[0]), p.src(pn.inputs[0], x)
-		switch l := pn.layer.(type) {
-		case *Conv2D:
-			tail := tensor.RowEpilogue{}
-			if !hooked {
-				out, tail = p.slot(i), pn.tail()
-			}
-			l.forwardInto(p.dest(&p.nodes[out], hooked), src, n, in[2], in[3], tail)
-		case *DWConv3:
-			if b := pn.band; b != nil && !hooked {
-				out = b.out
-				b.run(p.dest(&p.nodes[out], false), src, n, in[2], in[3], p.nodes[b.conv].tail(), g.bands)
-			} else {
-				l.forwardInto(p.dest(pn, hooked), src, n, in[2], in[3])
-			}
-		case *BatchNorm:
-			l.evalInto(p.dest(pn, hooked), src, n, in[2]*in[3])
-		case *ReLU:
-			reluInto(p.dest(pn, hooked), src, l.Cap)
-		case *MaxPool:
-			maxPoolInto(p.dest(pn, hooked), src, n*in[1], in[2], in[3], l.K)
-		case *Reorg:
-			ReorgInto(p.dest(pn, hooked), src, n, in[1], in[2], in[3], l.S)
-		case *Concat:
-			for k, j := range pn.inputs {
-				pn.srcs[k] = p.src(j, x)
-			}
-			concatInto(p.dest(pn, hooked), pn.srcs, pn.chans, n, in[2]*in[3])
-			clear(pn.srcs)
-		default:
-			for k, j := range pn.inputs {
-				pn.ins[k] = p.tensorOf(j, x)
-			}
-			pn.out = pn.forward(pn.ins, false)
-			pn.buf = pn.out.Data
-			clear(pn.ins)
+		out := p.slot(k) // the node whose output this step writes
+		r.step(pn, li, l.dest(r, out, i), x, leaf)
+		if r.observe != nil {
+			r.observe(out, l.bufs[out])
 		}
-		if hooked {
-			g.FMHook(i, pn.out)
-		}
-		if observe != nil {
-			observe(out, p.nodes[out].buf)
-		}
-		if poisonReleased && !hooked {
+		if poisonReleased {
 			for _, s := range pn.frees {
-				buf := p.nodes[s].buf
-				for k := range buf {
-					buf[k] = float32(math.NaN())
+				buf := l.bufs[s]
+				for j := range buf {
+					buf[j] = float32(math.NaN())
 				}
 			}
 		}
 	}
-	res := p.nodes[p.output].out
-	for i := range p.nodes {
-		p.nodes[i].buf, p.nodes[i].out = nil, nil
+}
+
+// step runs one step on the sample lane li has in flight: into dst, from the
+// lane's outputs so far (x for the graph input). On a leaf walk every op stays
+// on the calling goroutine; else a convolution's GEMM dispatches, and the
+// depth-wise planes and a Bundle step's units split, across the GEMM pool.
+//
+//skynet:hotpath
+func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
+	p, l := r.p, r.lanes[li]
+	in, src := p.shapeOf(pn.inputs[0]), l.input(pn.inputs[0], x)
+	switch layer := pn.layer.(type) {
+	case *Conv2D:
+		layer.forwardImage(dst, src, li, layer.epilogue(pn.tail()), leaf)
+	case *DWConv3:
+		switch b := pn.band; {
+		case b != nil && leaf:
+			b.units(dst, src, b.pw.epilogue(p.nodes[b.conv].tail()), &r.bands[li], 0, layer.outH/b.k)
+		case b != nil:
+			b.split(dst, src, b.pw.epilogue(p.nodes[b.conv].tail()), r.bands)
+		case leaf:
+			layer.planes(dst, src, 0, layer.C)
+		default:
+			layer.splitPlanes(dst, src, 1)
+		}
+	case *BatchNorm:
+		layer.evalInto(dst, src, 1, in[2]*in[3])
+	case *ReLU:
+		reluInto(dst, src, layer.Cap)
+	case *MaxPool:
+		maxPoolInto(dst, src, in[1], in[2], in[3], layer.K)
+	case *Reorg:
+		ReorgInto(dst, src, 1, in[1], in[2], in[3], layer.S)
+	case *Add:
+		addInto(dst, src, l.input(pn.inputs[1], x))
+	case *Concat:
+		srcs := l.srcs[:len(pn.inputs)]
+		for k, j := range pn.inputs {
+			srcs[k] = l.input(j, x)
+		}
+		concatInto(dst, srcs, pn.chans, 1, in[2]*in[3])
+		clear(srcs)
 	}
-	return res
+}
+
+// fillInv refreshes a fusing conv's inv from its chain's batch norm.
+//
+//skynet:hotpath
+func (pn *planNode) fillInv() {
+	if bn := pn.chain.BN; bn != nil {
+		for c := range pn.inv {
+			pn.inv[c] = bn.evalInv(c)
+		}
+	}
 }
 
 // tail is what a fusing conv's GEMM store applies: its chain's batch norm,
-// with the statistics as they are now, and activation.
+// with the statistics as they were when the forward began, and activation.
 //
 //skynet:hotpath
 func (pn *planNode) tail() tensor.RowEpilogue {
 	var ep tensor.RowEpilogue
 	if bn := pn.chain.BN; bn != nil {
-		for c := range pn.inv {
-			pn.inv[c] = bn.evalInv(c)
-		}
 		ep.Gamma, ep.Mean, ep.Inv, ep.Beta = bn.Gamma.W.Data, bn.RunMean.Data, pn.inv, bn.Beta.W.Data
 	}
 	if act := pn.chain.Act; act != nil {
@@ -593,45 +697,28 @@ func (pn *planNode) tail() tensor.RowEpilogue {
 	return ep
 }
 
-// dest readies the memory node o's output is written to: a fresh tensor
-// when asked for or when o has no arena slot (the graph output), else o's
-// slot at the current batch size.
+// dest notes and returns the memory node o's output of sample i is written
+// to: o's slot in the lane's region, or without one — the graph output —
+// the sample's rows of the output batch.
 //
 //skynet:hotpath
-func (p *Plan) dest(o *planNode, fresh bool) []float32 {
-	if fresh || o.off < 0 {
-		o.out = tensor.New(o.dims...)
-		o.buf = o.out.Data
+func (l *lane) dest(r *planRun, o, i int) []float32 {
+	pn := &r.p.nodes[o]
+	if pn.off < 0 {
+		l.bufs[o] = r.out[i*pn.size : (i+1)*pn.size]
 	} else {
-		o.buf = p.g.arena[o.off*p.batch : (o.off+o.size)*p.batch]
+		l.bufs[o] = l.arena[pn.off : pn.off+pn.size]
 	}
-	return o.buf
+	return l.bufs[o]
 }
 
-// src returns node j's output of the forward in flight (x for GraphInput).
+// input returns node j's output for the sample in flight (x, the sample
+// itself, for GraphInput).
 //
 //skynet:hotpath
-func (p *Plan) src(j int, x *tensor.Tensor) []float32 {
-	if j == GraphInput {
-		return x.Data
-	}
-	return p.nodes[j].buf
-}
-
-// tensorOf is src as a tensor, for a fallback layer's argument list: an
-// arena slot gets a view, rebuilt when the slot moved or changed size.
-//
-//skynet:hotpath
-func (p *Plan) tensorOf(j int, x *tensor.Tensor) *tensor.Tensor {
+func (l *lane) input(j int, x []float32) []float32 {
 	if j == GraphInput {
 		return x
 	}
-	pn := &p.nodes[j]
-	if pn.out != nil {
-		return pn.out
-	}
-	if v := pn.view; v == nil || len(v.Data) != len(pn.buf) || &v.Data[0] != &pn.buf[0] {
-		pn.view = tensor.FromSlice(pn.buf, pn.dims...)
-	}
-	return pn.view
+	return l.bufs[j]
 }

@@ -41,12 +41,7 @@ func walk(g *nn.Graph, x *tensor.Tensor, visit func(i int, out *tensor.Tensor)) 
 }
 
 // parallelism pins the layer-level and GEMM-level worker counts for fn.
-func parallelism(workers int, fn func()) {
-	oldNN, oldT := nn.MaxParallelism, tensor.MaxParallelism
-	nn.MaxParallelism, tensor.MaxParallelism = workers, workers
-	defer func() { nn.MaxParallelism, tensor.MaxParallelism = oldNN, oldT }()
-	fn()
-}
+func parallelism(n int, fn func()) { workers(n, n, fn) }
 
 // unsettle gives every batch norm non-trivial running statistics and every
 // bias a value, so that a fused tail that dropped or reordered a term shows.
@@ -124,12 +119,17 @@ func TestPlanMatchesLayerWalk(t *testing.T) {
 	}
 }
 
-// TestPlanFallbackLayers runs the baselines whose layers the executor does
-// not lower (Add, GlobalAvgPool, Flatten, Linear, Dropout) or lowers with
-// im2col (k×k and strided convolutions): those nodes keep their own Forward
-// on views of the arena, between planned neighbours.
+// TestPlanFallbackLayers runs the baselines off SkyNet's path. Those the
+// executor lowers whole — VGG-16 and MobileNetV1 with their k×k and strided
+// convolutions on per-lane im2col scratch, the ResNets with their Adds — take
+// lanes like SkyNet. AlexNet has layer kinds it does not lower (Flatten,
+// Linear, Dropout): such a graph's inference forward is the layer walk on the
+// whole batch, so that it is the walk's bits at every batch — a Linear's GEMM
+// picks its kernel by m·n·k, m the batch, and a batch of 5 is not its five
+// frames' own forwards there — and leaves the batch's geometry on every layer.
 func TestPlanFallbackLayers(t *testing.T) {
 	cfg := backbone.Config{Width: 0.125, InC: 3, MaxStride: 8}
+	walked := 0
 	for _, m := range []struct {
 		name  string
 		build func(rng *rand.Rand) *nn.Graph
@@ -144,13 +144,47 @@ func TestPlanFallbackLayers(t *testing.T) {
 			rng := rand.New(rand.NewSource(12))
 			g := m.build(rng)
 			unsettle(g, rng)
-			for _, b := range []int{3, 1} {
+			for _, b := range []int{3, 1, 5} {
 				x := randBatch(rng, b, 3, 48, 48)
 				want := walk(g, x, nil)
 				parallelism(2, func() { requireSameBits(t, fmt.Sprintf("batch %d", b), g.Forward(x, false), want) })
+				wantLanes := 2
+				if hasUnlowered(g) {
+					wantLanes = 0
+				}
+				if arena, lanes := nn.Arena(g); lanes != wantLanes || (len(arena) == 0) != (wantLanes == 0) {
+					t.Fatalf("batch %d on two workers has left %d lanes and an arena of %d elements; a graph with unlowered kinds (%v) is walked, the others take two lanes", b, lanes, len(arena), hasUnlowered(g))
+				}
+				if !hasUnlowered(g) {
+					continue
+				}
+				walked++
+				// Cost describes the whole batch on every layer: as much as
+				// the layer walk itself leaves.
+				macs, bytes := g.Cost()
+				walk(g, x, nil)
+				if m, b := g.Cost(); macs != m || bytes != b {
+					t.Fatalf("batch %d: Cost after the inference forward = (%d, %d), after the layer walk (%d, %d)", b, macs, bytes, m, b)
+				}
 			}
 		})
 	}
+	if walked == 0 {
+		t.Fatal("no model with an unlowered layer kind among the baselines")
+	}
+}
+
+// hasUnlowered reports whether g has a layer of a kind the executor does not
+// lower.
+func hasUnlowered(g *nn.Graph) bool {
+	for _, n := range g.Nodes {
+		switch n.Layer.(type) {
+		case *nn.Conv2D, *nn.DWConv3, *nn.BatchNorm, *nn.ReLU, *nn.MaxPool, *nn.Reorg, *nn.Add, *nn.Concat:
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // skyNetC is the model the remaining tests share.
@@ -176,19 +210,24 @@ func requireBundleSteps(t *testing.T, g *nn.Graph, x *tensor.Tensor) {
 
 // TestPlanArenaLiveness poisons every arena slot the moment the plan
 // releases it: were a slot handed to a later step while something still had
-// to read it, NaNs would reach the output. Batches shrink and grow so that
-// slots are also cut from an arena sized for another batch.
+// to read it, or did a lane read its neighbour's region, NaNs would reach the
+// output. Batches and worker counts shrink and grow — one lane, two, three —
+// and the input shape changes, so that regions and slots are also cut from an
+// arena sized for another forward.
 func TestPlanArenaLiveness(t *testing.T) {
 	g, rng := skyNetC(0.25, 13)
 	xs := []*tensor.Tensor{randBatch(rng, 2, 3, 32, 64), randBatch(rng, 5, 3, 32, 64), randBatch(rng, 1, 3, 32, 64), randBatch(rng, 2, 3, 16, 16)}
 	var want []*tensor.Tensor
 	for _, x := range xs {
-		want = append(want, g.Forward(x, false))
+		want = append(want, walk(g, x, nil))
 	}
 	nn.PoisonReleased(t)
-	for i, x := range xs {
-		requireSameBits(t, fmt.Sprintf("input %d with released slots poisoned", i), g.Forward(x, false), want[i])
-		requireSameBits(t, fmt.Sprintf("input %d against the walk", i), want[i], walk(g, x, nil))
+	for _, workers := range []int{1, 2, 3, 2} {
+		parallelism(workers, func() {
+			for i, x := range xs {
+				requireSameBits(t, fmt.Sprintf("input %d on %d workers with released slots poisoned", i, workers), g.Forward(x, false), want[i])
+			}
+		})
 	}
 }
 
@@ -243,10 +282,10 @@ func floatBytes(t *tensor.Tensor) []byte {
 
 // TestGraphInferenceSteadyStateAllocs is the plan's allocation contract: a
 // warm inference forward of SkyNet C allocates its output tensor — the
-// caller's — and at one worker nothing else, Bundle steps and their band
-// buffers included; beyond one worker the extra is the goroutines of the
-// layer loops' splits, so it must not grow with the batch. The worker count
-// is read per forward, not frozen in the plan.
+// caller's — and nothing else, at every worker count and batch size: the
+// lanes run on the GEMM pool, and so do the Bundle steps and depth-wise
+// planes a lone lane splits. The worker count is read per forward, not frozen
+// in the plan.
 func TestGraphInferenceSteadyStateAllocs(t *testing.T) {
 	g, rng := skyNetC(0.25, 15)
 	small, large := randBatch(rng, 2, 3, 32, 64), randBatch(rng, 6, 3, 32, 64)
@@ -256,35 +295,35 @@ func TestGraphInferenceSteadyStateAllocs(t *testing.T) {
 		g.Forward(x, false)
 		return testing.AllocsPerRun(10, func() { g.Forward(x, false) })
 	}
-	g.Forward(large, false) // the arena has seen its largest batch
-	parallelism(1, func() {
-		shape := g.Forward(small, false).Shape()
-		var out *tensor.Tensor
-		outAllocs := testing.AllocsPerRun(10, func() { out = tensor.New(shape...) })
-		runtime.KeepAlive(out)
-		for _, x := range []*tensor.Tensor{small, large} {
-			if got := warm(x); got != outAllocs {
-				t.Errorf("one worker, batch %d: %v allocs per forward, want the output tensor's %v", x.Dim(0), got, outAllocs)
+	shape := g.Forward(small, false).Shape()
+	var out *tensor.Tensor
+	outAllocs := testing.AllocsPerRun(10, func() { out = tensor.New(shape...) })
+	runtime.KeepAlive(out)
+	for _, workers := range []int{1, 2, 3} {
+		parallelism(workers, func() {
+			for _, x := range []*tensor.Tensor{small, large} {
+				if got := warm(x); got != outAllocs {
+					t.Errorf("%d workers, batch %d: %v allocs per forward, want the output tensor's %v", workers, x.Dim(0), got, outAllocs)
+				}
 			}
-		}
-	})
-	parallelism(2, func() {
-		if s, l := warm(small), warm(large); l > s {
-			t.Errorf("two workers: %v allocs per forward at batch %d, %v at batch %d; the count must not grow with the batch", l, large.Dim(0), s, small.Dim(0))
-		}
-	})
+		})
+	}
 }
 
 // TestCostAndOutShapesAfterInference: the hardware models run one inference
 // forward and then ask every layer for its cost and the graph for its
 // shapes. Both must describe that forward, and no layer may still hold its
-// input batch. A Bundle step runs two layers' arithmetic without their
-// forwardInto, and has to leave on both the geometry Cost reads.
+// input batch. The plan runs the layers' arithmetic a sample at a time, on
+// two lanes here, without their forwardInto, and has to leave on every one —
+// a Bundle step's two included — the geometry of the whole batch Cost reads.
 func TestCostAndOutShapesAfterInference(t *testing.T) {
 	g, rng := skyNetC(0.25, 16)
-	x := randBatch(rng, 2, 3, 32, 64)
+	x := randBatch(rng, 3, 3, 32, 64)
 	requireBundleSteps(t, g, x)
-	g.Forward(x, false)
+	parallelism(2, func() { g.Forward(x, false) })
+	if _, lanes := nn.Arena(g); lanes != 2 {
+		t.Fatalf("a batch of 3 on two workers ran on %d lanes, want 2", lanes)
+	}
 	macs, bytes := g.Cost()
 	shapes := make([][]int, len(g.OutShapes))
 	for i, s := range g.OutShapes {

@@ -209,9 +209,21 @@ func (a *Add) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	if len(xs) != 2 {
 		panic("nn: add expects exactly 2 inputs")
 	}
-	out := xs[0].Clone()
-	out.AddInPlace(xs[1])
+	if !xs[0].SameShape(xs[1]) {
+		panic(fmt.Sprintf("nn: add of shapes %v and %v", xs[0].Shape(), xs[1].Shape()))
+	}
+	out := tensor.New(xs[0].Shape()...)
+	addInto(out.Data, xs[0].Data, xs[1].Data)
 	return out
+}
+
+// addInto writes a + b to dst.
+//
+//skynet:hotpath
+func addInto(dst, a, b []float32) {
+	for i, v := range a {
+		dst[i] = v + b[i]
+	}
 }
 
 func (a *Add) Backward(dout *tensor.Tensor) []*tensor.Tensor {

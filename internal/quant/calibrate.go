@@ -130,14 +130,16 @@ type ActivationScales struct {
 // feature maps share one grid because the next layer's GEMM consumes them
 // whole; each weight channel's scale folds into its requantize multiplier.
 //
-// It observes the plan's arena slots in place, one sample at a time: no hook
-// is installed, no feature map allocated, and the arena left on g is one
-// sample's. Every observer sees the values of a batched, unfused forward in
-// the same order (the plan equals the layer walk bit for bit; the batch is
-// the outermost dimension), so both calibrators give the scales they would
-// there. A graph that already has an FMHook runs hooked, whole batches at a
-// time, as its Forward would: the hook is not touched, and what is observed
-// is each node's tensor as the hook left it.
+// It observes the plan's arena slots in place: no hook is installed, no
+// feature map allocated, and — an observed run being one lane, sample after
+// sample — the arena left on g is one sample's. Every observer sees the
+// values of a batched, unfused forward in the same order (the plan equals
+// the layer walk bit for bit; the batch is the outermost dimension), so both
+// calibrators give the scales they would there. A graph that already has an
+// FMHook runs hooked, as its Forward would: the hook is not touched, and what
+// is observed is each node's tensor as the hook left it. A graph with a layer
+// kind the plan does not lower is walked layer by layer too (nn.Plan.Run),
+// whole batches at a time, and every node's tensor observed.
 func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig, separate []bool) (ActivationScales, error) {
 	if len(batches) == 0 {
 		return ActivationScales{}, fmt.Errorf("quant: calibration needs at least one batch")
@@ -150,16 +152,7 @@ func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig
 	observe := func(i int, data []float32) { obs[i].observe(data) }
 	for _, b := range batches {
 		inObs.observe(b.Data)
-		p := nn.Compile(g, b.Shape(), separate)
-		if g.FMHook != nil {
-			p.Run(b, observe)
-			continue
-		}
-		sample := append([]int{1}, b.Shape()[1:]...)
-		per := b.Len() / b.Dim(0)
-		for i := 0; i < b.Dim(0); i++ {
-			p.Run(tensor.FromSlice(b.Data[i*per:(i+1)*per], sample...), observe)
-		}
+		nn.Compile(g, b.Shape(), separate).Run(b, observe)
 	}
 	pct := cfg.percentile()
 	out := ActivationScales{

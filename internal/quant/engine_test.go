@@ -214,8 +214,9 @@ func TestCalibrationObserverMatchesHook(t *testing.T) {
 
 // mixedGraph is a small model off SkyNet's path: a strided k×k convolution
 // with im2col, a strided depth-wise one, a stand-alone BatchNorm (float
-// fallback), a pool with cropping, a layer kind the plan does not lower
-// feeding an int8 unit, and an activation at the graph output.
+// fallback), a pool with cropping, a layer kind the engine does not lower
+// (Add: a float fallback unit) feeding an int8 unit, and an activation at the
+// graph output.
 func mixedGraph(rng *rand.Rand) *nn.Graph {
 	g := nn.NewGraph()
 	g.Add(nn.NewConv2D(rng, 3, 8, 3, 2, 1, true), nn.GraphInput)
@@ -360,11 +361,12 @@ func TestExportAccumulatorBound(t *testing.T) {
 	})
 }
 
-// workers pins the worker count of the GEMMs and the plane loops for fn.
+// workers pins the worker count — of the lanes, the GEMMs and the plane
+// loops — for fn.
 func workers(n int, fn func()) {
-	old := tensor.MaxParallelism
-	tensor.MaxParallelism = n
-	defer func() { tensor.MaxParallelism = old }()
+	oldNN, oldT := nn.MaxParallelism, tensor.MaxParallelism
+	nn.MaxParallelism, tensor.MaxParallelism = n, n
+	defer func() { nn.MaxParallelism, tensor.MaxParallelism = oldNN, oldT }()
 	fn()
 }
 
@@ -432,24 +434,154 @@ func TestQuantizedBatchInvariance(t *testing.T) {
 
 // TestCodeArenaLiveness overwrites every code slot with -128 the moment the
 // plan releases it: were a slot handed to a later step while something still
-// had to read it, the output would change. Batches shrink and grow and the
-// input shape changes, so slots are also cut from an arena sized for another
-// forward.
+// had to read it, or did a lane read its neighbour's region, the output would
+// change. Batches and worker counts shrink and grow — one lane, two, three —
+// and the input shape changes, so regions and slots are also cut from an
+// arena sized for another forward.
 func TestCodeArenaLiveness(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	xs := []*tensor.Tensor{randBatch(rng, 2, 3, 32, 64), randBatch(rng, 5, 3, 32, 64), randBatch(rng, 1, 3, 32, 64), randBatch(rng, 2, 3, 16, 16)}
 	for name, qm := range engineCases(t) {
 		var want [][]float32
-		for _, x := range xs {
-			want = append(want, forwardCopy(qm, x))
-		}
-		poisonReleased = true
-		for i, x := range xs {
-			if got := forwardCopy(qm, x); !sameBits(got, want[i]) {
-				t.Errorf("%s: input %d changes when released slots are poisoned", name, i)
+		workers(1, func() {
+			for _, x := range xs {
+				want = append(want, forwardCopy(qm, x))
 			}
+		})
+		poisonReleased = true
+		for _, w := range []int{1, 2, 3, 2} {
+			workers(w, func() {
+				for i, x := range xs {
+					if got := forwardCopy(qm, x); !sameBits(got, want[i]) {
+						t.Errorf("%s: input %d on %d workers changes when released slots are poisoned", name, i, w)
+					}
+				}
+			})
 		}
 		poisonReleased = false
+	}
+}
+
+// TestArenaBoundedByLanes: the code arena is one sample's per lane, whatever
+// the batch. Two workers take a batch of 16 on two regions, and a batch of 1
+// after it — one lane — neither shrinks nor regrows the arena.
+func TestArenaBoundedByLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	_, qm, _ := exportSkyNet(t, rng, 0.25, 32, ExportConfig{})
+	workers(2, func() {
+		qm.Forward(randBatch(rng, 16, 3, 32, 64), false)
+		arena := qm.arena
+		if len(arena) != 2*qm.perSample || len(qm.lanes) != 2 {
+			t.Fatalf("a batch of 16 on two workers left an arena of %d codes on %d lanes, want 2 × %d on 2", len(arena), len(qm.lanes), qm.perSample)
+		}
+		qm.Forward(randBatch(rng, 1, 3, 32, 64), false)
+		if len(qm.arena) != len(arena) || &qm.arena[0] != &arena[0] {
+			t.Fatalf("a batch of 1 afterwards replaced the arena (%d codes, was %d)", len(qm.arena), len(arena))
+		}
+	})
+}
+
+// requireOneLane fails unless qm, a model with a float fallback unit — whose
+// layers keep state of their own — takes the batch x on one lane however many
+// workers there are, and to the concatenation of its frames' own forwards.
+func requireOneLane(t *testing.T, qm *QuantizedModel, x *tensor.Tensor) {
+	t.Helper()
+	if _, fl, _ := qm.Stats(); fl == 0 {
+		t.Fatal("the model has no float fallback unit")
+	}
+	var whole []float32
+	workers(3, func() { whole = forwardCopy(qm, x) })
+	if len(qm.lanes) != 1 {
+		t.Fatalf("a batch of %d on three workers ran on %d lanes, want one", x.Dim(0), len(qm.lanes))
+	}
+	n := x.Dim(0)
+	per, outPer := x.Len()/n, len(whole)/n
+	for i := 0; i < n; i++ {
+		one := forwardCopy(qm, tensor.FromSlice(x.Data[i*per:(i+1)*per], append([]int{1}, x.Shape()[1:]...)...))
+		if !sameBits(one, whole[i*outPer:(i+1)*outPer]) {
+			t.Fatalf("frame %d alone differs from its row of the batch", i)
+		}
+	}
+}
+
+// TestEngineLanesShareNoOperand runs two and three lanes side by side over
+// every unit kind, several times over. Under -race a unit or model field
+// written during a walk is a report; without it the bits still have to be
+// the one-worker forward's. The models with a fallback unit stay on one lane.
+func TestEngineLanesShareNoOperand(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for name, qm := range engineCases(t) {
+		x := randBatch(rng, 5, 3, 32, 64)
+		var want []float32
+		workers(1, func() { want = forwardCopy(qm, x) })
+		for _, w := range []int{2, 3} {
+			workers(w, func() {
+				for rep := 0; rep < 3; rep++ {
+					if got := forwardCopy(qm, x); !sameBits(got, want) {
+						t.Fatalf("%s: %d workers and one worker disagree", name, w)
+					}
+				}
+			})
+		}
+		_, fl, _ := qm.Stats()
+		if lanes := len(qm.lanes); (lanes == 1) != (fl > 0) || fl == 0 && lanes != 3 {
+			t.Fatalf("%s (%d fallback units) has run on %d lanes at most", name, fl, lanes)
+		}
+	}
+}
+
+// TestInt8BatchInvariance is nn's TestBatchInvariance on the int8 engine:
+// over SkyNet A, B and C at three widths on odd-sized frames, the forward of
+// a batch of 1..6 at every pair of worker counts 1..4 × 1..4 and under each
+// micro-kernel is bit for bit the one-worker forward and the concatenation of
+// its frames' own forwards.
+func TestInt8BatchInvariance(t *testing.T) {
+	widths, batches, counts := []float64{0.125, 0.25, 0.5}, []int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4}
+	if testing.Short() {
+		widths, batches, counts = []float64{0.25}, []int{1, 3, 4}, []int{1, 2, 3}
+	}
+	sizes := [][2]int{{9, 19}, {17, 11}, {11, 25}}
+	oldNN, oldT := nn.MaxParallelism, tensor.MaxParallelism
+	defer func() { nn.MaxParallelism, tensor.MaxParallelism = oldNN, oldT }()
+	for vi, v := range []backbone.SkyNetVariant{backbone.VariantA, backbone.VariantB, backbone.VariantC} {
+		for wi, width := range widths {
+			rng := rand.New(rand.NewSource(int64(40 + vi)))
+			g := backbone.SkyNet(rng, backbone.Config{Width: width, InC: 3, HeadChannels: 10, ReLU6: true}, v)
+			settle(g, rng)
+			h, w := sizes[(vi+wi)%3][0], sizes[(vi+wi)%3][1]
+			qm, err := Export(g, []*tensor.Tensor{randBatch(rng, 4, 3, h, w)}, ExportConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range batches {
+				x := randBatch(rng, b, 3, h, w)
+				var want []float32
+				underBothKernels(t, func(kernel string) {
+					what := fmt.Sprintf("SkyNet%s/width%v/%dx%dx%d kernel=%s", v, width, b, h, w, kernel)
+					nn.MaxParallelism, tensor.MaxParallelism = 1, 1
+					if whole := forwardCopy(qm, x); want == nil {
+						want = whole
+					} else if !sameBits(whole, want) {
+						t.Fatalf("%s: the one-worker forward differs from the first kernel's", what)
+					}
+					per, outPer := x.Len()/b, len(want)/b
+					for i := 0; i < b; i++ {
+						one := forwardCopy(qm, tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, 3, h, w))
+						if !sameBits(one, want[i*outPer:(i+1)*outPer]) {
+							t.Fatalf("%s: frame %d alone differs from its row of the batch", what, i)
+						}
+					}
+					for _, nw := range counts {
+						for _, tw := range counts {
+							nn.MaxParallelism, tensor.MaxParallelism = nw, tw
+							if got := forwardCopy(qm, x); !sameBits(got, want) {
+								t.Fatalf("%s: workers %d×%d and one worker disagree", what, nw, tw)
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

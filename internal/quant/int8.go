@@ -26,8 +26,11 @@ import (
 // The engine owns arithmetic only: integer weights, epilogues, scales. What
 // runs when, every shape, and where each feature map lives come from the
 // float engine's planner — nn.Compile under the ForceFloat mask — whose
-// steps it executes on one []int8 arena at the plan's own offsets, a code
-// where the float executor keeps a float32.
+// steps it executes on a []int8 arena at the plan's own offsets, a code
+// where the float executor keeps a float32. It runs a batch the way that
+// executor does, by its rule and through its code (nn.LanesFor, nn.RunLanes):
+// as lanes, each worker walking its own samples through the steps on a region
+// of the arena one sample large.
 //
 // Determinism: every integer kernel accumulates exactly (no float
 // reassociation; Export enforces tensor.Int8AccumulatorFits),
@@ -36,17 +39,24 @@ import (
 // produces bitwise identical outputs for any GOMAXPROCS, matching the float
 // path's contract.
 
-// value is one tensor of the forward in flight — a node's output or the
-// graph input — in the forms its consumers ask for. Its producer leaves
-// codes (in the model's arena) or a float tensor; the other form is made on
-// first demand and kept for the remaining consumers.
+// value is what the plan fixes of one tensor — a node's output or the graph
+// input: its grid, its shape and where its codes lie.
 type value struct {
 	scale     float32
-	dims      []int          // shape of one sample, from the plan (dims[0] is not used)
-	off, size int            // per sample: the code slot of a batch of n is arena[off·n : (off+size)·n]
-	coded     bool           // the slot holds this forward's codes
-	f         *tensor.Tensor // this forward's float form, once produced or asked for
-	fbuf      *tensor.Tensor // where f is dequantized to, kept across forwards
+	dims      []int // shape of one sample: dims[0] is 1
+	off, size int   // the code slot within a lane's region of the arena: [off, off+size)
+	asFloat   bool  // a fallback unit reads it: every lane keeps a buffer to dequantize it to
+}
+
+// laneValue is one tensor of the sample a lane has in flight, in the forms
+// its consumers ask for. Its producer leaves codes (in the lane's region) or
+// floats; the other form is made on first demand and kept for the remaining
+// consumers.
+type laneValue struct {
+	coded bool           // the slot holds this sample's codes
+	f     []float32      // this sample's float form, once produced or asked for
+	fbuf  []float32      // where f is dequantized to, kept across forwards
+	view  *tensor.Tensor // f as a fallback unit's argument, kept across forwards and repointed
 }
 
 // quantizeInto writes codes = clamp(rne(src/scale), -127, 127).
@@ -78,12 +88,14 @@ func dequantizeInto(dst []float32, src []int8, scale float32) {
 	}
 }
 
-// unit is the arithmetic of one plan step: it reads the step's inputs
-// through m.codes or m.float and leaves the step's output through m.dest or
-// m.floatDest. Units are stored at the node whose output they write (a fused
-// conv+BN+act unit at the activation's index, as nn.Step.Out).
+// unit is the arithmetic of one plan step on one sample: it reads the step's
+// inputs through the lane's codes or float and leaves the step's output
+// through its dest or floatDest. Units are stored at the node whose output
+// they write (a fused conv+BN+act unit at the activation's index, as
+// nn.Step.Out), and hold no operand of a forward: lanes run them side by
+// side.
 type unit interface {
-	run(m *QuantizedModel, s *nn.Step)
+	run(l *qlane, s *nn.Step, leaf bool)
 }
 
 // QuantizedModel is the int8 lowering of an nn.Graph. It implements
@@ -97,17 +109,32 @@ type QuantizedModel struct {
 	vals     []value   // by node + 1; vals[0] is the graph input
 	output   int
 
-	// The plan for the sample shape of vals[0].dims: its steps, and the
-	// arena size per sample — the plan's own plus the slots it does not lay out.
-	steps     []nn.Step
-	perSample int
+	// The plan for the sample shape of vals[0].dims: its steps, the arena a
+	// sample needs — the plan's own plus the slots it does not lay out — and
+	// the scratch its units need of a lane.
+	steps          []nn.Step
+	perSample      int
+	colLen, accLen int // qconv's im2col matrix, qdw's accumulator rows
+	maxInputs      int
 
-	arena []int8  // every code of the forward in flight
-	batch int     // of the forward in flight
-	col   []int8  // im2col of one image, for the k×k convolutions
-	acc   []int32 // qdw's accumulator rows
+	arena []int8         // the codes of the forward in flight: one sample's per lane
+	lanes []*qlane       // lanes[i] owns region i of arena
+	out   *tensor.Tensor // the output of the last forward
+	x     []float32      // the input batch of the forward in flight
 
 	int8Units, floatUnits, fusedNodes int // Stats
+}
+
+// qlane is one worker's share of a forward, as nn's lane is: the sample it
+// has in flight, its region of the arena and its scratch.
+type qlane struct {
+	m      *QuantizedModel
+	arena  []int8
+	vals   []laneValue      // by node + 1, as m.vals
+	sample int              // which of the batch is in flight
+	col    []int8           // im2col of the image, for the k×k convolutions
+	acc    []int32          // qdw's accumulator rows, one per plane
+	ins    []*tensor.Tensor // a fallback unit's argument list
 }
 
 // poisonReleased makes Forward overwrite every code slot with -128 — never
@@ -128,32 +155,20 @@ func (m *QuantizedModel) Stats() (int8Units, floatUnits, fusedNodes int) {
 // Forward, which overwrites it. (A fresh one per call would cost about three
 // allocations per frame where a warm Forward makes none, the contract
 // TestQuantizedSteadyStateAllocs and the benchmark's stream-int8
-// allocs_per_op bound hold it to.)
+// allocs_per_op bound hold it to.) The samples go to nn.LanesFor(N) lanes; a
+// model with a float fallback unit runs on one, its layers keeping state.
 func (m *QuantizedModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	m.batch = x.Dim(0)
+	n := x.Dim(0)
 	m.planFor(x)
-	if need := m.perSample * m.batch; len(m.arena) < need {
-		m.arena = nil // not live while its replacement is allocated, as in nn's Plan.prepare
-		m.arena = make([]int8, need)
+	lanes := 1
+	if m.floatUnits == 0 {
+		lanes = nn.LanesFor(n)
 	}
-	for i := range m.vals {
-		m.vals[i].coded, m.vals[i].f = false, nil
-	}
-	m.vals[0].f = x
-	for i := range m.steps {
-		s := &m.steps[i]
-		m.units[s.Out].run(m, s)
-		if poisonReleased {
-			for _, j := range s.Frees {
-				buf := m.slot(m.val(j))
-				for k := range buf {
-					buf[k] = -128
-				}
-			}
-		}
-	}
-	m.vals[0].f = nil // the caller's frame is not the engine's to keep
-	return m.float(m.output)
+	m.prepare(n, lanes)
+	m.x = x.Data
+	nn.RunLanes(laneWalker{m}, n, lanes)
+	m.x = nil // the caller's frames are not the engine's to keep
+	return m.out
 }
 
 // planFor makes m.steps the plan for x, compiling one when the sample shape
@@ -164,14 +179,35 @@ func (m *QuantizedModel) planFor(x *tensor.Tensor) {
 		return
 	}
 	m.steps, m.perSample = nn.Compile(m.g, x.Shape(), m.separate).Steps()
-	in.dims, in.off, in.size = slices.Clone(x.Shape()), -1, x.Len()/m.batch
-	for _, s := range m.steps {
+	in.dims, in.off, in.size = slices.Clone(x.Shape()), -1, x.Len()/x.Dim(0)
+	in.dims[0] = 1
+	m.out, m.colLen, m.accLen, m.maxInputs = nil, 0, 0, 0
+	for _, l := range m.lanes {
+		for j := range l.vals {
+			l.vals[j].view = nil // of the last plan's shape
+		}
+	}
+	for i := range m.steps {
+		s := &m.steps[i]
 		v := m.val(s.Out)
-		v.dims, v.off, v.size, v.fbuf = s.Dims, s.Off, s.Size, nil
+		v.dims, v.off, v.size = s.Dims, s.Off, s.Size
+		m.maxInputs = max(m.maxInputs, len(s.Inputs))
+		switch u := m.units[s.Out].(type) {
+		case *qconv:
+			if !u.direct() {
+				m.colLen = max(m.colLen, m.val(s.Inputs[0]).dims[1]*u.k*u.k*s.Dims[2]*s.Dims[3])
+			}
+		case *qdw:
+			m.accLen = max(m.accLen, u.c*s.Dims[3])
+		case *qfallback:
+			for _, j := range s.Inputs {
+				m.val(j).asFloat = true
+			}
+		}
 	}
 	// The float plan keeps the graph input, the graph output and the outputs
 	// of layer kinds it does not lower outside its arena. Their codes, where
-	// a unit asks for them, get a slot past the plan's, for the whole forward.
+	// a unit asks for them, get a slot past the plan's, for the whole walk.
 	for i := range m.vals {
 		if v := &m.vals[i]; v.off < 0 {
 			v.off = m.perSample
@@ -180,55 +216,136 @@ func (m *QuantizedModel) planFor(x *tensor.Tensor) {
 	}
 }
 
+// prepare readies the output tensor for a batch of n, and the arena, one
+// region per lane, and the lanes with their scratch for the plan. The arena
+// grows with the lanes and the plan, never with the batch.
+func (m *QuantizedModel) prepare(n, lanes int) {
+	if out := m.val(m.output); m.out == nil || m.out.Dim(0) != n {
+		m.out = tensor.New(append([]int{n}, out.dims[1:]...)...)
+	}
+	if need := m.perSample * lanes; len(m.arena) < need {
+		m.arena = nil // not live while its replacement is allocated, as in nn's Plan.prepare
+		m.arena = make([]int8, need)
+	}
+	for len(m.lanes) < lanes {
+		m.lanes = append(m.lanes, &qlane{m: m, vals: make([]laneValue, len(m.vals))})
+	}
+	for i, l := range m.lanes[:lanes] {
+		l.arena = m.arena[i*m.perSample : (i+1)*m.perSample]
+		if len(l.col) < m.colLen {
+			l.col = make([]int8, m.colLen)
+		}
+		if len(l.acc) < m.accLen {
+			l.acc = make([]int32, m.accLen)
+		}
+		if len(l.ins) < m.maxInputs {
+			l.ins = make([]*tensor.Tensor, m.maxInputs)
+		}
+		for j, v := range m.vals {
+			if v.asFloat && len(l.vals[j].fbuf) != v.size {
+				l.vals[j].fbuf = make([]float32, v.size)
+			}
+		}
+	}
+}
+
+// laneWalker is a model's forward in flight, as nn.RunLanes drives it.
+type laneWalker struct{ m *QuantizedModel }
+
+// WalkSample takes sample i of the forward in flight through the steps on
+// lane li and leaves its output in row i of m.out.
+//
+//skynet:hotpath
+func (w laneWalker) WalkSample(li, i int, leaf bool) {
+	m, l := w.m, w.m.lanes[li]
+	for j := range l.vals {
+		l.vals[j].coded, l.vals[j].f = false, nil
+	}
+	l.sample = i
+	in := m.val(nn.GraphInput)
+	l.vals[0].f = m.x[i*in.size : (i+1)*in.size]
+	for k := range m.steps {
+		s := &m.steps[k]
+		m.units[s.Out].run(l, s, leaf)
+		if poisonReleased {
+			for _, j := range s.Frees {
+				buf := l.slot(j)
+				for q := range buf {
+					buf[q] = -128
+				}
+			}
+		}
+	}
+	// A unit that produced the output as floats of its own (a fallback) did
+	// not write the row; every other way of producing it did.
+	if row, f := l.outRow(), l.float(m.output); &f[0] != &row[0] {
+		copy(row, f)
+	}
+	l.vals[0].f = nil
+}
+
 // val returns the value of node j (nn.GraphInput for the graph's input).
 //
 //skynet:hotpath
 func (m *QuantizedModel) val(j int) *value { return &m.vals[j+1] }
 
-// slot returns v's code slot at the batch in flight.
+// outRow returns the row of the output batch the sample in flight fills.
 //
 //skynet:hotpath
-func (m *QuantizedModel) slot(v *value) []int8 {
-	return m.arena[v.off*m.batch : (v.off+v.size)*m.batch]
+func (l *qlane) outRow() []float32 {
+	size := l.m.val(l.m.output).size
+	return l.m.out.Data[l.sample*size : (l.sample+1)*size]
+}
+
+// slot returns value j's code slot in the lane's region.
+//
+//skynet:hotpath
+func (l *qlane) slot(j int) []int8 {
+	v := l.m.val(j)
+	return l.arena[v.off : v.off+v.size]
 }
 
 // dest returns node j's code slot for its producer to fill.
-func (m *QuantizedModel) dest(j int) []int8 {
-	v := m.val(j)
-	v.coded = true
-	return m.slot(v)
+//
+//skynet:hotpath
+func (l *qlane) dest(j int) []int8 {
+	l.vals[j+1].coded = true
+	return l.slot(j)
 }
 
 // codes returns value j as int8 codes at its scale, quantizing a
 // float-produced value into its slot on first demand.
-func (m *QuantizedModel) codes(j int) []int8 {
-	v := m.val(j)
-	buf := m.slot(v)
+//
+//skynet:hotpath
+func (l *qlane) codes(j int) []int8 {
+	v, buf := &l.vals[j+1], l.slot(j)
 	if !v.coded {
-		quantizeInto(buf, v.f.Data, v.scale)
+		quantizeInto(buf, v.f, l.m.val(j).scale)
 		v.coded = true
 	}
 	return buf
 }
 
-// floatDest makes node j's float form this forward's and returns it for its
-// producer to fill. The tensor persists across forwards of one batch size,
-// so a warm forward allocates none.
-func (m *QuantizedModel) floatDest(j int) *tensor.Tensor {
-	v := m.val(j)
-	if v.fbuf == nil || v.fbuf.Len() != v.size*m.batch {
-		v.fbuf = tensor.New(append([]int{m.batch}, v.dims[1:]...)...)
+// floatDest makes the memory it returns node j's float form for this sample,
+// for its producer to fill: the sample's row of the output batch for the
+// output node, else the lane's buffer for a value a fallback unit reads.
+//
+//skynet:hotpath
+func (l *qlane) floatDest(j int) []float32 {
+	v := &l.vals[j+1]
+	if v.f = v.fbuf; j == l.m.output {
+		v.f = l.outRow()
 	}
-	v.f = v.fbuf
 	return v.f
 }
 
-// float returns value j as a float tensor, dequantizing codes on first
-// demand.
-func (m *QuantizedModel) float(j int) *tensor.Tensor {
-	v := m.val(j)
+// float returns value j's float form, dequantizing codes on first demand.
+//
+//skynet:hotpath
+func (l *qlane) float(j int) []float32 {
+	v := &l.vals[j+1]
 	if v.f == nil {
-		dequantizeInto(m.floatDest(j).Data, m.slot(v), v.scale)
+		dequantizeInto(l.floatDest(j), l.slot(j), l.m.val(j).scale)
 	}
 	return v.f
 }
@@ -290,7 +407,7 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 	}
 	// fallback runs the step's layers — a node's, then its fused tail's — in float.
 	fallback := func(s *nn.Step) {
-		q := &qfallback{layers: []nn.Layer{g.Nodes[s.Node].Layer}, ins: make([]*tensor.Tensor, len(s.Inputs))}
+		q := &qfallback{layers: []nn.Layer{g.Nodes[s.Node].Layer}}
 		for _, t := range s.Chain.Tail {
 			q.layers = append(q.layers, g.Nodes[t].Layer)
 		}
@@ -327,7 +444,7 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 			// Clamping codes preserves the grid.
 			lower(s, &qrelu{hi: capCode(l.Cap, inScale)}, inScale)
 		case *nn.MaxPool:
-			lower(s, newQPool(l.K), inScale)
+			lower(s, &qpool{k: l.K}, inScale)
 		case *nn.Reorg:
 			lower(s, &qreorg{s: l.S}, inScale)
 		case *nn.Concat:
@@ -446,69 +563,74 @@ func newQConv(c *nn.Conv2D, bn *nn.BatchNorm, act *nn.ReLU, inScale, outScale fl
 	return q
 }
 
-func (q *qconv) run(m *QuantizedModel, s *nn.Step) {
-	in := m.val(s.Inputs[0])
-	c, h, w := in.dims[1], in.dims[2], in.dims[3]
-	cols, kk := s.Dims[2]*s.Dims[3], c*q.k*q.k
-	src := m.codes(s.Inputs[0])
-	var dst []int8
-	var dstF []float32
+// direct reports whether an image is its own im2col matrix.
+//
+//skynet:hotpath
+func (q *qconv) direct() bool { return q.k == 1 && q.stride == 1 && q.pad == 0 }
+
+//skynet:hotpath
+func (q *qconv) run(l *qlane, s *nn.Step, leaf bool) {
+	in := l.m.val(s.Inputs[0]).dims
+	cols, kk := s.Dims[2]*s.Dims[3], in[1]*q.k*q.k
+	b := l.codes(s.Inputs[0])
+	if !q.direct() {
+		tensor.Int8Im2Col(l.col, b, in[1], in[2], in[3], q.k, q.k, q.stride, q.pad)
+		b = l.col[:kk*cols]
+	}
+	ep := q.ep
+	ep.Leaf = leaf // one lane among several multiplies on its own goroutine
 	if q.dequant {
-		dstF = m.floatDest(s.Out).Data
+		tensor.Int8GEMMDequantInto(l.floatDest(s.Out), q.w, b, q.outC, cols, kk, ep)
 	} else {
-		dst = m.dest(s.Out)
-	}
-	direct := q.k == 1 && q.stride == 1 && q.pad == 0
-	if !direct && len(m.col) < kk*cols {
-		m.col = make([]int8, kk*cols)
-	}
-	for img := 0; img < m.batch; img++ {
-		b := src[img*in.size : (img+1)*in.size]
-		if !direct {
-			tensor.Int8Im2Col(m.col, b, c, h, w, q.k, q.k, q.stride, q.pad)
-			b = m.col
-		}
-		if q.dequant {
-			tensor.Int8GEMMDequantInto(dstF[img*s.Size:(img+1)*s.Size], q.w, b, q.outC, cols, kk, q.ep.Bias, q.ep.Mult)
-		} else {
-			tensor.Int8GEMMRequantInto(dst[img*s.Size:(img+1)*s.Size], q.w, b, q.outC, cols, kk, q.ep)
-		}
+		tensor.Int8GEMMRequantInto(l.dest(s.Out), q.w, b, q.outC, cols, kk, ep)
 	}
 }
 
-// planeLoop is what a unit whose work splits by (image, channel) plane keeps
-// for the call in flight, and its run: the planes of the batch go to the
-// workers in contiguous ranges (integer results do not depend on the split).
-type planeLoop struct {
-	body     func(lo, hi int) // the unit's planes method, bound once: a per-call closure would allocate
-	src, dst []int8
-	in, out  []int // sample shapes
+// planeUnit is a unit whose work on a sample splits by channel plane.
+type planeUnit interface {
+	// planes computes planes [lo, hi) of step s: of src, the input sample's
+	// codes, into dst, the output sample's.
+	planes(l *qlane, s *nn.Step, dst, src []int8, lo, hi int)
 }
 
-func (l *planeLoop) run(m *QuantizedModel, s *nn.Step) {
-	l.src, l.dst = m.codes(s.Inputs[0]), m.dest(s.Out)
-	l.in, l.out = m.val(s.Inputs[0]).dims, s.Dims
-	tensor.ParallelRange(m.batch*l.in[1], l.body)
-	l.src, l.dst = nil, nil
+// planes runs the planes of u's step s: all on this goroutine on a leaf walk,
+// else cut across the GEMM pool in contiguous ranges (integer results do not
+// depend on the split).
+//
+//skynet:hotpath
+func (l *qlane) planes(u planeUnit, s *nn.Step, leaf bool) {
+	a := planeSplit{u, l, s, l.dest(s.Out), l.codes(s.Inputs[0])}
+	if leaf {
+		a.planes(0, s.Dims[1])
+		return
+	}
+	planeRanger.Run(s.Dims[1], a, planeSplit.planes)
 }
+
+// planeRanger runs the plane loops a lone lane splits.
+var planeRanger = tensor.NewRanger[planeSplit]()
+
+// planeSplit is the operands of one plane loop, as its body takes them.
+type planeSplit struct {
+	u        planeUnit
+	l        *qlane
+	s        *nn.Step
+	dst, src []int8
+}
+
+//skynet:hotpath
+func (a planeSplit) planes(lo, hi int) { a.u.planes(a.l, a.s, a.dst, a.src, lo, hi) }
 
 // qdw is a quantized depth-wise convolution (nn.DWConv3, its stride and
 // padding included), computed directly on code planes.
 type qdw struct {
-	planeLoop
 	w                 []int8 // [C, k, k]
 	ep                tensor.Int8Epilogue
 	c, k, stride, pad int
-	acc               []int32 // the model's: one row of accumulators per plane
 }
 
-func (q *qdw) run(m *QuantizedModel, s *nn.Step) {
-	if need := m.batch * q.c * s.Dims[3]; len(m.acc) < need {
-		m.acc = make([]int32, need)
-	}
-	q.acc = m.acc
-	q.planeLoop.run(m, s)
-}
+//skynet:hotpath
+func (q *qdw) run(l *qlane, s *nn.Step, leaf bool) { l.planes(q, s, leaf) }
 
 // newQDW returns nil when the unit would break the accumulator bound.
 func newQDW(d *nn.DWConv3, inScale, outScale float32) *qdw {
@@ -517,19 +639,19 @@ func newQDW(d *nn.DWConv3, inScale, outScale float32) *qdw {
 	if q.w, q.ep, ok = quantizeUnit(d.Weight.W.Data, floatBias(d.Bias, d.C), d.K*d.K, inScale, outScale); !ok {
 		return nil
 	}
-	q.body = q.planes
 	return q
 }
 
-// planes convolves planes [lo, hi) of the flattened batch × channel grid.
+// planes convolves channels [lo, hi) of the sample, each on its own row of
+// the lane's accumulators.
 //
 //skynet:hotpath
-func (q *qdw) planes(lo, hi int) {
-	h, w, outH, outW, kk := q.in[2], q.in[3], q.out[2], q.out[3], q.k*q.k
-	for p := lo; p < hi; p++ {
-		ch := p % q.c
-		dwPlaneInt8(q.dst[p*outH*outW:(p+1)*outH*outW], q.src[p*h*w:(p+1)*h*w], q.w[ch*kk:(ch+1)*kk],
-			q.acc[p*outW:(p+1)*outW], h, w, q.k, q.stride, q.pad, q.ep.Bias[ch], q.ep.Mult[ch])
+func (q *qdw) planes(l *qlane, s *nn.Step, dst, src []int8, lo, hi int) {
+	in := l.m.val(s.Inputs[0]).dims
+	h, w, outH, outW, kk := in[2], in[3], s.Dims[2], s.Dims[3], q.k*q.k
+	for ch := lo; ch < hi; ch++ {
+		dwPlaneInt8(dst[ch*outH*outW:(ch+1)*outH*outW], src[ch*h*w:(ch+1)*h*w], q.w[ch*kk:(ch+1)*kk],
+			l.acc[ch*outW:(ch+1)*outW], h, w, q.k, q.stride, q.pad, q.ep.Bias[ch], q.ep.Mult[ch])
 	}
 }
 
@@ -550,27 +672,23 @@ func dwPlaneInt8(dst, src, ker []int8, acc []int32, h, w, k, stride, pad int, bi
 // it is exact.
 type qrelu struct{ hi int8 }
 
-func (q *qrelu) run(m *QuantizedModel, s *nn.Step) {
-	tensor.RescaleCodes(m.dest(s.Out), m.codes(s.Inputs[0]), 1, 0, q.hi)
+//skynet:hotpath
+func (q *qrelu) run(l *qlane, s *nn.Step, _ bool) {
+	tensor.RescaleCodes(l.dest(s.Out), l.codes(s.Inputs[0]), 1, 0, q.hi)
 }
 
 // qpool is max pooling on codes: scales are positive, so the code-domain
 // max is the value-domain max and the result is exact on the same grid.
-type qpool struct {
-	planeLoop
-	k int
-}
-
-func newQPool(k int) *qpool {
-	q := &qpool{k: k}
-	q.body = q.planes
-	return q
-}
+type qpool struct{ k int }
 
 //skynet:hotpath
-func (q *qpool) planes(lo, hi int) {
-	h, w, out := q.in[2], q.in[3], q.out[2]*q.out[3]
-	maxPoolCodes(q.dst[lo*out:hi*out], q.src[lo*h*w:hi*h*w], hi-lo, h, w, q.k)
+func (q *qpool) run(l *qlane, s *nn.Step, leaf bool) { l.planes(q, s, leaf) }
+
+//skynet:hotpath
+func (q *qpool) planes(l *qlane, s *nn.Step, dst, src []int8, lo, hi int) {
+	in := l.m.val(s.Inputs[0]).dims
+	h, w, out := in[2], in[3], s.Dims[2]*s.Dims[3]
+	maxPoolCodes(dst[lo*out:hi*out], src[lo*h*w:hi*h*w], hi-lo, h, w, q.k)
 }
 
 // maxPoolCodes pools each of the [h,w] planes of src into dst; the 2×2
@@ -610,9 +728,10 @@ func maxPoolCodes(dst, src []int8, planes, h, w, k int) {
 // qreorg is the space-to-depth shuffle on codes (pure data movement).
 type qreorg struct{ s int }
 
-func (q *qreorg) run(m *QuantizedModel, s *nn.Step) {
-	in := m.val(s.Inputs[0]).dims
-	nn.ReorgInto(m.dest(s.Out), m.codes(s.Inputs[0]), m.batch, in[1], in[2], in[3], q.s)
+//skynet:hotpath
+func (q *qreorg) run(l *qlane, s *nn.Step, _ bool) {
+	in := l.m.val(s.Inputs[0]).dims
+	nn.ReorgInto(l.dest(s.Out), l.codes(s.Inputs[0]), 1, in[1], in[2], in[3], q.s)
 }
 
 // qconcat concatenates along channels, requantizing every input onto the
@@ -620,36 +739,49 @@ func (q *qreorg) run(m *QuantizedModel, s *nn.Step) {
 // through bit-exactly).
 type qconcat struct{ mults []float32 }
 
-func (q *qconcat) run(m *QuantizedModel, s *nn.Step) {
-	dst := m.dest(s.Out)
-	at := 0 // where the next input's channels start within one output sample
+//skynet:hotpath
+func (q *qconcat) run(l *qlane, s *nn.Step, _ bool) {
+	dst := l.dest(s.Out)
+	at := 0 // where the next input's channels start
 	for k, j := range s.Inputs {
-		src, sz := m.codes(j), m.val(j).size
-		for img := 0; img < m.batch; img++ {
-			tensor.RescaleCodes(dst[img*s.Size+at:img*s.Size+at+sz], src[img*sz:(img+1)*sz], q.mults[k], -127, 127)
-		}
-		at += sz
+		src := l.codes(j)
+		tensor.RescaleCodes(dst[at:at+len(src)], src, q.mults[k], -127, 127)
+		at += len(src)
 	}
 }
 
 // qfallback runs original float layers — a node's, then those of the tail
-// fused onto it — between dequantize/quantize shims. Its output carries the
-// node's calibrated scale so downstream int8 consumers can quantize it
-// lazily; a fallback consumer gets the floats themselves.
-type qfallback struct {
-	layers []nn.Layer
-	ins    []*tensor.Tensor // argument list of layers[0]
+// fused onto it — between dequantize/quantize shims, a sample at a time. Its
+// output carries the node's calibrated scale so downstream int8 consumers can
+// quantize it lazily; a fallback consumer gets the floats themselves. The
+// layers keep state of their own, which is why a model with one runs on one
+// lane.
+type qfallback struct{ layers []nn.Layer }
+
+//skynet:hotpath
+func (q *qfallback) run(l *qlane, s *nn.Step, _ bool) {
+	ins := l.ins[:len(s.Inputs)]
+	for k, j := range s.Inputs {
+		ins[k] = l.tensor(j)
+	}
+	out := q.layers[0].Forward(ins, false)
+	for _, layer := range q.layers[1:] {
+		ins[0] = out
+		out = layer.Forward(ins[:1], false)
+	}
+	clear(ins)
+	l.vals[s.Out+1].f = out.Data
 }
 
-func (q *qfallback) run(m *QuantizedModel, s *nn.Step) {
-	for k, j := range s.Inputs {
-		q.ins[k] = m.float(j)
+// tensor returns value j's float form as a tensor, a view the lane keeps and
+// repoints.
+//
+//skynet:hotpath
+func (l *qlane) tensor(j int) *tensor.Tensor {
+	v, f := &l.vals[j+1], l.float(j)
+	if v.view == nil {
+		v.view = tensor.FromSlice(f, l.m.val(j).dims...)
 	}
-	out := q.layers[0].Forward(q.ins, false)
-	for _, l := range q.layers[1:] {
-		q.ins[0] = out
-		out = l.Forward(q.ins[:1], false)
-	}
-	clear(q.ins)
-	m.val(s.Out).f = out
+	v.view.Data = f
+	return v.view
 }

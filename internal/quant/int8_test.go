@@ -147,6 +147,7 @@ func TestExportForceFloat(t *testing.T) {
 	if maxDiff > 0.25*maxAbs+1e-3 {
 		t.Fatalf("forced-float model drifted: max diff %v vs max magnitude %v", maxDiff, maxAbs)
 	}
+	requireOneLane(t, qm, randBatch(rng, 3, 3, 16, 16))
 
 	if _, err := Export(g, calib, ExportConfig{ForceFloat: []int{len(g.Nodes)}}); err == nil {
 		t.Fatal("out-of-range ForceFloat index must error")
@@ -154,28 +155,45 @@ func TestExportForceFloat(t *testing.T) {
 }
 
 // TestExportFallbackLayer checks that a layer type the lowering does not
-// recognize runs as float fallback inside an otherwise-int8 graph.
+// recognize runs as float fallback inside an otherwise-int8 graph: at the
+// graph output, and between two int8 units, where the plan gives its output no
+// arena slot and the int8 consumer's codes get one of the engine's own.
 func TestExportFallbackLayer(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := nn.NewGraph()
-	g.Add(nn.NewPWConv1(rng, 3, 8, false), nn.GraphInput)
-	g.Add(nn.NewGlobalAvgPool()) // not lowered: float fallback
-	calib := []*tensor.Tensor{randBatch(rng, 2, 3, 8, 8)}
-	qm, err := Export(g, calib, ExportConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	int8Units, floatUnits, _ := qm.Stats()
-	if int8Units != 1 || floatUnits != 1 {
-		t.Fatalf("units = (%d int8, %d float), want (1, 1)", int8Units, floatUnits)
-	}
-	x := randBatch(rng, 2, 3, 8, 8)
-	want := g.Forward(x, false)
-	got := qm.Forward(x, false)
-	for i := range want.Data {
-		if d := math.Abs(float64(got.Data[i] - want.Data[i])); d > 0.1*math.Abs(float64(want.Data[i]))+0.05 {
-			t.Fatalf("fallback output[%d] = %v, float %v", i, got.Data[i], want.Data[i])
+	for name, c := range map[string]struct {
+		build     func(rng *rand.Rand, g *nn.Graph)
+		int8Units int
+	}{
+		"at the output": {func(rng *rand.Rand, g *nn.Graph) {
+			g.Add(nn.NewPWConv1(rng, 3, 8, false), nn.GraphInput)
+			g.Add(nn.NewGlobalAvgPool()) // not lowered: float fallback
+		}, 1},
+		"between int8 units": {func(rng *rand.Rand, g *nn.Graph) {
+			g.Add(nn.NewPWConv1(rng, 3, 8, false), nn.GraphInput)
+			g.Add(nn.NewDropout(1, 0.5)) // not lowered: float fallback (the identity at inference)
+			g.Add(nn.NewPWConv1(rng, 8, 4, true))
+		}, 2},
+	} {
+		rng := rand.New(rand.NewSource(6))
+		g := nn.NewGraph()
+		c.build(rng, g)
+		calib := []*tensor.Tensor{randBatch(rng, 2, 3, 8, 8)}
+		qm, err := Export(g, calib, ExportConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		int8Units, floatUnits, _ := qm.Stats()
+		if int8Units != c.int8Units || floatUnits != 1 {
+			t.Fatalf("%s: units = (%d int8, %d float), want (%d, 1)", name, int8Units, floatUnits, c.int8Units)
+		}
+		x := randBatch(rng, 2, 3, 8, 8)
+		want := g.Forward(x, false)
+		got := qm.Forward(x, false)
+		for i := range want.Data {
+			if d := math.Abs(float64(got.Data[i] - want.Data[i])); d > 0.1*math.Abs(float64(want.Data[i]))+0.05 {
+				t.Fatalf("%s: fallback output[%d] = %v, float %v", name, i, got.Data[i], want.Data[i])
+			}
+		}
+		requireOneLane(t, qm, randBatch(rng, 3, 3, 8, 8))
 	}
 }
 
@@ -192,17 +210,20 @@ func TestExportEmpty(t *testing.T) {
 }
 
 // TestQuantizedSteadyStateAllocs pins the zero-allocation contract of the
-// engine after the first forward sized all internal buffers.
+// engine after the first forward sized all internal buffers: a single frame
+// on one worker, and a batch of 4 on the two lanes of two workers.
 func TestQuantizedSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	_, qm, _ := exportSkyNet(t, rng, 0.25, 16, ExportConfig{})
-	x := randBatch(rng, 1, 3, 16, 16)
-	oldPar := tensor.MaxParallelism
-	tensor.MaxParallelism = 1
-	defer func() { tensor.MaxParallelism = oldPar }()
-	qm.Forward(x, false) // size all buffers
-	if allocs := testing.AllocsPerRun(10, func() { qm.Forward(x, false) }); allocs > 0 {
-		t.Errorf("quantized forward steady state: %v allocs/op, want 0", allocs)
+	for _, c := range []struct{ batch, workers int }{{1, 1}, {4, 2}, {1, 2}} {
+		x := randBatch(rng, c.batch, 3, 16, 16)
+		workers(c.workers, func() {
+			qm.Forward(x, false) // size all buffers
+			qm.Forward(x, false)
+			if allocs := testing.AllocsPerRun(10, func() { qm.Forward(x, false) }); allocs > 0 {
+				t.Errorf("quantized forward steady state, batch %d on %d workers: %v allocs/op, want 0", c.batch, c.workers, allocs)
+			}
+		})
 	}
 }
 

@@ -203,7 +203,7 @@ func newGemmScratch() *gemmScratch {
 // returned buffer is reused, instrumented or not. A pool worker running a
 // GEMM job never touches the lists — it owns its scratch for its whole
 // lifetime — so they serve the calling goroutine's chunk, and whoever makes
-// a band call (RowProduct.BandOf), a pool worker inside a ParallelRange body
+// a band call (RowProduct.BandOf), a pool worker inside a parallelRange body
 // included.
 type freeList[T any] struct {
 	mu    sync.Mutex
@@ -247,7 +247,7 @@ type packScratch struct {
 
 // gemmTask is one in-flight piece of work the pool splits: a blocked GEMM of
 // either element type — the live call descriptor and the dispatching
-// goroutine's own packing scratch — or a ParallelRange body, with the
+// goroutine's own packing scratch — or a parallelRange body, with the
 // completion group the pool workers signal. Tasks come from one free list
 // per kind, whose allocator builds the matching scratch half, so a warm call
 // allocates nothing.
@@ -255,7 +255,7 @@ type gemmTask struct {
 	f32  gemmCall
 	i8   i8gemmCall
 	isI8 bool             // which descriptor is live; fixed when the task is built
-	leaf func(lo, hi int) // ParallelRange's body; nil on a GEMM task
+	leaf func(lo, hi int) // parallelRange's body; nil on a GEMM task
 	own  packScratch
 	wg   sync.WaitGroup
 }
@@ -293,11 +293,13 @@ type gemmJob struct {
 
 // The worker pool is shared by the float32 and int8 GEMMs. Invariant: pool
 // workers never dispatch — a job is a leaf that packs and multiplies its
-// column chunk and signals the task. Code that itself calls a GEMM (nn's
-// per-image conv bodies) must therefore not run on this pool: a worker
-// blocked in dispatch waits on jobs only other workers can take, and once
-// every worker is such an outer chunk nothing drains the queue. nn's batch
-// loop spawns a goroutine per chunk instead.
+// column chunk and signals the task. Code that calls a dispatching GEMM (the
+// batch loop of nn's training convolutions) must therefore not run on this
+// pool: a worker blocked in dispatch waits on jobs only other workers can
+// take, and once every worker is such an outer chunk nothing drains the
+// queue; that loop spawns a goroutine per chunk instead. A parallelRange body
+// — a lane of an inference forward — makes only leaf calls: RowProduct.BandOf,
+// Int8Epilogue.Leaf.
 var (
 	gemmWorkersOnce sync.Once
 	gemmJobs        chan gemmJob
@@ -346,10 +348,7 @@ func startGemmWorkers() {
 //
 //skynet:hotpath
 func gemmWorkerCount(m, n, k int) int {
-	w := MaxParallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := RangeWorkers(math.MaxInt)
 	if w <= 1 || m*n*k < gemmParallelMACs {
 		return 1
 	}
@@ -392,22 +391,31 @@ func (t *gemmTask) split(n, chunk int) {
 	t.wg.Wait()
 }
 
-// ParallelRange runs fn over [0, n) cut into one contiguous chunk per worker
-// (MaxParallelism, else GOMAXPROCS), the first on the calling goroutine and
-// the rest on the GEMM worker pool, and returns when all are done. fn must
-// be a leaf in the pool's sense — it may call neither a GEMM nor
-// ParallelRange — and chunks must not share mutable state. A warm call
-// allocates nothing, which is why the int8 engine's plane loops use it
-// rather than a goroutine per chunk: pass a func value made once, not a
-// closure built per call.
+// RangeWorkers returns how many chunks parallelRange cuts [0, n) into, which
+// is how many goroutines run its body at once: MaxParallelism, else
+// GOMAXPROCS, and never more than n.
 //
 //skynet:hotpath
-func ParallelRange(n int, fn func(lo, hi int)) {
+func RangeWorkers(n int) int {
 	w := MaxParallelism
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w = min(w, n); w <= 1 {
+	return min(w, n)
+}
+
+// parallelRange runs fn over [0, n) cut into one contiguous chunk per worker
+// (MaxParallelism, else GOMAXPROCS), the first on the calling goroutine and
+// the rest on the GEMM worker pool, and returns when all are done. fn must
+// be a leaf in the pool's sense — it may call neither a GEMM nor
+// parallelRange — and chunks must not share mutable state. A warm call
+// allocates nothing when fn is a func value made once, not a closure built
+// per call; Ranger, which other packages call, sees to that.
+//
+//skynet:hotpath
+func parallelRange(n int, fn func(lo, hi int)) {
+	w := RangeWorkers(n)
+	if w <= 1 {
 		fn(0, n)
 		return
 	}
@@ -416,6 +424,49 @@ func ParallelRange(n int, fn func(lo, hi int)) {
 	t.split(n, (n+w-1)/w)
 	t.leaf = nil
 	leafTaskFree.put(t)
+}
+
+// Ranger is parallelRange for a body that takes the operands of the call as
+// an argument: fn can then be a method expression — a static function value —
+// and neither a closure built per call nor a field of the caller holds the
+// operands, which travel in a pooled call record. One Ranger serves any number
+// of calls at once; make it once, as a package-level variable.
+type Ranger[T any] struct{ free freeList[rangeCall[T]] }
+
+// rangeCall is one Ranger call in flight.
+type rangeCall[T any] struct {
+	arg  T
+	fn   func(arg T, lo, hi int)
+	body func(lo, hi int) // run, bound when the record is made
+}
+
+// NewRanger returns a Ranger for bodies that take a T.
+func NewRanger[T any]() *Ranger[T] {
+	return &Ranger[T]{free: freeList[rangeCall[T]]{alloc: func() *rangeCall[T] {
+		c := &rangeCall[T]{}
+		c.body = c.run
+		return c
+	}}}
+}
+
+//skynet:hotpath
+func (c *rangeCall[T]) run(lo, hi int) { c.fn(c.arg, lo, hi) }
+
+// Run is parallelRange(n, func(lo, hi int) { fn(arg, lo, hi) }), and like it
+// allocates nothing once warm.
+//
+//skynet:hotpath
+func (r *Ranger[T]) Run(n int, arg T, fn func(arg T, lo, hi int)) {
+	if RangeWorkers(n) <= 1 {
+		fn(arg, 0, n)
+		return
+	}
+	c := r.free.get()
+	c.arg, c.fn = arg, fn
+	parallelRange(n, c.body)
+	var none T
+	c.arg, c.fn = none, nil // a parked record must not keep the caller's operands alive
+	r.free.put(c)
 }
 
 // gemmExec runs a float32 call: tiny problems on the small-problem kernel,

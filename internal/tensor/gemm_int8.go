@@ -58,6 +58,10 @@ type Int8Epilogue struct {
 	Bias   []int32
 	Mult   []float32
 	Lo, Hi int8
+	// Leaf makes the call run on the calling goroutine alone, as
+	// RowProduct.BandOf does a float one: it may then be made from a
+	// parallelRange body. Integer sums being exact, no result depends on it.
+	Leaf bool
 }
 
 // rneMagic shifts a float64 so its ulp is exactly 1: adding and subtracting
@@ -141,6 +145,7 @@ type i8gemmCall struct {
 	bias    []int32
 	mult    []float32
 	lo, hi  int8
+	leaf    bool // Int8Epilogue.Leaf
 }
 
 // i8Scratch holds one worker's private packing buffers, allocated once at
@@ -174,7 +179,8 @@ func i8UseNaive(m, n, k int) bool {
 }
 
 // i8Exec runs an int8 call: the small-problem kernel where i8UseNaive says
-// so, everything else through the blocked kernel and the shared dispatch.
+// so, everything else through the blocked kernel and the shared dispatch —
+// or, for a leaf call, on this goroutine with the task's own scratch.
 //
 //skynet:hotpath
 func i8Exec(c i8gemmCall) {
@@ -184,7 +190,11 @@ func i8Exec(c i8gemmCall) {
 	}
 	t := i8TaskFree.get()
 	t.i8 = c
-	t.dispatch(c.m, c.n, c.k)
+	if c.leaf {
+		t.run(0, c.n, &t.own)
+	} else {
+		t.dispatch(c.m, c.n, c.k)
+	}
 	t.i8 = i8gemmCall{} // see gemmExec
 	i8TaskFree.put(t)
 }
@@ -202,21 +212,26 @@ func Int8GEMMInto(c []int32, a, b []int8, m, n, k int) {
 // per-row epilogue ep — the layer-to-layer form of quantized inference,
 // producing the next layer's int8 activations directly. dst must have
 // length m·n; ep.Mult must have length m.
+//
+//skynet:hotpath
 func Int8GEMMRequantInto(dst []int8, a, b []int8, m, n, k int, ep Int8Epilogue) {
 	checkI8("Int8GEMMRequantInto", len(dst), len(a), len(b), m, n, k)
 	checkI8Epilogue("Int8GEMMRequantInto", ep.Bias, ep.Mult, m)
 	i8Exec(i8gemmCall{a: a, b: b, c8: dst, m: m, n: n, k: k,
-		mode: i8ModeRequant, bias: ep.Bias, mult: ep.Mult, lo: ep.Lo, hi: ep.Hi})
+		mode: i8ModeRequant, bias: ep.Bias, mult: ep.Mult, lo: ep.Lo, hi: ep.Hi, leaf: ep.Leaf})
 }
 
-// Int8GEMMDequantInto computes dst = float32(a·b + bias)·mult row-wise —
+// Int8GEMMDequantInto computes dst = float32(a·b + ep.Bias)·ep.Mult row-wise —
 // the final-layer epilogue that hands int8 inference back to the float
-// detection head. dst must have length m·n; mult length m; bias may be nil.
-func Int8GEMMDequantInto(dst []float32, a, b []int8, m, n, k int, bias []int32, mult []float32) {
+// detection head. dst must have length m·n; ep.Mult length m; ep.Bias may be
+// nil; ep's clamp is not used.
+//
+//skynet:hotpath
+func Int8GEMMDequantInto(dst []float32, a, b []int8, m, n, k int, ep Int8Epilogue) {
 	checkI8("Int8GEMMDequantInto", len(dst), len(a), len(b), m, n, k)
-	checkI8Epilogue("Int8GEMMDequantInto", bias, mult, m)
+	checkI8Epilogue("Int8GEMMDequantInto", ep.Bias, ep.Mult, m)
 	i8Exec(i8gemmCall{a: a, b: b, cf: dst, m: m, n: n, k: k,
-		mode: i8ModeDequant, bias: bias, mult: mult})
+		mode: i8ModeDequant, bias: ep.Bias, mult: ep.Mult, leaf: ep.Leaf})
 }
 
 // checkI8 validates operand lengths against the call geometry.
@@ -231,6 +246,7 @@ func checkI8(name string, lc, la, lb, m, n, k int) {
 	}
 }
 
+//skynet:hotpath
 func checkI8Epilogue(name string, bias []int32, mult []float32, m int) {
 	if len(mult) < m {
 		panic("tensor: " + name + " needs one Mult per output row")

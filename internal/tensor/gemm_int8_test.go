@@ -94,7 +94,7 @@ func TestInt8GEMMLongK(t *testing.T) {
 		got32, got8, gotF := make([]int32, m*n), make([]int8, m*n), make([]float32, m*n)
 		Int8GEMMInto(got32, p.a, p.b, m, n, k)
 		Int8GEMMRequantInto(got8, p.a, p.b, m, n, k, Int8Epilogue{Bias: p.bias, Mult: p.mult, Lo: p.lo, Hi: p.hi})
-		Int8GEMMDequantInto(gotF, p.a, p.b, m, n, k, p.bias, p.mult)
+		Int8GEMMDequantInto(gotF, p.a, p.b, m, n, k, Int8Epilogue{Bias: p.bias, Mult: p.mult})
 		for i, acc := range p.ref {
 			r := i / n
 			if got32[i] != acc || got8[i] != RequantizeRNE(acc+p.bias[r], p.mult[r], p.lo, p.hi) ||
@@ -168,7 +168,7 @@ func TestInt8GEMMDequantGolden(t *testing.T) {
 		p := newI8Problem(rng, m, n, k)
 		i8Paths(func(path string) {
 			got := make([]float32, m*n)
-			Int8GEMMDequantInto(got, p.a, p.b, m, n, k, p.bias, p.mult)
+			Int8GEMMDequantInto(got, p.a, p.b, m, n, k, Int8Epilogue{Bias: p.bias, Mult: p.mult})
 			for i, acc := range p.ref {
 				if want := float32(float64(acc+p.bias[i/n]) * float64(p.mult[i/n])); got[i] != want {
 					t.Fatalf("%s m=%d n=%d k=%d: dst[%d] = %v, want %v", path, m, n, k, i, got[i], want)
@@ -281,7 +281,7 @@ func TestInt8GEMMShapePanics(t *testing.T) {
 			Int8GEMMRequantInto(make([]int8, 4), a, b, 2, 2, 3, Int8Epilogue{Mult: make([]float32, 1)})
 		}},
 		{"short-bias", func() {
-			Int8GEMMDequantInto(make([]float32, 4), a, b, 2, 2, 3, make([]int32, 1), make([]float32, 2))
+			Int8GEMMDequantInto(make([]float32, 4), a, b, 2, 2, 3, Int8Epilogue{Bias: make([]int32, 1), Mult: make([]float32, 2)})
 		}},
 		{"im2col-short", func() { Int8Im2Col(make([]int8, 3), make([]int8, 16), 1, 4, 4, 3, 3, 1, 1) }},
 	} {

@@ -100,12 +100,12 @@ func TestKernelEquivalenceInt8(t *testing.T) {
 			withKernel(t, "purego", func() {
 				Int8GEMMInto(ref32, a, b, m, n, k)
 				Int8GEMMRequantInto(ref8, a, b, m, n, k, ep)
-				Int8GEMMDequantInto(refF, a, b, m, n, k, ep.Bias, dqMult)
+				Int8GEMMDequantInto(refF, a, b, m, n, k, Int8Epilogue{Bias: ep.Bias, Mult: dqMult})
 			})
 			withKernel(t, "avx2", func() {
 				Int8GEMMInto(asm32, a, b, m, n, k)
 				Int8GEMMRequantInto(asm8, a, b, m, n, k, ep)
-				Int8GEMMDequantInto(asmF, a, b, m, n, k, ep.Bias, dqMult)
+				Int8GEMMDequantInto(asmF, a, b, m, n, k, Int8Epilogue{Bias: ep.Bias, Mult: dqMult})
 			})
 			for i := range ref32 {
 				if asm32[i] != ref32[i] {

@@ -77,7 +77,7 @@ type RowProduct struct {
 	// on other goroutines at this moment. The small-problem decision is then
 	// the whole product's, so where the bands are cut changes no bit, and the
 	// call runs on the calling goroutine alone: it is a leaf that may be made
-	// from a ParallelRange body.
+	// from a parallelRange body.
 	BandOf int
 	Ep     RowEpilogue // applied to each row
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -469,7 +470,7 @@ func TestRowEpilogueMatchesSeparatePasses(t *testing.T) {
 	}
 }
 
-// rangeMarker is a ParallelRange body bound once, as its callers do: it
+// rangeMarker is a parallelRange body bound once, as its callers do: it
 // counts how often each index is visited.
 type rangeMarker struct{ seen []int32 }
 
@@ -489,7 +490,7 @@ func TestParallelRange(t *testing.T) {
 		MaxParallelism = workers
 		for _, n := range []int{0, 1, 2, 5, 64, 1000} {
 			r := &rangeMarker{seen: make([]int32, n)}
-			ParallelRange(n, r.mark)
+			parallelRange(n, r.mark)
 			for i, c := range r.seen {
 				if c != 1 {
 					t.Fatalf("%d workers, n=%d: index %d visited %d times", workers, n, i, c)
@@ -506,7 +507,7 @@ func TestParallelRange(t *testing.T) {
 			r := &rangeMarker{seen: make([]int32, 500)}
 			a, b, c := New(32, 64), New(64, 256), New(32, 256)
 			for round := 0; round < 20; round++ {
-				ParallelRange(len(r.seen), r.mark)
+				parallelRange(len(r.seen), r.mark)
 				MatMulInto(c, a, b)
 			}
 			for i, n := range r.seen {
@@ -520,15 +521,63 @@ func TestParallelRange(t *testing.T) {
 	wg.Wait()
 	r := &rangeMarker{seen: make([]int32, 1000)}
 	body := r.mark
-	ParallelRange(len(r.seen), body)
-	if allocs := testing.AllocsPerRun(20, func() { ParallelRange(len(r.seen), body) }); allocs != 0 {
-		t.Errorf("warm ParallelRange over 3 workers: %v allocs per call, want 0", allocs)
+	parallelRange(len(r.seen), body)
+	if allocs := testing.AllocsPerRun(20, func() { parallelRange(len(r.seen), body) }); allocs != 0 {
+		t.Errorf("warm parallelRange over 3 workers: %v allocs per call, want 0", allocs)
 	}
+}
+
+// markArg is rangeMarker.mark as a Ranger body: the marker is the argument.
+func markArg(r *rangeMarker, lo, hi int) { r.mark(lo, hi) }
+
+// TestRanger: a Ranger call visits every index once, hands each chunk the
+// argument of its own call when several share the Ranger at once, and
+// allocates nothing once warm although the argument changes from call to
+// call.
+func TestRanger(t *testing.T) {
+	ranger := NewRanger[*rangeMarker]()
+	withWorkers(3, func() {
+		for _, n := range []int{0, 1, 2, 5, 1000} {
+			r := &rangeMarker{seen: make([]int32, n)}
+			ranger.Run(n, r, markArg)
+			for i, c := range r.seen {
+				if c != 1 {
+					t.Fatalf("n=%d: index %d visited %d times", n, i, c)
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := &rangeMarker{seen: make([]int32, 500)}
+				for round := 0; round < 20; round++ {
+					ranger.Run(len(r.seen), r, markArg)
+				}
+				for i, n := range r.seen {
+					if n != 20 {
+						t.Errorf("index %d visited %d times in 20 rounds", i, n)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		a, b := &rangeMarker{seen: make([]int32, 1000)}, &rangeMarker{seen: make([]int32, 1000)}
+		ranger.Run(1000, a, markArg)
+		if allocs := testing.AllocsPerRun(20, func() {
+			ranger.Run(1000, a, markArg)
+			ranger.Run(1000, b, markArg)
+		}); allocs != 0 {
+			t.Errorf("warm Ranger.Run over 3 workers: %v allocs per pair of calls, want 0", allocs)
+		}
+	})
 }
 
 // TestRowProductBandsMatchWhole: a product computed as column bands — each a
 // call with BandOf, a dense copy of its columns of B, and its window of C
-// through Ldc, all running at once from a ParallelRange body, where a call
+// through Ldc, all running at once from a parallelRange body, where a call
 // that dispatched to the pool could deadlock — equals the one-call product
 // bit for bit. The crossover is production's: 2×25×300 is blocked and sums
 // k in two blocks, while a band of five columns judged alone would run the
@@ -543,7 +592,7 @@ func TestRowProductBandsMatchWhole(t *testing.T) {
 		MatMulRowEpilogueInto(want.Data, a.Data, b.Data, RowProduct{M: m, N: n, K: k, Ep: ep})
 		bands := (n + band - 1) / band
 		withWorkers(3, func() {
-			ParallelRange(bands, func(lo, hi int) {
+			parallelRange(bands, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					j0, nb := i*band, min(band, n-i*band)
 					cols := New(k, nb)
@@ -559,4 +608,48 @@ func TestRowProductBandsMatchWhole(t *testing.T) {
 			t.Errorf("m=%d n=%d k=%d in bands of %d: element %d = %v, the whole product gives %v", m, n, k, band, i, got.Data[i], want.Data[i])
 		}
 	}
+}
+
+// TestInt8LeafCallsMatchDispatched: the int8 engine's lanes multiply from a
+// parallelRange body, where a call that dispatched to the pool could
+// deadlock. Leaf calls above the parallel threshold, several at once, give
+// the bytes of the dispatched call — requantized and dequantized — and a warm
+// one allocates nothing.
+func TestInt8LeafCallsMatchDispatched(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	const m, n, k = 48, 640, 96
+	if m*n*k < gemmParallelMACs {
+		t.Fatal("shape must sit above the parallel threshold")
+	}
+	a, b := randI8(rng, m*k), randI8(rng, k*n)
+	ep := Int8Epilogue{Bias: make([]int32, m), Mult: make([]float32, m), Lo: 0, Hi: 100}
+	for i := range ep.Mult {
+		ep.Bias[i], ep.Mult[i] = int32(rng.Intn(2001)-1000), float32(rng.Float64()*0.01)
+	}
+	want8, wantF := make([]int8, m*n), make([]float32, m*n)
+	Int8GEMMRequantInto(want8, a, b, m, n, k, ep)
+	Int8GEMMDequantInto(wantF, a, b, m, n, k, ep)
+	ep.Leaf = true
+	const lanes = 3
+	got8, gotF := make([][]int8, lanes), make([][]float32, lanes)
+	for i := range got8 {
+		got8[i], gotF[i] = make([]int8, m*n), make([]float32, m*n)
+	}
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			Int8GEMMRequantInto(got8[i], a, b, m, n, k, ep)
+			Int8GEMMDequantInto(gotF[i], a, b, m, n, k, ep)
+		}
+	}
+	withWorkers(lanes, func() {
+		parallelRange(lanes, body)
+		for i := range got8 {
+			if !slices.Equal(got8[i], want8) || firstBitDiff(gotF[i], wantF) >= 0 {
+				t.Fatalf("lane %d: a leaf call differs from the dispatched one", i)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { parallelRange(lanes, body) }); allocs != 0 {
+			t.Errorf("warm leaf calls from %d lanes: %v allocs, want 0", lanes, allocs)
+		}
+	})
 }
