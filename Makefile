@@ -97,7 +97,9 @@ short:
 # generated batch-invariance property at its reduced grid), because with
 # nn.MaxParallelism and tensor.MaxParallelism at 0 the lane count is
 # GOMAXPROCS and any test that leaves one of them unpinned sees all three.
-LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|Deterministic
+# The Bundle-step, Concat-alias and layout tests ride along: what a lane
+# writes where is theirs to hold.
+LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|Deterministic|BundleStep|LayoutPacks
 race:
 	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/... ./internal/quant/...
 	$(GO) test -race -short -cpu 1,2,4 -run '$(LANE_TESTS)' ./internal/nn ./internal/quant

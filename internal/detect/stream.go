@@ -85,12 +85,13 @@ func PreStage(workers int) pipeline.StageSpec {
 // flight in one arena it owns, a region per lane, and the lanes, band buffers
 // and im2col scratch that go with them. Frames of one call must share a
 // shape: a stack has one H×W, so a mixed batch is an error, never a frame
-// forwarded at its neighbour's size.
+// forwarded at its neighbour's size. A batch of one — every op of a live
+// stream — is not stacked: the model is handed a [1,C,H,W] view of the frame's
+// own X, which neither engine reads or keeps once Forward has returned.
 func InferBatch(m Model, frames []*Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	samples := make([]Sample, len(frames))
 	for i, f := range frames {
 		if f.X == nil {
 			return errors.New("detect: frame reached inference without pre-processing")
@@ -98,9 +99,17 @@ func InferBatch(m Model, frames []*Frame) error {
 		if !f.X.SameShape(frames[0].X) {
 			return fmt.Errorf("detect: frame %d of the batch is %v, frame 0 is %v", i, f.X.Shape(), frames[0].X.Shape())
 		}
-		samples[i] = Sample{Image: f.X}
 	}
-	x, _ := Batch(samples, 0, len(samples))
+	x := frames[0].X
+	if len(frames) == 1 {
+		x = x.Reshape(1, x.Dim(0), x.Dim(1), x.Dim(2))
+	} else {
+		samples := make([]Sample, len(frames))
+		for i, f := range frames {
+			samples[i] = Sample{Image: f.X}
+		}
+		x, _ = Batch(samples, 0, len(samples))
+	}
 	pred := m.Forward(x, false)
 	if pred.Rank() != 4 || pred.Dim(0) != len(frames) {
 		return fmt.Errorf("detect: model returned %v for a batch of %d", pred.Shape(), len(frames))

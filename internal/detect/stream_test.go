@@ -8,6 +8,7 @@ import (
 
 	"skynet/internal/nn"
 	"skynet/internal/pipeline"
+	"skynet/internal/quant"
 	"skynet/internal/tensor"
 )
 
@@ -109,6 +110,69 @@ func TestInferBatchStacksSameShapesAndRejectsMixed(t *testing.T) {
 	}
 	if err := InferBatch(m, []*Frame{frames[0], odd}); err == nil {
 		t.Fatal("a batch of 8×8 and 12×16 frames must be an error")
+	}
+}
+
+// seesInput is a model that notes the tensor it was handed.
+type seesInput struct {
+	Model
+	x *tensor.Tensor
+}
+
+func (m *seesInput) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	m.x = x
+	return m.Model.Forward(x, train)
+}
+
+// TestInferBatchOfOneIsAView: the lone frame of a live stream's op is not
+// stacked — the model reads the frame's own X as [1,C,H,W] — and that is safe
+// with both engines because neither reads x once Forward has returned: X
+// overwritten afterwards, the frame's prediction is what it was, and a second
+// frame through the same model is that frame's own forward.
+func TestInferBatchOfOneIsAView(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g := nn.Sequential(
+		nn.NewDWConv3(rng, 3, 3, false),
+		nn.NewPWConv1(rng, 3, 8, false),
+		nn.NewBatchNorm(8),
+		nn.NewReLU6(),
+		nn.NewMaxPool(2),
+		nn.NewPWConv1(rng, 8, 5, true),
+	)
+	calib := tensor.New(4, 3, 8, 8)
+	calib.RandNormal(rng, 0, 1)
+	qm, err := quant.Export(g, []*tensor.Tensor{calib}, quant.ExportConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, engine := range map[string]Model{"float32": g, "int8": qm} {
+		m := &seesInput{Model: engine}
+		var preds [2][]float32
+		for k := range preds {
+			f := streamFrames(rng, 1)[0].(*Frame)
+			if err := Preprocess(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := InferBatch(m, []*Frame{f}); err != nil {
+				t.Fatal(err)
+			}
+			if m.x.Rank() != 4 || m.x.Dim(0) != 1 || &m.x.Data[0] != &f.X.Data[0] {
+				t.Fatalf("%s: the model was handed %v at %p, want a [1,C,H,W] view of the frame's X at %p", name, m.x.Shape(), &m.x.Data[0], &f.X.Data[0])
+			}
+			want := engine.Forward(f.X.Clone().Reshape(1, 3, 8, 8), false).Clone()
+			for i := range f.X.Data {
+				f.X.Data[i] = float32(math.NaN())
+			}
+			for i, v := range f.Pred.Data {
+				if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s, frame %d: prediction element %d = %v after X was overwritten, the frame's own forward gives %v", name, k, i, v, want.Data[i])
+				}
+			}
+			preds[k] = f.Pred.Data
+		}
+		if &preds[0][0] == &preds[1][0] {
+			t.Fatalf("%s: two frames share one prediction buffer", name)
+		}
 	}
 }
 

@@ -4,12 +4,14 @@ import "skynet/internal/tensor"
 
 // This file is the plan's Bundle step: a DWConv3 whose only consumer is a
 // 1×1 convolution — with that convolution's chain, and the max-pool that is
-// the chain's only consumer, when there is one — computed band by band. A
+// the chain's only consumer, when there is one, or the max-pool and the
+// reorder that both read the bypass source — computed band by band. A
 // band is a few output rows of one image: its depth-wise rows go into a
 // buffer the size of a cache, the 1×1 product reads them from there and,
 // under a pool, writes a second such buffer that the pool reduces into the
-// destination. The depth-wise map and the map before the pool are never
-// whole anywhere, so they have no arena slot. It is the CPU image of the
+// destination and the reorder, if any, deals out to its own. The depth-wise
+// map and the map before the pool are never whole anywhere, so they have no
+// arena slot. It is the CPU image of the
 // paper's shared Bundle IP (§6.2, Figure 9), which keeps both on chip.
 //
 // Nothing is computed differently: the rows come from DWRow, the product
@@ -34,9 +36,12 @@ type band struct {
 	pw   *Conv2D
 	conv int // pw's node, whose chain is the product's row tail
 	pool int // the MaxPool node folded in, or -1
-	out  int // the node whose output the step writes: pool, else the chain's last
-	k    int // the pool's window; 1 without a pool
-	rows int // depth-wise output rows per band at most: a multiple of k
+	// reorg is the Reorg node folded in beside pool, or -1: at a bypass source
+	// the step writes two maps, the pooled one and the reordered one.
+	reorg int
+	out   int // the node whose output the step writes: pool, else the chain's last
+	k     int // the pool's window; 1 without a pool
+	rows  int // depth-wise output rows per band at most: a multiple of k
 }
 
 // bandScratch is one worker's pair of band buffers: the depth-wise rows
@@ -59,72 +64,78 @@ func (b *band) fit(outH, outW int) (dwLen, pwLen int) {
 	return b.dw.C * b.rows * outW, pwLen
 }
 
-// units computes units [lo, hi) of the step on one image [C,h,w], src, into
-// the image's output dst, cut into bands on s. ep is the convolution's
-// epilogue, as for Conv2D.forwardImage, and the geometry is the one recorded
-// on both layers.
+// bandShare is the operands of one Bundle step on one image: the image
+// [C,h,w], src; its output dst; for a step that folds a Reorg, the image's
+// reordered map reorg; and the convolution's epilogue, as for
+// Conv2D.forwardImage. The geometry is the one recorded on both layers.
+type bandShare struct {
+	b        *band
+	dst, src []float32
+	reorg    []float32
+	ep       tensor.RowEpilogue
+	scratch  []bandScratch // split's: worker i computes on scratch[i]
+	each     int           // split's: units per worker
+}
+
+// units computes units [lo, hi) of the step, cut into bands on s.
 //
 //skynet:hotpath
-func (b *band) units(dst, src []float32, ep tensor.RowEpilogue, s *bandScratch, lo, hi int) {
+func (a bandShare) units(s *bandScratch, lo, hi int) {
 	for u := lo; u < hi; {
-		cnt := min(b.rows/b.k, hi-u)
-		b.compute(dst, src, ep, s, u*b.k, cnt*b.k)
+		cnt := min(a.b.rows/a.b.k, hi-u)
+		a.compute(s, u*a.b.k, cnt*a.b.k)
 		u += cnt
 	}
 }
 
-// split computes the whole step on one image like units, the units dealt in
-// contiguous shares to as many workers as MaxParallelism and scratch allow,
-// worker i on scratch[i]. A worker's bands call a GEMM, but a band GEMM is a
-// leaf that dispatches nothing, so the workers may be the GEMM pool's.
+// split computes the whole step like units, the units dealt in contiguous
+// shares to as many workers as MaxParallelism and scratch allow, worker i on
+// scratch[i]. A worker's bands call a GEMM, but a band GEMM is a leaf that
+// dispatches nothing, so the workers may be the GEMM pool's.
 //
 //skynet:hotpath
-func (b *band) split(dst, src []float32, ep tensor.RowEpilogue, scratch []bandScratch) {
-	units := b.dw.outH / b.k
+func (a bandShare) split(scratch []bandScratch) {
+	units := a.b.dw.outH / a.b.k
 	nw := min(workersFor(units), len(scratch))
-	bandShares.Run(nw, bandShare{b, dst, src, ep, scratch, (units + nw - 1) / nw}, bandShare.units)
+	a.scratch, a.each = scratch, (units+nw-1)/nw
+	bandShares.Run(nw, a, bandShare.shares)
 }
 
 // bandShares runs split's workers.
 var bandShares = tensor.NewRanger[bandShare]()
 
-// bandShare is the operands of one split, as its loop body takes them.
-type bandShare struct {
-	b        *band
-	dst, src []float32
-	ep       tensor.RowEpilogue
-	scratch  []bandScratch
-	each     int // units per worker
-}
-
-// units is split's loop body: the shares of workers [lo, hi).
+// shares is split's loop body: the shares of workers [lo, hi).
 //
 //skynet:hotpath
-func (a bandShare) units(lo, hi int) {
+func (a bandShare) shares(lo, hi int) {
 	units := a.b.dw.outH / a.b.k
 	for i := lo; i < hi; i++ {
-		a.b.units(a.dst, a.src, a.ep, &a.scratch[i], i*a.each, min((i+1)*a.each, units))
+		a.units(&a.scratch[i], i*a.each, min((i+1)*a.each, units))
 	}
 }
 
 // compute is one band: depth-wise output rows [r0, r0+rows) of the image,
-// through the product, to the destination. The product is a leaf call — a
-// band runs inside a lane or a lone lane's split, both on the GEMM pool.
+// through the product, to the destination — under a pool, the band's product
+// is pooled into dst and, at a bypass source, gathered space-to-depth into
+// reorg while it is still in the worker's buffer: the reordering is where the
+// store lands, as on the paper's Bundle IP (§6.2, Figure 9), not a pass over a
+// finished map. The product is a leaf call — a band runs inside a lane or a
+// lone lane's split, both on the GEMM pool.
 //
 //skynet:hotpath
-func (b *band) compute(dst, src []float32, ep tensor.RowEpilogue, s *bandScratch, r0, rows int) {
-	d, c := b.dw, b.pw
+func (a bandShare) compute(s *bandScratch, r0, rows int) {
+	b, d, c := a.b, a.b.dw, a.b.pw
 	plane, cols, n := d.inH*d.inW, d.outH*d.outW, rows*d.outW
 	dwb := s.dw[:d.C*n]
 	for ch := 0; ch < d.C; ch++ {
-		d.rows(dwb[ch*n:(ch+1)*n], src[ch*plane:(ch+1)*plane], ch, r0)
+		d.rows(dwb[ch*n:(ch+1)*n], a.src[ch*plane:(ch+1)*plane], ch, r0)
 	}
 	// BandOf: the unfused convolution multiplies the whole image at once.
-	p := tensor.RowProduct{M: c.OutC, N: n, K: c.InC, BandOf: cols, Ep: ep}
+	p := tensor.RowProduct{M: c.OutC, N: n, K: c.InC, BandOf: cols, Ep: a.ep}
 	if b.pool < 0 {
 		p.Ldc = cols
 		at := r0 * d.outW
-		tensor.MatMulRowEpilogueInto(dst[at:at+(c.OutC-1)*cols+n], c.Weight.W.Data, dwb, p)
+		tensor.MatMulRowEpilogueInto(a.dst[at:at+(c.OutC-1)*cols+n], c.Weight.W.Data, dwb, p)
 		return
 	}
 	pwb := s.pw[:c.OutC*n]
@@ -132,6 +143,9 @@ func (b *band) compute(dst, src []float32, ep tensor.RowEpilogue, s *bandScratch
 	oh, ow := d.outH/b.k, d.outW/b.k
 	for oc := 0; oc < c.OutC; oc++ {
 		at := (oc*oh + r0/b.k) * ow
-		maxPoolInto(dst[at:at+rows/b.k*ow], pwb[oc*n:(oc+1)*n], 1, rows, d.outW, b.k)
+		maxPoolInto(a.dst[at:at+rows/b.k*ow], pwb[oc*n:(oc+1)*n], 1, rows, d.outW, b.k)
+	}
+	if a.reorg != nil {
+		ReorgRows(a.reorg, pwb, c.OutC, d.outH, d.outW, b.k, r0, rows)
 	}
 }

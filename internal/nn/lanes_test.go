@@ -3,6 +3,7 @@ package nn_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"skynet/internal/backbone"
@@ -81,6 +82,10 @@ func TestLanesShareNoOperand(t *testing.T) {
 // TestObservedRunIsOneLaneInOrder: an observer is shown a node's values
 // sample by sample, in batch order — calibration's percentile sketch depends
 // on it — so an observed run stays on one lane and leaves a one-sample arena.
+// What it is shown: the output of every step, and a Concat that is laid out,
+// not computed, whole, once its last input is written; what no step's output
+// is — the maps inside a Bundle, at the bypass source the reordered map on its
+// own — it never sees.
 func TestObservedRunIsOneLaneInOrder(t *testing.T) {
 	g, rng := skyNetC(0.25, 33)
 	x := randBatch(rng, 4, 3, 32, 64)
@@ -89,12 +94,39 @@ func TestObservedRunIsOneLaneInOrder(t *testing.T) {
 	var nodes []*tensor.Tensor
 	want := walk(g, x, func(i int, out *tensor.Tensor) { nodes = append(nodes, out) })
 	seen := make([][]float32, len(g.Nodes))
+	var order []int
 	parallelism(3, func() {
-		got := p.Run(x, func(node int, data []float32) { seen[node] = append(seen[node], data...) })
+		got := p.Run(x, func(node int, data []float32) {
+			if seen[node] == nil {
+				order = append(order, node)
+			}
+			seen[node] = append(seen[node], data...)
+		})
 		requireSameBits(t, "observed run", got, want)
 	})
+	shown := make([]bool, len(g.Nodes))
 	for _, s := range steps {
-		requireSameBits(t, fmt.Sprintf("node %d as observed", s.Out), tensor.FromSlice(seen[s.Out], nodes[s.Out].Shape()...), nodes[s.Out])
+		shown[s.Out] = true
+	}
+	concats := 0
+	for i, n := range g.Nodes {
+		if _, ok := n.Layer.(*nn.Concat); ok {
+			shown[i] = true // SkyNet C's is laid out: TestSkyNetCArenaWithoutBundleInteriors
+			concats++
+		}
+		if !shown[i] {
+			if seen[i] != nil {
+				t.Errorf("node %d (%s) has no step of its own and was observed", i, n.Layer.Name())
+			}
+			continue
+		}
+		if seen[i] == nil {
+			t.Fatalf("node %d (%s) was not observed", i, n.Layer.Name())
+		}
+		requireSameBits(t, fmt.Sprintf("node %d as observed", i), tensor.FromSlice(seen[i], nodes[i].Shape()...), nodes[i])
+	}
+	if concats != 1 || len(order) != len(steps)+1 || !slices.IsSorted(order) {
+		t.Fatalf("observed nodes %v: want the %d steps' outputs and the Concat, in node order", order, len(steps))
 	}
 	if arena, lanes := nn.Arena(g); len(arena) != perSample || lanes != 1 {
 		t.Fatalf("an observed batch of 4 on three workers left %d elements on %d lanes, want one sample's %d on 1", len(arena), lanes, perSample)

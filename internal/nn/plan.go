@@ -39,7 +39,9 @@ import (
 // several frames (§6.2, Figure 9) — in the form a CPU has it: the arena is
 // bounded by the core count, not by the batch, a sample's maps stay in one
 // core's cache from step to step, and the cores meet once per forward, not
-// once per layer.
+// once per layer. And because a lane holds one sample, that sample's channel
+// concatenation is its inputs end to end: where the graph allows it a Concat
+// is where its inputs were written (findAliases, layout), not a step.
 
 // ConvChain is the tail that may fuse into one Conv2D node's GEMM:
 // conv → [BatchNorm] → [ReLU], following sole-consumer edges only, so no
@@ -68,18 +70,18 @@ func (c ConvChain) Last(i int) int {
 // units of their own: a marked conv gets no chain and a marked BatchNorm or
 // ReLU ends the chain before it.
 func ConvChains(g *Graph, separate []bool) []ConvChain {
-	next := soleConsumers(g, separate)
+	r := readersOf(g, separate)
 	chains := make([]ConvChain, len(g.Nodes))
 	for i, n := range g.Nodes {
-		if _, ok := n.Layer.(*Conv2D); !ok || separate != nil && separate[i] {
+		if _, ok := n.Layer.(*Conv2D); !ok || r.marked(i) {
 			continue
 		}
 		ch := &chains[i]
-		j := next(i)
+		j := r.next(i)
 		if j >= 0 {
 			if bn, ok := g.Nodes[j].Layer.(*BatchNorm); ok {
 				ch.BN, ch.Tail = bn, append(ch.Tail, j)
-				j = next(j)
+				j = r.next(j)
 			}
 		}
 		if j >= 0 {
@@ -91,30 +93,53 @@ func ConvChains(g *Graph, separate []bool) []ConvChain {
 	return chains
 }
 
-// soleConsumers returns next, the one rule of fusion: next(i) is the node
-// that may fuse onto node i — its only consumer, the graph output counting
-// as one, and not marked in separate — or -1.
-func soleConsumers(g *Graph, separate []bool) (next func(i int) int) {
-	fanout := make([]int, len(g.Nodes))
-	consumer := make([]int, len(g.Nodes)) // sole consumer when fanout == 1
-	for i := range consumer {
-		consumer[i] = -1
-	}
+// readers is who reads what in a graph, and the mask a plan of it is compiled
+// under: what every decision to fuse, fold or alias goes by.
+type readers struct {
+	of       [][]int // by node: the nodes that read it, once per input that names it
+	output   int     // the graph output, which counts as one more reader of its node
+	separate []bool
+}
+
+func readersOf(g *Graph, separate []bool) readers {
+	r := readers{of: make([][]int, len(g.Nodes)), output: g.output(), separate: separate}
 	for i, n := range g.Nodes {
 		for _, j := range n.Inputs {
 			if j != GraphInput {
-				fanout[j]++
-				consumer[j] = i
+				r.of[j] = append(r.of[j], i)
 			}
 		}
 	}
-	fanout[g.output()]++
-	return func(i int) int {
-		if j := consumer[i]; fanout[i] == 1 && j >= 0 && (separate == nil || !separate[j]) {
-			return j
-		}
-		return -1
+	return r
+}
+
+func (r readers) marked(i int) bool { return r.separate != nil && r.separate[i] }
+
+// next is the one rule of fusion: the node that may fuse onto node i — its
+// only reader, when that is not marked — or -1.
+func (r readers) next(i int) int {
+	if of := r.of[i]; len(of) == 1 && i != r.output && !r.marked(of[0]) {
+		return of[0]
 	}
+	return -1
+}
+
+// bypass is the rule of the bypass source (Figure 4's "Bypass Start"): when
+// node i is read by exactly a MaxPool and a Reorg of the pool's window,
+// neither marked and neither the graph output, it returns the two; else -1s.
+func (r readers) bypass(g *Graph, i int) (pool, reorg int) {
+	of := r.of[i]
+	if len(of) != 2 || i == r.output || r.marked(of[0]) || r.marked(of[1]) || of[0] == r.output || of[1] == r.output {
+		return -1, -1
+	}
+	for k := range of {
+		mp, isPool := g.Nodes[of[k]].Layer.(*MaxPool)
+		ro, isReorg := g.Nodes[of[1-k]].Layer.(*Reorg)
+		if isPool && isReorg && mp.K == ro.S {
+			return of[k], of[1-k]
+		}
+	}
+	return -1, -1
 }
 
 // planNode is one graph node as the plan sees it. Nothing here changes while
@@ -128,8 +153,11 @@ type planNode struct {
 	chain ConvChain // Conv2D: what its GEMM store applies when fusing
 	inv   []float32 // Conv2D with a chain BN: per-channel 1/sqrt(var+eps), refilled as every forward begins
 	band  *band     // DWConv3 heading a Bundle step (band.go); nil for the others
-	fused bool      // computed inside an earlier node's step: a chain's tail, a Bundle step's conv and pool
+	fused bool      // has no step of its own: a chain's tail, a Bundle step's conv, pool and reorg, an alias
 	chans []int     // Concat: channels of each input
+	// alias marks a Concat that is not computed but laid out: its inputs'
+	// slots, side by side in channel order, are its slot (findAliases).
+	alias bool
 	// unlowered marks a layer of a kind the executor does not lower: the
 	// graph's inference forward is the layer walk then (Run).
 	unlowered bool
@@ -138,15 +166,16 @@ type planNode struct {
 	// node's output is written to; -1 when it has none (fused into a later
 	// node's slot, the graph output, an unlowered layer's own tensor).
 	off int
-	// frees lists the nodes whose slots nothing reads after this step.
+	// frees lists the nodes whose slots nothing reads after this step: the
+	// inputs of an alias stand there for it.
 	frees []int
 }
 
 // Plan is a compiled inference schedule of one graph at one input sample
-// shape. Arena rule: a slot is written by exactly one step and may be
-// handed to a later step's output only once every reader of it has run
-// (frees); a step's output slot is taken before its inputs are released, so
-// an op never reads and writes the same memory.
+// shape. Arena rule: a slot is written by exactly one step and is alive from
+// that step to the last step that reads it (frees), both included; slots
+// alive at the same step share no element (layout), so an op never reads and
+// writes the same memory.
 type Plan struct {
 	g      *Graph
 	nodes  []planNode
@@ -207,8 +236,9 @@ func (p *Plan) describes(g *Graph) bool {
 
 // Compile infers every node's shape from the input shape in (in[0] is
 // ignored), decides fusion — separate is ConvChains' mask, and a marked
-// DWConv3 or MaxPool likewise joins no Bundle step — and lays the feature
-// maps out in the arena. Graph.Forward compiles with a nil mask and keeps
+// DWConv3, MaxPool or Reorg likewise joins no Bundle step, a marked Concat is
+// computed, not laid out: a marked node is a step of its own — and lays the
+// feature maps out in the arena. Graph.Forward compiles with a nil mask and keeps
 // the plan; another caller's plan is valid while g's node list is.
 func Compile(g *Graph, in []int, separate []bool) *Plan {
 	p := &Plan{g: g, nodes: make([]planNode, len(g.Nodes)), output: g.output(),
@@ -278,23 +308,25 @@ func Compile(g *Graph, in []int, separate []bool) *Plan {
 		}
 		p.shapes[i] = slices.Clone(pn.dims)
 	}
-	p.findBands(separate)
+	use := readersOf(g, separate)
+	p.findBands(use)
+	p.findAliases(use)
 	p.layout()
 	return p
 }
 
 // findBands turns every DWConv3 → 1×1 Conv2D over a sole-consumer edge into
-// one Bundle step headed by the depth-wise node, and folds in the MaxPool
-// that alone consumes the convolution's chain unless its output is the
-// graph's. Like a chain, it follows soleConsumers' edges under the mask.
-func (p *Plan) findBands(separate []bool) {
-	next := soleConsumers(p.g, separate)
+// one Bundle step headed by the depth-wise node, and folds in what reads the
+// convolution's chain: the MaxPool that alone does, unless its output is the
+// graph's, or the MaxPool and the Reorg of a bypass source, both. Like a
+// chain, it follows the readers' edges under the mask.
+func (p *Plan) findBands(use readers) {
 	for i := range p.nodes {
 		dw, ok := p.nodes[i].layer.(*DWConv3)
-		if !ok || separate != nil && separate[i] {
+		if !ok || use.marked(i) {
 			continue
 		}
-		conv := next(i)
+		conv := use.next(i)
 		if conv < 0 {
 			continue
 		}
@@ -302,17 +334,47 @@ func (p *Plan) findBands(separate []bool) {
 		if !ok || !pw.direct() {
 			continue
 		}
-		b := &band{dw: dw, pw: pw, conv: conv, pool: -1, out: p.nodes[conv].chain.Last(conv), k: 1}
-		if j := next(b.out); j >= 0 && j != p.output {
-			if mp, ok := p.nodes[j].layer.(*MaxPool); ok {
-				b.pool, b.out, b.k = j, j, mp.K
-				p.nodes[j].fused = true
+		b := &band{dw: dw, pw: pw, conv: conv, pool: -1, reorg: -1, out: p.nodes[conv].chain.Last(conv), k: 1}
+		pool, reorg := use.bypass(p.g, b.out)
+		if j := use.next(b.out); j >= 0 && j != p.output {
+			pool = j
+		}
+		if pool >= 0 {
+			if mp, ok := p.nodes[pool].layer.(*MaxPool); ok {
+				b.pool, b.reorg, b.out, b.k = pool, reorg, pool, mp.K
+				p.nodes[pool].fused = true
+				if reorg >= 0 {
+					p.nodes[reorg].fused = true
+				}
 			}
 		}
 		p.nodes[conv].fused = true
 		p.nodes[i].band = b
 		dwLen, pwLen := b.fit(p.nodes[i].dims[2], p.nodes[i].dims[3])
 		p.bandDW, p.bandPW = max(p.bandDW, dwLen), max(p.bandPW, pwLen)
+	}
+}
+
+// findAliases makes a Concat a fact of the layout where the graph allows it:
+// every input reaches it over a sole-consumer edge — so is neither the graph
+// input, nor the graph output, nor named twice — and is a slot some step
+// writes, unmarked; the Concat itself is unmarked, read by somebody and not
+// the graph output. A lane walks one sample, whose channel concatenation is
+// its inputs end to end: layout gives them one slot, each producer writes its
+// range through the dst it is handed, and no step copies anything.
+func (p *Plan) findAliases(use readers) {
+	for i := range p.nodes {
+		pn := &p.nodes[i]
+		if _, ok := pn.layer.(*Concat); !ok || use.marked(i) || i == p.output || len(use.of[i]) == 0 {
+			continue
+		}
+		pn.alias = true
+		for _, j := range pn.inputs {
+			if j == GraphInput || use.next(j) != i || use.marked(j) || p.nodes[j].unlowered || p.nodes[j].alias {
+				pn.alias = false
+			}
+		}
+		pn.fused = pn.alias
 	}
 }
 
@@ -338,76 +400,90 @@ func (p *Plan) slot(i int) int {
 	return p.nodes[i].chain.Last(i)
 }
 
-// layout assigns arena offsets by liveness: walking the steps in order, a
-// step's output takes the first free span that fits (or extends the arena),
-// and the slots whose last reader is that step are then returned.
+// layout places every slot in a lane's region, in one pass over the whole
+// plan's lifetimes. A slot is alive from the step that writes it to the last
+// step that reads it; two slots share elements only if no step finds both
+// alive. An alias is a group: its inputs' slots at fixed offsets from one
+// another, each alive from its own producer to the alias's last reader — so
+// the elements under an input written late may serve a short-lived map first
+// (SkyNet C's pool 3 lies where Bundle 5 will write). Groups and lone slots go
+// largest first, each to the lowest offset at which all of its slots are
+// clear of every placed slot they share a step with.
 func (p *Plan) layout() {
-	lastUse := make([]int, len(p.nodes))
-	for i := range p.nodes {
-		if p.nodes[i].fused {
-			continue
-		}
-		lastUse[p.slot(i)] = i // an output nobody reads dies with its step
-		for _, j := range p.nodes[i].inputs {
-			if j != GraphInput {
-				lastUse[j] = i
-			}
-		}
-	}
-	var free []span // sorted by offset, no two adjacent
+	n := len(p.nodes)
+	// By node: the step (its node) that writes its slot and the last that reads
+	// it; whether it has a slot; whether that is placed with an alias's.
+	born, last := make([]int, n), make([]int, n)
+	owns, grouped := make([]bool, n), make([]bool, n)
 	for i := range p.nodes {
 		pn := &p.nodes[i]
-		if pn.fused {
+		if pn.fused && !pn.alias {
 			continue
 		}
-		if o := &p.nodes[p.slot(i)]; !o.unlowered && p.slot(i) != p.output {
-			o.off, free = takeSpan(free, o.size, &p.perSample)
+		for _, j := range pn.inputs {
+			if j != GraphInput {
+				last[j], grouped[j] = i, pn.alias
+			}
 		}
-		for s := range p.nodes {
-			if o := &p.nodes[s]; o.off >= 0 && lastUse[s] == i {
-				pn.frees = append(pn.frees, s)
-				free = returnSpan(free, span{o.off, o.size})
+		if pn.alias {
+			continue
+		}
+		outs := [2]int{p.slot(i), -1}
+		if pn.band != nil {
+			outs[1] = pn.band.reorg
+		}
+		for _, o := range outs {
+			if o >= 0 && !p.nodes[o].unlowered && o != p.output {
+				owns[o], born[o], last[o] = true, i, i // an output nobody reads dies with its step
 			}
 		}
 	}
-}
-
-type span struct{ off, size int }
-
-// takeSpan carves size elements out of the first free span that fits; when
-// none does it extends the arena end, starting inside a trailing free span.
-func takeSpan(free []span, size int, end *int) (int, []span) {
-	for i, s := range free {
-		switch {
-		case s.size == size:
-			return s.off, slices.Delete(free, i, i+1)
-		case s.size > size:
-			free[i] = span{s.off + size, s.size - size}
-			return s.off, free
+	var heads []int // what is placed: a lone slot, or an alias for its inputs
+	for i := range p.nodes {
+		if pn := &p.nodes[i]; pn.alias {
+			at := 0
+			for _, j := range pn.inputs {
+				p.nodes[j].off, last[j] = at, last[i]
+				at += p.nodes[j].size
+			}
+			heads = append(heads, i)
+		} else if owns[i] && !grouped[i] {
+			pn.off = 0
+			heads = append(heads, i)
 		}
 	}
-	off := *end
-	if k := len(free) - 1; k >= 0 && free[k].off+free[k].size == off {
-		off, free = free[k].off, free[:k]
+	slices.SortStableFunc(heads, func(a, b int) int { return p.nodes[b].size - p.nodes[a].size })
+	var placed []int
+	for _, h := range heads {
+		slots := []int{h}
+		if p.nodes[h].alias {
+			slots = p.nodes[h].inputs
+		}
+		base := 0
+		for bumped := true; bumped; {
+			bumped = false
+			for _, s := range slots {
+				for _, q := range placed {
+					a, b := &p.nodes[s], &p.nodes[q]
+					if born[s] <= last[q] && born[q] <= last[s] && base+a.off < b.off+b.size && b.off < base+a.off+a.size {
+						base, bumped = b.off+b.size-a.off, true
+					}
+				}
+			}
+		}
+		for _, s := range slots {
+			p.nodes[s].off += base
+		}
+		p.nodes[h].off = base
+		placed = append(placed, slots...)
+		p.perSample = max(p.perSample, base+p.nodes[h].size)
 	}
-	*end = off + size
-	return off, free
-}
-
-// returnSpan inserts s into the sorted free list, merging it with the spans
-// it touches.
-func returnSpan(free []span, s span) []span {
-	i, _ := slices.BinarySearchFunc(free, s.off, func(f span, off int) int { return f.off - off })
-	if i < len(free) && s.off+s.size == free[i].off {
-		free[i] = span{s.off, s.size + free[i].size}
-	} else {
-		free = slices.Insert(free, i, s)
+	for s := range p.nodes {
+		if owns[s] {
+			f := &p.nodes[last[s]]
+			f.frees = append(f.frees, s)
+		}
 	}
-	if i > 0 && free[i-1].off+free[i-1].size == free[i].off {
-		free[i-1].size += free[i].size
-		free = slices.Delete(free, i, i+1)
-	}
-	return free
 }
 
 // Step is one executed step of a plan as another engine reads it: the node
@@ -429,10 +505,13 @@ type Step struct {
 // Band is the rest of a Bundle step, whose Node is a DWConv3: the step
 // computes Node, then the 1×1 convolution Conv with the step's Chain fused,
 // then the max-pool Pool, band by band, and materialises only the last of
-// them.
+// them — and, at a bypass source, the reordered map beside it.
 type Band struct {
 	Conv int // the 1×1 Conv2D node that alone consumes Node
-	Pool int // the MaxPool node that alone consumes the chain, or -1
+	Pool int // the MaxPool node that consumes the chain, or -1
+	// Reorg is the Reorg node that reads the chain beside Pool, or -1: the step
+	// writes its map too, ReorgSize elements at ReorgOff (as Step.Off).
+	Reorg, ReorgOff, ReorgSize int
 }
 
 // Steps returns the plan's steps in execution order and the arena one
@@ -445,7 +524,10 @@ func (p *Plan) Steps() (steps []Step, perSample int) {
 			st := Step{Node: i, Out: p.slot(i), Inputs: pn.inputs, Chain: pn.chain,
 				Dims: o.dims, Size: o.size, Off: o.off, Frees: pn.frees}
 			if b := pn.band; b != nil {
-				st.Chain, st.Band = p.nodes[b.conv].chain, &Band{Conv: b.conv, Pool: b.pool}
+				st.Chain, st.Band = p.nodes[b.conv].chain, &Band{Conv: b.conv, Pool: b.pool, Reorg: b.reorg}
+				if b.reorg >= 0 {
+					st.Band.ReorgOff, st.Band.ReorgSize = p.nodes[b.reorg].off, p.nodes[b.reorg].size
+				}
 			}
 			steps = append(steps, st)
 		}
@@ -455,12 +537,12 @@ func (p *Plan) Steps() (steps []Step, perSample int) {
 
 // lane is one worker's share of an inference forward: it walks its samples,
 // one after the other, through the plan's steps on a region of the arena one
-// sample large. What differs between two samples in flight — where each
-// node's output lies, the argument list of the step being run — is here, so
-// that lanes running side by side only read the plan and the layers.
+// sample large. What differs between two samples in flight — the region, the
+// output rows, the argument list of the step being run — is here, so that
+// lanes running side by side only read the plan and the layers.
 type lane struct {
 	arena []float32   // the lane's region of g.arena
-	bufs  [][]float32 // by node: its output for the sample in flight
+	out   []float32   // the rows of the output batch the sample in flight fills
 	srcs  [][]float32 // a Concat step's argument list
 }
 
@@ -492,9 +574,6 @@ func (p *Plan) prepare(lanes int) {
 	}
 	for i, l := range g.lanes[:lanes] {
 		l.arena = g.arena[i*p.perSample : (i+1)*p.perSample]
-		if len(l.bufs) < len(p.nodes) {
-			l.bufs = make([][]float32, len(p.nodes))
-		}
 		if len(l.srcs) < p.maxInputs {
 			l.srcs = make([][]float32, p.maxInputs)
 		}
@@ -557,8 +636,11 @@ func (p *Plan) begin(n, lanes int) {
 // observer, which has to see them in order: observe, when non-nil, is shown
 // each output the forward materialises, in place and before anything
 // overwrites it — each step's Out, for a Bundle step the pooled map, the
-// depth-wise and pre-pool maps being never whole anywhere — sample by sample,
-// so that it sees a node's values in batch order.
+// depth-wise and pre-pool maps being never whole anywhere, and a Concat that
+// is laid out, not computed, once its last input is written (the reordered
+// map a Bundle step gathers beside its pooled one is shown as channels of
+// that Concat, not on its own) — sample by sample, so that it sees a node's
+// values in batch order.
 //
 // Two forwards are not the plan's to run, and walk the layers instead, whole
 // batch by whole batch, every node's output a fresh tensor that is handed to
@@ -594,7 +676,7 @@ func (p *Plan) Run(x *tensor.Tensor, observe func(node int, data []float32)) *te
 	g.run = planRun{p: p, lanes: g.lanes, bands: g.bands, x: x.Data, out: out.Data, n: n, observe: observe}
 	RunLanes(&g.run, n, lanes)
 	for _, l := range g.lanes[:lanes] {
-		clear(l.bufs)
+		l.out = nil
 	}
 	g.run = planRun{}
 	return out
@@ -605,21 +687,26 @@ func (p *Plan) Run(x *tensor.Tensor, observe func(node int, data []float32)) *te
 //
 //skynet:hotpath
 func (r *planRun) WalkSample(li, i int, leaf bool) {
-	p, l, per := r.p, r.lanes[li], len(r.x)/r.n
+	p, l, per, outPer := r.p, r.lanes[li], len(r.x)/r.n, len(r.out)/r.n
 	x := r.x[i*per : (i+1)*per]
+	l.out = r.out[i*outPer : (i+1)*outPer]
 	for k := range p.nodes {
 		pn := &p.nodes[k]
-		if pn.fused {
+		out := k
+		switch {
+		case pn.alias: // written, input by input, by now
+		case pn.fused:
 			continue
+		default:
+			out = p.slot(k) // the node whose output this step writes
+			r.step(pn, li, l.buf(&p.nodes[out]), x, leaf)
 		}
-		out := p.slot(k) // the node whose output this step writes
-		r.step(pn, li, l.dest(r, out, i), x, leaf)
 		if r.observe != nil {
-			r.observe(out, l.bufs[out])
+			r.observe(out, l.buf(&p.nodes[out]))
 		}
 		if poisonReleased {
 			for _, s := range pn.frees {
-				buf := l.bufs[s]
+				buf := l.buf(&p.nodes[s])
 				for j := range buf {
 					buf[j] = float32(math.NaN())
 				}
@@ -636,16 +723,22 @@ func (r *planRun) WalkSample(li, i int, leaf bool) {
 //skynet:hotpath
 func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 	p, l := r.p, r.lanes[li]
-	in, src := p.shapeOf(pn.inputs[0]), l.input(pn.inputs[0], x)
+	in, src := p.shapeOf(pn.inputs[0]), l.input(p, pn.inputs[0], x)
 	switch layer := pn.layer.(type) {
 	case *Conv2D:
 		layer.forwardImage(dst, src, li, layer.epilogue(pn.tail()), leaf)
 	case *DWConv3:
 		switch b := pn.band; {
-		case b != nil && leaf:
-			b.units(dst, src, b.pw.epilogue(p.nodes[b.conv].tail()), &r.bands[li], 0, layer.outH/b.k)
 		case b != nil:
-			b.split(dst, src, b.pw.epilogue(p.nodes[b.conv].tail()), r.bands)
+			a := bandShare{b: b, dst: dst, src: src, ep: b.pw.epilogue(p.nodes[b.conv].tail())}
+			if b.reorg >= 0 {
+				a.reorg = l.buf(&p.nodes[b.reorg])
+			}
+			if leaf {
+				a.units(&r.bands[li], 0, layer.outH/b.k)
+			} else {
+				a.split(r.bands)
+			}
 		case leaf:
 			layer.planes(dst, src, 0, layer.C)
 		default:
@@ -660,11 +753,11 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 	case *Reorg:
 		ReorgInto(dst, src, 1, in[1], in[2], in[3], layer.S)
 	case *Add:
-		addInto(dst, src, l.input(pn.inputs[1], x))
+		addInto(dst, src, l.input(p, pn.inputs[1], x))
 	case *Concat:
 		srcs := l.srcs[:len(pn.inputs)]
 		for k, j := range pn.inputs {
-			srcs[k] = l.input(j, x)
+			srcs[k] = l.input(p, j, x)
 		}
 		concatInto(dst, srcs, pn.chans, 1, in[2]*in[3])
 		clear(srcs)
@@ -697,28 +790,25 @@ func (pn *planNode) tail() tensor.RowEpilogue {
 	return ep
 }
 
-// dest notes and returns the memory node o's output of sample i is written
-// to: o's slot in the lane's region, or without one — the graph output —
-// the sample's rows of the output batch.
+// buf returns the memory the output of pn, a node with a step's or an alias's
+// output, lies in for the sample in flight: its slot in the lane's region, or
+// without one — the graph output — the sample's rows of the output batch.
 //
 //skynet:hotpath
-func (l *lane) dest(r *planRun, o, i int) []float32 {
-	pn := &r.p.nodes[o]
+func (l *lane) buf(pn *planNode) []float32 {
 	if pn.off < 0 {
-		l.bufs[o] = r.out[i*pn.size : (i+1)*pn.size]
-	} else {
-		l.bufs[o] = l.arena[pn.off : pn.off+pn.size]
+		return l.out
 	}
-	return l.bufs[o]
+	return l.arena[pn.off : pn.off+pn.size]
 }
 
 // input returns node j's output for the sample in flight (x, the sample
 // itself, for GraphInput).
 //
 //skynet:hotpath
-func (l *lane) input(j int, x []float32) []float32 {
+func (l *lane) input(p *Plan, j int, x []float32) []float32 {
 	if j == GraphInput {
 		return x
 	}
-	return l.bufs[j]
+	return l.buf(&p.nodes[j])
 }

@@ -1,6 +1,7 @@
 package nn_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,6 +200,92 @@ func TestMaxPoolSweep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reorgRef is the loop order ReorgInto had before it was built on ReorgRows:
+// destination plane by destination plane, each source row walked s times with
+// a stride. The definition the row routine is held to.
+func reorgRef[T any](dst, src []T, n, c, h, w, s int) {
+	oh, ow := h/s, w/s
+	for i := 0; i < n; i++ {
+		for dy := 0; dy < s; dy++ {
+			for dx := 0; dx < s; dx++ {
+				for ch := 0; ch < c; ch++ {
+					oc := (dy*s+dx)*c + ch
+					for y := 0; y < oh; y++ {
+						srcBase := ((i*c+ch)*h+(y*s+dy))*w + dx
+						dstBase := ((i*c*s*s+oc)*oh + y) * ow
+						for xo := 0; xo < ow; xo++ {
+							dst[dstBase+xo] = src[srcBase+xo*s]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sweepReorg holds ReorgInto on two whole images, and ReorgRows called band
+// by band on the second as a Bundle step calls it — each band's rows alone in
+// a buffer — to reorgRef, the destination inside sentinels: every block size
+// 1..3, an odd channel count, every h×w up to four blocks, every band height.
+func sweepReorg[T comparable](t *testing.T, draw func(n int) []T, sentinel T) {
+	t.Helper()
+	const n, c = 2, 3
+	for s := 1; s <= 3; s++ {
+		for h := s; h <= 4*s; h += s {
+			for w := s; w <= 4*s; w += s {
+				src := draw(n * c * h * w)
+				want := make([]T, len(src))
+				reorgRef(want, src, n, c, h, w, s)
+				buf, out := inGuard(make([]T, len(src)), (h+w)%8, sentinel)
+				nn.ReorgInto(out, src, n, c, h, w, s)
+				check := func(what string) {
+					t.Helper()
+					for i := range buf {
+						exp := sentinel
+						if j := i - rowGuard - (h+w)%8; j >= 0 && j < len(want) {
+							exp = want[j]
+						}
+						if buf[i] != exp {
+							t.Fatalf("s=%d %dx%d, %s: buffer element %d = %v, want %v", s, h, w, what, i, buf[i], exp)
+						}
+					}
+				}
+				check("whole")
+				for rows := s; rows <= h; rows += s {
+					last := out[(n-1)*c*h*w:]
+					for i := range last {
+						last[i] = sentinel
+					}
+					for r0 := 0; r0 < h; r0 += rows {
+						cnt := min(rows, h-r0)
+						band := make([]T, 0, c*cnt*w)
+						for ch := 0; ch < c; ch++ {
+							plane := src[((n-1)*c+ch)*h*w:]
+							band = append(band, plane[r0*w:(r0+cnt)*w]...)
+						}
+						nn.ReorgRows(last, band, c, h, w, s, r0, cnt)
+					}
+					check(fmt.Sprintf("in bands of %d rows", rows))
+				}
+			}
+		}
+	}
+}
+
+// TestReorgSweep: the reordering moves values and does nothing else, so
+// distinct values are all it takes — as float32 maps and as int8 codes.
+func TestReorgSweep(t *testing.T) {
+	sweepReorg(t, func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(i + 1)
+		}
+		return v
+	}, -1)
+	rng := rand.New(rand.NewSource(34))
+	sweepReorg(t, func(n int) []int8 { return randCodes(rng, n) }, -128)
 }
 
 // TestRowPassesMatchScalar holds the stand-alone batch-norm and activation

@@ -131,19 +131,30 @@ func (r *Reorg) outShape(in []int) []int {
 //
 //skynet:hotpath
 func ReorgInto[T any](dst, src []T, n, c, h, w, s int) {
-	oh, ow := h/s, w/s
+	per := c * h * w
 	for i := 0; i < n; i++ {
-		for dy := 0; dy < s; dy++ {
+		ReorgRows(dst[i*per:(i+1)*per], src[i*per:(i+1)*per], c, h, w, s, 0, h)
+	}
+}
+
+// ReorgRows is the one reorder loop: rows [r0, r0+rows) of an image [c,h,w],
+// which src holds alone as [c, rows·w], go to their places in the image's
+// reordered map dst, [c·s², h/s, w/s]. It walks the source in order, each row
+// once, dealing it out to the s planes it feeds. A whole image is one call
+// (ReorgInto); a Bundle step calls it on each band of its product (band.go),
+// which is how the bypass gets reordered without the map before it existing.
+//
+//skynet:hotpath
+func ReorgRows[T any](dst, src []T, c, h, w, s, r0, rows int) {
+	oh, ow := h/s, w/s
+	for ch := 0; ch < c; ch++ {
+		for r := 0; r < rows; r++ {
+			row := src[(ch*rows+r)*w:][:w]
+			dy, yo := (r0+r)%s, (r0+r)/s
 			for dx := 0; dx < s; dx++ {
-				for ch := 0; ch < c; ch++ {
-					oc := (dy*s+dx)*c + ch
-					for y := 0; y < oh; y++ {
-						srcBase := ((i*c+ch)*h+(y*s+dy))*w + dx
-						dstBase := ((i*c*s*s+oc)*oh + y) * ow
-						for xo := 0; xo < ow; xo++ {
-							dst[dstBase+xo] = src[srcBase+xo*s]
-						}
-					}
+				d := dst[(((dy*s+dx)*c+ch)*oh+yo)*ow:][:ow]
+				for xo := range d {
+					d[xo] = row[xo*s+dx]
 				}
 			}
 		}

@@ -469,14 +469,18 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 
 // unitMask is the mask the engine compiles its plans under: a forced-float
 // node never joins a conv → BN → act chain, and because the engine's units
-// are one per layer kind — qdw, qconv, qpool — no depth-wise convolution or
-// max-pool joins a Bundle step either. force alone still decides which nodes
-// fall back to float.
+// are one per layer kind — qdw, qconv, qpool, qreorg, qconcat — no depth-wise
+// convolution or max-pool joins a Bundle step either (so no Reorg folds into
+// one), and a Concat stays a step: the float plan makes one a fact of its
+// layout, its inputs written where it lies, but qconcat is arithmetic — it
+// requantizes each input onto the widest input grid — and needs its inputs'
+// codes apart from its own. force alone still decides which nodes fall back
+// to float.
 func unitMask(g *nn.Graph, force []bool) []bool {
 	mask := slices.Clone(force)
 	for i, n := range g.Nodes {
 		switch n.Layer.(type) {
-		case *nn.DWConv3, *nn.MaxPool:
+		case *nn.DWConv3, *nn.MaxPool, *nn.Concat:
 			mask[i] = true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"skynet/internal/backbone"
@@ -34,10 +35,12 @@ func exportSkyNet(t *testing.T, rng *rand.Rand, width float64, hw int, cfg Expor
 
 // TestExportFusesSkyNet pins the lowering outcome on SkyNet C: every node
 // lowers to int8 (no float fallback) and each of the six bundles fuses its
-// PW-conv → BN → ReLU6 tail into one unit.
+// PW-conv → BN → ReLU6 tail into one unit. The engine's plan is one step per
+// unit: under unitMask nothing the float plan folds or lays out — a Bundle's
+// depth-wise map and pool, the bypass's Reorg, the Concat — leaves the list.
 func TestExportFusesSkyNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	_, qm, _ := exportSkyNet(t, rng, 0.25, 16, ExportConfig{})
+	g, qm, calib := exportSkyNet(t, rng, 0.25, 16, ExportConfig{})
 	int8Units, floatUnits, fused := qm.Stats()
 	if floatUnits != 0 {
 		t.Errorf("SkyNet C lowering left %d float-fallback units, want 0", floatUnits)
@@ -48,6 +51,24 @@ func TestExportFusesSkyNet(t *testing.T) {
 	// 6 DW + 6 fused PW units + 3 pools + reorg + concat + head conv.
 	if int8Units != 18 {
 		t.Errorf("int8 units = %d, want 18", int8Units)
+	}
+	// Node → Out of every step, as the plan has listed them since the engine
+	// runs it: a Bundle is DW (0), PW → BN → ReLU6 (1 → 3) and, for three, a pool.
+	want := [][2]int{{0, 0}, {1, 3}, {4, 4}, {5, 5}, {6, 8}, {9, 9}, {10, 10}, {11, 13}, {14, 14}, {15, 15}, {16, 18},
+		{19, 19}, {20, 22}, {23, 23}, {24, 24}, {25, 25}, {26, 28}, {29, 29}}
+	steps, _ := nn.Compile(g, calib[0].Shape(), unitMask(g, make([]bool, len(g.Nodes)))).Steps()
+	var got [][2]int
+	for _, s := range steps {
+		got = append(got, [2]int{s.Node, s.Out})
+		if s.Band != nil {
+			t.Errorf("the step of node %d is a Bundle step", s.Node)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("steps under unitMask (node, out):\n got %v\nwant %v", got, want)
+	}
+	if _, ok := qm.units[24].(*qconcat); !ok {
+		t.Errorf("the Concat's unit is %T, want a qconcat", qm.units[24])
 	}
 }
 
