@@ -3,8 +3,9 @@
 // decoded bounding box, /metrics exports the serving counters (queue
 // depth, latency quantiles, per-stage occupancy, mean batch size),
 // /healthz is the load-balancer probe, and /debug/pprof/* the standard
-// profiles. Requests from concurrent clients are dynamically micro-batched
-// through the streaming executor, so one weight load serves many users.
+// profiles. Requests from concurrent clients queue on one admission queue
+// and are dynamically micro-batched by whichever inference worker is idle,
+// so one weight load serves many users.
 // SIGTERM or Ctrl-C drains gracefully: in-flight requests finish, new ones
 // are refused with 503.
 //
@@ -51,10 +52,10 @@ func main() {
 
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		batch    = flag.Int("batch", 8, "inference micro-batch cap")
-		queue    = flag.Int("queue", 64, "per-replica admission queue depth (overflow sheds with 429)")
+		queue    = flag.Int("queue", 64, "admission queue depth per worker (overflow sheds with 429)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-request deadline when the client sets none")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM")
-		replicas = flag.Int("replicas", 0, "model replicas behind the content-hash router (0 = NumCPU capped at 8)")
+		replicas = flag.Int("replicas", 0, "inference workers, each with a private model, on one admission queue (0 = NumCPU capped at 8)")
 		cacheN   = flag.Int("cache", 4096, "response cache entries keyed on frame hash (negative disables)")
 
 		withTrack  = flag.Bool("track", false, "co-host the tracking service (/track/*) beside detection")
@@ -70,7 +71,7 @@ func main() {
 	)
 	flag.Parse()
 
-	// factoryFor builds one private replica per call: each replica owns its
+	// factoryFor builds one private model per call: each worker owns its
 	// model instance and reuse buffers, which is what lets N inference
 	// workers run concurrently, and what a hot-swap rebuilds per generation.
 	factoryFor := func(ckptPath string, doQuant bool, calib int) serve.ModelFactory {
@@ -107,7 +108,7 @@ func main() {
 			Channels:       3,
 		},
 		// POST /admin/swap: load the named checkpoint (optionally lowered
-		// to int8) as the next replica generation and cut over under load.
+		// to int8) as the next generation and cut over under load.
 		SwapLoader: func(req serve.SwapRequest) (serve.ModelFactory, error) {
 			if req.Ckpt == "" {
 				return nil, errors.New("swap request needs a ckpt")
@@ -139,7 +140,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Printf("skynet-serve: listening on %s (%d replicas, batch<=%d, queue %d, cache %d)\n",
+	fmt.Printf("skynet-serve: listening on %s (%d workers, batch<=%d, queue %d each, cache %d)\n",
 		*addr, srv.Replicas(), *batch, *queue, *cacheN)
 	if err := srv.ListenAndServe(ctx, *addr, *drain); err != nil {
 		fmt.Fprintf(os.Stderr, "skynet-serve: %v\n", err)
@@ -149,7 +150,7 @@ func main() {
 	fmt.Printf("skynet-serve: drained cleanly — served %d (+%d cached), failed %d, rejected %d, swaps %d\n",
 		m.Served, m.CacheServed, m.Failed, m.Rejected, m.Swaps)
 	if ts != nil {
-		// The pool drained the attached service along with its replicas.
+		// The pool drained the attached service along with its generation.
 		tm := ts.Metrics()
 		fmt.Printf("skynet-serve: tracking drained — %d sessions started, %d frames stepped\n",
 			tm.Started, tm.Steps)

@@ -1,5 +1,5 @@
 // Serving: train a compact SkyNet detector for a few epochs, stand it up
-// behind the detection front door (a one-replica serve.Pool), and hit it
+// behind the detection front door (a one-worker serve.Pool), and hit it
 // over HTTP with concurrent
 // clients through the load generator — demonstrating dynamic micro-batching
 // (mean batch size > 1 under concurrency), the bounded admission queue,
@@ -39,7 +39,7 @@ func main() {
 	})
 
 	// 2. The serving pipeline: bounded admission, micro-batched inference.
-	//    One replica around the one trained model; the response cache is
+	//    One worker around the one trained model; the response cache is
 	//    off so every request below reaches the batcher.
 	srv, err := serve.NewPool(func() (detect.Model, *detect.Head, error) {
 		return model, head, nil
@@ -80,7 +80,7 @@ func main() {
 
 	// 4. What the service observed.
 	m := srv.Metrics()
-	fmt.Printf("replicas %d  served %d  failed %d  rejected %d\n", m.Replicas, m.Served, m.Failed, m.Rejected)
+	fmt.Printf("workers %d  served %d  failed %d  rejected %d\n", m.Replicas, m.Served, m.Failed, m.Rejected)
 	fmt.Printf("latency: mean %.2fms  p50 %.2fms  p95 %.2fms  p99 %.2fms\n",
 		m.Latency.MeanMS, m.Latency.P50MS, m.Latency.P95MS, m.Latency.P99MS)
 	rm := m.ReplicaMetrics[0]

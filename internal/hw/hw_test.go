@@ -3,7 +3,6 @@ package hw
 import (
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 	"testing/quick"
 
@@ -192,45 +191,4 @@ func TestPlatformString(t *testing.T) {
 	if TX2.String() == "" || Ultra96.String() == "" {
 		t.Fatal("empty platform description")
 	}
-}
-
-func TestPlatformJSONRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/tx2.json"
-	if err := SavePlatform(path, TX2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadPlatform(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.PeakFLOPS-TX2.PeakFLOPS) > 1 || got.Name != TX2.Name ||
-		math.Abs(got.Efficiency-TX2.Efficiency) > 1e-9 {
-		t.Fatalf("round trip drift: %+v vs %+v", got, TX2)
-	}
-}
-
-func TestLoadPlatformValidation(t *testing.T) {
-	dir := t.TempDir()
-	cases := map[string]string{
-		"badjson": `{`,
-		"nopeak":  `{"name":"x","mem_bw_gbs":10,"efficiency":0.5}`,
-		"badeff":  `{"name":"x","peak_gflops":100,"mem_bw_gbs":10,"efficiency":1.5}`,
-	}
-	for name, body := range cases {
-		path := dir + "/" + name + ".json"
-		if err := osWriteFile(path, body); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadPlatform(path); err == nil {
-			t.Errorf("%s: invalid platform accepted", name)
-		}
-	}
-	if _, err := LoadPlatform(dir + "/missing.json"); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func osWriteFile(path, body string) error {
-	return os.WriteFile(path, []byte(body), 0o644)
 }

@@ -53,37 +53,3 @@ func (r *ReLU) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	}
 	return []*tensor.Tensor{dx}
 }
-
-// LeakyReLU is max(alpha*x, x), used by the YOLO-style baseline heads.
-type LeakyReLU struct {
-	Alpha float32
-	x     *tensor.Tensor
-}
-
-// NewLeakyReLU returns a leaky rectifier with the given negative slope.
-func NewLeakyReLU(alpha float32) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
-
-func (l *LeakyReLU) Name() string     { return "leakyrelu" }
-func (l *LeakyReLU) Params() []*Param { return nil }
-
-func (l *LeakyReLU) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
-	x := one(xs, "leakyrelu")
-	l.x = cacheIf(train, x)
-	out := x.Clone()
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = l.Alpha * v
-		}
-	}
-	return out
-}
-
-func (l *LeakyReLU) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	dx := dout.Clone()
-	for i, v := range needTrainForward(l.x, "leakyrelu").Data {
-		if v < 0 {
-			dx.Data[i] *= l.Alpha
-		}
-	}
-	return []*tensor.Tensor{dx}
-}

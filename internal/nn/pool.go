@@ -110,46 +110,3 @@ func (m *MaxPool) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	}
 	return []*tensor.Tensor{dx}
 }
-
-// GlobalAvgPool reduces each [N,C,H,W] channel plane to its mean, producing
-// [N,C,1,1]. Used by the ResNet baselines before their classifier layer.
-type GlobalAvgPool struct {
-	inShp []int
-}
-
-// NewGlobalAvgPool returns a global average pooling layer.
-func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
-
-func (g *GlobalAvgPool) Name() string     { return "gavgpool" }
-func (g *GlobalAvgPool) Params() []*Param { return nil }
-
-func (g *GlobalAvgPool) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
-	x := one(xs, "gavgpool")
-	expect4D(x.Shape(), 0, "gavgpool")
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	g.inShp = x.Shape()
-	out := tensor.New(n, c, 1, 1)
-	hw := h * w
-	for i := 0; i < n*c; i++ {
-		var s float32
-		for j := 0; j < hw; j++ {
-			s += x.Data[i*hw+j]
-		}
-		out.Data[i] = s / float32(hw)
-	}
-	return out
-}
-
-func (g *GlobalAvgPool) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	n, c, h, w := g.inShp[0], g.inShp[1], g.inShp[2], g.inShp[3]
-	dx := tensor.New(n, c, h, w)
-	hw := h * w
-	inv := 1 / float32(hw)
-	for i := 0; i < n*c; i++ {
-		gv := dout.Data[i] * inv
-		for j := 0; j < hw; j++ {
-			dx.Data[i*hw+j] = gv
-		}
-	}
-	return []*tensor.Tensor{dx}
-}

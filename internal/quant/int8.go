@@ -101,7 +101,7 @@ type unit interface {
 // QuantizedModel is the int8 lowering of an nn.Graph. It implements
 // detect.Model (Forward ignores train: the engine is inference-only).
 // Like nn.Graph, a QuantizedModel is not safe for concurrent Forward calls;
-// the serving layer already serializes inference on one executor stage.
+// the serving layer gives each inference worker a model of its own.
 type QuantizedModel struct {
 	g        *nn.Graph // read for its structure when a new input shape needs a plan
 	separate []bool    // the mask that plan is compiled under (unitMask)

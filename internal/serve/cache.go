@@ -106,22 +106,24 @@ func newRespCache(capacity int, gen int64) *respCache {
 	}
 }
 
-// get returns the cached detection for key, if present.
-func (c *respCache) get(key frameKey) (detect.Box, float64, bool) {
+// get returns the cached detection for key, if present, and the generation
+// that computed it — the cache's own, read under the same lock: every entry
+// it holds was put under it.
+func (c *respCache) get(key frameKey) (detect.Box, float64, int64, bool) {
 	if c == nil {
-		return detect.Box{}, 0, false
+		return detect.Box{}, 0, 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return detect.Box{}, 0, false
+		return detect.Box{}, 0, 0, false
 	}
 	c.order.MoveToFront(el)
 	c.hits++
 	e := el.Value.(*cachedResponse)
-	return e.box, e.conf, true
+	return e.box, e.conf, c.gen, true
 }
 
 // put stores one successful detection computed under generation gen. Stale

@@ -1,16 +1,17 @@
 package serve
 
 // A lane is the one machine every service in this package is built on: a
-// bounded admission queue, one worker goroutine that takes requests off it a
+// bounded admission queue, the worker goroutines that take requests off it a
 // micro-batch at a time (pipeline.CollectBatch), and a drain/close shutdown
-// sequence. The detection replica and the TrackService both embed one and
-// differ only in what their worker does with a batch and in what they count.
+// sequence. A detection generation and the TrackService both embed one and
+// differ only in how many workers they run, what a worker does with a batch
+// and what they count.
 //
 // It is not the §6.3 stream executor, which overlaps the stages of
 // consecutive frames of one stream. Serving requests are independent and
 // arrive on goroutines of their own, so the CPU-side work runs there — before
-// admission and after the answer — and only the model, one forward at a time,
-// needs a queue.
+// admission and after the answer — and only the models, one forward at a time
+// each, need a queue.
 
 import (
 	"context"
@@ -24,9 +25,9 @@ import (
 // rider is what a lane queues: a request that carries a ticket.
 type rider interface{ tk() *ticket }
 
-// lane owns admission, the default request deadline, the worker and shutdown
-// for one model. An admitted request is always answered: drain lets it
-// finish, close fails all but the forward in flight with ErrDraining.
+// lane owns admission, the default request deadline, the workers and shutdown
+// for one queue. An admitted request is always answered: drain lets it
+// finish, close fails all but the forwards in flight with ErrDraining.
 type lane[T rider] struct {
 	timeout time.Duration // default request deadline; <= 0 disables it
 
@@ -35,28 +36,38 @@ type lane[T rider] struct {
 	in       chan T
 
 	abandoned atomic.Bool   // set by close: refuse what is still queued
-	finished  chan struct{} // closed once the worker has exited
+	running   atomic.Int32  // workers that have not exited yet
+	finished  chan struct{} // closed once the last worker has exited
 
-	work stageClock // the worker's own stage: one item per request served
+	work stageClock // the workers' own stage: one item per request served
 }
 
-// start opens a queue of the given depth and begins the worker: it takes the
-// oldest queued request and whatever else queued while the last batch was
-// served, up to maxBatch — a lone request never waits for partners — hands
-// them to serve, which records per-request failures on the tickets and must
-// not panic, and closes each ticket.
-func (l *lane[T]) start(depth int, timeout time.Duration, maxBatch int, serve func([]T)) {
+// start opens a queue of the given depth and begins the workers, all on that
+// one queue: an idle worker takes the oldest queued request and whatever else
+// queued while every worker was busy, up to maxBatch — a lone request never
+// waits for partners, and none waits while a worker is idle — hands them to
+// serve with its own index (what a worker owns — a model, scratch — is keyed
+// by it), which records per-request failures on the tickets and must not
+// panic, and closes each ticket.
+func (l *lane[T]) start(workers, depth int, timeout time.Duration, maxBatch int, serve func(worker int, batch []T)) {
 	l.timeout = timeout
 	l.in = make(chan T, depth)
 	l.finished = make(chan struct{})
-	go l.loop(maxBatch, serve)
+	l.running.Store(int32(workers))
+	for w := 0; w < workers; w++ {
+		go l.loop(maxBatch, func(batch []T) { serve(w, batch) })
+	}
 }
 
-// loop is the lane's one goroutine: it runs until the queue is closed and
+// loop is one worker's goroutine: it runs until the queue is closed and
 // empty. A closed queue hands its remaining requests over without waiting,
 // so after close they are refused as fast as they can be collected.
 func (l *lane[T]) loop(maxBatch int, serve func([]T)) {
-	defer close(l.finished)
+	defer func() {
+		if l.running.Add(-1) == 0 {
+			close(l.finished)
+		}
+	}()
 	buf := make([]T, 0, maxBatch)
 	for {
 		// No done channel: closing the queue (drain/close) is what ends the worker.
@@ -151,7 +162,7 @@ func (l *lane[T]) beginDrain() {
 }
 
 // drain shuts the lane down gracefully: admitted requests complete and the
-// worker exits. It returns when that has happened or ctx fires (the drain
+// workers exit. It returns when that has happened or ctx fires (the drain
 // keeps completing in the background either way). Idempotent.
 func (l *lane[T]) drain(ctx context.Context) error {
 	l.beginDrain()
@@ -163,8 +174,8 @@ func (l *lane[T]) drain(ctx context.Context) error {
 	}
 }
 
-// close stops the lane now: the batch in the worker's hands finishes, every
-// other admitted request fails with ErrDraining, the worker exits.
+// close stops the lane now: the batch in each worker's hands finishes, every
+// other admitted request fails with ErrDraining, the workers exit.
 func (l *lane[T]) close() {
 	l.abandoned.Store(true)
 	l.beginDrain()
@@ -211,8 +222,8 @@ func (t *ticket) live() bool {
 	return true
 }
 
-// stageClock is one row of the /metrics stage table: the lane's worker keeps
-// one, a replica one each for the pre- and post-process its callers run.
+// stageClock is one row of the /metrics stage table: the lane's workers keep
+// one, a generation one each for the pre- and post-process its callers run.
 type stageClock struct {
 	items   atomic.Int64
 	batches atomic.Int64

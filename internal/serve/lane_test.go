@@ -3,7 +3,8 @@ package serve
 // The lane's contract, tested once for both services that embed it:
 // admission is non-blocking and bounded, shutdown refuses new work, drain
 // is idempotent and lets admitted work finish, close answers every admitted
-// request and leaves no goroutine — and a lane is exactly one goroutine.
+// request and leaves no goroutine — at any worker count — and a lane is
+// exactly one goroutine per worker.
 
 import (
 	"context"
@@ -11,10 +12,10 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"skynet/internal/detect"
 	"skynet/internal/tensor"
 )
 
@@ -23,12 +24,12 @@ type testRider struct{ ticket }
 
 func newTestRider() *testRider { return &testRider{ticket: newTicket(context.Background())} }
 
-// gatedLane starts a lane (batches of one) whose worker blocks on gate for
-// every request.
+// gatedLane starts a one-worker lane (batches of one) whose worker blocks on
+// gate for every request.
 func gatedLane(t *testing.T, depth int, gate chan struct{}) *lane[*testRider] {
 	t.Helper()
 	l := &lane[*testRider]{}
-	l.start(depth, time.Second, 1, func([]*testRider) { <-gate })
+	l.start(1, depth, time.Second, 1, func(int, []*testRider) { <-gate })
 	return l
 }
 
@@ -125,8 +126,12 @@ func TestLaneAdmitDrainClose(t *testing.T) {
 
 	// close on a lane with work stuck in it finishes the request in the
 	// worker's hands, refuses the queued ones, and waits for the worker.
-	gate2 := make(chan struct{})
-	stuck := gatedLane(t, 4, gate2)
+	gate2, serving := make(chan struct{}), make(chan struct{}, 1)
+	stuck := &lane[*testRider]{}
+	stuck.start(1, 4, time.Second, 1, func(int, []*testRider) {
+		serving <- struct{}{}
+		<-gate2
+	})
 	var reqs []*testRider
 	for i := 0; i < 3; i++ {
 		req := newTestRider()
@@ -135,9 +140,9 @@ func TestLaneAdmitDrainClose(t *testing.T) {
 		}
 		reqs = append(reqs, req)
 	}
-	for len(stuck.in) == len(reqs) { // until the worker holds the first
-		time.Sleep(time.Millisecond)
-	}
+	// Until the worker is serving the first: taking it off the queue is not
+	// enough, a close between that and the serve refuses it with the rest.
+	<-serving
 	go func() {
 		for !stuck.isDraining() {
 			time.Sleep(time.Millisecond)
@@ -191,7 +196,101 @@ func TestLaneDefaultDeadline(t *testing.T) {
 	}
 }
 
-// TestGoroutineCensus pins the shape: a replica is one goroutine, a
+// TestLaneWorkersHandBackEveryAdmittedRequest is the shutdown contract at
+// 1, 2 and 4 workers on the one queue, under riders that keep arriving while
+// it happens: every ride returns; a request is served by exactly one worker
+// (the unsynchronised per-request count is the race detector's to watch); in a
+// drain every admitted one is served, in a close it is served or refused, never
+// both; nothing is served once finished has closed; and no worker is left.
+func TestLaneWorkersHandBackEveryAdmittedRequest(t *testing.T) {
+	type countedRider struct {
+		ticket
+		served int // written by the worker that holds the request, read after the hand-back
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, stop := range []string{"drain", "close"} {
+			w0, _ := laneGoroutines()
+			var served atomic.Int64
+			l := &lane[*countedRider]{}
+			l.start(workers, 2*workers, -1, 3, func(_ int, batch []*countedRider) {
+				for _, req := range batch {
+					req.served++
+					served.Add(1)
+				}
+				runtime.Gosched() // let the queue refill: batches > 1, riders shed
+			})
+
+			const riders = 8
+			var answered, refusedLate atomic.Int64
+			var wg sync.WaitGroup
+			for i := 0; i < riders; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						req := &countedRider{}
+						err := l.ride(context.Background(), req)
+						switch {
+						case err == nil && req.served == 1:
+							answered.Add(1)
+						case errors.Is(err, ErrOverloaded) && req.served == 0:
+							runtime.Gosched()
+						case errors.Is(err, ErrDraining) && req.served == 0:
+							select {
+							case <-req.done: // admitted, then handed back unserved: close's to do, never drain's
+								refusedLate.Add(1)
+							default: // refused at admission
+							}
+							return
+						default:
+							t.Errorf("%d workers, %s: ride returned %v for a request served %d times", workers, stop, err, req.served)
+							return
+						}
+					}
+				}()
+			}
+			for answered.Load() < 50 {
+				time.Sleep(time.Millisecond)
+			}
+			if stop == "drain" {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				if err := l.drain(ctx); err != nil {
+					t.Fatalf("%d workers: drain: %v", workers, err)
+				}
+				cancel()
+			} else {
+				l.close()
+			}
+			atFinish := served.Load() // finished has closed
+			joined := make(chan struct{})
+			go func() {
+				wg.Wait()
+				close(joined)
+			}()
+			select {
+			case <-joined:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%d workers, %s: riders still waiting after finished closed: an admitted request was never handed back", workers, stop)
+			}
+			if got := served.Load(); got != atFinish {
+				t.Errorf("%d workers, %s: %d requests served after finished closed", workers, stop, got-atFinish)
+			}
+			if got := answered.Load(); got != atFinish {
+				t.Errorf("%d workers, %s: %d served, %d answered: a served request's rider must get its answer", workers, stop, atFinish, got)
+			}
+			if n := refusedLate.Load(); n != 0 && stop == "drain" {
+				t.Errorf("%d workers: a graceful drain handed %d admitted requests back unserved", workers, n)
+			}
+			eventually(t, "the lane's workers have exited", func() bool {
+				w, _ := laneGoroutines()
+				return w == w0
+			})
+		}
+	}
+}
+
+// TestGoroutineCensus pins the shape: a pool is one goroutine per worker —
+// before and after a swap, whose old generation gives its own back — a
 // TrackService two (the worker and the TTL janitor), and both Drain and
 // Close give every one of them back. The services' own goroutines are
 // counted by the function they run (exactly n), the process total bounds
@@ -199,7 +298,7 @@ func TestLaneDefaultDeadline(t *testing.T) {
 // added — and an idle connection of an earlier test closing mid-census
 // cannot fail it.
 func TestGoroutineCensus(t *testing.T) {
-	const n = 3
+	const n = 4
 	census := func(t *testing.T, what string, total, workers, janitors int) {
 		t.Helper()
 		eventually(t, what, func() bool {
@@ -214,7 +313,11 @@ func TestGoroutineCensus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		census(t, "a pool of 3 replicas is 3 goroutines", total+n, w0+n, j0)
+		census(t, "a pool of 4 workers is 4 goroutines", total+n, w0+n, j0)
+		if err := p.Swap(context.Background(), verFactory(2, nil, nil)); err != nil {
+			t.Fatal(err)
+		}
+		census(t, "and still 4 once a swap has drained the old generation", total+n, w0+n, j0)
 		ts, err := NewTrackService(testTracker(false), TrackConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -293,20 +396,18 @@ func TestCloseAnswersEveryAdmittedRequest(t *testing.T) {
 	t.Run("replica", func(t *testing.T) {
 		gate := make(chan struct{})
 		m := &enteringModel{stubModel: stubModel{gate: gate}, entered: make(chan struct{})}
-		r, err := newReplica(m, detect.NewHead(nil), Config{MaxBatch: 1, QueueDepth: n, RequestTimeout: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newSinglePool(t, m, Config{MaxBatch: 1, QueueDepth: n, RequestTimeout: -1})
+		r := p.gen.Load()
 		inFlight := make(chan error, 1)
 		go func() {
-			_, _, err := r.Submit(context.Background(), testImage(0.9), false)
+			_, _, err := p.Submit(context.Background(), testImage(0.9))
 			inFlight <- err
 		}()
 		<-m.entered
 		closeBehind(t, func() int { return len(r.in) }, r.isDraining, func(i int) error {
-			_, _, err := r.Submit(context.Background(), testImage(float32(i)*0.1), false)
+			_, _, err := p.Submit(context.Background(), testImage(float32(i)*0.1))
 			return err
-		}, gate, r.close)
+		}, gate, p.Close)
 		if err := <-inFlight; err != nil {
 			t.Fatalf("the forward in flight at Close: %v, want its answer", err)
 		}

@@ -127,22 +127,21 @@ type LatencySummary struct {
 	P99MS  float64 `json:"p99_ms"`
 }
 
-// Metrics is one consistent-enough snapshot of one replica's counters —
-// individual fields are read atomically; the set is not a transaction.
+// Metrics is one consistent-enough snapshot of the serving generation's
+// engine: its one queue and its workers' counters — individual fields are
+// read atomically; the set is not a transaction.
 type Metrics struct {
-	// QueueDepth is the number of admitted requests waiting for the
-	// worker; QueueCap is the admission bound.
+	// QueueDepth is the number of admitted requests waiting for a worker;
+	// QueueCap is the admission bound.
 	QueueDepth int  `json:"queue_depth"`
 	QueueCap   int  `json:"queue_cap"`
 	Draining   bool `json:"draining"`
 
 	// Served counts successful detections; Failed per-request errors;
-	// Rejected admissions shed with 429; Expired callers that hit their
-	// deadline before delivery.
-	Served   int64 `json:"served"`
-	Failed   int64 `json:"failed"`
-	Rejected int64 `json:"rejected"`
-	Expired  int64 `json:"expired"`
+	// Expired callers that hit their deadline before delivery.
+	Served  int64 `json:"served"`
+	Failed  int64 `json:"failed"`
+	Expired int64 `json:"expired"`
 
 	// Batches counts inference flushes; MeanBatchSize is items/flush —
 	// the paper's batching leverage, >1 whenever batching is working.
@@ -152,7 +151,7 @@ type Metrics struct {
 	Latency LatencySummary `json:"latency"`
 
 	// Stages is the per-stage breakdown: pre- and post-process run on the
-	// callers' goroutines (Workers 0), inference on the replica's one worker.
+	// callers' goroutines (Workers 0), inference on the pool's workers.
 	Stages []pipelineStageJSON `json:"stages"`
 }
 
@@ -187,35 +186,32 @@ func stageJSON(st pipeline.StageStats) pipelineStageJSON {
 	}
 }
 
-// PoolMetrics is one snapshot of the replica pool's counters: the fleet
-// aggregate, the routing tier, the response cache, and the per-replica
-// breakdowns.
+// PoolMetrics is one snapshot of the pool's counters: the front door's
+// (cache, shed, swap, inflight) and the serving generation's engine.
 type PoolMetrics struct {
-	// Replicas is the active replica count; Generation the serving replica
-	// set's version; Swaps the number of completed hot-swaps.
+	// Replicas is the inference worker count; Generation the serving
+	// generation's version; Swaps the number of completed hot-swaps.
 	Replicas   int   `json:"replicas"`
 	Generation int64 `json:"generation"`
 	Swaps      int64 `json:"swaps"`
 	Draining   bool  `json:"draining"`
 
-	// Served/Failed/Expired aggregate the active replicas' counters;
+	// Served/Failed/Expired are the serving generation's counters;
 	// CacheServed counts requests answered from the response cache without
-	// touching a replica (not included in Served).
+	// reaching the queue (not included in Served).
 	Served      int64 `json:"served"`
 	Failed      int64 `json:"failed"`
 	Expired     int64 `json:"expired"`
 	CacheServed int64 `json:"cache_served"`
 
-	// Rejected counts requests shed with 429 after every replica refused;
-	// SiblingSheds requests whose full home replica spilled them to a
-	// sibling; SwapRetries requests that raced a swap and resubmitted on
-	// the new generation.
-	Rejected     int64 `json:"rejected"`
-	SiblingSheds int64 `json:"sibling_sheds"`
-	SwapRetries  int64 `json:"swap_retries"`
+	// Rejected counts requests shed with 429 — the admission queue or the
+	// inflight semaphore was full; SwapRetries requests that raced a swap
+	// and resubmitted on the new generation.
+	Rejected    int64 `json:"rejected"`
+	SwapRetries int64 `json:"swap_retries"`
 
 	// Inflight is the number of HTTP requests currently holding an
-	// admission slot; InflightCap the fleet-wide bound (0 = unbounded).
+	// admission slot; InflightCap the bound.
 	Inflight    int `json:"inflight"`
 	InflightCap int `json:"inflight_cap"`
 
@@ -224,7 +220,8 @@ type PoolMetrics struct {
 	// Latency is the pool-level success latency (cache hits included).
 	Latency LatencySummary `json:"latency"`
 
-	// ReplicaMetrics is each active replica's own Metrics snapshot.
+	// ReplicaMetrics holds the serving generation's engine snapshot, as its
+	// one entry.
 	ReplicaMetrics []Metrics `json:"replica_metrics"`
 
 	// Track is the attached tracking service's snapshot, when co-hosted.
@@ -233,27 +230,25 @@ type PoolMetrics struct {
 
 // Metrics snapshots the pool's observability counters.
 func (p *Pool) Metrics() PoolMetrics {
+	g := p.gen.Load()
+	gm := g.Metrics()
 	m := PoolMetrics{
-		Generation:   p.Generation(),
-		Swaps:        p.swaps.Load(),
-		Draining:     p.Draining(),
-		CacheServed:  p.cacheServed.Load(),
-		Rejected:     p.rejected.Load(),
-		SiblingSheds: p.siblingSheds.Load(),
-		SwapRetries:  p.swapRetries.Load(),
-		Inflight:     len(p.inflight),
-		InflightCap:  cap(p.inflight),
-		Cache:        p.cache.stats(),
-		Latency:      p.hist.Summary(),
+		Replicas:       len(g.models),
+		Generation:     g.id,
+		Swaps:          p.swaps.Load(),
+		Draining:       p.Draining(),
+		Served:         gm.Served,
+		Failed:         gm.Failed,
+		Expired:        gm.Expired,
+		CacheServed:    p.cacheServed.Load(),
+		Rejected:       p.rejected.Load(),
+		SwapRetries:    p.swapRetries.Load(),
+		Inflight:       len(p.inflight),
+		InflightCap:    cap(p.inflight),
+		Cache:          p.cache.stats(),
+		Latency:        p.hist.Summary(),
+		ReplicaMetrics: []Metrics{gm},
 	}
-	for _, r := range p.gen.Load().replicas {
-		rm := r.Metrics()
-		m.Served += rm.Served
-		m.Failed += rm.Failed
-		m.Expired += rm.Expired
-		m.ReplicaMetrics = append(m.ReplicaMetrics, rm)
-	}
-	m.Replicas = len(m.ReplicaMetrics)
 	if p.track != nil {
 		tm := p.track.Metrics()
 		m.Track = &tm
@@ -261,20 +256,19 @@ func (p *Pool) Metrics() PoolMetrics {
 	return m
 }
 
-// Metrics snapshots the replica's observability counters.
-func (r *replica) Metrics() Metrics {
+// Metrics snapshots the generation's observability counters.
+func (g *generation) Metrics() Metrics {
 	m := Metrics{
-		QueueDepth: len(r.in),
-		QueueCap:   cap(r.in),
-		Draining:   r.isDraining(),
-		Served:     r.served.Load(),
-		Failed:     r.failed.Load(),
-		Rejected:   r.rejected.Load(),
-		Expired:    r.expired.Load(),
-		Latency:    r.hist.Summary(),
+		QueueDepth: len(g.in),
+		QueueCap:   cap(g.in),
+		Draining:   g.isDraining(),
+		Served:     g.served.Load(),
+		Failed:     g.failed.Load(),
+		Expired:    g.expired.Load(),
+		Latency:    g.hist.Summary(),
 	}
-	infer := r.work.snapshot(pipeline.StageInfer, 1)
+	infer := g.work.snapshot(pipeline.StageInfer, len(g.models))
 	m.Batches, m.MeanBatchSize = infer.Batches, infer.MeanBatchSize
-	m.Stages = []pipelineStageJSON{r.pre.snapshot(pipeline.StagePre, 0), infer, r.post.snapshot(pipeline.StagePost, 0)}
+	m.Stages = []pipelineStageJSON{g.pre.snapshot(pipeline.StagePre, 0), infer, g.post.snapshot(pipeline.StagePost, 0)}
 	return m
 }

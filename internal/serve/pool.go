@@ -1,25 +1,23 @@
 package serve
 
-// Replica pool: the detection service, at any scale from one replica up. A
-// replica pins inference to one worker (Graph forwards share buffers and
-// are not concurrency-safe), so one replica can never use more than one
-// core for the forward pass. The Pool holds N replicas — each an engine
-// around its own private model instance with its own reuse buffers and
-// worker — behind a routing tier that shards requests by frame
-// content hash. Sharding gives duplicate frames a stable home (so the response
-// cache and the per-replica batcher both see the repeats), while bounded
-// per-replica admission propagates backpressure outward: a request whose
-// home replica is full is offered to every sibling before the pool sheds
-// it with 429, so the pool only rejects when the whole fleet is saturated.
+// The detection service: one admission queue and N inference workers. A
+// Graph forward shares buffers and is not concurrency-safe, so one model can
+// never use more than one core for the forward pass; the Pool therefore holds
+// N private model instances, each driven by its own worker, all taking
+// requests off the one bounded queue (a generation, serve.go). An idle worker
+// takes whatever is queued, so no request waits while a worker is free, and
+// the pool sheds with 429 only when that queue is full. In front of the queue
+// sit the response cache, keyed by a 128-bit hash of the frame, and — on the
+// HTTP door — a semaphore that bounds requests in flight before their bodies
+// are read.
 //
-// Model hot-swap is generation-based: Swap builds a complete new replica
-// set from a ModelFactory, atomically publishes it as the next generation,
-// invalidates the response cache, and only then drains the old generation —
-// in-flight requests on old replicas finish on the weights they started
-// with, new arrivals route to the new weights, and no request is ever
-// dropped. A request that loses the race (admitted nowhere because its
-// snapshot of the fleet began draining) retries on the freshly published
-// generation instead of failing.
+// Model hot-swap is generation-based: Swap builds a complete new generation
+// from a ModelFactory, atomically publishes it, invalidates the response
+// cache, and only then drains the old one — in-flight requests finish on the
+// weights they started with, new arrivals queue for the new weights, and no
+// request is ever dropped. A request that loses the race (refused because the
+// generation it loaded began draining) retries on the freshly published one
+// instead of failing.
 
 import (
 	"context"
@@ -35,33 +33,23 @@ import (
 )
 
 // ModelFactory builds one private model+head pair. The pool calls it once
-// per replica — instances are never shared across replicas, which is what
-// lets N inference workers run concurrently — and again for every replica
-// of a hot-swap's new generation.
+// per inference worker — a model is never shared between workers, which is
+// what lets N forwards run concurrently — and again for every worker of a
+// hot-swap's new generation. The heads must be interchangeable: the
+// generation decodes every answer with one of them.
 type ModelFactory func() (detect.Model, *detect.Head, error)
 
 // PoolConfig tunes a Pool. The zero value selects serving defaults.
 type PoolConfig struct {
-	// Replicas is the number of model instances; 0 selects NumCPU capped
-	// at 8.
+	// Replicas is the number of inference workers, each with a private model
+	// instance; 0 selects NumCPU capped at 8.
 	Replicas int
-	// Replica tunes each replica's engine (queue depth, batching, deadline).
-	// Applied identically to every replica.
+	// Replica tunes the engine (batching, deadline, and the admission queue's
+	// depth per worker).
 	Replica Config
 	// CacheEntries bounds the response cache; 0 selects 4096, negative
 	// disables caching.
 	CacheEntries int
-	// MaxInflight bounds concurrently admitted HTTP requests across the
-	// fleet — decode included, which matters: on a saturated box the queue
-	// that actually grows without bound is handler goroutines parked in
-	// JSON decode before they ever reach a replica's admission queue, and
-	// no per-replica bound can see them. 0 selects Replicas×(QueueDepth+64);
-	// negative disables the bound (in-process Submit callers are never
-	// subject to it).
-	MaxInflight int
-	// SwapTimeout bounds how long Swap waits for the old generation to
-	// drain; 0 selects 30s. On expiry the old replicas are closed hard.
-	SwapTimeout time.Duration
 	// SwapLoader, when set, enables POST /admin/swap: it turns the wire
 	// request into the factory for the next generation. Nil disables the
 	// endpoint (501).
@@ -78,77 +66,66 @@ func (c *PoolConfig) normalize() {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
 	}
-	if c.MaxInflight == 0 {
-		qd := c.Replica.QueueDepth
-		if qd <= 0 {
-			qd = defaultQueueDepth
-		}
-		c.MaxInflight = c.Replicas * (qd + 64)
-	}
-	if c.SwapTimeout <= 0 {
-		c.SwapTimeout = 30 * time.Second
-	}
 }
 
-// generation is one immutable replica set. The pool publishes generations
-// atomically — there is always one, from NewPool on — and a Submit works
-// against the snapshot it loaded.
-type generation struct {
-	id       int64
-	replicas []*replica
-}
+const (
+	// inflightSlack is how many HTTP requests per worker may be in read,
+	// parse or encode beyond what the admission queue holds.
+	inflightSlack = 64
+	// swapDrainTimeout bounds how long Swap waits for the old generation to
+	// drain when its context has no deadline; on expiry the old generation is
+	// closed hard.
+	swapDrainTimeout = 30 * time.Second
+)
 
-// Pool is a replica-pool detection service: N private model instances
-// behind content-hash routing, a generation-scoped response cache, and
-// zero-drop model hot-swap. Create with NewPool, stop with Drain or Close.
+// Pool is the detection service: N inference workers with private models on
+// one admission queue, a generation-scoped response cache, and zero-drop
+// model hot-swap. Create with NewPool, stop with Drain or Close.
 type Pool struct {
 	cfg    PoolConfig
-	gen    atomic.Pointer[generation]
-	lastID atomic.Int64
-	swapMu sync.Mutex // serializes Swap/Drain/Close generation turnover
+	gen    atomic.Pointer[generation] // there is always one, from NewPool on
+	swapMu sync.Mutex                 // serializes Swap/Drain/Close generation turnover
 	closed atomic.Bool
 
 	cache *respCache
 	hist  *Histogram // pool-level success latency, cache hits included: from the key's hash (HTTP: the body is read, not yet parsed) to the answer
 
-	// inflight is the HTTP-side admission semaphore (nil = unbounded); see
-	// PoolConfig.MaxInflight.
+	// inflight is the HTTP-side admission semaphore: it bounds admitted HTTP
+	// requests — read and parse included, which matters: on a saturated box
+	// the queue that actually grows without bound is handler goroutines
+	// parked in a body read before they ever reach the admission queue, whose
+	// bound cannot see them. It holds the queue's capacity plus inflightSlack
+	// per worker; in-process Submit callers are never subject to it.
 	inflight chan struct{}
 
-	cacheServed  atomic.Int64
-	siblingSheds atomic.Int64 // overflowed home replica, retried a sibling
-	rejected     atomic.Int64 // whole fleet full: shed with 429
-	swapRetries  atomic.Int64 // raced a swap; resubmitted on the new generation
-	swaps        atomic.Int64
+	cacheServed atomic.Int64
+	rejected    atomic.Int64 // shed with 429: the queue, or the semaphore, was full
+	swapRetries atomic.Int64 // raced a swap; resubmitted on the new generation
+	swaps       atomic.Int64
 
 	track *TrackService
 }
 
-// NewPool builds cfg.Replicas replicas from the factory and starts serving.
+// NewPool builds cfg.Replicas models from the factory and starts serving.
 func NewPool(factory ModelFactory, cfg PoolConfig) (*Pool, error) {
 	if factory == nil {
 		return nil, errors.New("serve: pool needs a model factory")
 	}
 	cfg.normalize()
 	p := &Pool{cfg: cfg, hist: NewHistogram()}
-	g, err := p.buildGeneration(factory, cfg.Replicas)
+	g, err := p.buildGeneration(factory, 1)
 	if err != nil {
 		return nil, err
 	}
 	p.gen.Store(g)
 	p.cache = newRespCache(cfg.CacheEntries, g.id)
-	if cfg.MaxInflight > 0 {
-		p.inflight = make(chan struct{}, cfg.MaxInflight)
-	}
+	p.inflight = make(chan struct{}, cap(g.in)+inflightSlack*cfg.Replicas)
 	return p, nil
 }
 
-// acquire takes one HTTP-inflight slot, reporting false when the fleet is
-// already working its bound — the caller sheds without paying for a decode.
+// acquire takes one HTTP-inflight slot, reporting false when the pool is
+// already working its bound — the caller sheds without paying for a read.
 func (p *Pool) acquire() bool {
-	if p.inflight == nil {
-		return true
-	}
 	select {
 	case p.inflight <- struct{}{}:
 		return true
@@ -157,44 +134,36 @@ func (p *Pool) acquire() bool {
 	}
 }
 
-func (p *Pool) release() {
-	if p.inflight != nil {
-		<-p.inflight
-	}
-}
+func (p *Pool) release() { <-p.inflight }
 
-// buildGeneration constructs one complete replica set, tearing down the
-// partial set on any failure so a bad factory cannot leak workers.
-func (p *Pool) buildGeneration(factory ModelFactory, n int) (*generation, error) {
-	g := &generation{id: p.lastID.Add(1), replicas: make([]*replica, 0, n)}
-	for i := 0; i < n; i++ {
+// buildGeneration builds every worker's model before it starts the lane, so
+// a failing factory has started nothing.
+func (p *Pool) buildGeneration(factory ModelFactory, id int64) (*generation, error) {
+	models := make([]detect.Model, p.cfg.Replicas)
+	var head *detect.Head
+	for i := range models {
 		m, h, err := factory()
-		if err == nil {
-			var r *replica
-			r, err = newReplica(m, h, p.cfg.Replica)
-			if err == nil {
-				g.replicas = append(g.replicas, r)
-				continue
-			}
+		if err == nil && (m == nil || h == nil) {
+			err = errors.New("model and head are required")
 		}
-		for _, r := range g.replicas {
-			r.close()
+		if err != nil {
+			return nil, fmt.Errorf("serve: building model %d: %w", i, err)
 		}
-		return nil, fmt.Errorf("serve: building replica %d: %w", i, err)
+		models[i], head = m, h
 	}
-	return g, nil
+	return newGeneration(id, models, head, p.cfg.Replica), nil
 }
 
 // Attach co-hosts a tracking service on the pool's HTTP front end and folds
 // its counters into /metrics. Tracking is stateful (sessions pin their
-// template features), so it stays a single shared service rather than a
-// replica: call before Handler.
+// template features), so it stays a service of its own beside the detection
+// workers: call before Handler.
 func (p *Pool) Attach(ts *TrackService) { p.track = ts }
 
-// Submit routes one detection through the pool: cache, then the frame's
-// home replica, then every sibling, then — if the snapshot it raced was a
-// draining generation — the freshly swapped-in one. The image stays the
-// caller's: the replica works on a copy.
+// Submit runs one detection through the pool: the cache, then the serving
+// generation's queue, then — if that generation began draining under it —
+// the freshly swapped-in one. The image stays the caller's: the engine works
+// on a copy.
 func (p *Pool) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, error) {
 	t0 := time.Now()
 	key := hashFrame(img)
@@ -206,12 +175,13 @@ func (p *Pool) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, floa
 }
 
 // cached answers a request from the response cache, if it can, together
-// with the serving generation's ID. Both front doors ask it first, with the
-// key of what they were handed; t0 is when the request's work began, for the
+// with the ID of the generation that computed the answer — the cache's, not
+// p.gen's: a swap publishes before it resets the cache, and a hit in between
+// is still the old generation's. Both front doors ask it first, with the key
+// of what they were handed; t0 is when the request's work began, for the
 // latency histogram.
 func (p *Pool) cached(key frameKey, t0 time.Time) (detect.Box, float64, int64, bool) {
-	gen := p.gen.Load().id // before the lookup: a swap resets the cache after it publishes
-	box, conf, ok := p.cache.get(key)
+	box, conf, gen, ok := p.cache.get(key)
 	if ok {
 		p.cacheServed.Add(1)
 		p.hist.Observe(time.Since(t0))
@@ -219,57 +189,40 @@ func (p *Pool) cached(key frameKey, t0 time.Time) (detect.Box, float64, int64, b
 	return box, conf, gen, ok
 }
 
-// submit routes a cache miss to a replica and stores the answer under key,
-// returning it with the serving generation's ID (for the X-Skynet-Generation
-// response header and the swap tests). owned says img is the front door's
-// own buffer, which the replica may read in place (detect.Frame.Owned).
+// submit queues a cache miss and stores the answer under key, returning it
+// with the serving generation's ID (for the X-Skynet-Generation response
+// header and the swap tests). owned says img is the front door's own buffer,
+// which the engine may read in place (detect.Frame.Owned).
 func (p *Pool) submit(ctx context.Context, key frameKey, img *tensor.Tensor, owned bool, t0 time.Time) (detect.Box, float64, int64, error) {
 	g := p.gen.Load()
 
-	// Validate and pre-process once, on the caller's goroutine, not once per
-	// probed sibling: every replica shares one Config, so the home one will do.
-	f, err := g.replicas[key.lo%uint64(len(g.replicas))].prepare(img, owned)
+	// Validate and pre-process once, on the caller's goroutine: every
+	// generation shares one Config, so a frame prepared here rides any.
+	f, err := g.prepare(img, owned)
 	if err != nil {
 		return detect.Box{}, 0, g.id, err
 	}
 
-	// A swap mid-request can leave the loaded snapshot fully draining; one
-	// retry per published generation is enough, and the attempt bound makes
-	// a pathological swap storm fail loudly instead of looping.
+	// A swap mid-request can leave the loaded generation draining; one retry
+	// per published generation is enough, and the attempt bound makes a
+	// pathological swap storm fail loudly instead of looping.
 	const maxSwapRaces = 4
 	for attempt := 0; attempt < maxSwapRaces; attempt++ {
-		n := len(g.replicas)
-		home := int(key.lo % uint64(n))
-		sawOverload := false
-		for i := 0; i < n; i++ {
-			r := g.replicas[(home+i)%n]
-			box, conf, err := r.submitFrame(ctx, f)
-			switch {
-			case err == nil:
-				p.cache.put(g.id, key, box, conf)
-				p.hist.Observe(time.Since(t0))
-				return box, conf, g.id, nil
-			case errors.Is(err, ErrOverloaded):
-				if i == 0 && n > 1 {
-					// Home replica full: the request spills to siblings.
-					p.siblingSheds.Add(1)
-				}
-				sawOverload = true
-			case errors.Is(err, ErrDraining):
-				// Old generation mid-swap (refused at admission, or admitted
-				// and then handed back unserved by a hard close); keep
-				// probing, then retry on the published generation.
-			default:
-				// The request's own failure (bad input, deadline, inference
-				// error) — routing elsewhere would not change the outcome.
-				return detect.Box{}, 0, g.id, err
-			}
-		}
-		if sawOverload {
-			// The whole fleet is saturated: shed.
+		box, conf, err := g.submitFrame(ctx, f)
+		switch {
+		case err == nil:
+			p.cache.put(g.id, key, box, conf)
+			p.hist.Observe(time.Since(t0))
+			return box, conf, g.id, nil
+		case errors.Is(err, ErrOverloaded):
 			p.rejected.Add(1)
-			return detect.Box{}, 0, g.id, ErrOverloaded
+			return detect.Box{}, 0, g.id, err
+		case !errors.Is(err, ErrDraining):
+			// The request's own failure (deadline, inference error).
+			return detect.Box{}, 0, g.id, err
 		}
+		// Old generation mid-swap: refused at admission, or admitted and then
+		// handed back unserved by a hard close.
 		next := p.gen.Load()
 		if next == g {
 			// Draining with no successor: the pool itself is shutting down.
@@ -281,27 +234,11 @@ func (p *Pool) submit(ctx context.Context, key frameKey, img *tensor.Tensor, own
 	return detect.Box{}, 0, g.id, ErrDraining
 }
 
-// shedFast reports whether every replica's admission queue is full right
-// now. The HTTP front end consults it before decoding a request body, so a
-// saturated fleet sheds at the router for the price of a length check
-// instead of a full JSON decode — backpressure propagated all the way out
-// to the socket. Racy by design: the authoritative admission decision is
-// still each replica's queue.
-func (p *Pool) shedFast() bool {
-	for _, r := range p.gen.Load().replicas {
-		if len(r.in) < cap(r.in) {
-			return false
-		}
-	}
-	return true
-}
-
 // Swap cuts the pool over to a new model generation with zero dropped
-// requests: the new replica set is built and published first, the response
-// cache resets to the new generation, and only then does the old
-// generation drain (in-flight requests finish on their original weights).
-// One swap runs at a time; a failed factory leaves the old generation
-// serving untouched.
+// requests: the new generation is built and published first, the response
+// cache resets to it, and only then does the old generation drain (in-flight
+// requests finish on their original weights). One swap runs at a time; a
+// failed factory leaves the old generation serving untouched.
 func (p *Pool) Swap(ctx context.Context, factory ModelFactory) error {
 	if factory == nil {
 		return errors.New("serve: swap needs a model factory")
@@ -312,8 +249,7 @@ func (p *Pool) Swap(ctx context.Context, factory ModelFactory) error {
 		return ErrDraining
 	}
 	old := p.gen.Load()
-	//skynet:nolint lockheld -- swapMu serializes admin ops (Swap/Drain/Close) only; the request path reads p.gen atomically and never takes it, so blocking here stalls no requests
-	g, err := p.buildGeneration(factory, len(old.replicas))
+	g, err := p.buildGeneration(factory, old.id+1)
 	if err != nil {
 		return err
 	}
@@ -321,57 +257,38 @@ func (p *Pool) Swap(ctx context.Context, factory ModelFactory) error {
 	p.cache.reset(g.id)
 	p.swaps.Add(1)
 
-	dctx := ctx
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, p.cfg.SwapTimeout)
+		ctx, cancel = context.WithTimeout(ctx, swapDrainTimeout)
 		defer cancel()
 	}
-	//skynet:nolint lockheld -- swapMu serializes admin ops only; the old generation drains while the new one (already published) serves lock-free
-	if err := drainAll(dctx, old.replicas); err != nil {
-		// The budget ran out; hard-stop the stragglers so the old
-		// generation cannot leak. The new generation is already serving.
-		for _, r := range old.replicas {
-			//skynet:nolint lockheld -- swapMu serializes admin ops only; hard-stopping stragglers cannot stall the request path
-			r.close()
-		}
+	//skynet:nolint lockheld -- swapMu serializes admin ops (Swap/Drain/Close) only: the request path reads p.gen atomically and never takes it, so the old generation drains while the new one (already published) serves lock-free
+	if err := old.drain(ctx); err != nil {
+		// The budget ran out; hard-stop the old generation so it cannot
+		// leak. The new one is already serving.
+		//skynet:nolint lockheld -- swapMu serializes admin ops only; hard-stopping stragglers cannot stall the request path
+		old.close()
 		return fmt.Errorf("serve: draining generation %d: %w", old.id, err)
 	}
 	return nil
 }
 
-// drainAll drains every replica concurrently and returns the first error.
-func drainAll(ctx context.Context, replicas []*replica) error {
-	errc := make(chan error, len(replicas))
-	for _, r := range replicas {
-		go func(r *replica) { errc <- r.drain(ctx) }(r)
-	}
-	var first error
-	for range replicas {
-		if err := <-errc; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Generation returns the ID of the currently serving replica set.
+// Generation returns the ID of the currently serving generation.
 func (p *Pool) Generation() int64 { return p.gen.Load().id }
 
-// Replicas returns the size of the active replica set.
-func (p *Pool) Replicas() int { return len(p.gen.Load().replicas) }
+// Replicas returns the number of inference workers.
+func (p *Pool) Replicas() int { return p.cfg.Replicas }
 
-// Drain gracefully shuts the pool down: every replica refuses new work,
-// in-flight requests complete. Idempotent; an attached TrackService is
-// drained too.
+// Drain gracefully shuts the pool down: new work is refused, admitted
+// requests complete. Idempotent; an attached TrackService is drained too.
 func (p *Pool) Drain(ctx context.Context) error {
 	p.swapMu.Lock()
 	defer p.swapMu.Unlock()
 	p.closed.Store(true)
 	//skynet:nolint lockheld -- swapMu serializes admin ops only; holding it for the whole drain is what makes Drain/Swap mutually exclusive
-	err := drainAll(ctx, p.gen.Load().replicas)
+	err := p.gen.Load().drain(ctx)
 	if p.track != nil {
-		//skynet:nolint lockheld -- swapMu serializes admin ops only; see the drainAll waiver above
+		//skynet:nolint lockheld -- swapMu serializes admin ops only; see the drain waiver above
 		if terr := p.track.Drain(ctx); err == nil {
 			err = terr
 		}
@@ -379,17 +296,15 @@ func (p *Pool) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close abandons every replica immediately. Prefer Drain.
+// Close abandons what is queued immediately. Prefer Drain.
 func (p *Pool) Close() {
 	p.swapMu.Lock()
 	defer p.swapMu.Unlock()
 	p.closed.Store(true)
-	for _, r := range p.gen.Load().replicas {
-		//skynet:nolint lockheld -- swapMu serializes admin ops only; Close abandons replicas and must exclude a concurrent Swap
-		r.close()
-	}
+	//skynet:nolint lockheld -- swapMu serializes admin ops only; Close abandons the generation and must exclude a concurrent Swap
+	p.gen.Load().close()
 	if p.track != nil {
-		//skynet:nolint lockheld -- swapMu serializes admin ops only; see the replica Close waiver above
+		//skynet:nolint lockheld -- swapMu serializes admin ops only; see the close waiver above
 		p.track.Close()
 	}
 }

@@ -4,10 +4,10 @@ package serve
 // and POST /admin/swap (cuts the pool over to a new model generation under
 // live load) on top of the shared routes (GET /metrics, GET /healthz,
 // pprof; see http.go), plus the /track routes of an attached TrackService. Every /detect response carries an
-// X-Skynet-Generation header naming the replica generation that produced
-// it, which is how the swap tests observe the cutover. A saturated fleet is
-// shed before the request body is read (Pool.shedFast), so the 429 path
-// costs a queue-length check, not a multi-megabyte read and parse.
+// X-Skynet-Generation header naming the generation that produced it, which
+// is how the swap tests observe the cutover. A saturated pool sheds before
+// the request body is read, so the 429 path costs a queue-length check, not
+// a multi-megabyte read and parse.
 
 import (
 	"context"
@@ -36,9 +36,9 @@ type SwapRequest struct {
 
 // SwapResponse reports a completed swap.
 type SwapResponse struct {
-	// Generation is the replica generation now serving.
+	// Generation is the generation now serving.
 	Generation int64 `json:"generation"`
-	// Replicas is the size of the new replica set.
+	// Replicas is its inference worker count.
 	Replicas int    `json:"replicas"`
 	Error    string `json:"error,omitempty"`
 }
@@ -56,22 +56,23 @@ func (p *Pool) Handler() http.Handler {
 
 func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// Two-layer shed, both before the body is read: the inflight semaphore
-	// bounds total admitted HTTP work (saturation otherwise queues in
-	// read and parse, invisible to every replica bound), and shedFast answers
-	// the cheaper all-queues-full case.
+	// bounds total admitted HTTP work (saturation otherwise queues in read
+	// and parse, invisible to the queue's bound), and a full queue right now
+	// is the cheaper case — racy by design: the authoritative admission
+	// decision is still the queue's own, in submit.
 	if !p.acquire() {
 		p.rejected.Add(1)
 		writeError(w, http.StatusTooManyRequests, ErrOverloaded)
 		return
 	}
 	defer p.release()
-	if p.shedFast() {
+	if g := p.gen.Load(); len(g.in) == cap(g.in) {
 		p.rejected.Add(1)
 		writeError(w, http.StatusTooManyRequests, ErrOverloaded)
 		return
 	}
 	// One pass over one buffer: read the body, hash its bytes, and only on a
-	// cache miss parse them — into the frame the replica's batch is stacked
+	// cache miss parse them — into the frame a worker's batch is stacked
 	// from.
 	buf := getReqBuf()
 	if err := buf.read(w, r); err != nil {
@@ -118,7 +119,7 @@ func (p *Pool) handleSwap(w http.ResponseWriter, r *http.Request) {
 		writeSwapError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The drain of the old generation is bounded by SwapTimeout, not by the
+	// The drain of the old generation is bounded by swapDrainTimeout, not by the
 	// admin request's context: an impatient admin client must not abandon a
 	// half-drained generation.
 	//skynet:nolint ctxflow -- deliberate detach (see above): the swap drain must survive an admin client disconnect

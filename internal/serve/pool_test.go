@@ -1,12 +1,12 @@
 package serve
 
-// Replica-pool tests, written to run under -race: content-hash routing is
-// stable, a full home replica spills to siblings before the pool 429s,
-// duplicate frames come out of the response cache, and — the acceptance
-// headline — a model hot-swap under live HTTP load drops zero requests,
-// serves every response from exactly one generation's weights, and
-// invalidates the cache at cutover. N-replica responses are pinned
-// byte-identical to the 1-replica configuration.
+// Pool tests, written to run under -race: an idle worker takes what is
+// queued whatever its content hash, the pool 429s only when its one queue (or,
+// on the HTTP door, the inflight semaphore) is full, duplicate frames come out
+// of the response cache, and — the acceptance headline — a model hot-swap
+// under live HTTP load drops zero requests, serves every response from
+// exactly one generation's weights, and invalidates the cache at cutover.
+// N-worker responses are pinned byte-identical to the 1-worker configuration.
 
 import (
 	"bytes"
@@ -60,7 +60,7 @@ func (m *verModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// verFactory builds one generation's replicas; every instance shares the
+// verFactory builds one generation's models; every instance shares the
 // version, gate, and forward counter.
 func verFactory(version float32, gate chan struct{}, forwards *atomic.Int64) ModelFactory {
 	return func() (detect.Model, *detect.Head, error) {
@@ -91,67 +91,6 @@ func wantBody(t *testing.T, version float32, img *tensor.Tensor) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func TestPoolRoutingIsContentStable(t *testing.T) {
-	// Track which model instance saw which frame: the same frame must hit
-	// the same replica every time (no cache, so every submit is routed).
-	var mu sync.Mutex
-	seen := make(map[int][]float32) // replica ordinal -> frame sums
-	ordinal := 0
-	factory := func() (detect.Model, *detect.Head, error) {
-		id := ordinal
-		ordinal++
-		return &recordingModel{id: id, mu: &mu, seen: seen}, detect.NewHead(nil), nil
-	}
-	p := newTestPool(t, factory, PoolConfig{Replicas: 3, CacheEntries: -1,
-		Replica: Config{MaxBatch: 1, QueueDepth: 16}})
-
-	imgs := []*tensor.Tensor{testImage(0.1), testImage(0.5), testImage(0.9)}
-	for round := 0; round < 4; round++ {
-		for _, img := range imgs {
-			if _, _, err := p.Submit(context.Background(), img); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	owner := make(map[float32]int)
-	for id, sums := range seen {
-		for _, s := range sums {
-			if prev, ok := owner[s]; ok && prev != id {
-				t.Fatalf("frame %v served by replicas %d and %d — routing is not content-stable", s, prev, id)
-			}
-			owner[s] = id
-		}
-	}
-}
-
-// recordingModel notes the content signature of every frame it serves.
-type recordingModel struct {
-	id   int
-	mu   *sync.Mutex
-	seen map[int][]float32
-}
-
-func (m *recordingModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	b := x.Dim(0)
-	per := x.Dim(1) * x.Dim(2) * x.Dim(3)
-	out := tensor.New(b, 10, 1, 1)
-	for i := 0; i < b; i++ {
-		var sum float32
-		for _, v := range x.Data[i*per : (i+1)*per] {
-			sum += v
-		}
-		m.mu.Lock()
-		m.seen[m.id] = append(m.seen[m.id], sum)
-		m.mu.Unlock()
-		for c := 0; c < 10; c++ {
-			out.Data[i*10+c] = sum / float32(per) * float32(c+1)
-		}
-	}
-	return out
 }
 
 func TestPoolCacheServesDuplicateFrames(t *testing.T) {
@@ -189,56 +128,209 @@ func TestPoolCacheServesDuplicateFrames(t *testing.T) {
 	}
 }
 
-func TestPoolSpillsToSiblingBeforeShedding(t *testing.T) {
-	gate := make(chan struct{})
-	p := newTestPool(t, verFactory(1, gate, nil), PoolConfig{Replicas: 2, CacheEntries: -1,
-		Replica: Config{QueueDepth: 1, MaxBatch: 1, RequestTimeout: -1}})
+// holdModel is a verModel whose generation parks its first hold forwards on
+// gate — with batches of one, that is hold workers, each holding one request —
+// and counts every forward as it begins.
+type holdModel struct {
+	verModel
+	hold    int64
+	entered *atomic.Int64
+	gate    chan struct{}
+}
 
-	// With every forward gated shut, keep submitting distinct frames until
-	// the pool sheds: before that point, overflow off one replica must have
-	// landed on the other.
-	var wg sync.WaitGroup
-	subCtx, subCancel := context.WithCancel(context.Background())
-	defer subCancel()
-	shedc := make(chan struct{}, 1)
-	for i := 0; ; i++ {
-		i := i
-		if i > 64 {
-			t.Fatal("pool absorbed 64 requests with 2 gated single-slot replicas")
+func (m *holdModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if m.entered.Add(1) <= m.hold {
+		<-m.gate
+	}
+	return m.verModel.Forward(x, train)
+}
+
+// newHoldPool starts a two-worker pool (batches of one, no cache, no default
+// deadline) whose first hold forwards wait for release — which a failing test
+// gets from the cleanup, before the pool's Close waits for those forwards.
+func newHoldPool(t *testing.T, hold int64, queueDepth int) (p *Pool, entered *atomic.Int64, release func()) {
+	t.Helper()
+	entered = new(atomic.Int64)
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	p = newTestPool(t, func() (detect.Model, *detect.Head, error) {
+		return &holdModel{verModel: verModel{version: 1}, hold: hold, entered: entered, gate: gate}, detect.NewHead(nil), nil
+	}, PoolConfig{Replicas: 2, CacheEntries: -1,
+		Replica: Config{MaxBatch: 1, QueueDepth: queueDepth, RequestTimeout: -1}})
+	t.Cleanup(release)
+	return p, entered, release
+}
+
+// TestPoolIdleWorkerTakesQueuedRequest: one of two workers is held inside a
+// forward; every request that arrives meanwhile is answered by the other, at
+// once — including, as here, requests whose content hash agrees with the held
+// one's modulo the worker count, which a hash router queued behind the held
+// forward while their sibling idled.
+func TestPoolIdleWorkerTakesQueuedRequest(t *testing.T) {
+	p, entered, release := newHoldPool(t, 1, 16)
+	first := testImage(0)
+	parity := hashFrame(first).lo % 2
+	var same []*tensor.Tensor
+	for i := 1; len(same) < 6; i++ {
+		if img := testImage(float32(i) * 0.01); hashFrame(img).lo%2 == parity {
+			same = append(same, img)
 		}
-		done := make(chan error, 1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, err := p.Submit(subCtx, testImage(float32(i)*0.01))
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if errors.Is(err, ErrOverloaded) {
-				shedc <- struct{}{}
-			} else if err != nil {
-				t.Errorf("submit %d: %v", i, err)
+	}
+
+	held := make(chan error, 1)
+	go func() {
+		_, _, err := p.Submit(context.Background(), first)
+		held <- err
+	}()
+	for entered.Load() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	for i, img := range same {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, _, err := p.Submit(ctx, img)
+		cancel()
+		if err != nil {
+			t.Fatalf("request %d, with one worker held and one idle: %v", i, err)
+		}
+	}
+	select {
+	case err := <-held:
+		t.Fatalf("the held request returned (%v) before its gate opened", err)
+	default:
+	}
+	if m := p.Metrics(); m.Rejected != 0 || m.Served != int64(len(same)) {
+		t.Fatalf("rejected %d, served %d while one worker was held; want 0 and %d", m.Rejected, m.Served, len(same))
+	}
+	release()
+	if err := <-held; err != nil {
+		t.Fatalf("the held request: %v", err)
+	}
+}
+
+// TestPoolShedsOnlyWhenTheQueueIsFull: with both workers held the pool admits
+// exactly Replicas × QueueDepth further requests, sheds the next — at either
+// door — and answers every admitted one once the workers are released.
+func TestPoolShedsOnlyWhenTheQueueIsFull(t *testing.T) {
+	const depth = 3
+	p, entered, release := newHoldPool(t, 2, depth)
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+
+	post := func(i int) int {
+		var body bytes.Buffer
+		if err := detect.EncodeRequest(&body, testImage(float32(i)*0.01)); err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp, err := http.Post(ts.URL+"/detect", "application/json", &body)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	const admitted = 2 + 2*depth
+	statuses := make(chan int, admitted)
+	for i := 0; i < admitted; i++ {
+		go func() { statuses <- post(i) }()
+		if i == 1 { // the first two are the held forwards, not queue entries
+			for entered.Load() < 2 {
+				time.Sleep(time.Millisecond)
 			}
-		case <-time.After(50 * time.Millisecond):
-			// Accepted and now blocked in the pipeline — keep pushing.
-			continue
-		}
-		if len(shedc) > 0 {
-			break
 		}
 	}
-	m := p.Metrics()
-	if m.Rejected == 0 {
-		t.Fatal("pool never shed")
+	eventually(t, "2 × QueueDepth requests queue behind two held workers", func() bool {
+		rm := p.Metrics().ReplicaMetrics[0]
+		return rm.QueueDepth == 2*depth && rm.QueueCap == 2*depth
+	})
+	if m := p.Metrics(); m.Rejected != 0 {
+		t.Fatalf("%d requests shed before the queue was full", m.Rejected)
 	}
-	if m.SiblingSheds == 0 {
-		t.Fatal("pool shed without ever spilling the home replica's overflow to its sibling")
+
+	if st := post(admitted); st != http.StatusTooManyRequests {
+		t.Fatalf("POST at a full queue: status %d, want 429", st)
 	}
-	// Both replicas took work: the spill really landed on the sibling.
-	close(gate)
-	subCancel()
-	wg.Wait()
+	if _, _, err := p.Submit(context.Background(), testImage(0.99)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Submit at a full queue: %v, want ErrOverloaded", err)
+	}
+	if m := p.Metrics(); m.Rejected != 2 {
+		t.Fatalf("rejected %d after two sheds, want 2", m.Rejected)
+	}
+
+	release()
+	for i := 0; i < admitted; i++ {
+		if st := <-statuses; st != http.StatusOK {
+			t.Fatalf("an admitted request was answered %d, want 200", st)
+		}
+	}
+}
+
+// parkedBody is a request body whose Read parks until release closes, then
+// reports an empty body.
+type parkedBody struct{ release chan struct{} }
+
+func (b parkedBody) Read([]byte) (int, error) { <-b.release; return 0, io.EOF }
+
+// untouchableBody fails the test if anything reads it.
+type untouchableBody struct{ t *testing.T }
+
+func (b untouchableBody) Read([]byte) (int, error) {
+	b.t.Error("the body of a request shed at the inflight semaphore was read")
+	return 0, io.EOF
+}
+
+// TestPoolInflightSemaphoreShedsBeforeTheBodyIsRead: handlers parked in a
+// body read are invisible to the admission queue — it is empty throughout —
+// so the semaphore is what bounds them: with every slot held the next POST is
+// a 429 that never touches its body, and /metrics reports the full semaphore.
+func TestPoolInflightSemaphoreShedsBeforeTheBodyIsRead(t *testing.T) {
+	p := newSinglePool(t, &stubModel{}, Config{QueueDepth: 1})
+	h := p.Handler()
+	slots := p.Metrics().InflightCap
+	if want := 1 + inflightSlack; slots != want {
+		t.Fatalf("inflight cap %d, want queue capacity + slack = %d", slots, want)
+	}
+
+	release := make(chan struct{})
+	statuses := make(chan int, slots)
+	for i := 0; i < slots; i++ {
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/detect", parkedBody{release}))
+			statuses <- rec.Code
+		}()
+	}
+	eventually(t, "every inflight slot is held by a handler parked in read", func() bool {
+		return p.Metrics().Inflight == slots
+	})
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/detect", untouchableBody{t}))
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("POST with every slot held: status %d, Retry-After %q; want 429 with one", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var m PoolMetrics
+	if err := json.NewDecoder(rec.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Inflight != slots || m.InflightCap != slots || m.Rejected != 1 || m.ReplicaMetrics[0].QueueDepth != 0 {
+		t.Fatalf("/metrics: inflight %d of %d, rejected %d, queue depth %d; want %d of %d, 1, 0",
+			m.Inflight, m.InflightCap, m.Rejected, m.ReplicaMetrics[0].QueueDepth, slots, slots)
+	}
+
+	close(release)
+	for i := 0; i < slots; i++ {
+		if st := <-statuses; st != http.StatusBadRequest {
+			t.Fatalf("a parked request with an empty body: status %d, want 400", st)
+		}
+	}
+	if got := p.Metrics().Inflight; got != 0 {
+		t.Fatalf("%d inflight slots still held after every handler returned", got)
+	}
 }
 
 func TestPoolNReplicaByteIdenticalTo1Replica(t *testing.T) {
@@ -433,6 +525,32 @@ func TestPoolSwapUnderLiveLoad(t *testing.T) {
 	}
 	if m.Failed != 0 {
 		t.Fatalf("%d requests failed during the swap", m.Failed)
+	}
+}
+
+// TestCacheHitNamesTheGenerationThatComputedIt: Swap publishes the new
+// generation before it resets the cache, and a hit in that window is the old
+// generation's answer — it must say so (the X-Skynet-Generation contract of the
+// test above, which met this window once in a few hundred runs).
+func TestCacheHitNamesTheGenerationThatComputedIt(t *testing.T) {
+	p := newTestPool(t, verFactory(1, nil, nil), PoolConfig{Replicas: 1, CacheEntries: 8})
+	img := testImage(0.4)
+	if _, _, err := p.Submit(context.Background(), img); err != nil {
+		t.Fatal(err)
+	}
+	// The window, held open: generation 2 is published, the cache not yet reset.
+	next, err := p.buildGeneration(verFactory(2, nil, nil), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := p.gen.Swap(next)
+	defer old.close()
+	if _, _, gen, ok := p.cached(hashFrame(img), time.Now()); !ok || gen != 1 {
+		t.Fatalf("a hit before the cache reset: ok %v, generation %d; want the entry's own generation, 1", ok, gen)
+	}
+	p.cache.reset(next.id)
+	if _, _, _, ok := p.cached(hashFrame(img), time.Now()); ok {
+		t.Fatal("a generation-1 entry survived the reset")
 	}
 }
 

@@ -27,11 +27,8 @@ func TestServeQuantizedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := detect.NewHead(nil)
-	s, err := newReplica(qm, head, Config{MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.close()
+	s := newTestPool(t, func() (detect.Model, *detect.Head, error) { return qm, head, nil },
+		PoolConfig{Replicas: 1, CacheEntries: -1, Replica: Config{MaxBatch: 4}})
 
 	img := tensor.New(3, 16, 16)
 	for i := range img.Data {
@@ -43,7 +40,7 @@ func TestServeQuantizedModel(t *testing.T) {
 	wantBox, wantConf := head.Decode(qm.Forward(x, false))
 
 	for i := 0; i < 8; i++ {
-		box, conf, err := s.Submit(context.Background(), img, false)
+		box, conf, err := s.Submit(context.Background(), img)
 		if err != nil {
 			t.Fatal(err)
 		}

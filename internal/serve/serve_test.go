@@ -4,8 +4,9 @@ package serve
 // admission overflow sheds with 429, cancelled requests leak no
 // goroutines, drain completes in-flight work, and a panicking model
 // converts to per-request 500s without killing the shared stream. The
-// HTTP-level tests go through the one front door — Pool.Handler() with a
-// single replica — while the engine tests drive the replica directly.
+// tests go through the one front door — a Pool with a single worker, over
+// Pool.Handler() or Pool.Submit — and the engine tests reach behind it for
+// the serving generation's queue and clocks.
 
 import (
 	"bytes"
@@ -72,18 +73,8 @@ func testImage(seed float32) *tensor.Tensor {
 	return img
 }
 
-func newTestReplica(t *testing.T, m detect.Model, cfg Config) *replica {
-	t.Helper()
-	r, err := newReplica(m, detect.NewHead(nil), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.close)
-	return r
-}
-
-// newSinglePool stands one model up behind the front door: a one-replica
-// pool with the response cache off, so every request reaches the replica
+// newSinglePool stands one model up behind the front door: a one-worker
+// pool with the response cache off, so every request reaches the queue
 // and Served/Rejected/MeanBatchSize keep their per-request meaning.
 func newSinglePool(t *testing.T, m detect.Model, cfg Config) *Pool {
 	t.Helper()
@@ -93,8 +84,8 @@ func newSinglePool(t *testing.T, m detect.Model, cfg Config) *Pool {
 }
 
 func TestSubmitServes(t *testing.T) {
-	s := newTestReplica(t, &stubModel{}, Config{})
-	box, conf, err := s.Submit(context.Background(), testImage(0.3), false)
+	s := newSinglePool(t, &stubModel{}, Config{})
+	box, conf, err := s.Submit(context.Background(), testImage(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +102,13 @@ func TestSubmitServes(t *testing.T) {
 }
 
 func TestSubmitValidatesInput(t *testing.T) {
-	s := newTestReplica(t, &stubModel{}, Config{})
+	s := newSinglePool(t, &stubModel{}, Config{})
 	// A rank-2 tensor must fail pre-processing, not kill the stream.
-	if _, _, err := s.Submit(context.Background(), tensor.New(4, 4), false); err == nil {
+	if _, _, err := s.Submit(context.Background(), tensor.New(4, 4)); err == nil {
 		t.Fatal("rank-2 image must be rejected")
 	}
 	// The stream survives and serves the next request.
-	if _, _, err := s.Submit(context.Background(), testImage(0.5), false); err != nil {
+	if _, _, err := s.Submit(context.Background(), testImage(0.5)); err != nil {
 		t.Fatalf("stream died after a bad request: %v", err)
 	}
 	if m := s.Metrics(); m.Failed != 1 || m.Served != 1 {
@@ -126,32 +117,32 @@ func TestSubmitValidatesInput(t *testing.T) {
 }
 
 // TestBadInputTakesNoQueueSlot: validation runs on the caller's goroutine
-// before admission, so a malformed frame offered to a replica whose queue is
+// before admission, so a malformed frame offered to a pool whose queue is
 // full is the caller's error (400), not a shed (429), and the queue never
 // sees it.
 func TestBadInputTakesNoQueueSlot(t *testing.T) {
 	m := &enteringModel{stubModel: stubModel{gate: make(chan struct{})}, entered: make(chan struct{})}
-	s := newTestReplica(t, m, Config{QueueDepth: 1, MaxBatch: 1, RequestTimeout: -1})
+	s := newSinglePool(t, m, Config{QueueDepth: 1, MaxBatch: 1, RequestTimeout: -1})
 	defer close(m.gate) // before the cleanup's close, which waits for the forward
 
-	// Fill the replica: one request in the gated forward, one in the queue.
-	go func() { _, _, _ = s.Submit(context.Background(), testImage(0.1), false) }()
+	// Fill the engine: one request in the gated forward, one in the queue.
+	go func() { _, _, _ = s.Submit(context.Background(), testImage(0.1)) }()
 	<-m.entered
-	go func() { _, _, _ = s.Submit(context.Background(), testImage(0.2), false) }()
-	for len(s.in) < 1 {
+	go func() { _, _, _ = s.Submit(context.Background(), testImage(0.2)) }()
+	for len(s.gen.Load().in) < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := s.Submit(context.Background(), testImage(0.5), false); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := s.Submit(context.Background(), testImage(0.5)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("a well-formed frame at a full queue: %v, want ErrOverloaded", err)
 	}
 
 	before := s.Metrics()
-	_, _, err := s.Submit(context.Background(), tensor.New(4, 4), false)
+	_, _, err := s.Submit(context.Background(), tensor.New(4, 4))
 	if !errors.Is(err, ErrBadInput) {
 		t.Fatalf("a rank-2 frame at a full queue: %v, want ErrBadInput", err)
 	}
 	after := s.Metrics()
-	if after.QueueDepth != before.QueueDepth || after.Rejected != before.Rejected || after.Failed != before.Failed+1 {
+	if after.ReplicaMetrics[0].QueueDepth != before.ReplicaMetrics[0].QueueDepth || after.Rejected != before.Rejected || after.Failed != before.Failed+1 {
 		t.Fatalf("metrics moved from %+v to %+v: a bad frame is one failure, no shed, no queue slot", before, after)
 	}
 }
@@ -161,12 +152,12 @@ func TestBadInputTakesNoQueueSlot(t *testing.T) {
 // the forward is inferred (the forward was already running) and never decoded.
 func TestCancelledCallerCostsNoDecode(t *testing.T) {
 	m := &enteringModel{stubModel: stubModel{gate: make(chan struct{})}, entered: make(chan struct{})}
-	s := newTestReplica(t, m, Config{MaxBatch: 1, RequestTimeout: -1})
+	s := newSinglePool(t, m, Config{MaxBatch: 1, RequestTimeout: -1})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	gone := make(chan error, 1)
 	go func() {
-		_, _, err := s.Submit(ctx, testImage(0.2), false)
+		_, _, err := s.Submit(ctx, testImage(0.2))
 		gone <- err
 	}()
 	<-m.entered
@@ -175,14 +166,14 @@ func TestCancelledCallerCostsNoDecode(t *testing.T) {
 		t.Fatalf("cancelled submit: %v", err)
 	}
 	close(m.gate)
-	for s.work.items.Load() < 1 { // the forward finishes and the ticket is handed back
+	for s.gen.Load().work.items.Load() < 1 { // the forward finishes and the ticket is handed back
 		time.Sleep(time.Millisecond)
 	}
 	// A second request proves the worker has moved on; it is the only decode.
-	if _, _, err := s.Submit(context.Background(), testImage(0.6), false); err != nil {
+	if _, _, err := s.Submit(context.Background(), testImage(0.6)); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Metrics().Stages
+	st := s.Metrics().ReplicaMetrics[0].Stages
 	if st[1].Items != 2 || st[2].Items != 1 {
 		t.Fatalf("%d forwards and %d decodes, want 2 and 1: the cancelled caller's frame must not be post-processed",
 			st[1].Items, st[2].Items)
@@ -268,12 +259,12 @@ func TestOverflowSheds429(t *testing.T) {
 
 func TestCancelledRequestDoesNotLeakGoroutines(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
-	s := newTestReplica(t, m, Config{QueueDepth: 16, MaxBatch: 4})
+	s := newSinglePool(t, m, Config{QueueDepth: 16, MaxBatch: 4})
 
 	// Warm the pipeline once so lazily started goroutines exist before the
 	// baseline count is taken.
 	warmCtx, warmCancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	_, _, _ = s.Submit(warmCtx, testImage(0.2), false)
+	_, _, _ = s.Submit(warmCtx, testImage(0.2))
 	warmCancel()
 	baseline := runtime.NumGoroutine()
 
@@ -286,7 +277,7 @@ func TestCancelledRequestDoesNotLeakGoroutines(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
-			_, _, err := s.Submit(ctx, testImage(float32(i)*0.05), false)
+			_, _, err := s.Submit(ctx, testImage(float32(i)*0.05))
 			if errors.Is(err, context.DeadlineExceeded) {
 				expired.Add(1)
 			}
@@ -312,7 +303,8 @@ func TestCancelledRequestDoesNotLeakGoroutines(t *testing.T) {
 
 func TestDrainCompletesInFlight(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
-	s := newTestReplica(t, m, Config{QueueDepth: 8, MaxBatch: 4, RequestTimeout: -1})
+	p := newSinglePool(t, m, Config{QueueDepth: 8, MaxBatch: 4, RequestTimeout: -1})
+	s := p.gen.Load()
 
 	// Admitted on this goroutine, so all three are in the queue or in the
 	// worker's hands before the drain begins (a Submit that had only been
@@ -332,7 +324,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	for !s.isDraining() {
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := s.Submit(context.Background(), testImage(0.9), false); !errors.Is(err, ErrDraining) {
+	if _, _, err := p.Submit(context.Background(), testImage(0.9)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining returned %v, want ErrDraining", err)
 	}
 
@@ -477,8 +469,8 @@ func (m *steppedModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // enqueue is Submit up to admission, on the test's goroutine: when it
-// returns the request is in the replica's queue.
-func enqueue(t *testing.T, r *replica, img *tensor.Tensor) *request {
+// returns the request is in the generation's queue.
+func enqueue(t *testing.T, r *generation, img *tensor.Tensor) *request {
 	t.Helper()
 	f, err := r.prepare(img, false)
 	if err != nil {
@@ -492,7 +484,7 @@ func enqueue(t *testing.T, r *replica, img *tensor.Tensor) *request {
 }
 
 // answer is the rest of Submit: wait for the worker to hand req back, decode.
-func answer(t *testing.T, r *replica, req *request) (detect.Box, float64) {
+func answer(t *testing.T, r *generation, req *request) (detect.Box, float64) {
 	t.Helper()
 	<-req.done
 	if req.err != nil {
@@ -511,7 +503,7 @@ func answer(t *testing.T, r *replica, req *request) (detect.Box, float64) {
 func TestBatchIsWhatQueuedWhileTheLastForwardRan(t *testing.T) {
 	const maxBatch, k = 4, 7
 	m := &steppedModel{stubModel: stubModel{gate: make(chan struct{})}, entered: make(chan int)}
-	r := newTestReplica(t, m, Config{MaxBatch: maxBatch, QueueDepth: k, RequestTimeout: -1})
+	r := newSinglePool(t, m, Config{MaxBatch: maxBatch, QueueDepth: k, RequestTimeout: -1}).gen.Load()
 
 	reqs := []*request{enqueue(t, r, testImage(0))}
 	if got := <-m.entered; got != 1 {
@@ -549,7 +541,7 @@ func TestMixedSizeBatchAnswersEachFrameAtItsOwnSize(t *testing.T) {
 
 	gate := make(chan struct{})
 	m := &enteringModel{stubModel: stubModel{gate: gate}, entered: make(chan struct{})}
-	r := newTestReplica(t, m, Config{MaxBatch: 8, RequestTimeout: -1})
+	r := newSinglePool(t, m, Config{MaxBatch: 8, RequestTimeout: -1}).gen.Load()
 
 	held := enqueue(t, r, testImage(0.9))
 	<-m.entered
@@ -604,10 +596,13 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestServerRequiresModelAndHead(t *testing.T) {
-	if _, err := newReplica(nil, detect.NewHead(nil), Config{}); err == nil {
-		t.Fatal("nil model must be rejected")
-	}
-	if _, err := newReplica(&stubModel{}, nil, Config{}); err == nil {
-		t.Fatal("nil head must be rejected")
+	for what, factory := range map[string]ModelFactory{
+		"nil model": func() (detect.Model, *detect.Head, error) { return nil, detect.NewHead(nil), nil },
+		"nil head":  func() (detect.Model, *detect.Head, error) { return &stubModel{}, nil, nil },
+	} {
+		if p, err := NewPool(factory, PoolConfig{Replicas: 2}); err == nil {
+			p.Close()
+			t.Fatalf("a factory that returns a %s must be rejected", what)
+		}
 	}
 }

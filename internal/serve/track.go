@@ -5,8 +5,8 @@ package serve
 // batch experiment. POST /track/start fixes a template (one
 // ExemplarFeatures forward) and returns a session ID; subsequent frame
 // posts return per-frame boxes (and, for mask-head trackers, the peak mask
-// patch) by driving StepBoxE/PeakMaskE through the same lane (queue + one
-// worker) the detection replicas use. Sessions live in a bounded table with TTL
+// patch) by driving StepBoxE/PeakMaskE through a lane of its own — the
+// machine the detection engine runs on, here with one worker. Sessions live in a bounded table with TTL
 // eviction — millions of concurrent sessions means per-session state must
 // be compact, so the table measures bytes/session and /metrics reports it.
 //
@@ -167,7 +167,7 @@ func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) 
 		tr:       tr,
 		sessions: make(map[string]*session),
 	}
-	s.start(cfg.QueueDepth, cfg.RequestTimeout, 1, func(batch []*trackReq) {
+	s.start(1, cfg.QueueDepth, cfg.RequestTimeout, 1, func(_ int, batch []*trackReq) {
 		for _, req := range batch {
 			if req.live() {
 				req.err = s.inferOne(req)
@@ -435,7 +435,7 @@ func (s *TrackService) Metrics() TrackMetrics {
 		m.MeanSessionBytes = bytes / int64(m.Sessions)
 	}
 	// Deliberately not pipeline.StageInfer: on a co-hosted /metrics the
-	// detection replicas' inference stage owns that name.
+	// detection workers' inference stage owns that name.
 	m.Stages = []pipelineStageJSON{s.work.snapshot("track-inference", 1)}
 	return m
 }

@@ -251,26 +251,6 @@ func (t *Tensor) Dot(u *Tensor) float32 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of t viewed as a flat vector.
-func (t *Tensor) Norm2() float32 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return float32(math.Sqrt(s))
-}
-
-// Clamp limits every element of t to the range [lo, hi] in place.
-func (t *Tensor) Clamp(lo, hi float32) {
-	for i, v := range t.Data {
-		if v < lo {
-			t.Data[i] = lo
-		} else if v > hi {
-			t.Data[i] = hi
-		}
-	}
-}
-
 // String renders a compact description (shape plus a few leading values),
 // suitable for debugging.
 func (t *Tensor) String() string {

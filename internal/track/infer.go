@@ -108,7 +108,7 @@ func (t *Tracker) respPeak(zf, frame *tensor.Tensor, box detect.Box) (resp4 *ten
 // StepBoxE advances the tracked box by one frame given precomputed
 // exemplar features, returning an error — never panicking — on malformed
 // inputs. This is the tracking service's per-frame entry point: a bad
-// session request must become a 400, not kill a pipeline worker.
+// session request must become a 400, not kill the service's worker.
 func (t *Tracker) StepBoxE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box) (detect.Box, error) {
 	resp4, side, py, px, err := t.respPeak(zf, frame, box)
 	if err != nil {
