@@ -19,11 +19,13 @@ build:
 # cover but a bad flag default or unused import would not surface until run.
 # Each cmd/* binary is then run with -h: a panic while it registers its flags
 # (a duplicate or half-removed flag.Int) fails here, and so does a -flag that
-# README.md names after the command's name, up to the end of that line, but
-# its usage text does not list. The examples parse no flags and would run in
-# full, so they are only compiled.
+# README.md or a cmd/*/main.go package doc (its Usage: block) names after the
+# command's name, up to the end of that line, but its usage text does not
+# list. The examples parse no flags and would run in full, so they are only
+# compiled.
 binaries:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	{ cat README.md; for m in cmd/*/main.go; do sed '/^package /q' "$$m"; done; } >"$$tmp/docs"; \
 	for d in examples/*; do \
 		echo "build $$d"; \
 		$(GO) build -o /dev/null ./$$d || exit 1; \
@@ -39,8 +41,8 @@ binaries:
 				if ((j = index(t, "skynet-")) > 0) t = substr(t, 1, j - 1); \
 				while (match(t, /(^|[ `(])-[a-z][a-z0-9-]*/)) { \
 					f = substr(t, RSTART, RLENGTH); sub(/^[ `(]/, "", f); print f; \
-					t = substr(t, RSTART + RLENGTH) } } }' README.md | sort -u); do \
-			grep -qE -- "^  $$f( |$$)" "$$tmp/usage" || { echo "README.md names $$n $$f, which $$n -h does not list"; exit 1; }; \
+					t = substr(t, RSTART + RLENGTH) } } }' "$$tmp/docs" | sort -u); do \
+			grep -qE -- "^  $$f( |$$)" "$$tmp/usage" || { echo "README.md or a command doc names $$n $$f, which $$n -h does not list"; exit 1; }; \
 		done; \
 	done
 

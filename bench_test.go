@@ -19,7 +19,6 @@ import (
 	"skynet/internal/hw"
 	"skynet/internal/nn"
 	"skynet/internal/pipeline"
-	"skynet/internal/prune"
 	"skynet/internal/pso"
 	"skynet/internal/quant"
 	"skynet/internal/tensor"
@@ -632,31 +631,4 @@ func BenchmarkFPGASimulator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fpga.Simulate(g, fpga.Ultra96, ip)
 	}
-}
-
-// BenchmarkPruning measures the top-down baseline's pruning operations on
-// a scaled SkyNet (mask construction dominates; Apply is the per-step
-// retraining cost).
-func BenchmarkPruning(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	cfg := backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}
-	b.Run("magnitude", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g := backbone.SkyNetC(rng, cfg)
-			prune.MagnitudePrune(g, 0.5)
-		}
-	})
-	b.Run("filter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g := backbone.SkyNetC(rng, cfg)
-			prune.FilterPrune(g, 0.5)
-		}
-	})
-	g := backbone.SkyNetC(rng, cfg)
-	m := prune.MagnitudePrune(g, 0.5)
-	b.Run("apply", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Apply()
-		}
-	})
 }

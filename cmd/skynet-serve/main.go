@@ -35,20 +35,14 @@ import (
 	"skynet/internal/dataset"
 	"skynet/internal/detect"
 	"skynet/internal/modelspec"
-	"skynet/internal/nn"
 	"skynet/internal/quant"
 	"skynet/internal/serve"
-	"skynet/internal/tensor"
 	"skynet/internal/track"
 )
 
 func main() {
 	var (
-		ckpt    = flag.String("ckpt", "", "self-describing checkpoint written by skynet-train -ckpt")
-		weights = flag.String("weights", "", "bare weights file (requires matching -variant/-width flags)")
-		variant = flag.String("variant", "C", "SkyNet variant the weights were trained with")
-		relu6   = flag.Bool("relu6", true, "activation the weights were trained with")
-		width   = flag.Float64("width", 0.25, "width multiplier the weights were trained with")
+		ckpt = flag.String("ckpt", "", "self-describing checkpoint written by skynet-train -ckpt")
 
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		batch    = flag.Int("batch", 8, "inference micro-batch cap")
@@ -71,28 +65,38 @@ func main() {
 	)
 	flag.Parse()
 
+	if *ckpt == "" {
+		fmt.Fprintln(os.Stderr, "skynet-serve: -ckpt is required")
+		os.Exit(2)
+	}
 	// factoryFor builds one private model per call: each worker owns its
 	// model instance and reuse buffers, which is what lets N inference
 	// workers run concurrently, and what a hot-swap rebuilds per generation.
+	// NewPool's first build reports a bad checkpoint.
 	factoryFor := func(ckptPath string, doQuant bool, calib int) serve.ModelFactory {
 		return func() (detect.Model, *detect.Head, error) {
-			g, head, err := loadModel(ckptPath, *weights, *variant, *width, *relu6)
+			_, g, head, err := modelspec.LoadCheckpoint(ckptPath)
 			if err != nil {
 				return nil, nil, err
 			}
 			if !doQuant {
 				return g, head, nil
 			}
-			qm, err := quantizeModel(g, *imgW, *imgH, calib, *calibPct)
+			// Calibrate on freshly generated scenes at the expected request
+			// resolution.
+			dcfg := dataset.DefaultConfig()
+			dcfg.W, dcfg.H = *imgW, *imgH
+			scenes := dataset.NewGenerator(dcfg).DetectionSet(calib)
+			cfg := quant.ExportConfig{}
+			if *calibPct > 0 {
+				cfg.Calib = quant.CalibConfig{Method: quant.CalibPercentile, Percentile: *calibPct}
+			}
+			qm, err := quant.Export(g, detect.Batches(scenes, 8), cfg)
 			if err != nil {
 				return nil, nil, err
 			}
 			return qm, head, nil
 		}
-	}
-	if _, _, err := loadModel(*ckpt, *weights, *variant, *width, *relu6); err != nil {
-		fmt.Fprintf(os.Stderr, "skynet-serve: %v\n", err)
-		os.Exit(1)
 	}
 	if *quantize {
 		fmt.Printf("skynet-serve: serving the int8 lowering (calib %d scenes)\n", *calibN)
@@ -174,59 +178,4 @@ func buildTrackService(steps, maxSessions int, ttl time.Duration) (*serve.TrackS
 	fmt.Printf("skynet-serve: training tracker (%d steps)...\n", steps)
 	tr.Train(seqs, track.TrainConfig{Steps: steps, LR: 0.01, Seed: 1})
 	return serve.NewTrackService(tr, serve.TrackConfig{MaxSessions: maxSessions, TTL: ttl})
-}
-
-// quantizeModel lowers g to a real int8 model, calibrating activations on
-// freshly generated scenes at the expected request resolution.
-func quantizeModel(g *nn.Graph, imgW, imgH, calibN int, pct float64) (*quant.QuantizedModel, error) {
-	dcfg := dataset.DefaultConfig()
-	dcfg.W, dcfg.H = imgW, imgH
-	gen := dataset.NewGenerator(dcfg)
-	const bs = 8
-	var batches []*tensor.Tensor
-	for lo := 0; lo < calibN; lo += bs {
-		b := bs
-		if lo+b > calibN {
-			b = calibN - lo
-		}
-		x := tensor.New(b, 3, dcfg.H, dcfg.W)
-		per := 3 * dcfg.H * dcfg.W
-		for i := 0; i < b; i++ {
-			copy(x.Data[i*per:(i+1)*per], gen.Scene().Image.Data)
-		}
-		batches = append(batches, x)
-	}
-	cfg := quant.ExportConfig{}
-	if pct > 0 {
-		cfg.Calib = quant.CalibConfig{Method: quant.CalibPercentile, Percentile: pct}
-	}
-	return quant.Export(g, batches, cfg)
-}
-
-// loadModel mirrors skynet-detect's checkpoint/weights loading.
-func loadModel(ckpt, weights, variant string, width float64, relu6 bool) (*nn.Graph, *detect.Head, error) {
-	switch {
-	case ckpt != "":
-		_, g, head, err := modelspec.LoadCheckpoint(ckpt)
-		return g, head, err
-	case weights != "":
-		var v backbone.SkyNetVariant
-		switch variant {
-		case "A", "a":
-			v = backbone.VariantA
-		case "B", "b":
-			v = backbone.VariantB
-		default:
-			v = backbone.VariantC
-		}
-		rng := rand.New(rand.NewSource(1))
-		cfg := backbone.Config{Width: width, InC: 3, HeadChannels: 10, ReLU6: relu6}
-		g := backbone.SkyNet(rng, cfg, v)
-		if err := g.LoadFile(weights); err != nil {
-			return nil, nil, fmt.Errorf("loading %s: %w", weights, err)
-		}
-		return g, detect.NewHead(nil), nil
-	default:
-		return nil, nil, errors.New("-ckpt or -weights is required")
-	}
 }

@@ -1,20 +1,19 @@
 // Command skynet-train trains a SkyNet detector on the synthetic DAC-SDC
-// stand-in dataset and reports validation mean IoU, optionally saving the
-// weights for later use by skynet-detect workflows.
+// stand-in dataset and reports validation mean IoU, optionally saving a
+// self-describing checkpoint (spec + weights) that skynet-detect,
+// skynet-serve and skynet-sim load.
 //
 // Usage:
 //
-//	skynet-train -variant C -relu6 -epochs 30 -train 512 -o skynet.gob
+//	skynet-train -variant C -relu6 -epochs 30 -train 512 -ckpt skynet.ckpt
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"math/rand"
-
-	"skynet/internal/backbone"
 	"skynet/internal/dataset"
 	"skynet/internal/detect"
 	"skynet/internal/modelspec"
@@ -35,22 +34,18 @@ func main() {
 		lr      = flag.Float64("lr", 0.01, "initial learning rate (decays geometrically 10x)")
 		augment = flag.Bool("augment", true, "apply distort/jitter/crop augmentation (§6.1)")
 		seed    = flag.Int64("seed", 1, "random seed")
-		out     = flag.String("o", "", "output weights file (gob state dict)")
 		ckpt    = flag.String("ckpt", "", "output self-describing checkpoint (spec + weights)")
 		summary = flag.Bool("summary", false, "print the per-layer model summary before training")
 	)
 	flag.Parse()
 
-	var v backbone.SkyNetVariant
-	switch *variant {
-	case "A", "a":
-		v = backbone.VariantA
-	case "B", "b":
-		v = backbone.VariantB
-	case "C", "c":
-		v = backbone.VariantC
-	default:
-		fmt.Fprintf(os.Stderr, "skynet-train: unknown variant %q\n", *variant)
+	spec := modelspec.Spec{
+		Family: "skynet", Variant: strings.ToUpper(*variant), Width: *width, InC: 3,
+		HeadChannels: 10, ReLU6: *relu6, Seed: *seed,
+	}
+	g, head, err := spec.Build()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "skynet-train: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -67,12 +62,8 @@ func main() {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	cfg := backbone.Config{Width: *width, InC: 3, HeadChannels: 10, ReLU6: *relu6}
-	g := backbone.SkyNet(rng, cfg, v)
-	head := detect.NewHead(nil)
 	fmt.Printf("SkyNet %s (%s, width %.2f): %d parameters\n",
-		v, map[bool]string{true: "ReLU6", false: "ReLU"}[*relu6], *width, g.NumParams())
+		spec.Variant, map[bool]string{true: "ReLU6", false: "ReLU"}[*relu6], *width, g.NumParams())
 	if *summary {
 		probe := tensor.New(1, 3, *imgH, *imgW)
 		g.Forward(probe, false)
@@ -93,18 +84,7 @@ func main() {
 	fmt.Printf("final validation IoU: %.4f over %d images\n",
 		detect.MeanIoU(g, head, val, 8), len(val))
 
-	if *out != "" {
-		if err := g.SaveFile(*out); err != nil {
-			fmt.Fprintf(os.Stderr, "skynet-train: saving weights: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("weights written to %s\n", *out)
-	}
 	if *ckpt != "" {
-		spec := modelspec.Spec{
-			Family: "skynet", Variant: v.String(), Width: *width, InC: 3,
-			HeadChannels: 10, ReLU6: *relu6, Seed: *seed,
-		}
 		if err := modelspec.SaveCheckpoint(*ckpt, spec, g); err != nil {
 			fmt.Fprintf(os.Stderr, "skynet-train: saving checkpoint: %v\n", err)
 			os.Exit(1)

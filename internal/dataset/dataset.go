@@ -138,9 +138,9 @@ func (g *Generator) Scene() Scene {
 	return Scene{Image: img, Box: box, Mask: mask, Category: cat, SubCategory: sub}
 }
 
-// DetectionSet generates n detection samples.
+// DetectionSet generates n detection samples (none for n ≤ 0).
 func (g *Generator) DetectionSet(n int) []detect.Sample {
-	out := make([]detect.Sample, n)
+	out := make([]detect.Sample, max(n, 0))
 	for i := range out {
 		s := g.Scene()
 		out[i] = detect.Sample{Image: s.Image, Box: s.Box}

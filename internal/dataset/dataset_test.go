@@ -392,3 +392,39 @@ func TestSequenceOcclusion(t *testing.T) {
 		t.Fatal("occlusion must remove mask pixels on average")
 	}
 }
+
+// TestCalibrationBatchesMatchSceneLoop: the commands' calibration set —
+// DetectionSet cut by detect.Batches — is bitwise the per-command loop it
+// replaced, which stacked gen.Scene() images into batches of 8 (20 scenes:
+// 8, 8, 4).
+func TestCalibrationBatchesMatchSceneLoop(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.W, cfg.H = 96, 48
+	cfg.Seed = 100
+	const n, bs = 20, 8
+	gen := NewGenerator(cfg)
+	var want []*tensor.Tensor
+	for lo := 0; lo < n; lo += bs {
+		b := min(bs, n-lo)
+		x := tensor.New(b, 3, cfg.H, cfg.W)
+		per := 3 * cfg.H * cfg.W
+		for i := 0; i < b; i++ {
+			copy(x.Data[i*per:(i+1)*per], gen.Scene().Image.Data)
+		}
+		want = append(want, x)
+	}
+	got := detect.Batches(NewGenerator(cfg).DetectionSet(n), bs)
+	if len(got) != 3 || len(want) != 3 {
+		t.Fatalf("%d batches, the loop made %d; want 3", len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].SameShape(want[i]) {
+			t.Fatalf("batch %d shape %v, the loop's %v", i, got[i].Shape(), want[i].Shape())
+		}
+		for j, v := range got[i].Data {
+			if math.Float32bits(v) != math.Float32bits(want[i].Data[j]) {
+				t.Fatalf("batch %d element %d differs", i, j)
+			}
+		}
+	}
+}

@@ -37,6 +37,18 @@ func Batch(samples []Sample, lo, hi int) (*tensor.Tensor, []Box) {
 	return x, boxes
 }
 
+// Batches stacks the images of samples into consecutive batches of size,
+// the last one short if size does not divide them — the calibration set
+// quant.Export takes.
+func Batches(samples []Sample, size int) []*tensor.Tensor {
+	var out []*tensor.Tensor
+	for lo := 0; lo < len(samples); lo += size {
+		x, _ := Batch(samples, lo, min(lo+size, len(samples)))
+		out = append(out, x)
+	}
+	return out
+}
+
 // MeanIoU evaluates the model on the samples and returns the DAC-SDC
 // accuracy metric R_IoU (Equation 2): the mean IoU between the single
 // predicted box and the ground truth over the whole set. An empty sample

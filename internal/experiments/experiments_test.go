@@ -307,8 +307,12 @@ func TestTable1Survey(t *testing.T) {
 	if len(tab.Rows) != 11 {
 		t.Fatalf("table1 rows %d, want 11", len(tab.Rows))
 	}
-	if len(tab.Notes) == 0 || !strings.Contains(strings.Join(tab.Notes, "\n"), "internal/prune") {
+	notes := strings.Join(tab.Notes, "\n")
+	if !strings.Contains(notes, "internal/quant") {
 		t.Fatal("table1 must map optimizations to packages")
+	}
+	if !strings.Contains(notes, "network pruning       -> not implemented: the bottom-up flow needs no pruning") {
+		t.Fatal("table1 must say pruning is not implemented, and why")
 	}
 }
 

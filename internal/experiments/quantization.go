@@ -152,11 +152,7 @@ func Table7(o Options) Table {
 	// path `skynet-detect -quantize` / `skynet-serve -quantize` serves. The
 	// paper has no corresponding row; its closest points are the 8-bit
 	// feature-map schemes above.
-	var calib []*tensor.Tensor
-	for lo := 0; lo+8 <= len(train); lo += 8 {
-		x, _ := detect.Batch(train, lo, lo+8)
-		calib = append(calib, x)
-	}
+	calib := detect.Batches(train[:len(train)/8*8], 8)
 	if qm, err := quant.Export(g, calib, quant.ExportConfig{}); err == nil {
 		iou := detect.MeanIoU(qm, head, val, 8)
 		t.Rows = append(t.Rows, []string{"int8 per-channel", "8", "8", f3(iou), "-"})
@@ -171,11 +167,4 @@ func Table7(o Options) Table {
 			"Ultra96 W8/FM8 operating point: "+op.String())
 	}
 	return t
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,8 +2,8 @@ package experiments
 
 // Table1 reproduces the related-work survey (Table 1): the DAC-SDC winning
 // entries, their reference DNNs, and the optimizations they apply — with a
-// column mapping each optimization to where this repository implements it,
-// so the top-down toolbox the paper positions itself against is covered.
+// column mapping each optimization to where this repository implements it
+// (all but pruning, which SkyNet's bottom-up flow does without).
 func Table1(o Options) Table {
 	t := Table{
 		ID:     "Table 1",
@@ -27,7 +27,7 @@ func Table1(o Options) Table {
 	t.Notes = []string{
 		"optimization key -> implementation in this repository:",
 		"  1 input resizing        -> dataset.BilinearResize / fpga resize-factor study (fig2b)",
-		"  2 network pruning       -> internal/prune (magnitude + filter pruning with retraining)",
+		"  2 network pruning       -> not implemented: the bottom-up flow needs no pruning (§1)",
 		"  3 data quantization     -> internal/quant (fixed point, Table 7 schemes, grouped fig2a)",
 		"  4 TensorRT / FP16       -> quant.WithFloat16 (IEEE binary16 emulation)",
 		"  5 CPU-FPGA partition    -> internal/pipeline task partitioning (fig10)",

@@ -249,13 +249,6 @@ func nextPow2(v int) int {
 	return p
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // PowerW estimates board power from resource utilization: a static board
 // term plus dynamic terms proportional to DSP and BRAM activity. The
 // coefficients are calibrated to the published SkyNet Ultra96 operating

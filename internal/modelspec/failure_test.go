@@ -1,6 +1,7 @@
 package modelspec
 
 import (
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,14 +45,21 @@ func TestLoadCheckpointTruncated(t *testing.T) {
 	}
 }
 
-func TestLoadSpecBadJSON(t *testing.T) {
+func TestLoadCheckpointBadSpecJSON(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "spec.json")
-	if err := os.WriteFile(path, []byte("{nope"), 0o644); err != nil {
+	path := filepath.Join(dir, "model.ckpt")
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSpec(path); err == nil {
-		t.Fatal("bad JSON must error")
+	if err := gob.NewEncoder(f).Encode(checkpoint{Format: checkpointFormat, SpecJSON: []byte("{nope")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := LoadCheckpoint(path); err == nil {
+		t.Fatal("a checkpoint whose spec is bad JSON must error")
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package modelspec makes trained models self-describing on disk: a Spec
 // records which architecture a weight snapshot belongs to (family, variant,
-// width, head configuration), and a Checkpoint bundles the spec with the
-// weights so tools can reload a model without repeating builder flags.
+// width, head configuration), and a checkpoint bundles the spec with the
+// weights so tools reload a model without repeating builder flags. The
+// checkpoint is the repository's only model file: skynet-train writes it,
+// and skynet-detect, skynet-serve (and its /admin/swap) and skynet-sim load
+// it.
 package modelspec
 
 import (
@@ -82,14 +85,14 @@ func (s Spec) builder() (backbone.Builder, error) {
 
 // Build constructs the graph and matching detection head.
 func (s Spec) Build() (*nn.Graph, *detect.Head, error) {
+	var head *detect.Head
+	if s.Classes > 0 {
+		head = detect.NewClassHead(nil, s.Classes)
+		s.HeadChannels = head.Channels()
+	} else if s.HeadChannels > 0 {
+		head = detect.NewHead(nil)
+	}
 	if s.Family == FamilySearch {
-		var head *detect.Head
-		if s.Classes > 0 {
-			head = detect.NewClassHead(nil, s.Classes)
-			s.HeadChannels = head.Channels()
-		} else if s.HeadChannels > 0 {
-			head = detect.NewHead(nil)
-		}
 		g, err := s.buildSearch()
 		if err != nil {
 			return nil, nil, err
@@ -100,43 +103,11 @@ func (s Spec) Build() (*nn.Graph, *detect.Head, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := backbone.Config{
+	g := b(rand.New(rand.NewSource(s.Seed)), backbone.Config{
 		Width: s.Width, InC: s.InC, HeadChannels: s.HeadChannels,
 		MaxStride: s.MaxStride, ReLU6: s.ReLU6,
-	}
-	var head *detect.Head
-	if s.Classes > 0 {
-		head = detect.NewClassHead(nil, s.Classes)
-		cfg.HeadChannels = head.Channels()
-	} else if s.HeadChannels > 0 {
-		head = detect.NewHead(nil)
-	}
-	g := b(rand.New(rand.NewSource(s.Seed)), cfg)
+	})
 	return g, head, nil
-}
-
-// MarshalJSON-friendly persistence for the bare spec.
-
-// SaveSpec writes the spec as indented JSON.
-func SaveSpec(path string, s Spec) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// LoadSpec reads a JSON spec.
-func LoadSpec(path string) (Spec, error) {
-	var s Spec
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return s, err
-	}
-	if err := json.Unmarshal(b, &s); err != nil {
-		return s, fmt.Errorf("modelspec: parsing %s: %w", path, err)
-	}
-	return s, nil
 }
 
 // checkpoint is the on-disk bundle: the spec plus the graph's weight

@@ -1,11 +1,14 @@
 package modelspec
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"skynet/internal/backbone"
 	"skynet/internal/tensor"
 )
 
@@ -61,21 +64,62 @@ func TestSpecClassHead(t *testing.T) {
 	}
 }
 
+// TestSpecJSONRoundTrip: the spec a checkpoint embeds decodes to itself.
 func TestSpecJSONRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "spec.json")
 	s := DefaultSpec()
 	s.Width = 0.5
 	s.Classes = 3
-	if err := SaveSpec(path, s); err != nil {
+	b, err := json.Marshal(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSpec(path)
-	if err != nil {
+	var got Spec
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, s)
+	}
+}
+
+// TestSpecBuildMatchesBackbone: a SkyNet spec builds exactly the graph
+// backbone.SkyNet builds from the same seed and configuration — node for node,
+// and every parameter and running statistic bit for bit — which is what lets
+// skynet-train train the network its checkpoint records.
+func TestSpecBuildMatchesBackbone(t *testing.T) {
+	for _, v := range []backbone.SkyNetVariant{backbone.VariantA, backbone.VariantB, backbone.VariantC} {
+		for _, relu6 := range []bool{false, true} {
+			s := Spec{Family: "skynet", Variant: v.String(), Width: 0.25, InC: 3,
+				HeadChannels: 10, ReLU6: relu6, Seed: 7}
+			g, head, err := s.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: relu6}
+			want := backbone.SkyNet(rand.New(rand.NewSource(7)), cfg, v)
+			if head == nil || head.Classes != 0 {
+				t.Fatalf("%s relu6=%v: want the classless SkyNet head, got %+v", v, relu6, head)
+			}
+			if len(g.Nodes) != len(want.Nodes) {
+				t.Fatalf("%s relu6=%v: %d nodes, backbone.SkyNet has %d", v, relu6, len(g.Nodes), len(want.Nodes))
+			}
+			for i, n := range g.Nodes {
+				w := want.Nodes[i]
+				if n.Layer.Name() != w.Layer.Name() || !reflect.DeepEqual(n.Inputs, w.Inputs) {
+					t.Fatalf("%s relu6=%v: node %d is %s%v, backbone.SkyNet's is %s%v", v, relu6, i, n.Layer.Name(), n.Inputs, w.Layer.Name(), w.Inputs)
+				}
+			}
+			var got, exp bytes.Buffer
+			if err := g.Save(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Save(&exp); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+				t.Fatalf("%s relu6=%v: parameters differ from backbone.SkyNet's", v, relu6)
+			}
+		}
 	}
 }
 

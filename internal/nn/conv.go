@@ -15,7 +15,7 @@ import (
 // over the batch, split across goroutines (parallelFor); the inference plan
 // instead hands forwardImage one image at a time from its lanes (plan.go).
 // Either way the operands of a call are its arguments, never layer fields;
-// scratch is per worker — im2col buffers and per-image tensor views — and
+// scratch is per worker — im2col buffers and Backward's gradient views — and
 // worker 0 is the calling goroutine. A warm Forward allocates its output
 // tensor and, beyond one worker, the goroutines of the batch split; the
 // output belongs to the caller.
@@ -49,10 +49,7 @@ type Conv2D struct {
 type convScratch struct {
 	col  *tensor.Tensor // im2col of the worker's current image
 	dcol *tensor.Tensor // gradient of the im2col matrix; nil until the first Backward
-	// Views of the worker's current image, repointed per image: the input
-	// [InC,H,W], the output gradient [OutC, outH*outW], and the input
-	// gradient [InC,H,W].
-	img, om, dimg *tensor.Tensor
+	om   *tensor.Tensor // view of the current image's output gradient [OutC, outH*outW], repointed per image
 }
 
 // NewConv2D constructs a convolution with He-initialized weights.
@@ -171,10 +168,9 @@ func (c *Conv2D) direct() bool { return c.K == 1 && c.Stride == 1 && c.Pad == 0 
 func (c *Conv2D) forwardImage(dst, src []float32, worker int, ep tensor.RowEpilogue, leaf bool) {
 	cols := c.outH * c.outW
 	if !c.direct() {
-		s := &c.ws[worker]
-		s.img = viewInto3(s.img, src, c.InC, c.inH, c.inW)
-		tensor.Im2Col(s.col, s.img, c.K, c.K, c.Stride, c.Pad)
-		src = s.col.Data
+		col := c.ws[worker].col.Data
+		tensor.Im2ColInto(col, src, c.InC, c.inH, c.inW, c.K, c.K, c.Stride, c.Pad)
+		src = col
 	}
 	p := tensor.RowProduct{M: c.OutC, N: cols, K: c.InC * c.K * c.K, Ep: ep}
 	if leaf {
@@ -242,8 +238,7 @@ func (c *Conv2D) backwardImage(worker, i int) {
 	s := &c.ws[worker]
 	h, w, cols := c.inH, c.inW, c.outH*c.outW
 	imgSz, perImg := c.InC*h*w, c.OutC*cols
-	s.img = viewInto3(s.img, c.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
-	tensor.Im2Col(s.col, s.img, c.K, c.K, c.Stride, c.Pad)
+	tensor.Im2ColInto(s.col.Data, c.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
 	s.om = viewInto2(s.om, c.dout.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
 	// dW_i = dout_i · col_iᵀ
 	dwi := c.dwImg[i]
@@ -252,8 +247,7 @@ func (c *Conv2D) backwardImage(worker, i int) {
 	// dcol = Wᵀ · dout, scattered straight into this image's slice of dx
 	// (Col2Im zeroes it).
 	tensor.MatMulTransposeAInto(s.dcol, c.Weight.W, s.om)
-	s.dimg = viewInto3(s.dimg, c.dx.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w)
-	tensor.Col2Im(s.dimg, s.dcol, c.K, c.K, c.Stride, c.Pad)
+	tensor.Col2Im(c.dx.Data[i*imgSz:(i+1)*imgSz], s.dcol.Data, c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
 	if c.Bias != nil {
 		for o := 0; o < c.OutC; o++ {
 			var sum float32

@@ -235,14 +235,6 @@ func TestLoadRejectsTruncatedStream(t *testing.T) {
 	}
 }
 
-func TestLoadFileMissing(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	g := Sequential(NewPWConv1(rng, 1, 1, false))
-	if err := g.LoadFile("/does/not/exist.gob"); err == nil {
-		t.Fatal("missing file must error")
-	}
-}
-
 func TestParallelForwardMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	l := NewConv2D(rng, 3, 6, 3, 1, 1, true)

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"skynet/internal/tensor"
 )
@@ -72,27 +71,4 @@ func (g *Graph) Load(r io.Reader) error {
 		copy(dst[i].Data, t.Data)
 	}
 	return nil
-}
-
-// SaveFile writes the graph's weights to the named file.
-func (g *Graph) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := g.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile restores the graph's weights from the named file.
-func (g *Graph) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return g.Load(f)
 }

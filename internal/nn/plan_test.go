@@ -11,7 +11,6 @@ import (
 
 	"skynet/internal/backbone"
 	"skynet/internal/nn"
-	"skynet/internal/prune"
 	"skynet/internal/tensor"
 )
 
@@ -232,8 +231,8 @@ func TestPlanArenaLiveness(t *testing.T) {
 }
 
 // TestPlanReadsParametersLive changes the model between two inference
-// forwards in every way the repository does — an optimizer step, magnitude
-// pruning, a Load, appending a node — and each time the plan must answer as
+// forwards in every way a caller can — an optimizer step, weights zeroed in
+// place (as pruning would), a Load, appending a node — and each time the plan must answer as
 // the layer walk does on the changed model: it holds structure, no values.
 func TestPlanReadsParametersLive(t *testing.T) {
 	g, rng := skyNetC(0.25, 14)
@@ -259,8 +258,9 @@ func TestPlanReadsParametersLive(t *testing.T) {
 	nn.NewSGD(0.05, 0.9, 0).Step(g.Params())
 	changed("an SGD step")
 
-	prune.MagnitudePrune(g, 0.5)
-	changed("magnitude pruning")
+	w := g.Params()[1].W.Data // the first point-wise conv's weights
+	clear(w[:len(w)/2])
+	changed("zeroing half a layer's weights")
 
 	if err := g.Load(&saved); err != nil {
 		t.Fatal(err)

@@ -19,15 +19,3 @@ func viewInto2(cached *tensor.Tensor, data []float32, d0, d1 int) *tensor.Tensor
 	}
 	return tensor.FromSlice(data, d0, d1)
 }
-
-// viewInto3 is viewInto2 for rank-3 [C, H, W] image views.
-//
-//skynet:hotpath
-func viewInto3(cached *tensor.Tensor, data []float32, d0, d1, d2 int) *tensor.Tensor {
-	if cached != nil && cached.Rank() == 3 &&
-		cached.Dim(0) == d0 && cached.Dim(1) == d1 && cached.Dim(2) == d2 {
-		cached.Data = data
-		return cached
-	}
-	return tensor.FromSlice(data, d0, d1, d2)
-}

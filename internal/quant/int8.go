@@ -578,7 +578,7 @@ func (q *qconv) run(l *qlane, s *nn.Step, leaf bool) {
 	cols, kk := s.Dims[2]*s.Dims[3], in[1]*q.k*q.k
 	b := l.codes(s.Inputs[0])
 	if !q.direct() {
-		tensor.Int8Im2Col(l.col, b, in[1], in[2], in[3], q.k, q.k, q.stride, q.pad)
+		tensor.Im2ColInto(l.col, b, in[1], in[2], in[3], q.k, q.k, q.stride, q.pad)
 		b = l.col[:kk*cols]
 	}
 	ep := q.ep

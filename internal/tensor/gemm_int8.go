@@ -509,50 +509,3 @@ func (g *i8gemmCall) packB(dst []int8, jc, nc int) {
 		}
 	}
 }
-
-// Int8Im2Col lowers one int8 image of shape [c,h,w] into a [c*kh*kw,
-// outH*outW] matrix so quantized convolution becomes a single int8 GEMM
-// with the [outC, c*kh*kw] weight matrix. Padding positions contribute the
-// symmetric zero point (0). col must have capacity for the full matrix;
-// the caller reuses one buffer across a batch.
-//
-//skynet:hotpath
-func Int8Im2Col(col, img []int8, c, h, w, kh, kw, stride, pad int) {
-	outH := ConvOut(h, kh, stride, pad)
-	outW := ConvOut(w, kw, stride, pad)
-	cols := outH * outW
-	if len(img) < c*h*w || len(col) < c*kh*kw*cols {
-		panic("tensor: Int8Im2Col operand lengths do not cover the given shape")
-	}
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				dst := col[row*cols : (row+1)*cols]
-				di := 0
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < outW; ox++ {
-							dst[di] = 0
-							di++
-						}
-						continue
-					}
-					rowBase := chBase + iy*w
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							dst[di] = 0
-						} else {
-							dst[di] = img[rowBase+ix]
-						}
-						di++
-					}
-				}
-				row++
-			}
-		}
-	}
-}

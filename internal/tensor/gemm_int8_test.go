@@ -237,8 +237,8 @@ func TestInt8GEMMSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-// TestInt8Im2Col checks the int8 lowering against the float Im2Col on the
-// same values.
+// TestInt8Im2Col checks the one im2col loop at both element types on the
+// same values, and the tensor-form Im2Col against the slice form it wraps.
 func TestInt8Im2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, cfg := range []struct{ c, h, w, kh, kw, stride, pad int }{
@@ -256,12 +256,17 @@ func TestInt8Im2Col(t *testing.T) {
 		outW := ConvOut(cfg.w, cfg.kw, cfg.stride, cfg.pad)
 		rows, cols := cfg.c*cfg.kh*cfg.kw, outH*outW
 		col8 := make([]int8, rows*cols)
-		Int8Im2Col(col8, img8, cfg.c, cfg.h, cfg.w, cfg.kh, cfg.kw, cfg.stride, cfg.pad)
-		colF := New(rows, cols)
-		Im2Col(colF, imgF, cfg.kh, cfg.kw, cfg.stride, cfg.pad)
+		Im2ColInto(col8, img8, cfg.c, cfg.h, cfg.w, cfg.kh, cfg.kw, cfg.stride, cfg.pad)
+		colF := make([]float32, rows*cols)
+		Im2ColInto(colF, imgF.Data, cfg.c, cfg.h, cfg.w, cfg.kh, cfg.kw, cfg.stride, cfg.pad)
+		colT := New(rows, cols)
+		Im2Col(colT, imgF, cfg.kh, cfg.kw, cfg.stride, cfg.pad)
 		for i := range col8 {
-			if float32(col8[i]) != colF.Data[i] {
-				t.Fatalf("%+v: col[%d] = %d, want %v", cfg, i, col8[i], colF.Data[i])
+			if float32(col8[i]) != colF[i] {
+				t.Fatalf("%+v: int8 col[%d] = %d, float32 %v", cfg, i, col8[i], colF[i])
+			}
+			if colT.Data[i] != colF[i] {
+				t.Fatalf("%+v: Im2Col col[%d] = %v, Im2ColInto %v", cfg, i, colT.Data[i], colF[i])
 			}
 		}
 	}
@@ -283,7 +288,7 @@ func TestInt8GEMMShapePanics(t *testing.T) {
 		{"short-bias", func() {
 			Int8GEMMDequantInto(make([]float32, 4), a, b, 2, 2, 3, Int8Epilogue{Bias: make([]int32, 1), Mult: make([]float32, 2)})
 		}},
-		{"im2col-short", func() { Int8Im2Col(make([]int8, 3), make([]int8, 16), 1, 4, 4, 3, 3, 1, 1) }},
+		{"im2col-short", func() { Im2ColInto(make([]int8, 3), make([]int8, 16), 1, 4, 4, 3, 3, 1, 1) }},
 	} {
 		func() {
 			defer func() {

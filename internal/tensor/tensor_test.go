@@ -414,9 +414,9 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	y := New(c*k*k, outH*outW)
 	y.RandNormal(rng, 0, 1)
 	cx := New(c*k*k, outH*outW)
-	Im2Col(cx, x, k, k, s, p)
+	Im2ColInto(cx.Data, x.Data, c, h, w, k, k, s, p)
 	xy := New(c, h, w)
-	Col2Im(xy, y, k, k, s, p)
+	Col2Im(xy.Data, y.Data, c, h, w, k, k, s, p)
 	lhs := float64(cx.Dot(y))
 	rhs := float64(x.Dot(xy))
 	if math.Abs(lhs-rhs) > 1e-3*(1+math.Abs(lhs)) {
@@ -496,7 +496,7 @@ func TestQuickIm2ColIdentityFor1x1(t *testing.T) {
 		col := New(c, h*w)
 		Im2Col(col, x, 1, 1, 1, 0)
 		back := New(c, h, w)
-		Col2Im(back, col, 1, 1, 1, 0)
+		Col2Im(back.Data, col.Data, c, h, w, 1, 1, 1, 0)
 		return tensorsClose(x, back, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

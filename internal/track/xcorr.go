@@ -212,7 +212,7 @@ func DWXCorrInt8(z, x *tensor.Tensor) (*tensor.Tensor, error) {
 	xScale := quantizeSym(s.xi8[:c*hx*wx], x.Data)
 	mult := zScale * xScale
 	for ch := 0; ch < c; ch++ {
-		tensor.Int8Im2Col(s.ci8[:k*n], s.xi8[ch*hx*wx:(ch+1)*hx*wx], 1, hx, wx, hz, wz, 1, 0)
+		tensor.Im2ColInto(s.ci8[:k*n], s.xi8[ch*hx*wx:(ch+1)*hx*wx], 1, hx, wx, hz, wz, 1, 0)
 		tensor.Int8GEMMInto(s.acc[:n], s.zi8[ch*k:(ch+1)*k], s.ci8[:k*n], 1, n, k)
 		od := out.Data[ch*n : (ch+1)*n]
 		for i, a := range s.acc[:n] {
