@@ -103,12 +103,16 @@ short:
 # writes where is theirs to hold. The serving lane and pool tests get the same
 # three runs: N inference workers share one queue, and how they interleave on
 # it — through a drain, a close and a swap — depends on how many run at once.
+# tensor's packing panels are taken per chunk in flight: how many a free list
+# builds, and whether a warm call still allocates nothing, depends on how many
+# chunks overlap, so that test and the zero-allocation ones get the three runs.
 LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|Deterministic|BundleStep|LayoutPacks
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus
 race:
 	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/... ./internal/quant/...
 	$(GO) test -race -short -cpu 1,2,4 -run '$(LANE_TESTS)' ./internal/nn ./internal/quant
 	$(GO) test -race -short -cpu 1,2,4 -run '$(SERVE_LANE_TESTS)' ./internal/serve
+	$(GO) test -race -cpu 1,2,4 -run 'PackScratchFollowsChunksInFlight|SteadyStateAllocs' ./internal/tensor
 
 # purego runs the kernel-bearing packages with the assembly kernels — the
 # GEMM micro-kernels and the row kernels — compiled out, so the portable Go

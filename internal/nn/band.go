@@ -6,13 +6,13 @@ import "skynet/internal/tensor"
 // 1×1 convolution — with that convolution's chain, and the max-pool that is
 // the chain's only consumer, when there is one, or the max-pool and the
 // reorder that both read the bypass source — computed band by band. A
-// band is a few output rows of one image: its depth-wise rows go into a
-// buffer the size of a cache, the 1×1 product reads them from there and,
-// under a pool, writes a second such buffer that the pool reduces into the
-// destination and the reorder, if any, deals out to its own. The depth-wise
-// map and the map before the pool are never whole anywhere, so they have no
-// arena slot. It is the CPU image of the
-// paper's shared Bundle IP (§6.2, Figure 9), which keeps both on chip.
+// band is a few output rows of one image: its depth-wise rows go into the
+// head of a worker's cache-sized buffer, the 1×1 product reads them from
+// there and, under a pool, writes the rest of the buffer, which the pool
+// reduces into the destination and the reorder, if any, deals out to its
+// own. The depth-wise map and the map before the pool are never whole
+// anywhere, so they have no arena slot. It is the CPU image of the paper's
+// shared Bundle IP (§6.2, Figure 9), which keeps both on chip.
 //
 // Nothing is computed differently: the rows come from DWRow, the product
 // from the GEMM entry point Conv2D.forwardImage uses, with the row tail, and
@@ -20,9 +20,10 @@ import "skynet/internal/tensor"
 // many workers a lone lane splits an image across (plan.go) — decides which
 // call computes an element, never how.
 
-// bandBudget is what one band's buffers may occupy, in bytes: half of a 2 MiB
-// L2, the other half being the product's packed B block (512 KiB) and the
-// weights. Measured at SkyNet C's six Bundles from 256 KiB to 4 MiB (DESIGN
+// bandBudget is what one band may occupy, in bytes — its depth-wise rows
+// and, under a pool, its product, which share its worker's buffer — unless
+// one pool window is larger. The buffer is as long as the plan's largest
+// band. Measured at SkyNet C's six Bundles from 256 KiB to 4 MiB (DESIGN
 // §6): the early Bundles do not care, and the late, wide ones lose to their
 // step-per-node form below 1 MiB, where a band is too few columns to pay
 // for packing the weights again. A variable so that tests can cut small
@@ -44,24 +45,30 @@ type band struct {
 	rows  int // depth-wise output rows per band at most: a multiple of k
 }
 
-// bandScratch is one worker's pair of band buffers: the depth-wise rows
-// [C, rows·W] and, for a step with a pool, the product [OutC, rows·W].
-type bandScratch struct{ dw, pw []float32 }
-
 // fit sizes the bands for a depth-wise output of outH×outW — as many rows as
 // bandBudget holds, a whole number of pool windows, at least one and at most
-// the image — and returns the lengths the two band buffers then need.
-func (b *band) fit(outH, outW int) (dwLen, pwLen int) {
+// the image — and returns the length of the worker buffer they then need.
+func (b *band) fit(outH, outW int) int {
 	perRow := b.dw.C
 	if b.pool >= 0 {
 		perRow += b.pw.OutC
 	}
 	b.rows = bandBudget / (4 * outW * perRow) / b.k * b.k
 	b.rows = min(max(b.rows, b.k), outH/b.k*b.k)
+	return perRow * b.rows * outW
+}
+
+// carve cuts a band of n columns out of a worker's buffer: the depth-wise
+// rows [C, n] at its head and, for a step with a pool, the product [OutC, n]
+// right behind them.
+//
+//skynet:hotpath
+func (b *band) carve(buf []float32, n int) (dw, pw []float32) {
+	dw = buf[:b.dw.C*n]
 	if b.pool >= 0 {
-		pwLen = b.pw.OutC * b.rows * outW
+		pw = buf[len(dw) : len(dw)+b.pw.OutC*n]
 	}
-	return b.dw.C * b.rows * outW, pwLen
+	return dw, pw
 }
 
 // bandShare is the operands of one Bundle step on one image: the image
@@ -73,17 +80,17 @@ type bandShare struct {
 	dst, src []float32
 	reorg    []float32
 	ep       tensor.RowEpilogue
-	scratch  []bandScratch // split's: worker i computes on scratch[i]
-	each     int           // split's: units per worker
+	scratch  [][]float32 // split's: worker i computes on scratch[i]
+	each     int         // split's: units per worker
 }
 
-// units computes units [lo, hi) of the step, cut into bands on s.
+// units computes units [lo, hi) of the step, cut into bands on buf.
 //
 //skynet:hotpath
-func (a bandShare) units(s *bandScratch, lo, hi int) {
+func (a bandShare) units(buf []float32, lo, hi int) {
 	for u := lo; u < hi; {
 		cnt := min(a.b.rows/a.b.k, hi-u)
-		a.compute(s, u*a.b.k, cnt*a.b.k)
+		a.compute(buf, u*a.b.k, cnt*a.b.k)
 		u += cnt
 	}
 }
@@ -94,7 +101,7 @@ func (a bandShare) units(s *bandScratch, lo, hi int) {
 // dispatches nothing, so the workers may be the GEMM pool's.
 //
 //skynet:hotpath
-func (a bandShare) split(scratch []bandScratch) {
+func (a bandShare) split(scratch [][]float32) {
 	units := a.b.dw.outH / a.b.k
 	nw := min(workersFor(units), len(scratch))
 	a.scratch, a.each = scratch, (units+nw-1)/nw
@@ -110,7 +117,7 @@ var bandShares = tensor.NewRanger[bandShare]()
 func (a bandShare) shares(lo, hi int) {
 	units := a.b.dw.outH / a.b.k
 	for i := lo; i < hi; i++ {
-		a.units(&a.scratch[i], i*a.each, min((i+1)*a.each, units))
+		a.units(a.scratch[i], i*a.each, min((i+1)*a.each, units))
 	}
 }
 
@@ -123,10 +130,10 @@ func (a bandShare) shares(lo, hi int) {
 // lone lane's split, both on the GEMM pool.
 //
 //skynet:hotpath
-func (a bandShare) compute(s *bandScratch, r0, rows int) {
+func (a bandShare) compute(buf []float32, r0, rows int) {
 	b, d, c := a.b, a.b.dw, a.b.pw
 	plane, cols, n := d.inH*d.inW, d.outH*d.outW, rows*d.outW
-	dwb := s.dw[:d.C*n]
+	dwb, pwb := b.carve(buf, n)
 	for ch := 0; ch < d.C; ch++ {
 		d.rows(dwb[ch*n:(ch+1)*n], a.src[ch*plane:(ch+1)*plane], ch, r0)
 	}
@@ -138,7 +145,6 @@ func (a bandShare) compute(s *bandScratch, r0, rows int) {
 		tensor.MatMulRowEpilogueInto(a.dst[at:at+(c.OutC-1)*cols+n], c.Weight.W.Data, dwb, p)
 		return
 	}
-	pwb := s.pw[:c.OutC*n]
 	tensor.MatMulRowEpilogueInto(pwb, c.Weight.W.Data, dwb, p)
 	oh, ow := d.outH/b.k, d.outW/b.k
 	for oc := 0; oc < c.OutC; oc++ {

@@ -381,6 +381,54 @@ func TestBundleStepLeavesAlone(t *testing.T) {
 	}
 }
 
+// TestBundleStepBandBuffers: a worker's band buffer is one slice of at most
+// bandBudget bytes, and in it every Bundle step's depth-wise rows and product
+// lie side by side, never over each other — for SkyNet A, B and C at the
+// deployed 160×320 and at TestBatchInvariance's widths and frame sizes, where
+// the forward on two workers, released slots poisoned, is the layer walk's
+// bits.
+func TestBundleStepBandBuffers(t *testing.T) {
+	nn.PoisonReleased(t)
+	type size struct {
+		width float64
+		h, w  int
+	}
+	sizes := []size{{1, 160, 320}, {0.125, 9, 19}, {0.25, 17, 11}, {0.5, 11, 25}}
+	for vi, v := range []backbone.SkyNetVariant{backbone.VariantA, backbone.VariantB, backbone.VariantC} {
+		for _, s := range sizes {
+			name := fmt.Sprintf("SkyNet%s/width%v/%dx%d", v, s.width, s.h, s.w)
+			rng := rand.New(rand.NewSource(int64(50 + vi)))
+			g := backbone.SkyNet(rng, backbone.Config{Width: s.width, InC: 3, HeadChannels: 10, ReLU6: true}, v)
+			unsettle(g, rng)
+			x := randBatch(rng, 1, 3, s.h, s.w)
+			p := nn.Compile(g, x.Shape(), nil)
+			parallelism(2, func() { requireSameBits(t, name, p.Run(x, nil), walk(g, x, nil)) })
+			bufs := nn.BandBuffers(g)
+			if len(bufs) != 2 {
+				t.Fatalf("%s: %d band buffers after a forward on two workers, want 2", name, len(bufs))
+			}
+			for i, buf := range bufs {
+				if 4*len(buf) > nn.BandBudget() {
+					t.Errorf("%s: worker %d's band buffer is %d bytes, over the %d-byte budget", name, i, 4*len(buf), nn.BandBudget())
+				}
+			}
+			dw, pw := nn.BandSpans(p)
+			if len(dw) == 0 {
+				t.Fatalf("%s: no Bundle step", name)
+			}
+			for k := range dw {
+				d, w := dw[k], pw[k]
+				if d[0] >= d[1] || d[1] > len(bufs[0]) || w[1] > len(bufs[0]) {
+					t.Errorf("%s: Bundle %d's depth-wise rows %v and product %v do not fit a buffer of %d", name, k+1, d, w, len(bufs[0]))
+				}
+				if w[0] < w[1] && d[0] < w[1] && w[0] < d[1] {
+					t.Errorf("%s: Bundle %d's depth-wise rows %v and product %v overlap", name, k+1, d, w)
+				}
+			}
+		}
+	}
+}
+
 // TestSkyNetCArenaWithoutBundleInteriors pins what the Bundle step and the
 // laid-out Concat are for: at the deployed size no depth-wise map and no map
 // only a pool — or, at the bypass source, a pool and the reorder — reads gets

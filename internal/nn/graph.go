@@ -49,12 +49,12 @@ type Graph struct {
 	// and must not be modified.
 	OutShapes [][]int
 
-	trained bool          // the last Forward was a training one: the layers hold its caches
-	plans   []*Plan       // inference plans, most recently used first, one per input sample shape
-	arena   []float32     // feature maps of the inference forward in flight: one sample's per lane
-	bands   []bandScratch // per worker: the band buffers of the Bundle steps in flight
-	lanes   []*lane       // the walks of the forward in flight; lanes[i] owns region i of arena
-	run     planRun       // the inference forward in flight
+	trained bool        // the last Forward was a training one: the layers hold its caches
+	plans   []*Plan     // inference plans, most recently used first, one per input sample shape
+	arena   []float32   // feature maps of the inference forward in flight: one sample's per lane
+	bands   [][]float32 // per worker: the buffer of the Bundle band in flight
+	lanes   []*lane     // the walks of the forward in flight; lanes[i] owns region i of arena
+	run     planRun     // the inference forward in flight
 }
 
 // NewGraph returns an empty graph.

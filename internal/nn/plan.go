@@ -189,9 +189,9 @@ type Plan struct {
 	// for its shapes and, to another engine, for its steps.
 	unlowered bool
 	maxInputs int // the most inputs any node has
-	// bandDW and bandPW are the lengths of the band buffers the plan's largest
-	// Bundle step needs of each worker; zero without one.
-	bandDW, bandPW int
+	// bandLen is the length of the band buffer the plan's largest Bundle
+	// band needs of each worker; zero without a Bundle step.
+	bandLen int
 }
 
 // maxPlans bounds the plans a graph keeps, one per input sample shape (a
@@ -350,8 +350,7 @@ func (p *Plan) findBands(use readers) {
 		}
 		p.nodes[conv].fused = true
 		p.nodes[i].band = b
-		dwLen, pwLen := b.fit(p.nodes[i].dims[2], p.nodes[i].dims[3])
-		p.bandDW, p.bandPW = max(p.bandDW, dwLen), max(p.bandPW, pwLen)
+		p.bandLen = max(p.bandLen, b.fit(p.nodes[i].dims[2], p.nodes[i].dims[3]))
 	}
 }
 
@@ -549,9 +548,9 @@ type lane struct {
 // planRun is the inference forward in flight on a graph: what RunLanes walks.
 type planRun struct {
 	p      *Plan
-	lanes  []*lane       // lanes[i] also owns bands[i] and every Conv2D's im2col scratch i
-	bands  []bandScratch // per worker: a lane's own, or all of them a lone lane's
-	x, out []float32     // the input batch and the output batch, n samples each
+	lanes  []*lane     // lanes[i] also owns bands[i] and every Conv2D's im2col scratch i
+	bands  [][]float32 // per worker: a lane's own, or all of them a lone lane's
+	x, out []float32   // the input batch and the output batch, n samples each
 	n      int
 	// observe is Run's.
 	observe func(node int, data []float32)
@@ -578,19 +577,15 @@ func (p *Plan) prepare(lanes int) {
 			l.srcs = make([][]float32, p.maxInputs)
 		}
 	}
-	if p.bandDW == 0 {
+	if p.bandLen == 0 {
 		return
 	}
 	if nw := workersFor(math.MaxInt); len(g.bands) < nw {
-		g.bands = append(g.bands, make([]bandScratch, nw-len(g.bands))...)
+		g.bands = append(g.bands, make([][]float32, nw-len(g.bands))...)
 	}
-	for i := range g.bands {
-		s := &g.bands[i]
-		if len(s.dw) < p.bandDW {
-			s.dw = make([]float32, p.bandDW)
-		}
-		if len(s.pw) < p.bandPW {
-			s.pw = make([]float32, p.bandPW)
+	for i, buf := range g.bands {
+		if len(buf) < p.bandLen {
+			g.bands[i] = make([]float32, p.bandLen)
 		}
 	}
 }
@@ -735,7 +730,7 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 				a.reorg = l.buf(&p.nodes[b.reorg])
 			}
 			if leaf {
-				a.units(&r.bands[li], 0, layer.outH/b.k)
+				a.units(r.bands[li], 0, layer.outH/b.k)
 			} else {
 				a.split(r.bands)
 			}

@@ -25,8 +25,8 @@ import (
 // per iteration of the packed k loop.
 //
 // Parallelism splits the n dimension (columns of B and C) into contiguous
-// chunks, one per worker; each worker runs the full blocked loop nest on its
-// chunk with private packing scratch, so workers share nothing but
+// chunks, one per worker; each chunk runs the full blocked loop nest on
+// packing scratch it holds until it ends, so chunks share nothing but
 // read-only inputs. Because the k-summation order of every C element is
 // identical regardless of the split, results are bitwise-independent of the
 // worker count.
@@ -173,9 +173,9 @@ func (e *RowEpilogue) finish(crow []float32, i int) {
 	rowTail(crow, crow, e.mode(), g, mean, inv, bt, e.Cap)
 }
 
-// gemmScratch holds one worker's private packing buffers. Buffers are
-// allocated once at the maximum block size and retained, so steady-state
-// GEMM calls allocate nothing.
+// gemmScratch holds the packing buffers of one chunk in flight. Buffers are
+// allocated once at the maximum block size and go back to gemmScratchFree
+// when the chunk ends, so steady-state GEMM calls allocate nothing.
 type gemmScratch struct {
 	ap []float32 // packed A block: MC×KC, MR-row panels
 	bp []float32 // packed B block: KC×NC, NR-column panels
@@ -200,11 +200,10 @@ func newGemmScratch() *gemmScratch {
 // random fraction of Puts, which broke the zero-allocation contract tests
 // under -race. An uncontended mutex costs a few nanoseconds per GEMM call
 // (amortized over at least gemmMinBlockedMACs multiply-adds) and every
-// returned buffer is reused, instrumented or not. A pool worker running a
-// GEMM job never touches the lists — it owns its scratch for its whole
-// lifetime — so they serve the calling goroutine's chunk, and whoever makes
-// a band call (RowProduct.BandOf), a pool worker inside a parallelRange body
-// included.
+// returned buffer is reused, instrumented or not. Every chunk of a blocked
+// GEMM — the caller's, a pool job, a leaf call — takes its packing scratch
+// from the list of its element type and puts it back when it ends, so a list
+// holds as many panels as chunks of that type have ever run at once.
 type freeList[T any] struct {
 	mu    sync.Mutex
 	items []*T
@@ -236,52 +235,42 @@ func (l *freeList[T]) put(x *T) {
 	l.mu.Unlock()
 }
 
-// packScratch is one goroutine's packing scratch: a float32 half and an
-// int8 half. A half stays nil until its goroutine first runs a call of that
-// element type, so a float-only process never pays for int8 panels (nor the
-// reverse).
-type packScratch struct {
-	f32 *gemmScratch
-	i8  *i8Scratch
-}
-
 // gemmTask is one in-flight piece of work the pool splits: a blocked GEMM of
-// either element type — the live call descriptor and the dispatching
-// goroutine's own packing scratch — or a parallelRange body, with the
-// completion group the pool workers signal. Tasks come from one free list
-// per kind, whose allocator builds the matching scratch half, so a warm call
-// allocates nothing.
+// either element type — the live call descriptor — or a parallelRange body,
+// with the completion group the pool workers signal. A task holds no scratch;
+// tasks and the packing panels of each element type come from free lists, so
+// a warm call allocates nothing and a float-only process builds no int8
+// panel (nor the reverse).
 type gemmTask struct {
 	f32  gemmCall
 	i8   i8gemmCall
-	isI8 bool             // which descriptor is live; fixed when the task is built
+	isI8 bool             // which descriptor is live
 	leaf func(lo, hi int) // parallelRange's body; nil on a GEMM task
-	own  packScratch
 	wg   sync.WaitGroup
 }
 
 var (
-	gemmTaskFree = freeList[gemmTask]{alloc: func() *gemmTask {
-		return &gemmTask{own: packScratch{f32: newGemmScratch()}}
-	}}
-	i8TaskFree = freeList[gemmTask]{alloc: func() *gemmTask {
-		return &gemmTask{isI8: true, own: packScratch{i8: newI8Scratch()}}
-	}}
-	leafTaskFree = freeList[gemmTask]{alloc: func() *gemmTask { return &gemmTask{} }}
+	taskFree        = freeList[gemmTask]{alloc: func() *gemmTask { return &gemmTask{} }}
+	gemmScratchFree = freeList[gemmScratch]{alloc: newGemmScratch}
+	i8ScratchFree   = freeList[i8Scratch]{alloc: newI8Scratch}
 )
 
-// run executes columns [j0, j1) of the task's live call on s, or that range
-// of its leaf body.
+// run executes columns [j0, j1) of the task's live call on packing scratch
+// it holds for that long, or that range of its leaf body.
 //
 //skynet:hotpath
-func (t *gemmTask) run(j0, j1 int, s *packScratch) {
+func (t *gemmTask) run(j0, j1 int) {
 	switch {
 	case t.leaf != nil:
 		t.leaf(j0, j1)
 	case t.isI8:
-		t.i8.run(j0, j1, s.i8)
+		s := i8ScratchFree.get()
+		t.i8.run(j0, j1, s)
+		i8ScratchFree.put(s)
 	default:
-		t.f32.run(j0, j1, s.f32)
+		s := gemmScratchFree.get()
+		t.f32.run(j0, j1, s)
+		gemmScratchFree.put(s)
 	}
 }
 
@@ -305,11 +294,12 @@ var (
 	gemmJobs        chan gemmJob
 )
 
-// startGemmWorkers lazily spins up the persistent worker pool. Each worker
-// owns its packing scratch for its whole lifetime, so dispatching work to
-// the pool performs no per-call allocation. The pool is sized for the
-// machine but never below 8, so tests that raise MaxParallelism on small
-// machines still exercise real concurrency.
+// startGemmWorkers lazily spins up the persistent worker pool. A worker
+// holds nothing between jobs — a job's chunk takes its packing scratch from
+// a free list and returns it before the task is signalled — so a parked
+// worker costs only its stack. The pool is sized for the machine but never
+// below 8, so tests that raise MaxParallelism on small machines still
+// exercise real concurrency.
 func startGemmWorkers() {
 	n := runtime.GOMAXPROCS(0)
 	if n < 8 {
@@ -318,25 +308,8 @@ func startGemmWorkers() {
 	gemmJobs = make(chan gemmJob, 4*n)
 	for i := 0; i < n; i++ {
 		go func() {
-			// Each scratch half is allocated on the worker's first job of
-			// that element type, not at goroutine start: a worker that is
-			// spawned but never scheduled before the pool goes idle would
-			// otherwise perform its allocation at some arbitrary later
-			// point — observed as a flake in the AllocsPerRun tests when
-			// the leftover allocation landed inside their measurement
-			// window.
-			var s packScratch
 			for j := range gemmJobs {
-				switch {
-				case j.t.leaf != nil: // needs no scratch
-				case j.t.isI8:
-					if s.i8 == nil {
-						s.i8 = newI8Scratch()
-					}
-				case s.f32 == nil:
-					s.f32 = newGemmScratch()
-				}
-				j.t.run(j.j0, j.j1, &s)
+				j.t.run(j.j0, j.j1)
 				j.t.wg.Done()
 			}
 		}()
@@ -387,7 +360,7 @@ func (t *gemmTask) split(n, chunk int) {
 			gemmJobs <- gemmJob{t: t, j0: j0, j1: min(j0+chunk, n)}
 		}
 	}
-	t.run(0, min(chunk, n), &t.own)
+	t.run(0, min(chunk, n))
 	t.wg.Wait()
 }
 
@@ -419,11 +392,11 @@ func parallelRange(n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	t := leafTaskFree.get()
+	t := taskFree.get()
 	t.leaf = fn
 	t.split(n, (n+w-1)/w)
 	t.leaf = nil
-	leafTaskFree.put(t)
+	taskFree.put(t)
 }
 
 // Ranger is parallelRange for a body that takes the operands of the call as
@@ -471,8 +444,8 @@ func (r *Ranger[T]) Run(n int, arg T, fn func(arg T, lo, hi int)) {
 
 // gemmExec runs a float32 call: tiny problems on the small-problem kernel,
 // everything else through the blocked kernel and the shared dispatch — or,
-// for a band call, on this goroutine with the task's own scratch, so that a
-// pool worker running it never dispatches.
+// for a band call, as one chunk on this goroutine, so that a pool worker
+// running it never dispatches.
 //
 //skynet:hotpath
 func gemmExec(c gemmCall) {
@@ -480,15 +453,15 @@ func gemmExec(c gemmCall) {
 		c.runNaive()
 		return
 	}
-	t := gemmTaskFree.get()
-	t.f32 = c
+	t := taskFree.get()
+	t.f32, t.isI8 = c, false
 	if c.bandOf > 0 {
-		t.run(0, c.n, &t.own)
+		t.run(0, c.n)
 	} else {
 		t.dispatch(c.m, c.n, c.k)
 	}
 	t.f32 = gemmCall{} // a parked task must not keep the caller's operands alive
-	gemmTaskFree.put(t)
+	taskFree.put(t)
 }
 
 // runNaive is the float32 small-problem kernel: no packing, one pass over

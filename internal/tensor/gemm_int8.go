@@ -148,8 +148,9 @@ type i8gemmCall struct {
 	leaf    bool // Int8Epilogue.Leaf
 }
 
-// i8Scratch holds one worker's private packing buffers, allocated once at
-// the maximum block size so steady-state calls allocate nothing. Pair
+// i8Scratch holds the packing buffers of one chunk in flight, allocated once
+// at the maximum block size and returned to i8ScratchFree when the chunk
+// ends, so steady-state calls allocate nothing. Pair
 // packing pads k up to even, and 2·⌈k/2⌉ ≤ i8KC for every accepted k
 // (i8KC is even), so the pre-pairing sizes still bound the panels.
 type i8Scratch struct {
@@ -180,7 +181,7 @@ func i8UseNaive(m, n, k int) bool {
 
 // i8Exec runs an int8 call: the small-problem kernel where i8UseNaive says
 // so, everything else through the blocked kernel and the shared dispatch —
-// or, for a leaf call, on this goroutine with the task's own scratch.
+// or, for a leaf call, as one chunk on this goroutine.
 //
 //skynet:hotpath
 func i8Exec(c i8gemmCall) {
@@ -188,15 +189,15 @@ func i8Exec(c i8gemmCall) {
 		c.runNaive()
 		return
 	}
-	t := i8TaskFree.get()
-	t.i8 = c
+	t := taskFree.get()
+	t.i8, t.isI8 = c, true
 	if c.leaf {
-		t.run(0, c.n, &t.own)
+		t.run(0, c.n)
 	} else {
 		t.dispatch(c.m, c.n, c.k)
 	}
 	t.i8 = i8gemmCall{} // see gemmExec
-	i8TaskFree.put(t)
+	taskFree.put(t)
 }
 
 // Int8GEMMInto computes c = a·b for int8 A [m,k] and B [k,n], accumulating

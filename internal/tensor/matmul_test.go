@@ -345,6 +345,88 @@ func TestGemmPoolMixedTypes(t *testing.T) {
 	}
 }
 
+// parked reports how many buffers l holds: with no call in flight, every one
+// it has built since it was last emptied.
+func (l *freeList[T]) parked() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.items)
+}
+
+// empty drops every buffer l holds, so that parked counts from here on.
+func (l *freeList[T]) empty() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.items = nil
+}
+
+// TestPackScratchFollowsChunksInFlight: packing panels belong to the chunks
+// running, not to goroutines. From one caller at MaxParallelism w, warm
+// GEMMs of either element type — dispatched, and as leaf calls from w lanes
+// of a parallelRange body — leave each free list holding at least one and at
+// most w panels, one per chunk that can run at once, however many workers
+// the pool has parked; and a float-only sequence builds no int8 panel.
+func TestPackScratchFollowsChunksInFlight(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const m, n, k = 48, 640, 96
+	if m*n*k < gemmParallelMACs || k < gemmMinBlockedKPure {
+		t.Fatal("shape must take the blocked kernel and sit above the parallel threshold")
+	}
+	af, bf := randMat(rng, m, k), randMat(rng, k, n)
+	ai, bi := randI8(rng, m*k), randI8(rng, k*n)
+	ep := Int8Epilogue{Mult: make([]float32, m), Lo: -127, Hi: 127}
+	for i := range ep.Mult {
+		ep.Mult[i] = 0.01
+	}
+	leafEp := ep
+	leafEp.Leaf = true
+	oldPar := MaxParallelism
+	defer func() { MaxParallelism = oldPar }()
+	for _, w := range []int{1, 2, 4} {
+		MaxParallelism = w
+		cf, ci := make([][]float32, w), make([][]int8, w)
+		for i := range cf {
+			cf[i], ci[i] = make([]float32, m*n), make([]int8, m*n)
+		}
+		floatLeaves := func(lo, hi int) {
+			for ; lo < hi; lo++ {
+				MatMulRowEpilogueInto(cf[lo], af.Data, bf.Data, RowProduct{M: m, N: n, K: k, BandOf: n})
+			}
+		}
+		i8Leaves := func(lo, hi int) {
+			for ; lo < hi; lo++ {
+				Int8GEMMRequantInto(ci[lo], ai, bi, m, n, k, leafEp)
+			}
+		}
+		check := func(what string, wantI8 bool) {
+			t.Helper()
+			f, i := gemmScratchFree.parked(), i8ScratchFree.parked()
+			if f < 1 || f > w {
+				t.Errorf("w=%d, %s: %d float panels, want 1..%d", w, what, f, w)
+			}
+			if !wantI8 && i != 0 {
+				t.Errorf("w=%d, %s: %d int8 panels, want none", w, what, i)
+			}
+			if wantI8 && (i < 1 || i > w) {
+				t.Errorf("w=%d, %s: %d int8 panels, want 1..%d", w, what, i, w)
+			}
+		}
+		gemmScratchFree.empty()
+		i8ScratchFree.empty()
+		for r := 0; r < 4; r++ {
+			MatMulInto(FromSlice(cf[0], m, n), af, bf)
+			parallelRange(w, floatLeaves)
+		}
+		check("float GEMMs only", false)
+		for r := 0; r < 4; r++ {
+			Int8GEMMRequantInto(ci[0], ai, bi, m, n, k, ep)
+			parallelRange(w, i8Leaves)
+			MatMulInto(FromSlice(cf[0], m, n), af, bf)
+		}
+		check("float and int8 GEMMs", true)
+	}
+}
+
 // TestMatMulSteadyStateAllocs pins the zero-allocation contract of the
 // serial blocked kernel: packing scratch and call descriptors are pooled.
 func TestMatMulSteadyStateAllocs(t *testing.T) {
