@@ -100,13 +100,16 @@ short:
 # nn.MaxParallelism and tensor.MaxParallelism at 0 the lane count is
 # GOMAXPROCS and any test that leaves one of them unpinned sees all three.
 # The Bundle-step, Concat-alias and layout tests ride along: what a lane
-# writes where is theirs to hold. The serving lane and pool tests get the same
-# three runs: N inference workers share one queue, and how they interleave on
-# it — through a drain, a close and a swap — depends on how many run at once.
+# writes where is theirs to hold. So do the calibration tests: the band
+# workers of a split Bundle step feed the same running maxima at once, and how
+# many there are depends on the worker count. The serving lane and pool tests
+# get the same three runs: N inference workers share one queue, and how they
+# interleave on it — through a drain, a close and a swap — depends on how many
+# run at once.
 # tensor's packing panels are taken per chunk in flight: how many a free list
 # builds, and whether a warm call still allocates nothing, depends on how many
 # chunks overlap, so that test and the zero-allocation ones get the three runs.
-LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|Deterministic|BundleStep|LayoutPacks
+LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|Deterministic|BundleStep|LayoutPacks|Calibration
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus
 race:
 	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/... ./internal/quant/...

@@ -12,7 +12,10 @@ import "skynet/internal/tensor"
 // reduces into the destination and the reorder, if any, deals out to its
 // own. The depth-wise map and the map before the pool are never whole
 // anywhere, so they have no arena slot. It is the CPU image of the paper's
-// shared Bundle IP (§6.2, Figure 9), which keeps both on chip.
+// shared Bundle IP (§6.2, Figure 9), which keeps both on chip. A forward's
+// observer (Plan.Run) is shown both band by band in the buffer, from several
+// workers at once under a split, the rows below a pool's last whole window
+// included: nothing else reads those, and only an observed step computes them.
 //
 // Nothing is computed differently: the rows come from DWRow, the product
 // from the GEMM entry point Conv2D.forwardImage uses, with the row tail, and
@@ -35,7 +38,9 @@ var bandBudget = 1 << 20
 type band struct {
 	dw   *DWConv3
 	pw   *Conv2D
+	head int // dw's node, which heads the step
 	conv int // pw's node, whose chain is the product's row tail
+	last int // the chain's last node: what the product is
 	pool int // the MaxPool node folded in, or -1
 	// reorg is the Reorg node folded in beside pool, or -1: at a bypass source
 	// the step writes two maps, the pooled one and the reordered one.
@@ -73,13 +78,15 @@ func (b *band) carve(buf []float32, n int) (dw, pw []float32) {
 
 // bandShare is the operands of one Bundle step on one image: the image
 // [C,h,w], src; its output dst; for a step that folds a Reorg, the image's
-// reordered map reorg; and the convolution's epilogue, as for
-// Conv2D.forwardImage. The geometry is the one recorded on both layers.
+// reordered map reorg; the convolution's epilogue, as for
+// Conv2D.forwardImage; and the forward's observer, if any. The geometry is
+// the one recorded on both layers.
 type bandShare struct {
 	b        *band
 	dst, src []float32
 	reorg    []float32
 	ep       tensor.RowEpilogue
+	observe  func(node int, data []float32)
 	scratch  [][]float32 // split's: worker i computes on scratch[i]
 	each     int         // split's: units per worker
 }
@@ -127,7 +134,9 @@ func (a bandShare) shares(lo, hi int) {
 // reorg while it is still in the worker's buffer: the reordering is where the
 // store lands, as on the paper's Bundle IP (§6.2, Figure 9), not a pass over a
 // finished map. The product is a leaf call — a band runs inside a lane or a
-// lone lane's split, both on the GEMM pool.
+// lone lane's split, both on the GEMM pool. An observer is shown the band's
+// depth-wise rows as the head's and, under a pool, its product as the chain
+// end's; without a pool the product is the step's output, shown whole.
 //
 //skynet:hotpath
 func (a bandShare) compute(buf []float32, r0, rows int) {
@@ -136,6 +145,9 @@ func (a bandShare) compute(buf []float32, r0, rows int) {
 	dwb, pwb := b.carve(buf, n)
 	for ch := 0; ch < d.C; ch++ {
 		d.rows(dwb[ch*n:(ch+1)*n], a.src[ch*plane:(ch+1)*plane], ch, r0)
+	}
+	if a.observe != nil {
+		a.observe(b.head, dwb)
 	}
 	// BandOf: the unfused convolution multiplies the whole image at once.
 	p := tensor.RowProduct{M: c.OutC, N: n, K: c.InC, BandOf: cols, Ep: a.ep}
@@ -146,6 +158,9 @@ func (a bandShare) compute(buf []float32, r0, rows int) {
 		return
 	}
 	tensor.MatMulRowEpilogueInto(pwb, c.Weight.W.Data, dwb, p)
+	if a.observe != nil {
+		a.observe(b.last, pwb)
+	}
 	oh, ow := d.outH/b.k, d.outW/b.k
 	for oc := 0; oc < c.OutC; oc++ {
 		at := (oc*oh + r0/b.k) * ow

@@ -51,7 +51,7 @@ func (g *Graph) Save(w io.Writer) error {
 
 // Load restores parameters previously written by Save into g. The graph
 // must have been built with the same architecture (same layer sequence and
-// shapes); mismatches are reported as errors.
+// shapes); mismatches are reported as errors, and leave g as it was.
 func (g *Graph) Load(r io.Reader) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -65,9 +65,11 @@ func (g *Graph) Load(r io.Reader) error {
 		return fmt.Errorf("nn: snapshot has %d tensors, graph expects %d", len(snap.Tensors), len(dst))
 	}
 	for i, t := range snap.Tensors {
-		if !dst[i].SameShape(t) {
-			return fmt.Errorf("nn: snapshot tensor %d has shape %v, graph expects %v", i, t.Shape(), dst[i].Shape())
+		if !dst[i].SameShape(t) || len(t.Data) != len(dst[i].Data) {
+			return fmt.Errorf("nn: snapshot tensor %d has shape %v and %d elements, graph expects %v", i, t.Shape(), len(t.Data), dst[i].Shape())
 		}
+	}
+	for i, t := range snap.Tensors {
 		copy(dst[i].Data, t.Data)
 	}
 	return nil

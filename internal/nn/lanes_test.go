@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"skynet/internal/backbone"
@@ -79,54 +80,96 @@ func TestLanesShareNoOperand(t *testing.T) {
 	}
 }
 
-// TestObservedRunIsOneLaneInOrder: an observer is shown a node's values
-// sample by sample, in batch order — calibration's percentile sketch depends
-// on it — so an observed run stays on one lane and leaves a one-sample arena.
-// What it is shown: the output of every step, and a Concat that is laid out,
-// not computed, whole, once its last input is written; what no step's output
-// is — the maps inside a Bundle, at the bypass source the reordered map on its
-// own — it never sees.
+// TestObservedRunIsOneLaneInOrder: an observed run stays on one lane, leaves
+// a one-sample arena and returns the walk's bits, and its observer is shown
+// every map the plan computes. Whole, sample after sample, in node order
+// within one: each step's output and the laid-out Concat; once per sample,
+// the reordered map the bypass source gathers. In pieces, band by band and
+// from three workers at once: each Bundle's depth-wise map and, under a pool,
+// the map before it — all of it, the pieces' elements summing to the map's
+// over the batch, and their max-abs the map's. At 34 rows Bundle 2's input
+// has an odd row count, so the row below its last pool window, which only an
+// observed step computes, is in the count.
 func TestObservedRunIsOneLaneInOrder(t *testing.T) {
 	g, rng := skyNetC(0.25, 33)
-	x := randBatch(rng, 4, 3, 32, 64)
+	x := randBatch(rng, 4, 3, 34, 64)
+	n := x.Dim(0)
+	nn.SetBandBudget(t, 1) // a band of one pool window
 	p := nn.Compile(g, x.Shape(), nil)
 	steps, perSample := p.Steps()
 	var nodes []*tensor.Tensor
 	want := walk(g, x, func(i int, out *tensor.Tensor) { nodes = append(nodes, out) })
+	whole, pieces, reorg := make([]bool, len(g.Nodes)), make([]bool, len(g.Nodes)), -1
+	var wholeOrder []int
+	for i, nd := range g.Nodes {
+		if _, ok := nd.Layer.(*nn.Concat); ok {
+			whole[i] = true // SkyNet C's is laid out: TestSkyNetCArenaWithoutBundleInteriors
+		}
+	}
+	for _, s := range steps {
+		whole[s.Out] = true
+		if b := s.Band; b != nil {
+			pieces[s.Node] = true
+			if b.Pool >= 0 {
+				pieces[s.Chain.Last(b.Conv)] = true
+			}
+			if b.Reorg >= 0 {
+				reorg = b.Reorg
+			}
+		}
+	}
+	for i := range whole {
+		if whole[i] {
+			wholeOrder = append(wholeOrder, i)
+		}
+	}
+	if reorg < 0 {
+		t.Fatal("SkyNet C's plan folds no Reorg")
+	}
+	var mu sync.Mutex
+	calls, elems, maxAbs := make([]int, len(g.Nodes)), make([]int, len(g.Nodes)), make([]float32, len(g.Nodes))
 	seen := make([][]float32, len(g.Nodes))
 	var order []int
 	parallelism(3, func() {
 		got := p.Run(x, func(node int, data []float32) {
-			if seen[node] == nil {
+			mu.Lock()
+			defer mu.Unlock()
+			calls[node]++
+			if pieces[node] {
+				elems[node] += len(data)
+				maxAbs[node] = max(maxAbs[node], tensor.MaxAbsFinite(data))
+				return
+			}
+			if whole[node] {
 				order = append(order, node)
 			}
 			seen[node] = append(seen[node], data...)
 		})
 		requireSameBits(t, "observed run", got, want)
 	})
-	shown := make([]bool, len(g.Nodes))
-	for _, s := range steps {
-		shown[s.Out] = true
-	}
-	concats := 0
-	for i, n := range g.Nodes {
-		if _, ok := n.Layer.(*nn.Concat); ok {
-			shown[i] = true // SkyNet C's is laid out: TestSkyNetCArenaWithoutBundleInteriors
-			concats++
-		}
-		if !shown[i] {
-			if seen[i] != nil {
-				t.Errorf("node %d (%s) has no step of its own and was observed", i, n.Layer.Name())
+	for i, nd := range g.Nodes {
+		switch {
+		case pieces[i]:
+			if calls[i] < 2*n || elems[i] != nodes[i].Len() || maxAbs[i] != tensor.MaxAbsFinite(nodes[i].Data) {
+				t.Errorf("node %d (%s) shown in %d pieces of %d elements in all, max-abs %v; want ≥ 2 a sample, %d, %v",
+					i, nd.Layer.Name(), calls[i], elems[i], maxAbs[i], nodes[i].Len(), tensor.MaxAbsFinite(nodes[i].Data))
 			}
-			continue
+		case whole[i] || i == reorg:
+			if calls[i] != n {
+				t.Fatalf("node %d (%s) shown %d times, want once a sample", i, nd.Layer.Name(), calls[i])
+			}
+			requireSameBits(t, fmt.Sprintf("node %d as observed", i), tensor.FromSlice(seen[i], nodes[i].Shape()...), nodes[i])
+		case calls[i] != 0:
+			t.Errorf("node %d (%s) is computed inside a step's store and was observed", i, nd.Layer.Name())
 		}
-		if seen[i] == nil {
-			t.Fatalf("node %d (%s) was not observed", i, n.Layer.Name())
-		}
-		requireSameBits(t, fmt.Sprintf("node %d as observed", i), tensor.FromSlice(seen[i], nodes[i].Shape()...), nodes[i])
 	}
-	if concats != 1 || len(order) != len(steps)+1 || !slices.IsSorted(order) {
-		t.Fatalf("observed nodes %v: want the %d steps' outputs and the Concat, in node order", order, len(steps))
+	if len(order) != n*len(wholeOrder) {
+		t.Fatalf("observed whole %v, want %v once a sample", order, wholeOrder)
+	}
+	for s := 0; s < n; s++ {
+		if got := order[s*len(wholeOrder) : (s+1)*len(wholeOrder)]; !slices.Equal(got, wholeOrder) {
+			t.Fatalf("sample %d: observed whole %v, want %v: every step's output and the Concat, in node order", s, got, wholeOrder)
+		}
 	}
 	if arena, lanes := nn.Arena(g); len(arena) != perSample || lanes != 1 {
 		t.Fatalf("an observed batch of 4 on three workers left %d elements on %d lanes, want one sample's %d on 1", len(arena), lanes, perSample)

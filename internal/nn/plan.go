@@ -334,7 +334,8 @@ func (p *Plan) findBands(use readers) {
 		if !ok || !pw.direct() {
 			continue
 		}
-		b := &band{dw: dw, pw: pw, conv: conv, pool: -1, reorg: -1, out: p.nodes[conv].chain.Last(conv), k: 1}
+		last := p.nodes[conv].chain.Last(conv)
+		b := &band{dw: dw, pw: pw, head: i, conv: conv, last: last, pool: -1, reorg: -1, out: last, k: 1}
 		pool, reorg := use.bypass(p.g, b.out)
 		if j := use.next(b.out); j >= 0 && j != p.output {
 			pool = j
@@ -627,15 +628,18 @@ func (p *Plan) begin(n, lanes int) {
 // Run executes the plan on x, whose sample shape must be the one the plan
 // was compiled for, and returns the graph output, a fresh tensor that is the
 // caller's; every other feature map is an arena slot. The samples go to
-// LanesFor(n) lanes as RunLanes deals them, or to one lane when there is an
-// observer, which has to see them in order: observe, when non-nil, is shown
-// each output the forward materialises, in place and before anything
-// overwrites it — each step's Out, for a Bundle step the pooled map, the
-// depth-wise and pre-pool maps being never whole anywhere, and a Concat that
-// is laid out, not computed, once its last input is written (the reordered
-// map a Bundle step gathers beside its pooled one is shown as channels of
-// that Concat, not on its own) — sample by sample, so that it sees a node's
-// values in batch order.
+// LanesFor(n) lanes as RunLanes deals them, or, when there is an observer, to
+// one lane, sample after sample. observe, when non-nil, is shown every map
+// the forward computes, in place and before anything overwrites it: whole,
+// each step's Out, the reordered map a Bundle step gathers beside its pooled
+// one, and a Concat that is laid out, not computed, once its last input is
+// written — in node order within a sample; in pieces, a Bundle step's
+// depth-wise map (as its DWConv3 node) and, under a pool, the map before it
+// (as the chain's last node), band by band, never whole anywhere — every row
+// of both, those below the pool's last whole window included. The pieces
+// of one step may come from several band workers at once and in any order,
+// so an observer must be safe for concurrent use and must not depend on the
+// order of what it is shown within a step.
 //
 // Two forwards are not the plan's to run, and walk the layers instead, whole
 // batch by whole batch, every node's output a fresh tensor that is handed to
@@ -698,6 +702,9 @@ func (r *planRun) WalkSample(li, i int, leaf bool) {
 		}
 		if r.observe != nil {
 			r.observe(out, l.buf(&p.nodes[out]))
+			if b := pn.band; b != nil && b.reorg >= 0 {
+				r.observe(b.reorg, l.buf(&p.nodes[b.reorg]))
+			}
 		}
 		if poisonReleased {
 			for _, s := range pn.frees {
@@ -725,7 +732,7 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 	case *DWConv3:
 		switch b := pn.band; {
 		case b != nil:
-			a := bandShare{b: b, dst: dst, src: src, ep: b.pw.epilogue(p.nodes[b.conv].tail())}
+			a := bandShare{b: b, dst: dst, src: src, ep: b.pw.epilogue(p.nodes[b.conv].tail()), observe: r.observe}
 			if b.reorg >= 0 {
 				a.reorg = l.buf(&p.nodes[b.reorg])
 			}
@@ -733,6 +740,11 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 				a.units(r.bands[li], 0, layer.outH/b.k)
 			} else {
 				a.split(r.bands)
+			}
+			if rest := layer.outH % b.k; rest > 0 && a.observe != nil {
+				// The rows under no whole window, for the observer alone: the pool
+				// writes nothing of them. (A step that folds a Reorg has none.)
+				a.compute(r.bands[li], layer.outH-rest, rest)
 			}
 		case leaf:
 			layer.planes(dst, src, 0, layer.C)

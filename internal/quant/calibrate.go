@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"skynet/internal/nn"
 	"skynet/internal/tensor"
@@ -44,11 +45,13 @@ func (c CalibConfig) percentile() float64 {
 const calibMaxSamples = 1 << 16
 
 // observer accumulates one tensor's activation statistics over the
-// calibration set.
+// calibration set. The max-abs may be fed concurrently, in any order: the
+// bits of float32s ≥ +0 order as their values do, so a compare-and-swap on
+// them keeps the maximum exact. The percentile sketch must be fed in order.
 type observer struct {
 	method  CalibMethod
-	maxAbs  float32
-	samples []float32 // absolute values, stride-subsampled (percentile only)
+	maxAbs  atomic.Uint32 // float32 bits
+	samples []float32     // absolute values, stride-subsampled (percentile only)
 	stride  int
 	phase   int
 }
@@ -56,8 +59,11 @@ type observer struct {
 func newObserver(m CalibMethod) *observer { return &observer{method: m, stride: 1} }
 
 func (o *observer) observe(data []float32) {
-	if a := tensor.MaxAbsFinite(data); a > o.maxAbs {
-		o.maxAbs = a
+	a := math.Float32bits(tensor.MaxAbsFinite(data))
+	for old := o.maxAbs.Load(); a > old; old = o.maxAbs.Load() {
+		if o.maxAbs.CompareAndSwap(old, a) {
+			break
+		}
 	}
 	if o.method != CalibPercentile {
 		return
@@ -90,17 +96,11 @@ func (o *observer) observe(data []float32) {
 // back to max-abs when the percentile sketch is empty.
 func (o *observer) clip(pct float64) float32 {
 	if o.method != CalibPercentile || len(o.samples) == 0 {
-		return o.maxAbs
+		return math.Float32frombits(o.maxAbs.Load())
 	}
 	slices.Sort(o.samples)
 	idx := int(math.Ceil(pct/100*float64(len(o.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(o.samples) {
-		idx = len(o.samples) - 1
-	}
-	return o.samples[idx]
+	return o.samples[min(max(idx, 0), len(o.samples)-1)]
 }
 
 // int8Scale converts a clipping value to the symmetric int8 scale,
@@ -123,26 +123,32 @@ type ActivationScales struct {
 
 // CalibrateActivations runs g in eval mode over the calibration batches and
 // returns symmetric int8 scales for the graph input and every node output
-// the inference plan compiled under nn.Compile's separate mask materialises
-// (a BatchNorm or ReLU computed inside its convolution's GEMM store has no
-// tensor of its own and reads scale 1). Per-tensor activation scales with
-// per-output-channel weight scales is the standard post-training int8 recipe:
-// feature maps share one grid because the next layer's GEMM consumes them
-// whole; each weight channel's scale folds into its requantize multiplier.
+// the int8 engine's plan — nn.Compile under unitMask(g, force), force
+// marking the nodes that stay float; nil marks none — materialises (a
+// BatchNorm or ReLU computed inside its convolution's GEMM store reads scale
+// 1). Per-tensor activation scales with per-output-channel weight scales is
+// the standard post-training int8 recipe: feature maps share one grid because
+// the next layer's GEMM consumes them whole; each weight channel's scale
+// folds into its requantize multiplier.
 //
-// It observes the plan's arena slots in place: no hook is installed, no
-// feature map allocated, and — an observed run being one lane, sample after
-// sample — the arena left on g is one sample's. Every observer sees the
-// values of a batched, unfused forward in the same order (the plan equals
-// the layer walk bit for bit; the batch is the outermost dimension), so both
-// calibrators give the scales they would there. A graph that already has an
-// FMHook runs hooked, as its Forward would: the hook is not touched, and what
-// is observed is each node's tensor as the hook left it. A graph with a layer
-// kind the plan does not lower is walked layer by layer too (nn.Plan.Run),
-// whole batches at a time, and every node's tensor observed.
-func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig, separate []bool) (ActivationScales, error) {
+// It observes a float plan in place (nn.Plan.Run, one lane), compiled once
+// per sample shape: no hook, no feature map allocated. Max-abs runs the
+// inference plan compiled under force alone, whose Bundle steps feed the
+// depth-wise and pre-pool maps to the running maxima band by band, never
+// whole; a maximum does not depend on the pieces or their order. The
+// percentile sketch does, so it runs the plan compiled under unitMask, every
+// map it scales shown whole, sample after sample. Either way the scales are
+// those of the batched layer walk, which the plan equals bit for bit. A graph
+// with an FMHook, or with a layer kind the plan does not lower, is walked
+// layer by layer, whole batches at a time, every node's tensor observed as
+// the hook, if any, left it.
+func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig, force []bool) (ActivationScales, error) {
 	if len(batches) == 0 {
 		return ActivationScales{}, fmt.Errorf("quant: calibration needs at least one batch")
+	}
+	mask := force
+	if cfg.Method == CalibPercentile {
+		mask = unitMask(g, force)
 	}
 	inObs := newObserver(cfg.Method)
 	obs := make([]*observer, len(g.Nodes))
@@ -150,9 +156,14 @@ func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig
 		obs[i] = newObserver(cfg.Method)
 	}
 	observe := func(i int, data []float32) { obs[i].observe(data) }
+	plans := map[string]*nn.Plan{} // by sample shape
 	for _, b := range batches {
 		inObs.observe(b.Data)
-		nn.Compile(g, b.Shape(), separate).Run(b, observe)
+		shape := fmt.Sprint(b.Shape()[1:])
+		if plans[shape] == nil {
+			plans[shape] = nn.Compile(g, b.Shape(), mask)
+		}
+		plans[shape].Run(b, observe)
 	}
 	pct := cfg.percentile()
 	out := ActivationScales{

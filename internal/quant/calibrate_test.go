@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"skynet/internal/backbone"
@@ -67,6 +68,37 @@ func TestObserverPercentile(t *testing.T) {
 	op.observe(data)
 	if got := op.clip(99); got != 1 {
 		t.Fatalf("99th-percentile clip = %v, want 1 (outlier excluded)", got)
+	}
+}
+
+// TestCalibrationMaxAbsFromConcurrentPieces: the max-abs reducer is fed as a
+// split Bundle step feeds it — a map in pieces, from several goroutines at
+// once, in no set order — and holds bit for bit the whole map's max-abs,
+// NaN, -Inf and -0 among the values.
+func TestCalibrationMaxAbsFromConcurrentPieces(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	data := make([]float32, 64*64)
+	for i := range data {
+		data[i] = float32(rng.NormFloat64())
+	}
+	data[7], data[99], data[1000] = float32(math.NaN()), float32(math.Inf(-1)), float32(math.Copysign(0, -1))
+	want := math.Float32bits(tensor.MaxAbsFinite(data))
+	for rep := 0; rep < 20; rep++ {
+		o := newObserver(CalibMaxAbs)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for p := w; p < 64; p += 8 {
+					o.observe(data[p*64 : (p+1)*64])
+				}
+			}()
+		}
+		wg.Wait()
+		if got := math.Float32bits(o.clip(99)); got != want {
+			t.Fatalf("max-abs from concurrent pieces %#08x, of the whole map %#08x", got, want)
+		}
 	}
 }
 

@@ -158,58 +158,87 @@ func settle(g *nn.Graph, rng *rand.Rand) {
 	}
 }
 
-// TestCalibrationObserverMatchesHook: calibrating on the fused plan's arena
-// slots, sample by sample, gives bit for bit the scale the hooked batch
-// forward gave for every tensor the plan materialises — which is every scale
-// Export reads: the input, chain ends, DW outputs, fallback outputs. Both
-// calibrators, all three SkyNets, with and without a mask that splits a
-// chain, and with a hook of the caller's already on the graph.
+// TestCalibrationObserverMatchesHook: calibrating on a float plan — for
+// max-abs the banded inference plan, whose Bundles show their depth-wise and
+// pre-pool maps to the running maxima in pieces; for the percentile sketch
+// the engine's own unbanded plan — gives bit for bit the scale the hooked,
+// unfused, whole-batch forward gives for every scale Export reads: the input
+// and the output of every step of the engine's plan (nn.Compile under
+// unitMask): chain ends, DW outputs, pools, the reorder, the Concat,
+// fallback outputs. Both calibrators, SkyNet A/B/C at width 0.25 over two
+// sample shapes (at 18 rows Bundle 2's input has an odd row count, so the row
+// below its last pool window counts), with and without forced nodes that
+// split two chains, with and without a hook of the caller's already on the
+// graph; and SkyNet C at width 1 on 160×320 frames, whose Bundles are cut
+// into several bands.
 func TestCalibrationObserverMatchesHook(t *testing.T) {
+	check := func(name string, g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig, forced []int, hooked bool) {
+		t.Helper()
+		hookCalls := 0
+		if hooked {
+			g.FMHook = func(i int, t *tensor.Tensor) { hookCalls++; t.Scale(0.5) }
+			defer func() { g.FMHook = nil }()
+		}
+		force := make([]bool, len(g.Nodes))
+		for _, i := range forced {
+			force[i] = true
+		}
+		want := calibrateByHook(g, batches, cfg)
+		wantCalls := hookCalls
+		got, err := CalibrateActivations(g, batches, cfg, force)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hooked && (g.FMHook == nil || hookCalls != 2*wantCalls) {
+			t.Fatalf("%s: the caller's hook ran %d times during calibration, want %d, and must stay installed", name, hookCalls-wantCalls, wantCalls)
+		}
+		if !hooked && g.FMHook != nil {
+			t.Fatalf("%s: calibration left a hook on the graph", name)
+		}
+		if got.Input != want.Input {
+			t.Fatalf("%s: input scale %v, by hook %v", name, got.Input, want.Input)
+		}
+		steps, _ := nn.Compile(g, batches[0].Shape(), unitMask(g, force)).Steps()
+		if unforced, _ := nn.Compile(g, batches[0].Shape(), unitMask(g, nil)).Steps(); len(forced) > 0 && len(steps) <= len(unforced) {
+			t.Fatalf("%s: the forced nodes split no chain", name)
+		}
+		for _, s := range steps {
+			if got.Node[s.Out] != want.Node[s.Out] {
+				t.Fatalf("%s: node %d (%s) scale %v, by hook %v", name, s.Out, g.Nodes[s.Out].Layer.Name(), got.Node[s.Out], want.Node[s.Out])
+			}
+		}
+	}
+	forcings := [][]int{nil, {2, 8}} // a BatchNorm and an activation: two chains end early
 	for _, v := range []backbone.SkyNetVariant{backbone.VariantA, backbone.VariantB, backbone.VariantC} {
 		for _, cfg := range []CalibConfig{{}, {Method: CalibPercentile, Percentile: 99}} {
-			for _, forced := range [][]int{nil, {2, 8}} { // a BatchNorm and an activation: two chains end early
+			for _, forced := range forcings {
 				for _, hooked := range []bool{false, true} {
-					name := fmt.Sprintf("SkyNet%v/method%d/forced%v/hooked%v", v, cfg.Method, forced, hooked)
 					rng := rand.New(rand.NewSource(23))
 					g := backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, v)
 					settle(g, rng)
-					batches := []*tensor.Tensor{randBatch(rng, 3, 3, 16, 32), randBatch(rng, 2, 3, 16, 32)}
-					hookCalls := 0
-					if hooked {
-						g.FMHook = func(i int, t *tensor.Tensor) { hookCalls++; t.Scale(0.5) }
-					}
-					separate := make([]bool, len(g.Nodes))
-					for _, i := range forced {
-						separate[i] = true
-					}
-					want := calibrateByHook(g, batches, cfg)
-					wantCalls := hookCalls
-					got, err := CalibrateActivations(g, batches, cfg, separate)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if hooked && (g.FMHook == nil || hookCalls != 2*wantCalls) {
-						t.Fatalf("%s: the caller's hook ran %d times during calibration, want %d, and must stay installed", name, hookCalls-wantCalls, wantCalls)
-					}
-					if !hooked && g.FMHook != nil {
-						t.Fatalf("%s: calibration left a hook on the graph", name)
-					}
-					if got.Input != want.Input {
-						t.Fatalf("%s: input scale %v, by hook %v", name, got.Input, want.Input)
-					}
-					steps, _ := nn.Compile(g, batches[0].Shape(), separate).Steps()
-					if fused, _ := nn.Compile(g, batches[0].Shape(), nil).Steps(); len(forced) > 0 && len(steps) <= len(fused) {
-						t.Fatalf("%s: the mask split no chain", name)
-					}
-					for _, s := range steps {
-						if got.Node[s.Out] != want.Node[s.Out] {
-							t.Fatalf("%s: node %d (%s) scale %v, by hook %v", name, s.Out, g.Nodes[s.Out].Layer.Name(), got.Node[s.Out], want.Node[s.Out])
-						}
-					}
+					batches := []*tensor.Tensor{randBatch(rng, 3, 3, 16, 32), randBatch(rng, 2, 3, 18, 32), randBatch(rng, 1, 3, 16, 32)}
+					check(fmt.Sprintf("SkyNet%v/method%d/forced%v/hooked%v", v, cfg.Method, forced, hooked), g, batches, cfg, forced, hooked)
 				}
 			}
 		}
 	}
+	if testing.Short() {
+		return
+	}
+	rng := rand.New(rand.NewSource(24))
+	g := backbone.SkyNetC(rng, backbone.Config{Width: 1, InC: 3, HeadChannels: 10, ReLU6: true})
+	settle(g, rng)
+	batches := []*tensor.Tensor{randBatch(rng, 1, 3, 160, 320), randBatch(rng, 1, 3, 160, 320)}
+	workers(1, func() { // one worker: a step shows its maps in as many pieces as it has bands
+		bands := make([]int, len(g.Nodes))
+		nn.Compile(g, batches[0].Shape(), nil).Run(batches[0], func(i int, _ []float32) { bands[i]++ })
+		if slices.Max(bands) < 2 {
+			t.Fatal("SkyNet C at 160×320 cuts no Bundle into two bands or more")
+		}
+		for _, forced := range forcings {
+			check(fmt.Sprintf("SkyNetC/width1/160x320/forced%v", forced), g, batches, CalibConfig{}, forced, false)
+		}
+	})
 }
 
 // mixedGraph is a small model off SkyNet's path: a strided k×k convolution
@@ -586,35 +615,26 @@ func TestInt8BatchInvariance(t *testing.T) {
 }
 
 // TestExportAllocatesNoFeatureMaps: calibration observes the plan's arena in
-// place. Export over two batches of four allocates, in total, less than the
-// feature maps of one unfused sample, and leaves no arena behind: not the
-// one-sample float arena calibration ran on, which the engine never uses.
+// place, and the max-abs calibrator observes the banded inference plan, whose
+// Bundles keep no depth-wise or pre-pool map. Export over two batches of two
+// 160×320 frames therefore allocates, in total — calibration's arena and band
+// buffer, the integer weights, everything — less than the one-sample float
+// arena of the engine's own plan (unitMask), which holds all of those maps;
+// and it leaves no arena behind, the engine running no float plan.
 func TestExportAllocatesNoFeatureMaps(t *testing.T) {
 	// One worker at both levels, and one Export before the measured one: the
 	// GEMM pool's packing scratch is then allocated and nothing else is lazy.
-	oldNN := nn.MaxParallelism
-	nn.MaxParallelism = 1
-	defer func() { nn.MaxParallelism = oldNN }()
 	workers(1, func() {
 		rng := rand.New(rand.NewSource(30))
 		build := func() *nn.Graph {
 			return backbone.SkyNetC(rand.New(rand.NewSource(30)), backbone.Config{Width: 0.5, InC: 3, HeadChannels: 10, ReLU6: true})
 		}
-		calib := []*tensor.Tensor{randBatch(rng, 4, 3, 64, 128), randBatch(rng, 4, 3, 64, 128)}
+		calib := []*tensor.Tensor{randBatch(rng, 2, 3, 160, 320), randBatch(rng, 2, 3, 160, 320)}
 		g := build()
 		if _, err := Export(g, calib, ExportConfig{}); err != nil {
 			t.Fatal(err)
 		}
-		var fmBytes uint64 // every node's output, one sample
-		g.Forward(randBatch(rng, 1, 3, 64, 128), false)
-		for _, s := range g.OutShapes {
-			n := uint64(4)
-			for _, d := range s[1:] {
-				n *= uint64(d)
-			}
-			fmBytes += n
-		}
-		_, perSample := nn.Compile(g, calib[0].Shape(), unitMask(g, make([]bool, len(g.Nodes)))).Steps()
+		_, perSample := nn.Compile(g, calib[0].Shape(), unitMask(g, nil)).Steps()
 		arenaBytes := uint64(4 * perSample)
 
 		g = build()
@@ -626,8 +646,8 @@ func TestExportAllocatesNoFeatureMaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got >= fmBytes {
-			t.Errorf("Export allocated %d bytes; one sample's unfused feature maps are %d", got, fmBytes)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= arenaBytes {
+			t.Errorf("Export allocated %d bytes; one sample's float arena under unitMask is %d", got, arenaBytes)
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)

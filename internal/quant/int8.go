@@ -381,17 +381,14 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 		force[i] = true
 	}
-	// Calibration, the lowering below and every later forward all plan under
-	// the same mask.
-	mask := unitMask(g, force)
-	scales, err := CalibrateActivations(g, calib, cfg.Calib, mask)
+	scales, err := CalibrateActivations(g, calib, cfg.Calib, force)
 	// Calibration ran the float plan on g's arena; the engine runs no float
 	// plan, and keeps g for its structure only.
 	g.ReleaseArena()
 	if err != nil {
 		return nil, err
 	}
-	m := &QuantizedModel{g: g, separate: mask, units: make([]unit, nNodes), vals: make([]value, nNodes+1), output: nNodes - 1}
+	m := &QuantizedModel{g: g, separate: unitMask(g, force), units: make([]unit, nNodes), vals: make([]value, nNodes+1), output: nNodes - 1}
 	if g.Output >= 0 {
 		m.output = g.Output
 	}
@@ -413,7 +410,7 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 		lower(s, q, scales.Node[s.Out])
 	}
-	steps, _ := nn.Compile(g, calib[0].Shape(), mask).Steps()
+	steps, _ := nn.Compile(g, calib[0].Shape(), m.separate).Steps()
 	for i := range steps {
 		s := &steps[i]
 		if force[s.Node] {
@@ -475,9 +472,10 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 // layout, its inputs written where it lies, but qconcat is arithmetic — it
 // requantizes each input onto the widest input grid — and needs its inputs'
 // codes apart from its own. force alone still decides which nodes fall back
-// to float.
+// to float; nil forces none.
 func unitMask(g *nn.Graph, force []bool) []bool {
-	mask := slices.Clone(force)
+	mask := make([]bool, len(g.Nodes))
+	copy(mask, force)
 	for i, n := range g.Nodes {
 		switch n.Layer.(type) {
 		case *nn.DWConv3, *nn.MaxPool, *nn.Concat:
