@@ -109,6 +109,8 @@ short:
 # tensor's packing panels are taken per chunk in flight: how many a free list
 # builds, and whether a warm call still allocates nothing, depends on how many
 # chunks overlap, so that test and the zero-allocation ones get the three runs.
+# core rides along at its -short budget: the design flow's Stage 2 drives the
+# same mutex-guarded caching evaluator from the PSO worker pool.
 LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|Deterministic|BundleStep|LayoutPacks|Calibration
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus
 race:
@@ -116,6 +118,7 @@ race:
 	$(GO) test -race -short -cpu 1,2,4 -run '$(LANE_TESTS)' ./internal/nn ./internal/quant
 	$(GO) test -race -short -cpu 1,2,4 -run '$(SERVE_LANE_TESTS)' ./internal/serve
 	$(GO) test -race -cpu 1,2,4 -run 'PackScratchFollowsChunksInFlight|SteadyStateAllocs' ./internal/tensor
+	$(GO) test -race -short ./internal/core
 
 # purego runs the kernel-bearing packages with the assembly kernels — the
 # GEMM micro-kernels and the row kernels — compiled out, so the portable Go

@@ -133,21 +133,24 @@ func TestIntegrationCheckpointJourney(t *testing.T) {
 // TestIntegrationFlowToDeployment runs the bottom-up design flow and maps
 // its winning network straight onto both hardware targets.
 func TestIntegrationFlowToDeployment(t *testing.T) {
-	// Stage 1+2 condensed: evaluate two bundles with a surrogate, search
-	// with the real hardware evaluator at a tiny budget.
-	bundles := bundle.Enumerate()
+	// Stage 2 condensed: two groups replicating Bundles 6 and 0, searched
+	// with the design flow's evaluator at a tiny budget.
 	dcfg := dataset.DefaultConfig()
 	dcfg.W, dcfg.H = 32, 16
-	ev := &pso.HardwareEvaluator{
-		Bundles: bundles,
-		Gen:     dataset.NewGenerator(dcfg),
-		TrainN:  8, ValN: 4,
+	ids := []int{6, 0}
+	ev := &pso.EngineEvaluator{
+		Gen:    dataset.NewGenerator(dcfg),
+		TrainN: 8, ValN: 4,
 		InC: 3, HeadC: 10,
-		Device: fpga.Ultra96, GPU: hw.TX2,
+		Bundles: ids,
+		Device:  fpga.Ultra96, GPU: hw.TX2,
 		Seed: 1,
+		// The flow's Beta weighs no CPU platform: pinned factors skip the
+		// wall-clock calibration.
+		Factors: pso.EngineFactors{Float32NSPerMAC: 1, Int8NSPerMAC: 1},
 	}
 	cfg := pso.Config{
-		Groups: 2, PerGroup: 2, Iterations: 2,
+		Groups: len(ids), PerGroup: 2, Iterations: 2,
 		Slots: 3, Pools: 2, ChannelMin: 4, ChannelMax: 24,
 		Alpha:    0.005,
 		Beta:     map[string]float64{pso.PlatformFPGA: 2, pso.PlatformGPU: 1},
@@ -156,16 +159,19 @@ func TestIntegrationFlowToDeployment(t *testing.T) {
 	}
 	res := pso.Search(cfg, ev)
 
-	// Stage 3: rebuild the winner with the bypass and deploy it.
-	rng := rand.New(rand.NewSource(2))
-	g, _ := pso.BuildGraph(rng, res.Best.Net, bundles, 3, 10, true)
-	x := tensor.New(1, 3, 16, 32)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
-	rep := fpga.Estimate(g, fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 11, 9))
-	gpuLat := hw.TX2.GraphLatency(g)
-	if !rep.Fits || gpuLat <= 0 {
-		t.Fatalf("searched network failed deployment: %s, gpu %.3fms", rep, gpuLat*1e3)
+	// Stage 3: rebuild the winner with the bypass from its self-describing
+	// spec and deploy it.
+	best := res.Best.Net
+	spec := modelspec.SearchSpec(ids[best.BundleType], best.Channels, best.PoolPos, 2)
+	spec.Bypass = true
+	g, _, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(1, 3, dcfg.H, dcfg.W)
+	p := bundle.Target{Device: fpga.Ultra96, GPU: hw.TX2, WBits: 11, FMBits: 9}.Price(g, x)
+	if !p.Report.Fits || p.GPUms <= 0 {
+		t.Fatalf("searched network failed deployment: %s, gpu %.3fms", p.Report, p.GPUms)
 	}
 }
 

@@ -64,17 +64,51 @@ func TestBuildSketchForwardAndTrainable(t *testing.T) {
 	g.Backward(dout)
 }
 
+// ultra96 is the design flow's default target.
+var ultra96 = Target{Device: fpga.Ultra96, GPU: hw.TX2, WBits: 11, FMBits: 9}
+
+// TestStage1PricesOnTheConfiguredTarget: Stage 1 reports, for every Bundle,
+// exactly what Target.Price gives for its sketch on the target it is
+// handed, so a flow configured for another device selects its Pareto
+// Bundles on that device's numbers, not on Ultra96's.
+func TestStage1PricesOnTheConfiguredTarget(t *testing.T) {
+	pynq := Target{Device: fpga.PynqZ1, GPU: hw.GTX1080Ti, WBits: 8, FMBits: 8}
+	bundles := Enumerate()[4:8]
+	none := func(Bundle) float64 { return 0 }
+	sketch := DefaultSketch()
+	got := EvaluateAll(bundles, none, sketch, 24, 48, pynq)
+	onUltra := EvaluateAll(bundles, none, sketch, 24, 48, ultra96)
+	for i, b := range bundles {
+		rng := rand.New(rand.NewSource(0))
+		g := b.BuildSketch(rng, sketch)
+		x := tensor.New(1, sketch.InC, 24, 48)
+		x.RandUniform(rng, 0, 1)
+		p := pynq.Price(g, x)
+		want := Evaluation{Bundle: b, FPGALatMS: p.Report.LatencyS * 1e3, GPULatMS: p.GPUms,
+			DSP: p.Report.DSPUsed, BRAM: p.Report.BRAMUsed, ParamBytes: g.ParamBytes()}
+		e := got[i]
+		if e.Bundle.ID != b.ID || e.FPGALatMS != want.FPGALatMS || e.GPULatMS != want.GPULatMS ||
+			e.DSP != want.DSP || e.BRAM != want.BRAM || e.ParamBytes != want.ParamBytes {
+			t.Fatalf("%s: Stage 1 reports %+v, the pricing function %+v", b.Name(), e, want)
+		}
+		u := onUltra[i]
+		if e.FPGALatMS == u.FPGALatMS || e.GPULatMS == u.GPULatMS || e.DSP == u.DSP {
+			t.Fatalf("%s: Pynq-Z1/GTX 1080 Ti W8/FM8 priced like Ultra96/TX2 W11/FM9: %+v vs %+v", b.Name(), e, u)
+		}
+	}
+}
+
 func TestHardwareEvalProducesSaneNumbers(t *testing.T) {
 	bundles := Enumerate()
 	sketch := DefaultSketch()
 	dw := bundles[6] // DW3+PW+BN+ReLU
 	cv := bundles[0] // Conv3+BN+ReLU
 	check := func(b Bundle) (float64, int64) {
-		fl, gl, dsp, bram, pb := HardwareEval(b, sketch, 24, 48, fpga.Ultra96, hw.TX2)
-		if fl <= 0 || gl <= 0 || dsp <= 0 || bram <= 0 || pb <= 0 {
+		e := HardwareEval(b, sketch, 24, 48, ultra96)
+		if e.FPGALatMS <= 0 || e.GPULatMS <= 0 || e.DSP <= 0 || e.BRAM <= 0 || e.ParamBytes <= 0 {
 			t.Fatalf("bundle %s: non-positive hardware numbers", b.Name())
 		}
-		return fl, pb
+		return e.FPGALatMS, e.ParamBytes
 	}
 	dwLat, dwParams := check(dw)
 	cvLat, cvParams := check(cv)
@@ -94,7 +128,7 @@ func TestEvaluateAllAndParetoSelect(t *testing.T) {
 	surrogate := func(b Bundle) float64 {
 		return []float64{0.3, 0.5, 0.2, 0.45, 0.55, 0.1}[b.ID%6]
 	}
-	evals := EvaluateAll(bundles, surrogate, DefaultSketch(), 24, 48)
+	evals := EvaluateAll(bundles, surrogate, DefaultSketch(), 24, 48, ultra96)
 	if len(evals) != 6 {
 		t.Fatalf("got %d evaluations", len(evals))
 	}

@@ -25,6 +25,48 @@ type Evaluation struct {
 	ParamBytes int64
 }
 
+// Target is the hardware the flow prices on: the FPGA with its IP sized by
+// fpga.AutoConfig at WBits/FMBits, and the GPU roofline.
+type Target struct {
+	Device        fpga.Device
+	GPU           hw.Platform
+	WBits, FMBits int
+}
+
+// Price is a built network's cost on a Target. It depends on the
+// architecture and the input shape alone, never on weights or pixels.
+type Price struct {
+	MACs   int64
+	Report fpga.Report
+	GPUms  float64
+}
+
+// Price forwards x through g, recording the shapes the models read, and
+// prices g on t: Stage 1's sketches, Stage 2's candidates, Stage 3's winner.
+func (t Target) Price(g *nn.Graph, x *tensor.Tensor) Price {
+	g.Forward(x, false)
+	var macs int64
+	for _, c := range hw.GraphCosts(g) {
+		macs += c.MACs
+	}
+	return Price{
+		MACs:   macs,
+		Report: fpga.Estimate(g, t.Device, fpga.AutoConfig(t.Device, t.WBits, t.FMBits)),
+		GPUms:  t.GPU.GraphLatency(g) * 1e3,
+	}
+}
+
+// FastTrain is Stages 1 and 2's fast-training recipe: epochs of SGD over
+// train, the learning rate decaying 0.01 → 0.002, then the mean IoU on val.
+func FastTrain(g *nn.Graph, head *detect.Head, train, val []detect.Sample, epochs, batch int) float64 {
+	detect.TrainDetector(g, head, train, detect.TrainConfig{
+		Epochs:    epochs,
+		BatchSize: batch,
+		LR:        nn.LRSchedule{Start: 0.01, End: 0.002, Epochs: epochs},
+	})
+	return detect.MeanIoU(g, head, val, batch)
+}
+
 // AccuracyFn probes a Bundle's accuracy potential. Production code uses
 // TrainingAccuracy; tests may substitute cheap surrogates.
 type AccuracyFn func(b Bundle) float64
@@ -36,42 +78,29 @@ func TrainingAccuracy(gen *dataset.Generator, sketch SketchConfig, trainN, valN,
 	train := gen.DetectionSet(trainN)
 	val := gen.DetectionSet(valN)
 	return func(b Bundle) float64 {
-		rng := rand.New(rand.NewSource(seed))
-		g := b.BuildSketch(rng, sketch)
-		head := detect.NewHead(nil)
-		detect.TrainDetector(g, head, train, detect.TrainConfig{
-			Epochs:    epochs,
-			BatchSize: 8,
-			LR:        nn.LRSchedule{Start: 0.01, End: 0.002, Epochs: epochs},
-		})
-		return detect.MeanIoU(g, head, val, 8)
+		g := b.BuildSketch(rand.New(rand.NewSource(seed)), sketch)
+		return FastTrain(g, detect.NewHead(nil), train, val, epochs, 8)
 	}
 }
 
-// HardwareEval measures the sketch's cost on the contest platforms. The
-// paper evaluates Bundles under the FPGA's constraints because they are
-// the more restrictive of the two targets (§4.1).
-func HardwareEval(b Bundle, sketch SketchConfig, inH, inW int, dev fpga.Device, gpu hw.Platform) (fpgaLatMS, gpuLatMS float64, dsp, bram int, paramBytes int64) {
-	rng := rand.New(rand.NewSource(0))
-	g := b.BuildSketch(rng, sketch)
-	x := tensor.New(1, sketch.InC, inH, inW)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
-	ip := fpga.AutoConfig(dev, 11, 9)
-	rep := fpga.Estimate(g, dev, ip)
-	gpuLat := gpu.GraphLatency(g)
-	return rep.LatencyS * 1e3, gpuLat * 1e3, rep.DSPUsed, rep.BRAMUsed, g.ParamBytes()
+// HardwareEval prices the Bundle's sketch on t: its Stage-1 scorecard
+// without the accuracy. The paper evaluates Bundles under the FPGA's
+// constraints because they are the more restrictive of the two targets
+// (§4.1).
+func HardwareEval(b Bundle, sketch SketchConfig, inH, inW int, t Target) Evaluation {
+	g := b.BuildSketch(rand.New(rand.NewSource(0)), sketch)
+	p := t.Price(g, tensor.New(1, sketch.InC, inH, inW))
+	return Evaluation{Bundle: b, FPGALatMS: p.Report.LatencyS * 1e3, GPULatMS: p.GPUms,
+		DSP: p.Report.DSPUsed, BRAM: p.Report.BRAMUsed, ParamBytes: g.ParamBytes()}
 }
 
-// EvaluateAll runs Stage 1 over all candidate Bundles.
-func EvaluateAll(bundles []Bundle, acc AccuracyFn, sketch SketchConfig, inH, inW int) []Evaluation {
+// EvaluateAll runs Stage 1 over all candidate Bundles, priced on t.
+func EvaluateAll(bundles []Bundle, acc AccuracyFn, sketch SketchConfig, inH, inW int, t Target) []Evaluation {
 	evals := make([]Evaluation, 0, len(bundles))
 	for _, b := range bundles {
-		fl, gl, dsp, bram, pb := HardwareEval(b, sketch, inH, inW, fpga.Ultra96, hw.TX2)
-		evals = append(evals, Evaluation{
-			Bundle: b, Acc: acc(b),
-			FPGALatMS: fl, GPULatMS: gl, DSP: dsp, BRAM: bram, ParamBytes: pb,
-		})
+		e := HardwareEval(b, sketch, inH, inW, t)
+		e.Acc = acc(b)
+		evals = append(evals, e)
 	}
 	return evals
 }

@@ -22,6 +22,7 @@ import (
 	"skynet/internal/detect"
 	"skynet/internal/fpga"
 	"skynet/internal/hw"
+	"skynet/internal/modelspec"
 	"skynet/internal/nn"
 	"skynet/internal/pso"
 	"skynet/internal/tensor"
@@ -122,10 +123,11 @@ func Run(cfg FlowConfig) FlowResult {
 	gen := dataset.NewGenerator(cfg.Dataset)
 
 	// ---- Stage 1: Bundle selection and evaluation -----------------------
+	target := bundle.Target{Device: cfg.Device, GPU: cfg.GPU, WBits: cfg.WBits, FMBits: cfg.FMBits}
 	candidates := bundle.Enumerate()
 	logf("stage 1: evaluating %d candidate bundles", len(candidates))
 	acc := bundle.TrainingAccuracy(gen, cfg.Sketch, cfg.TrainN, cfg.ValN, cfg.Stage1Epochs, cfg.Seed)
-	evals := bundle.EvaluateAll(candidates, acc, cfg.Sketch, cfg.Dataset.H, cfg.Dataset.W)
+	evals := bundle.EvaluateAll(candidates, acc, cfg.Sketch, cfg.Dataset.H, cfg.Dataset.W, target)
 	selected := bundle.ParetoSelect(evals)
 	if cfg.MaxGroups > 0 && len(selected) > cfg.MaxGroups {
 		// Keep the most accurate frontier points (they are latency-sorted,
@@ -135,24 +137,25 @@ func Run(cfg FlowConfig) FlowResult {
 	logf("stage 1: %d bundles on the Pareto frontier", len(selected))
 
 	// ---- Stage 2: hardware-aware DNN search ------------------------------
-	groupBundles := make([]bundle.Bundle, len(selected))
+	// Group i replicates the i-th Pareto Bundle; Beta weighs no CPU key.
+	ids := make([]int, len(selected))
 	for i, e := range selected {
-		groupBundles[i] = e.Bundle
+		ids[i] = e.Bundle.ID
 	}
 	search := cfg.Search
-	search.Groups = len(groupBundles)
+	search.Groups = len(ids)
 	search.Seed = cfg.Seed
 	if search.Progress == nil {
 		search.Progress = func(itr int, best pso.Particle) {
 			logf("stage 2: iteration %d best fitness %.4f (%s)", itr, best.Fit, best.Net)
 		}
 	}
-	evaluator := &pso.HardwareEvaluator{
-		Bundles: groupBundles,
-		Gen:     dataset.NewGenerator(cfg.Dataset),
-		TrainN:  cfg.TrainN, ValN: cfg.ValN,
+	evaluator := &pso.EngineEvaluator{
+		Gen:    dataset.NewGenerator(cfg.Dataset),
+		TrainN: cfg.TrainN, ValN: cfg.ValN,
 		InC: 3, HeadC: 10,
-		Device: cfg.Device, GPU: cfg.GPU,
+		Bundles: ids,
+		Device:  cfg.Device, GPU: cfg.GPU,
 		WBits: cfg.WBits, FMBits: cfg.FMBits,
 		Seed: cfg.Seed,
 	}
@@ -160,14 +163,13 @@ func Run(cfg FlowConfig) FlowResult {
 	logf("stage 2: best %s fit %.4f acc %.4f", result.Best.Net, result.Best.Fit, result.Best.Acc)
 
 	// ---- Stage 3: feature addition + final training ----------------------
-	finalBundle := groupBundles[result.Best.Net.BundleType%len(groupBundles)]
+	best := result.Best.Net
+	finalBundle := selected[best.BundleType].Bundle
 	if cfg.UseReLU6 {
 		finalBundle = finalBundle.WithReLU6()
 	}
-	finalBundles := append([]bundle.Bundle(nil), groupBundles...)
-	finalBundles[result.Best.Net.BundleType%len(groupBundles)] = finalBundle
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	finalNet, bypassApplied := pso.BuildGraph(rng, result.Best.Net, finalBundles, 3, 10, cfg.UseBypass)
+	finalNet, bypassApplied := modelspec.BuildBundleChain(rng, finalBundle, best.Channels, best.PoolPos, 3, 10, cfg.UseBypass)
 	head := detect.NewHead(nil)
 	train := gen.DetectionSet(cfg.TrainN)
 	val := gen.DetectionSet(cfg.ValN)
@@ -180,24 +182,19 @@ func Run(cfg FlowConfig) FlowResult {
 	logf("stage 3: bypass=%v relu6=%v final IoU %.4f", bypassApplied, cfg.UseReLU6, finalIoU)
 
 	// Hardware reports for the final design.
-	x := tensor.New(1, 3, cfg.Dataset.H, cfg.Dataset.W)
-	x.RandUniform(rng, 0, 1)
-	finalNet.Forward(x, false)
-	ip := fpga.AutoConfig(cfg.Device, cfg.WBits, cfg.FMBits)
-	rep := fpga.Estimate(finalNet, cfg.Device, ip)
-	gpuLat := cfg.GPU.GraphLatency(finalNet) * 1e3
+	price := target.Price(finalNet, tensor.New(1, 3, cfg.Dataset.H, cfg.Dataset.W))
 
 	return FlowResult{
 		Candidates:    evals,
 		Selected:      selected,
 		Search:        result,
-		FinalSpec:     result.Best.Net,
+		FinalSpec:     best,
 		FinalBundle:   finalBundle,
 		FinalNet:      finalNet,
 		Head:          head,
 		BypassApplied: bypassApplied,
 		FinalIoU:      finalIoU,
-		FPGAReport:    rep,
-		GPULatencyMS:  gpuLat,
+		FPGAReport:    price.Report,
+		GPULatencyMS:  price.GPUms,
 	}
 }

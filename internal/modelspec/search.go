@@ -41,10 +41,9 @@ func SearchSpec(bundleID int, channels, poolPos []int, seed int64) Spec {
 	}
 }
 
-// buildSearch materializes a "search"-family spec. It is the same lowering
-// pso.BuildGraph performs during the search (which resolves Bundles from
-// its Pareto-selected group slice); here the Bundle comes from the stable
-// enumeration ID so a persisted spec reloads without search state.
+// buildSearch materializes a "search"-family spec: the Bundle with the
+// stable enumeration ID through BuildBundleChain, so a persisted spec
+// reloads without search state.
 func (s Spec) buildSearch() (*nn.Graph, error) {
 	b, ok := bundle.ByID(s.Bundle)
 	if !ok {

@@ -1,17 +1,17 @@
 package pso
 
-// EngineEvaluator closes the codesign loop with measured fitness: every
-// particle is materialized through internal/modelspec, trained and
-// evaluated by the real float32 engine (internal/nn) AND the real int8
-// engine (internal/quant), and its latency map couples the analytic
-// FPGA/GPU models with engine-measured CPU costs.
+// EngineEvaluator is Stage 2's evaluator, the design flow's and the search
+// service's. Every particle is materialized through internal/modelspec,
+// trained and evaluated by the real float32 engine (internal/nn) AND the
+// real int8 engine (internal/quant), and its latency map couples the
+// analytic FPGA/GPU models with engine-measured CPU costs.
 //
 // Measured latency vs determinism. Raw wall-clock is not reproducible —
 // it varies with GOMAXPROCS, cache state, and machine load — so it never
 // feeds the fitness directly. Instead the fitness latency of the CPU
 // engines is deterministic MAC work (realized by a real engine forward,
-// read back via hw.GraphCosts) multiplied by EngineFactors: ns/MAC rates
-// measured once from real engine runs (MeasureFactors) at job start and
+// read back by the same pricing) multiplied by EngineFactors: ns/MAC rates
+// measured once from real engine runs at job start and
 // persisted in the checkpoint. The trajectory is then a pure function of
 // (Config, EngineFactors): bitwise identical across worker counts, and
 // across kill+resume because the factors ride in the evaluator snapshot.
@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"skynet/internal/bundle"
 	"skynet/internal/dataset"
 	"skynet/internal/detect"
 	"skynet/internal/fpga"
@@ -35,19 +36,21 @@ import (
 	"skynet/internal/tensor"
 )
 
-// Additional platform keys emitted by EngineEvaluator.Latency: the CPU
-// engines measured through the calibrated factors. Config.Beta selects
-// which platforms actually penalize the fitness; unlisted keys carry zero
-// weight.
+// Platform keys of EngineEvaluator.Latency: the analytic FPGA and GPU
+// models, and the CPU engines priced by the calibrated factors. Config.Beta
+// selects which platforms penalize the fitness; unlisted keys (the CPUs,
+// in the design flow) carry zero weight.
 const (
+	PlatformFPGA     = "fpga"
+	PlatformGPU      = "gpu"
 	PlatformCPUFloat = "cpu-f32"
 	PlatformCPUInt8  = "cpu-i8"
 )
 
 // EngineFactors are the calibrated engine costs in nanoseconds per MAC.
-// They are an explicit input to the search trajectory: measure them once
-// with MeasureFactors (or pin them for cross-machine reproducibility) and
-// they persist in every checkpoint.
+// They are an explicit input to the search trajectory: the evaluator
+// measures them once (or they are pinned for cross-machine
+// reproducibility) and they persist in every checkpoint.
 type EngineFactors struct {
 	Float32NSPerMAC float64 `json:"float32_ns_per_mac"`
 	Int8NSPerMAC    float64 `json:"int8_ns_per_mac"`
@@ -63,15 +66,10 @@ type AccRecord struct {
 	Int8IoU  float64
 }
 
-// PerfRecord is the cached architecture-only performance estimate: total
-// MAC work realized by a real forward at the evaluation shape, the FPGA
-// IP-model report, and the GPU roofline latency. Training does not change
-// any of it, so it is keyed by architecture hash alone.
-type PerfRecord struct {
-	MACs   int64
-	Report fpga.Report
-	GPUms  float64
-}
+// PerfRecord is the cached bundle.Price of a candidate at the evaluation
+// shape, under its own name so checkpoints' gob streams keep their bytes.
+// Training does not change it, so it is keyed by architecture hash alone.
+type PerfRecord bundle.Price
 
 // accKey keys the accuracy cache: epochs matters because the fast-training
 // budget grows per iteration and changes the reachable accuracy.
@@ -93,6 +91,9 @@ type EngineEvaluator struct {
 	BatchSize            int
 	// InC and HeadC describe the candidate networks (3 and 10 for SkyNet).
 	InC, HeadC int
+	// Bundles maps a genome's BundleType (its group) to the bundle.ByID
+	// enumeration ID the group replicates; nil maps group i to Bundle i.
+	Bundles []int
 	// Device and GPU parameterize the analytic platform models.
 	Device fpga.Device
 	GPU    hw.Platform
@@ -138,6 +139,9 @@ func (e *EngineEvaluator) ensure() {
 		}
 		x, _ := detect.Batch(e.val, 0, n)
 		e.calib = []*tensor.Tensor{x}
+		if e.Factors.Zero() {
+			e.Factors = e.measureFactors(3)
+		}
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		if e.accs == nil {
@@ -146,18 +150,19 @@ func (e *EngineEvaluator) ensure() {
 		if e.perfs == nil {
 			e.perfs = map[string]PerfRecord{}
 		}
-		if e.Factors.Zero() {
-			e.Factors = e.measureFactorsLocked(referenceNetwork(), 3)
-		}
 	})
 }
 
 // specFor lifts a search genome into the self-describing modelspec form —
-// the same lowering a persisted winner reloads through.
+// the same lowering a persisted winner reloads through — with the Bundle
+// its group replicates.
 func (e *EngineEvaluator) specFor(n Network) modelspec.Spec {
-	s := modelspec.SearchSpec(n.BundleType, n.Channels, n.PoolPos, e.Seed)
-	s.InC = e.InC
-	s.HeadChannels = e.HeadC
+	id := n.BundleType
+	if e.Bundles != nil {
+		id = e.Bundles[id]
+	}
+	s := modelspec.SearchSpec(id, n.Channels, n.PoolPos, e.Seed)
+	s.InC, s.HeadChannels = e.InC, e.HeadC
 	return s
 }
 
@@ -195,12 +200,7 @@ func (e *EngineEvaluator) evalAccuracy(n Network, epochs int) AccRecord {
 	if err != nil || head == nil {
 		return AccRecord{}
 	}
-	detect.TrainDetector(g, head, e.train, detect.TrainConfig{
-		Epochs:    epochs,
-		BatchSize: e.BatchSize,
-		LR:        nn.LRSchedule{Start: 0.01, End: 0.002, Epochs: epochs},
-	})
-	rec := AccRecord{FloatIoU: detect.MeanIoU(g, head, e.val, e.BatchSize)}
+	rec := AccRecord{FloatIoU: bundle.FastTrain(g, head, e.train, e.val, epochs, e.BatchSize)}
 	if qm, qerr := quant.Export(g, e.calib, quant.ExportConfig{}); qerr == nil {
 		rec.Int8IoU = detect.MeanIoU(qm, head, e.val, e.BatchSize)
 	}
@@ -242,27 +242,25 @@ func (e *EngineEvaluator) perf(n Network) PerfRecord {
 	return rec
 }
 
-// evalPerf realizes the candidate's shapes with one real forward and reads
-// back its cost structure; weights are untrained because MAC counts and
-// the platform models depend only on the architecture.
+// evalPerf prices the untrained candidate: MAC counts and the platform
+// models depend only on the architecture.
 func (e *EngineEvaluator) evalPerf(n Network) PerfRecord {
 	g, _, err := e.specFor(n).Build()
 	if err != nil {
 		return PerfRecord{}
 	}
+	p, _ := e.price(g)
+	return PerfRecord(p)
+}
+
+// price prices g on the configured targets at the evaluation shape; the
+// seeded input it forwards is returned for calibration's timed forwards.
+func (e *EngineEvaluator) price(g *nn.Graph) (bundle.Price, *tensor.Tensor) {
 	cfg := e.Gen.Config()
 	x := tensor.New(1, e.InC, cfg.H, cfg.W)
 	x.RandUniform(rand.New(rand.NewSource(e.Seed)), 0, 1)
-	g.Forward(x, false)
-	var macs int64
-	for _, c := range hw.GraphCosts(g) {
-		macs += c.MACs
-	}
-	return PerfRecord{
-		MACs:   macs,
-		Report: fpga.Estimate(g, e.Device, fpga.AutoConfig(e.Device, e.WBits, e.FMBits)),
-		GPUms:  e.GPU.GraphLatency(g) * 1e3,
-	}
+	t := bundle.Target{Device: e.Device, GPU: e.GPU, WBits: e.WBits, FMBits: e.FMBits}
+	return t.Price(g, x), x
 }
 
 // OperatingPoint joins the candidate's FPGA estimate with its measured
@@ -277,43 +275,32 @@ func (e *EngineEvaluator) CacheStats() (hits, misses int64) {
 	return e.hits.Load(), e.misses.Load()
 }
 
-// referenceNetwork is the fixed mid-sized candidate the factors calibrate
-// on when none are pinned.
-func referenceNetwork() Network {
-	return Network{BundleType: 6, Channels: []int{16, 32, 48}, PoolPos: []int{0, 1}}
+// referenceSpec is the fixed mid-sized candidate the factors calibrate on
+// when none are pinned. It names enumeration Bundle 6 directly, not through
+// the group map, so every evaluator calibrates on the same network.
+func (e *EngineEvaluator) referenceSpec() modelspec.Spec {
+	s := modelspec.SearchSpec(6, []int{16, 32, 48}, []int{0, 1}, e.Seed)
+	s.InC, s.HeadChannels = e.InC, e.HeadC
+	return s
 }
 
-// MeasureFactors runs both real engines on a reference candidate and
+// measureFactors runs both real engines on the reference candidate and
 // returns their measured ns/MAC rates: the minimum wall over reps forwards
 // (minimum, not mean — calibration wants the engine's clean cost, not
 // scheduler noise) divided by the candidate's realized MAC work.
-func (e *EngineEvaluator) MeasureFactors(ref Network, reps int) EngineFactors {
-	e.ensure()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.measureFactorsLocked(ref, reps)
-}
-
-func (e *EngineEvaluator) measureFactorsLocked(ref Network, reps int) EngineFactors {
-	g, _, err := e.specFor(ref).Build()
+func (e *EngineEvaluator) measureFactors(reps int) EngineFactors {
+	g, _, err := e.referenceSpec().Build()
 	if err != nil {
 		return EngineFactors{Float32NSPerMAC: 1, Int8NSPerMAC: 1}
 	}
-	cfg := e.Gen.Config()
-	x := tensor.New(1, e.InC, cfg.H, cfg.W)
-	x.RandUniform(rand.New(rand.NewSource(e.Seed)), 0, 1)
-	g.Forward(x, false)
-	var macs int64
-	for _, c := range hw.GraphCosts(g) {
-		macs += c.MACs
-	}
-	if macs == 0 {
+	p, x := e.price(g)
+	if p.MACs == 0 {
 		return EngineFactors{Float32NSPerMAC: 1, Int8NSPerMAC: 1}
 	}
-	floatNS := minWallNS(reps, func() { g.Forward(x, false) })
-	f := EngineFactors{Float32NSPerMAC: floatNS / float64(macs)}
+	macs := float64(p.MACs)
+	f := EngineFactors{Float32NSPerMAC: minWallNS(reps, func() { g.Forward(x, false) }) / macs}
 	if qm, qerr := quant.Export(g, []*tensor.Tensor{x}, quant.ExportConfig{}); qerr == nil {
-		f.Int8NSPerMAC = minWallNS(reps, func() { qm.Forward(x, false) }) / float64(macs)
+		f.Int8NSPerMAC = minWallNS(reps, func() { qm.Forward(x, false) }) / macs
 	} else {
 		f.Int8NSPerMAC = f.Float32NSPerMAC
 	}

@@ -6,11 +6,17 @@ package pso
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"skynet/internal/bundle"
 	"skynet/internal/dataset"
+	"skynet/internal/detect"
 	"skynet/internal/fpga"
 	"skynet/internal/hw"
+	"skynet/internal/modelspec"
+	"skynet/internal/nn"
+	"skynet/internal/tensor"
 )
 
 func testEngineEvaluator(seed int64) *EngineEvaluator {
@@ -120,11 +126,62 @@ func TestEngineEvaluatorStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEngineEvaluatorFoldIsExact pins what the group map means: with
+// Bundles listing enumeration IDs out of order, group g's candidate scores
+// bit for bit like the network built by hand from Bundle Bundles[g] —
+// modelspec.BuildBundleChain on the seeded stream, bundle.FastTrain and
+// bundle.Target.Price — and is cached under the key an unmapped evaluator
+// gives genome BundleType Bundles[g]. The factors calibrate on the one
+// reference network whatever the map.
+func TestEngineEvaluatorFoldIsExact(t *testing.T) {
+	ev := testEngineEvaluator(9)
+	ev.Bundles = []int{8, 1, 4}
+	ev.Factors = EngineFactors{} // calibrate: the reference must not go through the map
+	plain := testEngineEvaluator(9)
+
+	gen := dataset.NewGenerator(ev.Gen.Config())
+	train, val := gen.DetectionSet(ev.TrainN), gen.DetectionSet(ev.ValN)
+	target := bundle.Target{Device: ev.Device, GPU: ev.GPU, WBits: 11, FMBits: 9}
+	cfg := ev.Gen.Config()
+	for group, id := range ev.Bundles {
+		n := Network{BundleType: group, Channels: []int{8, 12, 16}, PoolPos: []int{0, 1}}
+		acc := ev.Accuracy(n, 1)
+		lat := ev.Latency(n)
+
+		b, _ := bundle.ByID(id)
+		build := func() *nn.Graph {
+			g, _ := modelspec.BuildBundleChain(rand.New(rand.NewSource(ev.Seed)), b, n.Channels, n.PoolPos, 3, 10, false)
+			return g
+		}
+		want := bundle.FastTrain(build(), detect.NewHead(nil), train, val, 1, ev.BatchSize)
+		if math.Float64bits(acc) != math.Float64bits(want) {
+			t.Fatalf("group %d (Bundle %d): Accuracy %v, by hand %v", group, id, acc, want)
+		}
+		x := tensor.New(1, 3, cfg.H, cfg.W)
+		p := target.Price(build(), x)
+		if lat[PlatformFPGA] != p.Report.LatencyS*1e3 || lat[PlatformGPU] != p.GPUms {
+			t.Fatalf("group %d (Bundle %d): Latency %v, by hand fpga %v gpu %v",
+				group, id, lat, p.Report.LatencyS*1e3, p.GPUms)
+		}
+		unmapped := Network{BundleType: id, Channels: n.Channels, PoolPos: n.PoolPos}
+		if modelspec.ArchHash(ev.specFor(n)) != modelspec.ArchHash(plain.specFor(unmapped)) {
+			t.Fatalf("group %d: cache key differs from the unmapped genome of Bundle %d", group, id)
+		}
+	}
+	if r := ev.referenceSpec(); r.Bundle != 6 || modelspec.ArchHash(r) != modelspec.ArchHash(plain.referenceSpec()) {
+		t.Fatalf("the factors' reference network (Bundle %d) depends on the group map", r.Bundle)
+	}
+	if ev.Factors.Float32NSPerMAC <= 0 || ev.Factors.Int8NSPerMAC <= 0 {
+		t.Fatalf("factors %+v, want positive", ev.Factors)
+	}
+}
+
 // TestMeasureFactorsPositive runs the real calibration path (real float32
 // and int8 forwards) and checks it yields usable rates.
 func TestMeasureFactorsPositive(t *testing.T) {
 	ev := testEngineEvaluator(4)
-	f := ev.MeasureFactors(referenceNetwork(), 2)
+	ev.ensure()
+	f := ev.measureFactors(2)
 	if f.Float32NSPerMAC <= 0 || f.Int8NSPerMAC <= 0 {
 		t.Fatalf("factors %+v, want positive", f)
 	}

@@ -5,12 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"skynet/internal/bundle"
-	"skynet/internal/dataset"
-	"skynet/internal/fpga"
-	"skynet/internal/hw"
-	"skynet/internal/tensor"
 )
 
 // quadEvaluator is a cheap synthetic fitness landscape: accuracy peaks at
@@ -172,83 +166,6 @@ func TestFitnessPrioritizesFPGA(t *testing.T) {
 	}
 	if over(PlatformFPGA) >= over(PlatformGPU) {
 		t.Fatal("FPGA overshoot must be penalized harder than GPU overshoot")
-	}
-}
-
-func TestBuildGraphChain(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	bundles := bundle.Enumerate()
-	n := Network{BundleType: 6, Channels: []int{8, 16, 24}, PoolPos: []int{0, 1}}
-	g, bypass := BuildGraph(rng, n, bundles, 3, 10, false)
-	if bypass {
-		t.Fatal("bypass must be off when not requested")
-	}
-	x := tensor.New(1, 3, 16, 16)
-	x.RandUniform(rng, 0, 1)
-	out := g.Forward(x, false)
-	if out.Dim(1) != 10 || out.Dim(2) != 4 {
-		t.Fatalf("chain output %v", out.Shape())
-	}
-}
-
-func TestBuildGraphBypass(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	bundles := bundle.Enumerate()
-	n := Network{BundleType: 6, Channels: []int{8, 16, 24, 32}, PoolPos: []int{0, 1}}
-	g, bypass := BuildGraph(rng, n, bundles, 3, 10, true)
-	if !bypass {
-		t.Fatal("bypass should apply: the last pool is followed by slots")
-	}
-	x := tensor.New(1, 3, 16, 16)
-	x.RandUniform(rng, 0, 1)
-	out := g.Forward(x, false)
-	if out.Dim(1) != 10 || out.Dim(2) != 4 {
-		t.Fatalf("bypass output %v", out.Shape())
-	}
-	// Train-mode backward must work through the bypass.
-	out = g.Forward(x, true)
-	dout := tensor.New(out.Shape()...)
-	dout.Fill(0.01)
-	g.Backward(dout)
-}
-
-func TestBuildGraphBypassInapplicable(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	bundles := bundle.Enumerate()
-	// The only pool is after the last slot: no room for a fusion bundle.
-	n := Network{BundleType: 0, Channels: []int{8, 16}, PoolPos: []int{1}}
-	g, bypass := BuildGraph(rng, n, bundles, 3, 10, true)
-	if bypass {
-		t.Fatal("bypass must be skipped when the last pool has no successor slot")
-	}
-	x := tensor.New(1, 3, 8, 8)
-	x.RandUniform(rng, 0, 1)
-	if out := g.Forward(x, false); out.Dim(1) != 10 {
-		t.Fatalf("fallback chain output %v", out.Shape())
-	}
-}
-
-// TestHardwareEvaluatorEndToEnd runs the production evaluator on a tiny
-// budget: real training for accuracy, real FPGA/GPU models for latency.
-func TestHardwareEvaluatorEndToEnd(t *testing.T) {
-	cfg := dataset.DefaultConfig()
-	cfg.W, cfg.H = 48, 24
-	ev := &HardwareEvaluator{
-		Bundles: bundle.Enumerate(),
-		Gen:     dataset.NewGenerator(cfg),
-		TrainN:  12, ValN: 6,
-		InC: 3, HeadC: 10,
-		Device: fpga.Ultra96, GPU: hw.TX2,
-		Seed: 1,
-	}
-	n := Network{BundleType: 6, Channels: []int{8, 16, 24}, PoolPos: []int{0, 1}}
-	acc := ev.Accuracy(n, 2)
-	if acc < 0 || acc > 1 {
-		t.Fatalf("accuracy %v", acc)
-	}
-	lat := ev.Latency(n)
-	if lat[PlatformFPGA] <= 0 || lat[PlatformGPU] <= 0 {
-		t.Fatalf("latencies %v", lat)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"skynet/internal/bundle"
 	"skynet/internal/dataset"
 	"skynet/internal/fpga"
 	"skynet/internal/hw"
@@ -215,11 +216,18 @@ func (s *Service) CheckpointPath(id string) string {
 	return filepath.Join(s.dir, id+".ckpt")
 }
 
+// errBadSpec marks a job spec Submit refuses; the HTTP door answers 400.
+var errBadSpec = errors.New("pso: bad job spec")
+
 // Submit starts (or joins) the job for the spec. Submission is idempotent:
 // the same spec maps to the same job ID, a live job is returned as-is, and
 // a checkpoint left by a killed process resumes instead of restarting.
+// A spec naming more groups than there are enumerated Bundles is refused.
 func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	spec.normalize()
+	if n := len(bundle.Enumerate()); spec.Groups > n {
+		return JobStatus{}, fmt.Errorf("%w: %d groups, but a group replicates one of the %d enumerated Bundles", errBadSpec, spec.Groups, n)
+	}
 	id := spec.ID()
 	s.mu.Lock()
 	if jb, ok := s.jobs[id]; ok {
@@ -401,6 +409,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.Submit(spec)
+	if errors.Is(err, errBadSpec) {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -8,9 +8,12 @@ package pso
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"skynet/internal/bundle"
 )
 
 func testJobSpec() JobSpec {
@@ -144,6 +147,35 @@ func TestServiceJobLifecycle(t *testing.T) {
 
 	if code := getJSON(t, ts.URL+"/search/jobs/nope", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job code %d", code)
+	}
+}
+
+// TestServiceRefusesGhostBundles: a group replicates one enumerated Bundle,
+// so a spec with more groups than the 12 Bundles is refused at Submit, and
+// the HTTP door answers it 400 (a client error, not a 500) with no job
+// started.
+func TestServiceRefusesGhostBundles(t *testing.T) {
+	svc := NewService(t.TempDir())
+	spec := testJobSpec()
+	spec.Groups = len(bundle.Enumerate()) + 1
+	if _, err := svc.Submit(spec); !errors.Is(err, errBadSpec) {
+		t.Fatalf("Submit of %d groups: err %v, want a spec error", spec.Groups, err)
+	}
+
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(ts.URL+"/search/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST of %d groups: status %d, want 400", spec.Groups, resp.StatusCode)
+	}
+	var list []JobStatus
+	if code := getJSON(t, ts.URL+"/search/jobs", &list); code != http.StatusOK || len(list) != 0 {
+		t.Fatalf("a refused spec left jobs behind: code %d, %+v", code, list)
 	}
 }
 
