@@ -48,19 +48,20 @@ type band struct {
 	out   int // the node whose output the step writes: pool, else the chain's last
 	k     int // the pool's window; 1 without a pool
 	rows  int // depth-wise output rows per band at most: a multiple of k
+	len   int // the worker buffer the largest band needs
 }
 
 // fit sizes the bands for a depth-wise output of outH×outW — as many rows as
 // bandBudget holds, a whole number of pool windows, at least one and at most
-// the image — and returns the length of the worker buffer they then need.
-func (b *band) fit(outH, outW int) int {
+// the image — and the worker buffer they then need.
+func (b *band) fit(outH, outW int) {
 	perRow := b.dw.C
 	if b.pool >= 0 {
 		perRow += b.pw.OutC
 	}
 	b.rows = bandBudget / (4 * outW * perRow) / b.k * b.k
 	b.rows = min(max(b.rows, b.k), outH/b.k*b.k)
-	return perRow * b.rows * outW
+	b.len = perRow * b.rows * outW
 }
 
 // carve cuts a band of n columns out of a worker's buffer: the depth-wise
@@ -79,52 +80,62 @@ func (b *band) carve(buf []float32, n int) (dw, pw []float32) {
 // bandShare is the operands of one Bundle step on one image: the image
 // [C,h,w], src; its output dst; for a step that folds a Reorg, the image's
 // reordered map reorg; the convolution's epilogue, as for
-// Conv2D.forwardImage; and the forward's observer, if any. The geometry is
-// the one recorded on both layers.
+// Conv2D.forwardImage; the forward's observer, if any; and the band buffers
+// of the workers, worker i's scratch[i]. The geometry is the one recorded on
+// both layers.
 type bandShare struct {
 	b        *band
 	dst, src []float32
 	reorg    []float32
 	ep       tensor.RowEpilogue
 	observe  func(node int, data []float32)
-	scratch  [][]float32 // split's: worker i computes on scratch[i]
-	each     int         // split's: units per worker
+	scratch  [][]float32
 }
 
-// units computes units [lo, hi) of the step, cut into bands on buf.
+//skynet:hotpath
+func (a *bandShare) Band(w, r0, rows int) { a.compute(a.scratch[w], r0, rows) }
+
+// Bands is a step RunBands runs: Band computes rows [r0, r0+rows) on worker w.
+type Bands interface{ Band(w, r0, rows int) }
+
+// RunBands runs a Bundle step of either engine — n units of k depth-wise rows,
+// a row of pool windows each, in bands of at most rows rows —: all on worker w
+// on a leaf walk, else dealt in contiguous shares to as many workers as
+// MaxParallelism and the buffers allow. Bands make leaf GEMM calls only, so
+// the workers may be the GEMM pool's.
 //
 //skynet:hotpath
-func (a bandShare) units(buf []float32, lo, hi int) {
-	for u := lo; u < hi; {
-		cnt := min(a.b.rows/a.b.k, hi-u)
-		a.compute(buf, u*a.b.k, cnt*a.b.k)
-		u += cnt
+func RunBands(b Bands, n, k, rows, w, buffers int, leaf bool) {
+	r := bandRun{b: b, k: k, per: rows / k, n: n, each: n}
+	if leaf {
+		r.units(w, 0, n)
+		return
+	}
+	nw := min(workersFor(n), buffers)
+	r.each = (n + nw - 1) / nw
+	bandRuns.Run(nw, r, bandRun.shares)
+}
+
+// bandRuns runs RunBands' workers.
+var bandRuns = tensor.NewRanger[bandRun]()
+
+// bandRun is one RunBands call: per units to a band, each to a worker.
+type bandRun struct {
+	b               Bands
+	k, per, n, each int
+}
+
+//skynet:hotpath
+func (r bandRun) shares(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		r.units(i, i*r.each, min((i+1)*r.each, r.n))
 	}
 }
 
-// split computes the whole step like units, the units dealt in contiguous
-// shares to as many workers as MaxParallelism and scratch allow, worker i on
-// scratch[i]. A worker's bands call a GEMM, but a band GEMM is a leaf that
-// dispatches nothing, so the workers may be the GEMM pool's.
-//
 //skynet:hotpath
-func (a bandShare) split(scratch [][]float32) {
-	units := a.b.dw.outH / a.b.k
-	nw := min(workersFor(units), len(scratch))
-	a.scratch, a.each = scratch, (units+nw-1)/nw
-	bandShares.Run(nw, a, bandShare.shares)
-}
-
-// bandShares runs split's workers.
-var bandShares = tensor.NewRanger[bandShare]()
-
-// shares is split's loop body: the shares of workers [lo, hi).
-//
-//skynet:hotpath
-func (a bandShare) shares(lo, hi int) {
-	units := a.b.dw.outH / a.b.k
-	for i := lo; i < hi; i++ {
-		a.units(a.scratch[i], i*a.each, min((i+1)*a.each, units))
+func (r bandRun) units(w, lo, hi int) {
+	for u := lo; u < hi; u += r.per {
+		r.b.Band(w, u*r.k, min(r.per, hi-u)*r.k)
 	}
 }
 
@@ -139,7 +150,7 @@ func (a bandShare) shares(lo, hi int) {
 // end's; without a pool the product is the step's output, shown whole.
 //
 //skynet:hotpath
-func (a bandShare) compute(buf []float32, r0, rows int) {
+func (a *bandShare) compute(buf []float32, r0, rows int) {
 	b, d, c := a.b, a.b.dw, a.b.pw
 	plane, cols, n := d.inH*d.inW, d.outH*d.outW, rows*d.outW
 	dwb, pwb := b.carve(buf, n)

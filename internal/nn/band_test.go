@@ -487,5 +487,9 @@ func TestSkyNetCArenaWithoutBundleInteriors(t *testing.T) {
 		if s.Out == cat.Frees[0] && s.Off+s.Size != reorg.Band.ReorgOff {
 			t.Errorf("Bundle 5's map ends at %d, the reordered map begins at %d: not one slot in channel order", s.Off+s.Size, reorg.Band.ReorgOff)
 		}
+		// Bundle 5's step writes the later of the two, so it says where the Concat lies.
+		if laid := s.Laid; s.Out == cat.Frees[0] && (len(laid) != 1 || laid[0].Node != cat.Inputs[0] || laid[0].Off != s.Off || laid[0].Size != s.Size+reorg.Band.ReorgSize) {
+			t.Errorf("Bundle 5's step completes %+v, want the Concat over its slot and the reordered map's", laid)
+		}
 	}
 }

@@ -351,7 +351,8 @@ func (p *Plan) findBands(use readers) {
 		}
 		p.nodes[conv].fused = true
 		p.nodes[i].band = b
-		p.bandLen = max(p.bandLen, b.fit(p.nodes[i].dims[2], p.nodes[i].dims[3]))
+		b.fit(p.nodes[i].dims[2], p.nodes[i].dims[3])
+		p.bandLen = max(p.bandLen, b.len)
 	}
 }
 
@@ -500,6 +501,9 @@ type Step struct {
 	// or -1 without one (the graph output, kinds not lowered).
 	Off   int
 	Frees []int // the nodes whose slots nothing reads after this step
+	// Laid lists the Concats laid out (findAliases) that come next in node order,
+	// whole once this step has run, each as a step with its inputs' slots for one.
+	Laid []Step
 }
 
 // Band is the rest of a Bundle step, whose Node is a DWConv3: the step
@@ -512,6 +516,9 @@ type Band struct {
 	// Reorg is the Reorg node that reads the chain beside Pool, or -1: the step
 	// writes its map too, ReorgSize elements at ReorgOff (as Step.Off).
 	Reorg, ReorgOff, ReorgSize int
+	// Rows is how many depth-wise output rows a band holds at most, a whole
+	// number of pool windows, and Len the worker buffer it needs.
+	Rows, Len int
 }
 
 // Steps returns the plan's steps in execution order and the arena one
@@ -519,12 +526,16 @@ type Band struct {
 // plan.
 func (p *Plan) Steps() (steps []Step, perSample int) {
 	for i := range p.nodes {
-		if pn := &p.nodes[i]; !pn.fused {
+		switch pn := &p.nodes[i]; {
+		case pn.alias:
+			last := &steps[len(steps)-1]
+			last.Laid = append(last.Laid, Step{Node: i, Out: i, Inputs: pn.inputs, Dims: pn.dims, Size: pn.size, Off: pn.off})
+		case !pn.fused:
 			o := &p.nodes[p.slot(i)]
 			st := Step{Node: i, Out: p.slot(i), Inputs: pn.inputs, Chain: pn.chain,
 				Dims: o.dims, Size: o.size, Off: o.off, Frees: pn.frees}
 			if b := pn.band; b != nil {
-				st.Chain, st.Band = p.nodes[b.conv].chain, &Band{Conv: b.conv, Pool: b.pool, Reorg: b.reorg}
+				st.Chain, st.Band = p.nodes[b.conv].chain, &Band{Conv: b.conv, Pool: b.pool, Reorg: b.reorg, Rows: b.rows, Len: b.len}
 				if b.reorg >= 0 {
 					st.Band.ReorgOff, st.Band.ReorgSize = p.nodes[b.reorg].off, p.nodes[b.reorg].size
 				}
@@ -544,6 +555,7 @@ type lane struct {
 	arena []float32   // the lane's region of g.arena
 	out   []float32   // the rows of the output batch the sample in flight fills
 	srcs  [][]float32 // a Concat step's argument list
+	share bandShare   // the Bundle step in flight, as RunBands' workers read it
 }
 
 // planRun is the inference forward in flight on a graph: what RunLanes walks.
@@ -732,20 +744,18 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 	case *DWConv3:
 		switch b := pn.band; {
 		case b != nil:
-			a := bandShare{b: b, dst: dst, src: src, ep: b.pw.epilogue(p.nodes[b.conv].tail()), observe: r.observe}
+			a := &l.share
+			*a = bandShare{b: b, dst: dst, src: src, ep: b.pw.epilogue(p.nodes[b.conv].tail()), observe: r.observe, scratch: r.bands}
 			if b.reorg >= 0 {
 				a.reorg = l.buf(&p.nodes[b.reorg])
 			}
-			if leaf {
-				a.units(r.bands[li], 0, layer.outH/b.k)
-			} else {
-				a.split(r.bands)
-			}
+			RunBands(a, layer.outH/b.k, b.k, b.rows, li, len(r.bands), leaf)
 			if rest := layer.outH % b.k; rest > 0 && a.observe != nil {
 				// The rows under no whole window, for the observer alone: the pool
 				// writes nothing of them. (A step that folds a Reorg has none.)
 				a.compute(r.bands[li], layer.outH-rest, rest)
 			}
+			*a = bandShare{} // no operand of the forward stays on the lane
 		case leaf:
 			layer.planes(dst, src, 0, layer.C)
 		default:

@@ -123,13 +123,13 @@ type ActivationScales struct {
 
 // CalibrateActivations runs g in eval mode over the calibration batches and
 // returns symmetric int8 scales for the graph input and every node output
-// the int8 engine's plan — nn.Compile under unitMask(g, force), force
-// marking the nodes that stay float; nil marks none — materialises (a
-// BatchNorm or ReLU computed inside its convolution's GEMM store reads scale
-// 1). Per-tensor activation scales with per-output-channel weight scales is
-// the standard post-training int8 recipe: feature maps share one grid because
-// the next layer's GEMM consumes them whole; each weight channel's scale
-// folds into its requantize multiplier.
+// the unit-per-node plan — nn.Compile under unitMask(g, force), force marking
+// the nodes that stay float; nil marks none — materialises, every map the
+// int8 engine scales among them (a BatchNorm or ReLU computed inside its
+// convolution's GEMM store reads scale 1). Per-tensor activation scales with
+// per-output-channel weight scales is the standard post-training int8 recipe:
+// feature maps share one grid because the next layer's GEMM consumes them
+// whole; each weight channel's scale folds into its requantize multiplier.
 //
 // It observes a float plan in place (nn.Plan.Run, one lane), compiled once
 // per sample shape: no hook, no feature map allocated. Max-abs runs the

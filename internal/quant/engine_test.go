@@ -13,7 +13,7 @@ import (
 	"skynet/internal/tensor"
 )
 
-// dwPlaneInt8Ref is the loop dwPlaneInt8 replaced, kept as its oracle (with
+// dwPlaneInt8Ref is the loop qdw.rows replaced, kept as its oracle (with
 // the stride and padding the old one fixed at 1 and k/2): every tap tested
 // against both image edges.
 func dwPlaneInt8Ref(dst, src, ker []int8, h, w, outH, outW, k, stride, pad int, bias int32, mult float32) {
@@ -87,7 +87,8 @@ func TestInt8DWMatchesOracle(t *testing.T) {
 						src, ker := randCodes(rng, h*w), randCodes(rng, k*k)
 						bias, mult := int32(rng.Intn(2001)-1000), 0.002+rng.Float32()*0.01
 						got, want := make([]int8, outH*outW), make([]int8, outH*outW)
-						dwPlaneInt8(got, src, ker, make([]int32, outW), h, w, k, stride, pad, bias, mult)
+						q := &qdw{w: ker, ep: tensor.Int8Epilogue{Bias: []int32{bias}, Mult: []float32{mult}}, c: 1, k: k, stride: stride, pad: pad}
+						q.rows(got, src, make([]int32, outW), h, w, 0, 0)
 						dwPlaneInt8Ref(want, src, ker, h, w, outH, outW, k, stride, pad, bias, mult)
 						if !slices.Equal(got, want) {
 							t.Fatalf("k=%d stride=%d pad=%d %dx%d: got %v, oracle %v", k, stride, pad, h, w, got, want)
@@ -161,9 +162,9 @@ func settle(g *nn.Graph, rng *rand.Rand) {
 // TestCalibrationObserverMatchesHook: calibrating on a float plan — for
 // max-abs the banded inference plan, whose Bundles show their depth-wise and
 // pre-pool maps to the running maxima in pieces; for the percentile sketch
-// the engine's own unbanded plan — gives bit for bit the scale the hooked,
+// the unbanded unit-per-node plan — gives bit for bit the scale the hooked,
 // unfused, whole-batch forward gives for every scale Export reads: the input
-// and the output of every step of the engine's plan (nn.Compile under
+// and the output of every step of the unit-per-node plan (nn.Compile under
 // unitMask): chain ends, DW outputs, pools, the reorder, the Concat,
 // fallback outputs. Both calibrators, SkyNet A/B/C at width 0.25 over two
 // sample shapes (at 18 rows Bundle 2's input has an odd row count, so the row
@@ -493,7 +494,10 @@ func TestCodeArenaLiveness(t *testing.T) {
 
 // TestArenaBoundedByLanes: the code arena is one sample's per lane, whatever
 // the batch. Two workers take a batch of 16 on two regions, and a batch of 1
-// after it — one lane — neither shrinks nor regrows the arena.
+// after it — one lane — neither shrinks nor regrows the arena. At the
+// benchmark's size, SkyNet C at width 1 on 160×320 frames, a lane's region is
+// 1 492 800 codes: the float plan's 1 331 200 — no depth-wise or pre-pool
+// map, the Concat laid out — and the input's and the output's slots.
 func TestArenaBoundedByLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	_, qm, _ := exportSkyNet(t, rng, 0.25, 32, ExportConfig{})
@@ -506,6 +510,20 @@ func TestArenaBoundedByLanes(t *testing.T) {
 		qm.Forward(randBatch(rng, 1, 3, 32, 64), false)
 		if len(qm.arena) != len(arena) || &qm.arena[0] != &arena[0] {
 			t.Fatalf("a batch of 1 afterwards replaced the arena (%d codes, was %d)", len(qm.arena), len(arena))
+		}
+	})
+	if testing.Short() {
+		return
+	}
+	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
+	qm, err := Export(g, []*tensor.Tensor{randBatch(rng, 1, 3, 160, 320)}, ExportConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers(2, func() {
+		qm.Forward(randBatch(rng, 2, 3, 160, 320), false)
+		if qm.perSample != 1_492_800 || len(qm.arena) != 2*qm.perSample {
+			t.Errorf("SkyNet C at 160×320 on two lanes: an arena of %d codes, %d per lane; want 2 × 1 492 800", len(qm.arena), qm.perSample)
 		}
 	})
 }
@@ -614,13 +632,162 @@ func TestInt8BatchInvariance(t *testing.T) {
 	}
 }
 
+// exportPerNode is Export as it was when the engine had a unit per layer kind:
+// the plan compiled under unitMask, no Bundle step, no laid-out Concat.
+func exportPerNode(t *testing.T, g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) *QuantizedModel {
+	t.Helper()
+	force := make([]bool, len(g.Nodes))
+	for _, i := range cfg.ForceFloat {
+		force[i] = true
+	}
+	scales, err := CalibrateActivations(g, calib, cfg.Calib, force)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &QuantizedModel{g: g, separate: unitMask(g, force), output: len(g.Nodes) - 1}
+	m.lower(calib[0].Shape(), scales, force)
+	return m
+}
+
+// TestInt8BundleStepMatchesUnits is the int8 band step's contract: the engine
+// on the inference plan — Bundle steps on codes, the Concat laid out —
+// computes bit for bit what the engine with a unit per layer kind computes
+// (exportPerNode). Over SkyNet A, B and C at two
+// frame sizes — at 18 rows Bundle 2's input has an odd row count under its
+// pool — and batches 1 to 5, with forced-float nodes that split two chains or
+// keep a pool (Bundle 3's too, which unfolds the bypass) a step of its own; on
+// a Bundle that ends the graph and dequantizes into the output row, with and
+// without an activation after it; on Bundles one half of which breaks the
+// accumulator bound, which are then lowered unit by unit; and on SkyNet C at
+// 160×320, where every Bundle but the fourth is cut into several bands. The
+// engine runs on the workers of the test (make race varies them) and on one.
+func TestInt8BundleStepMatchesUnits(t *testing.T) {
+	check := func(name string, g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig, bands int, xs ...*tensor.Tensor) *QuantizedModel {
+		t.Helper()
+		qm, err := Export(g, calib, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := exportPerNode(t, g, calib, cfg)
+		for _, x := range xs {
+			var want []float32
+			workers(1, func() { want = forwardCopy(ref, x) })
+			if got := forwardCopy(qm, x); !sameBits(got, want) {
+				t.Fatalf("%s, input %v: the Bundle steps and the unit-per-node engine disagree", name, x.Shape())
+			}
+			workers(1, func() {
+				if got := forwardCopy(qm, x); !sameBits(got, want) {
+					t.Fatalf("%s, input %v, one worker: the Bundle steps and the unit-per-node engine disagree", name, x.Shape())
+				}
+			})
+		}
+		n := 0
+		for _, s := range qm.steps {
+			if s.Band != nil {
+				n++
+			}
+		}
+		if n != bands {
+			t.Fatalf("%s: %d Bundle steps, want %d", name, n, bands)
+		}
+		return qm
+	}
+	rng := rand.New(rand.NewSource(33))
+	regridded := 0 // laid-out Concats with an input requantized in place
+	for _, v := range []backbone.SkyNetVariant{backbone.VariantA, backbone.VariantB, backbone.VariantC} {
+		// Under ReLU6 both of the Concat's inputs saturate at 6 and share a
+		// grid; under ReLU they do not.
+		for _, relu6 := range []bool{true, false} {
+			g := backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: relu6}, v)
+			settle(g, rng)
+			var xs []*tensor.Tensor
+			for b := 1; b <= 5; b++ {
+				xs = append(xs, randBatch(rng, b, 3, 16, 32), randBatch(rng, b, 3, 18, 32))
+			}
+			bundles := 6 // model A has no fusion Bundle
+			if v == backbone.VariantA {
+				bundles = 5
+			}
+			// Node 2 is Bundle 1's batch norm, 8 Bundle 2's activation; 4 is
+			// Bundle 1's pool and 14 Bundle 3's, the bypass source's.
+			for _, forced := range [][]int{nil, {2, 8}, {4, 14}} {
+				qm := check(fmt.Sprintf("SkyNet%v/ReLU6=%v/forced%v", v, relu6, forced), g, []*tensor.Tensor{randBatch(rng, 4, 3, 16, 32)}, ExportConfig{ForceFloat: forced}, bundles, xs...)
+				if v != backbone.VariantA && slices.Min(qm.units[24].(*qconcat).mults) < 1 {
+					regridded++
+				}
+			}
+		}
+	}
+	if regridded == 0 {
+		t.Fatal("no laid-out Concat requantized an input in place")
+	}
+	for _, geo := range [][2]int{{2, 1}, {1, 0}, {2, 0}} {
+		for _, act := range []bool{false, true} {
+			dw := nn.NewDWConv3(rng, 6, 3, true)
+			dw.Stride, dw.Pad = geo[0], geo[1]
+			dw.Bias.W.RandNormal(rng, 0, 0.2)
+			g := nn.Sequential(nn.NewPWConv1(rng, 3, 6, false), dw, nn.NewPWConv1(rng, 6, 4, true))
+			if act {
+				g.Add(nn.NewReLU6())
+			}
+			check(fmt.Sprintf("output Bundle/stride%d/pad%d/act%v", geo[0], geo[1], act), g, []*tensor.Tensor{randBatch(rng, 4, 3, 13, 17)}, ExportConfig{}, 1,
+				randBatch(rng, 1, 3, 13, 17), randBatch(rng, 3, 3, 13, 17))
+		}
+	}
+	small := func(n int) *tensor.Tensor {
+		x := randBatch(rng, n, 4, 6, 6)
+		x.Scale(1e-3)
+		return x
+	}
+	// TestExportAccumulatorBound's graph: the depth-wise half of its Bundle
+	// breaks the bound.
+	pw, bn := nn.NewPWConv1(rng, 4, 4, false), nn.NewBatchNorm(4)
+	pw.Weight.W.Scale(1e-3)
+	bn.Beta.W.Fill(5)
+	dw := nn.NewDWConv3(rng, 4, 3, true)
+	dw.Weight.W.Scale(1e-5)
+	dw.Bias.W.Fill(-30)
+	g := nn.Sequential(pw, bn, nn.NewReLU6(), nn.NewPWConv1(rng, 4, 4, false), dw, nn.NewPWConv1(rng, 4, 2, false))
+	qm := check("depth-wise half past the bound", g, []*tensor.Tensor{small(4)}, ExportConfig{}, 0, small(1), small(3))
+	if i8, fl, fused := qm.Stats(); i8 != 2 || fl != 2 || fused != 0 {
+		t.Fatalf("units = (%d int8, %d float, %d fused), want (2, 2, 0)", i8, fl, fused)
+	}
+	// The 1×1 half breaks it: a batch-norm shift of 5 on products of order 1e-6.
+	bn = nn.NewBatchNorm(4)
+	bn.Beta.W.Fill(5)
+	g = nn.Sequential(nn.NewPWConv1(rng, 4, 4, false), nn.NewDWConv3(rng, 4, 3, false), nn.NewPWConv1(rng, 4, 4, false), bn, nn.NewReLU6(), nn.NewMaxPool(2), nn.NewPWConv1(rng, 4, 2, false))
+	g.Nodes[0].Layer.(*nn.Conv2D).Weight.W.Scale(1e-3)
+	qm = check("1×1 half past the bound", g, []*tensor.Tensor{small(4)}, ExportConfig{}, 0, small(1), small(3))
+	if i8, fl, fused := qm.Stats(); i8 != 4 || fl != 1 || fused != 0 {
+		t.Fatalf("units = (%d int8, %d float, %d fused), want (4, 1, 0)", i8, fl, fused)
+	}
+	if testing.Short() {
+		return
+	}
+	g = backbone.SkyNetC(rng, backbone.DefaultConfig())
+	settle(g, rng)
+	qm = check("SkyNetC/width1/160x320", g, []*tensor.Tensor{randBatch(rng, 1, 3, 160, 320)}, ExportConfig{}, 6,
+		randBatch(rng, 1, 3, 160, 320), randBatch(rng, 2, 3, 160, 320))
+	cut := 0
+	for _, s := range qm.steps {
+		if b := s.Band; b != nil {
+			if b.Rows < qm.val(s.Inputs[0]).dims[2] { // SkyNet's depth-wise output is as high as its input
+				cut++
+			}
+		}
+	}
+	if cut != 5 {
+		t.Errorf("%d Bundle steps are cut into several bands, want every one but Bundle 4, whose 20 rows fit one", cut)
+	}
+}
+
 // TestExportAllocatesNoFeatureMaps: calibration observes the plan's arena in
-// place, and the max-abs calibrator observes the banded inference plan, whose
-// Bundles keep no depth-wise or pre-pool map. Export over two batches of two
-// 160×320 frames therefore allocates, in total — calibration's arena and band
-// buffer, the integer weights, everything — less than the one-sample float
-// arena of the engine's own plan (unitMask), which holds all of those maps;
-// and it leaves no arena behind, the engine running no float plan.
+// place, and the max-abs calibrator observes the banded inference plan — the
+// plan the engine runs too —, whose Bundles keep no depth-wise or pre-pool
+// map. Export over two batches of two 160×320 frames therefore allocates, in
+// total, calibration's one-sample float arena of that plan and less than
+// another one for everything else — the band buffer, the integer weights, the
+// plans —; and it leaves no arena behind, the engine running no float plan.
 func TestExportAllocatesNoFeatureMaps(t *testing.T) {
 	// One worker at both levels, and one Export before the measured one: the
 	// GEMM pool's packing scratch is then allocated and nothing else is lazy.
@@ -634,7 +801,7 @@ func TestExportAllocatesNoFeatureMaps(t *testing.T) {
 		if _, err := Export(g, calib, ExportConfig{}); err != nil {
 			t.Fatal(err)
 		}
-		_, perSample := nn.Compile(g, calib[0].Shape(), unitMask(g, nil)).Steps()
+		_, perSample := nn.Compile(g, calib[0].Shape(), nil).Steps()
 		arenaBytes := uint64(4 * perSample)
 
 		g = build()
@@ -646,8 +813,8 @@ func TestExportAllocatesNoFeatureMaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got >= arenaBytes {
-			t.Errorf("Export allocated %d bytes; one sample's float arena under unitMask is %d", got, arenaBytes)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2*arenaBytes {
+			t.Errorf("Export allocated %d bytes; one sample's float arena of the inference plan is %d", got, arenaBytes)
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)

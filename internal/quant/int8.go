@@ -25,12 +25,12 @@ import (
 //
 // The engine owns arithmetic only: integer weights, epilogues, scales. What
 // runs when, every shape, and where each feature map lives come from the
-// float engine's planner — nn.Compile under the ForceFloat mask — whose
-// steps it executes on a []int8 arena at the plan's own offsets, a code
-// where the float executor keeps a float32. It runs a batch the way that
-// executor does, by its rule and through its code (nn.LanesFor, nn.RunLanes):
-// as lanes, each worker walking its own samples through the steps on a region
-// of the arena one sample large.
+// float engine's planner — the inference plan, Bundle steps and laid-out
+// Concats included — whose steps it executes on a []int8 arena at the plan's
+// own offsets, a code where the float executor keeps a float32. It runs a
+// batch the way that executor does, by its rule and through its code
+// (nn.LanesFor, nn.RunLanes): as lanes, each worker walking its own samples
+// through the steps on a region of the arena one sample large.
 //
 // Determinism: every integer kernel accumulates exactly (no float
 // reassociation; Export enforces tensor.Int8AccumulatorFits),
@@ -104,23 +104,25 @@ type unit interface {
 // the serving layer gives each inference worker a model of its own.
 type QuantizedModel struct {
 	g        *nn.Graph // read for its structure when a new input shape needs a plan
-	separate []bool    // the mask that plan is compiled under (unitMask)
+	separate []bool    // the mask that plan is compiled under (Export)
 	units    []unit    // by node; nil where a node is computed inside another's unit
 	vals     []value   // by node + 1; vals[0] is the graph input
 	output   int
 
-	// The plan for the sample shape of vals[0].dims: its steps, the arena a
-	// sample needs — the plan's own plus the slots it does not lay out — and
-	// the scratch its units need of a lane.
-	steps          []nn.Step
-	perSample      int
-	colLen, accLen int // qconv's im2col matrix, qdw's accumulator rows
-	maxInputs      int
+	// The plan for the sample shape of vals[0].dims: its steps (compile), the
+	// arena a sample needs — the plan's own plus the slots it does not lay out
+	// — and the scratch its units need.
+	steps                   []*nn.Step
+	perSample               int
+	colLen, bandLen, rowLen int // qconv's im2col matrix, a Bundle step's code band, a depth-wise accumulator row
+	maxInputs               int
 
 	arena []int8         // the codes of the forward in flight: one sample's per lane
 	lanes []*qlane       // lanes[i] owns region i of arena
 	out   *tensor.Tensor // the output of the last forward
 	x     []float32      // the input batch of the forward in flight
+	bands []int8         // the code bands of the Bundle steps, worker i's the i-th
+	rows  []int32        // the accumulator rows of the depth-wise ones, likewise
 
 	int8Units, floatUnits, fusedNodes int // Stats
 }
@@ -133,8 +135,9 @@ type qlane struct {
 	vals   []laneValue      // by node + 1, as m.vals
 	sample int              // which of the batch is in flight
 	col    []int8           // im2col of the image, for the k×k convolutions
-	acc    []int32          // qdw's accumulator rows, one per plane
 	ins    []*tensor.Tensor // a fallback unit's argument list
+	index  int              // which lane, so which worker's scratch on a leaf walk
+	split  *nn.Step         // the step in flight whose work nn.RunBands deals (Band)
 }
 
 // poisonReleased makes Forward overwrite every code slot with -128 — never
@@ -178,17 +181,16 @@ func (m *QuantizedModel) planFor(x *tensor.Tensor) {
 	if len(in.dims) == x.Rank() && slices.Equal(in.dims[1:], x.Shape()[1:]) {
 		return
 	}
-	m.steps, m.perSample = nn.Compile(m.g, x.Shape(), m.separate).Steps()
+	m.steps, m.perSample = m.compile(x.Shape())
 	in.dims, in.off, in.size = slices.Clone(x.Shape()), -1, x.Len()/x.Dim(0)
 	in.dims[0] = 1
-	m.out, m.colLen, m.accLen, m.maxInputs = nil, 0, 0, 0
+	m.out, m.colLen, m.bandLen, m.rowLen, m.maxInputs = nil, 0, 0, 0, 0
 	for _, l := range m.lanes {
 		for j := range l.vals {
 			l.vals[j].view = nil // of the last plan's shape
 		}
 	}
-	for i := range m.steps {
-		s := &m.steps[i]
+	for _, s := range m.steps {
 		v := m.val(s.Out)
 		v.dims, v.off, v.size = s.Dims, s.Off, s.Size
 		m.maxInputs = max(m.maxInputs, len(s.Inputs))
@@ -198,7 +200,13 @@ func (m *QuantizedModel) planFor(x *tensor.Tensor) {
 				m.colLen = max(m.colLen, m.val(s.Inputs[0]).dims[1]*u.k*u.k*s.Dims[2]*s.Dims[3])
 			}
 		case *qdw:
-			m.accLen = max(m.accLen, u.c*s.Dims[3])
+			m.rowLen = max(m.rowLen, s.Dims[3])
+		case *qbundle:
+			m.bandLen, m.rowLen = max(m.bandLen, s.Band.Len), max(m.rowLen, tensor.ConvOut(m.val(s.Inputs[0]).dims[3], u.dw.k, u.dw.stride, u.dw.pad))
+			if r := s.Band.Reorg; r >= 0 { // the pooled map's height and width
+				v, hw := m.val(r), s.Dims[2]*s.Dims[3]
+				v.dims, v.off, v.size = []int{1, s.Band.ReorgSize / hw, s.Dims[2], s.Dims[3]}, s.Band.ReorgOff, s.Band.ReorgSize
+			}
 		case *qfallback:
 			for _, j := range s.Inputs {
 				m.val(j).asFloat = true
@@ -217,8 +225,8 @@ func (m *QuantizedModel) planFor(x *tensor.Tensor) {
 }
 
 // prepare readies the output tensor for a batch of n, and the arena, one
-// region per lane, and the lanes with their scratch for the plan. The arena
-// grows with the lanes and the plan, never with the batch.
+// region per lane, the lanes with their scratch for the plan, and the
+// workers'. All grow with the lanes and the plan, never with the batch.
 func (m *QuantizedModel) prepare(n, lanes int) {
 	if out := m.val(m.output); m.out == nil || m.out.Dim(0) != n {
 		m.out = tensor.New(append([]int{n}, out.dims[1:]...)...)
@@ -227,16 +235,16 @@ func (m *QuantizedModel) prepare(n, lanes int) {
 		m.arena = nil // not live while its replacement is allocated, as in nn's Plan.prepare
 		m.arena = make([]int8, need)
 	}
+	if nw := nn.LanesFor(math.MaxInt); len(m.bands) < nw*m.bandLen || len(m.rows) < nw*m.rowLen {
+		m.bands, m.rows = make([]int8, nw*m.bandLen), make([]int32, nw*m.rowLen)
+	}
 	for len(m.lanes) < lanes {
-		m.lanes = append(m.lanes, &qlane{m: m, vals: make([]laneValue, len(m.vals))})
+		m.lanes = append(m.lanes, &qlane{m: m, index: len(m.lanes), vals: make([]laneValue, len(m.vals))})
 	}
 	for i, l := range m.lanes[:lanes] {
 		l.arena = m.arena[i*m.perSample : (i+1)*m.perSample]
 		if len(l.col) < m.colLen {
 			l.col = make([]int8, m.colLen)
-		}
-		if len(l.acc) < m.accLen {
-			l.acc = make([]int32, m.accLen)
 		}
 		if len(l.ins) < m.maxInputs {
 			l.ins = make([]*tensor.Tensor, m.maxInputs)
@@ -264,8 +272,7 @@ func (w laneWalker) WalkSample(li, i int, leaf bool) {
 	l.sample = i
 	in := m.val(nn.GraphInput)
 	l.vals[0].f = m.x[i*in.size : (i+1)*in.size]
-	for k := range m.steps {
-		s := &m.steps[k]
+	for _, s := range m.steps {
 		m.units[s.Out].run(l, s, leaf)
 		if poisonReleased {
 			for _, j := range s.Frees {
@@ -373,10 +380,9 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 	if len(g.Nodes) == 0 {
 		return nil, fmt.Errorf("quant: cannot export an empty graph")
 	}
-	nNodes := len(g.Nodes)
-	force := make([]bool, nNodes)
+	force := make([]bool, len(g.Nodes))
 	for _, i := range cfg.ForceFloat {
-		if i < 0 || i >= nNodes {
+		if i < 0 || i >= len(g.Nodes) {
 			return nil, fmt.Errorf("quant: ForceFloat index %d out of range", i)
 		}
 		force[i] = true
@@ -388,13 +394,38 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 	if err != nil {
 		return nil, err
 	}
-	m := &QuantizedModel{g: g, separate: unitMask(g, force), units: make([]unit, nNodes), vals: make([]value, nNodes+1), output: nNodes - 1}
+	m := &QuantizedModel{g: g, separate: slices.Clone(force), output: len(g.Nodes) - 1}
 	if g.Output >= 0 {
 		m.output = g.Output
 	}
+	m.lower(calib[0].Shape(), scales, force)
+	return m, nil
+}
+
+// compile returns the steps of the plan for samples of the given shape, each
+// followed by the Concats laid out after it, and the arena a sample needs.
+func (m *QuantizedModel) compile(shape []int) (steps []*nn.Step, perSample int) {
+	plan, perSample := nn.Compile(m.g, shape, m.separate).Steps()
+	for i := range plan {
+		steps = append(steps, &plan[i])
+		for j := range plan[i].Laid {
+			steps = append(steps, &plan[i].Laid[j])
+		}
+	}
+	return steps, perSample
+}
+
+// lower installs a unit on every step of the plan compiled under m.separate.
+// A Bundle step one of whose convolutions would break the accumulator bound
+// is split: its depth-wise node is marked, the plan lowered again.
+func (m *QuantizedModel) lower(shape []int, scales ActivationScales, force []bool) {
+	g := m.g
+	steps, _ := m.compile(shape)
+	m.units, m.vals = make([]unit, len(g.Nodes)), make([]value, len(g.Nodes)+1)
+	m.int8Units, m.floatUnits, m.fusedNodes = 0, 0, 0
 	m.vals[0].scale = scales.Input
-	// lower installs u as the unit of step s, its output on the given grid.
-	lower := func(s *nn.Step, u unit, scale float32) {
+	// install makes u the unit of step s, its output on the given grid.
+	install := func(s *nn.Step, u unit, scale float32) {
 		m.units[s.Out], m.val(s.Out).scale = u, scale
 		if _, float := u.(*qfallback); float {
 			m.floatUnits++
@@ -408,11 +439,9 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		for _, t := range s.Chain.Tail {
 			q.layers = append(q.layers, g.Nodes[t].Layer)
 		}
-		lower(s, q, scales.Node[s.Out])
+		install(s, q, scales.Node[s.Out])
 	}
-	steps, _ := nn.Compile(g, calib[0].Shape(), m.separate).Steps()
-	for i := range steps {
-		s := &steps[i]
+	for _, s := range steps {
 		if force[s.Node] {
 			fallback(s)
 			continue
@@ -426,24 +455,43 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 			// codes are clamped first and Forward dequantizes them.
 			dequant := s.Out == m.output && s.Chain.Act == nil
 			if q := newQConv(l, s.Chain.BN, s.Chain.Act, inScale, scales.Node[s.Out], dequant); q != nil {
-				lower(s, q, scales.Node[s.Out])
+				install(s, q, scales.Node[s.Out])
 				m.fusedNodes += len(s.Chain.Tail)
 			} else {
 				fallback(s)
 			}
 		case *nn.DWConv3:
-			if q := newQDW(l, inScale, scales.Node[s.Out]); q != nil {
-				lower(s, q, scales.Node[s.Out])
+			dw := newQDW(l, inScale, scales.Node[s.Node])
+			if b := s.Band; b != nil {
+				// The grids of qdw's and qconv's; a pool and a reorder keep the chain end's.
+				last := s.Chain.Last(b.Conv)
+				pw := newQConv(g.Nodes[b.Conv].Layer.(*nn.Conv2D), s.Chain.BN, s.Chain.Act, scales.Node[s.Node], scales.Node[last], s.Out == m.output && s.Chain.Act == nil)
+				if dw == nil || pw == nil {
+					m.separate[s.Node] = true
+					m.lower(shape, scales, force)
+					return
+				}
+				q := &qbundle{dw: dw, pw: pw, pool: b.Pool >= 0, k: 1}
+				install(s, q, scales.Node[last])
+				m.fusedNodes += 1 + len(s.Chain.Tail) // the 1×1 convolution and its chain, a pool, a reorder
+				if q.pool {
+					q.k, m.fusedNodes = g.Nodes[b.Pool].Layer.(*nn.MaxPool).K, m.fusedNodes+1
+				}
+				if b.Reorg >= 0 {
+					m.val(b.Reorg).scale, m.fusedNodes = scales.Node[last], m.fusedNodes+1
+				}
+			} else if dw != nil {
+				install(s, dw, scales.Node[s.Out])
 			} else {
 				fallback(s)
 			}
 		case *nn.ReLU:
 			// Clamping codes preserves the grid.
-			lower(s, &qrelu{hi: capCode(l.Cap, inScale)}, inScale)
+			install(s, &qrelu{hi: capCode(l.Cap, inScale)}, inScale)
 		case *nn.MaxPool:
-			lower(s, &qpool{k: l.K}, inScale)
+			install(s, &qpool{k: l.K}, inScale)
 		case *nn.Reorg:
-			lower(s, &qreorg{s: l.S}, inScale)
+			install(s, &qreorg{s: l.S}, inScale)
 		case *nn.Concat:
 			// The output grid is the widest input grid: inputs on that grid
 			// copy through exactly, narrower inputs requantize with
@@ -456,23 +504,18 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 			for k, j := range s.Inputs {
 				q.mults[k] = m.val(j).scale / outScale
 			}
-			lower(s, q, outScale)
+			install(s, q, outScale)
 		default:
 			fallback(s)
 		}
 	}
-	return m, nil
 }
 
-// unitMask is the mask the engine compiles its plans under: a forced-float
-// node never joins a conv → BN → act chain, and because the engine's units
-// are one per layer kind — qdw, qconv, qpool, qreorg, qconcat — no depth-wise
-// convolution or max-pool joins a Bundle step either (so no Reorg folds into
-// one), and a Concat stays a step: the float plan makes one a fact of its
-// layout, its inputs written where it lies, but qconcat is arithmetic — it
-// requantizes each input onto the widest input grid — and needs its inputs'
-// codes apart from its own. force alone still decides which nodes fall back
-// to float; nil forces none.
+// unitMask is the percentile calibrator's mask, under which every map the
+// engine scales is a step's whole output: it marks the forced-float nodes (nil
+// forces none) and every depth-wise convolution, max-pool and Concat, so no
+// Bundle step forms, no Reorg folds and no Concat is laid out — the plan of a
+// unit per layer kind, the engine's before the Bundle step.
 func unitMask(g *nn.Graph, force []bool) []bool {
 	mask := make([]bool, len(g.Nodes))
 	copy(mask, force)
@@ -590,38 +633,42 @@ func (q *qconv) run(l *qlane, s *nn.Step, leaf bool) {
 
 // planeUnit is a unit whose work on a sample splits by channel plane.
 type planeUnit interface {
-	// planes computes planes [lo, hi) of step s: of src, the input sample's
-	// codes, into dst, the output sample's.
-	planes(l *qlane, s *nn.Step, dst, src []int8, lo, hi int)
+	// planes computes planes [lo, hi) of step s on worker w: of src, the input
+	// sample's codes, into dst, the output sample's.
+	planes(l *qlane, s *nn.Step, dst, src []int8, w, lo, hi int)
 }
 
-// planes runs the planes of u's step s: all on this goroutine on a leaf walk,
-// else cut across the GEMM pool in contiguous ranges (integer results do not
-// depend on the split).
+// planes runs the planes of step s, a plane a unit and a worker's share one
+// band (integer results do not depend on the split).
 //
 //skynet:hotpath
-func (l *qlane) planes(u planeUnit, s *nn.Step, leaf bool) {
-	a := planeSplit{u, l, s, l.dest(s.Out), l.codes(s.Inputs[0])}
-	if leaf {
-		a.planes(0, s.Dims[1])
-		return
-	}
-	planeRanger.Run(s.Dims[1], a, planeSplit.planes)
+func (l *qlane) planes(s *nn.Step, leaf bool) {
+	l.dest(s.Out)
+	l.run(s, s.Dims[1], 1, s.Dims[1], leaf)
 }
 
-// planeRanger runs the plane loops a lone lane splits.
-var planeRanger = tensor.NewRanger[planeSplit]()
-
-// planeSplit is the operands of one plane loop, as its body takes them.
-type planeSplit struct {
-	u        planeUnit
-	l        *qlane
-	s        *nn.Step
-	dst, src []int8
-}
-
+// run deals the n units of step s, k rows each, in bands of rows rows, as
+// nn.RunBands does the float engine's: the lane is the Bands, and its workers
+// read the step's operands off it. The input's codes are made first.
+//
 //skynet:hotpath
-func (a planeSplit) planes(lo, hi int) { a.u.planes(a.l, a.s, a.dst, a.src, lo, hi) }
+func (l *qlane) run(s *nn.Step, n, k, rows int, leaf bool) {
+	l.codes(s.Inputs[0])
+	l.split = s
+	nn.RunBands(l, n, k, rows, l.index, nn.LanesFor(math.MaxInt), leaf)
+}
+
+// Band computes rows [r0, r0+rows) of the step in flight on worker w.
+//
+//skynet:hotpath
+func (l *qlane) Band(w, r0, rows int) {
+	switch s := l.split; u := l.m.units[s.Out].(type) {
+	case *qbundle:
+		u.band(l, s, w, r0, rows)
+	case planeUnit:
+		u.planes(l, s, l.slot(s.Out), l.slot(s.Inputs[0]), w, r0, r0+rows)
+	}
+}
 
 // qdw is a quantized depth-wise convolution (nn.DWConv3, its stride and
 // padding included), computed directly on code planes.
@@ -632,7 +679,7 @@ type qdw struct {
 }
 
 //skynet:hotpath
-func (q *qdw) run(l *qlane, s *nn.Step, leaf bool) { l.planes(q, s, leaf) }
+func (q *qdw) run(l *qlane, s *nn.Step, leaf bool) { l.planes(s, leaf) }
 
 // newQDW returns nil when the unit would break the accumulator bound.
 func newQDW(d *nn.DWConv3, inScale, outScale float32) *qdw {
@@ -644,29 +691,88 @@ func newQDW(d *nn.DWConv3, inScale, outScale float32) *qdw {
 	return q
 }
 
-// planes convolves channels [lo, hi) of the sample, each on its own row of
-// the lane's accumulators.
+// planes convolves channels [lo, hi) of the sample on worker wk's
+// accumulator row.
 //
 //skynet:hotpath
-func (q *qdw) planes(l *qlane, s *nn.Step, dst, src []int8, lo, hi int) {
+func (q *qdw) planes(l *qlane, s *nn.Step, dst, src []int8, wk, lo, hi int) {
 	in := l.m.val(s.Inputs[0]).dims
-	h, w, outH, outW, kk := in[2], in[3], s.Dims[2], s.Dims[3], q.k*q.k
+	h, w, outH, outW := in[2], in[3], s.Dims[2], s.Dims[3]
 	for ch := lo; ch < hi; ch++ {
-		dwPlaneInt8(dst[ch*outH*outW:(ch+1)*outH*outW], src[ch*h*w:(ch+1)*h*w], q.w[ch*kk:(ch+1)*kk],
-			l.acc[ch*outW:(ch+1)*outW], h, w, q.k, q.stride, q.pad, q.ep.Bias[ch], q.ep.Mult[ch])
+		q.rows(dst[ch*outH*outW:(ch+1)*outH*outW], src[ch*h*w:(ch+1)*h*w], l.m.rows[wk*l.m.rowLen:][:outW], h, w, ch, 0)
 	}
 }
 
-// dwPlaneInt8 convolves one code plane with one k×k kernel on the float
-// engine's loop (nn.DWRow: branch-free interior, border ring), accumulating
-// each output row exactly in int32 — acc, one row long — and requantizing it
-// as it is stored.
+// rows computes output rows oy, oy+1, … of channel ch's plane, as many as dst
+// holds, from its input plane [h,w] on the float engine's loop (nn.DWRow),
+// each summed exactly in acc, one row long, and requantized as it is stored.
 //
 //skynet:hotpath
-func dwPlaneInt8(dst, src, ker []int8, acc []int32, h, w, k, stride, pad int, bias int32, mult float32) {
-	for oy := 0; oy*len(acc) < len(dst); oy++ {
-		nn.DWRow(acc, src, ker, bias, h, w, k, stride, pad, oy)
-		tensor.RequantizeRow(dst[oy*len(acc):(oy+1)*len(acc)], acc, 0, mult, -127, 127)
+func (q *qdw) rows(dst, src []int8, acc []int32, h, w, ch, oy int) {
+	for r := 0; r*len(acc) < len(dst); r++ {
+		nn.DWRow(acc, src, q.w[ch*q.k*q.k:(ch+1)*q.k*q.k], q.ep.Bias[ch], h, w, q.k, q.stride, q.pad, oy+r)
+		tensor.RequantizeRow(dst[r*len(acc):(r+1)*len(acc)], acc, 0, q.ep.Mult[ch], -127, 127)
+	}
+}
+
+// qbundle is a Bundle step (nn.Band) on codes, band by band: depth-wise rows
+// into a code band, the 1×1 product as a leaf — into the output's columns, or
+// under a pool behind the rows —, the pool and the reorder on the band. Every
+// code is the one qdw, qconv, qpool and qreorg compute.
+type qbundle struct {
+	dw   *qdw
+	pw   *qconv // dequantizing where the chain ends the graph
+	pool bool
+	k    int // the pool's window; 1 without a pool
+}
+
+//skynet:hotpath
+func (q *qbundle) run(l *qlane, s *nn.Step, leaf bool) {
+	if q.pw.dequant {
+		l.floatDest(s.Out)
+	} else {
+		l.dest(s.Out)
+	}
+	if r := s.Band.Reorg; r >= 0 {
+		l.dest(r)
+	}
+	l.run(s, tensor.ConvOut(l.m.val(s.Inputs[0]).dims[2], q.dw.k, q.dw.stride, q.dw.pad)/q.k, q.k, s.Band.Rows, leaf)
+}
+
+// band takes depth-wise output rows [r0, r0+rows) of step s to its outputs,
+// on worker w's band and accumulator row.
+//
+//skynet:hotpath
+func (q *qbundle) band(l *qlane, s *nn.Step, w, r0, rows int) {
+	in, m, c, outC, k := l.m.val(s.Inputs[0]).dims, l.m, q.dw.c, q.pw.outC, q.k
+	h, wd := in[2], in[3]
+	outH, outW := tensor.ConvOut(h, q.dw.k, q.dw.stride, q.dw.pad), tensor.ConvOut(wd, q.dw.k, q.dw.stride, q.dw.pad)
+	cols, n, src := outH*outW, rows*outW, l.slot(s.Inputs[0])
+	band := m.bands[w*m.bandLen : (w+1)*m.bandLen]
+	dwb := band[:c*n]
+	for ch := 0; ch < c; ch++ {
+		q.dw.rows(dwb[ch*n:(ch+1)*n], src[ch*h*wd:(ch+1)*h*wd], m.rows[w*m.rowLen:][:outW], h, wd, ch, r0)
+	}
+	ep := q.pw.ep
+	ep.Leaf = true // a band runs inside a lane or a lone lane's split, both on the GEMM pool
+	if at, end := r0*outW, r0*outW+(outC-1)*cols+n; !q.pool {
+		ep.Ldc = cols // straight into these rows' columns of the output
+		if q.pw.dequant {
+			tensor.Int8GEMMDequantInto(l.vals[s.Out+1].f[at:end], q.pw.w, dwb, outC, n, c, ep)
+		} else {
+			tensor.Int8GEMMRequantInto(l.slot(s.Out)[at:end], q.pw.w, dwb, outC, n, c, ep)
+		}
+		return
+	}
+	pwb, dst := band[len(dwb):len(dwb)+outC*n], l.slot(s.Out)
+	tensor.Int8GEMMRequantInto(pwb, q.pw.w, dwb, outC, n, c, ep)
+	oh, ow := outH/k, outW/k
+	for oc := 0; oc < outC; oc++ {
+		at := (oc*oh + r0/k) * ow
+		maxPoolCodes(dst[at:at+rows/k*ow], pwb[oc*n:(oc+1)*n], 1, rows, outW, k)
+	}
+	if r := s.Band.Reorg; r >= 0 {
+		nn.ReorgRows(l.slot(r), pwb, outC, outH, outW, k, r0, rows)
 	}
 }
 
@@ -684,10 +790,10 @@ func (q *qrelu) run(l *qlane, s *nn.Step, _ bool) {
 type qpool struct{ k int }
 
 //skynet:hotpath
-func (q *qpool) run(l *qlane, s *nn.Step, leaf bool) { l.planes(q, s, leaf) }
+func (q *qpool) run(l *qlane, s *nn.Step, leaf bool) { l.planes(s, leaf) }
 
 //skynet:hotpath
-func (q *qpool) planes(l *qlane, s *nn.Step, dst, src []int8, lo, hi int) {
+func (q *qpool) planes(l *qlane, s *nn.Step, dst, src []int8, _, lo, hi int) {
 	in := l.m.val(s.Inputs[0]).dims
 	h, w, out := in[2], in[3], s.Dims[2]*s.Dims[3]
 	maxPoolCodes(dst[lo*out:hi*out], src[lo*h*w:hi*h*w], hi-lo, h, w, q.k)
@@ -738,7 +844,7 @@ func (q *qreorg) run(l *qlane, s *nn.Step, _ bool) {
 
 // qconcat concatenates along channels, requantizing every input onto the
 // output grid (mult == 1 for the widest input, which therefore copies
-// through bit-exactly).
+// through bit-exactly) — in place, where the Concat is laid out.
 type qconcat struct{ mults []float32 }
 
 //skynet:hotpath
@@ -747,7 +853,9 @@ func (q *qconcat) run(l *qlane, s *nn.Step, _ bool) {
 	at := 0 // where the next input's channels start
 	for k, j := range s.Inputs {
 		src := l.codes(j)
-		tensor.RescaleCodes(dst[at:at+len(src)], src, q.mults[k], -127, 127)
+		if &src[0] != &dst[at] || q.mults[k] < 1 { // laid out, the widest input lies as it must
+			tensor.RescaleCodes(dst[at:at+len(src)], src, q.mults[k], -127, 127)
+		}
 		at += len(src)
 	}
 }

@@ -34,41 +34,43 @@ func exportSkyNet(t *testing.T, rng *rand.Rand, width float64, hw int, cfg Expor
 }
 
 // TestExportFusesSkyNet pins the lowering outcome on SkyNet C: every node
-// lowers to int8 (no float fallback) and each of the six bundles fuses its
-// PW-conv → BN → ReLU6 tail into one unit. The engine's plan is one step per
-// unit: under unitMask nothing the float plan folds or lays out — a Bundle's
-// depth-wise map and pool, the bypass's Reorg, the Concat — leaves the list.
+// lowers to int8 (no float fallback), and the engine runs the float engine's
+// plan — seven steps where a unit per layer kind took 18. Each of the six
+// Bundles is one step: depth-wise, 1×1 → BN → ReLU6 and, for three, the pool,
+// Bundle 3's with the bypass's reorder beside it. The Concat is laid out, not
+// a step: it lies over Bundle 5's map and the reordered one, side by side, and
+// once Bundle 5's step has run its unit requantizes the narrower of the two
+// (if either is) where it lies.
 func TestExportFusesSkyNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g, qm, calib := exportSkyNet(t, rng, 0.25, 16, ExportConfig{})
-	int8Units, floatUnits, fused := qm.Stats()
-	if floatUnits != 0 {
-		t.Errorf("SkyNet C lowering left %d float-fallback units, want 0", floatUnits)
+	_, qm, calib := exportSkyNet(t, rng, 0.25, 16, ExportConfig{})
+	if i8, fl, fused := qm.Stats(); i8 != 8 || fl != 0 || fused != 22 {
+		t.Errorf("units = (%d int8, %d float, %d fused), want (8, 0, 22): a step per Bundle, the head and the laid-out Concat; the 1×1 conv, BN and act of six Bundles, three pools and the reorder fused", i8, fl, fused)
 	}
-	if fused != 12 {
-		t.Errorf("fused nodes = %d, want 12 (BN + act per bundle × 6)", fused)
-	}
-	// 6 DW + 6 fused PW units + 3 pools + reorg + concat + head conv.
-	if int8Units != 18 {
-		t.Errorf("int8 units = %d, want 18", int8Units)
-	}
-	// Node → Out of every step, as the plan has listed them since the engine
-	// runs it: a Bundle is DW (0), PW → BN → ReLU6 (1 → 3) and, for three, a pool.
-	want := [][2]int{{0, 0}, {1, 3}, {4, 4}, {5, 5}, {6, 8}, {9, 9}, {10, 10}, {11, 13}, {14, 14}, {15, 15}, {16, 18},
-		{19, 19}, {20, 22}, {23, 23}, {24, 24}, {25, 25}, {26, 28}, {29, 29}}
-	steps, _ := nn.Compile(g, calib[0].Shape(), unitMask(g, make([]bool, len(g.Nodes)))).Steps()
+	qm.Forward(calib[0], false)
+	want := [][2]int{{0, 4}, {5, 9}, {10, 14}, {15, 18}, {19, 22}, {24, 24}, {25, 28}, {29, 29}}
 	var got [][2]int
-	for _, s := range steps {
+	for i, s := range qm.steps {
 		got = append(got, [2]int{s.Node, s.Out})
-		if s.Band != nil {
-			t.Errorf("the step of node %d is a Bundle step", s.Node)
+		if _, bundle := qm.units[s.Out].(*qbundle); bundle != (i < 7 && i != 5) || (s.Band != nil) != bundle {
+			t.Errorf("step %d (node %d) has Band %v and unit %T", i, s.Node, s.Band, qm.units[s.Out])
 		}
 	}
 	if !slices.Equal(got, want) {
-		t.Errorf("steps under unitMask (node, out):\n got %v\nwant %v", got, want)
+		t.Fatalf("steps and laid-out Concats (node, out):\n got %v\nwant %v", got, want)
+	}
+	if r := qm.steps[2].Band.Reorg; r != 23 {
+		t.Errorf("Bundle 3 writes reorder %d beside its pool, want 23", r)
+	}
+	if laid := qm.steps[4].Laid; len(laid) != 1 || &laid[0] != qm.steps[5] || !slices.Equal(laid[0].Inputs, []int{22, 23}) {
+		t.Fatalf("Bundle 5's step lists %+v laid out after it, want the Concat (24) of its map and the reorder", laid)
+	}
+	cat, b5, reorg := qm.val(24), qm.val(22), qm.val(23)
+	if cat.off != b5.off || reorg.off != b5.off+b5.size || cat.size != b5.size+reorg.size {
+		t.Errorf("the Concat's slot [%d, +%d) is not Bundle 5's [%d, +%d) and the reorder's [%d, +%d) side by side", cat.off, cat.size, b5.off, b5.size, reorg.off, reorg.size)
 	}
 	if _, ok := qm.units[24].(*qconcat); !ok {
-		t.Errorf("the Concat's unit is %T, want a qconcat", qm.units[24])
+		t.Errorf("the Concat's unit is %T, want a qconcat, which requantizes a narrower input in place", qm.units[24])
 	}
 }
 

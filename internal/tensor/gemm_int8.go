@@ -62,6 +62,9 @@ type Int8Epilogue struct {
 	// RowProduct.BandOf does a float one: it may then be made from a
 	// parallelRange body. Integer sums being exact, no result depends on it.
 	Leaf bool
+	// Ldc, when larger than n, is the row stride of dst: dst is then a column
+	// window of a wider matrix, as RowProduct.Ldc makes a float product's.
+	Ldc int
 }
 
 // rneMagic shifts a float64 so its ulp is exactly 1: adding and subtracting
@@ -134,18 +137,18 @@ const (
 
 // i8gemmCall fully describes one int8 GEMM invocation on raw row-major
 // slices: A is [m,k], B is [k,n], and exactly one of c32/c8/cf receives the
-// [m,n] result according to mode.
+// [m,n] result according to mode, with row stride ldc.
 type i8gemmCall struct {
-	a, b    []int8
-	c32     []int32
-	c8      []int8
-	cf      []float32
-	m, n, k int
-	mode    i8Mode
-	bias    []int32
-	mult    []float32
-	lo, hi  int8
-	leaf    bool // Int8Epilogue.Leaf
+	a, b         []int8
+	c32          []int32
+	c8           []int8
+	cf           []float32
+	m, n, k, ldc int
+	mode         i8Mode
+	bias         []int32
+	mult         []float32
+	lo, hi       int8
+	leaf         bool // Int8Epilogue.Leaf
 }
 
 // i8Scratch holds the packing buffers of one chunk in flight, allocated once
@@ -205,44 +208,47 @@ func i8Exec(c i8gemmCall) {
 //
 //skynet:hotpath
 func Int8GEMMInto(c []int32, a, b []int8, m, n, k int) {
-	checkI8("Int8GEMMInto", len(c), len(a), len(b), m, n, k)
-	i8Exec(i8gemmCall{a: a, b: b, c32: c, m: m, n: n, k: k, mode: i8ModeInt32})
+	checkI8("Int8GEMMInto", len(c), len(a), len(b), m, n, k, n)
+	i8Exec(i8gemmCall{a: a, b: b, c32: c, m: m, n: n, k: k, ldc: n, mode: i8ModeInt32})
 }
 
 // Int8GEMMRequantInto computes dst = requantize(a·b) with the fused
 // per-row epilogue ep — the layer-to-layer form of quantized inference,
-// producing the next layer's int8 activations directly. dst must have
-// length m·n; ep.Mult must have length m.
+// producing the next layer's int8 activations directly. dst must cover m
+// rows of n at stride max(ep.Ldc, n); ep.Mult must have length m.
 //
 //skynet:hotpath
 func Int8GEMMRequantInto(dst []int8, a, b []int8, m, n, k int, ep Int8Epilogue) {
-	checkI8("Int8GEMMRequantInto", len(dst), len(a), len(b), m, n, k)
+	ldc := max(ep.Ldc, n)
+	checkI8("Int8GEMMRequantInto", len(dst), len(a), len(b), m, n, k, ldc)
 	checkI8Epilogue("Int8GEMMRequantInto", ep.Bias, ep.Mult, m)
-	i8Exec(i8gemmCall{a: a, b: b, c8: dst, m: m, n: n, k: k,
+	i8Exec(i8gemmCall{a: a, b: b, c8: dst, m: m, n: n, k: k, ldc: ldc,
 		mode: i8ModeRequant, bias: ep.Bias, mult: ep.Mult, lo: ep.Lo, hi: ep.Hi, leaf: ep.Leaf})
 }
 
 // Int8GEMMDequantInto computes dst = float32(a·b + ep.Bias)·ep.Mult row-wise —
 // the final-layer epilogue that hands int8 inference back to the float
-// detection head. dst must have length m·n; ep.Mult length m; ep.Bias may be
-// nil; ep's clamp is not used.
+// detection head. dst must cover m rows of n at stride max(ep.Ldc, n);
+// ep.Mult length m; ep.Bias may be nil; ep's clamp is not used.
 //
 //skynet:hotpath
 func Int8GEMMDequantInto(dst []float32, a, b []int8, m, n, k int, ep Int8Epilogue) {
-	checkI8("Int8GEMMDequantInto", len(dst), len(a), len(b), m, n, k)
+	ldc := max(ep.Ldc, n)
+	checkI8("Int8GEMMDequantInto", len(dst), len(a), len(b), m, n, k, ldc)
 	checkI8Epilogue("Int8GEMMDequantInto", ep.Bias, ep.Mult, m)
-	i8Exec(i8gemmCall{a: a, b: b, cf: dst, m: m, n: n, k: k,
+	i8Exec(i8gemmCall{a: a, b: b, cf: dst, m: m, n: n, k: k, ldc: ldc,
 		mode: i8ModeDequant, bias: ep.Bias, mult: ep.Mult, leaf: ep.Leaf})
 }
 
-// checkI8 validates operand lengths against the call geometry.
+// checkI8 validates operand lengths against the call geometry, the
+// destination's rows ldc apart.
 //
 //skynet:hotpath
-func checkI8(name string, lc, la, lb, m, n, k int) {
+func checkI8(name string, lc, la, lb, m, n, k, ldc int) {
 	if m <= 0 || n <= 0 || k <= 0 {
 		panic("tensor: " + name + " requires positive dimensions")
 	}
-	if la < m*k || lb < k*n || lc < m*n {
+	if la < m*k || lb < k*n || lc < (m-1)*ldc+n {
 		panic("tensor: " + name + " operand lengths do not cover the given shape")
 	}
 }
@@ -277,11 +283,11 @@ func (g *i8gemmCall) runNaive() {
 			}
 			switch g.mode {
 			case i8ModeInt32:
-				g.c32[i*g.n+j] = acc
+				g.c32[i*g.ldc+j] = acc
 			case i8ModeRequant:
-				g.c8[i*g.n+j] = RequantizeRNE(acc+bias, g.mult[i], g.lo, g.hi)
+				g.c8[i*g.ldc+j] = RequantizeRNE(acc+bias, g.mult[i], g.lo, g.hi)
 			case i8ModeDequant:
-				g.cf[i*g.n+j] = float32(float64(acc+bias) * float64(g.mult[i]))
+				g.cf[i*g.ldc+j] = float32(float64(acc+bias) * float64(g.mult[i]))
 			}
 		}
 	}
@@ -407,8 +413,8 @@ func (g *i8gemmCall) storeTile(tile *[i8MR * i8NR]int32, i0, j0, mr, nr int) {
 			_ = g.bias[i0+i8MR-1]
 			bias = &g.bias[i0]
 		}
-		_, _ = g.mult[i0+i8MR-1], g.c8[(i0+i8MR-1)*g.n+j0+i8NR-1]
-		f(&g.c8[i0*g.n+j0], g.n, tile, bias, &g.mult[i0], g.lo, g.hi)
+		_, _ = g.mult[i0+i8MR-1], g.c8[(i0+i8MR-1)*g.ldc+j0+i8NR-1]
+		f(&g.c8[i0*g.ldc+j0], g.ldc, tile, bias, &g.mult[i0], g.lo, g.hi)
 		return
 	}
 	for r := 0; r < mr; r++ {
@@ -419,19 +425,19 @@ func (g *i8gemmCall) storeTile(tile *[i8MR * i8NR]int32, i0, j0, mr, nr int) {
 		}
 		switch g.mode {
 		case i8ModeInt32:
-			crow := g.c32[(i0+r)*g.n+j0 : (i0+r)*g.n+j0+nr]
+			crow := g.c32[(i0+r)*g.ldc+j0 : (i0+r)*g.ldc+j0+nr]
 			for q, v := range trow {
 				crow[q] = v
 			}
 		case i8ModeRequant:
 			mult := g.mult[i0+r]
-			crow := g.c8[(i0+r)*g.n+j0 : (i0+r)*g.n+j0+nr]
+			crow := g.c8[(i0+r)*g.ldc+j0 : (i0+r)*g.ldc+j0+nr]
 			for q, v := range trow {
 				crow[q] = RequantizeRNE(v+bias, mult, g.lo, g.hi)
 			}
 		case i8ModeDequant:
 			mult := float64(g.mult[i0+r])
-			crow := g.cf[(i0+r)*g.n+j0 : (i0+r)*g.n+j0+nr]
+			crow := g.cf[(i0+r)*g.ldc+j0 : (i0+r)*g.ldc+j0+nr]
 			for q, v := range trow {
 				crow[q] = float32(float64(v+bias) * mult)
 			}

@@ -178,6 +178,54 @@ func TestInt8GEMMDequantGolden(t *testing.T) {
 	})
 }
 
+// TestInt8GEMMColumnStride: into a destination whose rows are wider than n
+// (Int8Epilogue.Ldc), both epilogues store exactly the packed store's
+// result, row for row, and write nothing between the rows — over the
+// remainder-tile grid, on both paths, under each micro-kernel.
+func TestInt8GEMMColumnStride(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	kernels := []string{"purego"}
+	if HasKernel("avx2") {
+		kernels = append(kernels, "avx2")
+	}
+	const gap8 = int8(-128) // never a code: the epilogue clamps to [0, 113]
+	gapF := math.Float32frombits(0x7fc0dead)
+	gemmSweep(func(m, n, k int) {
+		p := newI8Problem(rng, m, n, k)
+		ep := Int8Epilogue{Bias: p.bias, Mult: p.mult, Lo: p.lo, Hi: p.hi}
+		want8, wantF := make([]int8, m*n), make([]float32, m*n)
+		withKernel(t, "purego", func() {
+			Int8GEMMRequantInto(want8, p.a, p.b, m, n, k, ep)
+			Int8GEMMDequantInto(wantF, p.a, p.b, m, n, k, ep)
+		})
+		for _, pad := range []int{1, i8NR + 3} {
+			ep.Ldc = n + pad
+			for _, kernel := range kernels {
+				withKernel(t, kernel, func() {
+					i8Paths(func(path string) {
+						got8, gotF := make([]int8, (m-1)*ep.Ldc+n), make([]float32, (m-1)*ep.Ldc+n)
+						for i := range got8 {
+							got8[i], gotF[i] = gap8, gapF
+						}
+						Int8GEMMRequantInto(got8, p.a, p.b, m, n, k, ep)
+						Int8GEMMDequantInto(gotF, p.a, p.b, m, n, k, ep)
+						for i := range got8 {
+							r, c := i/ep.Ldc, i%ep.Ldc
+							w8, wF := gap8, gapF
+							if c < n {
+								w8, wF = want8[r*n+c], wantF[r*n+c]
+							}
+							if got8[i] != w8 || math.Float32bits(gotF[i]) != math.Float32bits(wF) {
+								t.Fatalf("%s %s m=%d n=%d k=%d ldc=%d: element (%d,%d) = %d / %v, want %d / %v", kernel, path, m, n, k, ep.Ldc, r, c, got8[i], gotF[i], w8, wF)
+							}
+						}
+					})
+				})
+			}
+		}
+	})
+}
+
 // TestInt8GEMMParallelDeterminism verifies the split across workers is
 // bitwise invariant: int32 accumulation is exact and the requantize
 // epilogue is elementwise, so any worker count must produce identical

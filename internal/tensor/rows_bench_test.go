@@ -122,7 +122,7 @@ func BenchmarkRowStoreTile(b *testing.B) {
 	b.Run("int8", func(b *testing.B) {
 		benchKernels(b, func(b *testing.B) {
 			const m = 8
-			g := i8gemmCall{c8: make([]int8, m*320), n: 320, mode: i8ModeRequant, mult: benchRow(m), lo: 0, hi: 93}
+			g := i8gemmCall{c8: make([]int8, m*320), n: 320, ldc: 320, mode: i8ModeRequant, mult: benchRow(m), lo: 0, hi: 93}
 			var tile [i8MR * i8NR]int32
 			copy(tile[:], saltedAcc(rand.New(rand.NewSource(2)), len(tile)))
 			b.SetBytes(5 * i8MR * i8NR)

@@ -391,7 +391,7 @@ func TestRowStoreTileInt8(t *testing.T) {
 			for mr := 1; mr <= i8MR; mr++ {
 				for nr := 1; nr <= i8NR; nr += 1 + ci%3 {
 					j0 := rng.Intn(n - nr + 1)
-					g := i8gemmCall{n: n, mode: i8ModeRequant, mult: make([]float32, rowsC), lo: c.lo, hi: c.hi}
+					g := i8gemmCall{n: n, ldc: n, mode: i8ModeRequant, mult: make([]float32, rowsC), lo: c.lo, hi: c.hi}
 					for i := range g.mult {
 						g.mult[i] = c.mult * float32(1+i)
 					}
