@@ -202,48 +202,32 @@ func BenchmarkFig10Pipeline(b *testing.B) {
 		}
 		return x, nil
 	}
-	stages := func(inferWorkers int) []pipeline.StageSpec {
-		return []pipeline.StageSpec{
-			{Name: pipeline.StagePre, Proc: work},
-			{Name: pipeline.StageInfer, Workers: inferWorkers, Proc: work},
-			{Name: pipeline.StagePost, Proc: work},
-		}
+	stages := []pipeline.StageSpec{
+		{Name: pipeline.StagePre, Proc: work},
+		{Name: pipeline.StageInfer, Proc: work},
+		{Name: pipeline.StagePost, Proc: work},
 	}
 	items := make([]any, 64)
 	for i := range items {
 		items[i] = i
 	}
 	ctx := context.Background()
-	oneEach := stages(1)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, it := range items {
-				for _, s := range oneEach {
+				for _, s := range stages {
 					it, _ = s.Proc(ctx, it)
 				}
 			}
 		}
 	})
-	pip, err := pipeline.NewExecutor(2, oneEach...)
+	pip, err := pipeline.NewExecutor(2, stages...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("pipelined", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := pip.Run(ctx, items); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The production streaming executor with the compute stage scaled out
-	// across workers — the Figure 10 design plus per-stage scale-out.
-	ex, err := pipeline.NewExecutor(2, stages(4)...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("executor-4w", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.Run(ctx, items); err != nil {
 				b.Fatal(err)
 			}
 		}

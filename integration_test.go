@@ -245,7 +245,7 @@ func TestIntegrationPipelineOverTrainedModel(t *testing.T) {
 }
 
 // TestIntegrationStreamingExecutorOverTrainedModel runs the production
-// streaming executor (multi-worker pre/post, micro-batched inference) over
+// streaming executor (pre/post around micro-batched inference) over
 // a real backbone and checks the decoded boxes match the serial per-frame
 // path exactly, in order.
 func TestIntegrationStreamingExecutorOverTrainedModel(t *testing.T) {
@@ -273,9 +273,9 @@ func TestIntegrationStreamingExecutorOverTrainedModel(t *testing.T) {
 	// run to run; the boxes may not: a frame's prediction is bitwise the same
 	// in a batch of any size as alone.
 	ex, err := pipeline.NewExecutor(4,
-		detect.PreStage(2),
+		detect.PreStage(),
 		detect.InferStage(model, 4),
-		detect.PostStage(head, 2),
+		detect.PostStage(head),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ package analysis
 //
 // in their doc comment: the GEMM micro/macro-kernels and packing
 // routines, the steady-state convolution forward kernels, and the
-// pipeline executor's per-item stage loop. PR 1 established (and tests
+// pipeline executor's stage step. PR 1 established (and tests
 // with testing.AllocsPerRun) that these paths allocate nothing once warm;
 // this checker catches the regression at review time instead of waiting
 // for an alloc-count test to trip.

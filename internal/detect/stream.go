@@ -56,12 +56,10 @@ func Preprocess(f *Frame) error {
 	return nil
 }
 
-// PreStage returns the merged fetch/pre-process stage over Preprocess. The
-// work is per-frame and stateless, so it can scale across workers.
-func PreStage(workers int) pipeline.StageSpec {
+// PreStage returns the merged fetch/pre-process stage over Preprocess.
+func PreStage() pipeline.StageSpec {
 	return pipeline.StageSpec{
-		Name:    pipeline.StagePre,
-		Workers: workers,
+		Name: pipeline.StagePre,
 		Proc: func(_ context.Context, v any) (any, error) {
 			f, err := asFrame(pipeline.StagePre, v)
 			if err != nil {
@@ -144,10 +142,9 @@ func Postprocess(h *Head, f *Frame) error {
 // runs it as lanes, each core taking whole frames through the network on its
 // own one-frame set of feature-map buffers and meeting the others once per
 // forward, not once per layer — as the paper's batch shares one set of
-// on-chip buffers among four frames (§6.2, Figure 9). The stage runs on one
-// worker because a forward pass is not reentrant (the model owns the arena
-// and the lanes, see InferBatch), so one model is driven by one inference
-// worker; scale throughput with maxBatch instead.
+// on-chip buffers among four frames (§6.2, Figure 9). Like every executor
+// stage it runs on one goroutine, which a forward pass needs anyway: it is not
+// reentrant (the model owns the arena and the lanes, see InferBatch).
 func InferStage(m Model, maxBatch int) pipeline.StageSpec {
 	return pipeline.StageSpec{
 		Name:     pipeline.StageInfer,
@@ -174,12 +171,10 @@ func InferStage(m Model, maxBatch int) pipeline.StageSpec {
 }
 
 // PostStage returns the post-processing stage: decode the single best box
-// and its confidence from the raw head output. Decode only reads the head,
-// so the stage can scale across workers.
-func PostStage(h *Head, workers int) pipeline.StageSpec {
+// and its confidence from the raw head output.
+func PostStage(h *Head) pipeline.StageSpec {
 	return pipeline.StageSpec{
-		Name:    pipeline.StagePost,
-		Workers: workers,
+		Name: pipeline.StagePost,
 		Proc: func(_ context.Context, v any) (any, error) {
 			f, err := asFrame(pipeline.StagePost, v)
 			if err != nil {
@@ -201,21 +196,18 @@ type StreamConfig struct {
 	MaxBatch int
 }
 
-// streamWorkers is the width of the pre- and post-process stages.
-const streamWorkers = 2
-
 // NewStreamExecutor assembles the full three-stage §6.3 executor for a
-// model+head pair: multi-worker pre/post stages around single-worker
-// micro-batched inference, with frames delivered in input order. The
-// inter-stage queues hold MaxBatch frames, so a full batch can queue behind
-// the forward in flight without stalling the pre-process stage.
+// model+head pair: pre-process, micro-batched inference and post-process,
+// one goroutine each, with frames delivered in input order. The inter-stage
+// queues hold MaxBatch frames, so a full batch can queue behind the forward
+// in flight without stalling the pre-process stage.
 func NewStreamExecutor(m Model, h *Head, cfg StreamConfig) (*pipeline.Executor, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 4
 	}
 	return pipeline.NewExecutor(cfg.MaxBatch,
-		PreStage(streamWorkers),
+		PreStage(),
 		InferStage(m, cfg.MaxBatch),
-		PostStage(h, streamWorkers),
+		PostStage(h),
 	)
 }

@@ -4,7 +4,10 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"skynet/internal/nn"
 	"skynet/internal/pipeline"
@@ -73,6 +76,54 @@ func TestStreamExecutorMatchesSerial(t *testing.T) {
 				i, f.Box, f.Conf, boxes[0], confs[0])
 		}
 	}
+}
+
+// pipelineGoroutines counts the live goroutines the pipeline package started.
+func pipelineGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by skynet/internal/pipeline.")
+}
+
+// noPipelineGoroutines fails the test unless every pipeline goroutine is
+// gone within a second: a joined goroutine may still be on its way out.
+func noPipelineGoroutines(t *testing.T, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); pipelineGoroutines() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pipeline goroutines %s", pipelineGoroutines(), when)
+		}
+	}
+}
+
+// An open stream of NewStreamExecutor is four goroutines — the three stages
+// of §6.3, one each as PipelinedMakespan models them, and the forwarder into
+// the first queue — idle or with a frame through, and none once wait returns.
+func TestStreamExecutorGoroutineCensus(t *testing.T) {
+	head := NewHead(nil)
+	m := fakeModel{ch: head.Channels(), sh: 2, sw: 2}
+	ex, err := NewStreamExecutor(m, head, StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noPipelineGoroutines(t, "before the stream opened")
+	in := make(chan any)
+	out, wait := ex.Stream(context.Background(), in)
+	if n := pipelineGoroutines(); n != 4 {
+		t.Fatalf("an open stream holds %d goroutines, want 4", n)
+	}
+	in <- streamFrames(rand.New(rand.NewSource(3)), 1)[0]
+	<-out
+	if n := pipelineGoroutines(); n != 4 {
+		t.Fatalf("after one frame the stream holds %d goroutines, want 4", n)
+	}
+	close(in)
+	for range out {
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	noPipelineGoroutines(t, "left after wait")
 }
 
 // InferBatch stacks same-shape frames into one forward and hands each frame
@@ -231,9 +282,9 @@ func TestInferStageRejectsBadModelOutput(t *testing.T) {
 	// The model's output batch mismatches for every batch size, so the run
 	// fails however the six frames happen to split into batches.
 	ex, err := pipeline.NewExecutor(2,
-		PreStage(1),
+		PreStage(),
 		InferStage(badShapeModel{}, 3),
-		PostStage(head, 1),
+		PostStage(head),
 	)
 	if err != nil {
 		t.Fatal(err)

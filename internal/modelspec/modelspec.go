@@ -83,19 +83,20 @@ func (s Spec) builder() (backbone.Builder, error) {
 	return nil, fmt.Errorf("modelspec: unknown family %q", s.Family)
 }
 
-// The most a spec, which may come from a file, can ask a builder for.
-const maxWidth, maxChannels, maxSlots = 4, 2048, 16
+// The most a spec, which may come from a file, can ask a builder for: a
+// width multiplier, a layer's channels and a search candidate's slots.
+const maxWidth, MaxChannels, MaxSlots = 4, 2048, 16
 
 // Build constructs the graph and matching detection head. A spec out of the
 // bounds above — a hostile one would panic a make or exhaust memory — is an
 // error before anything is allocated.
 func (s Spec) Build() (*nn.Graph, *detect.Head, error) {
-	ok := s.Width >= 0 && s.Width <= maxWidth && len(s.Channels) <= maxSlots // NaN fails too
+	ok := s.Width >= 0 && s.Width <= maxWidth && len(s.Channels) <= MaxSlots // NaN fails too
 	for i, n := range append([]int{s.InC, s.HeadChannels, s.Classes}, s.Channels...) {
-		ok = ok && n >= 0 && n <= maxChannels && (i < 3 || n > 0) // a slot has a channel
+		ok = ok && n >= 0 && n <= MaxChannels && (i < 3 || n > 0) // a slot has a channel
 	}
 	if !ok {
-		return nil, nil, fmt.Errorf("modelspec: spec out of range (width ≤ %d, channels ≤ %d, slots ≤ %d): %+v", maxWidth, maxChannels, maxSlots, s)
+		return nil, nil, fmt.Errorf("modelspec: spec out of range (width ≤ %d, channels ≤ %d, slots ≤ %d): %+v", maxWidth, MaxChannels, MaxSlots, s)
 	}
 	var head *detect.Head
 	if s.Classes > 0 {

@@ -1,7 +1,7 @@
 package pipeline
 
 // The micro-batch collector of the §6.3 batched-inference stage, exported
-// because it has two callers: the executor's batchWorker, and the serving
+// because it has two callers: the executor's batchLoop, and the serving
 // lane's worker loop (internal/serve/lane.go), which forms its batches of
 // independent requests by the same rule — so there is one batching policy in
 // the codebase. The rule is work-conserving: a batch is what queued while the

@@ -19,11 +19,11 @@ func ExampleSystemSpeedup() {
 	// Output: 3.34x
 }
 
-// The streaming executor scales the bottleneck stage out across workers
-// and micro-batches a stage, while results still come back in input order.
+// The streaming executor runs each stage on a goroutine of its own and
+// micro-batches a stage, while results still come back in input order.
 func ExampleExecutor_Run() {
 	ex, err := pipeline.NewExecutor(2,
-		pipeline.StageSpec{Name: "double", Workers: 4,
+		pipeline.StageSpec{Name: "double",
 			Proc: func(_ context.Context, v any) (any, error) { return v.(int) * 2, nil }},
 		pipeline.StageSpec{Name: "inc", MaxBatch: 3,
 			Batch: func(_ context.Context, items []any) ([]any, error) {

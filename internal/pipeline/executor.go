@@ -1,12 +1,12 @@
 package pipeline
 
-// This file implements the live streaming executor of §6.3/Figure 10:
-// context cancellation with graceful drain, error-as-value stage results
-// with panics recovered, fail-fast propagation that provably leaks no
-// goroutine, per-stage worker counts with sequence-numbered order
-// restoration, dynamic micro-batching (the paper's batched-inference
-// stage), and per-stage occupancy counters that can be compared against
-// the analytic PipelinedMakespan model.
+// This file implements the live streaming executor of §6.3/Figure 10: one
+// goroutine per stage, as the paper's TX2 system runs one thread per stage
+// and PipelinedMakespan models it, with context cancellation and graceful
+// drain, error-as-value stage results with panics recovered, fail-fast
+// propagation that provably leaks no goroutine, dynamic micro-batching (the
+// paper's batched-inference stage), and per-stage occupancy counters that
+// can be compared against the analytic model.
 
 import (
 	"context"
@@ -16,9 +16,8 @@ import (
 	"time"
 )
 
-// Proc is the per-item transform of a streaming stage. It may be invoked
-// concurrently from StageSpec.Workers goroutines; returning an error (or
-// panicking) fails the whole stream.
+// Proc is the per-item transform of a streaming stage; returning an error
+// (or panicking) fails the whole stream.
 type Proc func(ctx context.Context, item any) (any, error)
 
 // BatchProc is the transform of a micro-batching stage. It must return
@@ -26,15 +25,10 @@ type Proc func(ctx context.Context, item any) (any, error)
 type BatchProc func(ctx context.Context, items []any) ([]any, error)
 
 // StageSpec describes one stage of an Executor. Exactly one of Proc and
-// Batch must be set.
+// Batch must be set. Each stage runs on one goroutine, so it emits items in
+// the order it took them and the stream stays in input order.
 type StageSpec struct {
 	Name string
-	// Workers is the number of goroutines concurrently running Proc (or
-	// collecting batches for Batch); 0 means 1. When Workers > 1 the
-	// executor reassembles the stage's output in input order before the
-	// next stage sees it, so scaling out a bottleneck stage never reorders
-	// the stream.
-	Workers int
 	// Proc transforms one item.
 	Proc Proc
 	// Batch, if set, makes this a micro-batching stage: the items that
@@ -43,16 +37,17 @@ type StageSpec struct {
 	// one weight load serves the whole batch. A lone item is never held back
 	// for partners.
 	Batch BatchProc
-	// MaxBatch caps the micro-batch size; 0 means 1.
+	// MaxBatch caps the micro-batch size; 0 means 1. A Proc stage takes its
+	// items one at a time.
 	MaxBatch int
 }
 
 // Executor runs a fixed sequence of stages over a stream of items. It is
 // safe for concurrent use; counters aggregate across runs.
 type Executor struct {
-	specs []StageSpec
-	buf   int
-	ctrs  []*stageCounters
+	specs  []StageSpec
+	buf    int
+	clocks []StageClock
 }
 
 // NewExecutor validates the stage specs and returns an executor with
@@ -69,56 +64,21 @@ func NewExecutor(buf int, specs ...StageSpec) (*Executor, error) {
 		if (s.Proc == nil) == (s.Batch == nil) {
 			return nil, fmt.Errorf("pipeline: stage %q must set exactly one of Proc and Batch", s.Name)
 		}
-		if s.Workers <= 0 {
-			s.Workers = 1
-		}
-		if s.Batch != nil && s.MaxBatch <= 0 {
+		if s.Proc != nil || s.MaxBatch <= 0 {
 			s.MaxBatch = 1
 		}
 	}
-	ctrs := make([]*stageCounters, len(specs))
-	for i := range ctrs {
-		ctrs[i] = &stageCounters{}
-	}
-	return &Executor{specs: specs, buf: buf, ctrs: ctrs}, nil
+	return &Executor{specs: specs, buf: buf, clocks: make([]StageClock, len(specs))}, nil
 }
 
-// token carries one item plus its position in the input stream, so
-// multi-worker stages can be reassembled in order.
-type token struct {
-	seq int
-	val any
-}
-
-// run is the shared per-invocation state of Run/Stream.
+// run is the shared per-invocation state of a Stream. The first failure —
+// a stage error or the caller's cancellation — is the cause its context
+// ends with.
 type run struct {
-	ex     *Executor
 	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
+	buf    int
 	wg     sync.WaitGroup
-
-	mu  sync.Mutex
-	err error
-}
-
-// fail records the first error and cancels the run. It sits on the
-// itemWorker hot chain (the error path is cold, but reachability is what
-// the closure audits) and allocates nothing itself.
-//
-//skynet:hotpath
-func (r *run) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-		r.cancel()
-	}
-	r.mu.Unlock()
-}
-
-func (r *run) firstErr() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
 }
 
 // Run feeds items through the stages and returns the results in input
@@ -128,41 +88,32 @@ func (r *run) firstErr() error {
 func (e *Executor) Run(ctx context.Context, items []any) ([]any, error) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	r := &run{ex: e, ctx: rctx, cancel: cancel}
+	in := make(chan any)
+	out, wait := e.Stream(rctx, in)
 
-	// Feeder: stamp sequence numbers and stop on cancellation, so a failed
-	// run never strands this goroutine on a send nobody will receive.
-	cur := make(chan token, e.buf)
-	r.wg.Add(1)
+	// Feeder: it stops on cancellation, so a failed run never strands it on
+	// a send nobody will receive.
+	fed := make(chan struct{})
 	go func() {
-		defer r.wg.Done()
-		defer close(cur)
-		for i, it := range items {
+		defer close(fed)
+		defer close(in)
+		for _, it := range items {
 			select {
-			case cur <- token{seq: i, val: it}:
+			case in <- it:
 			case <-rctx.Done():
 				return
 			}
 		}
 	}()
 
-	var next <-chan token = cur
-	for i := range e.specs {
-		next = r.startStage(i, next)
-	}
-
-	// Final consumer: the last channel is already in input order (stages
-	// either have one worker or are followed by a sequencer), and we always
-	// drain it, so no select on Done is needed here.
 	results := make([]any, 0, len(items))
-	for t := range next {
-		results = append(results, t.val)
+	for v := range out {
+		results = append(results, v)
 	}
-	r.wg.Wait()
-	if err := r.firstErr(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
+	err := wait()
+	cancel() // a failed stream stopped reading: release the feeder
+	<-fed
+	if err != nil {
 		return nil, err
 	}
 	if len(results) != len(items) {
@@ -179,16 +130,17 @@ func (e *Executor) Run(ctx context.Context, items []any) ([]any, error) {
 // has exited and reports the first error (stage error, recovered panic, or
 // the context's error). Callers must drain the output channel.
 func (e *Executor) Stream(ctx context.Context, in <-chan any) (<-chan any, func() error) {
-	rctx, cancel := context.WithCancel(ctx)
-	r := &run{ex: e, ctx: rctx, cancel: cancel}
+	rctx, cancel := context.WithCancelCause(ctx)
+	r := &run{ctx: rctx, cancel: cancel, buf: e.buf}
 
-	// Sequence-stamping feeder.
-	cur := make(chan token, e.buf)
+	// The first queue, buf deep like the others, so the first stage's input
+	// backs up here and not on the caller's send. Its forwarder stops on
+	// cancellation.
+	cur := make(chan any, e.buf)
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		defer close(cur)
-		seq := 0
 		for {
 			select {
 			case v, ok := <-in:
@@ -196,8 +148,7 @@ func (e *Executor) Stream(ctx context.Context, in <-chan any) (<-chan any, func(
 					return
 				}
 				select {
-				case cur <- token{seq: seq, val: v}:
-					seq++
+				case cur <- v:
 				case <-rctx.Done():
 					return
 				}
@@ -207,201 +158,89 @@ func (e *Executor) Stream(ctx context.Context, in <-chan any) (<-chan any, func(
 		}
 	}()
 
-	var next <-chan token = cur
+	var next <-chan any = cur
 	for i := range e.specs {
-		next = r.startStage(i, next)
+		next = r.startStage(e.specs[i], &e.clocks[i], next)
 	}
-
-	out := make(chan any, e.buf)
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer close(out)
-		for t := range next {
-			select {
-			case out <- t.val:
-			case <-rctx.Done():
-				return
-			}
-		}
-	}()
 
 	wait := func() error {
 		r.wg.Wait()
-		cancel()
-		if err := r.firstErr(); err != nil {
-			return err
-		}
-		return ctx.Err()
+		err := context.Cause(rctx)
+		cancel(nil)
+		return err
 	}
-	return out, wait
+	return next, wait
 }
 
-// startStage launches the workers (and, for multi-worker stages, the
-// order-restoring sequencer) of stage idx reading from in.
-func (r *run) startStage(idx int, in <-chan token) <-chan token {
-	e := r.ex
-	spec := e.specs[idx]
-	ctrs := e.ctrs[idx]
-	out := make(chan token, e.buf)
-
-	var workers sync.WaitGroup
-	for w := 0; w < spec.Workers; w++ {
-		workers.Add(1)
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer workers.Done()
-			if spec.Batch != nil {
-				r.batchWorker(spec, ctrs, in, out)
-			} else {
-				r.itemWorker(spec, ctrs, in, out)
-			}
-		}()
-	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		workers.Wait()
-		close(out)
-	}()
-
-	if spec.Workers > 1 {
-		return r.startSequencer(out)
-	}
-	return out
-}
-
-// itemWorker is the per-item stage loop: the steady-state body of every
-// streaming stage. It must not allocate per item — tokens travel by
-// value and counters mutate in place — so a saturated pipeline puts no
-// pressure on the garbage collector.
-//
-//skynet:hotpath
-func (r *run) itemWorker(spec StageSpec, c *stageCounters, in <-chan token, out chan<- token) {
-	for {
-		tWait := time.Now()
-		var t token
-		var ok bool
-		select {
-		case t, ok = <-in:
-		case <-r.ctx.Done():
-			return
-		}
-		if !ok {
-			return
-		}
-		c.addWait(time.Since(tWait))
-
-		t0 := time.Now()
-		v, err := safeProc(r.ctx, spec.Proc, t.val)
-		c.addBusy(time.Since(t0))
-		if err != nil {
-			r.fail(fmt.Errorf("pipeline: stage %q: %w", spec.Name, err))
-			return
-		}
-		c.addItems(1)
-
-		tSend := time.Now()
-		select {
-		case out <- token{seq: t.seq, val: v}:
-		case <-r.ctx.Done():
-			return
-		}
-		c.addBlocked(time.Since(tSend))
-	}
-}
-
-// batchWorker collects micro-batches via CollectBatch (the first pending
-// item plus whatever else is already queued, up to MaxBatch) and processes
-// each in one BatchProc call.
-func (r *run) batchWorker(spec StageSpec, c *stageCounters, in <-chan token, out chan<- token) {
-	toks := make([]token, 0, spec.MaxBatch)
-	seqs := make([]int, 0, spec.MaxBatch)
-	vals := make([]any, 0, spec.MaxBatch)
-
-	flush := func() bool {
-		if len(vals) == 0 {
-			return true
-		}
-		t0 := time.Now()
-		res, err := safeBatch(r.ctx, spec.Batch, vals)
-		c.addBusy(time.Since(t0))
-		if err == nil && len(res) != len(vals) {
-			err = fmt.Errorf("batch returned %d results for %d items", len(res), len(vals))
-		}
-		if err != nil {
-			r.fail(fmt.Errorf("pipeline: stage %q: %w", spec.Name, err))
-			return false
-		}
-		c.addItems(len(vals))
-		c.addBatch()
-		tSend := time.Now()
-		for i, v := range res {
-			select {
-			case out <- token{seq: seqs[i], val: v}:
-			case <-r.ctx.Done():
-				return false
-			}
-		}
-		c.addBlocked(time.Since(tSend))
-		seqs = seqs[:0]
-		vals = vals[:0]
-		return true
-	}
-
-	for {
-		var end BatchEnd
-		toks, end = CollectBatch(r.ctx.Done(), in, spec.MaxBatch, toks)
-		if end.Cancelled {
-			return
-		}
-		if len(toks) > 0 {
-			c.addWait(end.FirstWait)
-			for _, t := range toks {
-				seqs = append(seqs, t.seq)
-				vals = append(vals, t.val)
-			}
-			if !flush() {
-				return
-			}
-		}
-		if end.Drained {
-			return
-		}
-	}
-}
-
-// startSequencer restores input order after a multi-worker stage: tokens
-// arrive out of order and are buffered until the next expected sequence
-// number shows up. Stages never drop items (errors cancel the whole run),
-// so the expected sequence is a simple increment.
-func (r *run) startSequencer(in <-chan token) <-chan token {
-	out := make(chan token, r.ex.buf)
+// startStage launches stage's goroutine reading from in. The goroutine
+// closes its output when it returns, which cascades the drain (or the
+// failure) down the stage chain.
+func (r *run) startStage(spec StageSpec, c *StageClock, in <-chan any) <-chan any {
+	out := make(chan any, r.buf)
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		defer close(out)
-		pending := make(map[int]any)
-		next := 0
-		for t := range in {
-			pending[t.seq] = t.val
-			for {
-				v, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				select {
-				case out <- token{seq: next, val: v}:
-				case <-r.ctx.Done():
-					return
-				}
-				next++
-			}
-		}
+		r.stageLoop(spec, c, in, out)
 	}()
 	return out
+}
+
+// stageLoop is a stage's body: it takes what CollectBatch hands it — one item
+// for a per-item stage, a micro-batch for a batching one — and steps it
+// through the stage until the input drains or the run ends.
+func (r *run) stageLoop(spec StageSpec, c *StageClock, in <-chan any, out chan<- any) {
+	batch := make([]any, 0, spec.MaxBatch)
+	for {
+		var end BatchEnd
+		batch, end = CollectBatch(r.ctx.Done(), in, spec.MaxBatch, batch)
+		if len(batch) > 0 && !r.step(spec, c, batch, end.FirstWait, out) {
+			return
+		}
+		if end.Drained || end.Cancelled {
+			return
+		}
+	}
+}
+
+// step runs one collected batch through the stage and emits its results in
+// order, reporting false once the run has failed. It is the steady-state body
+// of every stage and must not allocate — a per-item stage's result takes its
+// item's place in batch, counters mutate in place — so a saturated pipeline
+// puts no pressure on the garbage collector.
+//
+//skynet:hotpath
+func (r *run) step(spec StageSpec, c *StageClock, batch []any, waited time.Duration, out chan<- any) bool {
+	c.AddWait(waited)
+	t0 := time.Now()
+	res, err := batch, error(nil)
+	if spec.Batch != nil {
+		res, err = safeBatch(r.ctx, spec.Batch, batch)
+	} else {
+		batch[0], err = safeProc(r.ctx, spec.Proc, batch[0])
+	}
+	busy := time.Since(t0)
+	if err == nil && len(res) != len(batch) {
+		err = fmt.Errorf("batch returned %d results for %d items", len(res), len(batch))
+	}
+	if err != nil {
+		r.cancel(fmt.Errorf("pipeline: stage %q: %w", spec.Name, err))
+		return false
+	}
+	c.Add(len(batch), busy)
+	if spec.Batch != nil {
+		c.AddBatch()
+	}
+	tSend := time.Now()
+	for _, v := range res {
+		select {
+		case out <- v:
+		case <-r.ctx.Done():
+			return false
+		}
+	}
+	c.AddBlocked(time.Since(tSend))
+	return true
 }
 
 // safeProc invokes p converting a panic into an error. The recovery is a
@@ -417,6 +256,8 @@ func safeProc(ctx context.Context, p Proc, v any) (out any, err error) {
 }
 
 // safeBatch invokes b converting a panic into an error.
+//
+//skynet:hotpath
 func safeBatch(ctx context.Context, b BatchProc, vals []any) (out []any, err error) {
 	defer recoverToError(&err)
 	return b(ctx, vals)
@@ -432,20 +273,4 @@ func recoverToError(errp *error) {
 	if rec := recover(); rec != nil {
 		*errp = fmt.Errorf("panic: %v", rec)
 	}
-}
-
-// SleepSpec returns a per-item stage that blocks for d per item across
-// `workers` goroutines — a stand-in for I/O-bound work (input fetch, DMA)
-// used by the analytic-model agreement tests and benchmarks.
-func SleepSpec(name string, d time.Duration, workers int) StageSpec {
-	return StageSpec{Name: name, Workers: workers, Proc: func(ctx context.Context, v any) (any, error) {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			return v, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}}
 }

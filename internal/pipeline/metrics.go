@@ -1,11 +1,11 @@
 package pipeline
 
-// Per-stage observability for the streaming executor: how many items each
-// stage processed, how long it spent working (busy), starved for input
-// (wait), and blocked on a full downstream queue (queue-full). The
-// snapshots convert directly into the []float64 profiles consumed by
-// StageBreakdown and the analytic makespan model, so a live run's measured
-// occupancy can be laid side by side with the PipelinedMakespan prediction.
+// Per-stage observability: how many items each stage processed, how long it
+// spent working (busy), starved for input (wait), and blocked on a full
+// downstream queue (queue-full). The snapshots convert directly into the
+// []float64 profiles consumed by StageBreakdown and the analytic makespan
+// model, so a live run's measured occupancy can be laid side by side with
+// the PipelinedMakespan prediction.
 
 import (
 	"fmt"
@@ -13,9 +13,11 @@ import (
 	"time"
 )
 
-// stageCounters is the executor-internal accumulator, updated with atomics
-// from every worker of a stage.
-type stageCounters struct {
+// StageClock counts one stage's work: the executor keeps one per stage, and
+// the serving layer one per stage of its /metrics table. The zero value is
+// ready, and every method is safe for concurrent use: atomic adds only, no
+// allocation, so a stage's per-item loop can call them.
+type StageClock struct {
 	items     atomic.Int64
 	batches   atomic.Int64
 	busyNS    atomic.Int64
@@ -23,27 +25,49 @@ type stageCounters struct {
 	blockedNS atomic.Int64
 }
 
-// The add* counters run inside itemWorker's per-item loop: atomic adds
-// only, no allocation.
+// Add counts items that completed the stage's transform in busy time.
 //
 //skynet:hotpath
-func (c *stageCounters) addItems(n int) { c.items.Add(int64(n)) }
+func (c *StageClock) Add(items int, busy time.Duration) {
+	c.items.Add(int64(items))
+	c.busyNS.Add(int64(busy))
+}
 
-func (c *stageCounters) addBatch() { c.batches.Add(1) }
-
+// AddBatch counts one batched call.
+//
 //skynet:hotpath
-func (c *stageCounters) addBusy(d time.Duration) { c.busyNS.Add(int64(d)) }
+func (c *StageClock) AddBatch() { c.batches.Add(1) }
 
+// AddWait counts time starved for input.
+//
 //skynet:hotpath
-func (c *stageCounters) addWait(d time.Duration) { c.waitNS.Add(int64(d)) }
+func (c *StageClock) AddWait(d time.Duration) { c.waitNS.Add(int64(d)) }
 
+// AddBlocked counts time with a result ready and the downstream queue full.
+//
 //skynet:hotpath
-func (c *stageCounters) addBlocked(d time.Duration) { c.blockedNS.Add(int64(d)) }
+func (c *StageClock) AddBlocked(d time.Duration) { c.blockedNS.Add(int64(d)) }
+
+// Stats snapshots the counters under the stage's name and worker count.
+func (c *StageClock) Stats(name string, workers int) StageStats {
+	return StageStats{
+		Name:    name,
+		Workers: workers,
+		Items:   c.items.Load(),
+		Batches: c.batches.Load(),
+		Busy:    time.Duration(c.busyNS.Load()),
+		Wait:    time.Duration(c.waitNS.Load()),
+		Blocked: time.Duration(c.blockedNS.Load()),
+	}
+}
 
 // StageStats is a snapshot of one stage's counters, aggregated across the
-// stage's workers and across every run of the executor so far.
+// stage's workers and across every run so far.
 type StageStats struct {
-	Name    string
+	Name string
+	// Workers is how many goroutines ran the stage: 1 for an executor
+	// stage; the serving layer reports its inference workers here, and 0 for
+	// a stage that runs on its callers' goroutines.
 	Workers int
 	// Items is the number of items that completed the stage's transform.
 	Items int64
@@ -58,24 +82,13 @@ type StageStats struct {
 	Blocked time.Duration
 }
 
-// PerItemSeconds is the mean busy time per item on one worker — the d_i of
-// the analytic model before any scale-out.
+// PerItemSeconds is the mean busy time per item — the d_i of the analytic
+// model.
 func (s StageStats) PerItemSeconds() float64 {
 	if s.Items == 0 {
 		return 0
 	}
 	return s.Busy.Seconds() / float64(s.Items)
-}
-
-// EffectiveSeconds is the stage's steady-state period contribution:
-// per-item busy time divided by the worker count. The pipeline's measured
-// bottleneck is the max over stages, matching what PipelinedMakespan sees
-// when given an effective profile.
-func (s StageStats) EffectiveSeconds() float64 {
-	if s.Workers <= 0 {
-		return s.PerItemSeconds()
-	}
-	return s.PerItemSeconds() / float64(s.Workers)
 }
 
 // MeanBatchSize is the average number of items per BatchProc invocation —
@@ -112,29 +125,20 @@ func (s StageStats) String() string {
 // Stats returns a snapshot of every stage's counters.
 func (e *Executor) Stats() []StageStats {
 	out := make([]StageStats, len(e.specs))
-	for i, c := range e.ctrs {
-		out[i] = StageStats{
-			Name:    e.specs[i].Name,
-			Workers: e.specs[i].Workers,
-			Items:   c.items.Load(),
-			Batches: c.batches.Load(),
-			Busy:    time.Duration(c.busyNS.Load()),
-			Wait:    time.Duration(c.waitNS.Load()),
-			Blocked: time.Duration(c.blockedNS.Load()),
-		}
+	for i := range e.clocks {
+		out[i] = e.clocks[i].Stats(e.specs[i].Name, 1)
 	}
 	return out
 }
 
-// MeasuredProfile returns the per-stage effective seconds per item
-// (busy/items/workers) — a profile in the same units as TX2StageProfile,
-// directly renderable with StageBreakdown and comparable against the
-// analytic PipelinedMakespan model.
+// MeasuredProfile returns the per-stage busy seconds per item — a profile in
+// the same units as TX2StageProfile, directly renderable with StageBreakdown
+// and comparable against the analytic PipelinedMakespan model.
 func (e *Executor) MeasuredProfile() []float64 {
 	stats := e.Stats()
 	out := make([]float64, len(stats))
 	for i, s := range stats {
-		out[i] = s.EffectiveSeconds()
+		out[i] = s.PerItemSeconds()
 	}
 	return out
 }

@@ -8,8 +8,8 @@
 // accelerator on the Ultra96 (25.05 FPS).
 //
 // The package provides both an analytic makespan model (used by the
-// benchmark harness, deterministic) and a real goroutine/channel executor
-// (used by the examples on live workloads).
+// benchmark harness, deterministic) and a real goroutine/channel executor,
+// one goroutine per stage (used by the examples on live workloads).
 package pipeline
 
 import "fmt"
@@ -48,40 +48,6 @@ func PipelinedMakespan(durations []float64, n int) float64 {
 	return sum + float64(n-1)*max
 }
 
-// Speedup returns the serial/pipelined makespan ratio for n items. An
-// empty workload (n <= 0) is defined to have speedup 1 — both makespans
-// are zero and neither mode does any work — rather than the 0/0 NaN the
-// raw ratio would produce. A zero-cost profile likewise yields 1.
-func Speedup(durations []float64, n int) float64 {
-	if n <= 0 {
-		return 1
-	}
-	ser := SerialMakespan(durations, n)
-	pip := PipelinedMakespan(durations, n)
-	if pip == 0 {
-		return 1 // all stage durations are zero: ser is zero too
-	}
-	return ser / pip
-}
-
-// EffectiveProfile scales each stage duration by its worker count: a stage
-// with w workers has steady-state period d/w, which is the duration the
-// analytic PipelinedMakespan model should see when a bottleneck stage is
-// scaled out (as the streaming Executor allows). A batched stage's
-// effective duration is its per-batch cost divided by the batch size.
-// workers may be shorter than durations; missing entries default to 1.
-func EffectiveProfile(durations []float64, workers []int) []float64 {
-	out := make([]float64, len(durations))
-	for i, d := range durations {
-		w := 1
-		if i < len(workers) && workers[i] > 0 {
-			w = workers[i]
-		}
-		out[i] = d / float64(w)
-	}
-	return out
-}
-
 // ThroughputFPS returns the steady-state pipelined throughput: one item
 // per bottleneck-stage period.
 func ThroughputFPS(durations []float64) float64 {
@@ -112,9 +78,10 @@ var TX2StageProfile = []float64{0.013, 0.014852, 0.010}
 
 // SystemSpeedup returns the end-to-end gain of the optimized pipeline over
 // the original serial flow for n images — the §6.3 metric (3.35× on TX2).
-// Like Speedup, the empty workload (n <= 0) is defined as 1 instead of the
-// 0/0 NaN of the raw ratio; a zero-cost pipeline profile against a
-// non-trivial serial one reports +Inf.
+// Given the same profile twice it is the plain overlap gain of pipelining.
+// The empty workload (n <= 0), and a zero-cost profile on both sides, are
+// defined as 1 instead of the 0/0 NaN of the raw ratio; a zero-cost
+// pipeline profile against a non-trivial serial one reports +Inf.
 func SystemSpeedup(serialProfile, pipelineProfile []float64, n int) float64 {
 	if n <= 0 {
 		return 1

@@ -45,7 +45,7 @@ func TestQuickPipelineBounds(t *testing.T) {
 			sum += d
 		}
 		// Speedup is bounded by the stage count and by sum/max.
-		return Speedup(durs, n) <= float64(k)+1e-9
+		return SystemSpeedup(durs, durs, n) <= float64(k)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -154,9 +154,9 @@ func TestRunPipelinedMatchesSerial(t *testing.T) {
 func TestPipelinedWallClockFaster(t *testing.T) {
 	d := 3 * time.Millisecond
 	ex, err := NewExecutor(1,
-		SleepSpec(StagePre, d, 1),
-		SleepSpec(StageInfer, d, 1),
-		SleepSpec(StagePost, d, 1),
+		sleepSpec(StagePre, d),
+		sleepSpec(StageInfer, d),
+		sleepSpec(StagePost, d),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -198,28 +198,12 @@ func TestPipelinedWallClockFaster(t *testing.T) {
 // the raw makespan ratio produces (both makespans are 0 for n <= 0).
 func TestSpeedupEmptyWorkload(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		if got := Speedup(TX2StageProfile, n); got != 1 {
-			t.Fatalf("Speedup(n=%d) = %v, want 1", n, got)
-		}
 		if got := SystemSpeedup(TX2SerialProfile, TX2StageProfile, n); got != 1 {
 			t.Fatalf("SystemSpeedup(n=%d) = %v, want 1", n, got)
 		}
 	}
-	if got := Speedup([]float64{0, 0}, 5); math.IsNaN(got) || got != 1 {
-		t.Fatalf("Speedup(zero profile) = %v, want 1", got)
-	}
-	if got := SystemSpeedup([]float64{0}, []float64{0}, 5); got != 1 {
+	if got := SystemSpeedup([]float64{0}, []float64{0}, 5); math.IsNaN(got) || got != 1 {
 		t.Fatalf("SystemSpeedup(zero profiles) = %v, want 1", got)
-	}
-}
-
-func TestEffectiveProfile(t *testing.T) {
-	got := EffectiveProfile([]float64{0.002, 0.008, 0.002}, []int{1, 4})
-	want := []float64{0.002, 0.002, 0.002}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("effective profile %v, want %v", got, want)
-		}
 	}
 }
 

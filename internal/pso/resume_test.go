@@ -6,8 +6,11 @@ package pso
 // the bitwise-identical trajectory of an uninterrupted run.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -195,6 +198,112 @@ func TestSearchFromRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := SearchFrom(fine, jitterEval{}, &ck, nil); err != nil {
 		t.Fatalf("worker-count change rejected the checkpoint: %v", err)
 	}
+}
+
+// fuzzConfig is a 2×2 search small enough to resume thousands of times.
+func fuzzConfig() Config {
+	return Config{
+		Groups: 2, PerGroup: 2, Iterations: 3,
+		Slots: 3, Pools: 2,
+		ChannelMin: 4, ChannelMax: 32,
+		Beta:     map[string]float64{PlatformFPGA: 1},
+		TargetMS: map[string]float64{PlatformFPGA: 5},
+		Seed:     3,
+		Workers:  1,
+	}
+}
+
+// fuzzEval is a tiny deterministic evaluator that reads every channel, and
+// snapshots and restores its state the way the engine evaluator does.
+type fuzzEval struct{}
+
+func (fuzzEval) Accuracy(n Network, _ int) float64 {
+	var d float64
+	for i, c := range n.Channels {
+		d += math.Abs(float64(c - 8*(i+1)))
+	}
+	return 1 / (1 + d/50)
+}
+
+func (fuzzEval) Latency(n Network) map[string]float64 {
+	return map[string]float64{PlatformFPGA: float64(len(n.PoolPos)) + float64(n.Channels[len(n.Channels)-1])/8}
+}
+
+func (fuzzEval) SnapshotState() ([]byte, error) { return new(EngineEvaluator).SnapshotState() }
+
+func (fuzzEval) RestoreState(data []byte) error { return new(EngineEvaluator).RestoreState(data) }
+
+// fuzzCheckpoint is the checkpoint fuzzConfig's search takes after its first
+// iteration.
+func fuzzCheckpoint(t testing.TB) Checkpoint {
+	var first Checkpoint
+	if _, err := SearchFrom(fuzzConfig(), fuzzEval{}, nil, func(ck Checkpoint) error {
+		if ck.Iter == 1 {
+			first = ck
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return first
+}
+
+func gobBytes(t testing.TB, ck Checkpoint) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSearchFromRejectsMalformedCheckpoint: a checkpoint file is input, and
+// the service resumes any it finds. One whose networks the search could not
+// have produced is an error from SearchFrom, not a panic in it.
+func TestSearchFromRejectsMalformedCheckpoint(t *testing.T) {
+	ck := fuzzCheckpoint(t)
+	if _, err := SearchFrom(fuzzConfig(), fuzzEval{}, &ck, nil); err != nil {
+		t.Fatalf("the checkpoint as taken: %v", err)
+	}
+	for name, mut := range map[string]func(*Checkpoint){
+		"group 0 holds one network":    func(ck *Checkpoint) { ck.Pop[0] = ck.Pop[0][:1] },
+		"group 1 holds three":          func(ck *Checkpoint) { ck.Pop[1] = append(ck.Pop[1], ck.Pop[1][0]) },
+		"a genome one slot short":      func(ck *Checkpoint) { ck.Pop[1][1].Channels = ck.Pop[1][1].Channels[:2] },
+		"a genome with no poolings":    func(ck *Checkpoint) { ck.Pop[0][1].PoolPos = nil },
+		"a pooling past the last slot": func(ck *Checkpoint) { ck.Pop[0][0].PoolPos = []int{0, 3} },
+		"zero channels":                func(ck *Checkpoint) { ck.Pop[0][0].Channels[2] = 0 },
+		"another group's bundle":       func(ck *Checkpoint) { ck.Pop[1][0].BundleType = 0 },
+		"a short group best":           func(ck *Checkpoint) { ck.GroupBest[0].Net.Channels = []int{8} },
+		"a global best of group 7":     func(ck *Checkpoint) { ck.Best.Net.BundleType = 7 },
+	} {
+		ck := fuzzCheckpoint(t)
+		mut(&ck)
+		if _, err := SearchFrom(fuzzConfig(), fuzzEval{}, &ck, nil); err == nil {
+			t.Errorf("%s: resumed without an error", name)
+		}
+	}
+}
+
+// FuzzSearchFromCheckpoint: whatever bytes sit in a checkpoint file, loading
+// and resuming from it returns an error or a result, never panics.
+func FuzzSearchFromCheckpoint(f *testing.F) {
+	ck := fuzzCheckpoint(f)
+	valid := gobBytes(f, ck)
+	f.Add(valid)
+	short := fuzzCheckpoint(f)
+	short.Pop[0] = short.Pop[0][:1]
+	f.Add(gobBytes(f, short))
+	f.Add(valid[:len(valid)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "job.ckpt")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		_, _ = SearchFrom(fuzzConfig(), fuzzEval{}, &ck, nil) // an error is a refusal, which is fine
+	})
 }
 
 // TestCheckpointPreservesInfinities: gob (unlike JSON) must round-trip the

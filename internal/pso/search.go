@@ -176,6 +176,9 @@ func SearchFrom(cfg Config, eval Evaluator, ck *Checkpoint, save func(Checkpoint
 			return res, fmt.Errorf("pso: malformed checkpoint (groups %d/%d, iter %d, history %d)",
 				len(ck.Pop), cfg.Groups, ck.Iter, len(ck.History))
 		}
+		if err := cfg.checkGenomes(ck); err != nil {
+			return res, fmt.Errorf("pso: malformed checkpoint: %w", err)
+		}
 		if sc, ok := eval.(StateCarrier); ok && ck.EvalState != nil {
 			if err := sc.RestoreState(ck.EvalState); err != nil {
 				return res, fmt.Errorf("pso: restoring evaluator state: %w", err)
@@ -252,6 +255,43 @@ func SearchFrom(cfg Config, eval Evaluator, ck *Checkpoint, save func(Checkpoint
 		}
 	}
 	return res, nil
+}
+
+// checkGenomes holds a checkpoint file, which is input, to what the search
+// produces: PerGroup valid genomes of the group's Bundle type per group, and
+// a valid genome in every best evaluated yet (evolve skips one with none).
+func (c Config) checkGenomes(ck *Checkpoint) error {
+	for gi, group := range ck.Pop {
+		if len(group) != c.PerGroup {
+			return fmt.Errorf("group %d holds %d networks, want %d", gi, len(group), c.PerGroup)
+		}
+		for _, n := range group {
+			if !c.validGenome(n, gi, gi) {
+				return fmt.Errorf("group %d holds %v", gi, n)
+			}
+		}
+		if n := ck.GroupBest[gi].Net; len(n.Channels) > 0 && !c.validGenome(n, gi, gi) {
+			return fmt.Errorf("group %d's best is %v", gi, n)
+		}
+	}
+	if n := ck.Best.Net; len(n.Channels) > 0 && !c.validGenome(n, 0, c.Groups-1) {
+		return fmt.Errorf("the global best is %v", n)
+	}
+	return nil
+}
+
+// validGenome reports whether n is a genome the search draws and evolves —
+// Slots channel widths in bounds, Pools strictly increasing pool slots — of
+// a Bundle type in [lo, hi].
+func (c Config) validGenome(n Network, lo, hi int) bool {
+	ok := n.BundleType >= lo && n.BundleType <= hi && len(n.Channels) == c.Slots && len(n.PoolPos) == c.Pools
+	for _, ch := range n.Channels {
+		ok = ok && ch >= c.ChannelMin && ch <= c.ChannelMax
+	}
+	for i, p := range n.PoolPos {
+		ok = ok && p >= 0 && p < c.Slots && (i == 0 || p > n.PoolPos[i-1])
+	}
+	return ok
 }
 
 // evaluateAll trains and measures every particle of the population on a

@@ -32,6 +32,7 @@ import (
 	"skynet/internal/dataset"
 	"skynet/internal/fpga"
 	"skynet/internal/hw"
+	"skynet/internal/modelspec"
 	"skynet/internal/serve"
 )
 
@@ -219,14 +220,42 @@ func (s *Service) CheckpointPath(id string) string {
 // errBadSpec marks a job spec Submit refuses; the HTTP door answers 400.
 var errBadSpec = errors.New("pso: bad job spec")
 
+// The most one job may ask of the process, beyond the slot and channel limits
+// modelspec's Spec.Build enforces: the synthetic dataset's frame (W·H; the
+// paper's 160×320 fits), its train and validation splits, and the search.
+const maxFramePixels, maxSamples, maxBatchSize, maxPerGroup, maxIterations = 1 << 16, 1024, 256, 64, 1000
+
+// check refuses a normalized spec whose job would panic or exhaust memory.
+func (j JobSpec) check() error {
+	if n := len(bundle.Enumerate()); j.Groups > n {
+		return fmt.Errorf("%w: %d groups, but a group replicates one of the %d enumerated Bundles", errBadSpec, j.Groups, n)
+	}
+	ok := j.Slots <= modelspec.MaxSlots && j.ChannelMin < j.ChannelMax && j.ChannelMax <= modelspec.MaxChannels &&
+		j.W <= maxFramePixels && j.H <= maxFramePixels && j.W*j.H <= maxFramePixels && // no product overflows
+		max(j.TrainN, j.ValN) <= maxSamples && j.BatchSize <= maxBatchSize &&
+		j.PerGroup <= maxPerGroup && j.Iterations <= maxIterations
+	if !ok {
+		return fmt.Errorf("%w: out of range (slots ≤ %d, channels ≤ %d, W·H ≤ %d, samples ≤ %d, batch ≤ %d, per group ≤ %d, iterations ≤ %d)",
+			errBadSpec, modelspec.MaxSlots, modelspec.MaxChannels, maxFramePixels, maxSamples, maxBatchSize, maxPerGroup, maxIterations)
+	}
+	// Every 2×2 pooling halves the map and the last must leave a pixel: the
+	// candidates pool Pools times (clamped to Slots), the reference network
+	// the engine factors are measured on as often as its spec says.
+	pools := max(j.SearchConfig().Pools, len((&EngineEvaluator{}).referenceSpec().PoolPos))
+	if side := 1 << pools; j.W < side || j.H < side {
+		return fmt.Errorf("%w: %d×%d frames, but %d poolings need ≥ %d×%d", errBadSpec, j.W, j.H, pools, side, side)
+	}
+	return nil
+}
+
 // Submit starts (or joins) the job for the spec. Submission is idempotent:
 // the same spec maps to the same job ID, a live job is returned as-is, and
 // a checkpoint left by a killed process resumes instead of restarting.
-// A spec naming more groups than there are enumerated Bundles is refused.
+// A spec the process cannot run (JobSpec.check) is refused.
 func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	spec.normalize()
-	if n := len(bundle.Enumerate()); spec.Groups > n {
-		return JobStatus{}, fmt.Errorf("%w: %d groups, but a group replicates one of the %d enumerated Bundles", errBadSpec, spec.Groups, n)
+	if err := spec.check(); err != nil {
+		return JobStatus{}, err
 	}
 	id := spec.ID()
 	s.mu.Lock()

@@ -179,6 +179,55 @@ func TestServiceRefusesGhostBundles(t *testing.T) {
 	}
 }
 
+// TestServiceRefusesSpecsItCannotRun: a spec whose job would panic in an
+// evaluator goroutine — and take the process with it — or ask for more than
+// a slice can hold is a 400 at the door, and no job starts. A frame exactly
+// as small as the poolings allow runs to the end.
+func TestServiceRefusesSpecsItCannotRun(t *testing.T) {
+	svc := NewService(t.TempDir())
+	submit := func(spec JobSpec) int {
+		body, _ := json.Marshal(spec)
+		rec := httptest.NewRecorder()
+		svc.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/search/jobs", bytes.NewReader(body)))
+		return rec.Code
+	}
+	for name, mut := range map[string]func(*JobSpec){
+		"3×2 frame under 2 poolings": func(j *JobSpec) { j.W, j.H = 3, 2 },
+		"1×1 frame":                  func(j *JobSpec) { j.W, j.H = 1, 1 },
+		"frame of 2^60 pixels":       func(j *JobSpec) { j.W, j.H = 1<<30, 1<<30 },
+		"frame side past the cap":    func(j *JobSpec) { j.W, j.H = 1<<62, 4 },
+		"training split":             func(j *JobSpec) { j.TrainN = maxSamples + 1 },
+		"validation split":           func(j *JobSpec) { j.ValN = 1 << 40 },
+		"batch size":                 func(j *JobSpec) { j.BatchSize = maxBatchSize + 1 },
+		"particles per group":        func(j *JobSpec) { j.PerGroup = maxPerGroup + 1 },
+		"iterations":                 func(j *JobSpec) { j.Iterations = maxIterations + 1 },
+		"slots":                      func(j *JobSpec) { j.Slots = 17 },
+		"channels":                   func(j *JobSpec) { j.ChannelMax = 4096 },
+		"channel floor overflowing":  func(j *JobSpec) { j.ChannelMin, j.ChannelMax = 1<<61, 0 },
+		"ghost bundles":              func(j *JobSpec) { j.Groups = len(bundle.Enumerate()) + 1 },
+	} {
+		spec := testJobSpec()
+		mut(&spec)
+		if code := submit(spec); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+	}
+	if jobs := svc.snapshotJobs(); len(jobs) != 0 {
+		t.Fatalf("refused specs left %d jobs behind", len(jobs))
+	}
+
+	spec := testJobSpec()
+	spec.W, spec.H = 4, 4 // two poolings: 4 → 2 → 1
+	spec.Iterations = 1
+	if code := submit(spec); code != http.StatusAccepted {
+		t.Fatalf("a 4×4 frame under 2 poolings: status %d, want 202", code)
+	}
+	svc.Wait(spec.ID())
+	if st, _ := svc.Status(spec.ID()); st.State != "done" {
+		t.Fatalf("the 4×4 job ended %+v", st)
+	}
+}
+
 func TestServiceResultBeforeDone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-engine search service in -short mode")

@@ -39,7 +39,7 @@ type lane[T rider] struct {
 	running   atomic.Int32  // workers that have not exited yet
 	finished  chan struct{} // closed once the last worker has exited
 
-	work stageClock // the workers' own stage: one item per request served
+	work pipeline.StageClock // the workers' own stage: one item per request served
 }
 
 // start opens a queue of the given depth and begins the workers, all on that
@@ -98,9 +98,9 @@ func (l *lane[T]) flush(batch []T, waited time.Duration, serve func([]T)) {
 	}
 	t0 := time.Now()
 	serve(batch)
-	l.work.add(len(batch), time.Since(t0))
-	l.work.batches.Add(1)
-	l.work.waitNS.Add(int64(waited))
+	l.work.Add(len(batch), time.Since(t0))
+	l.work.AddBatch()
+	l.work.AddWait(waited)
 	for _, req := range batch {
 		close(req.tk().done)
 	}
@@ -220,35 +220,6 @@ func (t *ticket) live() bool {
 		return false
 	}
 	return true
-}
-
-// stageClock is one row of the /metrics stage table: the lane's workers keep
-// one, a generation one each for the pre- and post-process its callers run.
-type stageClock struct {
-	items   atomic.Int64
-	batches atomic.Int64
-	busyNS  atomic.Int64
-	waitNS  atomic.Int64
-}
-
-//skynet:hotpath
-func (c *stageClock) add(items int, busy time.Duration) {
-	c.items.Add(int64(items))
-	c.busyNS.Add(int64(busy))
-}
-
-// snapshot renders the counters through pipeline.StageStats, so per-item
-// time, mean batch size and occupancy are the executor's own arithmetic.
-// workers is 0 for a stage that runs on its callers' goroutines.
-func (c *stageClock) snapshot(name string, workers int) pipelineStageJSON {
-	return stageJSON(pipeline.StageStats{
-		Name:    name,
-		Workers: workers,
-		Items:   c.items.Load(),
-		Batches: c.batches.Load(),
-		Busy:    time.Duration(c.busyNS.Load()),
-		Wait:    time.Duration(c.waitNS.Load()),
-	})
 }
 
 // laneDefaults fills in the knobs every lane-backed service exposes in its

@@ -2,8 +2,8 @@ package serve
 
 // Observability surface: an allocation-free log-bucketed latency histogram
 // updated with atomics on the request path, and a Metrics snapshot that
-// joins it with the per-stage counters (stageClock, rendered through
-// pipeline.StageStats) and the admission-queue gauges. The /metrics handler
+// joins it with the per-stage counters (pipeline.StageClock, rendered
+// through pipeline.StageStats) and the admission-queue gauges. The /metrics handler
 // serializes the snapshot as JSON.
 
 import (
@@ -267,8 +267,8 @@ func (g *generation) Metrics() Metrics {
 		Expired:    g.expired.Load(),
 		Latency:    g.hist.Summary(),
 	}
-	infer := g.work.snapshot(pipeline.StageInfer, len(g.models))
+	infer := stageJSON(g.work.Stats(pipeline.StageInfer, len(g.models)))
 	m.Batches, m.MeanBatchSize = infer.Batches, infer.MeanBatchSize
-	m.Stages = []pipelineStageJSON{g.pre.snapshot(pipeline.StagePre, 0), infer, g.post.snapshot(pipeline.StagePost, 0)}
+	m.Stages = []pipelineStageJSON{stageJSON(g.pre.Stats(pipeline.StagePre, 0)), infer, stageJSON(g.post.Stats(pipeline.StagePost, 0))}
 	return m
 }

@@ -1,15 +1,15 @@
 package serve
 
 // The detection service: one admission queue and N inference workers. A
-// Graph forward shares buffers and is not concurrency-safe, so one model can
-// never use more than one core for the forward pass; the Pool therefore holds
-// N private model instances, each driven by its own worker, all taking
-// requests off the one bounded queue (a generation, serve.go). An idle worker
-// takes whatever is queued, so no request waits while a worker is free, and
-// the pool sheds with 429 only when that queue is full. In front of the queue
-// sit the response cache, keyed by a 128-bit hash of the frame, and — on the
-// HTTP door — a semaphore that bounds requests in flight before their bodies
-// are read.
+// forward spreads over the cores (a batch as lanes, a lone frame through GEMM
+// splits) but is not reentrant, so one model runs one forward at a time; the
+// Pool therefore holds N private model instances, each driven by its own
+// worker, all taking requests off the one bounded queue (a generation,
+// serve.go). An idle worker takes whatever is queued, so no request waits
+// while a worker is free, and the pool sheds with 429 only when that queue is
+// full. In front of the queue sit the response cache, keyed by a 128-bit hash
+// of the frame, and — on the HTTP door — a semaphore that bounds requests in
+// flight before their bodies are read.
 //
 // Model hot-swap is generation-based: Swap builds a complete new generation
 // from a ModelFactory, atomically publishes it, invalidates the response

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"skynet/internal/detect"
+	"skynet/internal/pipeline"
 	"skynet/internal/tensor"
 )
 
@@ -90,8 +91,8 @@ type generation struct {
 	channels int            // Config.Channels
 	hist     Histogram
 
-	pre, post stageClock        // the stages the callers run, counted beside the workers'
-	live      [][]*detect.Frame // worker i's batch scratch, reused across batches
+	pre, post pipeline.StageClock // the stages the callers run, counted beside the workers'
+	live      [][]*detect.Frame   // worker i's batch scratch, reused across batches
 
 	served  atomic.Int64
 	failed  atomic.Int64
@@ -177,7 +178,7 @@ func (g *generation) prepare(img *tensor.Tensor, owned bool) (*detect.Frame, err
 	} else if c := g.channels; c > 0 && img.Dim(0) != c {
 		err = fmt.Errorf("%w: image has %d channels, want %d", ErrBadInput, img.Dim(0), c)
 	}
-	g.pre.add(1, time.Since(t0))
+	g.pre.Add(1, time.Since(t0))
 	if err != nil {
 		g.failed.Add(1)
 		return nil, err
@@ -198,7 +199,7 @@ func (g *generation) submitFrame(ctx context.Context, f *detect.Frame) (detect.B
 	if err == nil {
 		t0 := time.Now()
 		err = detect.Postprocess(g.head, f)
-		g.post.add(1, time.Since(t0))
+		g.post.Add(1, time.Since(t0))
 	}
 	switch {
 	case err == nil:

@@ -166,7 +166,7 @@ func TestCancelledCallerCostsNoDecode(t *testing.T) {
 		t.Fatalf("cancelled submit: %v", err)
 	}
 	close(m.gate)
-	for s.gen.Load().work.items.Load() < 1 { // the forward finishes and the ticket is handed back
+	for s.gen.Load().work.Stats("", 0).Items < 1 { // the forward finishes and the ticket is handed back
 		time.Sleep(time.Millisecond)
 	}
 	// A second request proves the worker has moved on; it is the only decode.

@@ -436,7 +436,7 @@ func (s *TrackService) Metrics() TrackMetrics {
 	}
 	// Deliberately not pipeline.StageInfer: on a co-hosted /metrics the
 	// detection workers' inference stage owns that name.
-	m.Stages = []pipelineStageJSON{s.work.snapshot("track-inference", 1)}
+	m.Stages = []pipelineStageJSON{stageJSON(s.work.Stats("track-inference", 1))}
 	return m
 }
 
