@@ -115,7 +115,7 @@ short:
 # chunks overlap, so that test and the zero-allocation ones get the three runs.
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool.
-LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|Deterministic|BundleStep|LayoutPacks|Calibration
+LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus
 STREAM_TESTS = Executor|Stream
 race:

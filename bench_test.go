@@ -89,11 +89,10 @@ func BenchmarkFig2aQuantization(b *testing.B) {
 	b.Run("quantized", func(b *testing.B) {
 		restore := quant.ApplyGroupBits(g, quant.Fig2aParamSchemes[2])
 		defer restore()
-		remove := quant.InstallFMHook(g, 8)
-		defer remove()
+		m := quant.EmulateFM(g, 8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			g.Forward(x, false)
+			m.Forward(x, false)
 		}
 	})
 }
@@ -176,10 +175,10 @@ func BenchmarkTable7Quant(b *testing.B) {
 		}
 	})
 	b.Run("scheme1", func(b *testing.B) {
-		quant.WithScheme(g, quant.Table7Schemes[1], func() {
+		quant.WithScheme(g, quant.Table7Schemes[1], func(m quant.Emulated) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.Forward(x, false)
+				m.Forward(x, false)
 			}
 		})
 	})

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"time"
 
 	"skynet/internal/core"
 	"skynet/internal/pso"
@@ -119,5 +120,6 @@ func serveJobs(addr, dir string) error {
 	svc := pso.NewService(dir)
 	fmt.Fprintf(os.Stderr, "# search job API on %s (checkpoints in %s)\n", addr, dir)
 	fmt.Fprintf(os.Stderr, "#   POST /search/jobs, GET /search/jobs[/{id}[/result]], GET /metrics\n")
-	return http.ListenAndServe(addr, svc.Handler())
+	hs := &http.Server{Addr: addr, Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	return hs.ListenAndServe()
 }

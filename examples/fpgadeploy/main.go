@@ -37,8 +37,8 @@ func main() {
 	var chosen quant.Scheme
 	for _, s := range quant.Table7Schemes {
 		var iou float64
-		quant.WithScheme(model, s, func() {
-			iou = detect.MeanIoU(model, head, val, 8)
+		quant.WithScheme(model, s, func(m quant.Emulated) {
+			iou = detect.MeanIoU(m, head, val, 8)
 		})
 		fmt.Printf("  %-10s %-8d %-8d %.3f\n", s, s.FMBits, s.WeightBits, iou)
 		if s.ID == 1 {

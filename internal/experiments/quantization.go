@@ -39,17 +39,17 @@ func Fig2a(o Options) Table {
 	o.logf("fig2a: training AlexNet-class model (%d params, %d images, %d epochs)",
 		g.NumParams(), nTrain, epochs)
 	trainClassifier(g, imgs, labels, epochs)
-	evalAcc := func() float64 {
+	evalAcc := func(m detect.Model) float64 {
 		var correct float64
 		for lo := 0; lo < len(valImgs); lo += 8 {
 			hi := min(lo+8, len(valImgs))
 			x := stack(valImgs[lo:hi])
-			out := g.Forward(x, false)
+			out := m.Forward(x, false)
 			correct += nn.Accuracy(out, valLabels[lo:hi]) * float64(hi-lo)
 		}
 		return correct / float64(len(valImgs))
 	}
-	base := evalAcc()
+	base := evalAcc(g)
 	// Record the float sizes after one forward (for FM accounting).
 	paramMB := float64(quant.ParamBytesAtBits(g, 0)) / 1e6
 	fmMB := float64(quant.FMBytesAtBits(g, 0)) / 1e6
@@ -66,16 +66,14 @@ func Fig2a(o Options) Table {
 	t.Rows = append(t.Rows, []string{"float32", "-", f2(paramMB), f2(fmMB), "1.0x", f3(base)})
 	for _, gb := range quant.Fig2aParamSchemes {
 		restore := quant.ApplyGroupBits(g, gb)
-		acc := evalAcc()
+		acc := evalAcc(g)
 		restore()
 		sz := float64(quant.GroupedParamBytes(g, gb)) / 1e6
 		t.Rows = append(t.Rows, []string{"param (blue)", gb.Name, f2(sz), f2(fmMB),
 			f1(paramMB/sz) + "x", f3(acc)})
 	}
 	for _, gb := range quant.Fig2aFMSchemes {
-		remove := quant.InstallFMHook(g, gb.FMBits)
-		acc := evalAcc()
-		remove()
+		acc := evalAcc(quant.EmulateFM(g, gb.FMBits))
 		sz := float64(quant.FMBytesAtBits(g, gb.FMBits)) / 1e6
 		t.Rows = append(t.Rows, []string{"FM (green)", gb.Name, f2(paramMB), f2(sz),
 			f1(fmMB/sz) + "x", f3(acc)})
@@ -137,8 +135,8 @@ func Table7(o Options) Table {
 	paper := []float64{0.741, 0.727, 0.714, 0.690, 0.680}
 	for i, s := range quant.Table7Schemes {
 		var iou float64
-		quant.WithScheme(g, s, func() {
-			iou = detect.MeanIoU(g, head, val, 8)
+		quant.WithScheme(g, s, func(m quant.Emulated) {
+			iou = detect.MeanIoU(m, head, val, 8)
 		})
 		fm, w := "float32", "float32"
 		if s.FMBits > 0 {

@@ -145,18 +145,16 @@ func withKernels(t testing.TB, fn func(kernel string)) {
 }
 
 // requirePlanIsWalk holds the plan of g under mask to the layer walk on x,
-// bit for bit: compiled, with one worker, two and three, and hooked — where
-// nothing fuses and the hook must see every node as the walk computes it —
-// under each micro-kernel, which must also agree with each other. Released
-// arena slots are poisoned throughout.
+// bit for bit, compiled, with one worker, two and three, under each
+// micro-kernel, which must also agree with each other. Released arena slots
+// are poisoned throughout.
 func requirePlanIsWalk(t *testing.T, name string, g *nn.Graph, x *tensor.Tensor, mask []bool) {
 	t.Helper()
 	nn.PoisonReleased(t)
 	var first *tensor.Tensor
 	withKernels(t, func(kernel string) {
 		what := name + " kernel=" + kernel
-		nodes := make([]*tensor.Tensor, len(g.Nodes))
-		want := walk(g, x, func(i int, out *tensor.Tensor) { nodes[i] = out })
+		want := g.Walk(x, nil)
 		if first == nil {
 			first = want
 		}
@@ -167,12 +165,6 @@ func requirePlanIsWalk(t *testing.T, name string, g *nn.Graph, x *tensor.Tensor,
 				requireSameBits(t, fmt.Sprintf("%s, %d workers", what, workers), got, want)
 			})
 		}
-		g.FMHook = func(i int, out *tensor.Tensor) {
-			requireSameBits(t, fmt.Sprintf("%s: node %d as the hook saw it", what, i), out, nodes[i])
-		}
-		got := nn.Compile(g, x.Shape(), mask).Run(x, nil)
-		g.FMHook = nil
-		requireSameBits(t, what+", hooked", got, want)
 	})
 }
 
@@ -402,7 +394,7 @@ func TestBundleStepBandBuffers(t *testing.T) {
 			unsettle(g, rng)
 			x := randBatch(rng, 1, 3, s.h, s.w)
 			p := nn.Compile(g, x.Shape(), nil)
-			parallelism(2, func() { requireSameBits(t, name, p.Run(x, nil), walk(g, x, nil)) })
+			parallelism(2, func() { requireSameBits(t, name, p.Run(x, nil), g.Walk(x, nil)) })
 			bufs := nn.BandBuffers(g)
 			if len(bufs) != 2 {
 				t.Fatalf("%s: %d band buffers after a forward on two workers, want 2", name, len(bufs))

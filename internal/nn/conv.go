@@ -10,9 +10,8 @@ import (
 // matrix multiplication via im2col. Weights have logical shape
 // [OutC, InC, K, K] and are stored flattened as [OutC, InC*K*K].
 //
-// Forward and Backward — the layer walk: training, an inference forward under
-// an FMHook or of a graph the plan does not wholly lower — are each one loop
-// over the batch, split across goroutines (parallelFor); the inference plan
+// Forward and Backward — the layer walk: training and Graph.Walk — are each
+// one loop over the batch, split across goroutines (parallelFor); the inference plan
 // instead hands forwardImage one image at a time from its lanes (plan.go).
 // Either way the operands of a call are its arguments, never layer fields;
 // scratch is per worker — im2col buffers and Backward's gradient views — and

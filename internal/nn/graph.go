@@ -22,28 +22,21 @@ type Node struct {
 // the bypass topology of SkyNet models B/C.
 //
 // Forward(x, true) walks the layers, which cache what Backward needs.
-// Forward(x, false) runs a compiled inference plan (plan.go): it touches no
-// layer cache, takes the batch through the plan as lanes — each worker its
-// own samples, on its own one-sample region of an arena the graph owns — and
-// keeps every feature map there but for the maps inside a Bundle (DW → PW →
-// BN → act → pool), which is one step and holds them a band of rows at a
-// time (band.go); it returns bitwise what the walk would. (With an FMHook, or
-// a layer kind the plan does not lower, an inference forward is the walk.) In
-// both modes the returned tensor is a fresh one that belongs to the caller,
-// and FMHook, when set, is applied to every node's output — the quantization
-// package uses it to emulate fixed-point inference. A Graph is not safe for
-// concurrent use.
+// Forward(x, false) runs a compiled inference plan (plan.go), whatever the
+// graph: it touches no layer cache, takes the batch through the plan as
+// lanes — each worker its own samples, on its own one-sample region of an
+// arena the graph owns — and keeps every feature map there but for the maps
+// inside a Bundle (DW → PW → BN → act → pool), which is one step and holds
+// them a band of rows at a time (band.go); it returns bitwise what the walk
+// would. Walk is that walk in eval mode, every node's output shown to the
+// caller, who may rewrite it — the quantization package emulates fixed-point
+// feature maps that way. The returned tensor is always a fresh one that
+// belongs to the caller. A Graph is not safe for concurrent use.
 type Graph struct {
 	Nodes []*Node
 	// Output is the index of the node whose output is the graph output.
 	// Defaults to the last node.
 	Output int
-	// FMHook, if non-nil, is invoked on each node's output tensor during
-	// Forward (e.g. to quantize feature maps in place). While it is set an
-	// inference forward walks the layers too — nothing fuses, every feature
-	// map is a fresh tensor — so the hook sees each node; nothing of that
-	// forward is kept.
-	FMHook func(nodeIdx int, t *tensor.Tensor)
 	// OutShapes records each node's output shape from the last Forward,
 	// for hardware cost models. The shapes are valid until the next Forward
 	// and must not be modified.
@@ -98,14 +91,22 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		g.OutShapes = p.shapes
 		return p.Run(x, nil)
 	}
-	g.OutShapes = make([][]int, len(g.Nodes))
-	return g.walk(x, true, func(i int, out *tensor.Tensor) { g.OutShapes[i] = out.Shape() })
+	return g.walk(x, true, nil)
 }
 
-// walk runs every node's own Layer.Forward on the whole batch, each output a
-// fresh tensor, and returns the output node's. Every node's output goes to
-// FMHook, when there is one, and then to visit, before its consumers run.
+// Walk runs every node's own Layer.Forward in eval mode on the whole batch,
+// each output a fresh tensor, and returns the output node's: the layer walk
+// inference forwards are held to, bit for bit. visit, when non-nil, is shown
+// each node's output before that node's consumers run, and may rewrite it.
+// Like any forward it leaves OutShapes and every layer's Cost describing x.
+func (g *Graph) Walk(x *tensor.Tensor, visit func(i int, out *tensor.Tensor)) *tensor.Tensor {
+	g.trained = false
+	return g.walk(x, false, visit)
+}
+
+// walk is Walk in either mode.
 func (g *Graph) walk(x *tensor.Tensor, train bool, visit func(i int, out *tensor.Tensor)) *tensor.Tensor {
+	g.OutShapes = make([][]int, len(g.Nodes))
 	outs := make([]*tensor.Tensor, len(g.Nodes))
 	ins := make([]*tensor.Tensor, 0, 2)
 	for i, n := range g.Nodes {
@@ -118,10 +119,10 @@ func (g *Graph) walk(x *tensor.Tensor, train bool, visit func(i int, out *tensor
 			}
 		}
 		outs[i] = n.Layer.Forward(ins, train)
-		if g.FMHook != nil {
-			g.FMHook(i, outs[i])
+		g.OutShapes[i] = outs[i].Shape()
+		if visit != nil {
+			visit(i, outs[i])
 		}
-		visit(i, outs[i])
 	}
 	return outs[g.output()]
 }

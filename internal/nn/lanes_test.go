@@ -46,7 +46,7 @@ func TestArenaBoundedByLanes(t *testing.T) {
 		t.Fatalf("ReleaseArena left %d elements and %d lanes", len(arena), lanes)
 	}
 	requireSameBits(t, "a forward after ReleaseArena", g.Forward(randBatch(rand.New(rand.NewSource(1)), 2, 3, 32, 64), false),
-		walk(g, randBatch(rand.New(rand.NewSource(1)), 2, 3, 32, 64), nil))
+		g.Walk(randBatch(rand.New(rand.NewSource(1)), 2, 3, 32, 64), nil))
 }
 
 // TestLanesShareNoOperand runs two and three lanes side by side over every
@@ -65,7 +65,7 @@ func TestLanesShareNoOperand(t *testing.T) {
 	vgg := backbone.VGG16(rng, backbone.Config{Width: 0.125, InC: 3, MaxStride: 8})
 	unsettle(vgg, rng)
 	xv := randBatch(rng, 4, 3, 48, 48)
-	wantSky, wantVGG := walk(g, x, nil), walk(vgg, xv, nil)
+	wantSky, wantVGG := g.Walk(x, nil), vgg.Walk(xv, nil)
 	for _, w := range []int{2, 3} {
 		parallelism(w, func() {
 			for rep := 0; rep < 3; rep++ {
@@ -98,7 +98,7 @@ func TestObservedRunIsOneLaneInOrder(t *testing.T) {
 	p := nn.Compile(g, x.Shape(), nil)
 	steps, perSample := p.Steps()
 	var nodes []*tensor.Tensor
-	want := walk(g, x, func(i int, out *tensor.Tensor) { nodes = append(nodes, out) })
+	want := g.Walk(x, func(i int, out *tensor.Tensor) { nodes = append(nodes, out) })
 	whole, pieces, reorg := make([]bool, len(g.Nodes)), make([]bool, len(g.Nodes)), -1
 	var wholeOrder []int
 	for i, nd := range g.Nodes {
@@ -180,8 +180,8 @@ func TestObservedRunIsOneLaneInOrder(t *testing.T) {
 // and C at three widths on odd-sized frames: the forward of a batch of 1..6,
 // at every pair of worker counts 1..4 × 1..4 (nn's and tensor's, the lane
 // count going by the smaller) and under each micro-kernel, is bit for bit the
-// one-worker forward, the concatenation of its frames' own forwards, the
-// hooked forward and the layer walk.
+// one-worker forward, the concatenation of its frames' own forwards and the
+// layer walk.
 func TestBatchInvariance(t *testing.T) {
 	widths, batches, counts := []float64{0.125, 0.25, 0.5}, []int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4}
 	if testing.Short() {
@@ -200,7 +200,7 @@ func TestBatchInvariance(t *testing.T) {
 				var first *tensor.Tensor
 				withKernels(t, func(kernel string) {
 					what := name + " kernel=" + kernel
-					want := walk(g, x, nil)
+					want := g.Walk(x, nil)
 					if first == nil {
 						first = want
 					}
@@ -221,9 +221,6 @@ func TestBatchInvariance(t *testing.T) {
 							})
 						}
 					}
-					g.FMHook = func(int, *tensor.Tensor) {}
-					workers(2, 2, func() { requireSameBits(t, what+", hooked", g.Forward(x, false), want) })
-					g.FMHook = nil
 				})
 			}
 		}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 
 	"skynet/internal/tensor"
@@ -27,18 +28,38 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 func (l *Linear) Name() string     { return "linear" }
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
+// Forward runs forwardSample on each sample of the batch in turn.
 func (l *Linear) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "linear")
-	if x.Rank() != 2 || x.Dim(1) != l.In {
-		panic("nn: linear expects [N, In] input")
-	}
+	l.expect(x.Shape())
 	l.x = cacheIf(train, x)
 	n := x.Dim(0)
 	l.lastN = n
 	out := tensor.New(n, l.Out)
-	// out = x · Wᵀ + bias, with the bias add fused into the GEMM epilogue.
-	tensor.MatMulTransposeBColBiasInto(out, x, l.Weight.W, l.Bias.W)
+	for i := 0; i < n; i++ {
+		l.forwardSample(out.Data[i*l.Out:(i+1)*l.Out], x.Data[i*l.In:(i+1)*l.In])
+	}
 	return out
+}
+
+// expect validates an [N, In] input shape.
+func (l *Linear) expect(shape []int) {
+	if len(shape) != 2 || shape[1] != l.In {
+		panic(fmt.Sprintf("nn: linear expects [N, %d] input, got shape %v", l.In, shape))
+	}
+}
+
+// forwardSample computes one sample's Weight·x + Bias into dst: a GEMM of Out
+// rows, one column and In terms, the bias its row epilogue — the call a 1×1
+// Conv2D makes per image — so that a sample's outputs do not depend on its
+// batch-mates, and the layer walk and the inference plan, which both make it,
+// agree bit for bit. A one-column product never splits across workers;
+// BandOf says so, which lets a lane make the call.
+//
+//skynet:hotpath
+func (l *Linear) forwardSample(dst, src []float32) {
+	tensor.MatMulRowEpilogueInto(dst, l.Weight.W.Data, src, tensor.RowProduct{M: l.Out, N: 1, K: l.In, BandOf: 1,
+		Ep: tensor.RowEpilogue{Bias: l.Bias.W.Data}})
 }
 
 func (l *Linear) Backward(dout *tensor.Tensor) []*tensor.Tensor {

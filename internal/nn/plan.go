@@ -26,7 +26,8 @@ import (
 //
 // Each op has one implementation that writes into a destination slice
 // (Conv2D.forwardImage, DWConv3.planes, BatchNorm.evalInto, reluInto,
-// maxPoolInto, ReorgInto, addInto, concatInto); a layer's Forward and the executor
+// maxPoolInto, ReorgInto, addInto, concatInto, Linear.forwardSample; Flatten
+// and eval-mode Dropout are copies); a layer's Forward and the executor
 // both call it, and the fused GEMM tail calls the same two scalar functions
 // (tensor.BNEval, tensor.ReLUClamp) the stand-alone passes call. The
 // executor therefore performs, per element, the float operations of the
@@ -158,13 +159,10 @@ type planNode struct {
 	// alias marks a Concat that is not computed but laid out: its inputs'
 	// slots, side by side in channel order, are its slot (findAliases).
 	alias bool
-	// unlowered marks a layer of a kind the executor does not lower: the
-	// graph's inference forward is the layer walk then (Run).
-	unlowered bool
 
 	// off is the offset, within a lane's region of the arena, of the slot this
 	// node's output is written to; -1 when it has none (fused into a later
-	// node's slot, the graph output, an unlowered layer's own tensor).
+	// node's slot, the graph output).
 	off int
 	// frees lists the nodes whose slots nothing reads after this step: the
 	// inputs of an alias stand there for it.
@@ -185,9 +183,6 @@ type Plan struct {
 	// perSample is the arena a sample's walk needs, in elements: a lane's
 	// region, whatever the batch.
 	perSample int
-	// unlowered says some node's is: Run walks the layers, and the plan serves
-	// for its shapes and, to another engine, for its steps.
-	unlowered bool
 	maxInputs int // the most inputs any node has
 	// bandLen is the length of the band buffer the plan's largest Bundle
 	// band needs of each worker; zero without a Bundle step.
@@ -289,15 +284,18 @@ func Compile(g *Graph, in []int, separate []bool) *Plan {
 			for _, s := range shapes {
 				pn.chans = append(pn.chans, s[1])
 			}
-		default:
-			// A kind the executor does not lower: one call of its own Forward
-			// on a zero sample tells its output shape.
-			probe := make([]*tensor.Tensor, len(shapes))
-			for k, s := range shapes {
-				probe[k] = tensor.New(s...)
+		case *Flatten:
+			pn.dims = []int{1, 1}
+			for _, d := range shapes[0][1:] {
+				pn.dims[1] *= d
 			}
-			pn.dims = slices.Clone(l.Forward(probe, false).Shape())
-			pn.unlowered, p.unlowered = true, true
+		case *Dropout:
+			pn.dims = slices.Clone(shapes[0])
+		case *Linear:
+			l.expect(shapes[0])
+			pn.dims = []int{1, l.Out}
+		default:
+			panic(fmt.Sprintf("nn: layer %s (node %d) is of a kind the inference plan does not lower", n.Layer.Name(), i))
 		}
 		pn.size = 1
 		for _, d := range pn.dims[1:] {
@@ -371,7 +369,7 @@ func (p *Plan) findAliases(use readers) {
 		}
 		pn.alias = true
 		for _, j := range pn.inputs {
-			if j == GraphInput || use.next(j) != i || use.marked(j) || p.nodes[j].unlowered || p.nodes[j].alias {
+			if j == GraphInput || use.next(j) != i || use.marked(j) || p.nodes[j].alias {
 				pn.alias = false
 			}
 		}
@@ -434,7 +432,7 @@ func (p *Plan) layout() {
 			outs[1] = pn.band.reorg
 		}
 		for _, o := range outs {
-			if o >= 0 && !p.nodes[o].unlowered && o != p.output {
+			if o >= 0 && o != p.output {
 				owns[o], born[o], last[o] = true, i, i // an output nobody reads dies with its step
 			}
 		}
@@ -498,7 +496,7 @@ type Step struct {
 	Dims   []int     // Out's shape for one sample; Dims[0] is 1
 	Size   int       // Out's elements per sample
 	// Off is where Out's slot lies in an arena of one sample, [Off, Off+Size),
-	// or -1 without one (the graph output, kinds not lowered).
+	// or -1 for the graph output, which has none.
 	Off   int
 	Frees []int // the nodes whose slots nothing reads after this step
 	// Laid lists the Concats laid out (findAliases) that come next in node order,
@@ -633,6 +631,8 @@ func (p *Plan) begin(n, lanes int) {
 			}
 		case *BatchNorm:
 			l.xhat = nil
+		case *Linear:
+			l.x, l.lastN = nil, n
 		}
 	}
 }
@@ -651,17 +651,8 @@ func (p *Plan) begin(n, lanes int) {
 // of both, those below the pool's last whole window included. The pieces
 // of one step may come from several band workers at once and in any order,
 // so an observer must be safe for concurrent use and must not depend on the
-// order of what it is shown within a step.
-//
-// Two forwards are not the plan's to run, and walk the layers instead, whole
-// batch by whole batch, every node's output a fresh tensor that is handed to
-// observe and dropped when Run returns: one under an FMHook, which is shown
-// every node's tensor first, and one of a graph with a layer kind the executor
-// does not lower — such a layer keeps state of its own and may treat a batch
-// as more than its samples (a Linear's GEMM picks its kernel by the batch
-// size), so only its own Forward on the whole batch is the layer walk's bits
-// and leaves the batch's geometry for Cost.
-// Graph.Forward(x, false) is Run with no observer.
+// order of what it is shown within a step. Graph.Forward(x, false) is Run
+// with no observer.
 func (p *Plan) Run(x *tensor.Tensor, observe func(node int, data []float32)) *tensor.Tensor {
 	if !slices.Equal(p.in[1:], x.Shape()[1:]) {
 		panic(fmt.Sprintf("nn: plan compiled for samples of shape %v run on input %v", p.in[1:], x.Shape()))
@@ -669,13 +660,6 @@ func (p *Plan) Run(x *tensor.Tensor, observe func(node int, data []float32)) *te
 	g, n := p.g, x.Dim(0)
 	for i := range p.shapes {
 		p.shapes[i][0] = n
-	}
-	if g.FMHook != nil || p.unlowered {
-		return g.walk(x, false, func(i int, out *tensor.Tensor) {
-			if observe != nil {
-				observe(i, out.Data)
-			}
-		})
 	}
 	lanes := 1
 	if observe == nil {
@@ -778,6 +762,10 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 		}
 		concatInto(dst, srcs, pn.chans, 1, in[2]*in[3])
 		clear(srcs)
+	case *Flatten, *Dropout:
+		copy(dst, src)
+	case *Linear:
+		layer.forwardSample(dst, src)
 	}
 }
 

@@ -14,31 +14,6 @@ import (
 	"skynet/internal/tensor"
 )
 
-// walk is the reference the inference plan is held to: every node's own
-// Layer.Forward in eval mode, one fresh tensor per node — what
-// Graph.Forward(x, false) did before it had a plan. visit, when non-nil,
-// sees (and may rewrite) each node's output before its consumers run.
-func walk(g *nn.Graph, x *tensor.Tensor, visit func(i int, out *tensor.Tensor)) *tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(g.Nodes))
-	for i, n := range g.Nodes {
-		ins := make([]*tensor.Tensor, len(n.Inputs))
-		for k, j := range n.Inputs {
-			ins[k] = x
-			if j != nn.GraphInput {
-				ins[k] = outs[j]
-			}
-		}
-		outs[i] = n.Layer.Forward(ins, false)
-		if visit != nil {
-			visit(i, outs[i])
-		}
-	}
-	if g.Output >= 0 {
-		return outs[g.Output]
-	}
-	return outs[len(outs)-1]
-}
-
 // parallelism pins the layer-level and GEMM-level worker counts for fn.
 func parallelism(n int, fn func()) { workers(n, n, fn) }
 
@@ -100,7 +75,7 @@ func TestPlanMatchesLayerWalk(t *testing.T) {
 				unsettle(g, rng)
 				for _, b := range batches {
 					x := randBatch(rng, b, 3, 16, 32)
-					want := walk(g, x, nil)
+					want := g.Walk(x, nil)
 					for _, workers := range []int{1, 2, 3} {
 						parallelism(workers, func() {
 							requireSameBits(t, fmt.Sprintf("batch %d, %d workers", b, workers), g.Forward(x, false), want)
@@ -118,17 +93,17 @@ func TestPlanMatchesLayerWalk(t *testing.T) {
 	}
 }
 
-// TestPlanFallbackLayers runs the baselines off SkyNet's path. Those the
-// executor lowers whole — VGG-16 and MobileNetV1 with their k×k and strided
-// convolutions on per-lane im2col scratch, the ResNets with their Adds — take
-// lanes like SkyNet. AlexNet has layer kinds it does not lower (Flatten,
-// Linear, Dropout): such a graph's inference forward is the layer walk on the
-// whole batch, so that it is the walk's bits at every batch — a Linear's GEMM
-// picks its kernel by m·n·k, m the batch, and a batch of 5 is not its five
-// frames' own forwards there — and leaves the batch's geometry on every layer.
-func TestPlanFallbackLayers(t *testing.T) {
+// TestPlanBaselines runs the baselines off SkyNet's path through the plan:
+// VGG-16 and MobileNetV1 with their k×k and strided convolutions on per-lane
+// im2col scratch, the ResNets with their Adds, AlexNet with its classifier —
+// Flatten and eval-mode Dropout as copies, each Linear one GEMM per sample.
+// Every one takes two lanes and an arena on two workers, is the layer walk's
+// bits at every batch, each frame of a batch its own forward's — which a
+// Linear's GEMM over the whole batch, its kernel picked by the batch size, was
+// not — and leaves on every layer the batch's geometry Cost reads, as much as
+// the walk does.
+func TestPlanBaselines(t *testing.T) {
 	cfg := backbone.Config{Width: 0.125, InC: 3, MaxStride: 8}
-	walked := 0
 	for _, m := range []struct {
 		name  string
 		build func(rng *rand.Rand) *nn.Graph
@@ -145,45 +120,26 @@ func TestPlanFallbackLayers(t *testing.T) {
 			unsettle(g, rng)
 			for _, b := range []int{3, 1, 5} {
 				x := randBatch(rng, b, 3, 48, 48)
-				want := walk(g, x, nil)
-				parallelism(2, func() { requireSameBits(t, fmt.Sprintf("batch %d", b), g.Forward(x, false), want) })
-				wantLanes := 2
-				if hasUnlowered(g) {
-					wantLanes = 0
-				}
-				if arena, lanes := nn.Arena(g); lanes != wantLanes || (len(arena) == 0) != (wantLanes == 0) {
-					t.Fatalf("batch %d on two workers has left %d lanes and an arena of %d elements; a graph with unlowered kinds (%v) is walked, the others take two lanes", b, lanes, len(arena), hasUnlowered(g))
-				}
-				if !hasUnlowered(g) {
-					continue
-				}
-				walked++
-				// Cost describes the whole batch on every layer: as much as
-				// the layer walk itself leaves.
-				macs, bytes := g.Cost()
-				walk(g, x, nil)
-				if m, b := g.Cost(); macs != m || bytes != b {
-					t.Fatalf("batch %d: Cost after the inference forward = (%d, %d), after the layer walk (%d, %d)", b, macs, bytes, m, b)
+				want := g.Walk(x, nil)
+				wantMACs, wantBytes := g.Cost()
+				parallelism(2, func() {
+					requireSameBits(t, fmt.Sprintf("batch %d", b), g.Forward(x, false), want)
+					if macs, bytes := g.Cost(); macs != wantMACs || bytes != wantBytes {
+						t.Fatalf("batch %d: Cost after the inference forward = (%d, %d), after the layer walk (%d, %d)", b, macs, bytes, wantMACs, wantBytes)
+					}
+					per, outPer := x.Len()/b, want.Len()/b
+					for i := 0; i < b; i++ {
+						one := g.Forward(tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, 3, 48, 48), false)
+						requireSameBits(t, fmt.Sprintf("frame %d of batch %d alone", i, b), one,
+							tensor.FromSlice(want.Data[i*outPer:(i+1)*outPer], one.Shape()...))
+					}
+				})
+				if arena, lanes := nn.Arena(g); lanes != 2 || len(arena) == 0 {
+					t.Fatalf("batch %d on two workers has left %d lanes and an arena of %d elements, want 2 lanes and an arena", b, lanes, len(arena))
 				}
 			}
 		})
 	}
-	if walked == 0 {
-		t.Fatal("no model with an unlowered layer kind among the baselines")
-	}
-}
-
-// hasUnlowered reports whether g has a layer of a kind the executor does not
-// lower.
-func hasUnlowered(g *nn.Graph) bool {
-	for _, n := range g.Nodes {
-		switch n.Layer.(type) {
-		case *nn.Conv2D, *nn.DWConv3, *nn.BatchNorm, *nn.ReLU, *nn.MaxPool, *nn.Reorg, *nn.Add, *nn.Concat:
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // skyNetC is the model the remaining tests share.
@@ -218,7 +174,7 @@ func TestPlanArenaLiveness(t *testing.T) {
 	xs := []*tensor.Tensor{randBatch(rng, 2, 3, 32, 64), randBatch(rng, 5, 3, 32, 64), randBatch(rng, 1, 3, 32, 64), randBatch(rng, 2, 3, 16, 16)}
 	var want []*tensor.Tensor
 	for _, x := range xs {
-		want = append(want, walk(g, x, nil))
+		want = append(want, g.Walk(x, nil))
 	}
 	nn.PoisonReleased(t)
 	for _, workers := range []int{1, 2, 3, 2} {
@@ -238,11 +194,11 @@ func TestPlanReadsParametersLive(t *testing.T) {
 	g, rng := skyNetC(0.25, 14)
 	x := randBatch(rng, 2, 3, 32, 64)
 	before := g.Forward(x, false)
-	requireSameBits(t, "fresh model", before, walk(g, x, nil))
+	requireSameBits(t, "fresh model", before, g.Walk(x, nil))
 	changed := func(what string) {
 		t.Helper()
 		after := g.Forward(x, false)
-		requireSameBits(t, "after "+what, after, walk(g, x, nil))
+		requireSameBits(t, "after "+what, after, g.Walk(x, nil))
 		if after.SameShape(before) && bytes.Equal(floatBytes(after), floatBytes(before)) {
 			t.Fatalf("%s left the output unchanged: the step changed nothing", what)
 		}
@@ -332,15 +288,14 @@ func TestCostAndOutShapesAfterInference(t *testing.T) {
 
 	ref, _ := skyNetC(0.25, 16)
 	outs := make([]*tensor.Tensor, len(ref.Nodes))
-	ref.FMHook = func(i int, t *tensor.Tensor) { outs[i] = t }
-	ref.Forward(x, true)
+	ref.Walk(x, func(i int, t *tensor.Tensor) { outs[i] = t })
 	wantMACs, wantBytes := ref.Cost()
 	if macs != wantMACs || bytes != wantBytes || macs == 0 {
-		t.Fatalf("Cost after an inference forward = %d MACs, %d bytes; after a training forward %d, %d", macs, bytes, wantMACs, wantBytes)
+		t.Fatalf("Cost after an inference forward = %d MACs, %d bytes; after the layer walk %d, %d", macs, bytes, wantMACs, wantBytes)
 	}
 	for i, o := range outs {
-		if fmt.Sprint(shapes[i]) != fmt.Sprint(o.Shape()) {
-			t.Fatalf("OutShapes[%d] = %v after an inference forward, the node produced %v", i, shapes[i], o.Shape())
+		if fmt.Sprint(shapes[i]) != fmt.Sprint(o.Shape()) || fmt.Sprint(ref.OutShapes[i]) != fmt.Sprint(o.Shape()) {
+			t.Fatalf("OutShapes[%d] = %v after an inference forward and %v after the walk, the node produced %v", i, shapes[i], ref.OutShapes[i], o.Shape())
 		}
 	}
 }
@@ -373,26 +328,32 @@ func TestBackwardNeedsTrainingForward(t *testing.T) {
 	}
 }
 
-// TestHookedInferenceSeesEveryNode: with an FMHook the same executor runs
-// unfused, hands the hook each node's own fresh tensor — which the hook may
-// rewrite for the nodes downstream — and keeps none of them.
+// TestHookedInferenceSeesEveryNode: a Walk with a visit — the hooked
+// inference quant's feature-map emulation runs — hands the visit each node's
+// own fresh tensor, as the node's layer computes it from its inputs as the
+// visit left them, lets it rewrite that tensor for the nodes downstream, and
+// keeps none of it: the inference forward afterwards is the plain walk's.
 func TestHookedInferenceSeesEveryNode(t *testing.T) {
 	g, rng := skyNetC(0.25, 18)
 	x := randBatch(rng, 2, 3, 32, 64)
-	seen := make([]*tensor.Tensor, len(g.Nodes))
-	g.FMHook = func(i int, t *tensor.Tensor) {
-		seen[i] = t.Clone()
-		t.Scale(0.5)
-	}
-	got := g.Forward(x, false)
-	g.FMHook = nil
-
-	want := walk(g, x, func(i int, out *tensor.Tensor) {
-		requireSameBits(t, fmt.Sprintf("node %d as the hook saw it", i), seen[i], out)
+	seen, left := make([]*tensor.Tensor, len(g.Nodes)), make([]*tensor.Tensor, len(g.Nodes))
+	got := g.Walk(x, func(i int, out *tensor.Tensor) {
+		seen[i] = out.Clone()
 		out.Scale(0.5)
+		left[i] = out
 	})
-	requireSameBits(t, "hooked output", got, want)
-	requireSameBits(t, "unhooked forward afterwards", g.Forward(x, false), walk(g, x, nil))
+	for i, n := range g.Nodes {
+		ins := make([]*tensor.Tensor, len(n.Inputs))
+		for k, j := range n.Inputs {
+			ins[k] = x
+			if j != nn.GraphInput {
+				ins[k] = left[j]
+			}
+		}
+		requireSameBits(t, fmt.Sprintf("node %d as the visit saw it", i), seen[i], n.Layer.Forward(ins, false))
+	}
+	requireSameBits(t, "visited output", got, left[len(left)-1])
+	requireSameBits(t, "inference forward afterwards", g.Forward(x, false), g.Walk(x, nil))
 }
 
 // TestDWConvInteriorBorderSplit holds DWConv3's branch-free interior and

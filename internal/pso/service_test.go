@@ -179,6 +179,25 @@ func TestServiceRefusesGhostBundles(t *testing.T) {
 	}
 }
 
+// TestServiceRefusesOversizedSpec: a spec body past the cap is a 413 read no
+// further than the cap, however it is padded — here a 2 MiB unknown member,
+// which the decoder would otherwise buffer whole and then ignore — and no
+// job starts.
+func TestServiceRefusesOversizedSpec(t *testing.T) {
+	svc := NewService(t.TempDir())
+	body, _ := json.Marshal(testJobSpec())
+	body = append(body[:len(body)-1], `,"padding":"`...)
+	body = append(append(body, bytes.Repeat([]byte("x"), 2<<20)...), `"}`...)
+	rec := httptest.NewRecorder()
+	svc.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/search/jobs", bytes.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a %d-byte spec: status %d, want 413", len(body), rec.Code)
+	}
+	if jobs := svc.snapshotJobs(); len(jobs) != 0 {
+		t.Fatalf("a refused spec started %d jobs", len(jobs))
+	}
+}
+
 // TestServiceRefusesSpecsItCannotRun: a spec whose job would panic in an
 // evaluator goroutine — and take the process with it — or ask for more than
 // a slice can hold is a 400 at the door, and no job starts. A frame exactly

@@ -138,10 +138,7 @@ type ActivationScales struct {
 // whole; a maximum does not depend on the pieces or their order. The
 // percentile sketch does, so it runs the plan compiled under unitMask, every
 // map it scales shown whole, sample after sample. Either way the scales are
-// those of the batched layer walk, which the plan equals bit for bit. A graph
-// with an FMHook, or with a layer kind the plan does not lower, is walked
-// layer by layer, whole batches at a time, every node's tensor observed as
-// the hook, if any, left it.
+// those of the batched layer walk, which the plan equals bit for bit.
 func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig, force []bool) (ActivationScales, error) {
 	if len(batches) == 0 {
 		return ActivationScales{}, fmt.Errorf("quant: calibration needs at least one batch")

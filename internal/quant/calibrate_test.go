@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"skynet/internal/backbone"
-	"skynet/internal/nn"
 	"skynet/internal/tensor"
 )
 
@@ -181,29 +180,5 @@ func TestCalibrateActivations(t *testing.T) {
 		if !(s > 0) || math.IsInf(float64(s), 0) {
 			t.Fatalf("node %d (%s): scale = %v, want positive finite", i, g.Nodes[i].Layer.Name(), s)
 		}
-	}
-	// The hook must be restored.
-	if g.FMHook != nil {
-		t.Fatal("CalibrateActivations left its FMHook installed")
-	}
-}
-
-// TestCalibrateActivationsPreservesHook checks a pre-installed hook is
-// chained and restored.
-func TestCalibrateActivationsPreservesHook(t *testing.T) {
-	g := nn.Sequential(nn.NewReLU())
-	called := 0
-	prev := func(i int, x *tensor.Tensor) { called++ }
-	g.FMHook = prev
-	batch := tensor.New(1, 1, 2, 2)
-	batch.Data[0] = 1
-	if _, err := CalibrateActivations(g, []*tensor.Tensor{batch}, CalibConfig{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if called == 0 {
-		t.Fatal("previous FMHook was not chained during calibration")
-	}
-	if g.FMHook == nil {
-		t.Fatal("previous FMHook was not restored")
 	}
 }

@@ -119,26 +119,18 @@ func TestMaxPoolCodesMatchesOracle(t *testing.T) {
 	}
 }
 
-// calibrateByHook is the calibration CalibrateActivations used to be — an
-// FMHook on an unfused, whole-batch forward — kept as the oracle of the
-// observer on the plan.
-func calibrateByHook(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig) ActivationScales {
+// calibrateByWalk is the calibration CalibrateActivations used to be — every
+// node's output observed on an unfused, whole-batch layer walk — kept as the
+// oracle of the observer on the plan.
+func calibrateByWalk(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig) ActivationScales {
 	inObs := newObserver(cfg.Method)
 	obs := make([]*observer, len(g.Nodes))
 	for i := range obs {
 		obs[i] = newObserver(cfg.Method)
 	}
-	prev := g.FMHook
-	g.FMHook = func(i int, t *tensor.Tensor) {
-		if prev != nil {
-			prev(i, t)
-		}
-		obs[i].observe(t.Data)
-	}
-	defer func() { g.FMHook = prev }()
 	for _, b := range batches {
 		inObs.observe(b.Data)
-		g.Forward(b, false)
+		g.Walk(b, func(i int, t *tensor.Tensor) { obs[i].observe(t.Data) })
 	}
 	out := ActivationScales{Input: int8Scale(inObs.clip(cfg.percentile())), Node: make([]float32, len(g.Nodes))}
 	for i, o := range obs {
@@ -162,42 +154,30 @@ func settle(g *nn.Graph, rng *rand.Rand) {
 // TestCalibrationObserverMatchesHook: calibrating on a float plan — for
 // max-abs the banded inference plan, whose Bundles show their depth-wise and
 // pre-pool maps to the running maxima in pieces; for the percentile sketch
-// the unbanded unit-per-node plan — gives bit for bit the scale the hooked,
-// unfused, whole-batch forward gives for every scale Export reads: the input
-// and the output of every step of the unit-per-node plan (nn.Compile under
-// unitMask): chain ends, DW outputs, pools, the reorder, the Concat,
-// fallback outputs. Both calibrators, SkyNet A/B/C at width 0.25 over two
-// sample shapes (at 18 rows Bundle 2's input has an odd row count, so the row
-// below its last pool window counts), with and without forced nodes that
-// split two chains, with and without a hook of the caller's already on the
-// graph; and SkyNet C at width 1 on 160×320 frames, whose Bundles are cut
-// into several bands.
+// the unbanded unit-per-node plan — gives bit for bit the scale observing the
+// unfused, whole-batch layer walk gives (as a feature-map hook on the graph
+// once did) for every scale Export reads: the input and the output of every
+// step of the unit-per-node plan (nn.Compile under unitMask): chain ends, DW
+// outputs, pools, the reorder, the Concat, fallback outputs. Both
+// calibrators, SkyNet A/B/C at width 0.25 over two sample shapes (at 18 rows
+// Bundle 2's input has an odd row count, so the row below its last pool
+// window counts), with and without forced nodes that split two chains; and
+// SkyNet C at width 1 on 160×320 frames, whose Bundles are cut into several
+// bands.
 func TestCalibrationObserverMatchesHook(t *testing.T) {
-	check := func(name string, g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig, forced []int, hooked bool) {
+	check := func(name string, g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig, forced []int) {
 		t.Helper()
-		hookCalls := 0
-		if hooked {
-			g.FMHook = func(i int, t *tensor.Tensor) { hookCalls++; t.Scale(0.5) }
-			defer func() { g.FMHook = nil }()
-		}
 		force := make([]bool, len(g.Nodes))
 		for _, i := range forced {
 			force[i] = true
 		}
-		want := calibrateByHook(g, batches, cfg)
-		wantCalls := hookCalls
+		want := calibrateByWalk(g, batches, cfg)
 		got, err := CalibrateActivations(g, batches, cfg, force)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hooked && (g.FMHook == nil || hookCalls != 2*wantCalls) {
-			t.Fatalf("%s: the caller's hook ran %d times during calibration, want %d, and must stay installed", name, hookCalls-wantCalls, wantCalls)
-		}
-		if !hooked && g.FMHook != nil {
-			t.Fatalf("%s: calibration left a hook on the graph", name)
-		}
 		if got.Input != want.Input {
-			t.Fatalf("%s: input scale %v, by hook %v", name, got.Input, want.Input)
+			t.Fatalf("%s: input scale %v, by the walk %v", name, got.Input, want.Input)
 		}
 		steps, _ := nn.Compile(g, batches[0].Shape(), unitMask(g, force)).Steps()
 		if unforced, _ := nn.Compile(g, batches[0].Shape(), unitMask(g, nil)).Steps(); len(forced) > 0 && len(steps) <= len(unforced) {
@@ -205,7 +185,7 @@ func TestCalibrationObserverMatchesHook(t *testing.T) {
 		}
 		for _, s := range steps {
 			if got.Node[s.Out] != want.Node[s.Out] {
-				t.Fatalf("%s: node %d (%s) scale %v, by hook %v", name, s.Out, g.Nodes[s.Out].Layer.Name(), got.Node[s.Out], want.Node[s.Out])
+				t.Fatalf("%s: node %d (%s) scale %v, by the walk %v", name, s.Out, g.Nodes[s.Out].Layer.Name(), got.Node[s.Out], want.Node[s.Out])
 			}
 		}
 	}
@@ -213,13 +193,11 @@ func TestCalibrationObserverMatchesHook(t *testing.T) {
 	for _, v := range []backbone.SkyNetVariant{backbone.VariantA, backbone.VariantB, backbone.VariantC} {
 		for _, cfg := range []CalibConfig{{}, {Method: CalibPercentile, Percentile: 99}} {
 			for _, forced := range forcings {
-				for _, hooked := range []bool{false, true} {
-					rng := rand.New(rand.NewSource(23))
-					g := backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, v)
-					settle(g, rng)
-					batches := []*tensor.Tensor{randBatch(rng, 3, 3, 16, 32), randBatch(rng, 2, 3, 18, 32), randBatch(rng, 1, 3, 16, 32)}
-					check(fmt.Sprintf("SkyNet%v/method%d/forced%v/hooked%v", v, cfg.Method, forced, hooked), g, batches, cfg, forced, hooked)
-				}
+				rng := rand.New(rand.NewSource(23))
+				g := backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, v)
+				settle(g, rng)
+				batches := []*tensor.Tensor{randBatch(rng, 3, 3, 16, 32), randBatch(rng, 2, 3, 18, 32), randBatch(rng, 1, 3, 16, 32)}
+				check(fmt.Sprintf("SkyNet%v/method%d/forced%v", v, cfg.Method, forced), g, batches, cfg, forced)
 			}
 		}
 	}
@@ -237,7 +215,7 @@ func TestCalibrationObserverMatchesHook(t *testing.T) {
 			t.Fatal("SkyNet C at 160×320 cuts no Bundle into two bands or more")
 		}
 		for _, forced := range forcings {
-			check(fmt.Sprintf("SkyNetC/width1/160x320/forced%v", forced), g, batches, CalibConfig{}, forced, false)
+			check(fmt.Sprintf("SkyNetC/width1/160x320/forced%v", forced), g, batches, CalibConfig{}, forced)
 		}
 	})
 }

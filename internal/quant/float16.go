@@ -86,24 +86,14 @@ func Float16Tensor(t *tensor.Tensor) {
 	}
 }
 
-// WithFloat16 runs fn with the model's parameters and feature maps rounded
-// to half precision (the TensorRT FP16 deployment mode), restoring float32
-// afterwards.
-func WithFloat16(g *nn.Graph, fn func()) {
+// WithFloat16 runs fn on g with its parameters rounded to half precision in
+// place and its feature maps rounded by the model fn is handed (the TensorRT
+// FP16 deployment mode), restoring the float32 parameters afterwards.
+func WithFloat16(g *nn.Graph, fn func(m Emulated)) {
 	snap := SnapshotParams(g)
 	for _, p := range g.Params() {
 		Float16Tensor(p.W)
 	}
-	prev := g.FMHook
-	g.FMHook = func(i int, t *tensor.Tensor) {
-		if prev != nil {
-			prev(i, t)
-		}
-		Float16Tensor(t)
-	}
-	defer func() {
-		g.FMHook = prev
-		RestoreParams(g, snap)
-	}()
-	fn()
+	defer RestoreParams(g, snap)
+	fn(Emulated{G: g, FM: Float16Tensor})
 }

@@ -110,7 +110,7 @@ type QuantizedModel struct {
 	output   int
 
 	// The plan for the sample shape of vals[0].dims: its steps (compile), the
-	// arena a sample needs — the plan's own plus the slots it does not lay out
+	// arena a sample needs — the plan's own plus the graph input's and output's
 	// — and the scratch its units need.
 	steps                   []*nn.Step
 	perSample               int
@@ -213,14 +213,13 @@ func (m *QuantizedModel) planFor(x *tensor.Tensor) {
 			}
 		}
 	}
-	// The float plan keeps the graph input, the graph output and the outputs
-	// of layer kinds it does not lower outside its arena. Their codes, where
-	// a unit asks for them, get a slot past the plan's, for the whole walk.
-	for i := range m.vals {
-		if v := &m.vals[i]; v.off < 0 {
-			v.off = m.perSample
-			m.perSample += v.size
-		}
+	// The float plan keeps the graph input and output outside its arena. Their
+	// codes, where a unit asks for them, get a slot past the plan's, for the
+	// whole walk.
+	for _, j := range [...]int{nn.GraphInput, m.output} {
+		v := m.val(j)
+		v.off = m.perSample
+		m.perSample += v.size
 	}
 }
 

@@ -179,8 +179,8 @@ func TestExportForceFloat(t *testing.T) {
 
 // TestExportFallbackLayer checks that a layer type the lowering does not
 // recognize runs as float fallback inside an otherwise-int8 graph: at the
-// graph output, and between two int8 units, where the plan gives its output no
-// arena slot and the int8 consumer's codes get one of the engine's own.
+// graph output, whose codes get a slot past the plan's, and between two int8
+// units, where the int8 consumer's codes go to the fallback step's own slot.
 func TestExportFallbackLayer(t *testing.T) {
 	for name, c := range map[string]struct {
 		build     func(rng *rand.Rand, g *nn.Graph)
@@ -188,11 +188,11 @@ func TestExportFallbackLayer(t *testing.T) {
 	}{
 		"at the output": {func(rng *rand.Rand, g *nn.Graph) {
 			g.Add(nn.NewPWConv1(rng, 3, 8, false), nn.GraphInput)
-			g.Add(nn.NewDropout(1, 0.5)) // not lowered: float fallback (the identity at inference)
+			g.Add(nn.NewDropout(1, 0.5)) // not lowered to int8: float fallback (the identity at inference)
 		}, 1},
 		"between int8 units": {func(rng *rand.Rand, g *nn.Graph) {
 			g.Add(nn.NewPWConv1(rng, 3, 8, false), nn.GraphInput)
-			g.Add(nn.NewDropout(1, 0.5)) // not lowered: float fallback (the identity at inference)
+			g.Add(nn.NewDropout(1, 0.5)) // not lowered to int8: float fallback (the identity at inference)
 			g.Add(nn.NewPWConv1(rng, 8, 4, true))
 		}, 2},
 	} {

@@ -138,20 +138,25 @@ func QuantizeParams(g *nn.Graph, bits int) (restore func()) {
 	return func() { RestoreParams(g, snap) }
 }
 
-// InstallFMHook makes every intermediate feature map of g pass through a
-// dynamically-calibrated fake quantizer of the given bit width, emulating
-// fixed-point activation storage. It returns a function removing the hook.
-func InstallFMHook(g *nn.Graph, bits int) (remove func()) {
-	prev := g.FMHook
-	if bits > 0 && bits < 32 {
-		g.FMHook = func(i int, t *tensor.Tensor) {
-			if prev != nil {
-				prev(i, t)
-			}
-			QuantizeTensor(t, bits)
-		}
-	}
-	return func() { g.FMHook = prev }
+// Emulated is a graph whose inference forward emulates a number format for
+// its feature maps: it walks the layers (nn.Graph.Walk), whole batch by whole
+// batch, and passes every node's output through FM in place before the
+// node's consumers read it. It is a detect.Model.
+type Emulated struct {
+	G  *nn.Graph
+	FM func(t *tensor.Tensor)
+}
+
+// Forward runs the emulated inference forward of x; train is ignored.
+func (e Emulated) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	return e.G.Walk(x, func(_ int, t *tensor.Tensor) { e.FM(t) })
+}
+
+// EmulateFM returns g with every intermediate feature map passed through a
+// dynamically-calibrated fake quantizer of the given bit width (QuantizeTensor:
+// 0 or ≥ 32 bits leave it float32), emulating fixed-point activation storage.
+func EmulateFM(g *nn.Graph, bits int) Emulated {
+	return Emulated{G: g, FM: func(t *tensor.Tensor) { QuantizeTensor(t, bits) }}
 }
 
 // Scheme is one Table 7 quantization configuration.
@@ -178,15 +183,12 @@ var Table7Schemes = []Scheme{
 	{ID: 4, FMBits: 8, WeightBits: 10},
 }
 
-// WithScheme runs fn with g quantized per the scheme (weights fake-
-// quantized, feature-map hook installed) and restores the float model
-// afterwards.
-func WithScheme(g *nn.Graph, s Scheme, fn func()) {
-	restore := QuantizeParams(g, s.WeightBits)
-	remove := InstallFMHook(g, s.FMBits)
-	defer restore()
-	defer remove()
-	fn()
+// WithScheme runs fn on g under the scheme — weights fake-quantized in
+// place, feature maps emulated by the model fn is handed — and restores the
+// float weights afterwards.
+func WithScheme(g *nn.Graph, s Scheme, fn func(m Emulated)) {
+	defer QuantizeParams(g, s.WeightBits)()
+	fn(EmulateFM(g, s.FMBits))
 }
 
 // ParamBytesAtBits returns the model size in bytes when every parameter is

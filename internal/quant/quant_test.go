@@ -148,15 +148,14 @@ func TestQuantizeParamsRestore(t *testing.T) {
 	}
 }
 
-func TestFMHookQuantizesActivations(t *testing.T) {
+func TestEmulateFMQuantizesActivations(t *testing.T) {
 	g := buildTinyNet(2)
 	rng := rand.New(rand.NewSource(3))
 	x := tensor.New(1, 3, 6, 6)
 	x.RandUniform(rng, 0, 1)
-	outFloat := g.Forward(x, false).Clone()
-	remove := InstallFMHook(g, 3)
-	outQ := g.Forward(x, false).Clone()
-	remove()
+	outFloat := g.Forward(x, false)
+	outQ := EmulateFM(g, 3).Forward(x, false)
+	outF32 := EmulateFM(g, 0).Forward(x, false)
 	outBack := g.Forward(x, false)
 	var diff float64
 	for i := range outFloat.Data {
@@ -166,8 +165,8 @@ func TestFMHookQuantizesActivations(t *testing.T) {
 		t.Fatal("3-bit FM quantization must perturb the output")
 	}
 	for i := range outFloat.Data {
-		if outBack.Data[i] != outFloat.Data[i] {
-			t.Fatal("removing the hook must restore float behaviour")
+		if outBack.Data[i] != outFloat.Data[i] || outF32.Data[i] != outFloat.Data[i] {
+			t.Fatal("the graph's own forward, and a float32 emulation, must stay float")
 		}
 	}
 }
@@ -179,8 +178,8 @@ func TestWithSchemeRestores(t *testing.T) {
 	x.RandUniform(rng, 0, 1)
 	ref := g.Forward(x, false).Clone()
 	var inScheme *tensor.Tensor
-	WithScheme(g, Scheme{ID: 4, FMBits: 4, WeightBits: 4}, func() {
-		inScheme = g.Forward(x, false).Clone()
+	WithScheme(g, Scheme{ID: 4, FMBits: 4, WeightBits: 4}, func(m Emulated) {
+		inScheme = m.Forward(x, false)
 	})
 	after := g.Forward(x, false)
 	var diff float64
@@ -307,8 +306,8 @@ func TestFMSensitivityShape(t *testing.T) {
 		return s
 	}
 	var wErr, fmErr float64
-	WithScheme(g, Scheme{WeightBits: 3}, func() { wErr = l2(g.Forward(x, false)) })
-	WithScheme(g, Scheme{FMBits: 3}, func() { fmErr = l2(g.Forward(x, false)) })
+	WithScheme(g, Scheme{WeightBits: 3}, func(m Emulated) { wErr = l2(m.Forward(x, false)) })
+	WithScheme(g, Scheme{FMBits: 3}, func(m Emulated) { fmErr = l2(m.Forward(x, false)) })
 	if fmErr <= wErr {
 		t.Skipf("FM error %v not above weight error %v on this tiny net", fmErr, wErr)
 	}
@@ -376,8 +375,8 @@ func TestWithFloat16RestoresModel(t *testing.T) {
 	x.RandUniform(rng, 0, 1)
 	ref := g.Forward(x, false).Clone()
 	var inHalf *tensor.Tensor
-	WithFloat16(g, func() {
-		inHalf = g.Forward(x, false).Clone()
+	WithFloat16(g, func(m Emulated) {
+		inHalf = m.Forward(x, false)
 	})
 	after := g.Forward(x, false)
 	var diff float64

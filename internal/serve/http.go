@@ -7,7 +7,8 @@ package serve
 // GET /healthz — 503 while draining — and /debug/pprof/*), and the
 // listen-until-cancelled-then-drain loop. Admission failures map to the
 // conventional statuses: 429 + Retry-After on overflow, 503 on drain, 504 on
-// a request deadline, 500 on an inference failure, 413 on an oversized body.
+// a request deadline, 500 on an inference failure, 413 on an oversized body,
+// 408 on a body not in by the request's deadline.
 
 import (
 	"context"
@@ -17,6 +18,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"sync"
 	"time"
 
@@ -107,11 +109,27 @@ func reusable(err error) bool {
 }
 
 // read fills b.body with the whole request body, at most maxBodyBytes of
-// it — and nothing at all of a body that declares itself larger; bodyStatus
-// maps the error onto a status.
-func (b *reqBuf) read(w http.ResponseWriter, r *http.Request) error {
+// it — and nothing at all of a body that declares itself larger — and, when
+// timeout is positive, within timeout: a client trickling its body would
+// otherwise hold what the handler took before the read (the pool's inflight
+// slot) for as long as it likes. The deadline is cleared once the body is in,
+// so that the server's background read on the connection cannot cancel the
+// request in flight — and only then: after a failed read the server must not
+// wait for the rest of the body either. bodyStatus maps the error onto a
+// status.
+func (b *reqBuf) read(w http.ResponseWriter, r *http.Request, timeout time.Duration) (err error) {
 	if r.ContentLength > maxBodyBytes {
 		return &http.MaxBytesError{Limit: maxBodyBytes}
+	}
+	if timeout > 0 {
+		rc := http.NewResponseController(w)
+		if rc.SetReadDeadline(time.Now().Add(timeout)) == nil {
+			defer func() {
+				if err == nil {
+					err = rc.SetReadDeadline(time.Time{})
+				}
+			}()
+		}
 	}
 	// One spare byte lets the read that finds the end of a body of the
 	// declared length do so without growing the buffer.
@@ -153,12 +171,15 @@ func (b *reqBuf) parse(rest func(key, value []byte) error) (*tensor.Tensor, erro
 	return img, nil
 }
 
-// bodyStatus is 413 for a body over maxBodyBytes and 400 for any other
-// decode failure.
+// bodyStatus is 413 for a body over maxBodyBytes, 408 for one not in by its
+// deadline and 400 for any other decode failure.
 func bodyStatus(err error) int {
 	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	switch {
+	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return http.StatusRequestTimeout
 	}
 	return http.StatusBadRequest
 }
@@ -226,7 +247,10 @@ func newMux(metrics func() any, draining func() bool) *http.ServeMux {
 // the listener stops taking connections, and both share drainTimeout. It
 // returns the first serve or drain error.
 func serveUntil(ctx context.Context, addr string, handler http.Handler, drainTimeout time.Duration, drain func(context.Context) error) error {
-	hs := &http.Server{Addr: addr, Handler: handler}
+	// A request's body is read under its handler's deadline (reqBuf.read);
+	// its headers, before any handler runs, under this one.
+	const readHeaderTimeout = 10 * time.Second
+	hs := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() {
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

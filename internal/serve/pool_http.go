@@ -66,16 +66,18 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer p.release()
-	if g := p.gen.Load(); len(g.in) == cap(g.in) {
+	g := p.gen.Load()
+	if len(g.in) == cap(g.in) {
 		p.rejected.Add(1)
 		writeError(w, http.StatusTooManyRequests, ErrOverloaded)
 		return
 	}
-	// One pass over one buffer: read the body, hash its bytes, and only on a
+	// One pass over one buffer: read the body (by the request deadline, so a
+	// slow client gives its inflight slot back), hash its bytes, and only on a
 	// cache miss parse them — into the frame a worker's batch is stacked
 	// from.
 	buf := getReqBuf()
-	if err := buf.read(w, r); err != nil {
+	if err := buf.read(w, r, g.timeout); err != nil {
 		putReqBuf(buf)
 		writeError(w, bodyStatus(err), err)
 		return

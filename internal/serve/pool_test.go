@@ -9,12 +9,14 @@ package serve
 // N-worker responses are pinned byte-identical to the 1-worker configuration.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -607,6 +609,63 @@ func TestPoolDrainRefusesNewWork(t *testing.T) {
 	hz.Body.Close()
 	if hz.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz after drain: %d, want 503", hz.StatusCode)
+	}
+}
+
+// TestPoolSlowBodiesGiveTheirSlotsBack fills the pool's inflight semaphore
+// with requests whose bodies stop halfway. Each holds its slot until the
+// request deadline and no longer: it is answered 408, and a well-formed
+// request sent after the deadline is served, not shed.
+func TestPoolSlowBodiesGiveTheirSlotsBack(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	p := newSinglePool(t, &stubModel{}, Config{QueueDepth: 1, MaxBatch: 1, RequestTimeout: timeout})
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+	var body bytes.Buffer
+	if err := detect.EncodeRequest(&body, testImage(0.4)); err != nil {
+		t.Fatal(err)
+	}
+	slow := make([]net.Conn, cap(p.inflight))
+	for i := range slow {
+		c, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		fmt.Fprintf(c, "POST /detect HTTP/1.1\r\nHost: skynet\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", body.Len())
+		if _, err := c.Write(body.Bytes()[:body.Len()/2]); err != nil {
+			t.Fatal(err)
+		}
+		slow[i] = c
+	}
+	for start := time.Now(); len(p.inflight) < cap(p.inflight); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%d of %d half-sent requests hold a slot", len(p.inflight), cap(p.inflight))
+		}
+	}
+	for start := time.Now(); len(p.inflight) > 0 && time.Since(start) < 10*time.Second; {
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Post(ts.URL+"/detect", "application/json", bytes.NewReader(body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a request after the slow ones' deadline: status %d, want 200", resp.StatusCode)
+	}
+	for i, c := range slow {
+		if err := c.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+		if err != nil {
+			t.Fatalf("half-sent request %d: %v", i, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestTimeout {
+			t.Fatalf("half-sent request %d: status %d, want 408", i, resp.StatusCode)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ package serve
 // batch experiment. POST /track/start fixes a template (one
 // ExemplarFeatures forward) and returns a session ID; subsequent frame
 // posts return per-frame boxes (and, for mask-head trackers, the peak mask
-// patch) by driving StepBoxE/PeakMaskE through a lane of its own — the
+// patch) by driving StepE through a lane of its own — the
 // machine the detection engine runs on, here with one worker. Sessions live in a bounded table with TTL
 // eviction — millions of concurrent sessions means per-session state must
 // be compact, so the table measures bytes/session and /metrics reports it.
@@ -208,18 +208,11 @@ func (s *TrackService) inferOne(req *trackReq) (err error) {
 		}
 		req.outZF = zf
 	case opStep:
-		box, serr := s.tr.StepBoxE(req.zf, req.frame, req.box)
+		box, mask, serr := s.tr.StepE(req.zf, req.frame, req.box, req.withMask)
 		if serr != nil {
 			return fmt.Errorf("%w: %v", ErrBadTrackRequest, serr)
 		}
-		req.outBox = box
-		if req.withMask {
-			mask, merr := s.tr.PeakMaskE(req.zf, req.frame, req.box)
-			if merr != nil {
-				return fmt.Errorf("%w: %v", ErrBadTrackRequest, merr)
-			}
-			req.outMask = mask
-		}
+		req.outBox, req.outMask = box, mask
 	}
 	return nil
 }
@@ -510,14 +503,14 @@ func (s *TrackService) ListenAndServe(ctx context.Context, addr string, drainTim
 }
 
 // readTrackFrame reads a frame-carrying tracking request into buf and parses
-// it (reqBuf: one read, pixels straight into the frame the tracker crops
-// from), handing the members beside the tensor to rest. It answers a failure
-// itself, putting the buffer back, and reports whether the handler should go
-// on.
-func readTrackFrame(w http.ResponseWriter, r *http.Request, buf *reqBuf, rest func(key, value []byte) error) (*tensor.Tensor, bool) {
+// it (reqBuf: one read by the request deadline, pixels straight into the
+// frame the tracker crops from), handing the members beside the tensor to
+// rest. It answers a failure itself, putting the buffer back, and reports
+// whether the handler should go on.
+func (s *TrackService) readTrackFrame(w http.ResponseWriter, r *http.Request, buf *reqBuf, rest func(key, value []byte) error) (*tensor.Tensor, bool) {
 	var frame *tensor.Tensor
 	status := http.StatusBadRequest // of a body that does not parse
-	err := buf.read(w, r)
+	err := buf.read(w, r, s.timeout)
 	if err != nil {
 		status = bodyStatus(err)
 	} else {
@@ -543,7 +536,7 @@ func member(key, value []byte, name string, v any) error {
 func (s *TrackService) handleStart(w http.ResponseWriter, r *http.Request) {
 	var box detect.Box
 	buf := getReqBuf()
-	frame, ok := readTrackFrame(w, r, buf, func(key, value []byte) error {
+	frame, ok := s.readTrackFrame(w, r, buf, func(key, value []byte) error {
 		return member(key, value, "box", &box)
 	})
 	if !ok {
@@ -566,7 +559,7 @@ func (s *TrackService) handleStep(w http.ResponseWriter, r *http.Request) {
 		withMask bool
 	)
 	buf := getReqBuf()
-	frame, ok := readTrackFrame(w, r, buf, func(key, value []byte) error {
+	frame, ok := s.readTrackFrame(w, r, buf, func(key, value []byte) error {
 		if err := member(key, value, "session", &session); err != nil {
 			return err
 		}

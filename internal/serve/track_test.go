@@ -161,8 +161,57 @@ func TestTrackConcurrentSessionsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestTrackMaskedStepRunsFrontHalfOnce: a masked step costs an unmasked step
+// plus the mask head — the search crop, backbone, cross-correlation and
+// classification head run once, not once for the box and again for the mask —
+// and answers the unmasked step's box and PeakMask's patch, bit for bit.
+func TestTrackMaskedStepRunsFrontHalfOnce(t *testing.T) {
+	tr := testTracker(true)
+	seq := testTrackSequences(1, 2)[0]
+	frame, box := seq.Frames[1], seq.Boxes[0]
+	zf, err := tr.ExemplarFeaturesFor(seq.Frames[0], box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &TrackService{tr: tr}
+	step := func(withMask bool) *trackReq {
+		req := &trackReq{op: opStep, frame: frame, box: box, zf: zf, withMask: withMask}
+		if err := s.inferOne(req); err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	plain, masked := step(false), step(true)
+	if masked.outBox != plain.outBox || plain.outMask != nil {
+		t.Fatalf("masked step box %+v, unmasked %+v (mask %v)", masked.outBox, plain.outBox, plain.outMask)
+	}
+	want := tr.PeakMask(zf, frame, box)
+	for i, v := range want.Data {
+		if math.Float32bits(masked.outMask.Data[i]) != math.Float32bits(v) {
+			t.Fatalf("masked step's mask differs from PeakMask at %d", i)
+		}
+	}
+
+	// The mask head alone, on a response of the step's shape.
+	crop, _ := tr.SearchCrop(frame, box, box.CX, box.CY)
+	xf := tr.Adjust.Forward([]*tensor.Tensor{tr.Backbone.Forward(crop.Reshape(1, 3, crop.Dim(1), crop.Dim(2)), false)}, false)
+	resp := track.DWXCorr(zf, xf.Reshape(xf.Dim(1), xf.Dim(2), xf.Dim(3)))
+	resp4 := resp.Reshape(1, resp.Dim(0), resp.Dim(1), resp.Dim(2))
+	var patch *tensor.Tensor
+	head := testing.AllocsPerRun(20, func() {
+		tr.Mask.Forward([]*tensor.Tensor{resp4}, false)
+		patch = tensor.New(1, tr.Cfg.MaskSize, tr.Cfg.MaskSize)
+	})
+	_ = patch
+	plainAllocs := testing.AllocsPerRun(20, func() { step(false) })
+	maskedAllocs := testing.AllocsPerRun(20, func() { step(true) })
+	if maskedAllocs > plainAllocs+head {
+		t.Fatalf("a masked step allocates %v times, an unmasked one %v and the mask head %v: the front half ran twice", maskedAllocs, plainAllocs, head)
+	}
+}
+
 // TestTrackMaskSessionMatchesOffline pins the mask path end to end: the
-// wire mask equals PeakMaskE on the same state bit for bit.
+// wire mask equals PeakMask on the same state bit for bit.
 func TestTrackMaskSessionMatchesOffline(t *testing.T) {
 	tr := testTracker(true)
 	seq := testTrackSequences(1, 3)[0]
@@ -171,10 +220,7 @@ func TestTrackMaskSessionMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMask, err := tr.PeakMaskE(zf, seq.Frames[1], seq.Boxes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantMask := tr.PeakMask(zf, seq.Frames[1], seq.Boxes[0])
 
 	ts := newTestTrackService(t, tr, TrackConfig{})
 	hs := httptest.NewServer(ts.Handler())

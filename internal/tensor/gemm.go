@@ -103,7 +103,6 @@ type gemmCall struct {
 	bandOf         int         // RowProduct.BandOf: > 0 makes the call a leaf, judged as n = bandOf
 	acc            bool        // accumulate into C instead of overwriting
 	row            RowEpilogue // per-row bias and tail; ignored on accumulating calls
-	colBias        []float32   // len n; added to C col j on the overwrite pass
 }
 
 // RowEpilogue is what a convolution GEMM does to row i of C — one output
@@ -518,11 +517,6 @@ func (g *gemmCall) runNaive() {
 				crow[j] += rb
 			}
 		}
-		if g.colBias != nil {
-			for j, cb := range g.colBias[:g.n] {
-				crow[j] += cb
-			}
-		}
 		g.row.finish(crow, i)
 	}
 }
@@ -634,7 +628,7 @@ func microKernelRef(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32) {
 //
 //skynet:hotpath
 func (g *gemmCall) storeTile(tile *[gemmMR * gemmNR]float32, i0, j0, mr, nr int, overwrite, finish bool) {
-	if f := rows.storeTile; f != nil && mr == gemmMR && nr == gemmNR && g.colBias == nil {
+	if f := rows.storeTile; f != nil && mr == gemmMR && nr == gemmNR {
 		// One call per whole tile, not one per tile row: at SkyNet's k a tile
 		// is a hundred nanoseconds of multiplying, and four calls with this
 		// loop around them cost a quarter of that again.
@@ -670,15 +664,8 @@ func (g *gemmCall) storeTile(tile *[gemmMR * gemmNR]float32, i0, j0, mr, nr int,
 			if g.row.Bias != nil {
 				rb = g.row.Bias[i0+r]
 			}
-			if g.colBias != nil {
-				cb := g.colBias[j0 : j0+nr]
-				for q, v := range trow {
-					crow[q] = v + rb + cb[q]
-				}
-			} else {
-				for q, v := range trow {
-					crow[q] = v + rb
-				}
+			for q, v := range trow {
+				crow[q] = v + rb
 			}
 		}
 		if finish {

@@ -11,22 +11,6 @@ import "fmt"
 // the same path under a given micro-kernel. Large calls additionally
 // parallelize across column chunks of C; see MaxParallelism.
 
-// MatMul computes C = A·B for A of shape [m,k] and B of shape [k,n],
-// returning a new [m,n] tensor.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v and %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v vs %v", a.shape, b.shape))
-	}
-	c := New(m, n)
-	MatMulInto(c, a, b)
-	return c
-}
-
 // gemmOf validates the shapes of c (+)= op(a)·op(b) — a is stored [m,k] or,
 // with aTrans, [k,m]; b is stored [k,n] or, with bTrans, [n,k]; c is [m,n] —
 // and returns the overwriting, bias-free descriptor of the product.
@@ -56,13 +40,6 @@ func gemmOf(name string, c, a, b *Tensor, aTrans, bTrans bool) gemmCall {
 //skynet:hotpath
 func MatMulInto(c, a, b *Tensor) {
 	gemmExec(gemmOf("MatMulInto", c, a, b, false, false))
-}
-
-// MatMulAddInto computes c += a·b without zeroing c first.
-func MatMulAddInto(c, a, b *Tensor) {
-	g := gemmOf("MatMulAddInto", c, a, b, false, false)
-	g.acc = true
-	gemmExec(g)
 }
 
 // RowProduct describes the product MatMulRowEpilogueInto computes: a is
@@ -118,29 +95,11 @@ func MatMulTransposeAAddInto(c, a, b *Tensor) {
 	gemmExec(g)
 }
 
-// MatMulTransposeBInto computes c = a·bᵀ for a of shape [m,k] and b of
-// shape [n,k]; c must have shape [m,n]. Used for input gradients.
-func MatMulTransposeBInto(c, a, b *Tensor) {
-	gemmExec(gemmOf("MatMulTransposeBInto", c, a, b, false, true))
-}
-
 // MatMulTransposeBAddInto computes c += a·bᵀ for a of shape [m,k] and b of
 // shape [n,k]; c must have shape [m,n]. Used to accumulate weight gradients
 // across a batch.
 func MatMulTransposeBAddInto(c, a, b *Tensor) {
 	g := gemmOf("MatMulTransposeBAddInto", c, a, b, false, true)
 	g.acc = true
-	gemmExec(g)
-}
-
-// MatMulTransposeBColBiasInto computes c = a·bᵀ with bias[j] added to every
-// element of column j — the fused epilogue used by the Linear layer, where
-// columns are output features. bias must have length n.
-func MatMulTransposeBColBiasInto(c, a, b, bias *Tensor) {
-	g := gemmOf("MatMulTransposeBColBiasInto", c, a, b, false, true)
-	if bias.Len() != g.n {
-		panic(fmt.Sprintf("tensor: MatMulTransposeBColBiasInto bias length %d, want %d", bias.Len(), g.n))
-	}
-	g.colBias = bias.Data
 	gemmExec(g)
 }

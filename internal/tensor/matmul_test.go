@@ -47,32 +47,51 @@ func randMat(rng *rand.Rand, r, c int) *Tensor {
 
 // matmulOp is the flag set of one GEMM descriptor.
 type matmulOp struct {
-	aTrans, bTrans, acc, rowBias, colBias bool
+	aTrans, bTrans, acc, rowBias bool
 }
 
 // matmulVariants lists the exported float32 entry points with the
-// descriptor each one stands for.
+// descriptor each one stands for, and the two plain settings of acc and
+// bTrans that no exported entry point has, set through gemmExec.
 var matmulVariants = []struct {
 	name string
 	op   matmulOp
 	call func(c, a, b, bias *Tensor)
 }{
 	{"MatMulInto", matmulOp{}, func(c, a, b, _ *Tensor) { MatMulInto(c, a, b) }},
-	{"MatMulAddInto", matmulOp{acc: true}, func(c, a, b, _ *Tensor) { MatMulAddInto(c, a, b) }},
+	{"MatMulAddInto", matmulOp{acc: true}, func(c, a, b, _ *Tensor) { matMulAddInto(c, a, b) }},
 	{"MatMulTransposeAInto", matmulOp{aTrans: true}, func(c, a, b, _ *Tensor) { MatMulTransposeAInto(c, a, b) }},
 	{"MatMulTransposeAAddInto", matmulOp{aTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeAAddInto(c, a, b) }},
-	{"MatMulTransposeBInto", matmulOp{bTrans: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBInto(c, a, b) }},
+	{"MatMulTransposeBInto", matmulOp{bTrans: true}, func(c, a, b, _ *Tensor) { matMulTransposeBInto(c, a, b) }},
 	{"MatMulTransposeBAddInto", matmulOp{bTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBAddInto(c, a, b) }},
 	{"MatMulRowEpilogueInto", matmulOp{rowBias: true}, func(c, a, b, bias *Tensor) {
 		MatMulRowEpilogueInto(c.Data, a.Data, b.Data, RowProduct{M: c.Dim(0), N: c.Dim(1), K: a.Dim(1), Ep: RowEpilogue{Bias: bias.Data}})
 	}},
-	{"MatMulTransposeBColBiasInto", matmulOp{bTrans: true, colBias: true}, MatMulTransposeBColBiasInto},
+}
+
+// matMulAddInto is c += a·b.
+func matMulAddInto(c, a, b *Tensor) {
+	g := gemmOf("matMulAddInto", c, a, b, false, false)
+	g.acc = true
+	gemmExec(g)
+}
+
+// matMulTransposeBInto is c = a·bᵀ for b of shape [n,k].
+func matMulTransposeBInto(c, a, b *Tensor) {
+	gemmExec(gemmOf("matMulTransposeBInto", c, a, b, false, true))
+}
+
+// matMul is a·b into a fresh tensor.
+func matMul(a, b *Tensor) *Tensor {
+	c := New(a.Dim(0), b.Dim(1))
+	MatMulInto(c, a, b)
+	return c
 }
 
 // operands draws the stored operands of an m×n×k problem: a is [m,k] or,
 // with aTrans, [k,m]; b is [k,n] or, with bTrans, [n,k]; c holds random
 // values whether or not the op accumulates (an overwriting call must not
-// read them); bias has one value per row or per column.
+// read them); bias has one value per row.
 func (op matmulOp) operands(rng *rand.Rand, m, n, k int) (c, a, b, bias *Tensor) {
 	a, b = randMat(rng, m, k), randMat(rng, k, n)
 	if op.aTrans {
@@ -81,11 +100,8 @@ func (op matmulOp) operands(rng *rand.Rand, m, n, k int) (c, a, b, bias *Tensor)
 	if op.bTrans {
 		b = randMat(rng, n, k)
 	}
-	switch {
-	case op.rowBias:
+	if op.rowBias {
 		bias = randMat(rng, 1, m)
-	case op.colBias:
-		bias = randMat(rng, 1, n)
 	}
 	return randMat(rng, m, n), a, b, bias
 }
@@ -123,14 +139,11 @@ func (op matmulOp) elems(a, b []float32, lda, ldb int) (ea, eb elemFunc) {
 func (op matmulOp) reference(c0, a, b, bias *Tensor, m, n, k, kb int) *Tensor {
 	want := c0.Clone()
 	ea, eb := op.elems(a.Data, b.Data, a.Dim(1), b.Dim(1))
-	var rowBias, colBias []float32
+	var rowBias []float32
 	if op.rowBias {
 		rowBias = bias.Data
 	}
-	if op.colBias {
-		colBias = bias.Data
-	}
-	naiveMatMul(want.Data, n, ea, eb, m, n, k, kb, op.acc, rowBias, colBias)
+	naiveMatMul(want.Data, n, ea, eb, m, n, k, kb, op.acc, rowBias)
 	return want
 }
 
@@ -193,14 +206,14 @@ func TestMatMulBlockedMatchesNaive(t *testing.T) {
 }
 
 // TestGemmDescriptor covers what no exported entry point reaches: every
-// combination of the five descriptor flags (aTrans with bTrans, a bias on an
+// combination of the four descriptor flags (aTrans with bTrans, a bias on an
 // accumulating call — ignored by both kernels) and leading dimensions wider
 // than the operands, on both paths against the reference.
 func TestGemmDescriptor(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const pad = 3
-	for flags := 0; flags < 32; flags++ {
-		op := matmulOp{flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0, flags&16 != 0}
+	for flags := 0; flags < 16; flags++ {
+		op := matmulOp{flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0}
 		for _, s := range [][3]int{{1, 1, 1}, {5, 9, 3}, {7, 23, 31}, {9, 17, gemmKC + 5}} {
 			m, n, k := s[0], s[1], s[2]
 			ar, ac, br, bc := m, k, k, n
@@ -218,14 +231,11 @@ func TestGemmDescriptor(t *testing.T) {
 			if op.rowBias {
 				call.row.Bias = randMat(rng, 1, m).Data
 			}
-			if op.colBias {
-				call.colBias = randMat(rng, 1, n).Data
-			}
 			for _, blocked := range []bool{true, false} {
 				got, want := c0.Clone(), c0.Clone()
 				call.c = got.Data
 				forcePath(blocked, func() { gemmExec(call) })
-				naiveMatMul(want.Data, ldc, ea, eb, m, n, k, refKB(op, k, blocked), op.acc, call.row.Bias, call.colBias)
+				naiveMatMul(want.Data, ldc, ea, eb, m, n, k, refKB(op, k, blocked), op.acc, call.row.Bias)
 				// The padding columns of C compare too: neither kernel may
 				// write past column n of a row.
 				if i := firstBitDiff(got.Data, want.Data); i >= 0 {
@@ -448,7 +458,7 @@ func TestMatMulSteadyStateAllocs(t *testing.T) {
 func TestMatMulShapePanics(t *testing.T) {
 	a, b := New(2, 3), New(4, 5)
 	for _, fn := range []func(){
-		func() { MatMul(a, b) },
+		func() { matMul(a, b) },
 		func() { MatMulInto(New(2, 5), a, b) },
 		func() {
 			MatMulRowEpilogueInto(make([]float32, 6), a.Data, make([]float32, 9), RowProduct{M: 2, N: 3, K: 3, Ep: RowEpilogue{Bias: make([]float32, 5)}})

@@ -210,14 +210,14 @@ func transposed(d []float32, ld int) elemFunc {
 // independent of both production kernels: C (+)= op(A)·op(B) (+ bias), one
 // element at a time through explicit index functions. c has row stride
 // ldc; with acc the products are added to what c holds, otherwise c is
-// overwritten and rowBias[i]/colBias[j] (either may be nil) are added.
+// overwritten and rowBias[i] (unless nil) is added.
 //
 // kb spells out the summation order, the one thing the production paths
 // are allowed to differ in: the products of an element are summed from
 // zero in ascending k in partial sums of kb terms, and the partial sums are
 // folded into the element in order, the bias joining the first fold. kb = k
 // is a single dot product per element.
-func naiveMatMul(c []float32, ldc int, a, b elemFunc, m, n, k, kb int, acc bool, rowBias, colBias []float32) {
+func naiveMatMul(c []float32, ldc int, a, b elemFunc, m, n, k, kb int, acc bool, rowBias []float32) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var v float32
@@ -230,13 +230,8 @@ func naiveMatMul(c []float32, ldc int, a, b elemFunc, m, n, k, kb int, acc bool,
 					s += float32(a(i, p) * b(p, j))
 				}
 				v += s
-				if p0 == 0 && !acc {
-					if rowBias != nil {
-						v += rowBias[i]
-					}
-					if colBias != nil {
-						v += colBias[j]
-					}
+				if p0 == 0 && !acc && rowBias != nil {
+					v += rowBias[i]
 				}
 			}
 			c[i*ldc+j] = v
@@ -248,7 +243,7 @@ func naiveMatMul(c []float32, ldc int, a, b elemFunc, m, n, k, kb int, acc bool,
 func naiveProduct(a, b *Tensor) *Tensor {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
 	c := New(m, n)
-	naiveMatMul(c.Data, n, rowMajor(a.Data, k), rowMajor(b.Data, n), m, n, k, k, false, nil, nil)
+	naiveMatMul(c.Data, n, rowMajor(a.Data, k), rowMajor(b.Data, n), m, n, k, k, false, nil)
 	return c
 }
 
@@ -271,10 +266,10 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		a, b := New(m, k), New(k, n)
 		a.RandNormal(rng, 0, 1)
 		b.RandNormal(rng, 0, 1)
-		got := MatMul(a, b)
+		got := matMul(a, b)
 		want := naiveProduct(a, b)
 		if !tensorsClose(got, want, 1e-4) {
-			t.Fatalf("MatMul mismatch for dims %v", dims)
+			t.Fatalf("MatMulInto mismatch for dims %v", dims)
 		}
 	}
 }
@@ -300,7 +295,7 @@ func TestMatMulTransposedVariants(t *testing.T) {
 		t.Fatal("MatMulTransposeAInto mismatch")
 	}
 
-	// c = a·(bᵀ)ᵀ via MatMulTransposeBInto with bt of shape [n,k].
+	// c = a·(bᵀ)ᵀ via matMulTransposeBInto with bt of shape [n,k].
 	bt := New(n, k)
 	for p := 0; p < k; p++ {
 		for j := 0; j < n; j++ {
@@ -308,9 +303,9 @@ func TestMatMulTransposedVariants(t *testing.T) {
 		}
 	}
 	c2 := New(m, n)
-	MatMulTransposeBInto(c2, a, bt)
+	matMulTransposeBInto(c2, a, bt)
 	if !tensorsClose(c2, want, 1e-4) {
-		t.Fatal("MatMulTransposeBInto mismatch")
+		t.Fatal("matMulTransposeBInto mismatch")
 	}
 }
 
@@ -318,11 +313,11 @@ func TestMatMulAddIntoAccumulates(t *testing.T) {
 	a := FromSlice([]float32{1, 0, 0, 1}, 2, 2)
 	b := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	c := FromSlice([]float32{10, 10, 10, 10}, 2, 2)
-	MatMulAddInto(c, a, b)
+	matMulAddInto(c, a, b)
 	want := []float32{11, 12, 13, 14}
 	for i, v := range want {
 		if c.Data[i] != v {
-			t.Fatalf("MatMulAddInto: got %v, want %v", c.Data, want)
+			t.Fatalf("matMulAddInto: got %v, want %v", c.Data, want)
 		}
 	}
 }
@@ -330,10 +325,10 @@ func TestMatMulAddIntoAccumulates(t *testing.T) {
 func TestMatMulPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MatMul with inner mismatch did not panic")
+			t.Fatal("MatMulInto with inner mismatch did not panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	matMul(New(2, 3), New(4, 2))
 }
 
 func TestConvOut(t *testing.T) {
@@ -394,7 +389,7 @@ func TestIm2ColConvMatchesNaive(t *testing.T) {
 		col := New(cfg.c*cfg.k*cfg.k, outH*outW)
 		Im2Col(col, img, cfg.k, cfg.k, cfg.s, cfg.p)
 		wm := w.Reshape(cfg.oc, cfg.c*cfg.k*cfg.k)
-		got := MatMul(wm, col).Reshape(cfg.oc, outH, outW)
+		got := matMul(wm, col).Reshape(cfg.oc, outH, outW)
 		want := naiveConv(img, w, cfg.s, cfg.p)
 		if !tensorsClose(got, want, 1e-4) {
 			t.Fatalf("im2col conv mismatch for %+v", cfg)
@@ -475,9 +470,9 @@ func TestQuickMatMulDistributive(t *testing.T) {
 		c.RandNormal(rng, 0, 1)
 		bc := b.Clone()
 		bc.AddInPlace(c)
-		lhs := MatMul(a, bc)
-		rhs := MatMul(a, b)
-		rhs.AddInPlace(MatMul(a, c))
+		lhs := matMul(a, bc)
+		rhs := matMul(a, b)
+		rhs.AddInPlace(matMul(a, c))
 		return tensorsClose(lhs, rhs, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -70,7 +70,7 @@ func shapeOf(t *tensor.Tensor) []int {
 	return t.Shape()
 }
 
-// respPeak is the front half StepBoxE and PeakMaskE share: validate the
+// respPeak is StepE's front half: validate the
 // inputs, crop the search window around the box, correlate its features
 // against the exemplar's, score the response and find the classification
 // peak. It returns the response as a [1,C,r,r] batch for the remaining
@@ -107,12 +107,30 @@ func (t *Tracker) respPeak(zf, frame *tensor.Tensor, box detect.Box) (resp4 *ten
 
 // StepBoxE advances the tracked box by one frame given precomputed
 // exemplar features, returning an error — never panicking — on malformed
-// inputs. This is the tracking service's per-frame entry point: a bad
-// session request must become a 400, not kill the service's worker.
+// inputs.
 func (t *Tracker) StepBoxE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box) (detect.Box, error) {
+	nb, _, err := t.StepE(zf, frame, box, false)
+	return nb, err
+}
+
+// StepE advances the tracked box by one frame given precomputed exemplar
+// features and, with mask, also returns the sigmoid mask patch predicted at
+// the same response peak — the SiamMask output of Figure 8 — from one pass
+// of the front half. Malformed inputs, and a mask asked of a tracker without
+// a mask head, are errors, never panics. This is the tracking service's
+// per-frame entry point: a bad session request must become a 400, not kill
+// the service's worker.
+func (t *Tracker) StepE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box, mask bool) (detect.Box, *tensor.Tensor, error) {
+	if mask && t.Mask == nil {
+		return detect.Box{}, nil, fmt.Errorf("track: mask asked of a tracker without a mask head")
+	}
 	resp4, side, py, px, err := t.respPeak(zf, frame, box)
 	if err != nil {
-		return detect.Box{}, err
+		return detect.Box{}, nil, err
+	}
+	var m *tensor.Tensor
+	if mask {
+		m = t.peakMask(resp4, py, px)
 	}
 	imgH, imgW := frame.Dim(1), frame.Dim(2)
 	r := resp4.Dim(2)
@@ -134,36 +152,29 @@ func (t *Tracker) StepBoxE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.B
 	const damp = 0.3
 	nb.W = clampSize((1-damp)*box.W + damp*wNew)
 	nb.H = clampSize((1-damp)*box.H + damp*hNew)
-	return nb.Clip(), nil
+	return nb.Clip(), m, nil
 }
 
-// PeakMask returns the sigmoid mask patch predicted at the response peak
-// for the given frame and box — the SiamMask output of Figure 8.
-// Malformed inputs panic; the tracking service calls PeakMaskE instead.
+// PeakMask returns the sigmoid mask patch StepE predicts for the given frame
+// and box. Malformed inputs, or a tracker without a mask head, panic.
 func (t *Tracker) PeakMask(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box) *tensor.Tensor {
-	m, err := t.PeakMaskE(zf, frame, box)
+	_, m, err := t.StepE(zf, frame, box, true)
 	if err != nil {
 		panic(err.Error())
 	}
 	return m
 }
 
-// PeakMaskE is PeakMask with malformed inputs reported as errors.
-func (t *Tracker) PeakMaskE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box) (*tensor.Tensor, error) {
-	if t.Mask == nil {
-		return nil, fmt.Errorf("track: PeakMask on a tracker without a mask head")
-	}
-	resp4, _, py, px, err := t.respPeak(zf, frame, box)
-	if err != nil {
-		return nil, err
-	}
+// peakMask runs the mask head on the response and returns the sigmoid patch
+// at the peak (py, px).
+func (t *Tracker) peakMask(resp4 *tensor.Tensor, py, px int) *tensor.Tensor {
 	masks := t.Mask.Forward([]*tensor.Tensor{resp4}, false)
 	m := t.Cfg.MaskSize
 	out := tensor.New(1, m, m)
 	for k := 0; k < m*m; k++ {
 		out.Data[k] = nn.Sigmoid(masks.At(0, k, py, px))
 	}
-	return out, nil
+	return out
 }
 
 // Evaluate runs the GOT-10k protocol over the sequences and returns the

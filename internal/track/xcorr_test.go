@@ -277,15 +277,15 @@ func TestStepBoxEValidates(t *testing.T) {
 		if _, err := tr.StepBoxE(tc.zf, tc.frame, b); err == nil {
 			t.Fatalf("%s: StepBoxE accepted malformed input", tc.name)
 		}
-		if _, err := masked.PeakMaskE(tc.zf, tc.frame, b); err == nil {
-			t.Fatalf("%s: PeakMaskE accepted malformed input", tc.name)
+		if _, _, err := masked.StepE(tc.zf, tc.frame, b, true); err == nil {
+			t.Fatalf("%s: StepE with a mask accepted malformed input", tc.name)
 		}
 	}
 	if _, err := tr.ExemplarFeaturesFor(nil, good); err == nil {
 		t.Fatal("ExemplarFeaturesFor accepted a nil frame")
 	}
-	if _, err := tr.PeakMaskE(zf, seq.Frames[1], good); err == nil {
-		t.Fatal("PeakMaskE accepted a tracker without a mask head")
+	if _, _, err := tr.StepE(zf, seq.Frames[1], good, true); err == nil {
+		t.Fatal("StepE asked a mask of a tracker without a mask head")
 	}
 }
 
