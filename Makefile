@@ -69,14 +69,15 @@ lint:
 
 # loc prints the size numbers ROADMAP aim 2 tracks: non-test Go lines per
 # internal package and for the whole tree outside bench/, and the
-# //skynet:nolint waiver count — the count TestWaiverCountWithinCeiling
-# (internal/analysis) pins, by the same rule.
+# //skynet:nolint waiver count (the directive followed by a checker name) —
+# the count TestWaiverCountWithinCeiling (internal/analysis) pins, by the
+# same rule.
 loc:
 	@for d in internal/*/; do \
 		printf '%-24s %6d\n' "$$d" "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"; \
 	done
 	@printf '%-24s %6d\n' "non-test Go outside bench/" "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
-	@printf '%-24s %6d\n' "nolint waivers" "$$(grep -rn '//skynet:nolint' --include='*.go' internal cmd examples *.go | grep -v testdata | grep -v internal/analysis/ | wc -l)"
+	@printf '%-24s %6d\n' "nolint waivers" "$$(grep -rnE '//skynet:nolint [a-z]' --include='*.go' internal cmd examples *.go | grep -v testdata | grep -v internal/analysis/ | wc -l)"
 
 # -shuffle=on randomizes test (and subtest-sibling) execution order each
 # run, so inter-test state dependencies surface in CI instead of in prod.

@@ -41,7 +41,6 @@ func main() {
 
 		quantize = flag.Bool("quantize", false, "run the int8 lowering of the model (post-training quantization)")
 		calibN   = flag.Int("calib", 32, "calibration scenes drawn for -quantize")
-		calibPct = flag.Float64("calib-pct", 0, "percentile activation calibration for -quantize (0 = min-max, e.g. 99.9)")
 	)
 	flag.Parse()
 	if *ckpt == "" {
@@ -65,11 +64,7 @@ func main() {
 		ccfg := dcfg
 		ccfg.Seed++
 		calib := dataset.NewGenerator(ccfg).DetectionSet(*calibN)
-		cfg := quant.ExportConfig{}
-		if *calibPct > 0 {
-			cfg.Calib = quant.CalibConfig{Method: quant.CalibPercentile, Percentile: *calibPct}
-		}
-		qm, err := quant.Export(g, detect.Batches(calib, 8), cfg)
+		qm, err := quant.Export(g, detect.Batches(calib, 8), quant.ExportConfig{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skynet-detect: quantize: %v\n", err)
 			os.Exit(1)

@@ -1,12 +1,11 @@
 // Command skynet-lint runs the repository's static-analysis checkers
 // (internal/analysis) over the module and reports findings as
-// `file:line: [checker] message` lines, a JSON array with -json, or a
-// SARIF 2.1.0 log with -sarif (the format CI annotation systems ingest).
+// `file:line: [checker] message` lines, or as a JSON array with -json.
 // It exits 1 when there are findings and 2 on a load/usage error.
 //
 // Usage:
 //
-//	skynet-lint [-json|-sarif] [-c checker1,checker2] [packages...]
+//	skynet-lint [-json] [-c checker1,checker2] [packages...]
 //
 // With no package patterns it lints ./... . Findings are suppressed by a
 // `//skynet:nolint <checkers> -- <reason>` comment on (or directly above)
@@ -25,7 +24,6 @@ import (
 func main() {
 	var (
 		jsonOut  = flag.Bool("json", false, "emit findings as a JSON array")
-		sarifOut = flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 		checkers = flag.String("c", "", "comma-separated checkers to run (default: all)")
 		list     = flag.Bool("list", false, "list available checkers and exit")
 	)
@@ -62,14 +60,8 @@ func main() {
 	diags := analysis.Run(pkgs, selected)
 	wd, _ := os.Getwd()
 	write := analysis.WriteText
-	switch {
-	case *jsonOut && *sarifOut:
-		fmt.Fprintln(os.Stderr, "skynet-lint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	case *jsonOut:
+	if *jsonOut {
 		write = analysis.WriteJSON
-	case *sarifOut:
-		write = analysis.WriteSARIF
 	}
 	if err := write(os.Stdout, wd, diags); err != nil {
 		fmt.Fprintf(os.Stderr, "skynet-lint: %v\n", err)

@@ -59,7 +59,6 @@ func main() {
 
 		quantize = flag.Bool("quantize", false, "serve the int8 lowering of the model (post-training quantization)")
 		calibN   = flag.Int("calib", 32, "calibration scenes drawn for -quantize")
-		calibPct = flag.Float64("calib-pct", 0, "percentile activation calibration for -quantize (0 = min-max, e.g. 99.9)")
 		imgW     = flag.Int("imgw", 96, "calibration scene width for -quantize")
 		imgH     = flag.Int("imgh", 48, "calibration scene height for -quantize")
 	)
@@ -87,11 +86,7 @@ func main() {
 			dcfg := dataset.DefaultConfig()
 			dcfg.W, dcfg.H = *imgW, *imgH
 			scenes := dataset.NewGenerator(dcfg).DetectionSet(calib)
-			cfg := quant.ExportConfig{}
-			if *calibPct > 0 {
-				cfg.Calib = quant.CalibConfig{Method: quant.CalibPercentile, Percentile: *calibPct}
-			}
-			qm, err := quant.Export(g, detect.Batches(scenes, 8), cfg)
+			qm, err := quant.Export(g, detect.Batches(scenes, 8), quant.ExportConfig{})
 			if err != nil {
 				return nil, nil, err
 			}

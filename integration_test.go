@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -332,7 +333,7 @@ func TestIntegrationMultiScaleDetector(t *testing.T) {
 }
 
 // TestIntegrationServingLoadMatchesSerial is the serving acceptance test:
-// concurrent clients hammer the HTTP service through the load generator,
+// concurrent net/http clients hammer the HTTP service,
 // every request must succeed, every response body must be byte-identical
 // to serial single-image inference through the same model, and /metrics
 // must show the dynamic batcher actually aggregating (mean batch > 1).
@@ -396,19 +397,43 @@ func TestIntegrationServingLoadMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		clients, perClient = 16, 1
 	}
-	lg := &serve.LoadGen{URL: ts.URL, Clients: clients, Requests: perClient, Images: images}
-	report, err := lg.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if errs := report.Errors(); len(errs) != 0 {
-		t.Fatalf("%d/%d requests failed under load; first: %+v", len(errs), len(report.Results), errs[0])
-	}
-	for _, res := range report.Results {
-		if !bytes.Equal(res.Body, wantBody[res.Image]) {
-			t.Fatalf("client %d image %d: batched response %q differs from serial %q",
-				res.Client, res.Image, res.Body, wantBody[res.Image])
+	// Client c's r-th request sends image (c·perClient + r) mod nImages.
+	bodies := make([][]byte, nImages)
+	for i, img := range images {
+		var buf bytes.Buffer
+		if err := detect.EncodeRequest(&buf, img); err != nil {
+			t.Fatal(err)
 		}
+		bodies[i] = buf.Bytes()
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < perClient; r++ {
+				img := (c*perClient + r) % nImages
+				resp, err := http.Post(ts.URL+"/detect", "application/json", bytes.NewReader(bodies[img]))
+				if err != nil {
+					t.Errorf("client %d image %d: %v", c, img, err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d image %d: status %d %q (%v)", c, img, resp.StatusCode, body, err)
+					return
+				}
+				if !bytes.Equal(body, wantBody[img]) {
+					t.Errorf("client %d image %d: batched response %q differs from serial %q", c, img, body, wantBody[img])
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

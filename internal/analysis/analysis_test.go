@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -36,12 +37,15 @@ func TestRealTreeClean(t *testing.T) {
 }
 
 // waiverCeiling is the most //skynet:nolint waivers the tree may carry,
-// counted the way `make loc` counts them: lines mentioning the directive
-// in Go files under internal/ (this package and testdata aside), cmd/,
-// examples/ and the module root. A change that removes a waiver lowers it;
-// one that needs a new waiver has to raise it in the same diff, where a
-// reviewer sees it.
-const waiverCeiling = 24
+// counted the way `make loc` counts them: lines holding the directive
+// followed by a checker name (waiverLine, the form nolint.go parses; a doc
+// sentence naming the directive is not a waiver) in Go files under
+// internal/ (this package and testdata aside), cmd/, examples/ and the
+// module root. A change that removes a waiver lowers it; one that needs a
+// new waiver has to raise it in the same diff, where a reviewer sees it.
+const waiverCeiling = 23
+
+var waiverLine = regexp.MustCompile(`//skynet:nolint [a-z]`)
 
 func TestWaiverCountWithinCeiling(t *testing.T) {
 	root := filepath.Join("..", "..")
@@ -73,7 +77,7 @@ func TestWaiverCountWithinCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, line := range strings.Split(string(src), "\n") {
-			if strings.Contains(line, "//skynet:nolint") {
+			if waiverLine.MatchString(line) {
 				count++
 			}
 		}

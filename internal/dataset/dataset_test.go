@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -310,18 +311,61 @@ func TestDrawBoxMarksEdges(t *testing.T) {
 func TestWritePPM(t *testing.T) {
 	img := tensor.New(3, 4, 5)
 	img.Fill(0.5)
+	// Channel 1 below the range, channel 2 above it: both clamp.
+	for i := 20; i < 40; i++ {
+		img.Data[i], img.Data[i+20] = -1, 2
+	}
 	var buf bytes.Buffer
 	if err := WritePPM(&buf, img); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), "P6\n5 4\n255\n") {
+	const header = "P6\n5 4\n255\n"
+	if !strings.HasPrefix(buf.String(), header) {
 		t.Fatalf("bad PPM header: %q", buf.String()[:12])
 	}
-	if buf.Len() != len("P6\n5 4\n255\n")+4*5*3 {
-		t.Fatalf("PPM payload size %d", buf.Len())
+	payload := buf.Bytes()[len(header):]
+	if len(payload) != 4*5*3 {
+		t.Fatalf("PPM payload size %d", len(payload))
+	}
+	// Channels interleave per pixel, each value rounded to the nearest 1/255.
+	for px := 0; px < 4*5; px++ {
+		if rgb := payload[3*px : 3*px+3]; rgb[0] != 128 || rgb[1] != 0 || rgb[2] != 255 {
+			t.Fatalf("pixel %d: %v, want [128 0 255]", px, rgb)
+		}
 	}
 	if err := WritePPM(&buf, tensor.New(1, 2, 2)); err == nil {
 		t.Fatal("WritePPM must reject non-RGB input")
+	}
+}
+
+// TestPPMRoundTrip decodes WritePPM's P6 payload back into [0,1] floats:
+// a generated scene survives to within the 8-bit step of 1/255.
+func TestPPMRoundTrip(t *testing.T) {
+	g := NewGenerator(DefaultConfig())
+	s := g.Scene()
+	var buf bytes.Buffer
+	if err := WritePPM(&buf, s.Image); err != nil {
+		t.Fatal(err)
+	}
+	h, w := s.Image.Shape()[1], s.Image.Shape()[2]
+	header := "P6\n" + strconv.Itoa(w) + " " + strconv.Itoa(h) + "\n255\n"
+	if !strings.HasPrefix(buf.String(), header) {
+		t.Fatalf("bad PPM header: %q", buf.String()[:len(header)])
+	}
+	payload := buf.Bytes()[len(header):]
+	if len(payload) != 3*h*w {
+		t.Fatalf("PPM payload size %d, want %d", len(payload), 3*h*w)
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			for c := 0; c < 3; c++ {
+				back := float64(payload[(y*w+x)*3+c]) / 255
+				want := float64(s.Image.At(c, y, x))
+				if math.Abs(back-want) > 1.0/255+1e-6 {
+					t.Fatalf("pixel (%d,%d,%d): %v vs %v", c, y, x, back, want)
+				}
+			}
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"skynet/internal/dataset"
@@ -198,16 +197,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment IDs, sorted.
-func IDs() []string {
-	var ids []string
-	for _, e := range Registry() {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -41,17 +41,3 @@ func RandomSearch(cfg Config, eval Evaluator) Result {
 	}
 	return res
 }
-
-// CompareSearchers runs the PSO and the random baseline on the same
-// evaluator and budget across several seeds, returning the mean final
-// best fitness of each — the ablation of the paper's Stage-2 choice.
-func CompareSearchers(cfg Config, eval Evaluator, seeds []int64) (psoMean, randomMean float64) {
-	for _, s := range seeds {
-		c := cfg
-		c.Seed = s
-		psoMean += Search(c, eval).Best.Fit
-		randomMean += RandomSearch(c, eval).Best.Fit
-	}
-	n := float64(len(seeds))
-	return psoMean / n, randomMean / n
-}

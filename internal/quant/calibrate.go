@@ -3,60 +3,18 @@ package quant
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"skynet/internal/nn"
 	"skynet/internal/tensor"
 )
 
-// CalibMethod selects how a calibrator turns an observed activation
-// distribution into a clipping range.
-type CalibMethod int
-
-const (
-	// CalibMaxAbs clips at the largest absolute value seen — no saturation,
-	// but one outlier can stretch the grid and waste resolution.
-	CalibMaxAbs CalibMethod = iota
-	// CalibPercentile clips at the given percentile of absolute values,
-	// trading a little saturation on the tail for finer resolution on the
-	// bulk of the distribution.
-	CalibPercentile
-)
-
-// CalibConfig configures post-training activation calibration.
-type CalibConfig struct {
-	Method CalibMethod
-	// Percentile in (0, 100], used by CalibPercentile; 0 defaults to 99.9.
-	Percentile float64
-}
-
-func (c CalibConfig) percentile() float64 {
-	if c.Percentile <= 0 || c.Percentile > 100 {
-		return 99.9
-	}
-	return c.Percentile
-}
-
-// calibMaxSamples bounds the per-tensor sample buffer of the percentile
-// calibrator. When full, the buffer is decimated (every other kept sample)
-// and the keep stride doubled — deterministic, bounded, and still an
-// unbiased-enough sketch of the distribution for range selection.
-const calibMaxSamples = 1 << 16
-
-// observer accumulates one tensor's activation statistics over the
-// calibration set. The max-abs may be fed concurrently, in any order: the
-// bits of float32s ≥ +0 order as their values do, so a compare-and-swap on
-// them keeps the maximum exact. The percentile sketch must be fed in order.
+// observer accumulates one tensor's max-abs over the calibration set. It may
+// be fed concurrently, in any order: the bits of float32s ≥ +0 order as their
+// values do, so a compare-and-swap on them keeps the maximum exact.
 type observer struct {
-	method  CalibMethod
-	maxAbs  atomic.Uint32 // float32 bits
-	samples []float32     // absolute values, stride-subsampled (percentile only)
-	stride  int
-	phase   int
+	maxAbs atomic.Uint32 // float32 bits
 }
-
-func newObserver(m CalibMethod) *observer { return &observer{method: m, stride: 1} }
 
 func (o *observer) observe(data []float32) {
 	a := math.Float32bits(tensor.MaxAbsFinite(data))
@@ -65,43 +23,11 @@ func (o *observer) observe(data []float32) {
 			break
 		}
 	}
-	if o.method != CalibPercentile {
-		return
-	}
-	for _, v := range data {
-		if o.phase++; o.phase < o.stride {
-			continue
-		}
-		o.phase = 0
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if !(a <= math.MaxFloat32) { // NaN or +Inf
-			continue
-		}
-		o.samples = append(o.samples, a)
-		if len(o.samples) == calibMaxSamples {
-			keep := o.samples[:0]
-			for i := 0; i < len(o.samples); i += 2 {
-				keep = append(keep, o.samples[i])
-			}
-			o.samples = keep
-			o.stride *= 2
-		}
-	}
 }
 
-// clip returns the calibrated clipping value (the max-abs analog), falling
-// back to max-abs when the percentile sketch is empty.
-func (o *observer) clip(pct float64) float32 {
-	if o.method != CalibPercentile || len(o.samples) == 0 {
-		return math.Float32frombits(o.maxAbs.Load())
-	}
-	slices.Sort(o.samples)
-	idx := int(math.Ceil(pct/100*float64(len(o.samples)))) - 1
-	return o.samples[min(max(idx, 0), len(o.samples)-1)]
-}
+// clip returns the calibrated clipping value: the largest absolute finite
+// value seen.
+func (o *observer) clip() float32 { return math.Float32frombits(o.maxAbs.Load()) }
 
 // int8Scale converts a clipping value to the symmetric int8 scale,
 // guaranteeing a finite positive result (degenerate inputs -> 1, matching
@@ -122,53 +48,43 @@ type ActivationScales struct {
 }
 
 // CalibrateActivations runs g in eval mode over the calibration batches and
-// returns symmetric int8 scales for the graph input and every node output
-// the unit-per-node plan — nn.Compile under unitMask(g, force), force marking
-// the nodes that stay float; nil marks none — materialises, every map the
-// int8 engine scales among them (a BatchNorm or ReLU computed inside its
-// convolution's GEMM store reads scale 1). Per-tensor activation scales with
-// per-output-channel weight scales is the standard post-training int8 recipe:
-// feature maps share one grid because the next layer's GEMM consumes them
-// whole; each weight channel's scale folds into its requantize multiplier.
+// returns symmetric int8 scales for the graph input and every node output,
+// each from the largest absolute finite value seen (a BatchNorm or ReLU
+// computed inside its convolution's GEMM store reads scale 1). force marks
+// the nodes that stay float; nil marks none. Per-tensor activation scales
+// with per-output-channel weight scales is the standard post-training int8
+// recipe: feature maps share one grid because the next layer's GEMM consumes
+// them whole; each weight channel's scale folds into its requantize
+// multiplier.
 //
-// It observes a float plan in place (nn.Plan.Run, one lane), compiled once
-// per sample shape: no hook, no feature map allocated. Max-abs runs the
-// inference plan compiled under force alone, whose Bundle steps feed the
-// depth-wise and pre-pool maps to the running maxima band by band, never
-// whole; a maximum does not depend on the pieces or their order. The
-// percentile sketch does, so it runs the plan compiled under unitMask, every
-// map it scales shown whole, sample after sample. Either way the scales are
-// those of the batched layer walk, which the plan equals bit for bit.
-func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig, force []bool) (ActivationScales, error) {
+// It observes the inference plan compiled under force (nn.Plan.Run, one
+// lane), once per sample shape: no hook, no feature map allocated. The Bundle
+// steps feed the depth-wise and pre-pool maps to the running maxima band by
+// band, never whole; a maximum does not depend on the pieces or their order,
+// so the scales are those of the batched layer walk, which the plan equals
+// bit for bit.
+func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, force []bool) (ActivationScales, error) {
 	if len(batches) == 0 {
 		return ActivationScales{}, fmt.Errorf("quant: calibration needs at least one batch")
 	}
-	mask := force
-	if cfg.Method == CalibPercentile {
-		mask = unitMask(g, force)
-	}
-	inObs := newObserver(cfg.Method)
-	obs := make([]*observer, len(g.Nodes))
-	for i := range obs {
-		obs[i] = newObserver(cfg.Method)
-	}
+	var inObs observer
+	obs := make([]observer, len(g.Nodes))
 	observe := func(i int, data []float32) { obs[i].observe(data) }
 	plans := map[string]*nn.Plan{} // by sample shape
 	for _, b := range batches {
 		inObs.observe(b.Data)
 		shape := fmt.Sprint(b.Shape()[1:])
 		if plans[shape] == nil {
-			plans[shape] = nn.Compile(g, b.Shape(), mask)
+			plans[shape] = nn.Compile(g, b.Shape(), force)
 		}
 		plans[shape].Run(b, observe)
 	}
-	pct := cfg.percentile()
 	out := ActivationScales{
-		Input: int8Scale(inObs.clip(pct)),
+		Input: int8Scale(inObs.clip()),
 		Node:  make([]float32, len(g.Nodes)),
 	}
-	for i, o := range obs {
-		out.Node[i] = int8Scale(o.clip(pct))
+	for i := range obs {
+		out.Node[i] = int8Scale(obs[i].clip())
 	}
 	return out, nil
 }

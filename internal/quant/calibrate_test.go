@@ -50,26 +50,6 @@ func TestCalibrateSkipsNonFinite(t *testing.T) {
 	}
 }
 
-// TestObserverPercentile checks the percentile calibrator clips outliers
-// while max-abs does not.
-func TestObserverPercentile(t *testing.T) {
-	data := make([]float32, 10000)
-	for i := range data {
-		data[i] = 1
-	}
-	data[17] = 1000 // lone outlier
-	om := newObserver(CalibMaxAbs)
-	om.observe(data)
-	if got := om.clip(99); got != 1000 {
-		t.Fatalf("max-abs clip = %v, want 1000", got)
-	}
-	op := newObserver(CalibPercentile)
-	op.observe(data)
-	if got := op.clip(99); got != 1 {
-		t.Fatalf("99th-percentile clip = %v, want 1 (outlier excluded)", got)
-	}
-}
-
 // TestCalibrationMaxAbsFromConcurrentPieces: the max-abs reducer is fed as a
 // split Bundle step feeds it — a map in pieces, from several goroutines at
 // once, in no set order — and holds bit for bit the whole map's max-abs,
@@ -83,7 +63,7 @@ func TestCalibrationMaxAbsFromConcurrentPieces(t *testing.T) {
 	data[7], data[99], data[1000] = float32(math.NaN()), float32(math.Inf(-1)), float32(math.Copysign(0, -1))
 	want := math.Float32bits(tensor.MaxAbsFinite(data))
 	for rep := 0; rep < 20; rep++ {
-		o := newObserver(CalibMaxAbs)
+		var o observer
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -95,29 +75,9 @@ func TestCalibrationMaxAbsFromConcurrentPieces(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if got := math.Float32bits(o.clip(99)); got != want {
+		if got := math.Float32bits(o.clip()); got != want {
 			t.Fatalf("max-abs from concurrent pieces %#08x, of the whole map %#08x", got, want)
 		}
-	}
-}
-
-// TestObserverDecimation checks the bounded-memory sketch keeps working
-// past the sample cap.
-func TestObserverDecimation(t *testing.T) {
-	o := newObserver(CalibPercentile)
-	chunk := make([]float32, 1<<14)
-	for i := range chunk {
-		chunk[i] = float32(i%100) / 100
-	}
-	for r := 0; r < 10; r++ {
-		o.observe(chunk)
-	}
-	if len(o.samples) >= calibMaxSamples {
-		t.Fatalf("sample sketch grew to %d, cap is %d", len(o.samples), calibMaxSamples)
-	}
-	c := o.clip(99.9)
-	if !(c > 0.9) || c > 1 {
-		t.Fatalf("clip after decimation = %v, want ~0.99", c)
 	}
 }
 
@@ -159,14 +119,14 @@ func TestQuantizeWeightsPerChannel(t *testing.T) {
 func TestCalibrateActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	if _, err := CalibrateActivations(g, nil, CalibConfig{}, nil); err == nil {
+	if _, err := CalibrateActivations(g, nil, nil); err == nil {
 		t.Fatal("empty calibration set must error")
 	}
 	batch := tensor.New(2, 3, 16, 16)
 	for i := range batch.Data {
 		batch.Data[i] = rng.Float32()
 	}
-	scales, err := CalibrateActivations(g, []*tensor.Tensor{batch}, CalibConfig{}, nil)
+	scales, err := CalibrateActivations(g, []*tensor.Tensor{batch}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,21 +122,34 @@ func TestMaxPoolCodesMatchesOracle(t *testing.T) {
 // calibrateByWalk is the calibration CalibrateActivations used to be — every
 // node's output observed on an unfused, whole-batch layer walk — kept as the
 // oracle of the observer on the plan.
-func calibrateByWalk(g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig) ActivationScales {
-	inObs := newObserver(cfg.Method)
-	obs := make([]*observer, len(g.Nodes))
-	for i := range obs {
-		obs[i] = newObserver(cfg.Method)
-	}
+func calibrateByWalk(g *nn.Graph, batches []*tensor.Tensor) ActivationScales {
+	var inObs observer
+	obs := make([]observer, len(g.Nodes))
 	for _, b := range batches {
 		inObs.observe(b.Data)
 		g.Walk(b, func(i int, t *tensor.Tensor) { obs[i].observe(t.Data) })
 	}
-	out := ActivationScales{Input: int8Scale(inObs.clip(cfg.percentile())), Node: make([]float32, len(g.Nodes))}
-	for i, o := range obs {
-		out.Node[i] = int8Scale(o.clip(cfg.percentile()))
+	out := ActivationScales{Input: int8Scale(inObs.clip()), Node: make([]float32, len(g.Nodes))}
+	for i := range obs {
+		out.Node[i] = int8Scale(obs[i].clip())
 	}
 	return out
+}
+
+// unitMask marks, beside the forced-float nodes (nil forces none), every
+// depth-wise convolution, max-pool and Concat, so no Bundle step forms, no
+// Reorg folds and no Concat is laid out: the plan of a unit per layer kind,
+// under which every map the int8 engine scales is a step's whole output.
+func unitMask(g *nn.Graph, force []bool) []bool {
+	mask := make([]bool, len(g.Nodes))
+	copy(mask, force)
+	for i, n := range g.Nodes {
+		switch n.Layer.(type) {
+		case *nn.DWConv3, *nn.MaxPool, *nn.Concat:
+			mask[i] = true
+		}
+	}
+	return mask
 }
 
 // settle gives the batch norms running statistics worth folding.
@@ -151,28 +164,26 @@ func settle(g *nn.Graph, rng *rand.Rand) {
 	}
 }
 
-// TestCalibrationObserverMatchesHook: calibrating on a float plan — for
-// max-abs the banded inference plan, whose Bundles show their depth-wise and
-// pre-pool maps to the running maxima in pieces; for the percentile sketch
-// the unbanded unit-per-node plan — gives bit for bit the scale observing the
-// unfused, whole-batch layer walk gives (as a feature-map hook on the graph
-// once did) for every scale Export reads: the input and the output of every
-// step of the unit-per-node plan (nn.Compile under unitMask): chain ends, DW
-// outputs, pools, the reorder, the Concat, fallback outputs. Both
-// calibrators, SkyNet A/B/C at width 0.25 over two sample shapes (at 18 rows
-// Bundle 2's input has an odd row count, so the row below its last pool
-// window counts), with and without forced nodes that split two chains; and
-// SkyNet C at width 1 on 160×320 frames, whose Bundles are cut into several
-// bands.
+// TestCalibrationObserverMatchesHook: calibrating on the banded inference
+// plan, whose Bundles show their depth-wise and pre-pool maps to the running
+// maxima in pieces, gives bit for bit the scale observing the unfused,
+// whole-batch layer walk gives (as a feature-map hook on the graph once did)
+// for every scale Export reads: the input and the output of every step of the
+// unit-per-node plan (nn.Compile under unitMask): chain ends, DW outputs,
+// pools, the reorder, the Concat, fallback outputs. SkyNet A/B/C at width 0.25
+// over two sample shapes (at 18 rows Bundle 2's input has an odd row count, so
+// the row below its last pool window counts), with and without forced nodes
+// that split two chains; and SkyNet C at width 1 on 160×320 frames, whose
+// Bundles are cut into several bands.
 func TestCalibrationObserverMatchesHook(t *testing.T) {
-	check := func(name string, g *nn.Graph, batches []*tensor.Tensor, cfg CalibConfig, forced []int) {
+	check := func(name string, g *nn.Graph, batches []*tensor.Tensor, forced []int) {
 		t.Helper()
 		force := make([]bool, len(g.Nodes))
 		for _, i := range forced {
 			force[i] = true
 		}
-		want := calibrateByWalk(g, batches, cfg)
-		got, err := CalibrateActivations(g, batches, cfg, force)
+		want := calibrateByWalk(g, batches)
+		got, err := CalibrateActivations(g, batches, force)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,14 +202,12 @@ func TestCalibrationObserverMatchesHook(t *testing.T) {
 	}
 	forcings := [][]int{nil, {2, 8}} // a BatchNorm and an activation: two chains end early
 	for _, v := range []backbone.SkyNetVariant{backbone.VariantA, backbone.VariantB, backbone.VariantC} {
-		for _, cfg := range []CalibConfig{{}, {Method: CalibPercentile, Percentile: 99}} {
-			for _, forced := range forcings {
-				rng := rand.New(rand.NewSource(23))
-				g := backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, v)
-				settle(g, rng)
-				batches := []*tensor.Tensor{randBatch(rng, 3, 3, 16, 32), randBatch(rng, 2, 3, 18, 32), randBatch(rng, 1, 3, 16, 32)}
-				check(fmt.Sprintf("SkyNet%v/method%d/forced%v", v, cfg.Method, forced), g, batches, cfg, forced)
-			}
+		for _, forced := range forcings {
+			rng := rand.New(rand.NewSource(23))
+			g := backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, v)
+			settle(g, rng)
+			batches := []*tensor.Tensor{randBatch(rng, 3, 3, 16, 32), randBatch(rng, 2, 3, 18, 32), randBatch(rng, 1, 3, 16, 32)}
+			check(fmt.Sprintf("SkyNet%v/forced%v", v, forced), g, batches, forced)
 		}
 	}
 	if testing.Short() {
@@ -215,7 +224,7 @@ func TestCalibrationObserverMatchesHook(t *testing.T) {
 			t.Fatal("SkyNet C at 160×320 cuts no Bundle into two bands or more")
 		}
 		for _, forced := range forcings {
-			check(fmt.Sprintf("SkyNetC/width1/160x320/forced%v", forced), g, batches, CalibConfig{}, forced)
+			check(fmt.Sprintf("SkyNetC/width1/160x320/forced%v", forced), g, batches, forced)
 		}
 	})
 }
@@ -618,7 +627,7 @@ func exportPerNode(t *testing.T, g *nn.Graph, calib []*tensor.Tensor, cfg Export
 	for _, i := range cfg.ForceFloat {
 		force[i] = true
 	}
-	scales, err := CalibrateActivations(g, calib, cfg.Calib, force)
+	scales, err := CalibrateActivations(g, calib, force)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -358,8 +358,6 @@ func (l *qlane) float(j int) []float32 {
 
 // ExportConfig configures the int8 lowering.
 type ExportConfig struct {
-	// Calib selects the activation calibrator (default min-max).
-	Calib CalibConfig
 	// ForceFloat lists graph node indices that must keep running their
 	// original float layer (escape hatch for layers that quantize badly).
 	ForceFloat []int
@@ -386,7 +384,7 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 		force[i] = true
 	}
-	scales, err := CalibrateActivations(g, calib, cfg.Calib, force)
+	scales, err := CalibrateActivations(g, calib, force)
 	// Calibration ran the float plan on g's arena; the engine runs no float
 	// plan, and keeps g for its structure only.
 	g.ReleaseArena()
@@ -508,23 +506,6 @@ func (m *QuantizedModel) lower(shape []int, scales ActivationScales, force []boo
 			fallback(s)
 		}
 	}
-}
-
-// unitMask is the percentile calibrator's mask, under which every map the
-// engine scales is a step's whole output: it marks the forced-float nodes (nil
-// forces none) and every depth-wise convolution, max-pool and Concat, so no
-// Bundle step forms, no Reorg folds and no Concat is laid out — the plan of a
-// unit per layer kind, the engine's before the Bundle step.
-func unitMask(g *nn.Graph, force []bool) []bool {
-	mask := make([]bool, len(g.Nodes))
-	copy(mask, force)
-	for i, n := range g.Nodes {
-		switch n.Layer.(type) {
-		case *nn.DWConv3, *nn.MaxPool, *nn.Concat:
-			mask[i] = true
-		}
-	}
-	return mask
 }
 
 // capCode converts a float activation cap to its code-domain clamp.

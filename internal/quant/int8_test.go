@@ -249,24 +249,3 @@ func TestQuantizedSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
-
-// TestQuantizedPercentileCalibration exercises the percentile calibrator
-// end to end.
-func TestQuantizedPercentileCalibration(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g, qm, _ := exportSkyNet(t, rng, 0.25, 16, ExportConfig{
-		Calib: CalibConfig{Method: CalibPercentile, Percentile: 99.9},
-	})
-	x := randBatch(rng, 1, 3, 16, 16)
-	want := g.Forward(x, false)
-	got := qm.Forward(x, false)
-	var se, ref float64
-	for i := range want.Data {
-		d := float64(got.Data[i] - want.Data[i])
-		se += d * d
-		ref += float64(want.Data[i]) * float64(want.Data[i])
-	}
-	if nrmse := math.Sqrt(se / (ref + 1e-12)); nrmse > 0.2 {
-		t.Fatalf("percentile-calibrated NRMSE = %.4f, want <= 0.2", nrmse)
-	}
-}

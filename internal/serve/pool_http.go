@@ -12,6 +12,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -29,10 +30,15 @@ type SwapRequest struct {
 	Ckpt string `json:"ckpt,omitempty"`
 	// Quantize requests an int8 lowering of the loaded model.
 	Quantize bool `json:"quantize,omitempty"`
-	// Calib is the calibration scene count for Quantize; 0 selects the
-	// loader's default.
+	// Calib is the calibration scene count for Quantize, in [0,
+	// maxSwapCalib]; 0 selects the loader's default. A count outside that
+	// range is answered 400 before the loader runs.
 	Calib int `json:"calib,omitempty"`
 }
+
+// maxSwapCalib bounds SwapRequest.Calib: the loader draws that many scenes
+// per replica, so a client-sized count must not reach it unchecked.
+const maxSwapCalib = 1024
 
 // SwapResponse reports a completed swap.
 type SwapResponse struct {
@@ -114,6 +120,10 @@ func (p *Pool) handleSwap(w http.ResponseWriter, r *http.Request) {
 	var req SwapRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeSwapError(w, bodyStatus(err), err)
+		return
+	}
+	if req.Calib < 0 || req.Calib > maxSwapCalib {
+		writeSwapError(w, http.StatusBadRequest, fmt.Errorf("serve: calib %d outside [0, %d]", req.Calib, maxSwapCalib))
 		return
 	}
 	factory, err := p.cfg.SwapLoader(req)

@@ -340,25 +340,44 @@ func TestPoolNReplicaByteIdenticalTo1Replica(t *testing.T) {
 	for i := range imgs {
 		imgs[i] = testImage(float32(i) * 0.17)
 	}
+	bodies := make([][]byte, len(imgs))
+	for i, img := range imgs {
+		bodies[i] = detectBody(t, img)
+	}
+	// Six concurrent clients of four requests each; client c's r-th request
+	// sends image (4c+r) mod 6.
 	run := func(replicas, cacheEntries int) map[int][]byte {
 		p := newTestPool(t, verFactory(2, nil, nil), PoolConfig{Replicas: replicas, CacheEntries: cacheEntries,
 			Replica: Config{MaxBatch: 4, QueueDepth: 64}})
-		ts := httptest.NewServer(p.Handler())
-		defer ts.Close()
-		lg := &LoadGen{URL: ts.URL, Clients: 6, Requests: 4, Images: imgs}
-		rep, err := lg.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
+		h := p.Handler()
+		const clients, requests = 6, 4
+		got := make([][]byte, clients*requests)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for r := 0; r < requests; r++ {
+					i := c*requests + r
+					rec := post(h, "/detect", bodies[i%len(bodies)])
+					if rec.Code != http.StatusOK {
+						t.Errorf("%d-replica run: image %d: status %d %q", replicas, i%len(bodies), rec.Code, rec.Body)
+						return
+					}
+					got[i] = rec.Body.Bytes()
+				}
+			}(c)
 		}
-		if errs := rep.Errors(); len(errs) != 0 {
-			t.Fatalf("%d-replica run had %d errors; first %+v", replicas, len(errs), errs[0])
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
 		}
 		out := make(map[int][]byte)
-		for _, res := range rep.Results {
-			if prev, ok := out[res.Image]; ok && !bytes.Equal(prev, res.Body) {
-				t.Fatalf("image %d served two different bodies within one run", res.Image)
+		for i, body := range got {
+			if prev, ok := out[i%len(bodies)]; ok && !bytes.Equal(prev, body) {
+				t.Fatalf("image %d served two different bodies within one run", i%len(bodies))
 			}
-			out[res.Image] = res.Body
+			out[i%len(bodies)] = body
 		}
 		return out
 	}
@@ -586,6 +605,35 @@ func TestPoolAdminSwapWithoutLoaderIs501(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("swap without loader: status %d, want 501", resp.StatusCode)
+	}
+}
+
+// TestPoolAdminSwapBoundsCalib: the loader draws SwapRequest.Calib scenes
+// per replica, so a count outside [0, maxSwapCalib] is refused with 400 before
+// the loader is called, and the pool keeps its generation.
+func TestPoolAdminSwapBoundsCalib(t *testing.T) {
+	var loads atomic.Int64
+	p := newTestPool(t, verFactory(1, nil, nil), PoolConfig{Replicas: 1,
+		Replica: Config{QueueDepth: 8},
+		SwapLoader: func(SwapRequest) (ModelFactory, error) {
+			loads.Add(1)
+			return verFactory(2, nil, nil), nil
+		}})
+	h := p.Handler()
+	for _, calib := range []int64{1 << 40, -1, maxSwapCalib + 1} {
+		body := fmt.Sprintf(`{"ckpt":"v2","quantize":true,"calib":%d}`, calib)
+		if rec := post(h, "/admin/swap", []byte(body)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("calib %d: status %d %q, want 400", calib, rec.Code, rec.Body)
+		}
+	}
+	if n := loads.Load(); n != 0 || p.Generation() != 1 {
+		t.Fatalf("after refused swaps: %d loader calls, generation %d; want 0 and 1", n, p.Generation())
+	}
+	if rec := post(h, "/admin/swap", []byte(fmt.Sprintf(`{"ckpt":"v2","quantize":true,"calib":%d}`, maxSwapCalib))); rec.Code != http.StatusOK {
+		t.Fatalf("calib %d: status %d %q, want 200", maxSwapCalib, rec.Code, rec.Body)
+	}
+	if n := loads.Load(); n != 1 || p.Generation() != 2 {
+		t.Fatalf("after an in-range swap: %d loader calls, generation %d; want 1 and 2", n, p.Generation())
 	}
 }
 

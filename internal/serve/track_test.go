@@ -124,36 +124,72 @@ func TestTrackConcurrentSessionsByteIdentical(t *testing.T) {
 	hs := httptest.NewServer(ts.Handler())
 	defer hs.Close()
 
-	frames := make([][]*tensor.Tensor, len(seqs))
-	boxes := make([]detect.Box, len(seqs))
-	for i, seq := range seqs {
-		frames[i] = seq.Frames
-		boxes[i] = seq.Boxes[0]
+	// Session s tracks sequence s mod 4: start on frame 0, one step per later
+	// frame, then stop.
+	h := ts.Handler()
+	const sessions = 64
+	got := make([][]detect.Box, sessions)
+	footprint := make([]int64, sessions)
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			seq := seqs[s%len(seqs)]
+			body, err := json.Marshal(TrackStartRequest{Shape: seq.Frames[0].Shape(), Data: seq.Frames[0].Data, Box: seq.Boxes[0]})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rec := post(h, "/track/start", body)
+			var sr TrackStartResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &sr); rec.Code != http.StatusOK || err != nil {
+				t.Errorf("session %d start: status %d %q", s, rec.Code, rec.Body)
+				return
+			}
+			footprint[s] = sr.BytesPerSession
+			for _, frame := range seq.Frames[1:] {
+				if body, err = json.Marshal(TrackStepRequest{Session: sr.Session, Shape: frame.Shape(), Data: frame.Data}); err != nil {
+					t.Error(err)
+					return
+				}
+				rec = post(h, "/track/step", body)
+				var sp TrackStepResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &sp); rec.Code != http.StatusOK || err != nil {
+					t.Errorf("session %d step: status %d %q", s, rec.Code, rec.Body)
+					return
+				}
+				got[s] = append(got[s], sp.Box)
+			}
+			if body, err = json.Marshal(TrackStopRequest{Session: sr.Session}); err != nil {
+				t.Error(err)
+				return
+			}
+			if rec = post(h, "/track/stop", body); rec.Code != http.StatusOK {
+				t.Errorf("session %d stop: status %d %q", s, rec.Code, rec.Body)
+			}
+		}(s)
 	}
-	lg := &TrackLoadGen{URL: hs.URL, Sessions: 64, Frames: frames, Boxes: boxes}
-	rep, err := lg.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
-	if errs := rep.Errors(); len(errs) != 0 {
-		t.Fatalf("%d sessions failed; first: %+v", len(errs), errs[0])
-	}
-	if rep.Steps != 64*(seqs[0].Len()-1) {
-		t.Fatalf("%d steps, want %d", rep.Steps, 64*(seqs[0].Len()-1))
-	}
-	for s, res := range rep.Sessions {
+	for s, boxes := range got {
 		ref := want[s%len(seqs)]
-		for f, got := range res.Boxes {
-			if got != ref[f] {
-				t.Fatalf("session %d frame %d: box %+v, offline %+v", s, f, got, ref[f])
+		if len(boxes) != len(ref) {
+			t.Fatalf("session %d: %d steps, want %d", s, len(boxes), len(ref))
+		}
+		for f, box := range boxes {
+			if box != ref[f] {
+				t.Fatalf("session %d frame %d: box %+v, offline %+v", s, f, box, ref[f])
 			}
 		}
 	}
-	// Every session reported a measured footprint at start (the loadgen
-	// stops its session afterwards, so none remain live for /metrics).
-	for s, res := range rep.Sessions {
-		if res.BytesPerSession <= sessionOverheadBytes {
-			t.Fatalf("session %d reported %d bytes, want a template-sized footprint", s, res.BytesPerSession)
+	// Every session reported a measured footprint at start (each stopped its
+	// session afterwards, so none remain live for /metrics).
+	for s, bytes := range footprint {
+		if bytes <= sessionOverheadBytes {
+			t.Fatalf("session %d reported %d bytes, want a template-sized footprint", s, bytes)
 		}
 	}
 	if m := ts.Metrics(); m.Started != 64 || m.Sessions != 0 {
@@ -223,23 +259,28 @@ func TestTrackMaskSessionMatchesOffline(t *testing.T) {
 	wantMask := tr.PeakMask(zf, seq.Frames[1], seq.Boxes[0])
 
 	ts := newTestTrackService(t, tr, TrackConfig{})
-	hs := httptest.NewServer(ts.Handler())
-	defer hs.Close()
-
-	lg := &TrackLoadGen{URL: hs.URL, Sessions: 1, Mask: true,
-		Frames: [][]*tensor.Tensor{seq.Frames[:2]}, Boxes: []detect.Box{seq.Boxes[0]}}
-	rep, err := lg.Run(context.Background())
+	h := ts.Handler()
+	body, err := json.Marshal(TrackStartRequest{Shape: seq.Frames[0].Shape(), Data: seq.Frames[0].Data, Box: seq.Boxes[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs := rep.Errors(); len(errs) != 0 {
-		t.Fatalf("session failed: %+v", errs[0])
+	rec := post(h, "/track/start", body)
+	var sr TrackStartResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sr); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("start: status %d %q", rec.Code, rec.Body)
 	}
-	got := rep.Sessions[0].Masks[0]
-	if got == nil {
+	if body, err = json.Marshal(TrackStepRequest{Session: sr.Session, Shape: seq.Frames[1].Shape(), Data: seq.Frames[1].Data, Mask: true}); err != nil {
+		t.Fatal(err)
+	}
+	rec = post(h, "/track/step", body)
+	var sp TrackStepResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sp); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("step: status %d %q", rec.Code, rec.Body)
+	}
+	if sp.Mask == nil {
 		t.Fatal("no mask returned")
 	}
-	gt, err := got.Tensor()
+	gt, err := sp.Mask.Tensor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,47 +343,42 @@ func TestTrackTTLEvictionUnderBoundedTable(t *testing.T) {
 func TestTrackHTTPErrorMapping(t *testing.T) {
 	tr := testTracker(false)
 	ts := newTestTrackService(t, tr, TrackConfig{})
-	hs := httptest.NewServer(ts.Handler())
-	defer hs.Close()
+	h := ts.Handler()
 	seq := testTrackSequences(1, 3)[0]
 
-	post := func(path string, payload any) (int, []byte) {
+	call := func(path string, payload any) (int, []byte) {
 		t.Helper()
-		status, body := 0, []byte(nil)
-		var resp map[string]any
-		st, err := postJSON(context.Background(), http.DefaultClient, hs.URL+path, payload, &resp)
+		body, err := json.Marshal(payload)
 		if err != nil {
 			t.Fatalf("POST %s: %v", path, err)
 		}
-		status = st
-		body, _ = json.Marshal(resp)
-		return status, body
+		rec := post(h, path, body)
+		return rec.Code, rec.Body.Bytes()
 	}
 
 	// Malformed tensor shape → 400.
-	if st, _ := post("/track/start", TrackStartRequest{Shape: []int{2, 2}, Data: []float32{1, 2, 3, 4},
+	if st, _ := call("/track/start", TrackStartRequest{Shape: []int{2, 2}, Data: []float32{1, 2, 3, 4},
 		Box: seq.Boxes[0]}); st != http.StatusBadRequest {
 		t.Fatalf("bad shape start: status %d, want 400", st)
 	}
 	// Degenerate box → 400 (the tracker rejects it, worker survives).
 	frame := seq.Frames[0]
-	if st, _ := post("/track/start", TrackStartRequest{Shape: frame.Shape(), Data: frame.Data,
+	if st, _ := call("/track/start", TrackStartRequest{Shape: frame.Shape(), Data: frame.Data,
 		Box: detect.Box{CX: 0.5, CY: 0.5, W: 0, H: 0}}); st != http.StatusBadRequest {
 		t.Fatalf("degenerate box start: status %d, want 400", st)
 	}
 	// Unknown session → 404.
-	if st, _ := post("/track/step", TrackStepRequest{Session: "t-999", Shape: frame.Shape(),
+	if st, _ := call("/track/step", TrackStepRequest{Session: "t-999", Shape: frame.Shape(),
 		Data: frame.Data}); st != http.StatusNotFound {
 		t.Fatalf("unknown session step: status %d, want 404", st)
 	}
-	if st, _ := post("/track/stop", TrackStopRequest{Session: "t-999"}); st != http.StatusNotFound {
+	if st, _ := call("/track/stop", TrackStopRequest{Session: "t-999"}); st != http.StatusNotFound {
 		t.Fatalf("unknown session stop: status %d, want 404", st)
 	}
 	// The service still works after every failure.
 	var sr TrackStartResponse
-	st, err := postJSON(context.Background(), http.DefaultClient, hs.URL+"/track/start",
-		TrackStartRequest{Shape: frame.Shape(), Data: frame.Data, Box: seq.Boxes[0]}, &sr)
-	if err != nil || st != http.StatusOK || sr.Session == "" {
+	st, body := call("/track/start", TrackStartRequest{Shape: frame.Shape(), Data: frame.Data, Box: seq.Boxes[0]})
+	if err := json.Unmarshal(body, &sr); err != nil || st != http.StatusOK || sr.Session == "" {
 		t.Fatalf("start after failures: status %d err %v resp %+v", st, err, sr)
 	}
 	if m := ts.Metrics(); m.Failed == 0 {
@@ -358,15 +394,17 @@ func TestTrackAttachedToServer(t *testing.T) {
 	tr := testTracker(false)
 	ts := newTestTrackService(t, tr, TrackConfig{})
 	srv.Attach(ts)
-	hs := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	hs := httptest.NewServer(h)
 	defer hs.Close()
 	seq := testTrackSequences(1, 3)[0]
 
-	var sr TrackStartResponse
-	st, err := postJSON(context.Background(), http.DefaultClient, hs.URL+"/track/start",
-		TrackStartRequest{Shape: seq.Frames[0].Shape(), Data: seq.Frames[0].Data, Box: seq.Boxes[0]}, &sr)
-	if err != nil || st != http.StatusOK {
-		t.Fatalf("start via attached server: status %d err %v", st, err)
+	body, err := json.Marshal(TrackStartRequest{Shape: seq.Frames[0].Shape(), Data: seq.Frames[0].Data, Box: seq.Boxes[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := post(h, "/track/start", body); rec.Code != http.StatusOK {
+		t.Fatalf("start via attached server: status %d %q", rec.Code, rec.Body)
 	}
 
 	resp, err := http.Get(hs.URL + "/metrics")

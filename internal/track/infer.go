@@ -253,11 +253,3 @@ func clampSize(v float64) float64 {
 	}
 	return v
 }
-
-// CropForMaskGT exposes the ground-truth mask patch geometry used in
-// training, for mask-quality evaluation.
-func (t *Tracker) CropForMaskGT(seq dataset.Sequence, f int) *tensor.Tensor {
-	b := seq.Boxes[f]
-	side := searchSidePixels(b, seq.Frames[f].Dim(1), seq.Frames[f].Dim(2))
-	return cropAt(seq.Masks[f], b.CX, b.CY, side/2, t.Cfg.MaskSize)
-}

@@ -27,30 +27,3 @@ func SR(ious []float64, threshold float64) float64 {
 	}
 	return float64(n) / float64(len(ious))
 }
-
-// SuccessCurve returns SR evaluated at n thresholds spread uniformly over
-// [0, 1) — the success plot GOT-10k reports alongside AO.
-func SuccessCurve(ious []float64, n int) []float64 {
-	if n <= 0 {
-		n = 21
-	}
-	curve := make([]float64, n)
-	for i := range curve {
-		curve[i] = SR(ious, float64(i)/float64(n))
-	}
-	return curve
-}
-
-// AUC returns the area under the success curve. For fine threshold grids it
-// converges to AO (average overlap), the identity GOT-10k exploits; the
-// test suite checks that property.
-func AUC(curve []float64) float64 {
-	if len(curve) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range curve {
-		s += v
-	}
-	return s / float64(len(curve))
-}

@@ -3,7 +3,6 @@ package track
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -313,8 +312,9 @@ func TestTrackSingleFrameSequence(t *testing.T) {
 	}
 }
 
-// Property: the area under the success curve converges to AO as the
-// threshold grid refines (the GOT-10k identity E[IoU] = ∫ SR(t) dt).
+// Property: the area under the success curve — SR over a fine grid of
+// thresholds in [0, 1) — converges to AO (the GOT-10k identity
+// E[IoU] = ∫ SR(t) dt).
 func TestQuickAUCConvergesToAO(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -322,7 +322,11 @@ func TestQuickAUCConvergesToAO(t *testing.T) {
 		for i := range ious {
 			ious[i] = rng.Float64()
 		}
-		auc := AUC(SuccessCurve(ious, 2000))
+		const n = 2000
+		var auc float64
+		for i := 0; i < n; i++ {
+			auc += SR(ious, float64(i)/n) / n
+		}
 		return math.Abs(auc-AO(ious)) < 0.01
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -330,64 +334,8 @@ func TestQuickAUCConvergesToAO(t *testing.T) {
 	}
 }
 
-func TestSuccessCurveMonotone(t *testing.T) {
-	ious := []float64{0.1, 0.4, 0.6, 0.9}
-	curve := SuccessCurve(ious, 50)
-	for i := 1; i < len(curve); i++ {
-		if curve[i] > curve[i-1] {
-			t.Fatal("success curve must be non-increasing")
-		}
-	}
-	if curve[0] != 1 {
-		t.Fatalf("SR at threshold 0 should be 1 for positive IoUs, got %v", curve[0])
-	}
-}
-
-func TestSubmissionRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	tr := tinyTracker(false, 30)
-	seqs := testSequences(2)
-	names := []string{"seq-0001", "seq-0002"}
-	var results []SequenceResult
-	for i, seq := range seqs {
-		r := tr.TrackForSubmission(names[i], seq)
-		if len(r.Boxes) != seq.Len() || len(r.Times) != seq.Len() {
-			t.Fatalf("result lengths %d/%d for %d frames", len(r.Boxes), len(r.Times), seq.Len())
-		}
-		// Frame 0 must be the ground-truth init.
-		if r.Boxes[0] != seq.Boxes[0] {
-			t.Fatal("first box must be the init box")
-		}
-		results = append(results, r)
-	}
-	if err := WriteSubmission(dir, results); err != nil {
-		t.Fatal(err)
-	}
-	// Score the written files: must agree with direct evaluation of the
-	// recorded boxes.
-	scored, err := ScoreSubmission(dir, names, seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var direct []float64
-	for i, r := range results {
-		for f := 1; f < seqs[i].Len(); f++ {
-			direct = append(direct, r.Boxes[f].IoU(seqs[i].Boxes[f]))
-		}
-	}
-	if math.Abs(scored.AO-AO(direct)) > 0.01 {
-		t.Fatalf("scored AO %.4f vs direct %.4f (pixel rounding should be tiny)", scored.AO, AO(direct))
-	}
-}
-
-func TestReadSubmissionBoxesRejectsGarbage(t *testing.T) {
-	if _, err := ReadSubmissionBoxes(strings.NewReader("not,numbers,at,all\n"), 96, 96); err == nil {
-		t.Fatal("garbage line must error")
-	}
-}
-
 // TestMetricsEdgeCases tables the degenerate inputs the GOT-10k metrics
-// must survive: empty IoU sets (a submission of one-frame clips), single
+// must survive: empty IoU sets (a set of one-frame clips), single
 // observations, and exact-threshold boundaries (SR counts strict
 // exceedance, so IoU == threshold does not succeed).
 func TestMetricsEdgeCases(t *testing.T) {
@@ -439,31 +387,5 @@ func TestMetricsEdgeCases(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSuccessCurveEdgeCases: the curve and its AUC must behave on empty
-// inputs and degenerate grid sizes.
-func TestSuccessCurveEdgeCases(t *testing.T) {
-	if c := SuccessCurve(nil, 10); len(c) != 10 {
-		t.Fatalf("curve length %d, want 10", len(c))
-	} else {
-		for i, v := range c {
-			if v != 0 {
-				t.Fatalf("empty input curve[%d] = %v", i, v)
-			}
-		}
-	}
-	// n <= 0 selects the default 21-point grid.
-	if c := SuccessCurve([]float64{0.5}, 0); len(c) != 21 {
-		t.Fatalf("default grid %d, want 21", len(c))
-	}
-	if AUC(nil) != 0 {
-		t.Fatal("AUC of an empty curve must be 0")
-	}
-	// A single-frame sequence still yields the AUC ≈ AO identity.
-	single := []float64{0.37}
-	if auc := AUC(SuccessCurve(single, 2000)); math.Abs(auc-AO(single)) > 0.01 {
-		t.Fatalf("AUC %v far from AO %v on a single frame", auc, AO(single))
 	}
 }
