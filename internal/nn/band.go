@@ -80,20 +80,20 @@ func (b *band) carve(buf []float32, n int) (dw, pw []float32) {
 // bandShare is the operands of one Bundle step on one image: the image
 // [C,h,w], src; its output dst; for a step that folds a Reorg, the image's
 // reordered map reorg; the convolution's epilogue, as for
-// Conv2D.forwardImage; the forward's observer, if any; and the band buffers
-// of the workers, worker i's scratch[i]. The geometry is the one recorded on
-// both layers.
+// Conv2D.forwardImage; the forward's observer, if any; and the lanes whose
+// band buffers the workers use, worker i lane i's. The geometry is the one
+// recorded on both layers.
 type bandShare struct {
 	b        *band
 	dst, src []float32
 	reorg    []float32
 	ep       tensor.RowEpilogue
 	observe  func(node int, data []float32)
-	scratch  [][]float32
+	workers  []*lane
 }
 
 //skynet:hotpath
-func (a *bandShare) Band(w, r0, rows int) { a.compute(a.scratch[w], r0, rows) }
+func (a *bandShare) Band(w, r0, rows int) { a.compute(a.workers[w].band, r0, rows) }
 
 // Bands is a step RunBands runs: Band computes rows [r0, r0+rows) on worker w.
 type Bands interface{ Band(w, r0, rows int) }

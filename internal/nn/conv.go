@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 
 	"skynet/internal/tensor"
@@ -80,18 +81,32 @@ func (c *Conv2D) Params() []*Param {
 }
 
 // Forward lowers the convolution to one GEMM per image, the images split
-// across workers.
+// across workers: ForwardInto a fresh tensor.
 //
 //skynet:hotpath
 func (c *Conv2D) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, c.label)
 	expect4D(x.Shape(), c.InC, c.label)
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	outH, outW := c.outSize(h, w)
-	out := tensor.New(n, c.OutC, outH, outW)
-	c.forwardInto(out.Data, x.Data, n, h, w)
+	outH, outW := c.outSize(x.Dim(2), x.Dim(3))
+	out := tensor.New(x.Dim(0), c.OutC, outH, outW)
+	c.ForwardInto(out, x)
 	c.x = cacheIf(train, x)
 	return out
+}
+
+// ForwardInto is the inference forward of x [N,InC,H,W] into dst, which must
+// be [N,OutC,H',W']: it allocates nothing once the layer's im2col scratch
+// fits the geometry, and caches nothing for Backward.
+//
+//skynet:hotpath
+func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor) {
+	expect4D(x.Shape(), c.InC, c.label)
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	outH, outW := c.outSize(h, w)
+	if dst.Rank() != 4 || dst.Dim(0) != n || dst.Dim(1) != c.OutC || dst.Dim(2) != outH || dst.Dim(3) != outW {
+		panic(fmt.Sprintf("nn: layer %s writes [%d %d %d %d], not into %v", c.label, n, c.OutC, outH, outW, dst.Shape()))
+	}
+	c.forwardInto(dst.Data, x.Data, n, h, w)
 }
 
 // forwardInto convolves the n images [InC,h,w] of src into dst, the images

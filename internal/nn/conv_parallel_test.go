@@ -146,6 +146,12 @@ func TestConv2DForwardSteadyStateAllocs(t *testing.T) {
 			if got := warmAllocs(l, x); got != outAllocs {
 				t.Errorf("%s %d-worker forward: %v allocs/op, want the output tensor's %v", l.Name(), workers, got, outAllocs)
 			}
+			if c, ok := l.(*Conv2D); ok {
+				dst := tensor.New(shape...)
+				if got := testing.AllocsPerRun(20, func() { c.ForwardInto(dst, x) }); got != 0 {
+					t.Errorf("%s %d-worker ForwardInto: %v allocs/op, want 0", l.Name(), workers, got)
+				}
+			}
 		}
 	}
 	withParallelism(1, 1, func() { outputOnly(1, conv, dw) })

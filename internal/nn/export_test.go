@@ -22,7 +22,14 @@ func BandBudget() int { return bandBudget }
 
 // BandBuffers returns the band buffers inference forwards have left on g, one
 // per worker.
-func BandBuffers(g *Graph) [][]float32 { return g.bands }
+func BandBuffers(g *Graph) (bufs [][]float32) {
+	for _, l := range g.lanes {
+		if l.band != nil {
+			bufs = append(bufs, l.band)
+		}
+	}
+	return bufs
+}
 
 // BandSpans returns, for each Bundle step of p, where its largest band's
 // depth-wise rows and product lie in a worker's buffer as the step cuts it,
@@ -49,5 +56,13 @@ func BandSpans(p *Plan) (dw, pw [][2]int) {
 var MaxPoolInto = maxPoolInto
 
 // Arena returns the arena inference forwards have left on g and how many
-// lanes they have run on.
-func Arena(g *Graph) (arena []float32, lanes int) { return g.arena, len(g.lanes) }
+// lanes they have run on: those with a region of it (the others only lend a
+// lone lane's split their band buffers).
+func Arena(g *Graph) (arena []float32, lanes int) {
+	for _, l := range g.lanes {
+		if l.arena != nil {
+			lanes++
+		}
+	}
+	return g.arena, lanes
+}

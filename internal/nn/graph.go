@@ -42,12 +42,11 @@ type Graph struct {
 	// and must not be modified.
 	OutShapes [][]int
 
-	trained bool        // the last Forward was a training one: the layers hold its caches
-	plans   []*Plan     // inference plans, most recently used first, one per input sample shape
-	arena   []float32   // feature maps of the inference forward in flight: one sample's per lane
-	bands   [][]float32 // per worker: the buffer of the Bundle band in flight
-	lanes   []*lane     // the walks of the forward in flight; lanes[i] owns region i of arena
-	run     planRun     // the inference forward in flight
+	trained bool      // the last Forward was a training one: the layers hold its caches
+	plans   []*Plan   // inference plans, most recently used first, one per input sample shape
+	arena   []float32 // feature maps of the inference forward in flight: one sample's per lane
+	lanes   []*lane   // the walks of the forward in flight, and the workers' band buffers; lanes[i] owns region i of arena
+	run     planRun   // the inference forward in flight
 }
 
 // NewGraph returns an empty graph.
@@ -131,7 +130,7 @@ func (g *Graph) walk(x *tensor.Tensor, train bool, visit func(i int, out *tensor
 // have left on g; the next one allocates them again. For an owner that keeps
 // g but runs no further forward on it, as quant.Export does after
 // calibrating.
-func (g *Graph) ReleaseArena() { g.arena, g.bands, g.lanes = nil, nil, nil }
+func (g *Graph) ReleaseArena() { g.arena, g.lanes = nil, nil }
 
 // Backward propagates dout (gradient w.r.t. the graph output) through every
 // node in reverse order, accumulating parameter gradients, and returns the

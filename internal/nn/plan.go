@@ -183,15 +183,13 @@ type Plan struct {
 	// perSample is the arena a sample's walk needs, in elements: a lane's
 	// region, whatever the batch.
 	perSample int
-	maxInputs int // the most inputs any node has
 	// bandLen is the length of the band buffer the plan's largest Bundle
 	// band needs of each worker; zero without a Bundle step.
 	bandLen int
 }
 
-// maxPlans bounds the plans a graph keeps, one per input sample shape (a
-// tracker's backbone alternates between two crop sizes); the least recently
-// used is dropped.
+// maxPlans bounds the plans a graph keeps, one per input sample shape; the
+// least recently used is dropped.
 const maxPlans = 4
 
 // poisonReleased makes the executor overwrite every arena slot with NaN as
@@ -243,7 +241,6 @@ func Compile(g *Graph, in []int, separate []bool) *Plan {
 	for i, n := range g.Nodes {
 		pn := &p.nodes[i]
 		pn.layer, pn.inputs, pn.off = n.Layer, slices.Clone(n.Inputs), -1
-		p.maxInputs = max(p.maxInputs, len(n.Inputs))
 		shapes := make([][]int, len(n.Inputs))
 		for k, j := range n.Inputs {
 			shapes[k] = p.shapeOf(j)
@@ -550,53 +547,56 @@ func (p *Plan) Steps() (steps []Step, perSample int) {
 // output rows, the argument list of the step being run — is here, so that
 // lanes running side by side only read the plan and the layers.
 type lane struct {
-	arena []float32   // the lane's region of g.arena
-	out   []float32   // the rows of the output batch the sample in flight fills
-	srcs  [][]float32 // a Concat step's argument list
-	share bandShare   // the Bundle step in flight, as RunBands' workers read it
+	arena []float32 // the lane's region of g.arena
+	out   []float32 // the rows of the output batch the sample in flight fills
+	// band is the buffer of the Bundle band in flight on worker i, for the
+	// i-th lane: its own, or a lone lane's i-th split.
+	band  []float32
+	share bandShare // the Bundle step in flight, as RunBands' workers read it
 }
 
 // planRun is the inference forward in flight on a graph: what RunLanes walks.
 type planRun struct {
 	p      *Plan
-	lanes  []*lane     // lanes[i] also owns bands[i] and every Conv2D's im2col scratch i
-	bands  [][]float32 // per worker: a lane's own, or all of them a lone lane's
-	x, out []float32   // the input batch and the output batch, n samples each
+	lanes  []*lane   // lanes[i] also owns every Conv2D's im2col scratch i
+	x, out []float32 // the input batch and the output batch, n samples each
 	n      int
-	// observe is Run's.
+	// observe is RunInto's.
 	observe func(node int, data []float32)
 }
 
 // prepare readies the graph for lanes of p: the arena, one region per lane,
-// the lanes themselves, and the band buffers of every worker. All only grow —
-// the arena to the most lanes and the largest plan seen, never with the
-// batch — so a caller that varies its batch size settles at once.
+// and the lanes themselves with the band buffers of every worker. All only
+// grow — the arena to the most lanes and the largest plan seen, never with
+// the batch — so a caller that varies its batch size settles at once, and a
+// forward after that allocates nothing.
+//
+//skynet:hotpath
 func (p *Plan) prepare(lanes int) {
 	g := p.g
 	if need := p.perSample * lanes; len(g.arena) < need {
 		// Dropped first: the collection this allocation may start would
 		// otherwise mark old and new both live and pace itself on the sum.
 		g.arena = nil
-		g.arena = make([]float32, need)
+		g.arena = tensor.New(need).Data
 	}
-	for len(g.lanes) < lanes {
+	workers := lanes
+	if p.bandLen > 0 {
+		workers = max(lanes, workersFor(math.MaxInt))
+	}
+	for len(g.lanes) < workers {
+		//skynet:nolint hotalloc -- grow-once: the lanes grow to the most workers a forward has had, then every forward reuses them
 		g.lanes = append(g.lanes, &lane{})
 	}
 	for i, l := range g.lanes[:lanes] {
 		l.arena = g.arena[i*p.perSample : (i+1)*p.perSample]
-		if len(l.srcs) < p.maxInputs {
-			l.srcs = make([][]float32, p.maxInputs)
-		}
 	}
 	if p.bandLen == 0 {
 		return
 	}
-	if nw := workersFor(math.MaxInt); len(g.bands) < nw {
-		g.bands = append(g.bands, make([][]float32, nw-len(g.bands))...)
-	}
-	for i, buf := range g.bands {
-		if len(buf) < p.bandLen {
-			g.bands[i] = make([]float32, p.bandLen)
+	for _, l := range g.lanes {
+		if len(l.band) < p.bandLen {
+			l.band = tensor.New(p.bandLen).Data
 		}
 	}
 }
@@ -638,8 +638,37 @@ func (p *Plan) begin(n, lanes int) {
 }
 
 // Run executes the plan on x, whose sample shape must be the one the plan
-// was compiled for, and returns the graph output, a fresh tensor that is the
-// caller's; every other feature map is an arena slot. The samples go to
+// was compiled for, and returns the graph output: RunInto a fresh tensor,
+// which is the caller's.
+func (p *Plan) Run(x *tensor.Tensor, observe func(node int, data []float32)) *tensor.Tensor {
+	out := tensor.New(p.batch(x.Dim(0))...)
+	p.RunInto(out, x, observe)
+	return out
+}
+
+// OutShape returns the shape of the output of a forward of n samples, a
+// slice that is the caller's.
+func (p *Plan) OutShape(n int) []int {
+	s := slices.Clone(p.shapes[p.output])
+	s[0] = n
+	return s
+}
+
+// batch sets the recorded shapes to a forward of n samples and returns the
+// output's.
+//
+//skynet:hotpath
+func (p *Plan) batch(n int) []int {
+	for i := range p.shapes {
+		p.shapes[i][0] = n
+	}
+	return p.shapes[p.output]
+}
+
+// RunInto executes the plan on x, whose sample shape must be the one the plan
+// was compiled for, writing the graph output into dst, which must have its
+// shape; every other feature map is an arena slot, and once the arena and
+// lanes fit, nothing is allocated. The samples go to
 // LanesFor(n) lanes as RunLanes deals them, or, when there is an observer, to
 // one lane, sample after sample. observe, when non-nil, is shown every map
 // the forward computes, in place and before anything overwrites it: whole,
@@ -653,13 +682,15 @@ func (p *Plan) begin(n, lanes int) {
 // so an observer must be safe for concurrent use and must not depend on the
 // order of what it is shown within a step. Graph.Forward(x, false) is Run
 // with no observer.
-func (p *Plan) Run(x *tensor.Tensor, observe func(node int, data []float32)) *tensor.Tensor {
+//
+//skynet:hotpath
+func (p *Plan) RunInto(dst, x *tensor.Tensor, observe func(node int, data []float32)) {
 	if !slices.Equal(p.in[1:], x.Shape()[1:]) {
 		panic(fmt.Sprintf("nn: plan compiled for samples of shape %v run on input %v", p.in[1:], x.Shape()))
 	}
 	g, n := p.g, x.Dim(0)
-	for i := range p.shapes {
-		p.shapes[i][0] = n
+	if want := p.batch(n); !slices.Equal(dst.Shape(), want) {
+		panic(fmt.Sprintf("nn: plan output %v written into %v", want, dst.Shape()))
 	}
 	lanes := 1
 	if observe == nil {
@@ -667,14 +698,12 @@ func (p *Plan) Run(x *tensor.Tensor, observe func(node int, data []float32)) *te
 	}
 	p.prepare(lanes)
 	p.begin(n, lanes)
-	out := tensor.New(p.shapes[p.output]...)
-	g.run = planRun{p: p, lanes: g.lanes, bands: g.bands, x: x.Data, out: out.Data, n: n, observe: observe}
+	g.run = planRun{p: p, lanes: g.lanes, x: x.Data, out: dst.Data, n: n, observe: observe}
 	RunLanes(&g.run, n, lanes)
 	for _, l := range g.lanes[:lanes] {
 		l.out = nil
 	}
 	g.run = planRun{}
-	return out
 }
 
 // WalkSample takes sample i of the forward in flight through the plan's steps
@@ -729,15 +758,15 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 		switch b := pn.band; {
 		case b != nil:
 			a := &l.share
-			*a = bandShare{b: b, dst: dst, src: src, ep: b.pw.epilogue(p.nodes[b.conv].tail()), observe: r.observe, scratch: r.bands}
+			*a = bandShare{b: b, dst: dst, src: src, ep: b.pw.epilogue(p.nodes[b.conv].tail()), observe: r.observe, workers: r.lanes}
 			if b.reorg >= 0 {
 				a.reorg = l.buf(&p.nodes[b.reorg])
 			}
-			RunBands(a, layer.outH/b.k, b.k, b.rows, li, len(r.bands), leaf)
+			RunBands(a, layer.outH/b.k, b.k, b.rows, li, len(r.lanes), leaf)
 			if rest := layer.outH % b.k; rest > 0 && a.observe != nil {
 				// The rows under no whole window, for the observer alone: the pool
 				// writes nothing of them. (A step that folds a Reorg has none.)
-				a.compute(r.bands[li], layer.outH-rest, rest)
+				a.compute(l.band, layer.outH-rest, rest)
 			}
 			*a = bandShare{} // no operand of the forward stays on the lane
 		case leaf:
@@ -756,12 +785,10 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 	case *Add:
 		addInto(dst, src, l.input(p, pn.inputs[1], x))
 	case *Concat:
-		srcs := l.srcs[:len(pn.inputs)]
+		hw := in[2] * in[3]
 		for k, j := range pn.inputs {
-			srcs[k] = l.input(p, j, x)
+			dst = dst[copy(dst, l.input(p, j, x)[:pn.chans[k]*hw]):]
 		}
-		concatInto(dst, srcs, pn.chans, 1, in[2]*in[3])
-		clear(srcs)
 	case *Flatten, *Dropout:
 		copy(dst, src)
 	case *Linear:

@@ -261,6 +261,13 @@ func TestGraphInferenceSteadyStateAllocs(t *testing.T) {
 				if got := warm(x); got != outAllocs {
 					t.Errorf("%d workers, batch %d: %v allocs per forward, want the output tensor's %v", workers, x.Dim(0), got, outAllocs)
 				}
+				p := nn.Compile(g, x.Shape(), nil)
+				dst := tensor.New(p.OutShape(x.Dim(0))...)
+				p.RunInto(dst, x, nil)
+				requireSameBits(t, "RunInto", dst, g.Forward(x, false))
+				if got := testing.AllocsPerRun(10, func() { p.RunInto(dst, x, nil) }); got != 0 {
+					t.Errorf("%d workers, batch %d: %v allocs per RunInto, want 0", workers, x.Dim(0), got)
+				}
 			}
 		})
 	}

@@ -17,7 +17,9 @@ package serve
 // there is nothing a batch would amortise and nobody waits for a partner.
 // Results are byte-identical to the offline Tracker.Track loop regardless of
 // interleaving, because every step is a pure function of (template, frame,
-// box) and the tracker's forwards run on that single worker.
+// box) and the tracker's steps, on its one workspace, run on that single
+// worker. A frame whose pixels overflow the forward is a 400 and leaves the
+// session's box as it was.
 
 import (
 	"bytes"
@@ -155,7 +157,7 @@ type TrackService struct {
 }
 
 // NewTrackService starts the tracking lane around one tracker. The tracker
-// is driven from the lane's one worker (its graph forwards share buffers and
+// is driven from the lane's one worker (its steps share one workspace and
 // are not concurrency-safe), one request at a time.
 func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) {
 	if tr == nil {

@@ -548,3 +548,86 @@ func TestHistogramBoundaryAgreement(t *testing.T) {
 		t.Fatal("overflow observation not in the last bucket")
 	}
 }
+
+// TestTrackSessionNonFiniteFrames: a frame of finite pixels large enough to
+// overflow the forward (3e38 is valid JSON and a valid float32) is a 400 at
+// /track/start and at /track/step — never a 200 with a body that failed to
+// encode — and a failed step leaves the session on its last good box, so the
+// next good frame steps from it as the offline tracker does.
+func TestTrackSessionNonFiniteFrames(t *testing.T) {
+	tr := testTracker(false)
+	ts := newTestTrackService(t, tr, TrackConfig{})
+	h := ts.Handler()
+	seq := testTrackSequences(1, 3)[0]
+	huge := seq.Frames[1].Clone()
+	huge.Fill(3e38)
+	call := func(path string, payload any) (int, []byte) {
+		t.Helper()
+		body, err := json.Marshal(payload)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		rec := post(h, path, body)
+		return rec.Code, rec.Body.Bytes()
+	}
+
+	if st, body := call("/track/start", TrackStartRequest{Shape: huge.Shape(), Data: huge.Data, Box: seq.Boxes[0]}); st != http.StatusBadRequest {
+		t.Fatalf("start on an overflowing frame: status %d %q, want 400", st, body)
+	}
+	var sr TrackStartResponse
+	st, body := call("/track/start", TrackStartRequest{Shape: seq.Frames[0].Shape(), Data: seq.Frames[0].Data, Box: seq.Boxes[0]})
+	if err := json.Unmarshal(body, &sr); err != nil || st != http.StatusOK {
+		t.Fatalf("start: status %d %q", st, body)
+	}
+	if st, body := call("/track/step", TrackStepRequest{Session: sr.Session, Shape: huge.Shape(), Data: huge.Data}); st != http.StatusBadRequest {
+		t.Fatalf("step on an overflowing frame: status %d %q, want 400", st, body)
+	}
+	var sp TrackStepResponse
+	st, body = call("/track/step", TrackStepRequest{Session: sr.Session, Shape: seq.Frames[1].Shape(), Data: seq.Frames[1].Data})
+	if err := json.Unmarshal(body, &sp); err != nil || st != http.StatusOK {
+		t.Fatalf("step after the failed one: status %d %q", st, body)
+	}
+	zf, err := tr.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tr.StepBoxE(zf, seq.Frames[1], seq.Boxes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Box != want {
+		t.Fatalf("step after the failed one: box %+v, want %+v from the session's last good box", sp.Box, want)
+	}
+}
+
+// TestTrackSessionStepAllocs: a warm session's Step allocates what a
+// request's trip through the lane allocates — its request, ticket and
+// default deadline — and nothing more, because the tracker's step allocates
+// nothing; any growth on the serving side shows here.
+func TestTrackSessionStepAllocs(t *testing.T) {
+	ctx := context.Background()
+	var bare lane[*trackReq]
+	bare.start(1, 4, 5*time.Second, 1, func(int, []*trackReq) {})
+	defer bare.close()
+	want := testing.AllocsPerRun(50, func() {
+		if err := bare.ride(ctx, &trackReq{op: opStep}); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	ts := newTestTrackService(t, testTracker(false), TrackConfig{})
+	seq := testTrackSequences(1, 2)[0]
+	id, _, err := ts.Start(ctx, seq.Frames[0], seq.Boxes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, _, err := ts.Step(ctx, id, seq.Frames[1], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if got := testing.AllocsPerRun(50, step); got != want {
+		t.Fatalf("Step allocates %v times, the lane's trip alone %v", got, want)
+	}
+}

@@ -88,9 +88,11 @@ func sameBits(t *testing.T, what string, got, want *Tensor) {
 // At/Set formulation bit for bit — over random images (1-pixel sources
 // included), random windows inside, across every edge, and wholly outside
 // the image, up- and down-sampled and copied at size; and so do the two
-// entry points built on it.
+// entry points built on it, and CropResizeInto with one column-tap table
+// reused for every call.
 func TestCropResizeMatchesPerPixelReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	cols := make(ColTaps, 20) // one table for every call, as wide as the widest output
 	for trial := 0; trial < 400; trial++ {
 		c, h, w := 1+rng.Intn(3), 1+rng.Intn(12), 1+rng.Intn(12)
 		img := New(c, h, w)
@@ -104,6 +106,24 @@ func TestCropResizeMatchesPerPixelReference(t *testing.T) {
 		}
 		want := resizeRef(cropRef(img, y0, x0, ch, cw), newH, newW)
 		sameBits(t, "CropResize", CropResize(img, y0, x0, ch, cw, newH, newW), want)
+		into := New(c, newH, newW)
+		into.Fill(float32(math.NaN()))
+		CropResizeInto(into, img, y0, x0, ch, cw, cols)
+		sameBits(t, "CropResizeInto", into, want)
 		sameBits(t, "BilinearResize", BilinearResize(img, newH, newW), resizeRef(img, newH, newW))
+	}
+}
+
+// TestCropResizeIntoAllocatesNothing: a resample and a copy into a caller's
+// tensor and column-tap table allocate nothing.
+func TestCropResizeIntoAllocatesNothing(t *testing.T) {
+	img := New(3, 40, 50)
+	img.RandNormal(rand.New(rand.NewSource(20)), 0, 1)
+	dst, cols := New(3, 16, 16), make(ColTaps, 16)
+	if n := testing.AllocsPerRun(20, func() {
+		CropResizeInto(dst, img, -3, 30, 24, 24, cols)
+		CropResizeInto(dst, img, 5, 5, 16, 16, nil)
+	}); n != 0 {
+		t.Fatalf("CropResizeInto: %v allocations per call, want 0", n)
 	}
 }

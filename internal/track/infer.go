@@ -16,7 +16,7 @@ import (
 // per-frame IoUs against ground truth for frames 1..N-1.
 func (t *Tracker) Track(seq dataset.Sequence) []float64 {
 	box := seq.Boxes[0]
-	zf := t.features(t.ExemplarCrop(seq.Frames[0], box), false).Clone()
+	zf := t.ExemplarFeatures(seq)
 	ious := make([]float64, 0, seq.Len()-1)
 	for f := 1; f < seq.Len(); f++ {
 		box = t.StepBox(zf, seq.Frames[f], box)
@@ -37,6 +37,8 @@ func (t *Tracker) StepBox(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Bo
 }
 
 // checkFrame validates a [3,H,W] frame tensor.
+//
+//skynet:hotpath
 func checkFrame(frame *tensor.Tensor) error {
 	if frame == nil || frame.Rank() != 3 {
 		return fmt.Errorf("track: frame must be a [C,H,W] tensor, got %v", shapeOf(frame))
@@ -51,6 +53,8 @@ func checkFrame(frame *tensor.Tensor) error {
 }
 
 // checkBox validates a tracked box: finite, positive size.
+//
+//skynet:hotpath
 func checkBox(b detect.Box) error {
 	for _, v := range [...]float64{b.CX, b.CY, b.W, b.H} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -63,6 +67,17 @@ func checkBox(b detect.Box) error {
 	return nil
 }
 
+// finite reports whether every element of data is finite.
+func finite(data []float32) bool {
+	for _, v := range data {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return false
+		}
+	}
+	return true
+}
+
+//skynet:hotpath
 func shapeOf(t *tensor.Tensor) []int {
 	if t == nil {
 		return nil
@@ -70,39 +85,37 @@ func shapeOf(t *tensor.Tensor) []int {
 	return t.Shape()
 }
 
-// respPeak is StepE's front half: validate the
-// inputs, crop the search window around the box, correlate its features
-// against the exemplar's, score the response and find the classification
-// peak. It returns the response as a [1,C,r,r] batch for the remaining
-// heads, the search window's pixel side, and the peak position.
-func (t *Tracker) respPeak(zf, frame *tensor.Tensor, box detect.Box) (resp4 *tensor.Tensor, side float64, py, px int, err error) {
+// respPeak is StepE's front half: validate the inputs, crop the search
+// window around the box, correlate its features against the exemplar's,
+// score the response and find the classification peak — all in the
+// workspace w, which it leaves holding the response for the remaining heads.
+// It returns the search window's pixel side and the peak position.
+//
+//skynet:hotpath
+func (t *Tracker) respPeak(w *workspace, zf, frame *tensor.Tensor, box detect.Box) (side float64, py, px int, err error) {
 	if err := checkFrame(frame); err != nil {
-		return nil, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	if err := checkBox(box); err != nil {
-		return nil, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	if zf == nil || zf.Rank() != 3 {
-		return nil, 0, 0, 0, fmt.Errorf("track: exemplar features must be [C,h,w], got %v", shapeOf(zf))
+		return 0, 0, 0, fmt.Errorf("track: exemplar features must be [C,h,w], got %v", shapeOf(zf))
 	}
-	crop, side := t.SearchCrop(frame, box, box.CX, box.CY)
-	xf := t.features(crop, false)
-	resp, err := DWXCorrE(zf, xf)
-	if err != nil {
-		return nil, 0, 0, 0, err
+	side = searchSidePixels(box, frame.Dim(1), frame.Dim(2))
+	cropAt(w.x.crop, frame, box.CX, box.CY, side, w.cols)
+	t.forward(&w.x)
+	if err := DWXCorrInto(w.resp, zf, w.x.feat); err != nil {
+		return 0, 0, 0, err
 	}
-	c, r := resp.Dim(0), resp.Dim(1)
-	resp4 = resp.Reshape(1, c, r, r)
-	cls := t.Cls.Forward([]*tensor.Tensor{resp4}, false)
+	t.Cls.ForwardInto(w.cls, w.resp4)
 	best := float32(math.Inf(-1))
-	for y := 0; y < r; y++ {
-		for x := 0; x < r; x++ {
-			if v := cls.At(0, 0, y, x); v > best {
-				best, py, px = v, y, x
-			}
+	for i, v := range w.cls.Data {
+		if v > best {
+			best, py, px = v, i/w.r, i%w.r
 		}
 	}
-	return resp4, side, py, px, nil
+	return side, py, px, nil
 }
 
 // StepBoxE advances the tracked box by one frame given precomputed
@@ -116,29 +129,39 @@ func (t *Tracker) StepBoxE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.B
 // StepE advances the tracked box by one frame given precomputed exemplar
 // features and, with mask, also returns the sigmoid mask patch predicted at
 // the same response peak — the SiamMask output of Figure 8 — from one pass
-// of the front half. Malformed inputs, and a mask asked of a tracker without
-// a mask head, are errors, never panics. This is the tracking service's
-// per-frame entry point: a bad session request must become a 400, not kill
-// the service's worker.
+// of the front half. Malformed inputs, a mask asked of a tracker without a
+// mask head, and a frame that drives the forward to a non-finite box or mask
+// (finite pixels can overflow it) are errors, never panics. This is the
+// tracking service's per-frame entry point: a bad session request must
+// become a 400, not kill the service's worker or poison the session. Every
+// map of the step is the tracker's workspace, so once it is built a step
+// allocates nothing but the mask patch it returns.
 func (t *Tracker) StepE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box, mask bool) (detect.Box, *tensor.Tensor, error) {
 	if mask && t.Mask == nil {
 		return detect.Box{}, nil, fmt.Errorf("track: mask asked of a tracker without a mask head")
 	}
-	resp4, side, py, px, err := t.respPeak(zf, frame, box)
+	w, err := t.work()
+	if err != nil {
+		return detect.Box{}, nil, err
+	}
+	side, py, px, err := t.respPeak(w, zf, frame, box)
 	if err != nil {
 		return detect.Box{}, nil, err
 	}
 	var m *tensor.Tensor
 	if mask {
-		m = t.peakMask(resp4, py, px)
+		if m = t.peakMask(w, py, px); !finite(m.Data) {
+			return detect.Box{}, nil, fmt.Errorf("track: the frame drove the mask to non-finite values")
+		}
 	}
 	imgH, imgW := frame.Dim(1), frame.Dim(2)
-	r := resp4.Dim(2)
-	reg := t.Reg.Forward([]*tensor.Tensor{resp4}, false)
-	dx := clampF(reg.At(0, 0, py, px), -1, 1)
-	dy := clampF(reg.At(0, 1, py, px), -1, 1)
-	tw := clampF(reg.At(0, 2, py, px), -1, 1)
-	th := clampF(reg.At(0, 3, py, px), -1, 1)
+	r := w.r
+	t.Reg.ForwardInto(w.reg, w.resp4)
+	at := py*r + px
+	dx := clampF(w.reg.Data[at], -1, 1)
+	dy := clampF(w.reg.Data[r*r+at], -1, 1)
+	tw := clampF(w.reg.Data[2*r*r+at], -1, 1)
+	th := clampF(w.reg.Data[3*r*r+at], -1, 1)
 	s := float64(t.Cfg.SearchSize)
 	scale := side / s // search-crop pixel → image pixel
 	offX := (float64(px) + float64(dx) - float64(r-1)/2) * float64(t.Cfg.Stride) * scale
@@ -152,7 +175,11 @@ func (t *Tracker) StepE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box,
 	const damp = 0.3
 	nb.W = clampSize((1-damp)*box.W + damp*wNew)
 	nb.H = clampSize((1-damp)*box.H + damp*hNew)
-	return nb.Clip(), m, nil
+	nb = nb.Clip()
+	if err := checkBox(nb); err != nil {
+		return detect.Box{}, nil, fmt.Errorf("track: the frame drove the step to a bad box: %v", err)
+	}
+	return nb, m, nil
 }
 
 // PeakMask returns the sigmoid mask patch StepE predicts for the given frame
@@ -165,14 +192,14 @@ func (t *Tracker) PeakMask(zf *tensor.Tensor, frame *tensor.Tensor, box detect.B
 	return m
 }
 
-// peakMask runs the mask head on the response and returns the sigmoid patch
-// at the peak (py, px).
-func (t *Tracker) peakMask(resp4 *tensor.Tensor, py, px int) *tensor.Tensor {
-	masks := t.Mask.Forward([]*tensor.Tensor{resp4}, false)
-	m := t.Cfg.MaskSize
+// peakMask runs the mask head on the response in w and returns the sigmoid
+// patch at the peak (py, px), a fresh tensor that is the caller's.
+func (t *Tracker) peakMask(w *workspace, py, px int) *tensor.Tensor {
+	t.Mask.ForwardInto(w.mask, w.resp4)
+	m, rr := t.Cfg.MaskSize, w.r*w.r
 	out := tensor.New(1, m, m)
-	for k := 0; k < m*m; k++ {
-		out.Data[k] = nn.Sigmoid(masks.At(0, k, py, px))
+	for k := range out.Data {
+		out.Data[k] = nn.Sigmoid(w.mask.Data[k*rr+py*w.r+px])
 	}
 	return out
 }
@@ -206,14 +233,22 @@ func (t *Tracker) Evaluate(seqs []dataset.Sequence) EvalResult {
 }
 
 // ExemplarFeatures precomputes the template features for a sequence's
-// first frame, for callers driving step/PeakMask manually.
+// first frame, for callers driving step/PeakMask manually. Malformed inputs
+// panic.
 func (t *Tracker) ExemplarFeatures(seq dataset.Sequence) *tensor.Tensor {
-	return t.features(t.ExemplarCrop(seq.Frames[0], seq.Boxes[0]), false).Clone()
+	zf, err := t.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0])
+	if err != nil {
+		panic(err.Error())
+	}
+	return zf
 }
 
 // ExemplarFeaturesFor fixes a template from one frame and its box — the
-// session-start entry point of the tracking service. The returned tensor
-// owns its data and stays valid across later forwards.
+// session-start entry point of the tracking service. The crop and forward
+// run in the tracker's workspace; the returned tensor is a copy of its
+// features that owns its data and stays valid across later forwards, and is
+// all the call allocates. A frame that drives the features to non-finite
+// values is an error, as are malformed inputs.
 func (t *Tracker) ExemplarFeaturesFor(frame *tensor.Tensor, box detect.Box) (*tensor.Tensor, error) {
 	if err := checkFrame(frame); err != nil {
 		return nil, err
@@ -221,7 +256,16 @@ func (t *Tracker) ExemplarFeaturesFor(frame *tensor.Tensor, box detect.Box) (*te
 	if err := checkBox(box); err != nil {
 		return nil, err
 	}
-	return t.features(t.ExemplarCrop(frame, box), false).Clone(), nil
+	w, err := t.work()
+	if err != nil {
+		return nil, err
+	}
+	cropAt(w.z.crop, frame, box.CX, box.CY, searchSidePixels(box, frame.Dim(1), frame.Dim(2))/2, w.cols)
+	t.forward(&w.z)
+	if !finite(w.z.feat.Data) {
+		return nil, fmt.Errorf("track: the frame drove the template features to non-finite values")
+	}
+	return w.z.feat.Clone(), nil
 }
 
 func clampF(v, lo, hi float32) float32 {

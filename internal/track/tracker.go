@@ -1,6 +1,7 @@
 package track
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -45,9 +46,7 @@ type Tracker struct {
 	Reg      *nn.Conv2D
 	Mask     *nn.Conv2D
 
-	// Cached feature-map sides, measured from a real backbone forward the
-	// first time the geometry is needed (see featSizes).
-	fz, fx int
+	ws *workspace // the inference step's buffers (see work)
 }
 
 // New builds a tracker around a headless backbone with the given output
@@ -80,7 +79,8 @@ func (t *Tracker) Params() []*nn.Param {
 }
 
 // features runs one [3,s,s] crop through the backbone and adjust layer,
-// returning [C,fh,fw].
+// returning [C,fh,fw] in fresh tensors: the training forward, whose outputs
+// Backward holds (inference steps run forward, into the workspace).
 func (t *Tracker) features(crop *tensor.Tensor, train bool) *tensor.Tensor {
 	x := crop.Reshape(1, crop.Dim(0), crop.Dim(1), crop.Dim(2))
 	f := t.Backbone.Forward(x, train)
@@ -92,6 +92,8 @@ func (t *Tracker) features(crop *tensor.Tensor, train bool) *tensor.Tensor {
 // a box in an image of pixel size (imgH, imgW): 4× the target's larger
 // dimension, so the exemplar window (half of it) gives the target ~2×
 // context, the SiamFC-family convention.
+//
+//skynet:hotpath
 func searchSidePixels(b detect.Box, imgH, imgW int) float64 {
 	wPix := b.W * float64(imgW)
 	hPix := b.H * float64(imgH)
@@ -103,10 +105,12 @@ func searchSidePixels(b detect.Box, imgH, imgW int) float64 {
 }
 
 // cropAt resamples the square window of `sidePix` pixels centered at the
-// normalized point (cx,cy) to outPx pixels a side. Border replication
-// handles out-of-image regions; the window is sampled in the frame, never
-// materialised.
-func cropAt(img *tensor.Tensor, cx, cy, sidePix float64, outPx int) *tensor.Tensor {
+// normalized point (cx,cy) into dst, a [C,s,s] crop, through the column-tap
+// table cols (at least s long). Border replication handles out-of-image
+// regions; the window is sampled in the frame, never materialised.
+//
+//skynet:hotpath
+func cropAt(dst, img *tensor.Tensor, cx, cy, sidePix float64, cols tensor.ColTaps) {
 	h, w := img.Dim(1), img.Dim(2)
 	side := int(math.Round(sidePix))
 	if side < 2 {
@@ -114,42 +118,112 @@ func cropAt(img *tensor.Tensor, cx, cy, sidePix float64, outPx int) *tensor.Tens
 	}
 	y0 := int(math.Round(cy*float64(h) - float64(side)/2))
 	x0 := int(math.Round(cx*float64(w) - float64(side)/2))
-	return tensor.CropResize(img, y0, x0, side, side, outPx, outPx)
+	tensor.CropResizeInto(dst, img, y0, x0, side, side, cols)
+}
+
+// crop is cropAt into a fresh [C,outPx,outPx] tensor.
+func crop(img *tensor.Tensor, cx, cy, sidePix float64, outPx int) *tensor.Tensor {
+	out := tensor.New(img.Dim(0), outPx, outPx)
+	cropAt(out, img, cx, cy, sidePix, make(tensor.ColTaps, outPx))
+	return out
 }
 
 // ExemplarCrop extracts the template crop for a box (half the search
 // window, so the target fills about half the template).
 func (t *Tracker) ExemplarCrop(img *tensor.Tensor, b detect.Box) *tensor.Tensor {
 	side := searchSidePixels(b, img.Dim(1), img.Dim(2)) / 2
-	return cropAt(img, b.CX, b.CY, side, t.Cfg.ExemplarSize)
+	return crop(img, b.CX, b.CY, side, t.Cfg.ExemplarSize)
 }
 
 // SearchCrop extracts the search crop centered at (cx,cy) sized for box b,
 // returning the crop and its pixel side.
 func (t *Tracker) SearchCrop(img *tensor.Tensor, b detect.Box, cx, cy float64) (*tensor.Tensor, float64) {
 	side := searchSidePixels(b, img.Dim(1), img.Dim(2))
-	return cropAt(img, cx, cy, side, t.Cfg.SearchSize), side
+	return crop(img, cx, cy, side, t.Cfg.SearchSize), side
 }
 
-// featSizes returns the exemplar and search feature-map sides, measured
-// once by running zero crops through the backbone. Deriving the geometry
-// from the real feature shapes — instead of the old ExemplarSize/Stride
-// integer division — keeps the training targets and the response map in
-// agreement for every crop side, including ones that are not a multiple of
-// the backbone stride (where the division silently disagreed and the
-// cross-correlation blew up).
-func (t *Tracker) featSizes() (fz, fx int) {
-	if t.fz == 0 || t.fx == 0 {
-		zf := t.features(tensor.New(3, t.Cfg.ExemplarSize, t.Cfg.ExemplarSize), false)
-		t.fz = zf.Dim(1)
-		xf := t.features(tensor.New(3, t.Cfg.SearchSize, t.Cfg.SearchSize), false)
-		t.fx = xf.Dim(1)
+// workspace is what an inference step writes: each branch's crop, backbone
+// and adjust outputs, the response and the head maps, with the batch-of-one
+// and per-sample views the steps read them through. It is sized for one
+// geometry — the config and backbone it was built for — and every step on
+// that geometry reuses it, whatever the frame size, so a step allocates
+// nothing. Training forwards never write it: Backward holds their outputs.
+type workspace struct {
+	cfg   Config
+	bb    *nn.Graph
+	z, x  branch         // the exemplar's and the search region's
+	cols  tensor.ColTaps // the crop's column taps, as wide as the wider crop
+	r     int            // the response side
+	resp  *tensor.Tensor // [C,r,r]
+	resp4 *tensor.Tensor // resp as a batch of one, for the heads
+	cls   *tensor.Tensor // [1,1,r,r]
+	reg   *tensor.Tensor // [1,4,r,r]
+	mask  *tensor.Tensor // [1,M²,r,r], with a mask head
+}
+
+// branch is the forward of one crop size: the crop, the backbone's plan for
+// it and that plan's output, and the adjust layer's, the features.
+type branch struct {
+	crop  *tensor.Tensor // [3,s,s]
+	crop4 *tensor.Tensor // crop as a batch of one
+	plan  *nn.Plan
+	bb    *tensor.Tensor // [1,Cb,f,f]
+	adj   *tensor.Tensor // [1,C,f,f]
+	feat  *tensor.Tensor // adj as [C,f,f]
+}
+
+// newBranch builds the branch for s-pixel crops. The feature side is the
+// compiled plan's output shape — not the crop side divided by the stride,
+// which disagrees with the backbone for sides that are not a multiple of it.
+func (t *Tracker) newBranch(s int) branch {
+	b := branch{crop: tensor.New(3, s, s)}
+	b.crop4 = b.crop.Reshape(1, 3, s, s)
+	b.plan = nn.Compile(t.Backbone, b.crop4.Shape(), nil)
+	b.bb = tensor.New(b.plan.OutShape(1)...)
+	fh, fw := b.bb.Dim(2), b.bb.Dim(3)
+	b.adj = tensor.New(1, t.Adjust.OutC, fh, fw)
+	b.feat = b.adj.Reshape(t.Adjust.OutC, fh, fw)
+	return b
+}
+
+// work returns the step workspace, building it on first use and again when
+// the config or the backbone changed.
+func (t *Tracker) work() (*workspace, error) {
+	if w := t.ws; w != nil && w.cfg == t.Cfg && w.bb == t.Backbone {
+		return w, nil
 	}
-	return t.fz, t.fx
+	w := &workspace{cfg: t.Cfg, bb: t.Backbone,
+		z: t.newBranch(t.Cfg.ExemplarSize), x: t.newBranch(t.Cfg.SearchSize),
+		cols: make(tensor.ColTaps, max(t.Cfg.ExemplarSize, t.Cfg.SearchSize))}
+	if w.r = w.x.feat.Dim(1) - w.z.feat.Dim(1) + 1; w.r < 1 {
+		return nil, fmt.Errorf("track: exemplar features %v larger than search features %v", w.z.feat.Shape(), w.x.feat.Shape())
+	}
+	c := t.Adjust.OutC
+	w.resp = tensor.New(c, w.r, w.r)
+	w.resp4 = w.resp.Reshape(1, c, w.r, w.r)
+	w.cls = tensor.New(1, t.Cls.OutC, w.r, w.r)
+	w.reg = tensor.New(1, t.Reg.OutC, w.r, w.r)
+	if t.Mask != nil {
+		w.mask = tensor.New(1, t.Mask.OutC, w.r, w.r)
+	}
+	t.ws = w
+	return w, nil
+}
+
+// forward runs b's crop through the backbone and adjust layer into b's
+// feature buffers.
+//
+//skynet:hotpath
+func (t *Tracker) forward(b *branch) {
+	b.plan.RunInto(b.bb, b.crop4, nil)
+	t.Adjust.ForwardInto(b.adj, b.bb)
 }
 
 // respSize returns the response-map side for the configured geometry.
 func (t *Tracker) respSize() int {
-	fz, fx := t.featSizes()
-	return fx - fz + 1
+	w, err := t.work()
+	if err != nil {
+		panic(err.Error())
+	}
+	return w.r
 }

@@ -63,7 +63,7 @@ func (t *Tracker) MakePair(seq dataset.Sequence, i, j int, rng *rand.Rand) Pair 
 	if t.Cfg.WithMask {
 		// The mask patch covers the exemplar-window footprint around the
 		// target in frame j.
-		mask := cropAt(seq.Masks[j], bj.CX, bj.CY, side/2, t.Cfg.MaskSize)
+		mask := crop(seq.Masks[j], bj.CX, bj.CY, side/2, t.Cfg.MaskSize)
 		p.MaskGT = mask
 	}
 	return p

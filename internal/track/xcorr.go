@@ -18,10 +18,12 @@ import (
 
 // Depth-wise cross-correlation is the per-frame hot path of the streaming
 // tracker: every tracked frame correlates the cached exemplar features
-// against fresh search features. Production has one correlation, DWXCorrE,
-// and it is the direct loop: each response element sums its hz×wz products
-// in ascending (ky, kx) order. At tracker shapes (a 4×4 exemplar over an 8×8
-// map) the im2col + GEMM lowering this replaced reached, at m = 1, the GEMM's
+// against fresh search features. Production has one correlation,
+// DWXCorrInto, and it is the direct loop: each response element sums its
+// hz×wz products in ascending (ky, kx) order, into a response the caller
+// owns — the tracker's step workspace (tracker.go), so a step allocates
+// nothing for it. At tracker shapes (a 4×4 exemplar over an 8×8 map) the
+// im2col + GEMM lowering this replaced reached, at m = 1, the GEMM's
 // small-problem kernel anyway, behind three tensor views and a patch matrix
 // per channel; it lives on in xcorr_test.go as the independent oracle, and
 // the two are bitwise equal because both accumulate in that order.
@@ -101,23 +103,38 @@ func DWXCorr(z, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// DWXCorrE is DWXCorr with shape errors returned instead of panicking —
-// the form the tracking service calls, where a malformed session request
-// must become a 400, not kill a worker. This is the streaming tracker's
-// per-frame hot path: the only allocation is the response tensor the caller
-// owns (tensor.New carries its own waiver).
+// DWXCorrE is DWXCorr with shape errors returned instead of panicking:
+// DWXCorrInto a fresh [C, hx-hz+1, wx-wz+1] response, the one allocation
+// (tensor.New carries its own waiver).
 //
 //skynet:hotpath
 func DWXCorrE(z, x *tensor.Tensor) (*tensor.Tensor, error) {
-	c, hz, wz, hx, wx, oh, ow, err := xcorrGeom(z, x)
+	c, _, _, _, _, oh, ow, err := xcorrGeom(z, x)
 	if err != nil {
 		return nil, err
 	}
 	out := tensor.New(c, oh, ow)
+	return out, DWXCorrInto(out, z, x)
+}
+
+// DWXCorrInto correlates z against x as DWXCorr does, into dst, which must
+// be [C, hx-hz+1, wx-wz+1]. Shape errors are returned, never panics — the
+// tracking service's steps run on it, where a malformed session request must
+// become a 400, not kill a worker — and nothing is allocated.
+//
+//skynet:hotpath
+func DWXCorrInto(dst, z, x *tensor.Tensor) error {
+	c, hz, wz, hx, wx, oh, ow, err := xcorrGeom(z, x)
+	if err != nil {
+		return err
+	}
+	if dst.Rank() != 3 || dst.Dim(0) != c || dst.Dim(1) != oh || dst.Dim(2) != ow {
+		return fmt.Errorf("track: xcorr response %v, want [%d %d %d]", dst.Shape(), c, oh, ow)
+	}
 	for ch := 0; ch < c; ch++ {
 		zd := z.Data[ch*hz*wz : (ch+1)*hz*wz]
 		xd := x.Data[ch*hx*wx : (ch+1)*hx*wx]
-		od := out.Data[ch*oh*ow : (ch+1)*oh*ow]
+		od := dst.Data[ch*oh*ow : (ch+1)*oh*ow]
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				var s float32
@@ -131,7 +148,7 @@ func DWXCorrE(z, x *tensor.Tensor) (*tensor.Tensor, error) {
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // DWXCorrNaive is DWXCorrE under the name bench/ times it by
@@ -192,21 +209,9 @@ func DWXCorrInt8(z, x *tensor.Tensor) (*tensor.Tensor, error) {
 	out := tensor.New(c, oh, ow)
 	s := getXCorrScratch()
 	k, n := hz*wz, oh*ow
-	if len(s.zi8) < c*k {
+	if len(s.zi8) < c*k || len(s.xi8) < c*hx*wx || len(s.ci8) < k*n || len(s.acc) < n {
 		//skynet:nolint hotalloc -- grow-once scratch: sized on the first frame of a geometry, reused afterwards
-		s.zi8 = make([]int8, c*k)
-	}
-	if len(s.xi8) < c*hx*wx {
-		//skynet:nolint hotalloc -- grow-once scratch: sized on the first frame of a geometry, reused afterwards
-		s.xi8 = make([]int8, c*hx*wx)
-	}
-	if len(s.ci8) < k*n {
-		//skynet:nolint hotalloc -- grow-once scratch: sized on the first frame of a geometry, reused afterwards
-		s.ci8 = make([]int8, k*n)
-	}
-	if len(s.acc) < n {
-		//skynet:nolint hotalloc -- grow-once scratch: sized on the first frame of a geometry, reused afterwards
-		s.acc = make([]int32, n)
+		*s = xcorrScratch{zi8: make([]int8, c*k), xi8: make([]int8, c*hx*wx), ci8: make([]int8, k*n), acc: make([]int32, n)}
 	}
 	zScale := quantizeSym(s.zi8[:c*k], z.Data)
 	xScale := quantizeSym(s.xi8[:c*hx*wx], x.Data)

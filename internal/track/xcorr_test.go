@@ -106,9 +106,10 @@ func TestDWXCorrGEMMBitwiseMatchesNaive(t *testing.T) {
 	})
 }
 
-// TestDWXCorrEAllocatesOnlyTheResponse is the per-Step allocation contract:
-// the correlation allocates what tensor.New of its response allocates and
-// nothing else (the GEMM route built three views per channel: 292 per Step).
+// TestDWXCorrEAllocatesOnlyTheResponse is the correlation's allocation
+// contract: DWXCorrE allocates what tensor.New of its response allocates and
+// nothing else (the GEMM route built three views per channel: 292 per Step),
+// and DWXCorrInto, which the tracker's step runs, nothing at all.
 func TestDWXCorrEAllocatesOnlyTheResponse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	z, x := randT(rng, 32, 4, 4), randT(rng, 32, 8, 8)
@@ -119,6 +120,12 @@ func TestDWXCorrEAllocatesOnlyTheResponse(t *testing.T) {
 	runtime.KeepAlive(out)
 	if got != want {
 		t.Fatalf("DWXCorrE: %v allocs per call, want the response tensor's %v", got, want)
+	}
+	if got := testing.AllocsPerRun(20, func() { _ = DWXCorrInto(out, z, x) }); got != 0 {
+		t.Fatalf("DWXCorrInto: %v allocs per call, want 0", got)
+	}
+	if err := DWXCorrInto(tensor.New(32, 4, 5), z, x); err == nil {
+		t.Fatal("DWXCorrInto accepted a response of the wrong shape")
 	}
 }
 
