@@ -116,16 +116,21 @@ short:
 # tensor's packing panels are taken per chunk in flight: how many a free list
 # builds, and whether a warm call still allocates nothing, depends on how many
 # chunks overlap, so that test and the zero-allocation ones get the three runs.
+# The layer walk's convolutions deal their batch to lanes the same way, so
+# their parallel tests and the tracker-training determinism test (whose
+# backward runs through them) get the three runs too.
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool.
 LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session
 STREAM_TESTS = Executor|Stream
+LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers
 race:
 	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/... ./internal/quant/...
 	$(GO) test -race -short -cpu 1,2,4 -run '$(LANE_TESTS)' ./internal/nn ./internal/quant
 	$(GO) test -race -short -cpu 1,2,4 -run '$(SERVE_LANE_TESTS)' ./internal/serve
 	$(GO) test -race -cpu 1,2,4 -run '$(STREAM_TESTS)' ./internal/pipeline ./internal/detect
+	$(GO) test -race -cpu 1,2,4 -run '$(LAYER_WALK_TESTS)' ./internal/nn ./internal/track
 	$(GO) test -race -cpu 1,2,4 -run 'PackScratchFollowsChunksInFlight|SteadyStateAllocs' ./internal/tensor
 	$(GO) test -race -short ./internal/core
 

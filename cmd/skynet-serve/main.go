@@ -5,7 +5,8 @@
 // /healthz is the load-balancer probe, and /debug/pprof/* the standard
 // profiles. Requests from concurrent clients queue on one admission queue
 // and are dynamically micro-batched by whichever inference worker is idle,
-// so one weight load serves many users.
+// so one weight load serves many users. Tracking has a service of its own,
+// skynet-track -serve.
 // SIGTERM or Ctrl-C drains gracefully: in-flight requests finish, new ones
 // are refused with 503.
 //
@@ -25,19 +26,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"skynet/internal/backbone"
 	"skynet/internal/dataset"
 	"skynet/internal/detect"
 	"skynet/internal/modelspec"
 	"skynet/internal/quant"
 	"skynet/internal/serve"
-	"skynet/internal/track"
 )
 
 func main() {
@@ -49,13 +47,8 @@ func main() {
 		queue    = flag.Int("queue", 64, "admission queue depth per worker (overflow sheds with 429)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-request deadline when the client sets none")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM")
-		replicas = flag.Int("replicas", 0, "inference workers, each with a private model, on one admission queue (0 = NumCPU capped at 8)")
+		replicas = flag.Int("replicas", 0, "inference workers, each with a private model, on one admission queue (0 = GOMAXPROCS capped at 8)")
 		cacheN   = flag.Int("cache", 4096, "response cache entries keyed on frame hash (negative disables)")
-
-		withTrack  = flag.Bool("track", false, "co-host the tracking service (/track/*) beside detection")
-		trackSteps = flag.Int("track-steps", 300, "tracker training steps for -track")
-		trackSess  = flag.Int("track-sessions", 1024, "session table bound for -track")
-		trackTTL   = flag.Duration("track-ttl", 5*time.Minute, "idle session TTL for -track")
 
 		quantize = flag.Bool("quantize", false, "serve the int8 lowering of the model (post-training quantization)")
 		calibN   = flag.Int("calib", 32, "calibration scenes drawn for -quantize")
@@ -124,18 +117,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	var ts *serve.TrackService
-	if *withTrack {
-		ts, err = buildTrackService(*trackSteps, *trackSess, *trackTTL)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skynet-serve: track: %v\n", err)
-			os.Exit(1)
-		}
-		srv.Attach(ts)
-		fmt.Printf("skynet-serve: tracking service attached (sessions<=%d, ttl %s)\n",
-			*trackSess, *trackTTL)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -148,29 +129,4 @@ func main() {
 	m := srv.Metrics()
 	fmt.Printf("skynet-serve: drained cleanly — served %d (+%d cached), failed %d, rejected %d, swaps %d\n",
 		m.Served, m.CacheServed, m.Failed, m.Rejected, m.Swaps)
-	if ts != nil {
-		// The pool drained the attached service along with its generation.
-		tm := ts.Metrics()
-		fmt.Printf("skynet-serve: tracking drained — %d sessions started, %d frames stepped\n",
-			tm.Started, tm.Steps)
-	}
-}
-
-// buildTrackService trains a small seeded SkyNet tracker on synthetic
-// sequences (the repo has no tracker checkpoint format yet) and wraps it
-// in a tracking service.
-func buildTrackService(steps, maxSessions int, ttl time.Duration) (*serve.TrackService, error) {
-	dcfg := dataset.DefaultConfig()
-	dcfg.W, dcfg.H = 96, 96
-	dcfg.Seed = 1
-	gen := dataset.NewGenerator(dcfg)
-	sc := dataset.DefaultSequenceConfig()
-	seqs := gen.Sequences(4, sc)
-
-	bcfg := backbone.Config{Width: 0.125, InC: 3, HeadChannels: 0, MaxStride: 8, ReLU6: true}
-	rng := rand.New(rand.NewSource(1))
-	tr := track.New(backbone.SkyNetA(rng, bcfg), bcfg.ScaledChannels(512), track.DefaultConfig())
-	fmt.Printf("skynet-serve: training tracker (%d steps)...\n", steps)
-	tr.Train(seqs, track.TrainConfig{Steps: steps, LR: 0.01, Seed: 1})
-	return serve.NewTrackService(tr, serve.TrackConfig{MaxSessions: maxSessions, TTL: ttl})
 }

@@ -6,7 +6,7 @@ import "skynet/internal/tensor"
 // 1×1 convolution — with that convolution's chain, and the max-pool that is
 // the chain's only consumer, when there is one, or the max-pool and the
 // reorder that both read the bypass source — computed band by band. A
-// band is a few output rows of one image: its depth-wise rows go into the
+// band is a few output rows of one image: its depth-wise rows fill the
 // head of a worker's cache-sized buffer, the 1×1 product reads them from
 // there and, under a pool, writes the rest of the buffer, which the pool
 // reduces into the destination and the reorder, if any, deals out to its

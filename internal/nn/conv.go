@@ -11,14 +11,15 @@ import (
 // matrix multiplication via im2col. Weights have logical shape
 // [OutC, InC, K, K] and are stored flattened as [OutC, InC*K*K].
 //
-// Forward and Backward — the layer walk: training and Graph.Walk — are each
-// one loop over the batch, split across goroutines (parallelFor); the inference plan
-// instead hands forwardImage one image at a time from its lanes (plan.go).
-// Either way the operands of a call are its arguments, never layer fields;
-// scratch is per worker — im2col buffers and Backward's gradient views — and
-// worker 0 is the calling goroutine. A warm Forward allocates its output
-// tensor and, beyond one worker, the goroutines of the batch split; the
-// output belongs to the caller.
+// Forward and Backward — the layer walk: training and Graph.Walk — deal the
+// images of their batch to LanesFor(n) lanes through RunLanes, as the
+// inference plan deals its samples (plan.go), which hands forwardImage one
+// image at a time. Scratch is per lane — im2col buffers and Backward's
+// gradient views — and lane 0 is the calling goroutine. The batch a Forward
+// has in flight is the layer's (fwd), as the plan's is the graph's; the plan's
+// lanes never read it and pass forwardImage its operands as arguments. A warm
+// Forward allocates its output tensor and nothing else; the output belongs to
+// the caller.
 //
 // A 1×1, stride-1, unpadded convolution skips im2col: its [InC, H·W] image
 // already is the GEMM's B operand.
@@ -35,19 +36,19 @@ type Conv2D struct {
 	// Geometry of the last forward (forwardInto), for Cost and Backward.
 	lastN, inH, inW, outH, outW int
 
-	ws       []convScratch    // per-worker scratch, reused across calls
-	dout, dx *tensor.Tensor   // Backward in flight: output gradient, input gradient
-	dwImg    []*tensor.Tensor // per-image weight-gradient staging [OutC, InC*K*K]
-	dbImg    []float32        // per-image bias-gradient staging [n*OutC]
+	ws    []convScratch    // per-lane scratch, reused across calls
+	fwd   convImages       // the layer walk's forward in flight, as RunLanes deals it
+	dwImg []*tensor.Tensor // per-image weight-gradient staging [OutC, InC*K*K]
+	dbImg []float32        // per-image bias-gradient staging [n*OutC]
 }
 
-// convScratch is one worker's private scratch. Gradients are not
+// convScratch is one lane's private scratch. Gradients are not
 // accumulated here: Param.G is shared across the whole batch, so each
 // image's contribution is staged per image (Conv2D.dwImg/dbImg) and merged
 // in image order — a fixed reduction tree, bitwise identical for any
-// worker count.
+// lane count.
 type convScratch struct {
-	col  *tensor.Tensor // im2col of the worker's current image
+	col  *tensor.Tensor // im2col of the lane's current image
 	dcol *tensor.Tensor // gradient of the im2col matrix; nil until the first Backward
 	om   *tensor.Tensor // view of the current image's output gradient [OutC, outH*outW], repointed per image
 }
@@ -80,8 +81,8 @@ func (c *Conv2D) Params() []*Param {
 	return []*Param{c.Weight}
 }
 
-// Forward lowers the convolution to one GEMM per image, the images split
-// across workers: ForwardInto a fresh tensor.
+// Forward lowers the convolution to one GEMM per image, the images dealt to
+// lanes: ForwardInto a fresh tensor.
 //
 //skynet:hotpath
 func (c *Conv2D) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
@@ -110,30 +111,33 @@ func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor) {
 }
 
 // forwardInto convolves the n images [InC,h,w] of src into dst, the images
-// split across workers, and records the geometry.
+// dealt to lanes, and records the geometry.
 //
 //skynet:hotpath
 func (c *Conv2D) forwardInto(dst, src []float32, n, h, w int) {
 	c.record(n, h, w)
+	lanes := LanesFor(n)
 	if !c.direct() {
-		c.ensureScratch(workersFor(n))
+		c.ensureScratch(lanes)
 	}
-	parallelFor(n, convImages{c, dst, src}, convImages.image)
+	c.fwd = convImages{c, dst, src}
+	RunLanes(&c.fwd, n, lanes)
+	c.fwd = convImages{}
 }
 
-// convImages is the operands of one forwardInto, as its loop body takes them.
+// convImages is the operands of one forwardInto, as RunLanes walks them.
 type convImages struct {
 	c        *Conv2D
 	dst, src []float32
 }
 
-// image is forwardInto's loop body: image i on the given worker's scratch.
+// WalkSample convolves image i on the given lane's scratch.
 //
 //skynet:hotpath
-func (a convImages) image(worker, i int) {
+func (a *convImages) WalkSample(lane, i int, leaf bool) {
 	c := a.c
 	imgSz, perImg := c.InC*c.inH*c.inW, c.OutC*c.outH*c.outW
-	c.forwardImage(a.dst[i*perImg:(i+1)*perImg], a.src[i*imgSz:(i+1)*imgSz], worker, c.epilogue(tensor.RowEpilogue{}), false)
+	c.forwardImage(a.dst[i*perImg:(i+1)*perImg], a.src[i*imgSz:(i+1)*imgSz], lane, c.epilogue(tensor.RowEpilogue{}), leaf)
 }
 
 // record notes the geometry of a forward over n images [InC,h,w], which is
@@ -172,17 +176,17 @@ func (c *Conv2D) outSize(h, w int) (int, int) {
 func (c *Conv2D) direct() bool { return c.K == 1 && c.Stride == 1 && c.Pad == 0 }
 
 // forwardImage convolves one image [InC,inH,inW] of the recorded geometry
-// into dst on the given worker's scratch — the one convolution of both
+// into dst on the given lane's scratch — the one convolution of both
 // walks. ep (epilogue) runs in the GEMM store: the inference plan fuses the
 // conv's sole-consumer BatchNorm and ReLU there. A leaf call multiplies on
 // the calling goroutine alone, as one lane among several must; the bits are
 // the same.
 //
 //skynet:hotpath
-func (c *Conv2D) forwardImage(dst, src []float32, worker int, ep tensor.RowEpilogue, leaf bool) {
+func (c *Conv2D) forwardImage(dst, src []float32, lane int, ep tensor.RowEpilogue, leaf bool) {
 	cols := c.outH * c.outW
 	if !c.direct() {
-		col := c.ws[worker].col.Data
+		col := c.ws[lane].col.Data
 		tensor.Im2ColInto(col, src, c.InC, c.inH, c.inW, c.K, c.K, c.Stride, c.Pad)
 		src = col
 	}
@@ -193,33 +197,33 @@ func (c *Conv2D) forwardImage(dst, src []float32, worker int, ep tensor.RowEpilo
 	tensor.MatMulRowEpilogueInto(dst, c.Weight.W.Data, src, p)
 }
 
-// ensureScratch sizes the per-worker scratch for nw workers at the current
-// im2col geometry.
+// ensureScratch sizes the per-lane scratch for the given number of lanes at
+// the current im2col geometry.
 //
 //skynet:hotpath
-func (c *Conv2D) ensureScratch(nw int) {
+func (c *Conv2D) ensureScratch(lanes int) {
 	rows, cols := c.InC*c.K*c.K, c.outH*c.outW
-	if len(c.ws) < nw || c.ws[0].col.Dim(1) != cols {
-		//skynet:nolint hotalloc -- grow-once scratch: reallocates only when the worker count or im2col geometry changes, never in steady state
-		c.ws = make([]convScratch, nw)
+	if len(c.ws) < lanes || c.ws[0].col.Dim(1) != cols {
+		//skynet:nolint hotalloc -- grow-once scratch: reallocates only when the lane count or im2col geometry changes, never in steady state
+		c.ws = make([]convScratch, lanes)
 		for i := range c.ws {
 			c.ws[i].col = tensor.New(rows, cols)
 		}
 	}
 }
 
-// Backward stages each image's weight and bias gradient in that image's
-// slot — not per worker, and not GEMM-accumulated into G directly — and
-// merges the slots in image order afterwards, so the reduction tree is the
-// same for every worker count and training stays bitwise reproducible
-// across GOMAXPROCS settings.
+// Backward deals the images to lanes as Forward does. It stages each image's
+// weight and bias gradient in that image's slot — not per lane, and not
+// GEMM-accumulated into G directly — and merges the slots in image order
+// afterwards, so the reduction tree is the same for every lane count and
+// training stays bitwise reproducible across GOMAXPROCS settings.
 func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	needTrainForward(c.x, c.label)
 	n := c.lastN
 	rows := c.InC * c.K * c.K
-	nw := workersFor(n)
-	c.ensureScratch(nw)
-	for i := range c.ws[:nw] {
+	lanes := LanesFor(n)
+	c.ensureScratch(lanes)
+	for i := range c.ws[:lanes] {
 		if c.ws[i].dcol == nil {
 			c.ws[i].dcol = tensor.New(rows, c.outH*c.outW)
 		}
@@ -232,9 +236,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 		c.dbImg = make([]float32, n*c.OutC)
 	}
 	dx := tensor.New(n, c.InC, c.inH, c.inW)
-	c.dout, c.dx = dout, dx
-	parallelFor(n, c, (*Conv2D).backwardImage)
-	c.dout, c.dx = nil, nil
+	RunLanes(&convGrads{c, dout, dx}, n, lanes)
 	for i := 0; i < n; i++ {
 		c.Weight.G.AddInPlace(c.dwImg[i])
 		if c.Bias != nil {
@@ -246,22 +248,32 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	return []*tensor.Tensor{dx}
 }
 
-// backwardImage is Backward's loop body: image i on the given worker's
-// scratch, its parameter gradients staged in slot i.
-func (c *Conv2D) backwardImage(worker, i int) {
-	s := &c.ws[worker]
+// convGrads is the operands of one Backward — the output gradient and the
+// input gradient it fills — as RunLanes walks them.
+type convGrads struct {
+	c        *Conv2D
+	dout, dx *tensor.Tensor
+}
+
+// WalkSample takes image i back on the given lane's scratch, its parameter
+// gradients staged in slot i.
+//
+//skynet:hotpath
+func (g *convGrads) WalkSample(lane, i int, leaf bool) {
+	c := g.c
+	s := &c.ws[lane]
 	h, w, cols := c.inH, c.inW, c.outH*c.outW
 	imgSz, perImg := c.InC*h*w, c.OutC*cols
 	tensor.Im2ColInto(s.col.Data, c.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
-	s.om = viewInto2(s.om, c.dout.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
+	s.om = viewInto2(s.om, g.dout.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
 	// dW_i = dout_i · col_iᵀ
 	dwi := c.dwImg[i]
 	dwi.Zero()
-	tensor.MatMulTransposeBAddInto(dwi, s.om, s.col)
+	tensor.MatMulTransposeBAddInto(dwi, s.om, s.col, leaf)
 	// dcol = Wᵀ · dout, scattered straight into this image's slice of dx
 	// (Col2Im zeroes it).
-	tensor.MatMulTransposeAInto(s.dcol, c.Weight.W, s.om)
-	tensor.Col2Im(c.dx.Data[i*imgSz:(i+1)*imgSz], s.dcol.Data, c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
+	tensor.MatMulTransposeAInto(s.dcol, c.Weight.W, s.om, leaf)
+	tensor.Col2Im(g.dx.Data[i*imgSz:(i+1)*imgSz], s.dcol.Data, c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
 	if c.Bias != nil {
 		for o := 0; o < c.OutC; o++ {
 			var sum float32
@@ -528,14 +540,18 @@ func dwPixel[E float32 | int8, A float32 | int32](in, ker []E, bias A, h, w, k, 
 func (d *DWConv3) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	x := needTrainForward(d.x, "dwconv3")
 	dx := tensor.New(d.lastN, d.C, d.inH, d.inW)
-	// Parallel over channels, with the batch loop inside: every write
-	// target — Weight.G[ch], Bias.G[ch] and the (i, ch) planes of dx — is
-	// private to one channel, so this partitioning is race-free without
-	// staging (contrast Conv2D.Backward, where the whole weight tensor is
-	// shared across the batch and per-image contributions must be merged).
-	parallelFor(d.C, dwGrads{d, x, dout, dx}, dwGrads.channel)
+	// Dealt by channel across the GEMM pool, with the batch loop inside: a
+	// channel calls no GEMM, and every write target — Weight.G[ch],
+	// Bias.G[ch] and the (i, ch) planes of dx — is private to one channel, so
+	// this partitioning is race-free without staging (contrast
+	// Conv2D.Backward, where the whole weight tensor is shared across the
+	// batch and per-image contributions must be merged).
+	dwChannels.Run(d.C, dwGrads{d, x, dout, dx}, dwGrads.channels)
 	return []*tensor.Tensor{dx}
 }
+
+// dwChannels runs DWConv3.Backward's channel loop.
+var dwChannels = tensor.NewRanger[dwGrads]()
 
 // dwGrads is the operands of one Backward, as its loop body takes them.
 type dwGrads struct {
@@ -543,8 +559,15 @@ type dwGrads struct {
 	x, dout, dx *tensor.Tensor
 }
 
-// channel is Backward's loop body: channel ch of every image.
-func (a dwGrads) channel(_, ch int) {
+// channels is Backward's loop body: channels [lo, hi) of every image.
+func (a dwGrads) channels(lo, hi int) {
+	for ch := lo; ch < hi; ch++ {
+		a.channel(ch)
+	}
+}
+
+// channel is channel ch of every image.
+func (a dwGrads) channel(ch int) {
 	d, x, dout, dx := a.d, a.x, a.dout, a.dx
 	n, h, w := d.lastN, d.inH, d.inW
 	ker := d.Weight.W.Data[ch*d.K*d.K:]

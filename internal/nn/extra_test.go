@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"skynet/internal/tensor"
@@ -239,47 +238,14 @@ func TestParallelForwardMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	l := NewConv2D(rng, 3, 6, 3, 1, 1, true)
 	x := randInput(rng, 5, 3, 9, 7)
-	MaxParallelism = 1
-	serial := l.Forward([]*tensor.Tensor{x}, false).Clone()
-	MaxParallelism = 4
-	parallel := l.Forward([]*tensor.Tensor{x}, false)
-	MaxParallelism = 0
+	var serial, parallel *tensor.Tensor
+	withParallelism(1, 1, func() { serial = l.Forward([]*tensor.Tensor{x}, false) })
+	withParallelism(4, 4, func() { parallel = l.Forward([]*tensor.Tensor{x}, false) })
 	for i := range serial.Data {
 		if serial.Data[i] != parallel.Data[i] {
 			t.Fatal("parallel conv forward differs from serial")
 		}
 	}
-}
-
-func TestParallelFor(t *testing.T) {
-	defer func(old int) { MaxParallelism = old }(MaxParallelism)
-	for _, par := range []int{1, 3, 8} {
-		MaxParallelism = par
-		const n = 17
-		var mu sync.Mutex
-		visits := make([]int, n)
-		owner := make([]int, n)
-		parallelFor(n, &mu, func(mu *sync.Mutex, worker, i int) {
-			mu.Lock()
-			visits[i]++
-			owner[i] = worker
-			mu.Unlock()
-		})
-		for i := range visits {
-			if visits[i] != 1 {
-				t.Fatalf("par=%d: index %d visited %d times", par, i, visits[i])
-			}
-			if owner[i] < 0 || owner[i] >= workersFor(n) {
-				t.Fatalf("par=%d: index %d ran on worker %d of %d", par, i, owner[i], workersFor(n))
-			}
-			// Chunks are contiguous and handed out in order, worker 0 first.
-			if i == 0 && owner[i] != 0 || i > 0 && owner[i] != owner[i-1] && owner[i] != owner[i-1]+1 {
-				t.Fatalf("par=%d: worker of index %d is %d after %d", par, i, owner[i], owner[max(i-1, 0)])
-			}
-		}
-	}
-	// Zero-length range must be a no-op.
-	parallelFor(0, t, func(t *testing.T, _, _ int) { t.Fatal("called on empty range") })
 }
 
 func TestSummaryRendersLayers(t *testing.T) {

@@ -2,16 +2,36 @@ package nn
 
 import (
 	"math"
+	"runtime"
 
 	"skynet/internal/tensor"
 )
 
-// This file is how a batch becomes lanes, for both inference engines: the
-// float plan's executor (plan.go) and internal/quant's int8 one count their
-// lanes with LanesFor and have RunLanes deal them the samples.
+// This file is how a batch becomes lanes, for both inference engines — the
+// float plan's executor (plan.go) and internal/quant's int8 one — and for the
+// layer walk's convolutions (conv.go): each counts its lanes with LanesFor
+// and has RunLanes deal them the samples.
 
-// LanesFor returns how many lanes an inference forward of n samples runs on
-// when nothing keeps it on one: the worker count w — the smaller of
+// MaxParallelism caps how many lanes a batch is dealt to and how many workers
+// share a Bundle step's bands (RunBands); 0 (default) uses GOMAXPROCS. Both
+// run on the GEMM worker pool, which tensor.MaxParallelism caps, so the
+// smaller of the two counts. Exposed so benchmarks and tests can pin it.
+var MaxParallelism = 0
+
+// workersFor picks the worker count for an n-iteration loop: MaxParallelism,
+// else GOMAXPROCS, and never more than n nor fewer than one.
+//
+//skynet:hotpath
+func workersFor(n int) int {
+	w := MaxParallelism
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(w, n))
+}
+
+// LanesFor returns how many lanes a forward of n samples runs on when nothing
+// keeps it on one: the worker count w — the smaller of
 // MaxParallelism and tensor.MaxParallelism, each GOMAXPROCS when zero — once
 // the batch has a sample for every worker, else one.
 //
@@ -23,21 +43,22 @@ func LanesFor(n int) int {
 	return 1
 }
 
-// LaneWalker is an engine's forward in flight, as RunLanes drives it.
+// LaneWalker is a batch in flight — an engine's forward, or a convolution's
+// forward or backward in the layer walk — as RunLanes drives it.
 type LaneWalker interface {
-	// WalkSample takes one sample of the batch through the engine's steps on
-	// the given lane — on its region of the arena and its scratch. Calls with
-	// different lanes run side by side. On a leaf walk every op must stay on
-	// the calling goroutine: it may call neither a dispatching GEMM nor the
+	// WalkSample takes one sample of the batch through its steps on the
+	// given lane — on the lane's region of the arena and its scratch. Calls
+	// with different lanes run side by side. On a leaf walk every op must stay
+	// on the calling goroutine: it may call neither a dispatching GEMM nor the
 	// GEMM pool.
 	WalkSample(lane, sample int, leaf bool)
 }
 
-// RunLanes takes the n samples of a forward through w on the given number of
+// RunLanes takes the n samples of a batch through w on the given number of
 // lanes, the calling goroutine's and the GEMM pool's. On several lanes each
 // has ⌊n/lanes⌋ consecutive samples to itself, walks them one after the other
 // as leaves, and the lanes meet once, when all are done; the n mod lanes
-// samples left over, like every sample of a forward that has one lane, then
+// samples left over, like every sample of a batch that has one lane, then
 // take lane 0 one after the other and are no leaves — their steps may split
 // across the workers themselves — so neither a batch smaller than the machine
 // nor a ragged one leaves a core idle.

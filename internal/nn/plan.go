@@ -603,7 +603,7 @@ func (p *Plan) prepare(lanes int) {
 
 // begin writes everything a forward of n samples on the given number of lanes
 // leaves on the layers and on the plan's nodes, before the lanes start and
-// only read them: the geometry Cost and the per-image bodies go by — of the
+// only read them: the geometry Cost and the per-image bodies read — of the
 // whole batch, as a layer's own Forward records it —, the im2col scratch of
 // each lane, every fused batch norm's 1/sqrt(var+eps) from the statistics as
 // they are now, and the drop of what a training forward cached.
@@ -668,7 +668,7 @@ func (p *Plan) batch(n int) []int {
 // RunInto executes the plan on x, whose sample shape must be the one the plan
 // was compiled for, writing the graph output into dst, which must have its
 // shape; every other feature map is an arena slot, and once the arena and
-// lanes fit, nothing is allocated. The samples go to
+// lanes fit, nothing is allocated. The samples are dealt to
 // LanesFor(n) lanes as RunLanes deals them, or, when there is an observer, to
 // one lane, sample after sample. observe, when non-nil, is shown every map
 // the forward computes, in place and before anything overwrites it: whole,

@@ -36,8 +36,8 @@ func (m *MaxPool) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 // greater one, in row-major order, so a leading NaN stays and a later one
 // is skipped. The running maximum is carried as a bit pattern next to its
 // value: replacing it is then a conditional move, not a branch that
-// mispredicts on every other element. The leading outputs of a 2×2 row go to
-// the vector kernel where there is one (tensor.MaxPool2Row, the same rule).
+// mispredicts on every other element. The leading outputs of a 2×2 row are
+// the vector kernel's where there is one (tensor.MaxPool2Row, the same rule).
 //
 //skynet:hotpath
 func maxPoolInto(dst, src []float32, planes, h, w, k int) {

@@ -138,7 +138,7 @@ func ReorgInto[T any](dst, src []T, n, c, h, w, s int) {
 }
 
 // ReorgRows is the one reorder loop: rows [r0, r0+rows) of an image [c,h,w],
-// which src holds alone as [c, rows·w], go to their places in the image's
+// which src holds alone as [c, rows·w], land in their places in the image's
 // reordered map dst, [c·s², h/s, w/s]. It walks the source in order, each row
 // once, dealing it out to the s planes it feeds. A whole image is one call
 // (ReorgInto); a Bundle step calls it on each band of its product (band.go),

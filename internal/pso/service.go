@@ -258,26 +258,29 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	id := spec.ID()
-	s.mu.Lock()
-	if jb, ok := s.jobs[id]; ok {
-		s.mu.Unlock()
-		return jb.Status(), nil
+	if st, ok := s.Status(id); ok {
+		return st, nil
 	}
-	jb := &job{spec: spec, eval: spec.NewEvaluator(), done: make(chan struct{})}
-	jb.status = JobStatus{ID: id, State: "queued", IterationsTotal: spec.SearchConfig().Iterations}
-	s.jobs[id] = jb
-	s.mu.Unlock()
-
+	// The checkpoint is read before the job is registered: a job whose
+	// checkpoint cannot be read never enters the table.
 	var ck *Checkpoint
 	if loaded, err := LoadCheckpoint(s.CheckpointPath(id)); err == nil {
 		ck = &loaded
-		jb.mu.Lock()
-		jb.status.Resumed = true
-		jb.status.IterationsDone = loaded.Iter
-		jb.mu.Unlock()
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return jb.Status(), fmt.Errorf("pso: checkpoint for %s is unreadable: %w", id, err)
+		return JobStatus{}, fmt.Errorf("pso: checkpoint for %s is unreadable: %w", id, err)
 	}
+	jb := &job{spec: spec, eval: spec.NewEvaluator(), done: make(chan struct{})}
+	jb.status = JobStatus{ID: id, State: "queued", IterationsTotal: spec.SearchConfig().Iterations}
+	if ck != nil {
+		jb.status.Resumed, jb.status.IterationsDone = true, ck.Iter
+	}
+	s.mu.Lock()
+	if live, ok := s.jobs[id]; ok { // a concurrent Submit of the same spec registered first
+		s.mu.Unlock()
+		return live.Status(), nil
+	}
+	s.jobs[id] = jb
+	s.mu.Unlock()
 	go s.run(jb, ck)
 	return jb.Status(), nil
 }

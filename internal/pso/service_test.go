@@ -11,7 +11,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
+	"time"
 
 	"skynet/internal/bundle"
 )
@@ -266,6 +268,38 @@ func TestServiceResultBeforeDone(t *testing.T) {
 	svc.Wait(st.ID)
 	if code := getJSON(t, ts.URL+"/search/jobs/"+st.ID+"/result", nil); code != http.StatusOK {
 		t.Fatalf("post-completion result code %d", code)
+	}
+}
+
+// TestServiceUnreadableCheckpointLeavesNoJob: a checkpoint that cannot be
+// read refuses the submission and leaves nothing behind — no job that never
+// runs, answers "queued" to the next submission, hangs Wait and counts in
+// /metrics.
+func TestServiceUnreadableCheckpointLeavesNoJob(t *testing.T) {
+	svc := NewService(t.TempDir())
+	spec := testJobSpec()
+	spec.normalize()
+	id := spec.ID()
+	if err := os.WriteFile(svc.CheckpointPath(id), []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if st, err := svc.Submit(spec); err == nil {
+			t.Fatalf("submission %d over an unreadable checkpoint: err=nil state=%q", i+1, st.State)
+		}
+	}
+	if st, ok := svc.Status(id); ok {
+		t.Fatalf("refused job left in the table: %+v", st)
+	}
+	waited := make(chan struct{})
+	go func() { svc.Wait(id); close(waited) }()
+	select {
+	case <-waited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait on a refused job did not return")
+	}
+	if jobs := svc.Metrics().Jobs; len(jobs) != 0 {
+		t.Fatalf("/metrics counts %v after a refused submission, want no job", jobs)
 	}
 }
 

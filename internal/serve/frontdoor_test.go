@@ -1,8 +1,8 @@
 package serve
 
-// Front-door tests: the two HTTP surfaces (Pool.Handler, with and without
-// an attached TrackService, and TrackService.Handler) expose exactly their
-// route sets over the shared plumbing, flip /healthz on drain, and bound
+// Front-door tests: the two HTTP surfaces (Pool.Handler for detection and
+// TrackService.Handler for tracking) expose exactly their route sets over the
+// shared plumbing, flip /healthz on drain, and bound
 // request bodies before the JSON decoder materialises them.
 
 import (
@@ -67,10 +67,8 @@ func healthz(h http.Handler) int {
 }
 
 func TestFrontDoorRoutes(t *testing.T) {
-	bare := newSinglePool(t, &stubModel{}, Config{})
-	hosting := newSinglePool(t, &stubModel{}, Config{})
-	hosting.Attach(newTestTrackService(t, testTracker(false), TrackConfig{}))
-	standalone := newTestTrackService(t, testTracker(false), TrackConfig{})
+	pool := newSinglePool(t, &stubModel{}, Config{})
+	ts := newTestTrackService(t, testTracker(false), TrackConfig{})
 
 	for _, tc := range []struct {
 		name    string
@@ -78,9 +76,8 @@ func TestFrontDoorRoutes(t *testing.T) {
 		drain   func(context.Context) error
 		want    []string
 	}{
-		{"pool", bare.Handler(), bare.Drain, routeSet(sharedRoutes, detectRoutes)},
-		{"pool+track", hosting.Handler(), hosting.Drain, routeSet(sharedRoutes, detectRoutes, trackRoutes)},
-		{"track", standalone.Handler(), standalone.Drain, routeSet(sharedRoutes, trackRoutes)},
+		{"pool", pool.Handler(), pool.Drain, routeSet(sharedRoutes, detectRoutes)},
+		{"track", ts.Handler(), ts.Drain, routeSet(sharedRoutes, trackRoutes)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := matchedRoutes(t, tc.handler)
@@ -123,26 +120,27 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 }
 
 // TestOversizedBodyIs413 posts a body past maxBodyBytes to every route that
-// decodes a tensor — once declaring its length, which is refused unread, and
-// once streamed with no length, which the byte cap must cut off: the answer
-// is 413 (not an unbounded allocation, not a panic) and the service takes
-// the next request.
+// decodes a tensor, on both doors — once declaring its length, which is
+// refused unread, and once streamed with no length, which the byte cap must
+// cut off: the answer is 413 (not an unbounded allocation, not a panic) and
+// the service takes the next request.
 func TestOversizedBodyIs413(t *testing.T) {
 	p := newSinglePool(t, &stubModel{}, Config{})
-	p.Attach(newTestTrackService(t, testTracker(false), TrackConfig{}))
-	h := p.Handler()
+	ts := newTestTrackService(t, testTracker(false), TrackConfig{})
+	detectDoor, trackDoor := p.Handler(), ts.Handler()
 
 	filler := strings.Repeat("0,", 32<<10)
 	for _, tc := range []struct {
+		door     http.Handler
 		route    string
 		declared bool
 	}{
-		{"/detect", true},
-		{"/track/start", true},
-		{"/track/step", true},
+		{detectDoor, "/detect", true},
+		{trackDoor, "/track/start", true},
+		{trackDoor, "/track/step", true},
 		// One streamed body covers the cap for all three: they share
 		// decodeBody, and scanning 64 MiB of JSON is slow under -race.
-		{"/track/step", false},
+		{trackDoor, "/track/step", false},
 	} {
 		body := io.MultiReader(strings.NewReader(`{"shape":[3,1,1],"data":[`),
 			&repeatReader{filler: filler, n: maxBodyBytes})
@@ -151,7 +149,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 			req.ContentLength = maxBodyBytes + 25
 		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
+		tc.door.ServeHTTP(rec, req)
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s (declared=%v): over-limit body answered %d, want 413 (%s)",
 				tc.route, tc.declared, rec.Code, rec.Body)
@@ -161,7 +159,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 		t.Fatalf("detection after oversized bodies: %v", err)
 	}
 	seq := testTrackSequences(1, 2)[0]
-	if _, _, err := p.track.Start(context.Background(), seq.Frames[0], seq.Boxes[0]); err != nil {
+	if _, _, err := ts.Start(context.Background(), seq.Frames[0], seq.Boxes[0]); err != nil {
 		t.Fatalf("tracking after oversized bodies: %v", err)
 	}
 }

@@ -104,11 +104,10 @@ func FuzzTrackStartHTTP(f *testing.F) {
 	f.Add(append(append([]byte(nil), okStart...), " trailing garbage"...))
 
 	ts := newFuzzTrackService(f)
-	mux := http.NewServeMux()
-	ts.register(mux)
+	h := ts.Handler()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		code := fuzzPost(t, mux, "/track/start", body)
+		code := fuzzPost(t, h, "/track/start", body)
 		if !allowedClientStatus(code) {
 			t.Fatalf("/track/start answered %d for %q", code, body)
 		}
@@ -118,8 +117,7 @@ func FuzzTrackStartHTTP(f *testing.F) {
 func FuzzTrackStepHTTP(f *testing.F) {
 	seq := testTrackSequences(1, 2)[0]
 	ts := newFuzzTrackService(f)
-	mux := http.NewServeMux()
-	ts.register(mux)
+	h := ts.Handler()
 	// One live session so the fuzzer can reach the post-lookup decode path.
 	id, _, err := ts.Start(context.Background(), seq.Frames[0], seq.Boxes[0])
 	if err != nil {
@@ -141,7 +139,7 @@ func FuzzTrackStepHTTP(f *testing.F) {
 	f.Add(append(append([]byte(nil), okStep...), " trailing garbage"...))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		code := fuzzPost(t, mux, "/track/step", body)
+		code := fuzzPost(t, h, "/track/step", body)
 		if !allowedClientStatus(code) {
 			t.Fatalf("/track/step answered %d for %q", code, body)
 		}

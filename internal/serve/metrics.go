@@ -223,16 +223,13 @@ type PoolMetrics struct {
 	// ReplicaMetrics holds the serving generation's engine snapshot, as its
 	// one entry.
 	ReplicaMetrics []Metrics `json:"replica_metrics"`
-
-	// Track is the attached tracking service's snapshot, when co-hosted.
-	Track *TrackMetrics `json:"track,omitempty"`
 }
 
 // Metrics snapshots the pool's observability counters.
 func (p *Pool) Metrics() PoolMetrics {
 	g := p.gen.Load()
 	gm := g.Metrics()
-	m := PoolMetrics{
+	return PoolMetrics{
 		Replicas:       len(g.models),
 		Generation:     g.id,
 		Swaps:          p.swaps.Load(),
@@ -249,11 +246,6 @@ func (p *Pool) Metrics() PoolMetrics {
 		Latency:        p.hist.Summary(),
 		ReplicaMetrics: []Metrics{gm},
 	}
-	if p.track != nil {
-		tm := p.track.Metrics()
-		m.Track = &tm
-	}
-	return m
 }
 
 // Metrics snapshots the generation's observability counters.

@@ -42,7 +42,7 @@ type ModelFactory func() (detect.Model, *detect.Head, error)
 // PoolConfig tunes a Pool. The zero value selects serving defaults.
 type PoolConfig struct {
 	// Replicas is the number of inference workers, each with a private model
-	// instance; 0 selects NumCPU capped at 8.
+	// instance; 0 selects GOMAXPROCS capped at 8.
 	Replicas int
 	// Replica tunes the engine (batching, deadline, and the admission queue's
 	// depth per worker).
@@ -58,10 +58,7 @@ type PoolConfig struct {
 
 func (c *PoolConfig) normalize() {
 	if c.Replicas <= 0 {
-		c.Replicas = runtime.NumCPU()
-		if c.Replicas > 8 {
-			c.Replicas = 8
-		}
+		c.Replicas = min(runtime.GOMAXPROCS(0), 8)
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
@@ -102,8 +99,6 @@ type Pool struct {
 	rejected    atomic.Int64 // shed with 429: the queue, or the semaphore, was full
 	swapRetries atomic.Int64 // raced a swap; resubmitted on the new generation
 	swaps       atomic.Int64
-
-	track *TrackService
 }
 
 // NewPool builds cfg.Replicas models from the factory and starts serving.
@@ -153,12 +148,6 @@ func (p *Pool) buildGeneration(factory ModelFactory, id int64) (*generation, err
 	}
 	return newGeneration(id, models, head, p.cfg.Replica), nil
 }
-
-// Attach co-hosts a tracking service on the pool's HTTP front end and folds
-// its counters into /metrics. Tracking is stateful (sessions pin their
-// template features), so it stays a service of its own beside the detection
-// workers: call before Handler.
-func (p *Pool) Attach(ts *TrackService) { p.track = ts }
 
 // Submit runs one detection through the pool: the cache, then the serving
 // generation's queue, then — if that generation began draining under it —
@@ -280,20 +269,13 @@ func (p *Pool) Generation() int64 { return p.gen.Load().id }
 func (p *Pool) Replicas() int { return p.cfg.Replicas }
 
 // Drain gracefully shuts the pool down: new work is refused, admitted
-// requests complete. Idempotent; an attached TrackService is drained too.
+// requests complete. Idempotent.
 func (p *Pool) Drain(ctx context.Context) error {
 	p.swapMu.Lock()
 	defer p.swapMu.Unlock()
 	p.closed.Store(true)
 	//skynet:nolint lockheld -- swapMu serializes admin ops only; holding it for the whole drain is what makes Drain/Swap mutually exclusive
-	err := p.gen.Load().drain(ctx)
-	if p.track != nil {
-		//skynet:nolint lockheld -- swapMu serializes admin ops only; see the drain waiver above
-		if terr := p.track.Drain(ctx); err == nil {
-			err = terr
-		}
-	}
-	return err
+	return p.gen.Load().drain(ctx)
 }
 
 // Close abandons what is queued immediately. Prefer Drain.
@@ -303,10 +285,6 @@ func (p *Pool) Close() {
 	p.closed.Store(true)
 	//skynet:nolint lockheld -- swapMu serializes admin ops only; Close abandons the generation and must exclude a concurrent Swap
 	p.gen.Load().close()
-	if p.track != nil {
-		//skynet:nolint lockheld -- swapMu serializes admin ops only; see the close waiver above
-		p.track.Close()
-	}
 }
 
 // Draining reports whether the pool has begun shutting down.

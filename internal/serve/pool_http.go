@@ -3,11 +3,11 @@ package serve
 // The pool's HTTP front end — the one detection front door: POST /detect
 // and POST /admin/swap (cuts the pool over to a new model generation under
 // live load) on top of the shared routes (GET /metrics, GET /healthz,
-// pprof; see http.go), plus the /track routes of an attached TrackService. Every /detect response carries an
-// X-Skynet-Generation header naming the generation that produced it, which
-// is how the swap tests observe the cutover. A saturated pool sheds before
-// the request body is read, so the 429 path costs a queue-length check, not
-// a multi-megabyte read and parse.
+// pprof; see http.go). Tracking has a door of its own (TrackService.Handler).
+// Every /detect response carries an X-Skynet-Generation header naming the
+// generation that produced it, which is how the swap tests observe the
+// cutover. A saturated pool sheds before the request body is read, so the
+// 429 path costs a queue-length check, not a multi-megabyte read and parse.
 
 import (
 	"context"
@@ -54,9 +54,6 @@ func (p *Pool) Handler() http.Handler {
 	mux := newMux(func() any { return p.Metrics() }, p.Draining)
 	mux.HandleFunc("POST /detect", p.handleDetect)
 	mux.HandleFunc("POST /admin/swap", p.handleSwap)
-	if p.track != nil {
-		p.track.register(mux)
-	}
 	return mux
 }
 

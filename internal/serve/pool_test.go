@@ -19,6 +19,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,6 +79,16 @@ func newTestPool(t *testing.T, factory ModelFactory, cfg PoolConfig) *Pool {
 	}
 	t.Cleanup(p.Close)
 	return p
+}
+
+// TestPoolDefaultReplicasFollowGOMAXPROCS: Replicas 0 runs one worker per P
+// the process may use, not per CPU the machine has, so a CPU-limited process
+// runs no more workers than it can schedule at once.
+func TestPoolDefaultReplicasFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if p := newTestPool(t, verFactory(1, nil, nil), PoolConfig{}); p.Replicas() != 1 {
+		t.Fatalf("Replicas 0 at GOMAXPROCS 1 started %d workers, want 1", p.Replicas())
+	}
 }
 
 // wantBody computes the reference response bytes for one image under one

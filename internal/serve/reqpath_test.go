@@ -43,14 +43,14 @@ func pooledBufs() int {
 }
 
 // TestTensorRoutesAnswer400 pins the two caller faults the reflective decode
-// let through, on all three tensor routes: a shape whose element product
+// let through, on all three tensor routes — /detect on the pool's door, the
+// /track ones on the tracking service's: a shape whose element product
 // wraps to zero (it reached the model and came back 500) and bytes after the
 // request object (ignored).
 func TestTensorRoutesAnswer400(t *testing.T) {
 	p := newSinglePool(t, &stubModel{}, Config{Channels: 3})
 	ts := newTestTrackService(t, testTracker(false), TrackConfig{})
-	p.Attach(ts)
-	h := p.Handler()
+	detectDoor, trackDoor := p.Handler(), ts.Handler()
 	seq := testTrackSequences(1, 2)[0]
 	id, _, err := ts.Start(context.Background(), seq.Frames[0], seq.Boxes[0])
 	if err != nil {
@@ -58,12 +58,15 @@ func TestTensorRoutesAnswer400(t *testing.T) {
 	}
 	ok := string(bytes.TrimSpace(detectBody(t, seq.Frames[1])))
 	member := func(extra string) string { return ok[:len(ok)-1] + extra + "}" }
-	for _, route := range []struct{ path, valid string }{
-		{"/detect", ok},
-		{"/track/start", member(`,"box":{"cx":0.5,"cy":0.5,"w":0.2,"h":0.2}`)},
-		{"/track/step", member(`,"session":"` + id + `"`)},
+	for _, route := range []struct {
+		door        http.Handler
+		path, valid string
+	}{
+		{detectDoor, "/detect", ok},
+		{trackDoor, "/track/start", member(`,"box":{"cx":0.5,"cy":0.5,"w":0.2,"h":0.2}`)},
+		{trackDoor, "/track/step", member(`,"session":"` + id + `"`)},
 	} {
-		if rec := post(h, route.path, []byte(route.valid)); rec.Code != http.StatusOK {
+		if rec := post(route.door, route.path, []byte(route.valid)); rec.Code != http.StatusOK {
 			t.Fatalf("%s: the valid body answered %d: %s", route.path, rec.Code, rec.Body)
 		}
 		wrapped := `{"shape":[3,4294967296,4294967296],"data":[]` + route.valid[len(ok)-1:]
@@ -72,7 +75,7 @@ func TestTensorRoutesAnswer400(t *testing.T) {
 			"trailing bytes":        route.valid + " trailing garbage",
 			"a second value":        route.valid + route.valid,
 		} {
-			if rec := post(h, route.path, []byte(body)); rec.Code != http.StatusBadRequest {
+			if rec := post(route.door, route.path, []byte(body)); rec.Code != http.StatusBadRequest {
 				t.Errorf("%s, %s: status %d, want 400 (%s)", route.path, name, rec.Code, rec.Body)
 			}
 		}

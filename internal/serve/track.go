@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"skynet/internal/detect"
+	"skynet/internal/pipeline"
 	"skynet/internal/tensor"
 	"skynet/internal/track"
 )
@@ -137,8 +138,7 @@ type trackReq struct {
 // TrackService exposes one Siamese tracker as a stateful concurrent
 // service: a lane (admission, deadline, drain/close) plus the session
 // table, its TTL janitor and per-session serialisation. Create with
-// NewTrackService, stop with Drain or Close. It can run standalone
-// (Handler) or attached to a detection Pool (Pool.Attach).
+// NewTrackService, stop with Drain or Close; Handler is its HTTP door.
 type TrackService struct {
 	lane[*trackReq]
 	cfg TrackConfig
@@ -429,9 +429,7 @@ func (s *TrackService) Metrics() TrackMetrics {
 	if m.Sessions > 0 {
 		m.MeanSessionBytes = bytes / int64(m.Sessions)
 	}
-	// Deliberately not pipeline.StageInfer: on a co-hosted /metrics the
-	// detection workers' inference stage owns that name.
-	m.Stages = []pipelineStageJSON{stageJSON(s.work.Stats("track-inference", 1))}
+	m.Stages = []pipelineStageJSON{stageJSON(s.work.Stats(pipeline.StageInfer, 1))}
 	return m
 }
 
@@ -481,19 +479,13 @@ type TrackStopRequest struct {
 
 // --- HTTP front end ---
 
-// register mounts the tracking routes on a mux (a Pool's, or the
-// service's own).
-func (s *TrackService) register(mux *http.ServeMux) {
+// Handler returns the tracking service's HTTP interface: the /track routes
+// on top of the shared ones.
+func (s *TrackService) Handler() http.Handler {
+	mux := newMux(func() any { return s.Metrics() }, s.Draining)
 	mux.HandleFunc("POST /track/start", s.handleStart)
 	mux.HandleFunc("POST /track/step", s.handleStep)
 	mux.HandleFunc("POST /track/stop", s.handleStop)
-}
-
-// Handler returns a standalone HTTP interface for a tracking-only
-// deployment: the /track routes on top of the shared ones.
-func (s *TrackService) Handler() http.Handler {
-	mux := newMux(func() any { return s.Metrics() }, s.Draining)
-	s.register(mux)
 	return mux
 }
 

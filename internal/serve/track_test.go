@@ -19,6 +19,7 @@ import (
 	"skynet/internal/backbone"
 	"skynet/internal/dataset"
 	"skynet/internal/detect"
+	"skynet/internal/pipeline"
 	"skynet/internal/tensor"
 	"skynet/internal/track"
 )
@@ -386,15 +387,12 @@ func TestTrackHTTPErrorMapping(t *testing.T) {
 	}
 }
 
-// TestTrackAttachedToServer pins co-hosting: the detection front door
-// mounts the /track routes and folds the tracking snapshot into /metrics
-// without disturbing the headline detection batching numbers.
-func TestTrackAttachedToServer(t *testing.T) {
-	srv := newSinglePool(t, &stubModel{}, Config{})
-	tr := testTracker(false)
-	ts := newTestTrackService(t, tr, TrackConfig{})
-	srv.Attach(ts)
-	h := srv.Handler()
+// TestTrackMetricsOneInferenceStage pins the tracking door's /metrics: the
+// session counters, and one inference stage with no batch formation — every
+// request is its own batch.
+func TestTrackMetricsOneInferenceStage(t *testing.T) {
+	ts := newTestTrackService(t, testTracker(false), TrackConfig{})
+	h := ts.Handler()
 	hs := httptest.NewServer(h)
 	defer hs.Close()
 	seq := testTrackSequences(1, 3)[0]
@@ -404,7 +402,7 @@ func TestTrackAttachedToServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec := post(h, "/track/start", body); rec.Code != http.StatusOK {
-		t.Fatalf("start via attached server: status %d %q", rec.Code, rec.Body)
+		t.Fatalf("start: status %d %q", rec.Code, rec.Body)
 	}
 
 	resp, err := http.Get(hs.URL + "/metrics")
@@ -412,19 +410,15 @@ func TestTrackAttachedToServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m PoolMetrics
+	var m TrackMetrics
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Track == nil || m.Track.Started != 1 || m.Track.Sessions != 1 {
-		t.Fatalf("attached metrics %+v: want the tracking snapshot folded in", m.Track)
+	if m.Started != 1 || m.Sessions != 1 {
+		t.Fatalf("metrics %+v: want one session started and live", m)
 	}
-	// One stage, and no batch formation: every request is its own batch.
-	if st := m.Track.Stages; len(st) != 1 || st[0].Items != 1 || st[0].Batches != st[0].Items {
-		t.Fatalf("tracking stages %+v, want one inference stage with batches == items == 1", st)
-	}
-	if rm := m.ReplicaMetrics[0]; rm.Batches != 0 || rm.MeanBatchSize != 0 {
-		t.Fatalf("a tracking forward showed up in the detection batching numbers: %+v", rm)
+	if st := m.Stages; len(st) != 1 || st[0].Name != pipeline.StageInfer || st[0].Items != 1 || st[0].Batches != st[0].Items {
+		t.Fatalf("tracking stages %+v, want one %q stage with batches == items == 1", st, pipeline.StageInfer)
 	}
 }
 

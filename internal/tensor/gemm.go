@@ -281,13 +281,13 @@ type gemmJob struct {
 
 // The worker pool is shared by the float32 and int8 GEMMs. Invariant: pool
 // workers never dispatch — a job is a leaf that packs and multiplies its
-// column chunk and signals the task. Code that calls a dispatching GEMM (the
-// batch loop of nn's training convolutions) must therefore not run on this
-// pool: a worker blocked in dispatch waits on jobs only other workers can
-// take, and once every worker is such an outer chunk nothing drains the
-// queue; that loop spawns a goroutine per chunk instead. A parallelRange body
-// — a lane of an inference forward — makes only leaf calls: RowProduct.BandOf,
-// Int8Epilogue.Leaf.
+// column chunk and signals the task. Code that calls a dispatching GEMM must
+// therefore not run on this pool: a worker blocked in dispatch waits on jobs
+// only other workers can take, and once every worker is such an outer chunk
+// nothing drains the queue. A parallelRange body — a lane of a batch, of the
+// inference plan or of a layer's own loop — makes only leaf calls:
+// RowProduct.BandOf, the leaf argument of the backward products,
+// Int8Epilogue.Leaf. These workers are the only goroutines the kernels start.
 var (
 	gemmWorkersOnce sync.Once
 	gemmJobs        chan gemmJob

@@ -78,6 +78,8 @@ func Im2ColInto[T float32 | int8](col, img []T, c, h, w, kh, kw, stride, pad int
 // matrix back into an image [c,h,w], accumulating overlapping
 // contributions. The destination img is zeroed first. Used to propagate
 // gradients through convolutions.
+//
+//skynet:hotpath
 func Col2Im(img, col []float32, c, h, w, kh, kw, stride, pad int) {
 	outH := ConvOut(h, kh, stride, pad)
 	outW := ConvOut(w, kw, stride, pad)

@@ -82,9 +82,13 @@ func MatMulRowEpilogueInto(c, a, b []float32, p RowProduct) {
 }
 
 // MatMulTransposeAInto computes c = aᵀ·b for a of shape [k,m] and b of
-// shape [k,n]; c must have shape [m,n]. Used for weight gradients.
-func MatMulTransposeAInto(c, a, b *Tensor) {
-	gemmExec(gemmOf("MatMulTransposeAInto", c, a, b, true, false))
+// shape [k,n]; c must have shape [m,n]. Used for input gradients. A leaf
+// call multiplies on the calling goroutine alone, as RowProduct.BandOf makes
+// a forward's; the bits are the same.
+//
+//skynet:hotpath
+func MatMulTransposeAInto(c, a, b *Tensor, leaf bool) {
+	gemmExec(gemmOf("MatMulTransposeAInto", c, a, b, true, false).leafIf(leaf))
 }
 
 // MatMulTransposeAAddInto computes c += aᵀ·b for a of shape [k,m] and b of
@@ -96,10 +100,23 @@ func MatMulTransposeAAddInto(c, a, b *Tensor) {
 }
 
 // MatMulTransposeBAddInto computes c += a·bᵀ for a of shape [m,k] and b of
-// shape [n,k]; c must have shape [m,n]. Used to accumulate weight gradients
-// across a batch.
-func MatMulTransposeBAddInto(c, a, b *Tensor) {
-	g := gemmOf("MatMulTransposeBAddInto", c, a, b, false, true)
+// shape [n,k]; c must have shape [m,n]. Used to accumulate weight gradients.
+// leaf is MatMulTransposeAInto's.
+//
+//skynet:hotpath
+func MatMulTransposeBAddInto(c, a, b *Tensor, leaf bool) {
+	g := gemmOf("MatMulTransposeBAddInto", c, a, b, false, true).leafIf(leaf)
 	g.acc = true
 	gemmExec(g)
+}
+
+// leafIf makes g a leaf call when leaf is set: a band as wide as the whole
+// product, so the small-problem decision is the call's own.
+//
+//skynet:hotpath
+func (g gemmCall) leafIf(leaf bool) gemmCall {
+	if leaf {
+		g.bandOf = g.n
+	}
+	return g
 }

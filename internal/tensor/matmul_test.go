@@ -51,8 +51,9 @@ type matmulOp struct {
 }
 
 // matmulVariants lists the exported float32 entry points with the
-// descriptor each one stands for, and the two plain settings of acc and
-// bTrans that no exported entry point has, set through gemmExec.
+// descriptor each one stands for — the backward products also as leaf
+// calls — and the two plain settings of acc and bTrans that no exported entry
+// point has, set through gemmExec.
 var matmulVariants = []struct {
 	name string
 	op   matmulOp
@@ -60,10 +61,12 @@ var matmulVariants = []struct {
 }{
 	{"MatMulInto", matmulOp{}, func(c, a, b, _ *Tensor) { MatMulInto(c, a, b) }},
 	{"MatMulAddInto", matmulOp{acc: true}, func(c, a, b, _ *Tensor) { matMulAddInto(c, a, b) }},
-	{"MatMulTransposeAInto", matmulOp{aTrans: true}, func(c, a, b, _ *Tensor) { MatMulTransposeAInto(c, a, b) }},
+	{"MatMulTransposeAInto", matmulOp{aTrans: true}, func(c, a, b, _ *Tensor) { MatMulTransposeAInto(c, a, b, false) }},
 	{"MatMulTransposeAAddInto", matmulOp{aTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeAAddInto(c, a, b) }},
 	{"MatMulTransposeBInto", matmulOp{bTrans: true}, func(c, a, b, _ *Tensor) { matMulTransposeBInto(c, a, b) }},
-	{"MatMulTransposeBAddInto", matmulOp{bTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBAddInto(c, a, b) }},
+	{"MatMulTransposeBAddInto", matmulOp{bTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBAddInto(c, a, b, false) }},
+	{"MatMulTransposeAInto/leaf", matmulOp{aTrans: true}, func(c, a, b, _ *Tensor) { MatMulTransposeAInto(c, a, b, true) }},
+	{"MatMulTransposeBAddInto/leaf", matmulOp{bTrans: true, acc: true}, func(c, a, b, _ *Tensor) { MatMulTransposeBAddInto(c, a, b, true) }},
 	{"MatMulRowEpilogueInto", matmulOp{rowBias: true}, func(c, a, b, bias *Tensor) {
 		MatMulRowEpilogueInto(c.Data, a.Data, b.Data, RowProduct{M: c.Dim(0), N: c.Dim(1), K: a.Dim(1), Ep: RowEpilogue{Bias: bias.Data}})
 	}},

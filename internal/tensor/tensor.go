@@ -145,6 +145,8 @@ func (t *Tensor) indexError(what string, idx []int) string {
 }
 
 // Zero sets every element of t to zero.
+//
+//skynet:hotpath
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0

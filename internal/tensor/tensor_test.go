@@ -290,7 +290,7 @@ func TestMatMulTransposedVariants(t *testing.T) {
 		}
 	}
 	c1 := New(m, n)
-	MatMulTransposeAInto(c1, at, b)
+	MatMulTransposeAInto(c1, at, b, false)
 	if !tensorsClose(c1, want, 1e-4) {
 		t.Fatal("MatMulTransposeAInto mismatch")
 	}

@@ -230,6 +230,43 @@ func TestTrackedBoxesFollowTarget(t *testing.T) {
 	}
 }
 
+// TestTrackerTrainingDeterministicAcrossWorkers pins tracker training —
+// the layer walk's forward and backward, conv GEMMs split or not, the
+// depth-wise backward's channels dealt or not — to the same bits at one
+// worker and at four: the same parameters after the same steps, and the same
+// AO from them.
+func TestTrackerTrainingDeterministicAcrossWorkers(t *testing.T) {
+	seqs := testSequences(3)
+	train := func(workers int) ([]*nn.Param, float64) {
+		oldNN, oldT := nn.MaxParallelism, tensor.MaxParallelism
+		nn.MaxParallelism, tensor.MaxParallelism = workers, workers
+		defer func() { nn.MaxParallelism, tensor.MaxParallelism = oldNN, oldT }()
+		tr := tinyTracker(false, 11)
+		tr.Train(seqs[:2], TrainConfig{Steps: 20, LR: 0.01, Seed: 12})
+		return tr.Params(), tr.Evaluate(seqs[2:]).AO
+	}
+	ps1, ao1 := train(1)
+	ps4, ao4 := train(4)
+	for i, p := range ps1 {
+		if j := firstDiff(p.W.Data, ps4[i].W.Data); j >= 0 {
+			t.Fatalf("param %d (%s) element %d: %v at one worker, %v at four", i, p.Name, j, p.W.Data[j], ps4[i].W.Data[j])
+		}
+	}
+	if ao1 != ao4 {
+		t.Fatalf("AO %v at one worker, %v at four", ao1, ao4)
+	}
+}
+
+// firstDiff returns the first index where a and b differ bitwise, or -1.
+func firstDiff(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestEvaluateAggregates(t *testing.T) {
 	tr := tinyTracker(false, 7)
 	seqs := testSequences(2)
