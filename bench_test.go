@@ -392,7 +392,8 @@ func BenchmarkGraphInference(b *testing.B) {
 }
 
 // BenchmarkInt8Forward is BenchmarkGraphInference on the int8 engine
-// (quant.Export of the same model): a warm forward allocates nothing.
+// (quant.Export of the same model): a warm forward allocates its output and
+// nothing else, the same as nn.Graph.Forward.
 func BenchmarkInt8Forward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())

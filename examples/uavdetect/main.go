@@ -48,8 +48,8 @@ func main() {
 		s := gen.Scene()
 		frames[i] = &detect.Frame{Image: s.Image, GT: s.Box}
 	}
-	x1 := frames[0].(*detect.Frame).Image.Clone()
-	x1 = x1.Reshape(1, x1.Dim(0), x1.Dim(1), x1.Dim(2))
+	img := frames[0].(*detect.Frame).Image
+	x1 := img.Reshape(1, img.Dim(0), img.Dim(1), img.Dim(2))
 	model.Forward(x1, false) // warm-up
 	t := time.Now()
 	model.Forward(x1, false)
@@ -62,9 +62,8 @@ func main() {
 	for i, v := range frames {
 		f := v.(*detect.Frame)
 		time.Sleep(fetchDelay) // camera DMA
-		x := f.Image.Clone()
-		c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-		boxes, _ := head.Decode(model.Forward(x.Reshape(1, c, h, w), false))
+		c, h, w := f.Image.Dim(0), f.Image.Dim(1), f.Image.Dim(2)
+		boxes, _ := head.Decode(model.Forward(f.Image.Reshape(1, c, h, w), false))
 		serialBoxes[i] = boxes[0]
 	}
 	serial := time.Since(t0)
@@ -81,8 +80,7 @@ func main() {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			f.X = f.Image.Clone()
-			return f, nil
+			return f, detect.Preprocess(f)
 		}}
 	ex, err := pipeline.NewExecutor(4,
 		fetchPre,
@@ -130,9 +128,7 @@ func main() {
 
 	// Score the run with the contest formulas against the TX2 power model.
 	// One more forward seeds GraphCosts with per-layer shapes.
-	f0 := out[0].(*detect.Frame)
-	x0 := f0.X.Clone()
-	model.Forward(x0.Reshape(1, x0.Dim(0), x0.Dim(1), x0.Dim(2)), false)
+	model.Forward(x1, false)
 	costs := hw.GraphCosts(model)
 	power := hw.TX2.Power(hw.TX2.Utilization(costs))
 	entry := hw.Entry{Team: "uavdetect", IoU: meanIoU, FPS: fps, PowerW: power}

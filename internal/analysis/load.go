@@ -68,9 +68,6 @@ func NewLoader(dir string) *Loader {
 	}
 }
 
-// Fset exposes the loader's file set (shared by all loaded packages).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // goList runs `go list -export -json` over the patterns and decodes the
 // package stream.
 func (l *Loader) goList(extraFlags []string, patterns ...string) ([]*listedPackage, error) {

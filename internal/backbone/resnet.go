@@ -22,13 +22,6 @@ func (s *strideBudget) take() int {
 	return 1
 }
 
-// convBNAct appends conv → BN → ReLU and returns the output node index.
-func convBNAct(g *nn.Graph, rng *rand.Rand, inC, outC, k, stride, pad, from int) int {
-	i := g.Add(nn.NewConv2D(rng, inC, outC, k, stride, pad, false), from)
-	i = g.Add(nn.NewBatchNorm(outC), i)
-	return g.Add(nn.NewReLU(), i)
-}
-
 // basicBlock is the ResNet-18/34 residual block: two 3×3 convolutions with
 // an identity (or 1×1 projection) shortcut.
 func basicBlock(g *nn.Graph, rng *rand.Rand, inC, outC, stride, from int) int {

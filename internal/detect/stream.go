@@ -4,8 +4,8 @@ package detect
 // §6.3/Figure 10 (fetch+pre-process, batched inference, post-process)
 // expressed as pipeline.StageSpec values over a stream of Frames. The
 // inference stage is the paper's batched one — frames are micro-batched,
-// stacked with Batch into a single [B,C,H,W] forward pass, and the head
-// output is split back per frame so post-processing stays per-item.
+// stacked into a single [B,C,H,W] forward pass, and each frame gets a view of
+// its rows of the head output so post-processing stays per-item.
 
 import (
 	"context"
@@ -17,14 +17,14 @@ import (
 )
 
 // Frame is one unit of work flowing through the live detection pipeline.
-// Stages fill in their field and pass the frame along.
+// Stages fill in their field and pass the frame along. The stages read Image
+// in place and never write it; the producer hands it over with the frame and
+// must not write it until the frame comes back out. What a stage produces is
+// handed on the same way: Pred may be a view of the one output of a batched
+// forward, which nothing writes once InferStage has passed the frame on.
 type Frame struct {
 	Image *tensor.Tensor // [C,H,W] input scene (set by the producer)
-	// Owned says the producer hands Image over: nobody else writes it while
-	// the frame is in the pipeline, so Preprocess need not copy it.
-	Owned bool
 	GT    Box            // optional ground truth, carried through for scoring
-	X     *tensor.Tensor // [C,H,W] pre-processed input (PreStage)
 	Pred  *tensor.Tensor // [1,ch,Sh,Sw] raw head output (InferStage)
 	Box   Box            // decoded detection (PostStage)
 	Conf  float64        // decoded confidence (PostStage)
@@ -38,20 +38,15 @@ func asFrame(stage string, v any) (*Frame, error) {
 	return f, nil
 }
 
-// Preprocess is the per-frame fetch/pre-process transform: it validates
-// the input and clones the image so every downstream stage owns its data
-// regardless of what the producer does with the original buffer — unless
-// the producer gave the image up (Frame.Owned), in which case the stages read
-// it in place. It is stateless and safe to call concurrently.
+// Preprocess is the per-frame fetch/pre-process transform: it validates the
+// input, which the later stages then read in place (see Frame). It allocates
+// nothing and is safe to call concurrently.
 func Preprocess(f *Frame) error {
 	if f.Image == nil {
 		return errors.New("detect: frame has no image")
 	}
 	if f.Image.Rank() != 3 {
 		return fmt.Errorf("detect: frame image rank %d, want [C,H,W]", f.Image.Rank())
-	}
-	if f.X = f.Image; !f.Owned {
-		f.X = f.Image.Clone()
 	}
 	return nil
 }
@@ -73,51 +68,54 @@ func PreStage() pipeline.StageSpec {
 	}
 }
 
-// InferBatch stacks the frames' pre-processed inputs into one [B,C,H,W]
-// tensor, runs a single forward pass, and splits the prediction back into
-// per-frame [1,ch,Sh,Sw] copies, so the frames own their predictions (a
-// quant.QuantizedModel reuses its output buffer on the next forward; an
-// nn.Graph returns a fresh tensor each time). Calls for the same model must
-// be serialized by the caller: a forward pass is not reentrant — an nn.Graph
-// (a quant.QuantizedModel likewise) keeps the feature maps of the forward in
-// flight in one arena it owns, a region per lane, and the lanes, band buffers
-// and im2col scratch that go with them. Frames of one call must share a
-// shape: a stack has one H×W, so a mixed batch is an error, never a frame
-// forwarded at its neighbour's size. A batch of one — every op of a live
-// stream — is not stacked: the model is handed a [1,C,H,W] view of the frame's
-// own X, which neither engine reads or keeps once Forward has returned.
+// InferBatch runs one forward pass over the frames and hands each frame its
+// prediction: no copy is made on the way in or out. A batch of one — every op
+// of a live stream — is not stacked: the model is handed a [1,C,H,W] view of
+// the frame's Image, which neither engine reads or keeps once Forward has
+// returned, and the frame's Pred is the tensor Forward returned. A larger
+// batch is stacked into one [B,C,H,W] tensor and each frame's Pred is a
+// [1,ch,Sh,Sw] view of its rows of the one output, which both engines hand to
+// the caller. Frames of one call must share a shape: a stack has one H×W, so
+// a mixed batch is an error, never a frame forwarded at its neighbour's size.
+// Calls for the same model must be serialized by the caller: a forward pass
+// is not reentrant — an nn.Graph (a quant.QuantizedModel likewise) keeps the
+// feature maps of the forward in flight in one arena it owns, a region per
+// lane, and the lanes, band buffers and im2col scratch that go with them.
 func InferBatch(m Model, frames []*Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
 	for i, f := range frames {
-		if f.X == nil {
-			return errors.New("detect: frame reached inference without pre-processing")
+		if err := Preprocess(f); err != nil {
+			return err
 		}
-		if !f.X.SameShape(frames[0].X) {
-			return fmt.Errorf("detect: frame %d of the batch is %v, frame 0 is %v", i, f.X.Shape(), frames[0].X.Shape())
+		if !f.Image.SameShape(frames[0].Image) {
+			return fmt.Errorf("detect: frame %d of the batch is %v, frame 0 is %v", i, f.Image.Shape(), frames[0].Image.Shape())
 		}
 	}
-	x := frames[0].X
+	img := frames[0].Image
+	c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
+	var x *tensor.Tensor
 	if len(frames) == 1 {
-		x = x.Reshape(1, x.Dim(0), x.Dim(1), x.Dim(2))
+		x = img.Reshape(1, c, h, w)
 	} else {
-		samples := make([]Sample, len(frames))
+		x = tensor.New(len(frames), c, h, w)
 		for i, f := range frames {
-			samples[i] = Sample{Image: f.X}
+			copy(x.Data[i*img.Len():], f.Image.Data)
 		}
-		x, _ = Batch(samples, 0, len(samples))
 	}
 	pred := m.Forward(x, false)
 	if pred.Rank() != 4 || pred.Dim(0) != len(frames) {
 		return fmt.Errorf("detect: model returned %v for a batch of %d", pred.Shape(), len(frames))
 	}
+	if len(frames) == 1 {
+		frames[0].Pred = pred
+		return nil
+	}
 	ch, sh, sw := pred.Dim(1), pred.Dim(2), pred.Dim(3)
 	per := ch * sh * sw
 	for i, f := range frames {
-		p := tensor.New(1, ch, sh, sw)
-		copy(p.Data, pred.Data[i*per:(i+1)*per])
-		f.Pred = p
+		f.Pred = tensor.FromSlice(pred.Data[i*per:(i+1)*per:(i+1)*per], 1, ch, sh, sw)
 	}
 	return nil
 }
@@ -129,6 +127,9 @@ func Postprocess(h *Head, f *Frame) error {
 	if f.Pred == nil {
 		return errors.New("detect: frame reached post-processing without a prediction")
 	}
+	if p := f.Pred; p.Rank() != 4 || p.Dim(0) != 1 || p.Dim(1) != h.Channels() {
+		return fmt.Errorf("detect: prediction %v, the head decodes [1,%d,Sh,Sw]", p.Shape(), h.Channels())
+	}
 	boxes, confs := h.Decode(f.Pred)
 	f.Box, f.Conf = boxes[0], confs[0]
 	return nil
@@ -136,15 +137,16 @@ func Postprocess(h *Head, f *Frame) error {
 
 // InferStage returns the micro-batched DNN inference stage of §6.3: the
 // pre-processed frames that queued while the previous forward ran, up to
-// maxBatch of them, are stacked into one [B,C,H,W] tensor and run through a
-// single Forward. What the micro-batch buys on a CPU is sample-level
-// parallelism without joins: once it holds a frame for every core the model
-// runs it as lanes, each core taking whole frames through the network on its
-// own one-frame set of feature-map buffers and meeting the others once per
-// forward, not once per layer — as the paper's batch shares one set of
-// on-chip buffers among four frames (§6.2, Figure 9). Like every executor
-// stage it runs on one goroutine, which a forward pass needs anyway: it is not
-// reentrant (the model owns the arena and the lanes, see InferBatch).
+// maxBatch of them, go through InferBatch as one forward, and the stage returns
+// the items it was given, each frame now holding its prediction. What the
+// micro-batch buys on a CPU is sample-level parallelism without joins: once it
+// holds a frame for every core the model runs it as lanes, each core taking
+// whole frames through the network on its own one-frame set of feature-map
+// buffers and meeting the others once per forward, not once per layer — as the
+// paper's batch shares one set of on-chip buffers among four frames (§6.2,
+// Figure 9). Like every executor stage it runs on one goroutine, which a
+// forward pass needs anyway: it is not reentrant (the model owns the arena and
+// the lanes, see InferBatch).
 func InferStage(m Model, maxBatch int) pipeline.StageSpec {
 	return pipeline.StageSpec{
 		Name:     pipeline.StageInfer,
@@ -161,11 +163,7 @@ func InferStage(m Model, maxBatch int) pipeline.StageSpec {
 			if err := InferBatch(m, frames); err != nil {
 				return nil, err
 			}
-			out := make([]any, len(items))
-			for i, f := range frames {
-				out[i] = f
-			}
-			return out, nil
+			return items, nil
 		},
 	}
 }

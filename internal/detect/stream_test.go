@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"skynet/internal/backbone"
 	"skynet/internal/nn"
 	"skynet/internal/pipeline"
 	"skynet/internal/quant"
@@ -144,7 +146,7 @@ func TestInferBatchStacksSameShapesAndRejectsMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, f := range frames {
-		alone := m.Forward(f.X.Reshape(1, 3, 8, 8), false)
+		alone := m.Forward(f.Image.Reshape(1, 3, 8, 8), false)
 		if !f.Pred.SameShape(alone) {
 			t.Fatalf("frame %d: prediction %v, alone %v", i, f.Pred.Shape(), alone.Shape())
 		}
@@ -164,22 +166,24 @@ func TestInferBatchStacksSameShapesAndRejectsMixed(t *testing.T) {
 	}
 }
 
-// seesInput is a model that notes the tensor it was handed.
-type seesInput struct {
+// recorder is a model that notes the tensor it was handed and the one it
+// returned.
+type recorder struct {
 	Model
-	x *tensor.Tensor
+	x, out *tensor.Tensor
 }
 
-func (m *seesInput) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (m *recorder) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	m.x = x
-	return m.Model.Forward(x, train)
+	m.out = m.Model.Forward(x, train)
+	return m.out
 }
 
 // TestInferBatchOfOneIsAView: the lone frame of a live stream's op is not
-// stacked — the model reads the frame's own X as [1,C,H,W] — and that is safe
-// with both engines because neither reads x once Forward has returned: X
-// overwritten afterwards, the frame's prediction is what it was, and a second
-// frame through the same model is that frame's own forward.
+// stacked — the model reads the frame's own Image as [1,C,H,W] — and that is
+// safe with both engines because neither reads x once Forward has returned:
+// Image overwritten afterwards, the frame's prediction is what it was, and a
+// second frame through the same model is that frame's own forward.
 func TestInferBatchOfOneIsAView(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := nn.Sequential(
@@ -197,32 +201,201 @@ func TestInferBatchOfOneIsAView(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, engine := range map[string]Model{"float32": g, "int8": qm} {
-		m := &seesInput{Model: engine}
+		m := &recorder{Model: engine}
 		var preds [2][]float32
 		for k := range preds {
 			f := streamFrames(rng, 1)[0].(*Frame)
-			if err := Preprocess(f); err != nil {
-				t.Fatal(err)
-			}
 			if err := InferBatch(m, []*Frame{f}); err != nil {
 				t.Fatal(err)
 			}
-			if m.x.Rank() != 4 || m.x.Dim(0) != 1 || &m.x.Data[0] != &f.X.Data[0] {
-				t.Fatalf("%s: the model was handed %v at %p, want a [1,C,H,W] view of the frame's X at %p", name, m.x.Shape(), &m.x.Data[0], &f.X.Data[0])
+			if m.x.Rank() != 4 || m.x.Dim(0) != 1 || &m.x.Data[0] != &f.Image.Data[0] {
+				t.Fatalf("%s: the model was handed %v at %p, want a [1,C,H,W] view of the frame's Image at %p", name, m.x.Shape(), &m.x.Data[0], &f.Image.Data[0])
 			}
-			want := engine.Forward(f.X.Clone().Reshape(1, 3, 8, 8), false).Clone()
-			for i := range f.X.Data {
-				f.X.Data[i] = float32(math.NaN())
+			want := engine.Forward(f.Image.Clone().Reshape(1, 3, 8, 8), false)
+			for i := range f.Image.Data {
+				f.Image.Data[i] = float32(math.NaN())
 			}
 			for i, v := range f.Pred.Data {
 				if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("%s, frame %d: prediction element %d = %v after X was overwritten, the frame's own forward gives %v", name, k, i, v, want.Data[i])
+					t.Fatalf("%s, frame %d: prediction element %d = %v after Image was overwritten, the frame's own forward gives %v", name, k, i, v, want.Data[i])
 				}
 			}
 			preds[k] = f.Pred.Data
 		}
 		if &preds[0][0] == &preds[1][0] {
 			t.Fatalf("%s: two frames share one prediction buffer", name)
+		}
+	}
+}
+
+// engine is one of the two inference engines a stream can run.
+type engine struct {
+	name string
+	m    Model
+}
+
+// skyNetEngines returns SkyNet C at width 0.25 with the contest head and its
+// int8 lowering, calibrated on 48×96 frames.
+func skyNetEngines(t *testing.T, rng *rand.Rand) []engine {
+	t.Helper()
+	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: NewHead(nil).Channels(), ReLU6: true})
+	calib := tensor.New(2, 3, 48, 96)
+	calib.RandNormal(rng, 0, 1)
+	qm, err := quant.Export(g, []*tensor.Tensor{calib}, quant.ExportConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []engine{{"float32", g}, {"int8", qm}}
+}
+
+// skyFrames returns n frames of fresh 48×96 images.
+func skyFrames(rng *rand.Rand, n int) []*Frame {
+	frames := make([]*Frame, n)
+	for i := range frames {
+		img := tensor.New(3, 48, 96)
+		img.RandNormal(rng, 0, 1)
+		frames[i] = &Frame{Image: img}
+	}
+	return frames
+}
+
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
+// TestInferBatchHandsPredictionsOver: nothing is copied on the way out of a
+// forward. A lone frame's Pred is the tensor Forward returned; a larger
+// batch's Preds are, in frame order, views of the rows of the one output. On
+// both engines every prediction is bitwise that frame's own single forward,
+// run after the batch — which must not disturb the batch's predictions.
+func TestInferBatchHandsPredictionsOver(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, e := range skyNetEngines(t, rng) {
+		for _, n := range []int{1, 3, 4} {
+			frames := skyFrames(rng, n)
+			rec := &recorder{Model: e.m}
+			if err := InferBatch(rec, frames); err != nil {
+				t.Fatal(err)
+			}
+			per := rec.out.Len() / n
+			for i, f := range frames {
+				switch {
+				case n == 1 && f.Pred != rec.out:
+					t.Fatalf("%s: a lone frame's Pred is not the tensor Forward returned", e.name)
+				case f.Pred.Rank() != 4 || f.Pred.Dim(0) != 1 || f.Pred.Len() != per || &f.Pred.Data[0] != &rec.out.Data[i*per]:
+					t.Fatalf("%s, batch %d: frame %d's Pred %v is not a [1,…] view of its rows of the output", e.name, n, i, f.Pred.Shape())
+				}
+			}
+			for i, f := range frames {
+				alone := e.m.Forward(f.Image.Reshape(1, 3, 48, 96), false)
+				if !f.Pred.SameShape(alone) || !sameBits(f.Pred.Data, alone.Data) {
+					t.Fatalf("%s, batch %d: frame %d's prediction differs from its own forward", e.name, n, i)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamLeavesProducerImagesAlone: frames that share image tensors —
+// three scenes behind twelve frames, batched as they queue — come out of a
+// Run and of a live Stream with the boxes of each frame's own forward, and
+// every producer image is bit for bit what it was: the stages read images in
+// place and never write them.
+func TestStreamLeavesProducerImagesAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	head := NewHead(nil)
+	scenes := skyFrames(rng, 3)
+	kept := make([]*tensor.Tensor, len(scenes))
+	for i, f := range scenes {
+		kept[i] = f.Image.Clone()
+	}
+	frames := func() []any {
+		out := make([]any, 12)
+		for i := range out {
+			out[i] = &Frame{Image: scenes[i%len(scenes)].Image}
+		}
+		return out
+	}
+	for _, e := range skyNetEngines(t, rng) {
+		want := make([]Box, len(scenes))
+		for i, f := range scenes {
+			boxes, _ := head.Decode(e.m.Forward(f.Image.Reshape(1, 3, 48, 96), false))
+			want[i] = boxes[0]
+		}
+		ex, err := NewStreamExecutor(e.m, head, StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran, err := ex.Run(context.Background(), frames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make(chan any, 12)
+		for _, f := range frames() {
+			in <- f
+		}
+		close(in)
+		out, wait := ex.Stream(context.Background(), in)
+		var streamed []any
+		for v := range out {
+			streamed = append(streamed, v)
+		}
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		for how, got := range map[string][]any{"Run": ran, "Stream": streamed} {
+			if len(got) != 12 {
+				t.Fatalf("%s %s: %d frames out, want 12", e.name, how, len(got))
+			}
+			for i, v := range got {
+				if b := v.(*Frame).Box; b != want[i%len(scenes)] {
+					t.Fatalf("%s %s: frame %d box %+v, its own forward gives %+v", e.name, how, i, b, want[i%len(scenes)])
+				}
+			}
+		}
+		for i, f := range scenes {
+			if !sameBits(f.Image.Data, kept[i].Data) {
+				t.Fatalf("%s: the stream wrote producer image %d", e.name, i)
+			}
+		}
+	}
+}
+
+// TestPreprocessAllocatesNothing: pre-processing validates the frame and
+// reads its image in place.
+func TestPreprocessAllocatesNothing(t *testing.T) {
+	f := skyFrames(rand.New(rand.NewSource(16)), 1)[0]
+	if n := testing.AllocsPerRun(100, func() {
+		if err := Preprocess(f); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Preprocess allocates %v times, want 0", n)
+	}
+}
+
+// TestInferBatchAllocationBound keeps the inference stage from copying again:
+// on either engine a warm InferBatch allocates the model's output, the batch
+// stack and the frames' views, and nothing per frame beyond that.
+func TestInferBatchAllocationBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	bound := map[int]float64{1: 7, 4: 19}
+	for _, e := range skyNetEngines(t, rng) {
+		for _, n := range []int{1, 4} {
+			frames := skyFrames(rng, n)
+			infer := func() {
+				if err := InferBatch(e.m, frames); err != nil {
+					t.Fatal(err)
+				}
+			}
+			infer()
+			infer()
+			got := testing.AllocsPerRun(10, infer)
+			t.Logf("%s, batch %d: %v allocations", e.name, n, got)
+			if got > bound[n] {
+				t.Errorf("%s: InferBatch of %d allocates %v times, bound %v", e.name, n, got, bound[n])
+			}
 		}
 	}
 }
@@ -241,6 +414,19 @@ func TestStreamStagesRejectBadFrames(t *testing.T) {
 	}
 	if _, err := ex.Run(context.Background(), []any{&Frame{}}); err == nil {
 		t.Fatal("frame without an image must fail the run")
+	}
+}
+
+// TestPostprocessRejectsForeignPredictions: a prediction the head cannot
+// decode — another channel count, another rank — is an error from
+// Postprocess, not a panic on the goroutine that decodes it.
+func TestPostprocessRejectsForeignPredictions(t *testing.T) {
+	head := NewHead(nil)
+	for _, shape := range [][]int{{1, 12, 6, 12}, {1, 9, 2, 2}, {10, 2, 2}, {2, 10, 2, 2}} {
+		f := &Frame{Pred: tensor.New(shape...)}
+		if err := Postprocess(head, f); err == nil {
+			t.Errorf("a %v prediction decoded without an error", shape)
+		}
 	}
 }
 

@@ -311,6 +311,9 @@ func TestTable1Survey(t *testing.T) {
 	if !strings.Contains(notes, "network pruning       -> not implemented: the bottom-up flow needs no pruning") {
 		t.Fatal("table1 must say pruning is not implemented, and why")
 	}
+	if !strings.Contains(notes, "TensorRT / FP16       -> not implemented") {
+		t.Fatal("table1 must say FP16 is not implemented")
+	}
 }
 
 func TestWidthSweepRows(t *testing.T) {

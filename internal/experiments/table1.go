@@ -29,7 +29,7 @@ func Table1(o Options) Table {
 		"  1 input resizing        -> dataset.BilinearResize / fpga resize-factor study (fig2b)",
 		"  2 network pruning       -> not implemented: the bottom-up flow needs no pruning (§1)",
 		"  3 data quantization     -> internal/quant (fixed point, Table 7 schemes, grouped fig2a)",
-		"  4 TensorRT / FP16       -> quant.WithFloat16 (IEEE binary16 emulation)",
+		"  4 TensorRT / FP16       -> not implemented: the engines here run float32 and int8",
 		"  5 CPU-FPGA partition    -> internal/pipeline task partitioning (fig10)",
 		"  6 double-pumped DSP     -> fpga.DSPPerMult packing table (fig2c)",
 		"  7 fine-grained pipeline -> fpga.Simulate tile-level double-buffered schedule",

@@ -68,9 +68,6 @@ type Cost struct {
 	Bytes int64
 }
 
-// Add accumulates another cost.
-func (c *Cost) Add(o Cost) { c.MACs += o.MACs; c.Bytes += o.Bytes }
-
 // GraphCosts extracts the per-layer costs recorded by a graph's most
 // recent Forward. Layers that do not implement nn.Coster (activations,
 // pooling) are folded into their producer's bandwidth term and skipped.
@@ -143,12 +140,6 @@ func (p Platform) Power(util float64) float64 {
 		util = 1
 	}
 	return p.IdleW + util*(p.LoadW-p.IdleW)
-}
-
-// EnergyPerImage returns joules per inference at the given latency and
-// utilization.
-func (p Platform) EnergyPerImage(latency, util float64) float64 {
-	return p.Power(util) * latency
 }
 
 // String implements fmt.Stringer.

@@ -89,7 +89,8 @@ const maxWidth, MaxChannels, MaxSlots = 4, 2048, 16
 
 // Build constructs the graph and matching detection head. A spec out of the
 // bounds above — a hostile one would panic a make or exhaust memory — is an
-// error before anything is allocated.
+// error before anything is allocated, and so is a classless spec whose
+// head_channels is neither 0 (no head) nor what the head decodes.
 func (s Spec) Build() (*nn.Graph, *detect.Head, error) {
 	ok := s.Width >= 0 && s.Width <= maxWidth && len(s.Channels) <= MaxSlots // NaN fails too
 	for i, n := range append([]int{s.InC, s.HeadChannels, s.Classes}, s.Channels...) {
@@ -104,6 +105,9 @@ func (s Spec) Build() (*nn.Graph, *detect.Head, error) {
 		s.HeadChannels = head.Channels()
 	} else if s.HeadChannels > 0 {
 		head = detect.NewHead(nil)
+		if s.HeadChannels != head.Channels() {
+			return nil, nil, fmt.Errorf("modelspec: head_channels %d, the classless head decodes %d", s.HeadChannels, head.Channels())
+		}
 	}
 	if s.Family == FamilySearch {
 		g, err := s.buildSearch()

@@ -64,6 +64,24 @@ func TestSpecClassHead(t *testing.T) {
 	}
 }
 
+// TestSpecBuildRejectsForeignHeadChannels: a classless spec builds the
+// SkyNet head, which decodes 10 channels; a spec naming another count would
+// build a model whose every prediction the head cannot decode.
+func TestSpecBuildRejectsForeignHeadChannels(t *testing.T) {
+	for _, n := range []int{1, 9, 11, 12} {
+		s := DefaultSpec()
+		s.HeadChannels = n
+		if _, _, err := s.Build(); err == nil {
+			t.Errorf("a classless spec with head_channels %d built", n)
+		}
+	}
+	s := DefaultSpec()
+	s.HeadChannels = 0
+	if _, head, err := s.Build(); err != nil || head != nil {
+		t.Fatalf("head_channels 0: head %v, err %v; want no head and no error", head, err)
+	}
+}
+
 // TestSpecJSONRoundTrip: the spec a checkpoint embeds decodes to itself.
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := DefaultSpec()

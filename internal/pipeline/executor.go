@@ -21,7 +21,8 @@ import (
 type Proc func(ctx context.Context, item any) (any, error)
 
 // BatchProc is the transform of a micro-batching stage. It must return
-// exactly one result per input item, in the same order.
+// exactly one result per input item, in the same order; it may return items
+// itself: the stage emits the results before it collects the next batch.
 type BatchProc func(ctx context.Context, items []any) ([]any, error)
 
 // StageSpec describes one stage of an Executor. Exactly one of Proc and

@@ -113,16 +113,16 @@ type QuantizedModel struct {
 	// arena a sample needs — the plan's own plus the graph input's and output's
 	// — and the scratch its units need.
 	steps                   []*nn.Step
+	outShape                []int // the output's; Forward sets its batch dimension
 	perSample               int
 	colLen, bandLen, rowLen int // qconv's im2col matrix, a Bundle step's code band, a depth-wise accumulator row
 	maxInputs               int
 
-	arena []int8         // the codes of the forward in flight: one sample's per lane
-	lanes []*qlane       // lanes[i] owns region i of arena
-	out   *tensor.Tensor // the output of the last forward
-	x     []float32      // the input batch of the forward in flight
-	bands []int8         // the code bands of the Bundle steps, worker i's the i-th
-	rows  []int32        // the accumulator rows of the depth-wise ones, likewise
+	arena []int8    // the codes of the forward in flight: one sample's per lane
+	lanes []*qlane  // lanes[i] owns region i of arena
+	x, y  []float32 // the input and output batches of the forward in flight; nil between forwards
+	bands []int8    // the code bands of the Bundle steps, worker i's the i-th
+	rows  []int32   // the accumulator rows of the depth-wise ones, likewise
 
 	int8Units, floatUnits, fusedNodes int // Stats
 }
@@ -153,13 +153,12 @@ func (m *QuantizedModel) Stats() (int8Units, floatUnits, fusedNodes int) {
 }
 
 // Forward runs the quantized graph on x ([N,C,H,W]) and returns the float
-// output of the final layer; train is ignored. Unlike nn.Graph's caller-owned
-// result, the returned tensor is the engine's: it is valid until the next
-// Forward, which overwrites it. (A fresh one per call would cost about three
-// allocations per frame where a warm Forward makes none, the contract
-// TestQuantizedSteadyStateAllocs and the benchmark's stream-int8
-// allocs_per_op bound hold it to.) The samples go to nn.LanesFor(N) lanes; a
-// model with a float fallback unit runs on one, its layers keeping state.
+// output of the final layer; train is ignored. The returned tensor is the
+// caller's, as nn.Graph.Forward's is: the lanes write its rows in flight, and
+// the engine holds no reference to it, nor to x, once Forward returns. A warm
+// Forward allocates that tensor and nothing else. The samples go to
+// nn.LanesFor(N) lanes; a model with a float fallback unit runs on one, its
+// layers keeping state.
 func (m *QuantizedModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n := x.Dim(0)
 	m.planFor(x)
@@ -167,11 +166,13 @@ func (m *QuantizedModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	if m.floatUnits == 0 {
 		lanes = nn.LanesFor(n)
 	}
-	m.prepare(n, lanes)
-	m.x = x.Data
+	m.prepare(lanes)
+	m.outShape[0] = n
+	out := tensor.New(m.outShape...)
+	m.x, m.y = x.Data, out.Data
 	nn.RunLanes(laneWalker{m}, n, lanes)
-	m.x = nil // the caller's frames are not the engine's to keep
-	return m.out
+	m.x, m.y = nil, nil // neither batch is the engine's to keep
+	return out
 }
 
 // planFor makes m.steps the plan for x, compiling one when the sample shape
@@ -184,7 +185,7 @@ func (m *QuantizedModel) planFor(x *tensor.Tensor) {
 	m.steps, m.perSample = m.compile(x.Shape())
 	in.dims, in.off, in.size = slices.Clone(x.Shape()), -1, x.Len()/x.Dim(0)
 	in.dims[0] = 1
-	m.out, m.colLen, m.bandLen, m.rowLen, m.maxInputs = nil, 0, 0, 0, 0
+	m.colLen, m.bandLen, m.rowLen, m.maxInputs = 0, 0, 0, 0
 	for _, l := range m.lanes {
 		for j := range l.vals {
 			l.vals[j].view = nil // of the last plan's shape
@@ -216,6 +217,7 @@ func (m *QuantizedModel) planFor(x *tensor.Tensor) {
 	// The float plan keeps the graph input and output outside its arena. Their
 	// codes, where a unit asks for them, get a slot past the plan's, for the
 	// whole walk.
+	m.outShape = slices.Clone(m.val(m.output).dims)
 	for _, j := range [...]int{nn.GraphInput, m.output} {
 		v := m.val(j)
 		v.off = m.perSample
@@ -223,13 +225,10 @@ func (m *QuantizedModel) planFor(x *tensor.Tensor) {
 	}
 }
 
-// prepare readies the output tensor for a batch of n, and the arena, one
-// region per lane, the lanes with their scratch for the plan, and the
-// workers'. All grow with the lanes and the plan, never with the batch.
-func (m *QuantizedModel) prepare(n, lanes int) {
-	if out := m.val(m.output); m.out == nil || m.out.Dim(0) != n {
-		m.out = tensor.New(append([]int{n}, out.dims[1:]...)...)
-	}
+// prepare readies the arena, one region per lane, the lanes with their
+// scratch for the plan, and the workers'. All grow with the lanes and the
+// plan, never with the batch.
+func (m *QuantizedModel) prepare(lanes int) {
 	if need := m.perSample * lanes; len(m.arena) < need {
 		m.arena = nil // not live while its replacement is allocated, as in nn's Plan.prepare
 		m.arena = make([]int8, need)
@@ -260,7 +259,7 @@ func (m *QuantizedModel) prepare(n, lanes int) {
 type laneWalker struct{ m *QuantizedModel }
 
 // WalkSample takes sample i of the forward in flight through the steps on
-// lane li and leaves its output in row i of m.out.
+// lane li and leaves its output in row i of m.y.
 //
 //skynet:hotpath
 func (w laneWalker) WalkSample(li, i int, leaf bool) {
@@ -300,7 +299,7 @@ func (m *QuantizedModel) val(j int) *value { return &m.vals[j+1] }
 //skynet:hotpath
 func (l *qlane) outRow() []float32 {
 	size := l.m.val(l.m.output).size
-	return l.m.out.Data[l.sample*size : (l.sample+1)*size]
+	return l.m.y[l.sample*size : (l.sample+1)*size]
 }
 
 // slot returns value j's code slot in the lane's region.

@@ -232,20 +232,42 @@ func TestExportEmpty(t *testing.T) {
 	}
 }
 
-// TestQuantizedSteadyStateAllocs pins the zero-allocation contract of the
-// engine after the first forward sized all internal buffers: a single frame
-// on one worker, and a batch of 4 on the two lanes of two workers.
+// TestQuantizedSteadyStateAllocs pins the allocation contract of the engine
+// after the first forward sized all internal buffers: a forward allocates its
+// output and nothing else, the same as nn.Graph.Forward — a single frame on
+// one worker, and a batch of 4 on the two lanes of two workers.
 func TestQuantizedSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	_, qm, _ := exportSkyNet(t, rng, 0.25, 16, ExportConfig{})
 	for _, c := range []struct{ batch, workers int }{{1, 1}, {4, 2}, {1, 2}} {
 		x := randBatch(rng, c.batch, 3, 16, 16)
 		workers(c.workers, func() {
-			qm.Forward(x, false) // size all buffers
+			shape := qm.Forward(x, false).Shape() // size all buffers
 			qm.Forward(x, false)
-			if allocs := testing.AllocsPerRun(10, func() { qm.Forward(x, false) }); allocs > 0 {
-				t.Errorf("quantized forward steady state, batch %d on %d workers: %v allocs/op, want 0", c.batch, c.workers, allocs)
+			var out *tensor.Tensor
+			want := testing.AllocsPerRun(10, func() { out = tensor.New(shape...) })
+			runtime.KeepAlive(out)
+			if allocs := testing.AllocsPerRun(10, func() { qm.Forward(x, false) }); allocs != want {
+				t.Errorf("quantized forward steady state, batch %d on %d workers: %v allocs/op, want the output tensor's %v", c.batch, c.workers, allocs, want)
 			}
 		})
+	}
+}
+
+// TestQuantizedForwardHandsItsOutputOver: the tensor Forward returns is the
+// caller's. The next forward writes a buffer of its own, so the first result
+// keeps its values bit for bit.
+func TestQuantizedForwardHandsItsOutputOver(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	_, qm, _ := exportSkyNet(t, rng, 0.25, 16, ExportConfig{})
+	a, b := randBatch(rng, 2, 3, 16, 16), randBatch(rng, 2, 3, 16, 16)
+	first := qm.Forward(a, false)
+	kept := first.Clone()
+	second := qm.Forward(b, false)
+	if &first.Data[0] == &second.Data[0] {
+		t.Fatal("two forwards returned one buffer")
+	}
+	if !sameBits(first.Data, kept.Data) {
+		t.Fatal("a second forward changed the first forward's output")
 	}
 }

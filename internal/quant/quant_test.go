@@ -312,82 +312,3 @@ func TestFMSensitivityShape(t *testing.T) {
 		t.Skipf("FM error %v not above weight error %v on this tiny net", fmErr, wErr)
 	}
 }
-
-func TestFloat16ExactValues(t *testing.T) {
-	// Values exactly representable in binary16 must round-trip.
-	for _, v := range []float32{0, 1, -1, 0.5, 2, 1024, -0.25, 6} {
-		if got := Float16Round(v); got != v {
-			t.Fatalf("Float16Round(%v) = %v", v, got)
-		}
-	}
-}
-
-func TestFloat16RoundingError(t *testing.T) {
-	// Half precision has a 10-bit mantissa: relative error ≤ 2^-11.
-	for _, v := range []float32{1.2345, -3.14159, 100.7, 0.001234} {
-		got := Float16Round(v)
-		rel := math.Abs(float64(got-v)) / math.Abs(float64(v))
-		if rel > 1.0/2048 {
-			t.Fatalf("Float16Round(%v) = %v, relative error %v", v, got, rel)
-		}
-	}
-}
-
-func TestFloat16Extremes(t *testing.T) {
-	// Values beyond the half range overflow to infinity.
-	if !math.IsInf(float64(Float16Round(1e6)), 1) {
-		t.Fatalf("1e6 should overflow to +Inf, got %v", Float16Round(1e6))
-	}
-	if !math.IsInf(float64(Float16Round(-1e6)), -1) {
-		t.Fatal("-1e6 should overflow to -Inf")
-	}
-	// Tiny values underflow through subnormals to zero.
-	if got := Float16Round(1e-9); got != 0 {
-		t.Fatalf("1e-9 should underflow to 0, got %v", got)
-	}
-	// Subnormal half values survive.
-	if got := Float16Round(3e-6); got == 0 {
-		t.Fatal("3e-6 is representable as a half subnormal")
-	}
-}
-
-// Property: Float16Round is idempotent and monotone.
-func TestQuickFloat16Properties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := float32(rng.NormFloat64() * 10)
-		b := float32(rng.NormFloat64() * 10)
-		if a > b {
-			a, b = b, a
-		}
-		ra, rb := Float16Round(a), Float16Round(b)
-		return Float16Round(ra) == ra && ra <= rb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWithFloat16RestoresModel(t *testing.T) {
-	g := buildTinyNet(20)
-	rng := rand.New(rand.NewSource(21))
-	x := tensor.New(1, 3, 6, 6)
-	x.RandUniform(rng, 0, 1)
-	ref := g.Forward(x, false).Clone()
-	var inHalf *tensor.Tensor
-	WithFloat16(g, func(m Emulated) {
-		inHalf = m.Forward(x, false)
-	})
-	after := g.Forward(x, false)
-	var diff float64
-	for i := range ref.Data {
-		diff += math.Abs(float64(ref.Data[i] - inHalf.Data[i]))
-		if after.Data[i] != ref.Data[i] {
-			t.Fatal("WithFloat16 must restore float32 behaviour")
-		}
-	}
-	// FP16 is close to FP32 — small but generally nonzero perturbation.
-	if diff > 0.1*float64(len(ref.Data)) {
-		t.Fatalf("half precision perturbed the output too much: %v", diff)
-	}
-}

@@ -151,15 +151,17 @@ func (p *Pool) buildGeneration(factory ModelFactory, id int64) (*generation, err
 
 // Submit runs one detection through the pool: the cache, then the serving
 // generation's queue, then — if that generation began draining under it —
-// the freshly swapped-in one. The image stays the caller's: the engine works
-// on a copy.
+// the freshly swapped-in one. The image stays the caller's: a cache miss
+// hands the engine a copy, because Submit can return on the caller's deadline
+// while the request is still queued, and the caller may then reuse img. This
+// is the one copy of a frame on the detection path.
 func (p *Pool) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, error) {
 	t0 := time.Now()
 	key := hashFrame(img)
 	if box, conf, _, ok := p.cached(key, t0); ok {
 		return box, conf, nil
 	}
-	box, conf, _, err := p.submit(ctx, key, img, false, t0)
+	box, conf, _, err := p.submit(ctx, key, img.Clone(), t0)
 	return box, conf, err
 }
 
@@ -180,14 +182,14 @@ func (p *Pool) cached(key frameKey, t0 time.Time) (detect.Box, float64, int64, b
 
 // submit queues a cache miss and stores the answer under key, returning it
 // with the serving generation's ID (for the X-Skynet-Generation response
-// header and the swap tests). owned says img is the front door's own buffer,
-// which the engine may read in place (detect.Frame.Owned).
-func (p *Pool) submit(ctx context.Context, key frameKey, img *tensor.Tensor, owned bool, t0 time.Time) (detect.Box, float64, int64, error) {
+// header and the swap tests). img is handed over: it must be a buffer the
+// front door owns, which the engine reads in place.
+func (p *Pool) submit(ctx context.Context, key frameKey, img *tensor.Tensor, t0 time.Time) (detect.Box, float64, int64, error) {
 	g := p.gen.Load()
 
-	// Validate and pre-process once, on the caller's goroutine: every
-	// generation shares one Config, so a frame prepared here rides any.
-	f, err := g.prepare(img, owned)
+	// Validate once, on the caller's goroutine: every generation shares one
+	// Config, so a frame prepared here rides any.
+	f, err := g.prepare(img)
 	if err != nil {
 		return detect.Box{}, 0, g.id, err
 	}

@@ -96,7 +96,7 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		box, conf, gen, err = p.submit(r.Context(), key, img, true, t0)
+		box, conf, gen, err = p.submit(r.Context(), key, img, t0)
 	}
 	if reusable(err) {
 		putReqBuf(buf)

@@ -132,7 +132,7 @@ func (g *generation) inferBatch(worker int, batch []*request) {
 			if !req.live() {
 				continue
 			}
-			if len(live) > 0 && !req.frame.X.SameShape(live[0].X) {
+			if len(live) > 0 && !req.frame.Image.SameShape(live[0].Image) {
 				break
 			}
 			live = append(live, req.frame)
@@ -166,12 +166,13 @@ func inferBatchSafe(m detect.Model, frames []*detect.Frame) (err error) {
 	return nil
 }
 
-// prepare validates and pre-processes one image on the caller's goroutine,
-// before admission: a malformed frame never takes a queue slot. owned hands
-// img over (detect.Frame.Owned): it is read in place until the ticket is done.
-func (g *generation) prepare(img *tensor.Tensor, owned bool) (*detect.Frame, error) {
+// prepare validates one image on the caller's goroutine, before admission: a
+// malformed frame never takes a queue slot. The frame takes img over as it is
+// (see detect.Frame): nothing copies it, so the caller must not write it while
+// any request carrying the frame may still be queued or in a forward.
+func (g *generation) prepare(img *tensor.Tensor) (*detect.Frame, error) {
 	t0 := time.Now()
-	f := &detect.Frame{Image: img, Owned: owned}
+	f := &detect.Frame{Image: img}
 	err := detect.Preprocess(f)
 	if err != nil {
 		err = fmt.Errorf("%w: %v", ErrBadInput, err)

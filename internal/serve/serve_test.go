@@ -472,7 +472,7 @@ func (m *steppedModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // returns the request is in the generation's queue.
 func enqueue(t *testing.T, r *generation, img *tensor.Tensor) *request {
 	t.Helper()
-	f, err := r.prepare(img, false)
+	f, err := r.prepare(img)
 	if err != nil {
 		t.Fatal(err)
 	}
