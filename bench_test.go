@@ -136,13 +136,11 @@ func BenchmarkFig6SizeDist(b *testing.B) {
 func BenchmarkTable5GPU(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	x := benchInput(rng, 1, 3, 48, 96)
-	g.Forward(x, false)
 	mean := hw.CalibrateMeanEnergy(hw.GPU2019[0], hw.GPUTrackX)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		costs := hw.GraphCosts(g)
-		lat := hw.TX2.NetLatency(costs)
+		costs := nn.Costs(g, []int{1, 3, 48, 96})
+		lat := hw.TX2.GraphLatency(costs)
 		util := hw.TX2.Utilization(costs)
 		entry := hw.Entry{Team: "sim", IoU: 0.73, FPS: 1 / lat, PowerW: hw.TX2.Power(util)}
 		hw.ScoreEntries([]hw.Entry{entry}, hw.GPUTrackX, mean)
@@ -154,12 +152,10 @@ func BenchmarkTable5GPU(b *testing.B) {
 func BenchmarkTable6FPGA(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	x := benchInput(rng, 1, 3, 48, 96)
-	g.Forward(x, false)
 	ip := fpga.AutoConfig(fpga.Ultra96, 11, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fpga.Estimate(g, fpga.Ultra96, ip)
+		fpga.Estimate(nn.Costs(g, []int{1, 3, 48, 96}), fpga.Ultra96, ip)
 	}
 }
 
@@ -608,11 +604,10 @@ func BenchmarkMobileNetVsSkyNet(b *testing.B) {
 func BenchmarkFPGASimulator(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
-	x := benchInput(rng, 1, 3, 160, 320)
-	g.Forward(x, false)
+	costs := nn.Costs(g, []int{1, 3, 160, 320})
 	ip := fpga.AutoConfig(fpga.Ultra96, 11, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fpga.Simulate(g, fpga.Ultra96, ip)
+		fpga.Simulate(costs, fpga.Ultra96, ip)
 	}
 }

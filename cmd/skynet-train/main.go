@@ -18,7 +18,6 @@ import (
 	"skynet/internal/detect"
 	"skynet/internal/modelspec"
 	"skynet/internal/nn"
-	"skynet/internal/tensor"
 )
 
 func main() {
@@ -65,9 +64,7 @@ func main() {
 	fmt.Printf("SkyNet %s (%s, width %.2f): %d parameters\n",
 		spec.Variant, map[bool]string{true: "ReLU6", false: "ReLU"}[*relu6], *width, g.NumParams())
 	if *summary {
-		probe := tensor.New(1, 3, *imgH, *imgW)
-		g.Forward(probe, false)
-		fmt.Print(nn.Summary(g))
+		fmt.Print(nn.Summary(nn.Costs(g, []int{1, spec.InC, *imgH, *imgW})))
 	}
 
 	detect.TrainDetector(g, head, train, detect.TrainConfig{

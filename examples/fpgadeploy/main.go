@@ -14,7 +14,6 @@ import (
 	"skynet/internal/fpga"
 	"skynet/internal/nn"
 	"skynet/internal/quant"
-	"skynet/internal/tensor"
 )
 
 func main() {
@@ -47,13 +46,11 @@ func main() {
 	}
 
 	fmt.Printf("\nmapping onto %s with scheme %s:\n", fpga.Ultra96, chosen)
-	// Shapes must be recorded at the deployment resolution.
-	x := tensor.New(1, 3, gen.Config().H, gen.Config().W)
-	x.RandUniform(rng, 0, 1)
-	model.Forward(x, false)
+	// Priced at the deployment resolution.
+	costs := nn.Costs(model, []int{1, 3, gen.Config().H, gen.Config().W})
 	ip := fpga.AutoConfig(fpga.Ultra96, chosen.WeightBits, chosen.FMBits)
 	ip.Batch = 4
-	rep := fpga.Estimate(model, fpga.Ultra96, ip)
+	rep := fpga.Estimate(costs, fpga.Ultra96, ip)
 	fmt.Printf("  IP: %dx%d multipliers, %d DSPs (%.0f%% of device)\n",
 		ip.Tm, ip.Tn, rep.DSPUsed, rep.UtilDSP*100)
 	fmt.Printf("  latency %.2f ms -> %.1f FPS at %.1f GOPS\n",
@@ -63,7 +60,7 @@ func main() {
 	fmt.Printf("  fits device: %v\n", rep.Fits)
 
 	fmt.Println("\ntile-level schedule (ideal bound from the cycle simulator):")
-	sim := fpga.Simulate(model, fpga.Ultra96, ip)
+	sim := fpga.Simulate(costs, fpga.Ultra96, ip)
 	fmt.Print(sim.Timeline())
 
 	fmt.Println("\nbatch + tiling plan (Figure 9):")

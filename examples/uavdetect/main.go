@@ -127,10 +127,7 @@ func main() {
 	fmt.Printf("mean IoU (R_IoU, Eq. 2): %.3f\n", meanIoU)
 
 	// Score the run with the contest formulas against the TX2 power model.
-	// One more forward seeds GraphCosts with per-layer shapes.
-	model.Forward(x1, false)
-	costs := hw.GraphCosts(model)
-	power := hw.TX2.Power(hw.TX2.Utilization(costs))
+	power := hw.TX2.Power(hw.TX2.Utilization(nn.Costs(model, x1.Shape())))
 	entry := hw.Entry{Team: "uavdetect", IoU: meanIoU, FPS: fps, PowerW: power}
 	score := hw.ScoreEntries([]hw.Entry{entry}, hw.GPUTrackX,
 		hw.CalibrateMeanEnergy(hw.GPU2019[0], hw.GPUTrackX))[0]

@@ -69,12 +69,10 @@ func TestIntegrationTrainQuantizeDeployScore(t *testing.T) {
 
 	// Hardware mapping: estimate + simulate must both fit and agree on the
 	// order of magnitude.
-	x := tensor.New(1, 3, 48, 96)
-	x.RandUniform(rng, 0, 1)
-	model.Forward(x, false)
+	costs := nn.Costs(model, []int{1, 3, 48, 96})
 	ip := fpga.AutoConfig(fpga.Ultra96, 11, 9)
-	est := fpga.Estimate(model, fpga.Ultra96, ip)
-	sim := fpga.Simulate(model, fpga.Ultra96, ip)
+	est := fpga.Estimate(costs, fpga.Ultra96, ip)
+	sim := fpga.Simulate(costs, fpga.Ultra96, ip)
 	if !est.Fits {
 		t.Fatalf("scaled SkyNet must fit the device: %s", est)
 	}
@@ -169,8 +167,7 @@ func TestIntegrationFlowToDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(1, 3, dcfg.H, dcfg.W)
-	p := bundle.Target{Device: fpga.Ultra96, GPU: hw.TX2, WBits: 11, FMBits: 9}.Price(g, x)
+	p := bundle.Target{Device: fpga.Ultra96, GPU: hw.TX2, WBits: 11, FMBits: 9}.Price(g, []int{1, 3, dcfg.H, dcfg.W})
 	if !p.Report.Fits || p.GPUms <= 0 {
 		t.Fatalf("searched network failed deployment: %s, gpu %.3fms", p.Report, p.GPUms)
 	}

@@ -2,11 +2,13 @@ package bundle
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"skynet/internal/dataset"
 	"skynet/internal/fpga"
 	"skynet/internal/hw"
+	"skynet/internal/nn"
 	"skynet/internal/tensor"
 )
 
@@ -81,9 +83,7 @@ func TestStage1PricesOnTheConfiguredTarget(t *testing.T) {
 	for i, b := range bundles {
 		rng := rand.New(rand.NewSource(0))
 		g := b.BuildSketch(rng, sketch)
-		x := tensor.New(1, sketch.InC, 24, 48)
-		x.RandUniform(rng, 0, 1)
-		p := pynq.Price(g, x)
+		p := pynq.Price(g, []int{1, sketch.InC, 24, 48})
 		want := Evaluation{Bundle: b, FPGALatMS: p.Report.LatencyS * 1e3, GPULatMS: p.GPUms,
 			DSP: p.Report.DSPUsed, BRAM: p.Report.BRAMUsed, ParamBytes: g.ParamBytes()}
 		e := got[i]
@@ -94,6 +94,30 @@ func TestStage1PricesOnTheConfiguredTarget(t *testing.T) {
 		u := onUltra[i]
 		if e.FPGALatMS == u.FPGALatMS || e.GPULatMS == u.GPULatMS || e.DSP == u.DSP {
 			t.Fatalf("%s: Pynq-Z1/GTX 1080 Ti W8/FM8 priced like Ultra96/TX2 W11/FM9: %+v vs %+v", b.Name(), e, u)
+		}
+	}
+}
+
+// TestPriceHasNoHistory: a price is the architecture's and the input
+// shape's. It reads the same, to the bit, on a fresh sketch, after a batch-4
+// inference forward and after a training forward at another size.
+func TestPriceHasNoHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := Enumerate()[6].BuildSketch(rng, DefaultSketch())
+	in := []int{1, 3, 24, 48}
+	price := func() (Price, fpga.SimReport) {
+		return ultra96.Price(g, in), fpga.Simulate(nn.Costs(g, in), fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 11, 9))
+	}
+	wantP, wantS := price()
+	for _, x := range []struct {
+		shape []int
+		train bool
+	}{{[]int{4, 3, 24, 48}, false}, {[]int{2, 3, 16, 32}, true}} {
+		xt := tensor.New(x.shape...)
+		xt.RandUniform(rng, 0, 1)
+		g.Forward(xt, x.train)
+		if p, s := price(); !reflect.DeepEqual(p, wantP) || !reflect.DeepEqual(s, wantS) {
+			t.Fatalf("after a forward of %v (train %v): price %+v, fresh %+v", x.shape, x.train, p, wantP)
 		}
 	}
 }

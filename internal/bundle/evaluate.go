@@ -9,7 +9,6 @@ import (
 	"skynet/internal/fpga"
 	"skynet/internal/hw"
 	"skynet/internal/nn"
-	"skynet/internal/tensor"
 )
 
 // Evaluation is one Bundle's Stage-1 scorecard: accuracy potential from
@@ -41,18 +40,19 @@ type Price struct {
 	GPUms  float64
 }
 
-// Price forwards x through g, recording the shapes the models read, and
-// prices g on t: Stage 1's sketches, Stage 2's candidates, Stage 3's winner.
-func (t Target) Price(g *nn.Graph, x *tensor.Tensor) Price {
-	g.Forward(x, false)
+// Price prices g on t at input shape in (in[0] is ignored; the price is one
+// image's), from its price table (nn.Costs), with no forward: Stage 1's
+// sketches, Stage 2's candidates, Stage 3's winner.
+func (t Target) Price(g *nn.Graph, in []int) Price {
+	costs := nn.Costs(g, in)
 	var macs int64
-	for _, c := range hw.GraphCosts(g) {
+	for _, c := range costs {
 		macs += c.MACs
 	}
 	return Price{
 		MACs:   macs,
-		Report: fpga.Estimate(g, t.Device, fpga.AutoConfig(t.Device, t.WBits, t.FMBits)),
-		GPUms:  t.GPU.GraphLatency(g) * 1e3,
+		Report: fpga.Estimate(costs, t.Device, fpga.AutoConfig(t.Device, t.WBits, t.FMBits)),
+		GPUms:  t.GPU.GraphLatency(costs) * 1e3,
 	}
 }
 
@@ -89,7 +89,7 @@ func TrainingAccuracy(gen *dataset.Generator, sketch SketchConfig, trainN, valN,
 // (§4.1).
 func HardwareEval(b Bundle, sketch SketchConfig, inH, inW int, t Target) Evaluation {
 	g := b.BuildSketch(rand.New(rand.NewSource(0)), sketch)
-	p := t.Price(g, tensor.New(1, sketch.InC, inH, inW))
+	p := t.Price(g, []int{1, sketch.InC, inH, inW})
 	return Evaluation{Bundle: b, FPGALatMS: p.Report.LatencyS * 1e3, GPULatMS: p.GPUms,
 		DSP: p.Report.DSPUsed, BRAM: p.Report.BRAMUsed, ParamBytes: g.ParamBytes()}
 }

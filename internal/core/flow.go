@@ -25,7 +25,6 @@ import (
 	"skynet/internal/modelspec"
 	"skynet/internal/nn"
 	"skynet/internal/pso"
-	"skynet/internal/tensor"
 )
 
 // FlowConfig parameterizes a full bottom-up design run. The zero value is
@@ -182,7 +181,7 @@ func Run(cfg FlowConfig) FlowResult {
 	logf("stage 3: bypass=%v relu6=%v final IoU %.4f", bypassApplied, cfg.UseReLU6, finalIoU)
 
 	// Hardware reports for the final design.
-	price := target.Price(finalNet, tensor.New(1, 3, cfg.Dataset.H, cfg.Dataset.W))
+	price := target.Price(finalNet, []int{1, 3, cfg.Dataset.H, cfg.Dataset.W})
 
 	return FlowResult{
 		Candidates:    evals,

@@ -7,8 +7,8 @@ import (
 	"skynet/internal/backbone"
 	"skynet/internal/fpga"
 	"skynet/internal/hw"
+	"skynet/internal/nn"
 	"skynet/internal/pipeline"
-	"skynet/internal/tensor"
 )
 
 // simulateGPUEntry produces our SkyNet GPU-track row from the simulators:
@@ -19,11 +19,8 @@ import (
 func simulateGPUEntry(o Options) (hw.Entry, []float64) {
 	rng := rand.New(rand.NewSource(o.seed()))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
-	x := tensor.New(1, 3, 160, 320)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
-	costs := hw.GraphCosts(g)
-	inferS := hw.TX2.NetLatency(costs)
+	costs := nn.Costs(g, []int{1, 3, 160, 320})
+	inferS := hw.TX2.GraphLatency(costs)
 	profile := []float64{0.013, inferS, 0.010}
 	fps := pipeline.ThroughputFPS(profile)
 	util := hw.TX2.Utilization(costs)
@@ -36,12 +33,9 @@ func simulateGPUEntry(o Options) (hw.Entry, []float64) {
 func simulateFPGAEntry(o Options) (hw.Entry, fpga.Report) {
 	rng := rand.New(rand.NewSource(o.seed()))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
-	x := tensor.New(1, 3, 160, 320)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
 	ip := fpga.AutoConfig(fpga.Ultra96, 11, 9)
 	ip.Batch = 4 // the §6.4.1 batch+tiling scheme
-	rep := fpga.Estimate(g, fpga.Ultra96, ip)
+	rep := fpga.Estimate(nn.Costs(g, []int{1, 3, 160, 320}), fpga.Ultra96, ip)
 	// The system pipeline caps throughput at the slowest stage.
 	profile := pipeline.FPGAStageProfile(rep.LatencyS)
 	fps := pipeline.ThroughputFPS(profile)

@@ -351,3 +351,47 @@ func TestTableMarkdown(t *testing.T) {
 		t.Fatalf("markdown notes handling wrong:\n%s", md)
 	}
 }
+
+// TestModelOnlyTablesMatchCommittedOutput: the experiments that train nothing
+// render, at the default options, byte for byte the blocks of the committed
+// experiments_output.txt (what `skynet-experiments -exp all -quiet` prints).
+// Four of them price SkyNet C on the hardware models: Tables 5 and 6,
+// Figure 2(c) and Figure 9.
+func TestModelOnlyTablesMatchCommittedOutput(t *testing.T) {
+	b, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := "\n" + string(b)
+	for _, id := range []string{"table1", "table5", "table6", "fig2c", "fig9", "fig10", "params"} {
+		e, _ := ByID(id)
+		got := e.Run(Options{Quick: true, Seed: 1}).Render()
+		if !strings.Contains(committed, "\n"+got+"\n") {
+			head, _, _ := strings.Cut(got, "\n")
+			_, block, _ := strings.Cut(committed, "\n"+head+"\n")
+			block, _, _ = strings.Cut(block, "\n\n")
+			t.Fatalf("%s renders\n%s\nexperiments_output.txt has\n%s\n%s", id, got, head, block)
+		}
+	}
+}
+
+// TestFig2aFMColumnIsOneImage: Figure 2(a)'s FM column is one 48×48 image's
+// feature maps, whatever the validation-set size. It used to be the last
+// evaluation batch's: 8 images at 128, 1 at 129.
+func TestFig2aFMColumnIsOneImage(t *testing.T) {
+	fm := func(valN int) []string {
+		tab := Fig2a(Options{Quick: true, Seed: 1, Override: &Budget{TrainN: 8, ValN: valN, Epochs: 1}})
+		var col []string
+		for _, row := range tab.Rows {
+			col = append(col, row[3])
+		}
+		return col
+	}
+	a, b := fm(128), fm(129)
+	if strings.Join(a, " ") != strings.Join(b, " ") {
+		t.Fatalf("FM column at 128 validation images %v, at 129 %v", a, b)
+	}
+	if a[0] != "22.8" {
+		t.Fatalf("float32 FMs %s KB, want 22.8", a[0])
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"skynet/internal/detect"
 	"skynet/internal/fpga"
 	"skynet/internal/nn"
-	"skynet/internal/tensor"
 )
 
 // skyNetMaxFM returns the largest per-image feature-map plane of the
@@ -18,11 +17,8 @@ import (
 func skyNetMaxFM(o Options) int64 {
 	rng := rand.New(rand.NewSource(o.seed()))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
-	x := tensor.New(1, 3, 160, 320)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
 	ip := fpga.AutoConfig(fpga.Ultra96, 11, 9)
-	rep := fpga.Estimate(g, fpga.Ultra96, ip)
+	rep := fpga.Estimate(nn.Costs(g, []int{1, 3, 160, 320}), fpga.Ultra96, ip)
 	return rep.MaxFMWords
 }
 

@@ -50,33 +50,34 @@ func Fig2a(o Options) Table {
 		return correct / float64(len(valImgs))
 	}
 	base := evalAcc(g)
-	// Record the float sizes after one forward (for FM accounting).
+	// The FM sizes are one 48×48 image's.
+	costs := nn.Costs(g, []int{1, 3, 48, 48})
 	paramMB := float64(quant.ParamBytesAtBits(g, 0)) / 1e6
-	fmMB := float64(quant.FMBytesAtBits(g, 0)) / 1e6
+	fmKB := float64(quant.FMBytesAtBits(costs, 0)) / 1e3
 
 	t := Table{
 		ID:     "Figure 2(a)",
 		Title:  "Accuracy under parameter vs feature-map quantization",
-		Header: []string{"Series", "Scheme", "Params (MB)", "FMs (MB)", "Compression", "Accuracy"},
+		Header: []string{"Series", "Scheme", "Params (MB)", "FMs (KB)", "Compression", "Accuracy"},
 		Notes: []string{
 			"float32 AlexNet-class reference accuracy " + f3(base),
 			"blue = parameter compression (FM float32); green = FM compression (params float32)",
 		},
 	}
-	t.Rows = append(t.Rows, []string{"float32", "-", f2(paramMB), f2(fmMB), "1.0x", f3(base)})
+	t.Rows = append(t.Rows, []string{"float32", "-", f2(paramMB), f1(fmKB), "1.0x", f3(base)})
 	for _, gb := range quant.Fig2aParamSchemes {
 		restore := quant.ApplyGroupBits(g, gb)
 		acc := evalAcc(g)
 		restore()
 		sz := float64(quant.GroupedParamBytes(g, gb)) / 1e6
-		t.Rows = append(t.Rows, []string{"param (blue)", gb.Name, f2(sz), f2(fmMB),
+		t.Rows = append(t.Rows, []string{"param (blue)", gb.Name, f2(sz), f1(fmKB),
 			f1(paramMB/sz) + "x", f3(acc)})
 	}
 	for _, gb := range quant.Fig2aFMSchemes {
 		acc := evalAcc(quant.EmulateFM(g, gb.FMBits))
-		sz := float64(quant.FMBytesAtBits(g, gb.FMBits)) / 1e6
-		t.Rows = append(t.Rows, []string{"FM (green)", gb.Name, f2(paramMB), f2(sz),
-			f1(fmMB/sz) + "x", f3(acc)})
+		sz := float64(quant.FMBytesAtBits(costs, gb.FMBits)) / 1e3
+		t.Rows = append(t.Rows, []string{"FM (green)", gb.Name, f2(paramMB), f1(sz),
+			f1(fmKB/sz) + "x", f3(acc)})
 	}
 	return t
 }
@@ -155,11 +156,10 @@ func Table7(o Options) Table {
 		iou := detect.MeanIoU(qm, head, val, 8)
 		t.Rows = append(t.Rows, []string{"int8 per-channel", "8", "8", f3(iou), "-"})
 		// Couple the measured accuracy into the DSP/latency estimator so
-		// the table carries the full accuracy/latency/resource point. The
-		// estimate prices the graph's last forward: one frame.
-		frame, _ := detect.Batch(val, 0, 1)
-		g.Forward(frame, false)
-		op := fpga.Estimate(g, fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 8, 8)).WithAccuracy(iou)
+		// the table carries the full accuracy/latency/resource point, for
+		// one frame.
+		costs := nn.Costs(g, []int{1, 3, gen.Config().H, gen.Config().W})
+		op := fpga.Estimate(costs, fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 8, 8)).WithAccuracy(iou)
 		t.Notes = append(t.Notes,
 			"int8 per-channel row measured by the real integer engine (quant.Export)",
 			"Ultra96 W8/FM8 operating point: "+op.String())

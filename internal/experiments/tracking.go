@@ -9,7 +9,7 @@ import (
 	"skynet/internal/backbone"
 	"skynet/internal/dataset"
 	"skynet/internal/hw"
-	"skynet/internal/tensor"
+	"skynet/internal/nn"
 	"skynet/internal/track"
 )
 
@@ -42,12 +42,9 @@ func modelFPS1080Ti(b backbone.Builder) float64 {
 	rng := rand.New(rand.NewSource(0))
 	cfg := backbone.Config{Width: 1, InC: 3, HeadChannels: 0, ReLU6: true}
 	g := b(rng, cfg)
-	x := tensor.New(1, 3, 256, 256)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
 	p := hw.GTX1080Ti
 	const headS = 0.010 // correlation + RPN/mask heads + box post-processing
-	lat := p.GraphLatency(g) + p.PerLayerOverheadS*float64(len(g.Nodes)) + headS
+	lat := p.GraphLatency(nn.Costs(g, []int{1, 3, 256, 256})) + p.PerLayerOverheadS*float64(len(g.Nodes)) + headS
 	return 1 / lat
 }
 

@@ -7,7 +7,7 @@ import (
 	"skynet/internal/dataset"
 	"skynet/internal/fpga"
 	"skynet/internal/hw"
-	"skynet/internal/tensor"
+	"skynet/internal/nn"
 )
 
 // WidthSweep is an ablation beyond the paper: SkyNet C swept across width
@@ -38,11 +38,9 @@ func WidthSweep(o Options) Table {
 		g := backbone.SkyNetC(rng, cfg)
 		iou := trainEval(g, train, val, o.epochs())
 		// Hardware models at the deployment resolution.
-		x := tensor.New(1, 3, cfgD.H, cfgD.W)
-		x.RandUniform(rng, 0, 1)
-		g.Forward(x, false)
-		gpuFPS := 1 / hw.TX2.GraphLatency(g)
-		rep := fpga.Estimate(g, fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 11, 9))
+		costs := nn.Costs(g, []int{1, 3, cfgD.H, cfgD.W})
+		gpuFPS := 1 / hw.TX2.GraphLatency(costs)
+		rep := fpga.Estimate(costs, fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 11, 9))
 		t.Rows = append(t.Rows, []string{
 			f3(w),
 			f2(float64(g.NumParams()) / 1e3),

@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 
 	"skynet/internal/backbone"
-	"skynet/internal/tensor"
+	"skynet/internal/nn"
 )
 
 func TestDSPPerMultFigure2c(t *testing.T) {
@@ -103,11 +103,9 @@ func TestAutoConfigLanesScaleWithPacking(t *testing.T) {
 func TestEstimateSkyNetUltra96(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
-	x := tensor.New(1, 3, 160, 320)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
+	costs := nn.Costs(g, []int{1, 3, 160, 320})
 	ip := AutoConfig(Ultra96, 11, 9) // the paper's scheme 1
-	rep := Estimate(g, Ultra96, ip)
+	rep := Estimate(costs, Ultra96, ip)
 	if !rep.Fits {
 		t.Fatalf("SkyNet must fit Ultra96: %s", rep)
 	}
@@ -125,11 +123,9 @@ func TestEstimateSkyNetUltra96(t *testing.T) {
 func TestEstimateMonotoneInParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	x := tensor.New(1, 3, 48, 96)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
-	small := Estimate(g, Ultra96, IPConfig{Tm: 4, Tn: 4, WBits: 11, FMBits: 9})
-	large := Estimate(g, Ultra96, IPConfig{Tm: 16, Tn: 16, WBits: 11, FMBits: 9})
+	costs := nn.Costs(g, []int{1, 3, 48, 96})
+	small := Estimate(costs, Ultra96, IPConfig{Tm: 4, Tn: 4, WBits: 11, FMBits: 9})
+	large := Estimate(costs, Ultra96, IPConfig{Tm: 16, Tn: 16, WBits: 11, FMBits: 9})
 	if large.LatencyS >= small.LatencyS {
 		t.Fatalf("larger array must be faster: %v vs %v", large.LatencyS, small.LatencyS)
 	}
@@ -143,11 +139,9 @@ func TestEstimateBatchImprovesWeightTraffic(t *testing.T) {
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
 	// Small input so all layer boundaries stay on-chip even at batch 4;
 	// the remaining traffic is the weight stream, which batching divides.
-	x := tensor.New(1, 3, 24, 24)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
-	b1 := Estimate(g, Ultra96, IPConfig{Tm: 8, Tn: 8, WBits: 11, FMBits: 9, Batch: 1})
-	b4 := Estimate(g, Ultra96, IPConfig{Tm: 8, Tn: 8, WBits: 11, FMBits: 9, Batch: 4})
+	costs := nn.Costs(g, []int{1, 3, 24, 24})
+	b1 := Estimate(costs, Ultra96, IPConfig{Tm: 8, Tn: 8, WBits: 11, FMBits: 9, Batch: 1})
+	b4 := Estimate(costs, Ultra96, IPConfig{Tm: 8, Tn: 8, WBits: 11, FMBits: 9, Batch: 4})
 	if b4.MemoryS >= b1.MemoryS {
 		t.Fatalf("batching must reduce per-image weight traffic: %v vs %v", b4.MemoryS, b1.MemoryS)
 	}
@@ -259,11 +253,9 @@ func TestEstimateQuantizationSpeedsUp(t *testing.T) {
 	// auto-sized 8-bit IP must beat an auto-sized 16-bit one.
 	rng := rand.New(rand.NewSource(9))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	x := tensor.New(1, 3, 48, 96)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
-	w8 := Estimate(g, Ultra96, AutoConfig(Ultra96, 8, 8))
-	w16 := Estimate(g, Ultra96, AutoConfig(Ultra96, 15, 16))
+	costs := nn.Costs(g, []int{1, 3, 48, 96})
+	w8 := Estimate(costs, Ultra96, AutoConfig(Ultra96, 8, 8))
+	w16 := Estimate(costs, Ultra96, AutoConfig(Ultra96, 15, 16))
 	if w8.LatencyS >= w16.LatencyS {
 		t.Fatalf("8-bit design (%.2fms) must beat 16-bit (%.2fms)",
 			w8.LatencyS*1e3, w16.LatencyS*1e3)
@@ -275,10 +267,8 @@ func TestEstimateQuantizationSpeedsUp(t *testing.T) {
 func TestOperatingPointCouplesAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	x := tensor.New(1, 3, 32, 64)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
-	rep := Estimate(g, Ultra96, AutoConfig(Ultra96, 8, 8))
+	costs := nn.Costs(g, []int{1, 3, 32, 64})
+	rep := Estimate(costs, Ultra96, AutoConfig(Ultra96, 8, 8))
 	p := rep.WithAccuracy(0.512)
 	if p.IoU != 0.512 || p.FPS != rep.FPS {
 		t.Fatalf("operating point %+v lost fields of %+v", p, rep)

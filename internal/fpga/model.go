@@ -76,31 +76,25 @@ type LayerWork struct {
 	FMWords    int64 // output feature-map elements per image
 }
 
-// ExtractWork walks a graph whose Forward has been run and returns the
-// FPGA-relevant workload of every convolutional layer.
-func ExtractWork(g *nn.Graph, ip IPConfig) []LayerWork {
+// ExtractWork returns the FPGA-relevant workload of every convolutional row
+// of a graph's price table (nn.Costs), one image's.
+func ExtractWork(costs []nn.NodeCost, ip IPConfig) []LayerWork {
 	var works []LayerWork
-	for i, n := range g.Nodes {
+	for _, c := range costs {
 		var w LayerWork
-		switch l := n.Layer.(type) {
+		switch l := c.Layer.(type) {
 		case *nn.Conv2D:
-			macs, _ := l.Cost()
-			w = LayerWork{Kind: KindConv, MACs: macs, InC: l.InC, OutC: l.OutC,
+			w = LayerWork{Kind: KindConv, InC: l.InC, OutC: l.OutC,
 				WeightBits: int64(l.Weight.W.Len()) * int64(ip.WBits)}
 		case *nn.DWConv3:
-			macs, _ := l.Cost()
-			w = LayerWork{Kind: KindDW, MACs: macs, InC: l.C, OutC: l.C,
+			w = LayerWork{Kind: KindDW, InC: l.C, OutC: l.C,
 				WeightBits: int64(l.Weight.W.Len()) * int64(ip.WBits)}
 		default:
 			continue
 		}
-		shp := g.OutShapes[i]
-		if shp != nil {
-			words := int64(1)
-			for _, d := range shp[1:] { // per image: skip batch dim
-				words *= int64(d)
-			}
-			w.FMWords = words
+		w.MACs, w.FMWords = c.MACs, 1
+		for _, d := range c.Out[1:] {
+			w.FMWords *= int64(d)
 		}
 		works = append(works, w)
 	}
@@ -148,16 +142,17 @@ type Report struct {
 	Fits       bool
 }
 
-// Estimate models end-to-end single-image latency and resource usage of a
-// graph on the device with the given IP. The shared feature-map ping-pong
+// Estimate models, from a graph's price table (nn.Costs), end-to-end
+// single-image latency and resource usage on the device with the given IP.
+// The shared feature-map ping-pong
 // buffer receives a fixed share of the device's BRAM (§6.4.1); layers whose
 // boundary feature maps fit stay on-chip, larger ones are tiled and
 // streamed through DDR. Weight streaming is amortized over the batch.
-func Estimate(g *nn.Graph, dev Device, ip IPConfig) Report {
+func Estimate(costs []nn.NodeCost, dev Device, ip IPConfig) Report {
 	ip.normalize()
-	works := ExtractWork(g, ip)
+	works := ExtractWork(costs, ip)
 	if len(works) == 0 {
-		panic("fpga: graph has no convolutional layers (run Forward first)")
+		panic("fpga: graph has no convolutional layers")
 	}
 	// Weight buffer: sized for the largest single layer.
 	var maxWBits int64

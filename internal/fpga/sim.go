@@ -59,13 +59,13 @@ type SimReport struct {
 // fill cycles for one pass of the array pipeline (load/drain).
 const tileFillCycles = 32
 
-// Simulate runs the tile-level schedule for a graph whose Forward has been
-// executed (shapes recorded) on the device with the given IP.
-func Simulate(g *nn.Graph, dev Device, ip IPConfig) SimReport {
+// Simulate runs the tile-level schedule of one image, from a graph's price
+// table (nn.Costs), on the device with the given IP.
+func Simulate(costs []nn.NodeCost, dev Device, ip IPConfig) SimReport {
 	ip.normalize()
-	works := ExtractWork(g, ip)
+	works := ExtractWork(costs, ip)
 	if len(works) == 0 {
-		panic("fpga: Simulate needs a graph with convolutional layers (run Forward first)")
+		panic("fpga: Simulate needs a graph with convolutional layers")
 	}
 	// Bits the DDR channel can deliver per accelerator cycle.
 	bitsPerCycle := dev.DDRBandwidth * 8 / (dev.FreqMHz * 1e6)

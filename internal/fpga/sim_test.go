@@ -6,18 +6,16 @@ import (
 	"testing"
 
 	"skynet/internal/backbone"
-	"skynet/internal/tensor"
+	"skynet/internal/nn"
 )
 
 func simSkyNet(t *testing.T, width float64, h, w int) (SimReport, Report) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: width, InC: 3, HeadChannels: 10, ReLU6: true})
-	x := tensor.New(1, 3, h, w)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
+	costs := nn.Costs(g, []int{1, 3, h, w})
 	ip := AutoConfig(Ultra96, 11, 9)
-	return Simulate(g, Ultra96, ip), Estimate(g, Ultra96, ip)
+	return Simulate(costs, Ultra96, ip), Estimate(costs, Ultra96, ip)
 }
 
 func TestSimulateSkyNetFullSize(t *testing.T) {
@@ -87,11 +85,12 @@ func TestSimulateMACConservation(t *testing.T) {
 	// The simulator must execute exactly the network's MACs.
 	rng := rand.New(rand.NewSource(2))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	x := tensor.New(1, 3, 48, 96)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
-	macs, _ := g.Cost()
-	sim := Simulate(g, Ultra96, AutoConfig(Ultra96, 11, 9))
+	costs := nn.Costs(g, []int{1, 3, 48, 96})
+	var macs int64
+	for _, c := range costs {
+		macs += c.MACs
+	}
+	sim := Simulate(costs, Ultra96, AutoConfig(Ultra96, 11, 9))
 	if sim.TotalMACs != macs {
 		t.Fatalf("simulated %d MACs, graph has %d", sim.TotalMACs, macs)
 	}
@@ -100,11 +99,9 @@ func TestSimulateMACConservation(t *testing.T) {
 func TestSimulateLargerArrayIsFaster(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	x := tensor.New(1, 3, 48, 96)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
-	small := Simulate(g, Ultra96, IPConfig{Tm: 4, Tn: 4, WBits: 11, FMBits: 9})
-	large := Simulate(g, Ultra96, IPConfig{Tm: 16, Tn: 16, WBits: 11, FMBits: 9})
+	costs := nn.Costs(g, []int{1, 3, 48, 96})
+	small := Simulate(costs, Ultra96, IPConfig{Tm: 4, Tn: 4, WBits: 11, FMBits: 9})
+	large := Simulate(costs, Ultra96, IPConfig{Tm: 16, Tn: 16, WBits: 11, FMBits: 9})
 	if large.TotalCycles >= small.TotalCycles {
 		t.Fatalf("16x16 (%d cycles) must beat 4x4 (%d)", large.TotalCycles, small.TotalCycles)
 	}
@@ -113,11 +110,9 @@ func TestSimulateLargerArrayIsFaster(t *testing.T) {
 func TestSimulateBatchReducesWeightStalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	x := tensor.New(1, 3, 24, 24)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
+	costs := nn.Costs(g, []int{1, 3, 24, 24})
 	stalls := func(batch int) int64 {
-		sim := Simulate(g, Ultra96, IPConfig{Tm: 18, Tn: 18, WBits: 11, FMBits: 9, Batch: batch})
+		sim := Simulate(costs, Ultra96, IPConfig{Tm: 18, Tn: 18, WBits: 11, FMBits: 9, Batch: batch})
 		var s int64
 		for _, tr := range sim.Traces {
 			s += tr.StallCycles

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"skynet/internal/hw"
+	"skynet/internal/nn"
 )
 
 func ExampleScoreEntries() {
@@ -30,6 +31,6 @@ func ExampleEnergyScore() {
 func ExamplePlatform_LayerLatency() {
 	p := hw.Platform{PeakFLOPS: 100e9, MemBW: 10e9, Efficiency: 1}
 	// 50 GMACs = 100 GFLOP: exactly one second of compute.
-	fmt.Printf("%.1fs\n", p.LayerLatency(hw.Cost{MACs: 50e9, Bytes: 8}))
+	fmt.Printf("%.1fs\n", p.LayerLatency(nn.NodeCost{MACs: 50e9, Bytes: 8}))
 	// Output: 1.0s
 }

@@ -7,26 +7,26 @@ import (
 	"testing/quick"
 
 	"skynet/internal/backbone"
-	"skynet/internal/tensor"
+	"skynet/internal/nn"
 )
 
 func TestLayerLatencyRoofline(t *testing.T) {
 	p := Platform{PeakFLOPS: 100e9, MemBW: 10e9, Efficiency: 1}
 	// Compute bound: many MACs, few bytes.
-	compute := p.LayerLatency(Cost{MACs: 50e9, Bytes: 1})
+	compute := p.LayerLatency(nn.NodeCost{MACs: 50e9, Bytes: 1})
 	if math.Abs(compute-1.0) > 1e-9 {
 		t.Fatalf("compute-bound latency %v, want 1s", compute)
 	}
 	// Memory bound: few MACs, many bytes.
-	mem := p.LayerLatency(Cost{MACs: 1, Bytes: 20e9})
+	mem := p.LayerLatency(nn.NodeCost{MACs: 1, Bytes: 20e9})
 	if math.Abs(mem-2.0) > 1e-9 {
 		t.Fatalf("memory-bound latency %v, want 2s", mem)
 	}
 }
 
-func TestNetLatencyAddsOverhead(t *testing.T) {
+func TestGraphLatencyAddsOverhead(t *testing.T) {
 	p := Platform{PeakFLOPS: 1e9, MemBW: 1e9, Efficiency: 1, OverheadS: 0.5}
-	lat := p.NetLatency([]Cost{{MACs: 5e8, Bytes: 0}}) // 1s compute
+	lat := p.GraphLatency([]nn.NodeCost{{MACs: 5e8, Bytes: 0}, {}}) // 1s compute, and a row that costs nothing
 	if math.Abs(lat-1.5) > 1e-9 {
 		t.Fatalf("latency %v, want 1.5s", lat)
 	}
@@ -34,7 +34,7 @@ func TestNetLatencyAddsOverhead(t *testing.T) {
 
 func TestUtilizationBounds(t *testing.T) {
 	p := TX2
-	costs := []Cost{{MACs: 1e9, Bytes: 1e6}, {MACs: 1e3, Bytes: 1e9}}
+	costs := []nn.NodeCost{{MACs: 1e9, Bytes: 1e6}, {MACs: 1e3, Bytes: 1e9}}
 	u := p.Utilization(costs)
 	if u < 0 || u > 1 {
 		t.Fatalf("utilization %v out of [0,1]", u)
@@ -67,14 +67,8 @@ func TestSkyNetFasterThanResNet50OnTX2(t *testing.T) {
 	cfg := backbone.DefaultConfig()
 	sky := backbone.SkyNetC(rng, cfg)
 	r50 := backbone.ResNet50(rng, cfg)
-	x := tensor.New(1, 3, h, w)
-	x.RandUniform(rng, 0, 1)
-	sky.Forward(x, false)
-	skyLat := TX2.GraphLatency(sky)
-	x2 := tensor.New(1, 3, h, w)
-	x2.RandUniform(rng, 0, 1)
-	r50.Forward(x2, false)
-	r50Lat := TX2.GraphLatency(r50)
+	skyLat := TX2.GraphLatency(nn.Costs(sky, []int{1, 3, h, w}))
+	r50Lat := TX2.GraphLatency(nn.Costs(r50, []int{1, 3, h, w}))
 	if skyLat >= r50Lat/3 {
 		t.Fatalf("SkyNet latency %.2fms should be well below ResNet-50 %.2fms", skyLat*1e3, r50Lat*1e3)
 	}
@@ -86,10 +80,7 @@ func TestSkyNetFasterThanResNet50OnTX2(t *testing.T) {
 func TestSkyNetTX2LatencyBallpark(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	sky := backbone.SkyNetC(rng, backbone.DefaultConfig())
-	x := tensor.New(1, 3, 160, 320)
-	x.RandUniform(rng, 0, 1)
-	sky.Forward(x, false)
-	lat := TX2.GraphLatency(sky)
+	lat := TX2.GraphLatency(nn.Costs(sky, []int{1, 3, 160, 320}))
 	if lat > 0.030 || lat < 0.002 {
 		t.Fatalf("SkyNet TX2 latency %.2fms outside the plausible 2–30ms band", lat*1e3)
 	}
@@ -173,17 +164,23 @@ func TestScoreEntriesDefaultMean(t *testing.T) {
 func TestGraphCostsPerLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	x := tensor.New(1, 3, 32, 32)
-	g.Forward(x, false)
-	costs := GraphCosts(g)
-	// Six bundles → 12 conv layers, plus the head conv.
-	if len(costs) != 13 {
-		t.Fatalf("got %d costed layers, want 13", len(costs))
-	}
-	for i, c := range costs {
-		if c.MACs <= 0 || c.Bytes <= 0 {
-			t.Fatalf("layer %d has non-positive cost %+v", i, c)
+	// Six bundles → 12 conv layers, plus the head conv; the other rows cost
+	// nothing.
+	var costed int
+	for i, c := range nn.Costs(g, []int{1, 3, 32, 32}) {
+		if _, ok := c.Layer.(nn.Coster); !ok {
+			if c.MACs != 0 || c.Bytes != 0 {
+				t.Fatalf("layer %d (%s) has cost %d MACs, %d bytes", i, c.Layer.Name(), c.MACs, c.Bytes)
+			}
+			continue
 		}
+		if c.MACs <= 0 || c.Bytes <= 0 {
+			t.Fatalf("layer %d has non-positive cost %d MACs, %d bytes", i, c.MACs, c.Bytes)
+		}
+		costed++
+	}
+	if costed != 13 {
+		t.Fatalf("got %d costed layers, want 13", costed)
 	}
 }
 

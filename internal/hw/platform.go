@@ -1,7 +1,7 @@
 // Package hw models the embedded hardware targets of the paper: platform
 // descriptors for the NVIDIA TX2 and GTX 1080Ti GPUs and the Ultra96 and
-// Pynq-Z1 FPGAs, a roofline latency estimator driven by per-layer
-// MAC/byte costs, a utilization-based power/energy model, and the official
+// Pynq-Z1 FPGAs, a roofline latency estimator driven by a graph's price
+// table (nn.Costs), a utilization-based power/energy model, and the official
 // DAC-SDC scoring formulas (Equations 2–5) validated against the published
 // Table 5/6 results.
 package hw
@@ -61,32 +61,12 @@ var (
 	}
 )
 
-// Cost is the work of one layer (or network): multiply-accumulates and
-// bytes moved.
-type Cost struct {
-	MACs  int64
-	Bytes int64
-}
-
-// GraphCosts extracts the per-layer costs recorded by a graph's most
-// recent Forward. Layers that do not implement nn.Coster (activations,
-// pooling) are folded into their producer's bandwidth term and skipped.
-func GraphCosts(g *nn.Graph) []Cost {
-	var costs []Cost
-	for _, n := range g.Nodes {
-		if c, ok := n.Layer.(nn.Coster); ok {
-			m, b := c.Cost()
-			costs = append(costs, Cost{MACs: m, Bytes: b})
-		}
-	}
-	return costs
-}
-
-// LayerLatency returns the roofline latency of one layer: the maximum of
-// its compute time and its memory time, so depth-wise convolutions (low
-// arithmetic intensity) are bandwidth-bound and point-wise convolutions
-// compute-bound — the balance SkyNet's Bundle exploits.
-func (p Platform) LayerLatency(c Cost) float64 {
+// LayerLatency returns the roofline latency of one row of a price table:
+// the maximum of its compute time and its memory time, so depth-wise
+// convolutions (low arithmetic intensity) are bandwidth-bound and
+// point-wise convolutions compute-bound — the balance SkyNet's Bundle
+// exploits.
+func (p Platform) LayerLatency(c nn.NodeCost) float64 {
 	compute := float64(2*c.MACs) / (p.PeakFLOPS * p.Efficiency)
 	memory := float64(c.Bytes) / p.MemBW
 	if compute > memory {
@@ -95,9 +75,11 @@ func (p Platform) LayerLatency(c Cost) float64 {
 	return memory
 }
 
-// NetLatency sums per-layer roofline latencies plus the platform's fixed
-// dispatch overhead, returning seconds.
-func (p Platform) NetLatency(costs []Cost) float64 {
+// GraphLatency estimates one-image inference latency in seconds from a
+// graph's price table (nn.Costs): the rows' roofline latencies plus the
+// platform's fixed dispatch overhead. A row without MACs or bytes adds an
+// exact zero.
+func (p Platform) GraphLatency(costs []nn.NodeCost) float64 {
 	total := p.OverheadS
 	for _, c := range costs {
 		total += p.LayerLatency(c)
@@ -105,15 +87,9 @@ func (p Platform) NetLatency(costs []Cost) float64 {
 	return total
 }
 
-// GraphLatency estimates one-image inference latency for a graph whose
-// Forward has been run (shapes recorded), in seconds.
-func (p Platform) GraphLatency(g *nn.Graph) float64 {
-	return p.NetLatency(GraphCosts(g))
-}
-
-// Utilization returns the compute-side utilization of a workload: the
-// fraction of the roofline latency spent compute-bound.
-func (p Platform) Utilization(costs []Cost) float64 {
+// Utilization returns the compute-side utilization of a price table's
+// workload: the fraction of the roofline latency spent compute-bound.
+func (p Platform) Utilization(costs []nn.NodeCost) float64 {
 	var compute, total float64
 	for _, c := range costs {
 		l := p.LayerLatency(c)

@@ -286,12 +286,17 @@ func (g *convGrads) WalkSample(lane, i int, leaf bool) {
 }
 
 // Cost reports MACs and bytes moved for the most recent forward pass.
-func (c *Conv2D) Cost() (macs, bytes int64) {
-	spatial := int64(c.outH) * int64(c.outW)
-	macs = int64(c.lastN) * int64(c.OutC) * int64(c.InC) * int64(c.K*c.K) * spatial
+func (c *Conv2D) Cost() (macs, bytes int64) { return c.cost(c.lastN, c.inH, c.inW) }
+
+// cost reports the MACs of a forward of n images [InC,h,w] and the bytes it
+// moves: the weights, its input and its output, in float32.
+func (c *Conv2D) cost(n, h, w int) (macs, bytes int64) {
+	outH, outW := c.outSize(h, w)
+	spatial := int64(outH) * int64(outW)
+	macs = int64(n) * int64(c.OutC) * int64(c.InC) * int64(c.K*c.K) * spatial
 	wBytes := int64(c.Weight.W.Len()) * 4
-	inBytes := int64(c.lastN*c.InC) * int64(c.inH*c.inW) * 4
-	outBytes := int64(c.lastN*c.OutC) * spatial * 4
+	inBytes := int64(n*c.InC) * int64(h*w) * 4
+	outBytes := int64(n*c.OutC) * spatial * 4
 	return macs, wBytes + inBytes + outBytes
 }
 
@@ -613,12 +618,16 @@ func (a dwGrads) channel(ch int) {
 }
 
 // Cost reports MACs and bytes moved for the most recent forward pass.
-func (d *DWConv3) Cost() (macs, bytes int64) {
-	spatial := int64(d.outH) * int64(d.outW)
-	n := int64(d.lastN)
-	macs = n * int64(d.C) * int64(d.K*d.K) * spatial
+func (d *DWConv3) Cost() (macs, bytes int64) { return d.cost(d.lastN, d.inH, d.inW) }
+
+// cost reports the MACs of a forward of n images [C,h,w] and the bytes it
+// moves: the weights, its input and its output, in float32.
+func (d *DWConv3) cost(n, h, w int) (macs, bytes int64) {
+	outH, outW := d.outSize(h, w)
+	spatial := int64(outH) * int64(outW)
+	macs = int64(n) * int64(d.C) * int64(d.K*d.K) * spatial
 	wBytes := int64(d.Weight.W.Len()) * 4
-	inBytes := n * int64(d.C) * int64(d.inH*d.inW) * 4
-	outBytes := n * int64(d.C) * spatial * 4
+	inBytes := int64(n*d.C) * int64(h*w) * 4
+	outBytes := int64(n*d.C) * spatial * 4
 	return macs, wBytes + inBytes + outBytes
 }

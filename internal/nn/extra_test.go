@@ -255,9 +255,8 @@ func TestSummaryRendersLayers(t *testing.T) {
 		NewBatchNorm(8),
 		NewReLU6(),
 	)
-	g.Forward(randInput(rng, 1, 3, 8, 8), false)
-	s := Summary(g)
-	for _, want := range []string{"conv", "batchnorm", "relu6", "total:", "parameters"} {
+	s := Summary(Costs(g, []int{1, 3, 8, 8}))
+	for _, want := range []string{"conv", "batchnorm", "relu6", "[1 8 8 8]", "total: 232 parameters", "13824 MACs"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("summary missing %q:\n%s", want, s)
 		}

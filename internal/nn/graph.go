@@ -38,8 +38,9 @@ type Graph struct {
 	// Defaults to the last node.
 	Output int
 	// OutShapes records each node's output shape from the last Forward,
-	// for hardware cost models. The shapes are valid until the next Forward
-	// and must not be modified.
+	// valid until the next one and not to be modified. Only the benchmark
+	// module (bench/) still reads it; pricing reads Costs. It goes, with
+	// Coster, once bench/ reads Costs too.
 	OutShapes [][]int
 
 	trained bool      // the last Forward was a training one: the layers hold its caches
@@ -97,7 +98,6 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // each output a fresh tensor, and returns the output node's: the layer walk
 // inference forwards are held to, bit for bit. visit, when non-nil, is shown
 // each node's output before that node's consumers run, and may rewrite it.
-// Like any forward it leaves OutShapes and every layer's Cost describing x.
 func (g *Graph) Walk(x *tensor.Tensor, visit func(i int, out *tensor.Tensor)) *tensor.Tensor {
 	g.trained = false
 	return g.walk(x, false, visit)
@@ -197,19 +197,6 @@ func (g *Graph) NumParams() int64 {
 
 // ParamBytes returns the float32 model size in bytes.
 func (g *Graph) ParamBytes() int64 { return g.NumParams() * 4 }
-
-// Cost sums the Cost of every node that implements Coster, reporting the
-// total MACs and bytes of the most recent Forward.
-func (g *Graph) Cost() (macs, bytes int64) {
-	for _, n := range g.Nodes {
-		if c, ok := n.Layer.(Coster); ok {
-			m, b := c.Cost()
-			macs += m
-			bytes += b
-		}
-	}
-	return macs, bytes
-}
 
 // Sequential builds a chain graph from the given layers.
 func Sequential(layers ...Layer) *Graph {

@@ -54,12 +54,13 @@ type Layer interface {
 	Params() []*Param
 }
 
-// Coster is implemented by layers that can report their computational cost
-// for hardware modeling. The counts refer to the most recent Forward.
+// Coster is implemented by the layers Costs prices: Conv2D, DWConv3 and
+// Linear. Cost returns the multiply-accumulate count and the parameter and
+// activation bytes of the most recent Forward, at its batch and input size.
+// Only the benchmark module (bench/) still reads it; pricing reads Costs,
+// which no forward changes. It goes, with Graph.OutShapes, once bench/ reads
+// Costs too.
 type Coster interface {
-	// Cost returns multiply-accumulate operation count and the number of
-	// parameter + activation bytes moved, for one forward pass at the most
-	// recently seen input size.
 	Cost() (macs, bytes int64)
 }
 

@@ -78,8 +78,11 @@ func (l *Linear) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 }
 
 // Cost reports MACs and bytes moved for the most recent forward pass.
-func (l *Linear) Cost() (macs, bytes int64) {
-	n := int64(l.lastN)
-	macs = n * int64(l.In) * int64(l.Out)
-	return macs, int64(l.Weight.W.Len())*4 + n*int64(l.In+l.Out)*4
+func (l *Linear) Cost() (macs, bytes int64) { return l.cost(l.lastN) }
+
+// cost reports the MACs of a forward of n samples and the bytes it moves: the
+// weights, its input and its output, in float32.
+func (l *Linear) cost(n int) (macs, bytes int64) {
+	macs = int64(n) * int64(l.In) * int64(l.Out)
+	return macs, int64(l.Weight.W.Len())*4 + int64(n)*int64(l.In+l.Out)*4
 }

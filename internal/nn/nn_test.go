@@ -413,14 +413,14 @@ func TestLoadRejectsMismatchedArchitecture(t *testing.T) {
 func TestGraphCostCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	g := Sequential(NewConv2D(rng, 3, 8, 3, 1, 1, false))
-	g.Forward(randInput(rng, 1, 3, 8, 8), false)
-	macs, bytes := g.Cost()
+	row := Costs(g, []int{0, 3, 8, 8})[0]
 	// 8*3*9 MACs per output pixel, 8*8 output pixels.
-	if want := int64(8 * 3 * 9 * 64); macs != want {
-		t.Fatalf("macs = %d, want %d", macs, want)
+	if want := int64(8 * 3 * 9 * 64); row.MACs != want {
+		t.Fatalf("macs = %d, want %d", row.MACs, want)
 	}
-	if bytes <= 0 {
-		t.Fatal("bytes must be positive")
+	// The weights, the input and the output, in float32.
+	if want := int64(8*3*9+3*64+8*64) * 4; row.Bytes != want {
+		t.Fatalf("bytes = %d, want %d", row.Bytes, want)
 	}
 }
 

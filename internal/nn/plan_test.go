@@ -121,10 +121,10 @@ func TestPlanBaselines(t *testing.T) {
 			for _, b := range []int{3, 1, 5} {
 				x := randBatch(rng, b, 3, 48, 48)
 				want := g.Walk(x, nil)
-				wantMACs, wantBytes := g.Cost()
+				wantMACs, wantBytes := layerCost(g)
 				parallelism(2, func() {
 					requireSameBits(t, fmt.Sprintf("batch %d", b), g.Forward(x, false), want)
-					if macs, bytes := g.Cost(); macs != wantMACs || bytes != wantBytes {
+					if macs, bytes := layerCost(g); macs != wantMACs || bytes != wantBytes {
 						t.Fatalf("batch %d: Cost after the inference forward = (%d, %d), after the layer walk (%d, %d)", b, macs, bytes, wantMACs, wantBytes)
 					}
 					per, outPer := x.Len()/b, want.Len()/b
@@ -273,8 +273,74 @@ func TestGraphInferenceSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCostAndOutShapesAfterInference: the hardware models run one inference
-// forward and then ask every layer for its cost and the graph for its
+// layerCost sums the Cost of every layer that implements nn.Coster: the
+// MACs and bytes of g's most recent forward, as bench/ reads them.
+func layerCost(g *nn.Graph) (macs, bytes int64) {
+	for _, n := range g.Nodes {
+		if c, ok := n.Layer.(nn.Coster); ok {
+			m, b := c.Cost()
+			macs += m
+			bytes += b
+		}
+	}
+	return macs, bytes
+}
+
+// TestCostsMatchTheWalk: the price table is what a batch-1 layer walk leaves
+// on the model, for six backbones at two input sizes. Row i's output shape
+// is OutShapes[i], its input shape is that of the node's first input, its
+// MACs and bytes are the layer's Cost (zero for a layer without one), and its
+// parameter count is the layer's.
+func TestCostsMatchTheWalk(t *testing.T) {
+	cfg := backbone.Config{Width: 0.125, InC: 3, HeadChannels: 10, ReLU6: true}
+	for _, m := range []struct {
+		name  string
+		build func(rng *rand.Rand, h, w int) *nn.Graph
+	}{
+		{"SkyNetA", func(rng *rand.Rand, _, _ int) *nn.Graph { return backbone.SkyNetA(rng, cfg) }},
+		{"SkyNetB", func(rng *rand.Rand, _, _ int) *nn.Graph { return backbone.SkyNetB(rng, cfg) }},
+		{"SkyNetC", func(rng *rand.Rand, _, _ int) *nn.Graph { return backbone.SkyNetC(rng, cfg) }},
+		{"AlexNet", func(rng *rand.Rand, h, w int) *nn.Graph { return backbone.AlexNet(rng, cfg, h, w, 5) }},
+		{"ResNet18", func(rng *rand.Rand, _, _ int) *nn.Graph { return backbone.ResNet18(rng, cfg) }},
+		{"MobileNetV1", func(rng *rand.Rand, _, _ int) *nn.Graph { return backbone.MobileNetV1(rng, cfg) }},
+	} {
+		for _, size := range [][2]int{{48, 48}, {64, 96}} {
+			rng := rand.New(rand.NewSource(21))
+			g := m.build(rng, size[0], size[1])
+			x := randBatch(rng, 1, 3, size[0], size[1])
+			g.Walk(x, nil)
+			costs := nn.Costs(g, x.Shape())
+			var params int64
+			for i, c := range costs {
+				n := g.Nodes[i]
+				in := x.Shape()
+				if j := n.Inputs[0]; j != nn.GraphInput {
+					in = g.OutShapes[j]
+				}
+				var macs, bytes int64
+				if l, ok := n.Layer.(nn.Coster); ok {
+					macs, bytes = l.Cost()
+				}
+				var p int64
+				for _, q := range n.Layer.Params() {
+					p += int64(q.W.Len())
+				}
+				if c.Layer != n.Layer || fmt.Sprint(c.In) != fmt.Sprint(in) || fmt.Sprint(c.Out) != fmt.Sprint(g.OutShapes[i]) ||
+					c.MACs != macs || c.Bytes != bytes || c.Params != p {
+					t.Fatalf("%s at %v, node %d (%s): row %v %v %d MACs %d bytes %d params; the walk %v %v %d %d %d",
+						m.name, size, i, n.Layer.Name(), c.In, c.Out, c.MACs, c.Bytes, c.Params, in, g.OutShapes[i], macs, bytes, p)
+				}
+				params += c.Params
+			}
+			if params != g.NumParams() {
+				t.Fatalf("%s at %v: the rows hold %d parameters, the graph %d", m.name, size, params, g.NumParams())
+			}
+		}
+	}
+}
+
+// TestCostAndOutShapesAfterInference: the benchmark module runs one inference
+// forward and then asks every layer for its cost and the graph for its
 // shapes. Both must describe that forward, and no layer may still hold its
 // input batch. The plan runs the layers' arithmetic a sample at a time, on
 // two lanes here, without their forwardInto, and has to leave on every one —
@@ -287,7 +353,7 @@ func TestCostAndOutShapesAfterInference(t *testing.T) {
 	if _, lanes := nn.Arena(g); lanes != 2 {
 		t.Fatalf("a batch of 3 on two workers ran on %d lanes, want 2", lanes)
 	}
-	macs, bytes := g.Cost()
+	macs, bytes := layerCost(g)
 	shapes := make([][]int, len(g.OutShapes))
 	for i, s := range g.OutShapes {
 		shapes[i] = append([]int(nil), s...)
@@ -296,7 +362,7 @@ func TestCostAndOutShapesAfterInference(t *testing.T) {
 	ref, _ := skyNetC(0.25, 16)
 	outs := make([]*tensor.Tensor, len(ref.Nodes))
 	ref.Walk(x, func(i int, t *tensor.Tensor) { outs[i] = t })
-	wantMACs, wantBytes := ref.Cost()
+	wantMACs, wantBytes := layerCost(ref)
 	if macs != wantMACs || bytes != wantBytes || macs == 0 {
 		t.Fatalf("Cost after an inference forward = %d MACs, %d bytes; after the layer walk %d, %d", macs, bytes, wantMACs, wantBytes)
 	}

@@ -249,18 +249,14 @@ func (e *EngineEvaluator) evalPerf(n Network) PerfRecord {
 	if err != nil {
 		return PerfRecord{}
 	}
-	p, _ := e.price(g)
-	return PerfRecord(p)
+	return PerfRecord(e.price(g))
 }
 
-// price prices g on the configured targets at the evaluation shape; the
-// seeded input it forwards is returned for calibration's timed forwards.
-func (e *EngineEvaluator) price(g *nn.Graph) (bundle.Price, *tensor.Tensor) {
+// price prices g on the configured targets at the evaluation shape.
+func (e *EngineEvaluator) price(g *nn.Graph) bundle.Price {
 	cfg := e.Gen.Config()
-	x := tensor.New(1, e.InC, cfg.H, cfg.W)
-	x.RandUniform(rand.New(rand.NewSource(e.Seed)), 0, 1)
 	t := bundle.Target{Device: e.Device, GPU: e.GPU, WBits: e.WBits, FMBits: e.FMBits}
-	return t.Price(g, x), x
+	return t.Price(g, []int{1, e.InC, cfg.H, cfg.W})
 }
 
 // OperatingPoint joins the candidate's FPGA estimate with its measured
@@ -293,10 +289,13 @@ func (e *EngineEvaluator) measureFactors(reps int) EngineFactors {
 	if err != nil {
 		return EngineFactors{Float32NSPerMAC: 1, Int8NSPerMAC: 1}
 	}
-	p, x := e.price(g)
+	p := e.price(g)
 	if p.MACs == 0 {
 		return EngineFactors{Float32NSPerMAC: 1, Int8NSPerMAC: 1}
 	}
+	cfg := e.Gen.Config()
+	x := tensor.New(1, e.InC, cfg.H, cfg.W)
+	x.RandUniform(rand.New(rand.NewSource(e.Seed)), 0, 1)
 	macs := float64(p.MACs)
 	f := EngineFactors{Float32NSPerMAC: minWallNS(reps, func() { g.Forward(x, false) }) / macs}
 	if qm, qerr := quant.Export(g, []*tensor.Tensor{x}, quant.ExportConfig{}); qerr == nil {

@@ -16,7 +16,6 @@ import (
 	"skynet/internal/hw"
 	"skynet/internal/modelspec"
 	"skynet/internal/nn"
-	"skynet/internal/tensor"
 )
 
 func testEngineEvaluator(seed int64) *EngineEvaluator {
@@ -157,8 +156,7 @@ func TestEngineEvaluatorFoldIsExact(t *testing.T) {
 		if math.Float64bits(acc) != math.Float64bits(want) {
 			t.Fatalf("group %d (Bundle %d): Accuracy %v, by hand %v", group, id, acc, want)
 		}
-		x := tensor.New(1, 3, cfg.H, cfg.W)
-		p := target.Price(build(), x)
+		p := target.Price(build(), []int{1, 3, cfg.H, cfg.W})
 		if lat[PlatformFPGA] != p.Report.LatencyS*1e3 || lat[PlatformGPU] != p.GPUms {
 			t.Fatalf("group %d (Bundle %d): Latency %v, by hand fpga %v gpu %v",
 				group, id, lat, p.Report.LatencyS*1e3, p.GPUms)

@@ -200,20 +200,17 @@ func ParamBytesAtBits(g *nn.Graph, bits int) int64 {
 	return g.NumParams() * int64(bits) / 8
 }
 
-// FMBytesAtBits returns the total intermediate feature-map size in bytes at
-// the given bit width, using the output shapes recorded by the most recent
-// Forward (0 = float32).
-func FMBytesAtBits(g *nn.Graph, bits int) int64 {
+// FMBytesAtBits returns the size in bytes at the given bit width (0 =
+// float32) of one image's intermediate feature maps: every output of a
+// graph's price table (nn.Costs).
+func FMBytesAtBits(costs []nn.NodeCost, bits int) int64 {
 	if bits <= 0 {
 		bits = 32
 	}
 	var elems int64
-	for _, shp := range g.OutShapes {
-		if shp == nil {
-			continue
-		}
+	for _, c := range costs {
 		n := int64(1)
-		for _, d := range shp {
+		for _, d := range c.Out {
 			n *= int64(d)
 		}
 		elems += n

@@ -212,14 +212,11 @@ func TestSizeAccounting(t *testing.T) {
 	if ParamBytesAtBits(g, 8) != n {
 		t.Fatal("8-bit size wrong")
 	}
-	rng := rand.New(rand.NewSource(6))
-	x := tensor.New(1, 3, 4, 4)
-	x.RandUniform(rng, 0, 1)
-	g.Forward(x, false)
-	f32 := FMBytesAtBits(g, 0)
-	f8 := FMBytesAtBits(g, 8)
-	if f32 != 4*f8 || f8 <= 0 {
-		t.Fatalf("FM sizes inconsistent: %d vs %d", f32, f8)
+	// One 4×4 image: conv, batch norm and clamp write 4 planes each, the
+	// point-wise conv 2.
+	costs := nn.Costs(g, []int{1, 3, 4, 4})
+	if f32, f8 := FMBytesAtBits(costs, 0), FMBytesAtBits(costs, 8); f32 != 224*4 || f8 != 224 {
+		t.Fatalf("FM sizes %d and %d bytes, want %d and %d", f32, f8, 224*4, 224)
 	}
 }
 
