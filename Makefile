@@ -115,7 +115,10 @@ short:
 # on it depends on how many callers run at once.
 # The stream executor's tests, and detect's over it, get the three runs too:
 # each stage is one goroutine, and how their queues fill and drain — through a
-# batch, a failure and a cancellation — depends on how many run at once.
+# batch, a failure and a cancellation — depends on how many run at once, as
+# does how concurrent runs of one executor take turns at its model. The
+# lane's deadline, record and allocation tests, and the non-finite answers of
+# both doors, ride along with the lane tests.
 # tensor's packing panels are taken per chunk in flight: how many a free list
 # builds, and whether a warm call still allocates nothing, depends on how many
 # chunks overlap, so that test and the zero-allocation ones get the three runs.
@@ -125,8 +128,8 @@ short:
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool.
 LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration
-SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session
-STREAM_TESTS = Executor|Stream|InferBatch|Preprocess
+SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite
+STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
 LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers
 race:
 	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/... ./internal/quant/...

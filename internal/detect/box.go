@@ -15,6 +15,8 @@ type Box struct {
 }
 
 // Corners returns the (x1, y1, x2, y2) corner representation.
+//
+//skynet:hotpath
 func (b Box) Corners() (x1, y1, x2, y2 float64) {
 	return b.CX - b.W/2, b.CY - b.H/2, b.CX + b.W/2, b.CY + b.H/2
 }
@@ -41,6 +43,8 @@ func (b Box) IoU(o Box) float64 {
 
 // Clip limits the box to the unit image, preserving the center format.
 // Boxes already inside the image are returned unchanged.
+//
+//skynet:hotpath
 func (b Box) Clip() Box {
 	x1, y1, x2, y2 := b.Corners()
 	if x1 >= 0 && y1 >= 0 && x2 <= 1 && y2 <= 1 {

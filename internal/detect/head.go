@@ -54,12 +54,17 @@ func NewClassHead(anchors []Anchor, classes int) *Head {
 }
 
 // perAnchor returns the channel count per anchor.
+//
+//skynet:hotpath
 func (h *Head) perAnchor() int { return 5 + h.Classes }
 
 // Channels returns the backbone output channel count the head expects
 // (10 for the SkyNet contest head: 2 anchors × 5).
+//
+//skynet:hotpath
 func (h *Head) Channels() int { return len(h.Anchors) * h.perAnchor() }
 
+//skynet:hotpath
 func (h *Head) dims(pred *tensor.Tensor) (n, sh, sw int) {
 	if pred.Rank() != 4 || pred.Dim(1) != h.Channels() {
 		panic(fmt.Sprintf("detect: head expects [N,%d,Sh,Sw] predictions, got %v", h.Channels(), pred.Shape()))
@@ -68,36 +73,51 @@ func (h *Head) dims(pred *tensor.Tensor) (n, sh, sw int) {
 }
 
 // at returns the flat index of (sample i, channel c, cell y, cell x).
+//
+//skynet:hotpath
 func at(pred *tensor.Tensor, i, c, y, x int) int {
 	return ((i*pred.Dim(1)+c)*pred.Dim(2)+y)*pred.Dim(3) + x
 }
 
 // Decode returns the single most confident box per sample along with its
 // confidence score — the DAC-SDC task is single-object, so no NMS is
-// needed.
+// needed. A sample whose every confidence is NaN decodes to the zero box at
+// confidence 0.
 func (h *Head) Decode(pred *tensor.Tensor) ([]Box, []float64) {
-	n, sh, sw := h.dims(pred)
+	n, _, _ := h.dims(pred)
 	boxes := make([]Box, n)
 	confs := make([]float64, n)
 	for i := 0; i < n; i++ {
-		best := math.Inf(-1)
-		for a := range h.Anchors {
-			for y := 0; y < sh; y++ {
-				for x := 0; x < sw; x++ {
-					tc := pred.Data[at(pred, i, a*h.perAnchor()+4, y, x)]
-					conf := float64(nn.Sigmoid(tc))
-					if conf > best {
-						best = conf
-						boxes[i] = h.decodeCell(pred, i, a, y, x, sh, sw)
-						confs[i] = conf
-					}
-				}
-			}
+		if box, conf, ci := h.best(pred, i); ci >= 0 {
+			boxes[i], confs[i] = box, conf
 		}
 	}
 	return boxes, confs
 }
 
+// best is the best-cell search of sample i: the box of the most confident
+// anchor cell (the first in anchor, row, column order on a tie), its
+// confidence, and the flat index of its confidence logit — -1 when no
+// confidence exceeds -Inf (every one NaN).
+//
+//skynet:hotpath
+func (h *Head) best(pred *tensor.Tensor, i int) (box Box, conf float64, ci int) {
+	_, sh, sw := h.dims(pred)
+	conf, ci = math.Inf(-1), -1
+	for a := range h.Anchors {
+		for y := 0; y < sh; y++ {
+			for x := 0; x < sw; x++ {
+				k := at(pred, i, a*h.perAnchor()+4, y, x)
+				if c := float64(nn.Sigmoid(pred.Data[k])); c > conf {
+					box, conf, ci = h.decodeCell(pred, i, a, y, x, sh, sw), c, k
+				}
+			}
+		}
+	}
+	return box, conf, ci
+}
+
+//skynet:hotpath
 func (h *Head) decodeCell(pred *tensor.Tensor, i, a, y, x, sh, sw int) Box {
 	pa := h.perAnchor()
 	tx := pred.Data[at(pred, i, a*pa+0, y, x)]
@@ -122,26 +142,16 @@ func (h *Head) DecodeWithClass(pred *tensor.Tensor) ([]Box, []float64, []int) {
 	boxes := make([]Box, n)
 	confs := make([]float64, n)
 	classes := make([]int, n)
-	pa := h.perAnchor()
 	for i := 0; i < n; i++ {
-		best := math.Inf(-1)
-		for a := range h.Anchors {
-			for y := 0; y < sh; y++ {
-				for x := 0; x < sw; x++ {
-					conf := float64(nn.Sigmoid(pred.Data[at(pred, i, a*pa+4, y, x)]))
-					if conf > best {
-						best = conf
-						boxes[i] = h.decodeCell(pred, i, a, y, x, sh, sw)
-						confs[i] = conf
-						cls, clsV := 0, float32(math.Inf(-1))
-						for k := 0; k < h.Classes; k++ {
-							if v := pred.Data[at(pred, i, a*pa+5+k, y, x)]; v > clsV {
-								cls, clsV = k, v
-							}
-						}
-						classes[i] = cls
-					}
-				}
+		box, conf, ci := h.best(pred, i)
+		if ci < 0 {
+			continue
+		}
+		boxes[i], confs[i] = box, conf
+		clsV := float32(math.Inf(-1))
+		for k := 0; k < h.Classes; k++ { // class k's logit is k+1 channels past the confidence
+			if v := pred.Data[ci+(k+1)*sh*sw]; v > clsV {
+				classes[i], clsV = k, v
 			}
 		}
 	}

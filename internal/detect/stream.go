@@ -11,6 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 
 	"skynet/internal/pipeline"
 	"skynet/internal/tensor"
@@ -41,6 +43,8 @@ func asFrame(stage string, v any) (*Frame, error) {
 // Preprocess is the per-frame fetch/pre-process transform: it validates the
 // input, which the later stages then read in place (see Frame). It allocates
 // nothing and is safe to call concurrently.
+//
+//skynet:hotpath
 func Preprocess(f *Frame) error {
 	if f.Image == nil {
 		return errors.New("detect: frame has no image")
@@ -68,43 +72,76 @@ func PreStage() pipeline.StageSpec {
 	}
 }
 
+// ErrNonFinite is Postprocess's error for a prediction that decodes to no
+// finite box, as a frame whose pixels overflow the forward leaves it.
+var ErrNonFinite = errors.New("detect: the prediction decodes to no finite box")
+
 // InferBatch runs one forward pass over the frames and hands each frame its
 // prediction: no copy is made on the way in or out. A batch of one — every op
-// of a live stream — is not stacked: the model is handed a [1,C,H,W] view of
-// the frame's Image, which neither engine reads or keeps once Forward has
-// returned, and the frame's Pred is the tensor Forward returned. A larger
-// batch is stacked into one [B,C,H,W] tensor and each frame's Pred is a
-// [1,ch,Sh,Sw] view of its rows of the one output, which both engines hand to
-// the caller. Frames of one call must share a shape: a stack has one H×W, so
-// a mixed batch is an error, never a frame forwarded at its neighbour's size.
-// Calls for the same model must be serialized by the caller: a forward pass
-// is not reentrant — an nn.Graph (a quant.QuantizedModel likewise) keeps the
-// feature maps of the forward in flight in one arena it owns, a region per
-// lane, and the lanes, band buffers and im2col scratch that go with them.
+// of a live stream — is not stacked: the model is handed a recycled [1,C,H,W]
+// view of the frame's Image (views), which neither engine reads or keeps once
+// Forward has returned, and the frame's Pred is the tensor Forward returned,
+// the one allocation. A larger batch is stacked into one [B,C,H,W] tensor and
+// each frame's Pred is a [1,ch,Sh,Sw] view of its rows of the one output,
+// which both engines hand to the caller. Frames of one call must share a
+// shape: a stack has one H×W, so a mixed batch is an error, never a frame
+// forwarded at its neighbour's size. Calls for the same model must be
+// serialized by the caller: a forward pass is not reentrant — an nn.Graph (a
+// quant.QuantizedModel likewise) keeps the feature maps of the forward in
+// flight in one arena it owns, with the lanes, band buffers and im2col
+// scratch that go with them. InferBatch's own work is in stack and handOver,
+// which the hotpath checkers guard; the forward between them is the model's.
 func InferBatch(m Model, frames []*Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
+	x, err := stack(frames)
+	if err != nil {
+		return err
+	}
+	pred := m.Forward(x, false)
+	if len(frames) == 1 {
+		x.Data = nil // a parked view must not keep the frame alive
+		views.Put(x)
+	}
+	return handOver(frames, pred)
+}
+
+// stack validates a non-empty batch and returns the model's input: a lone
+// frame's recycled [1,C,H,W] view, or the frames stacked.
+//
+//skynet:hotpath
+func stack(frames []*Frame) (*tensor.Tensor, error) {
 	for i, f := range frames {
 		if err := Preprocess(f); err != nil {
-			return err
+			return nil, err
 		}
 		if !f.Image.SameShape(frames[0].Image) {
-			return fmt.Errorf("detect: frame %d of the batch is %v, frame 0 is %v", i, f.Image.Shape(), frames[0].Image.Shape())
+			return nil, fmt.Errorf("detect: frame %d of the batch is %v, frame 0 is %v", i, f.Image.Shape(), frames[0].Image.Shape())
 		}
 	}
 	img := frames[0].Image
 	c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
-	var x *tensor.Tensor
 	if len(frames) == 1 {
-		x = img.Reshape(1, c, h, w)
-	} else {
-		x = tensor.New(len(frames), c, h, w)
-		for i, f := range frames {
-			copy(x.Data[i*img.Len():], f.Image.Data)
+		x := views.Get()
+		if x.Rank() != 4 || x.Dim(1) != c || x.Dim(2) != h || x.Dim(3) != w {
+			x = tensor.FromSlice(img.Data, 1, c, h, w)
 		}
+		x.Data = img.Data
+		return x, nil
 	}
-	pred := m.Forward(x, false)
+	x := tensor.New(len(frames), c, h, w)
+	for i, f := range frames {
+		copy(x.Data[i*img.Len():], f.Image.Data)
+	}
+	return x, nil
+}
+
+// handOver gives each frame its prediction from the batch's output: a lone
+// frame the output itself, a larger batch's frames views of its rows.
+//
+//skynet:hotpath
+func handOver(frames []*Frame, pred *tensor.Tensor) error {
 	if pred.Rank() != 4 || pred.Dim(0) != len(frames) {
 		return fmt.Errorf("detect: model returned %v for a batch of %d", pred.Shape(), len(frames))
 	}
@@ -120,9 +157,17 @@ func InferBatch(m Model, frames []*Frame) error {
 	return nil
 }
 
+// views recycles the [1,C,H,W] headers InferBatch hands a model for a lone
+// frame (stack replaces one of another geometry).
+var views = tensor.FreeList[tensor.Tensor]{Alloc: func() *tensor.Tensor { return new(tensor.Tensor) }}
+
 // Postprocess decodes the single best box and its confidence from the
-// frame's raw head output. Decode only reads the head, so it is safe to
-// call concurrently.
+// frame's raw head output: one best-cell search, nothing allocated. A
+// prediction that decodes to no finite box (every confidence NaN, or a NaN
+// box) is ErrNonFinite: no box is invented for it. The head is only read, so
+// it is safe to call concurrently.
+//
+//skynet:hotpath
 func Postprocess(h *Head, f *Frame) error {
 	if f.Pred == nil {
 		return errors.New("detect: frame reached post-processing without a prediction")
@@ -130,8 +175,13 @@ func Postprocess(h *Head, f *Frame) error {
 	if p := f.Pred; p.Rank() != 4 || p.Dim(0) != 1 || p.Dim(1) != h.Channels() {
 		return fmt.Errorf("detect: prediction %v, the head decodes [1,%d,Sh,Sw]", p.Shape(), h.Channels())
 	}
-	boxes, confs := h.Decode(f.Pred)
-	f.Box, f.Conf = boxes[0], confs[0]
+	// A found cell's confidence is a sigmoid, and a clipped box is either in
+	// the unit square or has a NaN field: the sum is finite or NaN.
+	box, conf, ci := h.best(f.Pred, 0)
+	if ci < 0 || math.IsNaN(box.CX+box.CY+box.W+box.H) {
+		return ErrNonFinite
+	}
+	f.Box, f.Conf = box, conf
 	return nil
 }
 
@@ -144,28 +194,36 @@ func Postprocess(h *Head, f *Frame) error {
 // whole frames through the network on its own one-frame set of feature-map
 // buffers and meeting the others once per forward, not once per layer — as the
 // paper's batch shares one set of on-chip buffers among four frames (§6.2,
-// Figure 9). Like every executor stage it runs on one goroutine, which a
-// forward pass needs anyway: it is not reentrant (the model owns the arena and
-// the lanes, see InferBatch).
+// Figure 9). Every run of an executor shares the stage, which holds a lock
+// around the forward — one model, one forward at a time (see InferBatch) —
+// and, under it, the batch's frame list.
 func InferStage(m Model, maxBatch int) pipeline.StageSpec {
-	return pipeline.StageSpec{
-		Name:     pipeline.StageInfer,
-		MaxBatch: maxBatch,
-		Batch: func(_ context.Context, items []any) ([]any, error) {
-			frames := make([]*Frame, len(items))
-			for i, v := range items {
-				f, err := asFrame(pipeline.StageInfer, v)
-				if err != nil {
-					return nil, err
-				}
-				frames[i] = f
-			}
-			if err := InferBatch(m, frames); err != nil {
-				return nil, err
-			}
-			return items, nil
-		},
+	s := &inferStage{m: m}
+	return pipeline.StageSpec{Name: pipeline.StageInfer, MaxBatch: maxBatch, Batch: s.batch}
+}
+
+type inferStage struct {
+	m      Model
+	mu     sync.Mutex
+	frames []*Frame
+}
+
+func (s *inferStage) batch(_ context.Context, items []any) ([]any, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer func() { clear(s.frames) }() // the list must not keep passed-on frames alive
+	s.frames = s.frames[:0]
+	for _, v := range items {
+		f, err := asFrame(pipeline.StageInfer, v)
+		if err != nil {
+			return nil, err
+		}
+		s.frames = append(s.frames, f)
 	}
+	if err := InferBatch(s.m, s.frames); err != nil {
+		return nil, err
+	}
+	return items, nil
 }
 
 // PostStage returns the post-processing stage: decode the single best box

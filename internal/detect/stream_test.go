@@ -2,6 +2,8 @@ package detect
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -166,15 +168,18 @@ func TestInferBatchStacksSameShapesAndRejectsMixed(t *testing.T) {
 	}
 }
 
-// recorder is a model that notes the tensor it was handed and the one it
-// returned.
+// recorder is a model that notes the shape and the data of the tensor it
+// was handed — as it stood during the forward: a lone frame's view is a
+// recycled header — and the tensor it returned.
 type recorder struct {
 	Model
-	x, out *tensor.Tensor
+	xShape []int
+	xData  []float32
+	out    *tensor.Tensor
 }
 
 func (m *recorder) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	m.x = x
+	m.xShape, m.xData = append([]int(nil), x.Shape()...), x.Data
 	m.out = m.Model.Forward(x, train)
 	return m.out
 }
@@ -208,8 +213,8 @@ func TestInferBatchOfOneIsAView(t *testing.T) {
 			if err := InferBatch(m, []*Frame{f}); err != nil {
 				t.Fatal(err)
 			}
-			if m.x.Rank() != 4 || m.x.Dim(0) != 1 || &m.x.Data[0] != &f.Image.Data[0] {
-				t.Fatalf("%s: the model was handed %v at %p, want a [1,C,H,W] view of the frame's Image at %p", name, m.x.Shape(), &m.x.Data[0], &f.Image.Data[0])
+			if len(m.xShape) != 4 || m.xShape[0] != 1 || &m.xData[0] != &f.Image.Data[0] {
+				t.Fatalf("%s: the model was handed %v at %p, want a [1,C,H,W] view of the frame's Image at %p", name, m.xShape, &m.xData[0], &f.Image.Data[0])
 			}
 			want := engine.Forward(f.Image.Clone().Reshape(1, 3, 8, 8), false)
 			for i := range f.Image.Data {
@@ -376,11 +381,13 @@ func TestPreprocessAllocatesNothing(t *testing.T) {
 }
 
 // TestInferBatchAllocationBound keeps the inference stage from copying again:
-// on either engine a warm InferBatch allocates the model's output, the batch
-// stack and the frames' views, and nothing per frame beyond that.
+// on either engine a warm InferBatch allocates the model's output, and for a
+// batch of more than one the batch stack and the frames' views of the output,
+// nothing per frame beyond that. A lone frame's [1,C,H,W] view is recycled,
+// so a batch of one allocates the output (3) alone.
 func TestInferBatchAllocationBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	bound := map[int]float64{1: 7, 4: 19}
+	bound := map[int]float64{1: 3, 4: 19}
 	for _, e := range skyNetEngines(t, rng) {
 		for _, n := range []int{1, 4} {
 			frames := skyFrames(rng, n)
@@ -478,5 +485,94 @@ func TestInferStageRejectsBadModelOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	if _, err := ex.Run(context.Background(), streamFrames(rng, 6)); err == nil {
 		t.Fatal("mismatched model output batch must fail the run")
+	}
+}
+
+// TestStreamExecutorConcurrentRunsMatchSerial: an Executor is safe for
+// concurrent use, and every run of one shares its stages — the inference
+// stage's one model among them, whose forward is not reentrant. Two
+// goroutines running the same frames through one executor at once get, bit
+// for bit, the predictions and boxes a lone run gets. Without the stage's
+// lock the two runs' forwards share the model's arena: data races under
+// -race, and a slice-bounds panic without it.
+func TestStreamExecutorConcurrentRunsMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	head := NewHead(nil)
+	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.125, InC: 3, HeadChannels: head.Channels(), ReLU6: true})
+	ex, err := NewStreamExecutor(g, head, StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := make([]*tensor.Tensor, 6)
+	for i := range images {
+		images[i] = tensor.New(3, 32, 64)
+		images[i].RandNormal(rng, 0, 1)
+	}
+	run := func() ([]*Frame, error) {
+		items := make([]any, len(images))
+		for i, img := range images {
+			items[i] = &Frame{Image: img}
+		}
+		out, err := ex.Run(context.Background(), items)
+		frames := make([]*Frame, len(out))
+		for i, v := range out {
+			frames[i] = v.(*Frame)
+		}
+		return frames, err
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const runners, runs = 2, 5
+	errs := make(chan error, runners)
+	for r := 0; r < runners; r++ {
+		go func() {
+			for k := 0; k < runs; k++ {
+				got, err := run()
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, f := range got {
+					if !sameBits(f.Pred.Data, want[i].Pred.Data) || f.Box != want[i].Box || f.Conf != want[i].Conf {
+						errs <- fmt.Errorf("run %d, frame %d: box %+v conf %v, a lone run gives %+v conf %v", k, i, f.Box, f.Conf, want[i].Box, want[i].Conf)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for r := 0; r < runners; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPostprocessRefusesNonFinitePredictions: a prediction that decodes to no
+// finite detection — every confidence NaN, as a frame of overflowing pixels
+// leaves it, or a NaN box — is ErrNonFinite from Postprocess, not the zero
+// box at confidence 0, while Decode, which evaluation and training read,
+// still gives that zero box.
+func TestPostprocessRefusesNonFinitePredictions(t *testing.T) {
+	head := NewHead(nil)
+	nan := float32(math.NaN())
+	allNaN := tensor.New(1, head.Channels(), 2, 2)
+	allNaN.Fill(nan)
+	nanBox := tensor.New(1, head.Channels(), 2, 2)
+	nanBox.Data[at(nanBox, 0, 0, 0, 0)] = nan // anchor 0's tx at the most confident cell
+	nanBox.Data[at(nanBox, 0, 4, 0, 0)] = 5
+	for name, pred := range map[string]*tensor.Tensor{"every confidence NaN": allNaN, "a NaN box": nanBox} {
+		f := &Frame{Pred: pred}
+		if err := Postprocess(head, f); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: Postprocess gave %v with box %+v conf %v, want ErrNonFinite", name, err, f.Box, f.Conf)
+		}
+	}
+	boxes, confs := head.Decode(allNaN)
+	if boxes[0] != (Box{}) || confs[0] != 0 {
+		t.Fatalf("Decode of an all-NaN prediction: %+v conf %v, want the zero box at 0", boxes[0], confs[0])
 	}
 }

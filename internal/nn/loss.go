@@ -64,6 +64,8 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 
 // Sigmoid returns 1/(1+e^-x) for a scalar; shared by the detection and
 // tracking heads.
+//
+//skynet:hotpath
 func Sigmoid(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
 }

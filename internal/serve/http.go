@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sync"
 	"time"
 
 	"skynet/internal/detect"
@@ -48,10 +47,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 
 // reqBuf is the memory one tensor request (POST /detect, /track/start,
 // /track/step) holds between the socket and its answer: the raw body, read
-// once, and the frame parsed out of it, which is the tensor the model's
-// batch is stacked from — no copy in between. Buffers are recycled through a
-// free list so a warm request allocates neither; both grow to the requests
-// they have served (a body by its Content-Length, never to maxBodyBytes).
+// once, the frame parsed out of it, which is the tensor the model's batch is
+// stacked from — no copy in between — and the record a /detect miss rides the
+// lane in. Buffers are recycled (reqBufs) so a warm request allocates none of
+// them; they grow to the requests they have served (a body by its
+// Content-Length, never to maxBodyBytes).
 //
 // Ownership: the handler that took the buffer is its only writer. Once the
 // frame is submitted, the lane's worker reads it until the request's ticket
@@ -63,47 +63,29 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 type reqBuf struct {
 	body  []byte
 	frame *tensor.Tensor
+	req   request // /detect's record: a cache miss rides the lane in it
 }
 
-// The free list keeps at most maxPooledBufs buffers, none with a body past
-// maxPooledBody: a burst of connections or one huge frame is memory the
-// collector gets back, not a new steady state.
-const (
-	maxPooledBufs = 64
-	maxPooledBody = 4 << 20
-)
+// The free list keeps no buffer whose body grew past maxPooledBody: one huge
+// frame is memory the collector gets back.
+const maxPooledBody = 4 << 20
 
-var reqBufs struct {
-	mu   sync.Mutex
-	free []*reqBuf
-}
-
-func getReqBuf() *reqBuf {
-	reqBufs.mu.Lock()
-	defer reqBufs.mu.Unlock()
-	if n := len(reqBufs.free); n > 0 {
-		b := reqBufs.free[n-1]
-		reqBufs.free = reqBufs.free[:n-1]
-		return b
-	}
-	return &reqBuf{}
-}
+var reqBufs = tensor.FreeList[reqBuf]{Alloc: func() *reqBuf { return &reqBuf{req: request{ticket: newTicket()}} }}
 
 func putReqBuf(b *reqBuf) {
 	if cap(b.body) > maxPooledBody {
 		return
 	}
-	reqBufs.mu.Lock()
-	if len(reqBufs.free) < maxPooledBufs {
-		reqBufs.free = append(reqBufs.free, b)
-	}
-	reqBufs.mu.Unlock()
+	b.req.frame, b.req.ctx = detect.Frame{}, nil
+	reqBufs.Put(b)
 }
 
 // reusable reports whether a request that ended with err has left the
-// lane for certain, so that its buffer may serve another: true for
+// lane for certain, so that its record or buffer may serve another: true for
 // every outcome but a context error (the lane returns those while the
 // request may still be queued or in a forward).
+//
+//skynet:hotpath
 func reusable(err error) bool {
 	return !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
 }

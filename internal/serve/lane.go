@@ -76,7 +76,7 @@ func (l *lane[T]) loop(maxBatch int, serve func([]T)) {
 			for _, req := range batch {
 				t := req.tk()
 				t.err = ErrDraining
-				close(t.done)
+				t.done <- struct{}{}
 			}
 		} else {
 			l.flush(batch, end.FirstWait, serve)
@@ -88,7 +88,7 @@ func (l *lane[T]) loop(maxBatch int, serve func([]T)) {
 }
 
 // flush serves one collected batch and hands every request in it back. The
-// counters move before the tickets close, so a caller that reads the metrics
+// counters move before the hand-back, so a caller that reads the metrics
 // right after its answer finds its own batch in them.
 //
 //skynet:hotpath
@@ -102,32 +102,48 @@ func (l *lane[T]) flush(batch []T, waited time.Duration, serve func([]T)) {
 	l.work.AddBatch()
 	l.work.AddWait(waited)
 	for _, req := range batch {
-		close(req.tk().done)
+		req.tk().done <- struct{}{}
 	}
 }
 
-// ride is a request's whole trip, on its caller's goroutine: a fresh ticket
-// under ctx (with the lane's default timeout when ctx has no deadline of its
-// own), admission, and the wait for the worker to hand it back. It returns
-// the refusal (ErrOverloaded, ErrDraining), the context's error — the request
-// may then still be queued or in a forward; the worker will see the expired
-// context and skip what is left of it — or what the worker recorded.
+// ride is a request's whole trip, on its caller's goroutine: the ticket is
+// stamped with ctx, and the lane's default deadline when ctx has none, the
+// request is admitted, and the caller waits for the worker's hand-back, ctx,
+// or the alarm at the stamped deadline. It returns the refusal (ErrOverloaded,
+// ErrDraining), ctx's error or DeadlineExceeded — the request may then still
+// be queued or in a forward, where the worker finds it expired (ticket.live)
+// and skips it, and the record must not ride again (see reusable) — or what
+// the worker recorded. A record's second trip allocates nothing.
+//
+//skynet:hotpath
 func (l *lane[T]) ride(ctx context.Context, req T) error {
-	if _, ok := ctx.Deadline(); !ok && l.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, l.timeout)
-		defer cancel()
-	}
 	t := req.tk()
-	*t = newTicket(ctx)
+	t.ctx, t.err, t.enq, t.deadline = ctx, nil, time.Now(), time.Time{}
+	if _, ok := ctx.Deadline(); !ok && l.timeout > 0 {
+		t.deadline = t.enq.Add(l.timeout)
+	}
 	if err := l.admit(req); err != nil {
 		return err
 	}
+	var alarm <-chan time.Time // nil, never ready, without a stamped deadline
+	if !t.deadline.IsZero() {
+		if t.alarm == nil {
+			t.alarm = time.NewTimer(l.timeout)
+		} else {
+			t.alarm.Reset(l.timeout) // the last trip left it stopped and drained
+		}
+		alarm = t.alarm.C
+	}
 	select {
 	case <-t.done:
+		if alarm != nil && !t.alarm.Stop() {
+			<-alarm // go.mod keeps pre-1.23 timers: drain a fired one before its Reset
+		}
 		return t.err
 	case <-ctx.Done():
 		return ctx.Err()
+	case <-alarm:
+		return context.DeadlineExceeded
 	}
 }
 
@@ -190,33 +206,40 @@ func (l *lane[T]) isDraining() bool {
 }
 
 // ticket is what every request riding a lane carries: the caller's context,
-// the first per-request failure, the admission timestamp, and the channel
-// the worker closes to hand the request back — closed exactly once, so
-// delivery never blocks the worker even when the caller has given up.
+// the deadline ride stamps when it has none, the first per-request failure,
+// the admission timestamp, and two wake-ups a record makes once and reuses
+// every trip: done, the worker's one send a trip (its one slot never blocks
+// the worker, even when the caller has given up), and the deadline's alarm.
 type ticket struct {
-	ctx  context.Context
-	err  error // set by the worker
-	enq  time.Time
-	done chan struct{}
+	ctx      context.Context
+	deadline time.Time // zero: none stamped
+	err      error     // set by the worker
+	enq      time.Time
+	done     chan struct{}
+	alarm    *time.Timer // made on the record's first trip with a stamped deadline
 }
 
-func newTicket(ctx context.Context) ticket {
-	return ticket{ctx: ctx, enq: time.Now(), done: make(chan struct{})}
-}
+func newTicket() ticket { return ticket{done: make(chan struct{}, 1)} }
 
 //skynet:hotpath
 func (t *ticket) tk() *ticket { return t }
 
 // live reports whether the request still needs work: no failure recorded
-// yet and a caller still waiting. An expired context is recorded as the
-// request's error, so a skipped request can never be delivered to a
-// still-listening caller as a zero-value success.
+// yet, its context not ended and its stamped deadline not passed. Expiry is
+// recorded as the request's error, so a skipped request can never be
+// delivered to a still-listening caller as a zero-value success.
+//
+//skynet:hotpath
 func (t *ticket) live() bool {
 	if t.err != nil {
 		return false
 	}
 	if err := t.ctx.Err(); err != nil {
 		t.err = err
+		return false
+	}
+	if !t.deadline.IsZero() && !time.Now().Before(t.deadline) {
+		t.err = context.DeadlineExceeded
 		return false
 	}
 	return true

@@ -22,7 +22,15 @@ import (
 // testRider is the smallest thing a lane can queue.
 type testRider struct{ ticket }
 
-func newTestRider() *testRider { return &testRider{ticket: newTicket(context.Background())} }
+func newTestRider() *testRider { return &testRider{ticket: boardedTicket(context.Background())} }
+
+// boardedTicket is a new record's ticket as ride leaves it for ctx with no
+// deadline stamped: for a test that admits a request itself.
+func boardedTicket(ctx context.Context) ticket {
+	t := newTicket()
+	t.ctx, t.enq = ctx, time.Now()
+	return t
+}
 
 // gatedLane starts a one-worker lane (batches of one) whose worker blocks on
 // gate for every request.
@@ -172,28 +180,174 @@ func TestLaneDefaultDeadline(t *testing.T) {
 	close(gate)
 	l := gatedLane(t, 1, gate)
 	defer l.close()
-	// ride returns the context the request's ticket was cut under.
-	ride := func(ctx context.Context) context.Context {
+	// ride returns the deadline stamped on the request's ticket, which
+	// carries the caller's context itself.
+	ride := func(ctx context.Context) time.Time {
 		t.Helper()
-		req := &testRider{}
+		req := &testRider{ticket: newTicket()}
 		if err := l.ride(ctx, req); err != nil {
 			t.Fatal(err)
 		}
-		return req.ctx
+		if req.ctx != ctx {
+			t.Fatal("the ticket must carry the caller's context, not a wrapper")
+		}
+		return req.deadline
 	}
 
-	if _, ok := ride(context.Background()).Deadline(); !ok {
-		t.Fatal("a context without a deadline must get the lane's default")
+	before := time.Now()
+	if d := ride(context.Background()); d.Before(before.Add(l.timeout)) {
+		t.Fatalf("a context without a deadline must get the lane's default: stamped %v", d)
 	}
 	own, cancelOwn := context.WithTimeout(context.Background(), time.Hour)
 	defer cancelOwn()
-	if ride(own) != own {
-		t.Fatal("a context with its own deadline must pass through untouched")
+	if d := ride(own); !d.IsZero() {
+		t.Fatal("a context with its own deadline must get no stamp")
 	}
 	l.timeout = -1
-	if _, ok := ride(context.Background()).Deadline(); ok {
+	if d := ride(context.Background()); !d.IsZero() {
 		t.Fatal("a non-positive timeout must disable the default deadline")
 	}
+}
+
+// TestLaneDefaultDeadlineExpires: the lane's default timeout answers its
+// caller with context.DeadlineExceeded while the request is still in the
+// worker's hands, and the worker, finding the stamped deadline passed, skips
+// the request and hands it back with that error.
+func TestLaneDefaultDeadlineExpires(t *testing.T) {
+	gate := make(chan struct{})
+	var served atomic.Int64
+	l := &lane[*testRider]{}
+	l.start(1, 1, 20*time.Millisecond, 1, func(_ int, batch []*testRider) {
+		<-gate
+		for _, req := range batch {
+			if req.live() {
+				served.Add(1)
+			}
+		}
+	})
+	defer l.close()
+	req := &testRider{ticket: newTicket()}
+	if err := l.ride(context.Background(), req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ride past the default deadline: %v, want context.DeadlineExceeded", err)
+	}
+	close(gate)
+	select {
+	case <-req.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the expired request was never handed back")
+	}
+	if n := served.Load(); n != 0 || !errors.Is(req.err, context.DeadlineExceeded) {
+		t.Fatalf("the worker served the expired request %d times and recorded %v, want 0 and context.DeadlineExceeded", n, req.err)
+	}
+}
+
+// TestLaneHandedBackRecordKeepsNoStaleAlarm: a record handed back when its
+// alarm has already fired leaves no tick in the alarm's channel, or its next
+// trip would wake on it at once and answer DeadlineExceeded with its request
+// still queued. The deadlines are a few microseconds, about what a worker
+// that serves at once and never checks them takes to hand a request back, so
+// trips end both ways; one that ends on the alarm abandons its record.
+func TestLaneHandedBackRecordKeepsNoStaleAlarm(t *testing.T) {
+	answered := 0
+	for _, timeout := range []time.Duration{time.Microsecond, 3 * time.Microsecond, 10 * time.Microsecond, 30 * time.Microsecond} {
+		l := &lane[*testRider]{}
+		l.start(1, 64, timeout, 1, func(int, []*testRider) {})
+		for i := 0; i < 2000; i++ {
+			req := &testRider{ticket: newTicket()}
+			for trip := 0; trip < 5 && l.ride(context.Background(), req) == nil; trip++ {
+				answered++
+				if len(req.alarm.C) != 0 {
+					l.close()
+					t.Fatalf("deadline %v: a handed-back record kept a tick of its alarm", timeout)
+				}
+			}
+		}
+		l.close()
+	}
+	if answered == 0 {
+		t.Fatal("no trip was handed back before its alarm: the case was never run")
+	}
+}
+
+// TestLaneRideAllocatesNothing: once a record has made a trip, its next trip
+// — stamp, admission, the worker's hand-back and the wake-up — allocates
+// nothing, with the lane's default deadline and with the caller's own.
+func TestLaneRideAllocatesNothing(t *testing.T) {
+	l := &lane[*testRider]{}
+	l.start(1, 4, 5*time.Second, 1, func(int, []*testRider) {})
+	defer l.close()
+	own, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"default deadline": context.Background(), "caller's deadline": own} {
+		req := &testRider{ticket: newTicket()}
+		ride := func() {
+			if err := l.ride(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ride()
+		if n := testing.AllocsPerRun(100, ride); n != 0 {
+			t.Errorf("%s: a warm ride allocates %v times, want 0", name, n)
+		}
+	}
+}
+
+// TestLaneRecordAbandonedOnItsDeadlineIsNeverReused: a Submit that gives up
+// on its deadline leaves its record — and the frame copy in it, which the
+// forward in flight is reading — to the collector; no later request is ever
+// handed it. The stub model names the record by the image it was handed.
+func TestLaneRecordAbandonedOnItsDeadlineIsNeverReused(t *testing.T) {
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	m := &recordingModel{stubModel: stubModel{gate: gate}, entered: make(chan struct{}, 1)}
+	p := newSinglePool(t, m, Config{MaxBatch: 1, RequestTimeout: 30 * time.Millisecond})
+	t.Cleanup(release) // before the pool's Close, which waits for the forward
+	for requests.Len() > 0 {
+		requests.Get()
+	}
+	if _, _, err := p.Submit(context.Background(), testImage(0.1)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("submit behind a blocked forward: %v, want context.DeadlineExceeded", err)
+	}
+	<-m.entered
+	m.mu.Lock()
+	abandoned := m.seen[0]
+	m.mu.Unlock()
+	if n := requests.Len(); n != 0 {
+		t.Fatalf("the abandoned record went back to the free list (%d pooled)", n)
+	}
+	release()
+	for i := 0; i < 8; i++ {
+		if _, _, err := p.Submit(context.Background(), testImage(0.2+float32(i)*0.1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, x := range m.seen[1:] {
+		if x == abandoned {
+			t.Fatalf("request %d after the deadline was handed the abandoned record", i+1)
+		}
+	}
+}
+
+// recordingModel is a stubModel that records the first pixel's address of
+// every image it is handed, and says when a forward has begun.
+type recordingModel struct {
+	stubModel
+	entered chan struct{}
+	seen    []*float32 // guarded by stubModel.mu
+}
+
+func (m *recordingModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	m.mu.Lock()
+	m.seen = append(m.seen, &x.Data[0])
+	m.mu.Unlock()
+	select {
+	case m.entered <- struct{}{}:
+	default:
+	}
+	return m.stubModel.Forward(x, train)
 }
 
 // TestLaneWorkersHandBackEveryAdmittedRequest is the shutdown contract at
@@ -228,7 +382,7 @@ func TestLaneWorkersHandBackEveryAdmittedRequest(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for {
-						req := &countedRider{}
+						req := &countedRider{ticket: newTicket()}
 						err := l.ride(context.Background(), req)
 						switch {
 						case err == nil && req.served == 1:
@@ -236,11 +390,9 @@ func TestLaneWorkersHandBackEveryAdmittedRequest(t *testing.T) {
 						case errors.Is(err, ErrOverloaded) && req.served == 0:
 							runtime.Gosched()
 						case errors.Is(err, ErrDraining) && req.served == 0:
-							select {
-							case <-req.done: // admitted, then handed back unserved: close's to do, never drain's
+							if req.err != nil { // admitted, then handed back unserved: close's to do, never drain's
 								refusedLate.Add(1)
-							default: // refused at admission
-							}
+							} // else refused at admission, which records nothing
 							return
 						default:
 							t.Errorf("%d workers, %s: ride returned %v for a request served %d times", workers, stop, err, req.served)
@@ -425,7 +577,7 @@ func TestCloseAnswersEveryAdmittedRequest(t *testing.T) {
 		// the worker's liveness check — then queue Starts behind it.
 		gate := make(chan struct{})
 		hold := &heldCtx{Context: context.Background(), entered: make(chan struct{}), gate: gate}
-		held := &trackReq{ticket: newTicket(hold)}
+		held := &trackReq{ticket: boardedTicket(hold)}
 		if err := ts.admit(held); err != nil {
 			t.Fatal(err)
 		}

@@ -154,14 +154,23 @@ func (p *Pool) buildGeneration(factory ModelFactory, id int64) (*generation, err
 // the freshly swapped-in one. The image stays the caller's: a cache miss
 // hands the engine a copy, because Submit can return on the caller's deadline
 // while the request is still queued, and the caller may then reuse img. This
-// is the one copy of a frame on the detection path.
+// is the one copy of a frame on the detection path, into the record's own.
 func (p *Pool) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, error) {
 	t0 := time.Now()
 	key := hashFrame(img)
 	if box, conf, _, ok := p.cached(key, t0); ok {
 		return box, conf, nil
 	}
-	box, conf, _, err := p.submit(ctx, key, img.Clone(), t0)
+	req := requests.Get()
+	if req.own == nil || !req.own.SameShape(img) {
+		req.own = tensor.New(img.Shape()...)
+	}
+	copy(req.own.Data, img.Data)
+	box, conf, _, err := p.submit(ctx, key, req, req.own, t0)
+	if reusable(err) {
+		req.frame, req.ctx = detect.Frame{}, nil // drop what the last request referenced
+		requests.Put(req)
+	}
 	return box, conf, err
 }
 
@@ -180,17 +189,16 @@ func (p *Pool) cached(key frameKey, t0 time.Time) (detect.Box, float64, int64, b
 	return box, conf, gen, ok
 }
 
-// submit queues a cache miss and stores the answer under key, returning it
-// with the serving generation's ID (for the X-Skynet-Generation response
-// header and the swap tests). img is handed over: it must be a buffer the
-// front door owns, which the engine reads in place.
-func (p *Pool) submit(ctx context.Context, key frameKey, img *tensor.Tensor, t0 time.Time) (detect.Box, float64, int64, error) {
+// submit queues a cache miss in req and stores the answer under key,
+// returning it with the serving generation's ID (for the X-Skynet-Generation
+// response header and the swap tests). img is handed over: it must be a
+// buffer the front door owns, which the engine reads in place.
+func (p *Pool) submit(ctx context.Context, key frameKey, req *request, img *tensor.Tensor, t0 time.Time) (detect.Box, float64, int64, error) {
 	g := p.gen.Load()
 
 	// Validate once, on the caller's goroutine: every generation shares one
 	// Config, so a frame prepared here rides any.
-	f, err := g.prepare(img)
-	if err != nil {
+	if err := g.prepare(req, img); err != nil {
 		return detect.Box{}, 0, g.id, err
 	}
 
@@ -199,7 +207,7 @@ func (p *Pool) submit(ctx context.Context, key frameKey, img *tensor.Tensor, t0 
 	// pathological swap storm fail loudly instead of looping.
 	const maxSwapRaces = 4
 	for attempt := 0; attempt < maxSwapRaces; attempt++ {
-		box, conf, err := g.submitFrame(ctx, f)
+		box, conf, err := g.submitFrame(ctx, req)
 		switch {
 		case err == nil:
 			p.cache.put(g.id, key, box, conf)

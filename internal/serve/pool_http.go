@@ -79,7 +79,7 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// slow client gives its inflight slot back), hash its bytes, and only on a
 	// cache miss parse them — into the frame a worker's batch is stacked
 	// from.
-	buf := getReqBuf()
+	buf := reqBufs.Get()
 	if err := buf.read(w, r, g.timeout); err != nil {
 		putReqBuf(buf)
 		writeError(w, bodyStatus(err), err)
@@ -96,7 +96,7 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		box, conf, gen, err = p.submit(r.Context(), key, img, t0)
+		box, conf, gen, err = p.submit(r.Context(), key, &buf.req, img, t0)
 	}
 	if reusable(err) {
 		putReqBuf(buf)

@@ -36,11 +36,7 @@ func post(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 	return rec
 }
 
-func pooledBufs() int {
-	reqBufs.mu.Lock()
-	defer reqBufs.mu.Unlock()
-	return len(reqBufs.free)
-}
+func pooledBufs() int { return reqBufs.Len() }
 
 // TestTensorRoutesAnswer400 pins the two caller faults the reflective decode
 // let through, on all three tensor routes — /detect on the pool's door, the
@@ -154,9 +150,9 @@ func TestDeadlineLeavesTheBufferToTheGC(t *testing.T) {
 	h := p.Handler()
 
 	// Start from an empty list so the count below is this test's alone.
-	reqBufs.mu.Lock()
-	reqBufs.free = nil
-	reqBufs.mu.Unlock()
+	for reqBufs.Len() > 0 {
+		reqBufs.Get()
+	}
 
 	for i := 0; i < 3; i++ { // the first blocks in Forward, the others queue behind it
 		if rec := post(h, "/detect", detectBody(t, testImage(0.1*float32(i+1)))); rec.Code != http.StatusGatewayTimeout {
@@ -185,14 +181,15 @@ func TestDeadlineLeavesTheBufferToTheGC(t *testing.T) {
 // TestRequestPathAllocationCeilings gates the request path's allocation
 // count in `make ci`, through Pool.Handler() and httptest, without the bench
 // host: one /detect miss and one hit, request construction and recorder
-// included (≈ 15 of each count). At the parent commit the same measurement
-// reads ≈ 90 for a miss and ≈ 66 for a hit — encoding/json's decoder, the
-// Request.Tensor copy and the Preprocess clone; what is left is the ticket,
-// the lane's hand-offs, the batch tensor, the prediction and the JSON answer.
+// included (≈ 15 of each count). A miss reads 30 and a hit 24; under -race,
+// where sync.Pool (net/http's buffers) drops a share of Puts, up to 36 and 29.
+// The request's own record, ticket, deadline and frame are recycled, so what
+// is left beyond net/http and encoding/json is the model's output and the
+// cache entry a miss stores.
 func TestRequestPathAllocationCeilings(t *testing.T) {
 	const (
-		missCeiling = 60
-		hitCeiling  = 32
+		missCeiling = 36
+		hitCeiling  = 30
 	)
 	p := newTestPool(t, verFactory(1, nil, nil), PoolConfig{Replicas: 1, CacheEntries: 4096,
 		Replica: Config{Channels: 3}})

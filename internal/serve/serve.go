@@ -68,12 +68,17 @@ func (c *Config) normalize() {
 	laneDefaults(&c.QueueDepth, &c.RequestTimeout)
 }
 
-// request is one in-flight detection riding a generation's lane; the
-// prediction is read off frame once the ticket is done.
+// request is one detection's record, recycled (requests; the HTTP door's is
+// in its reqBuf): the frame that rides a generation's lane, whose prediction
+// is read once the worker has handed it back, and Submit's copy of the
+// caller's image, which the frame reads and the next Submit reuses.
 type request struct {
 	ticket
-	frame *detect.Frame
+	frame detect.Frame
+	own   *tensor.Tensor
 }
+
+var requests = tensor.FreeList[request]{Alloc: func() *request { return &request{ticket: newTicket()} }}
 
 // generation is one model generation, the pool's whole detection engine: a
 // lane with one worker per private model — an idle worker micro-batches
@@ -135,7 +140,7 @@ func (g *generation) inferBatch(worker int, batch []*request) {
 			if len(live) > 0 && !req.frame.Image.SameShape(live[0].Image) {
 				break
 			}
-			live = append(live, req.frame)
+			live = append(live, &req.frame)
 		}
 		if err := inferBatchSafe(g.models[worker], live); err != nil {
 			for _, req := range batch[lo:hi] {
@@ -166,14 +171,14 @@ func inferBatchSafe(m detect.Model, frames []*detect.Frame) (err error) {
 	return nil
 }
 
-// prepare validates one image on the caller's goroutine, before admission: a
-// malformed frame never takes a queue slot. The frame takes img over as it is
-// (see detect.Frame): nothing copies it, so the caller must not write it while
-// any request carrying the frame may still be queued or in a forward.
-func (g *generation) prepare(img *tensor.Tensor) (*detect.Frame, error) {
+// prepare validates one image into req's frame on the caller's goroutine,
+// before admission: a malformed frame never takes a queue slot. The frame
+// takes img over as it is (see detect.Frame): the caller must not write it
+// while the request may still be queued or in a forward.
+func (g *generation) prepare(req *request, img *tensor.Tensor) error {
 	t0 := time.Now()
-	f := &detect.Frame{Image: img}
-	err := detect.Preprocess(f)
+	req.frame = detect.Frame{Image: img}
+	err := detect.Preprocess(&req.frame)
 	if err != nil {
 		err = fmt.Errorf("%w: %v", ErrBadInput, err)
 	} else if c := g.channels; c > 0 && img.Dim(0) != c {
@@ -182,31 +187,32 @@ func (g *generation) prepare(img *tensor.Tensor) (*detect.Frame, error) {
 	g.pre.Add(1, time.Since(t0))
 	if err != nil {
 		g.failed.Add(1)
-		return nil, err
 	}
-	return f, nil
+	return err
 }
 
-// submitFrame rides a prepared frame through the lane — admission, a
+// submitFrame rides a prepared request through the lane — admission, a
 // micro-batched forward on whichever worker is idle, the hand-back — and
 // decodes the prediction on the caller's goroutine, so a caller that gave up
 // costs no decode. It blocks until the result is ready, the context fires
 // (Config.RequestTimeout when ctx has no deadline), or the request is
-// refused. A frame that comes back refused (ErrOverloaded, ErrDraining) was
+// refused. A request that comes back refused (ErrOverloaded, ErrDraining) was
 // never touched and may be offered to the next generation.
-func (g *generation) submitFrame(ctx context.Context, f *detect.Frame) (detect.Box, float64, error) {
-	req := &request{frame: f}
+func (g *generation) submitFrame(ctx context.Context, req *request) (detect.Box, float64, error) {
 	err := g.ride(ctx, req)
 	if err == nil {
 		t0 := time.Now()
-		err = detect.Postprocess(g.head, f)
+		err = detect.Postprocess(g.head, &req.frame)
+		if errors.Is(err, detect.ErrNonFinite) { // the frame's pixels overflowed the forward
+			err = fmt.Errorf("%w: %v", ErrBadInput, err)
+		}
 		g.post.Add(1, time.Since(t0))
 	}
 	switch {
 	case err == nil:
 		g.hist.Observe(time.Since(req.enq))
 		g.served.Add(1)
-		return f.Box, f.Conf, nil
+		return req.frame.Box, req.frame.Conf, nil
 	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining): // the pool's to count
 	case !reusable(err): // the caller's context fired, noticed here or by the worker
 		g.expired.Add(1)

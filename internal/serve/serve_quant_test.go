@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"net/http"
 	"testing"
 
 	"skynet/internal/backbone"
@@ -51,5 +53,32 @@ func TestServeQuantizedModel(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Served != 8 || m.Failed != 0 {
 		t.Fatalf("metrics %+v after 8 successes", m)
+	}
+}
+
+// TestDetectNonFiniteFrameIs400: a frame whose finite pixels overflow the
+// forward (3e38 everywhere) decodes to no finite box. /detect answers it 400
+// — twice, since nothing is cached — and Submit returns ErrBadInput, where
+// both used to answer an invented zero box at confidence 0, and the cache
+// kept it; /track/step answers such a frame the same way.
+func TestDetectNonFiniteFrameIs400(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	head := detect.NewHead(nil)
+	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: head.Channels(), ReLU6: true})
+	p := newTestPool(t, func() (detect.Model, *detect.Head, error) { return g, head, nil },
+		PoolConfig{Replicas: 1, CacheEntries: 16, Replica: Config{Channels: 3}})
+	huge := tensor.New(3, 48, 96)
+	huge.Fill(3e38)
+	body := detectBody(t, huge)
+	for i := 0; i < 2; i++ {
+		if rec := post(p.Handler(), "/detect", body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST %d of an overflowing frame: status %d %q, want 400", i, rec.Code, rec.Body)
+		}
+	}
+	if _, _, err := p.Submit(context.Background(), huge); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("Submit of an overflowing frame: %v, want ErrBadInput", err)
+	}
+	if n := p.Metrics().Cache.Entries; n != 0 {
+		t.Fatalf("the cache holds %d entries after three failed requests", n)
 	}
 }

@@ -472,11 +472,10 @@ func (m *steppedModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // returns the request is in the generation's queue.
 func enqueue(t *testing.T, r *generation, img *tensor.Tensor) *request {
 	t.Helper()
-	f, err := r.prepare(img)
-	if err != nil {
+	req := &request{ticket: boardedTicket(context.Background())}
+	if err := r.prepare(req, img); err != nil {
 		t.Fatal(err)
 	}
-	req := &request{ticket: newTicket(context.Background()), frame: f}
 	if err := r.admit(req); err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +489,7 @@ func answer(t *testing.T, r *generation, req *request) (detect.Box, float64) {
 	if req.err != nil {
 		t.Fatal(req.err)
 	}
-	if err := detect.Postprocess(r.head, req.frame); err != nil {
+	if err := detect.Postprocess(r.head, &req.frame); err != nil {
 		t.Fatal(err)
 	}
 	return req.frame.Box, req.frame.Conf

@@ -120,7 +120,7 @@ const (
 	opStep
 )
 
-// trackReq is one in-flight tracking call riding the service's lane.
+// trackReq is one tracking call's record, riding the service's lane.
 type trackReq struct {
 	ticket
 	op       trackOp
@@ -133,6 +133,20 @@ type trackReq struct {
 	outBox  detect.Box
 	outZF   *tensor.Tensor
 	outMask *tensor.Tensor
+}
+
+var trackReqs = tensor.FreeList[trackReq]{Alloc: func() *trackReq { return &trackReq{ticket: newTicket()} }}
+
+// putTrackReq recycles req, dropping what it references, unless err says
+// the lane may still hold it (see reusable).
+//
+//skynet:hotpath
+func putTrackReq(req *trackReq, err error) {
+	if !reusable(err) {
+		return
+	}
+	*req = trackReq{ticket: ticket{done: req.done, alarm: req.alarm}}
+	trackReqs.Put(req)
 }
 
 // TrackService exposes one Siamese tracker as a stateful concurrent
@@ -247,15 +261,19 @@ func (s *TrackService) Start(ctx context.Context, frame *tensor.Tensor, box dete
 		s.reject.Add(1)
 		return "", 0, ErrSessionTableFull
 	}
-	req := &trackReq{op: opStart, frame: frame, box: box}
+	req := trackReqs.Get()
+	req.op, req.frame, req.box = opStart, frame, box
 	if err := s.submit(ctx, req); err != nil {
+		putTrackReq(req, err) // read nothing of an abandoned record: the worker may still write it
 		return "", 0, err
 	}
+	zf := req.outZF
+	putTrackReq(req, nil)
 	sess := &session{
 		id:    fmt.Sprintf("t-%d", s.nextID.Add(1)),
-		zf:    req.outZF,
+		zf:    zf,
 		box:   box,
-		bytes: int64(req.outZF.Len()*4) + sessionOverheadBytes,
+		bytes: int64(zf.Len()*4) + sessionOverheadBytes,
 	}
 	sess.touch()
 
@@ -323,16 +341,20 @@ func (s *TrackService) Step(ctx context.Context, id string, frame *tensor.Tensor
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	req := &trackReq{op: opStep, frame: frame, box: sess.box, zf: sess.zf, withMask: withMask}
+	req := trackReqs.Get()
+	req.op, req.frame, req.box, req.zf, req.withMask = opStep, frame, sess.box, sess.zf, withMask
 	//skynet:nolint lockheld -- blocking under sess.mu is the point: one session's frames are serialized while other sessions proceed; submit is bounded by the request deadline
 	if err := s.submit(ctx, req); err != nil {
+		putTrackReq(req, err)
 		return detect.Box{}, nil, err
 	}
-	sess.box = req.outBox
+	box, mask := req.outBox, req.outMask
+	putTrackReq(req, nil)
+	sess.box = box
 	sess.frames.Add(1)
 	sess.touch()
 	s.stepped.Add(1)
-	return req.outBox, req.outMask, nil
+	return box, mask, nil
 }
 
 // Stop deletes a session, reporting whether it existed.
@@ -529,7 +551,7 @@ func member(key, value []byte, name string, v any) error {
 
 func (s *TrackService) handleStart(w http.ResponseWriter, r *http.Request) {
 	var box detect.Box
-	buf := getReqBuf()
+	buf := reqBufs.Get()
 	frame, ok := s.readTrackFrame(w, r, buf, func(key, value []byte) error {
 		return member(key, value, "box", &box)
 	})
@@ -552,7 +574,7 @@ func (s *TrackService) handleStep(w http.ResponseWriter, r *http.Request) {
 		session  string
 		withMask bool
 	)
-	buf := getReqBuf()
+	buf := reqBufs.Get()
 	frame, ok := s.readTrackFrame(w, r, buf, func(key, value []byte) error {
 		if err := member(key, value, "session", &session); err != nil {
 			return err

@@ -194,46 +194,6 @@ func newGemmScratch() *gemmScratch {
 	}
 }
 
-// freeList hands out persistent buffers like sync.Pool but with
-// deterministic reuse: the race-detector runtime makes sync.Pool drop a
-// random fraction of Puts, which broke the zero-allocation contract tests
-// under -race. An uncontended mutex costs a few nanoseconds per GEMM call
-// (amortized over at least gemmMinBlockedMACs multiply-adds) and every
-// returned buffer is reused, instrumented or not. Every chunk of a blocked
-// GEMM — the caller's, a pool job, a leaf call — takes its packing scratch
-// from the list of its element type and puts it back when it ends, so a list
-// holds as many panels as chunks of that type have ever run at once.
-type freeList[T any] struct {
-	mu    sync.Mutex
-	items []*T
-	alloc func() *T
-}
-
-// get pops a pooled buffer, falling back to the allocator on a miss.
-//
-//skynet:hotpath
-func (l *freeList[T]) get() *T {
-	l.mu.Lock()
-	if n := len(l.items); n > 0 {
-		x := l.items[n-1]
-		l.items = l.items[:n-1]
-		l.mu.Unlock()
-		return x
-	}
-	l.mu.Unlock()
-	return l.alloc()
-}
-
-// put returns a buffer to the list.
-//
-//skynet:hotpath
-func (l *freeList[T]) put(x *T) {
-	l.mu.Lock()
-	//skynet:nolint hotcall,hotalloc -- the backing array grows to peak concurrency once and is reused; steady state appends into capacity
-	l.items = append(l.items, x)
-	l.mu.Unlock()
-}
-
 // gemmTask is one in-flight piece of work the pool splits: a blocked GEMM of
 // either element type — the live call descriptor — or a parallelRange body,
 // with the completion group the pool workers signal. A task holds no scratch;
@@ -248,10 +208,13 @@ type gemmTask struct {
 	wg   sync.WaitGroup
 }
 
+// Every chunk of a blocked GEMM — the caller's, a pool job, a leaf call —
+// takes its packing scratch from the list of its element type and puts it
+// back when it ends, so a list holds as many panels as chunks ever ran at once.
 var (
-	taskFree        = freeList[gemmTask]{alloc: func() *gemmTask { return &gemmTask{} }}
-	gemmScratchFree = freeList[gemmScratch]{alloc: newGemmScratch}
-	i8ScratchFree   = freeList[i8Scratch]{alloc: newI8Scratch}
+	taskFree        = FreeList[gemmTask]{Alloc: func() *gemmTask { return &gemmTask{} }}
+	gemmScratchFree = FreeList[gemmScratch]{Alloc: newGemmScratch}
+	i8ScratchFree   = FreeList[i8Scratch]{Alloc: newI8Scratch}
 )
 
 // run executes columns [j0, j1) of the task's live call on packing scratch
@@ -263,13 +226,13 @@ func (t *gemmTask) run(j0, j1 int) {
 	case t.leaf != nil:
 		t.leaf(j0, j1)
 	case t.isI8:
-		s := i8ScratchFree.get()
+		s := i8ScratchFree.Get()
 		t.i8.run(j0, j1, s)
-		i8ScratchFree.put(s)
+		i8ScratchFree.Put(s)
 	default:
-		s := gemmScratchFree.get()
+		s := gemmScratchFree.Get()
 		t.f32.run(j0, j1, s)
-		gemmScratchFree.put(s)
+		gemmScratchFree.Put(s)
 	}
 }
 
@@ -391,11 +354,11 @@ func parallelRange(n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	t := taskFree.get()
+	t := taskFree.Get()
 	t.leaf = fn
 	t.split(n, (n+w-1)/w)
 	t.leaf = nil
-	taskFree.put(t)
+	taskFree.Put(t)
 }
 
 // Ranger is parallelRange for a body that takes the operands of the call as
@@ -403,7 +366,7 @@ func parallelRange(n int, fn func(lo, hi int)) {
 // and neither a closure built per call nor a field of the caller holds the
 // operands, which travel in a pooled call record. One Ranger serves any number
 // of calls at once; make it once, as a package-level variable.
-type Ranger[T any] struct{ free freeList[rangeCall[T]] }
+type Ranger[T any] struct{ free FreeList[rangeCall[T]] }
 
 // rangeCall is one Ranger call in flight.
 type rangeCall[T any] struct {
@@ -414,7 +377,7 @@ type rangeCall[T any] struct {
 
 // NewRanger returns a Ranger for bodies that take a T.
 func NewRanger[T any]() *Ranger[T] {
-	return &Ranger[T]{free: freeList[rangeCall[T]]{alloc: func() *rangeCall[T] {
+	return &Ranger[T]{free: FreeList[rangeCall[T]]{Alloc: func() *rangeCall[T] {
 		c := &rangeCall[T]{}
 		c.body = c.run
 		return c
@@ -433,12 +396,12 @@ func (r *Ranger[T]) Run(n int, arg T, fn func(arg T, lo, hi int)) {
 		fn(arg, 0, n)
 		return
 	}
-	c := r.free.get()
+	c := r.free.Get()
 	c.arg, c.fn = arg, fn
 	parallelRange(n, c.body)
 	var none T
 	c.arg, c.fn = none, nil // a parked record must not keep the caller's operands alive
-	r.free.put(c)
+	r.free.Put(c)
 }
 
 // gemmExec runs a float32 call: tiny problems on the small-problem kernel,
@@ -452,7 +415,7 @@ func gemmExec(c gemmCall) {
 		c.runNaive()
 		return
 	}
-	t := taskFree.get()
+	t := taskFree.Get()
 	t.f32, t.isI8 = c, false
 	if c.bandOf > 0 {
 		t.run(0, c.n)
@@ -460,7 +423,7 @@ func gemmExec(c gemmCall) {
 		t.dispatch(c.m, c.n, c.k)
 	}
 	t.f32 = gemmCall{} // a parked task must not keep the caller's operands alive
-	taskFree.put(t)
+	taskFree.Put(t)
 }
 
 // runNaive is the float32 small-problem kernel: no packing, one pass over

@@ -192,7 +192,7 @@ func i8Exec(c i8gemmCall) {
 		c.runNaive()
 		return
 	}
-	t := taskFree.get()
+	t := taskFree.Get()
 	t.i8, t.isI8 = c, true
 	if c.leaf {
 		t.run(0, c.n)
@@ -200,7 +200,7 @@ func i8Exec(c i8gemmCall) {
 		t.dispatch(c.m, c.n, c.k)
 	}
 	t.i8 = i8gemmCall{} // see gemmExec
-	taskFree.put(t)
+	taskFree.Put(t)
 }
 
 // Int8GEMMInto computes c = a·b for int8 A [m,k] and B [k,n], accumulating

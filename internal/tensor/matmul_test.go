@@ -360,17 +360,14 @@ func TestGemmPoolMixedTypes(t *testing.T) {
 
 // parked reports how many buffers l holds: with no call in flight, every one
 // it has built since it was last emptied.
-func (l *freeList[T]) parked() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.items)
-}
+func (l *FreeList[T]) parked() int { return l.Len() }
 
 // empty drops every buffer l holds, so that parked counts from here on.
-func (l *freeList[T]) empty() {
+func (l *FreeList[T]) empty() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.items = nil
+	clear(l.items[:l.n])
+	l.n = 0
 }
 
 // TestPackScratchFollowsChunksInFlight: packing panels belong to the chunks

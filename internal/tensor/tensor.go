@@ -88,6 +88,8 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 func (t *Tensor) Len() int { return len(t.Data) }
 
 // SameShape reports whether t and u have identical shapes.
+//
+//skynet:hotpath
 func (t *Tensor) SameShape(u *Tensor) bool {
 	if len(t.shape) != len(u.shape) {
 		return false

@@ -11,7 +11,6 @@ package track
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"skynet/internal/tensor"
 )
@@ -60,35 +59,7 @@ type xcorrScratch struct {
 	acc []int32 // int32 accumulators, one response plane
 }
 
-var xcorrFree = struct {
-	mu   sync.Mutex
-	list []*xcorrScratch
-}{}
-
-// getXCorrScratch pops a pooled scratch, constructing one on a miss.
-//
-//skynet:hotpath
-func getXCorrScratch() *xcorrScratch {
-	xcorrFree.mu.Lock()
-	defer xcorrFree.mu.Unlock()
-	if n := len(xcorrFree.list); n > 0 {
-		s := xcorrFree.list[n-1]
-		xcorrFree.list = xcorrFree.list[:n-1]
-		return s
-	}
-	//skynet:nolint hotalloc -- free-list miss path: constructs once per concurrent tracker, then the list serves every frame
-	return &xcorrScratch{}
-}
-
-// putXCorrScratch returns a scratch to the free list.
-//
-//skynet:hotpath
-func putXCorrScratch(s *xcorrScratch) {
-	xcorrFree.mu.Lock()
-	//skynet:nolint hotalloc -- the backing array grows to peak concurrency once and is reused; steady state appends into capacity
-	xcorrFree.list = append(xcorrFree.list, s)
-	xcorrFree.mu.Unlock()
-}
+var xcorrFree = tensor.FreeList[xcorrScratch]{Alloc: func() *xcorrScratch { return &xcorrScratch{} }}
 
 // DWXCorr computes the depth-wise cross-correlation of exemplar features z
 // [C,hz,wz] against search features x [C,hx,wx]: each channel of z slides
@@ -207,7 +178,7 @@ func DWXCorrInt8(z, x *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	out := tensor.New(c, oh, ow)
-	s := getXCorrScratch()
+	s := xcorrFree.Get()
 	k, n := hz*wz, oh*ow
 	if len(s.zi8) < c*k || len(s.xi8) < c*hx*wx || len(s.ci8) < k*n || len(s.acc) < n {
 		//skynet:nolint hotalloc -- grow-once scratch: sized on the first frame of a geometry, reused afterwards
@@ -224,7 +195,7 @@ func DWXCorrInt8(z, x *tensor.Tensor) (*tensor.Tensor, error) {
 			od[i] = float32(a) * mult
 		}
 	}
-	putXCorrScratch(s)
+	xcorrFree.Put(s)
 	return out, nil
 }
 
