@@ -6,7 +6,7 @@ GO ?= go
 # higher floor than the rest; the pipeline package, small and fully
 # exercised by its executor tests, to a higher one still.
 COVER_FLOOR ?= 60
-COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/nn:85 ./internal/pipeline:90 ./internal/detect:$(COVER_FLOOR) ./internal/quant:80 ./internal/track:85
+COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/nn:85 ./internal/pipeline:90 ./internal/detect:$(COVER_FLOOR) ./internal/quant:80 ./internal/track:85 ./internal/fpga:95
 
 .PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-smoke bench-quant cover check ci
 
@@ -22,9 +22,11 @@ build:
 # (a duplicate or half-removed flag.Int) fails here, and so does a -flag that
 # README.md or a cmd/*/main.go package doc (its Usage: block) names after the
 # command's name, up to the end of that line, but its usage text does not
-# list. skynet-sim then runs with its defaults: it prices full-size SkyNet C
-# through both FPGA models, with no forward, in well under a second. The
-# examples parse no flags and would run in full, so they are only compiled.
+# list. skynet-sim then runs with its defaults and with its documented
+# -device pynq -w 8 -fm 8: it prices full-size SkyNet C on the FPGA schedule,
+# with no forward, in well under a second. A bad flag (-w 0) must end in its
+# error and exit 1; a panic exits 2. The examples parse no flags and would run
+# in full, so they are only compiled.
 binaries:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	{ cat README.md; for m in cmd/*/main.go; do sed '/^package /q' "$$m"; done; } >"$$tmp/docs"; \
@@ -48,7 +50,10 @@ binaries:
 		done; \
 	done; \
 	echo "run skynet-sim"; \
-	"$$tmp/skynet-sim" >"$$tmp/sim" 2>&1 || { cat "$$tmp/sim"; echo "skynet-sim failed"; exit 1; }
+	"$$tmp/skynet-sim" >"$$tmp/sim" 2>&1 || { cat "$$tmp/sim"; echo "skynet-sim failed"; exit 1; }; \
+	"$$tmp/skynet-sim" -device pynq -w 8 -fm 8 >"$$tmp/sim" 2>&1 || { cat "$$tmp/sim"; echo "skynet-sim -device pynq -w 8 -fm 8 failed"; exit 1; }; \
+	"$$tmp/skynet-sim" -w 0 >"$$tmp/sim" 2>&1; st=$$?; \
+	[ $$st -eq 1 ] || { cat "$$tmp/sim"; echo "skynet-sim -w 0 exited $$st, want 1"; exit 1; }
 
 # vet also fails on any tracked .go file outside testdata/ that gofmt
 # would rewrite, so formatting drift is caught here and not in review.

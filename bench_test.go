@@ -147,15 +147,15 @@ func BenchmarkTable5GPU(b *testing.B) {
 	}
 }
 
-// BenchmarkTable6FPGA measures the Ultra96 accelerator estimate behind
-// Table 6.
+// BenchmarkTable6FPGA measures the Ultra96 accelerator schedule behind
+// Table 6, full-size SkyNet priced from its node table.
 func BenchmarkTable6FPGA(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
+	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
 	ip := fpga.AutoConfig(fpga.Ultra96, 11, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fpga.Estimate(nn.Costs(g, []int{1, 3, 48, 96}), fpga.Ultra96, ip)
+		fpga.Simulate(nn.Costs(g, []int{1, 3, 160, 320}), fpga.Ultra96, ip)
 	}
 }
 
@@ -596,18 +596,5 @@ func BenchmarkMobileNetVsSkyNet(b *testing.B) {
 				g.Forward(x, false)
 			}
 		})
-	}
-}
-
-// BenchmarkFPGASimulator measures the tile-level accelerator simulator on
-// the full-size SkyNet.
-func BenchmarkFPGASimulator(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
-	costs := nn.Costs(g, []int{1, 3, 160, 320})
-	ip := fpga.AutoConfig(fpga.Ultra96, 11, 9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fpga.Simulate(costs, fpga.Ultra96, ip)
 	}
 }

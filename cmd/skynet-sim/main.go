@@ -1,6 +1,7 @@
-// Command skynet-sim maps a model onto the FPGA accelerator model and
-// prints both the calibrated analytical estimate and the tile-level cycle
-// simulator's per-layer timeline — the §6.4 deployment analysis as a tool.
+// Command skynet-sim maps a model onto the FPGA accelerator model, the
+// shared Bundle IP's tile-level schedule calibrated once to the paper's
+// operating point, and prints its summary, modeled power and per-layer
+// cycle timeline — the §6.4 deployment analysis as a tool.
 //
 // Usage:
 //
@@ -48,6 +49,12 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *wBits < 1 || *wBits > 32 {
+		return fmt.Errorf("-w %d: weight bits must be in 1..32", *wBits)
+	}
+	if *fmBits < 1 || *fmBits > 32 {
+		return fmt.Errorf("-fm %d: feature-map bits must be in 1..32", *fmBits)
+	}
 
 	var dev fpga.Device
 	switch *device {
@@ -74,20 +81,21 @@ func run(args []string, w io.Writer) error {
 		g = backbone.SkyNetC(rand.New(rand.NewSource(0)), backbone.DefaultConfig())
 		fmt.Fprintf(&sb, "model: SkyNet C at paper scale (%d parameters)\n", g.NumParams())
 	}
-	costs := nn.Costs(g, []int{1, inC, *imgH, *imgW})
+	costs, err := nn.CostsOf(g, []int{1, inC, *imgH, *imgW})
+	if err != nil {
+		return err
+	}
 
 	ip := fpga.AutoConfig(dev, *wBits, *fmBits)
 	ip.Batch = *batch
 	fmt.Fprintf(&sb, "device: %s\nIP: %dx%d multipliers (W%d/FM%d), batch %d\n\n",
 		dev, ip.Tm, ip.Tn, ip.WBits, ip.FMBits, ip.Batch)
 
-	est := fpga.Estimate(costs, dev, ip)
-	fmt.Fprintf(&sb, "calibrated estimate: %s\n", est)
-	fmt.Fprintf(&sb, "modeled power: %.2f W\n\n", est.PowerW())
-
-	sim := fpga.Simulate(costs, dev, ip)
-	fmt.Fprintln(&sb, "tile-level schedule (ideal bound):")
-	sb.WriteString(sim.Timeline())
-	_, err := io.WriteString(w, sb.String())
+	rep := fpga.Simulate(costs, dev, ip)
+	fmt.Fprintf(&sb, "accelerator: %s\n", rep)
+	fmt.Fprintf(&sb, "modeled power: %.2f W\n\n", rep.PowerW())
+	fmt.Fprintln(&sb, "tile-level schedule:")
+	sb.WriteString(rep.Timeline())
+	_, err = io.WriteString(w, sb.String())
 	return err
 }

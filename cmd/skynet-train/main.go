@@ -47,6 +47,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skynet-train: %v\n", err)
 		os.Exit(2)
 	}
+	costs, err := nn.CostsOf(g, []int{1, spec.InC, *imgH, *imgW})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "skynet-train: %v\n", err)
+		os.Exit(1)
+	}
 
 	dcfg := dataset.DefaultConfig()
 	dcfg.W, dcfg.H = *imgW, *imgH
@@ -64,7 +69,7 @@ func main() {
 	fmt.Printf("SkyNet %s (%s, width %.2f): %d parameters\n",
 		spec.Variant, map[bool]string{true: "ReLU6", false: "ReLU"}[*relu6], *width, g.NumParams())
 	if *summary {
-		fmt.Print(nn.Summary(nn.Costs(g, []int{1, spec.InC, *imgH, *imgW})))
+		fmt.Print(nn.Summary(costs))
 	}
 
 	detect.TrainDetector(g, head, train, detect.TrainConfig{

@@ -50,7 +50,7 @@ func main() {
 	costs := nn.Costs(model, []int{1, 3, gen.Config().H, gen.Config().W})
 	ip := fpga.AutoConfig(fpga.Ultra96, chosen.WeightBits, chosen.FMBits)
 	ip.Batch = 4
-	rep := fpga.Estimate(costs, fpga.Ultra96, ip)
+	rep := fpga.Simulate(costs, fpga.Ultra96, ip)
 	fmt.Printf("  IP: %dx%d multipliers, %d DSPs (%.0f%% of device)\n",
 		ip.Tm, ip.Tn, rep.DSPUsed, rep.UtilDSP*100)
 	fmt.Printf("  latency %.2f ms -> %.1f FPS at %.1f GOPS\n",
@@ -59,9 +59,8 @@ func main() {
 		rep.BRAMUsed, fpga.Ultra96.BRAM18K, rep.WeightKB, rep.PowerW())
 	fmt.Printf("  fits device: %v\n", rep.Fits)
 
-	fmt.Println("\ntile-level schedule (ideal bound from the cycle simulator):")
-	sim := fpga.Simulate(costs, fpga.Ultra96, ip)
-	fmt.Print(sim.Timeline())
+	fmt.Println("\ntile-level schedule:")
+	fmt.Print(rep.Timeline())
 
 	fmt.Println("\nbatch + tiling plan (Figure 9):")
 	strip := rep.MaxFMWords / int64(gen.Config().H) * 4

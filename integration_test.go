@@ -67,24 +67,16 @@ func TestIntegrationTrainQuantizeDeployScore(t *testing.T) {
 		t.Fatalf("scheme-1 quantization moved IoU too far: %.3f -> %.3f", floatIoU, quantIoU)
 	}
 
-	// Hardware mapping: estimate + simulate must both fit and agree on the
-	// order of magnitude.
-	costs := nn.Costs(model, []int{1, 3, 48, 96})
-	ip := fpga.AutoConfig(fpga.Ultra96, 11, 9)
-	est := fpga.Estimate(costs, fpga.Ultra96, ip)
-	sim := fpga.Simulate(costs, fpga.Ultra96, ip)
-	if !est.Fits {
-		t.Fatalf("scaled SkyNet must fit the device: %s", est)
-	}
-	if sim.LatencyS > est.LatencyS || est.LatencyS > 20*sim.LatencyS {
-		t.Fatalf("simulator (%.3fms) and estimate (%.3fms) disagree wildly",
-			sim.LatencyS*1e3, est.LatencyS*1e3)
+	// Hardware mapping: the scaled design must fit the device.
+	rep := fpga.Simulate(nn.Costs(model, []int{1, 3, 48, 96}), fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 11, 9))
+	if !rep.Fits {
+		t.Fatalf("scaled SkyNet must fit the device: %s", rep)
 	}
 
 	// Contest scoring of the deployed design.
-	profile := pipeline.FPGAStageProfile(est.LatencyS)
+	profile := pipeline.FPGAStageProfile(rep.LatencyS)
 	entry := hw.Entry{Team: "integration", IoU: quantIoU,
-		FPS: pipeline.ThroughputFPS(profile), PowerW: est.PowerW()}
+		FPS: pipeline.ThroughputFPS(profile), PowerW: rep.PowerW()}
 	scores := hw.ScoreEntries([]hw.Entry{entry}, hw.FPGATrackX,
 		hw.CalibrateMeanEnergy(hw.FPGA2019[0], hw.FPGATrackX))
 	if scores[0].TS <= 0 || scores[0].ES < 0 {

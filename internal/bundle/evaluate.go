@@ -51,7 +51,7 @@ func (t Target) Price(g *nn.Graph, in []int) Price {
 	}
 	return Price{
 		MACs:   macs,
-		Report: fpga.Estimate(costs, t.Device, fpga.AutoConfig(t.Device, t.WBits, t.FMBits)),
+		Report: fpga.Simulate(costs, t.Device, fpga.AutoConfig(t.Device, t.WBits, t.FMBits)),
 		GPUms:  t.GPU.GraphLatency(costs) * 1e3,
 	}
 }

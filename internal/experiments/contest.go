@@ -35,7 +35,7 @@ func simulateFPGAEntry(o Options) (hw.Entry, fpga.Report) {
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
 	ip := fpga.AutoConfig(fpga.Ultra96, 11, 9)
 	ip.Batch = 4 // the §6.4.1 batch+tiling scheme
-	rep := fpga.Estimate(nn.Costs(g, []int{1, 3, 160, 320}), fpga.Ultra96, ip)
+	rep := fpga.Simulate(nn.Costs(g, []int{1, 3, 160, 320}), fpga.Ultra96, ip)
 	// The system pipeline caps throughput at the slowest stage.
 	profile := pipeline.FPGAStageProfile(rep.LatencyS)
 	fps := pipeline.ThroughputFPS(profile)

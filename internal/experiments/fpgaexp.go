@@ -18,7 +18,7 @@ func skyNetMaxFM(o Options) int64 {
 	rng := rand.New(rand.NewSource(o.seed()))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
 	ip := fpga.AutoConfig(fpga.Ultra96, 11, 9)
-	rep := fpga.Estimate(nn.Costs(g, []int{1, 3, 160, 320}), fpga.Ultra96, ip)
+	rep := fpga.Simulate(nn.Costs(g, []int{1, 3, 160, 320}), fpga.Ultra96, ip)
 	return rep.MaxFMWords
 }
 

@@ -155,11 +155,11 @@ func Table7(o Options) Table {
 	if qm, err := quant.Export(g, calib, quant.ExportConfig{}); err == nil {
 		iou := detect.MeanIoU(qm, head, val, 8)
 		t.Rows = append(t.Rows, []string{"int8 per-channel", "8", "8", f3(iou), "-"})
-		// Couple the measured accuracy into the DSP/latency estimator so
-		// the table carries the full accuracy/latency/resource point, for
-		// one frame.
+		// Couple the measured accuracy into the FPGA schedule so the
+		// table carries the full accuracy/latency/resource point, for one
+		// frame.
 		costs := nn.Costs(g, []int{1, 3, gen.Config().H, gen.Config().W})
-		op := fpga.Estimate(costs, fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 8, 8)).WithAccuracy(iou)
+		op := fpga.Simulate(costs, fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 8, 8)).WithAccuracy(iou)
 		t.Notes = append(t.Notes,
 			"int8 per-channel row measured by the real integer engine (quant.Export)",
 			"Ultra96 W8/FM8 operating point: "+op.String())

@@ -40,7 +40,7 @@ func WidthSweep(o Options) Table {
 		// Hardware models at the deployment resolution.
 		costs := nn.Costs(g, []int{1, 3, cfgD.H, cfgD.W})
 		gpuFPS := 1 / hw.TX2.GraphLatency(costs)
-		rep := fpga.Estimate(costs, fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 11, 9))
+		rep := fpga.Simulate(costs, fpga.Ultra96, fpga.AutoConfig(fpga.Ultra96, 11, 9))
 		t.Rows = append(t.Rows, []string{
 			f3(w),
 			f2(float64(g.NumParams()) / 1e3),

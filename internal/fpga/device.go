@@ -4,8 +4,9 @@
 // 2019 mapping strategy). The model covers DSP cost as a function of
 // weight/feature-map bit widths (the packing behaviour behind Figure 2(c)),
 // BRAM banking with the power-of-two depth granularity behind Figure 2(b),
-// end-to-end latency/resource estimation, and the batch + tiling buffer
-// scheme of Figure 9.
+// the batch + tiling buffer scheme of Figure 9, and one performance model:
+// a tile-level schedule of every layer, calibrated once (Simulate), whose
+// Report prices every FPGA latency and resource count in the repository.
 package fpga
 
 import (

@@ -105,15 +105,14 @@ func TestEstimateSkyNetUltra96(t *testing.T) {
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
 	costs := nn.Costs(g, []int{1, 3, 160, 320})
 	ip := AutoConfig(Ultra96, 11, 9) // the paper's scheme 1
-	rep := Estimate(costs, Ultra96, ip)
+	rep := Simulate(costs, Ultra96, ip)
 	if !rep.Fits {
 		t.Fatalf("SkyNet must fit Ultra96: %s", rep)
 	}
-	// The paper's full system runs at 25.05 FPS with inference as the
-	// pipeline bottleneck; the raw accelerator estimate must land in a
-	// plausible band around that (20–80 FPS).
-	if rep.FPS < 20 || rep.FPS > 80 {
-		t.Fatalf("SkyNet Ultra96 estimate %.1f FPS outside the plausible band: %s", rep.FPS, rep)
+	// The calibration is fitted to this operating point: Table 6's 39.25 ms
+	// (25.5 FPS), near the paper's 25.05 FPS system.
+	if got := fmt.Sprintf("%.2f", rep.LatencyS*1e3); got != "39.25" {
+		t.Fatalf("SkyNet C at W11/FM9 schedules in %s ms, want 39.25: %s", got, rep)
 	}
 	if rep.GOPS > 144 {
 		t.Fatalf("achieved GOPS %.1f exceeds the device peak", rep.GOPS)
@@ -124,26 +123,31 @@ func TestEstimateMonotoneInParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
 	costs := nn.Costs(g, []int{1, 3, 48, 96})
-	small := Estimate(costs, Ultra96, IPConfig{Tm: 4, Tn: 4, WBits: 11, FMBits: 9})
-	large := Estimate(costs, Ultra96, IPConfig{Tm: 16, Tn: 16, WBits: 11, FMBits: 9})
-	if large.LatencyS >= small.LatencyS {
-		t.Fatalf("larger array must be faster: %v vs %v", large.LatencyS, small.LatencyS)
+	small := Simulate(costs, Ultra96, IPConfig{Tm: 4, Tn: 4, WBits: 11, FMBits: 9})
+	large := Simulate(costs, Ultra96, IPConfig{Tm: 16, Tn: 16, WBits: 11, FMBits: 9})
+	if large.TotalCycles >= small.TotalCycles || large.LatencyS >= small.LatencyS {
+		t.Fatalf("16x16 (%d cycles) must beat 4x4 (%d)", large.TotalCycles, small.TotalCycles)
 	}
 	if large.DSPUsed <= small.DSPUsed {
 		t.Fatal("larger array must use more DSPs")
 	}
 }
 
+// TestEstimateBatchImprovesWeightTraffic: one weight load serves the whole
+// batch, so a layer's per-image weight stream shrinks with it.
 func TestEstimateBatchImprovesWeightTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	// Small input so all layer boundaries stay on-chip even at batch 4;
-	// the remaining traffic is the weight stream, which batching divides.
 	costs := nn.Costs(g, []int{1, 3, 24, 24})
-	b1 := Estimate(costs, Ultra96, IPConfig{Tm: 8, Tn: 8, WBits: 11, FMBits: 9, Batch: 1})
-	b4 := Estimate(costs, Ultra96, IPConfig{Tm: 8, Tn: 8, WBits: 11, FMBits: 9, Batch: 4})
-	if b4.MemoryS >= b1.MemoryS {
-		t.Fatalf("batching must reduce per-image weight traffic: %v vs %v", b4.MemoryS, b1.MemoryS)
+	b1 := Simulate(costs, Ultra96, IPConfig{Tm: 8, Tn: 8, WBits: 11, FMBits: 9, Batch: 1})
+	b4 := Simulate(costs, Ultra96, IPConfig{Tm: 8, Tn: 8, WBits: 11, FMBits: 9, Batch: 4})
+	var w1, w4 int64
+	for i := range b1.Traces {
+		w1 += b1.Traces[i].WeightCycles
+		w4 += b4.Traces[i].WeightCycles
+	}
+	if w4 >= w1 {
+		t.Fatalf("batching must reduce per-image weight traffic: %d vs %d cycles", w4, w1)
 	}
 }
 
@@ -254,8 +258,8 @@ func TestEstimateQuantizationSpeedsUp(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
 	costs := nn.Costs(g, []int{1, 3, 48, 96})
-	w8 := Estimate(costs, Ultra96, AutoConfig(Ultra96, 8, 8))
-	w16 := Estimate(costs, Ultra96, AutoConfig(Ultra96, 15, 16))
+	w8 := Simulate(costs, Ultra96, AutoConfig(Ultra96, 8, 8))
+	w16 := Simulate(costs, Ultra96, AutoConfig(Ultra96, 15, 16))
 	if w8.LatencyS >= w16.LatencyS {
 		t.Fatalf("8-bit design (%.2fms) must beat 16-bit (%.2fms)",
 			w8.LatencyS*1e3, w16.LatencyS*1e3)
@@ -263,12 +267,12 @@ func TestEstimateQuantizationSpeedsUp(t *testing.T) {
 }
 
 // TestOperatingPointCouplesAccuracy checks that a measured IoU rides along
-// with the latency/resource estimate and shows up in the summary.
+// with the latency/resource report and shows up in the summary.
 func TestOperatingPointCouplesAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
 	costs := nn.Costs(g, []int{1, 3, 32, 64})
-	rep := Estimate(costs, Ultra96, AutoConfig(Ultra96, 8, 8))
+	rep := Simulate(costs, Ultra96, AutoConfig(Ultra96, 8, 8))
 	p := rep.WithAccuracy(0.512)
 	if p.IoU != 0.512 || p.FPS != rep.FPS {
 		t.Fatalf("operating point %+v lost fields of %+v", p, rep)

@@ -2,31 +2,29 @@ package fpga
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"skynet/internal/nn"
 )
 
-// This file is a tile-level simulator of the shared-IP accelerator: it
-// schedules every convolution onto the Tm×Tn multiplier array tile by tile
-// (output-channel × input-channel × spatial), streams weights through a
-// double-buffered DMA channel that overlaps compute, and accounts cycles
-// per layer. Where Estimate is the calibrated analytical model (its
-// Inefficiency factor absorbs everything the paper's real system lost),
-// Simulate derives the schedule organically and therefore bounds the
-// achievable ideal: pipeline-fill overheads, tile-quantization waste and
-// the depth-wise diagonal mapping all emerge from the schedule itself.
+// This file is the accelerator's one performance model: a tile-level
+// schedule of the shared IP. It maps every convolution onto the Tm×Tn
+// multiplier array tile by tile (output-channel × input-channel × spatial),
+// streams weights and spilled feature maps through a double-buffered DMA
+// channel that overlaps compute, and accounts cycles per layer. Pipeline
+// fill, tile-quantization waste and the depth-wise diagonal mapping emerge
+// from the schedule itself; one constant, cycleScale, calibrates what the
+// schedule does not see (control, address generation, boundary handling).
 
-// LayerTrace is the simulated execution record of one layer.
+// LayerTrace is the scheduled execution record of one layer.
 type LayerTrace struct {
 	Index int
 	Name  string
 	Kind  LayerKind
 	// Tile structure.
 	TmTiles, TnTiles int
-	SpatialPositions int64
-	KernelTaps       int64 // K² (1 for point-wise)
-	// Cycle accounting.
+	// Cycle accounting; StartCycle + Compute + Fill + Stall = EndCycle.
 	ComputeCycles int64
 	WeightCycles  int64 // weight-stream DMA demand
 	FMCycles      int64 // off-chip feature-map traffic (when spilled)
@@ -39,120 +37,121 @@ type LayerTrace struct {
 	Utilization float64
 }
 
-// Cycles returns the layer's simulated wall cycles.
-func (t LayerTrace) Cycles() int64 { return t.EndCycle - t.StartCycle }
-
-// SimReport is the outcome of one simulated inference.
-type SimReport struct {
+// Report is one image's inference on the accelerator: the schedule's
+// per-layer traces, their totals, and the IP's resource count.
+type Report struct {
 	Device      Device
 	IP          IPConfig
 	Traces      []LayerTrace
 	TotalCycles int64
-	LatencyS    float64
+	LatencyS    float64 // per image: TotalCycles at the device clock
 	FPS         float64
+	GOPS        float64 // achieved
+	TotalMACs   int64
 	// AvgUtilization is MAC-weighted array utilization.
 	AvgUtilization float64
-	// TotalMACs actually executed.
-	TotalMACs int64
+	DSPUsed        int
+	BRAMUsed       int
+	UtilDSP        float64
+	UtilBRAM       float64
+	WeightKB       float64
+	MaxFMWords     int64
+	Fits           bool
 }
 
-// fill cycles for one pass of the array pipeline (load/drain).
-const tileFillCycles = 32
+const (
+	// tileFillCycles is the pipeline fill (load/drain) of one pass of the
+	// array.
+	tileFillCycles = 32
+	// cycleScale stretches every layer's compute and fill cycles. It is
+	// fitted once, so that full-size SkyNet C at W11/FM9 and 160×320 on
+	// Ultra96 keeps its 39.25 ms (25.5 FPS) Table 6 operating point.
+	cycleScale = 2.2862
+)
+
+// scaled returns the calibrated count of c schedule cycles.
+func scaled(c int64) int64 { return int64(math.Round(float64(c) * cycleScale)) }
 
 // Simulate runs the tile-level schedule of one image, from a graph's price
-// table (nn.Costs), on the device with the given IP.
-func Simulate(costs []nn.NodeCost, dev Device, ip IPConfig) SimReport {
-	ip.normalize()
-	works := ExtractWork(costs, ip)
+// table (nn.Costs), on the device with the given IP. The BRAM is split as
+// the shared IP does (§6.4.1): a ping-pong weight buffer sized for the
+// largest layer, and the rest of 60 % of the device (at least two blocks
+// per input lane) for the feature-map ping-pong buffer. A layer boundary
+// whose two feature maps (times the batch) fit in one half stays on chip;
+// a larger one streams out and back in through DDR. Weight streaming is
+// amortized over the batch.
+func Simulate(costs []nn.NodeCost, dev Device, ip IPConfig) Report {
+	if ip.Batch <= 0 {
+		ip.Batch = 1
+	}
+	works := extractWork(costs, ip)
 	if len(works) == 0 {
 		panic("fpga: Simulate needs a graph with convolutional layers")
 	}
+	var maxWBits, weightBits int64
+	for _, w := range works {
+		maxWBits = max(maxWBits, w.weightBits)
+		weightBits += w.weightBits
+	}
+	wBlocks := BRAMBlocks(int(maxWBits/int64(ip.WBits)), ip.WBits) * 2
+	fmBlocks := max(dev.BRAM18K*6/10-wBlocks, 2*ip.Tn)
+	onChipWords := int64(fmBlocks/2) * 18 * 1024 / int64(ip.FMBits)
 	// Bits the DDR channel can deliver per accelerator cycle.
 	bitsPerCycle := dev.DDRBandwidth * 8 / (dev.FreqMHz * 1e6)
-	// On-chip FM capacity, mirroring Estimate's budget split.
-	var maxWBits int64
-	for _, w := range works {
-		if w.WeightBits > maxWBits {
-			maxWBits = w.WeightBits
-		}
-	}
-	wBlocks := BRAMBlocks(int(maxWBits/int64(max(1, ip.WBits))), ip.WBits) * 2
-	fmBudgetBlocks := dev.BRAM18K*6/10 - wBlocks
-	if fmBudgetBlocks < 2*ip.Tn {
-		fmBudgetBlocks = 2 * ip.Tn
-	}
-	onChipWords := int64(fmBudgetBlocks/2) * 18 * 1024 / int64(ip.FMBits)
 
-	rep := SimReport{Device: dev, IP: ip}
+	dsp, bram := ip.DSPCost(), min(fmBlocks+wBlocks, dev.BRAM18K)
+	rep := Report{Device: dev, IP: ip, DSPUsed: dsp, BRAMUsed: bram,
+		UtilDSP:  float64(dsp) / float64(dev.DSP),
+		UtilBRAM: float64(bram) / float64(dev.BRAM18K),
+		WeightKB: float64(weightBits) / 8 / 1024,
+		Fits:     dsp <= dev.DSP && bram <= dev.BRAM18K,
+	}
 	var cycle int64
 	var weightedUtil float64
-	prevWords := works[0].FMWords
+	prevWords := works[0].fmWords // the input is the first boundary
 	for idx, w := range works {
-		tr := LayerTrace{Index: idx, StartCycle: cycle, Kind: w.Kind}
-		switch w.Kind {
-		case KindDW:
+		tr := LayerTrace{Index: idx, StartCycle: cycle, Kind: w.kind,
+			TmTiles: ceilDiv(w.outC, ip.Tm), TnTiles: 1}
+		if w.kind == KindDW {
+			// Channels map across Tm along the array's diagonal: a tile
+			// pass covers min(Tm, C) channels at one MAC each per
+			// position and tap (MACs = C × P × K²).
 			tr.Name = fmt.Sprintf("dwconv[%d]", idx)
-			tr.TmTiles = ceilDiv(w.OutC, ip.Tm)
-			tr.TnTiles = 1
-			// MACs = C × K² × P; channels map across Tm, so one tile pass
-			// covers min(Tm, C) channels at one MAC each per tap.
-			chPerTile := min64(int64(ip.Tm), int64(w.OutC))
-			tr.KernelTaps = w.MACs / (int64(w.OutC))
-			tr.SpatialPositions = tr.KernelTaps // P×K² combined; keep product
-			tr.ComputeCycles = int64(tr.TmTiles) * tr.KernelTaps
-			util := float64(chPerTile) / float64(ip.Lanes())
-			tr.Utilization = util
-		default:
+			tr.ComputeCycles = int64(tr.TmTiles) * (w.macs / int64(w.outC))
+		} else {
 			tr.Name = fmt.Sprintf("conv[%d]", idx)
-			tr.TmTiles = ceilDiv(w.OutC, ip.Tm)
-			tr.TnTiles = ceilDiv(w.InC, ip.Tn)
-			perPos := w.MACs / int64(w.InC) / int64(w.OutC) // P × K²
-			tr.KernelTaps = perPos
-			tr.SpatialPositions = perPos
-			tr.ComputeCycles = int64(tr.TmTiles) * int64(tr.TnTiles) * perPos
-			// Utilization: edge tiles run partially empty.
-			ideal := float64(w.MACs) / float64(ip.Lanes())
-			tr.Utilization = ideal / float64(tr.ComputeCycles)
+			tr.TnTiles = ceilDiv(w.inC, ip.Tn)
+			tr.ComputeCycles = int64(tr.TmTiles*tr.TnTiles) * (w.macs / int64(w.inC) / int64(w.outC))
 		}
-		tr.FillCycles = int64(tr.TmTiles*tr.TnTiles) * tileFillCycles
-		tr.WeightCycles = int64(float64(w.WeightBits) / bitsPerCycle / float64(ip.Batch))
-		// FM spill: the layer boundary streams through DDR when it cannot
-		// stay resident (same rule as Estimate).
-		if (prevWords+w.FMWords)*int64(ip.Batch) > onChipWords {
-			tr.FMCycles = int64(float64(2*w.FMWords*int64(ip.FMBits)) / bitsPerCycle)
+		tr.ComputeCycles = scaled(tr.ComputeCycles)
+		tr.FillCycles = scaled(int64(tr.TmTiles*tr.TnTiles) * tileFillCycles)
+		tr.Utilization = float64(w.macs) / float64(ip.Lanes()) / float64(tr.ComputeCycles)
+		tr.WeightCycles = int64(float64(w.weightBits) / bitsPerCycle / float64(ip.Batch))
+		if (prevWords+w.fmWords)*int64(ip.Batch) > onChipWords {
+			tr.FMCycles = int64(float64(2*w.fmWords*int64(ip.FMBits)) / bitsPerCycle)
 		}
-		prevWords = w.FMWords
+		prevWords = w.fmWords
+		rep.MaxFMWords = max(rep.MaxFMWords, w.fmWords)
 
 		// Double buffering hides DMA behind compute; the excess stalls.
-		dma := tr.WeightCycles + tr.FMCycles
 		busy := tr.ComputeCycles + tr.FillCycles
-		if dma > busy {
-			tr.StallCycles = dma - busy
-		}
+		tr.StallCycles = max(0, tr.WeightCycles+tr.FMCycles-busy)
 		cycle += busy + tr.StallCycles
 		tr.EndCycle = cycle
-		weightedUtil += tr.Utilization * float64(w.MACs)
-		rep.TotalMACs += w.MACs
+		weightedUtil += tr.Utilization * float64(w.macs)
+		rep.TotalMACs += w.macs
 		rep.Traces = append(rep.Traces, tr)
 	}
 	rep.TotalCycles = cycle
 	rep.LatencyS = float64(cycle) / (dev.FreqMHz * 1e6)
 	rep.FPS = 1 / rep.LatencyS
-	if rep.TotalMACs > 0 {
-		rep.AvgUtilization = weightedUtil / float64(rep.TotalMACs)
-	}
+	rep.GOPS = 2 * float64(rep.TotalMACs) / rep.LatencyS / 1e9
+	rep.AvgUtilization = weightedUtil / float64(rep.TotalMACs)
 	return rep
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Timeline renders a per-layer cycle breakdown table.
-func (r SimReport) Timeline() string {
+func (r Report) Timeline() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %10s %10s %10s %8s %8s %6s\n",
 		"layer", "compute", "weights", "fmspill", "fill", "stall", "util")

@@ -9,17 +9,15 @@ import (
 	"skynet/internal/nn"
 )
 
-func simSkyNet(t *testing.T, width float64, h, w int) (SimReport, Report) {
+func simSkyNet(t *testing.T, width float64, h, w int) Report {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: width, InC: 3, HeadChannels: 10, ReLU6: true})
-	costs := nn.Costs(g, []int{1, 3, h, w})
-	ip := AutoConfig(Ultra96, 11, 9)
-	return Simulate(costs, Ultra96, ip), Estimate(costs, Ultra96, ip)
+	return Simulate(nn.Costs(g, []int{1, 3, h, w}), Ultra96, AutoConfig(Ultra96, 11, 9))
 }
 
 func TestSimulateSkyNetFullSize(t *testing.T) {
-	sim, est := simSkyNet(t, 1, 160, 320)
+	sim := simSkyNet(t, 1, 160, 320)
 	if sim.TotalCycles <= 0 || sim.LatencyS <= 0 {
 		t.Fatal("empty simulation")
 	}
@@ -27,23 +25,13 @@ func TestSimulateSkyNetFullSize(t *testing.T) {
 	if len(sim.Traces) != 13 {
 		t.Fatalf("traces %d, want 13", len(sim.Traces))
 	}
-	// The ideal tile schedule must be faster than (or equal to) the
-	// calibrated analytical estimate, but within the same order.
-	if sim.LatencyS > est.LatencyS {
-		t.Fatalf("simulated %.2fms exceeds calibrated estimate %.2fms",
-			sim.LatencyS*1e3, est.LatencyS*1e3)
-	}
-	if sim.LatencyS < est.LatencyS/5 {
-		t.Fatalf("simulated %.2fms implausibly far below estimate %.2fms",
-			sim.LatencyS*1e3, est.LatencyS*1e3)
-	}
 	// Cycle accounting must be self-consistent.
 	var prevEnd int64
 	for _, tr := range sim.Traces {
 		if tr.StartCycle != prevEnd {
 			t.Fatalf("layer %d starts at %d, previous ended at %d", tr.Index, tr.StartCycle, prevEnd)
 		}
-		if tr.Cycles() != tr.ComputeCycles+tr.FillCycles+tr.StallCycles {
+		if tr.EndCycle-tr.StartCycle != tr.ComputeCycles+tr.FillCycles+tr.StallCycles {
 			t.Fatalf("layer %d cycle identity violated", tr.Index)
 		}
 		prevEnd = tr.EndCycle
@@ -53,8 +41,34 @@ func TestSimulateSkyNetFullSize(t *testing.T) {
 	}
 }
 
+// TestReportTotalsAreTheLayerCycleSum: latency, FPS and GOPS are exactly the
+// layers' cycles over the device clock; nothing is priced beside the
+// schedule.
+func TestReportTotalsAreTheLayerCycleSum(t *testing.T) {
+	for _, batch := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(5))
+		g := backbone.SkyNetC(rng, backbone.Config{Width: 0.5, InC: 3, HeadChannels: 10, ReLU6: true})
+		ip := AutoConfig(PynqZ1, 8, 8)
+		ip.Batch = batch
+		rep := Simulate(nn.Costs(g, []int{1, 3, 96, 192}), PynqZ1, ip)
+		var cycles, macs int64
+		for _, tr := range rep.Traces {
+			cycles += tr.ComputeCycles + tr.FillCycles + tr.StallCycles
+		}
+		for _, c := range nn.Costs(g, []int{1, 3, 96, 192}) {
+			macs += c.MACs
+		}
+		lat := float64(cycles) / (PynqZ1.FreqMHz * 1e6)
+		if rep.TotalCycles != cycles || rep.LatencyS != lat || rep.FPS != 1/lat ||
+			rep.GOPS != 2*float64(macs)/lat/1e9 {
+			t.Fatalf("batch %d: report %d cycles, %v s, %v FPS, %v GOPS; layers sum to %d cycles = %v s",
+				batch, rep.TotalCycles, rep.LatencyS, rep.FPS, rep.GOPS, cycles, lat)
+		}
+	}
+}
+
 func TestSimulateUtilizationProperties(t *testing.T) {
-	sim, _ := simSkyNet(t, 1, 160, 320)
+	sim := simSkyNet(t, 1, 160, 320)
 	var dwUtil, pwUtil float64
 	var dwN, pwN int
 	for _, tr := range sim.Traces {
@@ -96,17 +110,6 @@ func TestSimulateMACConservation(t *testing.T) {
 	}
 }
 
-func TestSimulateLargerArrayIsFaster(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	costs := nn.Costs(g, []int{1, 3, 48, 96})
-	small := Simulate(costs, Ultra96, IPConfig{Tm: 4, Tn: 4, WBits: 11, FMBits: 9})
-	large := Simulate(costs, Ultra96, IPConfig{Tm: 16, Tn: 16, WBits: 11, FMBits: 9})
-	if large.TotalCycles >= small.TotalCycles {
-		t.Fatalf("16x16 (%d cycles) must beat 4x4 (%d)", large.TotalCycles, small.TotalCycles)
-	}
-}
-
 func TestSimulateBatchReducesWeightStalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
@@ -125,8 +128,7 @@ func TestSimulateBatchReducesWeightStalls(t *testing.T) {
 }
 
 func TestSimulateTimelineRenders(t *testing.T) {
-	sim, _ := simSkyNet(t, 0.25, 48, 96)
-	out := sim.Timeline()
+	out := simSkyNet(t, 0.25, 48, 96).Timeline()
 	if !strings.Contains(out, "dwconv[0]") || !strings.Contains(out, "total") {
 		t.Fatalf("timeline missing content:\n%s", out)
 	}

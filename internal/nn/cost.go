@@ -41,6 +41,17 @@ func Costs(g *Graph, in []int) []NodeCost {
 	return rows
 }
 
+// CostsOf is Costs for an input shape from outside the program, a flag or a
+// file: a shape g cannot take is an error naming it, not Compile's panic.
+func CostsOf(g *Graph, in []int) (rows []NodeCost, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			rows, err = nil, fmt.Errorf("input %v: %v", in[1:], r)
+		}
+	}()
+	return Costs(g, in), nil
+}
+
 // Summary renders a price table in the style of torchsummary: per node its
 // layer name, output shape, parameter count and MACs, then the totals.
 func Summary(rows []NodeCost) string {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -284,6 +285,22 @@ func layerCost(g *nn.Graph) (macs, bytes int64) {
 		}
 	}
 	return macs, bytes
+}
+
+// TestCostsOfNamesAShapeTheGraphCannotTake: an input the graph cannot take,
+// one that pools a map to nothing or has the wrong channel count, is an error
+// naming the input; any other input gets Costs' table.
+func TestCostsOfNamesAShapeTheGraphCannotTake(t *testing.T) {
+	g := backbone.SkyNetC(rand.New(rand.NewSource(1)), backbone.Config{Width: 0.125, InC: 3, HeadChannels: 10, ReLU6: true})
+	for _, in := range [][]int{{1, 3, 4, 4}, {1, 1, 48, 96}} {
+		if rows, err := nn.CostsOf(g, in); err == nil || rows != nil || !strings.Contains(err.Error(), fmt.Sprint(in[1:])) {
+			t.Fatalf("CostsOf at %v: %d rows, err %v; want an error naming %v", in, len(rows), err, in[1:])
+		}
+	}
+	rows, err := nn.CostsOf(g, []int{1, 3, 48, 96})
+	if err != nil || !reflect.DeepEqual(rows, nn.Costs(g, []int{1, 3, 48, 96})) {
+		t.Fatalf("CostsOf at a valid input: err %v, or rows differ from Costs", err)
+	}
 }
 
 // TestCostsMatchTheWalk: the price table is what a batch-1 layer walk leaves

@@ -53,8 +53,10 @@ func mixSeed(seed int64, stream int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// checkpointFormat versions the gob stream; bump on layout changes.
-const checkpointFormat = 1
+// checkpointFormat versions the gob stream; bump when its layout changes or
+// what it caches changes meaning (2: the engine state's FPGA prices come from
+// the one calibrated schedule).
+const checkpointFormat = 2
 
 // Checkpoint is a resumable snapshot of a search, taken after a completed
 // iteration. It carries the full loop state: Iter iterations are done,

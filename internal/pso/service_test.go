@@ -303,6 +303,28 @@ func TestServiceUnreadableCheckpointLeavesNoJob(t *testing.T) {
 	}
 }
 
+// TestFormatOneCheckpointIsRefused: a format-1 checkpoint caches candidate
+// prices from the retired two-model FPGA estimate, and gob would decode them
+// into today's fpga.Report without complaint. Neither LoadCheckpoint nor a
+// submission over such a file may resume on them.
+func TestFormatOneCheckpointIsRefused(t *testing.T) {
+	svc := NewService(t.TempDir())
+	spec := testJobSpec()
+	spec.normalize()
+	path := svc.CheckpointPath(spec.ID())
+	ck := Checkpoint{Format: 1, ConfigHash: spec.SearchConfig().Digest()}
+	if err := ck.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); err == nil {
+		t.Fatal("LoadCheckpoint accepted a format-1 checkpoint")
+	}
+	if st, err := svc.Submit(spec); err == nil {
+		svc.Wait(st.ID)
+		t.Fatalf("Submit resumed over a format-1 checkpoint: %+v", st)
+	}
+}
+
 // TestServiceResumesKilledJob simulates process death: a first "process"
 // runs the job's search directly and is killed after one iteration,
 // leaving the checkpoint file a real service would have written. A fresh
