@@ -79,7 +79,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
 	}
 
-	res := core.Run(cfg)
+	res, err := core.Run(cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "skynet-search: %v\n", err)
+		os.Exit(1)
+	}
 
 	fmt.Println("=== Stage 1: Bundle evaluation (Pareto frontier marked *) ===")
 	onFrontier := map[int]bool{}

@@ -16,7 +16,11 @@ func main() {
 	cfg.Log = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
 	}
-	res := core.Run(cfg)
+	res, err := core.Run(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	fmt.Printf("Stage 1 evaluated %d candidate bundles; %d on the Pareto frontier:\n",
 		len(res.Candidates), len(res.Selected))

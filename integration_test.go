@@ -132,10 +132,8 @@ func TestIntegrationFlowToDeployment(t *testing.T) {
 	ev := &pso.EngineEvaluator{
 		Gen:    dataset.NewGenerator(dcfg),
 		TrainN: 8, ValN: 4,
-		InC: 3, HeadC: 10,
 		Bundles: ids,
-		Device:  fpga.Ultra96, GPU: hw.TX2,
-		Seed: 1,
+		Seed:    1,
 		// The flow's Beta weighs no CPU platform: pinned factors skip the
 		// wall-clock calibration.
 		Factors: pso.EngineFactors{Float32NSPerMAC: 1, Int8NSPerMAC: 1},
@@ -159,7 +157,7 @@ func TestIntegrationFlowToDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := bundle.Target{Device: fpga.Ultra96, GPU: hw.TX2, WBits: 11, FMBits: 9}.Price(g, []int{1, 3, dcfg.H, dcfg.W})
+	p := bundle.Contest.Price(g, []int{1, 3, dcfg.H, dcfg.W})
 	if !p.Report.Fits || p.GPUms <= 0 {
 		t.Fatalf("searched network failed deployment: %s, gpu %.3fms", p.Report, p.GPUms)
 	}

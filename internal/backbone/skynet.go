@@ -3,6 +3,7 @@ package backbone
 import (
 	"math/rand"
 
+	"skynet/internal/bundle"
 	"skynet/internal/nn"
 )
 
@@ -19,56 +20,32 @@ const (
 // String returns "A", "B" or "C".
 func (v SkyNetVariant) String() string { return [...]string{"A", "B", "C"}[v] }
 
-// SkyNet builds the Table 3 architecture for the given variant. The network
-// stacks six Bundles of DW-Conv3 → PW-Conv1 → BN → activation with three
-// 2×2 max-poolings (total stride 8). Models B and C add the bypass: the
-// Bundle-3 output (192 channels at stride 4) is reordered (space-to-depth,
-// Figure 5) to 768 channels at stride 8 and concatenated with the Bundle-5
-// output before the final Bundle. At Width=1 the parameter counts reproduce
-// the paper's 1.27/1.57/1.82 MB model sizes (Table 4).
+// SkyNet builds the Table 3 architecture for the given variant: a
+// bundle.Chain of six DW-Conv3 → PW-Conv1 → BN → activation Bundles with
+// three 2×2 max-poolings (total stride 8). Models B and C add the bypass:
+// the Bundle-3 output (192 channels at stride 4) is reordered
+// (space-to-depth, Figure 5) to 768 channels at stride 8 and concatenated
+// with the Bundle-5 output before the final Bundle, 48 channels wide in B
+// and 96 in C; model A ends at Bundle 5. At Width=1 the parameter counts
+// reproduce the paper's 1.27/1.57/1.82 MB model sizes (Table 4).
 func SkyNet(rng *rand.Rand, cfg Config, variant SkyNetVariant) *nn.Graph {
 	cfg.normalize()
-	g := nn.NewGraph()
-	// bundle appends DW-Conv3 → PW-Conv1 → BN → act and returns the index
-	// of the activation node.
-	bundle := func(inC, outC int, from int) int {
-		var i int
-		if from < 0 {
-			i = g.Add(nn.NewDWConv3(rng, inC, 3, false), nn.GraphInput)
-		} else {
-			i = g.Add(nn.NewDWConv3(rng, inC, 3, false), from)
-		}
-		i = g.Add(nn.NewPWConv1(rng, inC, outC, false), i)
-		i = g.Add(nn.NewBatchNorm(outC), i)
-		return g.Add(cfg.act(), i)
+	b := bundle.Bundle{Components: []bundle.Component{bundle.DW3, bundle.PW, bundle.BN, bundle.ReLU}}
+	if cfg.ReLU6 {
+		b = b.WithReLU6()
 	}
-	c48, c96, c192 := cfg.scale(48), cfg.scale(96), cfg.scale(192)
-	c384, c512 := cfg.scale(384), cfg.scale(512)
-
-	b1 := bundle(cfg.InC, c48, -1)
-	p1 := g.Add(nn.NewMaxPool(2), b1)
-	b2 := bundle(c48, c96, p1)
-	p2 := g.Add(nn.NewMaxPool(2), b2)
-	b3 := bundle(c96, c192, p2) // bypass source (Table 3 "[Bypass Start]")
-	p3 := g.Add(nn.NewMaxPool(2), b3)
-	b4 := bundle(c192, c384, p3)
-	b5 := bundle(c384, c512, b4)
-
-	feat := b5
-	featC := c512
-	if variant != VariantA {
-		reorg := g.Add(nn.NewReorg(2), b3) // 192 -> 768 channels at stride 8
-		cat := g.Add(nn.NewConcat(), b5, reorg)
-		fuseC := cfg.scale(48)
-		if variant == VariantC {
-			fuseC = cfg.scale(96)
-		}
-		feat = bundle(c512+4*c192, fuseC, cat)
-		featC = fuseC
+	var channels []int
+	for _, ch := range [...]int{48, 96, 192, 384, 512} {
+		channels = append(channels, cfg.scale(ch))
 	}
-	if cfg.HeadChannels > 0 {
-		g.Add(nn.NewPWConv1(rng, featC, cfg.HeadChannels, true), feat)
+	switch variant {
+	case VariantB:
+		channels = append(channels, cfg.scale(48))
+	case VariantC:
+		channels = append(channels, cfg.scale(96))
 	}
+	g, _ := bundle.Chain{Bundle: b, Channels: channels, PoolAfter: []int{0, 1, 2},
+		InC: cfg.InC, HeadC: cfg.HeadChannels, Bypass: variant != VariantA}.Build(rng)
 	return g
 }
 

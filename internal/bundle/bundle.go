@@ -4,7 +4,9 @@
 // (FPGA latency and resources via the fpga model, GPU latency via the hw
 // roofline) and its potential accuracy (by fast-training a DNN sketch with
 // fixed front- and back-ends and the Bundle replicated in the middle), and
-// selecting the Bundles on the accuracy/latency Pareto frontier.
+// selecting the Bundles on the accuracy/latency Pareto frontier. Chain is
+// the one builder of a Bundle chain: the sketches, the searched candidates
+// and their winner, and SkyNet itself are chains.
 package bundle
 
 import (
@@ -140,46 +142,82 @@ func (b Bundle) Build(rng *rand.Rand, inC, outC int) []nn.Layer {
 	return layers
 }
 
-// SketchConfig controls the fixed-front-end/fixed-back-end DNN sketch used
-// to probe a Bundle's accuracy potential.
-type SketchConfig struct {
-	InC       int
-	Stem      int   // stem output channels
-	Channels  []int // output channels of each Bundle replication
-	PoolAfter []int // replication indices followed by 2×2 pooling
-	HeadC     int   // back-end channels (the 10-channel box regressor)
+// Chain is one Bundle chain, the shape of every network the flow builds:
+// SkyNet A/B/C, Stage 1's sketches, Stage 2's candidates and Stage 3's
+// winner. Slot i is Bundle widened to Channels[i] (slot 0 is Stem instead,
+// when set), a 2×2 pooling follows each slot listed in PoolAfter, and a
+// HeadC-channel point-wise regression head ends the chain when HeadC > 0.
+// With Bypass, and room for it (a pooling with a slot after it), the last
+// slot becomes the fusion Bundle of Figure 4: the output of the slot before
+// the last pooling is space-to-depth reordered and concatenated into its
+// input.
+type Chain struct {
+	Stem       *Bundle
+	Bundle     Bundle
+	Channels   []int
+	PoolAfter  []int
+	InC, HeadC int
+	Bypass     bool
 }
 
-// DefaultSketch is a three-replication sketch sized for the synthetic
-// dataset's default resolution.
-func DefaultSketch() SketchConfig {
-	return SketchConfig{InC: 3, Stem: 16,
-		Channels: []int{24, 48, 64}, PoolAfter: []int{0, 1}, HeadC: 10}
-}
-
-// BuildSketch constructs the probe network: a fixed stem (input resizing
-// front-end analog), the Bundle replicated per Channels, and the bounding
-// box regression back-end.
-func (b Bundle) BuildSketch(rng *rand.Rand, cfg SketchConfig) *nn.Graph {
+// Build wires the chain, drawing its weights from rng in node order, and
+// reports whether the bypass was applied.
+func (c Chain) Build(rng *rand.Rand) (*nn.Graph, bool) {
 	g := nn.NewGraph()
-	g.Add(nn.NewConv2D(rng, cfg.InC, cfg.Stem, 3, 1, 1, false))
-	g.Add(nn.NewBatchNorm(cfg.Stem))
-	g.Add(nn.NewReLU())
-	g.Add(nn.NewMaxPool(2)) // the fixed front-end downsamples once
-	cur := cfg.Stem
-	pool := map[int]bool{}
-	for _, p := range cfg.PoolAfter {
-		pool[p] = true
+	poolAfter := map[int]bool{}
+	lastPool := -1
+	for _, p := range c.PoolAfter {
+		poolAfter[p] = true
+		lastPool = max(lastPool, p)
 	}
-	for i, ch := range cfg.Channels {
-		for _, l := range b.Build(rng, cur, ch) {
-			g.Add(l)
-		}
-		cur = ch
-		if pool[i] {
-			g.Add(nn.NewMaxPool(2))
+	slots := len(c.Channels)
+	bypass := c.Bypass && lastPool >= 0 && lastPool < slots-1
+
+	node := nn.GraphInput
+	add := func(b Bundle, in, out int) {
+		for _, l := range b.Build(rng, in, out) {
+			node = g.Add(l, node)
 		}
 	}
-	g.Add(nn.NewPWConv1(rng, cur, cfg.HeadC, true))
+	cur := c.InC
+	srcNode, srcC := -1, 0
+	stop := slots
+	if bypass {
+		stop = slots - 1 // the final slot becomes the fusion bundle
+	}
+	for s := 0; s < stop; s++ {
+		b := c.Bundle
+		if s == 0 && c.Stem != nil {
+			b = *c.Stem
+		}
+		add(b, cur, c.Channels[s])
+		cur = c.Channels[s]
+		if s == lastPool && bypass {
+			srcNode, srcC = node, cur
+		}
+		if poolAfter[s] {
+			node = g.Add(nn.NewMaxPool(2), node)
+		}
+	}
+	if bypass {
+		reorg := g.Add(nn.NewReorg(2), srcNode)
+		node = g.Add(nn.NewConcat(), node, reorg)
+		add(c.Bundle, cur+4*srcC, c.Channels[slots-1])
+		cur = c.Channels[slots-1]
+	}
+	if c.HeadC > 0 {
+		g.Add(nn.NewPWConv1(rng, cur, c.HeadC, true), node)
+	}
+	return g, bypass
+}
+
+// Sketch builds the Bundle's Stage 1 probe network (§4.1): a fixed
+// front-end — one 16-channel slot of Conv3+BN+ReLU, then a pooling — the
+// Bundle at 24, 48 and 64 channels with poolings after the first two, and
+// the 10-channel box-regression back-end.
+func (b Bundle) Sketch(rng *rand.Rand) *nn.Graph {
+	stem := Bundle{Components: []Component{Conv3, BN, ReLU}}
+	g, _ := Chain{Stem: &stem, Bundle: b, Channels: []int{16, 24, 48, 64},
+		PoolAfter: []int{0, 1, 2}, InC: 3, HeadC: 10}.Build(rng)
 	return g
 }

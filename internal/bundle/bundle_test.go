@@ -49,10 +49,10 @@ func TestBundleBuildChannelContract(t *testing.T) {
 	}
 }
 
-func TestBuildSketchForwardAndTrainable(t *testing.T) {
+func TestSketchForwardAndTrainable(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	b := Enumerate()[6] // a DW bundle
-	g := b.BuildSketch(rng, DefaultSketch())
+	g := b.Sketch(rng)
 	x := tensor.New(2, 3, 24, 48)
 	x.RandUniform(rng, 0, 1)
 	out := g.Forward(x, true)
@@ -65,9 +65,6 @@ func TestBuildSketchForwardAndTrainable(t *testing.T) {
 	g.Backward(dout)
 }
 
-// ultra96 is the design flow's default target.
-var ultra96 = Target{Device: fpga.Ultra96, GPU: hw.TX2, WBits: 11, FMBits: 9}
-
 // TestStage1PricesOnTheConfiguredTarget: Stage 1 reports, for every Bundle,
 // exactly what Target.Price gives for its sketch on the target it is
 // handed, so a flow configured for another device selects its Pareto
@@ -76,13 +73,12 @@ func TestStage1PricesOnTheConfiguredTarget(t *testing.T) {
 	pynq := Target{Device: fpga.PynqZ1, GPU: hw.GTX1080Ti, WBits: 8, FMBits: 8}
 	bundles := Enumerate()[4:8]
 	none := func(Bundle) float64 { return 0 }
-	sketch := DefaultSketch()
-	got := EvaluateAll(bundles, none, sketch, 24, 48, pynq)
-	onUltra := EvaluateAll(bundles, none, sketch, 24, 48, ultra96)
+	got := EvaluateAll(bundles, none, 24, 48, pynq)
+	onUltra := EvaluateAll(bundles, none, 24, 48, Contest)
 	for i, b := range bundles {
 		rng := rand.New(rand.NewSource(0))
-		g := b.BuildSketch(rng, sketch)
-		p := pynq.Price(g, []int{1, sketch.InC, 24, 48})
+		g := b.Sketch(rng)
+		p := pynq.Price(g, []int{1, 3, 24, 48})
 		want := Evaluation{Bundle: b, FPGALatMS: p.Report.LatencyS * 1e3, GPULatMS: p.GPUms,
 			DSP: p.Report.DSPUsed, BRAM: p.Report.BRAMUsed, ParamBytes: g.ParamBytes()}
 		e := got[i]
@@ -102,9 +98,9 @@ func TestStage1PricesOnTheConfiguredTarget(t *testing.T) {
 // inference forward and after a training forward at another size.
 func TestPriceHasNoHistory(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := Enumerate()[6].BuildSketch(rng, DefaultSketch())
+	g := Enumerate()[6].Sketch(rng)
 	in := []int{1, 3, 24, 48}
-	want := ultra96.Price(g, in)
+	want := Contest.Price(g, in)
 	for _, x := range []struct {
 		shape []int
 		train bool
@@ -112,7 +108,7 @@ func TestPriceHasNoHistory(t *testing.T) {
 		xt := tensor.New(x.shape...)
 		xt.RandUniform(rng, 0, 1)
 		g.Forward(xt, x.train)
-		if p := ultra96.Price(g, in); !reflect.DeepEqual(p, want) {
+		if p := Contest.Price(g, in); !reflect.DeepEqual(p, want) {
 			t.Fatalf("after a forward of %v (train %v): price %+v, fresh %+v", x.shape, x.train, p, want)
 		}
 	}
@@ -120,11 +116,10 @@ func TestPriceHasNoHistory(t *testing.T) {
 
 func TestHardwareEvalProducesSaneNumbers(t *testing.T) {
 	bundles := Enumerate()
-	sketch := DefaultSketch()
 	dw := bundles[6] // DW3+PW+BN+ReLU
 	cv := bundles[0] // Conv3+BN+ReLU
 	check := func(b Bundle) (float64, int64) {
-		e := HardwareEval(b, sketch, 24, 48, ultra96)
+		e := HardwareEval(b, 24, 48, Contest)
 		if e.FPGALatMS <= 0 || e.GPULatMS <= 0 || e.DSP <= 0 || e.BRAM <= 0 || e.ParamBytes <= 0 {
 			t.Fatalf("bundle %s: non-positive hardware numbers", b.Name())
 		}
@@ -148,7 +143,7 @@ func TestEvaluateAllAndParetoSelect(t *testing.T) {
 	surrogate := func(b Bundle) float64 {
 		return []float64{0.3, 0.5, 0.2, 0.45, 0.55, 0.1}[b.ID%6]
 	}
-	evals := EvaluateAll(bundles, surrogate, DefaultSketch(), 24, 48, ultra96)
+	evals := EvaluateAll(bundles, surrogate, 24, 48, Contest)
 	if len(evals) != 6 {
 		t.Fatalf("got %d evaluations", len(evals))
 	}
@@ -181,11 +176,61 @@ func TestTrainingAccuracyRuns(t *testing.T) {
 	cfg := dataset.DefaultConfig()
 	cfg.W, cfg.H = 48, 24
 	gen := dataset.NewGenerator(cfg)
-	acc := TrainingAccuracy(gen, DefaultSketch(), 16, 8, 2, 1)
+	acc := TrainingAccuracy(gen, 16, 8, 2, 1)
 	b := Enumerate()[6]
 	v := acc(b)
 	if v < 0 || v > 1 {
 		t.Fatalf("accuracy %v out of [0,1]", v)
+	}
+}
+
+func TestChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	b, _ := ByID(6)
+	g, bypass := Chain{Bundle: b, Channels: []int{8, 16, 24}, PoolAfter: []int{0, 1}, InC: 3, HeadC: 10}.Build(rng)
+	if bypass {
+		t.Fatal("bypass must be off when not requested")
+	}
+	x := tensor.New(1, 3, 16, 16)
+	x.RandUniform(rng, 0, 1)
+	out := g.Forward(x, false)
+	if out.Dim(1) != 10 || out.Dim(2) != 4 {
+		t.Fatalf("chain output %v", out.Shape())
+	}
+}
+
+func TestChainBypass(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	b, _ := ByID(6)
+	g, bypass := Chain{Bundle: b, Channels: []int{8, 16, 24, 32}, PoolAfter: []int{0, 1}, InC: 3, HeadC: 10, Bypass: true}.Build(rng)
+	if !bypass {
+		t.Fatal("bypass should apply: the last pool is followed by slots")
+	}
+	x := tensor.New(1, 3, 16, 16)
+	x.RandUniform(rng, 0, 1)
+	out := g.Forward(x, false)
+	if out.Dim(1) != 10 || out.Dim(2) != 4 {
+		t.Fatalf("bypass output %v", out.Shape())
+	}
+	// Train-mode backward must work through the bypass.
+	out = g.Forward(x, true)
+	dout := tensor.New(out.Shape()...)
+	dout.Fill(0.01)
+	g.Backward(dout)
+}
+
+func TestChainBypassInapplicable(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	b, _ := ByID(0)
+	// The only pool is after the last slot: no room for a fusion bundle.
+	g, bypass := Chain{Bundle: b, Channels: []int{8, 16}, PoolAfter: []int{1}, InC: 3, HeadC: 10, Bypass: true}.Build(rng)
+	if bypass {
+		t.Fatal("bypass must be skipped when the last pool has no successor slot")
+	}
+	x := tensor.New(1, 3, 8, 8)
+	x.RandUniform(rng, 0, 1)
+	if out := g.Forward(x, false); out.Dim(1) != 10 {
+		t.Fatalf("fallback chain output %v", out.Shape())
 	}
 }
 

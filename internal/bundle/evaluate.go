@@ -32,6 +32,10 @@ type Target struct {
 	WBits, FMBits int
 }
 
+// Contest is the flow's one target, the DAC-SDC operating point: the
+// Ultra96 with its IP at 11-bit weights and 9-bit feature maps, and the TX2.
+var Contest = Target{Device: fpga.Ultra96, GPU: hw.TX2, WBits: 11, FMBits: 9}
+
 // Price is a built network's cost on a Target. It depends on the
 // architecture and the input shape alone, never on weights or pixels.
 type Price struct {
@@ -71,34 +75,34 @@ func FastTrain(g *nn.Graph, head *detect.Head, train, val []detect.Sample, epoch
 // TrainingAccuracy; tests may substitute cheap surrogates.
 type AccuracyFn func(b Bundle) float64
 
-// TrainingAccuracy returns an AccuracyFn that builds the Bundle's DNN
-// sketch and fast-trains it for the given number of epochs on generated
-// data (the paper uses 20 epochs), reporting validation mean IoU.
-func TrainingAccuracy(gen *dataset.Generator, sketch SketchConfig, trainN, valN, epochs int, seed int64) AccuracyFn {
+// TrainingAccuracy returns an AccuracyFn that builds the Bundle's Sketch
+// and fast-trains it for the given number of epochs on generated data (the
+// paper uses 20 epochs), reporting validation mean IoU.
+func TrainingAccuracy(gen *dataset.Generator, trainN, valN, epochs int, seed int64) AccuracyFn {
 	train := gen.DetectionSet(trainN)
 	val := gen.DetectionSet(valN)
 	return func(b Bundle) float64 {
-		g := b.BuildSketch(rand.New(rand.NewSource(seed)), sketch)
+		g := b.Sketch(rand.New(rand.NewSource(seed)))
 		return FastTrain(g, detect.NewHead(nil), train, val, epochs, 8)
 	}
 }
 
-// HardwareEval prices the Bundle's sketch on t: its Stage-1 scorecard
+// HardwareEval prices the Bundle's Sketch on t: its Stage-1 scorecard
 // without the accuracy. The paper evaluates Bundles under the FPGA's
 // constraints because they are the more restrictive of the two targets
 // (§4.1).
-func HardwareEval(b Bundle, sketch SketchConfig, inH, inW int, t Target) Evaluation {
-	g := b.BuildSketch(rand.New(rand.NewSource(0)), sketch)
-	p := t.Price(g, []int{1, sketch.InC, inH, inW})
+func HardwareEval(b Bundle, inH, inW int, t Target) Evaluation {
+	g := b.Sketch(rand.New(rand.NewSource(0)))
+	p := t.Price(g, []int{1, 3, inH, inW})
 	return Evaluation{Bundle: b, FPGALatMS: p.Report.LatencyS * 1e3, GPULatMS: p.GPUms,
 		DSP: p.Report.DSPUsed, BRAM: p.Report.BRAMUsed, ParamBytes: g.ParamBytes()}
 }
 
 // EvaluateAll runs Stage 1 over all candidate Bundles, priced on t.
-func EvaluateAll(bundles []Bundle, acc AccuracyFn, sketch SketchConfig, inH, inW int, t Target) []Evaluation {
+func EvaluateAll(bundles []Bundle, acc AccuracyFn, inH, inW int, t Target) []Evaluation {
 	evals := make([]Evaluation, 0, len(bundles))
 	for _, b := range bundles {
-		e := HardwareEval(b, sketch, inH, inW, t)
+		e := HardwareEval(b, inH, inW, t)
 		e.Acc = acc(b)
 		evals = append(evals, e)
 	}

@@ -10,8 +10,11 @@
 //	Stage 3 — Feature addition: the feature-map bypass with reordering for
 //	  small objects, and ReLU6 for cheaper activation storage.
 //
-// The result is a trained detector plus the hardware reports a deployment
-// decision needs.
+// Every stage prices on one target, bundle.Contest (the DAC-SDC operating
+// point: Ultra96 at W11/FM9, and the TX2), and every network it builds is a
+// bundle.Chain. Run refuses, before Stage 1, a configuration the search
+// service would refuse (pso.JobSpec.Check). The result is a trained
+// detector plus the hardware reports a deployment decision needs.
 package core
 
 import (
@@ -21,8 +24,6 @@ import (
 	"skynet/internal/dataset"
 	"skynet/internal/detect"
 	"skynet/internal/fpga"
-	"skynet/internal/hw"
-	"skynet/internal/modelspec"
 	"skynet/internal/nn"
 	"skynet/internal/pso"
 )
@@ -36,7 +37,6 @@ type FlowConfig struct {
 	ValN    int
 
 	// Stage 1.
-	Sketch       bundle.SketchConfig
 	Stage1Epochs int
 	// MaxGroups caps how many Pareto Bundles seed Stage 2 groups.
 	MaxGroups int
@@ -46,14 +46,6 @@ type FlowConfig struct {
 
 	// Stage 3 + final training.
 	FinalEpochs int
-	UseBypass   bool
-	UseReLU6    bool
-
-	// Hardware targets.
-	Device fpga.Device
-	GPU    hw.Platform
-	WBits  int
-	FMBits int
 
 	Seed int64
 	// Log, if non-nil, receives progress lines.
@@ -70,7 +62,6 @@ func DefaultFlowConfig() FlowConfig {
 		Dataset:      ds,
 		TrainN:       48,
 		ValN:         24,
-		Sketch:       bundle.DefaultSketch(),
 		Stage1Epochs: 3,
 		MaxGroups:    3,
 		Search: pso.Config{
@@ -85,12 +76,6 @@ func DefaultFlowConfig() FlowConfig {
 			},
 		},
 		FinalEpochs: 10,
-		UseBypass:   true,
-		UseReLU6:    true,
-		Device:      fpga.Ultra96,
-		GPU:         hw.TX2,
-		WBits:       11,
-		FMBits:      9,
 		Seed:        1,
 	}
 }
@@ -113,8 +98,30 @@ type FlowResult struct {
 	GPULatencyMS  float64
 }
 
-// Run executes the full bottom-up flow.
-func Run(cfg FlowConfig) FlowResult {
+// batch is the flow's training and evaluation batch size.
+const batch = 8
+
+// check refuses a configuration the flow cannot run as asked, by the search
+// service's bounds: Stage 2 is the service's search, run in-process.
+func (cfg FlowConfig) check() error {
+	groups := len(bundle.Enumerate()) // at most every Bundle is on the frontier
+	if cfg.MaxGroups > 0 {
+		groups = min(groups, cfg.MaxGroups)
+	}
+	s := cfg.Search
+	return pso.JobSpec{
+		Groups: groups, PerGroup: s.PerGroup, Iterations: s.Iterations,
+		Slots: s.Slots, Pools: s.Pools, ChannelMin: s.ChannelMin, ChannelMax: s.ChannelMax,
+		W: cfg.Dataset.W, H: cfg.Dataset.H, TrainN: cfg.TrainN, ValN: cfg.ValN, BatchSize: batch,
+	}.Check()
+}
+
+// Run executes the full bottom-up flow, or returns the error of a
+// configuration it cannot run.
+func Run(cfg FlowConfig) (FlowResult, error) {
+	if err := cfg.check(); err != nil {
+		return FlowResult{}, err
+	}
 	logf := cfg.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -122,11 +129,10 @@ func Run(cfg FlowConfig) FlowResult {
 	gen := dataset.NewGenerator(cfg.Dataset)
 
 	// ---- Stage 1: Bundle selection and evaluation -----------------------
-	target := bundle.Target{Device: cfg.Device, GPU: cfg.GPU, WBits: cfg.WBits, FMBits: cfg.FMBits}
 	candidates := bundle.Enumerate()
 	logf("stage 1: evaluating %d candidate bundles", len(candidates))
-	acc := bundle.TrainingAccuracy(gen, cfg.Sketch, cfg.TrainN, cfg.ValN, cfg.Stage1Epochs, cfg.Seed)
-	evals := bundle.EvaluateAll(candidates, acc, cfg.Sketch, cfg.Dataset.H, cfg.Dataset.W, target)
+	acc := bundle.TrainingAccuracy(gen, cfg.TrainN, cfg.ValN, cfg.Stage1Epochs, cfg.Seed)
+	evals := bundle.EvaluateAll(candidates, acc, cfg.Dataset.H, cfg.Dataset.W, bundle.Contest)
 	selected := bundle.ParetoSelect(evals)
 	if cfg.MaxGroups > 0 && len(selected) > cfg.MaxGroups {
 		// Keep the most accurate frontier points (they are latency-sorted,
@@ -152,36 +158,30 @@ func Run(cfg FlowConfig) FlowResult {
 	evaluator := &pso.EngineEvaluator{
 		Gen:    dataset.NewGenerator(cfg.Dataset),
 		TrainN: cfg.TrainN, ValN: cfg.ValN,
-		InC: 3, HeadC: 10,
 		Bundles: ids,
-		Device:  cfg.Device, GPU: cfg.GPU,
-		WBits: cfg.WBits, FMBits: cfg.FMBits,
-		Seed: cfg.Seed,
+		Seed:    cfg.Seed,
 	}
 	result := pso.Search(search, evaluator)
 	logf("stage 2: best %s fit %.4f acc %.4f", result.Best.Net, result.Best.Fit, result.Best.Acc)
 
-	// ---- Stage 3: feature addition + final training ----------------------
+	// ---- Stage 3: feature addition (ReLU6, bypass) + final training -----
 	best := result.Best.Net
-	finalBundle := selected[best.BundleType].Bundle
-	if cfg.UseReLU6 {
-		finalBundle = finalBundle.WithReLU6()
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	finalNet, bypassApplied := modelspec.BuildBundleChain(rng, finalBundle, best.Channels, best.PoolPos, 3, 10, cfg.UseBypass)
+	finalBundle := selected[best.BundleType].Bundle.WithReLU6()
+	finalNet, bypassApplied := bundle.Chain{Bundle: finalBundle, Channels: best.Channels, PoolAfter: best.PoolPos,
+		InC: 3, HeadC: 10, Bypass: true}.Build(rand.New(rand.NewSource(cfg.Seed)))
 	head := detect.NewHead(nil)
 	train := gen.DetectionSet(cfg.TrainN)
 	val := gen.DetectionSet(cfg.ValN)
 	detect.TrainDetector(finalNet, head, train, detect.TrainConfig{
 		Epochs:    cfg.FinalEpochs,
-		BatchSize: 8,
+		BatchSize: batch,
 		LR:        nn.LRSchedule{Start: 0.01, End: 0.001, Epochs: cfg.FinalEpochs},
 	})
-	finalIoU := detect.MeanIoU(finalNet, head, val, 8)
-	logf("stage 3: bypass=%v relu6=%v final IoU %.4f", bypassApplied, cfg.UseReLU6, finalIoU)
+	finalIoU := detect.MeanIoU(finalNet, head, val, batch)
+	logf("stage 3: bypass=%v final IoU %.4f", bypassApplied, finalIoU)
 
 	// Hardware reports for the final design.
-	price := target.Price(finalNet, []int{1, 3, cfg.Dataset.H, cfg.Dataset.W})
+	price := bundle.Contest.Price(finalNet, []int{1, 3, cfg.Dataset.H, cfg.Dataset.W})
 
 	return FlowResult{
 		Candidates:    evals,
@@ -195,5 +195,5 @@ func Run(cfg FlowConfig) FlowResult {
 		FinalIoU:      finalIoU,
 		FPGAReport:    price.Report,
 		GPULatencyMS:  price.GPUms,
-	}
+	}, nil
 }

@@ -27,13 +27,23 @@ func tinyFlow() FlowConfig {
 	return cfg
 }
 
+// run is Run on a configuration it must accept.
+func run(t *testing.T, cfg FlowConfig) FlowResult {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunFullFlow(t *testing.T) {
 	var logs []string
 	cfg := tinyFlow()
 	cfg.Log = func(format string, args ...any) {
 		logs = append(logs, format)
 	}
-	res := Run(cfg)
+	res := run(t, cfg)
 
 	// Stage 1: all 12 bundles evaluated, frontier non-empty and capped.
 	if len(res.Candidates) != 12 {
@@ -70,9 +80,7 @@ func TestStage3ReLU6Swap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the ReLU6 swap needs a full flow run; TestRunFullFlow covers the flow in -short")
 	}
-	cfg := tinyFlow()
-	cfg.UseReLU6 = true
-	res := Run(cfg)
+	res := run(t, tinyFlow())
 	name := res.FinalBundle.Name()
 	if strings.Contains(name, "ReLU") && !strings.Contains(name, "ReLU6") {
 		t.Fatalf("final bundle %s still uses plain ReLU", name)
@@ -92,12 +100,36 @@ func TestWithReLU6(t *testing.T) {
 
 func TestFlowDeterministic(t *testing.T) {
 	cfg := tinyFlow()
-	a := Run(cfg)
-	b := Run(cfg)
+	a := run(t, cfg)
+	b := run(t, cfg)
 	if a.FinalSpec.String() != b.FinalSpec.String() {
 		t.Fatalf("flow not deterministic: %s vs %s", a.FinalSpec, b.FinalSpec)
 	}
 	if a.FinalIoU != b.FinalIoU {
 		t.Fatalf("final IoU differs across identical runs: %v vs %v", a.FinalIoU, b.FinalIoU)
+	}
+}
+
+// TestRunRefusesWhatItCannotRun: a configuration the search service would
+// refuse is an error naming the value, before Stage 1 trains anything — not
+// a panic in an evaluator, a network with no slots, every candidate scored
+// zero, or a search with fewer poolings than asked.
+func TestRunRefusesWhatItCannotRun(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		mut        func(*FlowConfig)
+	}{
+		{"one training sample", "val_n 0", func(f *FlowConfig) { f.TrainN, f.ValN = 1, 0 }},
+		{"no iterations", "iterations 0", func(f *FlowConfig) { f.Search.Iterations = 0 }},
+		{"no particles", "per_group 0", func(f *FlowConfig) { f.Search.PerGroup = 0 }},
+		{"17 slots", "slots 17", func(f *FlowConfig) { f.Search.Slots = 17 }},
+		{"5 pools in 4 slots", "pools 5", func(f *FlowConfig) { f.Search.Slots, f.Search.Pools = 4, 5 }},
+	} {
+		cfg := DefaultFlowConfig()
+		c.mut(&cfg)
+		cfg.Log = func(format string, _ ...any) { t.Fatalf("%s: the flow ran (%q)", c.name, format) }
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }

@@ -1,8 +1,10 @@
-package detect
+package detect_test
+
+// An external test package: it builds SkyNet through backbone, which
+// imports detect by way of bundle.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"skynet/internal/backbone"
+	. "skynet/internal/detect"
 	"skynet/internal/nn"
 	"skynet/internal/pipeline"
 	"skynet/internal/quant"
@@ -549,30 +552,5 @@ func TestStreamExecutorConcurrentRunsMatchSerial(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestPostprocessRefusesNonFinitePredictions: a prediction that decodes to no
-// finite detection — every confidence NaN, as a frame of overflowing pixels
-// leaves it, or a NaN box — is ErrNonFinite from Postprocess, not the zero
-// box at confidence 0, while Decode, which evaluation and training read,
-// still gives that zero box.
-func TestPostprocessRefusesNonFinitePredictions(t *testing.T) {
-	head := NewHead(nil)
-	nan := float32(math.NaN())
-	allNaN := tensor.New(1, head.Channels(), 2, 2)
-	allNaN.Fill(nan)
-	nanBox := tensor.New(1, head.Channels(), 2, 2)
-	nanBox.Data[at(nanBox, 0, 0, 0, 0)] = nan // anchor 0's tx at the most confident cell
-	nanBox.Data[at(nanBox, 0, 4, 0, 0)] = 5
-	for name, pred := range map[string]*tensor.Tensor{"every confidence NaN": allNaN, "a NaN box": nanBox} {
-		f := &Frame{Pred: pred}
-		if err := Postprocess(head, f); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("%s: Postprocess gave %v with box %+v conf %v, want ErrNonFinite", name, err, f.Box, f.Conf)
-		}
-	}
-	boxes, confs := head.Decode(allNaN)
-	if boxes[0] != (Box{}) || confs[0] != 0 {
-		t.Fatalf("Decode of an all-NaN prediction: %+v conf %v, want the zero box at 0", boxes[0], confs[0])
 	}
 }

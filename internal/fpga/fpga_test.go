@@ -1,4 +1,7 @@
-package fpga
+package fpga_test
+
+// An external test package: it builds SkyNet through backbone, which
+// imports fpga by way of bundle.
 
 import (
 	"fmt"
@@ -8,6 +11,7 @@ import (
 	"testing/quick"
 
 	"skynet/internal/backbone"
+	. "skynet/internal/fpga"
 	"skynet/internal/nn"
 )
 

@@ -1,4 +1,7 @@
-package fpga
+package fpga_test
+
+// An external test package: it builds SkyNet through backbone, which
+// imports fpga by way of bundle.
 
 import (
 	"math/rand"
@@ -6,6 +9,7 @@ import (
 	"testing"
 
 	"skynet/internal/backbone"
+	. "skynet/internal/fpga"
 	"skynet/internal/nn"
 )
 

@@ -1,4 +1,7 @@
-package hw
+package hw_test
+
+// An external test package: it builds SkyNet through backbone, which
+// imports hw by way of bundle.
 
 import (
 	"math"
@@ -7,6 +10,7 @@ import (
 	"testing/quick"
 
 	"skynet/internal/backbone"
+	. "skynet/internal/hw"
 	"skynet/internal/nn"
 )
 

@@ -5,7 +5,8 @@ package modelspec
 // makes such a candidate self-describing the same way the named backbone
 // families are: a Spec with Family "search" carries the genome, Build
 // materializes it into a trainable graph, and ArchHash gives it a
-// canonical identity that evaluation caches and checkpoint files key on.
+// canonical identity that the search's accuracy cache (and so its
+// checkpoints) key on.
 // The hash is computed from the decoded field values in a fixed order, so
 // two JSON documents that permute keys (or differ only in formatting)
 // name the same architecture, while any change to the genome itself —
@@ -42,8 +43,8 @@ func SearchSpec(bundleID int, channels, poolPos []int, seed int64) Spec {
 }
 
 // buildSearch materializes a "search"-family spec: the Bundle with the
-// stable enumeration ID through BuildBundleChain, so a persisted spec
-// reloads without search state.
+// stable enumeration ID as a bundle.Chain, so a persisted spec reloads
+// without search state.
 func (s Spec) buildSearch() (*nn.Graph, error) {
 	b, ok := bundle.ByID(s.Bundle)
 	if !ok {
@@ -60,70 +61,9 @@ func (s Spec) buildSearch() (*nn.Graph, error) {
 			return nil, fmt.Errorf("modelspec: search spec pool positions %v must be strictly increasing slot indices", s.PoolPos)
 		}
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
-	g, _ := BuildBundleChain(rng, b, s.Channels, s.PoolPos, s.InC, s.HeadChannels, s.Bypass)
+	g, _ := bundle.Chain{Bundle: b, Channels: s.Channels, PoolAfter: s.PoolPos,
+		InC: s.InC, HeadC: s.HeadChannels, Bypass: s.Bypass}.Build(rand.New(rand.NewSource(s.Seed)))
 	return g, nil
-}
-
-// BuildBundleChain stacks one Bundle per channel slot with poolings after
-// the slots in poolPos and a headC-channel point-wise regression head.
-// When bypass is true and applicable (at least one pooling with a slot
-// after it), the SkyNet feature bypass of Figure 4 is applied: the output
-// of the slot preceding the last pooling is space-to-depth reordered and
-// concatenated into the final Bundle's input. The second result reports
-// whether the bypass was applied.
-func BuildBundleChain(rng *rand.Rand, b bundle.Bundle, channels, poolPos []int, inC, headC int, bypass bool) (*nn.Graph, bool) {
-	g := nn.NewGraph()
-	poolAfter := map[int]bool{}
-	lastPool := -1
-	for _, p := range poolPos {
-		poolAfter[p] = true
-		if p > lastPool {
-			lastPool = p
-		}
-	}
-	slots := len(channels)
-	applyBypass := bypass && lastPool >= 0 && lastPool < slots-1
-
-	addBundle := func(in, out, from int) int {
-		i := from
-		for _, l := range b.Build(rng, in, out) {
-			if i < 0 {
-				i = g.Add(l, nn.GraphInput)
-			} else {
-				i = g.Add(l, i)
-			}
-		}
-		return i
-	}
-
-	cur := inC
-	node := -1
-	srcNode, srcC := -1, 0
-	stop := slots
-	if applyBypass {
-		stop = slots - 1 // the final slot becomes the fusion bundle
-	}
-	for s := 0; s < stop; s++ {
-		node = addBundle(cur, channels[s], node)
-		cur = channels[s]
-		if s == lastPool && applyBypass {
-			srcNode, srcC = node, cur
-		}
-		if poolAfter[s] {
-			node = g.Add(nn.NewMaxPool(2), node)
-		}
-	}
-	if applyBypass {
-		reorg := g.Add(nn.NewReorg(2), srcNode)
-		cat := g.Add(nn.NewConcat(), node, reorg)
-		node = addBundle(cur+4*srcC, channels[slots-1], cat)
-		cur = channels[slots-1]
-	}
-	if headC > 0 {
-		g.Add(nn.NewPWConv1(rng, cur, headC, true), node)
-	}
-	return g, applyBypass
 }
 
 // ArchHash returns the canonical 128-bit identity of the architecture the

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"skynet/internal/bundle"
 	"skynet/internal/tensor"
 )
 
@@ -48,56 +47,6 @@ func TestSearchSpecBypass(t *testing.T) {
 	x.RandUniform(rng, 0, 1)
 	if out := g.Forward(x, false); out.Dim(1) != 10 {
 		t.Fatalf("bypass output %v", out.Shape())
-	}
-}
-
-func TestBuildBundleChain(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	b, _ := bundle.ByID(6)
-	g, bypass := BuildBundleChain(rng, b, []int{8, 16, 24}, []int{0, 1}, 3, 10, false)
-	if bypass {
-		t.Fatal("bypass must be off when not requested")
-	}
-	x := tensor.New(1, 3, 16, 16)
-	x.RandUniform(rng, 0, 1)
-	out := g.Forward(x, false)
-	if out.Dim(1) != 10 || out.Dim(2) != 4 {
-		t.Fatalf("chain output %v", out.Shape())
-	}
-}
-
-func TestBuildBundleChainBypass(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	b, _ := bundle.ByID(6)
-	g, bypass := BuildBundleChain(rng, b, []int{8, 16, 24, 32}, []int{0, 1}, 3, 10, true)
-	if !bypass {
-		t.Fatal("bypass should apply: the last pool is followed by slots")
-	}
-	x := tensor.New(1, 3, 16, 16)
-	x.RandUniform(rng, 0, 1)
-	out := g.Forward(x, false)
-	if out.Dim(1) != 10 || out.Dim(2) != 4 {
-		t.Fatalf("bypass output %v", out.Shape())
-	}
-	// Train-mode backward must work through the bypass.
-	out = g.Forward(x, true)
-	dout := tensor.New(out.Shape()...)
-	dout.Fill(0.01)
-	g.Backward(dout)
-}
-
-func TestBuildBundleChainBypassInapplicable(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	b, _ := bundle.ByID(0)
-	// The only pool is after the last slot: no room for a fusion bundle.
-	g, bypass := BuildBundleChain(rng, b, []int{8, 16}, []int{1}, 3, 10, true)
-	if bypass {
-		t.Fatal("bypass must be skipped when the last pool has no successor slot")
-	}
-	x := tensor.New(1, 3, 8, 8)
-	x.RandUniform(rng, 0, 1)
-	if out := g.Forward(x, false); out.Dim(1) != 10 {
-		t.Fatalf("fallback chain output %v", out.Shape())
 	}
 }
 

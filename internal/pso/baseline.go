@@ -19,7 +19,7 @@ func RandomSearch(cfg Config, eval Evaluator) Result {
 		res.GroupBest[gi].Fit = math.Inf(-1)
 	}
 	for itr := 0; itr < cfg.Iterations; itr++ {
-		epochs := cfg.Epochs(itr)
+		epochs := epochsAt(itr)
 		for gi := 0; gi < cfg.Groups; gi++ {
 			for j := 0; j < cfg.PerGroup; j++ {
 				n := cfg.randomNetwork(rng, gi)

@@ -4,15 +4,19 @@ package pso
 // service's. Every particle is materialized through internal/modelspec,
 // trained and evaluated by the real float32 engine (internal/nn) AND the
 // real int8 engine (internal/quant), and its latency map couples the
-// analytic FPGA/GPU models with engine-measured CPU costs.
+// analytic FPGA/GPU models (on bundle.Contest) with engine-measured CPU
+// costs. Accuracies are cached by architecture and epoch budget; prices are
+// not, because a price is a pure function of the architecture (nn.Costs and
+// fpga.Simulate, a few milliseconds against a training run's hundreds) and
+// recomputes to the same bits.
 //
 // Measured latency vs determinism. Raw wall-clock is not reproducible —
 // it varies with GOMAXPROCS, cache state, and machine load — so it never
 // feeds the fitness directly. Instead the fitness latency of the CPU
-// engines is deterministic MAC work (realized by a real engine forward,
-// read back by the same pricing) multiplied by EngineFactors: ns/MAC rates
-// measured once from real engine runs at job start and
-// persisted in the checkpoint. The trajectory is then a pure function of
+// engines is deterministic MAC work (the candidate's node table,
+// nn.Costs, with no forward) multiplied by EngineFactors: ns/MAC rates
+// measured once from real engine runs at job start and persisted in the
+// checkpoint. The trajectory is then a pure function of
 // (Config, EngineFactors): bitwise identical across worker counts, and
 // across kill+resume because the factors ride in the evaluator snapshot.
 // Wall-clock remains available as telemetry through Config.EvalObserver.
@@ -29,7 +33,6 @@ import (
 	"skynet/internal/dataset"
 	"skynet/internal/detect"
 	"skynet/internal/fpga"
-	"skynet/internal/hw"
 	"skynet/internal/modelspec"
 	"skynet/internal/nn"
 	"skynet/internal/quant"
@@ -66,11 +69,6 @@ type AccRecord struct {
 	Int8IoU  float64
 }
 
-// PerfRecord is the cached bundle.Price of a candidate at the evaluation
-// shape, under its own name so checkpoints' gob streams keep their bytes.
-// Training does not change it, so it is keyed by architecture hash alone.
-type PerfRecord bundle.Price
-
 // accKey keys the accuracy cache: epochs matters because the fast-training
 // budget grows per iteration and changes the reachable accuracy.
 type accKey struct {
@@ -78,27 +76,24 @@ type accKey struct {
 	Epochs int
 }
 
+// calibN is how many validation samples calibrate each candidate's int8
+// export.
+const calibN = 4
+
 // EngineEvaluator implements QuantAwareEvaluator and StateCarrier. Safe
-// for concurrent use by Search's worker pool: results are cached by
+// for concurrent use by Search's worker pool: accuracies are cached by
 // canonical architecture hash (modelspec.ArchHash), and concurrent misses
 // on the same key compute the same deterministic record twice rather than
 // blocking each other.
 type EngineEvaluator struct {
-	// Gen supplies the synthetic dataset; TrainN/ValN/CalibN the split
-	// sizes (calibration batches feed quant.Export).
-	Gen                  *dataset.Generator
-	TrainN, ValN, CalibN int
-	BatchSize            int
-	// InC and HeadC describe the candidate networks (3 and 10 for SkyNet).
-	InC, HeadC int
+	// Gen supplies the synthetic dataset; TrainN/ValN the split sizes (the
+	// first calibN validation samples calibrate quant.Export).
+	Gen          *dataset.Generator
+	TrainN, ValN int
+	BatchSize    int
 	// Bundles maps a genome's BundleType (its group) to the bundle.ByID
 	// enumeration ID the group replicates; nil maps group i to Bundle i.
 	Bundles []int
-	// Device and GPU parameterize the analytic platform models.
-	Device fpga.Device
-	GPU    hw.Platform
-	// WBits and FMBits configure the FPGA IP precision.
-	WBits, FMBits int
 	// Seed feeds every candidate's weight-initialization stream (the
 	// genome itself differentiates the architectures).
 	Seed int64
@@ -106,9 +101,8 @@ type EngineEvaluator struct {
 	// on first use; set explicitly to pin a trajectory across machines.
 	Factors EngineFactors
 
-	mu    sync.Mutex
-	accs  map[accKey]AccRecord
-	perfs map[string]PerfRecord
+	mu   sync.Mutex
+	accs map[accKey]AccRecord
 
 	hits, misses atomic.Int64
 
@@ -122,22 +116,9 @@ func (e *EngineEvaluator) ensure() {
 		if e.BatchSize <= 0 {
 			e.BatchSize = 8
 		}
-		if e.CalibN <= 0 {
-			e.CalibN = 4
-		}
-		if e.WBits == 0 {
-			e.WBits = 11
-		}
-		if e.FMBits == 0 {
-			e.FMBits = 9
-		}
 		e.train = e.Gen.DetectionSet(e.TrainN)
 		e.val = e.Gen.DetectionSet(e.ValN)
-		n := e.CalibN
-		if n > len(e.val) {
-			n = len(e.val)
-		}
-		x, _ := detect.Batch(e.val, 0, n)
+		x, _ := detect.Batch(e.val, 0, min(calibN, len(e.val)))
 		e.calib = []*tensor.Tensor{x}
 		if e.Factors.Zero() {
 			e.Factors = e.measureFactors(3)
@@ -146,9 +127,6 @@ func (e *EngineEvaluator) ensure() {
 		defer e.mu.Unlock()
 		if e.accs == nil {
 			e.accs = map[accKey]AccRecord{}
-		}
-		if e.perfs == nil {
-			e.perfs = map[string]PerfRecord{}
 		}
 	})
 }
@@ -161,9 +139,7 @@ func (e *EngineEvaluator) specFor(n Network) modelspec.Spec {
 	if e.Bundles != nil {
 		id = e.Bundles[id]
 	}
-	s := modelspec.SearchSpec(id, n.Channels, n.PoolPos, e.Seed)
-	s.InC, s.HeadChannels = e.InC, e.HeadC
-	return s
+	return modelspec.SearchSpec(id, n.Channels, n.PoolPos, e.Seed)
 }
 
 // Accuracy implements Evaluator with the real float32 engine.
@@ -211,62 +187,43 @@ func (e *EngineEvaluator) evalAccuracy(n Network, epochs int) AccRecord {
 // two CPU engines priced as deterministic MAC work × calibrated factors.
 func (e *EngineEvaluator) Latency(n Network) map[string]float64 {
 	e.ensure()
-	rec := e.perf(n)
+	p := e.priceOf(n)
 	e.mu.Lock()
 	f := e.Factors
 	e.mu.Unlock()
-	macs := float64(rec.MACs)
+	macs := float64(p.MACs)
 	return map[string]float64{
-		PlatformFPGA:     rec.Report.LatencyS * 1e3,
-		PlatformGPU:      rec.GPUms,
+		PlatformFPGA:     p.Report.LatencyS * 1e3,
+		PlatformGPU:      p.GPUms,
 		PlatformCPUFloat: macs * f.Float32NSPerMAC / 1e6,
 		PlatformCPUInt8:  macs * f.Int8NSPerMAC / 1e6,
 	}
 }
 
-func (e *EngineEvaluator) perf(n Network) PerfRecord {
-	e.ensure()
-	hash := modelspec.ArchHash(e.specFor(n))
-	e.mu.Lock()
-	rec, ok := e.perfs[hash]
-	e.mu.Unlock()
-	if ok {
-		e.hits.Add(1)
-		return rec
-	}
-	e.misses.Add(1)
-	rec = e.evalPerf(n)
-	e.mu.Lock()
-	e.perfs[hash] = rec
-	e.mu.Unlock()
-	return rec
-}
-
-// evalPerf prices the untrained candidate: MAC counts and the platform
-// models depend only on the architecture.
-func (e *EngineEvaluator) evalPerf(n Network) PerfRecord {
+// priceOf prices the untrained candidate, zero when it cannot be built:
+// MAC counts and the platform models depend only on the architecture.
+func (e *EngineEvaluator) priceOf(n Network) bundle.Price {
 	g, _, err := e.specFor(n).Build()
 	if err != nil {
-		return PerfRecord{}
+		return bundle.Price{}
 	}
-	return PerfRecord(e.price(g))
+	return e.price(g)
 }
 
-// price prices g on the configured targets at the evaluation shape.
+// price prices g on the contest target at the evaluation shape.
 func (e *EngineEvaluator) price(g *nn.Graph) bundle.Price {
 	cfg := e.Gen.Config()
-	t := bundle.Target{Device: e.Device, GPU: e.GPU, WBits: e.WBits, FMBits: e.FMBits}
-	return t.Price(g, []int{1, e.InC, cfg.H, cfg.W})
+	return bundle.Contest.Price(g, []int{1, 3, cfg.H, cfg.W})
 }
 
 // OperatingPoint joins the candidate's FPGA estimate with its measured
 // int8 accuracy — the latency/accuracy coupling the deployment decision
 // ranks on (fpga.OperatingPoint).
 func (e *EngineEvaluator) OperatingPoint(n Network, epochs int) fpga.OperatingPoint {
-	return e.perf(n).Report.WithAccuracy(e.accuracy(n, epochs).Int8IoU)
+	return e.priceOf(n).Report.WithAccuracy(e.accuracy(n, epochs).Int8IoU)
 }
 
-// CacheStats returns the evaluation-cache hit/miss counters.
+// CacheStats returns the accuracy cache's hit/miss counters.
 func (e *EngineEvaluator) CacheStats() (hits, misses int64) {
 	return e.hits.Load(), e.misses.Load()
 }
@@ -275,9 +232,7 @@ func (e *EngineEvaluator) CacheStats() (hits, misses int64) {
 // when none are pinned. It names enumeration Bundle 6 directly, not through
 // the group map, so every evaluator calibrates on the same network.
 func (e *EngineEvaluator) referenceSpec() modelspec.Spec {
-	s := modelspec.SearchSpec(6, []int{16, 32, 48}, []int{0, 1}, e.Seed)
-	s.InC, s.HeadChannels = e.InC, e.HeadC
-	return s
+	return modelspec.SearchSpec(6, []int{16, 32, 48}, []int{0, 1}, e.Seed)
 }
 
 // measureFactors runs both real engines on the reference candidate and
@@ -294,7 +249,7 @@ func (e *EngineEvaluator) measureFactors(reps int) EngineFactors {
 		return EngineFactors{Float32NSPerMAC: 1, Int8NSPerMAC: 1}
 	}
 	cfg := e.Gen.Config()
-	x := tensor.New(1, e.InC, cfg.H, cfg.W)
+	x := tensor.New(1, 3, cfg.H, cfg.W)
 	x.RandUniform(rand.New(rand.NewSource(e.Seed)), 0, 1)
 	macs := float64(p.MACs)
 	f := EngineFactors{Float32NSPerMAC: minWallNS(reps, func() { g.Forward(x, false) }) / macs}
@@ -322,11 +277,12 @@ func minWallNS(reps int, run func()) float64 {
 }
 
 // engineState is the gob layout of SnapshotState: the calibrated factors
-// and both caches flattened into sorted slices for stable bytes.
+// and the accuracy cache flattened into a sorted slice for stable bytes. A
+// state written when prices were cached too carries a Perfs slice; gob
+// skips it, and the prices recompute to the same bits.
 type engineState struct {
 	Factors EngineFactors
 	Accs    []accEntry
-	Perfs   []perfEntry
 }
 
 // accEntry pairs an accuracy-cache key with its record for serialization.
@@ -335,14 +291,8 @@ type accEntry struct {
 	Rec AccRecord
 }
 
-// perfEntry pairs a perf-cache hash with its record for serialization.
-type perfEntry struct {
-	Hash string
-	Rec  PerfRecord
-}
-
-// SnapshotState implements StateCarrier: the factors plus both caches, so
-// a resumed search replays cached evaluations bit-for-bit without
+// SnapshotState implements StateCarrier: the factors plus the accuracy
+// cache, so a resumed search replays cached trainings bit-for-bit without
 // recomputing (and, critically, prices CPU latency with the original
 // run's calibration rather than re-measuring).
 func (e *EngineEvaluator) SnapshotState() ([]byte, error) {
@@ -363,14 +313,6 @@ func (e *EngineEvaluator) SnapshotState() ([]byte, error) {
 	for _, k := range accKeys {
 		st.Accs = append(st.Accs, accEntry{Key: k, Rec: e.accs[k]})
 	}
-	perfKeys := make([]string, 0, len(e.perfs))
-	for h := range e.perfs {
-		perfKeys = append(perfKeys, h)
-	}
-	sort.Strings(perfKeys)
-	for _, h := range perfKeys {
-		st.Perfs = append(st.Perfs, perfEntry{Hash: h, Rec: e.perfs[h]})
-	}
 	return EncodeState(st)
 }
 
@@ -386,10 +328,6 @@ func (e *EngineEvaluator) RestoreState(data []byte) error {
 	e.accs = make(map[accKey]AccRecord, len(st.Accs))
 	for _, en := range st.Accs {
 		e.accs[en.Key] = en.Rec
-	}
-	e.perfs = make(map[string]PerfRecord, len(st.Perfs))
-	for _, en := range st.Perfs {
-		e.perfs[en.Hash] = en.Rec
 	}
 	return nil
 }

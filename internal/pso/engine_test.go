@@ -1,19 +1,18 @@
 package pso
 
 // EngineEvaluator tests: real-engine evaluation at tiny shapes, the
-// arch-hash cache contract, the StateCarrier round-trip, and end-to-end
-// measured-fitness search determinism with pinned factors.
+// arch-hash accuracy-cache contract, the StateCarrier round-trip, and
+// end-to-end measured-fitness search determinism with pinned factors.
 
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"skynet/internal/bundle"
 	"skynet/internal/dataset"
 	"skynet/internal/detect"
-	"skynet/internal/fpga"
-	"skynet/internal/hw"
 	"skynet/internal/modelspec"
 	"skynet/internal/nn"
 )
@@ -23,11 +22,9 @@ func testEngineEvaluator(seed int64) *EngineEvaluator {
 	cfg.W, cfg.H = 48, 24
 	return &EngineEvaluator{
 		Gen:    dataset.NewGenerator(cfg),
-		TrainN: 8, ValN: 4, CalibN: 2,
+		TrainN: 8, ValN: 4,
 		BatchSize: 4,
-		InC:       3, HeadC: 10,
-		Device: fpga.Ultra96, GPU: hw.TX2,
-		Seed: seed,
+		Seed:      seed,
 		// Pinned factors: the test asserts trajectories, not wall-clock.
 		Factors: EngineFactors{Float32NSPerMAC: 2.5, Int8NSPerMAC: 1.25},
 	}
@@ -79,17 +76,6 @@ func TestEngineEvaluatorCache(t *testing.T) {
 	if misses2 != misses+1 {
 		t.Fatalf("epoch change must miss the accuracy cache (misses %d -> %d)", misses, misses2)
 	}
-	// Latency is architecture-only: epochs never misses the perf cache.
-	ev.Latency(n)
-	_, misses3 := ev.CacheStats()
-	if misses3 != misses2+1 {
-		t.Fatalf("first perf evaluation must miss once (misses %d -> %d)", misses2, misses3)
-	}
-	ev.Latency(n)
-	_, misses4 := ev.CacheStats()
-	if misses4 != misses3 {
-		t.Fatal("repeat perf evaluation must hit the cache")
-	}
 }
 
 func TestEngineEvaluatorStateRoundTrip(t *testing.T) {
@@ -128,8 +114,8 @@ func TestEngineEvaluatorStateRoundTrip(t *testing.T) {
 // TestEngineEvaluatorFoldIsExact pins what the group map means: with
 // Bundles listing enumeration IDs out of order, group g's candidate scores
 // bit for bit like the network built by hand from Bundle Bundles[g] —
-// modelspec.BuildBundleChain on the seeded stream, bundle.FastTrain and
-// bundle.Target.Price — and is cached under the key an unmapped evaluator
+// bundle.Chain on the seeded stream, bundle.FastTrain and
+// bundle.Contest.Price — and is cached under the key an unmapped evaluator
 // gives genome BundleType Bundles[g]. The factors calibrate on the one
 // reference network whatever the map.
 func TestEngineEvaluatorFoldIsExact(t *testing.T) {
@@ -140,7 +126,6 @@ func TestEngineEvaluatorFoldIsExact(t *testing.T) {
 
 	gen := dataset.NewGenerator(ev.Gen.Config())
 	train, val := gen.DetectionSet(ev.TrainN), gen.DetectionSet(ev.ValN)
-	target := bundle.Target{Device: ev.Device, GPU: ev.GPU, WBits: 11, FMBits: 9}
 	cfg := ev.Gen.Config()
 	for group, id := range ev.Bundles {
 		n := Network{BundleType: group, Channels: []int{8, 12, 16}, PoolPos: []int{0, 1}}
@@ -149,14 +134,14 @@ func TestEngineEvaluatorFoldIsExact(t *testing.T) {
 
 		b, _ := bundle.ByID(id)
 		build := func() *nn.Graph {
-			g, _ := modelspec.BuildBundleChain(rand.New(rand.NewSource(ev.Seed)), b, n.Channels, n.PoolPos, 3, 10, false)
+			g, _ := bundle.Chain{Bundle: b, Channels: n.Channels, PoolAfter: n.PoolPos, InC: 3, HeadC: 10}.Build(rand.New(rand.NewSource(ev.Seed)))
 			return g
 		}
 		want := bundle.FastTrain(build(), detect.NewHead(nil), train, val, 1, ev.BatchSize)
 		if math.Float64bits(acc) != math.Float64bits(want) {
 			t.Fatalf("group %d (Bundle %d): Accuracy %v, by hand %v", group, id, acc, want)
 		}
-		p := target.Price(build(), []int{1, 3, cfg.H, cfg.W})
+		p := bundle.Contest.Price(build(), []int{1, 3, cfg.H, cfg.W})
 		if lat[PlatformFPGA] != p.Report.LatencyS*1e3 || lat[PlatformGPU] != p.GPUms {
 			t.Fatalf("group %d (Bundle %d): Latency %v, by hand fpga %v gpu %v",
 				group, id, lat, p.Report.LatencyS*1e3, p.GPUms)
@@ -205,8 +190,7 @@ func TestMeasuredSearchDeterministic(t *testing.T) {
 		TargetMS: map[string]float64{
 			PlatformFPGA: 10, PlatformGPU: 5, PlatformCPUInt8: 50,
 		},
-		Epochs: func(int) int { return 1 },
-		Seed:   5,
+		Seed: 5,
 	}
 
 	run := func(workers int, ck *Checkpoint, ev *EngineEvaluator, save func(Checkpoint) error) Result {
@@ -241,5 +225,69 @@ func TestMeasuredSearchDeterministic(t *testing.T) {
 	fresh := testEngineEvaluator(5)
 	fresh.Factors = EngineFactors{} // restored state must supply them
 	resumed := run(2, &first, fresh, nil)
+	requireSameResult(t, ref, resumed)
+}
+
+// TestResumeFromStateWithCachedPrices: a checkpoint written when the
+// evaluator cached prices as well carries a Perfs slice in its state. gob
+// skips it, the prices are recomputed, and the resumed search is the
+// uninterrupted one bit for bit. The stale records are poisoned, so a
+// resume that read them would diverge.
+func TestResumeFromStateWithCachedPrices(t *testing.T) {
+	cfg := Config{
+		Groups: 2, PerGroup: 2, Iterations: 2,
+		Slots: 3, Pools: 2,
+		ChannelMin: 4, ChannelMax: 16,
+		Alpha:    0.01,
+		Beta:     map[string]float64{PlatformFPGA: 2, PlatformGPU: 1, PlatformCPUInt8: 1},
+		TargetMS: map[string]float64{PlatformFPGA: 10, PlatformGPU: 5, PlatformCPUInt8: 50},
+		Seed:     11,
+	}
+	var first Checkpoint
+	ref, err := SearchFrom(cfg, testEngineEvaluator(11), nil, func(ck Checkpoint) error {
+		if ck.Iter == 1 {
+			first = ck
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the state as the price-caching evaluator wrote it.
+	type perfEntry struct {
+		Hash string
+		Rec  bundle.Price
+	}
+	type priceCachingState struct {
+		Factors EngineFactors
+		Accs    []accEntry
+		Perfs   []perfEntry
+	}
+	var st engineState
+	if err := DecodeState(first.EvalState, &st); err != nil {
+		t.Fatal(err)
+	}
+	old := priceCachingState{Factors: st.Factors, Accs: st.Accs}
+	for _, a := range st.Accs {
+		old.Perfs = append(old.Perfs, perfEntry{Hash: a.Key.Hash, Rec: bundle.Price{MACs: 1, GPUms: 1e9}})
+	}
+	if first.EvalState, err = EncodeState(old); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "job.ckpt")
+	if err := first.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := testEngineEvaluator(11)
+	fresh.Factors = EngineFactors{} // the restored state must supply them
+	resumed, err := SearchFrom(cfg, fresh, &ck, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	requireSameResult(t, ref, resumed)
 }

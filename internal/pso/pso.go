@@ -69,7 +69,7 @@ type QuantAwareEvaluator interface {
 
 // StateCarrier is an Evaluator with internal state a resumed search needs
 // to replay identically — the engine evaluator's calibrated ns/MAC factors
-// and its evaluation cache. SearchFrom snapshots the state into every
+// and its accuracy cache. SearchFrom snapshots the state into every
 // Checkpoint and restores it before resuming.
 type StateCarrier interface {
 	// SnapshotState serializes the evaluator state.
@@ -99,10 +99,7 @@ type Config struct {
 	// QuantAwareEvaluator: Gamma × max(0, acc − quantAcc) subtracts from
 	// the fitness. Zero disables the term.
 	Gamma float64
-	// Epochs returns the fast-training budget e_itr for iteration itr;
-	// the paper grows it with itr. Nil selects 1+itr.
-	Epochs func(itr int) int
-	Seed   int64
+	Seed  int64
 	// Workers bounds the evaluation worker pool; 0 selects GOMAXPROCS.
 	// The search trajectory is identical for every worker count (results
 	// are reduced in fixed particle order), so Workers is a throughput
@@ -193,10 +190,11 @@ func (c Config) FitnessQ(acc, quantAcc float64, lat map[string]float64) float64 
 	return f
 }
 
+// epochsAt is the fast-training budget e_itr of iteration itr, which the
+// paper grows with itr.
+func epochsAt(itr int) int { return 1 + itr }
+
 func (c *Config) normalize() {
-	if c.Epochs == nil {
-		c.Epochs = func(itr int) int { return 1 + itr }
-	}
 	if c.ChannelMin <= 0 {
 		c.ChannelMin = 4
 	}

@@ -20,8 +20,9 @@ package pso
 //  3. Checkpoint completeness. A Checkpoint taken after iteration itr
 //     holds everything the remaining iterations read: the evolved
 //     population, the bests, the history, and the evaluator's snapshot
-//     (calibrated engine factors plus the evaluation cache, for a
-//     StateCarrier). gob is used rather than JSON because fitness values
+//     (calibrated engine factors plus the accuracy cache, for a
+//     StateCarrier; prices are recomputed, being pure functions of the
+//     architecture). gob is used rather than JSON because fitness values
 //     are legitimately ±Inf (unevaluated bests) and float64 bits must
 //     round-trip exactly.
 
@@ -54,8 +55,9 @@ func mixSeed(seed int64, stream int) int64 {
 }
 
 // checkpointFormat versions the gob stream; bump when its layout changes or
-// what it caches changes meaning (2: the engine state's FPGA prices come from
-// the one calibrated schedule).
+// what it caches changes meaning (2: the engine state's FPGA prices came from
+// the one calibrated schedule; the state no longer holds prices, and gob
+// skips those a format-2 file still carries).
 const checkpointFormat = 2
 
 // Checkpoint is a resumable snapshot of a search, taken after a completed
@@ -117,9 +119,8 @@ func LoadCheckpoint(path string) (Checkpoint, error) {
 // Digest canonically hashes the trajectory-determining Config fields, the
 // value Checkpoint.ConfigHash stores. Workers is deliberately excluded
 // (parallelism does not change the trajectory), as are the callback
-// fields: Progress and EvalObserver are pure telemetry, and Epochs cannot
-// be hashed — resuming with a different epoch schedule silently diverges,
-// which the documentation calls out as the caller's contract.
+// fields, Progress and EvalObserver, which are pure telemetry. The epoch
+// schedule is fixed (epochsAt), so the digest covers the whole trajectory.
 func (c Config) Digest() string {
 	c.normalize()
 	h := fnv.New64a()
@@ -194,7 +195,7 @@ func SearchFrom(cfg Config, eval Evaluator, ck *Checkpoint, save func(Checkpoint
 	}
 
 	for itr := start; itr < cfg.Iterations; itr++ {
-		parts := cfg.evaluateAll(pop, eval, cfg.Epochs(itr))
+		parts := cfg.evaluateAll(pop, eval, epochsAt(itr))
 		// Fixed-order reduction: particle (gi, j) is folded in before
 		// (gi, j+1) regardless of which worker finished first, so ties and
 		// float comparisons resolve identically at every worker count.

@@ -13,8 +13,8 @@ package pso
 // checkpoint file <id>.ckpt in the service directory survives process
 // death: a restarted service resumes a resubmitted job from its last
 // completed iteration and — because the evaluator state (engine factors +
-// caches) rides in the checkpoint — finishes with the bitwise trajectory
-// of a never-killed run.
+// accuracy cache) rides in the checkpoint — finishes with the bitwise
+// trajectory of a never-killed run.
 
 import (
 	"encoding/json"
@@ -31,7 +31,6 @@ import (
 	"skynet/internal/bundle"
 	"skynet/internal/dataset"
 	"skynet/internal/fpga"
-	"skynet/internal/hw"
 	"skynet/internal/modelspec"
 	"skynet/internal/serve"
 )
@@ -155,10 +154,8 @@ func (j JobSpec) NewEvaluator() *EngineEvaluator {
 		Gen:    dataset.NewGenerator(dcfg),
 		TrainN: j.TrainN, ValN: j.ValN,
 		BatchSize: j.BatchSize,
-		InC:       3, HeadC: 10,
-		Device: fpga.Ultra96, GPU: hw.TX2,
-		Seed:    j.Seed,
-		Factors: j.Factors,
+		Seed:      j.Seed,
+		Factors:   j.Factors,
 	}
 }
 
@@ -217,7 +214,7 @@ func (s *Service) CheckpointPath(id string) string {
 	return filepath.Join(s.dir, id+".ckpt")
 }
 
-// errBadSpec marks a job spec Submit refuses; the HTTP door answers 400.
+// errBadSpec marks a job spec Check refuses; the HTTP door answers 400.
 var errBadSpec = errors.New("pso: bad job spec")
 
 // The most one job may ask of the process, beyond the slot and channel limits
@@ -225,23 +222,41 @@ var errBadSpec = errors.New("pso: bad job spec")
 // paper's 160×320 fits), its train and validation splits, and the search.
 const maxFramePixels, maxSamples, maxBatchSize, maxPerGroup, maxIterations = 1 << 16, 1024, 256, 64, 1000
 
-// check refuses a normalized spec whose job would panic or exhaust memory.
-func (j JobSpec) check() error {
-	if n := len(bundle.Enumerate()); j.Groups > n {
-		return fmt.Errorf("%w: %d groups, but a group replicates one of the %d enumerated Bundles", errBadSpec, j.Groups, n)
+// Check refuses a search the process cannot run as asked: one that would
+// panic, exhaust memory, score every candidate zero or quietly search
+// something else. It is the service's admission check, on a normalized spec,
+// and the design flow's (core.Run), on the flow's values as given; the error
+// names the first value out of range.
+func (j JobSpec) Check() error {
+	for _, b := range []struct {
+		name      string
+		v, lo, hi int
+	}{
+		// A group replicates one of the enumerated Bundles.
+		{"groups", j.Groups, 1, len(bundle.Enumerate())},
+		{"per_group", j.PerGroup, 1, maxPerGroup},
+		{"iterations", j.Iterations, 1, maxIterations},
+		{"slots", j.Slots, 1, modelspec.MaxSlots},
+		{"pools", j.Pools, 1, j.Slots},
+		{"channel_min", j.ChannelMin, 1, modelspec.MaxChannels - 1},
+		{"channel_max", j.ChannelMax, j.ChannelMin + 1, modelspec.MaxChannels},
+		{"w", j.W, 1, maxFramePixels},
+		{"h", j.H, 1, maxFramePixels},
+		{"train_n", j.TrainN, 1, maxSamples},
+		{"val_n", j.ValN, 1, maxSamples},
+		{"batch_size", j.BatchSize, 1, maxBatchSize},
+	} {
+		if b.v < b.lo || b.v > b.hi {
+			return fmt.Errorf("%w: %s %d out of range [%d, %d]", errBadSpec, b.name, b.v, b.lo, b.hi)
+		}
 	}
-	ok := j.Slots <= modelspec.MaxSlots && j.ChannelMin < j.ChannelMax && j.ChannelMax <= modelspec.MaxChannels &&
-		j.W <= maxFramePixels && j.H <= maxFramePixels && j.W*j.H <= maxFramePixels && // no product overflows
-		max(j.TrainN, j.ValN) <= maxSamples && j.BatchSize <= maxBatchSize &&
-		j.PerGroup <= maxPerGroup && j.Iterations <= maxIterations
-	if !ok {
-		return fmt.Errorf("%w: out of range (slots ≤ %d, channels ≤ %d, W·H ≤ %d, samples ≤ %d, batch ≤ %d, per group ≤ %d, iterations ≤ %d)",
-			errBadSpec, modelspec.MaxSlots, modelspec.MaxChannels, maxFramePixels, maxSamples, maxBatchSize, maxPerGroup, maxIterations)
+	if j.W*j.H > maxFramePixels { // both sides are in range: no product overflows
+		return fmt.Errorf("%w: %d×%d frames, over %d pixels", errBadSpec, j.W, j.H, maxFramePixels)
 	}
 	// Every 2×2 pooling halves the map and the last must leave a pixel: the
-	// candidates pool Pools times (clamped to Slots), the reference network
-	// the engine factors are measured on as often as its spec says.
-	pools := max(j.SearchConfig().Pools, len((&EngineEvaluator{}).referenceSpec().PoolPos))
+	// candidates pool Pools times, the reference network the engine factors
+	// are measured on as often as its spec says.
+	pools := max(j.Pools, len((&EngineEvaluator{}).referenceSpec().PoolPos))
 	if side := 1 << pools; j.W < side || j.H < side {
 		return fmt.Errorf("%w: %d×%d frames, but %d poolings need ≥ %d×%d", errBadSpec, j.W, j.H, pools, side, side)
 	}
@@ -251,10 +266,10 @@ func (j JobSpec) check() error {
 // Submit starts (or joins) the job for the spec. Submission is idempotent:
 // the same spec maps to the same job ID, a live job is returned as-is, and
 // a checkpoint left by a killed process resumes instead of restarting.
-// A spec the process cannot run (JobSpec.check) is refused.
+// A spec the process cannot run (JobSpec.Check) is refused.
 func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	spec.normalize()
-	if err := spec.check(); err != nil {
+	if err := spec.Check(); err != nil {
 		return JobStatus{}, err
 	}
 	id := spec.ID()
@@ -327,7 +342,7 @@ func (s *Service) run(jb *job, ck *Checkpoint) {
 		// int8 accuracy it was actually selected on — not a re-measurement
 		// at the final epoch budget, which could differ if the best
 		// surfaced in an earlier iteration.
-		Op:        jb.eval.perf(res.Best.Net).Report.WithAccuracy(res.Best.QuantAcc),
+		Op:        jb.eval.priceOf(res.Best.Net).Report.WithAccuracy(res.Best.QuantAcc),
 		CacheHits: hits, CacheMisses: misses,
 	}
 }

@@ -223,6 +223,7 @@ func TestServiceRefusesSpecsItCannotRun(t *testing.T) {
 		"particles per group":        func(j *JobSpec) { j.PerGroup = maxPerGroup + 1 },
 		"iterations":                 func(j *JobSpec) { j.Iterations = maxIterations + 1 },
 		"slots":                      func(j *JobSpec) { j.Slots = 17 },
+		"more pools than slots":      func(j *JobSpec) { j.Slots, j.Pools = 3, 4 },
 		"channels":                   func(j *JobSpec) { j.ChannelMax = 4096 },
 		"channel floor overflowing":  func(j *JobSpec) { j.ChannelMin, j.ChannelMax = 1<<61, 0 },
 		"ghost bundles":              func(j *JobSpec) { j.Groups = len(bundle.Enumerate()) + 1 },
