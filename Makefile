@@ -130,9 +130,10 @@ short:
 # does how concurrent runs of one executor take turns at its model. The
 # lane's deadline, record and allocation tests, and the non-finite answers of
 # both doors, ride along with the lane tests.
-# tensor's packing panels are taken per chunk in flight: how many a free list
-# builds, and whether a warm call still allocates nothing, depends on how many
-# chunks overlap, so that test and the zero-allocation ones get the three runs.
+# tensor's packing panels (16-column float panels, 8-column int8 ones) are
+# taken per chunk in flight: how many a free list builds, and whether a warm
+# call still allocates nothing, depends on how many chunks overlap, so that
+# test and the zero-allocation ones get the three runs.
 # The layer walk's convolutions deal their batch to lanes the same way, so
 # their parallel tests and the tracker-training determinism test (whose
 # backward runs through them) get the three runs too.
@@ -154,7 +155,10 @@ race:
 # purego runs the kernel-bearing packages with the assembly kernels — the
 # GEMM micro-kernels and the row kernels — compiled out, so the portable Go
 # loops (and the dispatch seam) cannot rot. The same tests run again with
-# SKYNET_KERNEL=purego on a normal build to cover the runtime-selection path.
+# SKYNET_KERNEL=purego on a normal build to cover the runtime-selection path,
+# and with SKYNET_KERNEL=avx2: where auto picks the AVX-512 float tile, that
+# run is what keeps the AVX2 one under every test of these packages (on a
+# host without AVX2 it falls back to auto and repeats the plain run).
 # nn and backbone ride along: the inference plan must equal the layer walk
 # under either kernel set (the small-problem crossover, hence which GEMM store
 # fuses, differs), quant because the int8 engine sits on the purego ≡ avx2
@@ -165,6 +169,7 @@ PUREGO_PKGS = ./internal/tensor ./internal/cpufeat ./internal/nn ./internal/back
 purego:
 	$(GO) test -tags purego $(PUREGO_PKGS)
 	SKYNET_KERNEL=purego $(GO) test -count=1 $(PUREGO_PKGS)
+	SKYNET_KERNEL=avx2 $(GO) test -count=1 $(PUREGO_PKGS)
 
 # arm64 cross-compiles the whole tree for the other deployment
 # architecture: the build tags on the amd64 assembly must keep every

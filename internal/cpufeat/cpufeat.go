@@ -18,12 +18,12 @@ var (
 	// switches (OSXSAVE + XCR0 check, not just the CPUID feature bit).
 	AVX2 bool
 
-	// FMA reports whether fused multiply-add (VFMADD*) is available. It is
-	// detected independently of AVX2 because the float32 GEMM treats FMA as
-	// an opt-in: fusing changes rounding, so the default kernel avoids it.
-	FMA bool
+	// AVX512 reports whether the AVX-512 foundation instructions (AVX512F)
+	// are available and the OS preserves the opmask and ZMM state as well.
+	// It implies AVX2.
+	AVX512 bool
 )
 
 func init() {
-	AVX2, FMA = detect()
+	AVX2, AVX512 = detect()
 }

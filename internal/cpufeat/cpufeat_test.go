@@ -6,19 +6,22 @@ import (
 )
 
 // TestDetectStable pins the basic contract: detection ran at init, is
-// idempotent, and FMA-without-YMM-support cannot be reported alongside a
-// false AVX2 on a host whose first detection said otherwise.
+// idempotent, and AVX512 is never reported without AVX2 (the kernels that
+// use ZMM registers share the YMM ones' row routines).
 func TestDetectStable(t *testing.T) {
-	a2, fma := detect()
-	if a2 != AVX2 || fma != FMA {
-		t.Fatalf("detect() = (%v, %v), init recorded (%v, %v)", a2, fma, AVX2, FMA)
+	a2, a512 := detect()
+	if a2 != AVX2 || a512 != AVX512 {
+		t.Fatalf("detect() = (%v, %v), init recorded (%v, %v)", a2, a512, AVX2, AVX512)
+	}
+	if a512 && !a2 {
+		t.Fatal("AVX512 reported without AVX2")
 	}
 	// Run it a few more times: CPUID is a pure function of the hardware.
 	for i := 0; i < 3; i++ {
-		b2, bf := detect()
-		if b2 != a2 || bf != fma {
-			t.Fatalf("detect() not idempotent: run %d gave (%v, %v), want (%v, %v)", i, b2, bf, a2, fma)
+		b2, b512 := detect()
+		if b2 != a2 || b512 != a512 {
+			t.Fatalf("detect() not idempotent: run %d gave (%v, %v), want (%v, %v)", i, b2, b512, a2, a512)
 		}
 	}
-	t.Logf("GOARCH=%s AVX2=%v FMA=%v", runtime.GOARCH, AVX2, FMA)
+	t.Logf("GOARCH=%s AVX2=%v AVX512=%v", runtime.GOARCH, AVX2, AVX512)
 }

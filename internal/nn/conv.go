@@ -437,9 +437,10 @@ func (d *DWConv3) rows(dst, in []float32, ch, oy int) {
 // edge is a row under the kernel rows that lie inside the image, and along a
 // row every output whose k columns all lie inside — all but pad at each end —
 // takes dwInteriorRow, a loop with no bounds tests (vector code for the 3-wide
-// stride-1 case where the kernel has it); the end columns take dwPixel. All
-// start from the bias and add the remaining taps in ascending (ky, kx) order,
-// so where the splits fall changes no bit.
+// stride-1 case where the kernel has it); the end columns take dwPixel, or in
+// a 3×3 stride-1 pad-1 row a two-taps-a-row edge form. All start from the
+// bias and add the remaining taps in ascending (ky, kx) order, so where the
+// splits fall changes no bit.
 //
 //skynet:hotpath
 func DWRow[E float32 | int8, A float32 | int32](acc []A, in, ker []E, bias A, h, w, k, stride, pad, oy int) {
@@ -449,13 +450,28 @@ func DWRow[E float32 | int8, A float32 | int32](acc []A, in, ker []E, bias A, h,
 	if ky0 >= ky1 {
 		x0, x1 = len(acc), len(acc) // no kernel row inside: dwPixel's loop is empty, the row is the bias
 	}
-	for ox := 0; ox < x0; ox++ {
-		acc[ox] = dwPixel(in, ker, bias, h, w, k, iy0, ox*stride-pad)
-	}
 	if x0 < x1 {
 		// The window of output x0 has its top-left corner at column
 		// x0·stride-pad; its first row inside the image is iy0+ky0.
-		dwInteriorRow(acc[x0:x1], in[(iy0+ky0)*w+x0*stride-pad:], ker[ky0*k:ky1*k], bias, w, k, stride)
+		rows, taps := in[(iy0+ky0)*w:], ker[ky0*k:ky1*k]
+		dwInteriorRow(acc[x0:x1], rows[x0*stride-pad:], taps, bias, w, k, stride)
+		if k == 3 && stride == 1 && pad == 1 && x0 == 1 && x1 == len(acc)-1 {
+			// The 3×3 edge form: the end windows hang one column over the
+			// image, so the left takes taps kx 1–2 and the right kx 0–1.
+			left, right := bias, bias
+			for ky := 0; ky*3 < len(taps); ky++ {
+				row, t := rows[ky*w:(ky+1)*w], taps[ky*3:ky*3+3]
+				left += A(row[0]) * A(t[1])
+				left += A(row[1]) * A(t[2])
+				right += A(row[x1-1]) * A(t[0])
+				right += A(row[x1]) * A(t[1])
+			}
+			acc[0], acc[x1] = left, right
+			return
+		}
+	}
+	for ox := 0; ox < x0; ox++ {
+		acc[ox] = dwPixel(in, ker, bias, h, w, k, iy0, ox*stride-pad)
 	}
 	for ox := x1; ox < len(acc); ox++ {
 		acc[ox] = dwPixel(in, ker, bias, h, w, k, iy0, ox*stride-pad)

@@ -3,8 +3,11 @@ package nn_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
+	"skynet/internal/backbone"
 	"skynet/internal/nn"
 )
 
@@ -60,6 +63,39 @@ func BenchmarkRowMaxPool2(b *testing.B) {
 					nn.MaxPoolInto(dst, src, 1, 2, cols, 2)
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkPlanSteps times each step of SkyNet C's inference plan at 160×320,
+// batch 1 and batch 4, as Graph.Forward runs them (nn.StepTimes), and
+// reports every step's median over the iterations in ms: the per-step ledger
+// of where a forward — and so each of quant.Export's calibration forwards —
+// spends its time. Run with -benchtime 20x or more for stable medians.
+func BenchmarkPlanSteps(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
+	for _, n := range []int{1, 4} {
+		b.Run(fmt.Sprintf("batch%d", n), func(b *testing.B) {
+			x := randBatch(rng, n, 3, 160, 320)
+			g.Forward(x, false) // compile the plan, grow the arena
+			var names []string
+			var samples [][]float64 // by step, then by iteration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var times []time.Duration
+				names, times = nn.StepTimes(g, x)
+				if samples == nil {
+					samples = make([][]float64, len(times))
+				}
+				for k, d := range times {
+					samples[k] = append(samples[k], float64(d)/1e6)
+				}
+			}
+			for k, name := range names {
+				slices.Sort(samples[k])
+				b.ReportMetric(samples[k][len(samples[k])/2], name+"_ms")
+			}
 		})
 	}
 }

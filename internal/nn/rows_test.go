@@ -82,6 +82,14 @@ func dwRowRef[E float32 | int8, A float32 | int32](acc []A, in, ker []E, bias A,
 	}
 }
 
+// dwSweepWidths are the plane widths of the depth-wise sweep. On a 3×3
+// stride-1 pad-1 row the vector kernel takes the w-2 interior outputs, its
+// last vector overlapping the one before when w-2 is not a multiple of 8:
+// 1–19 hold every interior short of a vector (w ≤ 9), exactly one (w = 10),
+// one plus 1–7 (w = 11–17) and two (w = 18); 25, 26 and 33 hold two vectors
+// plus 7, three, and three plus 7.
+var dwSweepWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 25, 26, 33}
+
 // sweepDW runs the depth-wise sweep for one pair of element types.
 func sweepDW[E float32 | int8, A float32 | int32](t *testing.T, plane, taps func(*rand.Rand, int) []E, bias func(*rand.Rand) A, inSentinel E, outSentinel A, same func(a, b A) bool) {
 	rng := rand.New(rand.NewSource(31))
@@ -90,7 +98,7 @@ func sweepDW[E float32 | int8, A float32 | int32](t *testing.T, plane, taps func
 		for stride := 1; stride <= 3; stride++ {
 			for pad := 0; pad <= k/2+1; pad++ {
 				for h := 1; h <= 17; h++ {
-					for w := 1; w <= 19; w++ {
+					for _, w := range dwSweepWidths {
 						if h+2*pad < k || w+2*pad < k {
 							continue
 						}

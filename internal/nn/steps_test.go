@@ -1,0 +1,66 @@
+package nn
+
+import (
+	"fmt"
+	"time"
+
+	"skynet/internal/tensor"
+)
+
+// stepTimer walks the samples of the forward in flight as planRun.WalkSample
+// does, but times every step it runs, lane by lane.
+type stepTimer struct {
+	r     *planRun
+	spent [][]time.Duration // by lane, then by plan node
+}
+
+func (s *stepTimer) WalkSample(li, i int, leaf bool) {
+	r := s.r
+	p, l, per, outPer := r.p, r.lanes[li], len(r.x)/r.n, len(r.out)/r.n
+	x := r.x[i*per : (i+1)*per]
+	l.out = r.out[i*outPer : (i+1)*outPer]
+	for k := range p.nodes {
+		if pn := &p.nodes[k]; !pn.alias && !pn.fused {
+			start := time.Now()
+			r.step(pn, li, l.buf(&p.nodes[p.slot(k)]), x, leaf)
+			s.spent[li][k] += time.Since(start)
+		}
+	}
+}
+
+// StepTimes runs one inference forward of x on g as Graph.Forward runs it —
+// the same plan, lanes, bands and splits — and returns each plan step's name
+// and its time in that forward: the most any one lane spent on it, over all
+// the samples the lane walked, so that on one lane the times add up to the
+// forward's. A benchmark seam, not an API: the product has no per-step clock.
+func StepTimes(g *Graph, x *tensor.Tensor) (names []string, times []time.Duration) {
+	p, n := g.planFor(x), x.Dim(0)
+	out := tensor.New(p.batch(n)...)
+	lanes := LanesFor(n)
+	p.prepare(lanes)
+	p.begin(n, lanes)
+	g.run = planRun{p: p, lanes: g.lanes, x: x.Data, out: out.Data, n: n}
+	timer := &stepTimer{r: &g.run, spent: make([][]time.Duration, lanes)}
+	for i := range timer.spent {
+		timer.spent[i] = make([]time.Duration, len(p.nodes))
+	}
+	RunLanes(timer, n, lanes)
+	for _, l := range g.lanes[:lanes] {
+		l.out = nil
+	}
+	g.run = planRun{}
+	for k := range p.nodes {
+		if pn := &p.nodes[k]; !pn.alias && !pn.fused {
+			var most time.Duration
+			for _, spent := range timer.spent {
+				most = max(most, spent[k])
+			}
+			kind := fmt.Sprintf("%T", pn.layer)[len("*nn."):]
+			if pn.band != nil {
+				kind = "Bundle"
+			}
+			names, times = append(names, fmt.Sprintf("step%d_%s", len(names), kind)), append(times, most)
+		}
+	}
+	return names, times
+}

@@ -142,3 +142,46 @@ func TestCalibrateActivations(t *testing.T) {
 		}
 	}
 }
+
+// TestSkyNetCBitwiseUnderEveryKernel: full-width SkyNet C's float forward,
+// and the activation scales CalibrateActivations takes from that forward,
+// are bitwise the same under every kernel the host has — purego, avx2 and
+// avx512 — whichever GEMM tile and row kernels compute them.
+func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
+	h, w := 160, 320
+	if testing.Short() {
+		h, w = 48, 96
+	}
+	x := randBatch(rng, 2, 3, h, w)
+	old := tensor.KernelName()
+	defer func() {
+		if err := tensor.SetKernel(old); err != nil {
+			t.Fatalf("restoring kernel %q: %v", old, err)
+		}
+	}()
+	var first string
+	var wantOut []float32
+	var wantScales ActivationScales
+	for _, name := range []string{"purego", "avx2", "avx512"} {
+		if tensor.SetKernel(name) != nil {
+			continue // not on this CPU or build
+		}
+		out := g.Forward(x, false).Data
+		scales, err := CalibrateActivations(g, []*tensor.Tensor{x}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == "" {
+			first, wantOut, wantScales = name, out, scales
+			continue
+		}
+		if !sameBits(out, wantOut) {
+			t.Errorf("forward under %s differs from %s", name, first)
+		}
+		if !sameBits([]float32{scales.Input}, []float32{wantScales.Input}) || !sameBits(scales.Node, wantScales.Node) {
+			t.Errorf("scales under %s differ from %s: %v vs %v", name, first, scales, wantScales)
+		}
+	}
+}

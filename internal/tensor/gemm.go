@@ -32,14 +32,14 @@ import (
 // worker count.
 //
 // The micro-kernel itself is dispatched through the gemmMicro function
-// variable (kernel.go): AVX2 assembly where the CPU has it, the pure-Go
-// reference below otherwise. NR is 8 so one tile row is exactly one YMM
-// register of float32 lanes; both implementations consume the same packed
-// panel layout and the same strict k-order per element, so swapping them
-// never changes a single output bit.
+// variable (kernel.go): AVX-512 or AVX2 assembly where the CPU has it, the
+// pure-Go reference below otherwise. NR is 16, so one tile row is one ZMM
+// register or two YMM registers of float32 lanes; every implementation
+// consumes the same packed panel layout and the same strict k-order per
+// element, so swapping them never changes a single output bit.
 const (
 	gemmMR = 4   // micro-tile rows (accumulator block height)
-	gemmNR = 8   // micro-tile cols (one 8-lane YMM vector per tile row)
+	gemmNR = 16  // micro-tile cols (one ZMM, two YMM vectors per tile row)
 	gemmKC = 256 // k-dimension cache block (packed panels stay L1-resident)
 	gemmMC = 64  // m-dimension cache block (A block, L2)
 	gemmNC = 512 // n-dimension cache block (B block, bounds scratch size)
@@ -279,7 +279,8 @@ func startGemmWorkers() {
 }
 
 // gemmWorkerCount decides how many column chunks to split a call into, for
-// either element type (both micro-tiles are gemmNR columns wide).
+// either element type: chunks are whole float tiles, gemmNR columns, which
+// are whole int8 tiles too (i8NR divides gemmNR).
 //
 //skynet:hotpath
 func gemmWorkerCount(m, n, k int) int {
@@ -524,64 +525,65 @@ func (g *gemmCall) macroKernel(s *gemmScratch, ic, mc, jc, nc, kc int, overwrite
 // microKernelRef computes one MR×NR tile product over the packed panels:
 // ap holds kc rows of MR A-values, bp holds kc rows of NR B-values. It is
 // the portable implementation behind the gemmMicro dispatch seam and the
-// bitwise oracle for the AVX2 kernel: per k step each accumulator performs
-// one multiply and one add, each individually rounded, exactly as the
-// assembly's VMULPS/VADDPS pair does — and in the same strict k order. Do
-// not restructure the arithmetic into a*b+c forms a compiler could fuse.
+// bitwise oracle for the assembly kernels: per k step each accumulator
+// performs one multiply and one add, each individually rounded, exactly as
+// the assembly's VMULPS/VADDPS pair does — and in the same strict k order.
+// Do not restructure the arithmetic into a*b+c forms a compiler could fuse.
+// It runs as two 8-column halves, so that its 32 accumulators fit arm64's
+// registers.
 //
 //skynet:hotpath
 func microKernelRef(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32) {
-	var c00, c01, c02, c03, c04, c05, c06, c07 float32
-	var c10, c11, c12, c13, c14, c15, c16, c17 float32
-	var c20, c21, c22, c23, c24, c25, c26, c27 float32
-	var c30, c31, c32, c33, c34, c35, c36, c37 float32
-	for p := 0; p < kc; p++ {
-		a := ap[p*gemmMR : p*gemmMR+gemmMR]
-		b := bp[p*gemmNR : p*gemmNR+gemmNR]
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		b4, b5, b6, b7 := b[4], b[5], b[6], b[7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c04 += a0 * b4
-		c05 += a0 * b5
-		c06 += a0 * b6
-		c07 += a0 * b7
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c14 += a1 * b4
-		c15 += a1 * b5
-		c16 += a1 * b6
-		c17 += a1 * b7
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c24 += a2 * b4
-		c25 += a2 * b5
-		c26 += a2 * b6
-		c27 += a2 * b7
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		c34 += a3 * b4
-		c35 += a3 * b5
-		c36 += a3 * b6
-		c37 += a3 * b7
+	for h := 0; h < gemmNR; h += 8 {
+		var c00, c01, c02, c03, c04, c05, c06, c07 float32
+		var c10, c11, c12, c13, c14, c15, c16, c17 float32
+		var c20, c21, c22, c23, c24, c25, c26, c27 float32
+		var c30, c31, c32, c33, c34, c35, c36, c37 float32
+		for p := 0; p < kc; p++ {
+			a := ap[p*gemmMR : p*gemmMR+gemmMR]
+			b := bp[p*gemmNR+h : p*gemmNR+h+8]
+			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+			b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+			b4, b5, b6, b7 := b[4], b[5], b[6], b[7]
+			c00 += a0 * b0
+			c01 += a0 * b1
+			c02 += a0 * b2
+			c03 += a0 * b3
+			c04 += a0 * b4
+			c05 += a0 * b5
+			c06 += a0 * b6
+			c07 += a0 * b7
+			c10 += a1 * b0
+			c11 += a1 * b1
+			c12 += a1 * b2
+			c13 += a1 * b3
+			c14 += a1 * b4
+			c15 += a1 * b5
+			c16 += a1 * b6
+			c17 += a1 * b7
+			c20 += a2 * b0
+			c21 += a2 * b1
+			c22 += a2 * b2
+			c23 += a2 * b3
+			c24 += a2 * b4
+			c25 += a2 * b5
+			c26 += a2 * b6
+			c27 += a2 * b7
+			c30 += a3 * b0
+			c31 += a3 * b1
+			c32 += a3 * b2
+			c33 += a3 * b3
+			c34 += a3 * b4
+			c35 += a3 * b5
+			c36 += a3 * b6
+			c37 += a3 * b7
+		}
+		t := tile[h:]
+		t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = c00, c01, c02, c03, c04, c05, c06, c07
+		t[16], t[17], t[18], t[19], t[20], t[21], t[22], t[23] = c10, c11, c12, c13, c14, c15, c16, c17
+		t[32], t[33], t[34], t[35], t[36], t[37], t[38], t[39] = c20, c21, c22, c23, c24, c25, c26, c27
+		t[48], t[49], t[50], t[51], t[52], t[53], t[54], t[55] = c30, c31, c32, c33, c34, c35, c36, c37
 	}
-	tile[0], tile[1], tile[2], tile[3] = c00, c01, c02, c03
-	tile[4], tile[5], tile[6], tile[7] = c04, c05, c06, c07
-	tile[8], tile[9], tile[10], tile[11] = c10, c11, c12, c13
-	tile[12], tile[13], tile[14], tile[15] = c14, c15, c16, c17
-	tile[16], tile[17], tile[18], tile[19] = c20, c21, c22, c23
-	tile[20], tile[21], tile[22], tile[23] = c24, c25, c26, c27
-	tile[24], tile[25], tile[26], tile[27] = c30, c31, c32, c33
-	tile[28], tile[29], tile[30], tile[31] = c34, c35, c36, c37
 }
 
 // storeTile writes a micro-tile into C, clipping the zero-padded edge rows
@@ -639,7 +641,7 @@ func (g *gemmCall) storeTile(tile *[gemmMR * gemmNR]float32, i0, j0, mr, nr int,
 
 // packA copies A[ic:ic+mc, pc:pc+kc] into MR-row panels: panel ir/MR holds
 // kc groups of MR consecutive row values, zero-padded past mc. The packed
-// layout is exactly the order micro4x8 reads.
+// layout is exactly the order the micro-kernel reads.
 //
 //skynet:hotpath
 func (g *gemmCall) packA(dst []float32, ic, mc, pc, kc int) {

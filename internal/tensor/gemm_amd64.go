@@ -4,21 +4,28 @@ package tensor
 
 import "skynet/internal/cpufeat"
 
-// Declarations for the AVX2 micro-kernels implemented in
-// gemm_avx2_amd64.s. They consume exactly the packed panel layouts the
+// Declarations for the micro-kernels implemented in gemm_avx2_amd64.s and
+// gemm_avx512_amd64.s. They consume exactly the packed panel layouts the
 // pure-Go reference kernels consume (see microKernelRef and
 // i8MicroKernelRef) and overwrite the caller's tile; correctness is pinned
 // by the bitwise asm-vs-purego equivalence tests in kernel_test.go.
 
-// gemmMicro4x8AVX2 computes one 4×8 float32 tile: per k step it loads the
-// 8-wide B row once, broadcasts each of the 4 A values, and updates each
-// accumulator with a separate VMULPS+VADDPS pair — two roundings per
-// multiply-add, in strict k order, exactly like the pure-Go reference, so
-// the result is bitwise identical to it.
+// gemmMicro4x16AVX2 computes one 4×16 float32 tile: per k step it loads the
+// 16-wide B row as two YMM vectors, broadcasts each of the 4 A values, and
+// updates each of the eight accumulators with a separate VMULPS+VADDPS pair
+// — two roundings per multiply-add, in strict k order, exactly like the
+// pure-Go reference, so the result is bitwise identical to it.
 //
 //go:noescape
 //skynet:hotpath
-func gemmMicro4x8AVX2(kc int, ap, bp *float32, tile *[gemmMR * gemmNR]float32)
+func gemmMicro4x16AVX2(kc int, ap, bp *float32, tile *[gemmMR * gemmNR]float32)
+
+// gemmMicro4x16AVX512 is gemmMicro4x16AVX2 with one ZMM accumulator per
+// tile row: the same multiplies and adds, the same bits.
+//
+//go:noescape
+//skynet:hotpath
+func gemmMicro4x16AVX512(kc int, ap, bp *float32, tile *[gemmMR * gemmNR]float32)
 
 // i8Micro4x8AVX2 computes one 4×8 int8→int32 tile over pair-packed
 // panels: per k pair it sign-extends the 16-byte B group to words
@@ -38,7 +45,12 @@ func i8Micro4x8AVX2(kp int, ap, bp *int8, tile *[i8MR * i8NR]int32)
 //
 //skynet:hotpath
 func gemmMicroAVX2(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32) {
-	gemmMicro4x8AVX2(kc, &ap[0], &bp[0], tile)
+	gemmMicro4x16AVX2(kc, &ap[0], &bp[0], tile)
+}
+
+//skynet:hotpath
+func gemmMicroAVX512(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32) {
+	gemmMicro4x16AVX512(kc, &ap[0], &bp[0], tile)
 }
 
 //skynet:hotpath
@@ -47,11 +59,13 @@ func i8MicroAVX2(kp int, ap, bp []int8, tile *[i8MR * i8NR]int32) {
 }
 
 // nativeKernels reports the assembly kernels this build and CPU support;
-// nil entries mean "use the pure-Go reference". kernel.go dispatches on
-// the result.
-func nativeKernels() (f32 gemmMicroFunc, i8 i8MicroFunc) {
+// nil entries mean none. kernel.go dispatches on the result.
+func nativeKernels() (avx512, avx2 gemmMicroFunc, i8 i8MicroFunc) {
 	if !cpufeat.AVX2 {
-		return nil, nil
+		return nil, nil, nil
 	}
-	return gemmMicroAVX2, i8MicroAVX2
+	if cpufeat.AVX512 {
+		avx512 = gemmMicroAVX512
+	}
+	return avx512, gemmMicroAVX2, i8MicroAVX2
 }

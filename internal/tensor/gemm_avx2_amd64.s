@@ -2,24 +2,42 @@
 
 #include "textflag.h"
 
-// AVX2 micro-kernels for the blocked GEMMs. Register plan (all kernels):
+// AVX2 micro-kernels for the blocked GEMMs. Register plan (float kernel):
 //
-//	CX  remaining k steps (pairs for int8)   SI  packed A panel cursor
+//	CX  remaining k steps                    SI  packed A panel cursor
 //	DI  packed B panel cursor                DX  output tile
-//	Y0-Y3  the four 8-lane row accumulators
-//	Y4/Y9  the current (and next, in the unrolled body) B vector
-//	Y5-Y8  per-row broadcast/product temporaries
+//	Y0-Y7  the eight 8-lane accumulators: tile row r is Y(2r), Y(2r+1)
+//	Y8/Y9  the current B row's two halves    Y10-Y15 broadcast/product temporaries
 //
-// The float32 kernels keep one accumulator per tile row and update it once
-// per k step, preserving the strict per-element k-summation order the
+// The int8 kernel keeps the same cursors, its four row accumulators in
+// Y0-Y3 and its B vector in Y4/Y9. Every kernel updates each accumulator
+// once per k step, preserving the strict per-element k-summation order the
 // determinism contract requires. The main bodies are unrolled ×2 over k
 // with a single-step tail for odd counts.
 
-// func gemmMicro4x8AVX2(kc int, ap, bp *float32, tile *[32]float32)
+// F32ROW updates tile row A's two accumulators with a(row)·b for the B row
+// in Y8/Y9: the product rounded (VMULPS), then the sum (VADDPS), never FMA.
+#define F32ROW(A, ACC0, ACC1, T0, T1) \
+	VBROADCASTSS A(SI), T0; \
+	VMULPS Y8, T0, T1;      \
+	VADDPS T1, ACC0, ACC0;  \
+	VMULPS Y9, T0, T0;      \
+	VADDPS T0, ACC1, ACC1
+
+// F32STEP is one k step: the B row at B(DI), the four A values at A0..A3(SI).
+#define F32STEP(B0, B1, A0, A1, A2, A3) \
+	VMOVUPS B0(DI), Y8;                 \
+	VMOVUPS B1(DI), Y9;                 \
+	F32ROW(A0, Y0, Y1, Y10, Y11);       \
+	F32ROW(A1, Y2, Y3, Y12, Y13);       \
+	F32ROW(A2, Y4, Y5, Y14, Y15);       \
+	F32ROW(A3, Y6, Y7, Y10, Y11)
+
+// func gemmMicro4x16AVX2(kc int, ap, bp *float32, tile *[64]float32)
 //
-// No-FMA variant: VMULPS then VADDPS, two roundings per multiply-add,
-// bitwise identical to the pure-Go reference kernel.
-TEXT ·gemmMicro4x8AVX2(SB), NOSPLIT, $0-32
+// No-FMA: VMULPS then VADDPS, two roundings per multiply-add, bitwise
+// identical to the pure-Go reference kernel.
+TEXT ·gemmMicro4x16AVX2(SB), NOSPLIT, $0-32
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), DI
@@ -28,63 +46,35 @@ TEXT ·gemmMicro4x8AVX2(SB), NOSPLIT, $0-32
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 	SUBQ $2, CX
 	JLT  f32tail
 
 f32loop2:
-	VMOVUPS (DI), Y4
-	VBROADCASTSS 0(SI), Y5
-	VMULPS Y4, Y5, Y5
-	VADDPS Y5, Y0, Y0
-	VBROADCASTSS 4(SI), Y6
-	VMULPS Y4, Y6, Y6
-	VADDPS Y6, Y1, Y1
-	VBROADCASTSS 8(SI), Y7
-	VMULPS Y4, Y7, Y7
-	VADDPS Y7, Y2, Y2
-	VBROADCASTSS 12(SI), Y8
-	VMULPS Y4, Y8, Y8
-	VADDPS Y8, Y3, Y3
-	VMOVUPS 32(DI), Y9
-	VBROADCASTSS 16(SI), Y5
-	VMULPS Y9, Y5, Y5
-	VADDPS Y5, Y0, Y0
-	VBROADCASTSS 20(SI), Y6
-	VMULPS Y9, Y6, Y6
-	VADDPS Y6, Y1, Y1
-	VBROADCASTSS 24(SI), Y7
-	VMULPS Y9, Y7, Y7
-	VADDPS Y7, Y2, Y2
-	VBROADCASTSS 28(SI), Y8
-	VMULPS Y9, Y8, Y8
-	VADDPS Y8, Y3, Y3
+	F32STEP(0, 32, 0, 4, 8, 12)
+	F32STEP(64, 96, 16, 20, 24, 28)
 	ADDQ $32, SI
-	ADDQ $64, DI
+	ADDQ $128, DI
 	SUBQ $2, CX
 	JGE  f32loop2
 
 f32tail:
 	ADDQ $1, CX
 	JLT  f32done
-	VMOVUPS (DI), Y4
-	VBROADCASTSS 0(SI), Y5
-	VMULPS Y4, Y5, Y5
-	VADDPS Y5, Y0, Y0
-	VBROADCASTSS 4(SI), Y6
-	VMULPS Y4, Y6, Y6
-	VADDPS Y6, Y1, Y1
-	VBROADCASTSS 8(SI), Y7
-	VMULPS Y4, Y7, Y7
-	VADDPS Y7, Y2, Y2
-	VBROADCASTSS 12(SI), Y8
-	VMULPS Y4, Y8, Y8
-	VADDPS Y8, Y3, Y3
+	F32STEP(0, 32, 0, 4, 8, 12)
 
 f32done:
 	VMOVUPS Y0, 0(DX)
 	VMOVUPS Y1, 32(DX)
 	VMOVUPS Y2, 64(DX)
 	VMOVUPS Y3, 96(DX)
+	VMOVUPS Y4, 128(DX)
+	VMOVUPS Y5, 160(DX)
+	VMOVUPS Y6, 192(DX)
+	VMOVUPS Y7, 224(DX)
 	VZEROUPPER
 	RET
 

@@ -35,10 +35,8 @@ import "math"
 // steps per instruction). Integer accumulation is exact, so the pure-Go
 // and assembly kernels are bitwise identical by construction.
 const (
-	i8MR = 4 // micro-tile rows
-	// micro-tile cols (one 8-lane YMM vector of int32 per row). Tied to the
-	// float tile width because the shared dispatch splits columns on it.
-	i8NR = gemmNR
+	i8MR = 4    // micro-tile rows
+	i8NR = 8    // micro-tile cols (one 8-lane YMM vector of int32 per row)
 	i8KC = 2048 // max unblocked k: a packed NR panel is i8KC*i8NR = 16 KiB
 	i8MC = 64   // m-dimension cache block
 	i8NC = 256  // n-dimension cache block (bounds scratch size)

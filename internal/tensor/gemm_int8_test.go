@@ -184,10 +184,7 @@ func TestInt8GEMMDequantGolden(t *testing.T) {
 // remainder-tile grid, on both paths, under each micro-kernel.
 func TestInt8GEMMColumnStride(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	kernels := []string{"purego"}
-	if HasKernel("avx2") {
-		kernels = append(kernels, "avx2")
-	}
+	kernels := availableKernels()
 	const gap8 = int8(-128) // never a code: the epilogue clamps to [0, 113]
 	gapF := math.Float32frombits(0x7fc0dead)
 	gemmSweep(func(m, n, k int) {

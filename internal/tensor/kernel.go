@@ -5,20 +5,19 @@ package tensor
 // gemmMicro for float32 GEMM tiles, i8Micro for int8 tiles, and rows, the
 // table of row kernels (rows.go) — so the packing, blocking, worker pool,
 // epilogue and layer code never know which instruction set computes a tile
-// or a row. On amd64 hosts with AVX2 the variables hold Go-assembly routines
-// (gemm_avx2_amd64.s, rows_avx2_amd64.s); everywhere else, and on builds with
-// the `purego` tag, the micro-kernel variables hold the portable Go kernels
-// and the row table is empty, which leaves every row to its Go loop — the
-// implementations that double as the test oracle.
+// or a row.
 //
-// The float32 kernels deliberately avoid fused multiply-add even when the
-// CPU has it: FMA skips the intermediate rounding of a*b, so an FMA tile
-// is not bitwise identical to the pure-Go reference, and the repo's
-// determinism contract (identical bytes across kernels, reruns, and
-// GOMAXPROCS) is worth more than what fusing buys (an opt-in FMA tile was
-// measured no faster at 256³ or on the conv shape, and removed). The int8
-// kernels accumulate in exact integer arithmetic, so they are bitwise
-// identical to the reference by construction.
+// The float32 GEMM has one packed layout, 4×16 tiles (gemm.go), and three
+// kernels over it: the pure-Go reference (microKernelRef), AVX2 (eight YMM
+// accumulators, gemm_avx2_amd64.s) and AVX-512F (four ZMM accumulators,
+// gemm_avx512_amd64.s). All three compute every element of a tile with a
+// separately rounded multiply and add, in strict k order, so they give one
+// bit pattern: fused multiply-add would skip the rounding of a*b, and the
+// repo's determinism contract (identical bytes across kernels, reruns and
+// GOMAXPROCS) is worth more than what fusing buys. The int8 tile (4×8) and
+// the row kernels have a pure-Go and an AVX2 form; both accumulate exactly
+// or in the Go loop's order, so they are bitwise identical too. The Go forms
+// run on purego builds and non-amd64 hosts and are the tests' oracle.
 //
 // Selection is per-process: `auto` at startup, overridable with the
 // SKYNET_KERNEL environment variable or SetKernel — the one switch for all
@@ -62,67 +61,50 @@ func init() {
 // SetKernel selects the implementation of the micro-kernels and the row
 // kernels by name:
 //
-//	auto     best available bitwise-deterministic kernels (default)
+//	auto     the widest kernel this CPU and build have (default)
 //	purego   portable Go kernels and row loops on every path
 //	avx2     AVX2 assembly, no FMA (bitwise identical to purego)
+//	avx512   AVX-512F float tiles, AVX2 for the rest (bitwise identical too)
 //
-// It returns an error (and changes nothing) if the named kernel is not
-// available on this CPU or build. Not safe to call concurrently with
-// running GEMMs.
+// It returns an error (and changes nothing) if the name is unknown or the
+// named kernel is not available on this CPU or build. Not safe to call
+// concurrently with running GEMMs.
 func SetKernel(name string) error {
-	asmF32, asmI8 := nativeKernels()
+	avx512, avx2, asmI8 := nativeKernels()
+	var micro gemmMicroFunc
 	switch name {
 	case "", "auto":
-		if asmF32 != nil {
-			gemmMicro, gemmKernelName = asmF32, "avx2"
-		} else {
-			gemmMicro, gemmKernelName = microKernelRef, "purego"
+		for _, widest := range []string{"avx512", "avx2"} {
+			if SetKernel(widest) == nil {
+				return nil
+			}
 		}
+		return SetKernel("purego")
 	case "purego":
-		gemmMicro, gemmKernelName = microKernelRef, "purego"
-		i8Micro, i8KernelName = i8MicroKernelRef, "purego"
-		rows = rowKernels{}
-		gemmMinBlockedK = gemmMinBlockedKPure
-		return nil
+		micro = microKernelRef
 	case "avx2":
-		if asmF32 == nil {
-			return fmt.Errorf("kernel %q not available (no AVX2 on this CPU or purego build)", name)
-		}
-		gemmMicro, gemmKernelName = asmF32, "avx2"
+		micro = avx2
+	case "avx512":
+		micro = avx512
 	default:
-		return fmt.Errorf("unknown kernel %q (want auto, purego or avx2)", name)
+		return fmt.Errorf("unknown kernel %q (want auto, purego, avx2 or avx512)", name)
 	}
-	if asmI8 != nil {
-		i8Micro, i8KernelName = asmI8, "avx2"
-	} else {
-		i8Micro, i8KernelName = i8MicroKernelRef, "purego"
+	if micro == nil {
+		return fmt.Errorf("kernel %q not available on this CPU or build (want auto, purego, avx2 or avx512)", name)
 	}
-	rows = nativeRowKernels()
-	// The blocked-vs-naive crossover moves with the kernel: the asm tile is
+	// The blocked-vs-naive crossover moves with the kernel: an asm tile is
 	// fast enough that packing pays off at much shallower k (see the
 	// gemmMinBlockedK comment in gemm.go).
-	if gemmKernelName == "purego" {
-		gemmMinBlockedK = gemmMinBlockedKPure
-	} else {
-		gemmMinBlockedK = gemmMinBlockedKAsm
+	gemmMicro, gemmKernelName = micro, name
+	i8Micro, i8KernelName, rows, gemmMinBlockedK = asmI8, "avx2", nativeRowKernels(), gemmMinBlockedKAsm
+	if name == "purego" {
+		i8Micro, i8KernelName, rows, gemmMinBlockedK = i8MicroKernelRef, "purego", rowKernels{}, gemmMinBlockedKPure
 	}
 	return nil
 }
 
-// HasKernel reports whether SetKernel(name) would succeed.
-func HasKernel(name string) bool {
-	switch name {
-	case "", "auto", "purego":
-		return true
-	case "avx2":
-		asmF32, _ := nativeKernels()
-		return asmF32 != nil
-	}
-	return false
-}
-
 // KernelName reports the float32 micro-kernel currently dispatched
-// ("purego" or "avx2").
+// ("purego", "avx2" or "avx512").
 func KernelName() string { return gemmKernelName }
 
 // Int8KernelName reports the int8 micro-kernel currently dispatched

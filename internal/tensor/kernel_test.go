@@ -10,13 +10,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // withKernel runs fn with the named micro-kernel dispatched, restoring the
 // previous selection afterwards. Tests that need a kernel unavailable on
-// the host (or in a purego build) must gate on HasKernel first.
+// the host (or in a purego build) must take it from availableKernels.
 func withKernel(t *testing.T, name string, fn func()) {
 	t.Helper()
 	old := gemmKernelName // int8 selection follows the float name
@@ -31,41 +32,94 @@ func withKernel(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// kernelShapes exercises every remainder path of the 4×8 micro-tile: full
-// tiles, m%MR != 0, n%NR != 0, both at once, unit dims, odd k, k == 1, and
-// a k large enough to span multiple KC blocks on the float path.
+// kernelNames are every kernel SetKernel knows by name, portable first.
+var kernelNames = []string{"purego", "avx2", "avx512"}
+
+// availableKernels lists the kernels SetKernel accepts on this CPU and
+// build: purego first, then each assembly kernel the host has.
+func availableKernels() []string {
+	old := gemmKernelName
+	defer func() { _ = SetKernel(old) }()
+	var names []string
+	for _, name := range kernelNames {
+		if SetKernel(name) == nil {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// asmKernels is availableKernels without purego.
+func asmKernels() []string { return availableKernels()[1:] }
+
+// eachKernel runs fn as one subtest per available kernel, with that kernel
+// dispatched.
+func eachKernel(t *testing.T, fn func(t *testing.T)) {
+	for _, name := range availableKernels() {
+		t.Run(name, func(t *testing.T) { withKernel(t, name, func() { fn(t) }) })
+	}
+}
+
+// kernelShapes exercises every remainder path of the 4×16 micro-tile: full
+// tiles, m%MR != 0, n < NR, n%NR ∈ {1, 8, 15}, unit dims, odd k, k == 1, and
+// k just under, at and just past KC, where the float path folds a second
+// k block into C.
 var kernelShapes = []struct{ m, n, k int }{
-	{4, 8, 16},    // exact single tile, even k
-	{4, 8, 7},     // odd k (exercises the asm k-loop tail)
+	{4, 16, 16},   // exact single tile, even k
+	{4, 16, 7},    // odd k (exercises the asm k-loop tail)
 	{1, 1, 1},     // degenerate
-	{5, 9, 3},     // m%4 and n%8 remainders, odd k
+	{5, 9, 3},     // m%4 and n < 16 remainders, odd k
 	{7, 23, 31},   // all-remainder, odd everything
 	{12, 64, 1},   // k == 1
-	{13, 17, 129}, // remainders with k < KC
+	{13, 17, 129}, // n%16 == 1, k < KC
+	{6, 24, 255},  // n%16 == 8, k = KC-1
+	{9, 31, 256},  // n%16 == 15, k = KC
+	{10, 33, 257}, // n%16 == 1, k = KC+1: two k blocks
 	{8, 16, 300},  // float path: spans gemmKC=256 (two k blocks)
 }
 
-// TestKernelEquivalenceFloat pins the tentpole contract: the AVX2 no-FMA
-// assembly kernel is BITWISE identical to the pure-Go reference on every
-// exported float32 entry point — plain, accumulate, both transposes, and
-// the row/col bias epilogues — across all remainder shapes.
+// TestKernelEquivalenceFloat pins the contract of the float tile: each
+// assembly kernel the host has is BITWISE identical to the pure-Go
+// reference on every exported float32 entry point — plain, accumulate, both
+// transposes, the bias epilogue and every batch-norm and clamp tail — across
+// all remainder shapes.
 func TestKernelEquivalenceFloat(t *testing.T) {
-	if !HasKernel("avx2") {
-		t.Skip("no AVX2 kernel on this CPU or build; nothing to compare")
+	kernels := asmKernels()
+	if len(kernels) == 0 {
+		t.Skip("no assembly kernel on this CPU or build; nothing to compare")
 	}
-	for _, v := range matmulVariants {
+	variants := slices.Clone(matmulVariants)
+	for _, ep := range []struct {
+		name     string
+		bn, relu bool
+		cap      float32
+	}{{"bn", true, false, 0}, {"relu", false, true, 0}, {"bn+relu6", true, true, 6}} {
+		variants = append(variants, matmulVariant{"MatMulRowEpilogueInto/" + ep.name, matmulOp{rowBias: true}, func(c, a, b, bias *Tensor) {
+			m := c.Dim(0)
+			e := RowEpilogue{Bias: bias.Data, ReLU: ep.relu, Cap: ep.cap}
+			if ep.bn {
+				stats := rand.New(rand.NewSource(int64(m)))
+				e.Gamma, e.Mean, e.Inv, e.Beta = randMat(stats, 1, m).Data, randMat(stats, 1, m).Data, randMat(stats, 1, m).Data, randMat(stats, 1, m).Data
+			}
+			MatMulRowEpilogueInto(c.Data, a.Data, b.Data, RowProduct{M: m, N: c.Dim(1), K: a.Dim(1), Ep: e})
+		}})
+	}
+	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			for _, sh := range kernelShapes {
 				c0, a, b, bias := v.op.operands(rand.New(rand.NewSource(99)), sh.m, sh.n, sh.k)
-				ref, asm := c0.Clone(), c0.Clone()
+				ref := c0.Clone()
 				withKernel(t, "purego", func() { forceBlocked(func() { v.call(ref, a, b, bias) }) })
-				withKernel(t, "avx2", func() { forceBlocked(func() { v.call(asm, a, b, bias) }) })
-				for i := range ref.Data {
-					if math.Float32bits(asm.Data[i]) != math.Float32bits(ref.Data[i]) {
-						t.Fatalf("m=%d n=%d k=%d: element %d: avx2 %v (0x%08x) != purego %v (0x%08x)",
-							sh.m, sh.n, sh.k, i,
-							asm.Data[i], math.Float32bits(asm.Data[i]),
-							ref.Data[i], math.Float32bits(ref.Data[i]))
+				for _, kernel := range kernels {
+					asm := c0.Clone()
+					withKernel(t, kernel, func() { forceBlocked(func() { v.call(asm, a, b, bias) }) })
+					for i := range ref.Data {
+						if math.Float32bits(asm.Data[i]) != math.Float32bits(ref.Data[i]) {
+							t.Fatalf("m=%d n=%d k=%d: element %d: %s %v (0x%08x) != purego %v (0x%08x)",
+								sh.m, sh.n, sh.k, i, kernel,
+								asm.Data[i], math.Float32bits(asm.Data[i]),
+								ref.Data[i], math.Float32bits(ref.Data[i]))
+						}
 					}
 				}
 			}
@@ -78,8 +132,8 @@ func TestKernelEquivalenceFloat(t *testing.T) {
 // is exact, so equality must hold bit for bit — including the float32
 // outputs of the dequantize epilogue.
 func TestKernelEquivalenceInt8(t *testing.T) {
-	if !HasKernel("avx2") {
-		t.Skip("no AVX2 kernel on this CPU or build; nothing to compare")
+	if len(asmKernels()) == 0 {
+		t.Skip("no assembly kernel on this CPU or build; nothing to compare")
 	}
 	rng := rand.New(rand.NewSource(41))
 	forceBlocked(func() {
@@ -122,24 +176,21 @@ func TestKernelEquivalenceInt8(t *testing.T) {
 	})
 }
 
-// TestKernelParallelDeterminism checks that the asm path keeps the
+// TestKernelParallelDeterminism checks that every kernel keeps the
 // column-split determinism contract: results are byte-identical across
 // MaxParallelism settings, because the split never changes any row's
 // k-summation order.
 func TestKernelParallelDeterminism(t *testing.T) {
-	if !HasKernel("avx2") {
-		t.Skip("no AVX2 kernel on this CPU or build")
-	}
 	oldPar := MaxParallelism
 	defer func() { MaxParallelism = oldPar }()
 	rng := rand.New(rand.NewSource(23))
 	m, n, k := 48, 640, 65
 	a, b := randMat(rng, m, k), randMat(rng, k, n)
-	c1, c8 := New(m, n), New(m, n)
 	ai := randI8(rng, m*k)
 	bi := randI8(rng, k*n)
-	i1, i8g := make([]int32, m*n), make([]int32, m*n)
-	withKernel(t, "avx2", func() {
+	eachKernel(t, func(t *testing.T) {
+		c1, c8 := New(m, n), New(m, n)
+		i1, i8g := make([]int32, m*n), make([]int32, m*n)
 		forceBlocked(func() {
 			MaxParallelism = 1
 			MatMulInto(c1, a, b)
@@ -152,33 +203,38 @@ func TestKernelParallelDeterminism(t *testing.T) {
 			MaxParallelism = 8
 			Int8GEMMInto(i8g, ai, bi, m, n, k)
 		})
+		for i := range c1.Data {
+			if math.Float32bits(c1.Data[i]) != math.Float32bits(c8.Data[i]) {
+				t.Fatalf("float element %d differs across parallelism: %v vs %v", i, c1.Data[i], c8.Data[i])
+			}
+		}
+		for i := range i1 {
+			if i1[i] != i8g[i] {
+				t.Fatalf("int8 element %d differs across parallelism: %d vs %d", i, i1[i], i8g[i])
+			}
+		}
 	})
-	for i := range c1.Data {
-		if math.Float32bits(c1.Data[i]) != math.Float32bits(c8.Data[i]) {
-			t.Fatalf("float element %d differs across parallelism: %v vs %v", i, c1.Data[i], c8.Data[i])
-		}
-	}
-	for i := range i1 {
-		if i1[i] != i8g[i] {
-			t.Fatalf("int8 element %d differs across parallelism: %d vs %d", i, i1[i], i8g[i])
-		}
-	}
 }
 
 // requireSeam checks every dispatch variable of the kernel seam against the
-// state SetKernel must have left it in: under purego the two micro-kernel
-// variables hold the Go references, the small-problem crossover is the Go
-// kernel's and EVERY field of the row table is nil, so no assembly routine is
-// reachable from any entry point of this package, internal/nn or
+// state SetKernel(name) must have left it in: under purego the two
+// micro-kernel variables hold the Go references, the small-problem crossover
+// is the Go kernel's and EVERY field of the row table is nil, so no assembly
+// routine is reachable from any entry point of this package, internal/nn or
 // internal/quant (TestAssemblyOnlyBehindSeam shows these variables are the
-// only way to one); under avx2 every one of them holds an assembly routine.
-// The row table is walked by reflection: a kernel added to it later cannot
-// be left out of the switch.
-func requireSeam(t *testing.T, asm bool) {
+// only way to one); under avx2 or avx512 every one of them holds an assembly
+// routine, the float tile the named one. The row table is walked by
+// reflection: a kernel added to it later cannot be left out of the switch.
+func requireSeam(t *testing.T, name string) {
 	t.Helper()
+	asm := name != "purego"
 	samefn := func(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
 	if got := !samefn(gemmMicro, gemmMicroFunc(microKernelRef)); got != asm {
 		t.Errorf("gemmMicro is assembly: %v, want %v", got, asm)
+	}
+	avx512, avx2, _ := nativeKernels()
+	if want := map[string]gemmMicroFunc{"purego": microKernelRef, "avx2": avx2, "avx512": avx512}[name]; !samefn(gemmMicro, want) {
+		t.Errorf("gemmMicro is not the %s kernel", name)
 	}
 	if got := !samefn(i8Micro, i8MicroFunc(i8MicroKernelRef)); got != asm {
 		t.Errorf("i8Micro is assembly: %v, want %v", got, asm)
@@ -194,8 +250,8 @@ func requireSeam(t *testing.T, asm bool) {
 			t.Errorf("rows.%s is nil: %v, want %v", table.Type().Field(i).Name, f.IsNil(), !asm)
 		}
 	}
-	if want := map[bool]string{true: "avx2", false: "purego"}[asm]; KernelName() != want || Int8KernelName() != want {
-		t.Errorf("kernel names %q and %q, want %q", KernelName(), Int8KernelName(), want)
+	if want := map[bool]string{true: "avx2", false: "purego"}[asm]; KernelName() != name || Int8KernelName() != want {
+		t.Errorf("kernel names %q and %q, want %q and %q", KernelName(), Int8KernelName(), name, want)
 	}
 }
 
@@ -259,7 +315,7 @@ func TestAssemblyOnlyBehindSeam(t *testing.T) {
 					t.Errorf("%s names the assembly routine %s outside the tagged declaration files", name, n.Name)
 				}
 				if (n.Name == "nativeKernels" || n.Name == "nativeRowKernels") && !tagged && name != "kernel.go" && name != "gemm_noasm.go" {
-					t.Errorf("%s uses %s: only SetKernel and HasKernel may", name, n.Name)
+					t.Errorf("%s uses %s: only SetKernel may", name, n.Name)
 				}
 			}
 			return true
@@ -273,8 +329,8 @@ func TestAssemblyOnlyBehindSeam(t *testing.T) {
 }
 
 // TestSetKernel covers the selection API: round-trips, auto behaviour,
-// unknown names, the HasKernel/SetKernel agreement, and that one call
-// switches every dispatch variable.
+// unknown names, an error for exactly the kernels this host lacks, and that
+// one call switches every dispatch variable.
 func TestSetKernel(t *testing.T) {
 	old := KernelName()
 	defer func() {
@@ -285,30 +341,38 @@ func TestSetKernel(t *testing.T) {
 	if err := SetKernel("purego"); err != nil {
 		t.Fatalf("SetKernel(purego): %v", err)
 	}
-	requireSeam(t, false)
-	if err := SetKernel("nope"); err == nil {
-		t.Fatal("SetKernel(nope) must error")
-	} else if KernelName() != "purego" {
-		t.Fatalf("failed SetKernel changed selection to %q", KernelName())
+	requireSeam(t, "purego")
+	// The removed opt-in FMA kernel is an unknown name like any other, and
+	// the error names every kernel there is.
+	for _, name := range []string{"nope", "avx2fma"} {
+		err := SetKernel(name)
+		if err == nil || !strings.Contains(err.Error(), "unknown kernel") || !strings.Contains(err.Error(), "auto, purego, avx2 or avx512") {
+			t.Fatalf("SetKernel(%q) = %v; want the unknown-kernel error listing every kernel", name, err)
+		}
+		if KernelName() != "purego" {
+			t.Fatalf("failed SetKernel(%q) changed selection to %q", name, KernelName())
+		}
 	}
-	// The removed opt-in FMA kernel is an unknown name like any other.
-	if err := SetKernel("avx2fma"); err == nil || !strings.Contains(err.Error(), "unknown kernel") || HasKernel("avx2fma") {
-		t.Fatalf("SetKernel(avx2fma) = %v, HasKernel = %v; want the unknown-kernel error", err, HasKernel("avx2fma"))
+	avx512, avx2, _ := nativeKernels()
+	have := map[string]bool{"avx2": avx2 != nil, "avx512": avx512 != nil}
+	for _, name := range []string{"avx2", "avx512"} {
+		err := SetKernel(name)
+		if have[name] != (err == nil) {
+			t.Fatalf("SetKernel(%q) = %v, but the host has it: %v", name, err, have[name])
+		}
+		if err != nil {
+			requireSeam(t, "purego")
+			continue
+		}
+		requireSeam(t, name)
+		if err := SetKernel("purego"); err != nil {
+			t.Fatalf("SetKernel(purego) after %s: %v", name, err)
+		}
+		requireSeam(t, "purego")
 	}
-	err := SetKernel("avx2")
-	if HasKernel("avx2") && err != nil {
-		t.Fatalf("HasKernel(avx2) but SetKernel failed: %v", err)
-	}
-	if !HasKernel("avx2") && err == nil {
-		t.Fatal("!HasKernel(avx2) but SetKernel succeeded")
-	}
-	requireSeam(t, HasKernel("avx2"))
-	if err := SetKernel("purego"); err != nil {
-		t.Fatalf("SetKernel(purego) after avx2: %v", err)
-	}
-	requireSeam(t, false)
 	if err := SetKernel("auto"); err != nil {
 		t.Fatalf("SetKernel(auto): %v", err)
 	}
-	requireSeam(t, HasKernel("avx2"))
+	names := availableKernels()
+	requireSeam(t, names[len(names)-1])
 }

@@ -50,15 +50,18 @@ type matmulOp struct {
 	aTrans, bTrans, acc, rowBias bool
 }
 
+// matmulVariant is one float32 entry point and the descriptor it stands for.
+type matmulVariant struct {
+	name string
+	op   matmulOp
+	call func(c, a, b, bias *Tensor)
+}
+
 // matmulVariants lists the exported float32 entry points with the
 // descriptor each one stands for — the backward products also as leaf
 // calls — and the two plain settings of acc and bTrans that no exported entry
 // point has, set through gemmExec.
-var matmulVariants = []struct {
-	name string
-	op   matmulOp
-	call func(c, a, b, bias *Tensor)
-}{
+var matmulVariants = []matmulVariant{
 	{"MatMulInto", matmulOp{}, func(c, a, b, _ *Tensor) { MatMulInto(c, a, b) }},
 	{"MatMulAddInto", matmulOp{acc: true}, func(c, a, b, _ *Tensor) { matMulAddInto(c, a, b) }},
 	{"MatMulTransposeAInto", matmulOp{aTrans: true}, func(c, a, b, _ *Tensor) { MatMulTransposeAInto(c, a, b, false) }},
@@ -159,19 +162,21 @@ func firstBitDiff(got, want []float32) int {
 	return -1
 }
 
-// gemmSweep calls fn over the remainder-tile grid of the 4×8 micro-tile —
-// m in 1..2·MR+1, n and k in 1..2·NR+1 (odd and even k for int8 pair
-// packing) — plus n = 29 (three column chunks at three workers) and shapes
-// that cross the MC and NC cache blocks of both element types.
+// gemmSweep calls fn over the remainder-tile grid of the 4×16 float and
+// 4×8 int8 micro-tiles — m in 1..2·MR+1, n in 1..17 and n%16 ∈ {1, 8, 15}
+// past one tile, k in 1..2·i8NR+1 (odd and even k for int8 pair packing) —
+// plus n = 29 (three column chunks at three workers), k just under, at and
+// just past the float KC, and shapes that cross the MC and NC cache blocks
+// of both element types.
 func gemmSweep(fn func(m, n, k int)) {
 	for m := 1; m <= 2*gemmMR+1; m++ {
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 29} {
-			for k := 1; k <= 2*gemmNR+1; k++ {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 29, 31, 33} {
+			for k := 1; k <= 2*i8NR+1; k++ {
 				fn(m, n, k)
 			}
 		}
 	}
-	for _, s := range [][3]int{{64, 64, 64}, {65, 129, 7}, {129, 65, 9}, {5, 257, 48}, {3, 520, 5}} {
+	for _, s := range [][3]int{{64, 64, 64}, {65, 129, 7}, {129, 65, 9}, {5, 257, 48}, {3, 520, 5}, {6, 24, gemmKC - 1}, {7, 31, gemmKC}, {5, 33, gemmKC + 1}} {
 		fn(s[0], s[1], s[2])
 	}
 }
@@ -179,25 +184,34 @@ func gemmSweep(fn func(m, n, k int)) {
 // TestMatMulBlockedMatchesNaive checks both production float32 paths — the
 // blocked kernel at one and three workers, and the small-problem kernel —
 // against the independent reference, bit for bit, through every exported
-// entry point over the remainder-tile grid and a k that spans two KC blocks.
+// entry point over the remainder-tile grid and a k that spans two KC blocks,
+// under every kernel the host has.
 func TestMatMulBlockedMatchesNaive(t *testing.T) {
+	kernels := availableKernels()
 	for _, v := range matmulVariants {
 		t.Run(v.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			check := func(m, n, k int) {
 				c0, a, b, bias := v.op.operands(rng, m, n, k)
-				for _, path := range []struct {
-					name    string
-					blocked bool
-					workers int
-				}{{"blocked", true, 1}, {"blocked/3 workers", true, 3}, {"small", false, 1}} {
-					got := c0.Clone()
-					forcePath(path.blocked, func() {
-						withWorkers(path.workers, func() { v.call(got, a, b, bias) })
-					})
-					want := v.op.reference(c0, a, b, bias, m, n, k, refKB(v.op, k, path.blocked))
-					if i := firstBitDiff(got.Data, want.Data); i >= 0 {
-						t.Fatalf("%s m=%d n=%d k=%d: element %d = %v, reference %v", path.name, m, n, k, i, got.Data[i], want.Data[i])
+				want := map[bool]*Tensor{}
+				for _, blocked := range []bool{true, false} {
+					want[blocked] = v.op.reference(c0, a, b, bias, m, n, k, refKB(v.op, k, blocked))
+				}
+				for _, kernel := range kernels {
+					for _, path := range []struct {
+						name    string
+						blocked bool
+						workers int
+					}{{"blocked", true, 1}, {"blocked/3 workers", true, 3}, {"small", false, 1}} {
+						got := c0.Clone()
+						withKernel(t, kernel, func() {
+							forcePath(path.blocked, func() {
+								withWorkers(path.workers, func() { v.call(got, a, b, bias) })
+							})
+						})
+						if i := firstBitDiff(got.Data, want[path.blocked].Data); i >= 0 {
+							t.Fatalf("%s %s m=%d n=%d k=%d: element %d = %v, reference %v", kernel, path.name, m, n, k, i, got.Data[i], want[path.blocked].Data[i])
+						}
 					}
 				}
 			}
@@ -211,8 +225,12 @@ func TestMatMulBlockedMatchesNaive(t *testing.T) {
 // TestGemmDescriptor covers what no exported entry point reaches: every
 // combination of the four descriptor flags (aTrans with bTrans, a bias on an
 // accumulating call — ignored by both kernels) and leading dimensions wider
-// than the operands, on both paths against the reference.
+// than the operands, on both paths against the reference, under every kernel.
 func TestGemmDescriptor(t *testing.T) {
+	eachKernel(t, testGemmDescriptor)
+}
+
+func testGemmDescriptor(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const pad = 3
 	for flags := 0; flags < 16; flags++ {
@@ -250,9 +268,13 @@ func TestGemmDescriptor(t *testing.T) {
 }
 
 // TestMatMulParallelMatchesSerial verifies that the worker-pool column split
-// produces bitwise-identical results to the single-goroutine run: the
-// k-summation order of each element does not depend on the split.
+// produces bitwise-identical results to the single-goroutine run under every
+// kernel: the k-summation order of each element does not depend on the split.
 func TestMatMulParallelMatchesSerial(t *testing.T) {
+	eachKernel(t, testMatMulParallelMatchesSerial)
+}
+
+func testMatMulParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randMat(rng, 96, 432)
 	b := randMat(rng, 432, 520)
@@ -492,8 +514,9 @@ func sameFloats(got, want []float32) int {
 // spelled out here independently of BNEval and ReLUClamp. Column 0 of B
 // times a one-hot A puts NaN, ±Inf, exactly 0 and exactly Cap into the
 // sums; k crosses one and two KC blocks, where the tail must wait for the
-// last block; both kernels, one and three workers.
+// last block; both paths, one and three workers, every micro-kernel.
 func TestRowEpilogueMatchesSeparatePasses(t *testing.T) {
+	kernels := availableKernels()
 	rng := rand.New(rand.NewSource(44))
 	const capV = 6
 	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, capV}
@@ -517,35 +540,39 @@ func TestRowEpilogueMatchesSeparatePasses(t *testing.T) {
 					ep.Gamma, ep.Mean = randMat(rng, 1, m).Data, randMat(rng, 1, m).Data
 					ep.Inv, ep.Beta = randMat(rng, 1, m).Data, randMat(rng, 1, m).Data
 				}
-				for _, path := range []struct {
-					blocked bool
-					workers int
-				}{{true, 1}, {true, 3}, {false, 1}} {
-					got, want := New(m, n), New(m, n)
-					forcePath(path.blocked, func() {
-						withWorkers(path.workers, func() {
-							MatMulRowEpilogueInto(got.Data, a.Data, b.Data, RowProduct{M: m, N: n, K: k, Ep: ep})
-							MatMulRowEpilogueInto(want.Data, a.Data, b.Data, RowProduct{M: m, N: n, K: k, Ep: RowEpilogue{Bias: ep.Bias}})
+				for _, kernel := range kernels {
+					for _, path := range []struct {
+						blocked bool
+						workers int
+					}{{true, 1}, {true, 3}, {false, 1}} {
+						got, want := New(m, n), New(m, n)
+						withKernel(t, kernel, func() {
+							forcePath(path.blocked, func() {
+								withWorkers(path.workers, func() {
+									MatMulRowEpilogueInto(got.Data, a.Data, b.Data, RowProduct{M: m, N: n, K: k, Ep: ep})
+									MatMulRowEpilogueInto(want.Data, a.Data, b.Data, RowProduct{M: m, N: n, K: k, Ep: RowEpilogue{Bias: ep.Bias}})
+								})
+							})
 						})
-					})
-					for i := 0; i < m; i++ {
-						for j, v := range want.Data[i*n : (i+1)*n] {
-							if cfg.bn {
-								v = ep.Gamma[i]*(v-ep.Mean[i])*ep.Inv[i] + ep.Beta[i]
-							}
-							if cfg.relu {
-								if v <= 0 {
-									v = 0
-								} else if cfg.cap > 0 && v >= cfg.cap {
-									v = cfg.cap
+						for i := 0; i < m; i++ {
+							for j, v := range want.Data[i*n : (i+1)*n] {
+								if cfg.bn {
+									v = ep.Gamma[i]*(v-ep.Mean[i])*ep.Inv[i] + ep.Beta[i]
 								}
+								if cfg.relu {
+									if v <= 0 {
+										v = 0
+									} else if cfg.cap > 0 && v >= cfg.cap {
+										v = cfg.cap
+									}
+								}
+								want.Data[i*n+j] = v
 							}
-							want.Data[i*n+j] = v
 						}
-					}
-					if i := sameFloats(got.Data, want.Data); i >= 0 {
-						t.Fatalf("blocked=%v workers=%d m=%d n=%d k=%d: element %d = %v, separate passes give %v",
-							path.blocked, path.workers, m, n, k, i, got.Data[i], want.Data[i])
+						if i := sameFloats(got.Data, want.Data); i >= 0 {
+							t.Fatalf("%s blocked=%v workers=%d m=%d n=%d k=%d: element %d = %v, separate passes give %v",
+								kernel, path.blocked, path.workers, m, n, k, i, got.Data[i], want.Data[i])
+						}
 					}
 				}
 			}
@@ -673,8 +700,12 @@ func TestRanger(t *testing.T) {
 // that dispatched to the pool could deadlock — equals the one-call product
 // bit for bit. The crossover is production's: 2×25×300 is blocked and sums
 // k in two blocks, while a band of five columns judged alone would run the
-// small-problem kernel, whose bits differ.
+// small-problem kernel, whose bits differ. Every micro-kernel.
 func TestRowProductBandsMatchWhole(t *testing.T) {
+	eachKernel(t, testRowProductBandsMatchWhole)
+}
+
+func testRowProductBandsMatchWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, s := range [][4]int{{2, 25, 300, 5}, {2, 25, 300, 25}, {7, 64, 33, 8}, {5, 9, 3, 2}, {64, 600, 70, 96}} {
 		m, n, k, band := s[0], s[1], s[2], s[3]
@@ -706,8 +737,12 @@ func TestRowProductBandsMatchWhole(t *testing.T) {
 // parallelRange body, where a call that dispatched to the pool could
 // deadlock. Leaf calls above the parallel threshold, several at once, give
 // the bytes of the dispatched call — requantized and dequantized — and a warm
-// one allocates nothing.
+// one allocates nothing, under every kernel.
 func TestInt8LeafCallsMatchDispatched(t *testing.T) {
+	eachKernel(t, testInt8LeafCallsMatchDispatched)
+}
+
+func testInt8LeafCallsMatchDispatched(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	const m, n, k = 48, 640, 96
 	if m*n*k < gemmParallelMACs {

@@ -11,8 +11,9 @@ import "math"
 // the loop's leading multiple of the lane count is first handed to an
 // assembly routine (rows_avx2_amd64.s) that performs the same operations on
 // the same values in the same order, eight (or sixteen) elements at a time;
-// the Go loop then finishes whatever is left. No routine reads or writes past
-// the slices it is given.
+// the Go loop then finishes whatever is left (a depth-wise row instead ends
+// in one more vector, overlapping). No routine reads or writes past the
+// slices it is given.
 //
 // rowKernels is the whole dispatch table: one function value per assembly
 // routine, nil where the Go loop runs alone. SetKernel assigns the table as a
@@ -144,14 +145,14 @@ func axpyRow(c, b []float32, a float32) {
 	}
 }
 
-// DW3Row is the vector half of a depth-wise 3-tap-wide stride-1 row, float32
-// summed in float32 or int8 codes summed exactly in int32: it writes the
-// leading o[i] = bias + Σ in[ky·w+i+kx]·ker[3·ky+kx], taps added in ascending
+// DW3Row is the vector form of a depth-wise 3-tap-wide stride-1 row, float32
+// summed in float32 or int8 codes summed exactly in int32: it writes
+// o[i] = bias + Σ in[ky·w+i+kx]·ker[3·ky+kx], taps added in ascending
 // (ky, kx), for the len(ker)/3 kernel rows given — three for an interior row,
 // fewer for a row at the image's top or bottom edge — and returns how many
-// outputs it wrote: a multiple of the lane count, 0 when the Go loop runs
-// alone (or the element types have no kernel). The caller's loop computes the
-// rest.
+// outputs it wrote: all of o when it is a vector long and the kernel runs
+// (the last vector, overlapping the one before, rewrites the same bits),
+// else 0.
 //
 //skynet:hotpath
 func DW3Row[E float32 | int8, A float32 | int32](o []A, in []E, w int, ker []E, bias A) int {
@@ -159,17 +160,22 @@ func DW3Row[E float32 | int8, A float32 | int32](o []A, in []E, w int, ker []E, 
 	if n == 0 || nky == 0 {
 		return 0
 	}
-	_ = in[(nky-1)*w+n+1] // the last element read
+	last := len(o) - rowLanes  // the last vector's first output
+	_ = in[(nky-1)*w+len(o)+1] // the last element read
 	switch o := any(o).(type) {
 	case []float32:
 		if in, ok := any(in).([]float32); ok && rows.dw3 != nil {
-			rows.dw3(&o[0], n, &in[0], w, &any(ker).([]float32)[0], nky, float32(bias))
-			return n
+			k, bias := &any(ker).([]float32)[0], float32(bias)
+			rows.dw3(&o[0], n, &in[0], w, k, nky, bias)
+			rows.dw3(&o[last], rowLanes, &in[last], w, k, nky, bias)
+			return len(o)
 		}
 	case []int32:
 		if in, ok := any(in).([]int8); ok && rows.dw3I8 != nil {
-			rows.dw3I8(&o[0], n, &in[0], w, &any(ker).([]int8)[0], nky, int32(bias))
-			return n
+			k, bias := &any(ker).([]int8)[0], int32(bias)
+			rows.dw3I8(&o[0], n, &in[0], w, k, nky, bias)
+			rows.dw3I8(&o[last], rowLanes, &in[last], w, k, nky, bias)
+			return len(o)
 		}
 	}
 	return 0

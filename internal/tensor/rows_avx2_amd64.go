@@ -32,7 +32,7 @@ func rowTailAVX2(dst, src *float32, n int, gamma, mean, inv, beta, hi float32, m
 //skynet:hotpath
 func axpyAVX2(c, b *float32, n int, a float32)
 
-// storeTileAVX2 is gemmCall.storeTile for a whole 4×8 tile without a column
+// storeTileAVX2 is gemmCall.storeTile for a whole 4×16 tile without a column
 // bias: tile + bias[r] (a nil bias is +0) or, with tailAcc, C + tile; then
 // the mode's row tail with row r's statistics. The bias and statistics
 // pointers address row 0 of the tile.

@@ -171,11 +171,11 @@ axpyloop:
 	VZEROUPPER
 	RET
 
-// func storeTileAVX2(c *float32, ldc int, tile *[32]float32, bias, gamma, mean, inv, beta *float32, hi float32, mode int)
+// func storeTileAVX2(c *float32, ldc int, tile *[64]float32, bias, gamma, mean, inv, beta *float32, hi float32, mode int)
 //
-// One 4×8 tile through the float GEMM's store: per row, tile + bias (or
-// C + tile under tailAcc), then the mode's tail with that row's statistics.
-// BX walks the per-row operands, DI the rows of C.
+// One 4×16 tile through the float GEMM's store: per row, its two halves
+// (Y0, Y2) are tile + bias (or C + tile under tailAcc), then the mode's tail
+// with that row's statistics. BX walks the per-row operands, DI the rows of C.
 TEXT ·storeTileAVX2(SB), NOSPLIT, $0-80
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R8
@@ -199,14 +199,17 @@ stbias:
 
 strow:
 	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y2
 	TESTQ $4, AX
 	JZ   stover
 	VADDPS (DI), Y0, Y0
+	VADDPS 32(DI), Y2, Y2
 	JMP  sttail
 
 stover:
 	VBROADCASTSS (R9)(BX*1), Y1
 	VADDPS Y1, Y0, Y0
+	VADDPS Y1, Y2, Y2
 
 sttail:
 	TESTQ $1, AX
@@ -216,16 +219,19 @@ sttail:
 	VBROADCASTSS (R12)(BX*1), Y10
 	VBROADCASTSS (R13)(BX*1), Y11
 	BNEVAL(Y0)
+	BNEVAL(Y2)
 
 strelu:
 	TESTQ $2, AX
 	JZ   ststore
 	RELUCLAMP(Y0, Y1)
+	RELUCLAMP(Y2, Y3)
 
 ststore:
 	VMOVUPS Y0, (DI)
+	VMOVUPS Y2, 32(DI)
 	ADDQ R8, DI
-	ADDQ $32, SI
+	ADDQ $64, SI
 	ADDQ $4, BX
 	CMPQ BX, $16
 	JNE  strow

@@ -15,10 +15,7 @@ var rowBenchCols = []int{320, 160, 80, 40}
 func benchKernels(b *testing.B, body func(b *testing.B)) {
 	old := KernelName()
 	defer func() { _ = SetKernel(old) }()
-	for _, name := range []string{"purego", "avx2"} {
-		if !HasKernel(name) {
-			continue
-		}
+	for _, name := range availableKernels() {
 		b.Run(name, func(b *testing.B) {
 			if err := SetKernel(name); err != nil {
 				b.Fatal(err)
@@ -102,7 +99,7 @@ func BenchmarkRowRescaleCodes(b *testing.B) {
 	})
 }
 
-// BenchmarkRowStoreTile is one whole 4×8 tile through each GEMM's store with
+// BenchmarkRowStoreTile is one whole tile through each GEMM's store with
 // the tail a Bundle fuses: bias-free, batch norm and ReLU6 on the float side,
 // a requantise clamped to [0, hi] on the int8 side.
 func BenchmarkRowStoreTile(b *testing.B) {
@@ -115,7 +112,7 @@ func BenchmarkRowStoreTile(b *testing.B) {
 			copy(tile[:], benchRow(len(tile)))
 			b.SetBytes(2 * 4 * gemmMR * gemmNR)
 			for i := 0; i < b.N; i++ {
-				g.storeTile(&tile, 4, 8*(i%40), gemmMR, gemmNR, true, true)
+				g.storeTile(&tile, 4, gemmNR*(i%(320/gemmNR)), gemmMR, gemmNR, true, true)
 			}
 		})
 	})

@@ -21,12 +21,11 @@ import (
 // package — depth-wise rows, the pools, quantise and dequantise — are swept
 // where that loop is: internal/nn and internal/quant.)
 
-// vectorKernel names the kernel the sweeps compare against purego.
+// vectorKernel names the kernel the sweeps compare against purego: the
+// widest the host has, whose row table is every assembly kernel's.
 func vectorKernel() string {
-	if HasKernel("avx2") {
-		return "avx2"
-	}
-	return "purego"
+	names := availableKernels()
+	return names[len(names)-1]
 }
 
 // sweepRows calls fn with every row length and start offset the sweeps
@@ -233,7 +232,7 @@ func TestRowAxpy(t *testing.T) {
 }
 
 // TestRowStoreTileFloat sweeps the float GEMM's tile store: every tile size
-// up to the whole 4×8 one the vector kernel takes, a row stride that leaves
+// up to the whole 4×16 one the vector kernel takes, a row stride that leaves
 // sentinels between the rows, overwriting with and without a bias and
 // accumulating, the tail in every combination, applied or not.
 func TestRowStoreTileFloat(t *testing.T) {
