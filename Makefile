@@ -130,10 +130,11 @@ short:
 # does how concurrent runs of one executor take turns at its model. The
 # lane's deadline, record and allocation tests, and the non-finite answers of
 # both doors, ride along with the lane tests.
-# tensor's packing panels (16-column float panels, 8-column int8 ones) are
-# taken per chunk in flight: how many a free list builds, and whether a warm
-# call still allocates nothing, depends on how many chunks overlap, so that
-# test and the zero-allocation ones get the three runs.
+# tensor's packing panels (16-column float and int8 panels alike, the int8 A
+# panels as int16 pairs) are taken per chunk in flight: how many a free list
+# builds, and whether a warm call still allocates nothing, depends on how
+# many chunks overlap, so that test, the zero-allocation ones and the int8
+# leaf calls from lanes get the three runs.
 # The layer walk's convolutions deal their batch to lanes the same way, so
 # their parallel tests and the tracker-training determinism test (whose
 # backward runs through them) get the three runs too.
@@ -149,15 +150,16 @@ race:
 	$(GO) test -race -short -cpu 1,2,4 -run '$(SERVE_LANE_TESTS)' ./internal/serve
 	$(GO) test -race -cpu 1,2,4 -run '$(STREAM_TESTS)' ./internal/pipeline ./internal/detect
 	$(GO) test -race -cpu 1,2,4 -run '$(LAYER_WALK_TESTS)' ./internal/nn ./internal/track
-	$(GO) test -race -cpu 1,2,4 -run 'PackScratchFollowsChunksInFlight|SteadyStateAllocs' ./internal/tensor
+	$(GO) test -race -cpu 1,2,4 -run 'PackScratchFollowsChunksInFlight|SteadyStateAllocs|Int8LeafCallsMatchDispatched' ./internal/tensor
 	$(GO) test -race -short ./internal/core
 
 # purego runs the kernel-bearing packages with the assembly kernels — the
 # GEMM micro-kernels and the row kernels — compiled out, so the portable Go
 # loops (and the dispatch seam) cannot rot. The same tests run again with
 # SKYNET_KERNEL=purego on a normal build to cover the runtime-selection path,
-# and with SKYNET_KERNEL=avx2: where auto picks the AVX-512 float tile, that
-# run is what keeps the AVX2 one under every test of these packages (on a
+# and with SKYNET_KERNEL=avx2: where auto picks the AVX-512 float tile and the
+# AVX-512 VNNI int8 tile, that run is what keeps the AVX2 float tile and the
+# AVX2 int8 tile on the 4×16 layout under every test of these packages (on a
 # host without AVX2 it falls back to auto and repeats the plain run).
 # nn and backbone ride along: the inference plan must equal the layer walk
 # under either kernel set (the small-problem crossover, hence which GEMM store

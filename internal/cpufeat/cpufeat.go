@@ -22,8 +22,12 @@ var (
 	// are available and the OS preserves the opmask and ZMM state as well.
 	// It implies AVX2.
 	AVX512 bool
+
+	// AVX512BW reports the AVX-512 byte and word instructions, AVX512VNNI
+	// the ZMM dot product VPDPWSSD; VNNI implies BW, which implies AVX512.
+	AVX512BW, AVX512VNNI bool
 )
 
 func init() {
-	AVX2, AVX512 = detect()
+	AVX2, AVX512, AVX512BW, AVX512VNNI = detect()
 }

@@ -6,22 +6,27 @@ import (
 )
 
 // TestDetectStable pins the basic contract: detection ran at init, is
-// idempotent, and AVX512 is never reported without AVX2 (the kernels that
-// use ZMM registers share the YMM ones' row routines).
+// idempotent, and each feature is reported only with the ones it extends —
+// AVX512VNNI ⇒ AVX512BW ⇒ AVX512 ⇒ AVX2 — since the kernels that use the
+// wider registers share the narrower ones' routines.
 func TestDetectStable(t *testing.T) {
-	a2, a512 := detect()
-	if a2 != AVX2 || a512 != AVX512 {
-		t.Fatalf("detect() = (%v, %v), init recorded (%v, %v)", a2, a512, AVX2, AVX512)
+	got := [4]bool{}
+	got[0], got[1], got[2], got[3] = detect()
+	if want := [4]bool{AVX2, AVX512, AVX512BW, AVX512VNNI}; got != want {
+		t.Fatalf("detect() = %v, init recorded %v", got, want)
 	}
-	if a512 && !a2 {
-		t.Fatal("AVX512 reported without AVX2")
+	for i, name := range []string{"AVX512", "AVX512BW", "AVX512VNNI"} {
+		if got[i+1] && !got[i] {
+			t.Fatalf("%s reported without the feature it extends: %v", name, got)
+		}
 	}
 	// Run it a few more times: CPUID is a pure function of the hardware.
 	for i := 0; i < 3; i++ {
-		b2, b512 := detect()
-		if b2 != a2 || b512 != a512 {
-			t.Fatalf("detect() not idempotent: run %d gave (%v, %v), want (%v, %v)", i, b2, b512, a2, a512)
+		again := [4]bool{}
+		again[0], again[1], again[2], again[3] = detect()
+		if again != got {
+			t.Fatalf("detect() not idempotent: run %d gave %v, want %v", i, again, got)
 		}
 	}
-	t.Logf("GOARCH=%s AVX2=%v AVX512=%v", runtime.GOARCH, AVX2, AVX512)
+	t.Logf("GOARCH=%s AVX2=%v AVX512=%v AVX512BW=%v AVX512VNNI=%v", runtime.GOARCH, AVX2, AVX512, AVX512BW, AVX512VNNI)
 }

@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -45,8 +46,8 @@ func TestCalibrateSkipsNonFinite(t *testing.T) {
 	if q.Scale != want.Scale {
 		t.Fatalf("Scale with non-finite samples = %v, want %v (from finite values only)", q.Scale, want.Scale)
 	}
-	if math.IsNaN(float64(q.Quantize(1.5))) {
-		t.Fatal("Quantize produced NaN after calibrating on data containing NaN")
+	if math.IsNaN(float64(quantizeOne(q, 1.5))) {
+		t.Fatal("Apply produced NaN after calibrating on data containing NaN")
 	}
 }
 
@@ -114,6 +115,60 @@ func TestQuantizeWeightsPerChannel(t *testing.T) {
 	}
 }
 
+// roundCodeRef is the code of a quotient the long way — math.RoundToEven,
+// then the clamp to ±127, NaN to 0 — the form tensor.CodeRNE replaces.
+func roundCodeRef(q float64) int8 {
+	if math.IsNaN(q) {
+		return 0
+	}
+	return int8(min(max(math.RoundToEven(q), -127), 127))
+}
+
+// TestQuantizeWeightsMatchesRoundToEven: every weight code is the long
+// form's of the same float64 quotient, on ties of the grid (v = (k+½)·s)
+// and next to them, ±Inf, NaN, all-zero rows, subnormal scales and
+// |v/s| > 127 (a row's finite maximum sets the scale; an infinite value
+// past it saturates).
+func TestQuantizeWeightsMatchesRoundToEven(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	const cols = 67
+	var w []float32
+	for _, maxAbs := range []float32{1, 0.03, 127, 1e-40, 3e-43, math.MaxFloat32, 0} {
+		s := maxAbs / 127
+		row := make([]float32, cols)
+		for c := range row {
+			switch c % 6 {
+			case 0: // a tie, or the float32 next to one
+				row[c] = (float32(rng.Intn(255)-127) + 0.5) * s * []float32{1, 0.9999999, 1.0000001}[rng.Intn(3)]
+			case 1:
+				row[c] = float32(rng.NormFloat64()) * 40 * s
+			case 2:
+				row[c] = []float32{inf, -inf, nan, 0, float32(math.Copysign(0, -1)), maxAbs, -maxAbs}[rng.Intn(7)]
+			default:
+				row[c] = (rng.Float32()*2 - 1) * maxAbs
+			}
+		}
+		row[cols-1] = maxAbs
+		w = append(w, row...)
+	}
+	w = append(w, make([]float32, cols)...) // all zero: scale 1, zero codes
+	rows := len(w) / cols
+	codes, scales := QuantizeWeightsPerChannel(w, rows, cols)
+	for i, v := range w {
+		if want := roundCodeRef(float64(v) / float64(scales[i/cols])); codes[i] != want {
+			t.Fatalf("row %d (scale %v): code of %v = %d, want %d", i/cols, scales[i/cols], v, codes[i], want)
+		}
+	}
+	// The magic-constant rounding itself, on quotients the rows above only
+	// reach by chance: exact ties, both sides of ±127.5, and huge values.
+	for _, q := range []float64{0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 126.5, -126.5, 127.4999, 127.5, -127.5, 128, -1e300, 1e300, math.Inf(-1), math.NaN(), 0x1p51 + 1, -0x1p52} {
+		if got, want := tensor.CodeRNE(q), roundCodeRef(q); got != want {
+			t.Errorf("CodeRNE(%v) = %d, want %d", q, got, want)
+		}
+	}
+}
+
 // TestCalibrateActivations checks per-node scale collection over a real
 // graph and the error on an empty calibration set.
 func TestCalibrateActivations(t *testing.T) {
@@ -144,9 +199,11 @@ func TestCalibrateActivations(t *testing.T) {
 }
 
 // TestSkyNetCBitwiseUnderEveryKernel: full-width SkyNet C's float forward,
-// and the activation scales CalibrateActivations takes from that forward,
-// are bitwise the same under every kernel the host has — purego, avx2 and
-// avx512 — whichever GEMM tile and row kernels compute them.
+// the activation scales CalibrateActivations takes from that forward, the
+// codes, scales and epilogues Export lowers it to, and that int8 model's
+// forwards at batch 1 and 4 are bitwise the same under every kernel the host
+// has — purego, avx2 and avx512 (with the avx512vnni int8 tile where the CPU
+// has VNNI) — whichever GEMM tiles and row kernels compute them.
 func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
@@ -154,7 +211,7 @@ func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 	if testing.Short() {
 		h, w = 48, 96
 	}
-	x := randBatch(rng, 2, 3, h, w)
+	x, x1, x4 := randBatch(rng, 2, 3, h, w), randBatch(rng, 1, 3, h, w), randBatch(rng, 4, 3, h, w)
 	old := tensor.KernelName()
 	defer func() {
 		if err := tensor.SetKernel(old); err != nil {
@@ -162,8 +219,11 @@ func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 		}
 	}()
 	var first string
-	var wantOut []float32
-	var wantScales ActivationScales
+	var want struct {
+		out, q1, q4 []float32
+		scales      ActivationScales
+		qm          *QuantizedModel
+	}
 	for _, name := range []string{"purego", "avx2", "avx512"} {
 		if tensor.SetKernel(name) != nil {
 			continue // not on this CPU or build
@@ -173,15 +233,28 @@ func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		qm, err := Export(g, []*tensor.Tensor{x}, ExportConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q1, q4 := qm.Forward(x1, false).Data, qm.Forward(x4, false).Data
 		if first == "" {
-			first, wantOut, wantScales = name, out, scales
+			first = name
+			want.out, want.q1, want.q4, want.scales, want.qm = out, q1, q4, scales, qm
 			continue
 		}
-		if !sameBits(out, wantOut) {
-			t.Errorf("forward under %s differs from %s", name, first)
+		kernels := name + "/" + tensor.Int8KernelName()
+		if !sameBits(out, want.out) {
+			t.Errorf("forward under %s differs from %s", kernels, first)
 		}
-		if !sameBits([]float32{scales.Input}, []float32{wantScales.Input}) || !sameBits(scales.Node, wantScales.Node) {
-			t.Errorf("scales under %s differ from %s: %v vs %v", name, first, scales, wantScales)
+		if !sameBits([]float32{scales.Input}, []float32{want.scales.Input}) || !sameBits(scales.Node, want.scales.Node) {
+			t.Errorf("scales under %s differ from %s: %v vs %v", kernels, first, scales, want.scales)
+		}
+		if !reflect.DeepEqual(qm.units, want.qm.units) || !reflect.DeepEqual(qm.vals, want.qm.vals) {
+			t.Errorf("Export under %s lowers to other codes, scales or epilogues than under %s", kernels, first)
+		}
+		if !sameBits(q1, want.q1) || !sameBits(q4, want.q4) {
+			t.Errorf("int8 forward under %s differs from %s (batch 1: %v, batch 4: %v)", kernels, first, sameBits(q1, want.q1), sameBits(q4, want.q4))
 		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 func ExampleCalibrate() {
 	q := quant.Calibrate(8, []float32{-2, 0.5, 1.9})
 	// The calibrated scale covers the max-magnitude value with 127 codes.
-	fmt.Printf("%.4f %.4f\n", q.Scale, q.Quantize(0.5))
+	v := []float32{0.5}
+	q.Apply(v)
+	fmt.Printf("%.4f %.4f\n", q.Scale, v[0])
 	// Output: 0.0157 0.5039
 }
 

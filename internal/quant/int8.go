@@ -65,18 +65,8 @@ type laneValue struct {
 func quantizeInto(dst []int8, src []float32, scale float32) {
 	inv := 1 / float64(scale)
 	for i := tensor.QuantizeRow(dst, src, inv); i < len(src); i++ {
-		dst[i] = clampCode(math.RoundToEven(float64(src[i]) * inv))
+		dst[i] = tensor.CodeRNE(float64(src[i]) * inv)
 	}
-}
-
-// clampCode converts a rounded value to a code: saturating, NaN to 0.
-//
-//skynet:hotpath
-func clampCode(r float64) int8 {
-	if math.IsNaN(r) {
-		return 0
-	}
-	return int8(min(max(r, -127), 127))
 }
 
 // dequantizeInto writes dst = float32(codes) · scale.
@@ -507,10 +497,11 @@ func (m *QuantizedModel) lower(shape []int, scales ActivationScales, force []boo
 	}
 }
 
-// capCode converts a float activation cap to its code-domain clamp.
+// capCode converts a float activation cap to its code-domain clamp: 127
+// for none.
 func capCode(cap float32, scale float32) int8 {
-	if c := math.RoundToEven(float64(cap) / float64(scale)); cap > 0 && c <= 127 {
-		return int8(c)
+	if cap > 0 {
+		return tensor.CodeRNE(float64(cap) / float64(scale))
 	}
 	return 127
 }

@@ -51,7 +51,7 @@ func Calibrate(bits int, data []float32) Quantizer {
 	q.Scale = maxAbs / levels
 	if q.Scale == 0 || math.IsInf(float64(q.Scale), 0) {
 		// Subnormal underflow (maxAbs/levels rounds to 0) — fall back to the
-		// degenerate scale rather than divide by zero in Quantize.
+		// degenerate scale rather than divide by zero in Apply.
 		q.Scale = 1
 	}
 	return q
@@ -59,22 +59,6 @@ func Calibrate(bits int, data []float32) Quantizer {
 
 // MaxCode returns the largest positive code.
 func (q Quantizer) MaxCode() int64 { return int64(1)<<(q.Bits-1) - 1 }
-
-// Quantize returns the fixed-point approximation of v.
-func (q Quantizer) Quantize(v float32) float32 {
-	if q.Bits <= 0 || q.Bits >= 32 {
-		return v
-	}
-	code := math.Round(float64(v) / float64(q.Scale))
-	maxC := float64(q.MaxCode())
-	if code > maxC {
-		code = maxC
-	}
-	if code < -maxC-1 {
-		code = -maxC - 1
-	}
-	return float32(code) * q.Scale
-}
 
 // Apply fake-quantizes data in place.
 func (q Quantizer) Apply(data []float32) {

@@ -69,7 +69,7 @@ func TestQuantizeIntoSweep(t *testing.T) {
 					buf, row := guardedRow(make([]int8, n), off, int8(-128))
 					quantizeInto(row, src, scale)
 					for i, v := range src {
-						if want := clampCode(math.RoundToEven(float64(v) * (1 / float64(scale)))); row[i] != want {
+						if want := roundCodeRef(float64(v) * (1 / float64(scale))); row[i] != want {
 							t.Fatalf("kernel %s scale %v: code of %v = %d, want %d", kernel, scale, v, row[i], want)
 						}
 					}

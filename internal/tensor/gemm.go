@@ -279,8 +279,7 @@ func startGemmWorkers() {
 }
 
 // gemmWorkerCount decides how many column chunks to split a call into, for
-// either element type: chunks are whole float tiles, gemmNR columns, which
-// are whole int8 tiles too (i8NR divides gemmNR).
+// either element type: chunks are whole tiles, gemmNR = i8NR columns.
 //
 //skynet:hotpath
 func gemmWorkerCount(m, n, k int) int {

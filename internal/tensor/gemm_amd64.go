@@ -5,9 +5,10 @@ package tensor
 import "skynet/internal/cpufeat"
 
 // Declarations for the micro-kernels implemented in gemm_avx2_amd64.s and
-// gemm_avx512_amd64.s. They consume exactly the packed panel layouts the
-// pure-Go reference kernels consume (see microKernelRef and
-// i8MicroKernelRef) and overwrite the caller's tile; correctness is pinned
+// gemm_avx512_amd64.s. Each has its dispatch variable's function type, so
+// the variable holds the routine itself; each consumes exactly the packed
+// panel layout the pure-Go reference consumes (microKernelRef,
+// i8MicroKernelRef) and overwrites the caller's tile; correctness is pinned
 // by the bitwise asm-vs-purego equivalence tests in kernel_test.go.
 
 // gemmMicro4x16AVX2 computes one 4×16 float32 tile: per k step it loads the
@@ -18,54 +19,45 @@ import "skynet/internal/cpufeat"
 //
 //go:noescape
 //skynet:hotpath
-func gemmMicro4x16AVX2(kc int, ap, bp *float32, tile *[gemmMR * gemmNR]float32)
+func gemmMicro4x16AVX2(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32)
 
 // gemmMicro4x16AVX512 is gemmMicro4x16AVX2 with one ZMM accumulator per
 // tile row: the same multiplies and adds, the same bits.
 //
 //go:noescape
 //skynet:hotpath
-func gemmMicro4x16AVX512(kc int, ap, bp *float32, tile *[gemmMR * gemmNR]float32)
+func gemmMicro4x16AVX512(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32)
 
-// i8Micro4x8AVX2 computes one 4×8 int8→int32 tile over pair-packed
-// panels: per k pair it sign-extends the 16-byte B group to words
-// (VPMOVSXBW), broadcasts each row's [a(i,p) a(i,p+1)] word, and lets
-// VPMADDWD produce the two-step dot product, accumulated with VPADDD.
-// All-integer arithmetic is exact, so the result is bitwise identical to
-// the reference by construction. (The classic VPMADDUBSW byte idiom is
-// deliberately not used: with u8×s8 operands its int16 accumulation can
-// saturate, which would silently break exactness.)
+// i8Micro4x16AVX2 computes one 4×16 int8→int32 tile over pair-packed
+// panels: per k pair it sign-extends the B group to words in two YMM
+// halves, broadcasts each row's int16 A pair (VPBROADCASTD), and VPMADDWD
+// forms the two-step dot products, accumulated exactly with VPADDD. (The
+// VPMADDUBSW byte idiom is not used: its int16 sums can saturate.)
 //
 //go:noescape
 //skynet:hotpath
-func i8Micro4x8AVX2(kp int, ap, bp *int8, tile *[i8MR * i8NR]int32)
+func i8Micro4x16AVX2(kp int, ap []int16, bp []int8, tile *[i8MR * i8NR]int32)
 
-// The slice-to-pointer adapters keep the dispatch seam's function types
-// identical across implementations.
+// i8Micro4x16VNNI is i8Micro4x16AVX2 on ZMM: each row's VPDPWSSD (the
+// non-saturating form) takes its A pair as an embedded broadcast; even and
+// odd k pairs accumulate apart, to hide its latency, and are summed at the
+// end — integer sums, so the same bits.
 //
+//go:noescape
 //skynet:hotpath
-func gemmMicroAVX2(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32) {
-	gemmMicro4x16AVX2(kc, &ap[0], &bp[0], tile)
-}
-
-//skynet:hotpath
-func gemmMicroAVX512(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32) {
-	gemmMicro4x16AVX512(kc, &ap[0], &bp[0], tile)
-}
-
-//skynet:hotpath
-func i8MicroAVX2(kp int, ap, bp []int8, tile *[i8MR * i8NR]int32) {
-	i8Micro4x8AVX2(kp, &ap[0], &bp[0], tile)
-}
+func i8Micro4x16VNNI(kp int, ap []int16, bp []int8, tile *[i8MR * i8NR]int32)
 
 // nativeKernels reports the assembly kernels this build and CPU support;
 // nil entries mean none. kernel.go dispatches on the result.
-func nativeKernels() (avx512, avx2 gemmMicroFunc, i8 i8MicroFunc) {
+func nativeKernels() (avx512, avx2 gemmMicroFunc, i8AVX2, i8VNNI i8MicroFunc) {
 	if !cpufeat.AVX2 {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	if cpufeat.AVX512 {
-		avx512 = gemmMicroAVX512
+		avx512 = gemmMicro4x16AVX512
 	}
-	return avx512, gemmMicroAVX2, i8MicroAVX2
+	if cpufeat.AVX512VNNI {
+		i8VNNI = i8Micro4x16VNNI
+	}
+	return avx512, gemmMicro4x16AVX2, i8Micro4x16AVX2, i8VNNI
 }

@@ -9,11 +9,12 @@
 //	Y0-Y7  the eight 8-lane accumulators: tile row r is Y(2r), Y(2r+1)
 //	Y8/Y9  the current B row's two halves    Y10-Y15 broadcast/product temporaries
 //
-// The int8 kernel keeps the same cursors, its four row accumulators in
-// Y0-Y3 and its B vector in Y4/Y9. Every kernel updates each accumulator
-// once per k step, preserving the strict per-element k-summation order the
-// determinism contract requires. The main bodies are unrolled ×2 over k
-// with a single-step tail for odd counts.
+// The int8 kernel keeps the same cursors and register plan, with the B words
+// of one k pair in Y8/Y9. The float kernel updates each accumulator once per
+// k step, preserving the strict per-element k-summation order the
+// determinism contract requires; the int8 one once per k pair, exactly. The
+// main bodies are unrolled ×2 over k (k pairs) with a single-step tail for
+// odd counts.
 
 // F32ROW updates tile row A's two accumulators with a(row)·b for the B row
 // in Y8/Y9: the product rounded (VMULPS), then the sum (VADDPS), never FMA.
@@ -33,15 +34,15 @@
 	F32ROW(A2, Y4, Y5, Y14, Y15);       \
 	F32ROW(A3, Y6, Y7, Y10, Y11)
 
-// func gemmMicro4x16AVX2(kc int, ap, bp *float32, tile *[64]float32)
+// func gemmMicro4x16AVX2(kc int, ap, bp []float32, tile *[64]float32)
 //
 // No-FMA: VMULPS then VADDPS, two roundings per multiply-add, bitwise
 // identical to the pure-Go reference kernel.
-TEXT ·gemmMicro4x16AVX2(SB), NOSPLIT, $0-32
+TEXT ·gemmMicro4x16AVX2(SB), NOSPLIT, $0-64
 	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ tile+24(FP), DX
+	MOVQ ap_base+8(FP), SI
+	MOVQ bp_base+32(FP), DI
+	MOVQ tile+56(FP), DX
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -78,93 +79,69 @@ f32done:
 	VZEROUPPER
 	RET
 
-// func i8Micro4x8AVX2(kp int, ap, bp *int8, tile *[32]int32)
+// I8ROW adds a(row)·B to tile row A's two accumulators for the pair's B
+// words in Y8/Y9: the row's [a(i,p) a(i,p+1)] int16 pair is one 32-bit
+// broadcast load, VPMADDWD forms both two-step dot products.
+#define I8ROW(A, ACC0, ACC1, T0, T1) \
+	VPBROADCASTD A(SI), T0; \
+	VPMADDWD Y8, T0, T1;    \
+	VPADDD T1, ACC0, ACC0;  \
+	VPMADDWD Y9, T0, T0;    \
+	VPADDD T0, ACC1, ACC1
+
+// I8STEP is one k pair: the 32-byte B group at B0(DI) and B1(DI) sign-extended
+// to words, the four rows' A pairs at A0..A3(SI).
+#define I8STEP(B0, B1, A0, A1, A2, A3) \
+	VPMOVSXBW B0(DI), Y8;              \
+	VPMOVSXBW B1(DI), Y9;              \
+	I8ROW(A0, Y0, Y1, Y10, Y11);       \
+	I8ROW(A1, Y2, Y3, Y12, Y13);       \
+	I8ROW(A2, Y4, Y5, Y14, Y15);       \
+	I8ROW(A3, Y6, Y7, Y10, Y11)
+
+// func i8Micro4x16AVX2(kp int, ap []int16, bp []int8, tile *[64]int32)
 //
-// Int8 kernel over pair-packed panels. Per k pair: one VPMOVSXBW turns
-// the 16-byte B group [b(p,j) b(p+1,j)]×8 into words; per row, a
-// VPBROADCASTW of the [a(i,p) a(i,p+1)] byte pair is sign-extended the
-// same way, then VPMADDWD computes a(i,p)·b(p,j) + a(i,p+1)·b(p+1,j) in
-// int32 lanes and VPADDD accumulates. Everything is exact integer math.
-// The int16 products cannot overflow VPMADDWD's int32 lanes (|a|,|b| ≤
-// 128 ⇒ |pair sum| ≤ 2·2¹⁴) and accumulation over kp ≤ 1024 pairs stays
-// far inside int32.
-TEXT ·i8Micro4x8AVX2(SB), NOSPLIT, $0-32
+// Int8 kernel over pair-packed panels: tile row r in Y(2r), Y(2r+1), as in
+// the float kernel. Everything is exact integer math: the int16 products
+// cannot overflow VPMADDWD's int32 lanes (|a|,|b| ≤ 128 ⇒ |pair sum| ≤
+// 2·2¹⁴) and accumulation over kp ≤ i8KC/2 pairs stays far inside int32.
+TEXT ·i8Micro4x16AVX2(SB), NOSPLIT, $0-64
 	MOVQ kp+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ tile+24(FP), DX
+	MOVQ ap_base+8(FP), SI
+	MOVQ bp_base+32(FP), DI
+	MOVQ tile+56(FP), DX
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
 	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
 	SUBQ $2, CX
 	JLT  i8tail
 
 i8loop2:
-	VPMOVSXBW (DI), Y4
-	VPBROADCASTW 0(SI), X5
-	VPMOVSXBW X5, Y5
-	VPMADDWD Y4, Y5, Y5
-	VPADDD Y5, Y0, Y0
-	VPBROADCASTW 2(SI), X6
-	VPMOVSXBW X6, Y6
-	VPMADDWD Y4, Y6, Y6
-	VPADDD Y6, Y1, Y1
-	VPBROADCASTW 4(SI), X7
-	VPMOVSXBW X7, Y7
-	VPMADDWD Y4, Y7, Y7
-	VPADDD Y7, Y2, Y2
-	VPBROADCASTW 6(SI), X8
-	VPMOVSXBW X8, Y8
-	VPMADDWD Y4, Y8, Y8
-	VPADDD Y8, Y3, Y3
-	VPMOVSXBW 16(DI), Y9
-	VPBROADCASTW 8(SI), X5
-	VPMOVSXBW X5, Y5
-	VPMADDWD Y9, Y5, Y5
-	VPADDD Y5, Y0, Y0
-	VPBROADCASTW 10(SI), X6
-	VPMOVSXBW X6, Y6
-	VPMADDWD Y9, Y6, Y6
-	VPADDD Y6, Y1, Y1
-	VPBROADCASTW 12(SI), X7
-	VPMOVSXBW X7, Y7
-	VPMADDWD Y9, Y7, Y7
-	VPADDD Y7, Y2, Y2
-	VPBROADCASTW 14(SI), X8
-	VPMOVSXBW X8, Y8
-	VPMADDWD Y9, Y8, Y8
-	VPADDD Y8, Y3, Y3
-	ADDQ $16, SI
-	ADDQ $32, DI
+	I8STEP(0, 16, 0, 4, 8, 12)
+	I8STEP(32, 48, 16, 20, 24, 28)
+	ADDQ $32, SI
+	ADDQ $64, DI
 	SUBQ $2, CX
 	JGE  i8loop2
 
 i8tail:
 	ADDQ $1, CX
 	JLT  i8done
-	VPMOVSXBW (DI), Y4
-	VPBROADCASTW 0(SI), X5
-	VPMOVSXBW X5, Y5
-	VPMADDWD Y4, Y5, Y5
-	VPADDD Y5, Y0, Y0
-	VPBROADCASTW 2(SI), X6
-	VPMOVSXBW X6, Y6
-	VPMADDWD Y4, Y6, Y6
-	VPADDD Y6, Y1, Y1
-	VPBROADCASTW 4(SI), X7
-	VPMOVSXBW X7, Y7
-	VPMADDWD Y4, Y7, Y7
-	VPADDD Y7, Y2, Y2
-	VPBROADCASTW 6(SI), X8
-	VPMOVSXBW X8, Y8
-	VPMADDWD Y4, Y8, Y8
-	VPADDD Y8, Y3, Y3
+	I8STEP(0, 16, 0, 4, 8, 12)
 
 i8done:
 	VMOVDQU Y0, 0(DX)
 	VMOVDQU Y1, 32(DX)
 	VMOVDQU Y2, 64(DX)
 	VMOVDQU Y3, 96(DX)
+	VMOVDQU Y4, 128(DX)
+	VMOVDQU Y5, 160(DX)
+	VMOVDQU Y6, 192(DX)
+	VMOVDQU Y7, 224(DX)
 	VZEROUPPER
 	RET

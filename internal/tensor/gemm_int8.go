@@ -10,15 +10,14 @@ import "math"
 // pool and size thresholds as float32 ones (gemmTask in gemm.go). Two things
 // are int8-specific:
 //
-//   - Operands are packed as int8 (4× less traffic than float32 panels) and
-//     accumulated in int32. Integer accumulation is exact, so results are
-//     bitwise identical for any blocking or worker split by construction.
-//   - The k dimension is not blocked. Int8 panels are a quarter the size of
-//     float panels, so a full-k NR-column panel of SkyNet's largest layer
-//     (k ≤ i8KC) still fits in L1, and keeping the whole dot product in one
-//     pass lets the requantize/dequantize epilogue fuse into the tile store
-//     instead of needing an int32 staging matrix. Calls with k > i8KC take
-//     the naive reference path, which is correct at any size.
+//   - B is packed as int8 and A as int16, and both are accumulated in
+//     int32. Integer accumulation is exact, so results are bitwise identical
+//     for any blocking, kernel or worker split by construction.
+//   - The k dimension is not blocked: at SkyNet's largest k (i8KC = 1280) a
+//     full-k panel pair, 20 KiB of B and 10 KiB of A, still fits a 32 KiB
+//     L1, and the requantize/dequantize epilogue fuses into the tile store
+//     with no int32 staging matrix. Calls with k > i8KC take the naive
+//     reference path, which is correct at any size.
 //
 // Three epilogues are exposed: raw int32 output (Int8GEMMInto), fused
 // requantize-to-int8 with per-row (output-channel) scales and clamp
@@ -26,18 +25,16 @@ import "math"
 // dequantize-to-float32 (Int8GEMMDequantInto) for the final layer feeding
 // the float detection head.
 // The micro-kernel is dispatched through the i8Micro function variable
-// (kernel.go): AVX2 assembly where available, the pure-Go reference below
-// otherwise. Both consume panels packed in k-PAIRS — for each pair of
-// consecutive k indices the packer interleaves the two values of every
-// row/column ([a(i,p) a(i,p+1)] per row, [b(p,j) b(p+1,j)] per column,
-// zero-padded when k is odd) — which is exactly the operand order of the
-// AVX2 16-bit dot-product idiom (VPMOVSXBW + VPMADDWD accumulates two k
-// steps per instruction). Integer accumulation is exact, so the pure-Go
-// and assembly kernels are bitwise identical by construction.
+// (kernel.go): AVX-512 VNNI or AVX2 assembly where available, the pure-Go
+// reference below otherwise. All three consume panels packed in k-PAIRS:
+// [a(i,p) a(i,p+1)] per row as two int16, so a row's broadcast is one 32-bit
+// load; [b(p,j) b(p+1,j)] per column as two bytes, 32 per pair of a panel;
+// zero-padded when k is odd — the operand order of the 16-bit dot product
+// (VPMADDWD, VPDPWSSD), two k steps into each int32 lane per instruction.
 const (
 	i8MR = 4    // micro-tile rows
-	i8NR = 8    // micro-tile cols (one 8-lane YMM vector of int32 per row)
-	i8KC = 2048 // max unblocked k: a packed NR panel is i8KC*i8NR = 16 KiB
+	i8NR = 16   // micro-tile cols: gemmNR, one ZMM (two YMM) of int32 per row
+	i8KC = 1280 // max unblocked k: a packed NR panel is i8KC*i8NR = 20 KiB
 	i8MC = 64   // m-dimension cache block
 	i8NC = 256  // n-dimension cache block (bounds scratch size)
 )
@@ -104,6 +101,19 @@ func RequantizeRNE(acc int32, mult float32, lo, hi int8) int8 {
 	return int8(ri)
 }
 
+// CodeRNE maps a quotient v/scale to its int8 code as QuantizeRow does:
+// rounded half to even, clamped to ±127, NaN to 0. Clamping first (integer
+// bounds commute with rounding) keeps q where rneMagic rounds exactly.
+//
+//skynet:hotpath
+func CodeRNE(q float64) int8 {
+	q = min(max(q, -127), 127)
+	if math.IsNaN(q) {
+		return 0
+	}
+	return int8((q + rneMagic) - rneMagic)
+}
+
 // Int8AccumulatorFits states the bound under which "integer accumulation is
 // exact" holds for a k-term dot product of int8 codes plus a bias in
 // accumulator units:
@@ -113,11 +123,11 @@ func RequantizeRNE(acc int32, mult float32, lo, hi int8) int8 {
 // Codes are clamped to [-127, 127] on both operands, so every product is at
 // most 127² and the accumulator, bias included, never leaves int32 while the
 // bound holds — for any summation order, hence for every kernel here. The
-// AVX2 kernel's VPMADDWD adds two adjacent products into an int32 lane
-// before accumulating; 2·127² is far inside int32 (and 16-bit saturation
-// only happens for −32768·−32768 pairs, which sign-extended int8 codes
-// cannot form), so pair sums add no constraint of their own. Without a bias
-// the bound allows k ≤ 133 144. A caller whose layer breaks it (quant.Export
+// assembly kernels' VPMADDWD and VPDPWSSD add two adjacent products into an
+// int32 lane before accumulating; 2·127² is far inside int32 (and 16-bit
+// saturation only happens for −32768·−32768 pairs, which sign-extended int8
+// codes cannot form), so pair sums add no constraint of their own. Without a
+// bias the bound allows k ≤ 133 144. A caller whose layer breaks it (quant.Export
 // checks every convolution) must not run that layer on these kernels: the
 // int32 sum would wrap silently.
 func Int8AccumulatorFits(k int, maxAbsBias float64) bool {
@@ -155,8 +165,8 @@ type i8gemmCall struct {
 // packing pads k up to even, and 2·⌈k/2⌉ ≤ i8KC for every accepted k
 // (i8KC is even), so the pre-pairing sizes still bound the panels.
 type i8Scratch struct {
-	ap []int8 // packed A block: MC×KC, MR-row panels, k-pair interleaved
-	bp []int8 // packed B block: KC×NC, NR-column panels, k-pair interleaved
+	ap []int16 // packed A block: MC×KC, MR-row panels, k-pair interleaved
+	bp []int8  // packed B block: KC×NC, NR-column panels, k-pair interleaved
 
 	// tile lives here, not on macroKernel's stack, because its address is
 	// passed through the i8Micro function variable and an indirect call
@@ -166,27 +176,19 @@ type i8Scratch struct {
 
 func newI8Scratch() *i8Scratch {
 	return &i8Scratch{
-		ap: make([]int8, i8MC*i8KC),
+		ap: make([]int16, i8MC*i8KC),
 		bp: make([]int8, i8KC*i8NC),
 	}
 }
 
-// i8UseNaive reports whether a call should take the naive reference path:
-// tiny problems (packing never amortized) and k beyond the unblocked panel
-// capacity.
-//
-//skynet:hotpath
-func i8UseNaive(m, n, k int) bool {
-	return m*n*k < gemmMinBlockedMACs || k > i8KC
-}
-
-// i8Exec runs an int8 call: the small-problem kernel where i8UseNaive says
-// so, everything else through the blocked kernel and the shared dispatch —
-// or, for a leaf call, as one chunk on this goroutine.
+// i8Exec runs an int8 call: tiny problems (packing never amortized) and k
+// beyond the unblocked panel capacity on the small-problem kernel,
+// everything else through the blocked kernel and the shared dispatch — or,
+// for a leaf call, as one chunk on this goroutine.
 //
 //skynet:hotpath
 func i8Exec(c i8gemmCall) {
-	if i8UseNaive(c.m, c.n, c.k) {
+	if c.m*c.n*c.k < gemmMinBlockedMACs || c.k > i8KC {
 		c.runNaive()
 		return
 	}
@@ -262,37 +264,57 @@ func checkI8Epilogue(name string, bias []int32, mult []float32, m int) {
 }
 
 // runNaive is the unblocked reference: one exact int32 dot product per
-// output element, with the epilogue applied inline. It is the correctness
-// oracle for the blocked path and the fallback for shapes the blocked
-// kernel does not cover (k > i8KC, tiny problems).
+// output element, stored a row piece at a time through the epilogue. It is
+// the correctness oracle for the blocked path and the fallback for shapes
+// the blocked kernel does not cover (k > i8KC, tiny problems).
 //
 //skynet:hotpath
 func (g *i8gemmCall) runNaive() {
+	var acc [i8NR]int32
 	for i := 0; i < g.m; i++ {
 		arow := g.a[i*g.k : (i+1)*g.k]
-		var bias int32
-		if g.bias != nil {
-			bias = g.bias[i]
+		for j0 := 0; j0 < g.n; j0 += i8NR {
+			piece := acc[:min(i8NR, g.n-j0)]
+			for q := range piece {
+				var sum int32
+				for p, av := range arow {
+					sum += int32(av) * int32(g.b[p*g.n+j0+q])
+				}
+				piece[q] = sum
+			}
+			g.storeRow(piece, i, j0)
 		}
-		for j := 0; j < g.n; j++ {
-			var acc int32
-			for p, av := range arow {
-				acc += int32(av) * int32(g.b[p*g.n+j])
-			}
-			switch g.mode {
-			case i8ModeInt32:
-				g.c32[i*g.ldc+j] = acc
-			case i8ModeRequant:
-				g.c8[i*g.ldc+j] = RequantizeRNE(acc+bias, g.mult[i], g.lo, g.hi)
-			case i8ModeDequant:
-				g.cf[i*g.ldc+j] = float32(float64(acc+bias) * float64(g.mult[i]))
-			}
+	}
+}
+
+// storeRow writes the accumulators of row i, columns j0 onwards, through
+// the call's epilogue.
+//
+//skynet:hotpath
+func (g *i8gemmCall) storeRow(acc []int32, i, j0 int) {
+	var bias int32
+	if g.bias != nil {
+		bias = g.bias[i]
+	}
+	at := i*g.ldc + j0
+	switch g.mode {
+	case i8ModeInt32:
+		copy(g.c32[at:at+len(acc)], acc)
+	case i8ModeRequant:
+		mult, crow := g.mult[i], g.c8[at:at+len(acc)]
+		for q, v := range acc {
+			crow[q] = RequantizeRNE(v+bias, mult, g.lo, g.hi)
+		}
+	case i8ModeDequant:
+		mult, crow := float64(g.mult[i]), g.cf[at:at+len(acc)]
+		for q, v := range acc {
+			crow[q] = float32(float64(v+bias) * mult)
 		}
 	}
 }
 
 // run executes the blocked loop nest over columns [j0, j1) of the output.
-// k is unblocked (k ≤ i8KC is guaranteed by i8UseNaive), so every tile is
+// k is unblocked (k ≤ i8KC is guaranteed by i8Exec), so every tile is
 // complete when stored and the epilogue fuses into the store.
 //
 //skynet:hotpath
@@ -329,75 +351,75 @@ func (g *i8gemmCall) macroKernel(s *i8Scratch, ic, mc, jc, nc int) {
 }
 
 // i8MicroKernelRef computes one MR×NR int32 tile over the pair-packed
-// int8 panels: ap holds kp groups of 2·MR A-values ([a(i,p) a(i,p+1)] per
-// row), bp holds kp groups of 2·NR B-values ([b(p,j) b(p+1,j)] per
-// column). It is the portable implementation behind the i8Micro dispatch
-// seam and mirrors the AVX2 VPMADDWD step: two k contributions per
-// accumulator update. All arithmetic is exact int32, so the result is
-// identical to any other evaluation order.
+// panels: ap holds kp groups of 2·MR A-values ([a(i,p) a(i,p+1)] per row),
+// bp holds kp groups of 2·NR B-values ([b(p,j) b(p+1,j)] per column). It is
+// the portable implementation behind the i8Micro dispatch seam and mirrors
+// the assembly's step: two k contributions per accumulator update. All
+// arithmetic is exact int32, so the result is identical to any other
+// evaluation order. It runs as two 8-column halves, so that its 32
+// accumulators fit arm64's registers.
 //
 //skynet:hotpath
-func i8MicroKernelRef(kp int, ap, bp []int8, tile *[i8MR * i8NR]int32) {
-	var c00, c01, c02, c03, c04, c05, c06, c07 int32
-	var c10, c11, c12, c13, c14, c15, c16, c17 int32
-	var c20, c21, c22, c23, c24, c25, c26, c27 int32
-	var c30, c31, c32, c33, c34, c35, c36, c37 int32
-	for t := 0; t < kp; t++ {
-		a := ap[t*2*i8MR : t*2*i8MR+2*i8MR]
-		b := bp[t*2*i8NR : t*2*i8NR+2*i8NR]
-		b00, b01 := int32(b[0]), int32(b[1])
-		b10, b11 := int32(b[2]), int32(b[3])
-		b20, b21 := int32(b[4]), int32(b[5])
-		b30, b31 := int32(b[6]), int32(b[7])
-		b40, b41 := int32(b[8]), int32(b[9])
-		b50, b51 := int32(b[10]), int32(b[11])
-		b60, b61 := int32(b[12]), int32(b[13])
-		b70, b71 := int32(b[14]), int32(b[15])
-		a0, a1 := int32(a[0]), int32(a[1])
-		c00 += a0*b00 + a1*b01
-		c01 += a0*b10 + a1*b11
-		c02 += a0*b20 + a1*b21
-		c03 += a0*b30 + a1*b31
-		c04 += a0*b40 + a1*b41
-		c05 += a0*b50 + a1*b51
-		c06 += a0*b60 + a1*b61
-		c07 += a0*b70 + a1*b71
-		a0, a1 = int32(a[2]), int32(a[3])
-		c10 += a0*b00 + a1*b01
-		c11 += a0*b10 + a1*b11
-		c12 += a0*b20 + a1*b21
-		c13 += a0*b30 + a1*b31
-		c14 += a0*b40 + a1*b41
-		c15 += a0*b50 + a1*b51
-		c16 += a0*b60 + a1*b61
-		c17 += a0*b70 + a1*b71
-		a0, a1 = int32(a[4]), int32(a[5])
-		c20 += a0*b00 + a1*b01
-		c21 += a0*b10 + a1*b11
-		c22 += a0*b20 + a1*b21
-		c23 += a0*b30 + a1*b31
-		c24 += a0*b40 + a1*b41
-		c25 += a0*b50 + a1*b51
-		c26 += a0*b60 + a1*b61
-		c27 += a0*b70 + a1*b71
-		a0, a1 = int32(a[6]), int32(a[7])
-		c30 += a0*b00 + a1*b01
-		c31 += a0*b10 + a1*b11
-		c32 += a0*b20 + a1*b21
-		c33 += a0*b30 + a1*b31
-		c34 += a0*b40 + a1*b41
-		c35 += a0*b50 + a1*b51
-		c36 += a0*b60 + a1*b61
-		c37 += a0*b70 + a1*b71
+func i8MicroKernelRef(kp int, ap []int16, bp []int8, tile *[i8MR * i8NR]int32) {
+	for h := 0; h < i8NR; h += 8 {
+		var c00, c01, c02, c03, c04, c05, c06, c07 int32
+		var c10, c11, c12, c13, c14, c15, c16, c17 int32
+		var c20, c21, c22, c23, c24, c25, c26, c27 int32
+		var c30, c31, c32, c33, c34, c35, c36, c37 int32
+		for t := 0; t < kp; t++ {
+			a := ap[t*2*i8MR : t*2*i8MR+2*i8MR]
+			b := bp[t*2*i8NR+2*h : t*2*i8NR+2*h+16]
+			b00, b01 := int32(b[0]), int32(b[1])
+			b10, b11 := int32(b[2]), int32(b[3])
+			b20, b21 := int32(b[4]), int32(b[5])
+			b30, b31 := int32(b[6]), int32(b[7])
+			b40, b41 := int32(b[8]), int32(b[9])
+			b50, b51 := int32(b[10]), int32(b[11])
+			b60, b61 := int32(b[12]), int32(b[13])
+			b70, b71 := int32(b[14]), int32(b[15])
+			a0, a1 := int32(a[0]), int32(a[1])
+			c00 += a0*b00 + a1*b01
+			c01 += a0*b10 + a1*b11
+			c02 += a0*b20 + a1*b21
+			c03 += a0*b30 + a1*b31
+			c04 += a0*b40 + a1*b41
+			c05 += a0*b50 + a1*b51
+			c06 += a0*b60 + a1*b61
+			c07 += a0*b70 + a1*b71
+			a0, a1 = int32(a[2]), int32(a[3])
+			c10 += a0*b00 + a1*b01
+			c11 += a0*b10 + a1*b11
+			c12 += a0*b20 + a1*b21
+			c13 += a0*b30 + a1*b31
+			c14 += a0*b40 + a1*b41
+			c15 += a0*b50 + a1*b51
+			c16 += a0*b60 + a1*b61
+			c17 += a0*b70 + a1*b71
+			a0, a1 = int32(a[4]), int32(a[5])
+			c20 += a0*b00 + a1*b01
+			c21 += a0*b10 + a1*b11
+			c22 += a0*b20 + a1*b21
+			c23 += a0*b30 + a1*b31
+			c24 += a0*b40 + a1*b41
+			c25 += a0*b50 + a1*b51
+			c26 += a0*b60 + a1*b61
+			c27 += a0*b70 + a1*b71
+			a0, a1 = int32(a[6]), int32(a[7])
+			c30 += a0*b00 + a1*b01
+			c31 += a0*b10 + a1*b11
+			c32 += a0*b20 + a1*b21
+			c33 += a0*b30 + a1*b31
+			c34 += a0*b40 + a1*b41
+			c35 += a0*b50 + a1*b51
+			c36 += a0*b60 + a1*b61
+			c37 += a0*b70 + a1*b71
+		}
+		t := tile[h:]
+		t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = c00, c01, c02, c03, c04, c05, c06, c07
+		t[16], t[17], t[18], t[19], t[20], t[21], t[22], t[23] = c10, c11, c12, c13, c14, c15, c16, c17
+		t[32], t[33], t[34], t[35], t[36], t[37], t[38], t[39] = c20, c21, c22, c23, c24, c25, c26, c27
+		t[48], t[49], t[50], t[51], t[52], t[53], t[54], t[55] = c30, c31, c32, c33, c34, c35, c36, c37
 	}
-	tile[0], tile[1], tile[2], tile[3] = c00, c01, c02, c03
-	tile[4], tile[5], tile[6], tile[7] = c04, c05, c06, c07
-	tile[8], tile[9], tile[10], tile[11] = c10, c11, c12, c13
-	tile[12], tile[13], tile[14], tile[15] = c14, c15, c16, c17
-	tile[16], tile[17], tile[18], tile[19] = c20, c21, c22, c23
-	tile[20], tile[21], tile[22], tile[23] = c24, c25, c26, c27
-	tile[24], tile[25], tile[26], tile[27] = c30, c31, c32, c33
-	tile[28], tile[29], tile[30], tile[31] = c34, c35, c36, c37
 }
 
 // storeTile writes a complete micro-tile through the call's epilogue,
@@ -416,61 +438,42 @@ func (g *i8gemmCall) storeTile(tile *[i8MR * i8NR]int32, i0, j0, mr, nr int) {
 		return
 	}
 	for r := 0; r < mr; r++ {
-		trow := tile[r*i8NR : r*i8NR+nr]
-		var bias int32
-		if g.bias != nil {
-			bias = g.bias[i0+r]
-		}
-		switch g.mode {
-		case i8ModeInt32:
-			crow := g.c32[(i0+r)*g.ldc+j0 : (i0+r)*g.ldc+j0+nr]
-			for q, v := range trow {
-				crow[q] = v
-			}
-		case i8ModeRequant:
-			mult := g.mult[i0+r]
-			crow := g.c8[(i0+r)*g.ldc+j0 : (i0+r)*g.ldc+j0+nr]
-			for q, v := range trow {
-				crow[q] = RequantizeRNE(v+bias, mult, g.lo, g.hi)
-			}
-		case i8ModeDequant:
-			mult := float64(g.mult[i0+r])
-			crow := g.cf[(i0+r)*g.ldc+j0 : (i0+r)*g.ldc+j0+nr]
-			for q, v := range trow {
-				crow[q] = float32(float64(v+bias) * mult)
-			}
-		}
+		g.storeRow(tile[r*i8NR:r*i8NR+nr], i0+r, j0)
 	}
 }
 
-// packA copies A[ic:ic+mc, 0:k] into MR-row panels, zero-padded past mc.
-// Within a panel the layout is k-pair interleaved: pair t holds
+// packA copies A[ic:ic+mc, 0:k] into MR-row panels of int16, zero-padded
+// past mc. Within a panel the layout is k-pair interleaved: pair t holds
 // [a(i,2t) a(i,2t+1)] for each of the MR rows in turn, with the second
-// element zero when k is odd and 2t+1 == k.
+// element zero when k is odd and 2t+1 == k. A full panel's leading multiple
+// of 16 columns goes to the packA row kernel.
 //
 //skynet:hotpath
-func (g *i8gemmCall) packA(dst []int8, ic, mc int) {
+func (g *i8gemmCall) packA(dst []int16, ic, mc int) {
 	kp := (g.k + 1) / 2
 	mcp := (mc + i8MR - 1) / i8MR * i8MR
 	for ir := 0; ir < mcp; ir += i8MR {
 		base := (ir / i8MR) * kp * 2 * i8MR
+		t0 := 0
+		if f := rows.packA; f != nil && ir+i8MR <= mc && g.k >= 16 {
+			t0 = g.k / 16 * 8
+			_, _ = dst[base+t0*2*i8MR-1], g.a[(ic+ir+i8MR-1)*g.k+2*t0-1]
+			f(&dst[base], &g.a[(ic+ir)*g.k], g.k, t0/8)
+		}
 		for r := 0; r < i8MR; r++ {
+			panel := dst[base+2*r : base+kp*2*i8MR]
 			if ir+r >= mc {
 				for t := 0; t < kp; t++ {
-					dst[base+t*2*i8MR+2*r] = 0
-					dst[base+t*2*i8MR+2*r+1] = 0
+					panel[t*2*i8MR], panel[t*2*i8MR+1] = 0, 0
 				}
 				continue
 			}
 			arow := g.a[(ic+ir+r)*g.k : (ic+ir+r)*g.k+g.k]
-			for t := 0; t < kp; t++ {
-				p := 2 * t
-				dst[base+t*2*i8MR+2*r] = arow[p]
-				if p+1 < g.k {
-					dst[base+t*2*i8MR+2*r+1] = arow[p+1]
-				} else {
-					dst[base+t*2*i8MR+2*r+1] = 0
-				}
+			for t := t0; t < g.k/2; t++ {
+				panel[t*2*i8MR], panel[t*2*i8MR+1] = int16(arow[2*t]), int16(arow[2*t+1])
+			}
+			if g.k%2 == 1 {
+				panel[(kp-1)*2*i8MR], panel[(kp-1)*2*i8MR+1] = int16(arow[g.k-1]), 0
 			}
 		}
 	}
@@ -478,8 +481,10 @@ func (g *i8gemmCall) packA(dst []int8, ic, mc int) {
 
 // packB copies B[0:k, jc:jc+nc] into NR-column panels, zero-padded past
 // nc. Within a panel the layout is k-pair interleaved: pair t holds
-// [b(2t,j) b(2t+1,j)] for each of the NR columns in turn — 16 consecutive
-// bytes per pair, which is exactly one VPMOVSXBW load in the AVX2 kernel.
+// [b(2t,j) b(2t+1,j)] for each of the NR columns in turn — 32 consecutive
+// bytes per pair, which the kernels sign-extend to words in one ZMM or two
+// YMM loads. A full-width panel's complete pairs go to the packB row
+// kernel, one byte interleave of two rows per pair.
 //
 //skynet:hotpath
 func (g *i8gemmCall) packB(dst []int8, jc, nc int) {
@@ -487,28 +492,25 @@ func (g *i8gemmCall) packB(dst []int8, jc, nc int) {
 	ncp := (nc + i8NR - 1) / i8NR * i8NR
 	for jr := 0; jr < ncp; jr += i8NR {
 		di := (jr / i8NR) * kp * 2 * i8NR
-		lim := nc - jr
-		if lim > i8NR {
-			lim = i8NR
+		lim := min(i8NR, nc-jr)
+		t0 := 0
+		if f := rows.packB; f != nil && lim == i8NR && g.k >= 2 {
+			t0 = g.k / 2
+			_, _ = dst[di+t0*2*i8NR-1], g.b[(2*t0-1)*g.n+jc+jr+i8NR-1]
+			f(&dst[di], &g.b[jc+jr], g.n, t0)
+			di += t0 * 2 * i8NR
 		}
-		for t := 0; t < kp; t++ {
+		for t := t0; t < kp; t++ {
 			p := 2 * t
-			row0 := g.b[p*g.n:]
-			var row1 []int8
+			grp := dst[di : di+2*i8NR]
+			clear(grp)
+			for q, v := range g.b[p*g.n+jc+jr : p*g.n+jc+jr+lim] {
+				grp[2*q] = v
+			}
 			if p+1 < g.k {
-				row1 = g.b[(p+1)*g.n:]
-			}
-			for q := 0; q < lim; q++ {
-				dst[di+2*q] = row0[jc+jr+q]
-				if row1 != nil {
-					dst[di+2*q+1] = row1[jc+jr+q]
-				} else {
-					dst[di+2*q+1] = 0
+				for q, v := range g.b[(p+1)*g.n+jc+jr : (p+1)*g.n+jc+jr+lim] {
+					grp[2*q+1] = v
 				}
-			}
-			for q := lim; q < i8NR; q++ {
-				dst[di+2*q] = 0
-				dst[di+2*q+1] = 0
 			}
 			di += 2 * i8NR
 		}

@@ -14,10 +14,11 @@ package tensor
 // separately rounded multiply and add, in strict k order, so they give one
 // bit pattern: fused multiply-add would skip the rounding of a*b, and the
 // repo's determinism contract (identical bytes across kernels, reruns and
-// GOMAXPROCS) is worth more than what fusing buys. The int8 tile (4×8) and
-// the row kernels have a pure-Go and an AVX2 form; both accumulate exactly
-// or in the Go loop's order, so they are bitwise identical too. The Go forms
-// run on purego builds and non-amd64 hosts and are the tests' oracle.
+// GOMAXPROCS) is worth more than what fusing buys. The int8 tile is 4×16
+// too, with a pure-Go, an AVX2 and an AVX-512 VNNI kernel that sum exactly,
+// and the row kernels have a pure-Go and an AVX2 form that keep the Go
+// loop's order: bitwise identical as well. The Go forms run on purego
+// builds and non-amd64 hosts and are the tests' oracle.
 //
 // Selection is per-process: `auto` at startup, overridable with the
 // SKYNET_KERNEL environment variable or SetKernel — the one switch for all
@@ -34,11 +35,11 @@ import (
 // B-values; the tile is overwritten.
 type gemmMicroFunc func(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32)
 
-// i8MicroFunc computes one MR×NR int32 tile over pair-packed int8 panels:
-// ap holds kp groups of 2·i8MR A-values, bp holds kp groups of 2·i8NR
-// B-values (see the packing comments in gemm_int8.go); the tile is
+// i8MicroFunc computes one MR×NR int32 tile over pair-packed panels: ap
+// holds kp groups of 2·i8MR int16 A-values, bp holds kp groups of 2·i8NR
+// int8 B-values (see the packing comments in gemm_int8.go); the tile is
 // overwritten.
-type i8MicroFunc func(kp int, ap, bp []int8, tile *[i8MR * i8NR]int32)
+type i8MicroFunc func(kp int, ap []int16, bp []int8, tile *[i8MR * i8NR]int32)
 
 var (
 	gemmMicro      gemmMicroFunc = microKernelRef
@@ -64,14 +65,16 @@ func init() {
 //	auto     the widest kernel this CPU and build have (default)
 //	purego   portable Go kernels and row loops on every path
 //	avx2     AVX2 assembly, no FMA (bitwise identical to purego)
-//	avx512   AVX-512F float tiles, AVX2 for the rest (bitwise identical too)
+//	avx512   AVX-512F float tiles, AVX-512 VNNI int8 tiles where the CPU
+//	         has VNNI, AVX2 for the rest (bitwise identical too)
 //
 // It returns an error (and changes nothing) if the name is unknown or the
 // named kernel is not available on this CPU or build. Not safe to call
 // concurrently with running GEMMs.
 func SetKernel(name string) error {
-	avx512, avx2, asmI8 := nativeKernels()
+	avx512, avx2, i8AVX2, i8VNNI := nativeKernels()
 	var micro gemmMicroFunc
+	i8, i8Name := i8AVX2, "avx2"
 	switch name {
 	case "", "auto":
 		for _, widest := range []string{"avx512", "avx2"} {
@@ -81,24 +84,27 @@ func SetKernel(name string) error {
 		}
 		return SetKernel("purego")
 	case "purego":
-		micro = microKernelRef
+		micro, i8, i8Name = microKernelRef, i8MicroKernelRef, "purego"
 	case "avx2":
 		micro = avx2
 	case "avx512":
 		micro = avx512
+		if i8VNNI != nil {
+			i8, i8Name = i8VNNI, "avx512vnni"
+		}
 	default:
 		return fmt.Errorf("unknown kernel %q (want auto, purego, avx2 or avx512)", name)
 	}
 	if micro == nil {
-		return fmt.Errorf("kernel %q not available on this CPU or build (want auto, purego, avx2 or avx512)", name)
+		return fmt.Errorf("kernel %q not available on this CPU or build (want auto, purego, avx2 or avx512; avx512 needs AVX-512F, avx2 needs AVX2 and an amd64 build without the purego tag)", name)
 	}
 	// The blocked-vs-naive crossover moves with the kernel: an asm tile is
 	// fast enough that packing pays off at much shallower k (see the
 	// gemmMinBlockedK comment in gemm.go).
-	gemmMicro, gemmKernelName = micro, name
-	i8Micro, i8KernelName, rows, gemmMinBlockedK = asmI8, "avx2", nativeRowKernels(), gemmMinBlockedKAsm
+	gemmMicro, gemmKernelName, i8Micro, i8KernelName = micro, name, i8, i8Name
+	rows, gemmMinBlockedK = nativeRowKernels(), gemmMinBlockedKAsm
 	if name == "purego" {
-		i8Micro, i8KernelName, rows, gemmMinBlockedK = i8MicroKernelRef, "purego", rowKernels{}, gemmMinBlockedKPure
+		rows, gemmMinBlockedK = rowKernels{}, gemmMinBlockedKPure
 	}
 	return nil
 }
@@ -108,5 +114,5 @@ func SetKernel(name string) error {
 func KernelName() string { return gemmKernelName }
 
 // Int8KernelName reports the int8 micro-kernel currently dispatched
-// ("purego" or "avx2").
+// ("purego", "avx2" or "avx512vnni").
 func Int8KernelName() string { return i8KernelName }

@@ -127,52 +127,79 @@ func TestKernelEquivalenceFloat(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalenceInt8 pins the same contract for the int8 kernel on
-// all three epilogues (int32, requantize, dequantize). Integer arithmetic
-// is exact, so equality must hold bit for bit — including the float32
-// outputs of the dequantize epilogue.
+// TestKernelEquivalenceInt8 is the int8 tile's sweep: under every kernel —
+// purego, avx2 and avx512vnni where the host has them — the blocked path
+// gives the independent oracle's values on all three epilogues, dispatched
+// over three workers, as Leaf calls and into a column window (Ldc), for m
+// in and out of 4ℕ, n around one and two 16-column tiles and k from 1 to
+// i8KC. At k = i8KC, all-(−127) operands and alternating ±127 ones give the
+// largest sums the blocked path sees, so an instruction that saturated
+// anywhere would show. Integer sums are exact: equal to the oracle under
+// each kernel is bitwise equal across kernels.
 func TestKernelEquivalenceInt8(t *testing.T) {
-	if len(asmKernels()) == 0 {
-		t.Skip("no assembly kernel on this CPU or build; nothing to compare")
-	}
-	rng := rand.New(rand.NewSource(41))
-	forceBlocked(func() {
-		for _, sh := range kernelShapes {
-			m, n, k := sh.m, sh.n, sh.k
-			a := randI8(rng, m*k)
-			b := randI8(rng, k*n)
-			ep := Int8Epilogue{Bias: make([]int32, m), Mult: make([]float32, m), Lo: -127, Hi: 127}
-			dqMult := make([]float32, m)
-			for i := 0; i < m; i++ {
-				ep.Bias[i] = int32(rng.Intn(2000) - 1000)
-				ep.Mult[i] = float32(rng.Float64() * 0.05)
-				dqMult[i] = float32(rng.Float64())
-			}
-			ref32, asm32 := make([]int32, m*n), make([]int32, m*n)
-			ref8, asm8 := make([]int8, m*n), make([]int8, m*n)
-			refF, asmF := make([]float32, m*n), make([]float32, m*n)
-			withKernel(t, "purego", func() {
-				Int8GEMMInto(ref32, a, b, m, n, k)
-				Int8GEMMRequantInto(ref8, a, b, m, n, k, ep)
-				Int8GEMMDequantInto(refF, a, b, m, n, k, Int8Epilogue{Bias: ep.Bias, Mult: dqMult})
-			})
-			withKernel(t, "avx2", func() {
-				Int8GEMMInto(asm32, a, b, m, n, k)
-				Int8GEMMRequantInto(asm8, a, b, m, n, k, ep)
-				Int8GEMMDequantInto(asmF, a, b, m, n, k, Int8Epilogue{Bias: ep.Bias, Mult: dqMult})
-			})
-			for i := range ref32 {
-				if asm32[i] != ref32[i] {
-					t.Fatalf("m=%d n=%d k=%d int32: element %d: avx2 %d != purego %d", m, n, k, i, asm32[i], ref32[i])
-				}
-				if asm8[i] != ref8[i] {
-					t.Fatalf("m=%d n=%d k=%d requant: element %d: avx2 %d != purego %d", m, n, k, i, asm8[i], ref8[i])
-				}
-				if math.Float32bits(asmF[i]) != math.Float32bits(refF[i]) {
-					t.Fatalf("m=%d n=%d k=%d dequant: element %d: avx2 %v != purego %v", m, n, k, i, asmF[i], refF[i])
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		for _, m := range []int{1, 3, 4, 6, 9} {
+			for _, n := range []int{1, 8, 15, 16, 17, 24, 31, 33} {
+				for _, k := range []int{1, 2, 3, 255, i8KC - 1, i8KC} {
+					checkInt8Blocked(t, newI8Problem(rng, m, n, k), m, n, k)
 				}
 			}
 		}
+		for _, fill := range []func(i int) int8{
+			func(int) int8 { return -127 },
+			func(i int) int8 { return int8(127 - 254*(i%2)) },
+		} {
+			m, n, k := 6, 33, i8KC
+			p := newI8Problem(rng, m, n, k)
+			for i := range p.a {
+				p.a[i] = fill(i)
+			}
+			for i := range p.b {
+				p.b[i] = fill(i)
+			}
+			p.ref = refInt8GEMM(p.a, p.b, m, n, k)
+			if got := max(p.ref[0], -p.ref[0]); got != int32(k*127*127) {
+				t.Fatalf("extreme operands sum to %d, want ±%d", got, k*127*127)
+			}
+			checkInt8Blocked(t, p, m, n, k)
+		}
+	})
+}
+
+// checkInt8Blocked runs p on the blocked path through every entry point and
+// call form and compares each stored element with the oracle's epilogue.
+func checkInt8Blocked(t *testing.T, p i8Problem, m, n, k int) {
+	t.Helper()
+	forceBlocked(func() {
+		withWorkers(3, func() {
+			got32 := make([]int32, m*n)
+			Int8GEMMInto(got32, p.a, p.b, m, n, k)
+			for i, acc := range p.ref {
+				if got32[i] != acc {
+					t.Fatalf("m=%d n=%d k=%d int32: element %d = %d, want %d", m, n, k, i, got32[i], acc)
+				}
+			}
+			for _, form := range []struct {
+				name string
+				leaf bool
+				ldc  int
+			}{{"dispatched", false, 0}, {"leaf", true, 0}, {"window", false, n + 5}} {
+				ep := Int8Epilogue{Bias: p.bias, Mult: p.mult, Lo: p.lo, Hi: p.hi, Leaf: form.leaf, Ldc: form.ldc}
+				ldc := max(form.ldc, n)
+				got8, gotF := make([]int8, (m-1)*ldc+n), make([]float32, (m-1)*ldc+n)
+				Int8GEMMRequantInto(got8, p.a, p.b, m, n, k, ep)
+				Int8GEMMDequantInto(gotF, p.a, p.b, m, n, k, ep)
+				for i, acc := range p.ref {
+					r, c := i/n, i%n
+					want8 := RequantizeRNE(acc+p.bias[r], p.mult[r], p.lo, p.hi)
+					wantF := float32(float64(acc+p.bias[r]) * float64(p.mult[r]))
+					if got8[r*ldc+c] != want8 || math.Float32bits(gotF[r*ldc+c]) != math.Float32bits(wantF) {
+						t.Fatalf("m=%d n=%d k=%d %s: element (%d,%d) = %d / %v, want %d / %v", m, n, k, form.name, r, c, got8[r*ldc+c], gotF[r*ldc+c], want8, wantF)
+					}
+				}
+			}
+		})
 	})
 }
 
@@ -232,12 +259,17 @@ func requireSeam(t *testing.T, name string) {
 	if got := !samefn(gemmMicro, gemmMicroFunc(microKernelRef)); got != asm {
 		t.Errorf("gemmMicro is assembly: %v, want %v", got, asm)
 	}
-	avx512, avx2, _ := nativeKernels()
+	avx512, avx2, i8AVX2, i8VNNI := nativeKernels()
 	if want := map[string]gemmMicroFunc{"purego": microKernelRef, "avx2": avx2, "avx512": avx512}[name]; !samefn(gemmMicro, want) {
 		t.Errorf("gemmMicro is not the %s kernel", name)
 	}
-	if got := !samefn(i8Micro, i8MicroFunc(i8MicroKernelRef)); got != asm {
-		t.Errorf("i8Micro is assembly: %v, want %v", got, asm)
+	// avx512 takes the VNNI int8 tile where the CPU has one, else AVX2's.
+	wantI8, wantI8Name := map[string]i8MicroFunc{"purego": i8MicroKernelRef, "avx2": i8AVX2, "avx512": i8AVX2}[name], map[bool]string{true: "avx2", false: "purego"}[asm]
+	if name == "avx512" && i8VNNI != nil {
+		wantI8, wantI8Name = i8VNNI, "avx512vnni"
+	}
+	if !samefn(i8Micro, wantI8) {
+		t.Errorf("i8Micro is not the %s kernel", wantI8Name)
 	}
 	if want := map[bool]int{true: gemmMinBlockedKAsm, false: gemmMinBlockedKPure}[asm]; gemmMinBlockedK != want {
 		t.Errorf("gemmMinBlockedK = %d, want %d", gemmMinBlockedK, want)
@@ -250,8 +282,8 @@ func requireSeam(t *testing.T, name string) {
 			t.Errorf("rows.%s is nil: %v, want %v", table.Type().Field(i).Name, f.IsNil(), !asm)
 		}
 	}
-	if want := map[bool]string{true: "avx2", false: "purego"}[asm]; KernelName() != name || Int8KernelName() != want {
-		t.Errorf("kernel names %q and %q, want %q and %q", KernelName(), Int8KernelName(), name, want)
+	if KernelName() != name || Int8KernelName() != wantI8Name {
+		t.Errorf("kernel names %q and %q, want %q and %q", KernelName(), Int8KernelName(), name, wantI8Name)
 	}
 }
 
@@ -353,7 +385,7 @@ func TestSetKernel(t *testing.T) {
 			t.Fatalf("failed SetKernel(%q) changed selection to %q", name, KernelName())
 		}
 	}
-	avx512, avx2, _ := nativeKernels()
+	avx512, avx2, _, _ := nativeKernels()
 	have := map[string]bool{"avx2": avx2 != nil, "avx512": avx512 != nil}
 	for _, name := range []string{"avx2", "avx512"} {
 		err := SetKernel(name)

@@ -384,6 +384,17 @@ func TestGemmPoolMixedTypes(t *testing.T) {
 // it has built since it was last emptied.
 func (l *FreeList[T]) parked() int { return l.Len() }
 
+// fill makes l hold at least n records.
+func (l *FreeList[T]) fill(n int) {
+	held := make([]*T, n)
+	for i := range held {
+		held[i] = l.Get()
+	}
+	for _, x := range held {
+		l.Put(x)
+	}
+}
+
 // empty drops every buffer l holds, so that parked counts from here on.
 func (l *FreeList[T]) empty() {
 	l.mu.Lock()
@@ -737,7 +748,12 @@ func testRowProductBandsMatchWhole(t *testing.T) {
 // parallelRange body, where a call that dispatched to the pool could
 // deadlock. Leaf calls above the parallel threshold, several at once, give
 // the bytes of the dispatched call — requantized and dequantized — and a warm
-// one allocates nothing, under every kernel.
+// one allocates nothing, under every kernel. Warm means the free lists hold
+// a record for every chunk that can be in flight — parallelRange's task, and
+// a task and a panel per lane — so they are filled to that, not left to the
+// warm-up's timing: lanes that ran one after another there (GOMAXPROCS 1)
+// and overlapped in a measured run (one preempted mid-call, which a loaded
+// host makes likely) missed in taskFree and i8ScratchFree, and allocated.
 func TestInt8LeafCallsMatchDispatched(t *testing.T) {
 	eachKernel(t, testInt8LeafCallsMatchDispatched)
 }
@@ -770,6 +786,8 @@ func testInt8LeafCallsMatchDispatched(t *testing.T) {
 	}
 	withWorkers(lanes, func() {
 		parallelRange(lanes, body)
+		taskFree.fill(lanes + 1)
+		i8ScratchFree.fill(lanes)
 		for i := range got8 {
 			if !slices.Equal(got8[i], want8) || firstBitDiff(gotF[i], wantF) >= 0 {
 				t.Fatalf("lane %d: a leaf call differs from the dispatched one", i)

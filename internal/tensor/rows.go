@@ -32,6 +32,8 @@ type rowKernels struct {
 	requant    func(dst *int8, acc *int32, n int, bias int32, mult float32, lo, hi int8)
 	rescale    func(dst, src *int8, n int, mult float32, lo, hi int8)
 	storeTileI func(dst *int8, ldc int, tile *[i8MR * i8NR]int32, bias *int32, mult *float32, lo, hi int8)
+	packA      func(dst *int16, src *int8, lda, chunks int)
+	packB      func(dst, src *int8, ldb, pairs int)
 	quantize   func(dst *int8, src *float32, n int, inv float64)
 	dequantize func(dst *float32, src *int8, n int, scale float32)
 }

@@ -6,7 +6,7 @@ import "skynet/internal/cpufeat"
 
 // Declarations for the AVX2 row kernels implemented in rows_avx2_amd64.s.
 // Each takes raw pointers and an element count that is a positive multiple
-// of its lane count (rows.go's wrappers check the bounds and keep the
+// of its lane count (its Go caller checks the bounds and keeps the
 // remainder for the Go loop), touches exactly the elements its Go loop would,
 // and produces exactly that loop's bits: float routines multiply and add with
 // separately rounded VMULPS/VADDPS in the loop's order (never FMA), integer
@@ -78,11 +78,26 @@ func requantRowAVX2(dst *int8, acc *int32, n int, bias int32, mult float32, lo, 
 func rescaleAVX2(dst, src *int8, n int, mult float32, lo, hi int8)
 
 // storeTileI8AVX2 is i8gemmCall.storeTile's requantising form for a whole
-// 4×8 tile; bias (nil for none) and mult address row 0 of the tile.
+// 4×16 tile; bias (nil for none) and mult address row 0 of the tile.
 //
 //go:noescape
 //skynet:hotpath
 func storeTileI8AVX2(dst *int8, ldc int, tile *[i8MR * i8NR]int32, bias *int32, mult *float32, lo, hi int8)
+
+// packAI8AVX2 is i8gemmCall.packA's loop over the first 16·chunks columns of
+// one full 4-row panel (rows at src + r·lda), 8 k pairs per chunk.
+//
+//go:noescape
+//skynet:hotpath
+func packAI8AVX2(dst *int16, src *int8, lda, chunks int)
+
+// packBI8AVX2 is i8gemmCall.packB's loop over the complete k pairs of one
+// full 16-column panel: pair t interleaves the 16 bytes at src+2t·ldb with
+// the 16 at src+(2t+1)·ldb into 32 bytes of dst.
+//
+//go:noescape
+//skynet:hotpath
+func packBI8AVX2(dst, src *int8, ldb, pairs int)
 
 // quantizeAVX2 is QuantizeRow over n values.
 //
@@ -114,6 +129,8 @@ func nativeRowKernels() rowKernels {
 		requant:    requantRowAVX2,
 		rescale:    rescaleAVX2,
 		storeTileI: storeTileI8AVX2,
+		packA:      packAI8AVX2,
+		packB:      packBI8AVX2,
 		quantize:   quantizeAVX2,
 		dequantize: dequantizeAVX2,
 	}

@@ -3,9 +3,10 @@
 #include "textflag.h"
 
 // AVX2 row kernels: the vector halves of the row loops in rows.go,
-// internal/nn and internal/quant. Every routine takes an element count that
-// is a positive multiple of its lane count and touches exactly those
-// elements. Operand order matters wherever a NaN or a signed zero can reach
+// internal/nn and internal/quant, and of the int8 GEMM's two packers. Every
+// routine takes an element count that is a positive multiple of its lane
+// count (the packers: whole k pairs, whole 16-column chunks) and touches
+// exactly those elements. Operand order matters wherever a NaN or a signed zero can reach
 // a VMAXPS/VMINPS — both return their SECOND source (the first operand in Go
 // syntax) when either source is NaN or both are zero — and is chosen per
 // routine so that the result is the Go loop's, bit for bit. Multiplies and
@@ -554,7 +555,9 @@ rescaleloop:
 	VZEROUPPER
 	RET
 
-// func storeTileI8AVX2(dst *int8, ldc int, tile *[32]int32, bias *int32, mult *float32, lo, hi int8)
+// func storeTileI8AVX2(dst *int8, ldc int, tile *[64]int32, bias *int32, mult *float32, lo, hi int8)
+//
+// Row by row: the row's bias and multiplier, then its two 8-lane halves.
 TEXT ·storeTileI8AVX2(SB), NOSPLIT, $0-42
 	MOVQ dst+0(FP), DI
 	MOVQ ldc+8(FP), R8
@@ -572,17 +575,88 @@ sti8bias:
 	XORQ AX, AX
 
 sti8row:
-	VPBROADCASTD (R9)(AX*1), Y0
-	VPADDD (SI), Y0, Y0
+	VPBROADCASTD (R9)(AX*1), Y8
 	MULT64((R10)(AX*1))
+	VPADDD (SI), Y8, Y0
 	REQUANT8
 	VMOVQ X0, (DI)
+	VPADDD 32(SI), Y8, Y0
+	REQUANT8
+	VMOVQ X0, 8(DI)
 	ADDQ R8, DI
-	ADDQ $32, SI
+	ADDQ $64, SI
 	ADDQ $4, AX
 	CMPQ AX, $16
 	JNE  sti8row
 	VZEROUPPER
+	RET
+
+// func packAI8AVX2(dst *int16, src *int8, lda, chunks int)
+//
+// A chunk is 16 columns of the four rows: sign-extended, each row is eight
+// int16 pairs (dwords) in a YMM; a 4×4 dword transpose per 128-bit lane
+// (VPUNPCK{L,H}DQ, then VPUNPCK{L,H}QDQ) makes pair groups [p | p+4], and
+// VPERM2I128 puts them back in pair order.
+TEXT ·packAI8AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ lda+16(FP), R8
+	MOVQ chunks+24(FP), CX
+	LEAQ (SI)(R8*2), R10
+
+packailoop:
+	VPMOVSXBW (SI), Y0
+	VPMOVSXBW (SI)(R8*1), Y1
+	VPMOVSXBW (R10), Y2
+	VPMOVSXBW (R10)(R8*1), Y3
+	VPUNPCKLDQ Y1, Y0, Y4
+	VPUNPCKHDQ Y1, Y0, Y5
+	VPUNPCKLDQ Y3, Y2, Y6
+	VPUNPCKHDQ Y3, Y2, Y7
+	VPUNPCKLQDQ Y6, Y4, Y0
+	VPUNPCKHQDQ Y6, Y4, Y1
+	VPUNPCKLQDQ Y7, Y5, Y2
+	VPUNPCKHQDQ Y7, Y5, Y3
+	VPERM2I128 $0x20, Y1, Y0, Y4
+	VPERM2I128 $0x20, Y3, Y2, Y5
+	VPERM2I128 $0x31, Y1, Y0, Y6
+	VPERM2I128 $0x31, Y3, Y2, Y7
+	VMOVDQU Y4, (DI)
+	VMOVDQU Y5, 32(DI)
+	VMOVDQU Y6, 64(DI)
+	VMOVDQU Y7, 96(DI)
+	ADDQ $16, SI
+	ADDQ $16, R10
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  packailoop
+	VZEROUPPER
+	RET
+
+// func packBI8AVX2(dst, src *int8, ldb, pairs int)
+//
+// Pair t: the 16 bytes of row 2t and of row 2t+1, interleaved byte by byte
+// (VPUNPCKLBW for columns 0-7, VPUNPCKHBW for 8-15) into 32 bytes of dst.
+TEXT ·packBI8AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ldb+16(FP), R8
+	MOVQ pairs+24(FP), CX
+	LEAQ (SI)(R8*1), R9
+	SHLQ $1, R8
+
+packi8loop:
+	VMOVDQU (SI), X0
+	VMOVDQU (R9), X1
+	VPUNPCKLBW X1, X0, X2
+	VPUNPCKHBW X1, X0, X3
+	VMOVDQU X2, (DI)
+	VMOVDQU X3, 16(DI)
+	ADDQ R8, SI
+	ADDQ R8, R9
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  packi8loop
 	RET
 
 // func quantizeAVX2(dst *int8, src *float32, n int, inv float64)
