@@ -10,7 +10,7 @@ GO ?= go
 COVER_FLOOR ?= 60
 COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/nn:85 ./internal/pipeline:90 ./internal/detect:$(COVER_FLOOR) ./internal/quant:80 ./internal/track:85 ./internal/fpga:95 ./internal/bundle:90 ./internal/backbone:93 ./internal/modelspec:92 ./internal/core:94
 
-.PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-smoke bench-quant cover check ci
+.PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-smoke bench-quant cover experiments-check check ci
 
 all: ci
 
@@ -211,10 +211,24 @@ cover:
 	done; \
 	exit $$fail
 
+# experiments-check holds the paper's record to the code: it reruns every
+# registered table and figure at the record's options (seed 1, quick mode)
+# and compares each with its block of experiments_output.txt and its section
+# of EXPERIMENTS.md, naming the first table and line that differ. Only the
+# cells of the columns a table marks as wall-clock (Table.WallClock: FPS (Go)
+# in Tables 8 and 9) are masked, on both sides. Regenerate the record with
+#   go run ./cmd/skynet-experiments -exp all -quiet -md tables.md > experiments_output.txt
+# and paste the tables of tables.md into EXPERIMENTS.md. The run takes about
+# nine minutes on two vCPUs, near go test's ten-minute default, so the
+# timeout is explicit.
+experiments-check:
+	$(GO) test -tags experimentscheck -run TestRecordMatchesCode -count=1 -timeout 30m ./internal/experiments
+
 # ci is the single verification entry point: everything must pass before a
 # commit lands. cover enforces the per-package floors above; bench-smoke
-# keeps the benchmark module building and passing against this tree.
-ci: vet lint test race purego arm64 build binaries cover bench-smoke
+# keeps the benchmark module building and passing against this tree;
+# experiments-check, the longest step, keeps the paper's record current.
+ci: vet lint test race purego arm64 build binaries cover bench-smoke experiments-check
 
 # check is kept as an alias for ci (the historical name).
 check: ci

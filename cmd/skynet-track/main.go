@@ -17,9 +17,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -33,23 +36,48 @@ import (
 )
 
 func main() {
-	var (
-		bb     = flag.String("backbone", "skynet", "backbone: skynet, resnet50, alexnet")
-		mask   = flag.Bool("mask", false, "train the SiamMask-style variant (mask head)")
-		steps  = flag.Int("steps", 900, "training steps")
-		lr     = flag.Float64("lr", 0.01, "learning rate")
-		nTrain = flag.Int("train", 6, "training sequences")
-		nEval  = flag.Int("eval", 3, "evaluation sequences")
-		length = flag.Int("length", 12, "frames per sequence")
-		seed   = flag.Int64("seed", 1, "random seed")
-		render = flag.Bool("render", false, "ASCII-render tracked frames of the first eval sequence")
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "skynet-track: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-		addr     = flag.String("serve", "", "after training, serve the tracker on this HTTP address")
-		ttl      = flag.Duration("ttl", 5*time.Minute, "idle session time-to-live for -serve")
-		maxSess  = flag.Int("max-sessions", 1024, "session table bound for -serve")
-		drainDur = flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM for -serve")
+// run trains and evaluates the tracker the flags name, writing its report to
+// stdout, and with -serve serves it until SIGTERM.
+func run(args []string, stdout io.Writer) error {
+	w := bufio.NewWriter(stdout)
+	fs := flag.NewFlagSet("skynet-track", flag.ContinueOnError)
+	var (
+		bb     = fs.String("backbone", "skynet", "backbone: skynet, resnet50, alexnet")
+		mask   = fs.Bool("mask", false, "train the SiamMask-style variant (mask head)")
+		steps  = fs.Int("steps", 900, "training steps")
+		lr     = fs.Float64("lr", 0.01, "learning rate")
+		nTrain = fs.Int("train", 6, "training sequences")
+		nEval  = fs.Int("eval", 3, "evaluation sequences")
+		length = fs.Int("length", 12, "frames per sequence")
+		seed   = fs.Int64("seed", 1, "random seed")
+		render = fs.Bool("render", false, "ASCII-render tracked frames of the first eval sequence")
+
+		addr     = fs.String("serve", "", "after training, serve the tracker on this HTTP address")
+		ttl      = fs.Duration("ttl", 5*time.Minute, "idle session time-to-live for -serve")
+		maxSess  = fs.Int("max-sessions", 1024, "session table bound for -serve")
+		drainDur = fs.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM for -serve")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch {
+	case *nTrain < 1:
+		return fmt.Errorf("-train %d: need at least one training sequence", *nTrain)
+	case *nEval < 1:
+		return fmt.Errorf("-eval %d: need at least one evaluation sequence", *nEval)
+	case *length < 2:
+		return fmt.Errorf("-length %d: a sequence needs a template frame and one to track", *length)
+	case *render && *length < 3:
+		return fmt.Errorf("-length %d: -render shows every third frame and needs at least 3", *length)
+	}
 
 	cfg := dataset.DefaultConfig()
 	cfg.W, cfg.H = 96, 96
@@ -74,19 +102,19 @@ func main() {
 	case "alexnet":
 		tr = track.New(backbone.AlexNetFeatures(rng, bcfg), bcfg.ScaledChannels(256), tcfg)
 	default:
-		fmt.Fprintf(os.Stderr, "skynet-track: unknown backbone %q\n", *bb)
-		os.Exit(2)
+		return fmt.Errorf("-backbone %q: unknown backbone", *bb)
 	}
 
-	fmt.Printf("training %s tracker (%d steps, mask=%v)...\n", *bb, *steps, *mask)
+	fmt.Fprintf(w, "training %s tracker (%d steps, mask=%v)...\n", *bb, *steps, *mask)
 	tr.Train(trainSeqs, track.TrainConfig{
 		Steps: *steps, LR: float32(*lr), Seed: *seed,
 		Progress: func(step int, loss float64) {
-			fmt.Printf("  step %4d  loss %.4f\n", step, loss)
+			fmt.Fprintf(w, "  step %4d  loss %.4f\n", step, loss)
+			_ = w.Flush() // a failed write sticks, and the last Flush reports it
 		},
 	})
 	res := tr.Evaluate(evalSeqs)
-	fmt.Printf("\nAO %.3f  SR@0.50 %.3f  SR@0.75 %.3f  (%d frames, %.1f FPS on this machine)\n",
+	fmt.Fprintf(w, "\nAO %.3f  SR@0.50 %.3f  SR@0.75 %.3f  (%d frames, %.1f FPS on this machine)\n",
 		res.AO, res.SR50, res.SR75, res.Frames, res.FPS)
 
 	if *render {
@@ -100,7 +128,7 @@ func main() {
 				}
 				box = tr.StepBox(zf, seq.Frames[g], box)
 			}
-			fmt.Printf("\nframe %d (IoU %.3f):\n%s", f, box.IoU(seq.Boxes[f]),
+			fmt.Fprintf(w, "\nframe %d (IoU %.3f):\n%s", f, box.IoU(seq.Boxes[f]),
 				dataset.ASCIIRender(seq.Frames[f], seq.Boxes[f], box, 56))
 		}
 	}
@@ -111,19 +139,21 @@ func main() {
 			TTL:         *ttl,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skynet-track: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		fmt.Printf("skynet-track: tracking service on %s (sessions<=%d, ttl %s)\n",
+		fmt.Fprintf(w, "skynet-track: tracking service on %s (sessions<=%d, ttl %s)\n",
 			*addr, *maxSess, *ttl)
+		if err := w.Flush(); err != nil {
+			return err
+		}
 		if err := ts.ListenAndServe(ctx, *addr, *drainDur); err != nil {
-			fmt.Fprintf(os.Stderr, "skynet-track: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		m := ts.Metrics()
-		fmt.Printf("skynet-track: drained — %d sessions started, %d frames stepped, %d evicted\n",
+		fmt.Fprintf(w, "skynet-track: drained — %d sessions started, %d frames stepped, %d evicted\n",
 			m.Started, m.Steps, m.Evicted)
 	}
+	return w.Flush()
 }

@@ -97,6 +97,9 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// WallClock names the columns measured on this machine's clock: their
+	// cells vary from run to run, so the record check masks them.
+	WallClock []string
 }
 
 // Render prints the table with aligned columns.

@@ -395,3 +395,115 @@ func TestFig2aFMColumnIsOneImage(t *testing.T) {
 		t.Fatalf("float32 FMs %s KB, want 22.8", a[0])
 	}
 }
+
+// maskRendered rewrites a Render block's table rows as their cells joined
+// by " | ", with every cell under a header in cols replaced by "*". The
+// columns are read off the block's dashed rule, so the mask does not depend
+// on how wide a masked cell happens to be; the title and notes are kept
+// verbatim.
+func maskRendered(block string, cols []string) string {
+	lines := strings.Split(block, "\n")
+	if len(cols) == 0 || len(lines) < 3 {
+		return block
+	}
+	var starts []int // in runes: Render pads each cell to a rune count
+	for i, c := range lines[2] {
+		if c == '-' && (i == 0 || lines[2][i-1] == ' ') {
+			starts = append(starts, i)
+		}
+	}
+	cellsOf := func(line string) []string {
+		r := []rune(line)
+		cells := make([]string, len(starts))
+		for i, s := range starts {
+			end := len(r)
+			if i+1 < len(starts) && starts[i+1] < end {
+				end = starts[i+1]
+			}
+			if s < end {
+				cells[i] = strings.TrimSpace(string(r[s:end]))
+			}
+		}
+		return cells
+	}
+	masked := markedColumns(cellsOf(lines[1]), cols)
+	for k := 1; k < len(lines) && lines[k] != "" && !strings.HasPrefix(lines[k], "note: "); k++ {
+		cells := cellsOf(lines[k])
+		for _, i := range masked {
+			if k > 2 {
+				cells[i] = "*"
+			}
+		}
+		lines[k] = strings.Join(cells, " | ")
+	}
+	return strings.Join(lines, "\n")
+}
+
+// maskMarkdown replaces, in a Markdown rendering, every data cell under a
+// header in cols with "*".
+func maskMarkdown(md string, cols []string) string {
+	lines := strings.Split(md, "\n")
+	var masked []int
+	header := -1
+	for k, l := range lines {
+		if !strings.HasPrefix(l, "| ") {
+			continue
+		}
+		cells := strings.Split(strings.TrimSuffix(strings.TrimPrefix(l, "| "), " |"), " | ")
+		switch {
+		case header < 0:
+			header, masked = k, markedColumns(cells, cols)
+		case k > header+1:
+			for _, i := range masked {
+				if i < len(cells) {
+					cells[i] = "*"
+				}
+			}
+			lines[k] = "| " + strings.Join(cells, " | ") + " |"
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// markedColumns returns the indices of the header cells named in cols.
+func markedColumns(header, cols []string) []int {
+	var idx []int
+	for i, h := range header {
+		for _, c := range cols {
+			if h == c {
+				idx = append(idx, i)
+			}
+		}
+	}
+	return idx
+}
+
+// TestWallClockMaskHidesOnlyMarkedCells: the record check's mask hides the
+// cells of a table's wall-clock columns, however wide they render, and
+// nothing else.
+func TestWallClockMaskHidesOnlyMarkedCells(t *testing.T) {
+	tab := func(fps, ao string) Table {
+		return Table{
+			ID: "T", Title: "demo",
+			Header:    []string{"Backbone", "AO", "FPS (Go)"},
+			Rows:      [][]string{{"SkyNet", ao, fps}, {"AlexNet", "0.2", "7.0"}},
+			Notes:     []string{"n"},
+			WallClock: []string{"FPS (Go)"},
+		}
+	}
+	a, b, c := tab("12.5", "0.1"), tab("1234.5", "0.1"), tab("12.5", "0.3")
+	a.Rows[1][0], b.Rows[1][0], c.Rows[1][0] = "AlexNet×2", "AlexNet×2", "AlexNet×2"
+	if maskRendered(a.Render(), a.WallClock) != maskRendered(b.Render(), b.WallClock) {
+		t.Fatalf("renders differing only in FPS (Go) differ after the mask:\n%s\n%s", a.Render(), b.Render())
+	}
+	if maskMarkdown(a.Markdown(), a.WallClock) != maskMarkdown(b.Markdown(), b.WallClock) {
+		t.Fatal("Markdown differing only in FPS (Go) differs after the mask")
+	}
+	if maskRendered(a.Render(), a.WallClock) == maskRendered(c.Render(), c.WallClock) ||
+		maskMarkdown(a.Markdown(), a.WallClock) == maskMarkdown(c.Markdown(), c.WallClock) {
+		t.Fatal("the mask hid a change of the AO column")
+	}
+	if got := maskRendered(a.Render(), nil); got != a.Render() {
+		t.Fatalf("a table with no wall-clock column is not left as rendered:\n%s", got)
+	}
+}

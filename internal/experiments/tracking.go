@@ -79,9 +79,10 @@ func Table8(o Options) Table {
 	}
 	seqs := trackingSequences(o, nTrain+nEval)
 	t := Table{
-		ID:     "Table 8",
-		Title:  "SiamRPN++-style trackers on synthetic GOT-10k sequences",
-		Header: []string{"Backbone", "AO", "SR0.50", "SR0.75", "FPS (Go)", "FPS (1080Ti model)", "Paper AO", "Paper FPS"},
+		ID:        "Table 8",
+		Title:     "SiamRPN++-style trackers on synthetic GOT-10k sequences",
+		Header:    []string{"Backbone", "AO", "SR0.50", "SR0.75", "FPS (Go)", "FPS (1080Ti model)", "Paper AO", "Paper FPS"},
+		WallClock: []string{"FPS (Go)"},
 		Notes: []string{
 			"backbones at width 0.125 / stride 8 on 96x96 frames; 1080Ti FPS from the roofline + per-kernel launch model",
 		},
@@ -118,9 +119,10 @@ func Table9(o Options) Table {
 	}
 	seqs := trackingSequences(o, nTrain+nEval)
 	t := Table{
-		ID:     "Table 9",
-		Title:  "SiamMask-style trackers on synthetic sequences",
-		Header: []string{"Backbone", "AO", "SR0.50", "SR0.75", "FPS (Go)", "FPS (1080Ti model)", "Paper AO", "Paper FPS"},
+		ID:        "Table 9",
+		Title:     "SiamMask-style trackers on synthetic sequences",
+		Header:    []string{"Backbone", "AO", "SR0.50", "SR0.75", "FPS (Go)", "FPS (1080Ti model)", "Paper AO", "Paper FPS"},
+		WallClock: []string{"FPS (Go)"},
 		Notes: []string{
 			"mask supervision from generator masks (stand-in for Youtube-VOS)",
 		},
