@@ -116,7 +116,9 @@ short:
 # nn.MaxParallelism and tensor.MaxParallelism at 0 the lane count is
 # GOMAXPROCS and any test that leaves one of them unpinned sees all three.
 # The Bundle-step, Concat-alias and layout tests ride along: what a lane
-# writes where is theirs to hold. So do the calibration tests: the band
+# writes where is theirs to hold. So do the stale-weights and whole-band
+# depth-wise tests: every band worker reads the convolutions' packed panels,
+# which a forward writes before its lanes start. So do the calibration tests: the band
 # workers of a split Bundle step feed the same running maxima at once, and how
 # many there are depends on the worker count. The serving lane and pool tests
 # get the same three runs: N inference workers share one queue, and how they
@@ -140,7 +142,7 @@ short:
 # backward runs through them) get the three runs too.
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool.
-LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration
+LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite
 STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
 LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers

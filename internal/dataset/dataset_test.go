@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -46,8 +47,8 @@ func TestSceneBasics(t *testing.T) {
 	if s.Image.Dim(0) != 3 || s.Image.Dim(1) != 48 || s.Image.Dim(2) != 96 {
 		t.Fatalf("image shape %v", s.Image.Shape())
 	}
-	if s.Image.Min() < 0 || s.Image.Max() > 1 {
-		t.Fatalf("pixel range [%v, %v] outside [0,1]", s.Image.Min(), s.Image.Max())
+	if slices.Min(s.Image.Data) < 0 || slices.Max(s.Image.Data) > 1 {
+		t.Fatalf("pixel range [%v, %v] outside [0,1]", slices.Min(s.Image.Data), slices.Max(s.Image.Data))
 	}
 	if s.Category < 0 || s.Category >= NumCategories {
 		t.Fatalf("category %d", s.Category)
@@ -188,7 +189,7 @@ func TestQuickResizeRangeBounded(t *testing.T) {
 		img := tensor.New(1, 4+rng.Intn(8), 4+rng.Intn(8))
 		img.RandUniform(rng, 0, 1)
 		r := BilinearResize(img, 3+rng.Intn(10), 3+rng.Intn(10))
-		return r.Min() >= img.Min()-1e-6 && r.Max() <= img.Max()+1e-6
+		return slices.Min(r.Data) >= slices.Min(img.Data)-1e-6 && slices.Max(r.Data) <= slices.Max(img.Data)+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -191,7 +191,7 @@ func makeToySamples(rng *rand.Rand, n, c, h, w int) []Sample {
 func TestTrainDetectorLearns(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	head := NewHead(nil)
-	g := nn.Sequential(
+	g := sequential(
 		nn.NewConv2D(rng, 1, 8, 3, 1, 1, false),
 		nn.NewBatchNorm(8),
 		nn.NewReLU6(),
@@ -364,4 +364,13 @@ func TestPostprocessRefusesNonFinitePredictions(t *testing.T) {
 	if boxes[0] != (Box{}) || confs[0] != 0 {
 		t.Fatalf("Decode of an all-NaN prediction: %+v conf %v, want the zero box at 0", boxes[0], confs[0])
 	}
+}
+
+// sequential chains layers, each fed by the one before.
+func sequential(layers ...nn.Layer) *nn.Graph {
+	g := nn.NewGraph()
+	for _, l := range layers {
+		g.Add(l)
+	}
+	return g
 }

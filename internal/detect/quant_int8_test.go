@@ -21,7 +21,7 @@ func TestQuantizedDetectionIoU(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	head := NewHead(nil)
-	g := nn.Sequential(
+	g := sequential(
 		nn.NewConv2D(rng, 1, 8, 3, 1, 1, false),
 		nn.NewBatchNorm(8),
 		nn.NewReLU6(),

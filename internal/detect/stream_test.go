@@ -194,7 +194,7 @@ func (m *recorder) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // second frame through the same model is that frame's own forward.
 func TestInferBatchOfOneIsAView(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	g := nn.Sequential(
+	g := sequential(
 		nn.NewDWConv3(rng, 3, 3, false),
 		nn.NewPWConv1(rng, 3, 8, false),
 		nn.NewBatchNorm(8),
@@ -456,7 +456,7 @@ func TestMeanIoUEmptySamples(t *testing.T) {
 func TestTrainDetectorEmptySamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	head := NewHead(nil)
-	g := nn.Sequential(nn.NewPWConv1(rng, 1, head.Channels(), true))
+	g := sequential(nn.NewPWConv1(rng, 1, head.Channels(), true))
 	loss := TrainDetector(g, head, nil, TrainConfig{
 		Epochs: 3, BatchSize: 8, LR: nn.LRSchedule{Start: 0.01, End: 0.001, Epochs: 3},
 	})
@@ -553,4 +553,13 @@ func TestStreamExecutorConcurrentRunsMatchSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// sequential chains layers, each fed by the one before.
+func sequential(layers ...nn.Layer) *nn.Graph {
+	g := nn.NewGraph()
+	for _, l := range layers {
+		g.Add(l)
+	}
+	return g
 }

@@ -156,7 +156,7 @@ func (t Table) Markdown() string {
 		if strings.Contains(n, "\n") {
 			continue // ASCII art does not belong in Markdown tables
 		}
-		fmt.Fprintf(&sb, "\n*%s*\n", n)
+		fmt.Fprintf(&sb, "\n*%s*\n", strings.TrimSpace(n)) // emphasis does not open on a space
 	}
 	return sb.String()
 }

@@ -341,7 +341,7 @@ func TestTableMarkdown(t *testing.T) {
 		ID: "T", Title: "demo",
 		Header: []string{"A", "B"},
 		Rows:   [][]string{{"1", "2"}},
-		Notes:  []string{"plain note", "multi\nline art"},
+		Notes:  []string{"plain note", "multi\nline art", "  1 indented key -> value "},
 	}
 	md := tab.Markdown()
 	if !strings.Contains(md, "| A | B |") || !strings.Contains(md, "| 1 | 2 |") {
@@ -349,6 +349,10 @@ func TestTableMarkdown(t *testing.T) {
 	}
 	if !strings.Contains(md, "*plain note*") || strings.Contains(md, "line art") {
 		t.Fatalf("markdown notes handling wrong:\n%s", md)
+	}
+	// Emphasis opens only on a non-space: "*  1 …*" shows its asterisks.
+	if !strings.Contains(md, "\n*1 indented key -> value*\n") {
+		t.Fatalf("an indented note is not emphasis:\n%s", md)
 	}
 }
 

@@ -17,20 +17,21 @@ import "skynet/internal/tensor"
 // workers at once under a split, the rows below a pool's last whole window
 // included: nothing else reads those, and only an observed step computes them.
 //
-// Nothing is computed differently: the rows come from DWRow, the product
-// from the GEMM entry point Conv2D.forwardImage uses, with the row tail, and
-// the maxima from maxPoolInto. Where the bands are cut — it depends on how
-// many workers a lone lane splits an image across (plan.go) — decides which
-// call computes an element, never how.
+// Nothing is computed differently: the rows come from DWConv3.rows, the
+// product from Conv2D.forwardImage's GEMM entry point over the weights packed
+// as the forward began, with the row tail, and the maxima from maxPoolInto.
+// Where the bands are cut — it depends on how many workers a lone lane splits
+// an image across (plan.go) — decides which call computes an element, never how.
 
 // bandBudget is what one band may occupy, in bytes — its depth-wise rows
 // and, under a pool, its product, which share its worker's buffer — unless
 // one pool window is larger. The buffer is as long as the plan's largest
 // band. Measured at SkyNet C's six Bundles from 256 KiB to 4 MiB (DESIGN
-// §6): the early Bundles do not care, and the late, wide ones lose to their
-// step-per-node form below 1 MiB, where a band is too few columns to pay
-// for packing the weights again. A variable so that tests can cut small
-// inputs into bands of a row or two.
+// §6), the weights packed once per forward: 1 MiB has the least total; the
+// first Bundle gains a little below it and loses above, and the late, wide
+// ones lose below it, where a band is too few columns to pay for streaming
+// all of the packed weights once more. A variable so that tests can cut
+// small inputs into bands of a row or two.
 var bandBudget = 1 << 20
 
 // band is a Bundle step's structure. A unit of its work is k depth-wise
@@ -88,6 +89,7 @@ type bandShare struct {
 	dst, src []float32
 	reorg    []float32
 	ep       tensor.RowEpilogue
+	packed   []float32 // the convolution's weights in panels (planNode.packed)
 	observe  func(node int, data []float32)
 	workers  []*lane
 }
@@ -161,7 +163,7 @@ func (a *bandShare) compute(buf []float32, r0, rows int) {
 		a.observe(b.head, dwb)
 	}
 	// BandOf: the unfused convolution multiplies the whole image at once.
-	p := tensor.RowProduct{M: c.OutC, N: n, K: c.InC, BandOf: cols, Ep: a.ep}
+	p := tensor.RowProduct{M: c.OutC, N: n, K: c.InC, BandOf: cols, Ep: a.ep, Packed: a.packed}
 	if b.pool < 0 {
 		p.Ldc = cols
 		at := r0 * d.outW

@@ -137,7 +137,7 @@ type convImages struct {
 func (a *convImages) WalkSample(lane, i int, leaf bool) {
 	c := a.c
 	imgSz, perImg := c.InC*c.inH*c.inW, c.OutC*c.outH*c.outW
-	c.forwardImage(a.dst[i*perImg:(i+1)*perImg], a.src[i*imgSz:(i+1)*imgSz], lane, c.epilogue(tensor.RowEpilogue{}), leaf)
+	c.forwardImage(a.dst[i*perImg:(i+1)*perImg], a.src[i*imgSz:(i+1)*imgSz], lane, c.epilogue(tensor.RowEpilogue{}), nil, leaf)
 }
 
 // record notes the geometry of a forward over n images [InC,h,w], which is
@@ -178,19 +178,19 @@ func (c *Conv2D) direct() bool { return c.K == 1 && c.Stride == 1 && c.Pad == 0 
 // forwardImage convolves one image [InC,inH,inW] of the recorded geometry
 // into dst on the given lane's scratch — the one convolution of both
 // walks. ep (epilogue) runs in the GEMM store: the inference plan fuses the
-// conv's sole-consumer BatchNorm and ReLU there. A leaf call multiplies on
-// the calling goroutine alone, as one lane among several must; the bits are
-// the same.
+// conv's sole-consumer BatchNorm and ReLU there, and hands in the weights
+// packed (RowProduct.Packed), or nil. A leaf call multiplies on the calling
+// goroutine alone, as one lane among several must; the bits are the same.
 //
 //skynet:hotpath
-func (c *Conv2D) forwardImage(dst, src []float32, lane int, ep tensor.RowEpilogue, leaf bool) {
+func (c *Conv2D) forwardImage(dst, src []float32, lane int, ep tensor.RowEpilogue, packed []float32, leaf bool) {
 	cols := c.outH * c.outW
 	if !c.direct() {
 		col := c.ws[lane].col.Data
 		tensor.Im2ColInto(col, src, c.InC, c.inH, c.inW, c.K, c.K, c.Stride, c.Pad)
 		src = col
 	}
-	p := tensor.RowProduct{M: c.OutC, N: cols, K: c.InC * c.K * c.K, Ep: ep}
+	p := tensor.RowProduct{M: c.OutC, N: cols, K: c.InC * c.K * c.K, Ep: ep, Packed: packed}
 	if leaf {
 		p.BandOf = cols
 	}
@@ -238,10 +238,10 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	dx := tensor.New(n, c.InC, c.inH, c.inW)
 	RunLanes(&convGrads{c, dout, dx}, n, lanes)
 	for i := 0; i < n; i++ {
-		c.Weight.G.AddInPlace(c.dwImg[i])
+		c.Weight.Grad().AddInPlace(c.dwImg[i])
 		if c.Bias != nil {
 			for o := 0; o < c.OutC; o++ {
-				c.Bias.G.Data[o] += c.dbImg[i*c.OutC+o]
+				c.Bias.Grad().Data[o] += c.dbImg[i*c.OutC+o]
 			}
 		}
 	}
@@ -412,7 +412,8 @@ func (d *DWConv3) planes(dst, src []float32, lo, hi int) {
 
 // rows computes consecutive output rows of channel ch's plane, as many as dst
 // holds starting at row oy, from the channel's input plane in [inH,inW] of
-// the recorded geometry.
+// the recorded geometry: a 3×3 band's rows under all three kernel rows in one
+// tensor.DW3Band call, the others on DWRow.
 //
 //skynet:hotpath
 func (d *DWConv3) rows(dst, in []float32, ch, oy int) {
@@ -422,8 +423,14 @@ func (d *DWConv3) rows(dst, in []float32, ch, oy int) {
 	if d.Bias != nil {
 		bias = d.Bias.W.Data[ch]
 	}
+	lo, hi := max(1-oy, 0), min(d.inH-1-oy, len(dst)/outW) // the rows under all three kernel rows
+	if k != 3 || d.Stride != 1 || d.Pad != 1 || lo >= hi || !tensor.DW3Band(dst[lo*outW:hi*outW], in[(oy+lo-1)*outW:], outW, ker, bias) {
+		lo, hi = 0, 0 // no band kernel call: every row on DWRow
+	}
 	for r := 0; r*outW < len(dst); r++ {
-		DWRow(dst[r*outW:(r+1)*outW], in, ker, bias, d.inH, d.inW, k, d.Stride, d.Pad, oy+r)
+		if r < lo || r >= hi {
+			DWRow(dst[r*outW:(r+1)*outW], in, ker, bias, d.inH, d.inW, k, d.Stride, d.Pad, oy+r)
+		}
 	}
 }
 
@@ -567,6 +574,9 @@ func (d *DWConv3) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	// this partitioning is race-free without staging (contrast
 	// Conv2D.Backward, where the whole weight tensor is shared across the
 	// batch and per-image contributions must be merged).
+	for _, p := range d.Params() {
+		p.Grad()
+	}
 	dwChannels.Run(d.C, dwGrads{d, x, dout, dx}, dwGrads.channels)
 	return []*tensor.Tensor{dx}
 }

@@ -167,6 +167,7 @@ func TestNoForwardOperandOnLayers(t *testing.T) {
 		"Conv2D.fwd":       "the layer walk's own batch in flight; the plan's lanes never read it",
 		"BatchNorm.invStd": "what a training forward caches for Backward",
 		"planNode.inv":     "written as a forward begins, before its lanes start",
+		"planNode.packed":  "written as a forward begins, before its lanes start",
 	}
 	operand := []reflect.Type{reflect.TypeOf([]float32(nil)), reflect.TypeOf([][]float32(nil)), reflect.TypeOf(tensor.RowEpilogue{})}
 	for _, v := range []any{Conv2D{}, DWConv3{}, BatchNorm{}, ReLU{}, MaxPool{}, Reorg{}, Concat{}, band{}, planNode{}, Plan{}} {

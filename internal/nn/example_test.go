@@ -8,15 +8,15 @@ import (
 	"skynet/internal/tensor"
 )
 
-func ExampleSequential() {
-	// A minimal SkyNet-style Bundle: DW-Conv3 → PW-Conv1 → BN → ReLU6.
+func ExampleGraph() {
+	// A minimal SkyNet-style Bundle: DW-Conv3 → PW-Conv1 → BN → ReLU6, each
+	// layer fed by the one added before it.
 	rng := rand.New(rand.NewSource(1))
-	g := nn.Sequential(
-		nn.NewDWConv3(rng, 3, 3, false),
-		nn.NewPWConv1(rng, 3, 48, false),
-		nn.NewBatchNorm(48),
-		nn.NewReLU6(),
-	)
+	g := nn.NewGraph()
+	g.Add(nn.NewDWConv3(rng, 3, 3, false))
+	g.Add(nn.NewPWConv1(rng, 3, 48, false))
+	g.Add(nn.NewBatchNorm(48))
+	g.Add(nn.NewReLU6())
 	x := tensor.New(1, 3, 8, 16)
 	out := g.Forward(x, false)
 	fmt.Println(out.Shape())

@@ -66,3 +66,10 @@ func Arena(g *Graph) (arena []float32, lanes int) {
 	}
 	return g.arena, lanes
 }
+
+// DWRows is DWConv3.rows on one plane [h,w]: output rows oy, oy+1, … of
+// channel ch, as many as dst holds.
+func DWRows(d *DWConv3, dst, in []float32, h, w, ch, oy int) {
+	d.record(1, h, w)
+	d.rows(dst, in, ch, oy)
+}

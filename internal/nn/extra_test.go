@@ -48,7 +48,8 @@ func TestSGDWeightDecayShrinksWeights(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("w", 3)
-	p.G.Data[0], p.G.Data[1], p.G.Data[2] = 3, 4, 0 // norm 5
+	g := p.Grad()
+	g.Data[0], g.Data[1], g.Data[2] = 3, 4, 0 // norm 5
 	norm := ClipGradNorm([]*Param{p}, 1)
 	if math.Abs(float64(norm)-5) > 1e-5 {
 		t.Fatalf("pre-clip norm %v, want 5", norm)
@@ -74,7 +75,7 @@ func TestMomentumAccelerates(t *testing.T) {
 	step := func(momentum float32) float32 {
 		p := NewParam("w", 1)
 		opt := NewSGD(0.1, momentum, 0)
-		p.G.Data[0] = 1
+		p.Grad().Data[0] = 1
 		opt.Step([]*Param{p})
 		after1 := p.W.Data[0]
 		p.G.Data[0] = 1
@@ -102,7 +103,7 @@ func TestGraphOutputOverride(t *testing.T) {
 // bookkeeping must follow the node count, not its first size.
 func TestGraphForwardAfterAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	g := Sequential(NewConv2D(rng, 2, 3, 3, 1, 1, false))
+	g := sequential(NewConv2D(rng, 2, 3, 3, 1, 1, false))
 	x := randInput(rng, 1, 2, 6, 5)
 	g.Forward(x, false)
 	g.Add(NewReLU6())
@@ -130,7 +131,7 @@ func TestGraphForwardEmptyPanics(t *testing.T) {
 }
 
 func TestBackwardAccumulatesAcrossCalls(t *testing.T) {
-	// The documented contract: Backward adds into Param.G until ZeroGrads.
+	// The documented contract: Backward adds into Param.G until ZeroGrad.
 	rng := rand.New(rand.NewSource(33))
 	l := NewPWConv1(rng, 2, 2, false)
 	x := randInput(rng, 1, 2, 2, 2)
@@ -222,13 +223,13 @@ func TestDropoutBackwardMatchesMask(t *testing.T) {
 
 func TestLoadRejectsTruncatedStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
-	g := Sequential(NewPWConv1(rng, 3, 4, true))
+	g := sequential(NewPWConv1(rng, 3, 4, true))
 	var buf bytes.Buffer
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	half := buf.Bytes()[:buf.Len()/2]
-	g2 := Sequential(NewPWConv1(rng, 3, 4, true))
+	g2 := sequential(NewPWConv1(rng, 3, 4, true))
 	if err := g2.Load(bytes.NewReader(half)); err == nil {
 		t.Fatal("truncated snapshot must error")
 	}
@@ -250,7 +251,7 @@ func TestParallelForwardMatchesSerial(t *testing.T) {
 
 func TestSummaryRendersLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
-	g := Sequential(
+	g := sequential(
 		NewConv2D(rng, 3, 8, 3, 1, 1, false),
 		NewBatchNorm(8),
 		NewReLU6(),

@@ -11,7 +11,11 @@ import (
 // scalarize projects a tensor to a scalar with fixed random coefficients so
 // that gradients of every output element are exercised at once.
 func scalarize(t *tensor.Tensor, r *tensor.Tensor) float64 {
-	return float64(t.Dot(r))
+	var s float32
+	for i, v := range t.Data {
+		s += v * r.Data[i]
+	}
+	return float64(s)
 }
 
 // checkLayerGradients validates a layer's input and parameter gradients

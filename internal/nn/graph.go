@@ -179,13 +179,6 @@ func (g *Graph) Params() []*Param {
 	return ps
 }
 
-// ZeroGrads clears every parameter gradient.
-func (g *Graph) ZeroGrads() {
-	for _, p := range g.Params() {
-		p.ZeroGrad()
-	}
-}
-
 // NumParams returns the total number of learnable scalar parameters.
 func (g *Graph) NumParams() int64 {
 	var n int64
@@ -197,12 +190,3 @@ func (g *Graph) NumParams() int64 {
 
 // ParamBytes returns the float32 model size in bytes.
 func (g *Graph) ParamBytes() int64 { return g.NumParams() * 4 }
-
-// Sequential builds a chain graph from the given layers.
-func Sequential(layers ...Layer) *Graph {
-	g := NewGraph()
-	for _, l := range layers {
-		g.Add(l)
-	}
-	return g
-}

@@ -23,16 +23,27 @@ import (
 type Param struct {
 	Name string
 	W    *tensor.Tensor
-	G    *tensor.Tensor
+	// G is the accumulated gradient, nil — zero — until a backward first
+	// reaches the parameter (Grad): an inference graph holds none.
+	G *tensor.Tensor
 }
 
-// NewParam allocates a parameter and its gradient with the given shape.
+// NewParam allocates a parameter with the given shape, its gradient not yet.
 func NewParam(name string, shape ...int) *Param {
-	return &Param{Name: name, W: tensor.New(shape...), G: tensor.New(shape...)}
+	return &Param{Name: name, W: tensor.New(shape...)}
+}
+
+// Grad returns G, allocating it, zero, on first use: a layer's Backward, before
+// any parallel section of its own, and SGD, for a parameter no backward reached.
+func (p *Param) Grad() *tensor.Tensor {
+	if p.G == nil {
+		p.G = tensor.New(p.W.Shape()...)
+	}
+	return p.G
 }
 
 // ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.G.Zero() }
+func (p *Param) ZeroGrad() { p.Grad().Zero() }
 
 // Layer is a differentiable network building block. Forward consumes one or
 // more input tensors (most layers take exactly one) and produces one output.

@@ -65,11 +65,11 @@ func (l *Linear) forwardSample(dst, src []float32) {
 func (l *Linear) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	n := needTrainForward(l.x, "linear").Dim(0)
 	// dW += doutᵀ · x ; computed as (dout)ᵀ rows over x.
-	tensor.MatMulTransposeAAddInto(l.Weight.G, dout, l.x)
+	tensor.MatMulTransposeAAddInto(l.Weight.Grad(), dout, l.x)
 	for i := 0; i < n; i++ {
 		row := dout.Data[i*l.Out : (i+1)*l.Out]
 		for j, g := range row {
-			l.Bias.G.Data[j] += g
+			l.Bias.Grad().Data[j] += g
 		}
 	}
 	dx := tensor.New(n, l.In)

@@ -69,23 +69,3 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 func Sigmoid(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
 }
-
-// BCEWithLogits computes the mean binary cross-entropy of logits against
-// targets in [0,1] (same shape), returning the loss and gradient w.r.t. the
-// logits. Numerically stable formulation.
-func BCEWithLogits(logits, targets *tensor.Tensor) (float32, *tensor.Tensor) {
-	if !logits.SameShape(targets) {
-		panic("nn: BCEWithLogits shape mismatch")
-	}
-	n := float32(logits.Len())
-	grad := tensor.New(logits.Shape()...)
-	var total float64
-	for i, z := range logits.Data {
-		t := targets.Data[i]
-		zf := float64(z)
-		// loss = max(z,0) - z*t + log(1+exp(-|z|))
-		total += math.Max(zf, 0) - zf*float64(t) + math.Log1p(math.Exp(-math.Abs(zf)))
-		grad.Data[i] = (Sigmoid(z) - t) / n
-	}
-	return float32(total / float64(logits.Len())), grad
-}

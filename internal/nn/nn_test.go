@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,15 +16,15 @@ func TestReLU6Range(t *testing.T) {
 	x := randInput(rng, 2, 3, 8, 8)
 	x.Scale(10)
 	out := NewReLU6().Forward([]*tensor.Tensor{x}, false)
-	if out.Min() < 0 || out.Max() > 6 {
-		t.Fatalf("ReLU6 output out of [0,6]: [%v, %v]", out.Min(), out.Max())
+	if slices.Min(out.Data) < 0 || slices.Max(out.Data) > 6 {
+		t.Fatalf("ReLU6 output out of [0,6]: [%v, %v]", slices.Min(out.Data), slices.Max(out.Data))
 	}
 	// Property from §5.2: ReLU6's range is strictly smaller than ReLU's.
 	outR := NewReLU().Forward([]*tensor.Tensor{x}, false)
-	if outR.Max() <= 6 {
+	if slices.Max(outR.Data) <= 6 {
 		t.Skip("input did not exceed the cap")
 	}
-	if out.Max() >= outR.Max() {
+	if slices.Max(out.Data) >= slices.Max(outR.Data) {
 		t.Fatal("ReLU6 must clip the range below ReLU's")
 	}
 }
@@ -73,8 +74,12 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	x := tensor.New(1, 2, 4, 4)
 	x.Fill(5)
 	out := bn.Forward([]*tensor.Tensor{x}, false)
-	if math.Abs(float64(out.Mean())) < 0.5 {
-		t.Fatalf("eval-mode BN appears to use batch stats: mean %v", out.Mean())
+	var sum float64
+	for _, v := range out.Data {
+		sum += float64(v)
+	}
+	if mean := sum / float64(out.Len()); math.Abs(mean) < 0.5 {
+		t.Fatalf("eval-mode BN appears to use batch stats: mean %v", mean)
 	}
 }
 
@@ -196,7 +201,9 @@ func TestGraphBypassGradientCheck(t *testing.T) {
 	out := g.Forward(x, true)
 	r := tensor.New(out.Shape()...)
 	r.RandNormal(rng, 0, 1)
-	g.ZeroGrads()
+	for _, p := range g.Params() {
+		p.ZeroGrad()
+	}
 	din := g.Backward(r.Clone())
 	const eps, tol = 1e-2, 2e-2
 	for _, i := range pickIndices(rng, x.Len(), 10) {
@@ -215,7 +222,7 @@ func TestGraphBypassGradientCheck(t *testing.T) {
 
 func TestGraphNumParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	g := Sequential(
+	g := sequential(
 		NewConv2D(rng, 3, 8, 3, 1, 1, true), // 3*8*9 + 8 = 224
 		NewBatchNorm(8),                     // 16
 		NewReLU6(),
@@ -334,27 +341,6 @@ func TestSoftmaxCrossEntropyGradientNumeric(t *testing.T) {
 	}
 }
 
-func TestBCEWithLogitsGradientNumeric(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	logits := randInput(rng, 2, 5)
-	targets := tensor.New(2, 5)
-	targets.RandUniform(rng, 0, 1)
-	_, grad := BCEWithLogits(logits, targets)
-	const eps, tol = 1e-3, 1e-3
-	for _, i := range pickIndices(rng, logits.Len(), 8) {
-		orig := logits.Data[i]
-		logits.Data[i] = orig + eps
-		lp, _ := BCEWithLogits(logits, targets)
-		logits.Data[i] = orig - eps
-		lm, _ := BCEWithLogits(logits, targets)
-		logits.Data[i] = orig
-		num := float64(lp-lm) / (2 * eps)
-		if math.Abs(num-float64(grad.Data[i])) > tol {
-			t.Fatalf("BCE grad mismatch at %d: %v vs %v", i, grad.Data[i], num)
-		}
-	}
-}
-
 func TestSigmoid(t *testing.T) {
 	if Sigmoid(0) != 0.5 {
 		t.Fatalf("Sigmoid(0) = %v", Sigmoid(0))
@@ -367,7 +353,7 @@ func TestSigmoid(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	build := func(seed int64) *Graph {
 		rng := rand.New(rand.NewSource(seed))
-		return Sequential(
+		return sequential(
 			NewConv2D(rng, 3, 4, 3, 1, 1, true),
 			NewBatchNorm(4),
 			NewReLU6(),
@@ -399,8 +385,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRejectsMismatchedArchitecture(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	g1 := Sequential(NewPWConv1(rng, 3, 4, false))
-	g2 := Sequential(NewPWConv1(rng, 3, 5, false))
+	g1 := sequential(NewPWConv1(rng, 3, 4, false))
+	g2 := sequential(NewPWConv1(rng, 3, 5, false))
 	var buf bytes.Buffer
 	if err := g1.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -412,7 +398,7 @@ func TestLoadRejectsMismatchedArchitecture(t *testing.T) {
 
 func TestGraphCostCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	g := Sequential(NewConv2D(rng, 3, 8, 3, 1, 1, false))
+	g := sequential(NewConv2D(rng, 3, 8, 3, 1, 1, false))
 	row := Costs(g, []int{0, 3, 8, 8})[0]
 	// 8*3*9 MACs per output pixel, 8*8 output pixels.
 	if want := int64(8 * 3 * 9 * 64); row.MACs != want {
@@ -433,4 +419,13 @@ func TestGraphDefaultChaining(t *testing.T) {
 	if out.Dim(1) != 4 {
 		t.Fatalf("chained graph output %v", out.Shape())
 	}
+}
+
+// sequential chains layers, each fed by the one before.
+func sequential(layers ...Layer) *Graph {
+	g := NewGraph()
+	for _, l := range layers {
+		g.Add(l)
+	}
+	return g
 }

@@ -133,8 +133,8 @@ func (b *BatchNorm) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 				sumDyXhat += dy * float64(b.xhat.Data[base+j])
 			}
 		}
-		b.Beta.G.Data[c] += float32(sumDy)
-		b.Gamma.G.Data[c] += float32(sumDyXhat)
+		b.Beta.Grad().Data[c] += float32(sumDy)
+		b.Gamma.Grad().Data[c] += float32(sumDyXhat)
 		g := b.Gamma.W.Data[c]
 		inv := b.invStd[c]
 		for i := 0; i < n; i++ {

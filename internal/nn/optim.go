@@ -30,8 +30,9 @@ func (s *SGD) Step(params []*Param) {
 			v = tensor.New(p.W.Shape()...)
 			s.vel[p] = v
 		}
+		grad := p.Grad().Data // zero where no backward reached p
 		for i := range p.W.Data {
-			g := p.G.Data[i] + s.WeightDecay*p.W.Data[i]
+			g := grad[i] + s.WeightDecay*p.W.Data[i]
 			v.Data[i] = s.Momentum*v.Data[i] - s.LR*g
 			p.W.Data[i] += v.Data[i]
 		}
@@ -46,7 +47,7 @@ func (s *SGD) Step(params []*Param) {
 func ClipGradNorm(params []*Param, maxNorm float32) float32 {
 	var sq float64
 	for _, p := range params {
-		for _, g := range p.G.Data {
+		for _, g := range p.Grad().Data {
 			sq += float64(g) * float64(g)
 		}
 	}
@@ -54,7 +55,7 @@ func ClipGradNorm(params []*Param, maxNorm float32) float32 {
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
 		for _, p := range params {
-			p.G.Scale(scale)
+			p.Grad().Scale(scale)
 		}
 	}
 	return norm

@@ -153,9 +153,12 @@ type planNode struct {
 
 	chain ConvChain // Conv2D: what its GEMM store applies when fusing
 	inv   []float32 // Conv2D with a chain BN: per-channel 1/sqrt(var+eps), refilled as every forward begins
-	band  *band     // DWConv3 heading a Bundle step (band.go); nil for the others
-	fused bool      // has no step of its own: a chain's tail, a Bundle step's conv, pool and reorg, an alias
-	chans []int     // Concat: channels of each input
+	// packed is a Conv2D's weights in the GEMM's panels (tensor.PackA), made by
+	// the plan's first forward and refilled as every forward begins.
+	packed []float32
+	band   *band // DWConv3 heading a Bundle step (band.go); nil for the others
+	fused  bool  // has no step of its own: a chain's tail, a Bundle step's conv, pool and reorg, an alias
+	chans  []int // Concat: channels of each input
 	// alias marks a Concat that is not computed but laid out: its inputs'
 	// slots, side by side in channel order, are its slot (findAliases).
 	alias bool
@@ -606,7 +609,8 @@ func (p *Plan) prepare(lanes int) {
 // only read them: the geometry Cost and the per-image bodies read — of the
 // whole batch, as a layer's own Forward records it —, the im2col scratch of
 // each lane, every fused batch norm's 1/sqrt(var+eps) from the statistics as
-// they are now, and the drop of what a training forward cached.
+// they are now, every convolution's weights packed as they are now, and the
+// drop of what a training forward cached.
 //
 //skynet:hotpath
 func (p *Plan) begin(n, lanes int) {
@@ -622,12 +626,12 @@ func (p *Plan) begin(n, lanes int) {
 			if !l.direct() {
 				l.ensureScratch(lanes)
 			}
-			pn.fillInv()
+			pn.fill()
 		case *DWConv3:
 			l.record(n, in[2], in[3])
 			if b := pn.band; b != nil {
 				b.pw.record(n, l.outH, l.outW)
-				p.nodes[b.conv].fillInv()
+				p.nodes[b.conv].fill()
 			}
 		case *BatchNorm:
 			l.xhat = nil
@@ -753,12 +757,12 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 	in, src := p.shapeOf(pn.inputs[0]), l.input(p, pn.inputs[0], x)
 	switch layer := pn.layer.(type) {
 	case *Conv2D:
-		layer.forwardImage(dst, src, li, layer.epilogue(pn.tail()), leaf)
+		layer.forwardImage(dst, src, li, layer.epilogue(pn.tail()), pn.packed, leaf)
 	case *DWConv3:
 		switch b := pn.band; {
 		case b != nil:
 			a := &l.share
-			*a = bandShare{b: b, dst: dst, src: src, ep: b.pw.epilogue(p.nodes[b.conv].tail()), observe: r.observe, workers: r.lanes}
+			*a = bandShare{b: b, dst: dst, src: src, ep: b.pw.epilogue(p.nodes[b.conv].tail()), packed: p.nodes[b.conv].packed, observe: r.observe, workers: r.lanes}
 			if b.reorg >= 0 {
 				a.reorg = l.buf(&p.nodes[b.reorg])
 			}
@@ -796,15 +800,21 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 	}
 }
 
-// fillInv refreshes a fusing conv's inv from its chain's batch norm.
+// fill refreshes a conv node's inv from its chain's batch norm and its packed
+// panels from its weights.
 //
 //skynet:hotpath
-func (pn *planNode) fillInv() {
+func (pn *planNode) fill() {
 	if bn := pn.chain.BN; bn != nil {
 		for c := range pn.inv {
 			pn.inv[c] = bn.evalInv(c)
 		}
 	}
+	c := pn.layer.(*Conv2D)
+	if pn.packed == nil {
+		pn.packed = tensor.New(tensor.PackedLen(c.OutC, c.InC*c.K*c.K)).Data
+	}
+	tensor.PackA(pn.packed, c.Weight.W.Data, c.OutC, c.InC*c.K*c.K)
 }
 
 // tail is what a fusing conv's GEMM store applies: its chain's batch norm,

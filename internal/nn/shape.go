@@ -140,7 +140,9 @@ func ReorgInto[T any](dst, src []T, n, c, h, w, s int) {
 // ReorgRows is the one reorder loop: rows [r0, r0+rows) of an image [c,h,w],
 // which src holds alone as [c, rows·w], land in their places in the image's
 // reordered map dst, [c·s², h/s, w/s]. It walks the source in order, each row
-// once, dealing it out to the s planes it feeds. A whole image is one call
+// once, dealing it out to the s planes it feeds: at s = 2 the vector kernel's
+// share in one pass (tensor.Deinterleave), the rest — all of it at any other
+// s, or with no kernel — in the scalar loop. A whole image is one call
 // (ReorgInto); a Bundle step calls it on each band of its product (band.go),
 // which is how the bypass gets reordered without the map before it existing.
 //
@@ -150,10 +152,13 @@ func ReorgRows[T any](dst, src []T, c, h, w, s, r0, rows int) {
 	for ch := 0; ch < c; ch++ {
 		for r := 0; r < rows; r++ {
 			row := src[(ch*rows+r)*w:][:w]
-			dy, yo := (r0+r)%s, (r0+r)/s
+			dy, yo, n := (r0+r)%s, (r0+r)/s, 0
+			if s == 2 {
+				n = tensor.Deinterleave(dst[((dy*2*c+ch)*oh+yo)*ow:][:ow], dst[(((dy*2+1)*c+ch)*oh+yo)*ow:][:ow], row)
+			}
 			for dx := 0; dx < s; dx++ {
 				d := dst[(((dy*s+dx)*c+ch)*oh+yo)*ow:][:ow]
-				for xo := range d {
+				for xo := n; xo < len(d); xo++ {
 					d[xo] = row[xo*s+dx]
 				}
 			}

@@ -302,7 +302,7 @@ func TestExportStridedDWConv(t *testing.T) {
 		dw := nn.NewDWConv3(rng, 6, 3, true)
 		dw.Stride, dw.Pad = geo[0], geo[1]
 		dw.Bias.W.RandNormal(rng, 0, 0.2)
-		g := nn.Sequential(nn.NewPWConv1(rng, 3, 6, false), dw, nn.NewPWConv1(rng, 6, 4, false))
+		g := sequential(nn.NewPWConv1(rng, 3, 6, false), dw, nn.NewPWConv1(rng, 6, 4, false))
 		qm, err := Export(g, []*tensor.Tensor{randBatch(rng, 4, 3, 13, 17)}, ExportConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -339,7 +339,7 @@ func TestExportAccumulatorBound(t *testing.T) {
 		dw := nn.NewDWConv3(rng, 4, 3, true)
 		dw.Weight.W.Scale(1e-5)
 		dw.Bias.W.Fill(-30)
-		g := nn.Sequential(pw, bn, nn.NewReLU6(), nn.NewPWConv1(rng, 4, 4, false), dw, nn.NewPWConv1(rng, 4, 2, false))
+		g := sequential(pw, bn, nn.NewReLU6(), nn.NewPWConv1(rng, 4, 4, false), dw, nn.NewPWConv1(rng, 4, 2, false))
 		small := func(n int) *tensor.Tensor {
 			x := randBatch(rng, n, 4, 6, 6)
 			x.Scale(1e-3)
@@ -362,7 +362,7 @@ func TestExportAccumulatorBound(t *testing.T) {
 		const k = 365 // 365² = 133 225 taps
 		conv := nn.NewConv2D(rng, 1, 2, k, 1, 0, false)
 		conv.Weight.W.Fill(1) // with inputs at +1 every product is +127²: the sum would wrap
-		g := nn.Sequential(conv, nn.NewPWConv1(rng, 2, 2, false))
+		g := sequential(conv, nn.NewPWConv1(rng, 2, 2, false))
 		x := tensor.New(1, 1, k, k)
 		x.Fill(1)
 		qm, err := Export(g, []*tensor.Tensor{x}, ExportConfig{})
@@ -713,7 +713,7 @@ func TestInt8BundleStepMatchesUnits(t *testing.T) {
 			dw := nn.NewDWConv3(rng, 6, 3, true)
 			dw.Stride, dw.Pad = geo[0], geo[1]
 			dw.Bias.W.RandNormal(rng, 0, 0.2)
-			g := nn.Sequential(nn.NewPWConv1(rng, 3, 6, false), dw, nn.NewPWConv1(rng, 6, 4, true))
+			g := sequential(nn.NewPWConv1(rng, 3, 6, false), dw, nn.NewPWConv1(rng, 6, 4, true))
 			if act {
 				g.Add(nn.NewReLU6())
 			}
@@ -734,7 +734,7 @@ func TestInt8BundleStepMatchesUnits(t *testing.T) {
 	dw := nn.NewDWConv3(rng, 4, 3, true)
 	dw.Weight.W.Scale(1e-5)
 	dw.Bias.W.Fill(-30)
-	g := nn.Sequential(pw, bn, nn.NewReLU6(), nn.NewPWConv1(rng, 4, 4, false), dw, nn.NewPWConv1(rng, 4, 2, false))
+	g := sequential(pw, bn, nn.NewReLU6(), nn.NewPWConv1(rng, 4, 4, false), dw, nn.NewPWConv1(rng, 4, 2, false))
 	qm := check("depth-wise half past the bound", g, []*tensor.Tensor{small(4)}, ExportConfig{}, 0, small(1), small(3))
 	if i8, fl, fused := qm.Stats(); i8 != 2 || fl != 2 || fused != 0 {
 		t.Fatalf("units = (%d int8, %d float, %d fused), want (2, 2, 0)", i8, fl, fused)
@@ -742,7 +742,7 @@ func TestInt8BundleStepMatchesUnits(t *testing.T) {
 	// The 1×1 half breaks it: a batch-norm shift of 5 on products of order 1e-6.
 	bn = nn.NewBatchNorm(4)
 	bn.Beta.W.Fill(5)
-	g = nn.Sequential(nn.NewPWConv1(rng, 4, 4, false), nn.NewDWConv3(rng, 4, 3, false), nn.NewPWConv1(rng, 4, 4, false), bn, nn.NewReLU6(), nn.NewMaxPool(2), nn.NewPWConv1(rng, 4, 2, false))
+	g = sequential(nn.NewPWConv1(rng, 4, 4, false), nn.NewDWConv3(rng, 4, 3, false), nn.NewPWConv1(rng, 4, 4, false), bn, nn.NewReLU6(), nn.NewMaxPool(2), nn.NewPWConv1(rng, 4, 2, false))
 	g.Nodes[0].Layer.(*nn.Conv2D).Weight.W.Scale(1e-3)
 	qm = check("1×1 half past the bound", g, []*tensor.Tensor{small(4)}, ExportConfig{}, 0, small(1), small(3))
 	if i8, fl, fused := qm.Stats(); i8 != 4 || fl != 1 || fused != 0 {

@@ -572,6 +572,7 @@ func newQConv(c *nn.Conv2D, bn *nn.BatchNorm, act *nn.ReLU, inScale, outScale fl
 	if q.w, q.ep, ok = quantizeUnit(folded, bias, cols, inScale, outScale); !ok {
 		return nil
 	}
+	q.ep.Packed = tensor.PackInt8A(q.w, c.OutC, cols) // the codes in GEMM panels, packed once
 	if act != nil {
 		q.ep.Lo, q.ep.Hi = 0, capCode(act.Cap, outScale)
 	}

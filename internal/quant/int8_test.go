@@ -226,7 +226,7 @@ func TestExportEmpty(t *testing.T) {
 		t.Fatal("empty graph must error")
 	}
 	rng := rand.New(rand.NewSource(7))
-	g := nn.Sequential(nn.NewPWConv1(rng, 3, 4, false))
+	g := sequential(nn.NewPWConv1(rng, 3, 4, false))
 	if _, err := Export(g, nil, ExportConfig{}); err == nil {
 		t.Fatal("empty calibration set must error")
 	}

@@ -122,7 +122,7 @@ func TestFloat32SchemeIsNoOp(t *testing.T) {
 
 func buildTinyNet(seed int64) *nn.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	return nn.Sequential(
+	return sequential(
 		nn.NewConv2D(rng, 3, 4, 3, 1, 1, true),
 		nn.NewBatchNorm(4),
 		nn.NewReLU6(),
@@ -229,7 +229,7 @@ func TestSizeAccounting(t *testing.T) {
 
 func buildTinyClassifier(seed int64) *nn.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	return nn.Sequential(
+	return sequential(
 		nn.NewConv2D(rng, 3, 4, 3, 1, 1, true),
 		nn.NewReLU(),
 		nn.NewConv2D(rng, 4, 4, 3, 1, 1, true),
@@ -315,4 +315,13 @@ func TestFMSensitivityShape(t *testing.T) {
 	if fmErr <= wErr {
 		t.Skipf("FM error %v not above weight error %v on this tiny net", fmErr, wErr)
 	}
+}
+
+// sequential chains layers, each fed by the one before.
+func sequential(layers ...nn.Layer) *nn.Graph {
+	g := nn.NewGraph()
+	for _, l := range layers {
+		g.Add(l)
+	}
+	return g
 }

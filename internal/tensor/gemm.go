@@ -101,6 +101,7 @@ type gemmCall struct {
 	lda, ldb, ldc  int
 	aTrans, bTrans bool
 	bandOf         int         // RowProduct.BandOf: > 0 makes the call a leaf, judged as n = bandOf
+	ap             []float32   // RowProduct.Packed: A already in its panels, or nil
 	acc            bool        // accumulate into C instead of overwriting
 	row            RowEpilogue // per-row bias and tail; ignored on accumulating calls
 }
@@ -496,9 +497,13 @@ func (g *gemmCall) run(j0, j1 int, s *gemmScratch) {
 			overwrite := pc == 0 && !g.acc
 			finish := pc+kc == g.k && !g.acc && g.row.mode() != 0
 			for ic := 0; ic < g.m; ic += gemmMC {
-				mc := min(gemmMC, g.m-ic)
-				g.packA(s.ap, ic, mc, pc, kc)
-				g.macroKernel(s, ic, mc, jc, nc, kc, overwrite, finish)
+				mc, ap := min(gemmMC, g.m-ic), s.ap
+				if g.ap != nil {
+					ap = g.ap[PackedLen(g.m, pc)+ic*kc:]
+				} else {
+					g.packA(ap, ic, mc, pc, kc)
+				}
+				g.macroKernel(s, ap, ic, mc, jc, nc, kc, overwrite, finish)
 			}
 		}
 	}
@@ -507,14 +512,19 @@ func (g *gemmCall) run(j0, j1 int, s *gemmScratch) {
 // macroKernel sweeps the MR×NR micro-tiles of the current (ic, jc) block.
 //
 //skynet:hotpath
-func (g *gemmCall) macroKernel(s *gemmScratch, ic, mc, jc, nc, kc int, overwrite, finish bool) {
+func (g *gemmCall) macroKernel(s *gemmScratch, aps []float32, ic, mc, jc, nc, kc int, overwrite, finish bool) {
 	tile := &s.tile
 	for jr := 0; jr < nc; jr += gemmNR {
 		nr := min(gemmNR, nc-jr)
 		bp := s.bp[(jr/gemmNR)*kc*gemmNR:]
 		for ir := 0; ir < mc; ir += gemmMR {
 			mr := min(gemmMR, mc-ir)
-			ap := s.ap[(ir/gemmMR)*kc*gemmMR:]
+			ap := aps[(ir/gemmMR)*kc*gemmMR:]
+			if f := gemmTile; f != nil && mr == gemmMR && nr == gemmNR { // the tile never in memory
+				c, bias, gamma, mean, inv, beta, mode := g.tileOps(ic+ir, jc+jr, overwrite, finish)
+				f(kc, &ap[0], &bp[0], c, g.ldc, bias, gamma, mean, inv, beta, clampHi(g.row.Cap), mode)
+				continue
+			}
 			gemmMicro(kc, ap, bp, tile)
 			g.storeTile(tile, ic+ir, jc+jr, mr, nr, overwrite, finish)
 		}
@@ -596,24 +606,8 @@ func (g *gemmCall) storeTile(tile *[gemmMR * gemmNR]float32, i0, j0, mr, nr int,
 		// One call per whole tile, not one per tile row: at SkyNet's k a tile
 		// is a hundred nanoseconds of multiplying, and four calls with this
 		// loop around them cost a quarter of that again.
-		e, mode := &g.row, tailAcc
-		var bias, gamma, mean, inv, beta *float32
-		if overwrite {
-			mode = 0
-			if e.Bias != nil {
-				_ = e.Bias[i0+gemmMR-1]
-				bias = &e.Bias[i0]
-			}
-		}
-		if finish {
-			mode |= e.mode()
-			if e.Gamma != nil {
-				_, _, _, _ = e.Gamma[i0+gemmMR-1], e.Mean[i0+gemmMR-1], e.Inv[i0+gemmMR-1], e.Beta[i0+gemmMR-1]
-				gamma, mean, inv, beta = &e.Gamma[i0], &e.Mean[i0], &e.Inv[i0], &e.Beta[i0]
-			}
-		}
-		_ = g.c[(i0+gemmMR-1)*g.ldc+j0+gemmNR-1]
-		f(&g.c[i0*g.ldc+j0], g.ldc, tile, bias, gamma, mean, inv, beta, clampHi(e.Cap), mode)
+		c, bias, gamma, mean, inv, beta, mode := g.tileOps(i0, j0, overwrite, finish)
+		f(c, g.ldc, tile, bias, gamma, mean, inv, beta, clampHi(g.row.Cap), mode)
 		return
 	}
 	for r := 0; r < mr; r++ {
@@ -635,6 +629,47 @@ func (g *gemmCall) storeTile(tile *[gemmMR * gemmNR]float32, i0, j0, mr, nr int,
 		if finish {
 			g.row.finish(crow, i0+r)
 		}
+	}
+}
+
+// tileOps is what a whole-tile store at (i0, j0) takes beyond the tile: where
+// in C, row i0's bias and statistics, each nil when unused, and the mode.
+//
+//skynet:hotpath
+func (g *gemmCall) tileOps(i0, j0 int, overwrite, finish bool) (c, bias, gamma, mean, inv, beta *float32, mode int) {
+	_ = g.c[(i0+gemmMR-1)*g.ldc+j0+gemmNR-1]
+	e, mode := &g.row, tailAcc
+	if overwrite {
+		mode = 0
+		if e.Bias != nil {
+			_ = e.Bias[i0+gemmMR-1]
+			bias = &e.Bias[i0]
+		}
+	}
+	if finish {
+		mode |= e.mode()
+		if e.Gamma != nil {
+			_, _, _, _ = e.Gamma[i0+gemmMR-1], e.Mean[i0+gemmMR-1], e.Inv[i0+gemmMR-1], e.Beta[i0+gemmMR-1]
+			gamma, mean, inv, beta = &e.Gamma[i0], &e.Mean[i0], &e.Inv[i0], &e.Beta[i0]
+		}
+	}
+	return &g.c[i0*g.ldc+j0], bias, gamma, mean, inv, beta, mode
+}
+
+// PackedLen is the length of the panels PackA makes of an [m,k] matrix.
+//
+//skynet:hotpath
+func PackedLen(m, k int) int { return (m + gemmMR - 1) / gemmMR * gemmMR * k }
+
+// PackA packs the [m,k] matrix a into dst, PackedLen(m, k) long: the panels
+// the blocked kernel would pack of it, which a product over a constant a takes
+// as RowProduct.Packed instead of packing them per column block, same bits.
+//
+//skynet:hotpath
+func PackA(dst, a []float32, m, k int) {
+	g := gemmCall{a: a, m: m, k: k, lda: k}
+	for pc := 0; pc < k; pc += gemmKC {
+		g.packA(dst[PackedLen(m, pc):], 0, m, pc, min(gemmKC, k-pc))
 	}
 }
 

@@ -28,6 +28,13 @@ func gemmMicro4x16AVX2(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32)
 //skynet:hotpath
 func gemmMicro4x16AVX512(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32)
 
+// gemmTile4x16AVX512 is gemmMicro4x16AVX512 followed by storeTileAVX2's
+// store, from the accumulators: the same bits.
+//
+//go:noescape
+//skynet:hotpath
+func gemmTile4x16AVX512(kc int, ap, bp, c *float32, ldc int, bias, gamma, mean, inv, beta *float32, hi float32, mode int)
+
 // i8Micro4x16AVX2 computes one 4×16 int8→int32 tile over pair-packed
 // panels: per k pair it sign-extends the B group to words in two YMM
 // halves, broadcasts each row's int16 A pair (VPBROADCASTD), and VPMADDWD
@@ -49,15 +56,15 @@ func i8Micro4x16VNNI(kp int, ap []int16, bp []int8, tile *[i8MR * i8NR]int32)
 
 // nativeKernels reports the assembly kernels this build and CPU support;
 // nil entries mean none. kernel.go dispatches on the result.
-func nativeKernels() (avx512, avx2 gemmMicroFunc, i8AVX2, i8VNNI i8MicroFunc) {
+func nativeKernels() (avx512, avx2 gemmMicroFunc, i8AVX2, i8VNNI i8MicroFunc, tile512 gemmTileFunc) {
 	if !cpufeat.AVX2 {
-		return nil, nil, nil, nil
+		return nil, nil, nil, nil, nil
 	}
 	if cpufeat.AVX512 {
-		avx512 = gemmMicro4x16AVX512
+		avx512, tile512 = gemmMicro4x16AVX512, gemmTile4x16AVX512
 	}
 	if cpufeat.AVX512VNNI {
 		i8VNNI = i8Micro4x16VNNI
 	}
-	return avx512, gemmMicro4x16AVX2, i8Micro4x16AVX2, i8VNNI
+	return avx512, gemmMicro4x16AVX2, i8Micro4x16AVX2, i8VNNI, tile512
 }

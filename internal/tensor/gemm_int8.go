@@ -59,7 +59,21 @@ type Int8Epilogue struct {
 	Leaf bool
 	// Ldc, when larger than n, is the row stride of dst: dst is then a column
 	// window of a wider matrix, as RowProduct.Ldc makes a float product's.
-	Ldc int
+	Ldc    int
+	Packed []int16 // a already in panels (PackInt8A), as RowProduct.Packed is a float product's
+}
+
+// PackedInt8Len is the length of the panels PackInt8A makes of an [m,k] matrix.
+//
+//skynet:hotpath
+func PackedInt8Len(m, k int) int { return (m + i8MR - 1) / i8MR * i8MR * ((k + 1) / 2 * 2) }
+
+// PackInt8A returns the [m,k] codes a packed into the panels the blocked
+// kernel would pack of them, which it then reads instead (Int8Epilogue.Packed).
+func PackInt8A(a []int8, m, k int) []int16 {
+	dst := make([]int16, PackedInt8Len(m, k))
+	(&i8gemmCall{a: a, m: m, k: k}).packA(dst, 0, m)
+	return dst
 }
 
 // rneMagic shifts a float64 so its ulp is exactly 1: adding and subtracting
@@ -156,7 +170,8 @@ type i8gemmCall struct {
 	bias         []int32
 	mult         []float32
 	lo, hi       int8
-	leaf         bool // Int8Epilogue.Leaf
+	leaf         bool    // Int8Epilogue.Leaf
+	ap           []int16 // Int8Epilogue.Packed
 }
 
 // i8Scratch holds the packing buffers of one chunk in flight, allocated once
@@ -221,9 +236,9 @@ func Int8GEMMInto(c []int32, a, b []int8, m, n, k int) {
 func Int8GEMMRequantInto(dst []int8, a, b []int8, m, n, k int, ep Int8Epilogue) {
 	ldc := max(ep.Ldc, n)
 	checkI8("Int8GEMMRequantInto", len(dst), len(a), len(b), m, n, k, ldc)
-	checkI8Epilogue("Int8GEMMRequantInto", ep.Bias, ep.Mult, m)
+	checkI8Epilogue("Int8GEMMRequantInto", ep, m, k)
 	i8Exec(i8gemmCall{a: a, b: b, c8: dst, m: m, n: n, k: k, ldc: ldc,
-		mode: i8ModeRequant, bias: ep.Bias, mult: ep.Mult, lo: ep.Lo, hi: ep.Hi, leaf: ep.Leaf})
+		mode: i8ModeRequant, bias: ep.Bias, mult: ep.Mult, lo: ep.Lo, hi: ep.Hi, leaf: ep.Leaf, ap: ep.Packed})
 }
 
 // Int8GEMMDequantInto computes dst = float32(a·b + ep.Bias)·ep.Mult row-wise —
@@ -235,9 +250,9 @@ func Int8GEMMRequantInto(dst []int8, a, b []int8, m, n, k int, ep Int8Epilogue) 
 func Int8GEMMDequantInto(dst []float32, a, b []int8, m, n, k int, ep Int8Epilogue) {
 	ldc := max(ep.Ldc, n)
 	checkI8("Int8GEMMDequantInto", len(dst), len(a), len(b), m, n, k, ldc)
-	checkI8Epilogue("Int8GEMMDequantInto", ep.Bias, ep.Mult, m)
+	checkI8Epilogue("Int8GEMMDequantInto", ep, m, k)
 	i8Exec(i8gemmCall{a: a, b: b, cf: dst, m: m, n: n, k: k, ldc: ldc,
-		mode: i8ModeDequant, bias: ep.Bias, mult: ep.Mult, leaf: ep.Leaf})
+		mode: i8ModeDequant, bias: ep.Bias, mult: ep.Mult, leaf: ep.Leaf, ap: ep.Packed})
 }
 
 // checkI8 validates operand lengths against the call geometry, the
@@ -254,12 +269,15 @@ func checkI8(name string, lc, la, lb, m, n, k, ldc int) {
 }
 
 //skynet:hotpath
-func checkI8Epilogue(name string, bias []int32, mult []float32, m int) {
-	if len(mult) < m {
+func checkI8Epilogue(name string, ep Int8Epilogue, m, k int) {
+	if len(ep.Mult) < m {
 		panic("tensor: " + name + " needs one Mult per output row")
 	}
-	if bias != nil && len(bias) < m {
+	if ep.Bias != nil && len(ep.Bias) < m {
 		panic("tensor: " + name + " Bias shorter than m")
+	}
+	if ep.Packed != nil && len(ep.Packed) != PackedInt8Len(m, k) {
+		panic("tensor: " + name + " Packed does not hold the panels of m×k codes")
 	}
 }
 
@@ -323,9 +341,13 @@ func (g *i8gemmCall) run(j0, j1 int, s *i8Scratch) {
 		nc := min(i8NC, j1-jc)
 		g.packB(s.bp, jc, nc)
 		for ic := 0; ic < g.m; ic += i8MC {
-			mc := min(i8MC, g.m-ic)
-			g.packA(s.ap, ic, mc)
-			g.macroKernel(s, ic, mc, jc, nc)
+			mc, ap := min(i8MC, g.m-ic), s.ap
+			if g.ap != nil {
+				ap = g.ap[PackedInt8Len(ic, g.k):]
+			} else {
+				g.packA(ap, ic, mc)
+			}
+			g.macroKernel(s, ap, ic, mc, jc, nc)
 		}
 	}
 }
@@ -335,7 +357,7 @@ func (g *i8gemmCall) run(j0, j1 int, s *i8Scratch) {
 // pairs rather than k scalars.
 //
 //skynet:hotpath
-func (g *i8gemmCall) macroKernel(s *i8Scratch, ic, mc, jc, nc int) {
+func (g *i8gemmCall) macroKernel(s *i8Scratch, aps []int16, ic, mc, jc, nc int) {
 	kp := (g.k + 1) / 2
 	tile := &s.tile
 	for jr := 0; jr < nc; jr += i8NR {
@@ -343,7 +365,7 @@ func (g *i8gemmCall) macroKernel(s *i8Scratch, ic, mc, jc, nc int) {
 		bp := s.bp[(jr/i8NR)*kp*2*i8NR:]
 		for ir := 0; ir < mc; ir += i8MR {
 			mr := min(i8MR, mc-ir)
-			ap := s.ap[(ir/i8MR)*kp*2*i8MR:]
+			ap := aps[(ir/i8MR)*kp*2*i8MR:]
 			i8Micro(kp, ap, bp, tile)
 			g.storeTile(tile, ic+ir, jc+jr, mr, nr)
 		}

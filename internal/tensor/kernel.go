@@ -1,11 +1,11 @@
 package tensor
 
 // Kernel dispatch. Everything in this package, internal/nn and internal/quant
-// that has an assembly implementation reaches it through three variables —
-// gemmMicro for float32 GEMM tiles, i8Micro for int8 tiles, and rows, the
-// table of row kernels (rows.go) — so the packing, blocking, worker pool,
-// epilogue and layer code never know which instruction set computes a tile
-// or a row.
+// that has an assembly implementation reaches it through four variables —
+// gemmMicro for float32 GEMM tiles, gemmTile for a tile that stores itself,
+// i8Micro for int8 tiles, and rows, the table of row kernels (rows.go) — so
+// the packing, blocking, worker pool, epilogue and layer code never know
+// which instruction set computes a tile or a row.
 //
 // The float32 GEMM has one packed layout, 4×16 tiles (gemm.go), and three
 // kernels over it: the pure-Go reference (microKernelRef), AVX2 (eight YMM
@@ -22,7 +22,7 @@ package tensor
 //
 // Selection is per-process: `auto` at startup, overridable with the
 // SKYNET_KERNEL environment variable or SetKernel — the one switch for all
-// three variables. SetKernel must not be called concurrently with in-flight
+// four variables. SetKernel must not be called concurrently with in-flight
 // GEMMs or forwards — it is a startup/test seam, not a hot-path switch.
 
 import (
@@ -41,11 +41,15 @@ type gemmMicroFunc func(kc int, ap, bp []float32, tile *[gemmMR * gemmNR]float32
 // overwritten.
 type i8MicroFunc func(kp int, ap []int16, bp []int8, tile *[i8MR * i8NR]int32)
 
+// gemmTileFunc is a gemmMicroFunc that stores its tile itself, as rows.storeTile would.
+type gemmTileFunc func(kc int, ap, bp, c *float32, ldc int, bias, gamma, mean, inv, beta *float32, hi float32, mode int)
+
 var (
 	gemmMicro      gemmMicroFunc = microKernelRef
 	i8Micro        i8MicroFunc   = i8MicroKernelRef
-	gemmKernelName               = "purego"
-	i8KernelName                 = "purego"
+	gemmTile       gemmTileFunc  // gemmMicro with the store, where the kernel has one; nil otherwise
+	gemmKernelName = "purego"
+	i8KernelName   = "purego"
 )
 
 func init() {
@@ -72,8 +76,9 @@ func init() {
 // named kernel is not available on this CPU or build. Not safe to call
 // concurrently with running GEMMs.
 func SetKernel(name string) error {
-	avx512, avx2, i8AVX2, i8VNNI := nativeKernels()
+	avx512, avx2, i8AVX2, i8VNNI, tile512 := nativeKernels()
 	var micro gemmMicroFunc
+	var tile gemmTileFunc
 	i8, i8Name := i8AVX2, "avx2"
 	switch name {
 	case "", "auto":
@@ -88,7 +93,7 @@ func SetKernel(name string) error {
 	case "avx2":
 		micro = avx2
 	case "avx512":
-		micro = avx512
+		micro, tile = avx512, tile512
 		if i8VNNI != nil {
 			i8, i8Name = i8VNNI, "avx512vnni"
 		}
@@ -101,7 +106,7 @@ func SetKernel(name string) error {
 	// The blocked-vs-naive crossover moves with the kernel: an asm tile is
 	// fast enough that packing pays off at much shallower k (see the
 	// gemmMinBlockedK comment in gemm.go).
-	gemmMicro, gemmKernelName, i8Micro, i8KernelName = micro, name, i8, i8Name
+	gemmMicro, gemmTile, gemmKernelName, i8Micro, i8KernelName = micro, tile, name, i8, i8Name
 	rows, gemmMinBlockedK = nativeRowKernels(), gemmMinBlockedKAsm
 	if name == "purego" {
 		rows, gemmMinBlockedK = rowKernels{}, gemmMinBlockedKPure

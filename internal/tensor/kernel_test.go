@@ -259,9 +259,12 @@ func requireSeam(t *testing.T, name string) {
 	if got := !samefn(gemmMicro, gemmMicroFunc(microKernelRef)); got != asm {
 		t.Errorf("gemmMicro is assembly: %v, want %v", got, asm)
 	}
-	avx512, avx2, i8AVX2, i8VNNI := nativeKernels()
+	avx512, avx2, i8AVX2, i8VNNI, tile512 := nativeKernels()
 	if want := map[string]gemmMicroFunc{"purego": microKernelRef, "avx2": avx2, "avx512": avx512}[name]; !samefn(gemmMicro, want) {
 		t.Errorf("gemmMicro is not the %s kernel", name)
+	}
+	if (gemmTile != nil) != (name == "avx512") || name == "avx512" && !samefn(gemmTile, tile512) {
+		t.Errorf("gemmTile is set: %v; want the AVX-512 tile under avx512 only", gemmTile != nil)
 	}
 	// avx512 takes the VNNI int8 tile where the CPU has one, else AVX2's.
 	wantI8, wantI8Name := map[string]i8MicroFunc{"purego": i8MicroKernelRef, "avx2": i8AVX2, "avx512": i8AVX2}[name], map[bool]string{true: "avx2", false: "purego"}[asm]
@@ -385,7 +388,7 @@ func TestSetKernel(t *testing.T) {
 			t.Fatalf("failed SetKernel(%q) changed selection to %q", name, KernelName())
 		}
 	}
-	avx512, avx2, _, _ := nativeKernels()
+	avx512, avx2, _, _, _ := nativeKernels()
 	have := map[string]bool{"avx2": avx2 != nil, "avx512": avx512 != nil}
 	for _, name := range []string{"avx2", "avx512"} {
 		err := SetKernel(name)

@@ -57,6 +57,9 @@ type RowProduct struct {
 	// from a parallelRange body.
 	BandOf int
 	Ep     RowEpilogue // applied to each row
+	// Packed, when non-nil, is a already in panels (PackA): the call reads
+	// them where it would pack a. A small problem still reads a.
+	Packed []float32
 }
 
 // MatMulRowEpilogueInto computes c = a·b on raw row-major slices and applies
@@ -71,14 +74,14 @@ func MatMulRowEpilogueInto(c, a, b []float32, p RowProduct) {
 	if p.Ldc > 0 {
 		ldc = p.Ldc
 	}
-	if len(a) != m*k || len(b) != k*n || len(c) != (m-1)*ldc+n || ldc < n {
+	if len(a) != m*k || len(b) != k*n || len(c) != (m-1)*ldc+n || ldc < n || p.Packed != nil && len(p.Packed) != PackedLen(m, k) {
 		panic(fmt.Sprintf("tensor: MatMulRowEpilogueInto operand lengths %d, %d, %d do not match m=%d n=%d k=%d ldc=%d", len(c), len(a), len(b), m, n, k, ldc))
 	}
 	if ep.Bias != nil && len(ep.Bias) != m ||
 		ep.Gamma != nil && (len(ep.Gamma) != m || len(ep.Mean) != m || len(ep.Inv) != m || len(ep.Beta) != m) {
 		panic(fmt.Sprintf("tensor: MatMulRowEpilogueInto needs %d values per epilogue operand", m))
 	}
-	gemmExec(gemmCall{a: a, b: b, c: c, m: m, n: n, k: k, lda: k, ldb: n, ldc: ldc, bandOf: p.BandOf, row: p.Ep})
+	gemmExec(gemmCall{a: a, b: b, c: c, m: m, n: n, k: k, lda: k, ldb: n, ldc: ldc, bandOf: p.BandOf, row: p.Ep, ap: p.Packed})
 }
 
 // MatMulTransposeAInto computes c = aᵀ·b for a of shape [k,m] and b of

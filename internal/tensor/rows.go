@@ -26,6 +26,9 @@ type rowKernels struct {
 	axpy       func(c, b *float32, n int, a float32)
 	storeTile  func(c *float32, ldc int, tile *[gemmMR * gemmNR]float32, bias, gamma, mean, inv, beta *float32, hi float32, mode int)
 	dw3        func(o *float32, n int, in *float32, w int, ker *float32, nky int, bias float32)
+	dw3Band    func(o, in *float32, w, rows int, ker *float32, bias float32)
+	split2     func(d0, d1, src *float32, n int)
+	split2I8   func(d0, d1, src *int8, n int)
 	pool2      func(dst, r0, r1 *float32, n int)
 	dw3I8      func(o *int32, n int, in *int8, w int, ker *int8, nky int, bias int32)
 	pool2I8    func(dst, r0, r1 *int8, n int)
@@ -178,6 +181,45 @@ func DW3Row[E float32 | int8, A float32 | int32](o []A, in []E, w int, ker []E, 
 			rows.dw3I8(&o[0], n, &in[0], w, k, nky, bias)
 			rows.dw3I8(&o[last], rowLanes, &in[last], w, k, nky, bias)
 			return len(o)
+		}
+	}
+	return 0
+}
+
+// DW3Band computes len(o)/w whole rows of a 3×3, stride-1, pad-1 depth-wise
+// plane w wide, each under all three kernel rows, from the input rows at in
+// (the one above o's first on), in one call, and reports whether it did: not
+// without a vector kernel or a vector's width and two ends. The bits are DW3Row's.
+//
+//skynet:hotpath
+func DW3Band(o, in []float32, w int, ker []float32, bias float32) bool {
+	f, n := rows.dw3Band, len(o)/w
+	if f == nil || w < rowLanes+2 || n == 0 {
+		return false
+	}
+	_, _, _ = o[n*w-1], in[(n+2)*w-1], ker[8]
+	f(&o[0], &in[0], w, n, &ker[0], bias)
+	return true
+}
+
+// Deinterleave is the vector half of one row of a 2×2 reorder, float32 or
+// int8: the leading d0[i] = src[2i] and d1[i] = src[2i+1], in one pass. It
+// returns how many of each it wrote, as DW3Row does.
+//
+//skynet:hotpath
+func Deinterleave[T any](d0, d1, src []T) int {
+	switch s := any(src).(type) {
+	case []float32:
+		if f, n := rows.split2, len(d0)&^(rowLanes-1); f != nil && n > 0 {
+			_, _, _ = d0[n-1], d1[n-1], s[2*n-1]
+			f(&any(d0).([]float32)[0], &any(d1).([]float32)[0], &s[0], n)
+			return n
+		}
+	case []int8:
+		if f, n := rows.split2I8, len(d0)&^(rowLanesPool-1); f != nil && n > 0 {
+			_, _, _ = d0[n-1], d1[n-1], s[2*n-1]
+			f(&any(d0).([]int8)[0], &any(d1).([]int8)[0], &s[0], n)
+			return n
 		}
 	}
 	return 0

@@ -47,6 +47,23 @@ func storeTileAVX2(c *float32, ldc int, tile *[gemmMR * gemmNR]float32, bias, ga
 //skynet:hotpath
 func dw3RowAVX2(o *float32, n int, in *float32, w int, ker *float32, nky int, bias float32)
 
+// dw3BandAVX2 is DW3Band over rows rows of w ≥ 10 outputs.
+//
+//go:noescape
+//skynet:hotpath
+func dw3BandAVX2(o, in *float32, w, rows int, ker *float32, bias float32)
+
+// split2AVX2 and split2I8AVX2 are Deinterleave over n outputs to each half,
+// a multiple of 8 and of 16.
+//
+//go:noescape
+//skynet:hotpath
+func split2AVX2(d0, d1, src *float32, n int)
+
+//go:noescape
+//skynet:hotpath
+func split2I8AVX2(d0, d1, src *int8, n int)
+
 // pool2AVX2 is MaxPool2Row over n outputs.
 //
 //go:noescape
@@ -123,6 +140,9 @@ func nativeRowKernels() rowKernels {
 		axpy:       axpyAVX2,
 		storeTile:  storeTileAVX2,
 		dw3:        dw3RowAVX2,
+		dw3Band:    dw3BandAVX2,
+		split2:     split2AVX2,
+		split2I8:   split2I8AVX2,
 		pool2:      pool2AVX2,
 		dw3I8:      dw3RowI8AVX2,
 		pool2I8:    pool2I8AVX2,

@@ -319,6 +319,156 @@ dwrows1:
 	VZEROUPPER
 	RET
 
+// DWEND adds the product of the tap in K and the input at A to X10.
+#define DWEND(A, K) \
+	VMULSS A, K, X11; \
+	VADDSS X11, X10, X10
+
+// func dw3BandAVX2(o, in *float32, w, rows int, ker *float32, bias float32)
+//
+// Whole rows of a 3×3 stride-1 pad-1 plane w wide (w ≥ 10), each under all
+// three kernel rows: output row r from input rows r, r+1, r+2 at in. A row is
+// its two ends, whose windows hang one column over the image (the left takes
+// taps kx 1–2, the right kx 0–1), in scalar, then its w−2 interior outputs in
+// blocks of eight, the last block overlapping the one before when w−2 is not
+// a multiple of eight. The taps' low lanes are the scalar taps.
+TEXT ·dw3BandAVX2(SB), NOSPLIT, $0-44
+	MOVQ o+0(FP), DI
+	MOVQ in+8(FP), SI
+	MOVQ w+16(FP), AX
+	MOVQ AX, R8
+	SHLQ $2, R8
+	SUBQ $2, AX
+	MOVQ rows+24(FP), DX
+	MOVQ ker+32(FP), R11
+	VBROADCASTSS bias+40(FP), Y9
+	VBROADCASTSS 0(R11), Y0
+	VBROADCASTSS 4(R11), Y1
+	VBROADCASTSS 8(R11), Y2
+	VBROADCASTSS 12(R11), Y3
+	VBROADCASTSS 16(R11), Y4
+	VBROADCASTSS 20(R11), Y5
+	VBROADCASTSS 24(R11), Y6
+	VBROADCASTSS 28(R11), Y7
+	VBROADCASTSS 32(R11), Y8
+
+dwbandrow:
+	LEAQ (SI)(R8*1), R9
+	LEAQ (R9)(R8*1), R10
+	VMOVAPS X9, X10
+	DWEND(0(SI), X1)
+	DWEND(4(SI), X2)
+	DWEND(0(R9), X4)
+	DWEND(4(R9), X5)
+	DWEND(0(R10), X7)
+	DWEND(4(R10), X8)
+	VMOVSS X10, (DI)
+	VMOVAPS X9, X10
+	DWEND(-8(SI)(R8*1), X0)
+	DWEND(-4(SI)(R8*1), X1)
+	DWEND(-8(R9)(R8*1), X3)
+	DWEND(-4(R9)(R8*1), X4)
+	DWEND(-8(R10)(R8*1), X6)
+	DWEND(-4(R10)(R8*1), X7)
+	VMOVSS X10, -4(DI)(R8*1)
+	LEAQ 4(DI), R12
+	MOVQ SI, R13
+	MOVQ AX, CX
+
+dwbandblock:
+	VMOVAPS Y9, Y10
+	DWTAPS(R13, Y0, Y1, Y2)
+	DWTAPS(R9, Y3, Y4, Y5)
+	DWTAPS(R10, Y6, Y7, Y8)
+	VMOVUPS Y10, (R12)
+	ADDQ $32, R12
+	ADDQ $32, R13
+	ADDQ $32, R9
+	ADDQ $32, R10
+	SUBQ $8, CX
+	JZ   dwbandnext
+	CMPQ CX, $8
+	JGE  dwbandblock
+	MOVQ $8, BX
+	SUBQ CX, BX
+	SHLQ $2, BX
+	SUBQ BX, R12
+	SUBQ BX, R13
+	SUBQ BX, R9
+	SUBQ BX, R10
+	MOVQ $8, CX
+	JMP  dwbandblock
+
+dwbandnext:
+	ADDQ R8, DI
+	ADDQ R8, SI
+	DECQ DX
+	JNZ  dwbandrow
+	VZEROUPPER
+	RET
+
+// func split2AVX2(d0, d1, src *float32, n int)
+//
+// A row's even elements to d0 and its odd ones to d1, eight of each per
+// sixteen: VSHUFPS splits the two vectors as pool2AVX2 does, VPERMPD puts
+// the halves in order.
+TEXT ·split2AVX2(SB), NOSPLIT, $0-32
+	MOVQ d0+0(FP), DI
+	MOVQ d1+8(FP), DX
+	MOVQ src+16(FP), SI
+	MOVQ n+24(FP), CX
+
+split2loop:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VSHUFPS $0x88, Y1, Y0, Y2
+	VSHUFPS $0xdd, Y1, Y0, Y3
+	VPERMPD $0xd8, Y2, Y2
+	VPERMPD $0xd8, Y3, Y3
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, (DX)
+	ADDQ $64, SI
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, CX
+	JNZ  split2loop
+	VZEROUPPER
+	RET
+
+// evenOdd is VPSHUFB's order that gathers each 16-byte lane's even bytes
+// into its low half and its odd bytes into its high half.
+DATA evenOdd<>+0(SB)/8, $0x0e0c0a0806040200
+DATA evenOdd<>+8(SB)/8, $0x0f0d0b0907050301
+DATA evenOdd<>+16(SB)/8, $0x0e0c0a0806040200
+DATA evenOdd<>+24(SB)/8, $0x0f0d0b0907050301
+GLOBL evenOdd<>(SB), RODATA|NOPTR, $32
+
+// func split2I8AVX2(d0, d1, src *int8, n int)
+//
+// split2AVX2 on codes, sixteen of each per 32 bytes: VPSHUFB sorts each lane
+// into evens and odds, VPERMQ brings the evens of both lanes into the low
+// half and the odds into the high one.
+TEXT ·split2I8AVX2(SB), NOSPLIT, $0-32
+	MOVQ d0+0(FP), DI
+	MOVQ d1+8(FP), DX
+	MOVQ src+16(FP), SI
+	MOVQ n+24(FP), CX
+	VMOVDQU evenOdd<>(SB), Y15
+
+split2i8loop:
+	VMOVDQU (SI), Y0
+	VPSHUFB Y15, Y0, Y0
+	VPERMQ $0xd8, Y0, Y0
+	VMOVDQU X0, (DI)
+	VEXTRACTI128 $1, Y0, (DX)
+	ADDQ $32, SI
+	ADDQ $16, DI
+	ADDQ $16, DX
+	SUBQ $16, CX
+	JNZ  split2i8loop
+	VZEROUPPER
+	RET
+
 // func pool2AVX2(dst, r0, r1 *float32, n int)
 //
 // Sixteen columns of each row give eight outputs. VSHUFPS splits a row's two

@@ -273,6 +273,48 @@ func TestRowStoreTileFloat(t *testing.T) {
 	}
 }
 
+// TestRowStoreTileFused holds the AVX-512 tile that stores itself
+// (gemmTile4x16AVX512, which macroKernel calls for a whole tile under avx512)
+// to the pure-Go tile and store, on TestRowStoreTileFloat's cases: a one-step
+// product whose B row is salted with NaNs, zeros of both signs and infinities
+// (A finite, so no two NaNs meet), through every mode of the store, with and
+// without a bias, into C inside sentinels.
+func TestRowStoreTileFused(t *testing.T) {
+	if !slices.Contains(availableKernels(), "avx512") {
+		t.Skip("no AVX-512 float tile on this CPU or build")
+	}
+	rng := rand.New(rand.NewSource(6))
+	const rowsC, i0, ldc = 7, 2, gemmNR + 3
+	s := newGemmScratch()
+	for _, c := range tailCases() {
+		for flags := 0; flags < 8; flags++ {
+			overwrite, finish, bias := flags&1 != 0, flags&2 != 0, flags&4 != 0
+			ep := RowEpilogue{ReLU: c.mode&tailReLU != 0, Cap: c.c}
+			if c.mode&tailBN != 0 {
+				ep.Gamma, ep.Mean, ep.Inv, ep.Beta = saltedFinite(rng, rowsC, c.g), saltedFinite(rng, rowsC, c.mean), saltedFinite(rng, rowsC, c.inv), saltedFinite(rng, rowsC, c.bt)
+			}
+			if bias {
+				ep.Bias = saltedFinite(rng, rowsC, -0.5)
+			}
+			ap := saltedFinite(rng, gemmMR, 1)
+			copy(s.bp, saltedRow(rng, gemmNR))
+			c0 := saltedRow(rng, rowsC*ldc) // an overwriting store must not read it
+			if !overwrite {
+				c0 = withoutNaN(c0)
+			}
+			j0 := rng.Intn(ldc - gemmNR + 1)
+			run := func(kernel string) []float32 {
+				buf, cm := guarded(c0, 0, float32(-12345.678))
+				g := gemmCall{c: cm, ldc: ldc, row: ep}
+				withKernel(t, kernel, func() { g.macroKernel(s, ap, i0, gemmMR, j0, gemmNR, 1, overwrite, finish) })
+				return buf
+			}
+			requireSameF32(t, fmt.Sprintf("%v tile at (%d,%d) overwrite=%v finish=%v bias=%v", c, i0, j0, overwrite, finish, bias),
+				run("avx512"), run("purego"))
+		}
+	}
+}
+
 // saltedFinite draws n finite per-row operands around v, zeros of both signs
 // among them.
 func saltedFinite(rng *rand.Rand, n int, v float32) []float32 {

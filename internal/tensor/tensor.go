@@ -13,10 +13,7 @@
 // other operations are single-goroutine.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense row-major float32 tensor. The zero value is an empty
 // tensor; use New or FromSlice to construct usable values.
@@ -172,87 +169,11 @@ func (t *Tensor) AddInPlace(u *Tensor) {
 	}
 }
 
-// SubInPlace subtracts u from t elementwise. Shapes must match.
-func (t *Tensor) SubInPlace(u *Tensor) {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: SubInPlace shape mismatch %v vs %v", t.shape, u.shape))
-	}
-	for i, v := range u.Data {
-		t.Data[i] -= v
-	}
-}
-
-// MulInPlace multiplies t by u elementwise. Shapes must match.
-func (t *Tensor) MulInPlace(u *Tensor) {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: MulInPlace shape mismatch %v vs %v", t.shape, u.shape))
-	}
-	for i, v := range u.Data {
-		t.Data[i] *= v
-	}
-}
-
 // Scale multiplies every element of t by s.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
-}
-
-// AXPY adds a*u to t elementwise (t += a*u). Shapes must match.
-func (t *Tensor) AXPY(a float32, u *Tensor) {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: AXPY shape mismatch %v vs %v", t.shape, u.shape))
-	}
-	for i, v := range u.Data {
-		t.Data[i] += a * v
-	}
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float32 {
-	var s float32
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float32 { return t.Sum() / float32(len(t.Data)) }
-
-// Max returns the maximum element.
-func (t *Tensor) Max() float32 {
-	m := float32(math.Inf(-1))
-	for _, v := range t.Data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element.
-func (t *Tensor) Min() float32 {
-	m := float32(math.Inf(1))
-	for _, v := range t.Data {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Dot returns the inner product of t and u viewed as flat vectors.
-func (t *Tensor) Dot(u *Tensor) float32 {
-	if len(t.Data) != len(u.Data) {
-		panic("tensor: Dot length mismatch")
-	}
-	var s float32
-	for i, v := range t.Data {
-		s += v * u.Data[i]
-	}
-	return s
 }
 
 // String renders a compact description (shape plus a few leading values),

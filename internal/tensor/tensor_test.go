@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -136,31 +137,16 @@ func TestElementwiseOps(t *testing.T) {
 	if a.Data[3] != 44 {
 		t.Fatalf("AddInPlace: got %v", a.Data)
 	}
-	a.SubInPlace(b)
-	if a.Data[3] != 4 {
-		t.Fatalf("SubInPlace: got %v", a.Data)
-	}
-	a.MulInPlace(b)
-	if a.Data[0] != 10 {
-		t.Fatalf("MulInPlace: got %v", a.Data)
-	}
 	a.Scale(0.5)
-	if a.Data[0] != 5 {
+	if a.Data[0] != 5.5 {
 		t.Fatalf("Scale: got %v", a.Data)
-	}
-	a.AXPY(2, b)
-	if a.Data[0] != 25 {
-		t.Fatalf("AXPY: got %v", a.Data)
 	}
 }
 
 func TestShapeMismatchPanics(t *testing.T) {
 	a, b := New(2, 2), New(4)
 	for name, f := range map[string]func(){
-		"Add":  func() { a.AddInPlace(b) },
-		"Sub":  func() { a.SubInPlace(b) },
-		"Mul":  func() { a.MulInPlace(b) },
-		"AXPY": func() { a.AXPY(1, b) },
+		"Add": func() { a.AddInPlace(b) },
 	} {
 		func() {
 			defer func() {
@@ -170,25 +156,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestReductions(t *testing.T) {
-	x := FromSlice([]float32{-1, 0, 3, 2}, 4)
-	if x.Sum() != 4 {
-		t.Fatalf("Sum = %v", x.Sum())
-	}
-	if x.Mean() != 1 {
-		t.Fatalf("Mean = %v", x.Mean())
-	}
-	if x.Max() != 3 {
-		t.Fatalf("Max = %v", x.Max())
-	}
-	if x.Min() != -1 {
-		t.Fatalf("Min = %v", x.Min())
-	}
-	if x.Dot(x) != 1+0+9+4 {
-		t.Fatalf("Dot = %v", x.Dot(x))
 	}
 }
 
@@ -412,8 +379,8 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	Im2ColInto(cx.Data, x.Data, c, h, w, k, k, s, p)
 	xy := New(c, h, w)
 	Col2Im(xy.Data, y.Data, c, h, w, k, k, s, p)
-	lhs := float64(cx.Dot(y))
-	rhs := float64(x.Dot(xy))
+	lhs := float64(dot(cx.Data, y.Data))
+	rhs := float64(dot(x.Data, xy.Data))
 	if math.Abs(lhs-rhs) > 1e-3*(1+math.Abs(lhs)) {
 		t.Fatalf("adjoint property violated: <Ax,y>=%v, <x,Aᵀy>=%v", lhs, rhs)
 	}
@@ -423,20 +390,29 @@ func TestInitializers(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := New(10000)
 	x.RandUniform(rng, -1, 1)
-	if x.Min() < -1 || x.Max() >= 1 {
-		t.Fatalf("RandUniform out of range: [%v,%v]", x.Min(), x.Max())
+	if slices.Min(x.Data) < -1 || slices.Max(x.Data) >= 1 {
+		t.Fatalf("RandUniform out of range: [%v,%v]", slices.Min(x.Data), slices.Max(x.Data))
 	}
 	x.HeInit(rng, 50)
-	std := math.Sqrt(float64(x.Dot(x)) / float64(x.Len()))
+	std := math.Sqrt(float64(dot(x.Data, x.Data)) / float64(x.Len()))
 	want := math.Sqrt(2.0 / 50)
 	if math.Abs(std-want) > 0.1*want {
 		t.Fatalf("HeInit std = %v, want ≈ %v", std, want)
 	}
 	x.XavierInit(rng, 30, 70)
 	limit := math.Sqrt(6.0 / 100)
-	if float64(x.Max()) > limit || float64(x.Min()) < -limit {
-		t.Fatalf("XavierInit out of range [%v, %v], limit %v", x.Min(), x.Max(), limit)
+	if float64(slices.Max(x.Data)) > limit || float64(slices.Min(x.Data)) < -limit {
+		t.Fatalf("XavierInit out of range [%v, %v], limit %v", slices.Min(x.Data), slices.Max(x.Data), limit)
 	}
+}
+
+// dot is the inner product of two equally long vectors.
+func dot(a, b []float32) float32 {
+	var s float32
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
 }
 
 // Property: reshaping to any factorization preserves the flat data.

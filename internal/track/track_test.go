@@ -3,6 +3,7 @@ package track
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,15 @@ import (
 	"skynet/internal/nn"
 	"skynet/internal/tensor"
 )
+
+// dot is the inner product of two equally long tensors, in float64.
+func dot(a, b *tensor.Tensor) float64 {
+	var s float32
+	for i, v := range a.Data {
+		s += v * b.Data[i]
+	}
+	return float64(s)
+}
 
 func TestAOEqualsMeanIoU(t *testing.T) {
 	ious := []float64{0.2, 0.4, 0.9}
@@ -139,9 +149,9 @@ func TestDWXCorrBackwardNumeric(t *testing.T) {
 	for _, i := range []int{0, 3, 7, 13, 21, 31} {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		fp := float64(DWXCorr(z, x).Dot(r))
+		fp := dot(DWXCorr(z, x), r)
 		x.Data[i] = orig - eps
-		fm := float64(DWXCorr(z, x).Dot(r))
+		fm := dot(DWXCorr(z, x), r)
 		x.Data[i] = orig
 		num := (fp - fm) / (2 * eps)
 		if math.Abs(num-float64(dx.Data[i])) > tol*(1+math.Abs(num)) {
@@ -297,7 +307,7 @@ func TestSiamMaskVariant(t *testing.T) {
 		t.Fatalf("mask ground truth %v", p.MaskGT)
 	}
 	// The GT mask patch must contain both object and background pixels.
-	if p.MaskGT.Max() == p.MaskGT.Min() {
+	if slices.Max(p.MaskGT.Data) == slices.Min(p.MaskGT.Data) {
 		t.Fatal("degenerate mask patch")
 	}
 	opt := nn.NewSGD(0.01, 0.9, 0)
@@ -314,8 +324,8 @@ func TestSiamMaskVariant(t *testing.T) {
 	}
 	zf := tr.ExemplarFeatures(seqs[0])
 	mask := tr.PeakMask(zf, seqs[0].Frames[1], seqs[0].Boxes[1])
-	if mask.Dim(1) != 16 || mask.Min() < 0 || mask.Max() > 1 {
-		t.Fatalf("peak mask invalid: %v range [%v,%v]", mask.Shape(), mask.Min(), mask.Max())
+	if mask.Dim(1) != 16 || slices.Min(mask.Data) < 0 || slices.Max(mask.Data) > 1 {
+		t.Fatalf("peak mask invalid: %v range [%v,%v]", mask.Shape(), slices.Min(mask.Data), slices.Max(mask.Data))
 	}
 }
 

@@ -82,7 +82,7 @@ func clampIdx(v, n int) int {
 // Step runs one training step on a pair and returns the total loss. The
 // exemplar branch runs in eval mode as a frozen template; gradients flow
 // through the search branch into the shared backbone (a standard Siamese
-// training simplification, documented in DESIGN.md).
+// training simplification: EXPERIMENTS.md, known deviation 3).
 func (t *Tracker) Step(p Pair, opt *nn.SGD) float32 {
 	zf := t.features(p.Exemplar, false).Clone()
 	xf := t.features(p.Search, true)
