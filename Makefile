@@ -132,6 +132,9 @@ short:
 # does how concurrent runs of one executor take turns at its model. The
 # lane's deadline, record and allocation tests, and the non-finite answers of
 # both doors, ride along with the lane tests.
+# The int8 plan-cache test alternates sample shapes on one model and counts
+# its allocations on each worker count, and the pinned observer order is the
+# observed run's on one worker: both ride along with the lane tests.
 # tensor's packing panels (16-column float and int8 panels alike, the int8 A
 # panels as int16 pairs) are taken per chunk in flight: how many a free list
 # builds, and whether a warm call still allocates nothing, depends on how
@@ -142,7 +145,7 @@ short:
 # backward runs through them) get the three runs too.
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool.
-LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand
+LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite
 STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
 LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers

@@ -34,35 +34,37 @@ import "skynet/internal/tensor"
 // small inputs into bands of a row or two.
 var bandBudget = 1 << 20
 
-// band is a Bundle step's structure. A unit of its work is k depth-wise
-// output rows of an image — one row of pool windows.
-type band struct {
-	dw   *DWConv3
-	pw   *Conv2D
-	head int // dw's node, which heads the step
-	conv int // pw's node, whose chain is the product's row tail
-	last int // the chain's last node: what the product is
-	pool int // the MaxPool node folded in, or -1
-	// reorg is the Reorg node folded in beside pool, or -1: at a bypass source
-	// the step writes two maps, the pooled one and the reordered one.
-	reorg int
-	out   int // the node whose output the step writes: pool, else the chain's last
-	k     int // the pool's window; 1 without a pool
-	rows  int // depth-wise output rows per band at most: a multiple of k
-	len   int // the worker buffer the largest band needs
+// Band is the rest of a Bundle step, whose Node is a DWConv3: the step
+// computes Node, then the 1×1 convolution Conv with the step's Chain fused,
+// then the max-pool Pool, band by band, and materialises only the last of
+// them — and, at a bypass source, the reordered map beside it. A unit of its
+// work is K depth-wise output rows of an image: one row of pool windows.
+type Band struct {
+	Conv int // the 1×1 Conv2D node that alone consumes Node
+	Pool int // the MaxPool node that consumes the chain, or -1
+	// Reorg is the Reorg node that reads the chain beside Pool, or -1: the step
+	// writes its slot too.
+	Reorg int
+	K     int // the pool's window; 1 without a pool
+	// Rows is how many depth-wise output rows a band holds at most, a whole
+	// number of pool windows, and Len the worker buffer the largest band needs.
+	Rows, Len int
+
+	dw *DWConv3
+	pw *Conv2D
 }
 
 // fit sizes the bands for a depth-wise output of outH×outW — as many rows as
 // bandBudget holds, a whole number of pool windows, at least one and at most
 // the image — and the worker buffer they then need.
-func (b *band) fit(outH, outW int) {
+func (b *Band) fit(outH, outW int) {
 	perRow := b.dw.C
-	if b.pool >= 0 {
+	if b.Pool >= 0 {
 		perRow += b.pw.OutC
 	}
-	b.rows = bandBudget / (4 * outW * perRow) / b.k * b.k
-	b.rows = min(max(b.rows, b.k), outH/b.k*b.k)
-	b.len = perRow * b.rows * outW
+	b.Rows = bandBudget / (4 * outW * perRow) / b.K * b.K
+	b.Rows = min(max(b.Rows, b.K), outH/b.K*b.K)
+	b.Len = perRow * b.Rows * outW
 }
 
 // carve cuts a band of n columns out of a worker's buffer: the depth-wise
@@ -70,22 +72,22 @@ func (b *band) fit(outH, outW int) {
 // right behind them.
 //
 //skynet:hotpath
-func (b *band) carve(buf []float32, n int) (dw, pw []float32) {
+func (b *Band) carve(buf []float32, n int) (dw, pw []float32) {
 	dw = buf[:b.dw.C*n]
-	if b.pool >= 0 {
+	if b.Pool >= 0 {
 		pw = buf[len(dw) : len(dw)+b.pw.OutC*n]
 	}
 	return dw, pw
 }
 
-// bandShare is the operands of one Bundle step on one image: the image
+// bandShare is the operands of one Bundle step s on one image: the image
 // [C,h,w], src; its output dst; for a step that folds a Reorg, the image's
 // reordered map reorg; the convolution's epilogue, as for
 // Conv2D.forwardImage; the forward's observer, if any; and the lanes whose
 // band buffers the workers use, worker i lane i's. The geometry is the one
 // recorded on both layers.
 type bandShare struct {
-	b        *band
+	s        *Step
 	dst, src []float32
 	reorg    []float32
 	ep       tensor.RowEpilogue
@@ -153,18 +155,19 @@ func (r bandRun) units(w, lo, hi int) {
 //
 //skynet:hotpath
 func (a *bandShare) compute(buf []float32, r0, rows int) {
-	b, d, c := a.b, a.b.dw, a.b.pw
+	b := a.s.Band
+	d, c := b.dw, b.pw
 	plane, cols, n := d.inH*d.inW, d.outH*d.outW, rows*d.outW
 	dwb, pwb := b.carve(buf, n)
 	for ch := 0; ch < d.C; ch++ {
 		d.rows(dwb[ch*n:(ch+1)*n], a.src[ch*plane:(ch+1)*plane], ch, r0)
 	}
 	if a.observe != nil {
-		a.observe(b.head, dwb)
+		a.observe(a.s.Node, dwb)
 	}
 	// BandOf: the unfused convolution multiplies the whole image at once.
 	p := tensor.RowProduct{M: c.OutC, N: n, K: c.InC, BandOf: cols, Ep: a.ep, Packed: a.packed}
-	if b.pool < 0 {
+	if b.Pool < 0 {
 		p.Ldc = cols
 		at := r0 * d.outW
 		tensor.MatMulRowEpilogueInto(a.dst[at:at+(c.OutC-1)*cols+n], c.Weight.W.Data, dwb, p)
@@ -172,14 +175,14 @@ func (a *bandShare) compute(buf []float32, r0, rows int) {
 	}
 	tensor.MatMulRowEpilogueInto(pwb, c.Weight.W.Data, dwb, p)
 	if a.observe != nil {
-		a.observe(b.last, pwb)
+		a.observe(a.s.Chain.Last(b.Conv), pwb)
 	}
-	oh, ow := d.outH/b.k, d.outW/b.k
+	oh, ow := d.outH/b.K, d.outW/b.K
 	for oc := 0; oc < c.OutC; oc++ {
-		at := (oc*oh + r0/b.k) * ow
-		maxPoolInto(a.dst[at:at+rows/b.k*ow], pwb[oc*n:(oc+1)*n], 1, rows, d.outW, b.k)
+		at := (oc*oh + r0/b.K) * ow
+		maxPoolInto(a.dst[at:at+rows/b.K*ow], pwb[oc*n:(oc+1)*n], 1, rows, d.outW, b.K)
 	}
 	if a.reorg != nil {
-		ReorgRows(a.reorg, pwb, c.OutC, d.outH, d.outW, b.k, r0, rows)
+		ReorgRows(a.reorg, pwb, c.OutC, d.outH, d.outW, b.K, r0, rows)
 	}
 }

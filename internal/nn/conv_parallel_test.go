@@ -170,7 +170,7 @@ func TestNoForwardOperandOnLayers(t *testing.T) {
 		"planNode.packed":  "written as a forward begins, before its lanes start",
 	}
 	operand := []reflect.Type{reflect.TypeOf([]float32(nil)), reflect.TypeOf([][]float32(nil)), reflect.TypeOf(tensor.RowEpilogue{})}
-	for _, v := range []any{Conv2D{}, DWConv3{}, BatchNorm{}, ReLU{}, MaxPool{}, Reorg{}, Concat{}, band{}, planNode{}, Plan{}} {
+	for _, v := range []any{Conv2D{}, DWConv3{}, BatchNorm{}, ReLU{}, MaxPool{}, Reorg{}, Concat{}, Band{}, Step{}, planNode{}, Plan{}, PlanCache{}} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)

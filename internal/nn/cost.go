@@ -25,7 +25,7 @@ func Costs(g *Graph, in []int) []NodeCost {
 	rows := make([]NodeCost, len(g.Nodes))
 	for i, n := range g.Nodes {
 		r := &rows[i]
-		r.Layer, r.In, r.Out = n.Layer, slices.Clone(p.shapeOf(n.Inputs[0])), p.shapes[i]
+		r.Layer, r.In, r.Out = n.Layer, slices.Clone(p.Slot(n.Inputs[0]).Dims), p.shapes[i]
 		for _, q := range n.Layer.Params() {
 			r.Params += int64(q.W.Len())
 		}

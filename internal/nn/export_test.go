@@ -43,9 +43,9 @@ func BandSpans(p *Plan) (dw, pw [][2]int) {
 		}
 		return [2]int{lo, lo + len(s)}
 	}
-	for _, pn := range p.nodes {
-		if b := pn.band; b != nil {
-			d, w := b.carve(buf, b.rows*pn.dims[3])
+	for _, s := range p.steps {
+		if b := s.Band; b != nil {
+			d, w := b.carve(buf, b.Rows*p.nodes[s.Node].Dims[3])
 			dw, pw = append(dw, span(d)), append(pw, span(w))
 		}
 	}

@@ -22,13 +22,13 @@ type Node struct {
 // the bypass topology of SkyNet models B/C.
 //
 // Forward(x, true) walks the layers, which cache what Backward needs.
-// Forward(x, false) runs a compiled inference plan (plan.go), whatever the
-// graph: it touches no layer cache, takes the batch through the plan as
-// lanes — each worker its own samples, on its own one-sample region of an
-// arena the graph owns — and keeps every feature map there but for the maps
-// inside a Bundle (DW → PW → BN → act → pool), which is one step and holds
-// them a band of rows at a time (band.go); it returns bitwise what the walk
-// would. Walk is that walk in eval mode, every node's output shown to the
+// Forward(x, false) runs the plan for x's sample shape from the graph's
+// PlanCache (plan.go), compiled once, whatever the graph: it touches no layer
+// cache, walks the plan's one step list as lanes — each worker its own
+// samples, on its own one-sample region of an arena the graph owns — and
+// keeps every feature map there but for the maps inside a Bundle (DW → PW →
+// BN → act → pool), one step holding them a band of rows at a time
+// (band.go); it returns bitwise what the walk would. Walk is that walk in eval mode, every node's output shown to the
 // caller, who may rewrite it — the quantization package emulates fixed-point
 // feature maps that way. The returned tensor is always a fresh one that
 // belongs to the caller. A Graph is not safe for concurrent use.
@@ -44,7 +44,7 @@ type Graph struct {
 	OutShapes [][]int
 
 	trained bool      // the last Forward was a training one: the layers hold its caches
-	plans   []*Plan   // inference plans, most recently used first, one per input sample shape
+	plans   PlanCache // inference plans, one per input sample shape, under no mask
 	arena   []float32 // feature maps of the inference forward in flight: one sample's per lane
 	lanes   []*lane   // the walks of the forward in flight, and the workers' band buffers; lanes[i] owns region i of arena
 	run     planRun   // the inference forward in flight
@@ -87,7 +87,8 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	g.trained = train
 	if !train {
-		p := g.planFor(x)
+		g.plans.g = g
+		p := g.plans.For(x.Shape())
 		g.OutShapes = p.shapes
 		return p.Run(x, nil)
 	}
@@ -125,12 +126,6 @@ func (g *Graph) walk(x *tensor.Tensor, train bool, visit func(i int, out *tensor
 	}
 	return outs[g.output()]
 }
-
-// ReleaseArena drops the arena, lanes and band buffers inference forwards
-// have left on g; the next one allocates them again. For an owner that keeps
-// g but runs no further forward on it, as quant.Export does after
-// calibrating.
-func (g *Graph) ReleaseArena() { g.arena, g.lanes = nil, nil }
 
 // Backward propagates dout (gradient w.r.t. the graph output) through every
 // node in reverse order, accumulating parameter gradients, and returns the

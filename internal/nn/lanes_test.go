@@ -23,7 +23,8 @@ func workers(nnWorkers, gemmWorkers int, fn func()) {
 
 // TestArenaBoundedByLanes: the arena is one sample's per lane, whatever the
 // batch. Two workers take a batch of 16 on two regions; a batch of 1 after it
-// — one lane — neither shrinks nor regrows the arena; ReleaseArena drops it.
+// — one lane — neither shrinks nor regrows the arena; a PlanCache's Release
+// drops it, the graph's arena being every plan's.
 func TestArenaBoundedByLanes(t *testing.T) {
 	g, rng := skyNetC(0.25, 31)
 	_, perSample := nn.Compile(g, []int{1, 3, 32, 64}, nil).Steps()
@@ -41,11 +42,11 @@ func TestArenaBoundedByLanes(t *testing.T) {
 			t.Fatalf("a batch of 1 afterwards replaced the arena (%d elements, was %d)", len(after), len(arena))
 		}
 	})
-	g.ReleaseArena()
+	nn.NewPlanCache(g, nil).Release()
 	if arena, lanes := nn.Arena(g); arena != nil || lanes != 0 {
-		t.Fatalf("ReleaseArena left %d elements and %d lanes", len(arena), lanes)
+		t.Fatalf("Release left %d elements and %d lanes", len(arena), lanes)
 	}
-	requireSameBits(t, "a forward after ReleaseArena", g.Forward(randBatch(rand.New(rand.NewSource(1)), 2, 3, 32, 64), false),
+	requireSameBits(t, "a forward after Release", g.Forward(randBatch(rand.New(rand.NewSource(1)), 2, 3, 32, 64), false),
 		g.Walk(randBatch(rand.New(rand.NewSource(1)), 2, 3, 32, 64), nil))
 }
 

@@ -12,14 +12,23 @@ import (
 // are alive from that step, the slots it frees until it — and fails if two
 // slots alive at one step share an element or lie outside the arena. It
 // returns the largest sum of live slots any step sees: no layout needs less.
-func replayLayout(t *testing.T, name string, steps []nn.Step, perSample int) (peak int) {
+// A laid-out Concat writes nothing: its slot is its inputs', born with them.
+func replayLayout(t *testing.T, name string, p *nn.Plan) (peak int) {
 	t.Helper()
+	steps, perSample := p.Steps()
 	type slot struct{ node, off, size int }
 	var alive []slot
 	for _, s := range steps {
+		if s.Laid {
+			if len(s.Frees) != 0 {
+				t.Fatalf("%s: the laid-out Concat %d frees %v", name, s.Node, s.Frees)
+			}
+			continue
+		}
 		born := []slot{{s.Out, s.Off, s.Size}}
 		if s.Band != nil && s.Band.Reorg >= 0 {
-			born = append(born, slot{s.Band.Reorg, s.Band.ReorgOff, s.Band.ReorgSize})
+			r := p.Slot(s.Band.Reorg)
+			born = append(born, slot{s.Band.Reorg, r.Off, r.Size})
 		}
 		for _, b := range born {
 			if b.off < 0 {
@@ -72,8 +81,9 @@ func TestLayoutPacksLifetimes(t *testing.T) {
 		if i%2 == 0 {
 			c = genBypass(rng)
 		}
-		steps, perSample := nn.Compile(c.g, c.x.Shape(), nil).Steps()
-		if peak := replayLayout(t, c.name, steps, perSample); perSample < peak {
+		p := nn.Compile(c.g, c.x.Shape(), nil)
+		_, perSample := p.Steps()
+		if peak := replayLayout(t, c.name, p); perSample < peak {
 			t.Fatalf("%s: an arena of %d for a live sum of %d", c.name, perSample, peak)
 		}
 	}
@@ -100,8 +110,9 @@ func TestLayoutPacksLifetimes(t *testing.T) {
 		{"VGG16", backbone.VGG16(rng, small), 64, 64, 131_072, false},
 		{"MobileNetV1", backbone.MobileNetV1(rng, small), 64, 64, 40_960, false},
 	} {
-		steps, perSample := nn.Compile(m.g, []int{1, 3, m.h, m.w}, nil).Steps()
-		peak := replayLayout(t, m.name, steps, perSample)
+		p := nn.Compile(m.g, []int{1, 3, m.h, m.w}, nil)
+		_, perSample := p.Steps()
+		peak := replayLayout(t, m.name, p)
 		if perSample < peak || m.tight && perSample != peak {
 			t.Errorf("%s: an arena of %d for a live sum of %d (exactly that: %v)", m.name, perSample, peak, m.tight)
 		}

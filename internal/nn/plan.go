@@ -9,11 +9,12 @@ import (
 )
 
 // This file is the inference side of Graph.Forward: a plan compiled once per
-// (node list, Output, input sample shape) and an executor that runs it. It is
-// the int8 engine's planner too: internal/quant compiles the same plan under
-// a mask of nodes that stay units of their own, calibrates by running it in
-// float under an observer (Run), and executes its Steps with integer
-// arithmetic on a []int8 arena at the same offsets.
+// (node list, Output, input sample shape) — one list of steps and one slot per
+// node — and an executor that walks the list. It is the int8 engine's plan
+// too: internal/quant keeps a PlanCache under a mask of nodes that stay units
+// of their own, calibrates by running its plan in float under an observer
+// (Run), and executes the same Steps with integer arithmetic on a []int8
+// arena at the same offsets.
 //
 // The plan holds structure only — shapes, which BatchNorm and ReLU nodes
 // fold into which convolution's GEMM store, and where in the graph's arena
@@ -42,7 +43,7 @@ import (
 // core's cache from step to step, and the cores meet once per forward, not
 // once per layer. And because a lane holds one sample, that sample's channel
 // concatenation is its inputs end to end: where the graph allows it a Concat
-// is where its inputs were written (findAliases, layout), not a step.
+// is where its inputs were written (findAliases, layout), computed by none.
 
 // ConvChain is the tail that may fuse into one Conv2D node's GEMM:
 // conv → [BatchNorm] → [ReLU], following sole-consumer edges only, so no
@@ -143,30 +144,33 @@ func (r readers) bypass(g *Graph, i int) (pool, reorg int) {
 	return -1, -1
 }
 
+// Slot is one map of one sample as a plan lays it out: its shape (Dims[0] is
+// 1), its Size, and where it lies in a lane's region of the arena, [Off,
+// Off+Size) — Off is -1 for the graph input and output, and inside a step.
+type Slot struct {
+	Dims      []int
+	Off, Size int
+}
+
 // planNode is one graph node as the plan sees it. Nothing here changes while
 // a forward's lanes run.
 type planNode struct {
 	layer  Layer
 	inputs []int
-	dims   []int // the node's output shape for one sample: dims[0] is 1
-	size   int   // output elements per sample
+	Slot   // the node's output
 
 	chain ConvChain // Conv2D: what its GEMM store applies when fusing
 	inv   []float32 // Conv2D with a chain BN: per-channel 1/sqrt(var+eps), refilled as every forward begins
 	// packed is a Conv2D's weights in the GEMM's panels (tensor.PackA), made by
 	// the plan's first forward and refilled as every forward begins.
 	packed []float32
-	band   *band // DWConv3 heading a Bundle step (band.go); nil for the others
-	fused  bool  // has no step of its own: a chain's tail, a Bundle step's conv, pool and reorg, an alias
-	chans  []int // Concat: channels of each input
+
+	// What Compile decides, node by node, before it lists the steps.
+	band  *Band // DWConv3 heading a Bundle step (band.go); nil for the others
+	fused bool  // has no step of its own: a chain's tail, a Bundle step's conv, pool and reorg, an alias
 	// alias marks a Concat that is not computed but laid out: its inputs'
 	// slots, side by side in channel order, are its slot (findAliases).
 	alias bool
-
-	// off is the offset, within a lane's region of the arena, of the slot this
-	// node's output is written to; -1 when it has none (fused into a later
-	// node's slot, the graph output).
-	off int
 	// frees lists the nodes whose slots nothing reads after this step: the
 	// inputs of an alias stand there for it.
 	frees []int
@@ -180,8 +184,9 @@ type planNode struct {
 type Plan struct {
 	g      *Graph
 	nodes  []planNode
+	steps  []Step // in execution order, listed once by Compile
 	output int
-	in     []int   // input shape of one sample: in[0] is 1
+	input  Slot    // the graph input's: Dims is the sample shape, Dims[0] 1
 	shapes [][]int // the nodes' output shapes at the batch of the last forward, as Graph.OutShapes
 	// perSample is the arena a sample's walk needs, in elements: a lane's
 	// region, whatever the batch.
@@ -191,7 +196,7 @@ type Plan struct {
 	bandLen int
 }
 
-// maxPlans bounds the plans a graph keeps, one per input sample shape; the
+// maxPlans bounds the plans a PlanCache keeps, one per input sample shape; the
 // least recently used is dropped.
 const maxPlans = 4
 
@@ -200,21 +205,57 @@ const maxPlans = 4
 // handed out while still live then shows in the output.
 var poisonReleased bool
 
-// planFor returns the plan for g at x's sample shape, compiling on a miss.
-func (g *Graph) planFor(x *tensor.Tensor) *Plan {
-	if len(g.plans) > 0 && !g.plans[0].describes(g) {
-		g.plans = nil
+// PlanCache is the plans of one graph under one mask, one per input sample
+// shape, at most maxPlans, the most recently used first: where Graph.Forward
+// (its own, with no mask) and the int8 engine, calibration included, get every
+// plan they run. Like the graph, a cache is not safe for concurrent use.
+type PlanCache struct {
+	g        *Graph
+	separate []bool // Compile's mask
+	plans    []*Plan
+}
+
+// NewPlanCache returns an empty cache of g's plans under the mask separate
+// (Compile's; nil marks none), which it copies.
+func NewPlanCache(g *Graph, separate []bool) *PlanCache {
+	return &PlanCache{g: g, separate: slices.Clone(separate)}
+}
+
+// For returns the plan for samples of the given shape (shape[0] is ignored),
+// compiling one on a miss. Once the graph's node list has changed the cache
+// starts over.
+func (c *PlanCache) For(shape []int) *Plan {
+	if len(c.plans) > 0 && !c.plans[0].describes(c.g) {
+		c.plans = nil
 	}
-	for i, p := range g.plans {
-		if slices.Equal(p.in[1:], x.Shape()[1:]) {
-			copy(g.plans[1:i+1], g.plans[:i])
-			g.plans[0] = p
+	for i, p := range c.plans {
+		if slices.Equal(p.input.Dims[1:], shape[1:]) {
+			copy(c.plans[1:i+1], c.plans[:i])
+			c.plans[0] = p
 			return p
 		}
 	}
-	p := Compile(g, x.Shape(), nil)
-	g.plans = append([]*Plan{p}, g.plans[:min(len(g.plans), maxPlans-1)]...)
+	p := Compile(c.g, shape, c.separate)
+	c.plans = append([]*Plan{p}, c.plans[:min(len(c.plans), maxPlans-1)]...)
 	return p
+}
+
+// Graph returns the graph whose plans the cache holds.
+func (c *PlanCache) Graph() *Graph { return c.g }
+
+// Len returns how many plans the cache holds.
+func (c *PlanCache) Len() int { return len(c.plans) }
+
+// Release drops what float forwards have left behind — the graph's arena,
+// lanes and band buffers, which all its plans share, and the cache's plans'
+// packed weights —, for the next float forward to make again.
+func (c *PlanCache) Release() {
+	c.g.arena, c.g.lanes = nil, nil
+	for _, p := range c.plans {
+		for i := range p.nodes {
+			p.nodes[i].packed = nil
+		}
+	}
 }
 
 // describes reports whether p was compiled from g's current node list.
@@ -233,26 +274,30 @@ func (p *Plan) describes(g *Graph) bool {
 // Compile infers every node's shape from the input shape in (in[0] is
 // ignored), decides fusion — separate is ConvChains' mask, and a marked
 // DWConv3, MaxPool or Reorg likewise joins no Bundle step, a marked Concat is
-// computed, not laid out: a marked node is a step of its own — and lays the
-// feature maps out in the arena. Graph.Forward compiles with a nil mask and keeps
-// the plan; another caller's plan is valid while g's node list is.
+// computed, not laid out: a marked node is a step of its own —, lays the
+// feature maps out in the arena and lists the steps. Graph.Forward's plans
+// come from a PlanCache with a nil mask; another caller's plan is valid while
+// g's node list is.
 func Compile(g *Graph, in []int, separate []bool) *Plan {
 	p := &Plan{g: g, nodes: make([]planNode, len(g.Nodes)), output: g.output(),
-		in: slices.Clone(in), shapes: make([][]int, len(g.Nodes))}
-	p.in[0] = 1
+		input: Slot{Dims: slices.Clone(in), Off: -1, Size: 1}, shapes: make([][]int, len(g.Nodes))}
+	p.input.Dims[0] = 1
+	for _, d := range in[1:] {
+		p.input.Size *= d
+	}
 	chains := ConvChains(g, separate)
 	for i, n := range g.Nodes {
 		pn := &p.nodes[i]
-		pn.layer, pn.inputs, pn.off = n.Layer, slices.Clone(n.Inputs), -1
+		pn.layer, pn.inputs, pn.Off = n.Layer, slices.Clone(n.Inputs), -1
 		shapes := make([][]int, len(n.Inputs))
 		for k, j := range n.Inputs {
-			shapes[k] = p.shapeOf(j)
+			shapes[k] = p.Slot(j).Dims
 		}
 		switch l := n.Layer.(type) {
 		case *Conv2D:
 			expect4D(shapes[0], l.InC, l.label)
 			outH, outW := l.outSize(shapes[0][2], shapes[0][3])
-			pn.dims = []int{1, l.OutC, outH, outW}
+			pn.Dims = []int{1, l.OutC, outH, outW}
 			pn.chain = chains[i]
 			if pn.chain.BN != nil {
 				pn.inv = make([]float32, l.OutC)
@@ -263,53 +308,51 @@ func Compile(g *Graph, in []int, separate []bool) *Plan {
 		case *DWConv3:
 			expect4D(shapes[0], l.C, "dwconv3")
 			outH, outW := l.outSize(shapes[0][2], shapes[0][3])
-			pn.dims = []int{1, l.C, outH, outW}
+			pn.Dims = []int{1, l.C, outH, outW}
 		case *BatchNorm:
 			expect4D(shapes[0], l.C, "batchnorm")
-			pn.dims = slices.Clone(shapes[0])
+			pn.Dims = slices.Clone(shapes[0])
 		case *ReLU:
-			pn.dims = slices.Clone(shapes[0])
+			pn.Dims = slices.Clone(shapes[0])
 		case *MaxPool:
 			expect4D(shapes[0], 0, "maxpool")
-			pn.dims = []int{1, shapes[0][1], shapes[0][2] / l.K, shapes[0][3] / l.K}
+			pn.Dims = []int{1, shapes[0][1], shapes[0][2] / l.K, shapes[0][3] / l.K}
 		case *Reorg:
-			pn.dims = l.outShape(shapes[0])
+			pn.Dims = l.outShape(shapes[0])
 		case *Add:
 			if len(shapes) != 2 || !slices.Equal(shapes[0], shapes[1]) {
 				panic(fmt.Sprintf("nn: add (node %d) of shapes %v", i, shapes))
 			}
-			pn.dims = slices.Clone(shapes[0])
+			pn.Dims = slices.Clone(shapes[0])
 		case *Concat:
-			pn.dims = concatShape(shapes)
-			for _, s := range shapes {
-				pn.chans = append(pn.chans, s[1])
-			}
+			pn.Dims = concatShape(shapes)
 		case *Flatten:
-			pn.dims = []int{1, 1}
+			pn.Dims = []int{1, 1}
 			for _, d := range shapes[0][1:] {
-				pn.dims[1] *= d
+				pn.Dims[1] *= d
 			}
 		case *Dropout:
-			pn.dims = slices.Clone(shapes[0])
+			pn.Dims = slices.Clone(shapes[0])
 		case *Linear:
 			l.expect(shapes[0])
-			pn.dims = []int{1, l.Out}
+			pn.Dims = []int{1, l.Out}
 		default:
 			panic(fmt.Sprintf("nn: layer %s (node %d) is of a kind the inference plan does not lower", n.Layer.Name(), i))
 		}
-		pn.size = 1
-		for _, d := range pn.dims[1:] {
-			pn.size *= d
+		pn.Size = 1
+		for _, d := range pn.Dims[1:] {
+			pn.Size *= d
 		}
-		if pn.size <= 0 {
-			panic(fmt.Sprintf("nn: layer %s (node %d) has empty output shape %v for input %v", n.Layer.Name(), i, pn.dims, shapes))
+		if pn.Size <= 0 {
+			panic(fmt.Sprintf("nn: layer %s (node %d) has empty output shape %v for input %v", n.Layer.Name(), i, pn.Dims, shapes))
 		}
-		p.shapes[i] = slices.Clone(pn.dims)
+		p.shapes[i] = slices.Clone(pn.Dims)
 	}
 	use := readersOf(g, separate)
 	p.findBands(use)
 	p.findAliases(use)
 	p.layout()
+	p.listSteps()
 	return p
 }
 
@@ -332,15 +375,15 @@ func (p *Plan) findBands(use readers) {
 		if !ok || !pw.direct() {
 			continue
 		}
-		last := p.nodes[conv].chain.Last(conv)
-		b := &band{dw: dw, pw: pw, head: i, conv: conv, last: last, pool: -1, reorg: -1, out: last, k: 1}
-		pool, reorg := use.bypass(p.g, b.out)
-		if j := use.next(b.out); j >= 0 && j != p.output {
+		b := &Band{dw: dw, pw: pw, Conv: conv, Pool: -1, Reorg: -1, K: 1}
+		out := p.nodes[conv].chain.Last(conv)
+		pool, reorg := use.bypass(p.g, out)
+		if j := use.next(out); j >= 0 && j != p.output {
 			pool = j
 		}
 		if pool >= 0 {
 			if mp, ok := p.nodes[pool].layer.(*MaxPool); ok {
-				b.pool, b.reorg, b.out, b.k = pool, reorg, pool, mp.K
+				b.Pool, b.Reorg, b.K = pool, reorg, mp.K
 				p.nodes[pool].fused = true
 				if reorg >= 0 {
 					p.nodes[reorg].fused = true
@@ -349,8 +392,8 @@ func (p *Plan) findBands(use readers) {
 		}
 		p.nodes[conv].fused = true
 		p.nodes[i].band = b
-		b.fit(p.nodes[i].dims[2], p.nodes[i].dims[3])
-		p.bandLen = max(p.bandLen, b.len)
+		b.fit(p.nodes[i].Dims[2], p.nodes[i].Dims[3])
+		p.bandLen = max(p.bandLen, b.Len)
 	}
 }
 
@@ -377,24 +420,26 @@ func (p *Plan) findAliases(use readers) {
 	}
 }
 
-// shapeOf returns the shape of one sample of node j's output (of the graph
-// input for GraphInput).
+// Slot returns node j's output as the plan lays it out for one sample (the
+// graph input's for GraphInput). Its Dims belong to the plan.
 //
 //skynet:hotpath
-func (p *Plan) shapeOf(j int) []int {
+func (p *Plan) Slot(j int) Slot {
 	if j == GraphInput {
-		return p.in
+		return p.input
 	}
-	return p.nodes[j].dims
+	return p.nodes[j].Slot
 }
 
-// slot returns the node whose output step i writes: a Bundle step's pool or
-// chain end, the end of its chain for a fusing conv, i itself otherwise.
-//
-//skynet:hotpath
+// slot returns the node whose output the step headed by node i writes: a
+// Bundle step's pool or chain end, the end of its chain for a fusing conv, i
+// itself otherwise.
 func (p *Plan) slot(i int) int {
 	if b := p.nodes[i].band; b != nil {
-		return b.out
+		if b.Pool >= 0 {
+			return b.Pool
+		}
+		return p.nodes[b.Conv].chain.Last(b.Conv)
 	}
 	return p.nodes[i].chain.Last(i)
 }
@@ -429,7 +474,7 @@ func (p *Plan) layout() {
 		}
 		outs := [2]int{p.slot(i), -1}
 		if pn.band != nil {
-			outs[1] = pn.band.reorg
+			outs[1] = pn.band.Reorg
 		}
 		for _, o := range outs {
 			if o >= 0 && o != p.output {
@@ -442,16 +487,16 @@ func (p *Plan) layout() {
 		if pn := &p.nodes[i]; pn.alias {
 			at := 0
 			for _, j := range pn.inputs {
-				p.nodes[j].off, last[j] = at, last[i]
-				at += p.nodes[j].size
+				p.nodes[j].Off, last[j] = at, last[i]
+				at += p.nodes[j].Size
 			}
 			heads = append(heads, i)
 		} else if owns[i] && !grouped[i] {
-			pn.off = 0
+			pn.Off = 0
 			heads = append(heads, i)
 		}
 	}
-	slices.SortStableFunc(heads, func(a, b int) int { return p.nodes[b].size - p.nodes[a].size })
+	slices.SortStableFunc(heads, func(a, b int) int { return p.nodes[b].Size - p.nodes[a].Size })
 	var placed []int
 	for _, h := range heads {
 		slots := []int{h}
@@ -464,18 +509,18 @@ func (p *Plan) layout() {
 			for _, s := range slots {
 				for _, q := range placed {
 					a, b := &p.nodes[s], &p.nodes[q]
-					if born[s] <= last[q] && born[q] <= last[s] && base+a.off < b.off+b.size && b.off < base+a.off+a.size {
-						base, bumped = b.off+b.size-a.off, true
+					if born[s] <= last[q] && born[q] <= last[s] && base+a.Off < b.Off+b.Size && b.Off < base+a.Off+a.Size {
+						base, bumped = b.Off+b.Size-a.Off, true
 					}
 				}
 			}
 		}
 		for _, s := range slots {
-			p.nodes[s].off += base
+			p.nodes[s].Off += base
 		}
-		p.nodes[h].off = base
+		p.nodes[h].Off = base
 		placed = append(placed, slots...)
-		p.perSample = max(p.perSample, base+p.nodes[h].size)
+		p.perSample = max(p.perSample, base+p.nodes[h].Size)
 	}
 	for s := range p.nodes {
 		if owns[s] {
@@ -485,64 +530,42 @@ func (p *Plan) layout() {
 	}
 }
 
-// Step is one executed step of a plan as another engine reads it: the node
-// whose layer runs and where the one output it materialises lies.
+// Step is one step of a plan, as the float executor and the int8 engine both
+// walk it: the node whose layer runs and the one output it materialises.
 type Step struct {
 	Node   int       // the node the step runs
 	Out    int       // the node whose output it writes: Chain.Last(Node), or a Bundle step's last node
 	Inputs []int     // Node's inputs (GraphInput for the graph's)
 	Chain  ConvChain // what fuses into a Conv2D step, or into a Bundle step's convolution
 	Band   *Band     // what a DWConv3 step runs beyond Node when it is a Bundle step; nil otherwise
-	Dims   []int     // Out's shape for one sample; Dims[0] is 1
-	Size   int       // Out's elements per sample
-	// Off is where Out's slot lies in an arena of one sample, [Off, Off+Size),
-	// or -1 for the graph output, which has none.
-	Off   int
-	Frees []int // the nodes whose slots nothing reads after this step
-	// Laid lists the Concats laid out (findAliases) that come next in node order,
-	// whole once this step has run, each as a step with its inputs' slots for one.
-	Laid []Step
+	Slot             // Out's: Off is -1 for the graph output, which has none
+	Frees  []int     // the nodes whose slots nothing reads after this step
+	// Laid marks a Concat laid out (findAliases): its inputs' slots, side by
+	// side, are its slot, whole once the steps before it have run; an engine
+	// on other grids may requantize an input where it lies.
+	Laid bool
 }
 
-// Band is the rest of a Bundle step, whose Node is a DWConv3: the step
-// computes Node, then the 1×1 convolution Conv with the step's Chain fused,
-// then the max-pool Pool, band by band, and materialises only the last of
-// them — and, at a bypass source, the reordered map beside it.
-type Band struct {
-	Conv int // the 1×1 Conv2D node that alone consumes Node
-	Pool int // the MaxPool node that consumes the chain, or -1
-	// Reorg is the Reorg node that reads the chain beside Pool, or -1: the step
-	// writes its map too, ReorgSize elements at ReorgOff (as Step.Off).
-	Reorg, ReorgOff, ReorgSize int
-	// Rows is how many depth-wise output rows a band holds at most, a whole
-	// number of pool windows, and Len the worker buffer it needs.
-	Rows, Len int
+// listSteps lists the plan's steps in node order: a step for every node that
+// is not fused into another's, a laid-out Concat included.
+func (p *Plan) listSteps() {
+	for i := range p.nodes {
+		pn := &p.nodes[i]
+		if pn.fused && !pn.alias {
+			continue
+		}
+		out := p.slot(i)
+		st := Step{Node: i, Out: out, Inputs: pn.inputs, Chain: pn.chain, Band: pn.band, Slot: p.nodes[out].Slot, Frees: pn.frees, Laid: pn.alias}
+		if b := pn.band; b != nil {
+			st.Chain = p.nodes[b.Conv].chain
+		}
+		p.steps = append(p.steps, st)
+	}
 }
 
 // Steps returns the plan's steps in execution order and the arena one
-// sample's walk through them needs, in elements. The slices belong to the
-// plan.
-func (p *Plan) Steps() (steps []Step, perSample int) {
-	for i := range p.nodes {
-		switch pn := &p.nodes[i]; {
-		case pn.alias:
-			last := &steps[len(steps)-1]
-			last.Laid = append(last.Laid, Step{Node: i, Out: i, Inputs: pn.inputs, Dims: pn.dims, Size: pn.size, Off: pn.off})
-		case !pn.fused:
-			o := &p.nodes[p.slot(i)]
-			st := Step{Node: i, Out: p.slot(i), Inputs: pn.inputs, Chain: pn.chain,
-				Dims: o.dims, Size: o.size, Off: o.off, Frees: pn.frees}
-			if b := pn.band; b != nil {
-				st.Chain, st.Band = p.nodes[b.conv].chain, &Band{Conv: b.conv, Pool: b.pool, Reorg: b.reorg, Rows: b.rows, Len: b.len}
-				if b.reorg >= 0 {
-					st.Band.ReorgOff, st.Band.ReorgSize = p.nodes[b.reorg].off, p.nodes[b.reorg].size
-				}
-			}
-			steps = append(steps, st)
-		}
-	}
-	return steps, p.perSample
-}
+// sample's walk through them needs, in elements. Both belong to the plan.
+func (p *Plan) Steps() (steps []Step, perSample int) { return p.steps, p.perSample }
 
 // lane is one worker's share of an inference forward: it walks its samples,
 // one after the other, through the plan's steps on a region of the arena one
@@ -614,24 +637,24 @@ func (p *Plan) prepare(lanes int) {
 //
 //skynet:hotpath
 func (p *Plan) begin(n, lanes int) {
-	for i := range p.nodes {
-		pn := &p.nodes[i]
-		if pn.fused {
+	for k := range p.steps {
+		s := &p.steps[k]
+		if s.Laid {
 			continue
 		}
-		in := p.shapeOf(pn.inputs[0])
-		switch l := pn.layer.(type) {
+		in := p.Slot(s.Inputs[0]).Dims
+		switch l := p.nodes[s.Node].layer.(type) {
 		case *Conv2D:
 			l.record(n, in[2], in[3])
 			if !l.direct() {
 				l.ensureScratch(lanes)
 			}
-			pn.fill()
+			p.nodes[s.Node].fill()
 		case *DWConv3:
 			l.record(n, in[2], in[3])
-			if b := pn.band; b != nil {
+			if b := s.Band; b != nil {
 				b.pw.record(n, l.outH, l.outW)
-				p.nodes[b.conv].fill()
+				p.nodes[b.Conv].fill()
 			}
 		case *BatchNorm:
 			l.xhat = nil
@@ -689,8 +712,8 @@ func (p *Plan) batch(n int) []int {
 //
 //skynet:hotpath
 func (p *Plan) RunInto(dst, x *tensor.Tensor, observe func(node int, data []float32)) {
-	if !slices.Equal(p.in[1:], x.Shape()[1:]) {
-		panic(fmt.Sprintf("nn: plan compiled for samples of shape %v run on input %v", p.in[1:], x.Shape()))
+	if !slices.Equal(p.input.Dims[1:], x.Shape()[1:]) {
+		panic(fmt.Sprintf("nn: plan compiled for samples of shape %v run on input %v", p.input.Dims[1:], x.Shape()))
 	}
 	g, n := p.g, x.Dim(0)
 	if want := p.batch(n); !slices.Equal(dst.Shape(), want) {
@@ -718,26 +741,20 @@ func (r *planRun) WalkSample(li, i int, leaf bool) {
 	p, l, per, outPer := r.p, r.lanes[li], len(r.x)/r.n, len(r.out)/r.n
 	x := r.x[i*per : (i+1)*per]
 	l.out = r.out[i*outPer : (i+1)*outPer]
-	for k := range p.nodes {
-		pn := &p.nodes[k]
-		out := k
-		switch {
-		case pn.alias: // written, input by input, by now
-		case pn.fused:
-			continue
-		default:
-			out = p.slot(k) // the node whose output this step writes
-			r.step(pn, li, l.buf(&p.nodes[out]), x, leaf)
+	for k := range p.steps {
+		s := &p.steps[k]
+		if !s.Laid { // a laid-out Concat is written, input by input, by now
+			r.step(s, li, x, leaf)
 		}
 		if r.observe != nil {
-			r.observe(out, l.buf(&p.nodes[out]))
-			if b := pn.band; b != nil && b.reorg >= 0 {
-				r.observe(b.reorg, l.buf(&p.nodes[b.reorg]))
+			r.observe(s.Out, l.buf(s.Slot))
+			if b := s.Band; b != nil && b.Reorg >= 0 {
+				r.observe(b.Reorg, l.buf(p.Slot(b.Reorg)))
 			}
 		}
 		if poisonReleased {
-			for _, s := range pn.frees {
-				buf := l.buf(&p.nodes[s])
+			for _, f := range s.Frees {
+				buf := l.buf(p.Slot(f))
 				for j := range buf {
 					buf[j] = float32(math.NaN())
 				}
@@ -746,28 +763,29 @@ func (r *planRun) WalkSample(li, i int, leaf bool) {
 	}
 }
 
-// step runs one step on the sample lane li has in flight: into dst, from the
-// lane's outputs so far (x for the graph input). On a leaf walk every op stays
-// on the calling goroutine; else a convolution's GEMM dispatches, and the
-// depth-wise planes and a Bundle step's units split, across the GEMM pool.
+// step runs step s on the sample lane li has in flight: into its slot, from
+// the lane's outputs so far (x for the graph input). On a leaf walk every op
+// stays on the calling goroutine; else a convolution's GEMM dispatches, and
+// the depth-wise planes and a Bundle step's units split, across the GEMM
+// pool.
 //
 //skynet:hotpath
-func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
-	p, l := r.p, r.lanes[li]
-	in, src := p.shapeOf(pn.inputs[0]), l.input(p, pn.inputs[0], x)
+func (r *planRun) step(s *Step, li int, x []float32, leaf bool) {
+	p, l, pn := r.p, r.lanes[li], &r.p.nodes[s.Node]
+	dst, in, src := l.buf(s.Slot), p.Slot(s.Inputs[0]).Dims, l.input(p, s.Inputs[0], x)
 	switch layer := pn.layer.(type) {
 	case *Conv2D:
 		layer.forwardImage(dst, src, li, layer.epilogue(pn.tail()), pn.packed, leaf)
 	case *DWConv3:
-		switch b := pn.band; {
+		switch b := s.Band; {
 		case b != nil:
-			a := &l.share
-			*a = bandShare{b: b, dst: dst, src: src, ep: b.pw.epilogue(p.nodes[b.conv].tail()), packed: p.nodes[b.conv].packed, observe: r.observe, workers: r.lanes}
-			if b.reorg >= 0 {
-				a.reorg = l.buf(&p.nodes[b.reorg])
+			a, pw := &l.share, &p.nodes[b.Conv]
+			*a = bandShare{s: s, dst: dst, src: src, ep: b.pw.epilogue(pw.tail()), packed: pw.packed, observe: r.observe, workers: r.lanes}
+			if b.Reorg >= 0 {
+				a.reorg = l.buf(p.Slot(b.Reorg))
 			}
-			RunBands(a, layer.outH/b.k, b.k, b.rows, li, len(r.lanes), leaf)
-			if rest := layer.outH % b.k; rest > 0 && a.observe != nil {
+			RunBands(a, layer.outH/b.K, b.K, b.Rows, li, len(r.lanes), leaf)
+			if rest := layer.outH % b.K; rest > 0 && a.observe != nil {
 				// The rows under no whole window, for the observer alone: the pool
 				// writes nothing of them. (A step that folds a Reorg has none.)
 				a.compute(l.band, layer.outH-rest, rest)
@@ -787,11 +805,10 @@ func (r *planRun) step(pn *planNode, li int, dst, x []float32, leaf bool) {
 	case *Reorg:
 		ReorgInto(dst, src, 1, in[1], in[2], in[3], layer.S)
 	case *Add:
-		addInto(dst, src, l.input(p, pn.inputs[1], x))
+		addInto(dst, src, l.input(p, s.Inputs[1], x))
 	case *Concat:
-		hw := in[2] * in[3]
-		for k, j := range pn.inputs {
-			dst = dst[copy(dst, l.input(p, j, x)[:pn.chans[k]*hw]):]
+		for _, j := range s.Inputs {
+			dst = dst[copy(dst, l.input(p, j, x)):]
 		}
 	case *Flatten, *Dropout:
 		copy(dst, src)
@@ -832,16 +849,16 @@ func (pn *planNode) tail() tensor.RowEpilogue {
 	return ep
 }
 
-// buf returns the memory the output of pn, a node with a step's or an alias's
-// output, lies in for the sample in flight: its slot in the lane's region, or
-// without one — the graph output — the sample's rows of the output batch.
+// buf returns the memory a step's or an alias's output with slot s lies in
+// for the sample in flight: s in the lane's region, or without a slot — the
+// graph output — the sample's rows of the output batch.
 //
 //skynet:hotpath
-func (l *lane) buf(pn *planNode) []float32 {
-	if pn.off < 0 {
+func (l *lane) buf(s Slot) []float32 {
+	if s.Off < 0 {
 		return l.out
 	}
-	return l.arena[pn.off : pn.off+pn.size]
+	return l.arena[s.Off : s.Off+s.Size]
 }
 
 // input returns node j's output for the sample in flight (x, the sample
@@ -852,5 +869,5 @@ func (l *lane) input(p *Plan, j int, x []float32) []float32 {
 	if j == GraphInput {
 		return x
 	}
-	return l.buf(&p.nodes[j])
+	return l.buf(p.nodes[j].Slot)
 }

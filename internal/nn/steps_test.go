@@ -11,7 +11,7 @@ import (
 // does, but times every step it runs, lane by lane.
 type stepTimer struct {
 	r     *planRun
-	spent [][]time.Duration // by lane, then by plan node
+	spent [][]time.Duration // by lane, then by plan step
 }
 
 func (s *stepTimer) WalkSample(li, i int, leaf bool) {
@@ -19,10 +19,10 @@ func (s *stepTimer) WalkSample(li, i int, leaf bool) {
 	p, l, per, outPer := r.p, r.lanes[li], len(r.x)/r.n, len(r.out)/r.n
 	x := r.x[i*per : (i+1)*per]
 	l.out = r.out[i*outPer : (i+1)*outPer]
-	for k := range p.nodes {
-		if pn := &p.nodes[k]; !pn.alias && !pn.fused {
+	for k := range p.steps {
+		if st := &p.steps[k]; !st.Laid {
 			start := time.Now()
-			r.step(pn, li, l.buf(&p.nodes[p.slot(k)]), x, leaf)
+			r.step(st, li, x, leaf)
 			s.spent[li][k] += time.Since(start)
 		}
 	}
@@ -34,7 +34,8 @@ func (s *stepTimer) WalkSample(li, i int, leaf bool) {
 // the samples the lane walked, so that on one lane the times add up to the
 // forward's. A benchmark seam, not an API: the product has no per-step clock.
 func StepTimes(g *Graph, x *tensor.Tensor) (names []string, times []time.Duration) {
-	p, n := g.planFor(x), x.Dim(0)
+	g.plans.g = g
+	p, n := g.plans.For(x.Shape()), x.Dim(0)
 	out := tensor.New(p.batch(n)...)
 	lanes := LanesFor(n)
 	p.prepare(lanes)
@@ -42,21 +43,21 @@ func StepTimes(g *Graph, x *tensor.Tensor) (names []string, times []time.Duratio
 	g.run = planRun{p: p, lanes: g.lanes, x: x.Data, out: out.Data, n: n}
 	timer := &stepTimer{r: &g.run, spent: make([][]time.Duration, lanes)}
 	for i := range timer.spent {
-		timer.spent[i] = make([]time.Duration, len(p.nodes))
+		timer.spent[i] = make([]time.Duration, len(p.steps))
 	}
 	RunLanes(timer, n, lanes)
 	for _, l := range g.lanes[:lanes] {
 		l.out = nil
 	}
 	g.run = planRun{}
-	for k := range p.nodes {
-		if pn := &p.nodes[k]; !pn.alias && !pn.fused {
+	for k, st := range p.steps {
+		if !st.Laid {
 			var most time.Duration
 			for _, spent := range timer.spent {
 				most = max(most, spent[k])
 			}
-			kind := fmt.Sprintf("%T", pn.layer)[len("*nn."):]
-			if pn.band != nil {
+			kind := fmt.Sprintf("%T", p.nodes[st.Node].layer)[len("*nn."):]
+			if st.Band != nil {
 				kind = "Bundle"
 			}
 			names, times = append(names, fmt.Sprintf("step%d_%s", len(names), kind)), append(times, most)

@@ -47,41 +47,35 @@ type ActivationScales struct {
 	Node  []float32
 }
 
-// CalibrateActivations runs g in eval mode over the calibration batches and
-// returns symmetric int8 scales for the graph input and every node output,
-// each from the largest absolute finite value seen (a BatchNorm or ReLU
-// computed inside its convolution's GEMM store reads scale 1). force marks
-// the nodes that stay float; nil marks none. Per-tensor activation scales
-// with per-output-channel weight scales is the standard post-training int8
-// recipe: feature maps share one grid because the next layer's GEMM consumes
-// them whole; each weight channel's scale folds into its requantize
-// multiplier.
+// CalibrateActivations runs the graph of plans in eval mode over the
+// calibration batches and returns symmetric int8 scales for the graph input
+// and every node output, each from the largest absolute finite value seen (a
+// BatchNorm or ReLU computed inside its convolution's GEMM store reads scale
+// 1). Per-tensor activation scales with per-output-channel weight scales is
+// the standard post-training int8 recipe: feature maps share one grid because
+// the next layer's GEMM consumes them whole; each weight channel's scale
+// folds into its requantize multiplier.
 //
-// It observes the inference plan compiled under force (nn.Plan.Run, one
-// lane), once per sample shape: no hook, no feature map allocated. The Bundle
-// steps feed the depth-wise and pre-pool maps to the running maxima band by
-// band, never whole; a maximum does not depend on the pieces or their order,
-// so the scales are those of the batched layer walk, which the plan equals
-// bit for bit.
-func CalibrateActivations(g *nn.Graph, batches []*tensor.Tensor, force []bool) (ActivationScales, error) {
+// It observes the plans the cache holds or compiles (nn.Plan.Run, one lane) —
+// in Export, the ones the engine then runs —: no hook, no feature map
+// allocated. The Bundle steps feed the depth-wise and pre-pool maps to the
+// running maxima band by band, never whole; a maximum does not depend on the
+// pieces or their order, so the scales are those of the batched layer walk,
+// which the plan equals bit for bit.
+func CalibrateActivations(plans *nn.PlanCache, batches []*tensor.Tensor) (ActivationScales, error) {
 	if len(batches) == 0 {
 		return ActivationScales{}, fmt.Errorf("quant: calibration needs at least one batch")
 	}
 	var inObs observer
-	obs := make([]observer, len(g.Nodes))
+	obs := make([]observer, len(plans.Graph().Nodes))
 	observe := func(i int, data []float32) { obs[i].observe(data) }
-	plans := map[string]*nn.Plan{} // by sample shape
 	for _, b := range batches {
 		inObs.observe(b.Data)
-		shape := fmt.Sprint(b.Shape()[1:])
-		if plans[shape] == nil {
-			plans[shape] = nn.Compile(g, b.Shape(), force)
-		}
-		plans[shape].Run(b, observe)
+		plans.For(b.Shape()).Run(b, observe)
 	}
 	out := ActivationScales{
 		Input: int8Scale(inObs.clip()),
-		Node:  make([]float32, len(g.Nodes)),
+		Node:  make([]float32, len(obs)),
 	}
 	for i := range obs {
 		out.Node[i] = int8Scale(obs[i].clip())

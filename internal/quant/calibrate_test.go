@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"skynet/internal/backbone"
+	"skynet/internal/nn"
 	"skynet/internal/tensor"
 )
 
@@ -174,14 +175,14 @@ func TestQuantizeWeightsMatchesRoundToEven(t *testing.T) {
 func TestCalibrateActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
-	if _, err := CalibrateActivations(g, nil, nil); err == nil {
+	if _, err := CalibrateActivations(nn.NewPlanCache(g, nil), nil); err == nil {
 		t.Fatal("empty calibration set must error")
 	}
 	batch := tensor.New(2, 3, 16, 16)
 	for i := range batch.Data {
 		batch.Data[i] = rng.Float32()
 	}
-	scales, err := CalibrateActivations(g, []*tensor.Tensor{batch}, nil)
+	scales, err := CalibrateActivations(nn.NewPlanCache(g, nil), []*tensor.Tensor{batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 			continue // not on this CPU or build
 		}
 		out := g.Forward(x, false).Data
-		scales, err := CalibrateActivations(g, []*tensor.Tensor{x}, nil)
+		scales, err := CalibrateActivations(nn.NewPlanCache(g, nil), []*tensor.Tensor{x})
 		if err != nil {
 			t.Fatal(err)
 		}

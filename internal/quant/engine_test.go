@@ -183,7 +183,7 @@ func TestCalibrationObserverMatchesHook(t *testing.T) {
 			force[i] = true
 		}
 		want := calibrateByWalk(g, batches)
-		got, err := CalibrateActivations(g, batches, force)
+		got, err := CalibrateActivations(nn.NewPlanCache(g, force), batches)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -627,11 +627,12 @@ func exportPerNode(t *testing.T, g *nn.Graph, calib []*tensor.Tensor, cfg Export
 	for _, i := range cfg.ForceFloat {
 		force[i] = true
 	}
-	scales, err := CalibrateActivations(g, calib, force)
+	scales, err := CalibrateActivations(nn.NewPlanCache(g, force), calib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &QuantizedModel{g: g, separate: unitMask(g, force), output: len(g.Nodes) - 1}
+	m := &QuantizedModel{separate: unitMask(g, force), output: len(g.Nodes) - 1}
+	m.plans = nn.NewPlanCache(g, m.separate)
 	m.lower(calib[0].Shape(), scales, force)
 	return m
 }
@@ -758,7 +759,7 @@ func TestInt8BundleStepMatchesUnits(t *testing.T) {
 	cut := 0
 	for _, s := range qm.steps {
 		if b := s.Band; b != nil {
-			if b.Rows < qm.val(s.Inputs[0]).dims[2] { // SkyNet's depth-wise output is as high as its input
+			if b.Rows < qm.dims(s.Inputs[0])[2] { // SkyNet's depth-wise output is as high as its input
 				cut++
 			}
 		}

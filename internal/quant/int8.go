@@ -24,13 +24,13 @@ import (
 // available.
 //
 // The engine owns arithmetic only: integer weights, epilogues, scales. What
-// runs when, every shape, and where each feature map lives come from the
-// float engine's planner — the inference plan, Bundle steps and laid-out
-// Concats included — whose steps it executes on a []int8 arena at the plan's
-// own offsets, a code where the float executor keeps a float32. It runs a
-// batch the way that executor does, by its rule and through its code
-// (nn.LanesFor, nn.RunLanes): as lanes, each worker walking its own samples
-// through the steps on a region of the arena one sample large.
+// runs when, every shape, and where each feature map lives are the float
+// engine's plan — Bundle steps and laid-out Concats included —, from the
+// model's nn.PlanCache: the engine walks its one step list on a []int8 arena,
+// a code where the float executor keeps a float32. It runs a batch the way
+// that executor does, by its rule and through its code (nn.LanesFor,
+// nn.RunLanes): as lanes, each worker walking its own samples through the
+// steps on a region of the arena one sample large.
 //
 // Determinism: every integer kernel accumulates exactly (no float
 // reassociation; Export enforces tensor.Int8AccumulatorFits),
@@ -39,13 +39,11 @@ import (
 // produces bitwise identical outputs for any GOMAXPROCS, matching the float
 // path's contract.
 
-// value is what the plan fixes of one tensor — a node's output or the graph
-// input: its grid, its shape and where its codes lie.
+// value is what the lowering fixes of one tensor — a node's output or the
+// graph input — beside its slot in the plan: its grid, and how it is read.
 type value struct {
-	scale     float32
-	dims      []int // shape of one sample: dims[0] is 1
-	off, size int   // the code slot within a lane's region of the arena: [off, off+size)
-	asFloat   bool  // a fallback unit reads it: every lane keeps a buffer to dequantize it to
+	scale   float32
+	asFloat bool // a fallback unit reads it: every lane keeps a buffer to dequantize it to
 }
 
 // laneValue is one tensor of the sample a lane has in flight, in the forms
@@ -93,20 +91,21 @@ type unit interface {
 // Like nn.Graph, a QuantizedModel is not safe for concurrent Forward calls;
 // the serving layer gives each inference worker a model of its own.
 type QuantizedModel struct {
-	g        *nn.Graph // read for its structure when a new input shape needs a plan
-	separate []bool    // the mask that plan is compiled under (Export)
-	units    []unit    // by node; nil where a node is computed inside another's unit
-	vals     []value   // by node + 1; vals[0] is the graph input
+	separate []bool        // the mask the plans are compiled under
+	plans    *nn.PlanCache // a plan per sample shape: calibration's, the lowering's and every forward's
+	units    []unit        // by node; nil where a node is computed inside another's unit
+	vals     []value       // by node + 1; vals[0] is the graph input
 	output   int
 
-	// The plan for the sample shape of vals[0].dims: its steps (compile), the
-	// arena a sample needs — the plan's own plus the graph input's and output's
-	// — and the scratch its units need.
-	steps                   []*nn.Step
-	outShape                []int // the output's; Forward sets its batch dimension
-	perSample               int
-	colLen, bandLen, rowLen int // qconv's im2col matrix, a Bundle step's code band, a depth-wise accumulator row
-	maxInputs               int
+	// The plan of the last forward (use), its steps, the arena a sample needs
+	// — the plan's, then the input's and output's codes — and the output's
+	// shape; the scratch the units need, the most any plan has needed: qconv's
+	// im2col matrix, a code band, a depth-wise accumulator row, the arguments.
+	plan                               *nn.Plan
+	steps                              []nn.Step
+	perSample                          int
+	outShape                           []int
+	colLen, bandLen, rowLen, maxInputs int
 
 	arena []int8    // the codes of the forward in flight: one sample's per lane
 	lanes []*qlane  // lanes[i] owns region i of arena
@@ -151,7 +150,7 @@ func (m *QuantizedModel) Stats() (int8Units, floatUnits, fusedNodes int) {
 // layers keeping state.
 func (m *QuantizedModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n := x.Dim(0)
-	m.planFor(x)
+	m.use(m.plans.For(x.Shape()))
 	lanes := 1
 	if m.floatUnits == 0 {
 		lanes = nn.LanesFor(n)
@@ -165,59 +164,37 @@ func (m *QuantizedModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// planFor makes m.steps the plan for x, compiling one when the sample shape
-// differs from the last forward's.
-func (m *QuantizedModel) planFor(x *tensor.Tensor) {
-	in := &m.vals[0]
-	if len(in.dims) == x.Rank() && slices.Equal(in.dims[1:], x.Shape()[1:]) {
+// use makes p the plan of the forward about to run, and grows the scratch
+// its units need to the most any plan has needed.
+func (m *QuantizedModel) use(p *nn.Plan) {
+	if p == m.plan {
 		return
 	}
-	m.steps, m.perSample = m.compile(x.Shape())
-	in.dims, in.off, in.size = slices.Clone(x.Shape()), -1, x.Len()/x.Dim(0)
-	in.dims[0] = 1
-	m.colLen, m.bandLen, m.rowLen, m.maxInputs = 0, 0, 0, 0
-	for _, l := range m.lanes {
-		for j := range l.vals {
-			l.vals[j].view = nil // of the last plan's shape
-		}
-	}
-	for _, s := range m.steps {
-		v := m.val(s.Out)
-		v.dims, v.off, v.size = s.Dims, s.Off, s.Size
+	m.plan = p
+	var planLen int
+	m.steps, planLen = p.Steps()
+	in, out := p.Slot(nn.GraphInput), p.Slot(m.output)
+	m.perSample = planLen + in.Size + out.Size
+	m.outShape = append(m.outShape[:0], out.Dims...)
+	for i := range m.steps {
+		s := &m.steps[i]
 		m.maxInputs = max(m.maxInputs, len(s.Inputs))
 		switch u := m.units[s.Out].(type) {
 		case *qconv:
 			if !u.direct() {
-				m.colLen = max(m.colLen, m.val(s.Inputs[0]).dims[1]*u.k*u.k*s.Dims[2]*s.Dims[3])
+				m.colLen = max(m.colLen, m.dims(s.Inputs[0])[1]*u.k*u.k*s.Dims[2]*s.Dims[3])
 			}
 		case *qdw:
 			m.rowLen = max(m.rowLen, s.Dims[3])
 		case *qbundle:
-			m.bandLen, m.rowLen = max(m.bandLen, s.Band.Len), max(m.rowLen, tensor.ConvOut(m.val(s.Inputs[0]).dims[3], u.dw.k, u.dw.stride, u.dw.pad))
-			if r := s.Band.Reorg; r >= 0 { // the pooled map's height and width
-				v, hw := m.val(r), s.Dims[2]*s.Dims[3]
-				v.dims, v.off, v.size = []int{1, s.Band.ReorgSize / hw, s.Dims[2], s.Dims[3]}, s.Band.ReorgOff, s.Band.ReorgSize
-			}
-		case *qfallback:
-			for _, j := range s.Inputs {
-				m.val(j).asFloat = true
-			}
+			m.bandLen, m.rowLen = max(m.bandLen, s.Band.Len), max(m.rowLen, tensor.ConvOut(m.dims(s.Inputs[0])[3], u.dw.k, u.dw.stride, u.dw.pad))
 		}
-	}
-	// The float plan keeps the graph input and output outside its arena. Their
-	// codes, where a unit asks for them, get a slot past the plan's, for the
-	// whole walk.
-	m.outShape = slices.Clone(m.val(m.output).dims)
-	for _, j := range [...]int{nn.GraphInput, m.output} {
-		v := m.val(j)
-		v.off = m.perSample
-		m.perSample += v.size
 	}
 }
 
 // prepare readies the arena, one region per lane, the lanes with their
 // scratch for the plan, and the workers'. All grow with the lanes and the
-// plan, never with the batch.
+// plans, never with the batch.
 func (m *QuantizedModel) prepare(lanes int) {
 	if need := m.perSample * lanes; len(m.arena) < need {
 		m.arena = nil // not live while its replacement is allocated, as in nn's Plan.prepare
@@ -238,8 +215,8 @@ func (m *QuantizedModel) prepare(lanes int) {
 			l.ins = make([]*tensor.Tensor, m.maxInputs)
 		}
 		for j, v := range m.vals {
-			if v.asFloat && len(l.vals[j].fbuf) != v.size {
-				l.vals[j].fbuf = make([]float32, v.size)
+			if size := m.plan.Slot(j - 1).Size; v.asFloat && len(l.vals[j].fbuf) < size {
+				l.vals[j].fbuf = make([]float32, size)
 			}
 		}
 	}
@@ -258,9 +235,10 @@ func (w laneWalker) WalkSample(li, i int, leaf bool) {
 		l.vals[j].coded, l.vals[j].f = false, nil
 	}
 	l.sample = i
-	in := m.val(nn.GraphInput)
-	l.vals[0].f = m.x[i*in.size : (i+1)*in.size]
-	for _, s := range m.steps {
+	in := m.plan.Slot(nn.GraphInput).Size
+	l.vals[0].f = m.x[i*in : (i+1)*in]
+	for k := range m.steps {
+		s := &m.steps[k]
 		m.units[s.Out].run(l, s, leaf)
 		if poisonReleased {
 			for _, j := range s.Frees {
@@ -284,20 +262,34 @@ func (w laneWalker) WalkSample(li, i int, leaf bool) {
 //skynet:hotpath
 func (m *QuantizedModel) val(j int) *value { return &m.vals[j+1] }
 
+// dims returns the shape of one sample of node j's output (of the graph
+// input for nn.GraphInput) on the plan in flight.
+//
+//skynet:hotpath
+func (m *QuantizedModel) dims(j int) []int { return m.plan.Slot(j).Dims }
+
 // outRow returns the row of the output batch the sample in flight fills.
 //
 //skynet:hotpath
 func (l *qlane) outRow() []float32 {
-	size := l.m.val(l.m.output).size
+	size := l.m.plan.Slot(l.m.output).Size
 	return l.m.y[l.sample*size : (l.sample+1)*size]
 }
 
-// slot returns value j's code slot in the lane's region.
+// slot returns value j's code slot in the lane's region: the plan's, or for
+// the graph input and output, which have none there, theirs past it.
 //
 //skynet:hotpath
 func (l *qlane) slot(j int) []int8 {
-	v := l.m.val(j)
-	return l.arena[v.off : v.off+v.size]
+	p := l.m.plan
+	s := p.Slot(j)
+	if s.Off < 0 {
+		s.Off = len(l.arena) - p.Slot(l.m.output).Size // the output's, last
+		if j == nn.GraphInput {
+			s.Off -= s.Size
+		}
+	}
+	return l.arena[s.Off : s.Off+s.Size]
 }
 
 // dest returns node j's code slot for its producer to fill.
@@ -328,8 +320,10 @@ func (l *qlane) codes(j int) []int8 {
 //skynet:hotpath
 func (l *qlane) floatDest(j int) []float32 {
 	v := &l.vals[j+1]
-	if v.f = v.fbuf; j == l.m.output {
+	if j == l.m.output {
 		v.f = l.outRow()
+	} else {
+		v.f = v.fbuf[:l.m.plan.Slot(j).Size]
 	}
 	return v.f
 }
@@ -353,8 +347,11 @@ type ExportConfig struct {
 }
 
 // Export calibrates g on the given batches and lowers it into a
-// QuantizedModel. The graph is not modified, except that the arena its
-// calibration forwards used is released; the quantized model holds
+// QuantizedModel. Calibration, the lowering and the forwards share one
+// nn.PlanCache, so a sample shape is compiled once: calibration observes the
+// plan whose steps the lowering installs its units on and a forward walks.
+// The graph is not modified, except that the arena its calibration forwards
+// used is released, as are the plans' packed float weights; the model holds
 // integer copies of the weights (with batch-norm folded into the conv
 // scales), runs the original layers only for float-fallback nodes, and
 // otherwise reads the graph's node list — which must not change — only to
@@ -373,40 +370,28 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 		force[i] = true
 	}
-	scales, err := CalibrateActivations(g, calib, force)
-	// Calibration ran the float plan on g's arena; the engine runs no float
-	// plan, and keeps g for its structure only.
-	g.ReleaseArena()
-	if err != nil {
-		return nil, err
-	}
-	m := &QuantizedModel{g: g, separate: slices.Clone(force), output: len(g.Nodes) - 1}
+	m := &QuantizedModel{separate: slices.Clone(force), plans: nn.NewPlanCache(g, force), output: len(g.Nodes) - 1}
 	if g.Output >= 0 {
 		m.output = g.Output
+	}
+	scales, err := CalibrateActivations(m.plans, calib)
+	// Calibration ran the plans in float, on g's arena and the convolutions'
+	// weights packed for the float GEMM; the engine runs them on codes.
+	m.plans.Release()
+	if err != nil {
+		return nil, err
 	}
 	m.lower(calib[0].Shape(), scales, force)
 	return m, nil
 }
 
-// compile returns the steps of the plan for samples of the given shape, each
-// followed by the Concats laid out after it, and the arena a sample needs.
-func (m *QuantizedModel) compile(shape []int) (steps []*nn.Step, perSample int) {
-	plan, perSample := nn.Compile(m.g, shape, m.separate).Steps()
-	for i := range plan {
-		steps = append(steps, &plan[i])
-		for j := range plan[i].Laid {
-			steps = append(steps, &plan[i].Laid[j])
-		}
-	}
-	return steps, perSample
-}
-
-// lower installs a unit on every step of the plan compiled under m.separate.
-// A Bundle step one of whose convolutions would break the accumulator bound
-// is split: its depth-wise node is marked, the plan lowered again.
+// lower installs a unit on every step of the plan for samples of the given
+// shape. A Bundle step one of whose convolutions would break the accumulator
+// bound is split: its depth-wise node is marked, and the lowering starts over
+// on plans compiled under the new mask.
 func (m *QuantizedModel) lower(shape []int, scales ActivationScales, force []bool) {
-	g := m.g
-	steps, _ := m.compile(shape)
+	g := m.plans.Graph()
+	steps, _ := m.plans.For(shape).Steps()
 	m.units, m.vals = make([]unit, len(g.Nodes)), make([]value, len(g.Nodes)+1)
 	m.int8Units, m.floatUnits, m.fusedNodes = 0, 0, 0
 	m.vals[0].scale = scales.Input
@@ -426,8 +411,12 @@ func (m *QuantizedModel) lower(shape []int, scales ActivationScales, force []boo
 			q.layers = append(q.layers, g.Nodes[t].Layer)
 		}
 		install(s, q, scales.Node[s.Out])
+		for _, j := range s.Inputs {
+			m.val(j).asFloat = true
+		}
 	}
-	for _, s := range steps {
+	for i := range steps {
+		s := &steps[i]
 		if force[s.Node] {
 			fallback(s)
 			continue
@@ -454,14 +443,14 @@ func (m *QuantizedModel) lower(shape []int, scales ActivationScales, force []boo
 				pw := newQConv(g.Nodes[b.Conv].Layer.(*nn.Conv2D), s.Chain.BN, s.Chain.Act, scales.Node[s.Node], scales.Node[last], s.Out == m.output && s.Chain.Act == nil)
 				if dw == nil || pw == nil {
 					m.separate[s.Node] = true
+					m.plans = nn.NewPlanCache(g, m.separate)
 					m.lower(shape, scales, force)
 					return
 				}
-				q := &qbundle{dw: dw, pw: pw, pool: b.Pool >= 0, k: 1}
-				install(s, q, scales.Node[last])
+				install(s, &qbundle{dw: dw, pw: pw}, scales.Node[last])
 				m.fusedNodes += 1 + len(s.Chain.Tail) // the 1×1 convolution and its chain, a pool, a reorder
-				if q.pool {
-					q.k, m.fusedNodes = g.Nodes[b.Pool].Layer.(*nn.MaxPool).K, m.fusedNodes+1
+				if b.Pool >= 0 {
+					m.fusedNodes++
 				}
 				if b.Reorg >= 0 {
 					m.val(b.Reorg).scale, m.fusedNodes = scales.Node[last], m.fusedNodes+1
@@ -586,7 +575,7 @@ func (q *qconv) direct() bool { return q.k == 1 && q.stride == 1 && q.pad == 0 }
 
 //skynet:hotpath
 func (q *qconv) run(l *qlane, s *nn.Step, leaf bool) {
-	in := l.m.val(s.Inputs[0]).dims
+	in := l.m.dims(s.Inputs[0])
 	cols, kk := s.Dims[2]*s.Dims[3], in[1]*q.k*q.k
 	b := l.codes(s.Inputs[0])
 	if !q.direct() {
@@ -667,7 +656,7 @@ func newQDW(d *nn.DWConv3, inScale, outScale float32) *qdw {
 //
 //skynet:hotpath
 func (q *qdw) planes(l *qlane, s *nn.Step, dst, src []int8, wk, lo, hi int) {
-	in := l.m.val(s.Inputs[0]).dims
+	in := l.m.dims(s.Inputs[0])
 	h, w, outH, outW := in[2], in[3], s.Dims[2], s.Dims[3]
 	for ch := lo; ch < hi; ch++ {
 		q.rows(dst[ch*outH*outW:(ch+1)*outH*outW], src[ch*h*w:(ch+1)*h*w], l.m.rows[wk*l.m.rowLen:][:outW], h, w, ch, 0)
@@ -691,10 +680,8 @@ func (q *qdw) rows(dst, src []int8, acc []int32, h, w, ch, oy int) {
 // under a pool behind the rows —, the pool and the reorder on the band. Every
 // code is the one qdw, qconv, qpool and qreorg compute.
 type qbundle struct {
-	dw   *qdw
-	pw   *qconv // dequantizing where the chain ends the graph
-	pool bool
-	k    int // the pool's window; 1 without a pool
+	dw *qdw
+	pw *qconv // dequantizing where the chain ends the graph
 }
 
 //skynet:hotpath
@@ -707,7 +694,8 @@ func (q *qbundle) run(l *qlane, s *nn.Step, leaf bool) {
 	if r := s.Band.Reorg; r >= 0 {
 		l.dest(r)
 	}
-	l.run(s, tensor.ConvOut(l.m.val(s.Inputs[0]).dims[2], q.dw.k, q.dw.stride, q.dw.pad)/q.k, q.k, s.Band.Rows, leaf)
+	k := s.Band.K
+	l.run(s, tensor.ConvOut(l.m.dims(s.Inputs[0])[2], q.dw.k, q.dw.stride, q.dw.pad)/k, k, s.Band.Rows, leaf)
 }
 
 // band takes depth-wise output rows [r0, r0+rows) of step s to its outputs,
@@ -715,7 +703,7 @@ func (q *qbundle) run(l *qlane, s *nn.Step, leaf bool) {
 //
 //skynet:hotpath
 func (q *qbundle) band(l *qlane, s *nn.Step, w, r0, rows int) {
-	in, m, c, outC, k := l.m.val(s.Inputs[0]).dims, l.m, q.dw.c, q.pw.outC, q.k
+	in, m, c, outC, k := l.m.dims(s.Inputs[0]), l.m, q.dw.c, q.pw.outC, s.Band.K
 	h, wd := in[2], in[3]
 	outH, outW := tensor.ConvOut(h, q.dw.k, q.dw.stride, q.dw.pad), tensor.ConvOut(wd, q.dw.k, q.dw.stride, q.dw.pad)
 	cols, n, src := outH*outW, rows*outW, l.slot(s.Inputs[0])
@@ -726,7 +714,7 @@ func (q *qbundle) band(l *qlane, s *nn.Step, w, r0, rows int) {
 	}
 	ep := q.pw.ep
 	ep.Leaf = true // a band runs inside a lane or a lone lane's split, both on the GEMM pool
-	if at, end := r0*outW, r0*outW+(outC-1)*cols+n; !q.pool {
+	if at, end := r0*outW, r0*outW+(outC-1)*cols+n; s.Band.Pool < 0 {
 		ep.Ldc = cols // straight into these rows' columns of the output
 		if q.pw.dequant {
 			tensor.Int8GEMMDequantInto(l.vals[s.Out+1].f[at:end], q.pw.w, dwb, outC, n, c, ep)
@@ -765,7 +753,7 @@ func (q *qpool) run(l *qlane, s *nn.Step, leaf bool) { l.planes(s, leaf) }
 
 //skynet:hotpath
 func (q *qpool) planes(l *qlane, s *nn.Step, dst, src []int8, _, lo, hi int) {
-	in := l.m.val(s.Inputs[0]).dims
+	in := l.m.dims(s.Inputs[0])
 	h, w, out := in[2], in[3], s.Dims[2]*s.Dims[3]
 	maxPoolCodes(dst[lo*out:hi*out], src[lo*h*w:hi*h*w], hi-lo, h, w, q.k)
 }
@@ -809,7 +797,7 @@ type qreorg struct{ s int }
 
 //skynet:hotpath
 func (q *qreorg) run(l *qlane, s *nn.Step, _ bool) {
-	in := l.m.val(s.Inputs[0]).dims
+	in := l.m.dims(s.Inputs[0])
 	nn.ReorgInto(l.dest(s.Out), l.codes(s.Inputs[0]), 1, in[1], in[2], in[3], q.s)
 }
 
@@ -860,8 +848,8 @@ func (q *qfallback) run(l *qlane, s *nn.Step, _ bool) {
 //skynet:hotpath
 func (l *qlane) tensor(j int) *tensor.Tensor {
 	v, f := &l.vals[j+1], l.float(j)
-	if v.view == nil {
-		v.view = tensor.FromSlice(f, l.m.val(j).dims...)
+	if dims := l.m.dims(j); v.view == nil || !slices.Equal(v.view.Shape(), dims) {
+		v.view = tensor.FromSlice(f, dims...)
 	}
 	v.view.Data = f
 	return v.view

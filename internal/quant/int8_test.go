@@ -62,12 +62,17 @@ func TestExportFusesSkyNet(t *testing.T) {
 	if r := qm.steps[2].Band.Reorg; r != 23 {
 		t.Errorf("Bundle 3 writes reorder %d beside its pool, want 23", r)
 	}
-	if laid := qm.steps[4].Laid; len(laid) != 1 || &laid[0] != qm.steps[5] || !slices.Equal(laid[0].Inputs, []int{22, 23}) {
-		t.Fatalf("Bundle 5's step lists %+v laid out after it, want the Concat (24) of its map and the reorder", laid)
+	for i, s := range qm.steps {
+		if s.Laid != (i == 5) {
+			t.Errorf("step %d (node %d) is laid out: %v", i, s.Node, s.Laid)
+		}
 	}
-	cat, b5, reorg := qm.val(24), qm.val(22), qm.val(23)
-	if cat.off != b5.off || reorg.off != b5.off+b5.size || cat.size != b5.size+reorg.size {
-		t.Errorf("the Concat's slot [%d, +%d) is not Bundle 5's [%d, +%d) and the reorder's [%d, +%d) side by side", cat.off, cat.size, b5.off, b5.size, reorg.off, reorg.size)
+	if laid := qm.steps[5]; !slices.Equal(laid.Inputs, []int{22, 23}) {
+		t.Fatalf("the step after Bundle 5's is %+v, want the Concat (24) of its map and the reorder laid out", laid)
+	}
+	cat, b5, reorg := qm.plan.Slot(24), qm.plan.Slot(22), qm.plan.Slot(23)
+	if cat.Off != b5.Off || reorg.Off != b5.Off+b5.Size || cat.Size != b5.Size+reorg.Size {
+		t.Errorf("the Concat's slot [%d, +%d) is not Bundle 5's [%d, +%d) and the reorder's [%d, +%d) side by side", cat.Off, cat.Size, b5.Off, b5.Size, reorg.Off, reorg.Size)
 	}
 	if _, ok := qm.units[24].(*qconcat); !ok {
 		t.Errorf("the Concat's unit is %T, want a qconcat, which requantizes a narrower input in place", qm.units[24])

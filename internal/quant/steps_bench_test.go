@@ -26,9 +26,10 @@ func (s *stepTimer) WalkSample(li, i int, leaf bool) {
 		l.vals[j].coded, l.vals[j].f = false, nil
 	}
 	l.sample = i
-	in := m.val(nn.GraphInput)
-	l.vals[0].f = m.x[i*in.size : (i+1)*in.size]
-	for k, st := range m.steps {
+	in := m.plan.Slot(nn.GraphInput).Size
+	l.vals[0].f = m.x[i*in : (i+1)*in]
+	for k := range m.steps {
+		st := &m.steps[k]
 		start := time.Now()
 		m.units[st.Out].run(l, st, leaf)
 		s.spent[li][k] += time.Since(start)
@@ -44,7 +45,7 @@ func (s *stepTimer) WalkSample(li, i int, leaf bool) {
 // step's name and time in it, the most any one lane spent on it.
 func int8StepTimes(m *QuantizedModel, x *tensor.Tensor) (names []string, times []time.Duration) {
 	n := x.Dim(0)
-	m.planFor(x)
+	m.use(m.plans.For(x.Shape()))
 	lanes := 1
 	if m.floatUnits == 0 {
 		lanes = nn.LanesFor(n)

@@ -107,10 +107,17 @@ func TestTrackJanitorChurnConservesSessions(t *testing.T) {
 	}
 }
 
+// TestTrackJanitorShutdownLeaksNoGoroutines counts goroutines once the
+// tracker has run a forward: the first forward of the process starts the GEMM
+// worker pool, which lives as long as the process, so a count taken before
+// one depends on which tests ran first.
 func TestTrackJanitorShutdownLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
 	tr := testTracker(false)
 	seq := testTrackSequences(1, 2)[0]
+	if _, err := tr.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
 		ts, err := NewTrackService(tr, TrackConfig{
 			MaxSessions: 4,
