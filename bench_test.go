@@ -368,8 +368,8 @@ func BenchmarkConvForwardSteadyState(b *testing.B) {
 // BenchmarkGraphInference measures the planned inference forward of the
 // deployed model, full-width SkyNet C on 160×320 frames, at the stream
 // executor's two batch sizes: bytes/s is input pixels, and allocs/op is the
-// caller-owned output tensor's three, whatever the batch and the worker count
-// (see TestGraphInferenceSteadyStateAllocs).
+// caller-owned output tensor's two, its header and its data, whatever the
+// batch and the worker count (see TestGraphInferenceSteadyStateAllocs).
 func BenchmarkGraphInference(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())
@@ -388,8 +388,8 @@ func BenchmarkGraphInference(b *testing.B) {
 }
 
 // BenchmarkInt8Forward is BenchmarkGraphInference on the int8 engine
-// (quant.Export of the same model): a warm forward allocates its output and
-// nothing else, the same as nn.Graph.Forward.
+// (quant.Export of the same model): a warm forward allocates its output's
+// header and data and nothing else, the same as nn.Graph.Forward.
 func BenchmarkInt8Forward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())

@@ -165,27 +165,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks every .go file directly inside dir as a
-// single package. It is the entry point for checker testdata packages,
-// which live under testdata/ precisely so the go tool ignores them.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	sort.Strings(files)
-	return l.check("testdata/"+filepath.Base(dir), dir, files)
-}
-
 // check parses the files and type-checks them as one package.
 func (l *Loader) check(path, dir string, filenames []string) (*Package, error) {
 	var files []*ast.File

@@ -10,7 +10,11 @@ package analysis
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -28,6 +32,27 @@ var (
 func testLoader() *Loader {
 	sharedLoaderOnce.Do(func() { sharedLoader = NewLoader("") })
 	return sharedLoader
+}
+
+// LoadDir parses and type-checks every .go file directly inside dir as a
+// single package. It is the entry point for checker testdata packages,
+// which live under testdata/ precisely so the go tool ignores them.
+func (l *Loader) LoadDir(dir string) (*Package, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range ents {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			files = append(files, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", dir)
+	}
+	sort.Strings(files)
+	return l.check("testdata/"+filepath.Base(dir), dir, files)
 }
 
 // runWantTest loads testdata/src/<name>, runs every checker, and matches

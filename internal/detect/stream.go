@@ -81,11 +81,12 @@ var ErrNonFinite = errors.New("detect: the prediction decodes to no finite box")
 // of a live stream — is not stacked: the model is handed a recycled [1,C,H,W]
 // view of the frame's Image (views), which neither engine reads or keeps once
 // Forward has returned, and the frame's Pred is the tensor Forward returned,
-// the one allocation. A larger batch is stacked into one [B,C,H,W] tensor and
-// each frame's Pred is a [1,ch,Sh,Sw] view of its rows of the one output,
-// which both engines hand to the caller. Frames of one call must share a
-// shape: a stack has one H×W, so a mixed batch is an error, never a frame
-// forwarded at its neighbour's size. Calls for the same model must be
+// the one tensor allocated (its header and its data). A larger batch is
+// stacked into one [B,C,H,W] tensor and each frame's Pred is a [1,ch,Sh,Sw]
+// view of its rows of the one output (a header each), which both engines hand
+// to the caller. Frames of one call must share a shape: a stack has one H×W,
+// so a mixed batch is an error, never a frame forwarded at its neighbour's
+// size. Calls for the same model must be
 // serialized by the caller: a forward pass is not reentrant — an nn.Graph (a
 // quant.QuantizedModel likewise) keeps the feature maps of the forward in
 // flight in one arena it owns, with the lanes, band buffers and im2col

@@ -61,17 +61,34 @@ type ActivationScales struct {
 // allocated. The Bundle steps feed the depth-wise and pre-pool maps to the
 // running maxima band by band, never whole; a maximum does not depend on the
 // pieces or their order, so the scales are those of the batched layer walk,
-// which the plan equals bit for bit.
+// which the plan equals bit for bit. A laid-out Concat is not scanned: its
+// slot is its inputs' side by side, so its max-abs is the largest of theirs.
 func CalibrateActivations(plans *nn.PlanCache, batches []*tensor.Tensor) (ActivationScales, error) {
 	if len(batches) == 0 {
 		return ActivationScales{}, fmt.Errorf("quant: calibration needs at least one batch")
 	}
 	var inObs observer
 	obs := make([]observer, len(plans.Graph().Nodes))
-	observe := func(i int, data []float32) { obs[i].observe(data) }
+	laid := make([][]int, len(obs)) // a laid-out Concat's inputs; the mask, not the shape, decides which
+	steps, _ := plans.For(batches[0].Shape()).Steps()
+	for _, s := range steps {
+		if s.Laid {
+			laid[s.Out] = s.Inputs
+		}
+	}
+	observe := func(i int, data []float32) {
+		if laid[i] == nil {
+			obs[i].observe(data)
+		}
+	}
 	for _, b := range batches {
 		inObs.observe(b.Data)
 		plans.For(b.Shape()).Run(b, observe)
+	}
+	for c, inputs := range laid { // in node order: an input precedes its Concat
+		for _, j := range inputs {
+			obs[c].observe([]float32{obs[j].clip()})
+		}
 	}
 	out := ActivationScales{
 		Input: int8Scale(inObs.clip()),

@@ -1,6 +1,9 @@
 package quant
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -258,4 +261,47 @@ func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 			t.Errorf("int8 forward under %s differs from %s (batch 1: %v, batch 4: %v)", kernels, first, sameBits(q1, want.q1), sameBits(q4, want.q4))
 		}
 	}
+}
+
+// TestActivationScalesPinned pins every activation scale CalibrateActivations
+// returns, bit for bit, for SkyNet A/B/C (width 0.25 over two sample shapes,
+// and SkyNet C at width 1 on 160×320 frames, whose Concat is laid out beside
+// Bundles cut into several bands) and mixedGraph: the laid Concat's max-abs,
+// taken from its inputs' instead of scanned, reads what the scan read.
+func TestActivationScalesPinned(t *testing.T) {
+	digest := func(s ActivationScales) string {
+		h := fnv.New64a()
+		for _, v := range append([]float32{s.Input}, s.Node...) {
+			binary.Write(h, binary.LittleEndian, math.Float32bits(v))
+		}
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	check := func(name string, g *nn.Graph, batches []*tensor.Tensor, want string) {
+		t.Helper()
+		scales, err := CalibrateActivations(nn.NewPlanCache(g, nil), batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(scales); got != want {
+			t.Errorf("%s: scales hash to %s, want %s", name, got, want)
+		}
+	}
+	for _, c := range []struct {
+		v    backbone.SkyNetVariant
+		want string
+	}{{backbone.VariantA, "e45672bb44c484a1"}, {backbone.VariantB, "0d6b37f66a9087e5"}, {backbone.VariantC, "6d67007cad5ec5ce"}} {
+		rng := rand.New(rand.NewSource(23))
+		g := backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, c.v)
+		settle(g, rng)
+		check(fmt.Sprintf("SkyNet%v", c.v), g, []*tensor.Tensor{randBatch(rng, 3, 3, 16, 32), randBatch(rng, 2, 3, 18, 32)}, c.want)
+	}
+	rng := rand.New(rand.NewSource(24))
+	check("mixedGraph", mixedGraph(rng), []*tensor.Tensor{randBatch(rng, 4, 3, 22, 30)}, "da16c4169da58c43")
+	if testing.Short() {
+		return
+	}
+	rng = rand.New(rand.NewSource(24))
+	g := backbone.SkyNetC(rng, backbone.Config{Width: 1, InC: 3, HeadChannels: 10, ReLU6: true})
+	settle(g, rng)
+	check("SkyNetC/width1/160x320", g, []*tensor.Tensor{randBatch(rng, 1, 3, 160, 320), randBatch(rng, 2, 3, 160, 320)}, "7ad6b2c21e62de3d")
 }

@@ -166,13 +166,18 @@ func bodyStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// Header values every reply shares, set under their canonical keys without
+// Header.Set's slice per call; at capacity 1, an Add copies them.
+var jsonType, retryAfter = []string{"application/json"}, []string{"1"}
+
 // writeJSON sends v as the JSON reply with the given status. Every 429
 // carries the same constant Retry-After: the services shed at full queues,
 // which clear on the order of a batch, so one second is always enough.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"] = jsonType
 	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
+		h["Retry-After"] = retryAfter
 	}
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
@@ -203,7 +208,7 @@ func detectStatus(err error) int {
 func newMux(metrics func() any, draining func() bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonType
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(metrics())

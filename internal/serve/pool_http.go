@@ -101,7 +101,11 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if reusable(err) {
 		putReqBuf(buf)
 	}
-	w.Header().Set("X-Skynet-Generation", strconv.FormatInt(gen, 10))
+	if g := p.gen.Load(); g.id == gen {
+		w.Header()["X-Skynet-Generation"] = g.idHeader
+	} else { // an older generation's answer, cached before a swap reset the cache
+		w.Header().Set("X-Skynet-Generation", strconv.FormatInt(gen, 10))
+	}
 	if err != nil {
 		writeError(w, detectStatus(err), err)
 		return

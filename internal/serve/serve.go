@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -91,6 +92,7 @@ var requests = tensor.FreeList[request]{Alloc: func() *request { return &request
 type generation struct {
 	lane[*request]
 	id       int64
+	idHeader []string       // id as the X-Skynet-Generation value, built once
 	models   []detect.Model // worker i drives models[i], and nothing else does
 	head     *detect.Head   // read-only: every caller decodes with it
 	channels int            // Config.Channels
@@ -111,6 +113,7 @@ func newGeneration(id int64, models []detect.Model, h *detect.Head, cfg Config) 
 	cfg.normalize()
 	g := &generation{
 		id:       id,
+		idHeader: []string{strconv.FormatInt(id, 10)},
 		models:   models,
 		head:     h,
 		channels: cfg.Channels,

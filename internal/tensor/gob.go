@@ -38,7 +38,8 @@ func (t *Tensor) GobDecode(b []byte) error {
 	if len(gt.Shape) == 0 || n != len(gt.Data) {
 		return fmt.Errorf("tensor: shape %v does not describe %d elements of data", gt.Shape, len(gt.Data))
 	}
-	t.shape = gt.Shape
+	s := append(t.dims[:0], gt.Shape...) // the header's own dims, as FromSlice fills them
+	t.shape = s[:len(s):len(s)]
 	t.Data = gt.Data
 	return nil
 }

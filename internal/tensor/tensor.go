@@ -4,49 +4,58 @@
 // col2im, elementwise arithmetic and reductions.
 //
 // The package is deliberately small and allocation-transparent: a Tensor is
-// a shape plus a flat []float32, and every operation documents whether it
-// allocates or works in place. All operations are deterministic so that
-// experiments are reproducible from a seed: the blocked GEMM (gemm.go) may
-// fan work out across a worker pool, but it splits only along the output
-// columns, so every output element sees the identical k-summation order
-// regardless of worker count and results are bitwise reproducible. All
-// other operations are single-goroutine.
+// one header (its shape inside it) plus a flat []float32, and every
+// operation documents whether it allocates or works in place. All operations
+// are deterministic so that experiments are reproducible from a seed: the
+// blocked GEMM (gemm.go) may fan work out across a worker pool, but it splits
+// only along the output columns, so every output element sees the identical
+// k-summation order regardless of worker count and results are bitwise
+// reproducible. All other operations are single-goroutine.
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Tensor is a dense row-major float32 tensor. The zero value is an empty
-// tensor; use New or FromSlice to construct usable values.
+// Tensor is a dense row-major float32 tensor: one header and its data. Up to
+// rank 4 the shape lives in the header (shape is dims capped at its length,
+// so an append to Shape() never writes into it); a higher rank keeps its own
+// slice. Use a Tensor by pointer: a copied header's shape would still point
+// at the original's dims. The zero value is an empty tensor; use New or
+// FromSlice to construct usable values.
 type Tensor struct {
 	shape []int
+	dims  [4]int
 	Data  []float32
 }
 
 // New returns a zero-filled tensor with the given shape. All dimensions
 // must be positive.
 //
-//skynet:nolint hotcall -- allocating constructor by contract; hot callers reach it only on cold/shape-change paths or for the one caller-owned output of a layer call
-func New(shape ...int) *Tensor {
-	n := checkShape(shape)
-	//skynet:nolint hotcall -- constructor body; see the waiver on New
-	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n)}
-}
+//skynet:nolint hotcall -- allocating constructor by contract (header and data, two objects); hot callers reach it only on cold/shape-change paths or for the one caller-owned output of a layer call
+func New(shape ...int) *Tensor { return FromSlice(make([]float32, checkShape(shape)), shape...) }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); its length must equal the shape's element count.
 //
-//skynet:nolint hotcall -- allocating constructor by contract: one header + shape per view, no data copy
+//skynet:nolint hotcall -- allocating constructor by contract: one header per view, shape inside it up to rank 4, no data copy
 func FromSlice(data []float32, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), slices.Clone(shape), n))
 	}
 	//skynet:nolint hotcall -- constructor body; see the waiver on FromSlice
-	return &Tensor{shape: append([]int(nil), shape...), Data: data}
+	t := &Tensor{Data: data}
+	//skynet:nolint hotcall -- fills the header's dims; allocates only above rank 4, which no hot caller builds
+	s := append(t.dims[:0], shape...)
+	t.shape = s[:len(s):len(s)]
+	return t
 }
 
 // checkShape validates a shape and returns its element count. Pure
-// validation: the panic formatting is the only (cold) allocation source.
+// validation: the panic formatting, of a copy so that a caller's variadic
+// shape does not escape, is the only (cold) allocation source.
 //
 //skynet:hotpath
 func checkShape(shape []int) int {
@@ -56,7 +65,7 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", slices.Clone(shape)))
 		}
 		n *= d
 	}
@@ -87,17 +96,7 @@ func (t *Tensor) Len() int { return len(t.Data) }
 // SameShape reports whether t and u have identical shapes.
 //
 //skynet:hotpath
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i, d := range t.shape {
-		if u.shape[i] != d {
-			return false
-		}
-	}
-	return true
-}
+func (t *Tensor) SameShape(u *Tensor) bool { return slices.Equal(t.shape, u.shape) }
 
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
@@ -111,9 +110,9 @@ func (t *Tensor) Clone() *Tensor {
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	n := checkShape(shape)
 	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elements) to %v (%d elements)", t.shape, len(t.Data), shape, n))
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elements) to %v (%d elements)", t.shape, len(t.Data), slices.Clone(shape), n))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), Data: t.Data}
+	return FromSlice(t.Data, shape...)
 }
 
 // At returns the element at the given multi-dimensional index.
@@ -122,35 +121,26 @@ func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
 // Set assigns v to the element at the given multi-dimensional index.
 func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
 
+// offset's panics format a copy of the index: handing idx itself to fmt would
+// make At/Set's variadic slice escape, heap-allocated on every call.
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
-		panic(t.indexError("has wrong rank", idx))
+		panic(fmt.Sprintf("tensor: index %v has wrong rank for shape %v", slices.Clone(idx), t.shape))
 	}
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(t.indexError("out of range", idx))
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", slices.Clone(idx), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}
 	return off
 }
 
-// indexError builds offset's panic message from a copy of the index.
-// Handing idx itself to fmt would make it escape, and At/Set's variadic
-// slice would then be heap-allocated on every call, panicking or not.
-func (t *Tensor) indexError(what string, idx []int) string {
-	return fmt.Sprintf("tensor: index %v %s for shape %v", append([]int(nil), idx...), what, t.shape)
-}
-
 // Zero sets every element of t to zero.
 //
 //skynet:hotpath
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
+func (t *Tensor) Zero() { clear(t.Data) }
 
 // Fill sets every element of t to v.
 func (t *Tensor) Fill(v float32) {
