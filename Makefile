@@ -145,7 +145,7 @@ short:
 # backward runs through them) get the three runs too.
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool.
-LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned
+LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite
 STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
 LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers

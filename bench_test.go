@@ -89,7 +89,10 @@ func BenchmarkFig2aQuantization(b *testing.B) {
 	b.Run("quantized", func(b *testing.B) {
 		restore := quant.ApplyGroupBits(g, quant.Fig2aParamSchemes[2])
 		defer restore()
-		m := quant.EmulateFM(g, 8)
+		m, err := quant.Emulate(g, 8, []*tensor.Tensor{x})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.Forward(x, false)
@@ -171,7 +174,7 @@ func BenchmarkTable7Quant(b *testing.B) {
 		}
 	})
 	b.Run("scheme1", func(b *testing.B) {
-		quant.WithScheme(g, quant.Table7Schemes[1], func(m quant.Emulated) {
+		quant.WithScheme(g, quant.Table7Schemes[1], []*tensor.Tensor{x}, func(m quant.Emulated) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Forward(x, false)

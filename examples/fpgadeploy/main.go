@@ -34,11 +34,14 @@ func main() {
 	fmt.Println("\nquantization schemes (Table 7):")
 	fmt.Printf("  %-10s %-8s %-8s %s\n", "scheme", "FM bits", "W bits", "val IoU")
 	var chosen quant.Scheme
+	calib := detect.Batches(train, 8) // the feature-map grids' calibration set
 	for _, s := range quant.Table7Schemes {
 		var iou float64
-		quant.WithScheme(model, s, func(m quant.Emulated) {
+		if err := quant.WithScheme(model, s, calib, func(m quant.Emulated) {
 			iou = detect.MeanIoU(m, head, val, 8)
-		})
+		}); err != nil {
+			panic(err)
+		}
 		fmt.Printf("  %-10s %-8d %-8d %.3f\n", s, s.FMBits, s.WeightBits, iou)
 		if s.ID == 1 {
 			chosen = s // the paper picks scheme 1: accuracy dominates Eq. 5

@@ -60,9 +60,12 @@ func TestIntegrationTrainQuantizeDeployScore(t *testing.T) {
 
 	// Quantize with the paper's chosen scheme and re-evaluate.
 	var quantIoU float64
-	quant.WithScheme(model, quant.Table7Schemes[1], func(m quant.Emulated) {
+	err := quant.WithScheme(model, quant.Table7Schemes[1], detect.Batches(train, 8), func(m quant.Emulated) {
 		quantIoU = detect.MeanIoU(m, head, val, 8)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(quantIoU-floatIoU) > 0.2 {
 		t.Fatalf("scheme-1 quantization moved IoU too far: %.3f -> %.3f", floatIoU, quantIoU)
 	}

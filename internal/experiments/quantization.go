@@ -38,14 +38,12 @@ func Fig2a(o Options) Table {
 	g := backbone.AlexNet(rng, backbone.Config{Width: 0.0625, InC: 3}, 48, 48, dataset.NumCategories)
 	o.logf("fig2a: training AlexNet-class model (%d params, %d images, %d epochs)",
 		g.NumParams(), nTrain, epochs)
-	trainClassifier(g, imgs, labels, epochs)
+	trainX, valX := batches(imgs), batches(valImgs)
+	trainClassifier(g, trainX, labels, epochs)
 	evalAcc := func(m detect.Model) float64 {
 		var correct float64
-		for lo := 0; lo < len(valImgs); lo += 8 {
-			hi := min(lo+8, len(valImgs))
-			x := stack(valImgs[lo:hi])
-			out := m.Forward(x, false)
-			correct += nn.Accuracy(out, valLabels[lo:hi]) * float64(hi-lo)
+		for b, x := range valX {
+			correct += nn.Accuracy(m.Forward(x, false), valLabels[8*b:8*b+x.Dim(0)]) * float64(x.Dim(0))
 		}
 		return correct / float64(len(valImgs))
 	}
@@ -74,7 +72,11 @@ func Fig2a(o Options) Table {
 			f1(paramMB/sz) + "x", f3(acc)})
 	}
 	for _, gb := range quant.Fig2aFMSchemes {
-		acc := evalAcc(quant.EmulateFM(g, gb.FMBits))
+		m, err := quant.Emulate(g, gb.FMBits, trainX) // grids calibrated on the training images
+		if err != nil {
+			panic(err) // no training image
+		}
+		acc := evalAcc(m)
 		sz := float64(quant.FMBytesAtBits(costs, gb.FMBits)) / 1e3
 		t.Rows = append(t.Rows, []string{"FM (green)", gb.Name, f2(paramMB), f1(sz),
 			f1(fmKB/sz) + "x", f3(acc)})
@@ -82,27 +84,29 @@ func Fig2a(o Options) Table {
 	return t
 }
 
-func stack(imgs []*tensor.Tensor) *tensor.Tensor {
-	c, h, w := imgs[0].Dim(0), imgs[0].Dim(1), imgs[0].Dim(2)
-	x := tensor.New(len(imgs), c, h, w)
-	per := c * h * w
-	for i, im := range imgs {
-		copy(x.Data[i*per:(i+1)*per], im.Data)
+// batches stacks images into batches of 8, the last one short.
+func batches(imgs []*tensor.Tensor) []*tensor.Tensor {
+	var out []*tensor.Tensor
+	for lo := 0; lo < len(imgs); lo += 8 {
+		x := tensor.New(append([]int{min(8, len(imgs)-lo)}, imgs[0].Shape()...)...)
+		per := imgs[0].Len()
+		for i, im := range imgs[lo : lo+x.Dim(0)] {
+			copy(x.Data[i*per:], im.Data)
+		}
+		out = append(out, x)
 	}
-	return x
+	return out
 }
 
-func trainClassifier(g *nn.Graph, imgs []*tensor.Tensor, labels []int, epochs int) {
+func trainClassifier(g *nn.Graph, xs []*tensor.Tensor, labels []int, epochs int) {
 	opt := nn.NewSGD(0.003, 0.9, 1e-4)
 	sched := nn.LRSchedule{Start: 0.003, End: 0.0003, Epochs: epochs}
 	params := g.Params()
 	for e := 0; e < epochs; e++ {
 		opt.LR = sched.At(e)
-		for lo := 0; lo < len(imgs); lo += 8 {
-			hi := min(lo+8, len(imgs))
-			x := stack(imgs[lo:hi])
+		for b, x := range xs {
 			out := g.Forward(x, true)
-			_, grad := nn.SoftmaxCrossEntropy(out, labels[lo:hi])
+			_, grad := nn.SoftmaxCrossEntropy(out, labels[8*b:8*b+x.Dim(0)])
 			g.Backward(grad)
 			nn.ClipGradNorm(params, 5)
 			opt.Step(params)
@@ -134,11 +138,16 @@ func Table7(o Options) Table {
 		Header: []string{"Scheme", "FM bits", "W bits", "IoU (ours)", "Paper IoU"},
 	}
 	paper := []float64{0.741, 0.727, 0.714, 0.690, 0.680}
+	// The emulated rows' feature-map grids and the int8 row's scales.
+	calib := detect.Batches(train[:len(train)/8*8], 8)
 	for i, s := range quant.Table7Schemes {
 		var iou float64
-		quant.WithScheme(g, s, func(m quant.Emulated) {
+		err := quant.WithScheme(g, s, calib, func(m quant.Emulated) {
 			iou = detect.MeanIoU(m, head, val, 8)
 		})
+		if err != nil {
+			panic(err) // fewer than 8 training samples
+		}
 		fm, w := "float32", "float32"
 		if s.FMBits > 0 {
 			fm = f1(float64(s.FMBits))
@@ -151,7 +160,6 @@ func Table7(o Options) Table {
 	// path `skynet-detect -quantize` / `skynet-serve -quantize` serves. The
 	// paper has no corresponding row; its closest points are the 8-bit
 	// feature-map schemes above.
-	calib := detect.Batches(train[:len(train)/8*8], 8)
 	if qm, err := quant.Export(g, calib, quant.ExportConfig{}); err == nil {
 		iou := detect.MeanIoU(qm, head, val, 8)
 		t.Rows = append(t.Rows, []string{"int8 per-channel", "8", "8", f3(iou), "-"})

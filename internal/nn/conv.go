@@ -11,7 +11,7 @@ import (
 // matrix multiplication via im2col. Weights have logical shape
 // [OutC, InC, K, K] and are stored flattened as [OutC, InC*K*K].
 //
-// Forward and Backward — the layer walk: training and Graph.Walk — deal the
+// Forward and Backward — the layer walk: training, and the tests' oracle — deal the
 // images of their batch to LanesFor(n) lanes through RunLanes, as the
 // inference plan deals its samples (plan.go), which hands forwardImage one
 // image at a time. Scratch is per lane — im2col buffers and Backward's

@@ -1,6 +1,10 @@
 package nn
 
-import "testing"
+import (
+	"testing"
+
+	"skynet/internal/tensor"
+)
 
 // PoisonReleased makes the inference executor fill every arena slot with
 // NaN the moment its plan releases it, until the test ends.
@@ -72,4 +76,29 @@ func Arena(g *Graph) (arena []float32, lanes int) {
 func DWRows(d *DWConv3, dst, in []float32, h, w, ch, oy int) {
 	d.record(1, h, w)
 	d.rows(dst, in, ch, oy)
+}
+
+// Walk runs every node's own Layer.Forward in eval mode on the whole batch,
+// each output a fresh tensor, and returns the output node's: the layer walk
+// inference forwards are held to, bit for bit. visit, when non-nil, is shown
+// each node's output before that node's consumers run, and may rewrite it.
+func (g *Graph) Walk(x *tensor.Tensor, visit func(i int, out *tensor.Tensor)) *tensor.Tensor {
+	g.trained = false
+	g.OutShapes = make([][]int, len(g.Nodes))
+	outs := make([]*tensor.Tensor, len(g.Nodes))
+	for i, n := range g.Nodes {
+		ins := make([]*tensor.Tensor, len(n.Inputs))
+		for k, j := range n.Inputs {
+			ins[k] = x
+			if j != GraphInput {
+				ins[k] = outs[j]
+			}
+		}
+		outs[i] = n.Layer.Forward(ins, false)
+		g.OutShapes[i] = outs[i].Shape()
+		if visit != nil {
+			visit(i, outs[i])
+		}
+	}
+	return outs[g.output()]
 }

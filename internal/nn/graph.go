@@ -28,10 +28,12 @@ type Node struct {
 // samples, on its own one-sample region of an arena the graph owns — and
 // keeps every feature map there but for the maps inside a Bundle (DW → PW →
 // BN → act → pool), one step holding them a band of rows at a time
-// (band.go); it returns bitwise what the walk would. Walk is that walk in eval mode, every node's output shown to the
-// caller, who may rewrite it — the quantization package emulates fixed-point
-// feature maps that way. The returned tensor is always a fresh one that
-// belongs to the caller. A Graph is not safe for concurrent use.
+// (band.go); it returns bitwise what walking the layers in eval mode would.
+// No inference path walks the layers: the tests keep that walk as the plan's
+// oracle, and a caller that must see or rewrite every map runs a plan
+// compiled under a mask marking every node with an observer (Plan.RunInto).
+// The returned tensor is always a fresh one that belongs to the caller. A
+// Graph is not safe for concurrent use.
 type Graph struct {
 	Nodes []*Node
 	// Output is the index of the node whose output is the graph output.
@@ -81,6 +83,8 @@ func (g *Graph) output() int {
 }
 
 // Forward runs the whole graph on x and returns the output node's tensor.
+// In training it walks the layers, every node's own Layer.Forward on the
+// whole batch, each caching what Backward needs.
 func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(g.Nodes) == 0 {
 		panic("nn: forward on empty graph")
@@ -92,20 +96,6 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		g.OutShapes = p.shapes
 		return p.Run(x, nil)
 	}
-	return g.walk(x, true, nil)
-}
-
-// Walk runs every node's own Layer.Forward in eval mode on the whole batch,
-// each output a fresh tensor, and returns the output node's: the layer walk
-// inference forwards are held to, bit for bit. visit, when non-nil, is shown
-// each node's output before that node's consumers run, and may rewrite it.
-func (g *Graph) Walk(x *tensor.Tensor, visit func(i int, out *tensor.Tensor)) *tensor.Tensor {
-	g.trained = false
-	return g.walk(x, false, visit)
-}
-
-// walk is Walk in either mode.
-func (g *Graph) walk(x *tensor.Tensor, train bool, visit func(i int, out *tensor.Tensor)) *tensor.Tensor {
 	g.OutShapes = make([][]int, len(g.Nodes))
 	outs := make([]*tensor.Tensor, len(g.Nodes))
 	ins := make([]*tensor.Tensor, 0, 2)
@@ -118,11 +108,8 @@ func (g *Graph) walk(x *tensor.Tensor, train bool, visit func(i int, out *tensor
 				ins = append(ins, outs[j])
 			}
 		}
-		outs[i] = n.Layer.Forward(ins, train)
+		outs[i] = n.Layer.Forward(ins, true)
 		g.OutShapes[i] = outs[i].Shape()
-		if visit != nil {
-			visit(i, outs[i])
-		}
 	}
 	return outs[g.output()]
 }

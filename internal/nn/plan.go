@@ -707,8 +707,9 @@ func (p *Plan) batch(n int) []int {
 // of both, those below the pool's last whole window included. The pieces
 // of one step may come from several band workers at once and in any order,
 // so an observer must be safe for concurrent use and must not depend on the
-// order of what it is shown within a step. Graph.Forward(x, false) is Run
-// with no observer.
+// order of what it is shown within a step. Under a mask marking every node,
+// each map is shown whole, once, before any step reads it, and the observer
+// may rewrite it (quant.Emulate). Graph.Forward(x, false) is Run with none.
 //
 //skynet:hotpath
 func (p *Plan) RunInto(dst, x *tensor.Tensor, observe func(node int, data []float32)) {

@@ -418,11 +418,11 @@ func TestBackwardNeedsTrainingForward(t *testing.T) {
 	}
 }
 
-// TestHookedInferenceSeesEveryNode: a Walk with a visit — the hooked
-// inference quant's feature-map emulation runs — hands the visit each node's
-// own fresh tensor, as the node's layer computes it from its inputs as the
-// visit left them, lets it rewrite that tensor for the nodes downstream, and
-// keeps none of it: the inference forward afterwards is the plain walk's.
+// TestHookedInferenceSeesEveryNode: the oracle's Walk with a visit hands the
+// visit each node's own fresh tensor, as the node's layer computes it from
+// its inputs as the visit left them, lets it rewrite that tensor for the
+// nodes downstream, and keeps none of it: the inference forward afterwards is
+// the plain walk's.
 func TestHookedInferenceSeesEveryNode(t *testing.T) {
 	g, rng := skyNetC(0.25, 18)
 	x := randBatch(rng, 2, 3, 32, 64)
@@ -444,6 +444,62 @@ func TestHookedInferenceSeesEveryNode(t *testing.T) {
 	}
 	requireSameBits(t, "visited output", got, left[len(left)-1])
 	requireSameBits(t, "inference forward afterwards", g.Forward(x, false), g.Walk(x, nil))
+}
+
+// TestRewritingObserverMatchesWalk is the observer's rewrite contract, on
+// which quant's number-format emulation rests: under a mask marking every
+// node, a plan's observer is shown each node's map whole and once per sample,
+// and what it leaves there is what the consumers read — so rounding every
+// map in the observer gives, bit for bit, the oracle's Walk rounding every
+// node's output in its visit. SkyNet A/B/C and the AlexNet classifier at
+// batch 1 and 3.
+func TestRewritingObserverMatchesWalk(t *testing.T) {
+	round := func(data []float32) { // a rewrite that is not linear
+		for i, v := range data {
+			data[i] = float32(math.RoundToEven(float64(v)*4)) / 4
+		}
+	}
+	for _, m := range []struct {
+		name  string
+		build func(rng *rand.Rand) *nn.Graph
+		h, w  int
+	}{
+		{"SkyNetA", func(rng *rand.Rand) *nn.Graph {
+			return backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, backbone.VariantA)
+		}, 32, 64},
+		{"SkyNetB", func(rng *rand.Rand) *nn.Graph {
+			return backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, backbone.VariantB)
+		}, 32, 64},
+		{"SkyNetC", func(rng *rand.Rand) *nn.Graph {
+			return backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, backbone.VariantC)
+		}, 32, 64},
+		{"AlexNet", func(rng *rand.Rand) *nn.Graph {
+			return backbone.AlexNet(rng, backbone.Config{Width: 0.0625, InC: 3}, 48, 48, 5)
+		}, 48, 48},
+	} {
+		rng := rand.New(rand.NewSource(19))
+		g := m.build(rng)
+		unsettle(g, rng)
+		every := make([]bool, len(g.Nodes))
+		for i := range every {
+			every[i] = true
+		}
+		for _, b := range []int{1, 3} {
+			x := randBatch(rng, b, 3, m.h, m.w)
+			want := g.Walk(x, func(_ int, out *tensor.Tensor) { round(out.Data) })
+			seen := make([]int, len(g.Nodes))
+			got := nn.Compile(g, x.Shape(), every).Run(x, func(i int, data []float32) {
+				seen[i]++
+				round(data)
+			})
+			requireSameBits(t, fmt.Sprintf("%s, batch %d", m.name, b), got, want)
+			for i, n := range seen {
+				if n != b {
+					t.Fatalf("%s, batch %d: node %d shown %d times", m.name, b, i, n)
+				}
+			}
+		}
+	}
 }
 
 // TestDWConvInteriorBorderSplit holds DWConv3's branch-free interior and

@@ -29,43 +29,33 @@ func (o *observer) observe(data []float32) {
 // value seen.
 func (o *observer) clip() float32 { return math.Float32frombits(o.maxAbs.Load()) }
 
-// int8Scale converts a clipping value to the symmetric int8 scale,
-// guaranteeing a finite positive result (degenerate inputs -> 1, matching
-// Calibrate).
-func int8Scale(clip float32) float32 {
-	s := clip / 127
-	if !(s > 0) || math.IsInf(float64(s), 0) {
-		return 1
-	}
-	return s
-}
-
-// ActivationScales holds the per-tensor int8 scales produced by activation
-// calibration: one for the graph input and one per node output.
-type ActivationScales struct {
+// ActivationClips holds what activation calibration measures: the largest
+// absolute finite value of the graph input and of every node output.
+type ActivationClips struct {
 	Input float32
 	Node  []float32
 }
 
 // CalibrateActivations runs the graph of plans in eval mode over the
-// calibration batches and returns symmetric int8 scales for the graph input
-// and every node output, each from the largest absolute finite value seen (a
-// BatchNorm or ReLU computed inside its convolution's GEMM store reads scale
-// 1). Per-tensor activation scales with per-output-channel weight scales is
-// the standard post-training int8 recipe: feature maps share one grid because
-// the next layer's GEMM consumes them whole; each weight channel's scale
-// folds into its requantize multiplier.
+// calibration batches and returns the clip of the graph input and of every
+// node output: the largest absolute finite value seen (a BatchNorm or ReLU
+// computed inside its convolution's GEMM store reads 0, which grid maps to
+// scale 1). Per-tensor activation scales with per-output-channel weight
+// scales is the standard post-training int8 recipe: feature maps share one
+// grid because the next layer's GEMM consumes them whole; each weight
+// channel's scale folds into its requantize multiplier.
 //
 // It observes the plans the cache holds or compiles (nn.Plan.Run, one lane) —
-// in Export, the ones the engine then runs —: no hook, no feature map
-// allocated. The Bundle steps feed the depth-wise and pre-pool maps to the
-// running maxima band by band, never whole; a maximum does not depend on the
-// pieces or their order, so the scales are those of the batched layer walk,
-// which the plan equals bit for bit. A laid-out Concat is not scanned: its
-// slot is its inputs' side by side, so its max-abs is the largest of theirs.
-func CalibrateActivations(plans *nn.PlanCache, batches []*tensor.Tensor) (ActivationScales, error) {
+// in Export, the ones the engine then runs; in Emulate, plans under a mask
+// marking every node —: no hook, no feature map allocated. The Bundle steps
+// feed the depth-wise and pre-pool maps to the running maxima band by band,
+// never whole; a maximum does not depend on the pieces or their order, so the
+// clips are those of the batched layer walk, which the plan equals bit for
+// bit. A laid-out Concat is not scanned: its slot is its inputs' side by
+// side, so its max-abs is the largest of theirs.
+func CalibrateActivations(plans *nn.PlanCache, batches []*tensor.Tensor) (ActivationClips, error) {
 	if len(batches) == 0 {
-		return ActivationScales{}, fmt.Errorf("quant: calibration needs at least one batch")
+		return ActivationClips{}, fmt.Errorf("quant: calibration needs at least one batch")
 	}
 	var inObs observer
 	obs := make([]observer, len(plans.Graph().Nodes))
@@ -90,12 +80,9 @@ func CalibrateActivations(plans *nn.PlanCache, batches []*tensor.Tensor) (Activa
 			obs[c].observe([]float32{obs[j].clip()})
 		}
 	}
-	out := ActivationScales{
-		Input: int8Scale(inObs.clip()),
-		Node:  make([]float32, len(obs)),
-	}
+	out := ActivationClips{Input: inObs.clip(), Node: make([]float32, len(obs))}
 	for i := range obs {
-		out.Node[i] = int8Scale(obs[i].clip())
+		out.Node[i] = obs[i].clip()
 	}
 	return out, nil
 }
@@ -112,7 +99,7 @@ func QuantizeWeightsPerChannel(w []float32, rows, cols int) ([]int8, []float32) 
 	scales := make([]float32, rows)
 	for r := 0; r < rows; r++ {
 		row, dst := w[r*cols:(r+1)*cols], codes[r*cols:(r+1)*cols]
-		scales[r] = int8Scale(tensor.MaxAbsFinite(row))
+		scales[r] = grid(8, tensor.MaxAbsFinite(row)).Scale
 		// Converted in the loop, the scale's CVTSS2SD (false dependency on its
 		// register) chained each weight's divide to the last: 3× slower.
 		s := float64(scales[r])

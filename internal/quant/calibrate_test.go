@@ -173,7 +173,7 @@ func TestQuantizeWeightsMatchesRoundToEven(t *testing.T) {
 	}
 }
 
-// TestCalibrateActivations checks per-node scale collection over a real
+// TestCalibrateActivations checks per-node clip collection over a real
 // graph and the error on an empty calibration set.
 func TestCalibrateActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -185,25 +185,25 @@ func TestCalibrateActivations(t *testing.T) {
 	for i := range batch.Data {
 		batch.Data[i] = rng.Float32()
 	}
-	scales, err := CalibrateActivations(nn.NewPlanCache(g, nil), []*tensor.Tensor{batch})
+	clips, err := CalibrateActivations(nn.NewPlanCache(g, nil), []*tensor.Tensor{batch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scales.Node) != len(g.Nodes) {
-		t.Fatalf("got %d node scales for %d nodes", len(scales.Node), len(g.Nodes))
+	if len(clips.Node) != len(g.Nodes) {
+		t.Fatalf("got %d node clips for %d nodes", len(clips.Node), len(g.Nodes))
 	}
-	if !(scales.Input > 0) {
-		t.Fatalf("input scale = %v, want > 0", scales.Input)
+	if !(clips.Input > 0) {
+		t.Fatalf("input clip = %v, want > 0", clips.Input)
 	}
-	for i, s := range scales.Node {
-		if !(s > 0) || math.IsInf(float64(s), 0) {
-			t.Fatalf("node %d (%s): scale = %v, want positive finite", i, g.Nodes[i].Layer.Name(), s)
+	for i, c := range append(clips.Node, clips.Input) {
+		if s := grid(8, c).Scale; !(s > 0) || math.IsInf(float64(s), 0) {
+			t.Fatalf("clip %d = %v: scale %v, want positive finite", i, c, s)
 		}
 	}
 }
 
 // TestSkyNetCBitwiseUnderEveryKernel: full-width SkyNet C's float forward,
-// the activation scales CalibrateActivations takes from that forward, the
+// the activation clips CalibrateActivations takes from that forward, the
 // codes, scales and epilogues Export lowers it to, and that int8 model's
 // forwards at batch 1 and 4 are bitwise the same under every kernel the host
 // has — purego, avx2 and avx512 (with the avx512vnni int8 tile where the CPU
@@ -225,7 +225,7 @@ func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 	var first string
 	var want struct {
 		out, q1, q4 []float32
-		scales      ActivationScales
+		clips       ActivationClips
 		qm          *QuantizedModel
 	}
 	for _, name := range []string{"purego", "avx2", "avx512"} {
@@ -233,7 +233,7 @@ func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 			continue // not on this CPU or build
 		}
 		out := g.Forward(x, false).Data
-		scales, err := CalibrateActivations(nn.NewPlanCache(g, nil), []*tensor.Tensor{x})
+		clips, err := CalibrateActivations(nn.NewPlanCache(g, nil), []*tensor.Tensor{x})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,15 +244,15 @@ func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 		q1, q4 := qm.Forward(x1, false).Data, qm.Forward(x4, false).Data
 		if first == "" {
 			first = name
-			want.out, want.q1, want.q4, want.scales, want.qm = out, q1, q4, scales, qm
+			want.out, want.q1, want.q4, want.clips, want.qm = out, q1, q4, clips, qm
 			continue
 		}
 		kernels := name + "/" + tensor.Int8KernelName()
 		if !sameBits(out, want.out) {
 			t.Errorf("forward under %s differs from %s", kernels, first)
 		}
-		if !sameBits([]float32{scales.Input}, []float32{want.scales.Input}) || !sameBits(scales.Node, want.scales.Node) {
-			t.Errorf("scales under %s differ from %s: %v vs %v", kernels, first, scales, want.scales)
+		if !sameBits([]float32{clips.Input}, []float32{want.clips.Input}) || !sameBits(clips.Node, want.clips.Node) {
+			t.Errorf("clips under %s differ from %s: %v vs %v", kernels, first, clips, want.clips)
 		}
 		if !reflect.DeepEqual(qm.units, want.qm.units) || !reflect.DeepEqual(qm.vals, want.qm.vals) {
 			t.Errorf("Export under %s lowers to other codes, scales or epilogues than under %s", kernels, first)
@@ -263,26 +263,27 @@ func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 	}
 }
 
-// TestActivationScalesPinned pins every activation scale CalibrateActivations
-// returns, bit for bit, for SkyNet A/B/C (width 0.25 over two sample shapes,
-// and SkyNet C at width 1 on 160×320 frames, whose Concat is laid out beside
-// Bundles cut into several bands) and mixedGraph: the laid Concat's max-abs,
-// taken from its inputs' instead of scanned, reads what the scan read.
+// TestActivationScalesPinned pins every int8 activation scale Export takes
+// from CalibrateActivations' clips, bit for bit, for SkyNet A/B/C (width 0.25
+// over two sample shapes, and SkyNet C at width 1 on 160×320 frames, whose
+// Concat is laid out beside Bundles cut into several bands) and mixedGraph:
+// the laid Concat's max-abs, taken from its inputs' instead of scanned, reads
+// what the scan read.
 func TestActivationScalesPinned(t *testing.T) {
-	digest := func(s ActivationScales) string {
+	digest := func(c ActivationClips) string {
 		h := fnv.New64a()
-		for _, v := range append([]float32{s.Input}, s.Node...) {
-			binary.Write(h, binary.LittleEndian, math.Float32bits(v))
+		for _, v := range append([]float32{c.Input}, c.Node...) {
+			binary.Write(h, binary.LittleEndian, math.Float32bits(grid(8, v).Scale))
 		}
 		return fmt.Sprintf("%016x", h.Sum64())
 	}
 	check := func(name string, g *nn.Graph, batches []*tensor.Tensor, want string) {
 		t.Helper()
-		scales, err := CalibrateActivations(nn.NewPlanCache(g, nil), batches)
+		clips, err := CalibrateActivations(nn.NewPlanCache(g, nil), batches)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := digest(scales); got != want {
+		if got := digest(clips); got != want {
 			t.Errorf("%s: scales hash to %s, want %s", name, got, want)
 		}
 	}

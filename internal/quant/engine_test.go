@@ -120,18 +120,29 @@ func TestMaxPoolCodesMatchesOracle(t *testing.T) {
 }
 
 // calibrateByWalk is the calibration CalibrateActivations used to be — every
-// node's output observed on an unfused, whole-batch layer walk — kept as the
-// oracle of the observer on the plan.
-func calibrateByWalk(g *nn.Graph, batches []*tensor.Tensor) ActivationScales {
+// node's output observed on an unfused, whole-batch layer walk, each layer's
+// own eval-mode Forward — kept as the oracle of the observer on the plan.
+func calibrateByWalk(g *nn.Graph, batches []*tensor.Tensor) ActivationClips {
 	var inObs observer
 	obs := make([]observer, len(g.Nodes))
 	for _, b := range batches {
 		inObs.observe(b.Data)
-		g.Walk(b, func(i int, t *tensor.Tensor) { obs[i].observe(t.Data) })
+		outs := make([]*tensor.Tensor, len(g.Nodes))
+		for i, n := range g.Nodes {
+			ins := make([]*tensor.Tensor, len(n.Inputs))
+			for k, j := range n.Inputs {
+				ins[k] = b
+				if j != nn.GraphInput {
+					ins[k] = outs[j]
+				}
+			}
+			outs[i] = n.Layer.Forward(ins, false)
+			obs[i].observe(outs[i].Data)
+		}
 	}
-	out := ActivationScales{Input: int8Scale(inObs.clip()), Node: make([]float32, len(g.Nodes))}
+	out := ActivationClips{Input: inObs.clip(), Node: make([]float32, len(g.Nodes))}
 	for i := range obs {
-		out.Node[i] = int8Scale(obs[i].clip())
+		out.Node[i] = obs[i].clip()
 	}
 	return out
 }
@@ -188,7 +199,7 @@ func TestCalibrationObserverMatchesHook(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Input != want.Input {
-			t.Fatalf("%s: input scale %v, by the walk %v", name, got.Input, want.Input)
+			t.Fatalf("%s: input clip %v, by the walk %v", name, got.Input, want.Input)
 		}
 		steps, _ := nn.Compile(g, batches[0].Shape(), unitMask(g, force)).Steps()
 		if unforced, _ := nn.Compile(g, batches[0].Shape(), unitMask(g, nil)).Steps(); len(forced) > 0 && len(steps) <= len(unforced) {
@@ -196,7 +207,7 @@ func TestCalibrationObserverMatchesHook(t *testing.T) {
 		}
 		for _, s := range steps {
 			if got.Node[s.Out] != want.Node[s.Out] {
-				t.Fatalf("%s: node %d (%s) scale %v, by the walk %v", name, s.Out, g.Nodes[s.Out].Layer.Name(), got.Node[s.Out], want.Node[s.Out])
+				t.Fatalf("%s: node %d (%s) clip %v, by the walk %v", name, s.Out, g.Nodes[s.Out].Layer.Name(), got.Node[s.Out], want.Node[s.Out])
 			}
 		}
 	}
@@ -627,13 +638,13 @@ func exportPerNode(t *testing.T, g *nn.Graph, calib []*tensor.Tensor, cfg Export
 	for _, i := range cfg.ForceFloat {
 		force[i] = true
 	}
-	scales, err := CalibrateActivations(nn.NewPlanCache(g, force), calib)
+	clips, err := CalibrateActivations(nn.NewPlanCache(g, force), calib)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := &QuantizedModel{separate: unitMask(g, force), output: len(g.Nodes) - 1}
 	m.plans = nn.NewPlanCache(g, m.separate)
-	m.lower(calib[0].Shape(), scales, force)
+	m.lower(calib[0].Shape(), clips, force)
 	return m
 }
 

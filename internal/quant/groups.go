@@ -56,21 +56,18 @@ func ParamGroups(g *nn.Graph) map[string][]*nn.Param {
 // scales) stays float32, as hardware keeps such small tensors in high
 // precision.
 func ApplyGroupBits(g *nn.Graph, gb GroupBits) (restore func()) {
-	snap := SnapshotParams(g)
 	groups := ParamGroups(g)
-	apply := func(key string, bits int) {
-		if bits <= 0 || bits >= 32 {
-			return
-		}
-		for _, p := range groups[key] {
-			QuantizeTensor(p.W, bits)
+	restores := []func(){
+		quantizeParams(groups["conv1"], gb.Conv1),
+		quantizeParams(groups["convRest"], gb.ConvRest),
+		quantizeParams(groups["fc12"], gb.FC12),
+		quantizeParams(groups["fc3"], gb.FC3),
+	}
+	return func() {
+		for _, r := range restores {
+			r()
 		}
 	}
-	apply("conv1", gb.Conv1)
-	apply("convRest", gb.ConvRest)
-	apply("fc12", gb.FC12)
-	apply("fc3", gb.FC3)
-	return func() { RestoreParams(g, snap) }
 }
 
 // GroupedParamBytes returns the stored model size under a group assignment.

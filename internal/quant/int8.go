@@ -374,27 +374,29 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 	if g.Output >= 0 {
 		m.output = g.Output
 	}
-	scales, err := CalibrateActivations(m.plans, calib)
+	clips, err := CalibrateActivations(m.plans, calib)
 	// Calibration ran the plans in float, on g's arena and the convolutions'
 	// weights packed for the float GEMM; the engine runs them on codes.
 	m.plans.Release()
 	if err != nil {
 		return nil, err
 	}
-	m.lower(calib[0].Shape(), scales, force)
+	m.lower(calib[0].Shape(), clips, force)
 	return m, nil
 }
 
 // lower installs a unit on every step of the plan for samples of the given
-// shape. A Bundle step one of whose convolutions would break the accumulator
-// bound is split: its depth-wise node is marked, and the lowering starts over
-// on plans compiled under the new mask.
-func (m *QuantizedModel) lower(shape []int, scales ActivationScales, force []bool) {
+// shape, each map on the int8 grid its clip spans. A Bundle step one of whose
+// convolutions would break the accumulator bound is split: its depth-wise
+// node is marked, and the lowering starts over on plans compiled under the
+// new mask.
+func (m *QuantizedModel) lower(shape []int, clips ActivationClips, force []bool) {
 	g := m.plans.Graph()
 	steps, _ := m.plans.For(shape).Steps()
 	m.units, m.vals = make([]unit, len(g.Nodes)), make([]value, len(g.Nodes)+1)
 	m.int8Units, m.floatUnits, m.fusedNodes = 0, 0, 0
-	m.vals[0].scale = scales.Input
+	m.vals[0].scale = grid(8, clips.Input).Scale
+	scaleOf := func(j int) float32 { return grid(8, clips.Node[j]).Scale }
 	// install makes u the unit of step s, its output on the given grid.
 	install := func(s *nn.Step, u unit, scale float32) {
 		m.units[s.Out], m.val(s.Out).scale = u, scale
@@ -410,7 +412,7 @@ func (m *QuantizedModel) lower(shape []int, scales ActivationScales, force []boo
 		for _, t := range s.Chain.Tail {
 			q.layers = append(q.layers, g.Nodes[t].Layer)
 		}
-		install(s, q, scales.Node[s.Out])
+		install(s, q, scaleOf(s.Out))
 		for _, j := range s.Inputs {
 			m.val(j).asFloat = true
 		}
@@ -429,34 +431,34 @@ func (m *QuantizedModel) lower(shape []int, scales ActivationScales, force []boo
 			// floats to the detection head itself; behind an activation the
 			// codes are clamped first and Forward dequantizes them.
 			dequant := s.Out == m.output && s.Chain.Act == nil
-			if q := newQConv(l, s.Chain.BN, s.Chain.Act, inScale, scales.Node[s.Out], dequant); q != nil {
-				install(s, q, scales.Node[s.Out])
+			if q := newQConv(l, s.Chain.BN, s.Chain.Act, inScale, scaleOf(s.Out), dequant); q != nil {
+				install(s, q, scaleOf(s.Out))
 				m.fusedNodes += len(s.Chain.Tail)
 			} else {
 				fallback(s)
 			}
 		case *nn.DWConv3:
-			dw := newQDW(l, inScale, scales.Node[s.Node])
+			dw := newQDW(l, inScale, scaleOf(s.Node))
 			if b := s.Band; b != nil {
 				// The grids of qdw's and qconv's; a pool and a reorder keep the chain end's.
 				last := s.Chain.Last(b.Conv)
-				pw := newQConv(g.Nodes[b.Conv].Layer.(*nn.Conv2D), s.Chain.BN, s.Chain.Act, scales.Node[s.Node], scales.Node[last], s.Out == m.output && s.Chain.Act == nil)
+				pw := newQConv(g.Nodes[b.Conv].Layer.(*nn.Conv2D), s.Chain.BN, s.Chain.Act, scaleOf(s.Node), scaleOf(last), s.Out == m.output && s.Chain.Act == nil)
 				if dw == nil || pw == nil {
 					m.separate[s.Node] = true
 					m.plans = nn.NewPlanCache(g, m.separate)
-					m.lower(shape, scales, force)
+					m.lower(shape, clips, force)
 					return
 				}
-				install(s, &qbundle{dw: dw, pw: pw}, scales.Node[last])
+				install(s, &qbundle{dw: dw, pw: pw}, scaleOf(last))
 				m.fusedNodes += 1 + len(s.Chain.Tail) // the 1×1 convolution and its chain, a pool, a reorder
 				if b.Pool >= 0 {
 					m.fusedNodes++
 				}
 				if b.Reorg >= 0 {
-					m.val(b.Reorg).scale, m.fusedNodes = scales.Node[last], m.fusedNodes+1
+					m.val(b.Reorg).scale, m.fusedNodes = scaleOf(last), m.fusedNodes+1
 				}
 			} else if dw != nil {
-				install(s, dw, scales.Node[s.Out])
+				install(s, dw, scaleOf(s.Out))
 			} else {
 				fallback(s)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"skynet/internal/backbone"
 	"skynet/internal/nn"
 	"skynet/internal/tensor"
 )
@@ -106,6 +107,122 @@ func TestQuantizeIdempotent(t *testing.T) {
 	}
 }
 
+// TestCalibrateOverBits: every width calibrates without a panic to a finite
+// positive scale; 0 and ≥ 32 bits are float32 (scale 1, data untouched), 1
+// bit is binary and 2 to 31 bits round onto the symmetric grid ±(2^(b−1) − 1).
+func TestCalibrateOverBits(t *testing.T) {
+	data := []float32{-3, -1.25, -0.5, 0, 0.25, 1, 2.5, 3}
+	for _, bits := range []int{0, 1, 2, 8, 16, 31, 32, 64, 65} {
+		q := Calibrate(bits, data)
+		if !(q.Scale > 0) || math.IsInf(float64(q.Scale), 0) {
+			t.Fatalf("%d bits: scale %v", bits, q.Scale)
+		}
+		got := append([]float32(nil), data...)
+		q.Apply(got)
+		for i, v := range got {
+			code := math.Round(float64(v) / float64(q.Scale))
+			onGrid := float32(code*float64(q.Scale)) == v
+			switch {
+			case bits < 1 || bits >= 32:
+				if q.Scale != 1 || v != data[i] {
+					t.Fatalf("%d bits is float32: scale %v, %v became %v", bits, q.Scale, data[i], v)
+				}
+			case bits == 1:
+				if math.Abs(code) != 1 || !onGrid {
+					t.Fatalf("1 bit: %v became %v, not ±%v", data[i], v, q.Scale)
+				}
+			default:
+				// Above 16 bits a step near the clip is finer than a float32
+				// resolves, so the code is not recoverable from the value.
+				lim := math.Ldexp(1, bits-1) - 1
+				if math.Abs(float64(v-data[i])) > float64(q.Scale)/2*(1+1e-6) || bits <= 16 && (!onGrid || math.Abs(code) > lim) {
+					t.Fatalf("%d bits: %v became %v, code %v off the grid ±%v or more than half a step away", bits, data[i], v, code, lim)
+				}
+			}
+		}
+	}
+}
+
+// TestApply8BitsIsCodeRNE: at 8 bits a value becomes exactly
+// tensor.CodeRNE(v / scale) × scale, the int8 engine's code, on every tie
+// between two codes, at both ends of the range and beyond them, for ±0, ±Inf
+// and NaN.
+func TestApply8BitsIsCodeRNE(t *testing.T) {
+	for _, scale := range []float32{0.25, 0.37, 3} {
+		var vals []float32
+		for k := -130; k <= 130; k++ {
+			vals = append(vals, float32((float64(k)+0.5)*float64(scale)), float32(float64(k)*float64(scale)))
+		}
+		inf := float32(math.Inf(1))
+		vals = append(vals, 0, float32(math.Copysign(0, -1)), -0.3*scale, 1e30, -1e30, inf, -inf, float32(math.NaN()))
+		got := append([]float32(nil), vals...)
+		Quantizer{Bits: 8, Scale: scale}.Apply(got)
+		for i, v := range vals {
+			want := float32(float64(tensor.CodeRNE(float64(v)/float64(scale))) * float64(scale))
+			if math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("scale %v: %v became %v, CodeRNE gives %v", scale, v, got[i], want)
+			}
+		}
+	}
+}
+
+// TestOneBitIsBinary: a 1-bit tensor keeps every value's sign (zero reads
+// +), has no zero and one magnitude, its mean absolute value.
+func TestOneBitIsBinary(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := tensor.New(257)
+	x.RandNormal(rng, 0, 0.1) // mostly under 0.5: a unit step would zero them
+	x.Data[7] = 0
+	before := append([]float32(nil), x.Data...)
+	var mean float64
+	for _, v := range before {
+		mean += math.Abs(float64(v))
+	}
+	mean /= float64(len(before))
+	QuantizeTensor(x, 1)
+	mag := x.Data[0]
+	if mag < 0 {
+		mag = -mag
+	}
+	if math.Abs(float64(mag)-mean) > 1e-6*mean {
+		t.Fatalf("magnitude %v, mean |v| is %v", mag, mean)
+	}
+	for i, v := range x.Data {
+		if v != mag && v != -mag || (v < 0) != (before[i] < 0) {
+			t.Fatalf("element %d: %v became %v, not ±%v with its sign", i, before[i], v, mag)
+		}
+	}
+}
+
+// TestEmulatedBatchEqualsSamples: an emulated scheme's grids are fixed by
+// calibration, not by the batch, so a batch of 8 — one image scaled 4×,
+// which would widen a grid taken from the batch — gives each image the
+// output it gets alone, bit for bit.
+func TestEmulatedBatchEqualsSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
+	settle(g, rng)
+	x := randBatch(rng, 8, 3, 48, 96)
+	per := x.Len() / 8
+	for i := 5 * per; i < 6*per; i++ {
+		x.Data[i] *= 4
+	}
+	calib := []*tensor.Tensor{randBatch(rng, 4, 3, 48, 96)}
+	err := WithScheme(g, Table7Schemes[3], calib, func(m Emulated) {
+		batch := m.Forward(x, false)
+		outPer := batch.Len() / 8
+		for i := 0; i < 8; i++ {
+			one := m.Forward(tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, 3, 48, 96), false)
+			if !sameBits(one.Data, batch.Data[i*outPer:(i+1)*outPer]) {
+				t.Fatalf("image %d: its output in the batch of 8 differs from its own", i)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFloat32SchemeIsNoOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := tensor.New(16)
@@ -132,7 +249,10 @@ func buildTinyNet(seed int64) *nn.Graph {
 
 func TestQuantizeParamsRestore(t *testing.T) {
 	g := buildTinyNet(1)
-	orig := SnapshotParams(g)
+	var orig [][]float32
+	for _, p := range g.Params() {
+		orig = append(orig, append([]float32(nil), p.W.Data...))
+	}
 	restore := QuantizeParams(g, 4)
 	var changed bool
 	for i, p := range g.Params() {
@@ -155,14 +275,19 @@ func TestQuantizeParamsRestore(t *testing.T) {
 	}
 }
 
-func TestEmulateFMQuantizesActivations(t *testing.T) {
+func TestEmulateQuantizesActivations(t *testing.T) {
 	g := buildTinyNet(2)
 	rng := rand.New(rand.NewSource(3))
 	x := tensor.New(1, 3, 6, 6)
 	x.RandUniform(rng, 0, 1)
+	calib := []*tensor.Tensor{x}
 	outFloat := g.Forward(x, false)
-	outQ := EmulateFM(g, 3).Forward(x, false)
-	outF32 := EmulateFM(g, 0).Forward(x, false)
+	q3, err := Emulate(g, 3, calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f32, _ := Emulate(g, 0, calib)
+	outQ, outF32 := q3.Forward(x, false), f32.Forward(x, false)
 	outBack := g.Forward(x, false)
 	var diff float64
 	for i := range outFloat.Data {
@@ -176,6 +301,9 @@ func TestEmulateFMQuantizesActivations(t *testing.T) {
 			t.Fatal("the graph's own forward, and a float32 emulation, must stay float")
 		}
 	}
+	if _, err := Emulate(g, 8, nil); err == nil {
+		t.Fatal("an emulation with no calibration batch must error")
+	}
 }
 
 func TestWithSchemeRestores(t *testing.T) {
@@ -185,9 +313,12 @@ func TestWithSchemeRestores(t *testing.T) {
 	x.RandUniform(rng, 0, 1)
 	ref := g.Forward(x, false).Clone()
 	var inScheme *tensor.Tensor
-	WithScheme(g, Scheme{ID: 4, FMBits: 4, WeightBits: 4}, func(m Emulated) {
+	err := WithScheme(g, Scheme{ID: 4, FMBits: 4, WeightBits: 4}, []*tensor.Tensor{x}, func(m Emulated) {
 		inScheme = m.Forward(x, false)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	after := g.Forward(x, false)
 	var diff float64
 	for i := range ref.Data {
@@ -289,31 +420,6 @@ func TestGroupedParamBytes(t *testing.T) {
 	half := GroupedParamBytes(g, GroupBits{Conv1: 16, ConvRest: 16, FC12: 16, FC3: 16})
 	if half >= full {
 		t.Fatal("16-bit storage must shrink the model")
-	}
-}
-
-// TestFMSensitivityShape reproduces the qualitative Figure 2(a) finding on
-// a tiny model: at matching compression, feature-map quantization hurts the
-// output more than parameter quantization.
-func TestFMSensitivityShape(t *testing.T) {
-	g := buildTinyNet(10)
-	rng := rand.New(rand.NewSource(11))
-	x := tensor.New(1, 3, 6, 6)
-	x.RandUniform(rng, 0, 1)
-	ref := g.Forward(x, false).Clone()
-	l2 := func(o *tensor.Tensor) float64 {
-		var s float64
-		for i := range ref.Data {
-			d := float64(o.Data[i] - ref.Data[i])
-			s += d * d
-		}
-		return s
-	}
-	var wErr, fmErr float64
-	WithScheme(g, Scheme{WeightBits: 3}, func(m Emulated) { wErr = l2(m.Forward(x, false)) })
-	WithScheme(g, Scheme{FMBits: 3}, func(m Emulated) { fmErr = l2(m.Forward(x, false)) })
-	if fmErr <= wErr {
-		t.Skipf("FM error %v not above weight error %v on this tiny net", fmErr, wErr)
 	}
 }
 
