@@ -134,7 +134,9 @@ short:
 # both doors, ride along with the lane tests.
 # The int8 plan-cache test alternates sample shapes on one model and counts
 # its allocations on each worker count, and the pinned observer order is the
-# observed run's on one worker: both ride along with the lane tests.
+# observed run's on one worker: both ride along with the lane tests. So do
+# the tests that run forwards side by side on one graph or int8 model, each
+# on an executor of its own, and the pool's, whose workers share one model.
 # tensor's packing panels (16-column float and int8 panels alike, the int8 A
 # panels as int16 pairs) are taken per chunk in flight: how many a free list
 # builds, and whether a warm call still allocates nothing, depends on how
@@ -145,8 +147,8 @@ short:
 # backward runs through them) get the three runs too.
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool.
-LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch
-SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite
+LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch|ConcurrentForwards
+SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite|OneModelPerGeneration
 STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
 LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers
 race:

@@ -22,10 +22,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -34,45 +36,68 @@ import (
 	"skynet/internal/dataset"
 	"skynet/internal/detect"
 	"skynet/internal/modelspec"
+	"skynet/internal/nn"
 	"skynet/internal/quant"
 	"skynet/internal/serve"
 )
 
 func main() {
-	var (
-		ckpt = flag.String("ckpt", "", "self-describing checkpoint written by skynet-train -ckpt")
-
-		addr     = flag.String("addr", ":8080", "HTTP listen address")
-		batch    = flag.Int("batch", 8, "inference micro-batch cap")
-		queue    = flag.Int("queue", 64, "admission queue depth per worker (overflow sheds with 429)")
-		timeout  = flag.Duration("timeout", 5*time.Second, "per-request deadline when the client sets none")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM")
-		replicas = flag.Int("replicas", 0, "inference workers, each with a private model, on one admission queue (0 = GOMAXPROCS capped at 8)")
-		cacheN   = flag.Int("cache", 4096, "response cache entries keyed on frame hash (negative disables)")
-
-		quantize = flag.Bool("quantize", false, "serve the int8 lowering of the model (post-training quantization)")
-		calibN   = flag.Int("calib", 32, "calibration scenes drawn for -quantize")
-		imgW     = flag.Int("imgw", 96, "calibration scene width for -quantize")
-		imgH     = flag.Int("imgh", 48, "calibration scene height for -quantize")
-	)
-	flag.Parse()
-
-	if *ckpt == "" {
-		fmt.Fprintln(os.Stderr, "skynet-serve: -ckpt is required")
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "skynet-serve: %v\n", err)
+		if errors.As(err, new(usage)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
-	// factoryFor builds one private model per call: each worker owns its
-	// model instance and reuse buffers, which is what lets N inference
-	// workers run concurrently, and what a hot-swap rebuilds per generation.
-	// NewPool's first build reports a bad checkpoint.
+}
+
+// usage is a refusal of the command line: exit status 2, as for a bad flag.
+type usage string
+
+func (u usage) Error() string { return string(u) }
+
+// run serves the checkpoint the flags name until SIGTERM, writing its report
+// to stdout. A flag it cannot run is refused before anything is built.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("skynet-serve", flag.ExitOnError)
+	var (
+		ckpt = fs.String("ckpt", "", "self-describing checkpoint written by skynet-train -ckpt")
+
+		addr     = fs.String("addr", ":8080", "HTTP listen address")
+		batch    = fs.Int("batch", 8, "inference micro-batch cap")
+		queue    = fs.Int("queue", 64, "admission queue depth per worker (overflow sheds with 429)")
+		timeout  = fs.Duration("timeout", 5*time.Second, "per-request deadline when the client sets none")
+		drain    = fs.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM")
+		replicas = fs.Int("replicas", 0, "inference workers, all sharing the one loaded model, on one admission queue (0 = GOMAXPROCS capped at 8)")
+		cacheN   = fs.Int("cache", 4096, "response cache entries keyed on frame hash (negative disables)")
+
+		quantize = fs.Bool("quantize", false, "serve the int8 lowering of the model (post-training quantization)")
+		calibN   = fs.Int("calib", 32, "calibration scenes drawn for -quantize")
+		imgW     = fs.Int("imgw", 96, "calibration scene width for -quantize")
+		imgH     = fs.Int("imgh", 48, "calibration scene height for -quantize")
+	)
+	_ = fs.Parse(args) // ExitOnError: a flag it cannot parse exits 2, -h 0
+	switch {
+	case *ckpt == "":
+		return usage("-ckpt is required")
+	case *imgW < 1:
+		return usage(fmt.Sprintf("-imgw %d: the calibration scenes need a positive width", *imgW))
+	case *imgH < 1:
+		return usage(fmt.Sprintf("-imgh %d: the calibration scenes need a positive height", *imgH))
+	}
+	// factoryFor builds a generation's one model, which its workers share:
+	// NewPool (reporting a bad checkpoint) and each hot-swap load it once.
 	factoryFor := func(ckptPath string, doQuant bool, calib int) serve.ModelFactory {
 		return func() (detect.Model, *detect.Head, error) {
-			_, g, head, err := modelspec.LoadCheckpoint(ckptPath)
+			spec, g, head, err := modelspec.LoadCheckpoint(ckptPath)
 			if err != nil {
 				return nil, nil, err
 			}
 			if !doQuant {
 				return g, head, nil
+			}
+			if _, err := nn.CostsOf(g, []int{1, spec.InC, *imgH, *imgW}); err != nil {
+				return nil, nil, fmt.Errorf("-imgw %d -imgh %d: %w", *imgW, *imgH, err)
 			}
 			// Calibrate on freshly generated scenes at the expected request
 			// resolution.
@@ -85,9 +110,6 @@ func main() {
 			}
 			return qm, head, nil
 		}
-	}
-	if *quantize {
-		fmt.Printf("skynet-serve: serving the int8 lowering (calib %d scenes)\n", *calibN)
 	}
 
 	srv, err := serve.NewPool(factoryFor(*ckpt, *quantize, *calibN), serve.PoolConfig{
@@ -113,20 +135,24 @@ func main() {
 		},
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "skynet-serve: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-
+	w := bufio.NewWriter(stdout)
+	if *quantize {
+		fmt.Fprintf(w, "skynet-serve: serving the int8 lowering (calib %d scenes)\n", *calibN)
+	}
+	fmt.Fprintf(w, "skynet-serve: listening on %s (%d workers, batch<=%d, queue %d each, cache %d)\n",
+		*addr, srv.Replicas(), *batch, *queue, *cacheN)
+	if err := w.Flush(); err != nil {
+		return err
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	fmt.Printf("skynet-serve: listening on %s (%d workers, batch<=%d, queue %d each, cache %d)\n",
-		*addr, srv.Replicas(), *batch, *queue, *cacheN)
 	if err := srv.ListenAndServe(ctx, *addr, *drain); err != nil {
-		fmt.Fprintf(os.Stderr, "skynet-serve: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	m := srv.Metrics()
-	fmt.Printf("skynet-serve: drained cleanly — served %d (+%d cached), failed %d, rejected %d, swaps %d\n",
+	fmt.Fprintf(w, "skynet-serve: drained cleanly — served %d (+%d cached), failed %d, rejected %d, swaps %d\n",
 		m.Served, m.CacheServed, m.Failed, m.Rejected, m.Swaps)
+	return w.Flush()
 }

@@ -86,11 +86,8 @@ var ErrNonFinite = errors.New("detect: the prediction decodes to no finite box")
 // view of its rows of the one output (a header each), which both engines hand
 // to the caller. Frames of one call must share a shape: a stack has one H×W,
 // so a mixed batch is an error, never a frame forwarded at its neighbour's
-// size. Calls for the same model must be
-// serialized by the caller: a forward pass is not reentrant — an nn.Graph (a
-// quant.QuantizedModel likewise) keeps the feature maps of the forward in
-// flight in one arena it owns, with the lanes, band buffers and im2col
-// scratch that go with them. InferBatch's own work is in stack and handOver,
+// size. Calls may share an nn.Graph or quant.QuantizedModel: each forward runs
+// on an executor of its own. InferBatch's own work is in stack and handOver,
 // which the hotpath checkers guard; the forward between them is the model's.
 func InferBatch(m Model, frames []*Frame) error {
 	if len(frames) == 0 {
@@ -196,8 +193,7 @@ func Postprocess(h *Head, f *Frame) error {
 // buffers and meeting the others once per forward, not once per layer — as the
 // paper's batch shares one set of on-chip buffers among four frames (§6.2,
 // Figure 9). Every run of an executor shares the stage, which holds a lock
-// around the forward — one model, one forward at a time (see InferBatch) —
-// and, under it, the batch's frame list.
+// around its one frame list and the forward that reads it.
 func InferStage(m Model, maxBatch int) pipeline.StageSpec {
 	s := &inferStage{m: m}
 	return pipeline.StageSpec{Name: pipeline.StageInfer, MaxBatch: maxBatch, Batch: s.batch}

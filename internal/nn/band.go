@@ -84,11 +84,11 @@ func (b *Band) carve(buf []float32, n int) (dw, pw []float32) {
 // [C,h,w], src; its output dst; for a step that folds a Reorg, the image's
 // reordered map reorg; the convolution's epilogue, as for
 // Conv2D.forwardImage; the forward's observer, if any; and the lanes whose
-// band buffers the workers use, worker i lane i's. The geometry is the one
-// recorded on both layers.
+// band buffers the workers use, worker i lane i's.
 type bandShare struct {
 	s        *Step
 	dst, src []float32
+	h, w     int
 	reorg    []float32
 	ep       tensor.RowEpilogue
 	packed   []float32 // the convolution's weights in panels (planNode.packed)
@@ -157,10 +157,11 @@ func (r bandRun) units(w, lo, hi int) {
 func (a *bandShare) compute(buf []float32, r0, rows int) {
 	b := a.s.Band
 	d, c := b.dw, b.pw
-	plane, cols, n := d.inH*d.inW, d.outH*d.outW, rows*d.outW
+	outH, outW := d.outSize(a.h, a.w)
+	plane, cols, n := a.h*a.w, outH*outW, rows*outW
 	dwb, pwb := b.carve(buf, n)
 	for ch := 0; ch < d.C; ch++ {
-		d.rows(dwb[ch*n:(ch+1)*n], a.src[ch*plane:(ch+1)*plane], ch, r0)
+		d.rows(dwb[ch*n:(ch+1)*n], a.src[ch*plane:(ch+1)*plane], a.h, a.w, ch, r0)
 	}
 	if a.observe != nil {
 		a.observe(a.s.Node, dwb)
@@ -169,7 +170,7 @@ func (a *bandShare) compute(buf []float32, r0, rows int) {
 	p := tensor.RowProduct{M: c.OutC, N: n, K: c.InC, BandOf: cols, Ep: a.ep, Packed: a.packed}
 	if b.Pool < 0 {
 		p.Ldc = cols
-		at := r0 * d.outW
+		at := r0 * outW
 		tensor.MatMulRowEpilogueInto(a.dst[at:at+(c.OutC-1)*cols+n], c.Weight.W.Data, dwb, p)
 		return
 	}
@@ -177,12 +178,12 @@ func (a *bandShare) compute(buf []float32, r0, rows int) {
 	if a.observe != nil {
 		a.observe(a.s.Chain.Last(b.Conv), pwb)
 	}
-	oh, ow := d.outH/b.K, d.outW/b.K
+	oh, ow := outH/b.K, outW/b.K
 	for oc := 0; oc < c.OutC; oc++ {
 		at := (oc*oh + r0/b.K) * ow
-		maxPoolInto(a.dst[at:at+rows/b.K*ow], pwb[oc*n:(oc+1)*n], 1, rows, d.outW, b.K)
+		maxPoolInto(a.dst[at:at+rows/b.K*ow], pwb[oc*n:(oc+1)*n], 1, rows, outW, b.K)
 	}
 	if a.reorg != nil {
-		ReorgRows(a.reorg, pwb, c.OutC, d.outH, d.outW, b.K, r0, rows)
+		ReorgRows(a.reorg, pwb, c.OutC, outH, outW, b.K, r0, rows)
 	}
 }

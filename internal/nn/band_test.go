@@ -394,7 +394,7 @@ func TestBundleStepBandBuffers(t *testing.T) {
 			x := randBatch(rng, 1, 3, s.h, s.w)
 			p := nn.Compile(g, x.Shape(), nil)
 			parallelism(2, func() { requireSameBits(t, name, p.Run(x, nil), g.Walk(x, nil)) })
-			bufs := nn.BandBuffers(g)
+			bufs := nn.BandBuffers(p.Cache())
 			if len(bufs) != 2 {
 				t.Fatalf("%s: %d band buffers after a forward on two workers, want 2", name, len(bufs))
 			}

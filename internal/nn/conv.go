@@ -14,12 +14,11 @@ import (
 // Forward and Backward — the layer walk: training, and the tests' oracle — deal the
 // images of their batch to LanesFor(n) lanes through RunLanes, as the
 // inference plan deals its samples (plan.go), which hands forwardImage one
-// image at a time. Scratch is per lane — im2col buffers and Backward's
-// gradient views — and lane 0 is the calling goroutine. The batch a Forward
-// has in flight is the layer's (fwd), as the plan's is the graph's; the plan's
-// lanes never read it and pass forwardImage its operands as arguments. A warm
-// Forward allocates its output tensor and nothing else; the output belongs to
-// the caller.
+// image at a time. The walk's scratch, batch in flight and geometry are the
+// layer's, its scratch per lane (lane 0 is the calling goroutine), as the
+// plan's are its PlanCache's: the plan writes nothing here and passes
+// forwardImage its geometry, scratch and operands. A warm Forward allocates
+// its output tensor and nothing else; the output belongs to the caller.
 //
 // A 1×1, stride-1, unpadded convolution skips im2col: its [InC, H·W] image
 // already is the GEMM's B operand.
@@ -33,10 +32,10 @@ type Conv2D struct {
 	Bias      *Param // [OutC], nil unless UseBias
 	label     string
 	x         *tensor.Tensor // input of the last training forward, for Backward
-	// Geometry of the last forward (forwardInto), for Cost and Backward.
+	// Geometry of the layer walk's last forward, for Cost and Backward.
 	lastN, inH, inW, outH, outW int
 
-	ws    []convScratch    // per-lane scratch, reused across calls
+	ws    []convScratch    // the layer walk's per-lane scratch, reused across calls
 	fwd   convImages       // the layer walk's forward in flight, as RunLanes deals it
 	dwImg []*tensor.Tensor // per-image weight-gradient staging [OutC, InC*K*K]
 	dbImg []float32        // per-image bias-gradient staging [n*OutC]
@@ -96,7 +95,8 @@ func (c *Conv2D) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // ForwardInto is the inference forward of x [N,InC,H,W] into dst, which must
-// be [N,OutC,H',W']: it allocates nothing once the layer's im2col scratch
+// be [N,OutC,H',W']: the images dealt to lanes, the geometry recorded for
+// Cost and Backward. It allocates nothing once the layer's im2col scratch
 // fits the geometry, and caches nothing for Backward.
 //
 //skynet:hotpath
@@ -107,25 +107,17 @@ func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor) {
 	if dst.Rank() != 4 || dst.Dim(0) != n || dst.Dim(1) != c.OutC || dst.Dim(2) != outH || dst.Dim(3) != outW {
 		panic(fmt.Sprintf("nn: layer %s writes [%d %d %d %d], not into %v", c.label, n, c.OutC, outH, outW, dst.Shape()))
 	}
-	c.forwardInto(dst.Data, x.Data, n, h, w)
-}
-
-// forwardInto convolves the n images [InC,h,w] of src into dst, the images
-// dealt to lanes, and records the geometry.
-//
-//skynet:hotpath
-func (c *Conv2D) forwardInto(dst, src []float32, n, h, w int) {
-	c.record(n, h, w)
+	c.x, c.lastN, c.inH, c.inW, c.outH, c.outW = nil, n, h, w, outH, outW
 	lanes := LanesFor(n)
 	if !c.direct() {
 		c.ensureScratch(lanes)
 	}
-	c.fwd = convImages{c, dst, src}
+	c.fwd = convImages{c, dst.Data, x.Data}
 	RunLanes(&c.fwd, n, lanes)
 	c.fwd = convImages{}
 }
 
-// convImages is the operands of one forwardInto, as RunLanes walks them.
+// convImages is the operands of one ForwardInto, as RunLanes walks them.
 type convImages struct {
 	c        *Conv2D
 	dst, src []float32
@@ -137,18 +129,11 @@ type convImages struct {
 func (a *convImages) WalkSample(lane, i int, leaf bool) {
 	c := a.c
 	imgSz, perImg := c.InC*c.inH*c.inW, c.OutC*c.outH*c.outW
-	c.forwardImage(a.dst[i*perImg:(i+1)*perImg], a.src[i*imgSz:(i+1)*imgSz], lane, c.epilogue(tensor.RowEpilogue{}), nil, leaf)
-}
-
-// record notes the geometry of a forward over n images [InC,h,w], which is
-// what Cost and Backward read, and drops the input a training forward
-// cached for Backward, since it no longer matches.
-//
-//skynet:hotpath
-func (c *Conv2D) record(n, h, w int) {
-	c.x = nil
-	c.lastN, c.inH, c.inW = n, h, w
-	c.outH, c.outW = c.outSize(h, w)
+	var col []float32
+	if !c.direct() {
+		col = c.ws[lane].col.Data
+	}
+	c.forwardImage(a.dst[i*perImg:(i+1)*perImg], a.src[i*imgSz:(i+1)*imgSz], c.inH, c.inW, col, c.epilogue(tensor.RowEpilogue{}), nil, leaf)
 }
 
 // epilogue is tail — a fused chain's batch norm and clamp, or nothing — with
@@ -175,19 +160,21 @@ func (c *Conv2D) outSize(h, w int) (int, int) {
 //skynet:hotpath
 func (c *Conv2D) direct() bool { return c.K == 1 && c.Stride == 1 && c.Pad == 0 }
 
-// forwardImage convolves one image [InC,inH,inW] of the recorded geometry
-// into dst on the given lane's scratch — the one convolution of both
-// walks. ep (epilogue) runs in the GEMM store: the inference plan fuses the
-// conv's sole-consumer BatchNorm and ReLU there, and hands in the weights
-// packed (RowProduct.Packed), or nil. A leaf call multiplies on the calling
-// goroutine alone, as one lane among several must; the bits are the same.
+// forwardImage convolves one image [InC,h,w] into dst, its im2col matrix in
+// col (unused by a direct convolution) — the one convolution of both walks.
+// ep (epilogue) runs in the GEMM store: the inference plan fuses the conv's
+// sole-consumer BatchNorm and ReLU there, and hands in the weights packed
+// (RowProduct.Packed), or nil. A leaf call multiplies on the calling goroutine
+// alone, as one lane among several must; the bits are the same. It writes
+// nothing on the layer.
 //
 //skynet:hotpath
-func (c *Conv2D) forwardImage(dst, src []float32, lane int, ep tensor.RowEpilogue, packed []float32, leaf bool) {
-	cols := c.outH * c.outW
+func (c *Conv2D) forwardImage(dst, src []float32, h, w int, col []float32, ep tensor.RowEpilogue, packed []float32, leaf bool) {
+	outH, outW := c.outSize(h, w)
+	cols := outH * outW
 	if !c.direct() {
-		col := c.ws[lane].col.Data
-		tensor.Im2ColInto(col, src, c.InC, c.inH, c.inW, c.K, c.K, c.Stride, c.Pad)
+		col = col[:c.InC*c.K*c.K*cols]
+		tensor.Im2ColInto(col, src, c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
 		src = col
 	}
 	p := tensor.RowProduct{M: c.OutC, N: cols, K: c.InC * c.K * c.K, Ep: ep, Packed: packed}
@@ -245,6 +232,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 			}
 		}
 	}
+	c.x = nil
 	return []*tensor.Tensor{dx}
 }
 
@@ -313,7 +301,7 @@ type DWConv3 struct {
 	Weight  *Param         // [C, K, K]
 	Bias    *Param         // [C]
 	x       *tensor.Tensor // input of the last training forward, for Backward
-	// Geometry of the last forward (forwardInto), for Cost and Backward.
+	// Geometry of the layer walk's last forward, for Cost and Backward.
 	lastN, inH, inW, outH, outW int
 }
 
@@ -344,7 +332,8 @@ func (d *DWConv3) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := d.outSize(h, w)
 	out := tensor.New(n, d.C, outH, outW)
-	d.forwardInto(out.Data, x.Data, n, h, w)
+	d.lastN, d.inH, d.inW, d.outH, d.outW = n, h, w, outH, outW // for Cost and Backward
+	d.splitPlanes(out.Data, x.Data, n, h, w)
 	d.x = cacheIf(train, x)
 	return out
 }
@@ -356,23 +345,14 @@ func (d *DWConv3) outSize(h, w int) (int, int) {
 	return tensor.ConvOut(h, d.K, d.Stride, d.Pad), tensor.ConvOut(w, d.K, d.Stride, d.Pad)
 }
 
-// forwardInto convolves the n images [C,h,w] of src into dst and records the
-// geometry.
+// splitPlanes convolves n images [C,h,w] with the planes dealt across the
+// GEMM pool: each (image, channel) plane is independent and a plane calls no
+// GEMM, so the loop is a leaf the pool's workers may run, and a warm call
+// starts no goroutine and allocates nothing.
 //
 //skynet:hotpath
-func (d *DWConv3) forwardInto(dst, src []float32, n, h, w int) {
-	d.record(n, h, w)
-	d.splitPlanes(dst, src, n)
-}
-
-// splitPlanes convolves n images of the recorded geometry with the planes
-// dealt across the GEMM pool: each (image, channel) plane is independent and
-// a plane calls no GEMM, so the loop is a leaf the pool's workers may run, and
-// a warm call starts no goroutine and allocates nothing.
-//
-//skynet:hotpath
-func (d *DWConv3) splitPlanes(dst, src []float32, n int) {
-	dwPlanes.Run(n*d.C, dwImages{d, dst, src}, dwImages.planes)
+func (d *DWConv3) splitPlanes(dst, src []float32, n, h, w int) {
+	dwPlanes.Run(n*d.C, dwImages{d, dst, src, h, w}, dwImages.planes)
 }
 
 // dwPlanes runs splitPlanes' loops.
@@ -382,54 +362,48 @@ var dwPlanes = tensor.NewRanger[dwImages]()
 type dwImages struct {
 	d        *DWConv3
 	dst, src []float32
+	h, w     int
 }
 
 // planes is splitPlanes' loop body.
 //
 //skynet:hotpath
-func (a dwImages) planes(lo, hi int) { a.d.planes(a.dst, a.src, lo, hi) }
-
-// record is Conv2D.record for the depth-wise layer.
-//
-//skynet:hotpath
-func (d *DWConv3) record(n, h, w int) {
-	d.x = nil
-	d.lastN, d.inH, d.inW = n, h, w
-	d.outH, d.outW = d.outSize(h, w)
-}
+func (a dwImages) planes(lo, hi int) { a.d.planes(a.dst, a.src, a.h, a.w, lo, hi) }
 
 // planes convolves planes [lo, hi) of the flattened (image, channel) grid of
-// src, images [C,inH,inW] of the recorded geometry, into their planes of dst:
-// of one image, channels [lo, hi).
+// src, images [C,h,w], into their planes of dst: of one image, channels [lo,
+// hi). It writes nothing on the layer.
 //
 //skynet:hotpath
-func (d *DWConv3) planes(dst, src []float32, lo, hi int) {
-	in, out := d.inH*d.inW, d.outH*d.outW
+func (d *DWConv3) planes(dst, src []float32, h, w, lo, hi int) {
+	outH, outW := d.outSize(h, w)
+	in, out := h*w, outH*outW
 	for idx := lo; idx < hi; idx++ {
-		d.rows(dst[idx*out:(idx+1)*out], src[idx*in:(idx+1)*in], idx%d.C, 0)
+		d.rows(dst[idx*out:(idx+1)*out], src[idx*in:(idx+1)*in], h, w, idx%d.C, 0)
 	}
 }
 
 // rows computes consecutive output rows of channel ch's plane, as many as dst
-// holds starting at row oy, from the channel's input plane in [inH,inW] of
-// the recorded geometry: a 3×3 band's rows under all three kernel rows in one
-// tensor.DW3Band call, the others on DWRow.
+// holds starting at row oy, from the channel's input plane in [h,w]: a 3×3
+// band's rows under all three kernel rows in one tensor.DW3Band call, the
+// others on DWRow.
 //
 //skynet:hotpath
-func (d *DWConv3) rows(dst, in []float32, ch, oy int) {
-	k, outW := d.K, d.outW
+func (d *DWConv3) rows(dst, in []float32, h, w, ch, oy int) {
+	k := d.K
+	_, outW := d.outSize(h, w)
 	ker := d.Weight.W.Data[ch*k*k : (ch+1)*k*k]
 	var bias float32
 	if d.Bias != nil {
 		bias = d.Bias.W.Data[ch]
 	}
-	lo, hi := max(1-oy, 0), min(d.inH-1-oy, len(dst)/outW) // the rows under all three kernel rows
+	lo, hi := max(1-oy, 0), min(h-1-oy, len(dst)/outW) // the rows under all three kernel rows
 	if k != 3 || d.Stride != 1 || d.Pad != 1 || lo >= hi || !tensor.DW3Band(dst[lo*outW:hi*outW], in[(oy+lo-1)*outW:], outW, ker, bias) {
 		lo, hi = 0, 0 // no band kernel call: every row on DWRow
 	}
 	for r := 0; r*outW < len(dst); r++ {
 		if r < lo || r >= hi {
-			DWRow(dst[r*outW:(r+1)*outW], in, ker, bias, d.inH, d.inW, k, d.Stride, d.Pad, oy+r)
+			DWRow(dst[r*outW:(r+1)*outW], in, ker, bias, h, w, k, d.Stride, d.Pad, oy+r)
 		}
 	}
 }
@@ -578,6 +552,7 @@ func (d *DWConv3) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 		p.Grad()
 	}
 	dwChannels.Run(d.C, dwGrads{d, x, dout, dx}, dwGrads.channels)
+	d.x = nil
 	return []*tensor.Tensor{dx}
 }
 

@@ -163,11 +163,15 @@ func TestConv2DForwardSteadyStateAllocs(t *testing.T) {
 // that hold one for another reason are named here.
 func TestNoForwardOperandOnLayers(t *testing.T) {
 	allowed := map[string]string{
-		"Conv2D.dbImg":     "Backward's per-image bias-gradient staging",
-		"Conv2D.fwd":       "the layer walk's own batch in flight; the plan's lanes never read it",
-		"BatchNorm.invStd": "what a training forward caches for Backward",
-		"planNode.inv":     "written as a forward begins, before its lanes start",
-		"planNode.packed":  "written as a forward begins, before its lanes start",
+		"Conv2D.dbImg":      "Backward's per-image bias-gradient staging",
+		"Conv2D.fwd":        "the layer walk's own batch in flight; the plan's lanes never read it",
+		"BatchNorm.invStd":  "what a training forward caches for Backward",
+		"planNode.inv":      "written as a forward begins, before its lanes start",
+		"planNode.packed":   "written as a forward begins, before its lanes start",
+		"PlanCache.arena":   "the executor's, written before its lanes start: each lane reads its own region",
+		"PlanCache.x":       "the executor's forward in flight, written before its lanes start",
+		"PlanCache.out":     "the executor's forward in flight, written before its lanes start",
+		"PlanCache.observe": "the executor's forward in flight, written before its lanes start",
 	}
 	operand := []reflect.Type{reflect.TypeOf([]float32(nil)), reflect.TypeOf([][]float32(nil)), reflect.TypeOf(tensor.RowEpilogue{})}
 	for _, v := range []any{Conv2D{}, DWConv3{}, BatchNorm{}, ReLU{}, MaxPool{}, Reorg{}, Concat{}, Band{}, Step{}, planNode{}, Plan{}, PlanCache{}} {

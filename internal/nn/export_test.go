@@ -24,10 +24,18 @@ func SetBandBudget(t *testing.T, bytes int) {
 // BandBudget is what one band of a Bundle step may occupy, in bytes.
 func BandBudget() int { return bandBudget }
 
-// BandBuffers returns the band buffers inference forwards have left on g, one
+// Executor returns the executor g's last inference forward ran on: the one
+// its next takes.
+func Executor(g *Graph) *PlanCache {
+	c := g.free.Get()
+	g.free.Put(c)
+	return c
+}
+
+// BandBuffers returns the band buffers inference forwards have left on c, one
 // per worker.
-func BandBuffers(g *Graph) (bufs [][]float32) {
-	for _, l := range g.lanes {
+func BandBuffers(c *PlanCache) (bufs [][]float32) {
+	for _, l := range c.lanes {
 		if l.band != nil {
 			bufs = append(bufs, l.band)
 		}
@@ -59,24 +67,24 @@ func BandSpans(p *Plan) (dw, pw [][2]int) {
 // MaxPoolInto is maxPoolInto, for the row sweeps.
 var MaxPoolInto = maxPoolInto
 
-// Arena returns the arena inference forwards have left on g and how many
+// Arena returns the arena the inference forwards on c have left and how many
 // lanes they have run on: those with a region of it (the others only lend a
 // lone lane's split their band buffers).
-func Arena(g *Graph) (arena []float32, lanes int) {
-	for _, l := range g.lanes {
+func Arena(c *PlanCache) (arena []float32, lanes int) {
+	for _, l := range c.lanes {
 		if l.arena != nil {
 			lanes++
 		}
 	}
-	return g.arena, lanes
+	return c.arena, lanes
 }
+
+// Cache returns the PlanCache p runs on.
+func (p *Plan) Cache() *PlanCache { return p.c }
 
 // DWRows is DWConv3.rows on one plane [h,w]: output rows oy, oy+1, … of
 // channel ch, as many as dst holds.
-func DWRows(d *DWConv3, dst, in []float32, h, w, ch, oy int) {
-	d.record(1, h, w)
-	d.rows(dst, in, ch, oy)
-}
+func DWRows(d *DWConv3, dst, in []float32, h, w, ch, oy int) { d.rows(dst, in, h, w, ch, oy) }
 
 // Walk runs every node's own Layer.Forward in eval mode on the whole batch,
 // each output a fresh tensor, and returns the output node's: the layer walk

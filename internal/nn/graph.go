@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync"
 
 	"skynet/internal/tensor"
 )
@@ -22,38 +23,40 @@ type Node struct {
 // the bypass topology of SkyNet models B/C.
 //
 // Forward(x, true) walks the layers, which cache what Backward needs.
-// Forward(x, false) runs the plan for x's sample shape from the graph's
-// PlanCache (plan.go), compiled once, whatever the graph: it touches no layer
-// cache, walks the plan's one step list as lanes — each worker its own
-// samples, on its own one-sample region of an arena the graph owns — and
-// keeps every feature map there but for the maps inside a Bundle (DW → PW →
-// BN → act → pool), one step holding them a band of rows at a time
-// (band.go); it returns bitwise what walking the layers in eval mode would.
-// No inference path walks the layers: the tests keep that walk as the plan's
-// oracle, and a caller that must see or rewrite every map runs a plan
+// Forward(x, false) runs the plan for x's sample shape (plan.go) on an
+// executor, a PlanCache the graph keeps on a free list: it writes no layer,
+// walks the plan's one step list as lanes — each worker its own samples, on
+// its own one-sample region of the executor's arena — and keeps every feature
+// map there but for the maps inside a Bundle (DW → PW → BN → act → pool), one
+// step holding them a band of rows at a time (band.go); it returns bitwise
+// what walking the layers in eval mode would, in a fresh tensor the caller
+// owns. No inference path walks the layers: the tests keep that walk as the
+// plan's oracle, and a caller that must see or rewrite every map runs a plan
 // compiled under a mask marking every node with an observer (Plan.RunInto).
-// The returned tensor is always a fresh one that belongs to the caller. A
-// Graph is not safe for concurrent use.
+// Inference forwards are safe for concurrent use with one another, not beside
+// a training forward, a Load or a weight update.
 type Graph struct {
 	Nodes []*Node
 	// Output is the index of the node whose output is the graph output.
 	// Defaults to the last node.
 	Output int
-	// OutShapes records each node's output shape from the last Forward,
-	// valid until the next one and not to be modified. Only the benchmark
-	// module (bench/) still reads it; pricing reads Costs. It goes, with
-	// Coster, once bench/ reads Costs too.
+	// OutShapes records each node's output shape from the last inference
+	// Forward to finish, valid until the next one and not to be modified.
+	// Only bench/ still reads it; pricing reads Costs. It goes, with Coster,
+	// once bench/ reads Costs too.
 	OutShapes [][]int
 
-	trained bool      // the last Forward was a training one: the layers hold its caches
-	plans   PlanCache // inference plans, one per input sample shape, under no mask
-	arena   []float32 // feature maps of the inference forward in flight: one sample's per lane
-	lanes   []*lane   // the walks of the forward in flight, and the workers' band buffers; lanes[i] owns region i of arena
-	run     planRun   // the inference forward in flight
+	mu      sync.Mutex                 // guards trained and OutShapes
+	trained bool                       // the last Forward was a training one: the layers hold its caches
+	free    tensor.FreeList[PlanCache] // the executors no inference forward is running on
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph { return &Graph{Output: -1} }
+func NewGraph() *Graph {
+	g := &Graph{Output: -1}
+	g.free.Alloc = func() *PlanCache { return NewPlanCache(g, nil) }
+	return g
+}
 
 // Add appends a layer fed by the given node indices (GraphInput for the
 // external input) and returns the new node's index.
@@ -89,14 +92,16 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(g.Nodes) == 0 {
 		panic("nn: forward on empty graph")
 	}
-	g.trained = train
 	if !train {
-		g.plans.g = g
-		p := g.plans.For(x.Shape())
-		g.OutShapes = p.shapes
-		return p.Run(x, nil)
+		c := g.free.Get()
+		p := c.For(x.Shape())
+		out := p.Run(x, nil)
+		g.mu.Lock()
+		g.trained, g.OutShapes = false, p.shapes
+		g.mu.Unlock()
+		g.free.Put(c)
+		return out
 	}
-	g.OutShapes = make([][]int, len(g.Nodes))
 	outs := make([]*tensor.Tensor, len(g.Nodes))
 	ins := make([]*tensor.Tensor, 0, 2)
 	for i, n := range g.Nodes {
@@ -109,8 +114,10 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 		outs[i] = n.Layer.Forward(ins, true)
-		g.OutShapes[i] = outs[i].Shape()
 	}
+	g.mu.Lock()
+	g.trained = true
+	g.mu.Unlock()
 	return outs[g.output()]
 }
 

@@ -23,8 +23,8 @@ func workers(nnWorkers, gemmWorkers int, fn func()) {
 
 // TestArenaBoundedByLanes: the arena is one sample's per lane, whatever the
 // batch. Two workers take a batch of 16 on two regions; a batch of 1 after it
-// — one lane — neither shrinks nor regrows the arena; a PlanCache's Release
-// drops it, the graph's arena being every plan's.
+// — one lane — neither shrinks nor regrows the arena; the executor's Release
+// drops it, its arena being every one of its plans'.
 func TestArenaBoundedByLanes(t *testing.T) {
 	g, rng := skyNetC(0.25, 31)
 	_, perSample := nn.Compile(g, []int{1, 3, 32, 64}, nil).Steps()
@@ -33,17 +33,17 @@ func TestArenaBoundedByLanes(t *testing.T) {
 			t.Fatalf("LanesFor(16) on two workers = %d", n)
 		}
 		g.Forward(randBatch(rng, 16, 3, 32, 64), false)
-		arena, lanes := nn.Arena(g)
+		arena, lanes := nn.Arena(nn.Executor(g))
 		if len(arena) != 2*perSample || lanes != 2 {
 			t.Fatalf("a batch of 16 on two workers left an arena of %d elements on %d lanes, want 2 × %d on 2", len(arena), lanes, perSample)
 		}
 		g.Forward(randBatch(rng, 1, 3, 32, 64), false)
-		if after, _ := nn.Arena(g); len(after) != len(arena) || &after[0] != &arena[0] {
+		if after, _ := nn.Arena(nn.Executor(g)); len(after) != len(arena) || &after[0] != &arena[0] {
 			t.Fatalf("a batch of 1 afterwards replaced the arena (%d elements, was %d)", len(after), len(arena))
 		}
 	})
-	nn.NewPlanCache(g, nil).Release()
-	if arena, lanes := nn.Arena(g); arena != nil || lanes != 0 {
+	nn.Executor(g).Release()
+	if arena, lanes := nn.Arena(nn.Executor(g)); arena != nil || lanes != 0 {
 		t.Fatalf("Release left %d elements and %d lanes", len(arena), lanes)
 	}
 	requireSameBits(t, "a forward after Release", g.Forward(randBatch(rand.New(rand.NewSource(1)), 2, 3, 32, 64), false),
@@ -76,7 +76,7 @@ func TestLanesShareNoOperand(t *testing.T) {
 			}
 		})
 	}
-	if _, lanes := nn.Arena(g); lanes != 3 {
+	if _, lanes := nn.Arena(nn.Executor(g)); lanes != 3 {
 		t.Fatalf("SkyNet C has run on %d lanes at most, want 3", lanes)
 	}
 }
@@ -172,7 +172,7 @@ func TestObservedRunIsOneLaneInOrder(t *testing.T) {
 			t.Fatalf("sample %d: observed whole %v, want %v: every step's output and the Concat, in node order", s, got, wholeOrder)
 		}
 	}
-	if arena, lanes := nn.Arena(g); len(arena) != perSample || lanes != 1 {
+	if arena, lanes := nn.Arena(p.Cache()); len(arena) != perSample || lanes != 1 {
 		t.Fatalf("an observed batch of 4 on three workers left %d elements on %d lanes, want one sample's %d on 1", len(arena), lanes, perSample)
 	}
 }

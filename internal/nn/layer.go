@@ -67,7 +67,8 @@ type Layer interface {
 
 // Coster is implemented by the layers Costs prices: Conv2D, DWConv3 and
 // Linear. Cost returns the multiply-accumulate count and the parameter and
-// activation bytes of the most recent Forward, at its batch and input size.
+// activation bytes of the layer's most recent own Forward (the layer walk's:
+// an inference forward on a plan writes no layer), at its batch and input size.
 // Only the benchmark module (bench/) still reads it; pricing reads Costs,
 // which no forward changes. It goes, with Graph.OutShapes, once bench/ reads
 // Costs too.
@@ -100,7 +101,8 @@ func expect4D(shape []int, wantC int, name string) {
 // cacheIf is what a layer keeps of its input for Backward: the tensor after
 // a training forward, nothing after an inference one — which therefore pins
 // no batch, and lets a Backward that does not follow a training forward
-// fail in needTrainForward and not read an older pass's input.
+// fail in needTrainForward and not read an older pass's input. Backward
+// drops what it read, for the same reasons.
 //
 //skynet:hotpath
 func cacheIf(train bool, x *tensor.Tensor) *tensor.Tensor {

@@ -74,6 +74,7 @@ func (l *Linear) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	}
 	dx := tensor.New(n, l.In)
 	tensor.MatMulInto(dx, dout, l.Weight.W)
+	l.x = nil
 	return []*tensor.Tensor{dx}
 }
 

@@ -146,5 +146,6 @@ func (b *BatchNorm) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 			}
 		}
 	}
+	b.xhat = nil
 	return []*tensor.Tensor{dx}
 }

@@ -10,14 +10,14 @@ import (
 
 // This file is the inference side of Graph.Forward: a plan compiled once per
 // (node list, Output, input sample shape) — one list of steps and one slot per
-// node — and an executor that walks the list. It is the int8 engine's plan
-// too: internal/quant keeps a PlanCache under a mask of nodes that stay units
+// node — and an executor, PlanCache, that walks it. It is the int8 engine's
+// plan too: internal/quant keeps a PlanCache under a mask of nodes that stay units
 // of their own, calibrates by running its plan in float under an observer
 // (Run), and executes the same Steps with integer arithmetic on a []int8
 // arena at the same offsets.
 //
 // The plan holds structure only — shapes, which BatchNorm and ReLU nodes
-// fold into which convolution's GEMM store, and where in the graph's arena
+// fold into which convolution's GEMM store, and where in an executor's arena
 // each feature map lives. Every parameter (weights, biases, batch-norm
 // statistics, an activation's Cap) is read from the layers on each forward,
 // nothing is folded or copied, so an optimizer step, pruning or a Load
@@ -182,7 +182,7 @@ type planNode struct {
 // alive at the same step share no element (layout), so an op never reads and
 // writes the same memory.
 type Plan struct {
-	g      *Graph
+	c      *PlanCache // the executor the plan runs on
 	nodes  []planNode
 	steps  []Step // in execution order, listed once by Compile
 	output int
@@ -194,6 +194,9 @@ type Plan struct {
 	// bandLen is the length of the band buffer the plan's largest Bundle
 	// band needs of each worker; zero without a Bundle step.
 	bandLen int
+	// colLen is the im2col matrix of the plan's largest k×k convolution, in
+	// elements: what each lane keeps for it.
+	colLen int
 }
 
 // maxPlans bounds the plans a PlanCache keeps, one per input sample shape; the
@@ -205,14 +208,24 @@ const maxPlans = 4
 // handed out while still live then shows in the output.
 var poisonReleased bool
 
-// PlanCache is the plans of one graph under one mask, one per input sample
-// shape, at most maxPlans, the most recently used first: where Graph.Forward
-// (its own, with no mask) and the int8 engine, calibration included, get every
-// plan they run. Like the graph, a cache is not safe for concurrent use.
+// PlanCache is the executor of one graph's inference forwards under one
+// mask: its plans, one per input sample shape, at most maxPlans, the most
+// recently used first, and the memory they all run on. Graph.Forward (a cache
+// per forward in flight, under no mask) and the int8 engine get every plan
+// they run from one. A forward writes the cache and its plans, never the
+// graph: a cache runs one forward at a time, different caches side by side.
 type PlanCache struct {
 	g        *Graph
 	separate []bool // Compile's mask
 	plans    []*Plan
+	arena    []float32 // feature maps of the forward in flight: one sample's per lane
+	lanes    []*lane   // the walks of the forward in flight, and the workers' band buffers; lanes[i] owns region i of arena
+
+	// The forward in flight (WalkSample): its plan, n-sample batches, observer.
+	p       *Plan
+	x, out  []float32
+	n       int
+	observe func(node int, data []float32)
 }
 
 // NewPlanCache returns an empty cache of g's plans under the mask separate
@@ -235,7 +248,7 @@ func (c *PlanCache) For(shape []int) *Plan {
 			return p
 		}
 	}
-	p := Compile(c.g, shape, c.separate)
+	p := c.compile(shape)
 	c.plans = append([]*Plan{p}, c.plans[:min(len(c.plans), maxPlans-1)]...)
 	return p
 }
@@ -246,11 +259,11 @@ func (c *PlanCache) Graph() *Graph { return c.g }
 // Len returns how many plans the cache holds.
 func (c *PlanCache) Len() int { return len(c.plans) }
 
-// Release drops what float forwards have left behind — the graph's arena,
-// lanes and band buffers, which all its plans share, and the cache's plans'
-// packed weights —, for the next float forward to make again.
+// Release drops what float forwards have left behind — the cache's arena,
+// lanes and band buffers, and its plans' packed weights —, for the next float
+// forward to make again.
 func (c *PlanCache) Release() {
-	c.g.arena, c.g.lanes = nil, nil
+	c.arena, c.lanes = nil, nil
 	for _, p := range c.plans {
 		for i := range p.nodes {
 			p.nodes[i].packed = nil
@@ -275,11 +288,17 @@ func (p *Plan) describes(g *Graph) bool {
 // ignored), decides fusion — separate is ConvChains' mask, and a marked
 // DWConv3, MaxPool or Reorg likewise joins no Bundle step, a marked Concat is
 // computed, not laid out: a marked node is a step of its own —, lays the
-// feature maps out in the arena and lists the steps. Graph.Forward's plans
-// come from a PlanCache with a nil mask; another caller's plan is valid while
-// g's node list is.
+// feature maps out in the arena and lists the steps. The plan runs on a
+// PlanCache of its own, which holds no other; Graph.Forward's plans come from
+// caches with a nil mask. A plan is valid while g's node list is.
 func Compile(g *Graph, in []int, separate []bool) *Plan {
-	p := &Plan{g: g, nodes: make([]planNode, len(g.Nodes)), output: g.output(),
+	return NewPlanCache(g, separate).compile(in)
+}
+
+// compile is Compile for a plan that runs on c.
+func (c *PlanCache) compile(in []int) *Plan {
+	g, separate := c.g, c.separate
+	p := &Plan{c: c, nodes: make([]planNode, len(g.Nodes)), output: g.output(),
 		input: Slot{Dims: slices.Clone(in), Off: -1, Size: 1}, shapes: make([][]int, len(g.Nodes))}
 	p.input.Dims[0] = 1
 	for _, d := range in[1:] {
@@ -298,6 +317,9 @@ func Compile(g *Graph, in []int, separate []bool) *Plan {
 			expect4D(shapes[0], l.InC, l.label)
 			outH, outW := l.outSize(shapes[0][2], shapes[0][3])
 			pn.Dims = []int{1, l.OutC, outH, outW}
+			if !l.direct() {
+				p.colLen = max(p.colLen, l.InC*l.K*l.K*outH*outW)
+			}
 			pn.chain = chains[i]
 			if pn.chain.BN != nil {
 				pn.inv = make([]float32, l.OutC)
@@ -377,7 +399,7 @@ func (p *Plan) findBands(use readers) {
 		}
 		b := &Band{dw: dw, pw: pw, Conv: conv, Pool: -1, Reorg: -1, K: 1}
 		out := p.nodes[conv].chain.Last(conv)
-		pool, reorg := use.bypass(p.g, out)
+		pool, reorg := use.bypass(p.c.g, out)
 		if j := use.next(out); j >= 0 && j != p.output {
 			pool = j
 		}
@@ -570,96 +592,60 @@ func (p *Plan) Steps() (steps []Step, perSample int) { return p.steps, p.perSamp
 // lane is one worker's share of an inference forward: it walks its samples,
 // one after the other, through the plan's steps on a region of the arena one
 // sample large. What differs between two samples in flight — the region, the
-// output rows, the argument list of the step being run — is here, so that
-// lanes running side by side only read the plan and the layers.
+// output rows, the im2col scratch, the argument list of the step being run —
+// is here, so that lanes running side by side only read the plan and the
+// layers.
 type lane struct {
-	arena []float32 // the lane's region of g.arena
+	arena []float32 // the lane's region of the cache's arena
 	out   []float32 // the rows of the output batch the sample in flight fills
+	col   []float32 // the im2col matrix of the k×k convolution in flight
 	// band is the buffer of the Bundle band in flight on worker i, for the
 	// i-th lane: its own, or a lone lane's i-th split.
 	band  []float32
 	share bandShare // the Bundle step in flight, as RunBands' workers read it
 }
 
-// planRun is the inference forward in flight on a graph: what RunLanes walks.
-type planRun struct {
-	p      *Plan
-	lanes  []*lane   // lanes[i] also owns every Conv2D's im2col scratch i
-	x, out []float32 // the input batch and the output batch, n samples each
-	n      int
-	// observe is RunInto's.
-	observe func(node int, data []float32)
-}
-
-// prepare readies the graph for lanes of p: the arena, one region per lane,
-// and the lanes themselves with the band buffers of every worker. All only
-// grow — the arena to the most lanes and the largest plan seen, never with
-// the batch — so a caller that varies its batch size settles at once, and a
-// forward after that allocates nothing.
+// prepare readies p and its cache for a forward on the given number of lanes,
+// before the lanes start and only read them: every fused batch norm's
+// 1/sqrt(var+eps) and every convolution's packed weights from the layers as
+// they are now (it writes no layer), the arena, one region per lane, and the
+// lanes with their im2col scratch and every worker's band buffer. All only
+// grow, never with the batch, so a forward once they fit allocates nothing.
 //
 //skynet:hotpath
 func (p *Plan) prepare(lanes int) {
-	g := p.g
-	if need := p.perSample * lanes; len(g.arena) < need {
+	for i := range p.nodes { // a convolution heads a step or is a Bundle step's
+		if _, ok := p.nodes[i].layer.(*Conv2D); ok {
+			p.nodes[i].fill()
+		}
+	}
+	c := p.c
+	if need := p.perSample * lanes; len(c.arena) < need {
 		// Dropped first: the collection this allocation may start would
 		// otherwise mark old and new both live and pace itself on the sum.
-		g.arena = nil
-		g.arena = tensor.New(need).Data
+		c.arena = nil
+		c.arena = tensor.New(need).Data
 	}
 	workers := lanes
 	if p.bandLen > 0 {
 		workers = max(lanes, workersFor(math.MaxInt))
 	}
-	for len(g.lanes) < workers {
+	for len(c.lanes) < workers {
 		//skynet:nolint hotalloc -- grow-once: the lanes grow to the most workers a forward has had, then every forward reuses them
-		g.lanes = append(g.lanes, &lane{})
+		c.lanes = append(c.lanes, &lane{})
 	}
-	for i, l := range g.lanes[:lanes] {
-		l.arena = g.arena[i*p.perSample : (i+1)*p.perSample]
+	for i, l := range c.lanes[:lanes] {
+		l.arena = c.arena[i*p.perSample : (i+1)*p.perSample]
+		if len(l.col) < p.colLen {
+			l.col = tensor.New(p.colLen).Data
+		}
 	}
 	if p.bandLen == 0 {
 		return
 	}
-	for _, l := range g.lanes {
+	for _, l := range c.lanes {
 		if len(l.band) < p.bandLen {
 			l.band = tensor.New(p.bandLen).Data
-		}
-	}
-}
-
-// begin writes everything a forward of n samples on the given number of lanes
-// leaves on the layers and on the plan's nodes, before the lanes start and
-// only read them: the geometry Cost and the per-image bodies read — of the
-// whole batch, as a layer's own Forward records it —, the im2col scratch of
-// each lane, every fused batch norm's 1/sqrt(var+eps) from the statistics as
-// they are now, every convolution's weights packed as they are now, and the
-// drop of what a training forward cached.
-//
-//skynet:hotpath
-func (p *Plan) begin(n, lanes int) {
-	for k := range p.steps {
-		s := &p.steps[k]
-		if s.Laid {
-			continue
-		}
-		in := p.Slot(s.Inputs[0]).Dims
-		switch l := p.nodes[s.Node].layer.(type) {
-		case *Conv2D:
-			l.record(n, in[2], in[3])
-			if !l.direct() {
-				l.ensureScratch(lanes)
-			}
-			p.nodes[s.Node].fill()
-		case *DWConv3:
-			l.record(n, in[2], in[3])
-			if b := s.Band; b != nil {
-				b.pw.record(n, l.outH, l.outW)
-				p.nodes[b.Conv].fill()
-			}
-		case *BatchNorm:
-			l.xhat = nil
-		case *Linear:
-			l.x, l.lastN = nil, n
 		}
 	}
 }
@@ -716,7 +702,7 @@ func (p *Plan) RunInto(dst, x *tensor.Tensor, observe func(node int, data []floa
 	if !slices.Equal(p.input.Dims[1:], x.Shape()[1:]) {
 		panic(fmt.Sprintf("nn: plan compiled for samples of shape %v run on input %v", p.input.Dims[1:], x.Shape()))
 	}
-	g, n := p.g, x.Dim(0)
+	c, n := p.c, x.Dim(0)
 	if want := p.batch(n); !slices.Equal(dst.Shape(), want) {
 		panic(fmt.Sprintf("nn: plan output %v written into %v", want, dst.Shape()))
 	}
@@ -725,32 +711,31 @@ func (p *Plan) RunInto(dst, x *tensor.Tensor, observe func(node int, data []floa
 		lanes = LanesFor(n)
 	}
 	p.prepare(lanes)
-	p.begin(n, lanes)
-	g.run = planRun{p: p, lanes: g.lanes, x: x.Data, out: dst.Data, n: n, observe: observe}
-	RunLanes(&g.run, n, lanes)
-	for _, l := range g.lanes[:lanes] {
+	c.p, c.x, c.out, c.n, c.observe = p, x.Data, dst.Data, n, observe
+	RunLanes(c, n, lanes)
+	for _, l := range c.lanes[:lanes] {
 		l.out = nil
 	}
-	g.run = planRun{}
+	c.p, c.x, c.out, c.observe = nil, nil, nil, nil // no operand of the forward stays on the cache
 }
 
 // WalkSample takes sample i of the forward in flight through the plan's steps
 // on lane li, for RunLanes.
 //
 //skynet:hotpath
-func (r *planRun) WalkSample(li, i int, leaf bool) {
-	p, l, per, outPer := r.p, r.lanes[li], len(r.x)/r.n, len(r.out)/r.n
-	x := r.x[i*per : (i+1)*per]
-	l.out = r.out[i*outPer : (i+1)*outPer]
+func (c *PlanCache) WalkSample(li, i int, leaf bool) {
+	p, l, per, outPer := c.p, c.lanes[li], len(c.x)/c.n, len(c.out)/c.n
+	x := c.x[i*per : (i+1)*per]
+	l.out = c.out[i*outPer : (i+1)*outPer]
 	for k := range p.steps {
 		s := &p.steps[k]
 		if !s.Laid { // a laid-out Concat is written, input by input, by now
-			r.step(s, li, x, leaf)
+			c.step(s, li, x, leaf)
 		}
-		if r.observe != nil {
-			r.observe(s.Out, l.buf(s.Slot))
+		if c.observe != nil {
+			c.observe(s.Out, l.buf(s.Slot))
 			if b := s.Band; b != nil && b.Reorg >= 0 {
-				r.observe(b.Reorg, l.buf(p.Slot(b.Reorg)))
+				c.observe(b.Reorg, l.buf(p.Slot(b.Reorg)))
 			}
 		}
 		if poisonReleased {
@@ -771,31 +756,31 @@ func (r *planRun) WalkSample(li, i int, leaf bool) {
 // pool.
 //
 //skynet:hotpath
-func (r *planRun) step(s *Step, li int, x []float32, leaf bool) {
-	p, l, pn := r.p, r.lanes[li], &r.p.nodes[s.Node]
+func (c *PlanCache) step(s *Step, li int, x []float32, leaf bool) {
+	p, l, pn := c.p, c.lanes[li], &c.p.nodes[s.Node]
 	dst, in, src := l.buf(s.Slot), p.Slot(s.Inputs[0]).Dims, l.input(p, s.Inputs[0], x)
 	switch layer := pn.layer.(type) {
 	case *Conv2D:
-		layer.forwardImage(dst, src, li, layer.epilogue(pn.tail()), pn.packed, leaf)
+		layer.forwardImage(dst, src, in[2], in[3], l.col, layer.epilogue(pn.tail()), pn.packed, leaf)
 	case *DWConv3:
-		switch b := s.Band; {
+		switch b, outH := s.Band, pn.Dims[2]; {
 		case b != nil:
 			a, pw := &l.share, &p.nodes[b.Conv]
-			*a = bandShare{s: s, dst: dst, src: src, ep: b.pw.epilogue(pw.tail()), packed: pw.packed, observe: r.observe, workers: r.lanes}
+			*a = bandShare{s: s, dst: dst, src: src, h: in[2], w: in[3], ep: b.pw.epilogue(pw.tail()), packed: pw.packed, observe: c.observe, workers: c.lanes}
 			if b.Reorg >= 0 {
 				a.reorg = l.buf(p.Slot(b.Reorg))
 			}
-			RunBands(a, layer.outH/b.K, b.K, b.Rows, li, len(r.lanes), leaf)
-			if rest := layer.outH % b.K; rest > 0 && a.observe != nil {
+			RunBands(a, outH/b.K, b.K, b.Rows, li, len(c.lanes), leaf)
+			if rest := outH % b.K; rest > 0 && a.observe != nil {
 				// The rows under no whole window, for the observer alone: the pool
 				// writes nothing of them. (A step that folds a Reorg has none.)
-				a.compute(l.band, layer.outH-rest, rest)
+				a.compute(l.band, outH-rest, rest)
 			}
 			*a = bandShare{} // no operand of the forward stays on the lane
 		case leaf:
-			layer.planes(dst, src, 0, layer.C)
+			layer.planes(dst, src, in[2], in[3], 0, layer.C)
 		default:
-			layer.splitPlanes(dst, src, 1)
+			layer.splitPlanes(dst, src, 1, in[2], in[3])
 		}
 	case *BatchNorm:
 		layer.evalInto(dst, src, 1, in[2]*in[3])

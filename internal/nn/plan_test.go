@@ -135,7 +135,7 @@ func TestPlanBaselines(t *testing.T) {
 							tensor.FromSlice(want.Data[i*outPer:(i+1)*outPer], one.Shape()...))
 					}
 				})
-				if arena, lanes := nn.Arena(g); lanes != 2 || len(arena) == 0 {
+				if arena, lanes := nn.Arena(nn.Executor(g)); lanes != 2 || len(arena) == 0 {
 					t.Fatalf("batch %d on two workers has left %d lanes and an arena of %d elements, want 2 lanes and an arena", b, lanes, len(arena))
 				}
 			}
@@ -356,18 +356,19 @@ func TestCostsMatchTheWalk(t *testing.T) {
 	}
 }
 
-// TestCostAndOutShapesAfterInference: the benchmark module runs one inference
-// forward and then asks every layer for its cost and the graph for its
-// shapes. Both must describe that forward, and no layer may still hold its
-// input batch. The plan runs the layers' arithmetic a sample at a time, on
-// two lanes here, without their forwardInto, and has to leave on every one —
-// a Bundle step's two included — the geometry of the whole batch Cost reads.
+// TestCostAndOutShapesAfterInference: the benchmark module runs an inference
+// forward and then asks the graph for its shapes, which must describe that
+// forward, and every layer for its cost. An inference forward writes no
+// layer, so Cost is still what the layer walk's last forward left — here a
+// training forward at another batch and size —, the Bundle steps' layers
+// included.
 func TestCostAndOutShapesAfterInference(t *testing.T) {
 	g, rng := skyNetC(0.25, 16)
-	x := randBatch(rng, 3, 3, 32, 64)
+	x, walked := randBatch(rng, 3, 3, 32, 64), randBatch(rng, 1, 3, 16, 48)
 	requireBundleSteps(t, g, x)
+	g.Forward(walked, true)
 	parallelism(2, func() { g.Forward(x, false) })
-	if _, lanes := nn.Arena(g); lanes != 2 {
+	if _, lanes := nn.Arena(nn.Executor(g)); lanes != 2 {
 		t.Fatalf("a batch of 3 on two workers ran on %d lanes, want 2", lanes)
 	}
 	macs, bytes := layerCost(g)
@@ -377,12 +378,13 @@ func TestCostAndOutShapesAfterInference(t *testing.T) {
 	}
 
 	ref, _ := skyNetC(0.25, 16)
-	outs := make([]*tensor.Tensor, len(ref.Nodes))
-	ref.Walk(x, func(i int, t *tensor.Tensor) { outs[i] = t })
+	ref.Walk(walked, nil)
 	wantMACs, wantBytes := layerCost(ref)
 	if macs != wantMACs || bytes != wantBytes || macs == 0 {
-		t.Fatalf("Cost after an inference forward = %d MACs, %d bytes; after the layer walk %d, %d", macs, bytes, wantMACs, wantBytes)
+		t.Fatalf("Cost after an inference forward = %d MACs, %d bytes; after the layer walk it follows %d, %d", macs, bytes, wantMACs, wantBytes)
 	}
+	outs := make([]*tensor.Tensor, len(ref.Nodes))
+	ref.Walk(x, func(i int, t *tensor.Tensor) { outs[i] = t })
 	for i, o := range outs {
 		if fmt.Sprint(shapes[i]) != fmt.Sprint(o.Shape()) || fmt.Sprint(ref.OutShapes[i]) != fmt.Sprint(o.Shape()) {
 			t.Fatalf("OutShapes[%d] = %v after an inference forward and %v after the walk, the node produced %v", i, shapes[i], ref.OutShapes[i], o.Shape())

@@ -7,22 +7,22 @@ import (
 	"skynet/internal/tensor"
 )
 
-// stepTimer walks the samples of the forward in flight as planRun.WalkSample
+// stepTimer walks the samples of the forward in flight as PlanCache.WalkSample
 // does, but times every step it runs, lane by lane.
 type stepTimer struct {
-	r     *planRun
+	c     *PlanCache
 	spent [][]time.Duration // by lane, then by plan step
 }
 
 func (s *stepTimer) WalkSample(li, i int, leaf bool) {
-	r := s.r
-	p, l, per, outPer := r.p, r.lanes[li], len(r.x)/r.n, len(r.out)/r.n
-	x := r.x[i*per : (i+1)*per]
-	l.out = r.out[i*outPer : (i+1)*outPer]
+	c := s.c
+	p, l, per, outPer := c.p, c.lanes[li], len(c.x)/c.n, len(c.out)/c.n
+	x := c.x[i*per : (i+1)*per]
+	l.out = c.out[i*outPer : (i+1)*outPer]
 	for k := range p.steps {
 		if st := &p.steps[k]; !st.Laid {
 			start := time.Now()
-			r.step(st, li, x, leaf)
+			c.step(st, li, x, leaf)
 			s.spent[li][k] += time.Since(start)
 		}
 	}
@@ -34,22 +34,22 @@ func (s *stepTimer) WalkSample(li, i int, leaf bool) {
 // the samples the lane walked, so that on one lane the times add up to the
 // forward's. A benchmark seam, not an API: the product has no per-step clock.
 func StepTimes(g *Graph, x *tensor.Tensor) (names []string, times []time.Duration) {
-	g.plans.g = g
-	p, n := g.plans.For(x.Shape()), x.Dim(0)
+	c := g.free.Get()
+	defer g.free.Put(c)
+	p, n := c.For(x.Shape()), x.Dim(0)
 	out := tensor.New(p.batch(n)...)
 	lanes := LanesFor(n)
 	p.prepare(lanes)
-	p.begin(n, lanes)
-	g.run = planRun{p: p, lanes: g.lanes, x: x.Data, out: out.Data, n: n}
-	timer := &stepTimer{r: &g.run, spent: make([][]time.Duration, lanes)}
+	c.p, c.x, c.out, c.n = p, x.Data, out.Data, n
+	timer := &stepTimer{c: c, spent: make([][]time.Duration, lanes)}
 	for i := range timer.spent {
 		timer.spent[i] = make([]time.Duration, len(p.steps))
 	}
 	RunLanes(timer, n, lanes)
-	for _, l := range g.lanes[:lanes] {
+	for _, l := range c.lanes[:lanes] {
 		l.out = nil
 	}
-	g.run = planRun{}
+	c.p, c.x, c.out = nil, nil, nil
 	for k, st := range p.steps {
 		if !st.Laid {
 			var most time.Duration

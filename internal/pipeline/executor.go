@@ -46,7 +46,7 @@ type StageSpec struct {
 // Executor runs a fixed sequence of stages over a stream of items. It is
 // safe for concurrent use: concurrent runs share the stages — a stage whose
 // work is not reentrant serializes it itself, as detect.InferStage does its
-// model's forward — and the counters aggregate across runs.
+// frame list — and the counters aggregate across runs.
 type Executor struct {
 	specs  []StageSpec
 	buf    int

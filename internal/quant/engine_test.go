@@ -501,13 +501,13 @@ func TestArenaBoundedByLanes(t *testing.T) {
 	_, qm, _ := exportSkyNet(t, rng, 0.25, 32, ExportConfig{})
 	workers(2, func() {
 		qm.Forward(randBatch(rng, 16, 3, 32, 64), false)
-		arena := qm.arena
-		if len(arena) != 2*qm.perSample || len(qm.lanes) != 2 {
-			t.Fatalf("a batch of 16 on two workers left an arena of %d codes on %d lanes, want 2 × %d on 2", len(arena), len(qm.lanes), qm.perSample)
+		arena := qm.last().arena
+		if len(arena) != 2*qm.last().perSample || len(qm.last().lanes) != 2 {
+			t.Fatalf("a batch of 16 on two workers left an arena of %d codes on %d lanes, want 2 × %d on 2", len(arena), len(qm.last().lanes), qm.last().perSample)
 		}
 		qm.Forward(randBatch(rng, 1, 3, 32, 64), false)
-		if len(qm.arena) != len(arena) || &qm.arena[0] != &arena[0] {
-			t.Fatalf("a batch of 1 afterwards replaced the arena (%d codes, was %d)", len(qm.arena), len(arena))
+		if len(qm.last().arena) != len(arena) || &qm.last().arena[0] != &arena[0] {
+			t.Fatalf("a batch of 1 afterwards replaced the arena (%d codes, was %d)", len(qm.last().arena), len(arena))
 		}
 	})
 	if testing.Short() {
@@ -520,8 +520,8 @@ func TestArenaBoundedByLanes(t *testing.T) {
 	}
 	workers(2, func() {
 		qm.Forward(randBatch(rng, 2, 3, 160, 320), false)
-		if qm.perSample != 1_492_800 || len(qm.arena) != 2*qm.perSample {
-			t.Errorf("SkyNet C at 160×320 on two lanes: an arena of %d codes, %d per lane; want 2 × 1 492 800", len(qm.arena), qm.perSample)
+		if qm.last().perSample != 1_492_800 || len(qm.last().arena) != 2*qm.last().perSample {
+			t.Errorf("SkyNet C at 160×320 on two lanes: an arena of %d codes, %d per lane; want 2 × 1 492 800", len(qm.last().arena), qm.last().perSample)
 		}
 	})
 }
@@ -536,8 +536,8 @@ func requireOneLane(t *testing.T, qm *QuantizedModel, x *tensor.Tensor) {
 	}
 	var whole []float32
 	workers(3, func() { whole = forwardCopy(qm, x) })
-	if len(qm.lanes) != 1 {
-		t.Fatalf("a batch of %d on three workers ran on %d lanes, want one", x.Dim(0), len(qm.lanes))
+	if len(qm.last().lanes) != 1 {
+		t.Fatalf("a batch of %d on three workers ran on %d lanes, want one", x.Dim(0), len(qm.last().lanes))
 	}
 	n := x.Dim(0)
 	per, outPer := x.Len()/n, len(whole)/n
@@ -569,7 +569,7 @@ func TestEngineLanesShareNoOperand(t *testing.T) {
 			})
 		}
 		_, fl, _ := qm.Stats()
-		if lanes := len(qm.lanes); (lanes == 1) != (fl > 0) || fl == 0 && lanes != 3 {
+		if lanes := len(qm.last().lanes); (lanes == 1) != (fl > 0) || fl == 0 && lanes != 3 {
 			t.Fatalf("%s (%d fallback units) has run on %d lanes at most", name, fl, lanes)
 		}
 	}
@@ -643,9 +643,16 @@ func exportPerNode(t *testing.T, g *nn.Graph, calib []*tensor.Tensor, cfg Export
 		t.Fatal(err)
 	}
 	m := &QuantizedModel{separate: unitMask(g, force), output: len(g.Nodes) - 1}
-	m.plans = nn.NewPlanCache(g, m.separate)
-	m.lower(calib[0].Shape(), clips, force)
+	m.lower(nn.NewPlanCache(g, m.separate), calib[0].Shape(), clips, force)
 	return m
+}
+
+// last returns the executor m's last forward ran on, or after Export alone
+// the one calibration and the lowering used.
+func (m *QuantizedModel) last() *qexec {
+	e := m.free.Get()
+	m.free.Put(e)
+	return e
 }
 
 // TestInt8BundleStepMatchesUnits is the int8 band step's contract: the engine
@@ -681,7 +688,7 @@ func TestInt8BundleStepMatchesUnits(t *testing.T) {
 			})
 		}
 		n := 0
-		for _, s := range qm.steps {
+		for _, s := range qm.last().steps {
 			if s.Band != nil {
 				n++
 			}
@@ -768,9 +775,9 @@ func TestInt8BundleStepMatchesUnits(t *testing.T) {
 	qm = check("SkyNetC/width1/160x320", g, []*tensor.Tensor{randBatch(rng, 1, 3, 160, 320)}, ExportConfig{}, 6,
 		randBatch(rng, 1, 3, 160, 320), randBatch(rng, 2, 3, 160, 320))
 	cut := 0
-	for _, s := range qm.steps {
+	for _, s := range qm.last().steps {
 		if b := s.Band; b != nil {
-			if b.Rows < qm.dims(s.Inputs[0])[2] { // SkyNet's depth-wise output is as high as its input
+			if b.Rows < qm.last().dims(s.Inputs[0])[2] { // SkyNet's depth-wise output is as high as its input
 				cut++
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"skynet/internal/nn"
 	"skynet/internal/tensor"
@@ -25,8 +26,8 @@ import (
 //
 // The engine owns arithmetic only: integer weights, epilogues, scales. What
 // runs when, every shape, and where each feature map lives are the float
-// engine's plan — Bundle steps and laid-out Concats included —, from the
-// model's nn.PlanCache: the engine walks its one step list on a []int8 arena,
+// engine's plan — Bundle steps and laid-out Concats included —, from an
+// executor's nn.PlanCache: the engine walks its one step list on a []int8 arena,
 // a code where the float executor keeps a float32. It runs a batch the way
 // that executor does, by its rule and through its code (nn.LanesFor,
 // nn.RunLanes): as lanes, each worker walking its own samples through the
@@ -87,20 +88,28 @@ type unit interface {
 }
 
 // QuantizedModel is the int8 lowering of an nn.Graph. It implements
-// detect.Model (Forward ignores train: the engine is inference-only).
-// Like nn.Graph, a QuantizedModel is not safe for concurrent Forward calls;
-// the serving layer gives each inference worker a model of its own.
+// detect.Model (Forward ignores train: the engine is inference-only). What
+// the lowering fixed is read-only; all a forward writes is its executor's
+// (qexec, off a free list), so forwards are safe for concurrent use.
 type QuantizedModel struct {
-	separate []bool        // the mask the plans are compiled under
-	plans    *nn.PlanCache // a plan per sample shape: calibration's, the lowering's and every forward's
-	units    []unit        // by node; nil where a node is computed inside another's unit
-	vals     []value       // by node + 1; vals[0] is the graph input
+	separate []bool  // the mask the plans are compiled under
+	units    []unit  // by node; nil where a node is computed inside another's unit
+	vals     []value // by node + 1; vals[0] is the graph input
 	output   int
 
-	// The plan of the last forward (use), its steps, the arena a sample needs
-	// — the plan's, then the input's and output's codes — and the output's
-	// shape; the scratch the units need, the most any plan has needed: qconv's
-	// im2col matrix, a code band, a depth-wise accumulator row, the arguments.
+	int8Units, floatUnits, fusedNodes int // Stats
+
+	free tensor.FreeList[qexec] // the executors no forward is running on: at first the one calibration and the lowering used
+}
+
+// qexec is the executor of one forward at a time: its plans (the first
+// executor's are calibration's), its last forward's plan (use) and steps, the
+// arena a sample needs (the plan's, then the input's and output's codes), the
+// output's shape and the most scratch any plan has needed: qconv's im2col
+// matrix, a code band, a depth-wise accumulator row, the arguments.
+type qexec struct {
+	m                                  *QuantizedModel
+	plans                              *nn.PlanCache
 	plan                               *nn.Plan
 	steps                              []nn.Step
 	perSample                          int
@@ -112,16 +121,14 @@ type QuantizedModel struct {
 	x, y  []float32 // the input and output batches of the forward in flight; nil between forwards
 	bands []int8    // the code bands of the Bundle steps, worker i's the i-th
 	rows  []int32   // the accumulator rows of the depth-wise ones, likewise
-
-	int8Units, floatUnits, fusedNodes int // Stats
 }
 
 // qlane is one worker's share of a forward, as nn's lane is: the sample it
 // has in flight, its region of the arena and its scratch.
 type qlane struct {
-	m      *QuantizedModel
+	e      *qexec
 	arena  []int8
-	vals   []laneValue      // by node + 1, as m.vals
+	vals   []laneValue      // by node + 1, as the model's vals
 	sample int              // which of the batch is in flight
 	col    []int8           // im2col of the image, for the k×k convolutions
 	ins    []*tensor.Tensor // a fallback unit's argument list
@@ -149,45 +156,46 @@ func (m *QuantizedModel) Stats() (int8Units, floatUnits, fusedNodes int) {
 // nn.LanesFor(N) lanes; a model with a float fallback unit runs on one, its
 // layers keeping state.
 func (m *QuantizedModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	n := x.Dim(0)
-	m.use(m.plans.For(x.Shape()))
+	e, n := m.free.Get(), x.Dim(0)
+	e.use(e.plans.For(x.Shape()))
 	lanes := 1
 	if m.floatUnits == 0 {
 		lanes = nn.LanesFor(n)
 	}
-	m.prepare(lanes)
-	m.outShape[0] = n
-	out := tensor.New(m.outShape...)
-	m.x, m.y = x.Data, out.Data
-	nn.RunLanes(laneWalker{m}, n, lanes)
-	m.x, m.y = nil, nil // neither batch is the engine's to keep
+	e.prepare(lanes)
+	e.outShape[0] = n
+	out := tensor.New(e.outShape...)
+	e.x, e.y = x.Data, out.Data
+	nn.RunLanes(e, n, lanes)
+	e.x, e.y = nil, nil // neither batch is the engine's to keep
+	m.free.Put(e)
 	return out
 }
 
 // use makes p the plan of the forward about to run, and grows the scratch
 // its units need to the most any plan has needed.
-func (m *QuantizedModel) use(p *nn.Plan) {
-	if p == m.plan {
+func (e *qexec) use(p *nn.Plan) {
+	if p == e.plan {
 		return
 	}
-	m.plan = p
+	e.plan = p
 	var planLen int
-	m.steps, planLen = p.Steps()
-	in, out := p.Slot(nn.GraphInput), p.Slot(m.output)
-	m.perSample = planLen + in.Size + out.Size
-	m.outShape = append(m.outShape[:0], out.Dims...)
-	for i := range m.steps {
-		s := &m.steps[i]
-		m.maxInputs = max(m.maxInputs, len(s.Inputs))
-		switch u := m.units[s.Out].(type) {
+	e.steps, planLen = p.Steps()
+	in, out := p.Slot(nn.GraphInput), p.Slot(e.m.output)
+	e.perSample = planLen + in.Size + out.Size
+	e.outShape = append(e.outShape[:0], out.Dims...)
+	for i := range e.steps {
+		s := &e.steps[i]
+		e.maxInputs = max(e.maxInputs, len(s.Inputs))
+		switch u := e.m.units[s.Out].(type) {
 		case *qconv:
 			if !u.direct() {
-				m.colLen = max(m.colLen, m.dims(s.Inputs[0])[1]*u.k*u.k*s.Dims[2]*s.Dims[3])
+				e.colLen = max(e.colLen, e.dims(s.Inputs[0])[1]*u.k*u.k*s.Dims[2]*s.Dims[3])
 			}
 		case *qdw:
-			m.rowLen = max(m.rowLen, s.Dims[3])
+			e.rowLen = max(e.rowLen, s.Dims[3])
 		case *qbundle:
-			m.bandLen, m.rowLen = max(m.bandLen, s.Band.Len), max(m.rowLen, tensor.ConvOut(m.dims(s.Inputs[0])[3], u.dw.k, u.dw.stride, u.dw.pad))
+			e.bandLen, e.rowLen = max(e.bandLen, s.Band.Len), max(e.rowLen, tensor.ConvOut(e.dims(s.Inputs[0])[3], u.dw.k, u.dw.stride, u.dw.pad))
 		}
 	}
 }
@@ -195,51 +203,48 @@ func (m *QuantizedModel) use(p *nn.Plan) {
 // prepare readies the arena, one region per lane, the lanes with their
 // scratch for the plan, and the workers'. All grow with the lanes and the
 // plans, never with the batch.
-func (m *QuantizedModel) prepare(lanes int) {
-	if need := m.perSample * lanes; len(m.arena) < need {
-		m.arena = nil // not live while its replacement is allocated, as in nn's Plan.prepare
-		m.arena = make([]int8, need)
+func (e *qexec) prepare(lanes int) {
+	if need := e.perSample * lanes; len(e.arena) < need {
+		e.arena = nil // not live while its replacement is allocated, as in nn's Plan.prepare
+		e.arena = make([]int8, need)
 	}
-	if nw := nn.LanesFor(math.MaxInt); len(m.bands) < nw*m.bandLen || len(m.rows) < nw*m.rowLen {
-		m.bands, m.rows = make([]int8, nw*m.bandLen), make([]int32, nw*m.rowLen)
+	if nw := nn.LanesFor(math.MaxInt); len(e.bands) < nw*e.bandLen || len(e.rows) < nw*e.rowLen {
+		e.bands, e.rows = make([]int8, nw*e.bandLen), make([]int32, nw*e.rowLen)
 	}
-	for len(m.lanes) < lanes {
-		m.lanes = append(m.lanes, &qlane{m: m, index: len(m.lanes), vals: make([]laneValue, len(m.vals))})
+	for len(e.lanes) < lanes {
+		e.lanes = append(e.lanes, &qlane{e: e, index: len(e.lanes), vals: make([]laneValue, len(e.m.vals))})
 	}
-	for i, l := range m.lanes[:lanes] {
-		l.arena = m.arena[i*m.perSample : (i+1)*m.perSample]
-		if len(l.col) < m.colLen {
-			l.col = make([]int8, m.colLen)
+	for i, l := range e.lanes[:lanes] {
+		l.arena = e.arena[i*e.perSample : (i+1)*e.perSample]
+		if len(l.col) < e.colLen {
+			l.col = make([]int8, e.colLen)
 		}
-		if len(l.ins) < m.maxInputs {
-			l.ins = make([]*tensor.Tensor, m.maxInputs)
+		if len(l.ins) < e.maxInputs {
+			l.ins = make([]*tensor.Tensor, e.maxInputs)
 		}
-		for j, v := range m.vals {
-			if size := m.plan.Slot(j - 1).Size; v.asFloat && len(l.vals[j].fbuf) < size {
+		for j, v := range e.m.vals {
+			if size := e.plan.Slot(j - 1).Size; v.asFloat && len(l.vals[j].fbuf) < size {
 				l.vals[j].fbuf = make([]float32, size)
 			}
 		}
 	}
 }
 
-// laneWalker is a model's forward in flight, as nn.RunLanes drives it.
-type laneWalker struct{ m *QuantizedModel }
-
 // WalkSample takes sample i of the forward in flight through the steps on
-// lane li and leaves its output in row i of m.y.
+// lane li and leaves its output in row i of e.y, for nn.RunLanes.
 //
 //skynet:hotpath
-func (w laneWalker) WalkSample(li, i int, leaf bool) {
-	m, l := w.m, w.m.lanes[li]
+func (e *qexec) WalkSample(li, i int, leaf bool) {
+	l := e.lanes[li]
 	for j := range l.vals {
 		l.vals[j].coded, l.vals[j].f = false, nil
 	}
 	l.sample = i
-	in := m.plan.Slot(nn.GraphInput).Size
-	l.vals[0].f = m.x[i*in : (i+1)*in]
-	for k := range m.steps {
-		s := &m.steps[k]
-		m.units[s.Out].run(l, s, leaf)
+	in := e.plan.Slot(nn.GraphInput).Size
+	l.vals[0].f = e.x[i*in : (i+1)*in]
+	for k := range e.steps {
+		s := &e.steps[k]
+		e.m.units[s.Out].run(l, s, leaf)
 		if poisonReleased {
 			for _, j := range s.Frees {
 				buf := l.slot(j)
@@ -251,7 +256,7 @@ func (w laneWalker) WalkSample(li, i int, leaf bool) {
 	}
 	// A unit that produced the output as floats of its own (a fallback) did
 	// not write the row; every other way of producing it did.
-	if row, f := l.outRow(), l.float(m.output); &f[0] != &row[0] {
+	if row, f := l.outRow(), l.float(e.m.output); &f[0] != &row[0] {
 		copy(row, f)
 	}
 	l.vals[0].f = nil
@@ -266,14 +271,14 @@ func (m *QuantizedModel) val(j int) *value { return &m.vals[j+1] }
 // input for nn.GraphInput) on the plan in flight.
 //
 //skynet:hotpath
-func (m *QuantizedModel) dims(j int) []int { return m.plan.Slot(j).Dims }
+func (e *qexec) dims(j int) []int { return e.plan.Slot(j).Dims }
 
 // outRow returns the row of the output batch the sample in flight fills.
 //
 //skynet:hotpath
 func (l *qlane) outRow() []float32 {
-	size := l.m.plan.Slot(l.m.output).Size
-	return l.m.y[l.sample*size : (l.sample+1)*size]
+	size := l.e.plan.Slot(l.e.m.output).Size
+	return l.e.y[l.sample*size : (l.sample+1)*size]
 }
 
 // slot returns value j's code slot in the lane's region: the plan's, or for
@@ -281,10 +286,10 @@ func (l *qlane) outRow() []float32 {
 //
 //skynet:hotpath
 func (l *qlane) slot(j int) []int8 {
-	p := l.m.plan
+	p := l.e.plan
 	s := p.Slot(j)
 	if s.Off < 0 {
-		s.Off = len(l.arena) - p.Slot(l.m.output).Size // the output's, last
+		s.Off = len(l.arena) - p.Slot(l.e.m.output).Size // the output's, last
 		if j == nn.GraphInput {
 			s.Off -= s.Size
 		}
@@ -307,7 +312,7 @@ func (l *qlane) dest(j int) []int8 {
 func (l *qlane) codes(j int) []int8 {
 	v, buf := &l.vals[j+1], l.slot(j)
 	if !v.coded {
-		quantizeInto(buf, v.f, l.m.val(j).scale)
+		quantizeInto(buf, v.f, l.e.m.val(j).scale)
 		v.coded = true
 	}
 	return buf
@@ -320,10 +325,10 @@ func (l *qlane) codes(j int) []int8 {
 //skynet:hotpath
 func (l *qlane) floatDest(j int) []float32 {
 	v := &l.vals[j+1]
-	if j == l.m.output {
+	if j == l.e.m.output {
 		v.f = l.outRow()
 	} else {
-		v.f = v.fbuf[:l.m.plan.Slot(j).Size]
+		v.f = v.fbuf[:l.e.plan.Slot(j).Size]
 	}
 	return v.f
 }
@@ -334,7 +339,7 @@ func (l *qlane) floatDest(j int) []float32 {
 func (l *qlane) float(j int) []float32 {
 	v := &l.vals[j+1]
 	if v.f == nil {
-		dequantizeInto(l.floatDest(j), l.slot(j), l.m.val(j).scale)
+		dequantizeInto(l.floatDest(j), l.slot(j), l.e.m.val(j).scale)
 	}
 	return v.f
 }
@@ -347,18 +352,16 @@ type ExportConfig struct {
 }
 
 // Export calibrates g on the given batches and lowers it into a
-// QuantizedModel. Calibration, the lowering and the forwards share one
-// nn.PlanCache, so a sample shape is compiled once: calibration observes the
-// plan whose steps the lowering installs its units on and a forward walks.
-// The graph is not modified, except that the arena its calibration forwards
-// used is released, as are the plans' packed float weights; the model holds
-// integer copies of the weights (with batch-norm folded into the conv
-// scales), runs the original layers only for float-fallback nodes, and
-// otherwise reads the graph's node list — which must not change — only to
-// plan a forward at a new input shape. A convolution whose accumulator could
-// leave int32 (tensor.Int8AccumulatorFits: more than 133 144 taps, or a bias
-// — batch norm folded in — beyond int32 in accumulator units) is lowered as
-// a float fallback unit, fused tail included, and shows as one in Stats.
+// QuantizedModel. Calibration, the lowering and the first executor's forwards
+// share one nn.PlanCache, so Export compiles a sample shape once. The graph is
+// not modified; the model holds integer copies of the weights (with batch-norm
+// folded into the conv scales), runs the original layers only for
+// float-fallback nodes, and otherwise reads the graph's node list — which must
+// not change — only to plan a forward at a new input shape. A convolution
+// whose accumulator could leave int32 (tensor.Int8AccumulatorFits: more than
+// 133 144 taps, or a bias — batch norm folded in — beyond int32 in accumulator
+// units) is lowered as a float fallback unit, fused tail included, and shows
+// as one in Stats.
 func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedModel, error) {
 	if len(g.Nodes) == 0 {
 		return nil, fmt.Errorf("quant: cannot export an empty graph")
@@ -370,29 +373,31 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 		}
 		force[i] = true
 	}
-	m := &QuantizedModel{separate: slices.Clone(force), plans: nn.NewPlanCache(g, force), output: len(g.Nodes) - 1}
+	m := &QuantizedModel{separate: slices.Clone(force), output: len(g.Nodes) - 1}
 	if g.Output >= 0 {
 		m.output = g.Output
 	}
-	clips, err := CalibrateActivations(m.plans, calib)
-	// Calibration ran the plans in float, on g's arena and the convolutions'
-	// weights packed for the float GEMM; the engine runs them on codes.
-	m.plans.Release()
+	plans := nn.NewPlanCache(g, force)
+	clips, err := CalibrateActivations(plans, calib)
+	// Calibration ran the plans in float, on the cache's arena and weights
+	// packed for the float GEMM; the engine runs them on codes.
+	plans.Release()
 	if err != nil {
 		return nil, err
 	}
-	m.lower(calib[0].Shape(), clips, force)
+	m.lower(plans, calib[0].Shape(), clips, force)
 	return m, nil
 }
 
-// lower installs a unit on every step of the plan for samples of the given
-// shape, each map on the int8 grid its clip spans. A Bundle step one of whose
-// convolutions would break the accumulator bound is split: its depth-wise
-// node is marked, and the lowering starts over on plans compiled under the
-// new mask.
-func (m *QuantizedModel) lower(shape []int, clips ActivationClips, force []bool) {
-	g := m.plans.Graph()
-	steps, _ := m.plans.For(shape).Steps()
+// lower installs a unit on every step of the plan of plans, a cache under
+// m.separate, for samples of the given shape, each map on the int8 grid its
+// clip spans, and makes plans the model's first executor's. A Bundle step one
+// of whose convolutions would break the accumulator bound is split: its
+// depth-wise node is marked, and the lowering starts over on a cache compiled
+// under the new mask.
+func (m *QuantizedModel) lower(plans *nn.PlanCache, shape []int, clips ActivationClips, force []bool) {
+	g := plans.Graph()
+	steps, _ := plans.For(shape).Steps()
 	m.units, m.vals = make([]unit, len(g.Nodes)), make([]value, len(g.Nodes)+1)
 	m.int8Units, m.floatUnits, m.fusedNodes = 0, 0, 0
 	m.vals[0].scale = grid(8, clips.Input).Scale
@@ -445,8 +450,7 @@ func (m *QuantizedModel) lower(shape []int, clips ActivationClips, force []bool)
 				pw := newQConv(g.Nodes[b.Conv].Layer.(*nn.Conv2D), s.Chain.BN, s.Chain.Act, scaleOf(s.Node), scaleOf(last), s.Out == m.output && s.Chain.Act == nil)
 				if dw == nil || pw == nil {
 					m.separate[s.Node] = true
-					m.plans = nn.NewPlanCache(g, m.separate)
-					m.lower(shape, clips, force)
+					m.lower(nn.NewPlanCache(g, m.separate), shape, clips, force)
 					return
 				}
 				install(s, &qbundle{dw: dw, pw: pw}, scaleOf(last))
@@ -486,6 +490,8 @@ func (m *QuantizedModel) lower(shape []int, clips ActivationClips, force []bool)
 			fallback(s)
 		}
 	}
+	m.free.Alloc = func() *qexec { return &qexec{m: m, plans: nn.NewPlanCache(g, m.separate)} }
+	m.free.Put(&qexec{m: m, plans: plans})
 }
 
 // capCode converts a float activation cap to its code-domain clamp: 127
@@ -577,7 +583,7 @@ func (q *qconv) direct() bool { return q.k == 1 && q.stride == 1 && q.pad == 0 }
 
 //skynet:hotpath
 func (q *qconv) run(l *qlane, s *nn.Step, leaf bool) {
-	in := l.m.dims(s.Inputs[0])
+	in := l.e.dims(s.Inputs[0])
 	cols, kk := s.Dims[2]*s.Dims[3], in[1]*q.k*q.k
 	b := l.codes(s.Inputs[0])
 	if !q.direct() {
@@ -624,7 +630,7 @@ func (l *qlane) run(s *nn.Step, n, k, rows int, leaf bool) {
 //
 //skynet:hotpath
 func (l *qlane) Band(w, r0, rows int) {
-	switch s := l.split; u := l.m.units[s.Out].(type) {
+	switch s := l.split; u := l.e.m.units[s.Out].(type) {
 	case *qbundle:
 		u.band(l, s, w, r0, rows)
 	case planeUnit:
@@ -658,10 +664,10 @@ func newQDW(d *nn.DWConv3, inScale, outScale float32) *qdw {
 //
 //skynet:hotpath
 func (q *qdw) planes(l *qlane, s *nn.Step, dst, src []int8, wk, lo, hi int) {
-	in := l.m.dims(s.Inputs[0])
+	in := l.e.dims(s.Inputs[0])
 	h, w, outH, outW := in[2], in[3], s.Dims[2], s.Dims[3]
 	for ch := lo; ch < hi; ch++ {
-		q.rows(dst[ch*outH*outW:(ch+1)*outH*outW], src[ch*h*w:(ch+1)*h*w], l.m.rows[wk*l.m.rowLen:][:outW], h, w, ch, 0)
+		q.rows(dst[ch*outH*outW:(ch+1)*outH*outW], src[ch*h*w:(ch+1)*h*w], l.e.rows[wk*l.e.rowLen:][:outW], h, w, ch, 0)
 	}
 }
 
@@ -697,7 +703,7 @@ func (q *qbundle) run(l *qlane, s *nn.Step, leaf bool) {
 		l.dest(r)
 	}
 	k := s.Band.K
-	l.run(s, tensor.ConvOut(l.m.dims(s.Inputs[0])[2], q.dw.k, q.dw.stride, q.dw.pad)/k, k, s.Band.Rows, leaf)
+	l.run(s, tensor.ConvOut(l.e.dims(s.Inputs[0])[2], q.dw.k, q.dw.stride, q.dw.pad)/k, k, s.Band.Rows, leaf)
 }
 
 // band takes depth-wise output rows [r0, r0+rows) of step s to its outputs,
@@ -705,14 +711,14 @@ func (q *qbundle) run(l *qlane, s *nn.Step, leaf bool) {
 //
 //skynet:hotpath
 func (q *qbundle) band(l *qlane, s *nn.Step, w, r0, rows int) {
-	in, m, c, outC, k := l.m.dims(s.Inputs[0]), l.m, q.dw.c, q.pw.outC, s.Band.K
+	in, e, c, outC, k := l.e.dims(s.Inputs[0]), l.e, q.dw.c, q.pw.outC, s.Band.K
 	h, wd := in[2], in[3]
 	outH, outW := tensor.ConvOut(h, q.dw.k, q.dw.stride, q.dw.pad), tensor.ConvOut(wd, q.dw.k, q.dw.stride, q.dw.pad)
 	cols, n, src := outH*outW, rows*outW, l.slot(s.Inputs[0])
-	band := m.bands[w*m.bandLen : (w+1)*m.bandLen]
+	band := e.bands[w*e.bandLen : (w+1)*e.bandLen]
 	dwb := band[:c*n]
 	for ch := 0; ch < c; ch++ {
-		q.dw.rows(dwb[ch*n:(ch+1)*n], src[ch*h*wd:(ch+1)*h*wd], m.rows[w*m.rowLen:][:outW], h, wd, ch, r0)
+		q.dw.rows(dwb[ch*n:(ch+1)*n], src[ch*h*wd:(ch+1)*h*wd], e.rows[w*e.rowLen:][:outW], h, wd, ch, r0)
 	}
 	ep := q.pw.ep
 	ep.Leaf = true // a band runs inside a lane or a lone lane's split, both on the GEMM pool
@@ -755,7 +761,7 @@ func (q *qpool) run(l *qlane, s *nn.Step, leaf bool) { l.planes(s, leaf) }
 
 //skynet:hotpath
 func (q *qpool) planes(l *qlane, s *nn.Step, dst, src []int8, _, lo, hi int) {
-	in := l.m.dims(s.Inputs[0])
+	in := l.e.dims(s.Inputs[0])
 	h, w, out := in[2], in[3], s.Dims[2]*s.Dims[3]
 	maxPoolCodes(dst[lo*out:hi*out], src[lo*h*w:hi*h*w], hi-lo, h, w, q.k)
 }
@@ -799,7 +805,7 @@ type qreorg struct{ s int }
 
 //skynet:hotpath
 func (q *qreorg) run(l *qlane, s *nn.Step, _ bool) {
-	in := l.m.dims(s.Inputs[0])
+	in := l.e.dims(s.Inputs[0])
 	nn.ReorgInto(l.dest(s.Out), l.codes(s.Inputs[0]), 1, in[1], in[2], in[3], q.s)
 }
 
@@ -824,10 +830,13 @@ func (q *qconcat) run(l *qlane, s *nn.Step, _ bool) {
 // qfallback runs original float layers — a node's, then those of the tail
 // fused onto it — between dequantize/quantize shims, a sample at a time. Its
 // output carries the node's calibrated scale so downstream int8 consumers can
-// quantize it lazily; a fallback consumer gets the floats themselves. The
-// layers keep state of their own, which is why a model with one runs on one
-// lane.
-type qfallback struct{ layers []nn.Layer }
+// quantize it lazily; a fallback consumer gets the floats themselves. A
+// layer's own Forward writes its scratch, so a model with a fallback runs on
+// one lane, and the unit's calls take turns (mu) across the model's forwards.
+type qfallback struct {
+	mu     sync.Mutex
+	layers []nn.Layer
+}
 
 //skynet:hotpath
 func (q *qfallback) run(l *qlane, s *nn.Step, _ bool) {
@@ -835,11 +844,13 @@ func (q *qfallback) run(l *qlane, s *nn.Step, _ bool) {
 	for k, j := range s.Inputs {
 		ins[k] = l.tensor(j)
 	}
+	q.mu.Lock()
 	out := q.layers[0].Forward(ins, false)
 	for _, layer := range q.layers[1:] {
 		ins[0] = out
 		out = layer.Forward(ins[:1], false)
 	}
+	q.mu.Unlock()
 	clear(ins)
 	l.vals[s.Out+1].f = out.Data
 }
@@ -850,7 +861,7 @@ func (q *qfallback) run(l *qlane, s *nn.Step, _ bool) {
 //skynet:hotpath
 func (l *qlane) tensor(j int) *tensor.Tensor {
 	v, f := &l.vals[j+1], l.float(j)
-	if dims := l.m.dims(j); v.view == nil || !slices.Equal(v.view.Shape(), dims) {
+	if dims := l.e.dims(j); v.view == nil || !slices.Equal(v.view.Shape(), dims) {
 		v.view = tensor.FromSlice(f, dims...)
 	}
 	v.view.Data = f

@@ -50,7 +50,7 @@ func TestExportFusesSkyNet(t *testing.T) {
 	qm.Forward(calib[0], false)
 	want := [][2]int{{0, 4}, {5, 9}, {10, 14}, {15, 18}, {19, 22}, {24, 24}, {25, 28}, {29, 29}}
 	var got [][2]int
-	for i, s := range qm.steps {
+	for i, s := range qm.last().steps {
 		got = append(got, [2]int{s.Node, s.Out})
 		if _, bundle := qm.units[s.Out].(*qbundle); bundle != (i < 7 && i != 5) || (s.Band != nil) != bundle {
 			t.Errorf("step %d (node %d) has Band %v and unit %T", i, s.Node, s.Band, qm.units[s.Out])
@@ -59,18 +59,18 @@ func TestExportFusesSkyNet(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("steps and laid-out Concats (node, out):\n got %v\nwant %v", got, want)
 	}
-	if r := qm.steps[2].Band.Reorg; r != 23 {
+	if r := qm.last().steps[2].Band.Reorg; r != 23 {
 		t.Errorf("Bundle 3 writes reorder %d beside its pool, want 23", r)
 	}
-	for i, s := range qm.steps {
+	for i, s := range qm.last().steps {
 		if s.Laid != (i == 5) {
 			t.Errorf("step %d (node %d) is laid out: %v", i, s.Node, s.Laid)
 		}
 	}
-	if laid := qm.steps[5]; !slices.Equal(laid.Inputs, []int{22, 23}) {
+	if laid := qm.last().steps[5]; !slices.Equal(laid.Inputs, []int{22, 23}) {
 		t.Fatalf("the step after Bundle 5's is %+v, want the Concat (24) of its map and the reorder laid out", laid)
 	}
-	cat, b5, reorg := qm.plan.Slot(24), qm.plan.Slot(22), qm.plan.Slot(23)
+	cat, b5, reorg := qm.last().plan.Slot(24), qm.last().plan.Slot(22), qm.last().plan.Slot(23)
 	if cat.Off != b5.Off || reorg.Off != b5.Off+b5.Size || cat.Size != b5.Size+reorg.Size {
 		t.Errorf("the Concat's slot [%d, +%d) is not Bundle 5's [%d, +%d) and the reorder's [%d, +%d) side by side", cat.Off, cat.Size, b5.Off, b5.Size, reorg.Off, reorg.Size)
 	}

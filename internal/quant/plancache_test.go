@@ -32,15 +32,15 @@ func TestPlanCacheServesEveryShape(t *testing.T) {
 		return qm
 	}
 	qm := export()
-	if n := qm.plans.Len(); n != 1 {
+	if n := qm.last().plans.Len(); n != 1 {
 		t.Fatalf("Export at one sample shape left %d plans", n)
 	}
-	p := qm.plans.For(calib[0].Shape())
+	p := qm.last().plans.For(calib[0].Shape())
 	for k := 0; k < 3; k++ {
 		qm.Forward(randBatch(rng, 1+k, 3, 48, 96), false)
 	}
-	if n := qm.plans.Len(); n != 1 || qm.plan != p {
-		t.Fatalf("after three forwards at the calibration shape: %d plans, the forwards' is calibration's: %v", n, qm.plan == p)
+	if n := qm.last().plans.Len(); n != 1 || qm.last().plan != p {
+		t.Fatalf("after three forwards at the calibration shape: %d plans, the forwards' is calibration's: %v", n, qm.last().plan == p)
 	}
 
 	for _, batch := range []int{1, 3} {
@@ -78,7 +78,7 @@ func TestPlanCacheServesEveryShape(t *testing.T) {
 			})
 		}
 	}
-	if n := qm.plans.Len(); n != 2 {
+	if n := qm.last().plans.Len(); n != 2 {
 		t.Fatalf("a model that took two sample shapes holds %d plans", n)
 	}
 }

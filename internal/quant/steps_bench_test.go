@@ -13,28 +13,28 @@ import (
 	"skynet/internal/tensor"
 )
 
-// stepTimer walks the samples of an int8 forward as laneWalker.WalkSample
+// stepTimer walks the samples of an int8 forward as qexec.WalkSample
 // does, but times every step it runs, lane by lane.
 type stepTimer struct {
-	m     *QuantizedModel
+	e     *qexec
 	spent [][]time.Duration // by lane, then by step
 }
 
 func (s *stepTimer) WalkSample(li, i int, leaf bool) {
-	m, l := s.m, s.m.lanes[li]
+	e, l := s.e, s.e.lanes[li]
 	for j := range l.vals {
 		l.vals[j].coded, l.vals[j].f = false, nil
 	}
 	l.sample = i
-	in := m.plan.Slot(nn.GraphInput).Size
-	l.vals[0].f = m.x[i*in : (i+1)*in]
-	for k := range m.steps {
-		st := &m.steps[k]
+	in := e.plan.Slot(nn.GraphInput).Size
+	l.vals[0].f = e.x[i*in : (i+1)*in]
+	for k := range e.steps {
+		st := &e.steps[k]
 		start := time.Now()
-		m.units[st.Out].run(l, st, leaf)
+		e.m.units[st.Out].run(l, st, leaf)
 		s.spent[li][k] += time.Since(start)
 	}
-	if row, f := l.outRow(), l.float(m.output); &f[0] != &row[0] {
+	if row, f := l.outRow(), l.float(e.m.output); &f[0] != &row[0] {
 		copy(row, f)
 	}
 	l.vals[0].f = nil
@@ -44,22 +44,23 @@ func (s *stepTimer) WalkSample(li, i int, leaf bool) {
 // QuantizedModel.Forward runs it — the same steps, lanes and bands — and each
 // step's name and time in it, the most any one lane spent on it.
 func int8StepTimes(m *QuantizedModel, x *tensor.Tensor) (names []string, times []time.Duration) {
-	n := x.Dim(0)
-	m.use(m.plans.For(x.Shape()))
+	e, n := m.free.Get(), x.Dim(0)
+	defer m.free.Put(e)
+	e.use(e.plans.For(x.Shape()))
 	lanes := 1
 	if m.floatUnits == 0 {
 		lanes = nn.LanesFor(n)
 	}
-	m.prepare(lanes)
-	m.outShape[0] = n
-	m.x, m.y = x.Data, tensor.New(m.outShape...).Data
-	timer := &stepTimer{m: m, spent: make([][]time.Duration, lanes)}
+	e.prepare(lanes)
+	e.outShape[0] = n
+	e.x, e.y = x.Data, tensor.New(e.outShape...).Data
+	timer := &stepTimer{e: e, spent: make([][]time.Duration, lanes)}
 	for i := range timer.spent {
-		timer.spent[i] = make([]time.Duration, len(m.steps))
+		timer.spent[i] = make([]time.Duration, len(e.steps))
 	}
 	nn.RunLanes(timer, n, lanes)
-	m.x, m.y = nil, nil
-	for k, st := range m.steps {
+	e.x, e.y = nil, nil
+	for k, st := range e.steps {
 		var most time.Duration
 		for _, spent := range timer.spent {
 			most = max(most, spent[k])

@@ -10,8 +10,7 @@ package serve
 // It is not the §6.3 stream executor, which overlaps the stages of
 // consecutive frames of one stream. Serving requests are independent and
 // arrive on goroutines of their own, so the CPU-side work runs there — before
-// admission and after the answer — and only the models, one forward at a time
-// each, need a queue.
+// admission and after the answer — and only the forwards need a queue.
 
 import (
 	"context"

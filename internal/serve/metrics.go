@@ -230,7 +230,7 @@ func (p *Pool) Metrics() PoolMetrics {
 	g := p.gen.Load()
 	gm := g.Metrics()
 	return PoolMetrics{
-		Replicas:       len(g.models),
+		Replicas:       p.cfg.Replicas,
 		Generation:     g.id,
 		Swaps:          p.swaps.Load(),
 		Draining:       p.Draining(),
@@ -259,7 +259,7 @@ func (g *generation) Metrics() Metrics {
 		Expired:    g.expired.Load(),
 		Latency:    g.hist.Summary(),
 	}
-	infer := stageJSON(g.work.Stats(pipeline.StageInfer, len(g.models)))
+	infer := stageJSON(g.work.Stats(pipeline.StageInfer, len(g.live)))
 	m.Batches, m.MeanBatchSize = infer.Batches, infer.MeanBatchSize
 	m.Stages = []pipelineStageJSON{stageJSON(g.pre.Stats(pipeline.StagePre, 0)), infer, stageJSON(g.post.Stats(pipeline.StagePost, 0))}
 	return m

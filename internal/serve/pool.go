@@ -1,15 +1,13 @@
 package serve
 
-// The detection service: one admission queue and N inference workers. A
-// forward spreads over the cores (a batch as lanes, a lone frame through GEMM
-// splits) but is not reentrant, so one model runs one forward at a time; the
-// Pool therefore holds N private model instances, each driven by its own
-// worker, all taking requests off the one bounded queue (a generation,
-// serve.go). An idle worker takes whatever is queued, so no request waits
-// while a worker is free, and the pool sheds with 429 only when that queue is
-// full. In front of the queue sit the response cache, keyed by a 128-bit hash
-// of the frame, and — on the HTTP door — a semaphore that bounds requests in
-// flight before their bodies are read.
+// The detection service: one admission queue and N inference workers sharing
+// one model (a generation, serve.go), as the paper's deployments keep one copy
+// of the weights: a forward spreads over the cores and writes nothing into the
+// model, each on an executor of its own. An idle worker takes whatever is
+// queued, so no request waits while a worker is free, and the pool sheds with
+// 429 only when that queue is full. In front of the queue sit the response
+// cache, keyed by a 128-bit hash of the frame, and — on the HTTP door — a
+// semaphore that bounds requests in flight before their bodies are read.
 //
 // Model hot-swap is generation-based: Swap builds a complete new generation
 // from a ModelFactory, atomically publishes it, invalidates the response
@@ -32,17 +30,17 @@ import (
 	"skynet/internal/tensor"
 )
 
-// ModelFactory builds one private model+head pair. The pool calls it once
-// per inference worker — a model is never shared between workers, which is
-// what lets N forwards run concurrently — and again for every worker of a
-// hot-swap's new generation. The heads must be interchangeable: the
-// generation decodes every answer with one of them.
+// ModelFactory builds a generation's model+head pair. The pool calls it once
+// per generation — NewPool's, and each hot-swap's —, whatever the worker
+// count: every worker of the generation runs its forwards on the one model,
+// side by side, so the model's Forward(x, false) must be safe for concurrent
+// use, as *nn.Graph's and *quant.QuantizedModel's are.
 type ModelFactory func() (detect.Model, *detect.Head, error)
 
 // PoolConfig tunes a Pool. The zero value selects serving defaults.
 type PoolConfig struct {
-	// Replicas is the number of inference workers, each with a private model
-	// instance; 0 selects GOMAXPROCS capped at 8.
+	// Replicas is the number of inference workers, all sharing the
+	// generation's one model; 0 selects GOMAXPROCS capped at 8.
 	Replicas int
 	// Replica tunes the engine (batching, deadline, and the admission queue's
 	// depth per worker).
@@ -75,7 +73,7 @@ const (
 	swapDrainTimeout = 30 * time.Second
 )
 
-// Pool is the detection service: N inference workers with private models on
+// Pool is the detection service: N inference workers sharing one model on
 // one admission queue, a generation-scoped response cache, and zero-drop
 // model hot-swap. Create with NewPool, stop with Drain or Close.
 type Pool struct {
@@ -101,7 +99,8 @@ type Pool struct {
 	swaps       atomic.Int64
 }
 
-// NewPool builds cfg.Replicas models from the factory and starts serving.
+// NewPool builds the model from the factory, once, and starts serving it on
+// cfg.Replicas workers.
 func NewPool(factory ModelFactory, cfg PoolConfig) (*Pool, error) {
 	if factory == nil {
 		return nil, errors.New("serve: pool needs a model factory")
@@ -131,22 +130,17 @@ func (p *Pool) acquire() bool {
 
 func (p *Pool) release() { <-p.inflight }
 
-// buildGeneration builds every worker's model before it starts the lane, so
-// a failing factory has started nothing.
+// buildGeneration builds the generation's model before it starts the lane,
+// so a failing factory has started nothing.
 func (p *Pool) buildGeneration(factory ModelFactory, id int64) (*generation, error) {
-	models := make([]detect.Model, p.cfg.Replicas)
-	var head *detect.Head
-	for i := range models {
-		m, h, err := factory()
-		if err == nil && (m == nil || h == nil) {
-			err = errors.New("model and head are required")
-		}
-		if err != nil {
-			return nil, fmt.Errorf("serve: building model %d: %w", i, err)
-		}
-		models[i], head = m, h
+	m, h, err := factory()
+	if err == nil && (m == nil || h == nil) {
+		err = errors.New("model and head are required")
 	}
-	return newGeneration(id, models, head, p.cfg.Replica), nil
+	if err != nil {
+		return nil, fmt.Errorf("serve: building the model: %w", err)
+	}
+	return newGeneration(id, m, h, p.cfg.Replicas, p.cfg.Replica), nil
 }
 
 // Submit runs one detection through the pool: the cache, then the serving

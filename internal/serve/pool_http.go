@@ -37,7 +37,8 @@ type SwapRequest struct {
 }
 
 // maxSwapCalib bounds SwapRequest.Calib: the loader draws that many scenes
-// per replica, so a client-sized count must not reach it unchecked.
+// for the generation's one model, so a client-sized count must not reach it
+// unchecked.
 const maxSwapCalib = 1024
 
 // SwapResponse reports a completed swap.

@@ -82,20 +82,20 @@ type request struct {
 var requests = tensor.FreeList[request]{Alloc: func() *request { return &request{ticket: newTicket()} }}
 
 // generation is one model generation, the pool's whole detection engine: a
-// lane with one worker per private model — an idle worker micro-batches
-// whatever is queued through its own model — with pre-process (prepare) and
-// decode (submitFrame) on the caller's goroutine either side of the queue. It
-// has no HTTP surface — Pool is the front door — and is safe for concurrent
-// use. Immutable once started: the pool publishes generations atomically and
-// a request works against the one it loaded. Stop with drain (graceful) or
-// close.
+// lane whose workers share the one model — an idle worker micro-batches
+// whatever is queued through it, beside the others' forwards — with
+// pre-process (prepare) and decode (submitFrame) on the caller's goroutine
+// either side of the queue. It has no HTTP surface — Pool is the front door —
+// and is safe for concurrent use. Immutable once started: the pool publishes
+// generations atomically and a request works against the one it loaded. Stop
+// with drain (graceful) or close.
 type generation struct {
 	lane[*request]
 	id       int64
-	idHeader []string       // id as the X-Skynet-Generation value, built once
-	models   []detect.Model // worker i drives models[i], and nothing else does
-	head     *detect.Head   // read-only: every caller decodes with it
-	channels int            // Config.Channels
+	idHeader []string     // id as the X-Skynet-Generation value, built once
+	model    detect.Model // every worker's: its forwards are safe for concurrent use
+	head     *detect.Head // read-only: every caller decodes with it
+	channels int          // Config.Channels
 	hist     Histogram
 
 	pre, post pipeline.StageClock // the stages the callers run, counted beside the workers'
@@ -106,23 +106,23 @@ type generation struct {
 	expired atomic.Int64
 }
 
-// newGeneration starts the serving lane over the models: one worker each
-// (Graph forwards share buffers and are not concurrency-safe), all on one
-// queue of QueueDepth per worker.
-func newGeneration(id int64, models []detect.Model, h *detect.Head, cfg Config) *generation {
+// newGeneration starts the serving lane over the model: the given number of
+// workers, each running its forwards on it, all on one queue of QueueDepth
+// per worker.
+func newGeneration(id int64, m detect.Model, h *detect.Head, workers int, cfg Config) *generation {
 	cfg.normalize()
 	g := &generation{
 		id:       id,
 		idHeader: []string{strconv.FormatInt(id, 10)},
-		models:   models,
+		model:    m,
 		head:     h,
 		channels: cfg.Channels,
-		live:     make([][]*detect.Frame, len(models)),
+		live:     make([][]*detect.Frame, workers),
 	}
 	for i := range g.live {
 		g.live[i] = make([]*detect.Frame, 0, cfg.MaxBatch)
 	}
-	g.start(len(models), len(models)*cfg.QueueDepth, cfg.RequestTimeout, cfg.MaxBatch, g.inferBatch)
+	g.start(workers, workers*cfg.QueueDepth, cfg.RequestTimeout, cfg.MaxBatch, g.inferBatch)
 	return g
 }
 
@@ -145,7 +145,7 @@ func (g *generation) inferBatch(worker int, batch []*request) {
 			}
 			live = append(live, &req.frame)
 		}
-		if err := inferBatchSafe(g.models[worker], live); err != nil {
+		if err := inferBatchSafe(g.model, live); err != nil {
 			for _, req := range batch[lo:hi] {
 				if req.err == nil {
 					req.err = err

@@ -3,8 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"skynet/internal/backbone"
@@ -80,5 +84,78 @@ func TestDetectNonFiniteFrameIs400(t *testing.T) {
 	}
 	if n := p.Metrics().Cache.Entries; n != 0 {
 		t.Fatalf("the cache holds %d entries after three failed requests", n)
+	}
+}
+
+// TestPoolBuildsOneModelPerGeneration: the workers of a generation share its
+// one model, so NewPool and a Swap call the factory once each, at 1, 2 and 4
+// workers alike; and on a real SkyNet C generation, float and int8, four
+// workers answer a burst of concurrent requests bit for bit as one does.
+func TestPoolBuildsOneModelPerGeneration(t *testing.T) {
+	for _, replicas := range []int{1, 2, 4} {
+		var calls atomic.Int64
+		factory := func() (detect.Model, *detect.Head, error) {
+			calls.Add(1)
+			return &stubModel{}, detect.NewHead(nil), nil
+		}
+		p := newTestPool(t, factory, PoolConfig{Replicas: replicas, CacheEntries: -1})
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("NewPool at %d workers called the factory %d times, want once", replicas, n)
+		}
+		if err := p.Swap(context.Background(), factory); err != nil {
+			t.Fatal(err)
+		}
+		if n := calls.Load(); n != 2 {
+			t.Fatalf("NewPool and a Swap at %d workers called the factory %d times, want twice", replicas, n)
+		}
+		if m := p.Metrics(); m.Replicas != replicas || p.Replicas() != replicas {
+			t.Fatalf("a pool of %d workers reports %d (metrics) and %d", replicas, m.Replicas, p.Replicas())
+		}
+	}
+
+	rng := rand.New(rand.NewSource(54))
+	head := detect.NewHead(nil)
+	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: head.Channels(), ReLU6: true})
+	random := func(shape ...int) *tensor.Tensor {
+		x := tensor.New(shape...)
+		for i := range x.Data {
+			x.Data[i] = rng.Float32()
+		}
+		return x
+	}
+	qm, err := quant.Export(g, []*tensor.Tensor{random(2, 3, 48, 96)}, quant.ExportConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := make([]*tensor.Tensor, 12)
+	for i := range imgs {
+		imgs[i] = random(3, 48, 96)
+	}
+	answers := func(m detect.Model, replicas int) []string {
+		p := newTestPool(t, func() (detect.Model, *detect.Head, error) { return m, head, nil },
+			PoolConfig{Replicas: replicas, CacheEntries: -1, Replica: Config{MaxBatch: 2}})
+		out := make([]string, len(imgs))
+		var wg sync.WaitGroup
+		for i, img := range imgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				box, conf, err := p.Submit(context.Background(), img)
+				out[i] = fmt.Sprint(err)
+				for _, v := range []float64{box.CX, box.CY, box.W, box.H, conf} {
+					out[i] += fmt.Sprintf(" %x", math.Float64bits(v))
+				}
+			}()
+		}
+		wg.Wait()
+		return out
+	}
+	for name, m := range map[string]detect.Model{"float": g, "int8": qm} {
+		one, four := answers(m, 1), answers(m, 4)
+		for i := range one {
+			if four[i] != one[i] {
+				t.Fatalf("%s, request %d: 4 workers answered %s, one worker %s", name, i, four[i], one[i])
+			}
+		}
 	}
 }

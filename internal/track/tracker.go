@@ -150,7 +150,7 @@ func (t *Tracker) SearchCrop(img *tensor.Tensor, b detect.Box, cx, cy float64) (
 // nothing. Training forwards never write it: Backward holds their outputs.
 type workspace struct {
 	cfg   Config
-	bb    *nn.Graph
+	plans *nn.PlanCache  // the backbone's executor: both branches' plans, on one arena
 	z, x  branch         // the exemplar's and the search region's
 	cols  tensor.ColTaps // the crop's column taps, as wide as the wider crop
 	r     int            // the response side
@@ -162,7 +162,7 @@ type workspace struct {
 }
 
 // branch is the forward of one crop size: the crop, the backbone's plan for
-// it and that plan's output, and the adjust layer's, the features.
+// it (on the workspace's executor) and its output, and the adjust layer's.
 type branch struct {
 	crop  *tensor.Tensor // [3,s,s]
 	crop4 *tensor.Tensor // crop as a batch of one
@@ -175,10 +175,10 @@ type branch struct {
 // newBranch builds the branch for s-pixel crops. The feature side is the
 // compiled plan's output shape — not the crop side divided by the stride,
 // which disagrees with the backbone for sides that are not a multiple of it.
-func (t *Tracker) newBranch(s int) branch {
+func (t *Tracker) newBranch(plans *nn.PlanCache, s int) branch {
 	b := branch{crop: tensor.New(3, s, s)}
 	b.crop4 = b.crop.Reshape(1, 3, s, s)
-	b.plan = nn.Compile(t.Backbone, b.crop4.Shape(), nil)
+	b.plan = plans.For(b.crop4.Shape())
 	b.bb = tensor.New(b.plan.OutShape(1)...)
 	fh, fw := b.bb.Dim(2), b.bb.Dim(3)
 	b.adj = tensor.New(1, t.Adjust.OutC, fh, fw)
@@ -189,12 +189,12 @@ func (t *Tracker) newBranch(s int) branch {
 // work returns the step workspace, building it on first use and again when
 // the config or the backbone changed.
 func (t *Tracker) work() (*workspace, error) {
-	if w := t.ws; w != nil && w.cfg == t.Cfg && w.bb == t.Backbone {
+	if w := t.ws; w != nil && w.cfg == t.Cfg && w.plans.Graph() == t.Backbone {
 		return w, nil
 	}
-	w := &workspace{cfg: t.Cfg, bb: t.Backbone,
-		z: t.newBranch(t.Cfg.ExemplarSize), x: t.newBranch(t.Cfg.SearchSize),
+	w := &workspace{cfg: t.Cfg, plans: nn.NewPlanCache(t.Backbone, nil),
 		cols: make(tensor.ColTaps, max(t.Cfg.ExemplarSize, t.Cfg.SearchSize))}
+	w.z, w.x = t.newBranch(w.plans, t.Cfg.ExemplarSize), t.newBranch(w.plans, t.Cfg.SearchSize)
 	if w.r = w.x.feat.Dim(1) - w.z.feat.Dim(1) + 1; w.r < 1 {
 		return nil, fmt.Errorf("track: exemplar features %v larger than search features %v", w.z.feat.Shape(), w.x.feat.Shape())
 	}
