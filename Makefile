@@ -124,8 +124,8 @@ short:
 # get the same three runs: N inference workers share one queue, and how they
 # interleave on it — through a drain, a close and a swap — depends on how many
 # run at once. So do the tracking service's session tests: every session's
-# steps run on the tracker's one step workspace, and how sessions interleave
-# on it depends on how many callers run at once.
+# steps take turns on the service's one worker, and how sessions interleave
+# there depends on how many callers run at once.
 # The stream executor's tests, and detect's over it, get the three runs too:
 # each stage is one goroutine, and how their queues fill and drain — through a
 # batch, a failure and a cancellation — depends on how many run at once, as
@@ -136,7 +136,9 @@ short:
 # its allocations on each worker count, and the pinned observer order is the
 # observed run's on one worker: both ride along with the lane tests. So do
 # the tests that run forwards side by side on one graph or int8 model, each
-# on an executor of its own, and the pool's, whose workers share one model.
+# on an executor of its own, and the pool's, whose workers share one model;
+# so does the one that deals a model with float fallback units to lanes,
+# whose fallback steps run the float plan's step side by side.
 # tensor's packing panels (16-column float and int8 panels alike, the int8 A
 # panels as int16 pairs) are taken per chunk in flight: how many a free list
 # builds, and whether a warm call still allocates nothing, depends on how
@@ -144,13 +146,15 @@ short:
 # leaf calls from lanes get the three runs.
 # The layer walk's convolutions deal their batch to lanes the same way, so
 # their parallel tests and the tracker-training determinism test (whose
-# backward runs through them) get the three runs too.
+# backward runs through them) get the three runs too, as does the test that
+# runs tracking steps side by side on one tracker, each on a workspace of its
+# own.
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool.
-LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch|ConcurrentForwards
+LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch|ConcurrentForwards|FallbackUnitsRunOnLanes
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite|OneModelPerGeneration
 STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
-LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers
+LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers|ConcurrentStepsOnOneTracker
 race:
 	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/... ./internal/quant/...
 	$(GO) test -race -short -cpu 1,2,4 -run '$(LANE_TESTS)' ./internal/nn ./internal/quant

@@ -84,6 +84,8 @@ func run(args []string, stdout io.Writer) error {
 		return usage(fmt.Sprintf("-imgw %d: the calibration scenes need a positive width", *imgW))
 	case *imgH < 1:
 		return usage(fmt.Sprintf("-imgh %d: the calibration scenes need a positive height", *imgH))
+	case *calibN < 1: // also the default of a swap that asks to quantize
+		return usage(fmt.Sprintf("-calib %d: quantizing needs at least one calibration scene", *calibN))
 	}
 	// factoryFor builds a generation's one model, which its workers share:
 	// NewPool (reporting a bad checkpoint) and each hot-swap load it once.

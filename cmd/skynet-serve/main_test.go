@@ -34,6 +34,8 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		{[]string{"-quantize", "-imgh", "0"}, "-imgh 0", true},
 		{[]string{"-imgh", "-3"}, "-imgh -3", true},
 		{[]string{"-ckpt", ""}, "-ckpt", true},
+		{[]string{"-quantize", "-calib", "0"}, "-calib 0", true},
+		{[]string{"-calib", "-2"}, "-calib -2", true},
 		{[]string{"-quantize", "-imgw", "7"}, "-imgw 7", false},
 	} {
 		var out strings.Builder

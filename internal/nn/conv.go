@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
 
 	"skynet/internal/tensor"
@@ -81,43 +80,28 @@ func (c *Conv2D) Params() []*Param {
 }
 
 // Forward lowers the convolution to one GEMM per image, the images dealt to
-// lanes: ForwardInto a fresh tensor.
+// lanes, into a fresh tensor, and records the geometry for Cost and Backward.
 //
 //skynet:hotpath
 func (c *Conv2D) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, c.label)
 	expect4D(x.Shape(), c.InC, c.label)
-	outH, outW := c.outSize(x.Dim(2), x.Dim(3))
-	out := tensor.New(x.Dim(0), c.OutC, outH, outW)
-	c.ForwardInto(out, x)
-	c.x = cacheIf(train, x)
-	return out
-}
-
-// ForwardInto is the inference forward of x [N,InC,H,W] into dst, which must
-// be [N,OutC,H',W']: the images dealt to lanes, the geometry recorded for
-// Cost and Backward. It allocates nothing once the layer's im2col scratch
-// fits the geometry, and caches nothing for Backward.
-//
-//skynet:hotpath
-func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor) {
-	expect4D(x.Shape(), c.InC, c.label)
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := c.outSize(h, w)
-	if dst.Rank() != 4 || dst.Dim(0) != n || dst.Dim(1) != c.OutC || dst.Dim(2) != outH || dst.Dim(3) != outW {
-		panic(fmt.Sprintf("nn: layer %s writes [%d %d %d %d], not into %v", c.label, n, c.OutC, outH, outW, dst.Shape()))
-	}
-	c.x, c.lastN, c.inH, c.inW, c.outH, c.outW = nil, n, h, w, outH, outW
+	out := tensor.New(n, c.OutC, outH, outW)
+	c.lastN, c.inH, c.inW, c.outH, c.outW = n, h, w, outH, outW
 	lanes := LanesFor(n)
 	if !c.direct() {
 		c.ensureScratch(lanes)
 	}
-	c.fwd = convImages{c, dst.Data, x.Data}
+	c.fwd = convImages{c, out.Data, x.Data}
 	RunLanes(&c.fwd, n, lanes)
 	c.fwd = convImages{}
+	c.x = cacheIf(train, x)
+	return out
 }
 
-// convImages is the operands of one ForwardInto, as RunLanes walks them.
+// convImages is the operands of one Forward, as RunLanes walks them.
 type convImages struct {
 	c        *Conv2D
 	dst, src []float32

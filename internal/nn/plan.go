@@ -317,9 +317,6 @@ func (c *PlanCache) compile(in []int) *Plan {
 			expect4D(shapes[0], l.InC, l.label)
 			outH, outW := l.outSize(shapes[0][2], shapes[0][3])
 			pn.Dims = []int{1, l.OutC, outH, outW}
-			if !l.direct() {
-				p.colLen = max(p.colLen, l.InC*l.K*l.K*outH*outW)
-			}
 			pn.chain = chains[i]
 			if pn.chain.BN != nil {
 				pn.inv = make([]float32, l.OutC)
@@ -581,22 +578,26 @@ func (p *Plan) listSteps() {
 		if b := pn.band; b != nil {
 			st.Chain = p.nodes[b.Conv].chain
 		}
-		p.steps = append(p.steps, st)
+		p.steps, p.colLen = append(p.steps, st), max(p.colLen, p.ColLen(&st))
 	}
 }
 
 // Steps returns the plan's steps in execution order and the arena one
 // sample's walk through them needs, in elements. Both belong to the plan.
+//
+//skynet:hotpath
 func (p *Plan) Steps() (steps []Step, perSample int) { return p.steps, p.perSample }
 
 // lane is one worker's share of an inference forward: it walks its samples,
 // one after the other, through the plan's steps on a region of the arena one
 // sample large. What differs between two samples in flight — the region, the
-// output rows, the im2col scratch, the argument list of the step being run —
+// sample and its output rows, the im2col scratch, the Bundle step being run —
 // is here, so that lanes running side by side only read the plan and the
-// layers.
+// layers. It is the Maps its steps read their inputs from.
 type lane struct {
+	c     *PlanCache
 	arena []float32 // the lane's region of the cache's arena
+	x     []float32 // the sample in flight
 	out   []float32 // the rows of the output batch the sample in flight fills
 	col   []float32 // the im2col matrix of the k×k convolution in flight
 	// band is the buffer of the Bundle band in flight on worker i, for the
@@ -606,18 +607,15 @@ type lane struct {
 }
 
 // prepare readies p and its cache for a forward on the given number of lanes,
-// before the lanes start and only read them: every fused batch norm's
-// 1/sqrt(var+eps) and every convolution's packed weights from the layers as
-// they are now (it writes no layer), the arena, one region per lane, and the
-// lanes with their im2col scratch and every worker's band buffer. All only
-// grow, never with the batch, so a forward once they fit allocates nothing.
+// before the lanes start and only read them: every step loaded (Load), the
+// arena, one region per lane, and the lanes with their im2col scratch and
+// every worker's band buffer. All only grow, never with the batch, so a
+// forward once they fit allocates nothing.
 //
 //skynet:hotpath
 func (p *Plan) prepare(lanes int) {
-	for i := range p.nodes { // a convolution heads a step or is a Bundle step's
-		if _, ok := p.nodes[i].layer.(*Conv2D); ok {
-			p.nodes[i].fill()
-		}
+	for i := range p.steps {
+		p.Load(&p.steps[i])
 	}
 	c := p.c
 	if need := p.perSample * lanes; len(c.arena) < need {
@@ -632,7 +630,7 @@ func (p *Plan) prepare(lanes int) {
 	}
 	for len(c.lanes) < workers {
 		//skynet:nolint hotalloc -- grow-once: the lanes grow to the most workers a forward has had, then every forward reuses them
-		c.lanes = append(c.lanes, &lane{})
+		c.lanes = append(c.lanes, &lane{c: c})
 	}
 	for i, l := range c.lanes[:lanes] {
 		l.arena = c.arena[i*p.perSample : (i+1)*p.perSample]
@@ -714,7 +712,7 @@ func (p *Plan) RunInto(dst, x *tensor.Tensor, observe func(node int, data []floa
 	c.p, c.x, c.out, c.n, c.observe = p, x.Data, dst.Data, n, observe
 	RunLanes(c, n, lanes)
 	for _, l := range c.lanes[:lanes] {
-		l.out = nil
+		l.x, l.out = nil, nil
 	}
 	c.p, c.x, c.out, c.observe = nil, nil, nil, nil // no operand of the forward stays on the cache
 }
@@ -725,12 +723,11 @@ func (p *Plan) RunInto(dst, x *tensor.Tensor, observe func(node int, data []floa
 //skynet:hotpath
 func (c *PlanCache) WalkSample(li, i int, leaf bool) {
 	p, l, per, outPer := c.p, c.lanes[li], len(c.x)/c.n, len(c.out)/c.n
-	x := c.x[i*per : (i+1)*per]
-	l.out = c.out[i*outPer : (i+1)*outPer]
+	l.x, l.out = c.x[i*per:(i+1)*per], c.out[i*outPer:(i+1)*outPer]
 	for k := range p.steps {
 		s := &p.steps[k]
 		if !s.Laid { // a laid-out Concat is written, input by input, by now
-			c.step(s, li, x, leaf)
+			c.step(s, li, leaf)
 		}
 		if c.observe != nil {
 			c.observe(s.Out, l.buf(s.Slot))
@@ -750,56 +747,97 @@ func (c *PlanCache) WalkSample(li, i int, leaf bool) {
 }
 
 // step runs step s on the sample lane li has in flight: into its slot, from
-// the lane's outputs so far (x for the graph input). On a leaf walk every op
-// stays on the calling goroutine; else a convolution's GEMM dispatches, and
-// the depth-wise planes and a Bundle step's units split, across the GEMM
-// pool.
+// the lane's outputs so far. On a leaf walk every op stays on the calling
+// goroutine; else a convolution's GEMM dispatches, and the depth-wise planes
+// and a Bundle step's units split, across the GEMM pool.
 //
 //skynet:hotpath
-func (c *PlanCache) step(s *Step, li int, x []float32, leaf bool) {
-	p, l, pn := c.p, c.lanes[li], &c.p.nodes[s.Node]
-	dst, in, src := l.buf(s.Slot), p.Slot(s.Inputs[0]).Dims, l.input(p, s.Inputs[0], x)
+func (c *PlanCache) step(s *Step, li int, leaf bool) {
+	p, l, b := c.p, c.lanes[li], s.Band
+	if b == nil {
+		p.RunStep(s, l.buf(s.Slot), l, l.col, leaf)
+		return
+	}
+	in, a, pw := p.Slot(s.Inputs[0]).Dims, &l.share, &p.nodes[b.Conv]
+	*a = bandShare{s: s, dst: l.buf(s.Slot), src: l.Map(s.Inputs[0]), h: in[2], w: in[3], ep: b.pw.epilogue(pw.tail()), packed: pw.packed, observe: c.observe, workers: c.lanes}
+	if b.Reorg >= 0 {
+		a.reorg = l.buf(p.Slot(b.Reorg))
+	}
+	outH := p.nodes[s.Node].Dims[2]
+	RunBands(a, outH/b.K, b.K, b.Rows, li, len(c.lanes), leaf)
+	if rest := outH % b.K; rest > 0 && a.observe != nil {
+		// The rows under no whole window, for the observer alone: the pool
+		// writes nothing of them. (A step that folds a Reorg has none.)
+		a.compute(l.band, outH-rest, rest)
+	}
+	*a = bandShare{} // no operand of the forward stays on the lane
+}
+
+// Maps is where RunStep reads a step's inputs: Map(j) is node j's output for
+// the sample in flight, the sample itself for GraphInput.
+type Maps interface{ Map(j int) []float32 }
+
+// RunStep runs step s of p, any but a Bundle step, on one sample: from its
+// inputs in in, into dst, which is as large as the step's Slot, with col as
+// the im2col matrix of a k×k convolution (ColLen(s) elements; unused by
+// the others). It is the one way a layer runs at inference — the executor's
+// lanes, the int8 engine's float fallback units and the tracker's heads all
+// call it —: it reads the layers and what Load left in the plan, and writes
+// dst and col alone. leaf is as for step.
+//
+//skynet:hotpath
+func (p *Plan) RunStep(s *Step, dst []float32, in Maps, col []float32, leaf bool) {
+	pn, dims, src := &p.nodes[s.Node], p.Slot(s.Inputs[0]).Dims, in.Map(s.Inputs[0])
 	switch layer := pn.layer.(type) {
 	case *Conv2D:
-		layer.forwardImage(dst, src, in[2], in[3], l.col, layer.epilogue(pn.tail()), pn.packed, leaf)
+		layer.forwardImage(dst, src, dims[2], dims[3], col, layer.epilogue(pn.tail()), pn.packed, leaf)
 	case *DWConv3:
-		switch b, outH := s.Band, pn.Dims[2]; {
-		case b != nil:
-			a, pw := &l.share, &p.nodes[b.Conv]
-			*a = bandShare{s: s, dst: dst, src: src, h: in[2], w: in[3], ep: b.pw.epilogue(pw.tail()), packed: pw.packed, observe: c.observe, workers: c.lanes}
-			if b.Reorg >= 0 {
-				a.reorg = l.buf(p.Slot(b.Reorg))
-			}
-			RunBands(a, outH/b.K, b.K, b.Rows, li, len(c.lanes), leaf)
-			if rest := outH % b.K; rest > 0 && a.observe != nil {
-				// The rows under no whole window, for the observer alone: the pool
-				// writes nothing of them. (A step that folds a Reorg has none.)
-				a.compute(l.band, outH-rest, rest)
-			}
-			*a = bandShare{} // no operand of the forward stays on the lane
-		case leaf:
-			layer.planes(dst, src, in[2], in[3], 0, layer.C)
-		default:
-			layer.splitPlanes(dst, src, 1, in[2], in[3])
+		if leaf {
+			layer.planes(dst, src, dims[2], dims[3], 0, layer.C)
+		} else {
+			layer.splitPlanes(dst, src, 1, dims[2], dims[3])
 		}
 	case *BatchNorm:
-		layer.evalInto(dst, src, 1, in[2]*in[3])
+		layer.evalInto(dst, src, 1, dims[2]*dims[3])
 	case *ReLU:
 		reluInto(dst, src, layer.Cap)
 	case *MaxPool:
-		maxPoolInto(dst, src, in[1], in[2], in[3], layer.K)
+		maxPoolInto(dst, src, dims[1], dims[2], dims[3], layer.K)
 	case *Reorg:
-		ReorgInto(dst, src, 1, in[1], in[2], in[3], layer.S)
+		ReorgInto(dst, src, 1, dims[1], dims[2], dims[3], layer.S)
 	case *Add:
-		addInto(dst, src, l.input(p, s.Inputs[1], x))
+		addInto(dst, src, in.Map(s.Inputs[1]))
 	case *Concat:
 		for _, j := range s.Inputs {
-			dst = dst[copy(dst, l.input(p, j, x)):]
+			dst = dst[copy(dst, in.Map(j)):]
 		}
 	case *Flatten, *Dropout:
 		copy(dst, src)
 	case *Linear:
 		layer.forwardSample(dst, src)
+	}
+}
+
+// ColLen returns the im2col matrix RunStep needs of its col to run step s, in
+// elements: zero but for a k×k convolution.
+func (p *Plan) ColLen(s *Step) int {
+	if c, ok := p.nodes[s.Node].layer.(*Conv2D); ok && !c.direct() {
+		return c.InC * c.K * c.K * s.Dims[2] * s.Dims[3]
+	}
+	return 0
+}
+
+// Load refreshes from the layers as they are now what step s reads beside
+// them: its convolution's weights in GEMM panels and a fused batch norm's
+// 1/sqrt(var+eps). A forward loads every step as it begins; a caller of
+// RunStep loads s first, while no RunStep of p runs.
+//
+//skynet:hotpath
+func (p *Plan) Load(s *Step) {
+	if b := s.Band; b != nil {
+		p.nodes[b.Conv].fill()
+	} else if _, ok := p.nodes[s.Node].layer.(*Conv2D); ok {
+		p.nodes[s.Node].fill()
 	}
 }
 
@@ -847,13 +885,13 @@ func (l *lane) buf(s Slot) []float32 {
 	return l.arena[s.Off : s.Off+s.Size]
 }
 
-// input returns node j's output for the sample in flight (x, the sample
-// itself, for GraphInput).
+// Map returns node j's output for the sample in flight (the sample itself
+// for GraphInput).
 //
 //skynet:hotpath
-func (l *lane) input(p *Plan, j int, x []float32) []float32 {
+func (l *lane) Map(j int) []float32 {
 	if j == GraphInput {
-		return x
+		return l.x
 	}
-	return l.buf(p.nodes[j].Slot)
+	return l.buf(l.c.p.nodes[j].Slot)
 }

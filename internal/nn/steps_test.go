@@ -17,12 +17,11 @@ type stepTimer struct {
 func (s *stepTimer) WalkSample(li, i int, leaf bool) {
 	c := s.c
 	p, l, per, outPer := c.p, c.lanes[li], len(c.x)/c.n, len(c.out)/c.n
-	x := c.x[i*per : (i+1)*per]
-	l.out = c.out[i*outPer : (i+1)*outPer]
+	l.x, l.out = c.x[i*per:(i+1)*per], c.out[i*outPer:(i+1)*outPer]
 	for k := range p.steps {
 		if st := &p.steps[k]; !st.Laid {
 			start := time.Now()
-			c.step(st, li, x, leaf)
+			c.step(st, li, leaf)
 			s.spent[li][k] += time.Since(start)
 		}
 	}
@@ -47,7 +46,7 @@ func StepTimes(g *Graph, x *tensor.Tensor) (names []string, times []time.Duratio
 	}
 	RunLanes(timer, n, lanes)
 	for _, l := range c.lanes[:lanes] {
-		l.out = nil
+		l.x, l.out = nil, nil
 	}
 	c.p, c.x, c.out = nil, nil, nil
 	for k, st := range p.steps {

@@ -526,18 +526,19 @@ func TestArenaBoundedByLanes(t *testing.T) {
 	})
 }
 
-// requireOneLane fails unless qm, a model with a float fallback unit — whose
-// layers keep state of their own — takes the batch x on one lane however many
-// workers there are, and to the concatenation of its frames' own forwards.
-func requireOneLane(t *testing.T, qm *QuantizedModel, x *tensor.Tensor) {
+// requireLanes fails unless qm, a model with a float fallback unit, takes the
+// batch x on the lanes nn.LanesFor deals it to on three workers, as a model
+// without one does, and to the concatenation of its frames' own forwards.
+func requireLanes(t *testing.T, qm *QuantizedModel, x *tensor.Tensor) {
 	t.Helper()
 	if _, fl, _ := qm.Stats(); fl == 0 {
 		t.Fatal("the model has no float fallback unit")
 	}
 	var whole []float32
-	workers(3, func() { whole = forwardCopy(qm, x) })
-	if len(qm.last().lanes) != 1 {
-		t.Fatalf("a batch of %d on three workers ran on %d lanes, want one", x.Dim(0), len(qm.last().lanes))
+	lanes := 0
+	workers(3, func() { whole, lanes = forwardCopy(qm, x), nn.LanesFor(x.Dim(0)) })
+	if len(qm.last().lanes) != lanes {
+		t.Fatalf("a batch of %d on three workers ran on %d lanes, want %d", x.Dim(0), len(qm.last().lanes), lanes)
 	}
 	n := x.Dim(0)
 	per, outPer := x.Len()/n, len(whole)/n
@@ -552,7 +553,7 @@ func requireOneLane(t *testing.T, qm *QuantizedModel, x *tensor.Tensor) {
 // TestEngineLanesShareNoOperand runs two and three lanes side by side over
 // every unit kind, several times over. Under -race a unit or model field
 // written during a walk is a report; without it the bits still have to be
-// the one-worker forward's. The models with a fallback unit stay on one lane.
+// the one-worker forward's, float fallback units or none.
 func TestEngineLanesShareNoOperand(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for name, qm := range engineCases(t) {
@@ -568,9 +569,8 @@ func TestEngineLanesShareNoOperand(t *testing.T) {
 				}
 			})
 		}
-		_, fl, _ := qm.Stats()
-		if lanes := len(qm.last().lanes); (lanes == 1) != (fl > 0) || fl == 0 && lanes != 3 {
-			t.Fatalf("%s (%d fallback units) has run on %d lanes at most", name, fl, lanes)
+		if _, fl, _ := qm.Stats(); len(qm.last().lanes) != 3 {
+			t.Fatalf("%s (%d fallback units) has run on %d lanes at most", name, fl, len(qm.last().lanes))
 		}
 	}
 }

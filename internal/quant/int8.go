@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"skynet/internal/nn"
 	"skynet/internal/tensor"
@@ -20,7 +19,7 @@ import (
 // monotonic, so the code-domain result is exact); concat requantizes each
 // input onto the widest input grid. Any node the lowering does not
 // recognize — or that the caller forces via ExportConfig.ForceFloat, or
-// whose accumulator could leave int32 — runs its original float layer
+// whose accumulator could leave int32 — runs as the float plan's own step
 // between dequantize/quantize shims, so a partial lowering is always
 // available.
 //
@@ -35,8 +34,8 @@ import (
 //
 // Determinism: every integer kernel accumulates exactly (no float
 // reassociation; Export enforces tensor.Int8AccumulatorFits),
-// requantization is elementwise, and the float fallback layers are the
-// graph's own (already bitwise deterministic) layers, so a QuantizedModel
+// requantization is elementwise, and a float fallback is the float plan's own
+// (already bitwise deterministic) step, so a QuantizedModel
 // produces bitwise identical outputs for any GOMAXPROCS, matching the float
 // path's contract.
 
@@ -44,7 +43,7 @@ import (
 // graph input — beside its slot in the plan: its grid, and how it is read.
 type value struct {
 	scale   float32
-	asFloat bool // a fallback unit reads it: every lane keeps a buffer to dequantize it to
+	asFloat bool // a fallback unit reads or writes it: every lane keeps a float buffer for it
 }
 
 // laneValue is one tensor of the sample a lane has in flight, in the forms
@@ -52,10 +51,9 @@ type value struct {
 // floats; the other form is made on first demand and kept for the remaining
 // consumers.
 type laneValue struct {
-	coded bool           // the slot holds this sample's codes
-	f     []float32      // this sample's float form, once produced or asked for
-	fbuf  []float32      // where f is dequantized to, kept across forwards
-	view  *tensor.Tensor // f as a fallback unit's argument, kept across forwards and repointed
+	coded bool      // the slot holds this sample's codes
+	f     []float32 // this sample's float form, once produced or asked for
+	fbuf  []float32 // where f is produced or dequantized to, kept across forwards
 }
 
 // quantizeInto writes codes = clamp(rne(src/scale), -127, 127).
@@ -106,15 +104,16 @@ type QuantizedModel struct {
 // executor's are calibration's), its last forward's plan (use) and steps, the
 // arena a sample needs (the plan's, then the input's and output's codes), the
 // output's shape and the most scratch any plan has needed: qconv's im2col
-// matrix, a code band, a depth-wise accumulator row, the arguments.
+// matrix, a code band, a depth-wise accumulator row, a fallback step's float
+// im2col matrix.
 type qexec struct {
-	m                                  *QuantizedModel
-	plans                              *nn.PlanCache
-	plan                               *nn.Plan
-	steps                              []nn.Step
-	perSample                          int
-	outShape                           []int
-	colLen, bandLen, rowLen, maxInputs int
+	m                                *QuantizedModel
+	plans                            *nn.PlanCache
+	plan                             *nn.Plan
+	steps                            []nn.Step
+	perSample                        int
+	outShape                         []int
+	colLen, bandLen, rowLen, fcolLen int
 
 	arena []int8    // the codes of the forward in flight: one sample's per lane
 	lanes []*qlane  // lanes[i] owns region i of arena
@@ -124,16 +123,17 @@ type qexec struct {
 }
 
 // qlane is one worker's share of a forward, as nn's lane is: the sample it
-// has in flight, its region of the arena and its scratch.
+// has in flight, its region of the arena and its scratch. It is the nn.Maps a
+// fallback unit's float step reads its inputs from.
 type qlane struct {
 	e      *qexec
 	arena  []int8
-	vals   []laneValue      // by node + 1, as the model's vals
-	sample int              // which of the batch is in flight
-	col    []int8           // im2col of the image, for the k×k convolutions
-	ins    []*tensor.Tensor // a fallback unit's argument list
-	index  int              // which lane, so which worker's scratch on a leaf walk
-	split  *nn.Step         // the step in flight whose work nn.RunBands deals (Band)
+	vals   []laneValue // by node + 1, as the model's vals
+	sample int         // which of the batch is in flight
+	col    []int8      // im2col of the image, for the k×k convolutions
+	fcol   []float32   // im2col of the image, for a fallback's k×k convolution
+	index  int         // which lane, so which worker's scratch on a leaf walk
+	split  *nn.Step    // the step in flight whose work nn.RunBands deals (Band)
 }
 
 // poisonReleased makes Forward overwrite every code slot with -128 — never
@@ -153,15 +153,11 @@ func (m *QuantizedModel) Stats() (int8Units, floatUnits, fusedNodes int) {
 // caller's, as nn.Graph.Forward's is: the lanes write its rows in flight, and
 // the engine holds no reference to it, nor to x, once Forward returns. A warm
 // Forward allocates that tensor and nothing else. The samples go to
-// nn.LanesFor(N) lanes; a model with a float fallback unit runs on one, its
-// layers keeping state.
+// nn.LanesFor(N) lanes, float fallback units or none.
 func (m *QuantizedModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	e, n := m.free.Get(), x.Dim(0)
 	e.use(e.plans.For(x.Shape()))
-	lanes := 1
-	if m.floatUnits == 0 {
-		lanes = nn.LanesFor(n)
-	}
+	lanes := nn.LanesFor(n)
 	e.prepare(lanes)
 	e.outShape[0] = n
 	out := tensor.New(e.outShape...)
@@ -186,7 +182,6 @@ func (e *qexec) use(p *nn.Plan) {
 	e.outShape = append(e.outShape[:0], out.Dims...)
 	for i := range e.steps {
 		s := &e.steps[i]
-		e.maxInputs = max(e.maxInputs, len(s.Inputs))
 		switch u := e.m.units[s.Out].(type) {
 		case *qconv:
 			if !u.direct() {
@@ -200,10 +195,17 @@ func (e *qexec) use(p *nn.Plan) {
 	}
 }
 
-// prepare readies the arena, one region per lane, the lanes with their
-// scratch for the plan, and the workers'. All grow with the lanes and the
-// plans, never with the batch.
+// prepare readies the plan's fallback steps (nn.Plan.Load) and their float
+// im2col length, the arena, one region per lane, the lanes with their scratch
+// for the plan, and the workers'. All grow with the lanes and the plans,
+// never with the batch.
 func (e *qexec) prepare(lanes int) {
+	for i := range e.steps {
+		if _, float := e.m.units[e.steps[i].Out].(*qfallback); float {
+			e.plan.Load(&e.steps[i])
+			e.fcolLen = max(e.fcolLen, e.plan.ColLen(&e.steps[i]))
+		}
+	}
 	if need := e.perSample * lanes; len(e.arena) < need {
 		e.arena = nil // not live while its replacement is allocated, as in nn's Plan.prepare
 		e.arena = make([]int8, need)
@@ -219,8 +221,8 @@ func (e *qexec) prepare(lanes int) {
 		if len(l.col) < e.colLen {
 			l.col = make([]int8, e.colLen)
 		}
-		if len(l.ins) < e.maxInputs {
-			l.ins = make([]*tensor.Tensor, e.maxInputs)
+		if len(l.fcol) < e.fcolLen {
+			l.fcol = make([]float32, e.fcolLen)
 		}
 		for j, v := range e.m.vals {
 			if size := e.plan.Slot(j - 1).Size; v.asFloat && len(l.vals[j].fbuf) < size {
@@ -254,11 +256,7 @@ func (e *qexec) WalkSample(li, i int, leaf bool) {
 			}
 		}
 	}
-	// A unit that produced the output as floats of its own (a fallback) did
-	// not write the row; every other way of producing it did.
-	if row, f := l.outRow(), l.float(e.m.output); &f[0] != &row[0] {
-		copy(row, f)
-	}
+	l.Map(e.m.output) // the output's float form is its row of the batch: dequantized there if it is codes
 	l.vals[0].f = nil
 }
 
@@ -272,14 +270,6 @@ func (m *QuantizedModel) val(j int) *value { return &m.vals[j+1] }
 //
 //skynet:hotpath
 func (e *qexec) dims(j int) []int { return e.plan.Slot(j).Dims }
-
-// outRow returns the row of the output batch the sample in flight fills.
-//
-//skynet:hotpath
-func (l *qlane) outRow() []float32 {
-	size := l.e.plan.Slot(l.e.m.output).Size
-	return l.e.y[l.sample*size : (l.sample+1)*size]
-}
 
 // slot returns value j's code slot in the lane's region: the plan's, or for
 // the graph input and output, which have none there, theirs past it.
@@ -320,23 +310,24 @@ func (l *qlane) codes(j int) []int8 {
 
 // floatDest makes the memory it returns node j's float form for this sample,
 // for its producer to fill: the sample's row of the output batch for the
-// output node, else the lane's buffer for a value a fallback unit reads.
+// output node, else the lane's buffer for a value a fallback unit reads or
+// writes.
 //
 //skynet:hotpath
 func (l *qlane) floatDest(j int) []float32 {
-	v := &l.vals[j+1]
+	v, size := &l.vals[j+1], l.e.plan.Slot(j).Size
 	if j == l.e.m.output {
-		v.f = l.outRow()
+		v.f = l.e.y[l.sample*size : (l.sample+1)*size]
 	} else {
-		v.f = v.fbuf[:l.e.plan.Slot(j).Size]
+		v.f = v.fbuf[:size]
 	}
 	return v.f
 }
 
-// float returns value j's float form, dequantizing codes on first demand.
+// Map returns value j's float form, dequantizing codes on first demand.
 //
 //skynet:hotpath
-func (l *qlane) float(j int) []float32 {
+func (l *qlane) Map(j int) []float32 {
 	v := &l.vals[j+1]
 	if v.f == nil {
 		dequantizeInto(l.floatDest(j), l.slot(j), l.e.m.val(j).scale)
@@ -355,8 +346,8 @@ type ExportConfig struct {
 // QuantizedModel. Calibration, the lowering and the first executor's forwards
 // share one nn.PlanCache, so Export compiles a sample shape once. The graph is
 // not modified; the model holds integer copies of the weights (with batch-norm
-// folded into the conv scales), runs the original layers only for
-// float-fallback nodes, and otherwise reads the graph's node list — which must
+// folded into the conv scales), reads the original layers only in the
+// float-fallback steps, and otherwise reads the graph's node list — which must
 // not change — only to plan a forward at a new input shape. A convolution
 // whose accumulator could leave int32 (tensor.Int8AccumulatorFits: more than
 // 133 144 taps, or a bias — batch norm folded in — beyond int32 in accumulator
@@ -411,14 +402,10 @@ func (m *QuantizedModel) lower(plans *nn.PlanCache, shape []int, clips Activatio
 			m.int8Units++
 		}
 	}
-	// fallback runs the step's layers — a node's, then its fused tail's — in float.
+	// fallback runs the step — a node, and its fused tail — in float.
 	fallback := func(s *nn.Step) {
-		q := &qfallback{layers: []nn.Layer{g.Nodes[s.Node].Layer}}
-		for _, t := range s.Chain.Tail {
-			q.layers = append(q.layers, g.Nodes[t].Layer)
-		}
-		install(s, q, scaleOf(s.Out))
-		for _, j := range s.Inputs {
+		install(s, &qfallback{}, scaleOf(s.Out))
+		for _, j := range append([]int{s.Out}, s.Inputs...) {
 			m.val(j).asFloat = true
 		}
 	}
@@ -827,43 +814,13 @@ func (q *qconcat) run(l *qlane, s *nn.Step, _ bool) {
 	}
 }
 
-// qfallback runs original float layers — a node's, then those of the tail
-// fused onto it — between dequantize/quantize shims, a sample at a time. Its
-// output carries the node's calibrated scale so downstream int8 consumers can
-// quantize it lazily; a fallback consumer gets the floats themselves. A
-// layer's own Forward writes its scratch, so a model with a fallback runs on
-// one lane, and the unit's calls take turns (mu) across the model's forwards.
-type qfallback struct {
-	mu     sync.Mutex
-	layers []nn.Layer
-}
+// qfallback runs a step in float — the float plan's own step (nn.Plan.RunStep),
+// its fused tail included — between dequantize/quantize shims. Its output
+// carries the node's calibrated scale so downstream int8 consumers can
+// quantize it lazily; a fallback consumer gets the floats themselves.
+type qfallback struct{}
 
 //skynet:hotpath
-func (q *qfallback) run(l *qlane, s *nn.Step, _ bool) {
-	ins := l.ins[:len(s.Inputs)]
-	for k, j := range s.Inputs {
-		ins[k] = l.tensor(j)
-	}
-	q.mu.Lock()
-	out := q.layers[0].Forward(ins, false)
-	for _, layer := range q.layers[1:] {
-		ins[0] = out
-		out = layer.Forward(ins[:1], false)
-	}
-	q.mu.Unlock()
-	clear(ins)
-	l.vals[s.Out+1].f = out.Data
-}
-
-// tensor returns value j's float form as a tensor, a view the lane keeps and
-// repoints.
-//
-//skynet:hotpath
-func (l *qlane) tensor(j int) *tensor.Tensor {
-	v, f := &l.vals[j+1], l.float(j)
-	if dims := l.e.dims(j); v.view == nil || !slices.Equal(v.view.Shape(), dims) {
-		v.view = tensor.FromSlice(f, dims...)
-	}
-	v.view.Data = f
-	return v.view
+func (q *qfallback) run(l *qlane, s *nn.Step, leaf bool) {
+	l.e.plan.RunStep(s, l.floatDest(s.Out), l, l.fcol, leaf)
 }

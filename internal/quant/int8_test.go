@@ -175,7 +175,7 @@ func TestExportForceFloat(t *testing.T) {
 	if maxDiff > 0.25*maxAbs+1e-3 {
 		t.Fatalf("forced-float model drifted: max diff %v vs max magnitude %v", maxDiff, maxAbs)
 	}
-	requireOneLane(t, qm, randBatch(rng, 3, 3, 16, 16))
+	requireLanes(t, qm, randBatch(rng, 3, 3, 16, 16))
 
 	if _, err := Export(g, calib, ExportConfig{ForceFloat: []int{len(g.Nodes)}}); err == nil {
 		t.Fatal("out-of-range ForceFloat index must error")
@@ -221,7 +221,7 @@ func TestExportFallbackLayer(t *testing.T) {
 				t.Fatalf("%s: fallback output[%d] = %v, float %v", name, i, got.Data[i], want.Data[i])
 			}
 		}
-		requireOneLane(t, qm, randBatch(rng, 3, 3, 8, 8))
+		requireLanes(t, qm, randBatch(rng, 3, 3, 8, 8))
 	}
 }
 

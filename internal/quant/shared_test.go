@@ -12,8 +12,10 @@ import (
 	"testing"
 
 	"skynet/internal/backbone"
+	"skynet/internal/dataset"
 	"skynet/internal/nn"
 	"skynet/internal/tensor"
+	"skynet/internal/track"
 )
 
 // fingerprint hashes everything v reaches: every field, exported or not,
@@ -85,33 +87,70 @@ func layers(g *nn.Graph) []nn.Layer {
 
 // TestInferenceLeavesModelUntouched: an inference forward writes nothing into
 // the model it runs — not the graph's layers on a float forward, not the
-// layers, units or grids of an int8 model —, which is what lets several
-// forwards share one model. SkyNet A, B and C at width 0.25 on 48×96 frames,
-// at batch 1 and 3.
+// layers, units or grids of an int8 model, with float fallback units or
+// without —, which is what lets several forwards share one model. SkyNet A, B
+// and C at width 0.25 on 48×96 frames, at batch 1 and 3, each model
+// fingerprinted before its first forward. Nor does a tracking step write the
+// tracker: its config, backbone and layers are what they were before the
+// first ExemplarFeaturesFor, StepBoxE and StepE with a mask.
 func TestInferenceLeavesModelUntouched(t *testing.T) {
 	for vi, v := range []backbone.SkyNetVariant{backbone.VariantA, backbone.VariantB, backbone.VariantC} {
 		rng := rand.New(rand.NewSource(int64(60 + vi)))
 		g := backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, v)
 		settle(g, rng)
-		qm, err := Export(g, []*tensor.Tensor{randBatch(rng, 2, 3, 48, 96)}, ExportConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ls := layers(g)
-		int8Model := []any{ls, qm.units, qm.vals}
+		// By model: its forward, and the fingerprint of what it reads.
+		models := map[string]func(*tensor.Tensor, bool) *tensor.Tensor{"float": g.Forward}
+		prints := map[string]func() uint64{"float": func() uint64 { return fingerprint(t, ls) }}
+		calib := []*tensor.Tensor{randBatch(rng, 2, 3, 48, 96)}
+		for name, cfg := range map[string]ExportConfig{"int8": {}, "int8/forced": {ForceFloat: []int{0, 1, 2, 9}}} {
+			qm, err := Export(g, calib, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := []any{ls, qm.units, qm.vals}
+			models[name], prints[name] = qm.Forward, func() uint64 { return fingerprint(t, model) }
+		}
+		before := map[string]uint64{}
+		for name, print := range prints {
+			before[name] = print()
+		}
 		for _, b := range []int{1, 3} {
 			x := randBatch(rng, b, 3, 48, 96)
-			before := fingerprint(t, ls)
-			g.Forward(x, false)
-			if fingerprint(t, ls) != before {
-				t.Errorf("SkyNet%s, batch %d: a float inference forward wrote into the graph's layers", v, b)
-			}
-			before = fingerprint(t, int8Model)
-			qm.Forward(x, false)
-			if fingerprint(t, int8Model) != before {
-				t.Errorf("SkyNet%s, batch %d: an int8 forward wrote into the model", v, b)
+			for name, forward := range models {
+				forward(x, false)
+				for other, print := range prints { // the models share the graph's layers
+					if now := print(); now != before[other] {
+						t.Errorf("SkyNet%s, batch %d: a %s forward wrote into the %s model", v, b, name, other)
+						before[other] = now
+					}
+				}
 			}
 		}
+	}
+
+	rng := rand.New(rand.NewSource(63))
+	cfg := track.DefaultConfig()
+	cfg.WithMask = true
+	tr := track.New(backbone.SkyNetA(rng, backbone.Config{Width: 0.125, InC: 3, HeadChannels: 0, ReLU6: true}), 64, cfg)
+	dcfg := dataset.DefaultConfig()
+	dcfg.W, dcfg.H, dcfg.Clutter = 96, 96, 1
+	seq := dataset.NewGenerator(dcfg).Sequence(dataset.SequenceConfig{Length: 3})
+	tracker := []any{tr.Cfg, tr.Backbone, tr.Adjust, tr.Cls, tr.Reg, tr.Mask}
+	before := fingerprint(t, tracker)
+	zf, err := tr.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	box, err := tr.StepBoxE(zf, seq.Frames[1], seq.Boxes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tr.StepE(zf, seq.Frames[2], box, true); err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(t, tracker) != before {
+		t.Error("a tracking step wrote into the tracker")
 	}
 }
 
@@ -170,5 +209,44 @@ func TestConcurrentForwardsOnOneModel(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestFallbackUnitsRunOnLanes: a model with float fallback units runs a batch
+// as the all-int8 model does — dealt to nn.LanesFor(n) lanes, each fallback
+// step the float plan's own on the lane's buffers — so its forward is bit for
+// bit the one-worker forward and a warm one allocates no more than the
+// all-int8 model's. SkyNet C at width 0.25, a batch of 3 on three workers and
+// on as many as the process has.
+func TestFallbackUnitsRunOnLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true})
+	settle(g, rng)
+	calib := []*tensor.Tensor{randBatch(rng, 2, 3, 48, 96)}
+	plain, err := Export(g, calib, ExportConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forced, err := Export(g, calib, ExportConfig{ForceFloat: []int{0, 1, 2, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randBatch(rng, 3, 3, 48, 96)
+	var want []float32
+	workers(1, func() { want = forwardCopy(forced, x) })
+	for _, w := range []int{3, 0} {
+		workers(w, func() {
+			if got := forwardCopy(forced, x); !sameBits(got, want) {
+				t.Fatalf("%d workers: the forward differs from the one-worker forward", w)
+			}
+			if lanes := len(forced.last().lanes); w == 3 && lanes != 3 {
+				t.Fatalf("a batch of 3 on three workers ran on %d lanes, want 3", lanes)
+			}
+			plain.Forward(x, false)
+			n, most := testing.AllocsPerRun(10, func() { forced.Forward(x, false) }), testing.AllocsPerRun(10, func() { plain.Forward(x, false) })
+			if n > most {
+				t.Fatalf("%d workers: a warm forward allocates %v times with fallback units, %v without", w, n, most)
+			}
+		})
 	}
 }

@@ -34,9 +34,7 @@ func (s *stepTimer) WalkSample(li, i int, leaf bool) {
 		e.m.units[st.Out].run(l, st, leaf)
 		s.spent[li][k] += time.Since(start)
 	}
-	if row, f := l.outRow(), l.float(e.m.output); &f[0] != &row[0] {
-		copy(row, f)
-	}
+	l.Map(e.m.output)
 	l.vals[0].f = nil
 }
 
@@ -47,10 +45,7 @@ func int8StepTimes(m *QuantizedModel, x *tensor.Tensor) (names []string, times [
 	e, n := m.free.Get(), x.Dim(0)
 	defer m.free.Put(e)
 	e.use(e.plans.For(x.Shape()))
-	lanes := 1
-	if m.floatUnits == 0 {
-		lanes = nn.LanesFor(n)
-	}
+	lanes := nn.LanesFor(n)
 	e.prepare(lanes)
 	e.outShape[0] = n
 	e.x, e.y = x.Data, tensor.New(e.outShape...).Data

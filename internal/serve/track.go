@@ -17,9 +17,9 @@ package serve
 // there is nothing a batch would amortise and nobody waits for a partner.
 // Results are byte-identical to the offline Tracker.Track loop regardless of
 // interleaving, because every step is a pure function of (template, frame,
-// box) and the tracker's steps, on its one workspace, run on that single
-// worker. A frame whose pixels overflow the forward is a 400 and leaves the
-// session's box as it was.
+// box) that writes nothing of the tracker but a workspace of its own. A
+// frame whose pixels overflow the forward is a 400 and leaves the session's
+// box as it was.
 
 import (
 	"bytes"
@@ -170,9 +170,9 @@ type TrackService struct {
 	evicted atomic.Int64
 }
 
-// NewTrackService starts the tracking lane around one tracker. The tracker
-// is driven from the lane's one worker (its steps share one workspace and
-// are not concurrency-safe), one request at a time.
+// NewTrackService starts the tracking lane around one tracker, driven from
+// the lane's one worker one request at a time. The tracker's steps are safe
+// for concurrent use, so its owner may also step it directly.
 func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) {
 	if tr == nil {
 		return nil, errors.New("serve: tracker is required")

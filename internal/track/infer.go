@@ -104,13 +104,12 @@ func (t *Tracker) respPeak(w *workspace, zf, frame *tensor.Tensor, box detect.Bo
 	}
 	side = searchSidePixels(box, frame.Dim(1), frame.Dim(2))
 	cropAt(w.x.crop, frame, box.CX, box.CY, side, w.cols)
-	t.forward(&w.x)
+	w.x.plan.RunInto(w.x.adj, w.x.crop4, nil)
 	if err := DWXCorrInto(w.resp, zf, w.x.feat); err != nil {
 		return 0, 0, 0, err
 	}
-	t.Cls.ForwardInto(w.cls, w.resp4)
 	best := float32(math.Inf(-1))
-	for i, v := range w.cls.Data {
+	for i, v := range w.head(0) {
 		if v > best {
 			best, py, px = v, i/w.r, i%w.r
 		}
@@ -134,8 +133,8 @@ func (t *Tracker) StepBoxE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.B
 // (finite pixels can overflow it) are errors, never panics. This is the
 // tracking service's per-frame entry point: a bad session request must
 // become a 400, not kill the service's worker or poison the session. Every
-// map of the step is the tracker's workspace, so once it is built a step
-// allocates nothing but the mask patch it returns.
+// map of the step is a workspace's off the tracker's free list, so once one is
+// built a step allocates nothing but the mask patch it returns.
 func (t *Tracker) StepE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box, mask bool) (detect.Box, *tensor.Tensor, error) {
 	if mask && t.Mask == nil {
 		return detect.Box{}, nil, fmt.Errorf("track: mask asked of a tracker without a mask head")
@@ -144,6 +143,7 @@ func (t *Tracker) StepE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box,
 	if err != nil {
 		return detect.Box{}, nil, err
 	}
+	defer t.free.Put(w)
 	side, py, px, err := t.respPeak(w, zf, frame, box)
 	if err != nil {
 		return detect.Box{}, nil, err
@@ -155,13 +155,12 @@ func (t *Tracker) StepE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box,
 		}
 	}
 	imgH, imgW := frame.Dim(1), frame.Dim(2)
-	r := w.r
-	t.Reg.ForwardInto(w.reg, w.resp4)
+	r, reg := w.r, w.head(1)
 	at := py*r + px
-	dx := clampF(w.reg.Data[at], -1, 1)
-	dy := clampF(w.reg.Data[r*r+at], -1, 1)
-	tw := clampF(w.reg.Data[2*r*r+at], -1, 1)
-	th := clampF(w.reg.Data[3*r*r+at], -1, 1)
+	dx := clampF(reg[at], -1, 1)
+	dy := clampF(reg[r*r+at], -1, 1)
+	tw := clampF(reg[2*r*r+at], -1, 1)
+	th := clampF(reg[3*r*r+at], -1, 1)
 	s := float64(t.Cfg.SearchSize)
 	scale := side / s // search-crop pixel → image pixel
 	offX := (float64(px) + float64(dx) - float64(r-1)/2) * float64(t.Cfg.Stride) * scale
@@ -195,11 +194,10 @@ func (t *Tracker) PeakMask(zf *tensor.Tensor, frame *tensor.Tensor, box detect.B
 // peakMask runs the mask head on the response in w and returns the sigmoid
 // patch at the peak (py, px), a fresh tensor that is the caller's.
 func (t *Tracker) peakMask(w *workspace, py, px int) *tensor.Tensor {
-	t.Mask.ForwardInto(w.mask, w.resp4)
-	m, rr := t.Cfg.MaskSize, w.r*w.r
+	masks, m, rr := w.head(2), t.Cfg.MaskSize, w.r*w.r
 	out := tensor.New(1, m, m)
 	for k := range out.Data {
-		out.Data[k] = nn.Sigmoid(w.mask.Data[k*rr+py*w.r+px])
+		out.Data[k] = nn.Sigmoid(masks[k*rr+py*w.r+px])
 	}
 	return out
 }
@@ -245,9 +243,9 @@ func (t *Tracker) ExemplarFeatures(seq dataset.Sequence) *tensor.Tensor {
 
 // ExemplarFeaturesFor fixes a template from one frame and its box — the
 // session-start entry point of the tracking service. The crop and forward
-// run in the tracker's workspace; the returned tensor is a copy of its
-// features that owns its data and stays valid across later forwards, and is
-// all the call allocates. A frame that drives the features to non-finite
+// run in a step workspace; the returned tensor is a copy of its features
+// that owns its data and stays valid across later forwards, and is all the
+// call allocates. A frame that drives the features to non-finite
 // values is an error, as are malformed inputs.
 func (t *Tracker) ExemplarFeaturesFor(frame *tensor.Tensor, box detect.Box) (*tensor.Tensor, error) {
 	if err := checkFrame(frame); err != nil {
@@ -260,8 +258,9 @@ func (t *Tracker) ExemplarFeaturesFor(frame *tensor.Tensor, box detect.Box) (*te
 	if err != nil {
 		return nil, err
 	}
+	defer t.free.Put(w)
 	cropAt(w.z.crop, frame, box.CX, box.CY, searchSidePixels(box, frame.Dim(1), frame.Dim(2))/2, w.cols)
-	t.forward(&w.z)
+	w.z.plan.RunInto(w.z.adj, w.z.crop4, nil)
 	if !finite(w.z.feat.Data) {
 		return nil, fmt.Errorf("track: the frame drove the template features to non-finite values")
 	}

@@ -190,7 +190,12 @@ func TestTrackerShapes(t *testing.T) {
 	if p.Exemplar.Dim(1) != 32 || p.Search.Dim(1) != 64 {
 		t.Fatalf("crop sizes %v / %v", p.Exemplar.Shape(), p.Search.Shape())
 	}
-	r := tr.respSize()
+	w, err := tr.work()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := w.r
+	tr.free.Put(w)
 	if r != 5 {
 		t.Fatalf("response size %d, want 5", r)
 	}

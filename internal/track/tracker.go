@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"skynet/internal/detect"
 	"skynet/internal/nn"
@@ -38,6 +39,10 @@ const nominalFrac = 0.25
 // depth-wise cross-correlation whose response drives classification, box
 // regression, and optionally mask heads. With the mask head enabled it is
 // the SiamMask-style variant; without, the SiamRPN++-style variant.
+//
+// Its inference steps (ExemplarFeaturesFor, StepE and the calls built on
+// them) write no layer, each on a workspace of its own: they are safe for
+// concurrent use with one another, not beside training or a weight update.
 type Tracker struct {
 	Cfg      Config
 	Backbone *nn.Graph
@@ -46,7 +51,7 @@ type Tracker struct {
 	Reg      *nn.Conv2D
 	Mask     *nn.Conv2D
 
-	ws *workspace // the inference step's buffers (see work)
+	free tensor.FreeList[workspace] // the step workspaces no step is running on (see work)
 }
 
 // New builds a tracker around a headless backbone with the given output
@@ -63,6 +68,7 @@ func New(backbone *nn.Graph, backboneC int, cfg Config) *Tracker {
 	if cfg.WithMask {
 		t.Mask = nn.NewPWConv1(rng, cfg.FeatC, cfg.MaskSize*cfg.MaskSize, true)
 	}
+	t.free.Alloc = func() *workspace { return new(workspace) }
 	return t
 }
 
@@ -76,16 +82,6 @@ func (t *Tracker) Params() []*nn.Param {
 		ps = append(ps, t.Mask.Params()...)
 	}
 	return ps
-}
-
-// features runs one [3,s,s] crop through the backbone and adjust layer,
-// returning [C,fh,fw] in fresh tensors: the training forward, whose outputs
-// Backward holds (inference steps run forward, into the workspace).
-func (t *Tracker) features(crop *tensor.Tensor, train bool) *tensor.Tensor {
-	x := crop.Reshape(1, crop.Dim(0), crop.Dim(1), crop.Dim(2))
-	f := t.Backbone.Forward(x, train)
-	f = t.Adjust.Forward([]*tensor.Tensor{f}, train)
-	return f.Reshape(f.Dim(1), f.Dim(2), f.Dim(3))
 }
 
 // searchSidePixels returns the pixel side of the square search window for
@@ -142,32 +138,31 @@ func (t *Tracker) SearchCrop(img *tensor.Tensor, b detect.Box, cx, cy float64) (
 	return crop(img, cx, cy, side, t.Cfg.SearchSize), side
 }
 
-// workspace is what an inference step writes: each branch's crop, backbone
-// and adjust outputs, the response and the head maps, with the batch-of-one
-// and per-sample views the steps read them through. It is sized for one
-// geometry — the config and backbone it was built for — and every step on
-// that geometry reuses it, whatever the frame size, so a step allocates
-// nothing. Training forwards never write it: Backward holds their outputs.
+// workspace is what an inference step writes: each branch's crop and
+// features, the response and the head maps, with the batch-of-one and
+// per-sample views the steps read them through, and the executors that run
+// the layers on them. It is sized for one geometry — the config and backbone
+// it was built for — and every step on that geometry reuses it, whatever the
+// frame size, so a step allocates nothing.
 type workspace struct {
 	cfg   Config
-	plans *nn.PlanCache  // the backbone's executor: both branches' plans, on one arena
+	bb    *nn.Graph      // the backbone it was built for
+	plans *nn.PlanCache  // the backbone and adjust layer: both branches' plans, on one arena
+	heads *nn.Plan       // Cls, Reg and Mask on the response, a step each
+	maps  [][]float32    // the heads' outputs [M,r,r], by step
 	z, x  branch         // the exemplar's and the search region's
 	cols  tensor.ColTaps // the crop's column taps, as wide as the wider crop
 	r     int            // the response side
 	resp  *tensor.Tensor // [C,r,r]
-	resp4 *tensor.Tensor // resp as a batch of one, for the heads
-	cls   *tensor.Tensor // [1,1,r,r]
-	reg   *tensor.Tensor // [1,4,r,r]
-	mask  *tensor.Tensor // [1,M²,r,r], with a mask head
 }
 
-// branch is the forward of one crop size: the crop, the backbone's plan for
-// it (on the workspace's executor) and its output, and the adjust layer's.
+// branch is the forward of one crop size: the crop, and the plan of the
+// backbone and adjust layer for it (on the workspace's executor) with its
+// output.
 type branch struct {
 	crop  *tensor.Tensor // [3,s,s]
 	crop4 *tensor.Tensor // crop as a batch of one
 	plan  *nn.Plan
-	bb    *tensor.Tensor // [1,Cb,f,f]
 	adj   *tensor.Tensor // [1,C,f,f]
 	feat  *tensor.Tensor // adj as [C,f,f]
 }
@@ -175,55 +170,59 @@ type branch struct {
 // newBranch builds the branch for s-pixel crops. The feature side is the
 // compiled plan's output shape — not the crop side divided by the stride,
 // which disagrees with the backbone for sides that are not a multiple of it.
-func (t *Tracker) newBranch(plans *nn.PlanCache, s int) branch {
+func newBranch(plans *nn.PlanCache, s int) branch {
 	b := branch{crop: tensor.New(3, s, s)}
 	b.crop4 = b.crop.Reshape(1, 3, s, s)
 	b.plan = plans.For(b.crop4.Shape())
-	b.bb = tensor.New(b.plan.OutShape(1)...)
-	fh, fw := b.bb.Dim(2), b.bb.Dim(3)
-	b.adj = tensor.New(1, t.Adjust.OutC, fh, fw)
-	b.feat = b.adj.Reshape(t.Adjust.OutC, fh, fw)
+	b.adj = tensor.New(b.plan.OutShape(1)...)
+	b.feat = b.adj.Reshape(b.adj.Dim(1), b.adj.Dim(2), b.adj.Dim(3))
 	return b
 }
 
-// work returns the step workspace, building it on first use and again when
-// the config or the backbone changed.
+// work takes a step workspace off the free list — building it on first use,
+// and again when the config or the backbone changed — for the caller to Put
+// back once nothing it returns reaches into it.
 func (t *Tracker) work() (*workspace, error) {
-	if w := t.ws; w != nil && w.cfg == t.Cfg && w.plans.Graph() == t.Backbone {
+	w := t.free.Get()
+	if w.cfg == t.Cfg && w.bb == t.Backbone {
 		return w, nil
 	}
-	w := &workspace{cfg: t.Cfg, plans: nn.NewPlanCache(t.Backbone, nil),
+	// The adjust layer reads the backbone's output, a node of one graph with it.
+	g := &nn.Graph{Nodes: slices.Clone(t.Backbone.Nodes), Output: -1}
+	out := t.Backbone.Output
+	if out < 0 {
+		out = len(t.Backbone.Nodes) - 1
+	}
+	g.Add(t.Adjust, out)
+	*w = workspace{cfg: t.Cfg, bb: t.Backbone, plans: nn.NewPlanCache(g, nil),
 		cols: make(tensor.ColTaps, max(t.Cfg.ExemplarSize, t.Cfg.SearchSize))}
-	w.z, w.x = t.newBranch(w.plans, t.Cfg.ExemplarSize), t.newBranch(w.plans, t.Cfg.SearchSize)
+	w.z, w.x = newBranch(w.plans, t.Cfg.ExemplarSize), newBranch(w.plans, t.Cfg.SearchSize)
 	if w.r = w.x.feat.Dim(1) - w.z.feat.Dim(1) + 1; w.r < 1 {
 		return nil, fmt.Errorf("track: exemplar features %v larger than search features %v", w.z.feat.Shape(), w.x.feat.Shape())
 	}
-	c := t.Adjust.OutC
-	w.resp = tensor.New(c, w.r, w.r)
-	w.resp4 = w.resp.Reshape(1, c, w.r, w.r)
-	w.cls = tensor.New(1, t.Cls.OutC, w.r, w.r)
-	w.reg = tensor.New(1, t.Reg.OutC, w.r, w.r)
-	if t.Mask != nil {
-		w.mask = tensor.New(1, t.Mask.OutC, w.r, w.r)
+	w.resp = tensor.New(t.Adjust.OutC, w.r, w.r)
+	heads := nn.NewGraph()
+	for _, h := range []*nn.Conv2D{t.Cls, t.Reg, t.Mask} {
+		if h != nil {
+			heads.Add(h, nn.GraphInput)
+			w.maps = append(w.maps, make([]float32, h.OutC*w.r*w.r))
+		}
 	}
-	t.ws = w
+	w.heads = nn.Compile(heads, []int{1, t.Adjust.OutC, w.r, w.r}, nil)
 	return w, nil
 }
 
-// forward runs b's crop through the backbone and adjust layer into b's
-// feature buffers.
+// Map is the heads' one input, the response, for nn.Plan.RunStep.
 //
 //skynet:hotpath
-func (t *Tracker) forward(b *branch) {
-	b.plan.RunInto(b.bb, b.crop4, nil)
-	t.Adjust.ForwardInto(b.adj, b.bb)
-}
+func (w *workspace) Map(int) []float32 { return w.resp.Data }
 
-// respSize returns the response-map side for the configured geometry.
-func (t *Tracker) respSize() int {
-	w, err := t.work()
-	if err != nil {
-		panic(err.Error())
-	}
-	return w.r
+// head runs head k (Cls, Reg, Mask) on the response and returns its map.
+//
+//skynet:hotpath
+func (w *workspace) head(k int) []float32 {
+	steps, _ := w.heads.Steps()
+	w.heads.Load(&steps[k])
+	w.heads.RunStep(&steps[k], w.maps[k], w, nil, false)
+	return w.maps[k]
 }

@@ -40,7 +40,12 @@ func (t *Tracker) MakePair(seq dataset.Sequence, i, j int, rng *rand.Rand) Pair 
 	cx, cy := bj.CX+jx, bj.CY+jy
 	search, _ := t.SearchCrop(seq.Frames[j], bj, cx, cy)
 
-	r := t.respSize()
+	w, err := t.work()
+	if err != nil {
+		panic(err.Error())
+	}
+	r := w.r
+	t.free.Put(w)
 	s := float64(t.Cfg.SearchSize)
 	// Target center offset from the crop center, in resized-crop pixels.
 	offX := (bj.CX - cx) * float64(imgW) * s / side
@@ -80,12 +85,21 @@ func clampIdx(v, n int) int {
 }
 
 // Step runs one training step on a pair and returns the total loss. The
-// exemplar branch runs in eval mode as a frozen template; gradients flow
-// through the search branch into the shared backbone (a standard Siamese
-// training simplification: EXPERIMENTS.md, known deviation 3).
+// exemplar branch runs as an inference step runs it, on a workspace, as a
+// frozen template; gradients flow through the search branch into the shared
+// backbone (a standard Siamese training simplification: EXPERIMENTS.md,
+// known deviation 3).
 func (t *Tracker) Step(p Pair, opt *nn.SGD) float32 {
-	zf := t.features(p.Exemplar, false).Clone()
-	xf := t.features(p.Search, true)
+	w, err := t.work()
+	if err != nil {
+		panic(err.Error())
+	}
+	w.z.plan.RunInto(w.z.adj, p.Exemplar.Reshape(1, p.Exemplar.Dim(0), p.Exemplar.Dim(1), p.Exemplar.Dim(2)), nil)
+	zf := w.z.feat.Clone()
+	t.free.Put(w)
+	xf := t.Backbone.Forward(p.Search.Reshape(1, p.Search.Dim(0), p.Search.Dim(1), p.Search.Dim(2)), true)
+	xf = t.Adjust.Forward([]*tensor.Tensor{xf}, true)
+	xf = xf.Reshape(xf.Dim(1), xf.Dim(2), xf.Dim(3))
 	resp := DWXCorr(zf, xf)
 	c, r := resp.Dim(0), resp.Dim(1)
 	resp4 := resp.Reshape(1, c, r, r)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"skynet/internal/backbone"
@@ -13,12 +14,20 @@ import (
 	"skynet/internal/tensor"
 )
 
+// refFeatures is a crop's features as the allocating forms compute them:
+// Graph.Forward, then the adjust layer's own walk.
+func refFeatures(t *Tracker, crop *tensor.Tensor) *tensor.Tensor {
+	f := t.Backbone.Forward(crop.Reshape(1, crop.Dim(0), crop.Dim(1), crop.Dim(2)), false)
+	f = t.Adjust.Forward([]*tensor.Tensor{f}, false)
+	return f.Reshape(f.Dim(1), f.Dim(2), f.Dim(3))
+}
+
 // refStep is the step as the allocating forms compute it — a fresh crop,
-// Graph.Forward and Conv2D.Forward outputs, DWXCorrE's response, heads read
+// refFeatures, DWXCorrE's response, the heads' own Conv2D.Forward read
 // through At — for the workspace step to be held to, bit for bit.
 func refStep(t *Tracker, zf, frame *tensor.Tensor, box detect.Box, mask bool) (detect.Box, *tensor.Tensor) {
 	crop, side := t.SearchCrop(frame, box, box.CX, box.CY)
-	resp, err := DWXCorrE(zf, t.features(crop, false))
+	resp, err := DWXCorrE(zf, refFeatures(t, crop))
 	if err != nil {
 		panic(err)
 	}
@@ -145,7 +154,7 @@ func TestTrackTrajectoriesMatchAllocatingReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameTensor(t, what+", template", zf, tr.features(tr.ExemplarCrop(seq.Frames[0], seq.Boxes[0]), false))
+			requireSameTensor(t, what+", template", zf, refFeatures(tr, tr.ExemplarCrop(seq.Frames[0], seq.Boxes[0])))
 			box := seq.Boxes[0]
 			for f := 1; f < seq.Len(); f++ {
 				got, m, err := tr.StepE(zf, seq.Frames[f], box, withMask)
@@ -185,5 +194,71 @@ func TestTrackNonFiniteFrame(t *testing.T) {
 	got, err := tr.StepBoxE(zf, seq.Frames[1], seq.Boxes[0])
 	if want, _ := refStep(tr, zf, seq.Frames[1], seq.Boxes[0], false); err != nil || !sameBox(got, want) {
 		t.Fatalf("step after the failures: %+v, %v; want %+v", got, err, want)
+	}
+}
+
+// TestTrackConcurrentStepsOnOneTracker: goroutines track different sequences
+// side by side on one tracker — templates, boxes and mask patches — each step
+// on a workspace of its own, and every result is bit for bit what the same
+// tracker gives the sequence alone.
+func TestTrackConcurrentStepsOnOneTracker(t *testing.T) {
+	tr := tinyTracker(true, 14)
+	seqs := testSequences(4)
+	type result struct {
+		boxes []detect.Box
+		masks []*tensor.Tensor
+	}
+	run := func(seq dataset.Sequence) (result, error) {
+		var r result
+		zf, err := tr.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0])
+		if err != nil {
+			return r, err
+		}
+		box := seq.Boxes[0]
+		for f := 1; f < seq.Len(); f++ {
+			b, m, err := tr.StepE(zf, seq.Frames[f], box, f%2 == 0)
+			if err != nil {
+				return r, err
+			}
+			r.boxes, r.masks, box = append(r.boxes, b), append(r.masks, m), b
+		}
+		return r, nil
+	}
+	want := make([]result, len(seqs))
+	for i, seq := range seqs {
+		var err error
+		if want[i], err = run(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 2
+	got := make([][rounds]result, len(seqs))
+	errs := make([]error, len(seqs))
+	var wg sync.WaitGroup
+	for i, seq := range seqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds && errs[i] == nil; r++ {
+				got[i][r], errs[i] = run(seq)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range seqs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for r := range got[i] {
+			for f, b := range got[i][r].boxes {
+				what := fmt.Sprintf("sequence %d, round %d, frame %d", i, r, f+1)
+				if !sameBox(b, want[i].boxes[f]) {
+					t.Fatalf("%s: box %+v, alone %+v", what, b, want[i].boxes[f])
+				}
+				if m := got[i][r].masks[f]; m != nil {
+					requireSameTensor(t, what+", mask", m, want[i].masks[f])
+				}
+			}
+		}
 	}
 }
