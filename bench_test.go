@@ -460,7 +460,9 @@ func BenchmarkPSOIteration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		pso.Search(cfg, eval)
+		if _, err := pso.SearchFrom(cfg, eval, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -574,7 +576,9 @@ func BenchmarkAblationGroupPSO(b *testing.B) {
 			cfg.GlobalEvolution = global
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = int64(i)
-				pso.Search(cfg, staticEval{})
+				if _, err := pso.SearchFrom(cfg, staticEval{}, nil, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

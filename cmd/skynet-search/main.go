@@ -4,6 +4,8 @@
 // with the group-based PSO of Algorithm 1 under the Equation 1 fitness,
 // and Stage 3 adds the bypass/reordering/ReLU6 features and trains the
 // final network, reporting accuracy together with FPGA and GPU estimates.
+// The flags set the flow's search spec (core.FlowConfig.Search, a
+// pso.JobSpec), the same type the job API decodes.
 //
 // With -serve it instead hosts the measured-fitness search as a job API
 // (internal/pso.Service): searches are submitted as JSON specs, evaluated
@@ -69,12 +71,12 @@ func main() {
 	cfg.MaxGroups = *groups
 	cfg.Search.Slots = *slots
 	cfg.Search.Pools = *pools
-	cfg.TrainN = *trainN
-	cfg.ValN = *trainN / 2
+	cfg.Search.TrainN = *trainN
+	cfg.Search.ValN = *trainN / 2
 	cfg.FinalEpochs = *epochs
 	cfg.Search.TargetMS["fpga"] = *fpgaMS
 	cfg.Search.TargetMS["gpu"] = *gpuMS
-	cfg.Seed = *seed
+	cfg.Search.Seed = *seed
 	cfg.Log = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
 	}

@@ -149,7 +149,10 @@ func TestIntegrationFlowToDeployment(t *testing.T) {
 		TargetMS: map[string]float64{pso.PlatformFPGA: 40, pso.PlatformGPU: 15},
 		Seed:     1,
 	}
-	res := pso.Search(cfg, ev)
+	res, err := pso.SearchFrom(cfg, ev, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Stage 3: rebuild the winner with the bypass from its self-describing
 	// spec and deploy it.

@@ -12,8 +12,9 @@
 //
 // Every stage prices on one target, bundle.Contest (the DAC-SDC operating
 // point: Ultra96 at W11/FM9, and the TX2), and every network it builds is a
-// bundle.Chain. Run refuses, before Stage 1, a configuration the search
-// service would refuse (pso.JobSpec.Check). The result is a trained
+// bundle.Chain. Stage 2 runs the search service's spec (pso.JobSpec), which
+// also sizes the data every stage trains on, and Run refuses, before Stage
+// 1, a spec the service would refuse. The result is a trained
 // detector plus the hardware reports a deployment decision needs.
 package core
 
@@ -31,23 +32,19 @@ import (
 // FlowConfig parameterizes a full bottom-up design run. The zero value is
 // not usable; start from DefaultFlowConfig.
 type FlowConfig struct {
-	// Data generation.
-	Dataset dataset.Config
-	TrainN  int
-	ValN    int
-
 	// Stage 1.
 	Stage1Epochs int
 	// MaxGroups caps how many Pareto Bundles seed Stage 2 groups.
 	MaxGroups int
 
-	// Stage 2.
-	Search pso.Config
+	// Search is Stage 2's search and the data every stage trains on: the
+	// spec the search service takes, its Groups set by Stage 1. Its seed
+	// is the flow's, its batch size the final training's.
+	Search pso.JobSpec
 
 	// Stage 3 + final training.
 	FinalEpochs int
 
-	Seed int64
 	// Log, if non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -56,27 +53,27 @@ type FlowConfig struct {
 // (small images, few particles, short training) that still exercises every
 // stage for real.
 func DefaultFlowConfig() FlowConfig {
-	ds := dataset.DefaultConfig()
-	ds.W, ds.H = 48, 24
 	return FlowConfig{
-		Dataset:      ds,
-		TrainN:       48,
-		ValN:         24,
 		Stage1Epochs: 3,
 		MaxGroups:    3,
-		Search: pso.Config{
-			PerGroup: 3, Iterations: 3,
-			Slots: 4, Pools: 2,
-			ChannelMin: 8, ChannelMax: 64,
-			Alpha: 0.005,
-			Beta:  map[string]float64{pso.PlatformFPGA: 2, pso.PlatformGPU: 1},
-			TargetMS: map[string]float64{
-				pso.PlatformFPGA: 40, // ≈ the 25 FPS contest operating point
-				pso.PlatformGPU:  15, // ≈ the 67 FPS pipeline bottleneck
+		Search: pso.JobSpec{
+			Config: pso.Config{
+				PerGroup: 3, Iterations: 3,
+				Slots: 4, Pools: 2,
+				ChannelMin: 8, ChannelMax: 64,
+				Alpha: 0.005,
+				Beta:  map[string]float64{pso.PlatformFPGA: 2, pso.PlatformGPU: 1},
+				TargetMS: map[string]float64{
+					pso.PlatformFPGA: 40, // ≈ the 25 FPS contest operating point
+					pso.PlatformGPU:  15, // ≈ the 67 FPS pipeline bottleneck
+				},
+				Seed: 1,
 			},
+			W: 48, H: 24,
+			TrainN: 48, ValN: 24,
+			BatchSize: 8,
 		},
 		FinalEpochs: 10,
-		Seed:        1,
 	}
 }
 
@@ -98,41 +95,33 @@ type FlowResult struct {
 	GPULatencyMS  float64
 }
 
-// batch is the flow's training and evaluation batch size.
-const batch = 8
-
-// check refuses a configuration the flow cannot run as asked, by the search
-// service's bounds: Stage 2 is the service's search, run in-process.
-func (cfg FlowConfig) check() error {
-	groups := len(bundle.Enumerate()) // at most every Bundle is on the frontier
-	if cfg.MaxGroups > 0 {
-		groups = min(groups, cfg.MaxGroups)
-	}
-	s := cfg.Search
-	return pso.JobSpec{
-		Groups: groups, PerGroup: s.PerGroup, Iterations: s.Iterations,
-		Slots: s.Slots, Pools: s.Pools, ChannelMin: s.ChannelMin, ChannelMax: s.ChannelMax,
-		W: cfg.Dataset.W, H: cfg.Dataset.H, TrainN: cfg.TrainN, ValN: cfg.ValN, BatchSize: batch,
-	}.Check()
-}
-
 // Run executes the full bottom-up flow, or returns the error of a
-// configuration it cannot run.
+// configuration it cannot run: one the search service would refuse
+// (pso.JobSpec.Check), Stage 2 being its search run in-process on at most
+// MaxGroups of the frontier's Bundles.
 func Run(cfg FlowConfig) (FlowResult, error) {
-	if err := cfg.check(); err != nil {
+	spec := cfg.Search
+	spec.Groups = len(bundle.Enumerate()) // at most every Bundle is on the frontier
+	if cfg.MaxGroups > 0 {
+		spec.Groups = min(spec.Groups, cfg.MaxGroups)
+	}
+	if err := spec.Check(); err != nil {
 		return FlowResult{}, err
 	}
 	logf := cfg.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	gen := dataset.NewGenerator(cfg.Dataset)
+	// The evaluator draws its splits from a generator of its own; Stages 1
+	// and 3 share one of the same configuration.
+	evaluator := spec.NewEvaluator()
+	gen := dataset.NewGenerator(evaluator.Gen.Config())
 
 	// ---- Stage 1: Bundle selection and evaluation -----------------------
 	candidates := bundle.Enumerate()
 	logf("stage 1: evaluating %d candidate bundles", len(candidates))
-	acc := bundle.TrainingAccuracy(gen, cfg.TrainN, cfg.ValN, cfg.Stage1Epochs, cfg.Seed)
-	evals := bundle.EvaluateAll(candidates, acc, cfg.Dataset.H, cfg.Dataset.W, bundle.Contest)
+	acc := bundle.TrainingAccuracy(gen, spec.TrainN, spec.ValN, cfg.Stage1Epochs, spec.Seed)
+	evals := bundle.EvaluateAll(candidates, acc, spec.H, spec.W, bundle.Contest)
 	selected := bundle.ParetoSelect(evals)
 	if cfg.MaxGroups > 0 && len(selected) > cfg.MaxGroups {
 		// Keep the most accurate frontier points (they are latency-sorted,
@@ -143,45 +132,41 @@ func Run(cfg FlowConfig) (FlowResult, error) {
 
 	// ---- Stage 2: hardware-aware DNN search ------------------------------
 	// Group i replicates the i-th Pareto Bundle; Beta weighs no CPU key.
-	ids := make([]int, len(selected))
+	evaluator.Bundles = make([]int, len(selected))
 	for i, e := range selected {
-		ids[i] = e.Bundle.ID
+		evaluator.Bundles[i] = e.Bundle.ID
 	}
-	search := cfg.Search
-	search.Groups = len(ids)
-	search.Seed = cfg.Seed
+	search := spec.Config
+	search.Groups = len(selected)
 	if search.Progress == nil {
 		search.Progress = func(itr int, best pso.Particle) {
 			logf("stage 2: iteration %d best fitness %.4f (%s)", itr, best.Fit, best.Net)
 		}
 	}
-	evaluator := &pso.EngineEvaluator{
-		Gen:    dataset.NewGenerator(cfg.Dataset),
-		TrainN: cfg.TrainN, ValN: cfg.ValN,
-		Bundles: ids,
-		Seed:    cfg.Seed,
+	result, err := pso.SearchFrom(search, evaluator, nil, nil)
+	if err != nil {
+		return FlowResult{}, err
 	}
-	result := pso.Search(search, evaluator)
 	logf("stage 2: best %s fit %.4f acc %.4f", result.Best.Net, result.Best.Fit, result.Best.Acc)
 
 	// ---- Stage 3: feature addition (ReLU6, bypass) + final training -----
 	best := result.Best.Net
 	finalBundle := selected[best.BundleType].Bundle.WithReLU6()
 	finalNet, bypassApplied := bundle.Chain{Bundle: finalBundle, Channels: best.Channels, PoolAfter: best.PoolPos,
-		InC: 3, HeadC: 10, Bypass: true}.Build(rand.New(rand.NewSource(cfg.Seed)))
+		InC: 3, HeadC: 10, Bypass: true}.Build(rand.New(rand.NewSource(spec.Seed)))
 	head := detect.NewHead(nil)
-	train := gen.DetectionSet(cfg.TrainN)
-	val := gen.DetectionSet(cfg.ValN)
+	train := gen.DetectionSet(spec.TrainN)
+	val := gen.DetectionSet(spec.ValN)
 	detect.TrainDetector(finalNet, head, train, detect.TrainConfig{
 		Epochs:    cfg.FinalEpochs,
-		BatchSize: batch,
+		BatchSize: spec.BatchSize,
 		LR:        nn.LRSchedule{Start: 0.01, End: 0.001, Epochs: cfg.FinalEpochs},
 	})
-	finalIoU := detect.MeanIoU(finalNet, head, val, batch)
+	finalIoU := detect.MeanIoU(finalNet, head, val, spec.BatchSize)
 	logf("stage 3: bypass=%v final IoU %.4f", bypassApplied, finalIoU)
 
 	// Hardware reports for the final design.
-	price := bundle.Contest.Price(finalNet, []int{1, 3, cfg.Dataset.H, cfg.Dataset.W})
+	price := bundle.Contest.Price(finalNet, []int{1, 3, spec.H, spec.W})
 
 	return FlowResult{
 		Candidates:    evals,

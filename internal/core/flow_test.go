@@ -12,15 +12,15 @@ import (
 // depend on the training budget.
 func tinyFlow() FlowConfig {
 	cfg := DefaultFlowConfig()
-	cfg.Dataset.W, cfg.Dataset.H = 32, 16
-	cfg.TrainN, cfg.ValN = 12, 6
+	cfg.Search.W, cfg.Search.H = 32, 16
+	cfg.Search.TrainN, cfg.Search.ValN = 12, 6
 	cfg.Stage1Epochs = 1
 	cfg.Search.PerGroup = 2
 	cfg.Search.Iterations = 2
 	cfg.MaxGroups = 2
 	cfg.FinalEpochs = 2
 	if testing.Short() {
-		cfg.TrainN, cfg.ValN = 6, 3
+		cfg.Search.TrainN, cfg.Search.ValN = 6, 3
 		cfg.Search.Iterations = 1
 		cfg.FinalEpochs = 1
 	}
@@ -119,7 +119,7 @@ func TestRunRefusesWhatItCannotRun(t *testing.T) {
 		name, want string
 		mut        func(*FlowConfig)
 	}{
-		{"one training sample", "val_n 0", func(f *FlowConfig) { f.TrainN, f.ValN = 1, 0 }},
+		{"one training sample", "val_n 0", func(f *FlowConfig) { f.Search.TrainN, f.Search.ValN = 1, 0 }},
 		{"no iterations", "iterations 0", func(f *FlowConfig) { f.Search.Iterations = 0 }},
 		{"no particles", "per_group 0", func(f *FlowConfig) { f.Search.PerGroup = 0 }},
 		{"17 slots", "slots 17", func(f *FlowConfig) { f.Search.Slots = 17 }},
@@ -131,5 +131,14 @@ func TestRunRefusesWhatItCannotRun(t *testing.T) {
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestDefaultFlowSpecIdentity: the flow's default search is one job spec,
+// the one pso's TestJobIdentityPinned pins on the wire; the flow's Stage 2
+// and a service submission of that spec search the same thing.
+func TestDefaultFlowSpecIdentity(t *testing.T) {
+	if id := DefaultFlowConfig().Search.ID(); id != "job-0cc1c1cb160c61fb" {
+		t.Fatalf("default flow spec ID %s, want job-0cc1c1cb160c61fb", id)
 	}
 }

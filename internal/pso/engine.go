@@ -32,7 +32,6 @@ import (
 	"skynet/internal/bundle"
 	"skynet/internal/dataset"
 	"skynet/internal/detect"
-	"skynet/internal/fpga"
 	"skynet/internal/modelspec"
 	"skynet/internal/nn"
 	"skynet/internal/quant"
@@ -214,13 +213,6 @@ func (e *EngineEvaluator) priceOf(n Network) bundle.Price {
 func (e *EngineEvaluator) price(g *nn.Graph) bundle.Price {
 	cfg := e.Gen.Config()
 	return bundle.Contest.Price(g, []int{1, 3, cfg.H, cfg.W})
-}
-
-// OperatingPoint joins the candidate's FPGA estimate with its measured
-// int8 accuracy — the latency/accuracy coupling the deployment decision
-// ranks on (fpga.OperatingPoint).
-func (e *EngineEvaluator) OperatingPoint(n Network, epochs int) fpga.OperatingPoint {
-	return e.priceOf(n).Report.WithAccuracy(e.accuracy(n, epochs).Int8IoU)
 }
 
 // CacheStats returns the accuracy cache's hit/miss counters.

@@ -48,13 +48,6 @@ func TestEngineEvaluatorMeasuresBothEngines(t *testing.T) {
 	if ratio := lat[PlatformCPUFloat] / lat[PlatformCPUInt8]; math.Abs(ratio-2) > 1e-9 {
 		t.Fatalf("cpu f32/i8 ratio %v, want 2 from pinned factors", ratio)
 	}
-	op := ev.OperatingPoint(n, 2)
-	if op.IoU != qacc {
-		t.Fatalf("operating point IoU %v, want measured int8 IoU %v", op.IoU, qacc)
-	}
-	if op.LatencyS <= 0 {
-		t.Fatal("operating point must carry the FPGA estimate")
-	}
 }
 
 func TestEngineEvaluatorCache(t *testing.T) {

@@ -78,51 +78,57 @@ type StateCarrier interface {
 	RestoreState(data []byte) error
 }
 
-// Config parameterizes the search.
+// Config parameterizes the search. Its search fields are the members of
+// the job wire (JobSpec embeds Config), in the wire's order; the rest are
+// in-process knobs no client can set.
 type Config struct {
 	// Groups is the number of Bundle types (M in Algorithm 1); PerGroup is
 	// the number of networks per group (N).
-	Groups, PerGroup int
-	Iterations       int
+	Groups     int `json:"groups"`
+	PerGroup   int `json:"per_group"`
+	Iterations int `json:"iterations"`
 	// Slots is the number of Bundle replications per network; Pools the
 	// number of pooling layers to place among them.
-	Slots, Pools int
+	Slots int `json:"slots"`
+	Pools int `json:"pools"`
 	// Channel bounds for dim1.
-	ChannelMin, ChannelMax int
-	// Alpha balances accuracy vs latency penalty; Beta weights each
-	// platform (the paper sets the FPGA factor larger than the GPU's to
-	// prioritize the tighter budget). TargetMS is Req_h of Equation 1.
-	Alpha    float64
-	Beta     map[string]float64
-	TargetMS map[string]float64
+	ChannelMin int `json:"channel_min"`
+	ChannelMax int `json:"channel_max"`
+	// Alpha balances accuracy vs latency penalty.
+	Alpha float64 `json:"alpha"`
 	// Gamma weights the quantization-drop penalty when the evaluator is a
 	// QuantAwareEvaluator: Gamma × max(0, acc − quantAcc) subtracts from
 	// the fitness. Zero disables the term.
-	Gamma float64
-	Seed  int64
+	Gamma float64 `json:"gamma"`
+	// Beta weights each platform (the paper sets the FPGA factor larger
+	// than the GPU's to prioritize the tighter budget). TargetMS is Req_h
+	// of Equation 1.
+	Beta     map[string]float64 `json:"beta,omitempty"`
+	TargetMS map[string]float64 `json:"target_ms,omitempty"`
+	Seed     int64              `json:"seed"`
 	// Workers bounds the evaluation worker pool; 0 selects GOMAXPROCS.
 	// The search trajectory is identical for every worker count (results
 	// are reduced in fixed particle order), so Workers is a throughput
 	// knob, not a semantic one, and is excluded from the checkpoint
 	// config digest.
-	Workers int
+	Workers int `json:"-"`
 	// PaperLiteralFitness uses Equation 1 exactly as printed (a positive
 	// latency term); the default is the evidently intended penalty form.
-	PaperLiteralFitness bool
+	PaperLiteralFitness bool `json:"-"`
 	// GlobalEvolution is the ablation of the paper's group-based design:
 	// particles evolve toward the *global* best instead of their group's
 	// best. The paper argues group-based evolution maintains stability
 	// because a channel/pooling genome is only meaningful relative to its
 	// own Bundle type; this switch lets the claim be measured.
-	GlobalEvolution bool
+	GlobalEvolution bool `json:"-"`
 	// Progress, if non-nil, is called after each iteration with the global
 	// best fitness.
-	Progress func(itr int, best Particle)
+	Progress func(itr int, best Particle) `json:"-"`
 	// EvalObserver, if non-nil, receives the wall-clock duration of every
 	// particle evaluation. It is telemetry only — wall time never feeds
 	// the fitness (see SearchFrom's determinism contract) — and may be
 	// called concurrently from the worker pool.
-	EvalObserver func(d time.Duration)
+	EvalObserver func(d time.Duration) `json:"-"`
 }
 
 // Particle is one evaluated network.
@@ -194,21 +200,20 @@ func (c Config) FitnessQ(acc, quantAcc float64, lat map[string]float64) float64 
 // paper grows with itr.
 func epochsAt(itr int) int { return 1 + itr }
 
+// normalize fills the genome bounds left zero. It does not clamp: Pools
+// above Slots is a search SearchFrom refuses and JobSpec.Check names.
 func (c *Config) normalize() {
 	if c.ChannelMin <= 0 {
 		c.ChannelMin = 4
 	}
 	if c.ChannelMax <= c.ChannelMin {
-		c.ChannelMax = c.ChannelMin * 16
+		c.ChannelMax = c.ChannelMin * 8
 	}
 	if c.Slots <= 0 {
-		c.Slots = 6
+		c.Slots = 3
 	}
 	if c.Pools <= 0 {
-		c.Pools = 3
-	}
-	if c.Pools > c.Slots {
-		c.Pools = c.Slots
+		c.Pools = 2
 	}
 }
 
@@ -241,20 +246,6 @@ func clampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// Search runs Algorithm 1 and returns the global best particle plus the
-// per-iteration best-fitness history (monotone non-decreasing). It is
-// SearchFrom without checkpointing; see there for the evaluation and
-// determinism contract.
-func Search(cfg Config, eval Evaluator) Result {
-	res, err := SearchFrom(cfg, eval, nil, nil)
-	if err != nil {
-		// Unreachable: SearchFrom only errors on checkpoint validation and
-		// save-hook failures, and both are nil here.
-		panic(err)
-	}
-	return res
 }
 
 // evolve moves one particle toward its group best: each channel dimension

@@ -3,6 +3,7 @@ package pso
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -51,9 +52,31 @@ func testConfig(seed int64) Config {
 	}
 }
 
+// search is SearchFrom without a checkpoint, on a configuration it must
+// accept.
+func search(t *testing.T, cfg Config, eval Evaluator) Result {
+	t.Helper()
+	res, err := SearchFrom(cfg, eval, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSearchFromRefusesMorePoolsThanSlots: a genome cannot place more
+// poolings than it has slots; the search says so instead of clamping the
+// ask or panicking while it draws the population.
+func TestSearchFromRefusesMorePoolsThanSlots(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.Slots, cfg.Pools = 3, 4
+	if _, err := SearchFrom(cfg, quadEvaluator{}, nil, nil); err == nil || !strings.Contains(err.Error(), "4 pools among 3 slots") {
+		t.Fatalf("err %v, want a refusal naming 4 pools among 3 slots", err)
+	}
+}
+
 func TestSearchImprovesFitness(t *testing.T) {
 	eval := quadEvaluator{idealCh: []int{16, 32, 64, 96}, idealPool: map[int]bool{0: true, 2: true}}
-	res := Search(testConfig(1), eval)
+	res := search(t, testConfig(1), eval)
 	if len(res.History) != 12 {
 		t.Fatalf("history length %d", len(res.History))
 	}
@@ -69,7 +92,7 @@ func TestQuickHistoryMonotone(t *testing.T) {
 		eval := quadEvaluator{idealCh: []int{20, 40, 60, 80}, idealPool: map[int]bool{1: true, 3: true}}
 		cfg := testConfig(seed)
 		cfg.Iterations = 6
-		res := Search(cfg, eval)
+		res := search(t, cfg, eval)
 		for i := 1; i < len(res.History); i++ {
 			if res.History[i] < res.History[i-1] {
 				return false
@@ -117,7 +140,7 @@ func TestQuickParticlesStayValid(t *testing.T) {
 
 func TestGroupsEvolveIndependently(t *testing.T) {
 	eval := quadEvaluator{idealCh: []int{16, 32, 64, 96}, idealPool: map[int]bool{0: true, 2: true}}
-	res := Search(testConfig(3), eval)
+	res := search(t, testConfig(3), eval)
 	if len(res.GroupBest) != 2 {
 		t.Fatalf("want 2 group bests, got %d", len(res.GroupBest))
 	}
@@ -211,7 +234,7 @@ func TestGroupBasedBeatsGlobalEvolution(t *testing.T) {
 	run := func(global bool) float64 {
 		cfg := base
 		cfg.GlobalEvolution = global
-		res := Search(cfg, groupedEval{})
+		res := search(t, cfg, groupedEval{})
 		// Stability metric: the worse group's final best — global
 		// evolution sacrifices one group to the other's optimum.
 		worst := res.GroupBest[0].Fit
@@ -228,9 +251,46 @@ func TestGroupBasedBeatsGlobalEvolution(t *testing.T) {
 	}
 }
 
+// randomSearch is the NAS baseline the paper's §2.2 positions PSO against:
+// it samples genomes uniformly from the same search space and keeps the
+// best, with the identical fitness and per-iteration epoch budget, so the
+// two search strategies are comparable at equal evaluation counts.
+func randomSearch(cfg Config, eval Evaluator) Result {
+	cfg.normalize()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var res Result
+	res.Best.Fit = math.Inf(-1)
+	res.GroupBest = make([]Particle, cfg.Groups)
+	for gi := range res.GroupBest {
+		res.GroupBest[gi].Fit = math.Inf(-1)
+	}
+	for itr := 0; itr < cfg.Iterations; itr++ {
+		epochs := epochsAt(itr)
+		for gi := 0; gi < cfg.Groups; gi++ {
+			for j := 0; j < cfg.PerGroup; j++ {
+				n := cfg.randomNetwork(rng, gi)
+				acc := eval.Accuracy(n, epochs)
+				lat := eval.Latency(n)
+				p := Particle{Net: n, Acc: acc, Lat: lat, Fit: cfg.Fitness(acc, lat)}
+				if p.Fit > res.GroupBest[gi].Fit {
+					res.GroupBest[gi] = p
+				}
+				if p.Fit > res.Best.Fit {
+					res.Best = p
+				}
+			}
+		}
+		res.History = append(res.History, res.Best.Fit)
+		if cfg.Progress != nil {
+			cfg.Progress(itr, res.Best)
+		}
+	}
+	return res
+}
+
 func TestRandomSearchBaseline(t *testing.T) {
 	eval := quadEvaluator{idealCh: []int{16, 32, 64, 96}, idealPool: map[int]bool{0: true, 2: true}}
-	res := RandomSearch(testConfig(20), eval)
+	res := randomSearch(testConfig(20), eval)
 	if len(res.History) != 12 {
 		t.Fatalf("history %d", len(res.History))
 	}
@@ -255,8 +315,8 @@ func TestPSOBeatsRandomSearch(t *testing.T) {
 	var psoMean, randMean float64
 	for _, seed := range seeds {
 		cfg.Seed = seed
-		psoMean += Search(cfg, eval).Best.Fit
-		randMean += RandomSearch(cfg, eval).Best.Fit
+		psoMean += search(t, cfg, eval).Best.Fit
+		randMean += randomSearch(cfg, eval).Best.Fit
 	}
 	psoMean, randMean = psoMean/float64(len(seeds)), randMean/float64(len(seeds))
 	if psoMean < randMean {
@@ -285,7 +345,7 @@ func (hostileEval) Latency(n Network) map[string]float64 {
 func TestSearchSurvivesHostileEvaluator(t *testing.T) {
 	cfg := testConfig(30)
 	cfg.Iterations = 4
-	res := Search(cfg, hostileEval{})
+	res := search(t, cfg, hostileEval{})
 	// The best must be a finite value when any particle produced one.
 	if math.IsNaN(res.Best.Fit) {
 		t.Fatal("NaN fitness leaked into the global best")
@@ -385,7 +445,7 @@ func TestFitnessTable(t *testing.T) {
 // TestFitnessParetoOrdering: a candidate that Pareto-dominates another
 // (accuracy no worse, every latency no worse, at least one strictly
 // better) must never score lower under the penalty-form fitness — the
-// ordering both Search and the RandomSearch baseline rely on when they
+// ordering both SearchFrom and the randomSearch baseline rely on when they
 // keep their best particle.
 func TestFitnessParetoOrdering(t *testing.T) {
 	cfg := testConfig(11)
@@ -449,7 +509,7 @@ func TestRandomSearchKeepsArgmaxFitness(t *testing.T) {
 	cfg.Iterations = 4
 	var fits []float64
 	cfg.Progress = func(_ int, best Particle) { fits = append(fits, best.Fit) }
-	res := RandomSearch(cfg, scriptedEvaluator{})
+	res := randomSearch(cfg, scriptedEvaluator{})
 	want := cfg.Fitness(res.Best.Acc, res.Best.Lat)
 	if math.Abs(res.Best.Fit-want) > 1e-12 {
 		t.Fatalf("best fitness %v does not re-derive from its own acc/lat (%v)", res.Best.Fit, want)

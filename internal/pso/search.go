@@ -149,12 +149,17 @@ func (c Config) Digest() string {
 // deterministic evaluator — produces the bitwise-identical trajectory an
 // uninterrupted run would have. When save is non-nil it is called with a
 // snapshot after every completed iteration; a save error aborts the search
-// and is returned alongside the partial result.
+// and is returned alongside the partial result. SearchFrom is the one entry
+// point of Algorithm 1: the design flow, the job service and every test
+// search through it.
 func SearchFrom(cfg Config, eval Evaluator, ck *Checkpoint, save func(Checkpoint) error) (Result, error) {
 	cfg.normalize()
 	digest := cfg.Digest()
 
 	var res Result
+	if cfg.Pools > cfg.Slots {
+		return res, fmt.Errorf("pso: %d pools among %d slots", cfg.Pools, cfg.Slots)
+	}
 	var pop [][]Network
 	start := 0
 	if ck == nil {

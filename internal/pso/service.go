@@ -35,23 +35,12 @@ import (
 	"skynet/internal/serve"
 )
 
-// JobSpec is the submit payload: the search Config's trajectory fields
-// plus the evaluator sizing. Everything is canonicalized by normalize, so
-// two specs that differ only in defaulted fields get the same job ID.
+// JobSpec is the submit payload and the design flow's Stage 2: the search
+// Config, whose search fields are the wire's members, plus the data its
+// evaluator is built from. Everything is canonicalized by normalize, so two
+// specs that differ only in defaulted fields get the same job ID.
 type JobSpec struct {
-	Groups     int `json:"groups"`
-	PerGroup   int `json:"per_group"`
-	Iterations int `json:"iterations"`
-	Slots      int `json:"slots"`
-	Pools      int `json:"pools"`
-	ChannelMin int `json:"channel_min"`
-	ChannelMax int `json:"channel_max"`
-
-	Alpha    float64            `json:"alpha"`
-	Gamma    float64            `json:"gamma"`
-	Beta     map[string]float64 `json:"beta,omitempty"`
-	TargetMS map[string]float64 `json:"target_ms,omitempty"`
-	Seed     int64              `json:"seed"`
+	Config
 
 	// W and H size the synthetic dataset; TrainN/ValN the split.
 	W         int `json:"w,omitempty"`
@@ -62,13 +51,12 @@ type JobSpec struct {
 
 	// Factors pins the engine calibration; zero measures at job start.
 	Factors EngineFactors `json:"factors,omitempty"`
-
-	// Workers bounds the evaluation pool. Not part of the job ID: it
-	// changes throughput, never the trajectory.
-	Workers int `json:"workers,omitempty"`
 }
 
+// normalize fills every member left zero with its default. Like
+// Config.normalize it does not clamp, so Check sees what was asked.
 func (j *JobSpec) normalize() {
+	j.Config.normalize()
 	if j.Groups <= 0 {
 		j.Groups = 2
 	}
@@ -77,18 +65,6 @@ func (j *JobSpec) normalize() {
 	}
 	if j.Iterations <= 0 {
 		j.Iterations = 4
-	}
-	if j.Slots <= 0 {
-		j.Slots = 3
-	}
-	if j.Pools <= 0 {
-		j.Pools = 2
-	}
-	if j.ChannelMin <= 0 {
-		j.ChannelMin = 4
-	}
-	if j.ChannelMax <= j.ChannelMin {
-		j.ChannelMax = j.ChannelMin * 8
 	}
 	if j.W <= 0 {
 		j.W = 48
@@ -117,32 +93,21 @@ func (j *JobSpec) normalize() {
 }
 
 // ID is the job's content identity: the FNV digest of the canonical JSON
-// form (encoding/json sorts map keys, normalize fills defaults), minus the
-// throughput-only Workers knob.
+// form (encoding/json sorts map keys, normalize fills defaults). The
+// in-process knobs, Workers among them, are not on the wire and so not in
+// the ID. It is not Config.Digest, the checkpoint's validity hash: every
+// <id>.ckpt on disk is named by this one.
 func (j JobSpec) ID() string {
 	j.normalize()
-	j.Workers = 0
 	b, err := json.Marshal(j)
 	if err != nil {
-		// Unreachable: JobSpec contains only marshalable fields.
+		// Unreachable: every wire member is marshalable, and the func
+		// fields are not on the wire.
 		panic(err)
 	}
 	h := fnv.New64a()
 	_, _ = h.Write(b) // hash.Hash.Write never fails
 	return fmt.Sprintf("job-%016x", h.Sum64())
-}
-
-// SearchConfig lowers the spec into the search Config.
-func (j JobSpec) SearchConfig() Config {
-	j.normalize()
-	return Config{
-		Groups: j.Groups, PerGroup: j.PerGroup, Iterations: j.Iterations,
-		Slots: j.Slots, Pools: j.Pools,
-		ChannelMin: j.ChannelMin, ChannelMax: j.ChannelMax,
-		Alpha: j.Alpha, Gamma: j.Gamma,
-		Beta: j.Beta, TargetMS: j.TargetMS,
-		Seed: j.Seed, Workers: j.Workers,
-	}
 }
 
 // NewEvaluator builds the job's measured-fitness evaluator.
@@ -285,7 +250,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("pso: checkpoint for %s is unreadable: %w", id, err)
 	}
 	jb := &job{spec: spec, eval: spec.NewEvaluator(), done: make(chan struct{})}
-	jb.status = JobStatus{ID: id, State: "queued", IterationsTotal: spec.SearchConfig().Iterations}
+	jb.status = JobStatus{ID: id, State: "queued", IterationsTotal: spec.Iterations}
 	if ck != nil {
 		jb.status.Resumed, jb.status.IterationsDone = true, ck.Iter
 	}
@@ -302,7 +267,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 
 func (s *Service) run(jb *job, ck *Checkpoint) {
 	defer close(jb.done)
-	cfg := jb.spec.SearchConfig()
+	cfg := jb.spec.Config
 	cfg.EvalObserver = func(d time.Duration) { s.evalHist.Observe(d) }
 	cfg.Progress = func(itr int, best Particle) {
 		hits, misses := jb.eval.CacheStats()
@@ -380,16 +345,6 @@ func (s *Service) Result(id string) (JobResult, bool) {
 		return JobResult{}, false
 	}
 	return *jb.result, true
-}
-
-// Wait blocks until the job finishes (test and CLI convenience).
-func (s *Service) Wait(id string) {
-	s.mu.Lock()
-	jb, ok := s.jobs[id]
-	s.mu.Unlock()
-	if ok {
-		<-jb.done
-	}
 }
 
 // ServiceMetrics is the /metrics payload: job counts by state, the

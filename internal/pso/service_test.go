@@ -20,14 +20,26 @@ import (
 
 func testJobSpec() JobSpec {
 	return JobSpec{
-		Groups: 2, PerGroup: 3, Iterations: 3,
-		Slots: 3, Pools: 2,
-		ChannelMin: 4, ChannelMax: 24,
-		Gamma: 0.5,
-		Seed:  5,
+		Config: Config{
+			Groups: 2, PerGroup: 3, Iterations: 3,
+			Slots: 3, Pools: 2,
+			ChannelMin: 4, ChannelMax: 24,
+			Gamma: 0.5,
+			Seed:  5,
+		},
 		// Pinned factors: wall-clock calibration plays no role in the
 		// asserted trajectories.
 		Factors: EngineFactors{Float32NSPerMAC: 2.5, Int8NSPerMAC: 1.25},
+	}
+}
+
+// Wait blocks until the job finishes.
+func (s *Service) Wait(id string) {
+	s.mu.Lock()
+	jb, ok := s.jobs[id]
+	s.mu.Unlock()
+	if ok {
+		<-jb.done
 	}
 }
 
@@ -44,6 +56,77 @@ func TestJobSpecWireFormat(t *testing.T) {
 	if spec.Factors != (EngineFactors{Float32NSPerMAC: 2.5, Int8NSPerMAC: 1.25}) {
 		t.Fatalf("snake_case factors did not unmarshal: %+v", spec.Factors)
 	}
+}
+
+// pinnedSpecs are job bodies with the ID and Config.Digest each had when
+// JobSpec still declared its own copy of every search field: the README's
+// example, one setting every member, and the design flow's default search
+// (core.DefaultFlowConfig's spec on the wire).
+var pinnedSpecs = []struct{ body, id, digest string }{
+	{`{}`, "job-1d349c9258c7e9f2", "9dcec0f74a649858"},
+	{`{"iterations":4,"seed":1}`, "job-8d588afda8de896f", "1f36510b52198cef"},
+	{`{"groups":3,"per_group":5,"iterations":6,"slots":5,"pools":3,"channel_min":6,"channel_max":40,` +
+		`"alpha":0.02,"gamma":0.5,"beta":{"fpga":3,"gpu":0.5,"cpu-i8":0.25},"target_ms":{"fpga":20,"gpu":8,"cpu-i8":30},` +
+		`"seed":42,"w":64,"h":32,"train_n":16,"val_n":8,"batch_size":2,"factors":{"float32_ns_per_mac":1.5,"int8_ns_per_mac":0.75}}`,
+		"job-a94c0cae9378b98b", "b0a3e90103f4b1b1"},
+	{`{"per_group":3,"iterations":3,"slots":4,"pools":2,"channel_min":8,"channel_max":64,"alpha":0.005,` +
+		`"beta":{"fpga":2,"gpu":1},"target_ms":{"fpga":40,"gpu":15},"seed":1,"w":48,"h":24,"train_n":48,"val_n":24,"batch_size":8}`,
+		"job-0cc1c1cb160c61fb", "6ef99ef396f6d158"},
+}
+
+// TestJobIdentityPinned: a job resubmitted after an upgrade must find the
+// <id>.ckpt its ID names, and the checkpoint must pass the digest check, so
+// neither hash may move — not even by a reordered JSON member.
+func TestJobIdentityPinned(t *testing.T) {
+	for _, p := range pinnedSpecs {
+		var spec JobSpec
+		if err := json.Unmarshal([]byte(p.body), &spec); err != nil {
+			t.Fatal(err)
+		}
+		spec.normalize()
+		if id, digest := spec.ID(), spec.Digest(); id != p.id || digest != p.digest {
+			t.Errorf("%s: ID %s digest %s, want %s %s", p.body, id, digest, p.id, p.digest)
+		}
+	}
+}
+
+// TestJobSpecWireDropsWorkers: the evaluation pool's size is the process's
+// to choose, not a client's — a body asking for 768 workers gets the
+// default pool and the job it would have got without asking.
+func TestJobSpecWireDropsWorkers(t *testing.T) {
+	var plain, asking JobSpec
+	if err := json.Unmarshal([]byte(`{"groups":12,"per_group":64}`), &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(`{"groups":12,"per_group":64,"workers":768}`), &asking); err != nil {
+		t.Fatal(err)
+	}
+	if asking.Workers != 0 || asking.ID() != plain.ID() {
+		t.Fatalf("workers %d, ID %s, want 0 and %s", asking.Workers, asking.ID(), plain.ID())
+	}
+}
+
+// FuzzJobSpec: whatever body reaches the door, decoding, normalizing,
+// checking and naming it never panics, and a spec Check accepts places its
+// pools among its slots on a frame within the pixel cap. It runs no search.
+func FuzzJobSpec(f *testing.F) {
+	for _, p := range pinnedSpecs {
+		f.Add([]byte(p.body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		if json.Unmarshal(body, &spec) != nil {
+			return
+		}
+		spec.normalize()
+		if spec.Check() != nil {
+			return
+		}
+		if spec.Pools > spec.Slots || spec.W*spec.H > maxFramePixels {
+			t.Fatalf("Check accepted %d pools among %d slots on a %d×%d frame", spec.Pools, spec.Slots, spec.W, spec.H)
+		}
+		_ = spec.ID()
+	})
 }
 
 func postJob(t *testing.T, url string, spec JobSpec) JobStatus {
@@ -95,11 +178,8 @@ func TestServiceJobLifecycle(t *testing.T) {
 		t.Fatalf("iterations total %d", st.IterationsTotal)
 	}
 
-	// Resubmitting the identical spec joins the same job; a different
-	// Workers value must not mint a new identity.
-	again := spec
-	again.Workers = 7
-	if st2 := postJob(t, ts.URL, again); st2.ID != st.ID {
+	// Resubmitting the identical spec joins the same job.
+	if st2 := postJob(t, ts.URL, spec); st2.ID != st.ID {
 		t.Fatalf("resubmit minted a new job: %s vs %s", st2.ID, st.ID)
 	}
 
@@ -313,7 +393,7 @@ func TestFormatOneCheckpointIsRefused(t *testing.T) {
 	spec := testJobSpec()
 	spec.normalize()
 	path := svc.CheckpointPath(spec.ID())
-	ck := Checkpoint{Format: 1, ConfigHash: spec.SearchConfig().Digest()}
+	ck := Checkpoint{Format: 1, ConfigHash: spec.Digest()}
 	if err := ck.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -338,10 +418,11 @@ func TestServiceResumesKilledJob(t *testing.T) {
 	}
 	spec := testJobSpec()
 	spec.Seed = 17
+	spec.normalize()
 	id := spec.ID()
 
 	// Reference: never interrupted.
-	ref, err := SearchFrom(spec.SearchConfig(), spec.NewEvaluator(), nil, nil)
+	ref, err := SearchFrom(spec.Config, spec.NewEvaluator(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +431,7 @@ func TestServiceResumesKilledJob(t *testing.T) {
 	dead := NewService(dir)
 	killed := func() (res Result, err error) {
 		defer func() { recover() }()
-		return SearchFrom(spec.SearchConfig(), spec.NewEvaluator(), nil, func(ck Checkpoint) error {
+		return SearchFrom(spec.Config, spec.NewEvaluator(), nil, func(ck Checkpoint) error {
 			if err := ck.Save(dead.CheckpointPath(id)); err != nil {
 				return err
 			}
