@@ -148,13 +148,15 @@ short:
 # their parallel tests and the tracker-training determinism test (whose
 # backward runs through them) get the three runs too, as does the test that
 # runs tracking steps side by side on one tracker, each on a workspace of its
-# own.
+# own. So does the one that runs inference forwards on the plan's lanes
+# between a training forward and its Backward: the graph's tape, which
+# Backward takes its inputs from, must come through them untouched.
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool.
 LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch|ConcurrentForwards|FallbackUnitsRunOnLanes
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite|OneModelPerGeneration
 STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
-LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers|ConcurrentStepsOnOneTracker
+LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers|ConcurrentStepsOnOneTracker|BackwardAfterInference
 race:
 	$(GO) test -race ./internal/nn/... ./internal/tensor/... ./internal/pipeline/... ./internal/detect/... ./internal/serve/... ./internal/track/... ./internal/analysis/... ./internal/pso/... ./internal/quant/...
 	$(GO) test -race -short -cpu 1,2,4 -run '$(LANE_TESTS)' ./internal/nn ./internal/quant

@@ -7,8 +7,7 @@ import "skynet/internal/tensor"
 // activation the paper adopts because its bounded range lets intermediate
 // feature maps be represented with fewer bits on embedded hardware (§5.2).
 type ReLU struct {
-	Cap float32        // 0 means unbounded
-	x   *tensor.Tensor // input of the last training forward, for Backward
+	Cap float32 // 0 means unbounded
 }
 
 // NewReLU returns an unbounded rectifier.
@@ -30,7 +29,6 @@ func (r *ReLU) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, r.Name())
 	out := tensor.New(x.Shape()...)
 	reluInto(out.Data, x.Data, r.Cap)
-	r.x = cacheIf(train, x)
 	return out
 }
 
@@ -43,8 +41,8 @@ func reluInto(dst, src []float32, cap float32) {
 
 // Backward passes the gradient where Forward left the value alone: inside
 // (0, Cap), and at NaN.
-func (r *ReLU) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	x := needTrainForward(r.x, r.Name())
+func (r *ReLU) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
+	x := one(xs, r.Name())
 	dx := dout.Clone()
 	for i, v := range x.Data {
 		if v <= 0 || r.Cap > 0 && v >= r.Cap {

@@ -13,11 +13,12 @@ import (
 // Forward and Backward — the layer walk: training, and the tests' oracle — deal the
 // images of their batch to LanesFor(n) lanes through RunLanes, as the
 // inference plan deals its samples (plan.go), which hands forwardImage one
-// image at a time. The walk's scratch, batch in flight and geometry are the
-// layer's, its scratch per lane (lane 0 is the calling goroutine), as the
-// plan's are its PlanCache's: the plan writes nothing here and passes
-// forwardImage its geometry, scratch and operands. A warm Forward allocates
-// its output tensor and nothing else; the output belongs to the caller.
+// image at a time. The walk's scratch is the layer's, per lane (lane 0 is the
+// calling goroutine), as the plan's is its PlanCache's: the plan writes
+// nothing here and passes forwardImage its geometry, scratch and operands.
+// Backward takes its input as an argument and derives the geometry from it.
+// A warm Forward allocates its output tensor and nothing else; the output
+// belongs to the caller.
 //
 // A 1×1, stride-1, unpadded convolution skips im2col: its [InC, H·W] image
 // already is the GEMM's B operand.
@@ -30,9 +31,8 @@ type Conv2D struct {
 	Weight    *Param // [OutC, InC*K*K]
 	Bias      *Param // [OutC], nil unless UseBias
 	label     string
-	x         *tensor.Tensor // input of the last training forward, for Backward
-	// Geometry of the layer walk's last forward, for Cost and Backward.
-	lastN, inH, inW, outH, outW int
+	// Geometry of the layer walk's last forward, for Cost.
+	lastN, inH, inW int
 
 	ws    []convScratch    // the layer walk's per-lane scratch, reused across calls
 	fwd   convImages       // the layer walk's forward in flight, as RunLanes deals it
@@ -80,7 +80,7 @@ func (c *Conv2D) Params() []*Param {
 }
 
 // Forward lowers the convolution to one GEMM per image, the images dealt to
-// lanes, into a fresh tensor, and records the geometry for Cost and Backward.
+// lanes, into a fresh tensor, and records the geometry for Cost.
 //
 //skynet:hotpath
 func (c *Conv2D) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
@@ -89,22 +89,23 @@ func (c *Conv2D) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := c.outSize(h, w)
 	out := tensor.New(n, c.OutC, outH, outW)
-	c.lastN, c.inH, c.inW, c.outH, c.outW = n, h, w, outH, outW
+	c.lastN, c.inH, c.inW = n, h, w
 	lanes := LanesFor(n)
 	if !c.direct() {
-		c.ensureScratch(lanes)
+		c.ensureScratch(lanes, outH*outW)
 	}
-	c.fwd = convImages{c, out.Data, x.Data}
+	c.fwd = convImages{c, out.Data, x.Data, h, w}
 	RunLanes(&c.fwd, n, lanes)
 	c.fwd = convImages{}
-	c.x = cacheIf(train, x)
 	return out
 }
 
-// convImages is the operands of one Forward, as RunLanes walks them.
+// convImages is the operands of one Forward, as RunLanes walks them: images
+// [InC,h,w] of src into dst.
 type convImages struct {
 	c        *Conv2D
 	dst, src []float32
+	h, w     int
 }
 
 // WalkSample convolves image i on the given lane's scratch.
@@ -112,12 +113,13 @@ type convImages struct {
 //skynet:hotpath
 func (a *convImages) WalkSample(lane, i int, leaf bool) {
 	c := a.c
-	imgSz, perImg := c.InC*c.inH*c.inW, c.OutC*c.outH*c.outW
+	outH, outW := c.outSize(a.h, a.w)
+	imgSz, perImg := c.InC*a.h*a.w, c.OutC*outH*outW
 	var col []float32
 	if !c.direct() {
 		col = c.ws[lane].col.Data
 	}
-	c.forwardImage(a.dst[i*perImg:(i+1)*perImg], a.src[i*imgSz:(i+1)*imgSz], c.inH, c.inW, col, c.epilogue(tensor.RowEpilogue{}), nil, leaf)
+	c.forwardImage(a.dst[i*perImg:(i+1)*perImg], a.src[i*imgSz:(i+1)*imgSz], a.h, a.w, col, c.epilogue(tensor.RowEpilogue{}), nil, leaf)
 }
 
 // epilogue is tail — a fused chain's batch norm and clamp, or nothing — with
@@ -169,11 +171,11 @@ func (c *Conv2D) forwardImage(dst, src []float32, h, w int, col []float32, ep te
 }
 
 // ensureScratch sizes the per-lane scratch for the given number of lanes at
-// the current im2col geometry.
+// an im2col geometry of cols output pixels.
 //
 //skynet:hotpath
-func (c *Conv2D) ensureScratch(lanes int) {
-	rows, cols := c.InC*c.K*c.K, c.outH*c.outW
+func (c *Conv2D) ensureScratch(lanes, cols int) {
+	rows := c.InC * c.K * c.K
 	if len(c.ws) < lanes || c.ws[0].col.Dim(1) != cols {
 		//skynet:nolint hotalloc -- grow-once scratch: reallocates only when the lane count or im2col geometry changes, never in steady state
 		c.ws = make([]convScratch, lanes)
@@ -188,15 +190,16 @@ func (c *Conv2D) ensureScratch(lanes int) {
 // GEMM-accumulated into G directly — and merges the slots in image order
 // afterwards, so the reduction tree is the same for every lane count and
 // training stays bitwise reproducible across GOMAXPROCS settings.
-func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	needTrainForward(c.x, c.label)
-	n := c.lastN
+func (c *Conv2D) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
+	x := one(xs, c.label)
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	outH, outW := c.outSize(h, w)
 	rows := c.InC * c.K * c.K
 	lanes := LanesFor(n)
-	c.ensureScratch(lanes)
+	c.ensureScratch(lanes, outH*outW)
 	for i := range c.ws[:lanes] {
 		if c.ws[i].dcol == nil {
-			c.ws[i].dcol = tensor.New(rows, c.outH*c.outW)
+			c.ws[i].dcol = tensor.New(rows, outH*outW)
 		}
 	}
 	if len(c.dwImg) < n {
@@ -206,8 +209,13 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 		}
 		c.dbImg = make([]float32, n*c.OutC)
 	}
-	dx := tensor.New(n, c.InC, c.inH, c.inW)
-	RunLanes(&convGrads{c, dout, dx}, n, lanes)
+	dx := tensor.New(n, c.InC, h, w)
+	RunLanes(&convGrads{c, x, dout, dx}, n, lanes)
+	for i := range c.ws[:lanes] {
+		if om := c.ws[i].om; om != nil {
+			om.Data = nil // the view pins no batch's gradient
+		}
+	}
 	for i := 0; i < n; i++ {
 		c.Weight.Grad().AddInPlace(c.dwImg[i])
 		if c.Bias != nil {
@@ -216,15 +224,14 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 			}
 		}
 	}
-	c.x = nil
 	return []*tensor.Tensor{dx}
 }
 
-// convGrads is the operands of one Backward — the output gradient and the
-// input gradient it fills — as RunLanes walks them.
+// convGrads is the operands of one Backward — the forward's input, the
+// output gradient and the input gradient it fills — as RunLanes walks them.
 type convGrads struct {
-	c        *Conv2D
-	dout, dx *tensor.Tensor
+	c           *Conv2D
+	x, dout, dx *tensor.Tensor
 }
 
 // WalkSample takes image i back on the given lane's scratch, its parameter
@@ -234,9 +241,11 @@ type convGrads struct {
 func (g *convGrads) WalkSample(lane, i int, leaf bool) {
 	c := g.c
 	s := &c.ws[lane]
-	h, w, cols := c.inH, c.inW, c.outH*c.outW
+	h, w := g.x.Dim(2), g.x.Dim(3)
+	outH, outW := c.outSize(h, w)
+	cols := outH * outW
 	imgSz, perImg := c.InC*h*w, c.OutC*cols
-	tensor.Im2ColInto(s.col.Data, c.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
+	tensor.Im2ColInto(s.col.Data, g.x.Data[i*imgSz:(i+1)*imgSz], c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
 	s.om = viewInto2(s.om, g.dout.Data[i*perImg:(i+1)*perImg], c.OutC, cols)
 	// dW_i = dout_i · col_iᵀ
 	dwi := c.dwImg[i]
@@ -282,11 +291,10 @@ type DWConv3 struct {
 	Stride  int
 	Pad     int
 	UseBias bool
-	Weight  *Param         // [C, K, K]
-	Bias    *Param         // [C]
-	x       *tensor.Tensor // input of the last training forward, for Backward
-	// Geometry of the layer walk's last forward, for Cost and Backward.
-	lastN, inH, inW, outH, outW int
+	Weight  *Param // [C, K, K]
+	Bias    *Param // [C]
+	// Geometry of the layer walk's last forward, for Cost.
+	lastN, inH, inW int
 }
 
 // NewDWConv3 constructs a depth-wise convolution with He initialization.
@@ -316,9 +324,8 @@ func (d *DWConv3) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := d.outSize(h, w)
 	out := tensor.New(n, d.C, outH, outW)
-	d.lastN, d.inH, d.inW, d.outH, d.outW = n, h, w, outH, outW // for Cost and Backward
+	d.lastN, d.inH, d.inW = n, h, w // for Cost
 	d.splitPlanes(out.Data, x.Data, n, h, w)
-	d.x = cacheIf(train, x)
 	return out
 }
 
@@ -523,9 +530,9 @@ func dwPixel[E float32 | int8, A float32 | int32](in, ker []E, bias A, h, w, k, 
 	return s
 }
 
-func (d *DWConv3) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	x := needTrainForward(d.x, "dwconv3")
-	dx := tensor.New(d.lastN, d.C, d.inH, d.inW)
+func (d *DWConv3) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
+	x := one(xs, "dwconv3")
+	dx := tensor.New(x.Shape()...)
 	// Dealt by channel across the GEMM pool, with the batch loop inside: a
 	// channel calls no GEMM, and every write target — Weight.G[ch],
 	// Bias.G[ch] and the (i, ch) planes of dx — is private to one channel, so
@@ -536,14 +543,14 @@ func (d *DWConv3) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 		p.Grad()
 	}
 	dwChannels.Run(d.C, dwGrads{d, x, dout, dx}, dwGrads.channels)
-	d.x = nil
 	return []*tensor.Tensor{dx}
 }
 
 // dwChannels runs DWConv3.Backward's channel loop.
 var dwChannels = tensor.NewRanger[dwGrads]()
 
-// dwGrads is the operands of one Backward, as its loop body takes them.
+// dwGrads is the operands of one Backward — the forward's input, the output
+// gradient and the input gradient it fills — as its loop body takes them.
 type dwGrads struct {
 	d           *DWConv3
 	x, dout, dx *tensor.Tensor
@@ -559,17 +566,18 @@ func (a dwGrads) channels(lo, hi int) {
 // channel is channel ch of every image.
 func (a dwGrads) channel(ch int) {
 	d, x, dout, dx := a.d, a.x, a.dout, a.dx
-	n, h, w := d.lastN, d.inH, d.inW
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	outH, outW := d.outSize(h, w)
 	ker := d.Weight.W.Data[ch*d.K*d.K:]
 	dker := d.Weight.G.Data[ch*d.K*d.K:]
 	var dbias float32
 	for i := 0; i < n; i++ {
 		in := x.Data[(i*d.C+ch)*h*w:]
-		dob := dout.Data[(i*d.C+ch)*d.outH*d.outW:]
+		dob := dout.Data[(i*d.C+ch)*outH*outW:]
 		dxb := dx.Data[(i*d.C+ch)*h*w:]
 		oi := 0
-		for oy := 0; oy < d.outH; oy++ {
-			for ox := 0; ox < d.outW; ox++ {
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
 				g := dob[oi]
 				oi++
 				if g == 0 {
@@ -592,7 +600,7 @@ func (a dwGrads) channel(ch int) {
 			}
 		}
 		if d.Bias != nil {
-			for _, g := range dout.Data[(i*d.C+ch)*d.outH*d.outW : (i*d.C+ch+1)*d.outH*d.outW] {
+			for _, g := range dout.Data[(i*d.C+ch)*outH*outW : (i*d.C+ch+1)*outH*outW] {
 				dbias += g
 			}
 		}

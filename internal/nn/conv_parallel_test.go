@@ -43,7 +43,7 @@ func runConvStep(t *testing.T, workers int, seed int64) (out, dx, dw, db []float
 	var o, d *tensor.Tensor
 	withParallelism(workers, workers, func() {
 		o = l.Forward([]*tensor.Tensor{x}, true)
-		d = l.Backward(dout)[0]
+		d = l.Backward([]*tensor.Tensor{x}, dout)[0]
 	})
 	return o.Data, d.Data, l.Weight.G.Data, l.Bias.G.Data
 }
@@ -81,7 +81,7 @@ func TestDWConv3ParallelBackwardMatchesSerial(t *testing.T) {
 		var d *tensor.Tensor
 		withParallelism(workers, workers, func() {
 			l.Forward([]*tensor.Tensor{x}, true)
-			d = l.Backward(dout)[0]
+			d = l.Backward([]*tensor.Tensor{x}, dout)[0]
 		})
 		return d.Data, l.Weight.G.Data, l.Bias.G.Data
 	}
@@ -159,7 +159,8 @@ func TestNoForwardOperandOnLayers(t *testing.T) {
 	allowed := map[string]string{
 		"Conv2D.dbImg":      "Backward's per-image bias-gradient staging",
 		"Conv2D.fwd":        "the layer walk's own batch in flight; the plan's lanes never read it",
-		"BatchNorm.invStd":  "what a training forward caches for Backward",
+		"BatchNorm.mean":    "a training forward's batch statistics, for Backward: C floats, not the batch",
+		"BatchNorm.invStd":  "a training forward's batch statistics, for Backward: C floats, not the batch",
 		"planNode.inv":      "written as a forward begins, before its lanes start",
 		"planNode.packed":   "written as a forward begins, before its lanes start",
 		"PlanCache.arena":   "the executor's, written before its lanes start: each lane reads its own region",
@@ -183,6 +184,24 @@ func TestNoForwardOperandOnLayers(t *testing.T) {
 			}
 			if holds {
 				t.Errorf("%s (%v) could hold an operand of a forward in flight; operands are arguments, a lane's state is the lane's", name, f.Type)
+			}
+		}
+	}
+}
+
+// TestNoLayerKeepsABatch: a layer's Backward takes the inputs of the forward
+// it differentiates as arguments, from the graph's tape, so no layer has a
+// field that could keep a batch or its shape — a tensor or an []int — but for
+// BatchNorm's running statistics, which are the model's.
+func TestNoLayerKeepsABatch(t *testing.T) {
+	allowed := map[string]bool{"BatchNorm.RunMean": true, "BatchNorm.RunVar": true}
+	batch, shape := reflect.TypeOf((*tensor.Tensor)(nil)), reflect.TypeOf([]int(nil))
+	for _, v := range []any{Conv2D{}, DWConv3{}, Linear{}, ReLU{}, MaxPool{}, BatchNorm{}, Concat{}, Reorg{}, Flatten{}, Add{}, Dropout{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if name := typ.Name() + "." + f.Name; (f.Type == batch || f.Type == shape) && !allowed[name] {
+				t.Errorf("%s (%v) could keep a forward's batch or its shape; Backward takes its inputs as arguments", name, f.Type)
 			}
 		}
 	}

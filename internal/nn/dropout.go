@@ -10,11 +10,13 @@ import (
 // scales the survivors by 1/(1-P) (inverted dropout), passing inputs
 // through unchanged in eval mode. AlexNet's fully-connected layers use it
 // (Krizhevsky et al., 2012); compact backbones like SkyNet do not need it.
+//
+// The mask of the last training draw stays on the layer: it is the draw, the
+// layer's RNG state, not a copy of the batch, and no eval forward changes it.
 type Dropout struct {
-	P         float64
-	rng       *rand.Rand
-	mask      []uint8
-	lastTrain bool
+	P    float64
+	rng  *rand.Rand
+	mask []uint8 // the last training draw's: 1 keeps an element, 0 drops it
 }
 
 // NewDropout returns a dropout layer with drop probability p.
@@ -27,19 +29,10 @@ func (d *Dropout) Params() []*Param { return nil }
 
 func (d *Dropout) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "dropout")
-	d.lastTrain = train && d.P > 0
-	if !d.lastTrain {
-		// Mark the whole mask as pass-through for a subsequent Backward.
-		if cap(d.mask) < x.Len() {
-			d.mask = make([]uint8, x.Len())
-		}
-		d.mask = d.mask[:x.Len()]
-		for i := range d.mask {
-			d.mask[i] = 1
-		}
-		return x.Clone()
-	}
 	out := x.Clone()
+	if !train || d.P <= 0 {
+		return out
+	}
 	if cap(d.mask) < x.Len() {
 		d.mask = make([]uint8, x.Len())
 	}
@@ -57,9 +50,11 @@ func (d *Dropout) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-func (d *Dropout) Backward(dout *tensor.Tensor) []*tensor.Tensor {
+// Backward applies the last training draw's mask and scale to dout; with no
+// draw (P is 0, or no training forward has run) it passes dout through.
+func (d *Dropout) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
 	dx := dout.Clone()
-	if !d.lastTrain {
+	if d.P <= 0 || d.mask == nil {
 		return []*tensor.Tensor{dx}
 	}
 	scale := float32(1 / (1 - d.P))

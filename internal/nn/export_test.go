@@ -91,18 +91,10 @@ func DWRows(d *DWConv3, dst, in []float32, h, w, ch, oy int) { d.rows(dst, in, h
 // inference forwards are held to, bit for bit. visit, when non-nil, is shown
 // each node's output before that node's consumers run, and may rewrite it.
 func (g *Graph) Walk(x *tensor.Tensor, visit func(i int, out *tensor.Tensor)) *tensor.Tensor {
-	g.trained = false
 	g.OutShapes = make([][]int, len(g.Nodes))
 	outs := make([]*tensor.Tensor, len(g.Nodes))
 	for i, n := range g.Nodes {
-		ins := make([]*tensor.Tensor, len(n.Inputs))
-		for k, j := range n.Inputs {
-			ins[k] = x
-			if j != GraphInput {
-				ins[k] = outs[j]
-			}
-		}
-		outs[i] = n.Layer.Forward(ins, false)
+		outs[i] = n.Layer.Forward(n.inputs(nil, x, outs), false)
 		g.OutShapes[i] = outs[i].Shape()
 		if visit != nil {
 			visit(i, outs[i])

@@ -137,11 +137,12 @@ func TestBackwardAccumulatesAcrossCalls(t *testing.T) {
 	x := randInput(rng, 1, 2, 2, 2)
 	dout := tensor.New(1, 2, 2, 2)
 	dout.Fill(1)
-	l.Forward([]*tensor.Tensor{x}, true)
-	l.Backward(dout.Clone())
+	xs := []*tensor.Tensor{x}
+	l.Forward(xs, true)
+	l.Backward(xs, dout.Clone())
 	once := append([]float32(nil), l.Weight.G.Data...)
-	l.Forward([]*tensor.Tensor{x}, true)
-	l.Backward(dout.Clone())
+	l.Forward(xs, true)
+	l.Backward(xs, dout.Clone())
 	for i, v := range l.Weight.G.Data {
 		if math.Abs(float64(v-2*once[i])) > 1e-5 {
 			t.Fatal("gradients must accumulate across Backward calls")
@@ -152,9 +153,10 @@ func TestBackwardAccumulatesAcrossCalls(t *testing.T) {
 func TestReLU6CapBlocksGradient(t *testing.T) {
 	r := NewReLU6()
 	x := tensor.FromSlice([]float32{-1, 3, 7}, 1, 3, 1, 1)
-	r.Forward([]*tensor.Tensor{x}, true)
+	xs := []*tensor.Tensor{x}
+	r.Forward(xs, true)
 	d := tensor.FromSlice([]float32{1, 1, 1}, 1, 3, 1, 1)
-	dx := r.Backward(d)[0]
+	dx := r.Backward(xs, d)[0]
 	want := []float32{0, 1, 0} // below zero and above the cap block gradient
 	for i, w := range want {
 		if dx.Data[i] != w {
@@ -167,7 +169,8 @@ func TestDropoutEvalIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	d := NewDropout(1, 0.5)
 	x := randInput(rng, 2, 4, 3, 3)
-	out := d.Forward([]*tensor.Tensor{x}, false)
+	xs := []*tensor.Tensor{x}
+	out := d.Forward(xs, false)
 	for i := range x.Data {
 		if out.Data[i] != x.Data[i] {
 			t.Fatal("eval-mode dropout must be the identity")
@@ -175,7 +178,7 @@ func TestDropoutEvalIsIdentity(t *testing.T) {
 	}
 	g := tensor.New(x.Shape()...)
 	g.Fill(1)
-	dx := d.Backward(g)[0]
+	dx := d.Backward(xs, g)[0]
 	for _, v := range dx.Data {
 		if v != 1 {
 			t.Fatal("eval-mode dropout backward must pass gradients through")
@@ -210,10 +213,11 @@ func TestDropoutBackwardMatchesMask(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	d := NewDropout(3, 0.3)
 	x := randInput(rng, 1, 2, 4, 4)
-	out := d.Forward([]*tensor.Tensor{x}, true)
+	xs := []*tensor.Tensor{x}
+	out := d.Forward(xs, true)
 	g := tensor.New(x.Shape()...)
 	g.Fill(1)
-	dx := d.Backward(g)[0]
+	dx := d.Backward(xs, g)[0]
 	for i := range out.Data {
 		if (out.Data[i] == 0) != (dx.Data[i] == 0) && x.Data[i] != 0 {
 			t.Fatal("gradient mask must match the forward mask")

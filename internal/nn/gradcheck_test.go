@@ -23,13 +23,14 @@ func scalarize(t *tensor.Tensor, r *tensor.Tensor) float64 {
 func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, train bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(123))
-	out := l.Forward([]*tensor.Tensor{x}, train)
+	xs := []*tensor.Tensor{x}
+	out := l.Forward(xs, train)
 	r := tensor.New(out.Shape()...)
 	r.RandNormal(rng, 0, 1)
 	for _, p := range l.Params() {
 		p.ZeroGrad()
 	}
-	dx := l.Backward(r.Clone())[0]
+	dx := l.Backward(xs, r.Clone())[0]
 
 	const eps = 1e-2
 	const tol = 2e-2
@@ -152,10 +153,11 @@ func TestConcatGradients(t *testing.T) {
 	a := randInput(rng, 2, 2, 3, 3)
 	b := randInput(rng, 2, 3, 3, 3)
 	l := NewConcat()
-	out := l.Forward([]*tensor.Tensor{a, b}, true)
+	xs := []*tensor.Tensor{a, b}
+	out := l.Forward(xs, true)
 	r := tensor.New(out.Shape()...)
 	r.RandNormal(rng, 0, 1)
-	dins := l.Backward(r)
+	dins := l.Backward(xs, r)
 	if len(dins) != 2 {
 		t.Fatalf("concat backward returned %d grads", len(dins))
 	}
@@ -180,10 +182,11 @@ func TestAddGradients(t *testing.T) {
 	a := randInput(rng, 2, 2, 2, 2)
 	b := randInput(rng, 2, 2, 2, 2)
 	l := NewAdd()
-	out := l.Forward([]*tensor.Tensor{a, b}, true)
+	xs := []*tensor.Tensor{a, b}
+	out := l.Forward(xs, true)
 	r := tensor.New(out.Shape()...)
 	r.RandNormal(rng, 0, 1)
-	dins := l.Backward(r)
+	dins := l.Backward(xs, r)
 	for i := range r.Data {
 		if dins[0].Data[i] != r.Data[i] || dins[1].Data[i] != r.Data[i] {
 			t.Fatal("add must pass the gradient to both inputs")

@@ -22,7 +22,8 @@ type Node struct {
 // (insertion) order. It covers both plain chains (Sequential networks) and
 // the bypass topology of SkyNet models B/C.
 //
-// Forward(x, true) walks the layers, which cache what Backward needs.
+// Forward(x, true) walks the layers and keeps the walk — its input and every
+// node's output — as the graph's tape, which Backward takes back and drops.
 // Forward(x, false) runs the plan for x's sample shape (plan.go) on an
 // executor, a PlanCache the graph keeps on a free list: it writes no layer,
 // walks the plan's one step list as lanes — each worker its own samples, on
@@ -34,7 +35,9 @@ type Node struct {
 // plan's oracle, and a caller that must see or rewrite every map runs a plan
 // compiled under a mask marking every node with an observer (Plan.RunInto).
 // Inference forwards are safe for concurrent use with one another, not beside
-// a training forward, a Load or a weight update.
+// a training forward, a Backward, a Load or a weight update. An inference
+// forward, or any other run of the layers' eval mode, between Forward(x, true)
+// and Backward changes nothing Backward reads.
 type Graph struct {
 	Nodes []*Node
 	// Output is the index of the node whose output is the graph output.
@@ -46,9 +49,13 @@ type Graph struct {
 	// once bench/ reads Costs too.
 	OutShapes [][]int
 
-	mu      sync.Mutex                 // guards trained and OutShapes
-	trained bool                       // the last Forward was a training one: the layers hold its caches
-	free    tensor.FreeList[PlanCache] // the executors no inference forward is running on
+	// The tape: the input and every node's output of the training forward
+	// Backward has yet to take, nil once it has.
+	x    *tensor.Tensor
+	outs []*tensor.Tensor
+
+	mu   sync.Mutex                 // guards OutShapes
+	free tensor.FreeList[PlanCache] // the executors no inference forward is running on
 }
 
 // NewGraph returns an empty graph.
@@ -87,7 +94,7 @@ func (g *Graph) output() int {
 
 // Forward runs the whole graph on x and returns the output node's tensor.
 // In training it walks the layers, every node's own Layer.Forward on the
-// whole batch, each caching what Backward needs.
+// whole batch, and keeps x and the node outputs as the tape for Backward.
 func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(g.Nodes) == 0 {
 		panic("nn: forward on empty graph")
@@ -97,7 +104,7 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		p := c.For(x.Shape())
 		out := p.Run(x, nil)
 		g.mu.Lock()
-		g.trained, g.OutShapes = false, p.shapes
+		g.OutShapes = p.shapes
 		g.mu.Unlock()
 		g.free.Put(c)
 		return out
@@ -105,39 +112,46 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outs := make([]*tensor.Tensor, len(g.Nodes))
 	ins := make([]*tensor.Tensor, 0, 2)
 	for i, n := range g.Nodes {
-		ins = ins[:0]
-		for _, j := range n.Inputs {
-			if j == GraphInput {
-				ins = append(ins, x)
-			} else {
-				ins = append(ins, outs[j])
-			}
-		}
-		outs[i] = n.Layer.Forward(ins, true)
+		outs[i] = n.Layer.Forward(n.inputs(ins[:0], x, outs), true)
 	}
-	g.mu.Lock()
-	g.trained = true
-	g.mu.Unlock()
+	g.x, g.outs = x, outs
 	return outs[g.output()]
+}
+
+// inputs appends to ins node n's inputs in a walk of x whose node outputs are
+// outs.
+func (n *Node) inputs(ins []*tensor.Tensor, x *tensor.Tensor, outs []*tensor.Tensor) []*tensor.Tensor {
+	for _, j := range n.Inputs {
+		if j == GraphInput {
+			ins = append(ins, x)
+		} else {
+			ins = append(ins, outs[j])
+		}
+	}
+	return ins
 }
 
 // Backward propagates dout (gradient w.r.t. the graph output) through every
 // node in reverse order, accumulating parameter gradients, and returns the
-// gradient with respect to the graph input. The layers' caches must be
-// those of this graph's last forward, so that forward has to be a
-// Forward(x, true): an inference forward runs the plan and leaves none.
+// gradient with respect to the graph input. It takes back the tape of the
+// last Forward(x, true), handing each node its inputs from there, and drops
+// it: each Backward needs a training forward of its own.
 func (g *Graph) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if !g.trained {
-		panic("nn: Graph.Backward needs a preceding Forward(x, true): the last forward was an inference pass (or there was none), which leaves no layer caches to differentiate")
+	x, outs := g.x, g.outs
+	if outs == nil {
+		panic("nn: Graph.Backward needs a preceding Forward(x, true): there was none, or a Backward has taken its tape already")
 	}
+	g.x, g.outs = nil, nil
 	grads := make([]*tensor.Tensor, len(g.Nodes))
 	grads[g.output()] = dout
 	var dinput *tensor.Tensor
+	ins := make([]*tensor.Tensor, 0, 2)
 	for i := len(g.Nodes) - 1; i >= 0; i-- {
+		outs[i] = nil // its consumers are taken back: no node reads it again
 		if grads[i] == nil {
 			continue // node does not feed the output
 		}
-		dins := g.Nodes[i].Layer.Backward(grads[i])
+		dins := g.Nodes[i].Layer.Backward(g.Nodes[i].inputs(ins[:0], x, outs), grads[i])
 		if len(dins) != len(g.Nodes[i].Inputs) {
 			panic(fmt.Sprintf("nn: layer %s returned %d input grads for %d inputs",
 				g.Nodes[i].Layer.Name(), len(dins), len(g.Nodes[i].Inputs)))

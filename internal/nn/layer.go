@@ -8,9 +8,10 @@
 //
 // Every layer implements full forward and backward passes so that networks
 // are trained for real; gradients are validated against finite differences
-// in the test suite. The Backward convention is: gradients accumulate into
-// Param.G, and one Backward must follow each Forward in LIFO order (the
-// Graph container enforces this).
+// in the test suite. The Backward convention is: a layer's Backward takes the
+// inputs of the forward it differentiates, as arguments, and accumulates
+// parameter gradients into Param.G. A layer keeps no batch: the Graph holds a
+// training forward's input and node outputs (its tape) until its Backward.
 package nn
 
 import (
@@ -47,20 +48,22 @@ func (p *Param) ZeroGrad() { p.Grad().Zero() }
 
 // Layer is a differentiable network building block. Forward consumes one or
 // more input tensors (most layers take exactly one) and produces one output.
-// Backward consumes the gradient of the loss with respect to that output and
-// returns the gradients with respect to each input, accumulating parameter
-// gradients into Params() along the way. Layers cache whatever they need
-// from the most recent training Forward, so calls must be paired
-// Forward(xs, true)→Backward.
+// Backward takes the same inputs and the gradient of the loss with respect to
+// that output, and returns the gradients with respect to each input,
+// accumulating parameter gradients into Params() along the way. It reads its
+// input, shape and geometry from xs, not from the layer: what a training
+// Forward leaves on a layer is its batch statistics (BatchNorm's mean and
+// 1/σ, Dropout's last draw), and Backward must follow that forward, on the
+// same inputs, before the layer's next training Forward.
 type Layer interface {
 	// Name returns a short human-readable identifier (e.g. "conv3x3").
 	Name() string
 	// Forward runs the layer. train selects training behaviour for layers
-	// with train/eval modes (BatchNorm).
+	// with train/eval modes (BatchNorm, Dropout).
 	Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor
-	// Backward propagates dout to the layer inputs, accumulating parameter
-	// gradients.
-	Backward(dout *tensor.Tensor) []*tensor.Tensor
+	// Backward propagates dout to the layer inputs xs, accumulating
+	// parameter gradients.
+	Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor
 	// Params returns the learnable parameters (possibly none).
 	Params() []*Param
 }
@@ -96,26 +99,4 @@ func expect4D(shape []int, wantC int, name string) {
 	if wantC > 0 && shape[1] != wantC {
 		panic(fmt.Sprintf("nn: layer %s expects %d input channels, got %d", name, wantC, shape[1]))
 	}
-}
-
-// cacheIf is what a layer keeps of its input for Backward: the tensor after
-// a training forward, nothing after an inference one — which therefore pins
-// no batch, and lets a Backward that does not follow a training forward
-// fail in needTrainForward and not read an older pass's input. Backward
-// drops what it read, for the same reasons.
-//
-//skynet:hotpath
-func cacheIf(train bool, x *tensor.Tensor) *tensor.Tensor {
-	if train {
-		return x
-	}
-	return nil
-}
-
-// needTrainForward returns the input cached by cacheIf for a Backward.
-func needTrainForward(x *tensor.Tensor, name string) *tensor.Tensor {
-	if x == nil {
-		panic(fmt.Sprintf("nn: layer %s: Backward needs a preceding Forward(x, true)", name))
-	}
-	return x
 }

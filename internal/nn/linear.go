@@ -11,10 +11,9 @@ import (
 // AlexNet/VGG classifier baselines.
 type Linear struct {
 	In, Out int
-	Weight  *Param         // [Out, In]
-	Bias    *Param         // [Out]
-	x       *tensor.Tensor // input of the last training forward, for Backward
-	lastN   int            // batch size of the last forward, for Cost
+	Weight  *Param // [Out, In]
+	Bias    *Param // [Out]
+	lastN   int    // batch size of the last forward, for Cost
 }
 
 // NewLinear constructs a fully-connected layer with Xavier initialization.
@@ -32,7 +31,6 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 func (l *Linear) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "linear")
 	l.expect(x.Shape())
-	l.x = cacheIf(train, x)
 	n := x.Dim(0)
 	l.lastN = n
 	out := tensor.New(n, l.Out)
@@ -62,10 +60,11 @@ func (l *Linear) forwardSample(dst, src []float32) {
 		Ep: tensor.RowEpilogue{Bias: l.Bias.W.Data}})
 }
 
-func (l *Linear) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	n := needTrainForward(l.x, "linear").Dim(0)
+func (l *Linear) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
+	x := one(xs, "linear")
+	n := x.Dim(0)
 	// dW += doutᵀ · x ; computed as (dout)ᵀ rows over x.
-	tensor.MatMulTransposeAAddInto(l.Weight.Grad(), dout, l.x)
+	tensor.MatMulTransposeAAddInto(l.Weight.Grad(), dout, x)
 	for i := 0; i < n; i++ {
 		row := dout.Data[i*l.Out : (i+1)*l.Out]
 		for j, g := range row {
@@ -74,7 +73,6 @@ func (l *Linear) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 	}
 	dx := tensor.New(n, l.In)
 	tensor.MatMulInto(dx, dout, l.Weight.W)
-	l.x = nil
 	return []*tensor.Tensor{dx}
 }
 

@@ -116,13 +116,14 @@ func TestReorgIsBijection(t *testing.T) {
 		c, h, w := 1+rng.Intn(3), 2*(1+rng.Intn(3)), 2*(1+rng.Intn(3))
 		x := randInput(rng, 1, c, h, w)
 		r := NewReorg(2)
-		y := r.Forward([]*tensor.Tensor{x}, false)
+		xs := []*tensor.Tensor{x}
+		y := r.Forward(xs, false)
 		if y.Dim(1) != 4*c || y.Dim(2) != h/2 || y.Dim(3) != w/2 {
 			return false
 		}
 		// Backward of a bijection applied to the forward output recovers
 		// the input exactly.
-		back := r.Backward(y)[0]
+		back := r.Backward(xs, y)[0]
 		for i := range x.Data {
 			if back.Data[i] != x.Data[i] {
 				return false
@@ -261,7 +262,8 @@ func TestSGDReducesLoss(t *testing.T) {
 	first := lossAt()
 	for step := 0; step < 200; step++ {
 		x := randInput(rng, 8, 4)
-		out := l.Forward([]*tensor.Tensor{x}, true)
+		xs := []*tensor.Tensor{x}
+		out := l.Forward(xs, true)
 		grad := tensor.New(8, 1)
 		for i := 0; i < 8; i++ {
 			var want float32
@@ -270,7 +272,7 @@ func TestSGDReducesLoss(t *testing.T) {
 			}
 			grad.Set(2*(out.At(i, 0)-want)/8, i, 0)
 		}
-		l.Backward(grad)
+		l.Backward(xs, grad)
 		opt.Step(l.Params())
 	}
 	last := lossAt()

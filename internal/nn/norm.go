@@ -20,11 +20,9 @@ type BatchNorm struct {
 	// Running statistics used in eval mode; exported for serialization.
 	RunMean *tensor.Tensor
 	RunVar  *tensor.Tensor
-	// caches from the last training forward
-	xhat   *tensor.Tensor
-	invStd []float32
-	lastN  int
-	lastHW int
+	// The last training forward's batch statistics, per channel, for
+	// Backward: the mean as float32 and 1/sqrt(var+eps).
+	mean, invStd []float32
 }
 
 // NewBatchNorm constructs a batch-normalization layer over c channels.
@@ -47,12 +45,9 @@ func (b *BatchNorm) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	hw := h * w
 	out := tensor.New(n, b.C, h, w)
 	if train {
-		b.xhat = tensor.New(n, b.C, h, w)
-		if cap(b.invStd) < b.C {
-			b.invStd = make([]float32, b.C)
+		if len(b.invStd) != b.C {
+			b.mean, b.invStd = make([]float32, b.C), make([]float32, b.C)
 		}
-		b.invStd = b.invStd[:b.C]
-		b.lastN, b.lastHW = n, hw
 		cnt := float32(n * hw)
 		for c := 0; c < b.C; c++ {
 			var mean float64
@@ -73,13 +68,13 @@ func (b *BatchNorm) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 			}
 			variance /= float64(cnt)
 			inv := float32(1.0 / math.Sqrt(variance+float64(b.Eps)))
-			b.invStd[c] = inv
+			m := float32(mean)
+			b.mean[c], b.invStd[c] = m, inv
 			g, bt := b.Gamma.W.Data[c], b.Beta.W.Data[c]
 			for i := 0; i < n; i++ {
 				base := (i*b.C + c) * hw
 				for j := 0; j < hw; j++ {
-					xh := (x.Data[base+j] - float32(mean)) * inv
-					b.xhat.Data[base+j] = xh
+					xh := (x.Data[base+j] - m) * inv
 					out.Data[base+j] = g*xh + bt
 				}
 			}
@@ -88,7 +83,6 @@ func (b *BatchNorm) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		return out
 	}
-	b.xhat = nil // what a training forward cached for Backward no longer matches
 	b.evalInto(out.Data, x.Data, n, hw)
 	return out
 }
@@ -118,34 +112,36 @@ func (b *BatchNorm) evalInto(dst, src []float32, n, hw int) {
 	}
 }
 
-func (b *BatchNorm) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	needTrainForward(b.xhat, "batchnorm")
-	n, hw := b.lastN, b.lastHW
+// Backward recomputes each x̂ from its input and the forward's batch
+// statistics, by the forward's float32 operations, so it is the forward's
+// x̂ bit for bit.
+func (b *BatchNorm) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
+	x := one(xs, "batchnorm")
+	n, hw := x.Dim(0), x.Dim(2)*x.Dim(3)
 	cnt := float32(n * hw)
 	dx := tensor.New(dout.Shape()...)
 	for c := 0; c < b.C; c++ {
+		mean, inv := b.mean[c], b.invStd[c]
 		var sumDy, sumDyXhat float64
 		for i := 0; i < n; i++ {
 			base := (i*b.C + c) * hw
 			for j := 0; j < hw; j++ {
 				dy := float64(dout.Data[base+j])
 				sumDy += dy
-				sumDyXhat += dy * float64(b.xhat.Data[base+j])
+				sumDyXhat += dy * float64((x.Data[base+j]-mean)*inv)
 			}
 		}
 		b.Beta.Grad().Data[c] += float32(sumDy)
 		b.Gamma.Grad().Data[c] += float32(sumDyXhat)
 		g := b.Gamma.W.Data[c]
-		inv := b.invStd[c]
 		for i := 0; i < n; i++ {
 			base := (i*b.C + c) * hw
 			for j := 0; j < hw; j++ {
 				dy := dout.Data[base+j]
-				xh := b.xhat.Data[base+j]
+				xh := (x.Data[base+j] - mean) * inv
 				dx.Data[base+j] = g * inv * (dy - float32(sumDy)/cnt - xh*float32(sumDyXhat)/cnt)
 			}
 		}
 	}
-	b.xhat = nil
 	return []*tensor.Tensor{dx}
 }

@@ -392,9 +392,9 @@ func TestCostAndOutShapesAfterInference(t *testing.T) {
 	}
 }
 
-// TestBackwardNeedsTrainingForward: a Backward after an inference forward
-// used to differentiate whatever an older training pass had left in the
-// layers. It now refuses, and says why.
+// TestBackwardNeedsTrainingForward: Backward takes back the tape of a
+// training forward, and without one — no forward at all, or a Backward that
+// has taken the tape already — it refuses, and says why.
 func TestBackwardNeedsTrainingForward(t *testing.T) {
 	g, rng := skyNetC(0.125, 17)
 	x := randBatch(rng, 1, 3, 16, 16)
@@ -405,7 +405,7 @@ func TestBackwardNeedsTrainingForward(t *testing.T) {
 		do   func(g *nn.Graph)
 	}{
 		{"no forward at all", func(g *nn.Graph) {}},
-		{"an inference forward after a training one", func(g *nn.Graph) { g.Forward(x, true); g.Forward(x, false) }},
+		{"a Backward of the same forward", func(g *nn.Graph) { g.Forward(x, true); g.Backward(dout) }},
 	} {
 		fresh, _ := skyNetC(0.125, 17)
 		prep.do(fresh)
@@ -417,6 +417,30 @@ func TestBackwardNeedsTrainingForward(t *testing.T) {
 			}()
 			fresh.Backward(dout)
 		}()
+	}
+}
+
+// TestBackwardAfterInferenceForwards: Backward reads the training forward's
+// inputs from the graph's tape, so what runs between the two — an inference
+// forward on the plan's lanes at another shape, the eval-mode layer walk at
+// another batch and shape — changes no bit of any gradient.
+func TestBackwardAfterInferenceForwards(t *testing.T) {
+	grads := func(between func(g *nn.Graph)) (*tensor.Tensor, []*nn.Param) {
+		g, rng := skyNetC(0.25, 19)
+		out := g.Forward(randBatch(rng, 3, 3, 32, 64), true)
+		dout := randBatch(rng, out.Shape()...)
+		between(g)
+		return g.Backward(dout), g.Params()
+	}
+	wantIn, want := grads(func(*nn.Graph) {})
+	gotIn, got := grads(func(g *nn.Graph) {
+		rng := rand.New(rand.NewSource(20))
+		g.Forward(randBatch(rng, 4, 3, 16, 32), false)
+		g.Walk(randBatch(rng, 2, 3, 48, 96), nil)
+	})
+	requireSameBits(t, "input gradient", gotIn, wantIn)
+	for i, p := range got {
+		requireSameBits(t, fmt.Sprintf("param %d (%s) gradient", i, p.Name), p.G, want[i].G)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 // floor-mode convention.
 type MaxPool struct {
 	K int
-	x *tensor.Tensor // input of the last training forward, for Backward
 }
 
 // NewMaxPool returns a K×K/stride-K max-pool layer.
@@ -27,7 +26,6 @@ func (m *MaxPool) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	out := tensor.New(n, c, h/m.K, w/m.K)
 	maxPoolInto(out.Data, x.Data, n*c, h, w, m.K)
-	m.x = cacheIf(train, x)
 	return out
 }
 
@@ -84,8 +82,8 @@ func maxStep(best float32, bits uint32, v float32) (float32, uint32) {
 
 // Backward routes each output's gradient to the input element Forward took
 // as the window's maximum: the first of the greatest, by the same scan.
-func (m *MaxPool) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	x := needTrainForward(m.x, "maxpool")
+func (m *MaxPool) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
+	x := one(xs, "maxpool")
 	c, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
 	outH, outW := h/m.K, w/m.K
 	dx := tensor.New(x.Shape()...)

@@ -9,11 +9,7 @@ import (
 // Concat concatenates its inputs along the channel dimension. SkyNet models
 // B and C use it to merge the reordered Bundle-3 bypass with the Bundle-5
 // output before the final Bundle (Figure 4).
-type Concat struct {
-	splits []int // channel count of each input from the last forward
-	n      int
-	h, w   int
-}
+type Concat struct{}
 
 // NewConcat returns a channel-concatenation layer.
 func NewConcat() *Concat { return &Concat{} }
@@ -31,12 +27,7 @@ func (c *Concat) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 		shapes[k], srcs[k] = x.Shape(), x.Data
 	}
 	out := tensor.New(concatShape(shapes)...)
-	c.splits = c.splits[:0]
-	for _, shp := range shapes {
-		c.splits = append(c.splits, shp[1])
-	}
-	c.n, c.h, c.w = out.Dim(0), out.Dim(2), out.Dim(3)
-	concatInto(out.Data, srcs, c.splits, c.n, c.h*c.w)
+	concatInto(out.Data, srcs, out.Dim(0))
 	return out
 }
 
@@ -55,36 +46,35 @@ func concatShape(shapes [][]int) []int {
 	return []int{first[0], total, first[2], first[3]}
 }
 
-// concatInto interleaves, image by image, the [chans[k], hw] blocks of the
-// n-image sources into dst.
+// concatInto interleaves, image by image, the blocks of the n-image sources
+// into dst: a source's block is one image's, len(src)/n elements.
 //
 //skynet:hotpath
-func concatInto(dst []float32, srcs [][]float32, chans []int, n, hw int) {
+func concatInto(dst []float32, srcs [][]float32, n int) {
 	off := 0
 	for i := 0; i < n; i++ {
-		for k, src := range srcs {
-			sz := chans[k] * hw
+		for _, src := range srcs {
+			sz := len(src) / n
 			copy(dst[off:off+sz], src[i*sz:(i+1)*sz])
 			off += sz
 		}
 	}
 }
 
-func (c *Concat) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	hw := c.h * c.w
-	total := 0
-	for _, s := range c.splits {
-		total += s
+// Backward deals dout's channels back out to the inputs xs, as concatInto
+// joined them.
+func (c *Concat) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
+	n := dout.Dim(0)
+	dxs := make([]*tensor.Tensor, len(xs))
+	for k, x := range xs {
+		dxs[k] = tensor.New(x.Shape()...)
 	}
-	dxs := make([]*tensor.Tensor, len(c.splits))
-	for k, ck := range c.splits {
-		dxs[k] = tensor.New(c.n, ck, c.h, c.w)
-	}
-	for i := 0; i < c.n; i++ {
-		off := i * total * hw
-		for k, ck := range c.splits {
-			copy(dxs[k].Data[i*ck*hw:(i+1)*ck*hw], dout.Data[off:off+ck*hw])
-			off += ck * hw
+	off := 0
+	for i := 0; i < n; i++ {
+		for _, dx := range dxs {
+			sz := dx.Len() / n
+			copy(dx.Data[i*sz:(i+1)*sz], dout.Data[off:off+sz])
+			off += sz
 		}
 	}
 	return dxs
@@ -98,8 +88,7 @@ func (c *Concat) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 // SkyNet bypass. Output channel (dy*S+dx)*C + c at (y,x) holds input channel
 // c at (y*S+dy, x*S+dx).
 type Reorg struct {
-	S     int
-	inShp []int
+	S int
 }
 
 // NewReorg returns a space-to-depth layer with block size s.
@@ -110,8 +99,7 @@ func (r *Reorg) Params() []*Param { return nil }
 
 func (r *Reorg) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "reorg")
-	r.inShp = x.Shape()
-	out := tensor.New(r.outShape(r.inShp)...)
+	out := tensor.New(r.outShape(x.Shape())...)
 	ReorgInto(out.Data, x.Data, x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), r.S)
 	return out
 }
@@ -166,8 +154,9 @@ func ReorgRows[T any](dst, src []T, c, h, w, s, r0, rows int) {
 	}
 }
 
-func (r *Reorg) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	n, c, h, w := r.inShp[0], r.inShp[1], r.inShp[2], r.inShp[3]
+func (r *Reorg) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
+	x := one(xs, "reorg")
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := h/r.S, w/r.S
 	dx := tensor.New(n, c, h, w)
 	for i := 0; i < n; i++ {
@@ -190,9 +179,7 @@ func (r *Reorg) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 }
 
 // Flatten reshapes [N,C,H,W] to [N, C*H*W] for fully-connected heads.
-type Flatten struct {
-	inShp []int
-}
+type Flatten struct{}
 
 // NewFlatten returns a flattening layer.
 func NewFlatten() *Flatten { return &Flatten{} }
@@ -202,13 +189,12 @@ func (f *Flatten) Params() []*Param { return nil }
 
 func (f *Flatten) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 	x := one(xs, "flatten")
-	f.inShp = x.Shape()
 	n := x.Dim(0)
 	return x.Clone().Reshape(n, x.Len()/n)
 }
 
-func (f *Flatten) Backward(dout *tensor.Tensor) []*tensor.Tensor {
-	return []*tensor.Tensor{dout.Clone().Reshape(f.inShp...)}
+func (f *Flatten) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
+	return []*tensor.Tensor{dout.Clone().Reshape(one(xs, "flatten").Shape()...)}
 }
 
 // Add sums two same-shaped inputs elementwise — the residual connection of
@@ -242,6 +228,6 @@ func addInto(dst, a, b []float32) {
 	}
 }
 
-func (a *Add) Backward(dout *tensor.Tensor) []*tensor.Tensor {
+func (a *Add) Backward(xs []*tensor.Tensor, dout *tensor.Tensor) []*tensor.Tensor {
 	return []*tensor.Tensor{dout.Clone(), dout.Clone()}
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -349,5 +350,44 @@ func TestFitnessQQuantDrop(t *testing.T) {
 	cfg.Gamma = 0
 	if got := cfg.FitnessQ(0.8, 0.1, lat); got != 0.8 {
 		t.Fatalf("zero Gamma must disable the term: %v", got)
+	}
+}
+
+// cursedEval is quadEvaluator with a defect: from iteration 1 on, evaluating
+// any particle of group 1 panics, each with a text of its own.
+type cursedEval struct{ quadEvaluator }
+
+func (c cursedEval) Accuracy(n Network, epochs int) float64 {
+	if n.BundleType == 1 && epochs > epochsAt(0) {
+		panic("cursed " + n.String())
+	}
+	return c.quadEvaluator.Accuracy(n, epochs)
+}
+
+// TestSearchReportsPanickingParticle: a particle whose evaluation panics fails
+// the search with an error, not the process. The error names the first failed
+// particle in (group, index) order and its panic, whichever worker met a
+// failure first, and the failed iteration writes no checkpoint.
+func TestSearchReportsPanickingParticle(t *testing.T) {
+	eval := cursedEval{quadEvaluator{idealCh: []int{16, 32, 64, 96}, idealPool: map[int]bool{0: true, 2: true}}}
+	var msgs []string
+	for _, workers := range []int{1, 6} {
+		cfg := testConfig(9)
+		cfg.Workers = workers
+		var saved []int
+		_, err := SearchFrom(cfg, eval, nil, func(ck Checkpoint) error {
+			saved = append(saved, ck.Iter)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "particle 0 of group 1: panic: cursed ") {
+			t.Fatalf("%d workers: err %v, want particle 0 of group 1's panic", workers, err)
+		}
+		if len(saved) != 1 || saved[0] != 1 {
+			t.Fatalf("%d workers: checkpoints after iterations %v, want after the first alone", workers, saved)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("one worker reports %q, six %q", msgs[0], msgs[1])
 	}
 }

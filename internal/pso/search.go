@@ -200,7 +200,10 @@ func SearchFrom(cfg Config, eval Evaluator, ck *Checkpoint, save func(Checkpoint
 	}
 
 	for itr := start; itr < cfg.Iterations; itr++ {
-		parts := cfg.evaluateAll(pop, eval, epochsAt(itr))
+		parts, err := cfg.evaluateAll(pop, eval, epochsAt(itr))
+		if err != nil {
+			return res, err
+		}
 		// Fixed-order reduction: particle (gi, j) is folded in before
 		// (gi, j+1) regardless of which worker finished first, so ties and
 		// float comparisons resolve identically at every worker count.
@@ -305,8 +308,10 @@ func (c Config) validGenome(n Network, lo, hi int) bool {
 // evaluateAll trains and measures every particle of the population on a
 // bounded worker pool and returns them indexed by gi*PerGroup+j. Results
 // carry no ordering information — determinism comes from the caller's
-// fixed-order reduction.
-func (c Config) evaluateAll(pop [][]Network, eval Evaluator, epochs int) []Particle {
+// fixed-order reduction. A particle whose evaluation panics fails the
+// iteration, not the process: the error names the first such particle in
+// (group, index) order, whichever worker met it first, and its panic.
+func (c Config) evaluateAll(pop [][]Network, eval Evaluator, epochs int) ([]Particle, error) {
 	type job struct{ gi, j int }
 	jobs := make([]job, 0, c.Groups*c.PerGroup)
 	for gi := range pop {
@@ -315,6 +320,7 @@ func (c Config) evaluateAll(pop [][]Network, eval Evaluator, epochs int) []Parti
 		}
 	}
 	parts := make([]Particle, len(jobs))
+	failures := make([]any, len(jobs)) // a particle's panic, nil once it is measured
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -322,7 +328,6 @@ func (c Config) evaluateAll(pop [][]Network, eval Evaluator, epochs int) []Parti
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	qe, hasQuant := eval.(QuantAwareEvaluator)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -330,19 +335,7 @@ func (c Config) evaluateAll(pop [][]Network, eval Evaluator, epochs int) []Parti
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				n := pop[jobs[idx].gi][jobs[idx].j]
-				t0 := time.Now()
-				acc := eval.Accuracy(n, epochs)
-				quantAcc := math.NaN()
-				if hasQuant {
-					quantAcc = qe.QuantAccuracy(n, epochs)
-				}
-				lat := eval.Latency(n)
-				if c.EvalObserver != nil {
-					c.EvalObserver(time.Since(t0))
-				}
-				parts[idx] = Particle{Net: n.Clone(), Acc: acc, QuantAcc: quantAcc,
-					Lat: lat, Fit: c.FitnessQ(acc, quantAcc, lat)}
+				failures[idx] = c.measure(&parts[idx], pop[jobs[idx].gi][jobs[idx].j], eval, epochs)
 			}
 		}()
 	}
@@ -351,7 +344,30 @@ func (c Config) evaluateAll(pop [][]Network, eval Evaluator, epochs int) []Parti
 	}
 	close(next)
 	wg.Wait()
-	return parts
+	for idx, f := range failures {
+		if f != nil {
+			return nil, fmt.Errorf("pso: evaluating particle %d of group %d: panic: %v", jobs[idx].j, jobs[idx].gi, f)
+		}
+	}
+	return parts, nil
+}
+
+// measure trains and measures network n into p. A panic in the evaluator is
+// returned, p left unset.
+func (c Config) measure(p *Particle, n Network, eval Evaluator, epochs int) (failure any) {
+	defer func() { failure = recover() }()
+	t0 := time.Now()
+	acc := eval.Accuracy(n, epochs)
+	quantAcc := math.NaN()
+	if qe, ok := eval.(QuantAwareEvaluator); ok {
+		quantAcc = qe.QuantAccuracy(n, epochs)
+	}
+	lat := eval.Latency(n)
+	if c.EvalObserver != nil {
+		c.EvalObserver(time.Since(t0))
+	}
+	*p = Particle{Net: n.Clone(), Acc: acc, QuantAcc: quantAcc, Lat: lat, Fit: c.FitnessQ(acc, quantAcc, lat)}
+	return nil
 }
 
 func clonePop(pop [][]Network) [][]Network {

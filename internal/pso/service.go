@@ -229,16 +229,18 @@ func (j JobSpec) Check() error {
 }
 
 // Submit starts (or joins) the job for the spec. Submission is idempotent:
-// the same spec maps to the same job ID, a live job is returned as-is, and
-// a checkpoint left by a killed process resumes instead of restarting.
-// A spec the process cannot run (JobSpec.Check) is refused.
+// the same spec maps to the same job ID, a queued, running or finished job is
+// returned as-is, and a checkpoint left by a killed process resumes instead
+// of restarting. A failed job is dropped and its spec submitted again, so a
+// job a transient fault stopped resumes from its last checkpoint. A spec the
+// process cannot run (JobSpec.Check) is refused.
 func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	spec.normalize()
 	if err := spec.Check(); err != nil {
 		return JobStatus{}, err
 	}
 	id := spec.ID()
-	if st, ok := s.Status(id); ok {
+	if st, ok := s.Status(id); ok && st.State != "failed" {
 		return st, nil
 	}
 	// The checkpoint is read before the job is registered: a job whose
@@ -255,9 +257,11 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		jb.status.Resumed, jb.status.IterationsDone = true, ck.Iter
 	}
 	s.mu.Lock()
-	if live, ok := s.jobs[id]; ok { // a concurrent Submit of the same spec registered first
-		s.mu.Unlock()
-		return live.Status(), nil
+	if live, ok := s.jobs[id]; ok { // a concurrent Submit of the same spec registered first, or the job failed
+		if st := live.Status(); st.State != "failed" {
+			s.mu.Unlock()
+			return st, nil
+		}
 	}
 	s.jobs[id] = jb
 	s.mu.Unlock()

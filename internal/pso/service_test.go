@@ -12,6 +12,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -470,5 +473,86 @@ func TestServiceResumesKilledJob(t *testing.T) {
 	}
 	if res.Best.Fit != ref.Best.Fit || res.Best.Net.String() != ref.Best.Net.String() {
 		t.Fatalf("resumed best %+v differs from reference %+v", res.Best, ref.Best)
+	}
+}
+
+// TestServiceRetriesFailedJob: a job that failed on a transient fault — its
+// checkpoint directory gone when it came to save — runs again when its spec
+// is resubmitted once the directory is back, and ends done on the trajectory
+// of an uninterrupted run.
+func TestServiceRetriesFailedJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-engine search service in -short mode")
+	}
+	spec := testJobSpec()
+	spec.Seed = 23
+	spec.normalize()
+	id := spec.ID()
+	ref, err := SearchFrom(spec.Config, spec.NewEvaluator(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "jobs")
+	svc := NewService(dir) // the directory is not there yet
+	if _, err := svc.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	svc.Wait(id)
+	if st, _ := svc.Status(id); st.State != "failed" || !strings.Contains(st.Error, "saving checkpoint") {
+		t.Fatalf("job without its checkpoint directory: %+v, want failed saving a checkpoint", st)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State == "failed" {
+		t.Fatalf("resubmitting a failed job returned it as it was: %+v", st)
+	}
+	svc.Wait(id)
+	res, ok := svc.Result(id)
+	if final, _ := svc.Status(id); !ok || final.State != "done" {
+		t.Fatalf("retried job: %+v", final)
+	}
+	if !slices.Equal(res.History, ref.History) || res.Best.Net.String() != ref.Best.Net.String() {
+		t.Fatalf("retried job's history %v and best %v, uninterrupted %v and %v", res.History, res.Best.Net, ref.History, ref.Best.Net)
+	}
+}
+
+// TestServiceSurvivesPanickingEvaluator: a job whose evaluator panics on some
+// candidate ends failed, naming the particle and the panic; a job submitted
+// beside it finishes, and the process lives on to tell.
+func TestServiceSurvivesPanickingEvaluator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-engine search service in -short mode")
+	}
+	svc := NewService(t.TempDir())
+	bad := testJobSpec()
+	bad.Seed = 29
+	bad.normalize()
+	jb := &job{spec: bad, eval: bad.NewEvaluator(), done: make(chan struct{})}
+	jb.eval.Bundles = []int{0} // group 1's genomes index past the mapping
+	jb.status = JobStatus{ID: bad.ID(), State: "queued", IterationsTotal: bad.Iterations}
+	svc.mu.Lock()
+	svc.jobs[jb.status.ID] = jb
+	svc.mu.Unlock()
+	go svc.run(jb, nil)
+
+	good := testJobSpec()
+	good.Seed = 31
+	st, err := svc.Submit(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Wait(jb.status.ID)
+	svc.Wait(st.ID)
+	if st, _ := svc.Status(jb.status.ID); st.State != "failed" || !strings.Contains(st.Error, "particle 0 of group 1: panic: ") {
+		t.Fatalf("job with a panicking evaluator: %+v, want failed naming particle 0 of group 1", st)
+	}
+	if st, _ := svc.Status(st.ID); st.State != "done" {
+		t.Fatalf("job beside it: %+v, want done", st)
 	}
 }

@@ -97,14 +97,14 @@ func (t *Tracker) Step(p Pair, opt *nn.SGD) float32 {
 	w.z.plan.RunInto(w.z.adj, p.Exemplar.Reshape(1, p.Exemplar.Dim(0), p.Exemplar.Dim(1), p.Exemplar.Dim(2)), nil)
 	zf := w.z.feat.Clone()
 	t.free.Put(w)
-	xf := t.Backbone.Forward(p.Search.Reshape(1, p.Search.Dim(0), p.Search.Dim(1), p.Search.Dim(2)), true)
-	xf = t.Adjust.Forward([]*tensor.Tensor{xf}, true)
+	feat := []*tensor.Tensor{t.Backbone.Forward(p.Search.Reshape(1, p.Search.Dim(0), p.Search.Dim(1), p.Search.Dim(2)), true)}
+	xf := t.Adjust.Forward(feat, true)
 	xf = xf.Reshape(xf.Dim(1), xf.Dim(2), xf.Dim(3))
 	resp := DWXCorr(zf, xf)
 	c, r := resp.Dim(0), resp.Dim(1)
-	resp4 := resp.Reshape(1, c, r, r)
-	cls := t.Cls.Forward([]*tensor.Tensor{resp4}, true)
-	reg := t.Reg.Forward([]*tensor.Tensor{resp4}, true)
+	heads := []*tensor.Tensor{resp.Reshape(1, c, r, r)}
+	cls := t.Cls.Forward(heads, true)
+	reg := t.Reg.Forward(heads, true)
 
 	total := float32(0)
 	// Classification: balanced BCE over the response grid.
@@ -132,13 +132,13 @@ func (t *Tracker) Step(p Pair, opt *nn.SGD) float32 {
 		regGrad.Set(2*regW*d, 0, k, p.CellY, p.CellX)
 	}
 	dresps := []*tensor.Tensor{
-		t.Cls.Backward(clsGrad)[0],
-		t.Reg.Backward(regGrad)[0],
+		t.Cls.Backward(heads, clsGrad)[0],
+		t.Reg.Backward(heads, regGrad)[0],
 	}
 	// Mask branch (SiamMask): BCE of the peak-cell mask patch.
 	if t.Mask != nil && p.MaskGT != nil {
 		m := t.Cfg.MaskSize
-		maskOut := t.Mask.Forward([]*tensor.Tensor{resp4}, true)
+		maskOut := t.Mask.Forward(heads, true)
 		maskGrad := tensor.New(maskOut.Shape()...)
 		const maskW = 0.5
 		inv := maskW / float32(m*m)
@@ -149,14 +149,14 @@ func (t *Tracker) Step(p Pair, opt *nn.SGD) float32 {
 			total += inv * float32(math.Max(zf64, 0)-zf64*float64(target)+math.Log1p(math.Exp(-math.Abs(zf64))))
 			maskGrad.Set(inv*(nn.Sigmoid(z)-target), 0, k, p.CellY, p.CellX)
 		}
-		dresps = append(dresps, t.Mask.Backward(maskGrad)[0])
+		dresps = append(dresps, t.Mask.Backward(heads, maskGrad)[0])
 	}
 	dresp := dresps[0]
 	for _, d := range dresps[1:] {
 		dresp.AddInPlace(d)
 	}
 	dxf := DWXCorrBackward(zf, xf, dresp.Reshape(c, r, r))
-	dadj := t.Adjust.Backward(dxf.Reshape(1, c, xf.Dim(1), xf.Dim(2)))[0]
+	dadj := t.Adjust.Backward(feat, dxf.Reshape(1, c, xf.Dim(1), xf.Dim(2)))[0]
 	t.Backbone.Backward(dadj)
 	nn.ClipGradNorm(t.Params(), 5)
 	opt.Step(t.Params())
