@@ -122,8 +122,8 @@ short:
 # workers of a split Bundle step feed the same running maxima at once, and how
 # many there are depends on the worker count. The serving lane and pool tests
 # get the same three runs: N inference workers share one queue, and how they
-# interleave on it — through a drain, a close and a swap — depends on how many
-# run at once. So do the tracking service's session tests: every session's
+# interleave on it — through a drain, a close and a swap, whose queued
+# requests run on the new model — depends on how many run at once. So do the tracking service's session tests: every session's
 # steps take turns on the service's one worker, and how sessions interleave
 # there depends on how many callers run at once.
 # The stream executor's tests, and detect's over it, get the three runs too:
@@ -143,7 +143,8 @@ short:
 # panels as int16 pairs) are taken per chunk in flight: how many a free list
 # builds, and whether a warm call still allocates nothing, depends on how
 # many chunks overlap, so that test, the zero-allocation ones and the int8
-# leaf calls from lanes get the three runs.
+# leaf calls from lanes get the three runs, as does the test of a chunk that
+# panics on a pool worker and reaches the caller once every chunk has ended.
 # The layer walk's convolutions deal their batch to lanes the same way, so
 # their parallel tests and the tracker-training determinism test (whose
 # backward runs through them) get the three runs too, as does the test that
@@ -154,7 +155,7 @@ short:
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool.
 LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch|ConcurrentForwards|FallbackUnitsRunOnLanes
-SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite|OneModelPerGeneration
+SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite|OneModelPerGeneration|PoolSwapLeaves|CountersSurviveASwap
 STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
 LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers|ConcurrentStepsOnOneTracker|BackwardAfterInference
 race:
@@ -163,7 +164,7 @@ race:
 	$(GO) test -race -short -cpu 1,2,4 -run '$(SERVE_LANE_TESTS)' ./internal/serve
 	$(GO) test -race -cpu 1,2,4 -run '$(STREAM_TESTS)' ./internal/pipeline ./internal/detect
 	$(GO) test -race -cpu 1,2,4 -run '$(LAYER_WALK_TESTS)' ./internal/nn ./internal/track
-	$(GO) test -race -cpu 1,2,4 -run 'PackScratchFollowsChunksInFlight|SteadyStateAllocs|Int8LeafCallsMatchDispatched' ./internal/tensor
+	$(GO) test -race -cpu 1,2,4 -run 'PackScratchFollowsChunksInFlight|SteadyStateAllocs|Int8LeafCallsMatchDispatched|PoolWorkerPanic' ./internal/tensor
 	$(GO) test -race -short ./internal/core
 
 # purego runs the kernel-bearing packages with the assembly kernels — the

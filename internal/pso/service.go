@@ -156,7 +156,6 @@ type job struct {
 	mu     sync.Mutex
 	status JobStatus
 	result *JobResult
-	done   chan struct{}
 }
 
 // Service runs measured-fitness searches as resumable jobs.
@@ -251,7 +250,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return JobStatus{}, fmt.Errorf("pso: checkpoint for %s is unreadable: %w", id, err)
 	}
-	jb := &job{spec: spec, eval: spec.NewEvaluator(), done: make(chan struct{})}
+	jb := &job{spec: spec, eval: spec.NewEvaluator()}
 	jb.status = JobStatus{ID: id, State: "queued", IterationsTotal: spec.Iterations}
 	if ck != nil {
 		jb.status.Resumed, jb.status.IterationsDone = true, ck.Iter
@@ -265,12 +264,13 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	s.jobs[id] = jb
 	s.mu.Unlock()
-	go s.run(jb, ck)
+	go s.run(jb, jb.eval, ck)
 	return jb.Status(), nil
 }
 
-func (s *Service) run(jb *job, ck *Checkpoint) {
-	defer close(jb.done)
+// run searches the job's spec with eval — the job's own evaluator, or one
+// wrapping it — and records the outcome on the job.
+func (s *Service) run(jb *job, eval Evaluator, ck *Checkpoint) {
 	cfg := jb.spec.Config
 	cfg.EvalObserver = func(d time.Duration) { s.evalHist.Observe(d) }
 	cfg.Progress = func(itr int, best Particle) {
@@ -287,7 +287,7 @@ func (s *Service) run(jb *job, ck *Checkpoint) {
 	jb.mu.Unlock()
 
 	path := s.CheckpointPath(jb.status.ID)
-	res, err := SearchFrom(cfg, jb.eval, ck, func(snap Checkpoint) error {
+	res, err := SearchFrom(cfg, eval, ck, func(snap Checkpoint) error {
 		return snap.Save(path)
 	})
 	hits, misses := jb.eval.CacheStats()

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,8 @@ import (
 	"time"
 
 	"skynet/internal/bundle"
+	"skynet/internal/nn"
+	"skynet/internal/tensor"
 )
 
 func testJobSpec() JobSpec {
@@ -36,13 +39,14 @@ func testJobSpec() JobSpec {
 	}
 }
 
-// Wait blocks until the job finishes.
+// Wait blocks until the job is done or failed, and returns at once for an
+// ID the service does not know.
 func (s *Service) Wait(id string) {
-	s.mu.Lock()
-	jb, ok := s.jobs[id]
-	s.mu.Unlock()
-	if ok {
-		<-jb.done
+	for {
+		if st, ok := s.Status(id); !ok || st.State == "done" || st.State == "failed" {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -533,13 +537,13 @@ func TestServiceSurvivesPanickingEvaluator(t *testing.T) {
 	bad := testJobSpec()
 	bad.Seed = 29
 	bad.normalize()
-	jb := &job{spec: bad, eval: bad.NewEvaluator(), done: make(chan struct{})}
+	jb := &job{spec: bad, eval: bad.NewEvaluator()}
 	jb.eval.Bundles = []int{0} // group 1's genomes index past the mapping
 	jb.status = JobStatus{ID: bad.ID(), State: "queued", IterationsTotal: bad.Iterations}
 	svc.mu.Lock()
 	svc.jobs[jb.status.ID] = jb
 	svc.mu.Unlock()
-	go svc.run(jb, nil)
+	go svc.run(jb, jb.eval, nil)
 
 	good := testJobSpec()
 	good.Seed = 31
@@ -551,6 +555,58 @@ func TestServiceSurvivesPanickingEvaluator(t *testing.T) {
 	svc.Wait(st.ID)
 	if st, _ := svc.Status(jb.status.ID); st.State != "failed" || !strings.Contains(st.Error, "particle 0 of group 1: panic: ") {
 		t.Fatalf("job with a panicking evaluator: %+v, want failed naming particle 0 of group 1", st)
+	}
+	if st, _ := svc.Status(st.ID); st.State != "done" {
+		t.Fatalf("job beside it: %+v, want done", st)
+	}
+}
+
+// poolFaultEval is the engine evaluator with a defect only a GEMM pool worker
+// meets: evaluating a particle of group 1 first runs a depth-wise convolution
+// whose weights lack the last channel's taps, its eight planes dealt four
+// ways, so the read past the weights is in a chunk the pool runs.
+type poolFaultEval struct{ *EngineEvaluator }
+
+func (e poolFaultEval) Accuracy(n Network, epochs int) float64 {
+	if n.BundleType == 1 {
+		dw := nn.NewDWConv3(rand.New(rand.NewSource(1)), 8, 3, false)
+		dw.Weight.W.Data = dw.Weight.W.Data[: 7*9 : 7*9]
+		dw.Forward([]*tensor.Tensor{tensor.New(1, 8, 6, 6)}, false)
+	}
+	return e.EngineEvaluator.Accuracy(n, epochs)
+}
+
+// TestServiceSurvivesAPanicOnAPoolWorker: a candidate whose forward panics on
+// a GEMM pool worker, not on the goroutine evaluating it, fails its job like
+// any panicking evaluation — naming the particle — and a job beside it ends
+// done. The pool used to let the panic kill the process with every job in it.
+func TestServiceSurvivesAPanicOnAPoolWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-engine search service in -short mode")
+	}
+	defer func(old int) { tensor.MaxParallelism = old }(tensor.MaxParallelism)
+	tensor.MaxParallelism = 4
+	svc := NewService(t.TempDir())
+	bad := testJobSpec()
+	bad.Seed = 37
+	bad.normalize()
+	jb := &job{spec: bad, eval: bad.NewEvaluator()}
+	jb.status = JobStatus{ID: bad.ID(), State: "queued", IterationsTotal: bad.Iterations}
+	svc.mu.Lock()
+	svc.jobs[jb.status.ID] = jb
+	svc.mu.Unlock()
+	go svc.run(jb, poolFaultEval{jb.eval}, nil)
+
+	good := testJobSpec()
+	good.Seed = 41
+	st, err := svc.Submit(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Wait(jb.status.ID)
+	svc.Wait(st.ID)
+	if st, _ := svc.Status(jb.status.ID); st.State != "failed" || !strings.Contains(st.Error, "particle 0 of group 1: panic: runtime error: slice bounds out of range") {
+		t.Fatalf("job whose forward panics on a pool worker: %+v, want failed naming particle 0 of group 1", st)
 	}
 	if st, _ := svc.Status(st.ID); st.State != "done" {
 		t.Fatalf("job beside it: %+v, want done", st)

@@ -76,7 +76,7 @@ func putReqBuf(b *reqBuf) {
 	if cap(b.body) > maxPooledBody {
 		return
 	}
-	b.req.frame, b.req.ctx = detect.Frame{}, nil
+	b.req.frame, b.req.ctx, b.req.gen = detect.Frame{}, nil, nil
 	reqBufs.Put(b)
 }
 

@@ -3,9 +3,9 @@ package serve
 // A lane is the one machine every service in this package is built on: a
 // bounded admission queue, the worker goroutines that take requests off it a
 // micro-batch at a time (pipeline.CollectBatch), and a drain/close shutdown
-// sequence. A detection generation and the TrackService both embed one and
-// differ only in how many workers they run, what a worker does with a batch
-// and what they count.
+// sequence. The pool's detection engine and the TrackService both embed one,
+// for their whole lives, and differ only in how many workers they run, what
+// a worker does with a batch and what they count.
 //
 // It is not the §6.3 stream executor, which overlaps the stages of
 // consecutive frames of one stream. Serving requests are independent and

@@ -442,9 +442,9 @@ func TestLaneWorkersHandBackEveryAdmittedRequest(t *testing.T) {
 }
 
 // TestGoroutineCensus pins the shape: a pool is one goroutine per worker —
-// before and after a swap, whose old generation gives its own back — a
-// TrackService two (the worker and the TTL janitor), and both Drain and
-// Close give every one of them back. The services' own goroutines are
+// before and after a swap, which starts none — a TrackService two (the
+// worker and the TTL janitor), and both Drain and Close give every one of
+// them back. The services' own goroutines are
 // counted by the function they run (exactly n), the process total bounds
 // everything else (at most n more than before): together, exactly n were
 // added — and an idle connection of an earlier test closing mid-census
@@ -466,10 +466,10 @@ func TestGoroutineCensus(t *testing.T) {
 			t.Fatal(err)
 		}
 		census(t, "a pool of 4 workers is 4 goroutines", total+n, w0+n, j0)
-		if err := p.Swap(context.Background(), verFactory(2, nil, nil)); err != nil {
+		if err := p.Swap(verFactory(2, nil, nil)); err != nil {
 			t.Fatal(err)
 		}
-		census(t, "and still 4 once a swap has drained the old generation", total+n, w0+n, j0)
+		census(t, "and still 4 after a swap", total+n, w0+n, j0)
 		ts, err := NewTrackService(testTracker(false), TrackConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -549,7 +549,7 @@ func TestCloseAnswersEveryAdmittedRequest(t *testing.T) {
 		gate := make(chan struct{})
 		m := &enteringModel{stubModel: stubModel{gate: gate}, entered: make(chan struct{})}
 		p := newSinglePool(t, m, Config{MaxBatch: 1, QueueDepth: n, RequestTimeout: -1})
-		r := p.gen.Load()
+		r := &p.eng
 		inFlight := make(chan error, 1)
 		go func() {
 			_, _, err := p.Submit(context.Background(), testImage(0.9))

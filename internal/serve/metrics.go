@@ -127,9 +127,9 @@ type LatencySummary struct {
 	P99MS  float64 `json:"p99_ms"`
 }
 
-// Metrics is one consistent-enough snapshot of the serving generation's
-// engine: its one queue and its workers' counters — individual fields are
-// read atomically; the set is not a transaction.
+// Metrics is one consistent-enough snapshot of the pool's engine: its one
+// queue and its workers' counters over the pool's life, across swaps —
+// individual fields are read atomically; the set is not a transaction.
 type Metrics struct {
 	// QueueDepth is the number of admitted requests waiting for a worker;
 	// QueueCap is the admission bound.
@@ -187,7 +187,7 @@ func stageJSON(st pipeline.StageStats) pipelineStageJSON {
 }
 
 // PoolMetrics is one snapshot of the pool's counters: the front door's
-// (cache, shed, swap, inflight) and the serving generation's engine.
+// (cache, shed, swap, inflight) and the engine's.
 type PoolMetrics struct {
 	// Replicas is the inference worker count; Generation the serving
 	// generation's version; Swaps the number of completed hot-swaps.
@@ -196,7 +196,7 @@ type PoolMetrics struct {
 	Swaps      int64 `json:"swaps"`
 	Draining   bool  `json:"draining"`
 
-	// Served/Failed/Expired are the serving generation's counters;
+	// Served/Failed/Expired are the engine's counters, over the pool's life;
 	// CacheServed counts requests answered from the response cache without
 	// reaching the queue (not included in Served).
 	Served      int64 `json:"served"`
@@ -205,10 +205,8 @@ type PoolMetrics struct {
 	CacheServed int64 `json:"cache_served"`
 
 	// Rejected counts requests shed with 429 — the admission queue or the
-	// inflight semaphore was full; SwapRetries requests that raced a swap
-	// and resubmitted on the new generation.
-	Rejected    int64 `json:"rejected"`
-	SwapRetries int64 `json:"swap_retries"`
+	// inflight semaphore was full.
+	Rejected int64 `json:"rejected"`
 
 	// Inflight is the number of HTTP requests currently holding an
 	// admission slot; InflightCap the bound.
@@ -220,47 +218,44 @@ type PoolMetrics struct {
 	// Latency is the pool-level success latency (cache hits included).
 	Latency LatencySummary `json:"latency"`
 
-	// ReplicaMetrics holds the serving generation's engine snapshot, as its
-	// one entry.
+	// ReplicaMetrics holds the engine's snapshot, as its one entry.
 	ReplicaMetrics []Metrics `json:"replica_metrics"`
 }
 
 // Metrics snapshots the pool's observability counters.
 func (p *Pool) Metrics() PoolMetrics {
-	g := p.gen.Load()
-	gm := g.Metrics()
+	em := p.eng.Metrics()
 	return PoolMetrics{
 		Replicas:       p.cfg.Replicas,
-		Generation:     g.id,
+		Generation:     p.Generation(),
 		Swaps:          p.swaps.Load(),
 		Draining:       p.Draining(),
-		Served:         gm.Served,
-		Failed:         gm.Failed,
-		Expired:        gm.Expired,
+		Served:         em.Served,
+		Failed:         em.Failed,
+		Expired:        em.Expired,
 		CacheServed:    p.cacheServed.Load(),
 		Rejected:       p.rejected.Load(),
-		SwapRetries:    p.swapRetries.Load(),
 		Inflight:       len(p.inflight),
 		InflightCap:    cap(p.inflight),
 		Cache:          p.cache.stats(),
 		Latency:        p.hist.Summary(),
-		ReplicaMetrics: []Metrics{gm},
+		ReplicaMetrics: []Metrics{em},
 	}
 }
 
-// Metrics snapshots the generation's observability counters.
-func (g *generation) Metrics() Metrics {
+// Metrics snapshots the engine's observability counters.
+func (e *engine) Metrics() Metrics {
 	m := Metrics{
-		QueueDepth: len(g.in),
-		QueueCap:   cap(g.in),
-		Draining:   g.isDraining(),
-		Served:     g.served.Load(),
-		Failed:     g.failed.Load(),
-		Expired:    g.expired.Load(),
-		Latency:    g.hist.Summary(),
+		QueueDepth: len(e.in),
+		QueueCap:   cap(e.in),
+		Draining:   e.isDraining(),
+		Served:     e.served.Load(),
+		Failed:     e.failed.Load(),
+		Expired:    e.expired.Load(),
+		Latency:    e.hist.Summary(),
 	}
-	infer := stageJSON(g.work.Stats(pipeline.StageInfer, len(g.live)))
+	infer := stageJSON(e.work.Stats(pipeline.StageInfer, len(e.live)))
 	m.Batches, m.MeanBatchSize = infer.Batches, infer.MeanBatchSize
-	m.Stages = []pipelineStageJSON{stageJSON(g.pre.Stats(pipeline.StagePre, 0)), infer, stageJSON(g.post.Stats(pipeline.StagePost, 0))}
+	m.Stages = []pipelineStageJSON{stageJSON(e.pre.Stats(pipeline.StagePre, 0)), infer, stageJSON(e.post.Stats(pipeline.StagePost, 0))}
 	return m
 }

@@ -1,8 +1,8 @@
 package serve
 
 // The pool's HTTP front end — the one detection front door: POST /detect
-// and POST /admin/swap (cuts the pool over to a new model generation under
-// live load) on top of the shared routes (GET /metrics, GET /healthz,
+// and POST /admin/swap (publishes a new model generation under live load;
+// see Pool.Swap) on top of the shared routes (GET /metrics, GET /healthz,
 // pprof; see http.go). Tracking has a door of its own (TrackService.Handler).
 // Every /detect response carries an X-Skynet-Generation header naming the
 // generation that produced it, which is how the swap tests observe the
@@ -70,8 +70,7 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer p.release()
-	g := p.gen.Load()
-	if len(g.in) == cap(g.in) {
+	if len(p.eng.in) == cap(p.eng.in) {
 		p.rejected.Add(1)
 		writeError(w, http.StatusTooManyRequests, ErrOverloaded)
 		return
@@ -81,7 +80,7 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// cache miss parse them — into the frame a worker's batch is stacked
 	// from.
 	buf := reqBufs.Get()
-	if err := buf.read(w, r, g.timeout); err != nil {
+	if err := buf.read(w, r, p.eng.timeout); err != nil {
 		putReqBuf(buf)
 		writeError(w, bodyStatus(err), err)
 		return
@@ -104,7 +103,7 @@ func (p *Pool) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	if g := p.gen.Load(); g.id == gen {
 		w.Header()["X-Skynet-Generation"] = g.idHeader
-	} else { // an older generation's answer, cached before a swap reset the cache
+	} else { // an older generation's answer: its forward, or its cache entry, came before a swap
 		w.Header().Set("X-Skynet-Generation", strconv.FormatInt(gen, 10))
 	}
 	if err != nil {
@@ -133,11 +132,7 @@ func (p *Pool) handleSwap(w http.ResponseWriter, r *http.Request) {
 		writeSwapError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The drain of the old generation is bounded by swapDrainTimeout, not by the
-	// admin request's context: an impatient admin client must not abandon a
-	// half-drained generation.
-	//skynet:nolint ctxflow -- deliberate detach (see above): the swap drain must survive an admin client disconnect
-	if err := p.Swap(context.Background(), factory); err != nil {
+	if err := p.Swap(factory); err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, ErrDraining) {
 			status = http.StatusServiceUnavailable

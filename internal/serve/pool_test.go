@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"skynet/internal/detect"
+	"skynet/internal/pipeline"
 	"skynet/internal/tensor"
 )
 
@@ -571,12 +572,11 @@ func TestCacheHitNamesTheGenerationThatComputedIt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The window, held open: generation 2 is published, the cache not yet reset.
-	next, err := p.buildGeneration(verFactory(2, nil, nil), 2)
+	next, err := newGeneration(verFactory(2, nil, nil), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := p.gen.Swap(next)
-	defer old.close()
+	p.gen.Store(next)
 	if _, _, gen, ok := p.cached(hashFrame(img), time.Now()); !ok || gen != 1 {
 		t.Fatalf("a hit before the cache reset: ok %v, generation %d; want the entry's own generation, 1", ok, gen)
 	}
@@ -590,7 +590,7 @@ func TestPoolSwapFailureKeepsOldGenerationServing(t *testing.T) {
 	p := newTestPool(t, verFactory(1, nil, nil), PoolConfig{Replicas: 2,
 		Replica: Config{MaxBatch: 2, QueueDepth: 16}})
 	gen := p.Generation()
-	err := p.Swap(context.Background(), func() (detect.Model, *detect.Head, error) {
+	err := p.Swap(func() (detect.Model, *detect.Head, error) {
 		return nil, nil, errors.New("boom")
 	})
 	if err == nil {
@@ -601,6 +601,92 @@ func TestPoolSwapFailureKeepsOldGenerationServing(t *testing.T) {
 	}
 	if _, _, err := p.Submit(context.Background(), testImage(0.6)); err != nil {
 		t.Fatalf("old generation stopped serving after failed swap: %v", err)
+	}
+}
+
+// TestPoolSwapLeavesTheForwardInFlightAndServesTheQueueOnTheNewModel: with
+// one worker held inside a v1 forward (request A) and request B queued behind
+// it, Swap returns at once, A answers with v1's box under header 1 and B —
+// queued before the swap — with v2's under header 2. A swap publishes a model;
+// it no longer drains a second engine, which held Swap until A and B were done.
+func TestPoolSwapLeavesTheForwardInFlightAndServesTheQueueOnTheNewModel(t *testing.T) {
+	entered := new(atomic.Int64)
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	p := newTestPool(t, func() (detect.Model, *detect.Head, error) {
+		return &holdModel{verModel: verModel{version: 1}, hold: 1, entered: entered, gate: gate}, detect.NewHead(nil), nil
+	}, PoolConfig{Replicas: 1, CacheEntries: -1, Replica: Config{MaxBatch: 1, QueueDepth: 4, RequestTimeout: -1}})
+	t.Cleanup(release) // runs before the pool's Close, which waits for the held forward
+
+	type reply struct {
+		code int
+		gen  string
+		body []byte
+	}
+	h := p.Handler()
+	imgs := []*tensor.Tensor{testImage(0.2), testImage(0.7)}
+	replies := make([]chan reply, len(imgs))
+	for i, img := range imgs {
+		replies[i] = make(chan reply, 1)
+		go func(body []byte, c chan<- reply) {
+			rec := post(h, "/detect", body)
+			c <- reply{rec.Code, rec.Header().Get("X-Skynet-Generation"), rec.Body.Bytes()}
+		}(detectBody(t, img), replies[i])
+		eventually(t, "request A in the forward, B queued behind it", func() bool {
+			return entered.Load() == 1 && len(p.eng.in) == i
+		})
+	}
+
+	swapped := make(chan error, 1)
+	go func() { swapped <- p.Swap(verFactory(2, nil, nil)) }()
+	select {
+	case err := <-swapped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Swap waited for the forward in flight on the old model")
+	}
+	select {
+	case r := <-replies[0]:
+		t.Fatalf("request A answered (%d) before its forward was released", r.code)
+	default:
+	}
+	release()
+	for i, version := range []float32{1, 2} {
+		r := <-replies[i]
+		if want := wantBody(t, version, imgs[i]); r.code != http.StatusOK || !bytes.Equal(r.body, want) || r.gen != fmt.Sprint(version) {
+			t.Errorf("request %c: %d %q with generation %q; want 200 %q with generation %v", 'A'+i, r.code, r.body, r.gen, want, version)
+		}
+	}
+}
+
+// TestPoolCountersSurviveASwap: the engine's counters span the pool's life, so
+// k requests served before a swap and m after read k+m, in Served and in the
+// inference stage's items alike.
+func TestPoolCountersSurviveASwap(t *testing.T) {
+	p := newTestPool(t, verFactory(1, nil, nil), PoolConfig{Replicas: 2, CacheEntries: -1,
+		Replica: Config{MaxBatch: 4, QueueDepth: 8}})
+	const k, m = 5, 3
+	for i := 0; i < k+m; i++ {
+		if i == k {
+			if err := p.Swap(verFactory(2, nil, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := p.Submit(context.Background(), testImage(float32(i)*0.01)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pm := p.Metrics()
+	var inferred int64 = -1
+	for _, st := range pm.ReplicaMetrics[0].Stages {
+		if st.Name == pipeline.StageInfer {
+			inferred = st.Items
+		}
+	}
+	if pm.Served != k+m || inferred != k+m {
+		t.Fatalf("after %d requests, a swap and %d more: served %d, inference items %d; want %d both", k, m, pm.Served, inferred, k+m)
 	}
 }
 

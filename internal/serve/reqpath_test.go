@@ -113,7 +113,7 @@ func TestRepeatedBodyIsAnsweredBeforeParsing(t *testing.T) {
 		t.Fatalf("a frame sent twice reached the model %d times, want 1", n)
 	}
 
-	if err := p.Swap(context.Background(), verFactory(2, nil, nil)); err != nil {
+	if err := p.Swap(verFactory(2, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if rec := post(h, "/detect", garbage); rec.Code != http.StatusBadRequest {

@@ -70,32 +70,51 @@ func (c *Config) normalize() {
 }
 
 // request is one detection's record, recycled (requests; the HTTP door's is
-// in its reqBuf): the frame that rides a generation's lane, whose prediction
-// is read once the worker has handed it back, and Submit's copy of the
-// caller's image, which the frame reads and the next Submit reuses.
+// in its reqBuf): the frame that rides the engine's lane, whose prediction is
+// read once the worker has handed it back, the generation whose model ran
+// it, and Submit's copy of the caller's image, which the frame reads and the
+// next Submit reuses.
 type request struct {
 	ticket
 	frame detect.Frame
+	gen   *generation // set by the worker before the hand-back; read only then (see engine.submitFrame)
 	own   *tensor.Tensor
 }
 
 var requests = tensor.FreeList[request]{Alloc: func() *request { return &request{ticket: newTicket()} }}
 
-// generation is one model generation, the pool's whole detection engine: a
-// lane whose workers share the one model — an idle worker micro-batches
-// whatever is queued through it, beside the others' forwards — with
-// pre-process (prepare) and decode (submitFrame) on the caller's goroutine
-// either side of the queue. It has no HTTP surface — Pool is the front door —
-// and is safe for concurrent use. Immutable once started: the pool publishes
-// generations atomically and a request works against the one it loaded. Stop
-// with drain (graceful) or close.
+// generation is one model generation, a value: the model every worker's
+// forwards run on, side by side, and the head its answers decode with. The
+// pool publishes generations atomically and never writes one; a worker runs
+// a whole batch on the generation it loaded.
 type generation struct {
-	lane[*request]
 	id       int64
 	idHeader []string     // id as the X-Skynet-Generation value, built once
 	model    detect.Model // every worker's: its forwards are safe for concurrent use
 	head     *detect.Head // read-only: every caller decodes with it
-	channels int          // Config.Channels
+}
+
+// newGeneration builds a generation's model from the factory.
+func newGeneration(factory ModelFactory, id int64) (*generation, error) {
+	m, h, err := factory()
+	if err == nil && (m == nil || h == nil) {
+		err = errors.New("model and head are required")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: building the model: %w", err)
+	}
+	return &generation{id: id, idHeader: []string{strconv.FormatInt(id, 10)}, model: m, head: h}, nil
+}
+
+// engine is the pool's detection engine, one for the pool's life whatever
+// it serves: a lane whose workers micro-batch whatever is queued through the
+// serving generation's model, beside each other's forwards, with pre-process
+// (prepare) and decode (submitFrame) on the caller's goroutine either side of
+// the queue, and the counters of all three. It has no HTTP surface — Pool is
+// the front door — and is safe for concurrent use.
+type engine struct {
+	lane[*request]
+	channels int // Config.Channels
 	hist     Histogram
 
 	pre, post pipeline.StageClock // the stages the callers run, counted beside the workers'
@@ -106,34 +125,29 @@ type generation struct {
 	expired atomic.Int64
 }
 
-// newGeneration starts the serving lane over the model: the given number of
-// workers, each running its forwards on it, all on one queue of QueueDepth
-// per worker.
-func newGeneration(id int64, m detect.Model, h *detect.Head, workers int, cfg Config) *generation {
+// start begins the engine's workers, all on one queue of QueueDepth per
+// worker; each runs its batches on the generation serving returns when the
+// batch begins.
+func (e *engine) start(workers int, cfg Config, serving func() *generation) {
 	cfg.normalize()
-	g := &generation{
-		id:       id,
-		idHeader: []string{strconv.FormatInt(id, 10)},
-		model:    m,
-		head:     h,
-		channels: cfg.Channels,
-		live:     make([][]*detect.Frame, workers),
+	e.channels = cfg.Channels
+	e.live = make([][]*detect.Frame, workers)
+	for i := range e.live {
+		e.live[i] = make([]*detect.Frame, 0, cfg.MaxBatch)
 	}
-	for i := range g.live {
-		g.live[i] = make([]*detect.Frame, 0, cfg.MaxBatch)
-	}
-	g.start(workers, workers*cfg.QueueDepth, cfg.RequestTimeout, cfg.MaxBatch, g.inferBatch)
-	return g
+	e.lane.start(workers, workers*cfg.QueueDepth, cfg.RequestTimeout, cfg.MaxBatch, func(worker int, batch []*request) {
+		e.inferBatch(worker, serving(), batch)
+	})
 }
 
-// inferBatch is a worker's half of a request: one forward per run of
-// same-shape frames among the requests that still have a waiting caller (live
-// marks the rest with their context's error). A batch is whoever was queued,
-// so neighbours may differ in H×W; a request is neither failed nor answered
-// by its neighbour's size.
-func (g *generation) inferBatch(worker int, batch []*request) {
+// inferBatch is a worker's half of a request: one forward on g's model per
+// run of same-shape frames among the requests that still have a waiting
+// caller (live marks the rest with their context's error), each of which it
+// tags with g. A batch is whoever was queued, so neighbours may differ in
+// H×W; a request is neither failed nor answered by its neighbour's size.
+func (e *engine) inferBatch(worker int, g *generation, batch []*request) {
 	for lo := 0; lo < len(batch); {
-		live := g.live[worker][:0]
+		live := e.live[worker][:0]
 		hi := lo
 		for ; hi < len(batch); hi++ {
 			req := batch[hi]
@@ -143,6 +157,7 @@ func (g *generation) inferBatch(worker int, batch []*request) {
 			if len(live) > 0 && !req.frame.Image.SameShape(live[0].Image) {
 				break
 			}
+			req.gen = g
 			live = append(live, &req.frame)
 		}
 		if err := inferBatchSafe(g.model, live); err != nil {
@@ -178,50 +193,53 @@ func inferBatchSafe(m detect.Model, frames []*detect.Frame) (err error) {
 // before admission: a malformed frame never takes a queue slot. The frame
 // takes img over as it is (see detect.Frame): the caller must not write it
 // while the request may still be queued or in a forward.
-func (g *generation) prepare(req *request, img *tensor.Tensor) error {
+func (e *engine) prepare(req *request, img *tensor.Tensor) error {
 	t0 := time.Now()
 	req.frame = detect.Frame{Image: img}
 	err := detect.Preprocess(&req.frame)
 	if err != nil {
 		err = fmt.Errorf("%w: %v", ErrBadInput, err)
-	} else if c := g.channels; c > 0 && img.Dim(0) != c {
+	} else if c := e.channels; c > 0 && img.Dim(0) != c {
 		err = fmt.Errorf("%w: image has %d channels, want %d", ErrBadInput, img.Dim(0), c)
 	}
-	g.pre.Add(1, time.Since(t0))
+	e.pre.Add(1, time.Since(t0))
 	if err != nil {
-		g.failed.Add(1)
+		e.failed.Add(1)
 	}
 	return err
 }
 
 // submitFrame rides a prepared request through the lane — admission, a
 // micro-batched forward on whichever worker is idle, the hand-back — and
-// decodes the prediction on the caller's goroutine, so a caller that gave up
-// costs no decode. It blocks until the result is ready, the context fires
-// (Config.RequestTimeout when ctx has no deadline), or the request is
-// refused. A request that comes back refused (ErrOverloaded, ErrDraining) was
-// never touched and may be offered to the next generation.
-func (g *generation) submitFrame(ctx context.Context, req *request) (detect.Box, float64, error) {
-	err := g.ride(ctx, req)
+// decodes the prediction on the caller's goroutine with the head of the
+// generation that computed it, so a caller that gave up costs no decode. It
+// blocks until the result is ready, the context fires (Config.RequestTimeout
+// when ctx has no deadline), or the request is refused, and returns that
+// generation: nil when the lane handed the request back unanswered. The
+// worker tags req.gen before the hand-back, so it is read only once ride has
+// returned no error: after a context error the worker may still be writing it.
+func (e *engine) submitFrame(ctx context.Context, req *request) (*generation, error) {
+	var g *generation
+	err := e.ride(ctx, req)
 	if err == nil {
+		g = req.gen
 		t0 := time.Now()
 		err = detect.Postprocess(g.head, &req.frame)
 		if errors.Is(err, detect.ErrNonFinite) { // the frame's pixels overflowed the forward
 			err = fmt.Errorf("%w: %v", ErrBadInput, err)
 		}
-		g.post.Add(1, time.Since(t0))
+		e.post.Add(1, time.Since(t0))
 	}
 	switch {
 	case err == nil:
-		g.hist.Observe(time.Since(req.enq))
-		g.served.Add(1)
-		return req.frame.Box, req.frame.Conf, nil
+		e.hist.Observe(time.Since(req.enq))
+		e.served.Add(1)
 	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining): // the pool's to count
 	case !reusable(err): // the caller's context fired, noticed here or by the worker
-		g.expired.Add(1)
+		e.expired.Add(1)
 	default:
-		g.hist.Observe(time.Since(req.enq))
-		g.failed.Add(1)
+		e.hist.Observe(time.Since(req.enq))
+		e.failed.Add(1)
 	}
-	return detect.Box{}, 0, err
+	return g, err
 }

@@ -102,7 +102,7 @@ func TestPoolBuildsOneModelPerGeneration(t *testing.T) {
 		if n := calls.Load(); n != 1 {
 			t.Fatalf("NewPool at %d workers called the factory %d times, want once", replicas, n)
 		}
-		if err := p.Swap(context.Background(), factory); err != nil {
+		if err := p.Swap(factory); err != nil {
 			t.Fatal(err)
 		}
 		if n := calls.Load(); n != 2 {

@@ -129,7 +129,7 @@ func TestBadInputTakesNoQueueSlot(t *testing.T) {
 	go func() { _, _, _ = s.Submit(context.Background(), testImage(0.1)) }()
 	<-m.entered
 	go func() { _, _, _ = s.Submit(context.Background(), testImage(0.2)) }()
-	for len(s.gen.Load().in) < 1 {
+	for len(s.eng.in) < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	if _, _, err := s.Submit(context.Background(), testImage(0.5)); !errors.Is(err, ErrOverloaded) {
@@ -166,7 +166,7 @@ func TestCancelledCallerCostsNoDecode(t *testing.T) {
 		t.Fatalf("cancelled submit: %v", err)
 	}
 	close(m.gate)
-	for s.gen.Load().work.Stats("", 0).Items < 1 { // the forward finishes and the ticket is handed back
+	for s.eng.work.Stats("", 0).Items < 1 { // the forward finishes and the ticket is handed back
 		time.Sleep(time.Millisecond)
 	}
 	// A second request proves the worker has moved on; it is the only decode.
@@ -304,7 +304,7 @@ func TestCancelledRequestDoesNotLeakGoroutines(t *testing.T) {
 func TestDrainCompletesInFlight(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
 	p := newSinglePool(t, m, Config{QueueDepth: 8, MaxBatch: 4, RequestTimeout: -1})
-	s := p.gen.Load()
+	s := &p.eng
 
 	// Admitted on this goroutine, so all three are in the queue or in the
 	// worker's hands before the drain begins (a Submit that had only been
@@ -469,8 +469,8 @@ func (m *steppedModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // enqueue is Submit up to admission, on the test's goroutine: when it
-// returns the request is in the generation's queue.
-func enqueue(t *testing.T, r *generation, img *tensor.Tensor) *request {
+// returns the request is in the engine's queue.
+func enqueue(t *testing.T, r *engine, img *tensor.Tensor) *request {
 	t.Helper()
 	req := &request{ticket: boardedTicket(context.Background())}
 	if err := r.prepare(req, img); err != nil {
@@ -483,13 +483,13 @@ func enqueue(t *testing.T, r *generation, img *tensor.Tensor) *request {
 }
 
 // answer is the rest of Submit: wait for the worker to hand req back, decode.
-func answer(t *testing.T, r *generation, req *request) (detect.Box, float64) {
+func answer(t *testing.T, req *request) (detect.Box, float64) {
 	t.Helper()
 	<-req.done
 	if req.err != nil {
 		t.Fatal(req.err)
 	}
-	if err := detect.Postprocess(r.head, &req.frame); err != nil {
+	if err := detect.Postprocess(req.gen.head, &req.frame); err != nil {
 		t.Fatal(err)
 	}
 	return req.frame.Box, req.frame.Conf
@@ -502,7 +502,7 @@ func answer(t *testing.T, r *generation, req *request) (detect.Box, float64) {
 func TestBatchIsWhatQueuedWhileTheLastForwardRan(t *testing.T) {
 	const maxBatch, k = 4, 7
 	m := &steppedModel{stubModel: stubModel{gate: make(chan struct{})}, entered: make(chan int)}
-	r := newSinglePool(t, m, Config{MaxBatch: maxBatch, QueueDepth: k, RequestTimeout: -1}).gen.Load()
+	r := &newSinglePool(t, m, Config{MaxBatch: maxBatch, QueueDepth: k, RequestTimeout: -1}).eng
 
 	reqs := []*request{enqueue(t, r, testImage(0))}
 	if got := <-m.entered; got != 1 {
@@ -519,7 +519,7 @@ func TestBatchIsWhatQueuedWhileTheLastForwardRan(t *testing.T) {
 	}
 	m.gate <- struct{}{}
 	for _, req := range reqs {
-		answer(t, r, req)
+		answer(t, req)
 	}
 	if mb, want := r.Metrics().MeanBatchSize, float64(1+k)/3; mb != want {
 		t.Fatalf("mean batch size %v, want %v", mb, want)
@@ -540,7 +540,7 @@ func TestMixedSizeBatchAnswersEachFrameAtItsOwnSize(t *testing.T) {
 
 	gate := make(chan struct{})
 	m := &enteringModel{stubModel: stubModel{gate: gate}, entered: make(chan struct{})}
-	r := newSinglePool(t, m, Config{MaxBatch: 8, RequestTimeout: -1}).gen.Load()
+	r := &newSinglePool(t, m, Config{MaxBatch: 8, RequestTimeout: -1}).eng
 
 	held := enqueue(t, r, testImage(0.9))
 	<-m.entered
@@ -549,10 +549,10 @@ func TestMixedSizeBatchAnswersEachFrameAtItsOwnSize(t *testing.T) {
 		batched = append(batched, enqueue(t, r, img))
 	}
 	close(gate)
-	answer(t, r, held)
+	answer(t, held)
 	for i, req := range batched {
-		box, conf := answer(t, r, req)
-		aloneBox, aloneConf := answer(t, r, enqueue(t, r, images[i]))
+		box, conf := answer(t, req)
+		aloneBox, aloneConf := answer(t, enqueue(t, r, images[i]))
 		if box != aloneBox || conf != aloneConf {
 			t.Errorf("frame %d %v: in the mixed batch %+v conf %v, alone %+v conf %v",
 				i, images[i].Shape(), box, conf, aloneBox, aloneConf)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the blocked, packed GEMM kernel that backs every
@@ -197,16 +198,19 @@ func newGemmScratch() *gemmScratch {
 
 // gemmTask is one in-flight piece of work the pool splits: a blocked GEMM of
 // either element type — the live call descriptor — or a parallelRange body,
-// with the completion group the pool workers signal. A task holds no scratch;
-// tasks and the packing panels of each element type come from free lists, so
-// a warm call allocates nothing and a float-only process builds no int8
-// panel (nor the reverse).
+// with the completion group the pool workers signal and the first panic a
+// chunk raised, which split re-raises on the calling goroutine. A task holds
+// no scratch; tasks and the packing panels of each element type come from
+// free lists, so a warm call allocates nothing and a float-only process
+// builds no int8 panel (nor the reverse).
 type gemmTask struct {
-	f32  gemmCall
-	i8   i8gemmCall
-	isI8 bool             // which descriptor is live
-	leaf func(lo, hi int) // parallelRange's body; nil on a GEMM task
-	wg   sync.WaitGroup
+	f32     gemmCall
+	i8      i8gemmCall
+	isI8    bool             // which descriptor is live
+	leaf    func(lo, hi int) // parallelRange's body; nil on a GEMM task
+	wg      sync.WaitGroup
+	faulted atomic.Bool // a chunk has panicked: fault holds the first one's value
+	fault   any
 }
 
 // Every chunk of a blocked GEMM — the caller's, a pool job, a leaf call —
@@ -234,6 +238,25 @@ func (t *gemmTask) run(j0, j1 int) {
 		s := gemmScratchFree.Get()
 		t.f32.run(j0, j1, s)
 		gemmScratchFree.Put(s)
+	}
+}
+
+// runChunk is run for one chunk of split, its panic kept on the task instead
+// of unwinding the goroutine: a pool worker must outlive a faulty body, and
+// split must wait for every chunk before it re-raises the first panic.
+//
+//skynet:hotpath
+func (t *gemmTask) runChunk(j0, j1 int) {
+	defer t.recoverChunk()
+	t.run(j0, j1)
+}
+
+// recoverChunk is runChunk's deferred half.
+//
+//skynet:hotpath
+func (t *gemmTask) recoverChunk() {
+	if r := recover(); r != nil && t.faulted.CompareAndSwap(false, true) {
+		t.fault = r
 	}
 }
 
@@ -272,7 +295,7 @@ func startGemmWorkers() {
 	for i := 0; i < n; i++ {
 		go func() {
 			for j := range gemmJobs {
-				j.t.run(j.j0, j.j1)
+				j.t.runChunk(j.j0, j.j1)
 				j.t.wg.Done()
 			}
 		}()
@@ -312,7 +335,9 @@ func (t *gemmTask) dispatch(m, n, k int) {
 }
 
 // split runs [0, n) of the task in chunks: the first on the calling
-// goroutine, the others on the pool.
+// goroutine, the others on the pool. A chunk that panics — on a pool worker
+// or here — is re-raised here once every chunk has ended, so none is still
+// writing while the caller unwinds.
 //
 //skynet:hotpath
 func (t *gemmTask) split(n, chunk int) {
@@ -323,8 +348,11 @@ func (t *gemmTask) split(n, chunk int) {
 			gemmJobs <- gemmJob{t: t, j0: j0, j1: min(j0+chunk, n)}
 		}
 	}
-	t.run(0, min(chunk, n))
+	t.runChunk(0, min(chunk, n))
 	t.wg.Wait()
+	if t.faulted.Swap(false) {
+		panic(t.fault)
+	}
 }
 
 // RangeWorkers returns how many chunks parallelRange cuts [0, n) into, which

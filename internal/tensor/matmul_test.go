@@ -705,6 +705,52 @@ func TestRanger(t *testing.T) {
 	})
 }
 
+// faultyMark marks its chunk slowly, and the last chunk — never the caller's
+// own — panics instead: a body with a defect only a pool worker meets.
+func faultyMark(r *rangeMarker, lo, hi int) {
+	if hi == len(r.seen) {
+		panic("faulty chunk")
+	}
+	time.Sleep(time.Millisecond)
+	r.mark(lo, hi)
+}
+
+// TestPoolWorkerPanicReachesTheCaller: a chunk's panic on a pool worker is
+// re-raised on the goroutine that split the range, once every other chunk has
+// ended, and the workers live on: ten faulty calls later, a GEMM split across
+// the same pool is bitwise the one before them.
+func TestPoolWorkerPanicReachesTheCaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	a, b := randMat(rng, 48, 96), randMat(rng, 96, 640)
+	before, after := New(48, 640), New(48, 640)
+	ranger := NewRanger[*rangeMarker]()
+	withWorkers(4, func() {
+		forceBlocked(func() { MatMulInto(before, a, b) })
+		for round := 0; round < 10; round++ {
+			r := &rangeMarker{seen: make([]int32, 1000)}
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				ranger.Run(len(r.seen), r, faultyMark)
+				return nil
+			}()
+			if got != "faulty chunk" {
+				t.Fatalf("round %d: the caller recovered %v, want the worker's panic", round, got)
+			}
+			for i, n := range r.seen[:750] {
+				if n != 1 {
+					t.Fatalf("round %d: index %d marked %d times when the panic reached the caller", round, i, n)
+				}
+			}
+		}
+		forceBlocked(func() { MatMulInto(after, a, b) })
+	})
+	for i := range before.Data {
+		if math.Float32bits(before.Data[i]) != math.Float32bits(after.Data[i]) {
+			t.Fatalf("element %d: %v after the faulty calls, %v before", i, after.Data[i], before.Data[i])
+		}
+	}
+}
+
 // TestRowProductBandsMatchWhole: a product computed as column bands — each a
 // call with BandOf, a dense copy of its columns of B, and its window of C
 // through Ldc, all running at once from a parallelRange body, where a call
