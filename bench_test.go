@@ -263,11 +263,16 @@ func BenchmarkTable8SiamRPN(b *testing.B) {
 			g, ch := bb.build(rng, cfg)
 			tr := track.New(g, ch, track.DefaultConfig())
 			seq := gen()[0]
-			zf := tr.ExemplarFeatures(seq)
+			zf, err := tr.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0])
+			if err != nil {
+				b.Fatal(err)
+			}
 			box := seq.Boxes[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				box = tr.StepBox(zf, seq.Frames[1+i%3], box)
+				if box, err = tr.StepBoxE(zf, seq.Frames[1+i%3], box); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -289,7 +294,13 @@ func BenchmarkTable9SiamMask(b *testing.B) {
 	pairRng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Step(tr.MakePair(seq, 0, 1+i%3, pairRng), opt)
+		p, err := tr.MakePair(seq, 0, 1+i%3, pairRng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tr.Step(p, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -106,27 +106,37 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "training %s tracker (%d steps, mask=%v)...\n", *bb, *steps, *mask)
-	tr.Train(trainSeqs, track.TrainConfig{
+	if _, err := tr.Train(trainSeqs, track.TrainConfig{
 		Steps: *steps, LR: float32(*lr), Seed: *seed,
 		Progress: func(step int, loss float64) {
 			fmt.Fprintf(w, "  step %4d  loss %.4f\n", step, loss)
 			_ = w.Flush() // a failed write sticks, and the last Flush reports it
 		},
-	})
-	res := tr.Evaluate(evalSeqs)
+	}); err != nil {
+		return err
+	}
+	res, err := tr.Evaluate(evalSeqs)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "\nAO %.3f  SR@0.50 %.3f  SR@0.75 %.3f  (%d frames, %.1f FPS on this machine)\n",
 		res.AO, res.SR50, res.SR75, res.Frames, res.FPS)
 
 	if *render {
 		seq := evalSeqs[0]
 		box := seq.Boxes[0]
-		zf := tr.ExemplarFeatures(seq)
+		zf, err := tr.ExemplarFeaturesFor(seq.Frames[0], box)
+		if err != nil {
+			return err
+		}
 		for f := 1; f < seq.Len(); f += seq.Len() / 3 {
 			for g := f - seq.Len()/3 + 1; g <= f; g++ {
 				if g < 1 {
 					continue
 				}
-				box = tr.StepBox(zf, seq.Frames[g], box)
+				if box, err = tr.StepBoxE(zf, seq.Frames[g], box); err != nil {
+					return err
+				}
 			}
 			fmt.Fprintf(w, "\nframe %d (IoU %.3f):\n%s", f, box.IoU(seq.Boxes[f]),
 				dataset.ASCIIRender(seq.Frames[f], seq.Boxes[f], box, 56))

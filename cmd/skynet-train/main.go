@@ -31,7 +31,7 @@ func main() {
 		valN    = flag.Int("val", 96, "validation set size")
 		epochs  = flag.Int("epochs", 25, "training epochs")
 		lr      = flag.Float64("lr", 0.01, "initial learning rate (decays geometrically 10x)")
-		augment = flag.Bool("augment", true, "apply distort/jitter/crop augmentation (§6.1)")
+		augment = flag.Bool("augment", true, "apply fresh distort/jitter/crop augmentation each epoch (§6.1)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		ckpt    = flag.String("ckpt", "", "output self-describing checkpoint (spec + weights)")
 		summary = flag.Bool("summary", false, "print the per-layer model summary before training")
@@ -59,12 +59,6 @@ func main() {
 	gen := dataset.NewGenerator(dcfg)
 	train := gen.DetectionSet(*trainN)
 	val := gen.DetectionSet(*valN)
-	if *augment {
-		aug := dataset.NewAugmentor(*seed, 0.2, 0.08)
-		for i := range train {
-			train[i] = aug.Apply(train[i])
-		}
-	}
 
 	fmt.Printf("SkyNet %s (%s, width %.2f): %d parameters\n",
 		spec.Variant, map[bool]string{true: "ReLU6", false: "ReLU"}[*relu6], *width, g.NumParams())
@@ -72,7 +66,7 @@ func main() {
 		fmt.Print(nn.Summary(costs))
 	}
 
-	detect.TrainDetector(g, head, train, detect.TrainConfig{
+	tcfg := detect.TrainConfig{
 		Epochs:    *epochs,
 		BatchSize: 8,
 		LR:        nn.LRSchedule{Start: float32(*lr), End: float32(*lr) / 10, Epochs: *epochs},
@@ -82,7 +76,11 @@ func main() {
 					epoch+1, loss, detect.MeanIoU(g, head, val, 8))
 			}
 		},
-	})
+	}
+	if *augment {
+		tcfg.Augment = dataset.NewAugmentor(*seed, 0.2, 0.08).Apply
+	}
+	detect.TrainDetector(g, head, train, tcfg)
 	fmt.Printf("final validation IoU: %.4f over %d images\n",
 		detect.MeanIoU(g, head, val, 8), len(val))
 

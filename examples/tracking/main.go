@@ -7,11 +7,21 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 
 	"skynet/internal/backbone"
 	"skynet/internal/dataset"
 	"skynet/internal/track"
 )
+
+// must ends the demo on a tracker call's error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return v
+}
 
 func main() {
 	cfg := dataset.DefaultConfig()
@@ -25,8 +35,8 @@ func main() {
 	bcfg := backbone.Config{Width: 0.125, InC: 3, HeadChannels: 0, MaxStride: 8, ReLU6: true}
 	run := func(name string, tr *track.Tracker) track.EvalResult {
 		fmt.Printf("training %s tracker...\n", name)
-		tr.Train(trainSeqs, track.TrainConfig{Steps: 400, LR: 0.01, Seed: 1})
-		res := tr.Evaluate(evalSeqs)
+		must(tr.Train(trainSeqs, track.TrainConfig{Steps: 400, LR: 0.01, Seed: 1}))
+		res := must(tr.Evaluate(evalSeqs))
 		fmt.Printf("  %-10s AO %.3f  SR@0.50 %.3f  SR@0.75 %.3f  %.1f FPS (this machine)\n",
 			name, res.AO, res.SR50, res.SR75, res.FPS)
 		return res
@@ -51,10 +61,11 @@ func main() {
 	rng = rand.New(rand.NewSource(2))
 	sm := track.New(backbone.SkyNetA(rng, bcfg), bcfg.ScaledChannels(512), mcfg)
 	fmt.Println("\ntraining SiamMask-style variant...")
-	sm.Train(trainSeqs, track.TrainConfig{Steps: 400, LR: 0.01, Seed: 2})
+	must(sm.Train(trainSeqs, track.TrainConfig{Steps: 400, LR: 0.01, Seed: 2}))
 	seq := evalSeqs[0]
-	zf := sm.ExemplarFeatures(seq)
-	mask := sm.PeakMask(zf, seq.Frames[1], seq.Boxes[1])
+	zf := must(sm.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0]))
+	_, mask, err := sm.StepE(zf, seq.Frames[1], seq.Boxes[1], true)
+	must(mask, err)
 	fmt.Println("predicted mask patch at the response peak (16x16, '#' = foreground):")
 	for y := 0; y < mask.Dim(1); y++ {
 		for x := 0; x < mask.Dim(2); x++ {

@@ -43,7 +43,7 @@ func TestRealTreeClean(t *testing.T) {
 // internal/ (this package and testdata aside), cmd/, examples/ and the
 // module root. A change that removes a waiver lowers it; one that needs a
 // new waiver has to raise it in the same diff, where a reviewer sees it.
-const waiverCeiling = 10
+const waiverCeiling = 9
 
 var waiverLine = regexp.MustCompile(`//skynet:nolint [a-z]`)
 

@@ -82,19 +82,12 @@ type TrainConfig struct {
 	Epochs    int
 	BatchSize int
 	LR        nn.LRSchedule
-	Momentum  float32
-	Decay     float32
-	// ClipNorm bounds the global gradient norm per step; 0 selects the
-	// default of 5. Negative disables clipping.
-	ClipNorm float32
 	// Scales enables the paper's multi-scale training (§6.1): each epoch
 	// draws one (H, W) pair from this list and bilinearly resizes every
 	// training image to it. Empty trains at the native resolution. The
 	// network must be fully convolutional (SkyNet is), and each scale must
 	// be a multiple of the backbone stride.
 	Scales [][2]int
-	// ScaleRNG seeds the per-epoch scale choice; 0 uses epoch order.
-	ScaleRNG int64
 	// Augment, if non-nil, is applied to every sample each epoch (the
 	// distort/jitter/crop augmentation of §6.1).
 	Augment func(Sample) Sample
@@ -104,9 +97,11 @@ type TrainConfig struct {
 }
 
 // TrainDetector trains graph+head on the samples with SGD, following the
-// paper's §6.1 recipe shape: SGD with a geometrically decaying learning
-// rate, optional multi-scale training, and optional augmentation. Returns
-// the final mean training loss. With no samples (or zero epochs) there are
+// paper's §6.1 recipe shape: momentum 0.9 and no weight decay, a
+// geometrically decaying learning rate, each step's gradients clipped to a
+// global norm of 5, optional multi-scale training (each epoch's scale drawn
+// from a generator seeded with 7), and optional augmentation. Returns the
+// final mean training loss. With no samples (or zero epochs) there are
 // no optimization steps and no batches to average over, so the reported
 // loss is 0 rather than the 0/0 NaN of an empty mean.
 func TrainDetector(g *nn.Graph, head *Head, samples []Sample, cfg TrainConfig) float64 {
@@ -116,14 +111,8 @@ func TrainDetector(g *nn.Graph, head *Head, samples []Sample, cfg TrainConfig) f
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 8
 	}
-	if cfg.Momentum == 0 {
-		cfg.Momentum = 0.9
-	}
-	if cfg.ClipNorm == 0 {
-		cfg.ClipNorm = 5
-	}
-	scaleRNG := rand.New(rand.NewSource(cfg.ScaleRNG + 7))
-	opt := nn.NewSGD(cfg.LR.Start, cfg.Momentum, cfg.Decay)
+	scaleRNG := rand.New(rand.NewSource(7))
+	opt := nn.NewSGD(cfg.LR.Start, 0.9, 0)
 	params := g.Params()
 	var last float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -157,9 +146,7 @@ func TrainDetector(g *nn.Graph, head *Head, samples []Sample, cfg TrainConfig) f
 			pred := g.Forward(x, true)
 			loss, grad := head.Loss(pred, gts)
 			g.Backward(grad)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
+			nn.ClipGradNorm(params, 5)
 			opt.Step(params)
 			sum += float64(loss)
 			batches++

@@ -34,6 +34,15 @@ func trackerFor(name string, withMask bool, seed int64) *track.Tracker {
 	panic("unknown tracking backbone " + name)
 }
 
+// must is a tracker call's result at trackerFor's geometry, which every
+// backbone steps: an error there is a bug, not an input.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // modelFPS1080Ti estimates tracker frame rate on a 1080Ti: full-size
 // search-branch roofline latency plus per-kernel launch overheads (which
 // penalize the 100+-layer ResNet-50) plus a fixed correlation/RPN-head
@@ -99,8 +108,8 @@ func Table8(o Options) Table {
 	} {
 		o.logf("table8: training %s tracker", c.name)
 		tr := trackerFor(c.name, false, o.seed())
-		tr.Train(seqs[:nTrain], track.TrainConfig{Steps: trainSteps(o), LR: 0.01, Seed: o.seed()})
-		res := tr.Evaluate(seqs[nTrain:])
+		must(tr.Train(seqs[:nTrain], track.TrainConfig{Steps: trainSteps(o), LR: 0.01, Seed: o.seed()}))
+		res := must(tr.Evaluate(seqs[nTrain:]))
 		t.Rows = append(t.Rows, []string{
 			c.name, f3(res.AO), f3(res.SR50), f3(res.SR75),
 			f2(res.FPS), f2(modelFPS1080Ti(c.fullBuild)),
@@ -140,8 +149,8 @@ func Table9(o Options) Table {
 		tr := trackerFor(c.name, true, o.seed())
 		// The mask branch slows convergence for the deep backbone; the
 		// SiamMask rows get a proportionally larger step budget.
-		tr.Train(seqs[:nTrain], track.TrainConfig{Steps: trainSteps(o) * 5 / 3, LR: 0.01, Seed: o.seed()})
-		res := tr.Evaluate(seqs[nTrain:])
+		must(tr.Train(seqs[:nTrain], track.TrainConfig{Steps: trainSteps(o) * 5 / 3, LR: 0.01, Seed: o.seed()}))
+		res := must(tr.Evaluate(seqs[nTrain:]))
 		t.Rows = append(t.Rows, []string{
 			c.name, f3(res.AO), f3(res.SR50), f3(res.SR75),
 			f2(res.FPS), f2(modelFPS1080Ti(c.fullBuild) * 0.6), // mask head adds ~40% cost
@@ -156,7 +165,7 @@ func Table9(o Options) Table {
 func Fig8(o Options) Table {
 	seqs := trackingSequences(o, 7)
 	tr := trackerFor("SkyNet", false, o.seed())
-	tr.Train(seqs[:6], track.TrainConfig{Steps: trainSteps(o), LR: 0.01, Seed: o.seed()})
+	must(tr.Train(seqs[:6], track.TrainConfig{Steps: trainSteps(o), LR: 0.01, Seed: o.seed()}))
 	seq := seqs[6]
 	t := Table{
 		ID:     "Figure 8",
@@ -164,13 +173,13 @@ func Fig8(o Options) Table {
 		Header: []string{"Frame", "IoU"},
 	}
 	box := seq.Boxes[0]
-	zf := tr.ExemplarFeatures(seq)
+	zf := must(tr.ExemplarFeaturesFor(seq.Frames[0], box))
 	for f := 1; f < seq.Len(); f += 3 {
 		for g := f - 2; g <= f; g++ {
 			if g < 1 {
 				continue
 			}
-			box = tr.StepBox(zf, seq.Frames[g], box)
+			box = must(tr.StepBoxE(zf, seq.Frames[g], box))
 		}
 		iou := box.IoU(seq.Boxes[f])
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", f), f3(iou)})

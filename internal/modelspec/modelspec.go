@@ -11,9 +11,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 
 	"skynet/internal/backbone"
 	"skynet/internal/detect"
@@ -137,7 +140,8 @@ type checkpoint struct {
 
 const checkpointFormat = 1
 
-// SaveCheckpoint writes spec + weights to one file.
+// SaveCheckpoint writes spec + weights to one file, atomically (WriteAtomic):
+// a crash mid-write leaves the previous checkpoint at path whole.
 func SaveCheckpoint(path string, s Spec, g *nn.Graph) error {
 	specJSON, err := json.Marshal(s)
 	if err != nil {
@@ -147,17 +151,29 @@ func SaveCheckpoint(path string, s Spec, g *nn.Graph) error {
 	if err := g.Save(&weights); err != nil {
 		return err
 	}
-	f, err := os.Create(path)
+	return WriteAtomic(path, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(checkpoint{
+			Format: checkpointFormat, SpecJSON: specJSON, Weights: weights.Bytes(),
+		})
+	})
+}
+
+// WriteAtomic writes a file through write into a temporary file beside path
+// (mode 0644) and renames it over path once it is whole, synced and closed.
+// A crash or a failed write leaves what was at path untouched, and a reader
+// holding the old file open reads the old bytes to its end.
+func WriteAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(checkpoint{
-		Format: checkpointFormat, SpecJSON: specJSON, Weights: weights.Bytes(),
-	}); err != nil {
-		return err
+	if err = errors.Join(f.Chmod(0o644), write(f), f.Sync(), f.Close()); err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	return f.Close()
+	if err != nil {
+		_ = os.Remove(f.Name()) // best effort: the write's error is the one to report
+	}
+	return err
 }
 
 // LoadCheckpoint rebuilds the architecture from the embedded spec and

@@ -3,7 +3,9 @@ package modelspec
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -174,6 +176,58 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if got.Data[i] != want.Data[i] {
 			t.Fatal("restored model output differs")
 		}
+	}
+}
+
+// TestSaveCheckpointKeepsTheOpenOldFile: a save replaces the file at its path
+// whole, never rewriting it in place, so a reader that opened the old
+// checkpoint before the save (a hot-swap reload mid-read) reads the old bytes
+// to the end, the path then holds the new checkpoint, and no temporary file
+// is left beside it.
+func TestSaveCheckpointKeepsTheOpenOldFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.ckpt")
+	s := DefaultSpec()
+	s.Width = 0.125
+	g, _, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveCheckpoint(path, s, g); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rng := rand.New(rand.NewSource(3))
+	for _, p := range g.Params() {
+		p.W.RandNormal(rng, 0, 0.1)
+	}
+	if err := SaveCheckpoint(path, s, g); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Fatalf("the open old checkpoint read %d bytes after the save, not its own %d", len(got), len(old))
+	}
+	now, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(now, old) {
+		t.Fatal("the save left the old checkpoint at its path")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %v (%v), want the checkpoint alone", entries, err)
 	}
 }
 

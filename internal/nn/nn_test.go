@@ -295,6 +295,26 @@ func TestLRScheduleGeometric(t *testing.T) {
 	}
 }
 
+// TestLRScheduleAtPinned holds At to the bits of the schedule it replaced,
+// whose Start == End case returned Start outright, at every epoch of each
+// schedule the code builds and of the degenerate ones.
+func TestLRScheduleAtPinned(t *testing.T) {
+	before := func(s LRSchedule, epoch int) float32 {
+		if s.Epochs <= 1 || math.Float32bits(s.Start) == math.Float32bits(s.End) {
+			return s.Start
+		}
+		frac := math.Min(float64(epoch)/float64(s.Epochs-1), 1)
+		return s.Start * float32(math.Pow(float64(s.End)/float64(s.Start), frac))
+	}
+	for _, s := range []LRSchedule{{0.01, 0.01, 2}, {1e-4, 1e-7, 4}, {}, {0, 0, 4}} {
+		for e := 0; e <= s.Epochs+1; e++ {
+			if got, want := s.At(e), before(s, e); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("%+v at epoch %d: %v, want %v", s, e, got, want)
+			}
+		}
+	}
+}
+
 func TestSoftmaxCrossEntropy(t *testing.T) {
 	logits := tensor.FromSlice([]float32{10, 0, 0, 0, 10, 0}, 2, 3)
 	loss, grad := SoftmaxCrossEntropy(logits, []int{0, 1})

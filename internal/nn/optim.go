@@ -71,9 +71,9 @@ type LRSchedule struct {
 
 // At returns the learning rate for the given zero-based epoch.
 func (s LRSchedule) At(epoch int) float32 {
-	// Exact equality is intended: it detects a literally-constant schedule
-	// configured with Start == End, not values produced by arithmetic.
-	if s.Epochs <= 1 || s.Start == s.End { //skynet:nolint floateq -- exact config equality, no arithmetic involved
+	// A constant schedule (Start == End) needs no case of its own: the ratio
+	// is 1, and 1 to any power is exactly 1.
+	if s.Epochs <= 1 || s.Start <= 0 {
 		return s.Start
 	}
 	t := float64(epoch) / float64(s.Epochs-1)

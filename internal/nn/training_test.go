@@ -102,13 +102,15 @@ func TestTrainingStepsPinned(t *testing.T) {
 		for i := range mask.Data {
 			mask.Data[i] = float32(rng.Intn(2))
 		}
-		tr.Step(track.Pair{
+		if _, err := tr.Step(track.Pair{
 			Exemplar: randBatch(rng, 3, cfg.ExemplarSize, cfg.ExemplarSize),
 			Search:   randBatch(rng, 3, cfg.SearchSize, cfg.SearchSize),
 			CellY:    1 + step, CellX: 3 - step,
 			SubX: 0.2, SubY: -0.1, TW: 0.3, TH: -0.2,
 			MaskGT: mask,
-		}, opt)
+		}, opt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got["tracker"] = trainingDigest(tr.Params(), bb)
 

@@ -31,14 +31,16 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
+
+	"skynet/internal/modelspec"
 )
 
 // newRand is the one constructor for all search RNG streams.
@@ -77,26 +79,10 @@ type Checkpoint struct {
 	EvalState  []byte
 }
 
-// Save writes the checkpoint atomically (temp file + rename), so a crash
+// Save writes the checkpoint atomically (modelspec.WriteAtomic), so a crash
 // mid-write leaves the previous checkpoint intact.
 func (ck Checkpoint) Save(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := gob.NewEncoder(f).Encode(ck); err != nil {
-		// Best-effort cleanup: the encode error is the one worth returning.
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return modelspec.WriteAtomic(path, func(w io.Writer) error { return gob.NewEncoder(w).Encode(ck) })
 }
 
 // LoadCheckpoint reads a checkpoint written by Save.

@@ -3,7 +3,7 @@ package serve
 // Tracking-as-a-service: the paper's §7 extension (SiamRPN++/SiamMask
 // tracking, Tables 8/9) as a streaming workload instead of an offline
 // batch experiment. POST /track/start fixes a template (one
-// ExemplarFeatures forward) and returns a session ID; subsequent frame
+// ExemplarFeaturesFor forward) and returns a session ID; subsequent frame
 // posts return per-frame boxes (and, for mask-head trackers, the peak mask
 // patch) by driving StepE through a lane of its own — the
 // machine the detection engine runs on, here with one worker. Sessions live in a bounded table with TTL

@@ -201,7 +201,7 @@ func TestTrackConcurrentSessionsByteIdentical(t *testing.T) {
 // TestTrackMaskedStepRunsFrontHalfOnce: a masked step costs an unmasked step
 // plus the mask head — the search crop, backbone, cross-correlation and
 // classification head run once, not once for the box and again for the mask —
-// and answers the unmasked step's box and PeakMask's patch, bit for bit.
+// and answers the unmasked step's box and StepE's patch, bit for bit.
 func TestTrackMaskedStepRunsFrontHalfOnce(t *testing.T) {
 	tr := testTracker(true)
 	seq := testTrackSequences(1, 2)[0]
@@ -222,17 +222,23 @@ func TestTrackMaskedStepRunsFrontHalfOnce(t *testing.T) {
 	if masked.outBox != plain.outBox || plain.outMask != nil {
 		t.Fatalf("masked step box %+v, unmasked %+v (mask %v)", masked.outBox, plain.outBox, plain.outMask)
 	}
-	want := tr.PeakMask(zf, frame, box)
+	_, want, err := tr.StepE(zf, frame, box, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range want.Data {
 		if math.Float32bits(masked.outMask.Data[i]) != math.Float32bits(v) {
-			t.Fatalf("masked step's mask differs from PeakMask at %d", i)
+			t.Fatalf("masked step's mask differs from StepE's at %d", i)
 		}
 	}
 
 	// The mask head alone, on a response of the step's shape.
 	crop, _ := tr.SearchCrop(frame, box, box.CX, box.CY)
 	xf := tr.Adjust.Forward([]*tensor.Tensor{tr.Backbone.Forward(crop.Reshape(1, 3, crop.Dim(1), crop.Dim(2)), false)}, false)
-	resp := track.DWXCorr(zf, xf.Reshape(xf.Dim(1), xf.Dim(2), xf.Dim(3)))
+	resp, err := track.DWXCorrE(zf, xf.Reshape(xf.Dim(1), xf.Dim(2), xf.Dim(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp4 := resp.Reshape(1, resp.Dim(0), resp.Dim(1), resp.Dim(2))
 	var patch *tensor.Tensor
 	head := testing.AllocsPerRun(20, func() {
@@ -248,7 +254,7 @@ func TestTrackMaskedStepRunsFrontHalfOnce(t *testing.T) {
 }
 
 // TestTrackMaskSessionMatchesOffline pins the mask path end to end: the
-// wire mask equals PeakMask on the same state bit for bit.
+// wire mask equals StepE's on the same state bit for bit.
 func TestTrackMaskSessionMatchesOffline(t *testing.T) {
 	tr := testTracker(true)
 	seq := testTrackSequences(1, 3)[0]
@@ -257,7 +263,10 @@ func TestTrackMaskSessionMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMask := tr.PeakMask(zf, seq.Frames[1], seq.Boxes[0])
+	_, wantMask, err := tr.StepE(zf, seq.Frames[1], seq.Boxes[0], true)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ts := newTestTrackService(t, tr, TrackConfig{})
 	h := ts.Handler()
@@ -290,7 +299,7 @@ func TestTrackMaskSessionMatchesOffline(t *testing.T) {
 	}
 	for i := range wantMask.Data {
 		if math.Float32bits(gt.Data[i]) != math.Float32bits(wantMask.Data[i]) {
-			t.Fatalf("mask differs from offline PeakMask at %d", i)
+			t.Fatalf("mask differs from offline StepE's at %d", i)
 		}
 	}
 }

@@ -13,27 +13,22 @@ import (
 
 // Track runs the tracker over a sequence initialized from the first
 // frame's ground truth (the GOT-10k one-shot protocol) and returns the
-// per-frame IoUs against ground truth for frames 1..N-1.
-func (t *Tracker) Track(seq dataset.Sequence) []float64 {
+// per-frame IoUs against ground truth for frames 1..N-1, or the first error
+// a step gave.
+func (t *Tracker) Track(seq dataset.Sequence) ([]float64, error) {
 	box := seq.Boxes[0]
-	zf := t.ExemplarFeatures(seq)
+	zf, err := t.ExemplarFeaturesFor(seq.Frames[0], box)
+	if err != nil {
+		return nil, err
+	}
 	ious := make([]float64, 0, seq.Len()-1)
 	for f := 1; f < seq.Len(); f++ {
-		box = t.StepBox(zf, seq.Frames[f], box)
+		if box, err = t.StepBoxE(zf, seq.Frames[f], box); err != nil {
+			return nil, fmt.Errorf("frame %d: %w", f, err)
+		}
 		ious = append(ious, box.IoU(seq.Boxes[f]))
 	}
-	return ious
-}
-
-// StepBox advances the tracked box by one frame given precomputed
-// exemplar features. Malformed inputs panic; the tracking service calls
-// StepBoxE instead.
-func (t *Tracker) StepBox(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box) detect.Box {
-	nb, err := t.StepBoxE(zf, frame, box)
-	if err != nil {
-		panic(err.Error())
-	}
-	return nb
+	return ious, nil
 }
 
 // checkFrame validates a [3,H,W] frame tensor.
@@ -118,8 +113,7 @@ func (t *Tracker) respPeak(w *workspace, zf, frame *tensor.Tensor, box detect.Bo
 }
 
 // StepBoxE advances the tracked box by one frame given precomputed
-// exemplar features, returning an error — never panicking — on malformed
-// inputs.
+// exemplar features: StepE without the mask.
 func (t *Tracker) StepBoxE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box) (detect.Box, error) {
 	nb, _, err := t.StepE(zf, frame, box, false)
 	return nb, err
@@ -181,16 +175,6 @@ func (t *Tracker) StepE(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box,
 	return nb, m, nil
 }
 
-// PeakMask returns the sigmoid mask patch StepE predicts for the given frame
-// and box. Malformed inputs, or a tracker without a mask head, panic.
-func (t *Tracker) PeakMask(zf *tensor.Tensor, frame *tensor.Tensor, box detect.Box) *tensor.Tensor {
-	_, m, err := t.StepE(zf, frame, box, true)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
 // peakMask runs the mask head on the response in w and returns the sigmoid
 // patch at the peak (py, px), a fresh tensor that is the caller's.
 func (t *Tracker) peakMask(w *workspace, py, px int) *tensor.Tensor {
@@ -202,8 +186,8 @@ func (t *Tracker) peakMask(w *workspace, py, px int) *tensor.Tensor {
 	return out
 }
 
-// Evaluate runs the GOT-10k protocol over the sequences and returns the
-// benchmark metrics plus the measured tracking speed in frames/second.
+// EvalResult is what Evaluate measures: the GOT-10k metrics plus the
+// tracking speed in frames/second.
 type EvalResult struct {
 	AO     float64
 	SR50   float64
@@ -212,13 +196,17 @@ type EvalResult struct {
 	Frames int
 }
 
-// Evaluate tracks every sequence and aggregates AO / SR@0.50 / SR@0.75.
-func (t *Tracker) Evaluate(seqs []dataset.Sequence) EvalResult {
+// Evaluate tracks every sequence and aggregates AO / SR@0.50 / SR@0.75, or
+// returns the first error a sequence gave.
+func (t *Tracker) Evaluate(seqs []dataset.Sequence) (EvalResult, error) {
 	var all []float64
 	start := time.Now()
 	frames := 0
-	for _, seq := range seqs {
-		ious := t.Track(seq)
+	for i, seq := range seqs {
+		ious, err := t.Track(seq)
+		if err != nil {
+			return EvalResult{}, fmt.Errorf("sequence %d: %w", i, err)
+		}
 		all = append(all, ious...)
 		frames += len(ious)
 	}
@@ -227,18 +215,7 @@ func (t *Tracker) Evaluate(seqs []dataset.Sequence) EvalResult {
 	if elapsed > 0 {
 		res.FPS = float64(frames) / elapsed
 	}
-	return res
-}
-
-// ExemplarFeatures precomputes the template features for a sequence's
-// first frame, for callers driving step/PeakMask manually. Malformed inputs
-// panic.
-func (t *Tracker) ExemplarFeatures(seq dataset.Sequence) *tensor.Tensor {
-	zf, err := t.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0])
-	if err != nil {
-		panic(err.Error())
-	}
-	return zf
+	return res, nil
 }
 
 // ExemplarFeaturesFor fixes a template from one frame and its box — the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -66,6 +67,16 @@ func TestQuickSRMonotone(t *testing.T) {
 	}
 }
 
+// xcorr is DWXCorrE on operands the test made valid.
+func xcorr(t testing.TB, z, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	out, err := DWXCorrE(z, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // naive xcorr for validation.
 func naiveXCorr(z, x *tensor.Tensor) *tensor.Tensor {
 	c, hz, wz := z.Dim(0), z.Dim(1), z.Dim(2)
@@ -94,7 +105,7 @@ func TestDWXCorrMatchesNaive(t *testing.T) {
 	z.RandNormal(rng, 0, 1)
 	x := tensor.New(3, 5, 4)
 	x.RandNormal(rng, 0, 1)
-	got := DWXCorr(z, x)
+	got := xcorr(t, z, x)
 	want := naiveXCorr(z, x)
 	for i := range want.Data {
 		if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-5 {
@@ -119,7 +130,7 @@ func TestDWXCorrPeakAtMatch(t *testing.T) {
 			}
 		}
 	}
-	resp := DWXCorr(z, x)
+	resp := xcorr(t, z, x)
 	// Sum over channels and find the argmax.
 	oh, ow := resp.Dim(1), resp.Dim(2)
 	by, bx, best := -1, -1, float32(math.Inf(-1))
@@ -144,14 +155,17 @@ func TestDWXCorrBackwardNumeric(t *testing.T) {
 	x.RandNormal(rng, 0, 1)
 	r := tensor.New(2, 3, 3)
 	r.RandNormal(rng, 0, 1)
-	dx := DWXCorrBackward(z, x, r)
+	dx, err := DWXCorrBackward(z, x, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const eps, tol = 1e-2, 1e-3
 	for _, i := range []int{0, 3, 7, 13, 21, 31} {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		fp := dot(DWXCorr(z, x), r)
+		fp := dot(xcorr(t, z, x), r)
 		x.Data[i] = orig - eps
-		fm := dot(DWXCorr(z, x), r)
+		fm := dot(xcorr(t, z, x), r)
 		x.Data[i] = orig
 		num := (fp - fm) / (2 * eps)
 		if math.Abs(num-float64(dx.Data[i])) > tol*(1+math.Abs(num)) {
@@ -182,11 +196,69 @@ func testSequences(n int) []dataset.Sequence {
 	return gen.Sequences(n, sc)
 }
 
+// pair is MakePair on a geometry the test knows the tracker can step.
+func pair(t testing.TB, tr *Tracker, seq dataset.Sequence, i, j int, rng *rand.Rand) Pair {
+	t.Helper()
+	p, err := tr.MakePair(seq, i, j, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// step is Step on such a geometry.
+func step(t testing.TB, tr *Tracker, p Pair, opt *nn.SGD) float32 {
+	t.Helper()
+	loss, err := tr.Step(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loss
+}
+
+// trackSeq is Track on such a geometry.
+func trackSeq(t testing.TB, tr *Tracker, seq dataset.Sequence) []float64 {
+	t.Helper()
+	ious, err := tr.Track(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ious
+}
+
+// evaluate is Evaluate on such a geometry.
+func evaluate(t testing.TB, tr *Tracker, seqs []dataset.Sequence) EvalResult {
+	t.Helper()
+	res, err := tr.Evaluate(seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// train is Train on such a geometry.
+func train(t testing.TB, tr *Tracker, seqs []dataset.Sequence, cfg TrainConfig) {
+	t.Helper()
+	if _, err := tr.Train(seqs, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// template is ExemplarFeaturesFor on a sequence's first frame and box.
+func template(t testing.TB, tr *Tracker, seq dataset.Sequence) *tensor.Tensor {
+	t.Helper()
+	zf, err := tr.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return zf
+}
+
 func TestTrackerShapes(t *testing.T) {
 	tr := tinyTracker(false, 1)
 	seqs := testSequences(1)
 	rng := rand.New(rand.NewSource(4))
-	p := tr.MakePair(seqs[0], 0, 3, rng)
+	p := pair(t, tr, seqs[0], 0, 3, rng)
 	if p.Exemplar.Dim(1) != 32 || p.Search.Dim(1) != 64 {
 		t.Fatalf("crop sizes %v / %v", p.Exemplar.Shape(), p.Search.Shape())
 	}
@@ -212,8 +284,8 @@ func TestTrackerStepReducesLoss(t *testing.T) {
 	var first, last float32
 	for i := 0; i < 30; i++ {
 		seq := seqs[i%2]
-		p := tr.MakePair(seq, 0, 1+i%4, rng)
-		loss := tr.Step(p, opt)
+		p := pair(t, tr, seq, 0, 1+i%4, rng)
+		loss := step(t, tr, p, opt)
 		if i == 0 {
 			first = loss
 		}
@@ -232,8 +304,8 @@ func TestTrackedBoxesFollowTarget(t *testing.T) {
 	// diversity in training: six training sequences, two held out.
 	tr := tinyTracker(false, 4)
 	seqs := testSequences(8)
-	tr.Train(seqs[:6], TrainConfig{Steps: 900, LR: 0.01, Seed: 6})
-	ious := append(tr.Track(seqs[6]), tr.Track(seqs[7])...)
+	train(t, tr, seqs[:6], TrainConfig{Steps: 900, LR: 0.01, Seed: 6})
+	ious := append(trackSeq(t, tr, seqs[6]), trackSeq(t, tr, seqs[7])...)
 	if len(ious) != (seqs[6].Len()-1)+(seqs[7].Len()-1) {
 		t.Fatalf("unexpected iou count %d", len(ious))
 	}
@@ -252,16 +324,16 @@ func TestTrackedBoxesFollowTarget(t *testing.T) {
 // AO from them.
 func TestTrackerTrainingDeterministicAcrossWorkers(t *testing.T) {
 	seqs := testSequences(3)
-	train := func(workers int) ([]*nn.Param, float64) {
+	trainAt := func(workers int) ([]*nn.Param, float64) {
 		oldNN, oldT := nn.MaxParallelism, tensor.MaxParallelism
 		nn.MaxParallelism, tensor.MaxParallelism = workers, workers
 		defer func() { nn.MaxParallelism, tensor.MaxParallelism = oldNN, oldT }()
 		tr := tinyTracker(false, 11)
-		tr.Train(seqs[:2], TrainConfig{Steps: 20, LR: 0.01, Seed: 12})
-		return tr.Params(), tr.Evaluate(seqs[2:]).AO
+		train(t, tr, seqs[:2], TrainConfig{Steps: 20, LR: 0.01, Seed: 12})
+		return tr.Params(), evaluate(t, tr, seqs[2:]).AO
 	}
-	ps1, ao1 := train(1)
-	ps4, ao4 := train(4)
+	ps1, ao1 := trainAt(1)
+	ps4, ao4 := trainAt(4)
 	for i, p := range ps1 {
 		if j := firstDiff(p.W.Data, ps4[i].W.Data); j >= 0 {
 			t.Fatalf("param %d (%s) element %d: %v at one worker, %v at four", i, p.Name, j, p.W.Data[j], ps4[i].W.Data[j])
@@ -285,7 +357,7 @@ func firstDiff(a, b []float32) int {
 func TestEvaluateAggregates(t *testing.T) {
 	tr := tinyTracker(false, 7)
 	seqs := testSequences(2)
-	res := tr.Evaluate(seqs)
+	res := evaluate(t, tr, seqs)
 	if res.Frames != (seqs[0].Len()-1)+(seqs[1].Len()-1) {
 		t.Fatalf("frames %d", res.Frames)
 	}
@@ -307,7 +379,7 @@ func TestSiamMaskVariant(t *testing.T) {
 	}
 	seqs := testSequences(1)
 	rng := rand.New(rand.NewSource(9))
-	p := tr.MakePair(seqs[0], 0, 2, rng)
+	p := pair(t, tr, seqs[0], 0, 2, rng)
 	if p.MaskGT == nil || p.MaskGT.Dim(1) != 16 {
 		t.Fatalf("mask ground truth %v", p.MaskGT)
 	}
@@ -318,7 +390,7 @@ func TestSiamMaskVariant(t *testing.T) {
 	opt := nn.NewSGD(0.01, 0.9, 0)
 	var first, last float32
 	for i := 0; i < 20; i++ {
-		loss := tr.Step(tr.MakePair(seqs[0], 0, 1+i%4, rng), opt)
+		loss := step(t, tr, pair(t, tr, seqs[0], 0, 1+i%4, rng), opt)
 		if i == 0 {
 			first = loss
 		}
@@ -327,23 +399,63 @@ func TestSiamMaskVariant(t *testing.T) {
 	if last >= first {
 		t.Fatalf("SiamMask training loss did not decrease: %v -> %v", first, last)
 	}
-	zf := tr.ExemplarFeatures(seqs[0])
-	mask := tr.PeakMask(zf, seqs[0].Frames[1], seqs[0].Boxes[1])
+	_, mask, err := tr.StepE(template(t, tr, seqs[0]), seqs[0].Frames[1], seqs[0].Boxes[1], true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if mask.Dim(1) != 16 || slices.Min(mask.Data) < 0 || slices.Max(mask.Data) > 1 {
 		t.Fatalf("peak mask invalid: %v range [%v,%v]", mask.Shape(), slices.Min(mask.Data), slices.Max(mask.Data))
 	}
 }
 
-func TestPeakMaskPanicsWithoutHead(t *testing.T) {
+// TestStepEMaskWithoutHead: a mask asked of a tracker without a mask head is
+// StepE's error, not a panic, and no box comes with it.
+func TestStepEMaskWithoutHead(t *testing.T) {
 	tr := tinyTracker(false, 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PeakMask without a mask head must panic")
-		}
-	}()
 	seqs := testSequences(1)
-	zf := tr.ExemplarFeatures(seqs[0])
-	tr.PeakMask(zf, seqs[0].Frames[1], seqs[0].Boxes[1])
+	b, m, err := tr.StepE(template(t, tr, seqs[0]), seqs[0].Frames[1], seqs[0].Boxes[1], true)
+	if err == nil || !strings.Contains(err.Error(), "without a mask head") {
+		t.Fatalf("StepE asked a mask of a tracker without a mask head: box %+v, mask %v, error %v", b, m, err)
+	}
+}
+
+// TestExemplarOutgrowingSearchIsAnError: at 64-pixel exemplars and 32-pixel
+// search crops the exemplar features are larger than the search features,
+// so there is no response to step on. Every entry point returns that
+// geometry error, and none panics.
+func TestExemplarOutgrowingSearchIsAnError(t *testing.T) {
+	tr := geometryTracker(true, 21, 64, 32)
+	seqs := testSequences(2)
+	seq := seqs[0]
+	opt := nn.NewSGD(0.01, 0.9, 0)
+	p := Pair{
+		Exemplar: tensor.New(3, 64, 64), Search: tensor.New(3, 32, 32),
+		MaskGT: tensor.New(1, tr.Cfg.MaskSize, tr.Cfg.MaskSize),
+	}
+	zf := tensor.New(tr.Cfg.FeatC, 8, 8)
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"MakePair", func() error { _, err := tr.MakePair(seq, 0, 1, rand.New(rand.NewSource(1))); return err }},
+		{"Step", func() error { _, err := tr.Step(p, opt); return err }},
+		{"Train", func() error { _, err := tr.Train(seqs, TrainConfig{Steps: 2, Seed: 1}); return err }},
+		{"Track", func() error { _, err := tr.Track(seq); return err }},
+		{"Evaluate", func() error { _, err := tr.Evaluate(seqs); return err }},
+		{"StepE", func() error { _, _, err := tr.StepE(zf, seq.Frames[1], seq.Boxes[0], true); return err }},
+		{"ExemplarFeaturesFor", func() error { _, err := tr.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0]); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := c.call(); err == nil || !strings.Contains(err.Error(), "larger than search features") {
+				t.Fatalf("error %v, want the geometry error", err)
+			}
+		})
+	}
 }
 
 func TestTrackSingleFrameSequence(t *testing.T) {
@@ -354,11 +466,11 @@ func TestTrackSingleFrameSequence(t *testing.T) {
 	cfg.W, cfg.H = 96, 96
 	gen := dataset.NewGenerator(cfg)
 	seq := gen.Sequence(dataset.SequenceConfig{Length: 1})
-	ious := tr.Track(seq)
+	ious := trackSeq(t, tr, seq)
 	if len(ious) != 0 {
 		t.Fatalf("one-frame clip produced %d ious", len(ious))
 	}
-	res := tr.Evaluate([]dataset.Sequence{seq})
+	res := evaluate(t, tr, []dataset.Sequence{seq})
 	if res.Frames != 0 || res.AO != 0 {
 		t.Fatalf("empty evaluation should be zeroed: %+v", res)
 	}

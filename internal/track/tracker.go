@@ -40,6 +40,11 @@ const nominalFrac = 0.25
 // regression, and optionally mask heads. With the mask head enabled it is
 // the SiamMask-style variant; without, the SiamRPN++-style variant.
 //
+// New wires the network once, as the search-branch graph (both branches'
+// inference plans, and the search branch's training walk) and the heads
+// graph; Cfg and Backbone are fixed there. Every entry point returns its
+// error — a malformed input, or a geometry it cannot step — and none panics.
+//
 // Its inference steps (ExemplarFeaturesFor, StepE and the calls built on
 // them) write no layer, each on a workspace of its own: they are safe for
 // concurrent use with one another, not beside training or a weight update.
@@ -51,11 +56,13 @@ type Tracker struct {
 	Reg      *nn.Conv2D
 	Mask     *nn.Conv2D
 
-	free tensor.FreeList[workspace] // the step workspaces no step is running on (see work)
+	search *nn.Graph                  // the backbone's nodes, then Adjust on its output node
+	heads  *nn.Graph                  // Cls, Reg and Mask, each on the response
+	free   tensor.FreeList[workspace] // the step workspaces no step is running on (see work)
 }
 
 // New builds a tracker around a headless backbone with the given output
-// channel count.
+// channel count, and wires its two graphs.
 func New(backbone *nn.Graph, backboneC int, cfg Config) *Tracker {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := &Tracker{
@@ -64,24 +71,32 @@ func New(backbone *nn.Graph, backboneC int, cfg Config) *Tracker {
 		Adjust:   nn.NewPWConv1(rng, backboneC, cfg.FeatC, true),
 		Cls:      nn.NewPWConv1(rng, cfg.FeatC, 1, true),
 		Reg:      nn.NewPWConv1(rng, cfg.FeatC, 4, true),
+		search:   nn.NewGraph(),
+		heads:    nn.NewGraph(),
 	}
 	if cfg.WithMask {
 		t.Mask = nn.NewPWConv1(rng, cfg.FeatC, cfg.MaskSize*cfg.MaskSize, true)
+	}
+	// The adjust layer reads the backbone's output, a node of one graph with it.
+	t.search.Nodes = slices.Clone(backbone.Nodes)
+	out := backbone.Output
+	if out < 0 {
+		out = len(backbone.Nodes) - 1
+	}
+	t.search.Add(t.Adjust, out)
+	for _, h := range []*nn.Conv2D{t.Cls, t.Reg, t.Mask} {
+		if h != nil {
+			t.heads.Add(h, nn.GraphInput)
+		}
 	}
 	t.free.Alloc = func() *workspace { return new(workspace) }
 	return t
 }
 
-// Params returns every trainable parameter of the tracker.
+// Params returns every trainable parameter of the tracker: the backbone's,
+// then Adjust's, Cls's, Reg's and Mask's.
 func (t *Tracker) Params() []*nn.Param {
-	ps := append([]*nn.Param{}, t.Backbone.Params()...)
-	ps = append(ps, t.Adjust.Params()...)
-	ps = append(ps, t.Cls.Params()...)
-	ps = append(ps, t.Reg.Params()...)
-	if t.Mask != nil {
-		ps = append(ps, t.Mask.Params()...)
-	}
-	return ps
+	return append(t.search.Params(), t.heads.Params()...)
 }
 
 // searchSidePixels returns the pixel side of the square search window for
@@ -141,14 +156,11 @@ func (t *Tracker) SearchCrop(img *tensor.Tensor, b detect.Box, cx, cy float64) (
 // workspace is what an inference step writes: each branch's crop and
 // features, the response and the head maps, with the batch-of-one and
 // per-sample views the steps read them through, and the executors that run
-// the layers on them. It is sized for one geometry — the config and backbone
-// it was built for — and every step on that geometry reuses it, whatever the
-// frame size, so a step allocates nothing.
+// the tracker's two graphs on them. Every step reuses it, whatever the frame
+// size, so a step allocates nothing.
 type workspace struct {
-	cfg   Config
-	bb    *nn.Graph      // the backbone it was built for
-	plans *nn.PlanCache  // the backbone and adjust layer: both branches' plans, on one arena
-	heads *nn.Plan       // Cls, Reg and Mask on the response, a step each
+	plans *nn.PlanCache  // the search-branch graph: both branches' plans, on one arena
+	heads *nn.Plan       // the heads graph on the response, a step each
 	maps  [][]float32    // the heads' outputs [M,r,r], by step
 	z, x  branch         // the exemplar's and the search region's
 	cols  tensor.ColTaps // the crop's column taps, as wide as the wider crop
@@ -179,36 +191,27 @@ func newBranch(plans *nn.PlanCache, s int) branch {
 	return b
 }
 
-// work takes a step workspace off the free list — building it on first use,
-// and again when the config or the backbone changed — for the caller to Put
-// back once nothing it returns reaches into it.
+// work takes a step workspace off the free list — compiling its plans on the
+// tracker's two graphs on first use — for the caller to Put back once nothing
+// it returns reaches into it. A geometry whose exemplar features outgrow its
+// search features is an error, and leaves no workspace on the list.
 func (t *Tracker) work() (*workspace, error) {
 	w := t.free.Get()
-	if w.cfg == t.Cfg && w.bb == t.Backbone {
+	if w.plans != nil {
 		return w, nil
 	}
-	// The adjust layer reads the backbone's output, a node of one graph with it.
-	g := &nn.Graph{Nodes: slices.Clone(t.Backbone.Nodes), Output: -1}
-	out := t.Backbone.Output
-	if out < 0 {
-		out = len(t.Backbone.Nodes) - 1
+	plans := nn.NewPlanCache(t.search, nil)
+	z, x := newBranch(plans, t.Cfg.ExemplarSize), newBranch(plans, t.Cfg.SearchSize)
+	r := x.feat.Dim(1) - z.feat.Dim(1) + 1
+	if r < 1 {
+		return nil, fmt.Errorf("track: exemplar features %v larger than search features %v", z.feat.Shape(), x.feat.Shape())
 	}
-	g.Add(t.Adjust, out)
-	*w = workspace{cfg: t.Cfg, bb: t.Backbone, plans: nn.NewPlanCache(g, nil),
-		cols: make(tensor.ColTaps, max(t.Cfg.ExemplarSize, t.Cfg.SearchSize))}
-	w.z, w.x = newBranch(w.plans, t.Cfg.ExemplarSize), newBranch(w.plans, t.Cfg.SearchSize)
-	if w.r = w.x.feat.Dim(1) - w.z.feat.Dim(1) + 1; w.r < 1 {
-		return nil, fmt.Errorf("track: exemplar features %v larger than search features %v", w.z.feat.Shape(), w.x.feat.Shape())
+	*w = workspace{plans: plans, z: z, x: x, r: r, resp: tensor.New(t.Adjust.OutC, r, r),
+		heads: nn.Compile(t.heads, []int{1, t.Adjust.OutC, r, r}, nil),
+		cols:  make(tensor.ColTaps, max(t.Cfg.ExemplarSize, t.Cfg.SearchSize))}
+	for _, n := range t.heads.Nodes {
+		w.maps = append(w.maps, make([]float32, n.Layer.(*nn.Conv2D).OutC*r*r))
 	}
-	w.resp = tensor.New(t.Adjust.OutC, w.r, w.r)
-	heads := nn.NewGraph()
-	for _, h := range []*nn.Conv2D{t.Cls, t.Reg, t.Mask} {
-		if h != nil {
-			heads.Add(h, nn.GraphInput)
-			w.maps = append(w.maps, make([]float32, h.OutC*w.r*w.r))
-		}
-	}
-	w.heads = nn.Compile(heads, []int{1, t.Adjust.OutC, w.r, w.r}, nil)
 	return w, nil
 }
 

@@ -25,8 +25,15 @@ type Pair struct {
 
 // MakePair builds a training pair from frames i and j of a sequence. The
 // search window is centered near — but deliberately not exactly on — the
-// target, so the classifier must localize.
-func (t *Tracker) MakePair(seq dataset.Sequence, i, j int, rng *rand.Rand) Pair {
+// target, so the classifier must localize. A geometry the tracker cannot
+// step is an error (see work).
+func (t *Tracker) MakePair(seq dataset.Sequence, i, j int, rng *rand.Rand) (Pair, error) {
+	w, err := t.work()
+	if err != nil {
+		return Pair{}, err
+	}
+	r := w.r
+	t.free.Put(w)
 	bi, bj := seq.Boxes[i], seq.Boxes[j]
 	imgH, imgW := seq.Frames[j].Dim(1), seq.Frames[j].Dim(2)
 	exemplar := t.ExemplarCrop(seq.Frames[i], bi)
@@ -39,13 +46,6 @@ func (t *Tracker) MakePair(seq dataset.Sequence, i, j int, rng *rand.Rand) Pair 
 	jy := (rng.Float64()*2 - 1) * 0.25 * side / float64(imgH)
 	cx, cy := bj.CX+jx, bj.CY+jy
 	search, _ := t.SearchCrop(seq.Frames[j], bj, cx, cy)
-
-	w, err := t.work()
-	if err != nil {
-		panic(err.Error())
-	}
-	r := w.r
-	t.free.Put(w)
 	s := float64(t.Cfg.SearchSize)
 	// Target center offset from the crop center, in resized-crop pixels.
 	offX := (bj.CX - cx) * float64(imgW) * s / side
@@ -71,7 +71,7 @@ func (t *Tracker) MakePair(seq dataset.Sequence, i, j int, rng *rand.Rand) Pair 
 		mask := crop(seq.Masks[j], bj.CX, bj.CY, side/2, t.Cfg.MaskSize)
 		p.MaskGT = mask
 	}
-	return p
+	return p, nil
 }
 
 func clampIdx(v, n int) int {
@@ -86,21 +86,24 @@ func clampIdx(v, n int) int {
 
 // Step runs one training step on a pair and returns the total loss. The
 // exemplar branch runs as an inference step runs it, on a workspace, as a
-// frozen template; gradients flow through the search branch into the shared
-// backbone (a standard Siamese training simplification: EXPERIMENTS.md,
-// known deviation 3).
-func (t *Tracker) Step(p Pair, opt *nn.SGD) float32 {
+// frozen template; gradients flow through the search branch — the
+// search-branch graph's training walk — into the shared backbone (a standard
+// Siamese training simplification: EXPERIMENTS.md, known deviation 3). A
+// geometry the tracker cannot step is an error, and changes no parameter.
+func (t *Tracker) Step(p Pair, opt *nn.SGD) (float32, error) {
 	w, err := t.work()
 	if err != nil {
-		panic(err.Error())
+		return 0, err
 	}
 	w.z.plan.RunInto(w.z.adj, p.Exemplar.Reshape(1, p.Exemplar.Dim(0), p.Exemplar.Dim(1), p.Exemplar.Dim(2)), nil)
 	zf := w.z.feat.Clone()
 	t.free.Put(w)
-	feat := []*tensor.Tensor{t.Backbone.Forward(p.Search.Reshape(1, p.Search.Dim(0), p.Search.Dim(1), p.Search.Dim(2)), true)}
-	xf := t.Adjust.Forward(feat, true)
+	xf := t.search.Forward(p.Search.Reshape(1, p.Search.Dim(0), p.Search.Dim(1), p.Search.Dim(2)), true)
 	xf = xf.Reshape(xf.Dim(1), xf.Dim(2), xf.Dim(3))
-	resp := DWXCorr(zf, xf)
+	resp, err := DWXCorrE(zf, xf)
+	if err != nil {
+		return 0, err
+	}
 	c, r := resp.Dim(0), resp.Dim(1)
 	heads := []*tensor.Tensor{resp.Reshape(1, c, r, r)}
 	cls := t.Cls.Forward(heads, true)
@@ -131,10 +134,8 @@ func (t *Tracker) Step(p Pair, opt *nn.SGD) float32 {
 		total += regW * d * d
 		regGrad.Set(2*regW*d, 0, k, p.CellY, p.CellX)
 	}
-	dresps := []*tensor.Tensor{
-		t.Cls.Backward(heads, clsGrad)[0],
-		t.Reg.Backward(heads, regGrad)[0],
-	}
+	dresp := t.Cls.Backward(heads, clsGrad)[0]
+	dresp.AddInPlace(t.Reg.Backward(heads, regGrad)[0])
 	// Mask branch (SiamMask): BCE of the peak-cell mask patch.
 	if t.Mask != nil && p.MaskGT != nil {
 		m := t.Cfg.MaskSize
@@ -149,41 +150,37 @@ func (t *Tracker) Step(p Pair, opt *nn.SGD) float32 {
 			total += inv * float32(math.Max(zf64, 0)-zf64*float64(target)+math.Log1p(math.Exp(-math.Abs(zf64))))
 			maskGrad.Set(inv*(nn.Sigmoid(z)-target), 0, k, p.CellY, p.CellX)
 		}
-		dresps = append(dresps, t.Mask.Backward(heads, maskGrad)[0])
+		dresp.AddInPlace(t.Mask.Backward(heads, maskGrad)[0])
 	}
-	dresp := dresps[0]
-	for _, d := range dresps[1:] {
-		dresp.AddInPlace(d)
+	dxf, err := DWXCorrBackward(zf, xf, dresp.Reshape(c, r, r))
+	if err != nil {
+		return 0, err
 	}
-	dxf := DWXCorrBackward(zf, xf, dresp.Reshape(c, r, r))
-	dadj := t.Adjust.Backward(feat, dxf.Reshape(1, c, xf.Dim(1), xf.Dim(2)))[0]
-	t.Backbone.Backward(dadj)
+	t.search.Backward(dxf.Reshape(1, c, xf.Dim(1), xf.Dim(2)))
 	nn.ClipGradNorm(t.Params(), 5)
 	opt.Step(t.Params())
-	return total
+	return total, nil
 }
 
-// TrainConfig controls tracker training.
+// TrainConfig controls tracker training: SGD at momentum 0.9, no weight
+// decay.
 type TrainConfig struct {
-	Steps    int
-	LR       float32
-	Momentum float32
-	Seed     int64
+	Steps int
+	LR    float32
+	Seed  int64
 	// Progress, if non-nil, receives the running mean loss every 50 steps.
 	Progress func(step int, loss float64)
 }
 
 // Train fits the tracker on pairs sampled from the sequences and returns
-// the mean loss over the final quarter of training.
-func (t *Tracker) Train(seqs []dataset.Sequence, cfg TrainConfig) float64 {
+// the mean loss over the final quarter of training, or the first error a
+// pair or a step gave.
+func (t *Tracker) Train(seqs []dataset.Sequence, cfg TrainConfig) (float64, error) {
 	if cfg.LR == 0 {
 		cfg.LR = 0.005
 	}
-	if cfg.Momentum == 0 {
-		cfg.Momentum = 0.9
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := nn.NewSGD(cfg.LR, cfg.Momentum, 0)
+	opt := nn.NewSGD(cfg.LR, 0.9, 0)
 	var tail float64
 	var tailN int
 	var running float64
@@ -194,7 +191,15 @@ func (t *Tracker) Train(seqs []dataset.Sequence, cfg TrainConfig) float64 {
 		if i > j {
 			i, j = j, i
 		}
-		loss := float64(t.Step(t.MakePair(seq, i, j, rng), opt))
+		p, err := t.MakePair(seq, i, j, rng)
+		if err != nil {
+			return 0, err
+		}
+		l, err := t.Step(p, opt)
+		if err != nil {
+			return 0, err
+		}
+		loss := float64(l)
 		running += loss
 		if step >= cfg.Steps*3/4 {
 			tail += loss
@@ -206,7 +211,7 @@ func (t *Tracker) Train(seqs []dataset.Sequence, cfg TrainConfig) float64 {
 		}
 	}
 	if tailN == 0 {
-		return 0
+		return 0, nil
 	}
-	return tail / float64(tailN)
+	return tail / float64(tailN), nil
 }

@@ -185,7 +185,7 @@ func TestTrackNonFiniteFrame(t *testing.T) {
 	if _, err := tr.ExemplarFeaturesFor(huge, seq.Boxes[0]); err == nil {
 		t.Fatal("ExemplarFeaturesFor returned features of an overflowing frame")
 	}
-	zf := tr.ExemplarFeatures(seq)
+	zf := template(t, tr, seq)
 	for _, mask := range []bool{false, true} {
 		if b, m, err := tr.StepE(zf, huge, seq.Boxes[0], mask); err == nil {
 			t.Fatalf("StepE (mask %v) on an overflowing frame returned box %+v, mask %v and no error", mask, b, m)

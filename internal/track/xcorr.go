@@ -61,22 +61,12 @@ type xcorrScratch struct {
 
 var xcorrFree = tensor.FreeList[xcorrScratch]{Alloc: func() *xcorrScratch { return &xcorrScratch{} }}
 
-// DWXCorr computes the depth-wise cross-correlation of exemplar features z
+// DWXCorrE computes the depth-wise cross-correlation of exemplar features z
 // [C,hz,wz] against search features x [C,hx,wx]: each channel of z slides
 // over the same channel of x, producing [C, hx-hz+1, wx-wz+1]. This is the
-// correlation SiamRPN++ introduced to keep channel identity. Shape errors
-// panic; service code paths use DWXCorrE instead.
-func DWXCorr(z, x *tensor.Tensor) *tensor.Tensor {
-	out, err := DWXCorrE(z, x)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// DWXCorrE is DWXCorr with shape errors returned instead of panicking:
-// DWXCorrInto a fresh [C, hx-hz+1, wx-wz+1] response, the one allocation
-// (tensor.New carries its own waiver).
+// correlation SiamRPN++ introduced to keep channel identity. It is
+// DWXCorrInto a fresh response, the one allocation (tensor.New carries its
+// own waiver); shape errors are returned.
 //
 //skynet:hotpath
 func DWXCorrE(z, x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -88,7 +78,7 @@ func DWXCorrE(z, x *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, DWXCorrInto(out, z, x)
 }
 
-// DWXCorrInto correlates z against x as DWXCorr does, into dst, which must
+// DWXCorrInto correlates z against x as DWXCorrE does, into dst, which must
 // be [C, hx-hz+1, wx-wz+1]. Shape errors are returned, never panics — the
 // tracking service's steps run on it, where a malformed session request must
 // become a 400, not kill a worker — and nothing is allocated.
@@ -202,18 +192,8 @@ func DWXCorrInt8(z, x *tensor.Tensor) (*tensor.Tensor, error) {
 // DWXCorrBackward propagates the response gradient to the search features
 // (the exemplar branch is treated as a frozen template during training, a
 // standard Siamese simplification): dx[c, y+ky, x+kx] += dresp[c,y,x] *
-// z[c,ky,kx].
-func DWXCorrBackward(z, x, dresp *tensor.Tensor) *tensor.Tensor {
-	dx, err := DWXCorrBackwardE(z, x, dresp)
-	if err != nil {
-		panic(err.Error())
-	}
-	return dx
-}
-
-// DWXCorrBackwardE is DWXCorrBackward with shape errors returned instead
-// of panicking.
-func DWXCorrBackwardE(z, x, dresp *tensor.Tensor) (*tensor.Tensor, error) {
+// z[c,ky,kx]. Shape errors are returned.
+func DWXCorrBackward(z, x, dresp *tensor.Tensor) (*tensor.Tensor, error) {
 	c, hz, wz, hx, wx, oh, ow, err := xcorrGeom(z, x)
 	if err != nil {
 		return nil, err
