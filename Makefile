@@ -129,7 +129,10 @@ short:
 # The stream executor's tests, and detect's over it, get the three runs too:
 # each stage is one goroutine, and how their queues fill and drain — through a
 # batch, a failure and a cancellation — depends on how many run at once, as
-# does how concurrent runs of one executor take turns at its model. The
+# does how concurrent runs of one executor take turns at its model, and how
+# the prediction buffers InferBatch lends go back and out again between the
+# inference and post-process goroutines (the InferBatch tests, and the
+# stream's lone-frame allocation gate, match the pattern). The
 # lane's deadline, record and allocation tests, and the non-finite answers of
 # both doors, ride along with the lane tests.
 # The int8 plan-cache test alternates sample shapes on one model and counts
@@ -153,7 +156,9 @@ short:
 # between a training forward and its Backward: the graph's tape, which
 # Backward takes its inputs from, must come through them untouched.
 # core rides along at its -short budget: the design flow's Stage 2 drives the
-# same mutex-guarded caching evaluator from the PSO worker pool.
+# same mutex-guarded caching evaluator from the PSO worker pool. The search
+# service's one-job-at-a-time queue gets the three runs: how concurrent
+# submits and the queue's runner interleave depends on how many run at once.
 LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch|ConcurrentForwards|FallbackUnitsRunOnLanes
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite|OneModelPerGeneration|PoolSwapLeaves|CountersSurviveASwap
 STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
@@ -166,6 +171,7 @@ race:
 	$(GO) test -race -cpu 1,2,4 -run '$(LAYER_WALK_TESTS)' ./internal/nn ./internal/track
 	$(GO) test -race -cpu 1,2,4 -run 'PackScratchFollowsChunksInFlight|SteadyStateAllocs|Int8LeafCallsMatchDispatched|PoolWorkerPanic' ./internal/tensor
 	$(GO) test -race -short ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'OneJobAtATime' ./internal/pso
 
 # purego runs the kernel-bearing packages with the assembly kernels — the
 # GEMM micro-kernels and the row kernels — compiled out, so the portable Go

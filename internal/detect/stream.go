@@ -4,14 +4,15 @@ package detect
 // §6.3/Figure 10 (fetch+pre-process, batched inference, post-process)
 // expressed as pipeline.StageSpec values over a stream of Frames. The
 // inference stage is the paper's batched one — frames are micro-batched,
-// stacked into a single [B,C,H,W] forward pass, and each frame gets a view of
-// its rows of the head output so post-processing stays per-item.
+// stacked into a single [B,C,H,W] forward pass, and each frame's head output
+// is written into a buffer lent to it, which post-processing takes back.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"skynet/internal/pipeline"
@@ -21,13 +22,13 @@ import (
 // Frame is one unit of work flowing through the live detection pipeline.
 // Stages fill in their field and pass the frame along. The stages read Image
 // in place and never write it; the producer hands it over with the frame and
-// must not write it until the frame comes back out. What a stage produces is
-// handed on the same way: Pred may be a view of the one output of a batched
-// forward, which nothing writes once InferStage has passed the frame on.
+// must not write it until the frame comes back out. Pred is lent: InferBatch
+// gives the frame a buffer of its own off a free list, and Postprocess, once
+// it has decoded the box, puts it back and leaves Pred nil.
 type Frame struct {
 	Image *tensor.Tensor // [C,H,W] input scene (set by the producer)
 	GT    Box            // optional ground truth, carried through for scoring
-	Pred  *tensor.Tensor // [1,ch,Sh,Sw] raw head output (InferStage)
+	Pred  *tensor.Tensor // [1,ch,Sh,Sw] raw head output, lent from InferBatch to Postprocess
 	Box   Box            // decoded detection (PostStage)
 	Conf  float64        // decoded confidence (PostStage)
 }
@@ -76,19 +77,15 @@ func PreStage() pipeline.StageSpec {
 // finite box, as a frame whose pixels overflow the forward leaves it.
 var ErrNonFinite = errors.New("detect: the prediction decodes to no finite box")
 
-// InferBatch runs one forward pass over the frames and hands each frame its
-// prediction: no copy is made on the way in or out. A batch of one — every op
-// of a live stream — is not stacked: the model is handed a recycled [1,C,H,W]
-// view of the frame's Image (views), which neither engine reads or keeps once
-// Forward has returned, and the frame's Pred is the tensor Forward returned,
-// the one tensor allocated (its header and its data). A larger batch is
-// stacked into one [B,C,H,W] tensor and each frame's Pred is a [1,ch,Sh,Sw]
-// view of its rows of the one output (a header each), which both engines hand
-// to the caller. Frames of one call must share a shape: a stack has one H×W,
-// so a mixed batch is an error, never a frame forwarded at its neighbour's
-// size. Calls may share an nn.Graph or quant.QuantizedModel: each forward runs
-// on an executor of its own. InferBatch's own work is in stack and handOver,
-// which the hotpath checkers guard; the forward between them is the model's.
+// InferBatch runs one forward pass over the frames, each frame's prediction
+// written into a [1,ch,Sh,Sw] buffer lent off a free list (preds), which
+// Postprocess puts back. A lone frame — every op of a live stream — is not
+// stacked: the model reads a recycled [1,C,H,W] view of its Image (views), and
+// once warm nothing is allocated. Both engines write sample i into frame i's
+// buffer (ForwardSamples); another Model's rows are copied there. Frames of
+// one call must share a shape: a mixed batch is an error, never a frame
+// forwarded at its neighbour's size. Calls may share an nn.Graph or
+// quant.QuantizedModel. The hotpath checkers guard stack and handOver.
 func InferBatch(m Model, frames []*Frame) error {
 	if len(frames) == 0 {
 		return nil
@@ -97,12 +94,31 @@ func InferBatch(m Model, frames []*Frame) error {
 	if err != nil {
 		return err
 	}
-	pred := m.Forward(x, false)
+	b := lends.Get()
+	b.outs = slices.Grow(b.outs[:0], len(frames))[:len(frames)] // grows past the largest batch yet, never after
+	for i := range b.outs {
+		b.outs[i] = preds.Get() // nil on a miss, for the engine to replace
+	}
+	if l, ok := m.(lender); ok {
+		l.ForwardSamples(b.outs, x)
+	} else {
+		err = handOver(b.outs, m.Forward(x, false))
+	}
+	for i, f := range frames {
+		f.Pred = b.outs[i] // the engine replaces a buffer of another shape
+	}
+	clear(b.outs)
+	lends.Put(b)
 	if len(frames) == 1 {
 		x.Data = nil // a parked view must not keep the frame alive
 		views.Put(x)
 	}
-	return handOver(frames, pred)
+	return err
+}
+
+// lender is a Model that writes sample i's output into outs[i], as both engines do.
+type lender interface {
+	ForwardSamples(outs []*tensor.Tensor, x *tensor.Tensor)
 }
 
 // stack validates a non-empty batch and returns the model's input: a lone
@@ -135,35 +151,40 @@ func stack(frames []*Frame) (*tensor.Tensor, error) {
 	return x, nil
 }
 
-// handOver gives each frame its prediction from the batch's output: a lone
-// frame the output itself, a larger batch's frames views of its rows.
+// handOver copies sample i's rows of a batch output into outs[i], replacing a
+// nil or other-shaped buffer, as both engines' ForwardSamples write them.
 //
 //skynet:hotpath
-func handOver(frames []*Frame, pred *tensor.Tensor) error {
-	if pred.Rank() != 4 || pred.Dim(0) != len(frames) {
-		return fmt.Errorf("detect: model returned %v for a batch of %d", pred.Shape(), len(frames))
+func handOver(outs []*tensor.Tensor, pred *tensor.Tensor) error {
+	if pred.Rank() != 4 || pred.Dim(0) != len(outs) {
+		return fmt.Errorf("detect: model returned %v for a batch of %d", pred.Shape(), len(outs))
 	}
-	if len(frames) == 1 {
-		frames[0].Pred = pred
-		return nil
-	}
-	ch, sh, sw := pred.Dim(1), pred.Dim(2), pred.Dim(3)
-	per := ch * sh * sw
-	for i, f := range frames {
-		f.Pred = tensor.FromSlice(pred.Data[i*per:(i+1)*per:(i+1)*per], 1, ch, sh, sw)
+	per := pred.Len() / len(outs)
+	for i, o := range outs {
+		if o == nil || !slices.Equal(o.Shape()[1:], pred.Shape()[1:]) {
+			outs[i] = tensor.New(1, pred.Dim(1), pred.Dim(2), pred.Dim(3))
+		}
+		copy(outs[i].Data, pred.Data[i*per:])
 	}
 	return nil
 }
 
 // views recycles the [1,C,H,W] headers InferBatch hands a model for a lone
-// frame (stack replaces one of another geometry).
-var views = tensor.FreeList[tensor.Tensor]{Alloc: func() *tensor.Tensor { return new(tensor.Tensor) }}
+// frame (stack replaces one of another geometry), preds the buffers frames
+// are lent (none at first), lends the lists InferBatch lends them in.
+var (
+	views = tensor.FreeList[tensor.Tensor]{Alloc: func() *tensor.Tensor { return new(tensor.Tensor) }}
+	preds = tensor.FreeList[tensor.Tensor]{Alloc: func() *tensor.Tensor { return nil }}
+	lends = tensor.FreeList[lent]{Alloc: func() *lent { return new(lent) }}
+)
+
+type lent struct{ outs []*tensor.Tensor }
 
 // Postprocess decodes the single best box and its confidence from the
-// frame's raw head output: one best-cell search, nothing allocated. A
-// prediction that decodes to no finite box (every confidence NaN, or a NaN
-// box) is ErrNonFinite: no box is invented for it. The head is only read, so
-// it is safe to call concurrently.
+// frame's raw head output, one best-cell search, and puts the buffer lent for
+// it back, Pred nil: nothing is allocated. A prediction that decodes to no
+// finite box (every confidence NaN, or a NaN box) is ErrNonFinite: no box is
+// invented for it. The head is only read, so it is safe to call concurrently.
 //
 //skynet:hotpath
 func Postprocess(h *Head, f *Frame) error {
@@ -176,6 +197,8 @@ func Postprocess(h *Head, f *Frame) error {
 	// A found cell's confidence is a sigmoid, and a clipped box is either in
 	// the unit square or has a NaN field: the sum is finite or NaN.
 	box, conf, ci := h.best(f.Pred, 0)
+	preds.Put(f.Pred)
+	f.Pred = nil
 	if ci < 0 || math.IsNaN(box.CX+box.CY+box.W+box.H) {
 		return ErrNonFinite
 	}

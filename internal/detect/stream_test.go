@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -171,21 +172,25 @@ func TestInferBatchStacksSameShapesAndRejectsMixed(t *testing.T) {
 	}
 }
 
-// recorder is a model that notes the shape and the data of the tensor it
+// recorder is an engine that notes the shape and the data of the tensor it
 // was handed — as it stood during the forward: a lone frame's view is a
-// recycled header — and the tensor it returned.
+// recycled header.
 type recorder struct {
 	Model
 	xShape []int
 	xData  []float32
-	out    *tensor.Tensor
 }
 
-func (m *recorder) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (m *recorder) ForwardSamples(outs []*tensor.Tensor, x *tensor.Tensor) {
 	m.xShape, m.xData = append([]int(nil), x.Shape()...), x.Data
-	m.out = m.Model.Forward(x, train)
-	return m.out
+	m.Model.(interface {
+		ForwardSamples([]*tensor.Tensor, *tensor.Tensor)
+	}).ForwardSamples(outs, x)
 }
+
+// forwardOnly hides an engine's ForwardSamples: InferBatch forwards it and
+// copies the output's rows into the buffers it lends.
+type forwardOnly struct{ Model }
 
 // TestInferBatchOfOneIsAView: the lone frame of a live stream's op is not
 // stacked — the model reads the frame's own Image as [1,C,H,W] — and that is
@@ -272,33 +277,103 @@ func sameBits(a, b []float32) bool {
 	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
-// TestInferBatchHandsPredictionsOver: nothing is copied on the way out of a
-// forward. A lone frame's Pred is the tensor Forward returned; a larger
-// batch's Preds are, in frame order, views of the rows of the one output. On
-// both engines every prediction is bitwise that frame's own single forward,
-// run after the batch — which must not disturb the batch's predictions.
+// TestInferBatchHandsPredictionsOver: every frame of a batch, lone or not, is
+// lent a [1,ch,Sh,Sw] buffer of its own, which Postprocess takes back — Pred
+// nil after it —, and the next batch is lent the same buffers again. On both
+// engines, and on an engine forwarded whole (forwardOnly), every prediction is
+// bitwise that frame's own single forward, run after the batch — which must
+// not disturb the batch's predictions.
 func TestInferBatchHandsPredictionsOver(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, e := range skyNetEngines(t, rng) {
+	head := NewHead(nil)
+	engines := skyNetEngines(t, rng)
+	engines = append(engines, engine{"float32 forwarded whole", forwardOnly{engines[0].m}})
+	for _, e := range engines {
 		for _, n := range []int{1, 3, 4} {
-			frames := skyFrames(rng, n)
-			rec := &recorder{Model: e.m}
-			if err := InferBatch(rec, frames); err != nil {
-				t.Fatal(err)
-			}
-			per := rec.out.Len() / n
-			for i, f := range frames {
-				switch {
-				case n == 1 && f.Pred != rec.out:
-					t.Fatalf("%s: a lone frame's Pred is not the tensor Forward returned", e.name)
-				case f.Pred.Rank() != 4 || f.Pred.Dim(0) != 1 || f.Pred.Len() != per || &f.Pred.Data[0] != &rec.out.Data[i*per]:
-					t.Fatalf("%s, batch %d: frame %d's Pred %v is not a [1,…] view of its rows of the output", e.name, n, i, f.Pred.Shape())
+			var lent []*tensor.Tensor
+			for round := 0; round < 2; round++ {
+				frames := skyFrames(rng, n)
+				if err := InferBatch(e.m, frames); err != nil {
+					t.Fatal(err)
+				}
+				for i, f := range frames {
+					if f.Pred.Rank() != 4 || f.Pred.Dim(0) != 1 || f.Pred.Dim(1) != head.Channels() {
+						t.Fatalf("%s, batch %d: frame %d's Pred is %v, want [1,%d,Sh,Sw]", e.name, n, i, f.Pred.Shape(), head.Channels())
+					}
+					for _, g := range frames[:i] {
+						if &g.Pred.Data[0] == &f.Pred.Data[0] {
+							t.Fatalf("%s, batch %d: frame %d shares its prediction buffer", e.name, n, i)
+						}
+					}
+					if round == 1 && !slices.Contains(lent, f.Pred) {
+						t.Fatalf("%s, batch %d: frame %d was lent a buffer the last batch did not give back", e.name, n, i)
+					}
+				}
+				for i, f := range frames {
+					alone := e.m.Forward(f.Image.Reshape(1, 3, 48, 96), false)
+					if !f.Pred.SameShape(alone) || !sameBits(f.Pred.Data, alone.Data) {
+						t.Fatalf("%s, batch %d: frame %d's prediction differs from its own forward", e.name, n, i)
+					}
+				}
+				lent = lent[:0]
+				for i, f := range frames {
+					lent = append(lent, f.Pred)
+					if err := Postprocess(head, f); err != nil {
+						t.Fatal(err)
+					}
+					if f.Pred != nil {
+						t.Fatalf("%s, batch %d: frame %d keeps its Pred after Postprocess", e.name, n, i)
+					}
 				}
 			}
-			for i, f := range frames {
-				alone := e.m.Forward(f.Image.Reshape(1, 3, 48, 96), false)
-				if !f.Pred.SameShape(alone) || !sameBits(f.Pred.Data, alone.Data) {
-					t.Fatalf("%s, batch %d: frame %d's prediction differs from its own forward", e.name, n, i)
+		}
+	}
+}
+
+// TestInferBatchLentPredictionsNeverShared: four goroutines at once run
+// InferBatch and then Postprocess on frames of their own, on both engines, at
+// batch 1 and 3. A buffer goes back to the free list while the others' are in
+// flight, and is lent again at once: every prediction, read before its
+// Postprocess, must still be bitwise its frame's own forward.
+func TestInferBatchLentPredictionsNeverShared(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	head := NewHead(nil)
+	for _, e := range skyNetEngines(t, rng) {
+		for _, n := range []int{1, 3} {
+			const workers, rounds = 4, 4
+			frames := make([][]*Frame, workers)
+			want := make([][][]float32, workers)
+			for w := range frames {
+				frames[w] = skyFrames(rng, n)
+				for _, f := range frames[w] {
+					want[w] = append(want[w], e.m.Forward(f.Image.Reshape(1, 3, 48, 96), false).Data)
+				}
+			}
+			errs := make(chan error, workers)
+			for w := range frames {
+				go func() {
+					for r := 0; r < rounds; r++ {
+						if err := InferBatch(e.m, frames[w]); err != nil {
+							errs <- err
+							return
+						}
+						for i, f := range frames[w] {
+							if !sameBits(f.Pred.Data, want[w][i]) {
+								errs <- fmt.Errorf("%s, batch %d: worker %d's frame %d, round %d: the prediction is not the frame's own forward", e.name, n, w, i, r)
+								return
+							}
+							if err := Postprocess(head, f); err != nil {
+								errs <- err
+								return
+							}
+						}
+					}
+					errs <- nil
+				}()
+			}
+			for range frames {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
@@ -383,20 +458,29 @@ func TestPreprocessAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestInferBatchAllocationBound keeps the inference stage from copying again:
-// on either engine a warm InferBatch allocates the model's output, and for a
-// batch of more than one the batch stack and the frames' views of the output,
-// nothing per frame beyond that. A lone frame's [1,C,H,W] view is recycled,
-// so a batch of one allocates the output (3) alone.
+// TestInferBatchAllocationBound keeps the inference stage from allocating
+// again: on either engine, once each frame's buffer has come back through
+// Postprocess, a warm InferBatch of one frame allocates nothing — its input is
+// a recycled view, its prediction a lent buffer, the forward's executor off a
+// free list — and one of four the batch stack alone.
 func TestInferBatchAllocationBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	bound := map[int]float64{1: 3, 4: 19}
+	head := NewHead(nil)
+	var stacked *tensor.Tensor
+	stack := testing.AllocsPerRun(10, func() { stacked = tensor.New(4, 3, 48, 96) })
+	runtime.KeepAlive(stacked)
+	bound := map[int]float64{1: 0, 4: stack}
 	for _, e := range skyNetEngines(t, rng) {
 		for _, n := range []int{1, 4} {
 			frames := skyFrames(rng, n)
 			infer := func() {
 				if err := InferBatch(e.m, frames); err != nil {
 					t.Fatal(err)
+				}
+				for _, f := range frames {
+					if err := Postprocess(head, f); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			infer()
@@ -406,6 +490,43 @@ func TestInferBatchAllocationBound(t *testing.T) {
 			if got > bound[n] {
 				t.Errorf("%s: InferBatch of %d allocates %v times, bound %v", e.name, n, got, bound[n])
 			}
+		}
+	}
+}
+
+// TestStreamLoneFrameAllocatesOnlyItsFrame: a warm live stream — one frame in
+// flight at a time, through Executor.Stream's three stages — allocates, per
+// frame, the Frame its caller makes and nothing else, on both engines: the
+// zero-allocation contract the stream benchmarks read as allocs_per_op.
+func TestStreamLoneFrameAllocatesOnlyItsFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	head := NewHead(nil)
+	img := skyFrames(rng, 1)[0].Image
+	for _, e := range skyNetEngines(t, rng) {
+		ex, err := NewStreamExecutor(e.m, head, StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make(chan any)
+		out, wait := ex.Stream(context.Background(), in)
+		frame := func() {
+			in <- &Frame{Image: img}
+			if f := (<-out).(*Frame); f.Pred != nil {
+				t.Fatalf("%s: a streamed frame keeps its Pred", e.name)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			frame()
+		}
+		got := testing.AllocsPerRun(20, frame)
+		close(in)
+		for range out {
+		}
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got > 1 {
+			t.Errorf("%s: a warm streamed frame allocates %v times, want its Frame alone (1)", e.name, got)
 		}
 	}
 }
@@ -497,14 +618,30 @@ func TestInferStageRejectsBadModelOutput(t *testing.T) {
 // goroutines running the same frames through one executor at once get, bit
 // for bit, the predictions and boxes a lone run gets. Without the stage's
 // lock the two runs' forwards share the model's arena: data races under
-// -race, and a slice-bounds panic without it.
+// -race, and a slice-bounds panic without it. Postprocess takes each
+// prediction back, so a stage between inference and post-processing copies
+// it out for the comparison.
 func TestStreamExecutorConcurrentRunsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	head := NewHead(nil)
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 0.125, InC: 3, HeadChannels: head.Channels(), ReLU6: true})
-	ex, err := NewStreamExecutor(g, head, StreamConfig{})
+	var mu sync.Mutex
+	captured := map[*Frame][]float32{}
+	capture := pipeline.StageSpec{Name: "capture", Proc: func(_ context.Context, v any) (any, error) {
+		f := v.(*Frame)
+		mu.Lock()
+		captured[f] = slices.Clone(f.Pred.Data)
+		mu.Unlock()
+		return f, nil
+	}}
+	ex, err := pipeline.NewExecutor(4, PreStage(), InferStage(g, 4), capture, PostStage(head))
 	if err != nil {
 		t.Fatal(err)
+	}
+	pred := func(f *Frame) []float32 {
+		mu.Lock()
+		defer mu.Unlock()
+		return captured[f]
 	}
 	images := make([]*tensor.Tensor, 6)
 	for i := range images {
@@ -539,7 +676,7 @@ func TestStreamExecutorConcurrentRunsMatchSerial(t *testing.T) {
 					return
 				}
 				for i, f := range got {
-					if !sameBits(f.Pred.Data, want[i].Pred.Data) || f.Box != want[i].Box || f.Conf != want[i].Conf {
+					if got := pred(f); len(got) == 0 || !sameBits(got, pred(want[i])) || f.Box != want[i].Box || f.Conf != want[i].Conf {
 						errs <- fmt.Errorf("run %d, frame %d: box %+v conf %v, a lone run gives %+v conf %v", k, i, f.Box, f.Conf, want[i].Box, want[i].Conf)
 						return
 					}

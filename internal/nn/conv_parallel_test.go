@@ -165,7 +165,7 @@ func TestNoForwardOperandOnLayers(t *testing.T) {
 		"planNode.packed":   "written as a forward begins, before its lanes start",
 		"PlanCache.arena":   "the executor's, written before its lanes start: each lane reads its own region",
 		"PlanCache.x":       "the executor's forward in flight, written before its lanes start",
-		"PlanCache.out":     "the executor's forward in flight, written before its lanes start",
+		"PlanCache.outs":    "the executor's forward in flight, a row per sample, written before its lanes start",
 		"PlanCache.observe": "the executor's forward in flight, written before its lanes start",
 	}
 	operand := []reflect.Type{reflect.TypeOf([]float32(nil)), reflect.TypeOf([][]float32(nil)), reflect.TypeOf(tensor.RowEpilogue{})}

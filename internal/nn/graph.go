@@ -31,9 +31,10 @@ type Node struct {
 // map there but for the maps inside a Bundle (DW → PW → BN → act → pool), one
 // step holding them a band of rows at a time (band.go); it returns bitwise
 // what walking the layers in eval mode would, in a fresh tensor the caller
-// owns. No inference path walks the layers: the tests keep that walk as the
-// plan's oracle, and a caller that must see or rewrite every map runs a plan
-// compiled under a mask marking every node with an observer (Plan.RunInto).
+// owns (ForwardSamples: in the tensors it is lent). No inference path walks
+// the layers: the tests keep that walk as the plan's oracle, and a caller that
+// must see or rewrite every map runs a plan compiled under a mask marking
+// every node with an observer (Plan.RunInto).
 // Inference forwards are safe for concurrent use with one another, not beside
 // a training forward, a Backward, a Load or a weight update. An inference
 // forward, or any other run of the layers' eval mode, between Forward(x, true)
@@ -100,14 +101,7 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic("nn: forward on empty graph")
 	}
 	if !train {
-		c := g.free.Get()
-		p := c.For(x.Shape())
-		out := p.Run(x, nil)
-		g.mu.Lock()
-		g.OutShapes = p.shapes
-		g.mu.Unlock()
-		g.free.Put(c)
-		return out
+		return g.infer(x, nil)
 	}
 	outs := make([]*tensor.Tensor, len(g.Nodes))
 	ins := make([]*tensor.Tensor, 0, 2)
@@ -116,6 +110,28 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	g.x, g.outs = x, outs
 	return outs[g.output()]
+}
+
+// ForwardSamples is Forward(x, false) writing sample i's output into outs[i]
+// (SampleOuts): once the executor and outs fit, it allocates nothing.
+func (g *Graph) ForwardSamples(outs []*tensor.Tensor, x *tensor.Tensor) { g.infer(x, outs) }
+
+// infer runs an inference forward of x on an executor off the free list: into
+// outs, or with none into a fresh batch tensor, which it returns.
+func (g *Graph) infer(x *tensor.Tensor, outs []*tensor.Tensor) (out *tensor.Tensor) {
+	c := g.free.Get()
+	p := c.For(x.Shape())
+	if outs == nil {
+		out = p.Run(x, nil)
+	} else {
+		p.batch(x.Dim(0))
+		p.run(SampleOuts(c.outs, outs, x.Dim(0), p.Slot(p.output).Dims), x, nil)
+	}
+	g.mu.Lock()
+	g.OutShapes = p.shapes
+	g.mu.Unlock()
+	g.free.Put(c)
+	return out
 }
 
 // inputs appends to ins node n's inputs in a walk of x whose node outputs are

@@ -221,10 +221,10 @@ type PlanCache struct {
 	arena    []float32 // feature maps of the forward in flight: one sample's per lane
 	lanes    []*lane   // the walks of the forward in flight, and the workers' band buffers; lanes[i] owns region i of arena
 
-	// The forward in flight (WalkSample): its plan, n-sample batches, observer.
+	// The forward in flight (WalkSample): its plan, input, a row per sample's output, observer.
 	p       *Plan
-	x, out  []float32
-	n       int
+	x       []float32
+	outs    [][]float32
 	observe func(node int, data []float32)
 }
 
@@ -697,24 +697,58 @@ func (p *Plan) batch(n int) []int {
 //
 //skynet:hotpath
 func (p *Plan) RunInto(dst, x *tensor.Tensor, observe func(node int, data []float32)) {
+	if want := p.batch(x.Dim(0)); !slices.Equal(dst.Shape(), want) {
+		panic(fmt.Sprintf("nn: plan output %v written into %v", want, dst.Shape()))
+	}
+	p.run(SampleRows(p.c.outs, dst.Data, x.Dim(0)), x, observe)
+}
+
+// run is RunInto's forward, sample i's output into outs[i].
+//
+//skynet:hotpath
+func (p *Plan) run(outs [][]float32, x *tensor.Tensor, observe func(node int, data []float32)) {
 	if !slices.Equal(p.input.Dims[1:], x.Shape()[1:]) {
 		panic(fmt.Sprintf("nn: plan compiled for samples of shape %v run on input %v", p.input.Dims[1:], x.Shape()))
 	}
 	c, n := p.c, x.Dim(0)
-	if want := p.batch(n); !slices.Equal(dst.Shape(), want) {
-		panic(fmt.Sprintf("nn: plan output %v written into %v", want, dst.Shape()))
-	}
 	lanes := 1
 	if observe == nil {
 		lanes = LanesFor(n)
 	}
 	p.prepare(lanes)
-	c.p, c.x, c.out, c.n, c.observe = p, x.Data, dst.Data, n, observe
+	c.p, c.x, c.outs, c.observe = p, x.Data, outs, observe
 	RunLanes(c, n, lanes)
 	for _, l := range c.lanes[:lanes] {
 		l.x, l.out = nil, nil
 	}
-	c.p, c.x, c.out, c.observe = nil, nil, nil, nil // no operand of the forward stays on the cache
+	clear(c.outs)
+	c.p, c.x, c.observe = nil, nil, nil // no operand of the forward stays on the cache
+}
+
+// SampleRows returns rows, its storage reused, holding data's n rows.
+//
+//skynet:hotpath
+func SampleRows(rows [][]float32, data []float32, n int) [][]float32 {
+	rows, per := slices.Grow(rows[:0], n)[:n], len(data)/n // grows past the largest batch yet, never after
+	for i := range rows {
+		rows[i] = data[i*per : (i+1)*per : (i+1)*per]
+	}
+	return rows
+}
+
+// SampleOuts returns rows, its storage reused, holding the data of the first n
+// outs, each made a tensor of the sample shape dims if nil or of another shape.
+//
+//skynet:hotpath
+func SampleOuts(rows [][]float32, outs []*tensor.Tensor, n int, dims []int) [][]float32 {
+	rows = slices.Grow(rows[:0], n)[:n]
+	for i := range rows {
+		if outs[i] == nil || !slices.Equal(outs[i].Shape(), dims) {
+			outs[i] = tensor.New(dims...)
+		}
+		rows[i] = outs[i].Data
+	}
+	return rows
 }
 
 // WalkSample takes sample i of the forward in flight through the plan's steps
@@ -722,8 +756,8 @@ func (p *Plan) RunInto(dst, x *tensor.Tensor, observe func(node int, data []floa
 //
 //skynet:hotpath
 func (c *PlanCache) WalkSample(li, i int, leaf bool) {
-	p, l, per, outPer := c.p, c.lanes[li], len(c.x)/c.n, len(c.out)/c.n
-	l.x, l.out = c.x[i*per:(i+1)*per], c.out[i*outPer:(i+1)*outPer]
+	p, l := c.p, c.lanes[li]
+	l.x, l.out = c.x[i*p.input.Size:(i+1)*p.input.Size], c.outs[i]
 	for k := range p.steps {
 		s := &p.steps[k]
 		if !s.Laid { // a laid-out Concat is written, input by input, by now

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -242,7 +243,9 @@ func floatBytes(t *tensor.Tensor) []byte {
 // caller's — and nothing else, at every worker count and batch size: the
 // lanes run on the GEMM pool, and so do the Bundle steps and depth-wise
 // planes a lone lane splits. The worker count is read per forward, not frozen
-// in the plan.
+// in the plan. ForwardSamples writes each sample's rows of that output into
+// the tensor lent for it — one of another shape replaced, the others kept —
+// and allocates nothing once they fit.
 func TestGraphInferenceSteadyStateAllocs(t *testing.T) {
 	g, rng := skyNetC(0.25, 15)
 	small, large := randBatch(rng, 2, 3, 32, 64), randBatch(rng, 6, 3, 32, 64)
@@ -268,6 +271,16 @@ func TestGraphInferenceSteadyStateAllocs(t *testing.T) {
 				requireSameBits(t, "RunInto", dst, g.Forward(x, false))
 				if got := testing.AllocsPerRun(10, func() { p.RunInto(dst, x, nil) }); got != 0 {
 					t.Errorf("%d workers, batch %d: %v allocs per RunInto, want 0", workers, x.Dim(0), got)
+				}
+				outs := make([]*tensor.Tensor, x.Dim(0))
+				outs[0] = tensor.New(1, 1)
+				g.ForwardSamples(outs, x)
+				for i, o := range outs {
+					requireSameBits(t, "ForwardSamples", o, tensor.FromSlice(dst.Data[i*o.Len():(i+1)*o.Len()], o.Shape()...))
+				}
+				lent := slices.Clone(outs)
+				if got := testing.AllocsPerRun(10, func() { g.ForwardSamples(outs, x) }); got != 0 || !slices.Equal(outs, lent) {
+					t.Errorf("%d workers, batch %d: %v allocs per ForwardSamples, want 0 and the lent tensors kept", workers, x.Dim(0), got)
 				}
 			}
 		})

@@ -16,8 +16,8 @@ type stepTimer struct {
 
 func (s *stepTimer) WalkSample(li, i int, leaf bool) {
 	c := s.c
-	p, l, per, outPer := c.p, c.lanes[li], len(c.x)/c.n, len(c.out)/c.n
-	l.x, l.out = c.x[i*per:(i+1)*per], c.out[i*outPer:(i+1)*outPer]
+	p, l := c.p, c.lanes[li]
+	l.x, l.out = c.x[i*p.input.Size:(i+1)*p.input.Size], c.outs[i]
 	for k := range p.steps {
 		if st := &p.steps[k]; !st.Laid {
 			start := time.Now()
@@ -39,7 +39,7 @@ func StepTimes(g *Graph, x *tensor.Tensor) (names []string, times []time.Duratio
 	out := tensor.New(p.batch(n)...)
 	lanes := LanesFor(n)
 	p.prepare(lanes)
-	c.p, c.x, c.out, c.n = p, x.Data, out.Data, n
+	c.p, c.x, c.outs = p, x.Data, SampleRows(c.outs, out.Data, n)
 	timer := &stepTimer{c: c, spent: make([][]time.Duration, lanes)}
 	for i := range timer.spent {
 		timer.spent[i] = make([]time.Duration, len(p.steps))
@@ -48,7 +48,8 @@ func StepTimes(g *Graph, x *tensor.Tensor) (names []string, times []time.Duratio
 	for _, l := range c.lanes[:lanes] {
 		l.x, l.out = nil, nil
 	}
-	c.p, c.x, c.out = nil, nil, nil
+	clear(c.outs)
+	c.p, c.x = nil, nil
 	for k, st := range p.steps {
 		if !st.Laid {
 			var most time.Duration

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -127,7 +128,8 @@ func (j JobSpec) NewEvaluator() *EngineEvaluator {
 // JobStatus is the status payload.
 type JobStatus struct {
 	ID              string  `json:"id"`
-	State           string  `json:"state"` // queued | running | done | failed
+	State           string  `json:"state"`              // queued | running | done | failed
+	Position        int     `json:"position,omitempty"` // a queued job's place in line: 1 runs next
 	IterationsDone  int     `json:"iterations_done"`
 	IterationsTotal int     `json:"iterations_total"`
 	BestFit         float64 `json:"best_fit,omitempty"`
@@ -152,18 +154,22 @@ type JobResult struct {
 type job struct {
 	spec JobSpec
 	eval *EngineEvaluator
+	ck   *Checkpoint // where a queued job resumes from; nil starts it afresh
 
 	mu     sync.Mutex
 	status JobStatus
 	result *JobResult
 }
 
-// Service runs measured-fitness searches as resumable jobs.
+// Service runs measured-fitness searches as resumable jobs, one at a time in
+// the order they were queued: a search already takes every core.
 type Service struct {
 	dir string
 
-	mu   sync.Mutex
-	jobs map[string]*job
+	mu      sync.Mutex
+	jobs    map[string]*job
+	queue   []*job // the jobs waiting to run, first in line first
+	running bool   // drain is running the queue
 
 	evalHist *serve.Histogram
 }
@@ -227,12 +233,12 @@ func (j JobSpec) Check() error {
 	return nil
 }
 
-// Submit starts (or joins) the job for the spec. Submission is idempotent:
+// Submit queues (or joins) the job for the spec. Submission is idempotent:
 // the same spec maps to the same job ID, a queued, running or finished job is
 // returned as-is, and a checkpoint left by a killed process resumes instead
-// of restarting. A failed job is dropped and its spec submitted again, so a
-// job a transient fault stopped resumes from its last checkpoint. A spec the
-// process cannot run (JobSpec.Check) is refused.
+// of restarting. A failed job is dropped and its spec queued again, at the
+// back, so a job a transient fault stopped resumes from its last checkpoint.
+// A spec the process cannot run (JobSpec.Check) is refused.
 func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	spec.normalize()
 	if err := spec.Check(); err != nil {
@@ -250,22 +256,50 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return JobStatus{}, fmt.Errorf("pso: checkpoint for %s is unreadable: %w", id, err)
 	}
-	jb := &job{spec: spec, eval: spec.NewEvaluator()}
+	jb := &job{spec: spec, eval: spec.NewEvaluator(), ck: ck}
 	jb.status = JobStatus{ID: id, State: "queued", IterationsTotal: spec.Iterations}
 	if ck != nil {
 		jb.status.Resumed, jb.status.IterationsDone = true, ck.Iter
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if live, ok := s.jobs[id]; ok { // a concurrent Submit of the same spec registered first, or the job failed
-		if st := live.Status(); st.State != "failed" {
-			s.mu.Unlock()
+		if st := s.status(live); st.State != "failed" {
 			return st, nil
 		}
 	}
 	s.jobs[id] = jb
+	s.queue = append(s.queue, jb)
+	if !s.running {
+		s.running = true
+		go s.drain()
+	}
+	return s.status(jb), nil
+}
+
+// drain runs the queued jobs one after the other until none is left. A job
+// starts running under the table's lock, so statuses never shows two.
+func (s *Service) drain() {
+	s.mu.Lock()
+	for len(s.queue) > 0 {
+		jb := s.queue[0]
+		s.queue = s.queue[1:]
+		jb.mu.Lock()
+		jb.status.State = "running"
+		jb.mu.Unlock()
+		s.mu.Unlock()
+		s.run(jb, jb.eval, jb.ck)
+		s.mu.Lock()
+	}
+	s.running = false
 	s.mu.Unlock()
-	go s.run(jb, jb.eval, ck)
-	return jb.Status(), nil
+}
+
+// status is jb's status with its place in line, read under s.mu.
+func (s *Service) status(jb *job) JobStatus {
+	st := jb.Status()
+	st.Position = slices.Index(s.queue, jb) + 1
+	return st
 }
 
 // run searches the job's spec with eval — the job's own evaluator, or one
@@ -282,10 +316,6 @@ func (s *Service) run(jb *job, eval Evaluator, ck *Checkpoint) {
 		jb.status.CacheHits, jb.status.CacheMisses = hits, misses
 		jb.mu.Unlock()
 	}
-	jb.mu.Lock()
-	jb.status.State = "running"
-	jb.mu.Unlock()
-
 	path := s.CheckpointPath(jb.status.ID)
 	res, err := SearchFrom(cfg, eval, ck, func(snap Checkpoint) error {
 		return snap.Save(path)
@@ -326,12 +356,12 @@ func (jb *job) Status() JobStatus {
 // Status returns the job's status, or false if the ID is unknown.
 func (s *Service) Status(id string) (JobStatus, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	jb, ok := s.jobs[id]
-	s.mu.Unlock()
 	if !ok {
 		return JobStatus{}, false
 	}
-	return jb.Status(), true
+	return s.status(jb), true
 }
 
 // Result returns the finished job's result; ok is false while the job is
@@ -364,8 +394,7 @@ type ServiceMetrics struct {
 // Metrics snapshots the service counters.
 func (s *Service) Metrics() ServiceMetrics {
 	m := ServiceMetrics{Jobs: map[string]int{}, EvalLatency: s.evalHist.Summary()}
-	for _, jb := range s.snapshotJobs() {
-		st := jb.Status()
+	for _, st := range s.statuses() {
 		m.Jobs[st.State]++
 		m.CacheHits += st.CacheHits
 		m.CacheMisses += st.CacheMisses
@@ -373,8 +402,9 @@ func (s *Service) Metrics() ServiceMetrics {
 	return m
 }
 
-// snapshotJobs copies the job table in sorted-ID order under the lock.
-func (s *Service) snapshotJobs() []*job {
+// statuses returns every job's status in sorted-ID order, read under the
+// table's lock.
+func (s *Service) statuses() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ids := make([]string, 0, len(s.jobs))
@@ -382,11 +412,11 @@ func (s *Service) snapshotJobs() []*job {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	jobs := make([]*job, 0, len(ids))
+	out := make([]JobStatus, 0, len(ids))
 	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
+		out = append(out, s.status(s.jobs[id]))
 	}
-	return jobs
+	return out
 }
 
 // Handler exposes the job API.
@@ -435,12 +465,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.snapshotJobs()
-	out := make([]JobStatus, 0, len(jobs))
-	for _, jb := range jobs {
-		out = append(out, jb.Status())
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, s.statuses())
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {

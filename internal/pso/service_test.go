@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -239,6 +240,72 @@ func TestServiceJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestServiceRunsOneJobAtATime: twenty distinct specs submitted at once wait
+// in one line. Every snapshot of the job list shows at most one job running
+// and the queued ones at places 1 to k, and each job ends done with the
+// history and best of its search run alone, bit for bit.
+func TestServiceRunsOneJobAtATime(t *testing.T) {
+	svc := NewService(t.TempDir())
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	specs := make([]JobSpec, 20)
+	errs := make(chan error, len(specs))
+	for i := range specs {
+		specs[i] = testJobSpec()
+		specs[i].Groups, specs[i].PerGroup, specs[i].Iterations = 1, 2, 2
+		specs[i].W, specs[i].H, specs[i].TrainN, specs[i].ValN = 4, 4, 2, 1
+		specs[i].Seed = int64(100 + i)
+		specs[i].normalize()
+		go func() {
+			_, err := svc.Submit(specs[i])
+			errs <- err
+		}()
+	}
+	for range specs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for done := 0; done < len(specs); time.Sleep(time.Millisecond) {
+		var list []JobStatus
+		getJSON(t, ts.URL+"/search/jobs", &list)
+		running, places := 0, []int{}
+		done = 0
+		for _, st := range list {
+			switch st.State {
+			case "running":
+				running++
+			case "queued":
+				places = append(places, st.Position)
+			case "done":
+				done++
+			default:
+				t.Fatalf("job %s: %+v", st.ID, st)
+			}
+		}
+		slices.Sort(places)
+		for i, p := range places {
+			if p != i+1 {
+				t.Fatalf("the queued jobs are at places %v, want 1 to %d", places, len(places))
+			}
+		}
+		if running > 1 {
+			t.Fatalf("%d jobs running at once", running)
+		}
+	}
+	for _, spec := range specs {
+		alone, err := SearchFrom(spec.Config, spec.NewEvaluator(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := svc.Result(spec.ID())
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if !slices.EqualFunc(res.History, alone.History, same) || !same(res.Best.Fit, alone.Best.Fit) || res.Best.Net.String() != alone.Best.Net.String() {
+			t.Fatalf("seed %d: queued job's history %v and best %v, alone %v and %v", spec.Seed, res.History, res.Best.Net, alone.History, alone.Best.Net)
+		}
+	}
+}
+
 // TestServiceRefusesGhostBundles: a group replicates one enumerated Bundle,
 // so a spec with more groups than the 12 Bundles is refused at Submit, and
 // the HTTP door answers it 400 (a client error, not a 500) with no job
@@ -282,7 +349,7 @@ func TestServiceRefusesOversizedSpec(t *testing.T) {
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("a %d-byte spec: status %d, want 413", len(body), rec.Code)
 	}
-	if jobs := svc.snapshotJobs(); len(jobs) != 0 {
+	if jobs := svc.statuses(); len(jobs) != 0 {
 		t.Fatalf("a refused spec started %d jobs", len(jobs))
 	}
 }
@@ -321,7 +388,7 @@ func TestServiceRefusesSpecsItCannotRun(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, code)
 		}
 	}
-	if jobs := svc.snapshotJobs(); len(jobs) != 0 {
+	if jobs := svc.statuses(); len(jobs) != 0 {
 		t.Fatalf("refused specs left %d jobs behind", len(jobs))
 	}
 

@@ -115,11 +115,12 @@ type qexec struct {
 	outShape                         []int
 	colLen, bandLen, rowLen, fcolLen int
 
-	arena []int8    // the codes of the forward in flight: one sample's per lane
-	lanes []*qlane  // lanes[i] owns region i of arena
-	x, y  []float32 // the input and output batches of the forward in flight; nil between forwards
-	bands []int8    // the code bands of the Bundle steps, worker i's the i-th
-	rows  []int32   // the accumulator rows of the depth-wise ones, likewise
+	arena []int8      // the codes of the forward in flight: one sample's per lane
+	lanes []*qlane    // lanes[i] owns region i of arena
+	x     []float32   // the input batch of the forward in flight; nil between forwards
+	outs  [][]float32 // the forward in flight's output, a row per sample; cleared between forwards
+	bands []int8      // the code bands of the Bundle steps, worker i's the i-th
+	rows  []int32     // the accumulator rows of the depth-wise ones, likewise
 }
 
 // qlane is one worker's share of a forward, as nn's lane is: the sample it
@@ -155,17 +156,32 @@ func (m *QuantizedModel) Stats() (int8Units, floatUnits, fusedNodes int) {
 // Forward allocates that tensor and nothing else. The samples go to
 // nn.LanesFor(N) lanes, float fallback units or none.
 func (m *QuantizedModel) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	e, n := m.free.Get(), x.Dim(0)
+	e := m.free.Get()
 	e.use(e.plans.For(x.Shape()))
-	lanes := nn.LanesFor(n)
-	e.prepare(lanes)
-	e.outShape[0] = n
+	e.outShape[0] = x.Dim(0)
 	out := tensor.New(e.outShape...)
-	e.x, e.y = x.Data, out.Data
-	nn.RunLanes(e, n, lanes)
-	e.x, e.y = nil, nil // neither batch is the engine's to keep
+	e.run(nn.SampleRows(e.outs, out.Data, x.Dim(0)), x)
 	m.free.Put(e)
 	return out
+}
+
+// ForwardSamples is Forward writing sample i's output into outs[i]
+// (nn.SampleOuts): once the executor and outs fit, it allocates nothing.
+func (m *QuantizedModel) ForwardSamples(outs []*tensor.Tensor, x *tensor.Tensor) {
+	e := m.free.Get()
+	e.use(e.plans.For(x.Shape()))
+	e.run(nn.SampleOuts(e.outs, outs, x.Dim(0), e.plan.Slot(m.output).Dims), x)
+	m.free.Put(e)
+}
+
+// run takes x through the plan in use, sample i's output into outs[i].
+func (e *qexec) run(outs [][]float32, x *tensor.Tensor) {
+	lanes := nn.LanesFor(x.Dim(0))
+	e.prepare(lanes)
+	e.x, e.outs = x.Data, outs
+	nn.RunLanes(e, x.Dim(0), lanes)
+	clear(e.outs)
+	e.x = nil // neither batch is the engine's to keep
 }
 
 // use makes p the plan of the forward about to run, and grows the scratch
@@ -233,7 +249,7 @@ func (e *qexec) prepare(lanes int) {
 }
 
 // WalkSample takes sample i of the forward in flight through the steps on
-// lane li and leaves its output in row i of e.y, for nn.RunLanes.
+// lane li and leaves its output in e.outs[i], for nn.RunLanes.
 //
 //skynet:hotpath
 func (e *qexec) WalkSample(li, i int, leaf bool) {
@@ -256,7 +272,7 @@ func (e *qexec) WalkSample(li, i int, leaf bool) {
 			}
 		}
 	}
-	l.Map(e.m.output) // the output's float form is its row of the batch: dequantized there if it is codes
+	l.Map(e.m.output) // the output's float form is the sample's output: dequantized there if it is codes
 	l.vals[0].f = nil
 }
 
@@ -309,17 +325,16 @@ func (l *qlane) codes(j int) []int8 {
 }
 
 // floatDest makes the memory it returns node j's float form for this sample,
-// for its producer to fill: the sample's row of the output batch for the
-// output node, else the lane's buffer for a value a fallback unit reads or
-// writes.
+// for its producer to fill: the sample's output for the output node, else the
+// lane's buffer for a value a fallback unit reads or writes.
 //
 //skynet:hotpath
 func (l *qlane) floatDest(j int) []float32 {
-	v, size := &l.vals[j+1], l.e.plan.Slot(j).Size
+	v := &l.vals[j+1]
 	if j == l.e.m.output {
-		v.f = l.e.y[l.sample*size : (l.sample+1)*size]
+		v.f = l.e.outs[l.sample]
 	} else {
-		v.f = v.fbuf[:size]
+		v.f = v.fbuf[:l.e.plan.Slot(j).Size]
 	}
 	return v.f
 }

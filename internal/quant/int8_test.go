@@ -240,7 +240,8 @@ func TestExportEmpty(t *testing.T) {
 // TestQuantizedSteadyStateAllocs pins the allocation contract of the engine
 // after the first forward sized all internal buffers: a forward allocates its
 // output and nothing else, the same as nn.Graph.Forward — a single frame on
-// one worker, and a batch of 4 on the two lanes of two workers.
+// one worker, and a batch of 4 on the two lanes of two workers —, and
+// ForwardSamples, into tensors lent to it, nothing.
 func TestQuantizedSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	_, qm, _ := exportSkyNet(t, rng, 0.25, 16, ExportConfig{})
@@ -254,6 +255,19 @@ func TestQuantizedSteadyStateAllocs(t *testing.T) {
 			runtime.KeepAlive(out)
 			if allocs := testing.AllocsPerRun(10, func() { qm.Forward(x, false) }); allocs != want {
 				t.Errorf("quantized forward steady state, batch %d on %d workers: %v allocs/op, want the output tensor's %v", c.batch, c.workers, allocs, want)
+			}
+			outs := make([]*tensor.Tensor, c.batch)
+			outs[0] = tensor.New(1, 1)
+			qm.ForwardSamples(outs, x)
+			whole := qm.Forward(x, false)
+			for i, o := range outs {
+				if per := whole.Len() / c.batch; o.Dim(0) != 1 || !sameBits(o.Data, whole.Data[i*per:(i+1)*per]) {
+					t.Fatalf("batch %d on %d workers: ForwardSamples' sample %d is not its rows of Forward's output", c.batch, c.workers, i)
+				}
+			}
+			lent := slices.Clone(outs)
+			if allocs := testing.AllocsPerRun(10, func() { qm.ForwardSamples(outs, x) }); allocs != 0 || !slices.Equal(outs, lent) {
+				t.Errorf("ForwardSamples steady state, batch %d on %d workers: %v allocs/op, want 0 and the lent tensors kept", c.batch, c.workers, allocs)
 			}
 		})
 	}

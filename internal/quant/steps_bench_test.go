@@ -48,13 +48,14 @@ func int8StepTimes(m *QuantizedModel, x *tensor.Tensor) (names []string, times [
 	lanes := nn.LanesFor(n)
 	e.prepare(lanes)
 	e.outShape[0] = n
-	e.x, e.y = x.Data, tensor.New(e.outShape...).Data
+	e.x, e.outs = x.Data, nn.SampleRows(e.outs, tensor.New(e.outShape...).Data, n)
 	timer := &stepTimer{e: e, spent: make([][]time.Duration, lanes)}
 	for i := range timer.spent {
 		timer.spent[i] = make([]time.Duration, len(e.steps))
 	}
 	nn.RunLanes(timer, n, lanes)
-	e.x, e.y = nil, nil
+	clear(e.outs)
+	e.x = nil
 	for k, st := range e.steps {
 		var most time.Duration
 		for _, spent := range timer.spent {

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -269,8 +270,9 @@ func (s *TrackService) Start(ctx context.Context, frame *tensor.Tensor, box dete
 	}
 	zf := req.outZF
 	putTrackReq(req, nil)
+	var id [24]byte // "t-" and any int64: the ID's one allocation is its string
 	sess := &session{
-		id:    fmt.Sprintf("t-%d", s.nextID.Add(1)),
+		id:    string(strconv.AppendInt(append(id[:0], "t-"...), s.nextID.Add(1), 10)),
 		zf:    zf,
 		box:   box,
 		bytes: int64(zf.Len()*4) + sessionOverheadBytes,

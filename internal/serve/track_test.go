@@ -624,3 +624,27 @@ func TestTrackSessionStepAllocs(t *testing.T) {
 		t.Fatalf("a warm Step allocates %v times, want 0", got)
 	}
 }
+
+// TestTrackSessionStartAllocs pins a warm Start, with the Stop that empties
+// the table again, at four allocations: the session record, its ID string and
+// the template features (header and data). Minting the ID used to box the
+// counter too (fmt.Sprintf), once it passed the 255 the runtime boxes for
+// free: five in all.
+func TestTrackSessionStartAllocs(t *testing.T) {
+	ctx := context.Background()
+	ts := newTestTrackService(t, testTracker(false), TrackConfig{})
+	seq := testTrackSequences(1, 1)[0]
+	start := func() {
+		id, _, err := ts.Start(ctx, seq.Frames[0], seq.Boxes[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.Stop(id)
+	}
+	for i := 0; i < 256; i++ {
+		start()
+	}
+	if got := testing.AllocsPerRun(50, start); got != 4 {
+		t.Fatalf("a warm Start allocates %v times, want 4", got)
+	}
+}
