@@ -125,7 +125,8 @@ short:
 # interleave on it — through a drain, a close and a swap, whose queued
 # requests run on the new model — depends on how many run at once. So do the tracking service's session tests: every session's
 # steps take turns on the service's one worker, and how sessions interleave
-# there depends on how many callers run at once.
+# there depends on how many callers run at once, and so does which Step
+# finds a stopped session's record recycled.
 # The stream executor's tests, and detect's over it, get the three runs too:
 # each stage is one goroutine, and how their queues fill and drain — through a
 # batch, a failure and a cancellation — depends on how many run at once, as
@@ -157,8 +158,9 @@ short:
 # Backward takes its inputs from, must come through them untouched.
 # core rides along at its -short budget: the design flow's Stage 2 drives the
 # same mutex-guarded caching evaluator from the PSO worker pool. The search
-# service's one-job-at-a-time queue gets the three runs: how concurrent
-# submits and the queue's runner interleave depends on how many run at once.
+# service's tests get the three runs at their -short budget: how concurrent
+# submits, the queue's runner and Close, which hands the running job its stop
+# at the next checkpoint, interleave depends on how many run at once.
 LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch|ConcurrentForwards|FallbackUnitsRunOnLanes
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite|OneModelPerGeneration|PoolSwapLeaves|CountersSurviveASwap
 STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
@@ -171,7 +173,7 @@ race:
 	$(GO) test -race -cpu 1,2,4 -run '$(LAYER_WALK_TESTS)' ./internal/nn ./internal/track
 	$(GO) test -race -cpu 1,2,4 -run 'PackScratchFollowsChunksInFlight|SteadyStateAllocs|Int8LeafCallsMatchDispatched|PoolWorkerPanic' ./internal/tensor
 	$(GO) test -race -short ./internal/core
-	$(GO) test -race -cpu 1,2,4 -run 'OneJobAtATime' ./internal/pso
+	$(GO) test -race -short -cpu 1,2,4 -run 'Service' ./internal/pso
 
 # purego runs the kernel-bearing packages with the assembly kernels — the
 # GEMM micro-kernels and the row kernels — compiled out, so the portable Go

@@ -11,7 +11,7 @@
 // (internal/pso.Service): searches are submitted as JSON specs, evaluated
 // through the real float32 and int8 engines, checkpointed every iteration
 // into -dir, and resumed from there if the process is killed and the job
-// resubmitted.
+// resubmitted. SIGINT or SIGTERM stops it at the running job's next checkpoint.
 //
 // Usage:
 //
@@ -28,10 +28,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"skynet/internal/core"
@@ -118,7 +122,7 @@ func main() {
 }
 
 // serveJobs hosts the search-as-a-service job API on addr, checkpointing
-// every job into dir.
+// every job into dir, until SIGINT or SIGTERM closes the service.
 func serveJobs(addr, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint directory: %w", err)
@@ -127,5 +131,16 @@ func serveJobs(addr, dir string) error {
 	fmt.Fprintf(os.Stderr, "# search job API on %s (checkpoints in %s)\n", addr, dir)
 	fmt.Fprintf(os.Stderr, "#   POST /search/jobs, GET /search/jobs[/{id}[/result]], GET /metrics\n")
 	hs := &http.Server{Addr: addr, Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	return hs.ListenAndServe()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	shut := make(chan error, 1)
+	go func() {
+		<-ctx.Done()
+		svc.Close() // POST answers 503 until the running job has saved its next checkpoint
+		shut <- hs.Shutdown(context.Background())
+	}()
+	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return <-shut
 }

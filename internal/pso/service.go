@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"skynet/internal/bundle"
@@ -168,8 +169,10 @@ type Service struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*job
-	queue   []*job // the jobs waiting to run, first in line first
-	running bool   // drain is running the queue
+	queue   []*job      // the jobs waiting to run, first in line first
+	running bool        // drain is running the queue
+	closed  atomic.Bool // Close has begun: refuse submissions, start no queued job
+	drained sync.WaitGroup
 
 	evalHist *serve.Histogram
 }
@@ -184,8 +187,9 @@ func (s *Service) CheckpointPath(id string) string {
 	return filepath.Join(s.dir, id+".ckpt")
 }
 
-// errBadSpec marks a job spec Check refuses; the HTTP door answers 400.
-var errBadSpec = errors.New("pso: bad job spec")
+// errBadSpec marks a job spec Check refuses (HTTP 400); errClosed, a Submit or
+// the running job's next checkpoint once Close has begun (HTTP 503).
+var errBadSpec, errClosed = errors.New("pso: bad job spec"), errors.New("pso: service closed")
 
 // The most one job may ask of the process, beyond the slot and channel limits
 // modelspec's Spec.Build enforces: the synthetic dataset's frame (W·H; the
@@ -238,8 +242,11 @@ func (j JobSpec) Check() error {
 // returned as-is, and a checkpoint left by a killed process resumes instead
 // of restarting. A failed job is dropped and its spec queued again, at the
 // back, so a job a transient fault stopped resumes from its last checkpoint.
-// A spec the process cannot run (JobSpec.Check) is refused.
+// A spec the process cannot run (JobSpec.Check) is refused, as is any after Close.
 func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
+	if s.closed.Load() {
+		return JobStatus{}, errClosed
+	}
 	spec.normalize()
 	if err := spec.Check(); err != nil {
 		return JobStatus{}, err
@@ -270,18 +277,20 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	s.jobs[id] = jb
 	s.queue = append(s.queue, jb)
-	if !s.running {
+	if !s.running && !s.closed.Load() { // a Submit that raced Close stays queued
 		s.running = true
+		s.drained.Add(1)
 		go s.drain()
 	}
 	return s.status(jb), nil
 }
 
-// drain runs the queued jobs one after the other until none is left. A job
-// starts running under the table's lock, so statuses never shows two.
+// drain runs the queued jobs in turn until none is left or Close has begun. A
+// job starts running under the table's lock, so statuses never shows two.
 func (s *Service) drain() {
+	defer s.drained.Done()
 	s.mu.Lock()
-	for len(s.queue) > 0 {
+	for len(s.queue) > 0 && !s.closed.Load() {
 		jb := s.queue[0]
 		s.queue = s.queue[1:]
 		jb.mu.Lock()
@@ -293,6 +302,16 @@ func (s *Service) drain() {
 	}
 	s.running = false
 	s.mu.Unlock()
+}
+
+// Close refuses submissions from now on, lets the running job save its next
+// checkpoint and fail with errClosed (resubmitted, it resumes from there),
+// leaves queued jobs unstarted, and returns once no job runs.
+func (s *Service) Close() {
+	s.mu.Lock()
+	s.closed.Store(true) // under mu: no Submit starts drain after this
+	s.mu.Unlock()
+	s.drained.Wait()
 }
 
 // status is jb's status with its place in line, read under s.mu.
@@ -318,7 +337,10 @@ func (s *Service) run(jb *job, eval Evaluator, ck *Checkpoint) {
 	}
 	path := s.CheckpointPath(jb.status.ID)
 	res, err := SearchFrom(cfg, eval, ck, func(snap Checkpoint) error {
-		return snap.Save(path)
+		if err := snap.Save(path); err != nil || !s.closed.Load() {
+			return err
+		}
+		return errClosed
 	})
 	hits, misses := jb.eval.CacheStats()
 	jb.mu.Lock()
@@ -452,16 +474,16 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad job spec: "+err.Error(), status)
 		return
 	}
-	st, err := s.Submit(spec)
-	if errors.Is(err, errBadSpec) {
+	switch st, err := s.Submit(spec); {
+	case errors.Is(err, errBadSpec):
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err != nil {
+	case errors.Is(err, errClosed):
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case err != nil:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	default:
+		writeJSON(w, http.StatusAccepted, st)
 	}
-	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {

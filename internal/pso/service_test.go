@@ -246,6 +246,7 @@ func TestServiceJobLifecycle(t *testing.T) {
 // history and best of its search run alone, bit for bit.
 func TestServiceRunsOneJobAtATime(t *testing.T) {
 	svc := NewService(t.TempDir())
+	t.Cleanup(svc.Close) // before the directory goes: no job may still write into it
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	specs := make([]JobSpec, 20)
@@ -590,6 +591,80 @@ func TestServiceRetriesFailedJob(t *testing.T) {
 	}
 	if !slices.Equal(res.History, ref.History) || res.Best.Net.String() != ref.Best.Net.String() {
 		t.Fatalf("retried job's history %v and best %v, uninterrupted %v and %v", res.History, res.Best.Net, ref.History, ref.Best.Net)
+	}
+}
+
+// TestServiceCloseStopsAtACheckpoint: Close during a job lets it save its
+// next checkpoint and ends it failed, leaves a queued job unstarted, returns
+// with nothing left writing the checkpoint, and refuses submissions, the HTTP
+// door with 503. Resubmitted to a new service over the same directory, the
+// job resumes and ends on the history and best of an uninterrupted run, bit
+// for bit.
+func TestServiceCloseStopsAtACheckpoint(t *testing.T) {
+	spec := testJobSpec()
+	spec.Groups, spec.PerGroup, spec.Iterations = 1, 2, 12
+	spec.W, spec.H, spec.TrainN, spec.ValN = 4, 4, 2, 1
+	spec.Seed = 29
+	spec.normalize()
+	id := spec.ID()
+	ref, err := SearchFrom(spec.Config, spec.NewEvaluator(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	svc := NewService(dir)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	queued := spec
+	queued.Seed++
+	for _, sp := range []JobSpec{spec, queued} {
+		if _, err := svc.Submit(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for st, _ := svc.Status(id); st.IterationsDone == 0; st, _ = svc.Status(id) {
+		time.Sleep(time.Millisecond)
+	}
+	svc.Close()
+	st, _ := svc.Status(id)
+	if st.State != "failed" || !strings.Contains(st.Error, errClosed.Error()) || st.IterationsDone == spec.Iterations {
+		t.Fatalf("job closed mid-search: %+v, want failed by the close before its last iteration", st)
+	}
+	if st, _ := svc.Status(queued.ID()); st.State != "queued" {
+		t.Fatalf("job queued behind it: %+v, want still queued", st)
+	}
+	ck, err := os.ReadFile(svc.CheckpointPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if again, err := os.ReadFile(svc.CheckpointPath(id)); err != nil || !bytes.Equal(again, ck) {
+		t.Fatalf("the checkpoint changed after Close returned (err %v)", err)
+	}
+	if _, err := svc.Submit(spec); !errors.Is(err, errClosed) {
+		t.Fatalf("Submit after Close: %v, want %v", err, errClosed)
+	}
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(ts.URL+"/search/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST /search/jobs after Close: %d, want 503", resp.StatusCode)
+	}
+
+	next := NewService(dir)
+	t.Cleanup(next.Close)
+	if st, err = next.Submit(spec); err != nil || !st.Resumed {
+		t.Fatalf("resubmitted after Close: %+v, %v; want it resumed", st, err)
+	}
+	next.Wait(id)
+	res, ok := next.Result(id)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !ok || !slices.EqualFunc(res.History, ref.History, same) || !same(res.Best.Fit, ref.Best.Fit) || res.Best.Net.String() != ref.Best.Net.String() {
+		t.Fatalf("resumed job's history %v and best %v, uninterrupted %v and %v", res.History, res.Best.Net, ref.History, ref.Best.Net)
 	}
 }
 

@@ -583,7 +583,7 @@ func TestCloseAnswersEveryAdmittedRequest(t *testing.T) {
 		}
 		<-hold.entered
 		seq := testTrackSequences(1, 2)[0]
-		closeBehind(t, func() int { return len(ts.in) }, ts.Draining, func(int) error {
+		closeBehind(t, func() int { return len(ts.in) }, ts.isDraining, func(int) error {
 			_, _, err := ts.Start(context.Background(), seq.Frames[0], seq.Boxes[0])
 			return err
 		}, gate, ts.Close)

@@ -136,10 +136,7 @@ func (p *Pool) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, floa
 		return box, conf, nil
 	}
 	req := requests.Get()
-	if req.own == nil || !req.own.SameShape(img) {
-		req.own = tensor.New(img.Shape()...)
-	}
-	copy(req.own.Data, img.Data)
+	req.own = img.CloneInto(req.own)
 	box, conf, _, err := p.submit(ctx, key, req, req.own, t0)
 	if reusable(err) {
 		req.frame, req.ctx, req.gen = detect.Frame{}, nil, nil // drop what the last request referenced

@@ -3,12 +3,14 @@ package serve
 // Tracking-as-a-service: the paper's §7 extension (SiamRPN++/SiamMask
 // tracking, Tables 8/9) as a streaming workload instead of an offline
 // batch experiment. POST /track/start fixes a template (one
-// ExemplarFeaturesFor forward) and returns a session ID; subsequent frame
+// ExemplarFeaturesInto forward) and returns a session ID; subsequent frame
 // posts return per-frame boxes (and, for mask-head trackers, the peak mask
 // patch) by driving StepE through a lane of its own — the
 // machine the detection engine runs on, here with one worker. Sessions live in a bounded table with TTL
 // eviction — millions of concurrent sessions means per-session state must
 // be compact, so the table measures bytes/session and /metrics reports it.
+// A stopped session's record and template go on a free list for the next
+// Start to write in place, so a warm session allocates only its ID.
 //
 // Per-frame inference for one session is serialized by a per-session lock
 // (frames of a stream are causally ordered: each step consumes the
@@ -92,17 +94,17 @@ func (c *TrackConfig) normalize() {
 	laneDefaults(&c.QueueDepth, &c.RequestTimeout)
 }
 
-// session is one tracked object's state between frames: the cached
-// template features and the last box. mu serializes the session's frames;
-// lastNS feeds TTL eviction.
+// session is one tracked object's state between frames: the template
+// features and the last box. mu serializes the session's frames and guards
+// the other fields; lastNS feeds TTL eviction. Stop clears id and recycles
+// the record, unless lent: an abandoned step's forward may still read zf.
 type session struct {
 	id     string
 	mu     sync.Mutex
 	zf     *tensor.Tensor
 	box    detect.Box
-	frames atomic.Int64
+	lent   bool
 	lastNS atomic.Int64
-	bytes  int64
 }
 
 // sessionOverheadBytes estimates the fixed per-session cost beyond the
@@ -126,13 +128,12 @@ type trackReq struct {
 	ticket
 	op       trackOp
 	frame    *tensor.Tensor
-	box      detect.Box // init box (start) or previous box (step)
-	zf       *tensor.Tensor
+	box      detect.Box     // init box (start) or previous box (step)
+	zf       *tensor.Tensor // the template: read by a step, written by a start (and replaced if nil or other-shaped)
 	withMask bool
 
 	// results, owned by the worker
 	outBox  detect.Box
-	outZF   *tensor.Tensor
 	outMask *tensor.Tensor
 }
 
@@ -161,6 +162,7 @@ type TrackService struct {
 
 	mu       sync.RWMutex // guards sessions
 	sessions map[string]*session
+	free     tensor.FreeList[session] // stopped sessions' records
 
 	hist    Histogram
 	nextID  atomic.Int64
@@ -183,6 +185,7 @@ func NewTrackService(tr *track.Tracker, cfg TrackConfig) (*TrackService, error) 
 		cfg:      cfg,
 		tr:       tr,
 		sessions: make(map[string]*session),
+		free:     tensor.FreeList[session]{Alloc: func() *session { return &session{} }},
 	}
 	s.start(1, cfg.QueueDepth, cfg.RequestTimeout, 1, func(_ int, batch []*trackReq) {
 		for _, req := range batch {
@@ -202,9 +205,6 @@ func validateTrackReq(r *trackReq) error {
 	if r.frame == nil || r.frame.Rank() != 3 || r.frame.Dim(0) != 3 {
 		return fmt.Errorf("%w: frame must be a [3,H,W] tensor", ErrBadTrackRequest)
 	}
-	if r.op == opStep && r.zf == nil {
-		return fmt.Errorf("%w: step without template features", ErrBadTrackRequest)
-	}
 	return nil
 }
 
@@ -219,11 +219,11 @@ func (s *TrackService) inferOne(req *trackReq) (err error) {
 	}()
 	switch req.op {
 	case opStart:
-		zf, zerr := s.tr.ExemplarFeaturesFor(req.frame, req.box)
+		zf, zerr := s.tr.ExemplarFeaturesInto(req.zf, req.frame, req.box)
 		if zerr != nil {
 			return fmt.Errorf("%w: %v", ErrBadTrackRequest, zerr)
 		}
-		req.outZF = zf
+		req.zf = zf
 	case opStep:
 		box, mask, serr := s.tr.StepE(req.zf, req.frame, req.box, req.withMask)
 		if serr != nil {
@@ -253,8 +253,9 @@ func (s *TrackService) submit(ctx context.Context, req *trackReq) error {
 }
 
 // Start fixes a template from one frame and its initial box, creating a
-// session. It returns the session ID and the session's measured resident
-// bytes (template tensor + fixed overhead).
+// session on a recycled record whose template the forward writes in place.
+// It returns the session ID and the session's measured resident bytes
+// (template tensor + fixed overhead).
 func (s *TrackService) Start(ctx context.Context, frame *tensor.Tensor, box detect.Box) (string, int64, error) {
 	// Check the bound before paying for a forward; the insert re-checks
 	// under the lock.
@@ -262,38 +263,42 @@ func (s *TrackService) Start(ctx context.Context, frame *tensor.Tensor, box dete
 		s.reject.Add(1)
 		return "", 0, ErrSessionTableFull
 	}
+	sess := s.free.Get()
 	req := trackReqs.Get()
-	req.op, req.frame, req.box = opStart, frame, box
+	req.op, req.frame, req.box, req.zf = opStart, frame, box, sess.zf // no one else writes a record off the list
 	if err := s.submit(ctx, req); err != nil {
+		if reusable(err) {
+			s.free.Put(sess) // else the worker may still write its zf
+		}
 		putTrackReq(req, err) // read nothing of an abandoned record: the worker may still write it
 		return "", 0, err
 	}
-	zf := req.outZF
+	var buf [24]byte // "t-" and any int64: the ID's one allocation is its string
+	id := string(strconv.AppendInt(append(buf[:0], "t-"...), s.nextID.Add(1), 10))
+	size := int64(req.zf.Len()*4) + sessionOverheadBytes
+	sess.mu.Lock()
+	sess.id, sess.zf, sess.box = id, req.zf, box
+	sess.mu.Unlock()
 	putTrackReq(req, nil)
-	var id [24]byte // "t-" and any int64: the ID's one allocation is its string
-	sess := &session{
-		id:    string(strconv.AppendInt(append(id[:0], "t-"...), s.nextID.Add(1), 10)),
-		zf:    zf,
-		box:   box,
-		bytes: int64(zf.Len()*4) + sessionOverheadBytes,
-	}
 	sess.touch()
 
 	// A drain that began while the template forward ran: do not hand out a
 	// session that could never be stepped.
 	if s.isDraining() {
+		s.free.Put(sess)
 		return "", 0, ErrDraining
 	}
 	s.mu.Lock()
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.mu.Unlock()
+		s.free.Put(sess)
 		s.reject.Add(1)
 		return "", 0, ErrSessionTableFull
 	}
-	s.sessions[sess.id] = sess
+	s.sessions[id] = sess
 	s.mu.Unlock()
 	s.started.Add(1)
-	return sess.id, sess.bytes, nil
+	return id, size, nil
 }
 
 // roomForSession reports whether the table can take one more session,
@@ -343,29 +348,41 @@ func (s *TrackService) Step(ctx context.Context, id string, frame *tensor.Tensor
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	if sess.id != id { // stopped, its record recycled, since the lookup
+		return detect.Box{}, nil, ErrNoSession
+	}
 	req := trackReqs.Get()
 	req.op, req.frame, req.box, req.zf, req.withMask = opStep, frame, sess.box, sess.zf, withMask
 	//skynet:nolint lockheld -- blocking under sess.mu is the point: one session's frames are serialized while other sessions proceed; submit is bounded by the request deadline
 	if err := s.submit(ctx, req); err != nil {
+		sess.lent = sess.lent || !reusable(err) // the worker may still read sess.zf
 		putTrackReq(req, err)
 		return detect.Box{}, nil, err
 	}
 	box, mask := req.outBox, req.outMask
 	putTrackReq(req, nil)
 	sess.box = box
-	sess.frames.Add(1)
 	sess.touch()
 	s.stepped.Add(1)
 	return box, mask, nil
 }
 
-// Stop deletes a session, reporting whether it existed.
+// Stop deletes a session, reporting whether it existed, and recycles its
+// record once a step in flight on it has ended.
 func (s *TrackService) Stop(id string) bool {
 	s.mu.Lock()
-	_, ok := s.sessions[id]
+	sess := s.sessions[id]
 	delete(s.sessions, id)
 	s.mu.Unlock()
-	return ok
+	if sess != nil {
+		sess.mu.Lock()
+		sess.id = "" // a Step that looked the session up finds it gone
+		if !sess.lent {
+			s.free.Put(sess)
+		}
+		sess.mu.Unlock()
+	}
+	return sess != nil
 }
 
 // evictExpired removes every session idle past the TTL.
@@ -402,9 +419,6 @@ func (s *TrackService) Drain(ctx context.Context) error { return s.drain(ctx) }
 
 // Close stops the service now: all but the step in flight fail with ErrDraining.
 func (s *TrackService) Close() { s.close() }
-
-// Draining reports whether the service has begun shutting down.
-func (s *TrackService) Draining() bool { return s.isDraining() }
 
 // TrackMetrics is the tracking slice of the /metrics snapshot.
 type TrackMetrics struct {
@@ -447,7 +461,7 @@ func (s *TrackService) Metrics() TrackMetrics {
 	s.mu.RLock()
 	m.Sessions = len(s.sessions)
 	for _, sess := range s.sessions {
-		bytes += sess.bytes
+		bytes += int64(sess.zf.Len()*4) + sessionOverheadBytes
 	}
 	s.mu.RUnlock()
 	if m.Sessions > 0 {
@@ -506,7 +520,7 @@ type TrackStopRequest struct {
 // Handler returns the tracking service's HTTP interface: the /track routes
 // on top of the shared ones.
 func (s *TrackService) Handler() http.Handler {
-	mux := newMux(func() any { return s.Metrics() }, s.Draining)
+	mux := newMux(func() any { return s.Metrics() }, s.isDraining)
 	mux.HandleFunc("POST /track/start", s.handleStart)
 	mux.HandleFunc("POST /track/step", s.handleStep)
 	mux.HandleFunc("POST /track/stop", s.handleStop)

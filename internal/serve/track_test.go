@@ -8,10 +8,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -626,10 +628,9 @@ func TestTrackSessionStepAllocs(t *testing.T) {
 }
 
 // TestTrackSessionStartAllocs pins a warm Start, with the Stop that empties
-// the table again, at four allocations: the session record, its ID string and
-// the template features (header and data). Minting the ID used to box the
-// counter too (fmt.Sprintf), once it passed the 255 the runtime boxes for
-// free: five in all.
+// the table again, at one allocation: the ID string. The session record and
+// its template tensor come off the service's free list, the template forward
+// writing in place; they were three more before they were recycled.
 func TestTrackSessionStartAllocs(t *testing.T) {
 	ctx := context.Background()
 	ts := newTestTrackService(t, testTracker(false), TrackConfig{})
@@ -644,7 +645,147 @@ func TestTrackSessionStartAllocs(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		start()
 	}
-	if got := testing.AllocsPerRun(50, start); got != 4 {
-		t.Fatalf("a warm Start allocates %v times, want 4", got)
+	if got := testing.AllocsPerRun(50, start); got != 1 {
+		t.Fatalf("a warm Start allocates %v times, want 1", got)
+	}
+}
+
+// TestTrackSessionRecyclingNeverCrossesSessions churns sessions on one
+// service: each is stepped by several goroutines at once and stopped while
+// they step, and its owner starts the next session at once, most likely on
+// the record just stopped. A session steps one frame again and again, so its
+// steps, in the order they take its lock, are the offline trajectory from its
+// template: every Step must return ErrNoSession or a box of that trajectory,
+// and the boxes a session returned must be the trajectory's first m, each
+// once. A Step that went on with a record after its session was stopped would
+// step whichever session the record went to next.
+func TestTrackSessionRecyclingNeverCrossesSessions(t *testing.T) {
+	const templates, owners, rounds, steppers, steps = 4, 4, 48, 4, 3
+	tr := testTracker(false)
+	seqs := testTrackSequences(templates, 2)
+	want := make([][]detect.Box, templates)
+	for j, seq := range seqs {
+		zf, err := tr.ExemplarFeaturesFor(seq.Frames[0], seq.Boxes[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, box := 0, seq.Boxes[0]; k < steppers*steps; k++ {
+			if box, err = tr.StepBoxE(zf, seq.Frames[1], box); err != nil {
+				t.Fatal(err)
+			}
+			want[j] = append(want[j], box)
+		}
+	}
+	ts := newTestTrackService(t, tr, TrackConfig{QueueDepth: 256, RequestTimeout: 2 * time.Minute})
+	ctx := context.Background()
+	type run struct {
+		j     int
+		boxes chan detect.Box // every box a Step of the session returned
+	}
+	runs := make(chan run, owners*rounds)
+	var steppersWG, ownersWG sync.WaitGroup
+	for g := 0; g < owners; g++ {
+		ownersWG.Add(1)
+		go func() {
+			defer ownersWG.Done()
+			for r := 0; r < rounds; r++ {
+				j := (g + r) % templates
+				seq := seqs[j]
+				id, _, err := ts.Start(ctx, seq.Frames[0], seq.Boxes[0])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ru := run{j: j, boxes: make(chan detect.Box, steppers*steps)}
+				runs <- ru
+				for i := 0; i < steppers; i++ {
+					steppersWG.Add(1)
+					go func() {
+						defer steppersWG.Done()
+						for k := 0; k < steps; k++ {
+							box, _, err := ts.Step(ctx, id, seq.Frames[1], false)
+							if errors.Is(err, ErrNoSession) {
+								return
+							}
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							ru.boxes <- box
+						}
+					}()
+				}
+				// Stop a moment after the steppers began, or once the session
+				// has stepped a few times: which Steps go stale differs with
+				// GOMAXPROCS, and each half of the rounds catches them at some.
+				if r < rounds/2 {
+					time.Sleep(time.Duration(r%3) * time.Millisecond)
+				}
+				for r >= rounds/2 && len(ru.boxes) <= r%steppers && !t.Failed() {
+					runtime.Gosched()
+				}
+				if !ts.Stop(id) {
+					t.Errorf("Stop(%s) found no session", id)
+				}
+			}
+		}()
+	}
+	ownersWG.Wait()
+	steppersWG.Wait()
+	close(runs)
+	for ru := range runs {
+		close(ru.boxes)
+		got := map[detect.Box]int{}
+		m := 0
+		for box := range ru.boxes {
+			got[box]++
+			m++
+		}
+		for _, box := range want[ru.j][:m] {
+			got[box]--
+		}
+		for box, n := range got {
+			if n != 0 {
+				t.Fatalf("a session of template %d returned %d boxes, and box %+v %+d times against its first %d offline steps", ru.j, m, box, n, m)
+			}
+		}
+	}
+}
+
+// TestTrackSessionAbandonedRecordsStayOffTheList: a record that a Start or a
+// Step abandoned by a context error lent to the lane may still be written or
+// read by its forward, so neither that Start nor the session's Stop puts it on
+// the free list; a record no abandoned forward touched goes back.
+func TestTrackSessionAbandonedRecordsStayOffTheList(t *testing.T) {
+	ctx := context.Background()
+	gone, cancel := context.WithCancel(ctx)
+	cancel()
+	ts := newTestTrackService(t, testTracker(false), TrackConfig{})
+	seq := testTrackSequences(1, 2)[0]
+	if _, _, err := ts.Start(gone, seq.Frames[0], seq.Boxes[0]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Start on a cancelled context: %v", err)
+	}
+	if n := ts.free.Len(); n != 0 {
+		t.Fatalf("an abandoned Start left %d records on the free list, want 0", n)
+	}
+	id, _, err := ts.Start(ctx, seq.Frames[0], seq.Boxes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ts.Step(gone, id, seq.Frames[1], false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Step on a cancelled context: %v", err)
+	}
+	if !ts.Stop(id) {
+		t.Fatal("the session did not outlive its abandoned Step")
+	}
+	if n := ts.free.Len(); n != 0 {
+		t.Fatalf("stopping a session with an abandoned Step left %d records on the free list, want 0", n)
+	}
+	if id, _, err = ts.Start(ctx, seq.Frames[0], seq.Boxes[0]); err != nil {
+		t.Fatal(err)
+	}
+	ts.Stop(id)
+	if n := ts.free.Len(); n != 1 {
+		t.Fatalf("a plain Start and Stop left %d records on the free list, want 1", n)
 	}
 }

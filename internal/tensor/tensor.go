@@ -99,10 +99,16 @@ func (t *Tensor) Len() int { return len(t.Data) }
 func (t *Tensor) SameShape(u *Tensor) bool { return slices.Equal(t.shape, u.shape) }
 
 // Clone returns a deep copy of t.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
-	copy(c.Data, t.Data)
-	return c
+func (t *Tensor) Clone() *Tensor { return t.CloneInto(nil) }
+
+// CloneInto copies t into dst and returns it, replacing a nil or other-shaped
+// dst by a new tensor.
+func (t *Tensor) CloneInto(dst *Tensor) *Tensor {
+	if dst == nil || !dst.SameShape(t) {
+		dst = New(t.shape...)
+	}
+	copy(dst.Data, t.Data)
+	return dst
 }
 
 // Reshape returns a view of t's data with a new shape of equal element

@@ -218,13 +218,18 @@ func (t *Tracker) Evaluate(seqs []dataset.Sequence) (EvalResult, error) {
 	return res, nil
 }
 
-// ExemplarFeaturesFor fixes a template from one frame and its box — the
-// session-start entry point of the tracking service. The crop and forward
-// run in a step workspace; the returned tensor is a copy of its features
-// that owns its data and stays valid across later forwards, and is all the
-// call allocates. A frame that drives the features to non-finite
-// values is an error, as are malformed inputs.
+// ExemplarFeaturesFor is ExemplarFeaturesInto a new tensor: the template it
+// returns, which stays valid across later forwards, is all the call allocates.
 func (t *Tracker) ExemplarFeaturesFor(frame *tensor.Tensor, box detect.Box) (*tensor.Tensor, error) {
+	return t.ExemplarFeaturesInto(nil, frame, box)
+}
+
+// ExemplarFeaturesInto fixes a template from one frame and its box — the
+// session-start entry point of the tracking service — and writes it into dst,
+// only once the crop and forward (in a step workspace) succeeded, replacing a
+// nil or other-shaped dst. A frame that drives the features to non-finite
+// values is an error, as are malformed inputs.
+func (t *Tracker) ExemplarFeaturesInto(dst, frame *tensor.Tensor, box detect.Box) (*tensor.Tensor, error) {
 	if err := checkFrame(frame); err != nil {
 		return nil, err
 	}
@@ -241,7 +246,7 @@ func (t *Tracker) ExemplarFeaturesFor(frame *tensor.Tensor, box detect.Box) (*te
 	if !finite(w.z.feat.Data) {
 		return nil, fmt.Errorf("track: the frame drove the template features to non-finite values")
 	}
-	return w.z.feat.Clone(), nil
+	return w.z.feat.CloneInto(dst), nil
 }
 
 func clampF(v, lo, hi float32) float32 {

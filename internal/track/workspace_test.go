@@ -99,9 +99,11 @@ func requireSameTensor(t *testing.T, what string, got, want *tensor.Tensor) {
 }
 
 // TestTrackStepSteadyStateAllocs is the workspace's contract: once a tracker
-// has stepped at a geometry, StepBoxE allocates nothing and
-// ExemplarFeaturesFor only the template it returns — at 32/64 and 64/128
-// crops, and when consecutive frames differ in size (the crops do not).
+// has stepped at a geometry, StepBoxE allocates nothing,
+// ExemplarFeaturesFor only the template it returns, and ExemplarFeaturesInto
+// a lent template of the right shape nothing, writing ExemplarFeaturesFor's
+// values — at 32/64 and 64/128 crops, and when consecutive frames differ in
+// size (the crops do not).
 func TestTrackStepSteadyStateAllocs(t *testing.T) {
 	for _, g := range []struct{ exemplar, search int }{{32, 64}, {64, 128}} {
 		t.Run(fmt.Sprintf("%d-%d", g.exemplar, g.search), func(t *testing.T) {
@@ -137,6 +139,19 @@ func TestTrackStepSteadyStateAllocs(t *testing.T) {
 			}); n != want {
 				t.Fatalf("ExemplarFeaturesFor on a warm tracker: %v allocations, want the template's %v", n, want)
 			}
+			if n := testing.AllocsPerRun(20, func() {
+				if _, err := tr.ExemplarFeaturesInto(zf, frames[i%2], box); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}); n != 0 {
+				t.Fatalf("ExemplarFeaturesInto a lent template on a warm tracker: %v allocations, want 0", n)
+			}
+			fresh, err := tr.ExemplarFeaturesFor(frames[(i-1)%2], box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameTensor(t, "the template written in place", zf, fresh)
 		})
 	}
 }
