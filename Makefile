@@ -10,7 +10,7 @@ GO ?= go
 COVER_FLOOR ?= 60
 COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/nn:85 ./internal/pipeline:90 ./internal/detect:$(COVER_FLOOR) ./internal/quant:80 ./internal/track:85 ./internal/fpga:95 ./internal/bundle:90 ./internal/backbone:93 ./internal/modelspec:92 ./internal/core:94
 
-.PHONY: all build binaries vet lint loc test short race purego arm64 bench bench-smoke bench-quant cover experiments-check check ci
+.PHONY: all build binaries vet lint loc loc-check test short race purego arm64 bench bench-smoke bench-quant cover experiments-check check ci
 
 all: ci
 
@@ -86,12 +86,22 @@ lint:
 # //skynet:nolint waiver count (the directive followed by a checker name) —
 # the count TestWaiverCountWithinCeiling (internal/analysis) pins, by the
 # same rule.
+NONTEST_GO_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@for d in internal/*/; do \
 		printf '%-24s %6d\n' "$$d" "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"; \
 	done
-	@printf '%-24s %6d\n' "non-test Go outside bench/" "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@printf '%-24s %6d\n' "non-test Go outside bench/" "$$($(NONTEST_GO_LINES))"
 	@printf '%-24s %6d\n' "nolint waivers" "$$(grep -rnE '//skynet:nolint [a-z]' --include='*.go' internal cmd examples *.go | grep -v testdata | grep -v internal/analysis/ | wc -l)"
+
+# loc-check gates two of ROADMAP's ground rules, as loc counts them: the
+# non-test Go outside bench/ stays under the north star's 23 000 lines, and
+# DESIGN.md within 1 270.
+loc-check:
+	@go=$$($(NONTEST_GO_LINES)); design=$$(wc -l <DESIGN.md); \
+	echo "non-test Go outside bench/: $$go lines (< 23000); DESIGN.md: $$design lines (<= 1270)"; \
+	[ "$$go" -lt 23000 ] || { echo "non-test Go outside bench/ has reached 23000 lines"; exit 1; }; \
+	[ "$$design" -le 1270 ] || { echo "DESIGN.md is over 1270 lines"; exit 1; }
 
 # -shuffle=on randomizes test (and subtest-sibling) execution order each
 # run, so inter-test state dependencies surface in CI instead of in prod.
@@ -118,9 +128,11 @@ short:
 # The Bundle-step, Concat-alias and layout tests ride along: what a lane
 # writes where is theirs to hold. So do the stale-weights and whole-band
 # depth-wise tests: every band worker reads the convolutions' packed panels,
-# which a forward writes before its lanes start. So do the calibration tests: the band
-# workers of a split Bundle step feed the same running maxima at once, and how
-# many there are depends on the worker count. The serving lane and pool tests
+# which a forward writes before its lanes start; an observed forward drops
+# them, and each band worker packs its own blocks (ObservedRun). So do the
+# calibration tests and the pinned clips and scales: the band workers of a
+# split Bundle step feed the same running maxima at once, and how many there
+# are depends on the worker count. The serving lane and pool tests
 # get the same three runs: N inference workers share one queue, and how they
 # interleave on it — through a drain, a close and a swap, whose queued
 # requests run on the new model — depends on how many run at once. So do the tracking service's session tests: every session's
@@ -161,7 +173,7 @@ short:
 # service's tests get the three runs at their -short budget: how concurrent
 # submits, the queue's runner and Close, which hands the running job its stop
 # at the next checkpoint, interleave depends on how many run at once.
-LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch|ConcurrentForwards|FallbackUnitsRunOnLanes
+LANE_TESTS = Lanes|BatchInvariance|ArenaLiveness|ArenaBounded|ObservedRun|SteadyStateAllocs|PlanMatchesLayerWalk|PlanBaselines|Deterministic|BundleStep|LayoutPacks|Calibration|ActivationScalesPinned|StaleWeights|DWBand|PlanCache|ObservedRunOrderPinned|RewritingObserver|EmulatedBatch|ConcurrentForwards|FallbackUnitsRunOnLanes
 SERVE_LANE_TESTS = Lane|PoolIdleWorker|PoolSheds|PoolSwapUnderLiveLoad|GoroutineCensus|Track.*Session|NonFinite|OneModelPerGeneration|PoolSwapLeaves|CountersSurviveASwap
 STREAM_TESTS = Executor|Stream|InferBatch|Preprocess|Postprocess
 LAYER_WALK_TESTS = ParallelMatchesSerial|ParallelBackward|GradientsParallel|TrainingDeterministicAcrossWorkers|ConcurrentStepsOnOneTracker|BackwardAfterInference
@@ -247,10 +259,10 @@ experiments-check:
 	$(GO) test -tags experimentscheck -run TestRecordMatchesCode -count=1 -timeout 30m ./internal/experiments
 
 # ci is the single verification entry point: everything must pass before a
-# commit lands. cover enforces the per-package floors above; bench-smoke
+# commit lands. loc-check holds the size ground rules; cover enforces the per-package floors above; bench-smoke
 # keeps the benchmark module building and passing against this tree;
 # experiments-check, the longest step, keeps the paper's record current.
-ci: vet lint test race purego arm64 build binaries cover bench-smoke experiments-check
+ci: vet lint loc-check test race purego arm64 build binaries cover bench-smoke experiments-check
 
 # check is kept as an alias for ci (the historical name).
 check: ci

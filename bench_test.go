@@ -428,7 +428,9 @@ func BenchmarkInt8Forward(b *testing.B) {
 // BenchmarkExport measures lowering the deployed model on the benchmark's
 // calibration set, two batches of four 160×320 frames: what a server start,
 // an /admin/swap {"quantize":true} and every measured-fitness evaluation of
-// the search pay. B/op stays far below one sample's feature maps (82 MB).
+// the search pay. B/op stays far below one sample's feature maps (82 MB),
+// and holds no float weight panels: calibration's forwards are observed, and
+// an observed forward hands the GEMM its weights unpacked.
 func BenchmarkExport(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := backbone.SkyNetC(rng, backbone.DefaultConfig())

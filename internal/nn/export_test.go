@@ -102,3 +102,15 @@ func (g *Graph) Walk(x *tensor.Tensor, visit func(i int, out *tensor.Tensor)) *t
 	}
 	return outs[g.output()]
 }
+
+// PackedNodes returns how many nodes of c's plans hold packed weights.
+func PackedNodes(c *PlanCache) (n int) {
+	for _, p := range c.plans {
+		for _, pn := range p.nodes {
+			if pn.packed != nil {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"skynet/internal/nn"
+	"skynet/internal/tensor"
 )
 
 // TestStaleWeightsNeverReachAForward: a plan packs its convolutions' weights
@@ -15,7 +19,10 @@ import (
 // batch norm between two forwards of the same plan — no recompile, the
 // panels already made — computes the second with the new ones: bit for bit
 // what a fresh graph holding the same parameters computes, under every
-// kernel, on one lane and on several, and in bands cut small.
+// kernel, on one lane and on several, and in bands cut small. An observed
+// forward packs nothing: after an unobserved forward on a cache and another
+// change of the weights, it shows the maps and computes the output a fresh
+// cache's observed forward does, not those of the panels left behind.
 func TestStaleWeightsNeverReachAForward(t *testing.T) {
 	nn.SetBandBudget(t, 16<<10)
 	withKernels(t, func(kernel string) {
@@ -50,8 +57,64 @@ func TestStaleWeightsNeverReachAForward(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameBits(t, fmt.Sprintf("%s, batch %d: the second forward of one plan", kernel, n), after, fresh.Forward(x, false))
+
+			c := nn.NewPlanCache(g, nil)
+			c.For(x.Shape()).Run(x, nil)
+			pw.Weight.W.RandNormal(rng, 0, 0.5)
+			got, gotMaps := observedRun(c, x)
+			want, wantMaps := observedRun(nn.NewPlanCache(g, nil), x)
+			requireSameBits(t, fmt.Sprintf("%s, batch %d: an observed forward after an unobserved one", kernel, n), got, want)
+			if !reflect.DeepEqual(gotMaps, wantMaps) {
+				t.Fatalf("%s, batch %d: an observed forward after an unobserved one showed other maps than a fresh cache's", kernel, n)
+			}
 		}
 	})
+}
+
+// observedRun runs x on c's plan under an observer and returns the output and,
+// node by node, the pieces of maps it was shown as bytes, sorted: what the
+// maps held, whichever band worker showed which piece when.
+func observedRun(c *nn.PlanCache, x *tensor.Tensor) (*tensor.Tensor, map[int][]string) {
+	var mu sync.Mutex
+	maps := map[int][]string{}
+	out := c.For(x.Shape()).Run(x, func(node int, data []float32) {
+		piece := string(floatBytes(tensor.FromSlice(data, len(data))))
+		mu.Lock()
+		maps[node] = append(maps[node], piece)
+		mu.Unlock()
+	})
+	for _, pieces := range maps {
+		slices.Sort(pieces)
+	}
+	return out, maps
+}
+
+// TestObservedRunPacksNoPanels: an observed forward — calibration's and
+// Emulate's — hands the GEMM its weights unpacked. After one at batch 1 and
+// at batch 3 no plan node holds packed panels; one after an unobserved
+// forward on the same cache drops those that forward packed. Its output is
+// bitwise the unobserved forward's.
+func TestObservedRunPacksNoPanels(t *testing.T) {
+	nn.SetBandBudget(t, 16<<10)
+	g, rng := skyNetC(0.25, 49)
+	seen := func(int, []float32) {}
+	for _, n := range []int{1, 3} {
+		x := randBatch(rng, n, 3, 32, 64)
+		c := nn.NewPlanCache(g, nil)
+		p := c.For(x.Shape())
+		observed := p.Run(x, seen)
+		if k := nn.PackedNodes(c); k != 0 {
+			t.Fatalf("batch %d: an observed forward left packed weights on %d nodes", n, k)
+		}
+		requireSameBits(t, fmt.Sprintf("batch %d: an observed forward", n), observed, p.Run(x, nil))
+		if nn.PackedNodes(c) == 0 {
+			t.Fatalf("batch %d: an unobserved forward packed no weights", n)
+		}
+		p.Run(x, seen)
+		if k := nn.PackedNodes(c); k != 0 {
+			t.Fatalf("batch %d: an observed forward after an unobserved one left packed weights on %d nodes", n, k)
+		}
+	}
 }
 
 // TestDWBandSweep holds a band of a 3×3 stride-1 depth-wise plane — its rows

@@ -14,7 +14,7 @@ import (
 // plan too: internal/quant keeps a PlanCache under a mask of nodes that stay units
 // of their own, calibrates by running its plan in float under an observer
 // (Run), and executes the same Steps with integer arithmetic on a []int8
-// arena at the same offsets.
+// arena at the same offsets. An observed forward reads its weights unpacked.
 //
 // The plan holds structure only — shapes, which BatchNorm and ReLU nodes
 // fold into which convolution's GEMM store, and where in an executor's arena
@@ -162,7 +162,8 @@ type planNode struct {
 	chain ConvChain // Conv2D: what its GEMM store applies when fusing
 	inv   []float32 // Conv2D with a chain BN: per-channel 1/sqrt(var+eps), refilled as every forward begins
 	// packed is a Conv2D's weights in the GEMM's panels (tensor.PackA), made by
-	// the plan's first forward and refilled as every forward begins.
+	// the plan's first unobserved forward and refilled as every one begins; an
+	// observed forward drops it.
 	packed []float32
 
 	// What Compile decides, node by node, before it lists the steps.
@@ -259,17 +260,10 @@ func (c *PlanCache) Graph() *Graph { return c.g }
 // Len returns how many plans the cache holds.
 func (c *PlanCache) Len() int { return len(c.plans) }
 
-// Release drops what float forwards have left behind — the cache's arena,
-// lanes and band buffers, and its plans' packed weights —, for the next float
-// forward to make again.
-func (c *PlanCache) Release() {
-	c.arena, c.lanes = nil, nil
-	for _, p := range c.plans {
-		for i := range p.nodes {
-			p.nodes[i].packed = nil
-		}
-	}
-}
+// Release drops the cache's arena, lanes and band buffers, for the next float
+// forward to make again. (An observed forward, calibration's, leaves no
+// packed weights; an unobserved one's stay with its plans.)
+func (c *PlanCache) Release() { c.arena, c.lanes = nil, nil }
 
 // describes reports whether p was compiled from g's current node list.
 func (p *Plan) describes(g *Graph) bool {
@@ -607,15 +601,16 @@ type lane struct {
 }
 
 // prepare readies p and its cache for a forward on the given number of lanes,
-// before the lanes start and only read them: every step loaded (Load), the
-// arena, one region per lane, and the lanes with their im2col scratch and
-// every worker's band buffer. All only grow, never with the batch, so a
-// forward once they fit allocates nothing.
+// before the lanes start and only read them: every step loaded (load, with
+// its panels packed when pack is set), the arena, one region per lane, and
+// the lanes with their im2col scratch and every worker's band buffer. All
+// only grow, never with the batch, so a forward once they fit allocates
+// nothing.
 //
 //skynet:hotpath
-func (p *Plan) prepare(lanes int) {
+func (p *Plan) prepare(lanes int, pack bool) {
 	for i := range p.steps {
-		p.Load(&p.steps[i])
+		p.load(&p.steps[i], pack)
 	}
 	c := p.c
 	if need := p.perSample * lanes; len(c.arena) < need {
@@ -693,7 +688,9 @@ func (p *Plan) batch(n int) []int {
 // so an observer must be safe for concurrent use and must not depend on the
 // order of what it is shown within a step. Under a mask marking every node,
 // each map is shown whole, once, before any step reads it, and the observer
-// may rewrite it (quant.Emulate). Graph.Forward(x, false) is Run with none.
+// may rewrite it (quant.Emulate). An observed forward packs no weights: its
+// GEMMs pack them block by block in their scratch, to the same bits.
+// Graph.Forward(x, false) is Run with none.
 //
 //skynet:hotpath
 func (p *Plan) RunInto(dst, x *tensor.Tensor, observe func(node int, data []float32)) {
@@ -715,7 +712,7 @@ func (p *Plan) run(outs [][]float32, x *tensor.Tensor, observe func(node int, da
 	if observe == nil {
 		lanes = LanesFor(n)
 	}
-	p.prepare(lanes)
+	p.prepare(lanes, observe == nil) // an observed forward packs no weights
 	c.p, c.x, c.outs, c.observe = p, x.Data, outs, observe
 	RunLanes(c, n, lanes)
 	for _, l := range c.lanes[:lanes] {
@@ -867,23 +864,33 @@ func (p *Plan) ColLen(s *Step) int {
 // RunStep loads s first, while no RunStep of p runs.
 //
 //skynet:hotpath
-func (p *Plan) Load(s *Step) {
+func (p *Plan) Load(s *Step) { p.load(s, true) }
+
+// load is Load, packing the panels when pack is set and else dropping any
+// an earlier forward left, so that no stale panel is read.
+//
+//skynet:hotpath
+func (p *Plan) load(s *Step, pack bool) {
 	if b := s.Band; b != nil {
-		p.nodes[b.Conv].fill()
+		p.nodes[b.Conv].fill(pack)
 	} else if _, ok := p.nodes[s.Node].layer.(*Conv2D); ok {
-		p.nodes[s.Node].fill()
+		p.nodes[s.Node].fill(pack)
 	}
 }
 
 // fill refreshes a conv node's inv from its chain's batch norm and its packed
-// panels from its weights.
+// panels from its weights, or drops them when pack is unset.
 //
 //skynet:hotpath
-func (pn *planNode) fill() {
+func (pn *planNode) fill(pack bool) {
 	if bn := pn.chain.BN; bn != nil {
 		for c := range pn.inv {
 			pn.inv[c] = bn.evalInv(c)
 		}
+	}
+	if !pack {
+		pn.packed = nil
+		return
 	}
 	c := pn.layer.(*Conv2D)
 	if pn.packed == nil {

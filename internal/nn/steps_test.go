@@ -38,7 +38,7 @@ func StepTimes(g *Graph, x *tensor.Tensor) (names []string, times []time.Duratio
 	p, n := c.For(x.Shape()), x.Dim(0)
 	out := tensor.New(p.batch(n)...)
 	lanes := LanesFor(n)
-	p.prepare(lanes)
+	p.prepare(lanes, true)
 	c.p, c.x, c.outs = p, x.Data, SampleRows(c.outs, out.Data, n)
 	timer := &stepTimer{c: c, spent: make([][]time.Duration, lanes)}
 	for i := range timer.spent {

@@ -154,8 +154,8 @@ type JobResult struct {
 // job is the service's record of one search.
 type job struct {
 	spec JobSpec
-	eval *EngineEvaluator
-	ck   *Checkpoint // where a queued job resumes from; nil starts it afresh
+	eval *EngineEvaluator // nil once the job has run, as is ck
+	ck   *Checkpoint      // where a queued job resumes from; nil starts it afresh
 
 	mu     sync.Mutex
 	status JobStatus
@@ -322,12 +322,13 @@ func (s *Service) status(jb *job) JobStatus {
 }
 
 // run searches the job's spec with eval — the job's own evaluator, or one
-// wrapping it — and records the outcome on the job.
+// wrapping it — and records the outcome on the job, which then keeps no
+// evaluator (its datasets and accuracy cache) and no checkpoint.
 func (s *Service) run(jb *job, eval Evaluator, ck *Checkpoint) {
-	cfg := jb.spec.Config
+	cfg, own := jb.spec.Config, jb.eval
 	cfg.EvalObserver = func(d time.Duration) { s.evalHist.Observe(d) }
 	cfg.Progress = func(itr int, best Particle) {
-		hits, misses := jb.eval.CacheStats()
+		hits, misses := own.CacheStats()
 		jb.mu.Lock()
 		jb.status.State = "running"
 		jb.status.IterationsDone = itr + 1
@@ -342,9 +343,10 @@ func (s *Service) run(jb *job, eval Evaluator, ck *Checkpoint) {
 		}
 		return errClosed
 	})
-	hits, misses := jb.eval.CacheStats()
+	hits, misses := own.CacheStats()
 	jb.mu.Lock()
 	defer jb.mu.Unlock()
+	jb.eval, jb.ck = nil, nil
 	jb.status.CacheHits, jb.status.CacheMisses = hits, misses
 	if err != nil {
 		jb.status.State = "failed"
@@ -358,12 +360,12 @@ func (s *Service) run(jb *job, eval Evaluator, ck *Checkpoint) {
 		ID:      jb.status.ID,
 		Best:    res.Best,
 		History: res.History,
-		Factors: jb.eval.Factors,
+		Factors: own.Factors,
 		// The operating point couples the winner's FPGA estimate with the
 		// int8 accuracy it was actually selected on — not a re-measurement
 		// at the final epoch budget, which could differ if the best
 		// surfaced in an earlier iteration.
-		Op:        jb.eval.priceOf(res.Best.Net).Report.WithAccuracy(res.Best.QuantAcc),
+		Op:        own.priceOf(res.Best.Net).Report.WithAccuracy(res.Best.QuantAcc),
 		CacheHits: hits, CacheMisses: misses,
 	}
 }

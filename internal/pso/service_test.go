@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -599,7 +600,9 @@ func TestServiceRetriesFailedJob(t *testing.T) {
 // with nothing left writing the checkpoint, and refuses submissions, the HTTP
 // door with 503. Resubmitted to a new service over the same directory, the
 // job resumes and ends on the history and best of an uninterrupted run, bit
-// for bit.
+// for bit. The job's first evaluation waits on its evaluator's cache lock,
+// which the test holds from before the job starts until Close has begun: a
+// search of a few milliseconds could otherwise end before the Close.
 func TestServiceCloseStopsAtACheckpoint(t *testing.T) {
 	spec := testJobSpec()
 	spec.Groups, spec.PerGroup, spec.Iterations = 1, 2, 12
@@ -616,16 +619,34 @@ func TestServiceCloseStopsAtACheckpoint(t *testing.T) {
 	svc := NewService(dir)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
+	busy := func(b bool) { // while set, Submit queues and starts no runner
+		svc.mu.Lock()
+		svc.running = b
+		svc.mu.Unlock()
+	}
+	busy(true)
+	if _, err := svc.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.Lock()
+	eval := svc.jobs[id].eval
+	svc.mu.Unlock()
+	eval.mu.Lock()
+	busy(false)
 	queued := spec
 	queued.Seed++
-	for _, sp := range []JobSpec{spec, queued} {
-		if _, err := svc.Submit(sp); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := svc.Submit(queued); err != nil { // starts the runner, which starts the first job
+		t.Fatal(err)
 	}
-	for st, _ := svc.Status(id); st.IterationsDone == 0; st, _ = svc.Status(id) {
+	for st, _ := svc.Status(id); st.State != "running"; st, _ = svc.Status(id) {
 		time.Sleep(time.Millisecond)
 	}
+	go func() {
+		for !svc.closed.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		eval.mu.Unlock()
+	}()
 	svc.Close()
 	st, _ := svc.Status(id)
 	if st.State != "failed" || !strings.Contains(st.Error, errClosed.Error()) || st.IterationsDone == spec.Iterations {
@@ -666,6 +687,98 @@ func TestServiceCloseStopsAtACheckpoint(t *testing.T) {
 	if !ok || !slices.EqualFunc(res.History, ref.History, same) || !same(res.Best.Fit, ref.Best.Fit) || res.Best.Net.String() != ref.Best.Net.String() {
 		t.Fatalf("resumed job's history %v and best %v, uninterrupted %v and %v", res.History, res.Best.Net, ref.History, ref.Best.Net)
 	}
+}
+
+// TestServiceFinishedJobKeepsOnlyItsResult: once a job has run, its record
+// lets go of its evaluator — the datasets, the accuracy cache — and of the
+// checkpoint it resumed from, done or failed. Status, Result and GET /metrics
+// still answer what the evaluator measured: the history, best, operating
+// point and cache counts of the same search run alone, bit for bit.
+func TestServiceFinishedJobKeepsOnlyItsResult(t *testing.T) {
+	spec := testJobSpec()
+	spec.Groups, spec.PerGroup, spec.Iterations = 1, 2, 3
+	spec.W, spec.H, spec.TrainN, spec.ValN = 4, 4, 2, 1
+	spec.Seed = 47
+	spec.normalize()
+	id, eval := spec.ID(), spec.NewEvaluator()
+	ref, err := SearchFrom(spec.Config, eval, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := eval.CacheStats()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	kept := func(svc *Service, id string) {
+		t.Helper()
+		svc.mu.Lock()
+		jb := svc.jobs[id]
+		svc.mu.Unlock()
+		jb.mu.Lock()
+		defer jb.mu.Unlock()
+		if jb.eval != nil || jb.ck != nil {
+			t.Fatalf("job %s, %s: its record keeps its evaluator (%v) or checkpoint (%v)", id, jb.status.State, jb.eval != nil, jb.ck != nil)
+		}
+	}
+
+	// A checkpoint after the first iteration, which the job resumes from.
+	dir := t.TempDir()
+	resumed := NewService(dir)
+	t.Cleanup(resumed.Close)
+	stop := errors.New("stop")
+	if _, err := SearchFrom(spec.Config, spec.NewEvaluator(), nil, func(ck Checkpoint) error {
+		if err := ck.Save(resumed.CheckpointPath(id)); err != nil {
+			return err
+		}
+		return stop
+	}); !errors.Is(err, stop) {
+		t.Fatal(err)
+	}
+	if st, err := resumed.Submit(spec); err != nil || !st.Resumed {
+		t.Fatalf("submitted over a checkpoint: %+v, %v; want it resumed", st, err)
+	}
+	resumed.Wait(id)
+	kept(resumed, id)
+	if res, ok := resumed.Result(id); !ok || !slices.EqualFunc(res.History, ref.History, same) {
+		t.Fatalf("resumed job's result %+v, want the history %v", res, ref.History)
+	}
+
+	svc := NewService(t.TempDir())
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	if _, err := svc.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	svc.Wait(id)
+	kept(svc, id)
+	st, _ := svc.Status(id)
+	want := JobStatus{ID: id, State: "done", IterationsDone: spec.Iterations, IterationsTotal: spec.Iterations, BestFit: ref.Best.Fit, CacheHits: hits, CacheMisses: misses}
+	if st != want || !same(st.BestFit, want.BestFit) {
+		t.Fatalf("status %+v, want %+v", st, want)
+	}
+	res, ok := svc.Result(id)
+	op := eval.priceOf(ref.Best.Net).Report.WithAccuracy(ref.Best.QuantAcc)
+	if !ok || !slices.EqualFunc(res.History, ref.History, same) || !same(res.Best.Fit, ref.Best.Fit) || res.Best.Net.String() != ref.Best.Net.String() ||
+		res.Factors != eval.Factors || !reflect.DeepEqual(res.Op, op) || res.CacheHits != hits || res.CacheMisses != misses {
+		t.Fatalf("result %+v, want the history %v, best %v, factors %+v, operating point %+v and cache counts %d/%d of the search run alone",
+			res, ref.History, ref.Best, eval.Factors, op, hits, misses)
+	}
+	var m ServiceMetrics
+	getJSON(t, ts.URL+"/metrics", &m)
+	if !reflect.DeepEqual(m.Jobs, map[string]int{"done": 1}) || m.CacheHits != hits || m.CacheMisses != misses {
+		t.Fatalf("/metrics %+v, want one job done and cache counts %d/%d", m, hits, misses)
+	}
+
+	// A job that fails — its checkpoint directory is not there — lets go too.
+	failing := NewService(filepath.Join(t.TempDir(), "missing"))
+	t.Cleanup(failing.Close)
+	if _, err := failing.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	failing.Wait(id)
+	if st, _ := failing.Status(id); st.State != "failed" {
+		t.Fatalf("job without its checkpoint directory: %+v, want failed", st)
+	}
+	kept(failing, id)
 }
 
 // TestServiceSurvivesPanickingEvaluator: a job whose evaluator panics on some

@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"skynet/internal/nn"
@@ -45,9 +46,10 @@ type ActivationClips struct {
 // grid because the next layer's GEMM consumes them whole; each weight
 // channel's scale folds into its requantize multiplier.
 //
-// It observes the plans the cache holds or compiles (nn.Plan.Run, one lane) —
-// in Export, the ones the engine then runs; in Emulate, plans under a mask
-// marking every node —: no hook, no feature map allocated. The Bundle steps
+// It observes the plans the cache holds or compiles (nn.Plan.RunInto, one lane,
+// into one output tensor while the batches' shapes repeat) — in Export, the
+// ones the engine then runs; in Emulate, plans under a mask marking every
+// node —: no hook, no feature map allocated, no weight packed. The Bundle steps
 // feed the depth-wise and pre-pool maps to the running maxima band by band,
 // never whole; a maximum does not depend on the pieces or their order, so the
 // clips are those of the batched layer walk, which the plan equals bit for
@@ -71,9 +73,14 @@ func CalibrateActivations(plans *nn.PlanCache, batches []*tensor.Tensor) (Activa
 			obs[i].observe(data)
 		}
 	}
+	var y *tensor.Tensor // the graph output, written batch after batch
 	for _, b := range batches {
 		inObs.observe(b.Data)
-		plans.For(b.Shape()).Run(b, observe)
+		p := plans.For(b.Shape())
+		if want := p.OutShape(b.Dim(0)); y == nil || !slices.Equal(y.Shape(), want) {
+			y = tensor.New(want...)
+		}
+		p.RunInto(y, b, observe)
 	}
 	for c, inputs := range laid { // in node order: an input precedes its Concat
 		for _, j := range inputs {

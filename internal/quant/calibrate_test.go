@@ -263,46 +263,65 @@ func TestSkyNetCBitwiseUnderEveryKernel(t *testing.T) {
 	}
 }
 
-// TestActivationScalesPinned pins every int8 activation scale Export takes
-// from CalibrateActivations' clips, bit for bit, for SkyNet A/B/C (width 0.25
-// over two sample shapes, and SkyNet C at width 1 on 160×320 frames, whose
-// Concat is laid out beside Bundles cut into several bands) and mixedGraph:
-// the laid Concat's max-abs, taken from its inputs' instead of scanned, reads
-// what the scan read.
+// TestActivationScalesPinned pins the clips CalibrateActivations measures,
+// every bit of the input's and of each node's, and every int8 activation
+// scale Export takes from them, for SkyNet A/B/C at width 0.25 over two sample
+// shapes and on 48×96 frames (a batch of two, then one: the output is remade),
+// at width 1 on 160×320 frames, whose Concat is laid out beside Bundles cut
+// into several bands (two batches of one: the output is reused), and for
+// mixedGraph. The laid Concat's max-abs, taken from its inputs' instead of
+// scanned, reads what the scan read; the observed forwards hand the GEMM
+// their weights unpacked, and read what packed ones did, under every kernel.
 func TestActivationScalesPinned(t *testing.T) {
-	digest := func(c ActivationClips) string {
+	digest := func(c ActivationClips, bits func(float32) uint32) string {
 		h := fnv.New64a()
 		for _, v := range append([]float32{c.Input}, c.Node...) {
-			binary.Write(h, binary.LittleEndian, math.Float32bits(grid(8, v).Scale))
+			binary.Write(h, binary.LittleEndian, bits(v))
 		}
 		return fmt.Sprintf("%016x", h.Sum64())
 	}
-	check := func(name string, g *nn.Graph, batches []*tensor.Tensor, want string) {
+	scale := func(v float32) uint32 { return math.Float32bits(grid(8, v).Scale) }
+	check := func(name string, g *nn.Graph, batches []*tensor.Tensor, want [2]string) { // scales, clips
 		t.Helper()
 		clips, err := CalibrateActivations(nn.NewPlanCache(g, nil), batches)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := digest(clips); got != want {
-			t.Errorf("%s: scales hash to %s, want %s", name, got, want)
+		if got := digest(clips, scale); got != want[0] {
+			t.Errorf("%s under %s: scales hash to %s, want %s", name, tensor.KernelName(), got, want[0])
+		}
+		if got := digest(clips, math.Float32bits); got != want[1] {
+			t.Errorf("%s under %s: clips hash to %s, want %s", name, tensor.KernelName(), got, want[1])
 		}
 	}
-	for _, c := range []struct {
-		v    backbone.SkyNetVariant
-		want string
-	}{{backbone.VariantA, "e45672bb44c484a1"}, {backbone.VariantB, "0d6b37f66a9087e5"}, {backbone.VariantC, "6d67007cad5ec5ce"}} {
-		rng := rand.New(rand.NewSource(23))
-		g := backbone.SkyNet(rng, backbone.Config{Width: 0.25, InC: 3, HeadChannels: 10, ReLU6: true}, c.v)
+	skynet := func(seed int64, width float64, v backbone.SkyNetVariant) (*nn.Graph, *rand.Rand) {
+		rng := rand.New(rand.NewSource(seed))
+		g := backbone.SkyNet(rng, backbone.Config{Width: width, InC: 3, HeadChannels: 10, ReLU6: true}, v)
 		settle(g, rng)
-		check(fmt.Sprintf("SkyNet%v", c.v), g, []*tensor.Tensor{randBatch(rng, 3, 3, 16, 32), randBatch(rng, 2, 3, 18, 32)}, c.want)
+		return g, rng
+	}
+	variants := []backbone.SkyNetVariant{backbone.VariantA, backbone.VariantB, backbone.VariantC}
+	for i, want := range [][2][2]string{ // two shapes, 48×96
+		{{"e45672bb44c484a1", "e7c79bffb48c0d8c"}, {"db8d89667cf271ae", "5caa7424a7f67408"}},
+		{{"0d6b37f66a9087e5", "e0bfec2a84c7580a"}, {"d6453ee58033b084", "2113047ec50da108"}},
+		{{"6d67007cad5ec5ce", "c6263f1d6ece88f2"}, {"dc6d930a3c1648fa", "c93b621df3365cda"}},
+	} {
+		g, rng := skynet(23, 0.25, variants[i])
+		check(fmt.Sprintf("SkyNet%v", variants[i]), g, []*tensor.Tensor{randBatch(rng, 3, 3, 16, 32), randBatch(rng, 2, 3, 18, 32)}, want[0])
+		g, rng = skynet(61, 0.25, variants[i])
+		check(fmt.Sprintf("SkyNet%v/48x96", variants[i]), g, []*tensor.Tensor{randBatch(rng, 2, 3, 48, 96), randBatch(rng, 1, 3, 48, 96)}, want[1])
 	}
 	rng := rand.New(rand.NewSource(24))
-	check("mixedGraph", mixedGraph(rng), []*tensor.Tensor{randBatch(rng, 4, 3, 22, 30)}, "da16c4169da58c43")
+	check("mixedGraph", mixedGraph(rng), []*tensor.Tensor{randBatch(rng, 4, 3, 22, 30)}, [2]string{"da16c4169da58c43", "f2f3f9b07e1b96b8"})
 	if testing.Short() {
 		return
+	}
+	for i, want := range [][2]string{{"b0bad649f2a5d480", "2e57ca5063f7ede8"}, {"9e4c0f1bd7d9d020", "24ac8d9b7cee993e"}} {
+		g, rng := skynet(61, 1, variants[i])
+		check(fmt.Sprintf("SkyNet%v/width1/160x320", variants[i]), g, []*tensor.Tensor{randBatch(rng, 1, 3, 160, 320), randBatch(rng, 1, 3, 160, 320)}, want)
 	}
 	rng = rand.New(rand.NewSource(24))
 	g := backbone.SkyNetC(rng, backbone.Config{Width: 1, InC: 3, HeadChannels: 10, ReLU6: true})
 	settle(g, rng)
-	check("SkyNetC/width1/160x320", g, []*tensor.Tensor{randBatch(rng, 1, 3, 160, 320), randBatch(rng, 2, 3, 160, 320)}, "7ad6b2c21e62de3d")
+	check("SkyNetC/width1/160x320", g, []*tensor.Tensor{randBatch(rng, 1, 3, 160, 320), randBatch(rng, 2, 3, 160, 320)}, [2]string{"7ad6b2c21e62de3d", "66f3c250c4ff2b87"})
 }

@@ -385,8 +385,7 @@ func Export(g *nn.Graph, calib []*tensor.Tensor, cfg ExportConfig) (*QuantizedMo
 	}
 	plans := nn.NewPlanCache(g, force)
 	clips, err := CalibrateActivations(plans, calib)
-	// Calibration ran the plans in float, on the cache's arena and weights
-	// packed for the float GEMM; the engine runs them on codes.
+	// Calibration ran the plans on the cache's float arena; the engine runs them on codes.
 	plans.Release()
 	if err != nil {
 		return nil, err
